@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use redo_methods::fuzzy::FuzzyPhysiological;
+use redo_methods::online::GeneralizedOnline;
 use redo_methods::physiological::Physiological;
 use redo_methods::RecoveryMethod;
 use redo_sim::db::{Db, Geometry};
@@ -61,7 +61,7 @@ fn bench(c: &mut Criterion) {
     // Shape check + report.
     let (scan_none, replay_none) = run_once(&Physiological, &ops, None);
     let (scan_heavy, replay_heavy) = run_once(&Physiological, &ops, Some(25));
-    let (scan_fuzzy, replay_fuzzy) = run_once(&FuzzyPhysiological, &ops, Some(25));
+    let (scan_fuzzy, replay_fuzzy) = run_once(&GeneralizedOnline, &ops, Some(25));
     println!("ablation_checkpoint shape-check (n={n}):");
     println!("  none:  scanned {scan_none:>4}, replayed {replay_none:>4}");
     println!("  heavy: scanned {scan_heavy:>4}, replayed {replay_heavy:>4}");
@@ -88,7 +88,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("fuzzy_run_and_recover", every),
             &(&ops, every),
-            |b, (ops, every)| b.iter(|| run_once(&FuzzyPhysiological, ops, Some(*every))),
+            |b, (ops, every)| b.iter(|| run_once(&GeneralizedOnline, ops, Some(*every))),
         );
     }
     group.bench_function("no_checkpoint_run_and_recover", |b| {

@@ -14,11 +14,12 @@
 //!   random small histories.
 //! * `schedules` — exhaustively explore flush schedules of a §6 method
 //!   (`logical|physical|physiological|generalized|fuzzy|skippy|lying`;
-//!   the last two are deliberately broken and should FAIL).
+//!   `fuzzy` is the online fuzzy-checkpoint discipline on single-page
+//!   operations; the last two are deliberately broken and should FAIL).
 //! * `walks`     — fuzz write-graph evolutions against Corollary 5.
 //! * `beyond`    — search for §7's beyond-the-theory witnesses.
 //! * `crash-audit` — drive each method (`--method all` by default;
-//!   `logical|physical|physiological|generalized|online|fuzzy|parallel|ondemand|media|pit|control`)
+//!   `logical|physical|physiological|generalized|online|parallel|ondemand|media|pit|control`)
 //!   through seeded crash schedules with injected faults: torn page
 //!   writes, partial log flushes, and a crash in the middle of every
 //!   recovery, checking the Recovery Invariant after each completed
@@ -65,7 +66,6 @@ use redo_checker::theorems::check_history;
 use redo_checker::wg_walk::walk;
 use redo_methods::broken::{LyingCheckpoint, SkippyRedo};
 use redo_methods::control::Control;
-use redo_methods::fuzzy::FuzzyPhysiological;
 use redo_methods::generalized::Generalized;
 use redo_methods::logical::Logical;
 use redo_methods::ondemand::OnDemand;
@@ -210,7 +210,7 @@ fn cmd_schedules(args: &Args) -> Result<bool, String> {
         "physical" => explore_method(&Physical, ops, pages, seeds, limit),
         "physiological" => explore_method(&Physiological, ops, pages, seeds, limit),
         "generalized" => explore_method(&Generalized, ops, pages, seeds, limit),
-        "fuzzy" => explore_method(&FuzzyPhysiological, ops, pages, seeds, limit),
+        "fuzzy" => explore_method(&GeneralizedOnline, ops, pages, seeds, limit),
         "skippy" => explore_method(&SkippyRedo, ops, pages, seeds, limit),
         "lying" => explore_method(&LyingCheckpoint, ops, pages, seeds, limit),
         other => return Err(format!("unknown method {other}")),
@@ -300,10 +300,6 @@ fn cmd_crash_audit(args: &Args) -> Result<bool, String> {
     }
     if all || method == "online" {
         clean &= audit_method(&GeneralizedOnline, &cfg);
-        matched = true;
-    }
-    if all || method == "fuzzy" {
-        clean &= audit_method(&FuzzyPhysiological, &cfg);
         matched = true;
     }
     if all || method == "ondemand" {

@@ -1230,7 +1230,6 @@ fn tally_fault<P: redo_sim::wal::LogPayload>(db: &Db<P>, report: &mut CrashAudit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redo_methods::fuzzy::FuzzyPhysiological;
     use redo_methods::generalized::Generalized;
     use redo_methods::logical::Logical;
     use redo_methods::ondemand::OnDemand;
@@ -1356,14 +1355,6 @@ mod tests {
         let cfg = small();
         let report = audit(&Logical, &cfg).unwrap_or_else(|e| panic!("{e}"));
         assert_clean(&report, &cfg);
-    }
-
-    #[test]
-    fn fuzzy_survives_crash_audit() {
-        let cfg = small();
-        let report = audit(&FuzzyPhysiological, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, 0, "fuzzy logs its own payload");
     }
 
     #[test]

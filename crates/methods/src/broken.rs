@@ -21,14 +21,13 @@
 //! around as regression tests for the checker itself.
 
 use redo_sim::db::Db;
-use redo_sim::wal::ShardedScanner;
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageOp;
 
 use crate::oprecord::PageOpPayload;
 use crate::physiological::Physiological;
-use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
+use crate::{redo, RecoveryMethod, RecoveryStats};
 
 /// Physiological recovery with an off-by-one redo test.
 #[derive(Clone, Copy, Debug, Default)]
@@ -50,39 +49,15 @@ impl RecoveryMethod for SkippyRedo {
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        // Recovery's first act: repair crash damage the media can
-        // detect (torn pages, a torn log-tail fragment).
-        db.repair_after_crash();
-        let master = db.disk.master();
-        let mut stats = RecoveryStats::default();
-        let mut scanner = ShardedScanner::seek(&db.log, master.next());
-        loop {
-            let batch = scanner.next_batch(&db.log, SCAN_BATCH)?;
-            if batch.is_empty() {
-                break;
+        redo::recover_ops(db, PageOp::written_pages, |db, lsn, op| {
+            // BUG: `lsn - 1` instead of `lsn`. A page flushed at LSN L
+            // causes the record at L+1 to be wrongly bypassed.
+            let stale = redo::page_is_stale(db, op, Lsn(lsn.0.saturating_sub(1)))?;
+            if stale {
+                db.apply_page_op(op, lsn)?;
             }
-            for rec in batch {
-                stats.scanned += 1;
-                let PageOpPayload::Op(op) = rec.payload else {
-                    continue;
-                };
-                let page = op.written_pages()[0];
-                let stable = db.log.stable_lsn();
-                let cached =
-                    db.pool
-                        .fetch(&mut db.disk, page, db.geometry.slots_per_page, stable)?;
-                // BUG: `rec.lsn - 1` instead of `rec.lsn`. A page flushed at
-                // LSN L causes the record at L+1 to be wrongly bypassed.
-                if cached.lsn() < Lsn(rec.lsn.0.saturating_sub(1)) {
-                    db.apply_page_op(&op, rec.lsn)?;
-                    stats.replayed.push(op.id);
-                } else {
-                    stats.skipped.push(op.id);
-                }
-            }
-        }
-        stats.note_scan(scanner.stats(), db.log.forces());
-        Ok(stats)
+            Ok(stale)
+        })
     }
 }
 
@@ -111,9 +86,6 @@ impl RecoveryMethod for LyingCheckpoint {
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        // Recovery's first act: repair crash damage the media can
-        // detect (torn pages, a torn log-tail fragment).
-        db.repair_after_crash();
         Physiological.recover(db)
     }
 }
@@ -122,15 +94,9 @@ impl RecoveryMethod for LyingCheckpoint {
 mod tests {
     use super::*;
     use crate::harness::{run, HarnessConfig, HarnessFailure};
-    use redo_workload::pages::PageWorkloadSpec;
 
     fn workload(seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: 80,
-            n_pages: 5,
-            ..Default::default()
-        }
-        .generate(seed)
+        crate::testkit::single_page_workload(80, 5, seed)
     }
 
     fn chaotic_cfg(seed: u64) -> HarnessConfig {

@@ -67,15 +67,18 @@
 //! window where a record exists in the log while its dirt is in no
 //! dirty-page table. A checkpoint snapshotting during that window
 //! would compute a redo-start above the un-applied record and recovery
-//! would skip it. The cure: each append registers its LSN in an
-//! in-flight set (same log-lock critical section) and removes it only
-//! once applied (while the applying lease is still held — the
-//! snapshot locks *all* shards, so it cannot slip between the apply
-//! and the withdrawal); the daemon's redo-start is the min over
-//! recLSNs *and* the in-flight floor. Any operation below the
+//! would skip it. The cure: each append registers its LSN, with the
+//! pages it writes, in an in-flight set (same log-lock critical
+//! section) and removes it only once applied (while the applying lease
+//! is still held — the snapshot locks *all* shards, so it cannot slip
+//! between the apply and the withdrawal); the daemon enters those
+//! pages in its table at that LSN, so its redo-start is the min over
+//! recLSNs *and* the in-flight floor, and neither on-demand restart
+//! nor the parallel router can take the page's absence from the table
+//! as proof the record is installed. Any operation below the
 //! checkpoint is then either applied (visible in the table, or flushed
-//! and installed) or still in flight (visible in the floor) — never
-//! invisible.
+//! and installed) or still in flight (visible in the table at its own
+//! LSN) — never invisible.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -87,15 +90,15 @@ use rand::{Rng, SeedableRng};
 use redo_sim::cache::Constraint;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::disk::Disk;
-use redo_sim::shard::ShardedStore;
+use redo_sim::shard::{PageLease, ShardedStore};
 use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp};
 
 use crate::control::{ControlPlan, Controller, RestartBudget, RestartEstimate};
-use crate::generalized::{Generalized, RestartAnalysis};
 use crate::oprecord::PageOpPayload;
+use crate::redo::{self, Chain, RestartAnalysis};
 use crate::RecoveryStats;
 
 /// How many shards the store and the latch map split into. Power of
@@ -109,9 +112,11 @@ struct Inner {
     log: Mutex<ShardedLog<PageOpPayload>>,
     store: ShardedStore,
     latches: Box<[LatchShard]>,
-    /// LSNs appended to the log whose writes are not yet applied to the
-    /// buffer pool — the checkpoint daemon's redo-start floor.
-    inflight: Mutex<BTreeSet<Lsn>>,
+    /// Records appended to the log whose writes are not yet applied to
+    /// the buffer pool, by LSN, with the pages each writes — the
+    /// checkpoint daemon's redo-start floor, and the table entries a
+    /// snapshot taken inside that window would otherwise miss.
+    inflight: Mutex<BTreeMap<Lsn, Vec<PageId>>>,
     daemon: Mutex<DaemonStats>,
     /// The daemon's volatile view of the published checkpoint chain —
     /// what the quiescent skip compares against and what an incremental
@@ -120,7 +125,7 @@ struct Inner {
     /// on crash (the first post-crash checkpoint is then full, which is
     /// always sound), and untouched by abandoned attempts. A leaf lock:
     /// taken briefly, never while acquiring another.
-    chain: Mutex<Option<ChainState>>,
+    chain: Mutex<Option<Chain>>,
     /// On-demand restart bookkeeping; gate *membership* lives in the
     /// shard map ([`ShardedStore::is_gated`]) so the servable fast path
     /// never touches this mutex. Holding it serializes lazy replay —
@@ -144,22 +149,6 @@ struct OnlineRecovery {
 struct RecoveryState {
     analysis: RestartAnalysis,
     stats: RecoveryStats,
-}
-
-/// The daemon-side record of the checkpoint chain now in force: where
-/// its head and base sit, how deep the delta chain is, and the exact
-/// table/redo-start the head published.
-struct ChainState {
-    /// LSN of the newest published checkpoint record (the master).
-    head: Lsn,
-    /// LSN of the full snapshot the chain grows from.
-    base: Lsn,
-    /// Delta links from `head` back to `base` (0 when `head == base`).
-    depth: u64,
-    /// The full dirty-page table as published at `head`.
-    dpt: BTreeMap<PageId, Lsn>,
-    /// The redo-start published at `head`.
-    redo_start: Lsn,
 }
 
 /// Telemetry from the online checkpoint daemon.
@@ -198,6 +187,67 @@ pub struct DaemonStats {
     pub last_redo_start: Option<Lsn>,
 }
 
+/// The apply phase [`SharedDb::execute`] and lazy replay share: under a
+/// lease covering the operation's pages (written pages resident), write
+/// its outputs at `lsn`, then register its write-order constraints —
+/// every write page must be durable before a later overwrite of a
+/// cross-page read reaches disk — and bind a multi-page write set into
+/// an atomic flush group.
+fn apply_under_lease(
+    lease: &mut PageLease<'_>,
+    op: &PageOp,
+    lsn: Lsn,
+    read_values: &[u64],
+) -> SimResult<()> {
+    for &cell in &op.writes {
+        let v = op.output(cell, read_values);
+        lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
+    }
+    let written = op.written_pages();
+    for r in op.read_pages() {
+        if !written.contains(&r) {
+            for &w in &written {
+                lease.add_constraint(Constraint {
+                    blocked: r,
+                    blocked_above: lsn,
+                    requires: w,
+                    required_lsn: lsn,
+                });
+            }
+        }
+    }
+    lease.add_atomic_group(&written, lsn);
+    Ok(())
+}
+
+/// The dirty-page table a checkpoint publishes: the buffer pool's
+/// table, plus two kinds of page that are *logically* dirty though no
+/// pool shard holds their dirt — each entered at the lowest LSN claimed
+/// for it:
+///
+/// * pages still gated behind their deferred redo, at their first
+///   residual LSN: their residual records are not installed, so the
+///   redo-start floor must keep those records from being truncated, and
+///   a crash before their replay must not prove them installed;
+/// * pages a record appended but not yet applied writes, at that
+///   record's LSN: the record sits below the checkpoint, and a table
+///   without its pages would let restart prove it installed.
+fn checkpoint_table(
+    pool: Vec<(PageId, Lsn)>,
+    gated_residuals: impl IntoIterator<Item = (PageId, Lsn)>,
+    inflight: &BTreeMap<Lsn, Vec<PageId>>,
+) -> BTreeMap<PageId, Lsn> {
+    let mut table: BTreeMap<PageId, Lsn> = pool.into_iter().collect();
+    let unapplied = inflight
+        .iter()
+        .flat_map(|(&lsn, pages)| pages.iter().map(move |&page| (page, lsn)));
+    for (page, lsn) in gated_residuals.into_iter().chain(unapplied) {
+        let entry = table.entry(page).or_insert(lsn);
+        *entry = (*entry).min(lsn);
+    }
+    table
+}
+
 /// A thread-shareable database executing page operations with
 /// physiological/generalized logging.
 #[derive(Clone)]
@@ -209,19 +259,32 @@ impl SharedDb {
     /// A fresh shared database.
     #[must_use]
     pub fn new(geometry: Geometry) -> SharedDb {
+        let store = ShardedStore::new(STORE_SHARDS);
+        Self::assemble(geometry, ShardedLog::new(1), store, None)
+    }
+
+    fn assemble(
+        geometry: Geometry,
+        log: ShardedLog<PageOpPayload>,
+        store: ShardedStore,
+        active: Option<RecoveryState>,
+    ) -> SharedDb {
         SharedDb {
             inner: Arc::new(Inner {
                 geometry,
-                log: Mutex::new(ShardedLog::new(1)),
-                store: ShardedStore::new(STORE_SHARDS),
+                log: Mutex::new(log),
+                store,
                 latches: (0..STORE_SHARDS)
                     .map(|_| Mutex::new(BTreeMap::new()))
                     .collect::<Vec<_>>()
                     .into_boxed_slice(),
-                inflight: Mutex::new(BTreeSet::new()),
+                inflight: Mutex::new(BTreeMap::new()),
                 daemon: Mutex::new(DaemonStats::default()),
                 chain: Mutex::new(None),
-                recovery: Mutex::new(OnlineRecovery::default()),
+                recovery: Mutex::new(OnlineRecovery {
+                    active,
+                    finished: None,
+                }),
                 stop: AtomicBool::new(false),
             }),
         }
@@ -240,55 +303,21 @@ impl SharedDb {
     ///
     /// Log corruption at the master record.
     pub fn open_on_demand(mut crashed: Db<PageOpPayload>) -> SimResult<SharedDb> {
-        crashed.repair_after_crash();
-        let analysis = Generalized::analyze_dpt(&crashed)?;
-        let stats = RecoveryStats {
-            checkpoint_lsn: analysis.checkpoint_lsn,
-            truncated_bytes: crashed.log.truncated_bytes(),
-            ..RecoveryStats::default()
-        };
-        let pages: Vec<PageId> = crashed.log.chained_pages().collect();
-        let mut gates: Vec<PageId> = Vec::new();
-        for page in pages {
-            let needs_redo = crashed.log.page_chain(page).iter().any(|&(lsn, _)| {
-                lsn >= analysis.redo_start && !analysis.provably_installed(page, lsn)
-            });
-            if needs_redo {
-                gates.push(page);
-            }
-        }
+        let (analysis, stats) = redo::begin(&mut crashed)?;
+        let gates = analysis.gates(&crashed.log);
         // The crash survivors move in whole: the repaired disk becomes
         // the shard map's disk, the repaired log (chains already pruned
         // to the stable tail) becomes the shared log. The sequential
         // shell keeps empty stand-ins and is dropped.
-        let geometry = crashed.geometry;
         let disk = std::mem::replace(&mut crashed.disk, Disk::new());
         let log = std::mem::replace(&mut crashed.log, ShardedLog::new(1));
-        let shared = SharedDb {
-            inner: Arc::new(Inner {
-                geometry,
-                log: Mutex::new(log),
-                store: ShardedStore::with_disk(STORE_SHARDS, disk),
-                latches: (0..STORE_SHARDS)
-                    .map(|_| Mutex::new(BTreeMap::new()))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-                inflight: Mutex::new(BTreeSet::new()),
-                daemon: Mutex::new(DaemonStats::default()),
-                chain: Mutex::new(None),
-                recovery: Mutex::new(OnlineRecovery {
-                    active: Some(RecoveryState { analysis, stats }),
-                    finished: None,
-                }),
-                stop: AtomicBool::new(false),
-            }),
-        };
+        let store = ShardedStore::with_disk(STORE_SHARDS, disk);
+        let active = Some(RecoveryState { analysis, stats });
+        let shared = Self::assemble(crashed.geometry, log, store, active);
         shared.inner.store.gate_pages(gates.iter().copied());
         // A restart with nothing owed closes out right away.
         if gates.is_empty() {
-            shared
-                .recovery_tick()
-                .expect("empty restart cannot hit substrate errors");
+            shared.recovery_tick()?;
         }
         Ok(shared)
     }
@@ -346,16 +375,7 @@ impl SharedDb {
                 if !component.insert(p) {
                     continue;
                 }
-                let entries: Vec<(Lsn, u64)> = log
-                    .page_chain(p)
-                    .iter()
-                    .copied()
-                    .filter(|&(lsn, _)| {
-                        lsn >= state.analysis.redo_start
-                            && !state.analysis.provably_installed(p, lsn)
-                    })
-                    .collect();
-                for (lsn, off) in entries {
+                for (lsn, off) in state.analysis.owed_chain(&log, p) {
                     if records.contains_key(&lsn) {
                         continue;
                     }
@@ -413,24 +433,7 @@ impl SharedDb {
                     lease.fetch(cell.page, spp, Lsn::ZERO)?;
                     read_values.push(lease.page(cell.page).expect("just fetched").get(cell.slot));
                 }
-                for &cell in &op.writes {
-                    let v = op.output(cell, &read_values);
-                    lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
-                }
-                let written = op.written_pages();
-                for r in op.read_pages() {
-                    if !written.contains(&r) {
-                        for &w in &written {
-                            lease.add_constraint(Constraint {
-                                blocked: r,
-                                blocked_above: lsn,
-                                requires: w,
-                                required_lsn: lsn,
-                            });
-                        }
-                    }
-                }
-                lease.add_atomic_group(&written, lsn);
+                apply_under_lease(&mut lease, &op, lsn, &read_values)?;
                 state.stats.replayed.push(op.id);
             } else {
                 state.stats.skipped.push(op.id);
@@ -513,7 +516,8 @@ impl SharedDb {
     ///
     /// Substrate errors (pool exhaustion).
     pub fn execute(&self, op: &PageOp) -> SimResult<Lsn> {
-        if op.written_pages().is_empty() {
+        let written = op.written_pages();
+        if written.is_empty() {
             return Err(SimError::MethodViolation(
                 "operations must write at least one page",
             ));
@@ -522,7 +526,7 @@ impl SharedDb {
         let mut pages: Vec<PageId> = op
             .read_pages()
             .into_iter()
-            .chain(op.written_pages())
+            .chain(written.iter().copied())
             .collect();
         pages.sort_unstable();
         pages.dedup();
@@ -549,9 +553,10 @@ impl SharedDb {
         // one log-lock critical section, so no checkpoint snapshot can
         // see the record without also seeing it in the floor.
         let lsn = {
+            let unapplied = written.clone();
             let mut log = self.inner.log.lock();
             let lsn = log.append(PageOpPayload::Op(op.clone()))?;
-            self.inner.inflight.lock().insert(lsn);
+            self.inner.inflight.lock().insert(lsn, unapplied);
             lsn
         };
         // Apply phase (under the same latches: conflicting operations
@@ -564,28 +569,10 @@ impl SharedDb {
         {
             let mut lease = self.inner.store.lock_pages(&pages);
             let applied = (|| -> SimResult<()> {
-                for page in op.written_pages() {
+                for &page in &written {
                     lease.fetch(page, spp, Lsn::ZERO)?;
                 }
-                for &cell in &op.writes {
-                    let v = op.output(cell, &read_values);
-                    lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
-                }
-                let written = op.written_pages();
-                for r in op.read_pages() {
-                    if !written.contains(&r) {
-                        for &w in &written {
-                            lease.add_constraint(Constraint {
-                                blocked: r,
-                                blocked_above: lsn,
-                                requires: w,
-                                required_lsn: lsn,
-                            });
-                        }
-                    }
-                }
-                lease.add_atomic_group(&written, lsn);
-                Ok(())
+                apply_under_lease(&mut lease, op, lsn, &read_values)
             })();
             self.inner.inflight.lock().remove(&lsn);
             applied?;
@@ -676,7 +663,9 @@ impl SharedDb {
     ///
     /// Substrate errors from the log force.
     pub fn checkpoint_tick(&self) -> SimResult<Option<Lsn>> {
-        self.checkpoint_with(None)
+        // A `full_every` below 2 never chains: every publication is a
+        // full snapshot.
+        self.checkpoint_tick_incremental(0)
     }
 
     /// [`SharedDb::checkpoint_tick`] in *incremental* mode: while a
@@ -692,10 +681,6 @@ impl SharedDb {
     ///
     /// Substrate errors from the log force.
     pub fn checkpoint_tick_incremental(&self, full_every: u64) -> SimResult<Option<Lsn>> {
-        self.checkpoint_with(Some(full_every))
-    }
-
-    fn checkpoint_with(&self, full_every: Option<u64>) -> SimResult<Option<Lsn>> {
         // Snapshot + append, atomically w.r.t. appliers: the snapshot
         // holds every store shard (acquired in ascending order), so no
         // apply can slip between the table read and the append. The
@@ -706,141 +691,57 @@ impl SharedDb {
             let rec = self.inner.recovery.lock();
             let snapshot = self.inner.store.snapshot();
             let mut log = self.inner.log.lock();
-            let mut dirty = snapshot.dirty_page_table();
-            if let Some(state) = rec.active.as_ref() {
-                // Pages still gated behind their deferred redo are
-                // *logically* dirty: their residual records are not
-                // installed, yet no pool shard holds them. Carry each
-                // in the checkpoint's table at its first residual LSN,
-                // so the redo-start floor keeps those records from
-                // being truncated — and so a crash before their replay
-                // cannot prove them installed.
-                let mut table: BTreeMap<PageId, Lsn> = dirty.into_iter().collect();
-                for page in self.inner.store.gated_pages() {
-                    let residual = log
-                        .page_chain(page)
-                        .iter()
-                        .map(|&(lsn, _)| lsn)
-                        .filter(|&lsn| {
-                            lsn >= state.analysis.redo_start
-                                && !state.analysis.provably_installed(page, lsn)
-                        })
-                        .min();
-                    if let Some(rec_lsn) = residual {
-                        let entry = table.entry(page).or_insert(rec_lsn);
-                        *entry = (*entry).min(rec_lsn);
-                    }
-                }
-                dirty = table.into_iter().collect();
-            }
-            let table: BTreeMap<PageId, Lsn> = dirty.iter().copied().collect();
-            let floor = self.inner.inflight.lock().first().copied();
-            let ck_expected = Lsn(log.last_lsn().0 + 1);
-            let candidate = [floor, dirty.iter().map(|&(_, rec)| rec).min()]
-                .into_iter()
-                .flatten()
-                .min();
-            // Quiescent skip: nothing was logged since the standing
-            // checkpoint, the table is unchanged, and the redo-start
-            // would not move. Republishing would force the log and swing
-            // the master for a byte-identical analysis — pure overhead.
-            // The clean-pool case needs care: with nothing dirty and
-            // nothing in flight `candidate` is `None` and the would-be
-            // redo-start is the *drifting* `ck_expected`, so compare it
-            // through `unwrap_or` against the published one instead.
-            let quiescent_head = {
-                let chain = self.inner.chain.lock();
-                chain.as_ref().and_then(|state| {
-                    (log.last_lsn() == state.head
-                        && table == state.dpt
-                        && candidate.unwrap_or(state.redo_start) == state.redo_start)
-                        .then_some(state.head)
-                })
+            let residuals: Vec<(PageId, Lsn)> = match rec.active.as_ref() {
+                Some(state) => (self.inner.store.gated_pages().into_iter())
+                    .filter_map(|page| {
+                        let chain = log.page_chain(page).iter().map(|&(lsn, _)| lsn);
+                        let first = chain.filter(|&lsn| state.analysis.owes(page, lsn)).min();
+                        first.map(|lsn| (page, lsn))
+                    })
+                    .collect(),
+                None => Vec::new(),
             };
-            if let Some(head) = quiescent_head {
+            let table = checkpoint_table(
+                snapshot.dirty_page_table(),
+                residuals,
+                &self.inner.inflight.lock(),
+            );
+            let (next, head) = {
+                let chain = self.inner.chain.lock();
+                let next = redo::next_checkpoint(chain.as_ref(), full_every, &table, &log);
+                (next, chain.as_ref().map(|chain| chain.head))
+            };
+            let Some((payload, redo_start)) = next else {
                 self.inner.daemon.lock().checkpoints_skipped += 1;
-                return Ok(Some(head));
-            }
-            // Nothing dirty, nothing in flight: everything logged so far
-            // is installed, so recovery need only scan the checkpoint
-            // record itself.
-            let redo_start = candidate.unwrap_or(ck_expected);
-            // Incremental mode with a live chain below its depth bound:
-            // log only the delta against the head's published table.
-            let delta = {
-                let chain = self.inner.chain.lock();
-                match (full_every, chain.as_ref()) {
-                    (Some(fe), Some(state)) if state.depth + 1 < fe.max(1) => {
-                        let added: Vec<(PageId, Lsn)> = table
-                            .iter()
-                            .filter(|&(page, rec)| state.dpt.get(page) != Some(rec))
-                            .map(|(&page, &rec)| (page, rec))
-                            .collect();
-                        let removed: Vec<PageId> = state
-                            .dpt
-                            .keys()
-                            .filter(|page| !table.contains_key(page))
-                            .copied()
-                            .collect();
-                        Some(PageOpPayload::DeltaCheckpoint {
-                            prev: state.head,
-                            base: state.base,
-                            redo_start,
-                            added,
-                            removed,
-                        })
-                    }
-                    _ => None,
-                }
+                return Ok(head);
             };
-            let is_delta = delta.is_some();
-            let payload = delta.unwrap_or(PageOpPayload::FuzzyCheckpoint { dirty, redo_start });
-            let ck = log.append(payload)?;
-            debug_assert_eq!(ck, ck_expected);
-            (ck, redo_start, table, is_delta)
+            let is_delta = matches!(payload, PageOpPayload::DeltaCheckpoint { .. });
+            (log.append(payload)?, redo_start, table, is_delta)
         };
         // Make the record durable through the group-commit path.
         self.commit_tick();
-        // Publish + truncate. Both the force and the pointer swing can
-        // be suppressed by fault injection, and each suppression is
-        // silent — so verify both before truncating anything. No shard
-        // locks here: publication touches only the disk and the log.
+        // Publish + truncate. No shard locks here: publication touches
+        // only the disk and the log.
         let mut disk = self.inner.store.disk();
         let mut log = self.inner.log.lock();
-        if log.stable_lsn() < ck {
+        let Some(reclaimed) = redo::land(&mut log, &mut disk, ck, redo_start)? else {
             self.inner.daemon.lock().checkpoints_abandoned += 1;
             return Ok(None);
-        }
-        disk.swing_pointer(ck)?;
-        if disk.master() != ck {
-            self.inner.daemon.lock().checkpoints_abandoned += 1;
-            return Ok(None);
-        }
-        let reclaimed = log.archive_prefix(redo_start)?;
+        };
         // Publication landed: the chain bookkeeping moves to the new
-        // head. A delta extends the standing chain (same base, one
-        // deeper); a full snapshot starts a fresh one. An abandoned
-        // attempt never reaches here, so its orphaned record leaves the
-        // chain untouched — exactly right, since the master still names
-        // the old head and analysis will skip the orphan.
+        // head. An abandoned attempt never reaches here, so its orphaned
+        // record leaves the chain untouched — exactly right, since the
+        // master still names the old head and analysis will skip the
+        // orphan.
         {
             let mut chain = self.inner.chain.lock();
-            *chain = Some(match (is_delta, chain.take()) {
-                (true, Some(prev)) => ChainState {
-                    head: ck,
-                    base: prev.base,
-                    depth: prev.depth + 1,
-                    dpt: table,
-                    redo_start,
-                },
-                _ => ChainState {
-                    head: ck,
-                    base: ck,
-                    depth: 0,
-                    dpt: table,
-                    redo_start,
-                },
-            });
+            *chain = Some(Chain::extended(
+                chain.take(),
+                is_delta,
+                ck,
+                table,
+                redo_start,
+            ));
         }
         let mut daemon = self.inner.daemon.lock();
         daemon.checkpoints_taken += 1;
@@ -973,51 +874,21 @@ impl SharedDb {
     }
 
     /// Spawns the background group-commit + flusher + latch-GC +
-    /// checkpoint-daemon loop on the current handle; returns when
+    /// checkpoint-controller loop on the current handle; returns when
     /// [`SharedDb::shutdown`] is called. Intended to run on its own
-    /// thread. `checkpoint_every` is the daemon's period in ticks
-    /// (`None` disables online checkpointing).
+    /// thread. Each tick ends in a [`SharedDb::control_tick`] steering
+    /// toward `budget` — checkpoints fire when estimated restart cost
+    /// crosses the budget (and are skipped when the system is
+    /// quiescent), the coldest page is flushed when the suffix builds,
+    /// and skewed shards drain to the archive tier; a budget no
+    /// estimate can cross disables online checkpointing.
     ///
     /// # Panics
     ///
     /// Panics if a tick hits an unexpected substrate error — a broken
     /// pool or log is not something the background thread can recover
     /// from, and limping on would mask the corruption.
-    pub fn background_loop(&self, seed: u64, flush_prob: f64, checkpoint_every: Option<u64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tick: u64 = 0;
-        while !self.stopping() {
-            tick += 1;
-            self.recovery_tick()
-                .expect("recovery tick hit an unexpected substrate error");
-            self.commit_tick();
-            self.flusher_tick(&mut rng, flush_prob)
-                .expect("flusher tick hit an unexpected substrate error");
-            self.latch_gc_tick();
-            if let Some(every) = checkpoint_every {
-                if tick.is_multiple_of(every.max(1)) {
-                    self.checkpoint_tick()
-                        .expect("checkpoint tick hit an unexpected substrate error");
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// The adaptive counterpart of [`SharedDb::background_loop`]: the
-    /// same group-commit / random-flusher / latch-GC cadence, but the
-    /// fixed-period checkpoint daemon is replaced by a
-    /// [`SharedDb::control_tick`] steering toward `budget` — checkpoints
-    /// fire when estimated restart cost crosses the budget (and are
-    /// skipped when the system is quiescent), the coldest page is
-    /// flushed when the suffix builds, and skewed shards drain to the
-    /// archive tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tick hits an unexpected substrate error, exactly as
-    /// [`SharedDb::background_loop`] does.
-    pub fn background_loop_adaptive(&self, seed: u64, flush_prob: f64, budget: RestartBudget) {
+    pub fn background_loop(&self, seed: u64, flush_prob: f64, budget: RestartBudget) {
         let controller = Controller::new(budget);
         let mut rng = StdRng::seed_from_u64(seed);
         while !self.stopping() {
@@ -1060,27 +931,40 @@ impl SharedDb {
 mod tests {
     use super::*;
     use crate::generalized::Generalized;
+    use crate::testkit::model;
     use crate::RecoveryMethod;
     use redo_workload::pages::{Cell, PageWorkloadSpec};
+
+    /// A budget no estimate can cross: the controller never fires.
+    fn never_checkpoint() -> RestartBudget {
+        RestartBudget {
+            max_suffix_bytes: u64::MAX,
+            max_dirty_pages: usize::MAX,
+            ..Default::default()
+        }
+    }
+
+    /// A budget nearly every estimate crosses: the controller
+    /// checkpoints whenever anything is dirty.
+    fn eager_checkpoints() -> RestartBudget {
+        RestartBudget {
+            max_suffix_bytes: 256,
+            max_dirty_pages: 0,
+            ..Default::default()
+        }
+    }
 
     /// Replays the stable log's records in log order against a plain
     /// cell map — the serialization the log itself defines.
     fn model_from_stable_log(db: &Db<PageOpPayload>) -> BTreeMap<Cell, u64> {
-        let mut cells: BTreeMap<Cell, u64> = BTreeMap::new();
-        for rec in db.log.decode_stable().expect("log intact") {
-            let PageOpPayload::Op(op) = rec.payload else {
-                continue;
-            };
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
-        }
-        cells
+        let stable = db.log.decode_stable().expect("log intact");
+        let ops: Vec<PageOp> = (stable.into_iter())
+            .filter_map(|rec| match rec.payload {
+                PageOpPayload::Op(op) => Some(op),
+                _ => None,
+            })
+            .collect();
+        model(&ops)
     }
 
     fn run_concurrent(n_threads: usize, ops_per_thread: usize, seed: u64) {
@@ -1137,6 +1021,24 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_table_enters_gated_and_unapplied_pages_at_their_lowest_lsn() {
+        let pool = vec![(PageId(1), Lsn(5)), (PageId(2), Lsn(9))];
+        let gated = vec![(PageId(2), Lsn(4)), (PageId(3), Lsn(7))];
+        // LSN 6 is appended but unapplied: page 4 is dirty nowhere yet
+        // (the window a concurrent snapshot used to lose), page 1 is
+        // already dirty from LSN 5.
+        let inflight = BTreeMap::from([
+            (Lsn(3), vec![PageId(3)]),
+            (Lsn(6), vec![PageId(1), PageId(4)]),
+        ]);
+        let table = checkpoint_table(pool.clone(), gated, &inflight);
+        let expect = [(1, 5), (2, 4), (3, 3), (4, 6)].map(|(p, l)| (PageId(p), Lsn(l)));
+        assert_eq!(table, BTreeMap::from(expect));
+        let plain = checkpoint_table(pool.clone(), [], &BTreeMap::new());
+        assert_eq!(plain, pool.into_iter().collect());
+    }
+
+    #[test]
     fn single_threaded_concurrent_api_matches_log() {
         run_concurrent(1, 40, 1);
     }
@@ -1157,7 +1059,7 @@ mod tests {
     fn background_loop_runs_until_shutdown() {
         let shared = SharedDb::new(Geometry { slots_per_page: 8 });
         let bg = shared.clone();
-        let handle = std::thread::spawn(move || bg.background_loop(1, 0.5, None));
+        let handle = std::thread::spawn(move || bg.background_loop(1, 0.5, never_checkpoint()));
         let ops = PageWorkloadSpec {
             n_ops: 30,
             n_pages: 4,
@@ -1268,17 +1170,9 @@ mod tests {
             ..Default::default()
         }
         .generate(11);
-        let mut cells: BTreeMap<Cell, u64> = BTreeMap::new();
+        let cells = model(&ops);
         let mut rng = StdRng::seed_from_u64(5);
         for (i, op) in ops.iter().enumerate() {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
             shared.execute(op).expect("execute");
             if (i + 1) % 10 == 0 {
                 shared.commit_tick();
@@ -1326,7 +1220,7 @@ mod tests {
         // (and truncates) concurrently underneath all of them.
         let shared = SharedDb::new(Geometry { slots_per_page: 8 });
         let bg = shared.clone();
-        let handle = std::thread::spawn(move || bg.background_loop(2, 0.4, Some(3)));
+        let handle = std::thread::spawn(move || bg.background_loop(2, 0.4, eager_checkpoints()));
         let n_threads = 4usize;
         let pages_per_thread = 3u32;
         let mut models: Vec<BTreeMap<Cell, u64>> = Vec::new();
@@ -1343,23 +1237,14 @@ mod tests {
                             ..Default::default()
                         }
                         .generate(31 ^ ((t as u64) << 32));
-                        let mut cells: BTreeMap<Cell, u64> = BTreeMap::new();
                         for op in &mut ops {
                             op.id = op.id * n_threads as u32 + t as u32;
                             for c in op.reads.iter_mut().chain(op.writes.iter_mut()) {
                                 c.page = PageId(c.page.0 + t as u32 * pages_per_thread);
                             }
-                            let reads: Vec<u64> = op
-                                .reads
-                                .iter()
-                                .map(|c| cells.get(c).copied().unwrap_or(0))
-                                .collect();
-                            for &w in &op.writes {
-                                cells.insert(w, op.output(w, &reads));
-                            }
                             db.execute(op).expect("execute");
                         }
-                        cells
+                        model(&ops)
                     })
                 })
                 .collect();
@@ -1406,17 +1291,9 @@ mod tests {
             ..Default::default()
         }
         .generate(seed);
-        let mut cells: BTreeMap<Cell, u64> = BTreeMap::new();
+        let cells = model(&ops);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
         for (i, op) in ops.iter().enumerate() {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
             shared.execute(op).expect("execute");
             if (i + 1) % 10 == 0 {
                 shared.commit_tick();
@@ -1484,7 +1361,7 @@ mod tests {
         // must ride in its dirty-page tables, or truncation would eat
         // their residual records.
         let bg = shared.clone();
-        let handle = std::thread::spawn(move || bg.background_loop(7, 0.2, Some(3)));
+        let handle = std::thread::spawn(move || bg.background_loop(7, 0.2, eager_checkpoints()));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while shared.recovering() && std::time::Instant::now() < deadline {
             std::thread::yield_now();

@@ -45,15 +45,14 @@
 //! crash audit can drive fault injection into every step of
 //! delta-chain publication through the generic harness.
 
-use std::collections::BTreeMap;
-
 use redo_sim::db::Db;
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::PageOp;
 
 use crate::generalized::Generalized;
 use crate::oprecord::PageOpPayload;
+use crate::redo::{self, Chain};
 use crate::{RecoveryMethod, RecoveryStats};
 
 /// The restart-latency budget the controller steers toward: how much a
@@ -144,7 +143,7 @@ impl Controller {
     ///
     /// Log corruption at the master record.
     pub fn estimate(db: &Db<PageOpPayload>) -> SimResult<RestartEstimate> {
-        let (redo_start, _) = Generalized::analyze(db)?;
+        let redo_start = redo::analyze(db)?.redo_start;
         Ok(RestartEstimate {
             suffix_bytes: db.log.suffix_bytes(redo_start),
             dirty_pages: db.pool.dirty_pages().len(),
@@ -186,23 +185,6 @@ impl Controller {
     }
 }
 
-/// The volatile view of the published checkpoint chain, re-derived from
-/// the log each time (the [`Control`] method is stateless — that is
-/// what lets the generic crash audit drive faults into any step of
-/// publication and still find a consistent system afterwards).
-struct ChainInfo {
-    /// LSN of the newest published checkpoint record (the master).
-    head: Lsn,
-    /// LSN of the full snapshot the chain grows from.
-    base: Lsn,
-    /// Links from `head` back to `base` (0 when `head == base`).
-    depth: u64,
-    /// The folded dirty-page table as of `head`.
-    dpt: BTreeMap<PageId, Lsn>,
-    /// The redo-start published at `head`.
-    redo_start: Lsn,
-}
-
 /// Generalized LSN-based recovery whose checkpoints are budget-driven
 /// incremental deltas — the sequential face of the adaptive controller,
 /// and the method the crash audit runs under `--method control`.
@@ -212,50 +194,6 @@ pub struct Control;
 impl Control {
     /// Republish a full snapshot after this many consecutive deltas.
     pub const FULL_EVERY: u64 = 4;
-
-    /// Re-derives the chain state from the record the master points at:
-    /// the folded DPT via [`Generalized::analyze_dpt`], the chain depth
-    /// by walking `prev` links. `None` when the master names no healthy
-    /// checkpoint (fresh system, orphaned record, torn chain) — the
-    /// next publication is then a full snapshot, which is always sound.
-    fn chain_state(db: &Db<PageOpPayload>) -> Option<ChainInfo> {
-        let master = db.disk.master();
-        let rec = db.log.record_at_lsn(master).ok()??;
-        let (base, published_redo_start) = match rec.payload {
-            PageOpPayload::FuzzyCheckpoint { redo_start, .. } => (master, redo_start),
-            PageOpPayload::DeltaCheckpoint {
-                base, redo_start, ..
-            } => (base, redo_start),
-            _ => return None,
-        };
-        let analysis = Generalized::analyze_dpt(db).ok()?;
-        // A fallback analysis (checkpoint_lsn != master, or no DPT)
-        // means the chain is torn: start a fresh one.
-        if analysis.checkpoint_lsn != Some(master) {
-            return None;
-        }
-        let dpt = analysis.dirty?;
-        let mut depth = 0u64;
-        let mut at = master;
-        while at != base {
-            let rec = db.log.record_at_lsn(at).ok()??;
-            let PageOpPayload::DeltaCheckpoint { prev, .. } = rec.payload else {
-                return None;
-            };
-            if prev >= at {
-                return None;
-            }
-            at = prev;
-            depth += 1;
-        }
-        Some(ChainInfo {
-            head: master,
-            base,
-            depth,
-            dpt,
-            redo_start: published_redo_start,
-        })
-    }
 
     /// One incremental checkpoint attempt: skip if the system is
     /// quiescent, publish a [`PageOpPayload::DeltaCheckpoint`] against
@@ -276,61 +214,18 @@ impl Control {
     /// Substrate errors. (Fault suppression surfaces as an abandoned
     /// attempt, not an error.)
     pub fn checkpoint_incremental(db: &mut Db<PageOpPayload>) -> SimResult<Option<Lsn>> {
-        let dirty = db.pool.dirty_page_table();
-        let table: BTreeMap<PageId, Lsn> = dirty.iter().copied().collect();
-        let ck_expected = Lsn(db.log.last_lsn().0 + 1);
-        let candidate = dirty.iter().map(|&(_, rec)| rec).min();
-        let chain = Self::chain_state(db);
-
-        if let Some(chain) = &chain {
-            // Quiescent skip: nothing was logged since the standing
-            // checkpoint, the DPT is unchanged, and the redo-start
-            // would not move (an empty table's candidate is the
-            // drifting `ck_expected`, so compare through `unwrap_or`).
-            if db.log.last_lsn() == chain.head
-                && table == chain.dpt
-                && candidate.unwrap_or(chain.redo_start) == chain.redo_start
-            {
-                return Ok(Some(chain.head));
+        // The chain is re-derived from the log each time (this method is
+        // stateless — that is what lets the generic crash audit drive
+        // faults into any step of publication and still find a
+        // consistent system afterwards).
+        let chain = Chain::standing(db);
+        let table = db.pool.dirty_page_table().into_iter().collect();
+        match redo::next_checkpoint(chain.as_ref(), Self::FULL_EVERY, &table, &db.log) {
+            Some((payload, redo_start)) => {
+                redo::publish(&mut db.log, &mut db.disk, payload, redo_start)
             }
+            None => Ok(chain.map(|chain| chain.head)),
         }
-
-        let redo_start = candidate.unwrap_or(ck_expected);
-        let payload = match &chain {
-            Some(chain) if chain.depth + 1 < Self::FULL_EVERY => {
-                let added: Vec<(PageId, Lsn)> = table
-                    .iter()
-                    .filter(|&(page, rec)| chain.dpt.get(page) != Some(rec))
-                    .map(|(&page, &rec)| (page, rec))
-                    .collect();
-                let removed: Vec<PageId> = chain
-                    .dpt
-                    .keys()
-                    .filter(|page| !table.contains_key(page))
-                    .copied()
-                    .collect();
-                PageOpPayload::DeltaCheckpoint {
-                    prev: chain.head,
-                    base: chain.base,
-                    redo_start,
-                    added,
-                    removed,
-                }
-            }
-            _ => PageOpPayload::FuzzyCheckpoint { dirty, redo_start },
-        };
-        let ck = db.log.append(payload)?;
-        debug_assert_eq!(ck, ck_expected);
-        db.log.flush_all();
-        if db.log.stable_lsn() < ck {
-            return Ok(None);
-        }
-        db.disk.set_master(ck)?;
-        if db.disk.master() != ck {
-            return Ok(None);
-        }
-        db.log.archive_prefix(redo_start)?;
-        Ok(Some(ck))
     }
 }
 
@@ -357,43 +252,15 @@ impl RecoveryMethod for Control {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{assert_matches_model, cross_page_workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use redo_sim::db::Geometry;
     use redo_sim::fault::{FaultKind, FaultPlan};
-    use redo_workload::pages::{Cell, PageWorkloadSpec};
+    use redo_workload::pages::PageId;
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: n,
-            n_pages: 5,
-            cross_page_fraction: 0.4,
-            multi_page_fraction: 0.2,
-            blind_fraction: 0.1,
-            ..Default::default()
-        }
-        .generate(seed)
-    }
-
-    fn model(ops: &[PageOp]) -> std::collections::BTreeMap<Cell, u64> {
-        let mut cells = std::collections::BTreeMap::new();
-        for op in ops {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
-        }
-        cells
-    }
-
-    fn assert_matches_model(db: &mut Db<PageOpPayload>, ops: &[PageOp]) {
-        for (c, v) in model(ops) {
-            assert_eq!(db.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        cross_page_workload(n, 5, seed)
     }
 
     #[test]

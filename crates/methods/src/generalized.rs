@@ -22,17 +22,15 @@
 //! updates preceding it — the constraint guarantees the disk never got
 //! ahead.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use redo_sim::cache::Constraint;
 use redo_sim::db::Db;
-use redo_sim::wal::ShardedScanner;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp};
 
 use crate::oprecord::PageOpPayload;
-use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
+use crate::redo::{self, RestartAnalysis};
+use crate::{RecoveryMethod, RecoveryStats};
 
 /// The generalized LSN-based recovery method.
 #[derive(Clone, Copy, Debug, Default)]
@@ -172,226 +170,63 @@ fn has_cycle(edges: &[(redo_workload::pages::PageId, redo_workload::pages::PageI
     seen != nodes.len()
 }
 
-/// What restart analysis computed from the record the disk master
-/// points at: where the redo scan starts, which checkpoint (if any) is
-/// in force, and — for fuzzy checkpoints — the logged dirty-page table.
-///
-/// The DPT is what lets a *partitioned* restart scheduler
-/// ([`crate::parallel`]) prove records installed without fetching
-/// their pages: a record below the checkpoint whose page was clean at
-/// the snapshot (or dirty but below its recLSN) is durably installed,
-/// so the router never ships it to a partition. Sequential recovery
-/// reaches the same verdict through the per-page redo test; the table
-/// only moves the decision from fetch time to scan time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RestartAnalysis {
-    /// The LSN the redo scan must start from.
-    pub redo_start: Lsn,
-    /// The published checkpoint the master named, if any.
-    pub checkpoint_lsn: Option<Lsn>,
-    /// The fuzzy checkpoint's dirty-page table (page → recLSN), if the
-    /// master named a fuzzy checkpoint. `None` for heavyweight
-    /// checkpoints and for the no-checkpoint fallback.
-    pub dirty: Option<BTreeMap<PageId, Lsn>>,
-}
-
-impl RestartAnalysis {
-    /// The fallback when no checkpoint is in force: a full scan from
-    /// the log's first retained record.
-    #[must_use]
-    pub fn full_scan() -> Self {
-        RestartAnalysis {
-            redo_start: Lsn(1),
-            checkpoint_lsn: None,
-            dirty: None,
-        }
-    }
-
-    /// Is the record `(page, lsn)` provably installed by this analysis
-    /// alone — no page fetch, no LSN comparison against the image?
-    ///
-    /// True exactly when a fuzzy checkpoint is in force, the record
-    /// precedes it, and the page was clean at the snapshot or dirty
-    /// with a recLSN above the record. In both cases every effect of
-    /// the record had reached disk before the checkpoint published
-    /// (that is what recLSN *means*), and redo tests are monotone: a
-    /// page's durable LSN never regresses, so the verdict survives
-    /// chaos flushes and mid-recovery crashes after the snapshot.
-    #[must_use]
-    pub fn provably_installed(&self, page: PageId, lsn: Lsn) -> bool {
-        match (self.checkpoint_lsn, &self.dirty) {
-            (Some(ck), Some(dirty)) if lsn < ck => match dirty.get(&page) {
-                Some(&rec_lsn) => lsn < rec_lsn,
-                None => true,
-            },
-            _ => false,
-        }
-    }
-}
-
 impl Generalized {
-    /// The analysis step: decide where the redo scan starts from the
-    /// record the disk master points at. A heavyweight
-    /// [`PageOpPayload::Checkpoint`] installed everything below it, so
-    /// the scan starts just after; a
-    /// [`PageOpPayload::FuzzyCheckpoint`] carries its own precomputed
-    /// redo-start LSN. No master (or a master pointing at anything
-    /// else) falls back to a full scan from the log's first retained
-    /// record — always safe, since the per-record redo tests decide
-    /// installation on their own.
-    ///
-    /// # Errors
-    ///
-    /// Log corruption at the master record.
-    pub fn analyze(db: &Db<PageOpPayload>) -> SimResult<(Lsn, Option<Lsn>)> {
-        Self::analyze_dpt(db).map(|a| (a.redo_start, a.checkpoint_lsn))
-    }
-
-    /// [`Generalized::analyze`], additionally handing back the fuzzy
-    /// checkpoint's dirty-page table so a partitioned restart scheduler
-    /// can route records straight off the scan
+    /// The analysis step — [`redo::analyze`] over the operation log:
+    /// redo-start, checkpoint in force, and the fuzzy checkpoint's
+    /// dirty-page table, which a partitioned restart scheduler routes
+    /// records by straight off the scan
     /// ([`RestartAnalysis::provably_installed`]).
     ///
     /// # Errors
     ///
     /// Log corruption at the master record.
     pub fn analyze_dpt(db: &Db<PageOpPayload>) -> SimResult<RestartAnalysis> {
-        let master = db.disk.master();
-        if master > Lsn::ZERO {
-            let mut cursor = db.log.cursor_from(master);
-            if let Some(rec) = cursor.next() {
-                let rec = rec?;
-                if rec.lsn == master {
-                    match rec.payload {
-                        PageOpPayload::Checkpoint => {
-                            return Ok(RestartAnalysis {
-                                redo_start: master.next(),
-                                checkpoint_lsn: Some(master),
-                                dirty: None,
-                            })
-                        }
-                        PageOpPayload::FuzzyCheckpoint { dirty, redo_start } => {
-                            return Ok(RestartAnalysis {
-                                redo_start,
-                                checkpoint_lsn: Some(master),
-                                dirty: Some(dirty.into_iter().collect()),
-                            })
-                        }
-                        PageOpPayload::DeltaCheckpoint {
-                            prev,
-                            base,
-                            redo_start,
-                            added,
-                            removed,
-                        } => {
-                            return Ok(fold_delta_chain(
-                                db, master, prev, base, redo_start, added, removed,
-                            ))
-                        }
-                        PageOpPayload::Op(_) => {}
-                    }
-                }
-            }
-        }
-        Ok(RestartAnalysis::full_scan())
+        redo::analyze(db)
     }
 }
 
-/// Longest delta chain analysis will walk before declaring it broken —
-/// a guard against corrupt `prev` links forming a long (or cyclic-
-/// looking) walk, far above any chain a sane controller publishes.
-const MAX_DELTA_CHAIN: usize = 64;
-
-/// Reconstructs the dirty-page table from a delta-checkpoint chain: walk
-/// `prev` links (each strictly decreasing) back to the full
-/// [`PageOpPayload::FuzzyCheckpoint`] at `base`, then fold the deltas
-/// oldest→newest over its snapshot — each delta removes its `removed`
-/// pages, then inserts its `added` (page, recLSN) pairs. Any break in
-/// the chain — a link the log no longer holds, a record of the wrong
-/// kind, a foreign `base`, a non-decreasing link, a chain past
-/// [`MAX_DELTA_CHAIN`] — falls back to reading `base` as a full
-/// snapshot, and failing that to a full scan. The fallbacks only ever
-/// *widen* the scan: records below the newest published redo start are
-/// durably installed (that is what publication proved), redo tests are
-/// monotone, and a base snapshot's `provably_installed` verdicts were
-/// true at its own publication — so a stale analysis replays more, never
-/// wrongly skips.
-fn fold_delta_chain(
-    db: &Db<PageOpPayload>,
-    master: Lsn,
-    prev: Lsn,
-    base: Lsn,
-    redo_start: Lsn,
-    added: Vec<(PageId, Lsn)>,
-    removed: Vec<PageId>,
-) -> RestartAnalysis {
-    let mut deltas = vec![(added, removed)];
-    let mut link = prev;
-    let mut at = master;
-    let base_dirty = loop {
-        if deltas.len() > MAX_DELTA_CHAIN || link == Lsn::ZERO || link >= at {
-            break None;
-        }
-        match db.log.record_at_lsn(link) {
-            Ok(Some(rec)) => match rec.payload {
-                PageOpPayload::FuzzyCheckpoint { dirty, .. } if rec.lsn == base => {
-                    break Some(dirty);
-                }
-                PageOpPayload::DeltaCheckpoint {
-                    prev,
-                    base: b,
-                    added,
-                    removed,
-                    ..
-                } if b == base => {
-                    deltas.push((added, removed));
-                    at = link;
-                    link = prev;
-                }
-                // A full snapshot that is not `base`, a heavyweight
-                // marker, an operation record, a delta from a different
-                // chain: the link is torn.
-                _ => break None,
-            },
-            // The link is gone (compacted past) or the frame is damaged.
-            Ok(None) | Err(_) => break None,
-        }
-    };
-    match base_dirty {
-        Some(dirty) => {
-            let mut dpt: BTreeMap<PageId, Lsn> = dirty.into_iter().collect();
-            for (added, removed) in deltas.into_iter().rev() {
-                for page in removed {
-                    dpt.remove(&page);
-                }
-                for (page, rec) in added {
-                    dpt.insert(page, rec);
-                }
-            }
-            RestartAnalysis {
-                redo_start,
-                checkpoint_lsn: Some(master),
-                dirty: Some(dpt),
-            }
-        }
-        None => fall_back_to_base(db, base),
-    }
-}
-
-/// The torn-delta fallback: read `base` directly as a full snapshot. Its
-/// redo start and DPT are stale relative to the master delta but were
-/// true at `base`'s own publication — safe, just a wider scan.
-fn fall_back_to_base(db: &Db<PageOpPayload>, base: Lsn) -> RestartAnalysis {
-    if let Ok(Some(rec)) = db.log.record_at_lsn(base) {
-        if let PageOpPayload::FuzzyCheckpoint { dirty, redo_start } = rec.payload {
-            return RestartAnalysis {
-                redo_start,
-                checkpoint_lsn: Some(base),
-                dirty: Some(dirty.into_iter().collect()),
-            };
+/// The generalized method's per-record step, shared by the sequential
+/// scan and on-demand replay: the redo test over the whole write set,
+/// then — if the operation is uninstalled — replay with its write-order
+/// constraints re-imposed. Returns whether the operation replayed.
+///
+/// # Errors
+///
+/// Substrate errors from fetching or flushing pages.
+pub(crate) fn redo_op(db: &mut Db<PageOpPayload>, lsn: Lsn, op: &PageOp) -> SimResult<bool> {
+    // The redo test examines the whole write set; the atomic flush
+    // group guarantees all pages agree (all installed or none), so any
+    // stale page means the operation is uninstalled.
+    let mut stale = false;
+    let mut fresh = false;
+    for page in op.written_pages() {
+        let stable = db.log.stable_lsn();
+        let cached = db
+            .pool
+            .fetch(&mut db.disk, page, db.geometry.slots_per_page, stable)?;
+        if cached.lsn() < lsn {
+            stale = true;
+        } else {
+            fresh = true;
         }
     }
-    RestartAnalysis::full_scan()
+    debug_assert!(
+        !(stale && fresh),
+        "atomic group violated: write set of op {} part-installed",
+        op.id
+    );
+    if stale {
+        // The replayed operation re-imposes its write ordering on
+        // post-recovery cache management, with the same pre-resolution
+        // of would-be cycles as normal execution.
+        if would_cycle(db, op) {
+            let stable = db.log.stable_lsn();
+            db.pool.flush_all(&mut db.disk, stable)?;
+        }
+        db.apply_page_op(op, lsn)?;
+        register_constraints(db, op, lsn);
+    }
+    Ok(stale)
 }
 
 impl RecoveryMethod for Generalized {
@@ -423,143 +258,24 @@ impl RecoveryMethod for Generalized {
     }
 
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
-        db.log.flush_all();
-        let stable = db.log.stable_lsn();
-        // flush_all retries around write-order constraints, flushing
-        // prerequisite pages first; write-graph acyclicity guarantees
-        // termination.
-        db.pool.flush_all(&mut db.disk, stable)?;
-        let ck = db.log.append(PageOpPayload::Checkpoint)?;
-        db.log.flush_all();
-        db.disk.set_master(ck)?;
-        Ok(())
+        // Write-graph acyclicity guarantees the constraint-ordered
+        // flush terminates.
+        redo::checkpoint_heavyweight(db, PageOpPayload::Checkpoint)
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        // Recovery's first act: repair crash damage the media can
-        // detect (torn pages, a torn log-tail fragment).
-        db.repair_after_crash();
-        let (redo_start, checkpoint_lsn) = Generalized::analyze(db)?;
-        let mut stats = RecoveryStats {
-            checkpoint_lsn,
-            truncated_bytes: db.log.truncated_bytes(),
-            ..RecoveryStats::default()
-        };
-        // Streaming scan from the analysis' redo-start LSN; each batch
-        // prefetches the read+write footprint of its operations (replay
-        // reads go through the recovery cache too).
-        let mut scanner = ShardedScanner::seek(&db.log, redo_start);
-        loop {
-            let batch = scanner.next_batch(&db.log, SCAN_BATCH)?;
-            if batch.is_empty() {
-                break;
-            }
-            let pages: BTreeSet<PageId> = batch
-                .iter()
-                .filter_map(|rec| match &rec.payload {
-                    PageOpPayload::Op(op) => {
-                        Some(op.read_pages().into_iter().chain(op.written_pages()))
-                    }
-                    PageOpPayload::Checkpoint
-                    | PageOpPayload::FuzzyCheckpoint { .. }
-                    | PageOpPayload::DeltaCheckpoint { .. } => None,
-                })
-                .flatten()
-                .collect();
-            let pages: Vec<PageId> = pages.into_iter().collect();
-            stats.pages_prefetched += db.pool.prefetch(
-                &mut db.disk,
-                &pages,
-                db.geometry.slots_per_page,
-                db.log.stable_lsn(),
-            );
-            for rec in batch {
-                stats.scanned += 1;
-                let PageOpPayload::Op(op) = rec.payload else {
-                    continue;
-                };
-                // The redo test examines the whole write set; the atomic
-                // flush group guarantees all pages agree (all installed or
-                // none), so any stale page means the operation is
-                // uninstalled.
-                let mut stale = false;
-                let mut fresh = false;
-                for page in op.written_pages() {
-                    let stable = db.log.stable_lsn();
-                    let cached =
-                        db.pool
-                            .fetch(&mut db.disk, page, db.geometry.slots_per_page, stable)?;
-                    if cached.lsn() < rec.lsn {
-                        stale = true;
-                    } else {
-                        fresh = true;
-                    }
-                }
-                debug_assert!(
-                    !(stale && fresh),
-                    "atomic group violated: write set of op {} part-installed",
-                    op.id
-                );
-                if stale {
-                    // The replayed operation re-imposes its write ordering
-                    // on post-recovery cache management, with the same
-                    // pre-resolution of would-be cycles as normal execution.
-                    if would_cycle(db, &op) {
-                        let stable = db.log.stable_lsn();
-                        db.pool.flush_all(&mut db.disk, stable)?;
-                    }
-                    db.apply_page_op(&op, rec.lsn)?;
-                    register_constraints(db, &op, rec.lsn);
-                    stats.replayed.push(op.id);
-                } else {
-                    stats.skipped.push(op.id);
-                }
-            }
-        }
-        stats.note_scan(scanner.stats(), db.log.forces());
-        Ok(stats)
+        // Each batch prefetches the read+write footprint of its
+        // operations (replay reads go through the recovery cache too).
+        redo::recover_ops(db, redo::read_write_pages, redo_op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::testkit::{assert_matches_model, cross_page_workload, figure8_ops};
     use redo_sim::db::Geometry;
-    use redo_workload::pages::{Cell, PageId, PageOpKind, PageWorkloadSpec, SlotId};
-
-    fn cross_workload(n: usize, seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: n,
-            n_pages: 4,
-            cross_page_fraction: 0.6,
-            blind_fraction: 0.1,
-            ..Default::default()
-        }
-        .generate(seed)
-    }
-
-    fn model(ops: &[PageOp]) -> std::collections::BTreeMap<Cell, u64> {
-        let mut cells = std::collections::BTreeMap::new();
-        for op in ops {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
-        }
-        cells
-    }
-
-    fn assert_matches_model(db: &mut Db<PageOpPayload>, ops: &[PageOp]) {
-        for (c, v) in model(ops) {
-            assert_eq!(db.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
-    }
+    use redo_workload::pages::{Cell, PageId, PageOpKind, SlotId};
 
     #[test]
     fn multi_page_writes_form_atomic_groups() {
@@ -660,31 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn chaotic_multi_page_workloads_recover() {
-        for seed in 0..4 {
-            let ops = PageWorkloadSpec {
-                n_ops: 30,
-                n_pages: 4,
-                cross_page_fraction: 0.3,
-                multi_page_fraction: 0.4,
-                blind_fraction: 0.1,
-                ..Default::default()
-            }
-            .generate(seed);
-            let mut db = Db::new(Geometry::default());
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
-            for op in &ops {
-                Generalized.execute(&mut db, op).unwrap();
-                db.chaos_flush(&mut rng, 0.6, 0.3).unwrap();
-            }
-            db.log.flush_all();
-            db.crash();
-            Generalized.recover(&mut db).unwrap();
-            assert_matches_model(&mut db, &ops);
-        }
-    }
-
-    #[test]
     fn cross_page_reads_register_constraints() {
         let mut db = Db::new(Geometry::default());
         let op = PageOp {
@@ -713,35 +404,7 @@ mod tests {
         // P: read x (page 0), write y (page 1). Q: overwrite x.
         // The cache must refuse to flush x before y is durable.
         let mut db = Db::new(Geometry::default());
-        let x = Cell {
-            page: PageId(0),
-            slot: SlotId(0),
-        };
-        let y = Cell {
-            page: PageId(1),
-            slot: SlotId(0),
-        };
-        let seed_x = PageOp {
-            id: 0,
-            kind: PageOpKind::Blind,
-            reads: vec![],
-            writes: vec![x],
-            f_seed: 1,
-        };
-        let p = PageOp {
-            id: 1,
-            kind: PageOpKind::Generalized,
-            reads: vec![x],
-            writes: vec![y],
-            f_seed: 2,
-        };
-        let q = PageOp {
-            id: 2,
-            kind: PageOpKind::Physiological,
-            reads: vec![x],
-            writes: vec![x],
-            f_seed: 3,
-        };
+        let [seed_x, p, q] = figure8_ops();
         Generalized.execute(&mut db, &seed_x).unwrap();
         Generalized.execute(&mut db, &p).unwrap();
         let q_lsn = Generalized.execute(&mut db, &q).unwrap();
@@ -766,36 +429,7 @@ mod tests {
         // The dangerous window: y durable, x's overwrite not. Recovery
         // must replay Q (x stale) and skip P (y durable).
         let mut db = Db::new(Geometry::default());
-        let x = Cell {
-            page: PageId(0),
-            slot: SlotId(0),
-        };
-        let y = Cell {
-            page: PageId(1),
-            slot: SlotId(0),
-        };
-        let seed_x = PageOp {
-            id: 0,
-            kind: PageOpKind::Blind,
-            reads: vec![],
-            writes: vec![x],
-            f_seed: 1,
-        };
-        let p = PageOp {
-            id: 1,
-            kind: PageOpKind::Generalized,
-            reads: vec![x],
-            writes: vec![y],
-            f_seed: 2,
-        };
-        let q = PageOp {
-            id: 2,
-            kind: PageOpKind::Physiological,
-            reads: vec![x],
-            writes: vec![x],
-            f_seed: 3,
-        };
-        let ops = [seed_x, p, q];
+        let ops = figure8_ops();
         // Seed x and make it durable first (so Q's replay reads P's x).
         Generalized.execute(&mut db, &ops[0]).unwrap();
         db.log.flush_all();
@@ -817,26 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn random_chaos_runs_recover_exactly() {
-        for seed in 0..5 {
-            let mut db = Db::new(Geometry::default());
-            let ops = cross_workload(25, seed);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
-            for op in &ops {
-                Generalized.execute(&mut db, op).unwrap();
-                db.chaos_flush(&mut rng, 0.6, 0.3).unwrap();
-            }
-            db.log.flush_all();
-            db.crash();
-            Generalized.recover(&mut db).unwrap();
-            assert_matches_model(&mut db, &ops);
-        }
-    }
-
-    #[test]
     fn checkpoint_flushes_in_constraint_order() {
         let mut db = Db::new(Geometry::default());
-        let ops = cross_workload(20, 42);
+        let ops = cross_page_workload(20, 4, 42);
         for op in &ops {
             Generalized.execute(&mut db, op).unwrap();
         }

@@ -375,25 +375,15 @@ mod tests {
     use crate::logical::Logical;
     use crate::physical::Physical;
     use crate::physiological::Physiological;
+    use crate::testkit::{blind_workload, single_page_workload};
     use redo_workload::pages::PageWorkloadSpec;
 
     fn phys_workload(seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: 60,
-            n_pages: 6,
-            blind_fraction: 1.0,
-            ..Default::default()
-        }
-        .generate(seed)
+        blind_workload(60, 6, seed)
     }
 
     fn physio_workload(seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: 60,
-            n_pages: 6,
-            ..Default::default()
-        }
-        .generate(seed)
+        single_page_workload(60, 6, seed)
     }
 
     fn general_workload(seed: u64) -> Vec<PageOp> {

@@ -35,7 +35,11 @@
 //!   scratch image (with a transitive closure guarding generalized
 //!   cross-page reads), then ordinary redo finishes the restart.
 //!
-//! Every method implements [`RecoveryMethod`]; the [`harness`] module
+//! Every method implements [`RecoveryMethod`], and every serial
+//! `recover` is the one Figure-6 driver in [`redo`] — repair, analyze
+//! the record the master names, scan from the redo-start, apply the
+//! method's redo test to each record — instantiated with that method's
+//! prefetch footprint and redo test. The [`harness`] module
 //! runs workloads against a method with randomized cache flushes,
 //! checkpoints, and injected crashes, verifying after every crash that
 //!
@@ -51,7 +55,6 @@
 pub mod broken;
 pub mod concurrent;
 pub mod control;
-pub mod fuzzy;
 pub mod generalized;
 pub mod harness;
 pub mod logical;
@@ -62,6 +65,9 @@ pub mod oprecord;
 pub mod parallel;
 pub mod physical;
 pub mod physiological;
+pub mod redo;
+#[cfg(test)]
+mod testkit;
 
 use redo_sim::db::Db;
 use redo_sim::wal::{LogPayload, ScanStats};

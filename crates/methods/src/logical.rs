@@ -30,16 +30,13 @@
 //! operations out of `redo_set` — one atomic change preserving the
 //! recovery invariant.
 
-use std::collections::BTreeSet;
-
 use redo_sim::db::Db;
-use redo_sim::wal::ShardedScanner;
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::PageOp;
 
 use crate::oprecord::PageOpPayload;
-use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
+use crate::{redo, RecoveryMethod, RecoveryStats};
 
 /// The logical (System R-style) recovery method.
 #[derive(Clone, Copy, Debug, Default)]
@@ -94,91 +91,25 @@ impl RecoveryMethod for Logical {
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        // Recovery's first act: repair crash damage the media can
-        // detect (torn pages, a torn log-tail fragment).
-        db.repair_after_crash();
-        let master = db.disk.master();
-        let mut stats = RecoveryStats::default();
-        // Streaming scan: only the post-checkpoint suffix is ever
-        // decoded. Logical operations read and write arbitrary pages, so
-        // each batch prefetches its whole read+write footprint.
-        let mut scanner = ShardedScanner::seek(&db.log, master.next());
-        loop {
-            let batch = scanner.next_batch(&db.log, SCAN_BATCH)?;
-            if batch.is_empty() {
-                break;
-            }
-            let pages: BTreeSet<PageId> = batch
-                .iter()
-                .filter_map(|rec| match &rec.payload {
-                    PageOpPayload::Op(op) => {
-                        Some(op.read_pages().into_iter().chain(op.written_pages()))
-                    }
-                    PageOpPayload::Checkpoint
-                    | PageOpPayload::FuzzyCheckpoint { .. }
-                    | PageOpPayload::DeltaCheckpoint { .. } => None,
-                })
-                .flatten()
-                .collect();
-            let pages: Vec<PageId> = pages.into_iter().collect();
-            stats.pages_prefetched += db.pool.prefetch(
-                &mut db.disk,
-                &pages,
-                db.geometry.slots_per_page,
-                db.log.stable_lsn(),
-            );
-            for rec in batch {
-                stats.scanned += 1;
-                let PageOpPayload::Op(op) = rec.payload else {
-                    continue;
-                };
-                // redo test: constant true.
-                db.apply_page_op(&op, rec.lsn)?;
-                stats.replayed.push(op.id);
-            }
-        }
-        stats.note_scan(scanner.stats(), db.log.forces());
-        Ok(stats)
+        // Logical operations read and write arbitrary pages, so each
+        // batch prefetches its whole read+write footprint.
+        redo::recover_ops(db, redo::read_write_pages, |db, lsn, op| {
+            // redo test: constant true.
+            db.apply_page_op(op, lsn)?;
+            Ok(true)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{assert_matches_model, cross_page_workload};
     use redo_sim::db::Geometry;
-    use redo_workload::pages::{Cell, PageWorkloadSpec};
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
         // Logical ops may be arbitrary: include cross-page reads.
-        PageWorkloadSpec {
-            n_ops: n,
-            n_pages: 4,
-            cross_page_fraction: 0.5,
-            blind_fraction: 0.2,
-            ..Default::default()
-        }
-        .generate(seed)
-    }
-
-    fn model(ops: &[PageOp]) -> std::collections::BTreeMap<Cell, u64> {
-        let mut cells = std::collections::BTreeMap::new();
-        for op in ops {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
-        }
-        cells
-    }
-
-    fn assert_matches_model(db: &mut Db<PageOpPayload>, ops: &[PageOp]) {
-        for (c, v) in model(ops) {
-            assert_eq!(db.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        cross_page_workload(n, 4, seed)
     }
 
     #[test]
@@ -256,22 +187,6 @@ mod tests {
         db.crash();
         let stats = Logical.recover(&mut db).unwrap();
         assert_eq!(stats.scanned, 0);
-        assert_matches_model(&mut db, &ops);
-    }
-
-    #[test]
-    fn multiple_checkpoint_cycles() {
-        let mut db = Db::new(Geometry::default());
-        let ops = workload(30, 6);
-        for (i, op) in ops.iter().enumerate() {
-            Logical.execute(&mut db, op).unwrap();
-            if i % 7 == 6 {
-                Logical.checkpoint(&mut db).unwrap();
-            }
-        }
-        db.log.flush_all();
-        db.crash();
-        Logical.recover(&mut db).unwrap();
         assert_matches_model(&mut db, &ops);
     }
 }

@@ -224,51 +224,17 @@ impl RecoveryMethod for Media {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{self, assert_matches_model};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use redo_sim::db::Geometry;
-    use redo_workload::pages::{Cell, PageWorkloadSpec};
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: n,
-            n_pages: 6,
-            cross_page_fraction: 0.4,
-            multi_page_fraction: 0.2,
-            blind_fraction: 0.1,
-            ..Default::default()
-        }
-        .generate(seed)
-    }
-
-    fn model(ops: &[PageOp]) -> BTreeMap<Cell, u64> {
-        let mut cells = BTreeMap::new();
-        for op in ops {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
-        }
-        cells
+        testkit::cross_page_workload(n, 6, seed)
     }
 
     fn crashed_db(ops: &[PageOp], seed: u64) -> Db<PageOpPayload> {
-        let mut db = Db::new(Geometry::default());
-        let mut rng = StdRng::seed_from_u64(seed);
-        for (i, op) in ops.iter().enumerate() {
-            Media.execute(&mut db, op).unwrap();
-            db.chaos_flush(&mut rng, 0.7, 0.4).unwrap();
-            if (i + 1) % 9 == 0 {
-                Media.checkpoint(&mut db).unwrap();
-            }
-        }
-        db.log.flush_all();
-        db.crash();
-        db
+        testkit::crashed_db(&Media, ops, seed, Some(9))
     }
 
     #[test]
@@ -382,50 +348,18 @@ mod tests {
             undamaged.volatile_theory_state(),
             "the re-run rebuild converges"
         );
-        for (c, v) in model(&ops) {
-            assert_eq!(damaged.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        assert_matches_model(&mut damaged, &ops);
     }
 
     #[test]
     fn closure_pulls_in_readers_of_lost_pages() {
-        use redo_workload::pages::{PageOpKind, SlotId};
-        // O1 seeds x; O2 reads x, writes y (generalized); crash with y
-        // never flushed, then destroy x. The rebuild must install BOTH:
-        // x because it is lost, y because replaying O2 against x's
-        // final image would read the wrong moment.
-        let x = Cell {
-            page: PageId(0),
-            slot: SlotId(0),
-        };
-        let y = Cell {
-            page: PageId(1),
-            slot: SlotId(0),
-        };
-        let o1 = PageOp {
-            id: 0,
-            kind: PageOpKind::Blind,
-            reads: vec![],
-            writes: vec![x],
-            f_seed: 1,
-        };
-        let o2 = PageOp {
-            id: 1,
-            kind: PageOpKind::Generalized,
-            reads: vec![x],
-            writes: vec![y],
-            f_seed: 2,
-        };
-        // O3 overwrites x AFTER O2 — the reason x's final image is the
-        // wrong thing for O2's replay to read.
-        let o3 = PageOp {
-            id: 2,
-            kind: PageOpKind::Physiological,
-            reads: vec![x],
-            writes: vec![x],
-            f_seed: 3,
-        };
-        let ops = [o1, o2, o3];
+        // O1 seeds x; O2 reads x, writes y (generalized); O3 overwrites
+        // x AFTER O2 — the reason x's final image is the wrong thing for
+        // O2's replay to read. Crash with y never flushed, then destroy
+        // x. The rebuild must install BOTH: x because it is lost, y
+        // because replaying O2 against x's final image would read the
+        // wrong moment.
+        let ops = testkit::figure8_ops();
         let mut db: Db<PageOpPayload> = Db::new(Geometry::default());
         // x durable at O1 only; y (and x's O3 overwrite) never flushed.
         Media.execute(&mut db, &ops[0]).unwrap();
@@ -455,9 +389,7 @@ mod tests {
             damaged.volatile_theory_state(),
             undamaged.volatile_theory_state()
         );
-        for (c, v) in model(&ops) {
-            assert_eq!(damaged.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        assert_matches_model(&mut damaged, &ops);
     }
 
     #[test]

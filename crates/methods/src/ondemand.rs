@@ -56,10 +56,11 @@ use redo_workload::pages::{Cell, PageId, PageOp};
 use redo_sim::page::Page;
 use redo_sim::SimError;
 
-use crate::generalized::{register_constraints, would_cycle, Generalized, RestartAnalysis};
+use crate::generalized::{redo_op, Generalized};
 use crate::media;
 use crate::online::GeneralizedOnline;
 use crate::oprecord::PageOpPayload;
+use crate::redo::{self, RestartAnalysis};
 use crate::{RecoveryMethod, RecoveryStats};
 
 /// Generalized-LSN recovery through the on-demand (instant restart)
@@ -122,23 +123,8 @@ impl OnDemand {
     ///
     /// Log corruption at the master record or at a chain offset.
     pub fn open(db: &mut Db<PageOpPayload>) -> SimResult<OnDemandRestart> {
-        db.repair_after_crash();
-        let analysis = Generalized::analyze_dpt(db)?;
-        let mut stats = RecoveryStats {
-            checkpoint_lsn: analysis.checkpoint_lsn,
-            truncated_bytes: db.log.truncated_bytes(),
-            ..RecoveryStats::default()
-        };
-        let pages: Vec<PageId> = db.log.chained_pages().collect();
-        let mut gates = BTreeSet::new();
-        for page in pages {
-            let needs_redo = db.log.page_chain(page).iter().any(|&(lsn, _)| {
-                lsn >= analysis.redo_start && !analysis.provably_installed(page, lsn)
-            });
-            if needs_redo {
-                gates.insert(page);
-            }
-        }
+        let (analysis, mut stats) = redo::begin(db)?;
+        let mut gates: BTreeSet<PageId> = analysis.gates(&db.log).into_iter().collect();
         // Media-lost pages are gated unconditionally — a lost page is
         // the extreme of "needs redo": its residual chain is its whole
         // archived history, collapsed into the rebuild image. The
@@ -152,16 +138,7 @@ impl OnDemand {
         // page's uninstalled chain entries, each record once.
         let mut records: BTreeMap<Lsn, PageOp> = BTreeMap::new();
         for &page in &gates {
-            let entries: Vec<(Lsn, u64)> = db
-                .log
-                .page_chain(page)
-                .iter()
-                .copied()
-                .filter(|&(lsn, _)| {
-                    lsn >= analysis.redo_start && !analysis.provably_installed(page, lsn)
-                })
-                .collect();
-            for (lsn, off) in entries {
+            for (lsn, off) in analysis.owed_chain(&db.log, page) {
                 if records.contains_key(&lsn) {
                     continue;
                 }
@@ -329,31 +306,7 @@ impl OnDemandRestart {
         // the sequential scan.
         for (lsn, op) in records {
             self.stats.scanned += 1;
-            let mut stale = false;
-            let mut fresh = false;
-            for p in op.written_pages() {
-                let stable = db.log.stable_lsn();
-                let cached = db
-                    .pool
-                    .fetch(&mut db.disk, p, db.geometry.slots_per_page, stable)?;
-                if cached.lsn() < lsn {
-                    stale = true;
-                } else {
-                    fresh = true;
-                }
-            }
-            debug_assert!(
-                !(stale && fresh),
-                "atomic group violated: write set of op {} part-installed",
-                op.id
-            );
-            if stale {
-                if would_cycle(db, &op) {
-                    let stable = db.log.stable_lsn();
-                    db.pool.flush_all(&mut db.disk, stable)?;
-                }
-                db.apply_page_op(&op, lsn)?;
-                register_constraints(db, &op, lsn);
+            if redo_op(db, lsn, &op)? {
                 self.stats.replayed.push(op.id);
             } else {
                 self.stats.skipped.push(op.id);
@@ -446,64 +399,16 @@ impl RecoveryMethod for OnDemand {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::testkit::{self, assert_matches_model, model};
     use redo_sim::db::Geometry;
     use redo_sim::fault::{FaultKind, FaultPlan};
-    use redo_workload::pages::PageWorkloadSpec;
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: n,
-            n_pages: 6,
-            cross_page_fraction: 0.4,
-            multi_page_fraction: 0.2,
-            blind_fraction: 0.1,
-            ..Default::default()
-        }
-        .generate(seed)
-    }
-
-    fn model(ops: &[PageOp]) -> BTreeMap<Cell, u64> {
-        let mut cells = BTreeMap::new();
-        for op in ops {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
-        }
-        cells
+        testkit::cross_page_workload(n, 6, seed)
     }
 
     fn crashed_db(ops: &[PageOp], seed: u64) -> Db<PageOpPayload> {
-        crashed_db_with_pool(ops, seed, None)
-    }
-
-    fn crashed_db_with_pool(
-        ops: &[PageOp],
-        seed: u64,
-        capacity: Option<usize>,
-    ) -> Db<PageOpPayload> {
-        let mut db = Db::on(
-            redo_sim::backend::BackendKind::Mem,
-            Geometry::default(),
-            capacity,
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        for (i, op) in ops.iter().enumerate() {
-            OnDemand.execute(&mut db, op).unwrap();
-            db.chaos_flush(&mut rng, 0.7, 0.4).unwrap();
-            if (i + 1) % 9 == 0 {
-                OnDemand.checkpoint(&mut db).unwrap();
-            }
-        }
-        db.log.flush_all();
-        db.crash();
-        db
+        testkit::crashed_db(&OnDemand, ops, seed, Some(9))
     }
 
     #[test]
@@ -549,9 +454,7 @@ mod tests {
         }
         assert!(steps >= 1);
         assert_eq!(restart.gated_count(), 0, "sweeper terminates");
-        for (c, v) in model(&ops) {
-            assert_eq!(db.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        assert_matches_model(&mut db, &ops);
     }
 
     #[test]
@@ -668,9 +571,7 @@ mod tests {
             reference.volatile_theory_state(),
             "re-run recovery converges to the sequential full-redo state"
         );
-        for (c, v) in model(&ops) {
-            assert_eq!(lazy.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        assert_matches_model(&mut lazy, &ops);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!    still names the previous checkpoint — abandoned again, and the
 //!    now-orphaned checkpoint record is harmlessly skipped by the
 //!    redo scan (it is not an operation).
-//! 3. Only after *verifying* both steps landed does the method
+//! 3. Only after *verifying* both steps landed does [`redo::publish`]
 //!    **truncate** the stable-log prefix below the redo-start
 //!    ([`redo_sim::wal::ShardedLog::archive_prefix`]): every record
 //!    there is applied and its page durably installed, so no future
@@ -35,8 +35,8 @@
 //!    would-be-truncated prefix.
 //!
 //! Execution and recovery are exactly [`Generalized`]'s —
-//! [`Generalized::analyze`] already dispatches on the record the
-//! master points at.
+//! [`redo::analyze`] already dispatches on the record the master
+//! points at.
 
 use redo_sim::db::Db;
 use redo_sim::SimResult;
@@ -45,7 +45,7 @@ use redo_workload::pages::PageOp;
 
 use crate::generalized::Generalized;
 use crate::oprecord::PageOpPayload;
-use crate::{RecoveryMethod, RecoveryStats};
+use crate::{redo, RecoveryMethod, RecoveryStats};
 
 /// Generalized LSN-based recovery whose checkpoints are online fuzzy
 /// snapshots with log truncation.
@@ -65,28 +65,9 @@ impl GeneralizedOnline {
     /// surfaces as an abandoned attempt.)
     pub fn checkpoint_online(db: &mut Db<PageOpPayload>) -> SimResult<Option<Lsn>> {
         let dirty = db.pool.dirty_page_table();
-        let ck_expected = Lsn(db.log.last_lsn().0 + 1);
-        // No dirty pages: everything logged so far is installed, and the
-        // scan need only start at the checkpoint record itself.
-        let redo_start = dirty
-            .iter()
-            .map(|&(_, rec)| rec)
-            .min()
-            .unwrap_or(ck_expected);
-        let ck = db
-            .log
-            .append(PageOpPayload::FuzzyCheckpoint { dirty, redo_start })?;
-        debug_assert_eq!(ck, ck_expected);
-        db.log.flush_all();
-        if db.log.stable_lsn() < ck {
-            return Ok(None);
-        }
-        db.disk.set_master(ck)?;
-        if db.disk.master() != ck {
-            return Ok(None);
-        }
-        db.log.archive_prefix(redo_start)?;
-        Ok(Some(ck))
+        let redo_start = redo::redo_start_of(dirty.iter().map(|&(_, rec)| rec), &db.log);
+        let payload = PageOpPayload::FuzzyCheckpoint { dirty, redo_start };
+        redo::publish(&mut db.log, &mut db.disk, payload, redo_start)
     }
 }
 
@@ -113,37 +94,14 @@ impl RecoveryMethod for GeneralizedOnline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{assert_matches_model, cross_page_workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use redo_sim::db::Geometry;
     use redo_sim::fault::{FaultKind, FaultPlan};
-    use redo_workload::pages::{Cell, PageWorkloadSpec};
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: n,
-            n_pages: 5,
-            cross_page_fraction: 0.4,
-            multi_page_fraction: 0.2,
-            blind_fraction: 0.1,
-            ..Default::default()
-        }
-        .generate(seed)
-    }
-
-    fn model(ops: &[PageOp]) -> std::collections::BTreeMap<Cell, u64> {
-        let mut cells = std::collections::BTreeMap::new();
-        for op in ops {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
-        }
-        cells
+        cross_page_workload(n, 5, seed)
     }
 
     #[test]
@@ -166,9 +124,36 @@ mod tests {
         db.crash();
         let stats = GeneralizedOnline.recover(&mut db).unwrap();
         assert!(stats.checkpoint_lsn.is_some());
-        for (c, v) in model(&ops) {
-            assert_eq!(db.read_cell(c).unwrap(), v, "cell {c:?}");
+        assert_matches_model(&mut db, &ops);
+    }
+
+    #[test]
+    fn redo_start_is_exactly_the_oldest_reclsn() {
+        // Ten operations flushed clean, ten more left dirty, checkpoint:
+        // nothing was dirty before op 11, so analysis elides — and
+        // publication truncates — exactly the ten installed records.
+        let ops = crate::testkit::single_page_workload(30, 5, 2);
+        let mut db = Db::new(Geometry::default());
+        for op in &ops[..10] {
+            GeneralizedOnline.execute(&mut db, op).unwrap();
         }
+        db.flush_everything().unwrap();
+        for op in &ops[10..20] {
+            GeneralizedOnline.execute(&mut db, op).unwrap();
+        }
+        let ck = GeneralizedOnline::checkpoint_online(&mut db).unwrap();
+        for op in &ops[20..] {
+            GeneralizedOnline.execute(&mut db, op).unwrap();
+        }
+        db.log.flush_all();
+        db.crash();
+        let analysis = redo::analyze(&db).unwrap();
+        assert_eq!(analysis.checkpoint_lsn, ck);
+        assert_eq!(analysis.redo_start, Lsn(11), "{analysis:?}");
+        assert_eq!(db.log.first_stable(), Lsn(11));
+        let stats = GeneralizedOnline.recover(&mut db).unwrap();
+        assert_eq!(stats.scanned, 21, "ops 11..=30 and the checkpoint record");
+        assert_matches_model(&mut db, &ops);
     }
 
     #[test]
@@ -208,9 +193,7 @@ mod tests {
         db.crash();
         let stats = GeneralizedOnline.recover(&mut db).unwrap();
         assert_eq!(stats.scanned, 1, "the scan sees only the checkpoint record");
-        for (c, v) in model(&ops) {
-            assert_eq!(db.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        assert_matches_model(&mut db, &ops);
     }
 
     #[test]
@@ -248,8 +231,6 @@ mod tests {
         db.repair_after_crash();
         let stats = GeneralizedOnline.recover(&mut db).unwrap();
         assert_eq!(stats.checkpoint_lsn, Some(first));
-        for (c, v) in model(&ops) {
-            assert_eq!(db.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        assert_matches_model(&mut db, &ops);
     }
 }

@@ -10,6 +10,8 @@ use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp};
 
+use crate::redo::{CheckpointRecord, CheckpointView};
+
 /// An operation record or a checkpoint marker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PageOpPayload {
@@ -53,6 +55,34 @@ pub enum PageOpPayload {
     },
 }
 
+/// Appends a dirty-page table — a 16-bit count (`what` names it in the
+/// overflow error), then `(page, recLSN)` pairs — the one wire shape of
+/// every fuzzy and delta checkpoint record.
+pub(crate) fn put_dirty_table(
+    buf: &mut Vec<u8>,
+    what: &'static str,
+    table: &[(PageId, Lsn)],
+) -> SimResult<()> {
+    codec::put_u16(buf, codec::count_u16(what, table.len())?);
+    for &(page, rec) in table {
+        codec::put_u32(buf, page.0);
+        codec::put_u64(buf, rec.0);
+    }
+    Ok(())
+}
+
+/// Decodes what [`put_dirty_table`] wrote.
+pub(crate) fn get_dirty_table(input: &[u8], pos: &mut usize) -> SimResult<Vec<(PageId, Lsn)>> {
+    let n = codec::get_u16(input, pos)? as usize;
+    let mut table = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        let page = PageId(codec::get_u32(input, pos)?);
+        let rec = Lsn(codec::get_u64(input, pos)?);
+        table.push((page, rec));
+    }
+    Ok(table)
+}
+
 impl LogPayload for PageOpPayload {
     fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
         match self {
@@ -64,14 +94,7 @@ impl LogPayload for PageOpPayload {
             PageOpPayload::FuzzyCheckpoint { dirty, redo_start } => {
                 codec::put_u8(buf, 2);
                 codec::put_u64(buf, redo_start.0);
-                codec::put_u16(
-                    buf,
-                    codec::count_u16("dirty-page-table length", dirty.len())?,
-                );
-                for &(page, rec) in dirty {
-                    codec::put_u32(buf, page.0);
-                    codec::put_u64(buf, rec.0);
-                }
+                put_dirty_table(buf, "dirty-page-table length", dirty)?;
             }
             PageOpPayload::DeltaCheckpoint {
                 prev,
@@ -84,11 +107,7 @@ impl LogPayload for PageOpPayload {
                 codec::put_u64(buf, prev.0);
                 codec::put_u64(buf, base.0);
                 codec::put_u64(buf, redo_start.0);
-                codec::put_u16(buf, codec::count_u16("delta added length", added.len())?);
-                for &(page, rec) in added {
-                    codec::put_u32(buf, page.0);
-                    codec::put_u64(buf, rec.0);
-                }
+                put_dirty_table(buf, "delta added length", added)?;
                 codec::put_u16(
                     buf,
                     codec::count_u16("delta removed length", removed.len())?,
@@ -107,26 +126,14 @@ impl LogPayload for PageOpPayload {
             1 => Ok(PageOpPayload::Checkpoint),
             2 => {
                 let redo_start = Lsn(codec::get_u64(input, pos)?);
-                let n = codec::get_u16(input, pos)? as usize;
-                let mut dirty = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let page = PageId(codec::get_u32(input, pos)?);
-                    let rec = Lsn(codec::get_u64(input, pos)?);
-                    dirty.push((page, rec));
-                }
+                let dirty = get_dirty_table(input, pos)?;
                 Ok(PageOpPayload::FuzzyCheckpoint { dirty, redo_start })
             }
             3 => {
                 let prev = Lsn(codec::get_u64(input, pos)?);
                 let base = Lsn(codec::get_u64(input, pos)?);
                 let redo_start = Lsn(codec::get_u64(input, pos)?);
-                let n = codec::get_u16(input, pos)? as usize;
-                let mut added = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let page = PageId(codec::get_u32(input, pos)?);
-                    let rec = Lsn(codec::get_u64(input, pos)?);
-                    added.push((page, rec));
-                }
+                let added = get_dirty_table(input, pos)?;
                 let n = codec::get_u16(input, pos)? as usize;
                 let mut removed = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
@@ -152,6 +159,31 @@ impl LogPayload for PageOpPayload {
             PageOpPayload::Checkpoint
             | PageOpPayload::FuzzyCheckpoint { .. }
             | PageOpPayload::DeltaCheckpoint { .. } => Vec::new(),
+        }
+    }
+}
+
+impl CheckpointView for PageOpPayload {
+    fn into_checkpoint(self) -> Option<CheckpointRecord> {
+        match self {
+            PageOpPayload::Op(_) => None,
+            PageOpPayload::Checkpoint => Some(CheckpointRecord::Heavyweight),
+            PageOpPayload::FuzzyCheckpoint { dirty, redo_start } => {
+                Some(CheckpointRecord::Snapshot { dirty, redo_start })
+            }
+            PageOpPayload::DeltaCheckpoint {
+                prev,
+                base,
+                redo_start,
+                added,
+                removed,
+            } => Some(CheckpointRecord::Delta {
+                prev,
+                base,
+                redo_start,
+                added,
+                removed,
+            }),
         }
     }
 }

@@ -37,14 +37,12 @@
 //! the rebuilt images into the buffer pool.
 //!
 //! Restart is *checkpoint-aware*: the scheduler is fed by the same
-//! analysis pass sequential recovery uses
-//! ([`Generalized::analyze_dpt`] /
-//! [`Physical::analyze`](crate::physical::Physical::analyze)). The
+//! analysis pass sequential recovery uses ([`redo::analyze`]). The
 //! scan seeks straight to the checkpoint's redo-start LSN (the minimum
 //! recLSN over the logged dirty-page table), checkpoint records are
 //! recognized and never routed to a partition, and a record below the
 //! checkpoint whose page the DPT proves installed
-//! ([`RestartAnalysis::provably_installed`](crate::generalized::RestartAnalysis::provably_installed))
+//! ([`RestartAnalysis::provably_installed`](crate::redo::RestartAnalysis::provably_installed))
 //! is settled as *skipped*
 //! at scan time — no partition, and no page fetch, ever sees it.
 //!
@@ -67,12 +65,11 @@ use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp, SlotId};
 
-use crate::generalized::Generalized;
 use crate::online::GeneralizedOnline;
 use crate::oprecord::PageOpPayload;
 use crate::physical::{PhysPayload, Physical};
 use crate::physiological::Physiological;
-use crate::{RecoveryMethod, RecoveryStats};
+use crate::{redo, RecoveryMethod, RecoveryStats};
 
 /// One unit of redo work in flight from the scan thread to a worker:
 /// a page's record (or record fragment) plus, with the page's first
@@ -440,16 +437,9 @@ pub fn recover_physiological_parallel(
     db: &mut Db<PageOpPayload>,
     threads: usize,
 ) -> SimResult<RecoveryStats> {
-    // Recovery's first act: repair crash damage the media can detect.
-    db.repair_after_crash();
     // The analysis pass hands the partitioned scheduler its feed: the
     // redo-start LSN to seek to and the dirty-page table to route by.
-    let analysis = Generalized::analyze_dpt(db)?;
-    let mut stats = RecoveryStats {
-        checkpoint_lsn: analysis.checkpoint_lsn,
-        truncated_bytes: db.log.truncated_bytes(),
-        ..RecoveryStats::default()
-    };
+    let (analysis, mut stats) = redo::begin(db)?;
     let analysis_ref = &analysis;
     let (rebuilt, mut scan, events) = pipeline_partitions(
         db,
@@ -533,14 +523,7 @@ pub fn recover_physical_parallel(
     db: &mut Db<PhysPayload>,
     threads: usize,
 ) -> SimResult<RecoveryStats> {
-    // Recovery's first act: repair crash damage the media can detect.
-    db.repair_after_crash();
-    let analysis = Physical::analyze(db)?;
-    let mut stats = RecoveryStats {
-        checkpoint_lsn: analysis.checkpoint_lsn,
-        truncated_bytes: db.log.truncated_bytes(),
-        ..RecoveryStats::default()
-    };
+    let (analysis, mut stats) = redo::begin(db)?;
     let analysis_ref = &analysis;
     let (rebuilt, mut scan, events) = pipeline_partitions(
         db,
@@ -720,6 +703,7 @@ impl RecoveryMethod for ParallelOnline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generalized::Generalized;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use redo_sim::db::Geometry;
@@ -730,15 +714,7 @@ mod tests {
         ops: &[PageOp],
         seed: u64,
     ) -> Db<M::Payload> {
-        let mut db = Db::new(Geometry::default());
-        let mut rng = StdRng::seed_from_u64(seed);
-        for op in ops {
-            method.execute(&mut db, op).unwrap();
-            db.chaos_flush(&mut rng, 0.7, 0.4).unwrap();
-        }
-        db.log.flush_all();
-        db.crash();
-        db
+        crate::testkit::crashed_db(method, ops, seed, None)
     }
 
     #[test]

@@ -17,13 +17,14 @@
 use std::collections::BTreeSet;
 
 use redo_sim::db::Db;
-use redo_sim::wal::{codec, LogPayload, ShardedScanner};
+use redo_sim::wal::{codec, LogPayload};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp};
 
-use crate::generalized::RestartAnalysis;
-use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
+use crate::oprecord::{get_dirty_table, put_dirty_table};
+use crate::redo::{self, CheckpointRecord, CheckpointView, Redo};
+use crate::{RecoveryMethod, RecoveryStats};
 
 /// Log payload for physical recovery: blind after-images or a checkpoint
 /// marker.
@@ -68,14 +69,7 @@ impl LogPayload for PhysPayload {
             PhysPayload::FuzzyCheckpoint { dirty, redo_start } => {
                 codec::put_u8(buf, 2);
                 codec::put_u64(buf, redo_start.0);
-                codec::put_u16(
-                    buf,
-                    codec::count_u16("dirty-page-table length", dirty.len())?,
-                );
-                for &(page, rec) in dirty {
-                    codec::put_u32(buf, page.0);
-                    codec::put_u64(buf, rec.0);
-                }
+                put_dirty_table(buf, "dirty-page-table length", dirty)?;
             }
         }
         Ok(())
@@ -97,13 +91,7 @@ impl LogPayload for PhysPayload {
             1 => Ok(PhysPayload::Checkpoint),
             2 => {
                 let redo_start = Lsn(codec::get_u64(input, pos)?);
-                let n = codec::get_u16(input, pos)? as usize;
-                let mut dirty = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let page = PageId(codec::get_u32(input, pos)?);
-                    let rec = Lsn(codec::get_u64(input, pos)?);
-                    dirty.push((page, rec));
-                }
+                let dirty = get_dirty_table(input, pos)?;
                 Ok(PhysPayload::FuzzyCheckpoint { dirty, redo_start })
             }
             _ => Err(SimError::Corrupt(*pos - 1)),
@@ -121,59 +109,29 @@ impl LogPayload for PhysPayload {
     }
 }
 
+impl CheckpointView for PhysPayload {
+    fn into_checkpoint(self) -> Option<CheckpointRecord> {
+        match self {
+            PhysPayload::Writes { .. } => None,
+            PhysPayload::Checkpoint => Some(CheckpointRecord::Heavyweight),
+            PhysPayload::FuzzyCheckpoint { dirty, redo_start } => {
+                Some(CheckpointRecord::Snapshot { dirty, redo_start })
+            }
+        }
+    }
+}
+
 /// The physical recovery method.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Physical;
 
 impl Physical {
-    /// The analysis step over the physical log: dispatch on the record
-    /// the master points at. A heavyweight [`PhysPayload::Checkpoint`]
-    /// installed everything below it; a
-    /// [`PhysPayload::FuzzyCheckpoint`] carries its redo-start and
-    /// dirty-page table. Anything else falls back to a full scan from
-    /// the first retained record — always safe, since blind replay is
-    /// idempotent.
-    ///
-    /// # Errors
-    ///
-    /// Log corruption at the master record.
-    pub fn analyze(db: &Db<PhysPayload>) -> SimResult<RestartAnalysis> {
-        let master = db.disk.master();
-        if master > Lsn::ZERO {
-            let mut cursor = db.log.cursor_from(master);
-            if let Some(rec) = cursor.next() {
-                let rec = rec?;
-                if rec.lsn == master {
-                    match rec.payload {
-                        PhysPayload::Checkpoint => {
-                            return Ok(RestartAnalysis {
-                                redo_start: master.next(),
-                                checkpoint_lsn: Some(master),
-                                dirty: None,
-                            })
-                        }
-                        PhysPayload::FuzzyCheckpoint { dirty, redo_start } => {
-                            return Ok(RestartAnalysis {
-                                redo_start,
-                                checkpoint_lsn: Some(master),
-                                dirty: Some(dirty.into_iter().collect()),
-                            })
-                        }
-                        PhysPayload::Writes { .. } => {}
-                    }
-                }
-            }
-        }
-        Ok(RestartAnalysis::full_scan())
-    }
-
     /// One *online* checkpoint attempt for the physical method: no page
     /// flushing, just a dirty-page-table snapshot published through the
     /// master pointer, followed by prefix truncation. The protocol and
-    /// its abandonment semantics mirror
-    /// [`crate::online::GeneralizedOnline::checkpoint_online`]; returns
-    /// the published checkpoint LSN, or `None` if the attempt was
-    /// abandoned under fault injection.
+    /// its abandonment semantics are [`redo::publish`]'s; returns the
+    /// published checkpoint LSN, or `None` if the attempt was abandoned
+    /// under fault injection.
     ///
     /// # Errors
     ///
@@ -181,26 +139,9 @@ impl Physical {
     /// surfaces as an abandoned attempt.)
     pub fn checkpoint_fuzzy(db: &mut Db<PhysPayload>) -> SimResult<Option<Lsn>> {
         let dirty = db.pool.dirty_page_table();
-        let ck_expected = Lsn(db.log.last_lsn().0 + 1);
-        let redo_start = dirty
-            .iter()
-            .map(|&(_, rec)| rec)
-            .min()
-            .unwrap_or(ck_expected);
-        let ck = db
-            .log
-            .append(PhysPayload::FuzzyCheckpoint { dirty, redo_start })?;
-        debug_assert_eq!(ck, ck_expected);
-        db.log.flush_all();
-        if db.log.stable_lsn() < ck {
-            return Ok(None);
-        }
-        db.disk.set_master(ck)?;
-        if db.disk.master() != ck {
-            return Ok(None);
-        }
-        db.log.archive_prefix(redo_start)?;
-        Ok(Some(ck))
+        let redo_start = redo::redo_start_of(dirty.iter().map(|&(_, rec)| rec), &db.log);
+        let payload = PhysPayload::FuzzyCheckpoint { dirty, redo_start };
+        redo::publish(&mut db.log, &mut db.disk, payload, redo_start)
     }
 }
 
@@ -243,75 +184,25 @@ impl RecoveryMethod for Physical {
         // §6.2: set the stable values to those in the cache (which
         // include every pending operation's effects), then write the
         // checkpoint record — atomically installing the lot.
-        db.log.flush_all();
-        let stable = db.log.stable_lsn();
-        db.pool.flush_all(&mut db.disk, stable)?;
-        let ck = db.log.append(PhysPayload::Checkpoint)?;
-        db.log.flush_all();
-        db.disk.set_master(ck)?;
-        Ok(())
+        redo::checkpoint_heavyweight(db, PhysPayload::Checkpoint)
     }
 
     fn recover(&self, db: &mut Db<PhysPayload>) -> SimResult<RecoveryStats> {
-        // Recovery's first act: repair crash damage the media can
-        // detect (torn pages, a torn log-tail fragment).
-        db.repair_after_crash();
-        let analysis = Physical::analyze(db)?;
-        let mut stats = RecoveryStats {
-            checkpoint_lsn: analysis.checkpoint_lsn,
-            truncated_bytes: db.log.truncated_bytes(),
-            ..RecoveryStats::default()
-        };
-        // Streaming scan: seek past the checkpointed (or fuzzily
-        // elided) prefix — never decoding it — and replay batch by
-        // batch. Records a fuzzy analysis proves installed still
-        // replay here: they are blind and idempotent, and the serial
-        // path keeps the simplest possible redo test (always yes).
-        let mut scanner = ShardedScanner::seek(&db.log, analysis.redo_start);
-        loop {
-            let batch = scanner.next_batch(&db.log, SCAN_BATCH)?;
-            if batch.is_empty() {
-                break;
+        // Records a fuzzy analysis proves installed still replay here:
+        // they are blind and idempotent, and the serial path keeps the
+        // simplest possible redo test (always yes).
+        redo::recover(db, PhysPayload::write_pages, |db, lsn, payload| {
+            let PhysPayload::Writes { op_id, writes } = payload else {
+                return Ok(Redo::NotAnOperation);
+            };
+            for (cell, v) in writes {
+                let stable = db.log.stable_lsn();
+                db.pool
+                    .fetch(&mut db.disk, cell.page, db.geometry.slots_per_page, stable)?;
+                db.pool.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
             }
-            let pages: BTreeSet<PageId> = batch
-                .iter()
-                .filter_map(|rec| match &rec.payload {
-                    PhysPayload::Writes { writes, .. } => Some(writes.iter().map(|&(c, _)| c.page)),
-                    PhysPayload::Checkpoint | PhysPayload::FuzzyCheckpoint { .. } => None,
-                })
-                .flatten()
-                .collect();
-            let pages: Vec<PageId> = pages.into_iter().collect();
-            stats.pages_prefetched += db.pool.prefetch(
-                &mut db.disk,
-                &pages,
-                db.geometry.slots_per_page,
-                db.log.stable_lsn(),
-            );
-            for rec in batch {
-                stats.scanned += 1;
-                match rec.payload {
-                    PhysPayload::Checkpoint | PhysPayload::FuzzyCheckpoint { .. } => {}
-                    PhysPayload::Writes { op_id, writes } => {
-                        // redo test: always replay (blind, idempotent).
-                        for (cell, v) in writes {
-                            let stable = db.log.stable_lsn();
-                            db.pool.fetch(
-                                &mut db.disk,
-                                cell.page,
-                                db.geometry.slots_per_page,
-                                stable,
-                            )?;
-                            db.pool
-                                .update(cell.page, rec.lsn, |p| p.set(cell.slot, v))?;
-                        }
-                        stats.replayed.push(op_id);
-                    }
-                }
-            }
-        }
-        stats.note_scan(scanner.stats(), db.log.forces());
-        Ok(stats)
+            Ok(Redo::Replayed(op_id))
+        })
     }
 
     fn parallel_restart(
@@ -401,7 +292,7 @@ mod tests {
             "fuzzy: nothing flushed"
         );
         assert_eq!(db.disk.master(), ck);
-        let analysis = Physical::analyze(&db).unwrap();
+        let analysis = redo::analyze(&db).unwrap();
         assert_eq!(analysis.checkpoint_lsn, Some(ck));
         assert!(analysis.dirty.is_some());
         db.crash();
@@ -437,31 +328,6 @@ mod tests {
             db.volatile_theory_state(),
             redo_theory::state::State::zeroed()
         );
-    }
-
-    #[test]
-    fn durable_log_replays_fully() {
-        let mut db = db();
-        let ops = PageWorkloadSpec {
-            blind_fraction: 1.0,
-            n_ops: 8,
-            ..Default::default()
-        }
-        .generate(2);
-        let mut expect = std::collections::BTreeMap::new();
-        for op in &ops {
-            Physical.execute(&mut db, op).unwrap();
-            for &c in &op.writes {
-                expect.insert(c, op.output(c, &[]));
-            }
-        }
-        db.log.flush_all();
-        db.crash();
-        let stats = Physical.recover(&mut db).unwrap();
-        assert_eq!(stats.replay_count(), 8);
-        for (c, v) in expect {
-            assert_eq!(db.read_cell(c).unwrap(), v);
-        }
     }
 
     #[test]

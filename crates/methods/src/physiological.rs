@@ -15,16 +15,13 @@
 //! write-graph nodes are minimal and the cache may flush pages in any
 //! order.
 
-use std::collections::BTreeSet;
-
 use redo_sim::db::Db;
-use redo_sim::wal::ShardedScanner;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::PageOp;
 
 use crate::oprecord::PageOpPayload;
-use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
+use crate::{redo, RecoveryMethod, RecoveryStats};
 
 /// The physiological recovery method.
 #[derive(Clone, Copy, Debug, Default)]
@@ -64,69 +61,20 @@ impl RecoveryMethod for Physiological {
         // A heavyweight (flush-everything) checkpoint: afterwards every
         // logged operation is installed, so recovery may start at the
         // checkpoint record.
-        db.log.flush_all();
-        let stable = db.log.stable_lsn();
-        db.pool.flush_all(&mut db.disk, stable)?;
-        let ck = db.log.append(PageOpPayload::Checkpoint)?;
-        db.log.flush_all();
-        db.disk.set_master(ck)?;
-        Ok(())
+        redo::checkpoint_heavyweight(db, PageOpPayload::Checkpoint)
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        // Recovery's first act: repair crash damage the media can
-        // detect (torn pages, a torn log-tail fragment).
-        db.repair_after_crash();
-        let master = db.disk.master();
-        let mut stats = RecoveryStats::default();
-        // Streaming scan: seek past the checkpointed prefix (never
-        // decoding it) and replay batch by batch, prefetching the pages
-        // the upcoming records name.
-        let mut scanner = ShardedScanner::seek(&db.log, master.next());
-        loop {
-            let batch = scanner.next_batch(&db.log, SCAN_BATCH)?;
-            if batch.is_empty() {
-                break;
+        redo::recover_ops(db, PageOp::written_pages, |db, lsn, op| {
+            let stale = redo::page_is_stale(db, op, lsn)?;
+            if stale {
+                // redo test fired: the page misses this update. Reads see
+                // the page with every earlier operation already applied
+                // (replayed or installed), so the operation is applicable.
+                db.apply_page_op(op, lsn)?;
             }
-            let pages: BTreeSet<PageId> = batch
-                .iter()
-                .filter_map(|rec| match &rec.payload {
-                    PageOpPayload::Op(op) => Some(op.written_pages()[0]),
-                    PageOpPayload::Checkpoint
-                    | PageOpPayload::FuzzyCheckpoint { .. }
-                    | PageOpPayload::DeltaCheckpoint { .. } => None,
-                })
-                .collect();
-            let pages: Vec<PageId> = pages.into_iter().collect();
-            stats.pages_prefetched += db.pool.prefetch(
-                &mut db.disk,
-                &pages,
-                db.geometry.slots_per_page,
-                db.log.stable_lsn(),
-            );
-            for rec in batch {
-                stats.scanned += 1;
-                let PageOpPayload::Op(op) = rec.payload else {
-                    continue;
-                };
-                let page = op.written_pages()[0];
-                let stable = db.log.stable_lsn();
-                let cached =
-                    db.pool
-                        .fetch(&mut db.disk, page, db.geometry.slots_per_page, stable)?;
-                if cached.lsn() < rec.lsn {
-                    // redo test fired: the page misses this update. Reads see
-                    // the page with every earlier operation already applied
-                    // (replayed or installed), so the operation is applicable.
-                    db.apply_page_op(&op, rec.lsn)?;
-                    stats.replayed.push(op.id);
-                } else {
-                    stats.skipped.push(op.id);
-                }
-            }
-        }
-        stats.note_scan(scanner.stats(), db.log.forces());
-        Ok(stats)
+            Ok(stale)
+        })
     }
 
     fn parallel_restart(
@@ -141,39 +89,14 @@ impl RecoveryMethod for Physiological {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{assert_matches_model, single_page_workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use redo_sim::db::Geometry;
-    use redo_workload::pages::{Cell, PageId, PageOpKind, PageWorkloadSpec, SlotId};
+    use redo_workload::pages::{Cell, PageId, PageOpKind, SlotId};
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
-        PageWorkloadSpec {
-            n_ops: n,
-            n_pages: 4,
-            ..Default::default()
-        }
-        .generate(seed)
-    }
-
-    fn model(ops: &[PageOp]) -> std::collections::BTreeMap<Cell, u64> {
-        let mut cells = std::collections::BTreeMap::new();
-        for op in ops {
-            let reads: Vec<u64> = op
-                .reads
-                .iter()
-                .map(|c| cells.get(c).copied().unwrap_or(0))
-                .collect();
-            for &w in &op.writes {
-                cells.insert(w, op.output(w, &reads));
-            }
-        }
-        cells
-    }
-
-    fn assert_matches_model(db: &mut Db<PageOpPayload>, ops: &[PageOp]) {
-        for (c, v) in model(ops) {
-            assert_eq!(db.read_cell(c).unwrap(), v, "cell {c:?}");
-        }
+        single_page_workload(n, 4, seed)
     }
 
     #[test]

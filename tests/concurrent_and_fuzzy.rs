@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use redo_recovery::methods::concurrent::SharedDb;
-use redo_recovery::methods::fuzzy::FuzzyPhysiological;
 use redo_recovery::methods::generalized::Generalized;
+use redo_recovery::methods::online::GeneralizedOnline;
 use redo_recovery::methods::oprecord::PageOpPayload;
 use redo_recovery::methods::RecoveryMethod;
 use redo_recovery::sim::db::{Db, Geometry};
@@ -147,16 +147,16 @@ fn fuzzy_checkpoints_survive_crash_storms() {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut durable: Vec<(PageOp, Lsn)> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
-            let lsn = FuzzyPhysiological.execute(&mut db, op).expect("execute");
+            let lsn = GeneralizedOnline.execute(&mut db, op).expect("execute");
             durable.push((op.clone(), lsn));
             db.chaos_flush(&mut rng, 0.7, 0.3).unwrap();
             if i % 9 == 8 {
-                FuzzyPhysiological.checkpoint(&mut db).expect("checkpoint");
+                GeneralizedOnline.checkpoint(&mut db).expect("checkpoint");
             }
             if i % 31 == 30 {
                 let stable = db.log.stable_lsn();
                 db.crash();
-                FuzzyPhysiological.recover(&mut db).expect("recover");
+                GeneralizedOnline.recover(&mut db).expect("recover");
                 durable.retain(|(_, l)| *l <= stable);
             }
         }
@@ -189,18 +189,18 @@ fn fuzzy_analysis_is_cheaper_than_full_scan_but_never_wrong() {
     .generate(9);
     let mut rng = StdRng::seed_from_u64(9);
     for (i, op) in ops.iter().enumerate() {
-        FuzzyPhysiological.execute(&mut db, op).expect("execute");
+        GeneralizedOnline.execute(&mut db, op).expect("execute");
         db.chaos_flush(&mut rng, 0.9, 0.5).unwrap();
         if i % 20 == 19 {
-            FuzzyPhysiological.checkpoint(&mut db).expect("checkpoint");
+            GeneralizedOnline.checkpoint(&mut db).expect("checkpoint");
         }
     }
     db.log.flush_all();
     db.crash();
-    let analysis = FuzzyPhysiological.analyze(&db).expect("analysis");
+    let analysis = Generalized::analyze_dpt(&db).expect("analysis");
     assert!(analysis.checkpoint_lsn.is_some());
-    assert!(analysis.records_elided > 0, "{analysis:?}");
-    let stats = FuzzyPhysiological.recover(&mut db).expect("recover");
+    assert!(analysis.redo_start > Lsn(1), "{analysis:?}");
+    let stats = GeneralizedOnline.recover(&mut db).expect("recover");
     assert!(
         stats.scanned < 126,
         "analysis must bound the scan: {stats:?}"

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use redo_recovery::btree::{BTree, SplitStrategy};
-use redo_recovery::methods::fuzzy::FuzzyPhysiological;
 use redo_recovery::methods::generalized::Generalized;
 use redo_recovery::methods::harness::{run, HarnessConfig};
 use redo_recovery::methods::logical::Logical;
@@ -329,7 +328,7 @@ proptest! {
         }.generate(seed);
         assert_shard_count_invariant(&Physical, &blind, &cfg)?;
         assert_shard_count_invariant(&Physiological, &physio, &cfg)?;
-        assert_shard_count_invariant(&FuzzyPhysiological, &physio, &cfg)?;
+        assert_shard_count_invariant(&GeneralizedOnline, &physio, &cfg)?;
         assert_shard_count_invariant(&Logical, &cross, &cfg)?;
         assert_shard_count_invariant(&Generalized, &cross, &cfg)?;
         assert_shard_count_invariant(&GeneralizedOnline, &cross, &cfg)?;

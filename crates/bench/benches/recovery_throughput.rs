@@ -28,6 +28,18 @@
 //!   rather than the checkpoint suffix — the gap to `media_intact` is
 //!   the price of a media rebuild.
 //!
+//! * `pool_pages{64,8192}` — the full (uncheckpointed) scan of one
+//!   op count over a 64-page and an 8192-page database, nothing
+//!   flushed before the crash. Every replayed record fetches and
+//!   updates a cached page, so this is where a buffer pool whose
+//!   bookkeeping walks the resident set shows: the shape check asserts
+//!   the time per replayed record at 8192 pages is at most twice that
+//!   at 64. The accesses are Zipf-skewed and the op count is several
+//!   times the page count, so the wide pool *holds* thousands of pages
+//!   while first touches and cache misses — costs of the pages touched,
+//!   not of the pool's size — stay a small share: 1.2–1.7× with the
+//!   indexed pool, 5.9× when `touch` scanned an LRU list.
+//!
 //! Shape checks before timing assert the telemetry tells the same
 //! story: the checkpointed scan decodes at most a quarter of what the
 //! full scan decodes (it is ~10% by construction), enters the log
@@ -107,6 +119,68 @@ fn crashed_media_db(n_ops: usize, log_shards: usize) -> MediaDb {
     db
 }
 
+/// Ops behind the `pool_pages` axis, the same in smoke mode: enough to
+/// make most of the larger database resident and to make each page's
+/// first fetch a small share of the records.
+const POOL_AXIS_OPS: usize = 60_000;
+
+/// The `pool_pages` axis: per-record replay cost must not grow with the
+/// number of pages the pool holds. No page is flushed before the crash,
+/// so every record replays.
+fn bench_pool_pages(group: &mut criterion::BenchmarkGroup<'_>) {
+    let mut ns_per_replayed = Vec::new();
+    for n_pages in [64u32, 8192] {
+        let ops = PageWorkloadSpec {
+            n_ops: POOL_AXIS_OPS,
+            n_pages,
+            skew: 1.0,
+            ..Default::default()
+        }
+        .generate(23);
+        let mut image: PhysioDb = Db::new(Geometry::default());
+        for op in &ops {
+            Physiological.execute(&mut image, op).unwrap();
+        }
+        image.log.flush_all();
+        image.crash();
+        let mut probe = image.clone();
+        let replayed = Physiological.recover(&mut probe).unwrap().replay_count();
+        assert_eq!(replayed, POOL_AXIS_OPS, "nothing was installed");
+        assert!(
+            probe.pool.len() * 2 >= (n_pages as usize).min(POOL_AXIS_OPS),
+            "the pool must end up holding most of the database: {} of {n_pages} pages",
+            probe.pool.len()
+        );
+        let best = redo_bench::best_of(
+            5,
+            || image.clone(),
+            |mut db| Physiological.recover(&mut db).unwrap(),
+        );
+        ns_per_replayed.push(best.as_nanos() as f64 / replayed as f64);
+        group.bench_with_input(
+            BenchmarkId::new(format!("pool_pages{n_pages}"), POOL_AXIS_OPS),
+            &image,
+            |b, image| {
+                b.iter_batched(
+                    || (*image).clone(),
+                    |mut db| Physiological.recover(&mut db).unwrap(),
+                    BatchSize::LargeInput,
+                )
+            },
+        );
+    }
+    let (small, wide) = (ns_per_replayed[0], ns_per_replayed[1]);
+    println!(
+        "recovery_throughput shape-check [n={POOL_AXIS_OPS}]: {small:.0} ns per replayed record \
+         over 64 pages, {wide:.0} ns over 8192 ({:.2}x)",
+        wide / small
+    );
+    assert!(
+        wide <= 2.0 * small,
+        "per-record replay cost grows with the pool: {small:.0} ns at 64 pages, {wide:.0} ns at 8192"
+    );
+}
+
 fn bench(c: &mut Criterion) {
     let smoke = std::env::var("RECOVERY_THROUGHPUT_SMOKE").is_ok();
     let sizes: &[usize] = if smoke {
@@ -116,6 +190,7 @@ fn bench(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("recovery_throughput");
     let shard_counts: &[usize] = &[2, 4, 8];
+    bench_pool_pages(&mut group);
     for &n in sizes {
         let full = crashed_db(n, false, BackendKind::Mem, 1);
         let ckpt = crashed_db(n, true, BackendKind::Mem, 1);

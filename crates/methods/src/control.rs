@@ -146,7 +146,7 @@ impl Controller {
         let redo_start = redo::analyze(db)?.redo_start;
         Ok(RestartEstimate {
             suffix_bytes: db.log.suffix_bytes(redo_start),
-            dirty_pages: db.pool.dirty_pages().len(),
+            dirty_pages: db.pool.dirty_count(),
             redo_start,
             live_bytes_by_shard: db.log.live_bytes_by_shard(),
         })

@@ -26,7 +26,7 @@ use redo_sim::cache::Constraint;
 use redo_sim::db::Db;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::PageOp;
 
 use crate::oprecord::PageOpPayload;
 use crate::redo::{self, RestartAnalysis};
@@ -71,22 +71,37 @@ pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, op: &PageOp, lsn:
 }
 
 /// Would this operation's constraints (and atomic group) close a cycle
-/// in the flush-order graph?
+/// in the flush-order graph ([`redo_sim::cache::BufferPool::would_cycle`])?
 ///
-/// Edges run `requires → blocked` ("must flush before"); the new
-/// operation adds `w → r` for each cross-page read `r` outside its write
-/// set. Atomic groups act like write-graph collapses: their members
-/// flush together, so cycle detection runs on the *quotient* graph with
-/// each active group's members identified (a constraint into a group is
-/// a constraint into every member). A cycle corresponds to a collapse
-/// §5 would reject as cyclic: the single-copy cache could never flush
-/// legally again.
+/// Most operations cannot: one that writes a single page and reads
+/// nothing else registers no constraint and binds no group, so the
+/// graph it leaves is the acyclic graph it found, and the answer is
+/// `false` without looking at the graph at all.
 pub(crate) fn would_cycle(db: &Db<PageOpPayload>, op: &PageOp) -> bool {
     let written = op.written_pages();
-    // Union-find over pages: identify members of active groups and of
-    // the new op's write set.
-    let mut parent: std::collections::BTreeMap<PageId, PageId> = std::collections::BTreeMap::new();
-    fn find(parent: &mut std::collections::BTreeMap<PageId, PageId>, x: PageId) -> PageId {
+    let mut cross_reads = op.read_pages();
+    cross_reads.retain(|r| !written.contains(r));
+    let cycle = (written.len() > 1 || !cross_reads.is_empty())
+        && db.pool.would_cycle(&db.disk, &written, &cross_reads);
+    #[cfg(test)]
+    oracle::check(db, op, cycle);
+    cycle
+}
+
+/// The whole-graph decision [`would_cycle`] replaced — rebuild the
+/// quotient graph from every constraint and group, add the operation's
+/// edges, topologically sort — kept to check the probe against on every
+/// call the crate's tests make.
+#[cfg(test)]
+mod oracle {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use redo_sim::db::Db;
+    use redo_workload::pages::{PageId, PageOp};
+
+    use crate::oprecord::PageOpPayload;
+
+    fn find(parent: &mut BTreeMap<PageId, PageId>, x: PageId) -> PageId {
         let p = *parent.entry(x).or_insert(x);
         if p == x {
             return x;
@@ -95,79 +110,95 @@ pub(crate) fn would_cycle(db: &Db<PageOpPayload>, op: &PageOp) -> bool {
         parent.insert(x, root);
         root
     }
-    let union = |parent: &mut std::collections::BTreeMap<PageId, PageId>, a: PageId, b: PageId| {
+
+    fn union(parent: &mut BTreeMap<PageId, PageId>, a: PageId, b: PageId) {
         let (ra, rb) = (find(parent, a), find(parent, b));
         if ra != rb {
             parent.insert(ra, rb);
         }
-    };
-    for g in db.pool.atomic_groups() {
-        let active = g.pages.iter().any(|&p| db.disk.page_lsn(p) < g.lsn);
-        if active {
-            let mut it = g.pages.iter();
-            if let Some(&first) = it.next() {
-                for &m in it {
+    }
+
+    /// The quotient flush-order graph as it stands, or — with `op` —
+    /// as it would stand once `op` registered.
+    fn quotient_edges(db: &Db<PageOpPayload>, op: Option<&PageOp>) -> Vec<(PageId, PageId)> {
+        // Union-find over pages: identify members of active groups and
+        // of the new op's write set.
+        let mut parent = BTreeMap::new();
+        for g in db.pool.atomic_groups() {
+            if g.pages.iter().any(|&p| db.disk.page_lsn(p) < g.lsn) {
+                let first = *g.pages.first().expect("groups have two members or more");
+                for &m in &g.pages {
                     union(&mut parent, first, m);
                 }
             }
         }
-    }
-    for pair in written.windows(2) {
-        union(&mut parent, pair[0], pair[1]);
-    }
-    // Quotient edges: active constraints plus the op's new edges.
-    let mut edges: Vec<(PageId, PageId)> = Vec::new();
-    for c in db.pool.constraints() {
-        if db.disk.page_lsn(c.requires) < c.required_lsn {
-            edges.push((find(&mut parent, c.requires), find(&mut parent, c.blocked)));
+        let written = op.map(PageOp::written_pages).unwrap_or_default();
+        for pair in written.windows(2) {
+            union(&mut parent, pair[0], pair[1]);
         }
-    }
-    let w_rep = find(&mut parent, written[0]);
-    for &r in &op.read_pages() {
-        if !written.contains(&r) {
-            edges.push((w_rep, find(&mut parent, r)));
+        let mut edges = Vec::new();
+        for c in db.pool.constraints() {
+            if db.disk.page_lsn(c.requires) < c.required_lsn {
+                edges.push((find(&mut parent, c.requires), find(&mut parent, c.blocked)));
+            }
         }
+        for r in op.map(PageOp::read_pages).unwrap_or_default() {
+            if !written.contains(&r) {
+                edges.push((find(&mut parent, written[0]), find(&mut parent, r)));
+            }
+        }
+        edges
     }
-    // Any cycle in the quotient (including self-loops from edges whose
-    // endpoints were identified) means the op must install eagerly.
-    has_cycle(&edges)
-}
 
-fn has_cycle(edges: &[(redo_workload::pages::PageId, redo_workload::pages::PageId)]) -> bool {
-    use redo_workload::pages::PageId;
-    let mut nodes: std::collections::BTreeSet<PageId> = std::collections::BTreeSet::new();
-    for &(a, b) in edges {
-        if a == b {
-            return true;
-        }
-        nodes.insert(a);
-        nodes.insert(b);
-    }
-    // Kahn's algorithm on the quotient graph.
-    let mut indeg: std::collections::BTreeMap<PageId, usize> =
-        nodes.iter().map(|&n| (n, 0)).collect();
-    for &(_, b) in edges {
-        *indeg.get_mut(&b).expect("inserted") += 1;
-    }
-    let mut ready: Vec<PageId> = indeg
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&n, _)| n)
-        .collect();
-    let mut seen = 0usize;
-    while let Some(n) = ready.pop() {
-        seen += 1;
+    /// Kahn's algorithm; a self-loop (an edge whose endpoints were
+    /// identified) is a cycle.
+    fn has_cycle(edges: &[(PageId, PageId)]) -> bool {
+        let mut nodes = BTreeSet::new();
         for &(a, b) in edges {
-            if a == n {
-                let d = indeg.get_mut(&b).expect("inserted");
-                *d -= 1;
-                if *d == 0 {
-                    ready.push(b);
+            if a == b {
+                return true;
+            }
+            nodes.insert(a);
+            nodes.insert(b);
+        }
+        let mut indeg: BTreeMap<PageId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
+        for &(_, b) in edges {
+            *indeg.get_mut(&b).expect("inserted") += 1;
+        }
+        let mut ready: Vec<PageId> = indeg
+            .iter()
+            .filter(|(_, &d)| d == 0)
+            .map(|(&n, _)| n)
+            .collect();
+        let mut seen = 0usize;
+        while let Some(n) = ready.pop() {
+            seen += 1;
+            for &(a, b) in edges {
+                if a == n {
+                    let d = indeg.get_mut(&b).expect("inserted");
+                    *d -= 1;
+                    if *d == 0 {
+                        ready.push(b);
+                    }
                 }
             }
         }
+        seen != nodes.len()
     }
-    seen != nodes.len()
+
+    pub(super) fn check(db: &Db<PageOpPayload>, op: &PageOp, probe: bool) {
+        assert!(
+            !has_cycle(&quotient_edges(db, None)),
+            "the probe's precondition: the standing flush-order graph is acyclic (before op {})",
+            op.id
+        );
+        assert_eq!(
+            probe,
+            has_cycle(&quotient_edges(db, Some(op))),
+            "reachability probe and whole-graph sort disagree on op {}",
+            op.id
+        );
+    }
 }
 
 impl Generalized {
@@ -276,6 +307,42 @@ mod tests {
     use crate::testkit::{assert_matches_model, cross_page_workload, figure8_ops};
     use redo_sim::db::Geometry;
     use redo_workload::pages::{Cell, PageId, PageOpKind, SlotId};
+
+    #[test]
+    fn probe_agrees_with_the_whole_graph_sort_on_every_reachable_state() {
+        // Every `would_cycle` call — the tally's, `execute`'s and, after
+        // the crash, `redo_op`'s — checks its verdict (and the acyclic
+        // standing graph the probe assumes) against `oracle`. Cross-page
+        // reads, multi-page write sets and chaos flushes between them
+        // walk the graph through edges, identifications and discharges;
+        // a small bounded pool adds flushes forced by eviction.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let (mut cycles, mut clear) = (0, 0);
+        for seed in 0..32u64 {
+            let ops = cross_page_workload(120, 5, seed);
+            let capacity = (seed % 2 == 1).then_some(4);
+            let mut db = Db::with_capacity(Geometry::default(), capacity);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for op in &ops {
+                if would_cycle(&db, op) {
+                    cycles += 1;
+                } else {
+                    clear += 1;
+                }
+                Generalized.execute(&mut db, op).unwrap();
+                db.chaos_flush(&mut rng, 0.5, 0.3).unwrap();
+            }
+            db.log.flush_all();
+            db.crash();
+            Generalized.recover(&mut db).unwrap();
+            assert_matches_model(&mut db, &ops);
+        }
+        assert!(
+            cycles > 50 && clear > 50,
+            "{cycles} / {clear}: both verdicts must be exercised"
+        );
+    }
 
     #[test]
     fn multi_page_writes_form_atomic_groups() {

@@ -35,11 +35,18 @@
 //! wrong moment. Closure images are exact, so over-approximating is
 //! always sound.
 //!
-//! Crash-safety: each image lands through the ordinary faultable
-//! [`Disk::write_page`](redo_sim::disk::Disk::write_page). A crash
-//! mid-rebuild leaves the uninstalled pages still marked lost — the
-//! mark is durable media state — and the next recovery recomputes the
-//! same images and finishes the job: the rebuild is idempotent.
+//! Crash-safety: the closure's images land together, through one
+//! faultable
+//! [`Disk::write_pages_atomic`](redo_sim::disk::Disk::write_pages_atomic).
+//! The closure is computed *from* the disk — seeded by the lost marks,
+//! grown through stale written pages — so a part-installed closure
+//! would not be re-derived: a final image installed on a page that was
+//! never lost looks merely "not stale" to the next recovery, which then
+//! no longer reaches that page's earlier readers and replays them
+//! against the wrong moment. All or nothing keeps the rebuild
+//! idempotent: a crash at the install leaves every lost page still
+//! marked lost — the mark is durable media state — and the next
+//! recovery recomputes the same closure and images and finishes the job.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -164,23 +171,29 @@ pub fn rebuild_images(db: &Db<PageOpPayload>) -> SimResult<BTreeMap<PageId, Page
         .collect())
 }
 
-/// Installs rebuild images, skipping pages the disk already carries at
-/// (or past) the image's LSN — the idempotence that makes a re-run
-/// after a crash mid-rebuild finish cleanly. Returns the pages written.
+/// Installs rebuild images in one atomic multi-page write, skipping
+/// pages the disk already carries at (or past) the image's LSN. Returns
+/// the pages written.
 ///
-/// Every install is an ordinary faultable page write: an armed fault
-/// may suppress or tear it, leaving the page lost (torn transfers onto
-/// destroyed media land nothing), to be re-detected and re-installed by
-/// the next recovery.
+/// The write is one faultable event: an armed fault suppresses all of
+/// it, leaving every lost page lost, to be re-detected and re-installed
+/// by the next recovery. So does an install the backend cannot encode
+/// (nothing lands, nothing is reported written); the redo scan's first
+/// fetch of a lost page then surfaces the loss.
 pub fn install_images(db: &mut Db<PageOpPayload>, images: &BTreeMap<PageId, Page>) -> Vec<PageId> {
-    let mut written = Vec::new();
-    for (&id, image) in images {
-        if db.disk.is_lost(id) || db.disk.page_lsn(id) < image.lsn() {
-            db.disk.write_page(id, image.clone());
-            written.push(id);
-        }
+    let batch: Vec<(PageId, Page)> = images
+        .iter()
+        .filter(|(&id, image)| db.disk.is_lost(id) || db.disk.page_lsn(id) < image.lsn())
+        .map(|(&id, image)| (id, image.clone()))
+        .collect();
+    let written: Vec<PageId> = batch.iter().map(|&(id, _)| id).collect();
+    if written.is_empty() {
+        return written;
     }
-    written
+    match db.disk.write_pages_atomic(batch) {
+        Ok(()) => written,
+        Err(_) => Vec::new(),
+    }
 }
 
 impl RecoveryMethod for Media {
@@ -349,6 +362,74 @@ mod tests {
             "the re-run rebuild converges"
         );
         assert_matches_model(&mut damaged, &ops);
+    }
+
+    #[test]
+    fn crash_mid_install_never_strands_a_stale_reader() {
+        // Pages p < q < c. O0 seeds c (durable); O1 reads c, writes p;
+        // O2 reads p, writes q; O3 overwrites p — so p's final image is
+        // the wrong thing for a replay of O2 to read. Nothing but c ever
+        // reaches disk, then c is destroyed. The closure is {c, p, q}: p
+        // through O1 (touches c, p stale), q through O2 (touches p, q
+        // stale). Installed page by page, a crash after p alone left p
+        // "not stale" and never lost: the re-run's closure stopped at c,
+        // O2 replayed against p's final image, and q came back wrong.
+        use redo_sim::fault::{FaultKind, FaultPlan};
+        use redo_workload::pages::{Cell, PageOpKind, SlotId};
+        let cell = |page| Cell {
+            page: PageId(page),
+            slot: SlotId(0),
+        };
+        let op = |id, kind, reads, writes| PageOp {
+            id,
+            kind,
+            reads,
+            writes,
+            f_seed: u64::from(id) + 1,
+        };
+        let (p, q, c) = (cell(0), cell(1), cell(2));
+        let ops = [
+            op(0, PageOpKind::Blind, vec![], vec![c]),
+            op(1, PageOpKind::Generalized, vec![c], vec![p]),
+            op(2, PageOpKind::Generalized, vec![p], vec![q]),
+            op(3, PageOpKind::Physiological, vec![p], vec![p]),
+        ];
+        let mut db: Db<PageOpPayload> = Db::new(Geometry::default());
+        Media.execute(&mut db, &ops[0]).unwrap();
+        db.log.flush_all();
+        db.pool
+            .flush_page(&mut db.disk, c.page, db.log.stable_lsn())
+            .unwrap();
+        for op in &ops[1..] {
+            Media.execute(&mut db, op).unwrap();
+        }
+        db.log.flush_all();
+        db.crash();
+        db.disk.destroy_page(c.page);
+        let mut reference = db.clone();
+        Media.recover(&mut reference).unwrap();
+        assert_matches_model(&mut reference, &ops);
+        // Every crash point of the interrupted recovery, the install's
+        // among them, until a plan outlives the recovery.
+        for at in 1.. {
+            let mut damaged = db.clone();
+            damaged.arm_faults(FaultPlan {
+                at,
+                kind: FaultKind::Clean,
+            });
+            let _ = Media.recover(&mut damaged);
+            if !damaged.fault_tripped() {
+                assert!(at > 1, "the install is a faultable event");
+                break;
+            }
+            damaged.crash();
+            Media.recover(&mut damaged).unwrap();
+            assert_eq!(
+                damaged.volatile_theory_state(),
+                reference.volatile_theory_state(),
+                "crash at event {at} of the interrupted recovery"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! *executors* of the same analysis; they share [`analyze`] and
 //! [`RestartAnalysis::owes`] and keep their own replay machinery.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use redo_sim::db::Db;
 use redo_sim::disk::Disk;
@@ -372,16 +372,16 @@ where
 {
     let (analysis, mut stats) = begin(db)?;
     let mut scanner = ShardedScanner::seek(&db.log, analysis.redo_start);
+    let mut pages: Vec<PageId> = Vec::new();
     loop {
         let batch = scanner.next_batch(&db.log, SCAN_BATCH)?;
         if batch.is_empty() {
             break;
         }
-        let pages: BTreeSet<PageId> = batch
-            .iter()
-            .flat_map(|rec| footprint(&rec.payload))
-            .collect();
-        let pages: Vec<PageId> = pages.into_iter().collect();
+        pages.clear();
+        pages.extend(batch.iter().flat_map(|rec| footprint(&rec.payload)));
+        pages.sort_unstable();
+        pages.dedup();
         stats.pages_prefetched += db.pool.prefetch(
             &mut db.disk,
             &pages,

@@ -20,8 +20,16 @@
 //!
 //! Eviction is LRU with the same rules: a dirty victim is flushed if
 //! legal, otherwise the next victim is tried.
+//!
+//! Nothing on the per-operation path scans the pool. Recency is a stamp
+//! in the frame, bumped from a pool clock and sorted only when a victim
+//! is actually needed; the constraints are indexed by `blocked` page
+//! (what a flush consults) and by `requires` page (the flush-order
+//! graph's adjacency, what [`BufferPool::would_cycle`] walks); and the
+//! dirty-page table is kept as an index rather than filtered out of the
+//! frames.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageId;
@@ -58,7 +66,7 @@ pub struct Constraint {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AtomicGroup {
     /// The pages bound together.
-    pub pages: std::collections::BTreeSet<PageId>,
+    pub pages: BTreeSet<PageId>,
     /// The binding operation's LSN.
     pub lsn: Lsn,
 }
@@ -66,21 +74,35 @@ pub struct AtomicGroup {
 #[derive(Clone, Debug)]
 struct Frame {
     page: Page,
+    /// Set exactly while the page has an entry in [`BufferPool::dirty`].
     dirty: bool,
-    /// Recovery LSN: the LSN of the first update since the frame was
-    /// last clean. `Some` exactly while `dirty`. A fuzzy checkpoint's
-    /// dirty-page table records this — redo for the page can never be
-    /// needed below it, so min over the table bounds the restart scan.
-    rec_lsn: Option<Lsn>,
+    /// The pool clock at the frame's last touch. Stamps are unique, so
+    /// ascending stamp order *is* least-recently-used order.
+    stamp: u64,
 }
 
 /// The buffer pool.
 #[derive(Clone, Debug)]
 pub struct BufferPool {
     frames: BTreeMap<PageId, Frame>,
-    lru: VecDeque<PageId>,
+    /// Ticks once per touch; the source of [`Frame::stamp`].
+    clock: u64,
     capacity: Option<usize>,
-    constraints: Vec<Constraint>,
+    /// The dirty-page table: every dirty frame's page with its recovery
+    /// LSN — the LSN of the first update since the frame was last clean.
+    /// A fuzzy checkpoint records exactly this: redo for the page can
+    /// never be needed below its recLSN, so the min over the table
+    /// bounds the restart scan.
+    dirty: BTreeMap<PageId, Lsn>,
+    /// Active constraints by `blocked` page, in registration order per
+    /// page — the only ones a flush of that page must consult.
+    constraints: BTreeMap<PageId, Vec<Constraint>>,
+    /// The same constraints by `requires` page, as `(blocked,
+    /// required_lsn)`: the out-edges of the flush-order graph. Both
+    /// maps always hold the same set — [`BufferPool::add_constraint`]
+    /// and [`BufferPool::gc_constraints`] are the only writers and
+    /// apply the same change to each.
+    successors: BTreeMap<PageId, Vec<(PageId, Lsn)>>,
     groups: Vec<AtomicGroup>,
     flushes: u64,
     /// Pin counts: pinned pages are ineligible for eviction (they may
@@ -94,9 +116,11 @@ impl BufferPool {
     pub fn new(capacity: Option<usize>) -> BufferPool {
         BufferPool {
             frames: BTreeMap::new(),
-            lru: VecDeque::new(),
+            clock: 0,
             capacity,
-            constraints: Vec::new(),
+            dirty: BTreeMap::new(),
+            constraints: BTreeMap::new(),
+            successors: BTreeMap::new(),
             groups: Vec::new(),
             flushes: 0,
             pins: BTreeMap::new(),
@@ -155,11 +179,13 @@ impl BufferPool {
     /// Pages currently dirty, in id order.
     #[must_use]
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        self.frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
-            .collect()
+        self.dirty.keys().copied().collect()
+    }
+
+    /// How many pages are dirty.
+    #[must_use]
+    pub fn dirty_count(&self) -> usize {
+        self.dirty.len()
     }
 
     /// The dirty-page table: every dirty page paired with its recovery
@@ -169,17 +195,7 @@ impl BufferPool {
     /// from the table are fully installed.
     #[must_use]
     pub fn dirty_page_table(&self) -> Vec<(PageId, Lsn)> {
-        self.frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, f)| {
-                let rec = f
-                    .rec_lsn
-                    .expect("invariant: dirty frames always carry a recLSN");
-                debug_assert!(rec <= f.page.lsn());
-                (id, rec)
-            })
-            .collect()
+        self.dirty.iter().map(|(&id, &rec)| (id, rec)).collect()
     }
 
     /// Total pages flushed to disk by this pool.
@@ -190,21 +206,25 @@ impl BufferPool {
 
     /// Registers a write-order constraint.
     pub fn add_constraint(&mut self, c: Constraint) {
-        self.constraints.push(c);
+        self.constraints.entry(c.blocked).or_default().push(c);
+        self.successors
+            .entry(c.requires)
+            .or_default()
+            .push((c.blocked, c.required_lsn));
     }
 
     /// Currently active constraints (satisfied ones are garbage-collected
-    /// on flush).
+    /// on flush), by blocked page and in registration order within one.
     #[must_use]
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+    pub fn constraints(&self) -> Vec<Constraint> {
+        self.constraints.values().flatten().copied().collect()
     }
 
     /// Binds a set of pages into an atomic flush group at `lsn`: until
     /// every member is durable at ≥ `lsn`, flushing any member flushes
     /// them all, atomically.
     pub fn add_atomic_group(&mut self, pages: impl IntoIterator<Item = PageId>, lsn: Lsn) {
-        let pages: std::collections::BTreeSet<PageId> = pages.into_iter().collect();
+        let pages: BTreeSet<PageId> = pages.into_iter().collect();
         if pages.len() > 1 {
             self.groups.push(AtomicGroup { pages, lsn });
         }
@@ -222,20 +242,66 @@ impl BufferPool {
     /// Overlapping groups chain (flushing a shared member at its newest
     /// LSN would otherwise part-install the other group).
     #[must_use]
-    pub fn atomic_closure(&self, disk: &Disk, id: PageId) -> std::collections::BTreeSet<PageId> {
-        let mut members = std::collections::BTreeSet::from([id]);
-        loop {
-            let before = members.len();
-            for g in &self.groups {
-                let active = g.pages.iter().any(|&p| disk.page_lsn(p) < g.lsn);
-                if active && g.pages.iter().any(|p| members.contains(p)) {
-                    members.extend(g.pages.iter().copied());
-                }
-            }
-            if members.len() == before {
-                return members;
+    pub fn atomic_closure(&self, disk: &Disk, id: PageId) -> BTreeSet<PageId> {
+        let mut members = BTreeSet::from([id]);
+        self.extend_atomic_closure(disk, &mut members);
+        members
+    }
+
+    /// Would an operation writing `written` (one atomic unit) after
+    /// reading `cross_reads` — pages outside its write set — close a
+    /// cycle in the flush-order graph?
+    ///
+    /// Edges run `requires → blocked` ("must flush before"), one per
+    /// constraint whose prerequisite is not yet durable. Atomic groups
+    /// act like write-graph collapses: their members flush together, so
+    /// the graph is the *quotient* with each active group's members
+    /// identified. The operation would identify its write set and add
+    /// an edge from it to every cross-page read. The standing graph is
+    /// acyclic — that is what a caller's pre-resolution maintains — so a
+    /// new cycle must pass through the write set: this is a reachability
+    /// probe from the cross-page reads (and, when several written pages
+    /// are being identified, from what they already precede) back to
+    /// the write set. A cycle corresponds to a collapse §5 would reject:
+    /// the single-copy cache could never flush legally again.
+    #[must_use]
+    pub fn would_cycle(&self, disk: &Disk, written: &[PageId], cross_reads: &[PageId]) -> bool {
+        let mut target: BTreeSet<PageId> = written.iter().copied().collect();
+        self.extend_atomic_closure(disk, &mut target);
+        let mut frontier: Vec<PageId> = cross_reads.to_vec();
+        if written.len() > 1 {
+            for &page in &target {
+                frontier.extend(self.flushes_before(disk, page));
             }
         }
+        let mut seen = BTreeSet::new();
+        while let Some(page) = frontier.pop() {
+            if target.contains(&page) {
+                return true;
+            }
+            if !seen.insert(page) {
+                continue;
+            }
+            for mate in self.atomic_closure(disk, page) {
+                frontier.extend(self.flushes_before(disk, mate));
+                seen.insert(mate);
+            }
+        }
+        false
+    }
+
+    /// The pages `requires` must reach disk before: the `blocked` side
+    /// of every constraint on it that is still unsatisfied.
+    fn flushes_before<'a>(
+        &'a self,
+        disk: &Disk,
+        requires: PageId,
+    ) -> impl Iterator<Item = PageId> + 'a {
+        let durable = disk.page_lsn(requires);
+        let edges = self.successors.get(&requires).into_iter().flatten();
+        edges
+            .filter(move |&&(_, required)| durable < required)
+            .map(|&(blocked, _)| blocked)
     }
 
     /// Ensures `id` is cached, reading from disk if necessary; evicts per
@@ -253,25 +319,25 @@ impl BufferPool {
         slots_per_page: u16,
         stable_lsn: Lsn,
     ) -> SimResult<&Page> {
-        if !self.frames.contains_key(&id) {
+        self.clock += 1;
+        let stamp = self.clock;
+        if let Some(frame) = self.frames.get_mut(&id) {
+            frame.stamp = stamp;
+        } else {
             if let Some(cap) = self.capacity {
                 while self.frames.len() >= cap {
                     self.evict_one(disk, stable_lsn)?;
                 }
             }
             let page = disk.read_page(id, slots_per_page)?;
-            self.frames.insert(
-                id,
-                Frame {
-                    page,
-                    dirty: false,
-                    rec_lsn: None,
-                },
-            );
-            self.lru.push_back(id);
+            let frame = Frame {
+                page,
+                dirty: false,
+                stamp,
+            };
+            self.frames.insert(id, frame);
         }
-        self.touch(id);
-        Ok(&self.frames.get(&id).expect("just inserted").page)
+        Ok(&self.frames[&id].page)
     }
 
     /// Batched best-effort prefetch: reads each listed page that is not
@@ -327,10 +393,11 @@ impl BufferPool {
         f(&mut frame.page);
         frame.page.set_lsn(lsn);
         if !frame.dirty {
-            frame.rec_lsn = Some(lsn);
+            frame.dirty = true;
+            self.dirty.insert(id, lsn);
         }
-        frame.dirty = true;
-        self.touch(id);
+        self.clock += 1;
+        frame.stamp = self.clock;
         Ok(())
     }
 
@@ -341,7 +408,7 @@ impl BufferPool {
     ///
     /// The specific violation; `Ok(())` means the flush is legal.
     pub fn check_flush(&self, disk: &Disk, id: PageId, stable_lsn: Lsn) -> SimResult<()> {
-        self.check_flush_in_batch(disk, id, stable_lsn, &std::collections::BTreeSet::new())
+        self.check_flush_in_batch(disk, id, stable_lsn, &BTreeSet::new())
     }
 
     /// As [`BufferPool::check_flush`], treating `batch` as pages that
@@ -354,7 +421,7 @@ impl BufferPool {
         disk: &Disk,
         id: PageId,
         stable_lsn: Lsn,
-        batch: &std::collections::BTreeSet<PageId>,
+        batch: &BTreeSet<PageId>,
     ) -> SimResult<()> {
         let frame = self.frames.get(&id).ok_or(SimError::NotCached(id))?;
         let page_lsn = frame.page.lsn();
@@ -365,9 +432,8 @@ impl BufferPool {
                 stable_lsn,
             });
         }
-        for c in &self.constraints {
-            if c.blocked == id
-                && page_lsn > c.blocked_above
+        for c in self.constraints.get(&id).into_iter().flatten() {
+            if page_lsn > c.blocked_above
                 && disk.page_lsn(c.requires) < c.required_lsn
                 && !batch.contains(&c.requires)
             {
@@ -397,14 +463,10 @@ impl BufferPool {
         }
         let mut batch = Vec::new();
         for &m in &members {
-            let frame = self.frames.get_mut(&m).ok_or(SimError::NotCached(m))?;
-            if frame.dirty {
-                batch.push((m, frame.page.clone()));
-                frame.dirty = false;
-                frame.rec_lsn = None;
+            if let Some(page) = self.take_dirty_frame(m) {
+                batch.push((m, page));
             }
         }
-        self.flushes += batch.len() as u64;
         match batch.len() {
             0 => {}
             1 => {
@@ -468,7 +530,6 @@ impl BufferPool {
             Some(_) if self.is_pinned(id) => Err(SimError::PinnedPage(id)),
             Some(_) => {
                 self.frames.remove(&id);
-                self.lru.retain(|&p| p != id);
                 Ok(())
             }
         }
@@ -478,10 +539,9 @@ impl BufferPool {
     /// quiesce writes to the staging area (§6.1).
     #[must_use]
     pub fn dirty_frames(&self) -> Vec<(PageId, Page)> {
-        self.frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, f)| (id, f.page.clone()))
+        self.dirty
+            .keys()
+            .map(|&id| (id, self.frames[&id].page.clone()))
             .collect()
     }
 
@@ -495,7 +555,7 @@ impl BufferPool {
     pub fn mark_clean(&mut self, id: PageId) -> SimResult<()> {
         let frame = self.frames.get_mut(&id).ok_or(SimError::NotCached(id))?;
         frame.dirty = false;
-        frame.rec_lsn = None;
+        self.dirty.remove(&id);
         Ok(())
     }
 
@@ -504,22 +564,30 @@ impl BufferPool {
     /// there are none.
     pub fn crash(&mut self) {
         self.frames.clear();
-        self.lru.clear();
+        self.dirty.clear();
         self.constraints.clear();
+        self.successors.clear();
         self.groups.clear();
         self.pins.clear();
     }
 
-    fn touch(&mut self, id: PageId) {
-        if let Some(pos) = self.lru.iter().position(|&p| p == id) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(id);
-    }
-
     pub(crate) fn gc_constraints(&mut self, disk: &Disk) {
-        self.constraints
-            .retain(|c| disk.page_lsn(c.requires) < c.required_lsn);
+        // The by-`requires` map needs one durable LSN per prerequisite
+        // page, so it is swept first; the by-`blocked` map holds the
+        // same constraints and is swept only if that dropped any.
+        let mut dropped = false;
+        self.successors.retain(|&requires, edges| {
+            let (durable, before) = (disk.page_lsn(requires), edges.len());
+            edges.retain(|&(_, required)| durable < required);
+            dropped |= edges.len() < before;
+            !edges.is_empty()
+        });
+        if dropped {
+            self.constraints.retain(|_, list| {
+                list.retain(|c| disk.page_lsn(c.requires) < c.required_lsn);
+                !list.is_empty()
+            });
+        }
     }
 
     pub(crate) fn gc_groups(&mut self, disk: &Disk) {
@@ -536,7 +604,7 @@ impl BufferPool {
     pub(crate) fn extend_atomic_closure(
         &self,
         disk: &Disk,
-        members: &mut std::collections::BTreeSet<PageId>,
+        members: &mut BTreeSet<PageId>,
     ) -> bool {
         let mut grew = false;
         loop {
@@ -564,7 +632,7 @@ impl BufferPool {
             return None;
         }
         frame.dirty = false;
-        frame.rec_lsn = None;
+        self.dirty.remove(&id);
         self.flushes += 1;
         Some(frame.page.clone())
     }
@@ -587,23 +655,19 @@ impl BufferPool {
     }
 
     fn try_evict_one(&mut self, disk: &mut Disk, stable_lsn: Lsn) -> bool {
-        // Try LRU order: clean pages drop immediately; dirty ones flush
-        // if legal (which may atomically flush their whole group).
-        // Pinned pages are never victims.
-        for i in 0..self.lru.len() {
-            let id = self.lru[i];
-            if self.is_pinned(id) {
-                continue;
-            }
-            let dirty = self.frames.get(&id).map(|f| f.dirty).unwrap_or(false);
-            if !dirty {
+        // Try LRU order — ascending stamp: clean pages drop immediately;
+        // dirty ones flush if legal (which may atomically flush their
+        // whole group). Pinned pages are never victims.
+        let mut victims: Vec<(u64, PageId)> = self
+            .frames
+            .iter()
+            .filter(|(id, _)| !self.is_pinned(**id))
+            .map(|(&id, frame)| (frame.stamp, id))
+            .collect();
+        victims.sort_unstable();
+        for (_, id) in victims {
+            if !self.frames[&id].dirty || self.flush_page(disk, id, stable_lsn).is_ok() {
                 self.frames.remove(&id);
-                self.lru.remove(i);
-                return true;
-            }
-            if self.flush_page(disk, id, stable_lsn).is_ok() {
-                self.frames.remove(&id);
-                self.lru.retain(|&p| p != id);
                 return true;
             }
         }
@@ -1087,5 +1151,238 @@ mod tests {
         pool.fetch(&mut disk, PageId(2), 4, Lsn(10)).unwrap();
         assert_eq!(disk.page_lsn(PageId(1)), Lsn(2), "prerequisite flushed");
         assert!(pool.get(PageId(1)).is_some(), "pinned page stayed resident");
+    }
+
+    fn constraint(blocked: u32, above: u64, requires: u32, required: u64) -> Constraint {
+        Constraint {
+            blocked: PageId(blocked),
+            blocked_above: Lsn(above),
+            requires: PageId(requires),
+            required_lsn: Lsn(required),
+        }
+    }
+
+    /// The indexes against the state they mirror: the dirty-page table
+    /// is exactly the dirty frames, and the two constraint maps hold
+    /// the same constraints.
+    fn assert_indexes_mirror(pool: &BufferPool) {
+        let dirty_frames: Vec<PageId> = (pool.frames.iter())
+            .filter(|(_, f)| f.dirty)
+            .map(|(&id, _)| id)
+            .collect();
+        assert_eq!(pool.dirty_pages(), dirty_frames);
+        assert_eq!(pool.dirty_count(), dirty_frames.len());
+        for (id, rec) in pool.dirty_page_table() {
+            assert!(
+                rec <= pool.frames[&id].page.lsn(),
+                "recLSN past the page LSN"
+            );
+        }
+        let mut by_blocked: Vec<(PageId, PageId, Lsn)> = (pool.constraints())
+            .iter()
+            .map(|c| (c.requires, c.blocked, c.required_lsn))
+            .collect();
+        let mut by_requires: Vec<(PageId, PageId, Lsn)> = (pool.successors.iter())
+            .flat_map(|(&r, edges)| edges.iter().map(move |&(b, l)| (r, b, l)))
+            .collect();
+        by_blocked.sort_unstable();
+        by_requires.sort_unstable();
+        assert_eq!(by_blocked, by_requires);
+        assert!(pool.constraints.values().all(|list| !list.is_empty()));
+        assert!(pool.successors.values().all(|edges| !edges.is_empty()));
+    }
+
+    #[test]
+    fn check_flush_reports_the_first_registered_violation_of_the_page() {
+        // Three constraints on page 0, registered around one on page 5:
+        // whatever the map's key order, the refusal names page 0's
+        // first unsatisfied one, in registration order.
+        let mut pool = BufferPool::new(None);
+        let mut disk = Disk::new();
+        for p in [0, 5] {
+            pool.fetch(&mut disk, PageId(p), 4, Lsn::ZERO).unwrap();
+            pool.update(PageId(p), Lsn(9), |pg| pg.set(SlotId(0), 1))
+                .unwrap();
+        }
+        pool.add_constraint(constraint(0, 9, 3, 4)); // not yet binding
+        pool.add_constraint(constraint(0, 2, 7, 6));
+        pool.add_constraint(constraint(5, 2, 1, 8));
+        pool.add_constraint(constraint(0, 2, 2, 5));
+        assert_eq!(
+            pool.constraints(),
+            vec![
+                constraint(0, 9, 3, 4),
+                constraint(0, 2, 7, 6),
+                constraint(0, 2, 2, 5),
+                constraint(5, 2, 1, 8),
+            ],
+            "by blocked page, registration order within one"
+        );
+        assert_eq!(
+            pool.check_flush(&disk, PageId(0), Lsn(10)),
+            Err(SimError::WriteOrderViolation {
+                blocked: PageId(0),
+                requires: PageId(7),
+                required_lsn: Lsn(6)
+            })
+        );
+        assert_eq!(
+            pool.check_flush(&disk, PageId(5), Lsn(10)),
+            Err(SimError::WriteOrderViolation {
+                blocked: PageId(5),
+                requires: PageId(1),
+                required_lsn: Lsn(8)
+            })
+        );
+        assert_indexes_mirror(&pool);
+    }
+
+    #[test]
+    fn flush_collects_satisfied_constraints_from_both_indexes() {
+        let mut pool = BufferPool::new(None);
+        let mut disk = Disk::new();
+        for p in 0..3 {
+            pool.fetch(&mut disk, PageId(p), 4, Lsn::ZERO).unwrap();
+        }
+        pool.update(PageId(1), Lsn(4), |pg| pg.set(SlotId(0), 1))
+            .unwrap();
+        pool.add_constraint(constraint(0, 3, 1, 3));
+        pool.add_constraint(constraint(2, 4, 1, 4));
+        pool.add_constraint(constraint(0, 5, 1, 5));
+        pool.add_constraint(constraint(0, 5, 2, 5));
+        // Page 1 reaches disk at LSN 4: the two constraints that asked
+        // for ≤ 4 are discharged, the one asking for 5 stands.
+        pool.flush_page(&mut disk, PageId(1), Lsn(10)).unwrap();
+        assert_eq!(
+            pool.constraints(),
+            vec![constraint(0, 5, 1, 5), constraint(0, 5, 2, 5)]
+        );
+        assert_indexes_mirror(&pool);
+        pool.crash();
+        assert_indexes_mirror(&pool);
+        assert!(pool.constraints().is_empty());
+    }
+
+    #[test]
+    fn would_cycle_probes_reachability_over_active_edges_only() {
+        let mut pool = BufferPool::new(None);
+        let mut disk = Disk::new();
+        let (a, b, c) = (PageId(0), PageId(1), PageId(2));
+        // a before b before c.
+        pool.add_constraint(constraint(1, 0, 0, 1));
+        pool.add_constraint(constraint(2, 0, 1, 2));
+        // Read a, write c: c would also have to come *before* a.
+        assert!(pool.would_cycle(&disk, &[c], &[a]));
+        assert!(pool.would_cycle(&disk, &[c], &[b]));
+        // Read c, write a: one more edge the same way round.
+        assert!(!pool.would_cycle(&disk, &[a], &[c]));
+        // Writing a and c as one unit folds the chain onto itself.
+        assert!(pool.would_cycle(&disk, &[a, c], &[]));
+        assert!(!pool.would_cycle(&disk, &[a, PageId(9)], &[]));
+        // Once b is durable at 2 the b → c edge is spent: a → b is all
+        // that stands, and c is free of it.
+        let mut page_b = Page::new(4);
+        page_b.set_lsn(Lsn(2));
+        disk.write_page(b, page_b);
+        assert!(!pool.would_cycle(&disk, &[c], &[a]));
+        assert!(pool.would_cycle(&disk, &[b], &[a]));
+    }
+
+    #[test]
+    fn would_cycle_identifies_the_members_of_active_groups() {
+        let mut pool = BufferPool::new(None);
+        let disk = Disk::new();
+        let (a, b, c, d) = (PageId(0), PageId(1), PageId(2), PageId(3));
+        // a before b; b and c flush together: so a before c.
+        pool.add_constraint(constraint(1, 0, 0, 1));
+        pool.add_atomic_group([b, c], Lsn(2));
+        assert!(pool.would_cycle(&disk, &[c], &[a]));
+        // Reading a page bound to the written one is a self-loop.
+        assert!(pool.would_cycle(&disk, &[b], &[c]));
+        // d is outside all of it.
+        assert!(!pool.would_cycle(&disk, &[d], &[c]));
+        assert!(!pool.would_cycle(&disk, &[a], &[d]));
+        // Binding a to c closes a → b ~ c ~ a.
+        assert!(pool.would_cycle(&disk, &[a, c], &[]));
+    }
+
+    /// The recency deque the stamps replaced, kept beside the pool: the
+    /// page a full pool gives up is the first in deque order that is
+    /// unpinned and either clean or legally flushable.
+    struct ReferenceLru(std::collections::VecDeque<PageId>);
+
+    impl ReferenceLru {
+        fn touch(&mut self, id: PageId) {
+            self.0.retain(|&p| p != id);
+            self.0.push_back(id);
+        }
+
+        fn victim(&self, pool: &BufferPool, stable: Lsn) -> Option<PageId> {
+            let flushable = |id: PageId| pool.get(id).expect("resident").lsn() <= stable;
+            let mut order = self.0.iter().copied();
+            order.find(|&id| !pool.is_pinned(id) && (!pool.frames[&id].dirty || flushable(id)))
+        }
+    }
+
+    proptest::proptest! {
+        /// Model-based: under any capacity and any mix of the calls that
+        /// touch, pin, clean or drop frames, the stamp-ordered pool keeps
+        /// exactly the resident set a deque-ordered LRU keeps — so it
+        /// evicts the same victims in the same order.
+        #[test]
+        fn stamp_pool_evicts_what_the_deque_lru_evicts(
+            capacity in 1usize..8,
+            steps in proptest::collection::vec((0u8..7, 0u32..10), 1..160),
+        ) {
+            let mut pool = BufferPool::new(Some(capacity));
+            let mut disk = Disk::new();
+            let mut lru = ReferenceLru(std::collections::VecDeque::new());
+            let (mut next_lsn, mut stable) = (1u64, Lsn::ZERO);
+            for (what, page) in steps {
+                let id = PageId(page);
+                match what {
+                    0 | 1 => {
+                        let mut expect_ok = true;
+                        if pool.get(id).is_none() && pool.len() >= capacity {
+                            match lru.victim(&pool, stable) {
+                                Some(victim) => lru.0.retain(|&p| p != victim),
+                                None => expect_ok = false,
+                            }
+                        }
+                        let fetched = pool.fetch(&mut disk, id, 4, stable).map(|_| ());
+                        if expect_ok {
+                            proptest::prop_assert_eq!(fetched, Ok(()));
+                            lru.touch(id);
+                        } else {
+                            proptest::prop_assert_eq!(fetched, Err(SimError::PoolExhausted));
+                        }
+                    }
+                    2 => {
+                        if pool.update(id, Lsn(next_lsn), |p| p.set(SlotId(0), next_lsn)).is_ok() {
+                            lru.touch(id);
+                            next_lsn += 1;
+                        }
+                    }
+                    3 => {
+                        let _ = pool.pin(id);
+                    }
+                    4 => pool.unpin(id),
+                    5 => {
+                        if pool.drop_clean(id).is_ok() {
+                            lru.0.retain(|&p| p != id);
+                        }
+                    }
+                    _ => {
+                        // Force the log, then try to clean the page.
+                        stable = Lsn(next_lsn - 1);
+                        let _ = pool.flush_page(&mut disk, id, stable);
+                    }
+                }
+                let mut resident: Vec<PageId> = lru.0.iter().copied().collect();
+                resident.sort_unstable();
+                proptest::prop_assert_eq!(pool.cached_pages().collect::<Vec<_>>(), resident);
+                assert_indexes_mirror(&pool);
+            }
+        }
     }
 }

@@ -156,6 +156,13 @@ impl ShardedStore {
         dirty
     }
 
+    /// How many pages are dirty across all shards (brief per-shard
+    /// locks; nothing is listed or sorted).
+    #[must_use]
+    pub fn dirty_count(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().dirty_count()).sum()
+    }
+
     /// Total pages flushed to disk across all shards.
     #[must_use]
     pub fn flushes(&self) -> u64 {
@@ -308,6 +315,15 @@ impl ShardedStore {
         gated
     }
 
+    /// The lowest-numbered gated page — the head of
+    /// [`ShardedStore::gated_pages`] without building the list: each
+    /// shard's gate set is ordered, so it is the least of their firsts.
+    #[must_use]
+    pub fn first_gated(&self) -> Option<PageId> {
+        let firsts = self.gates.iter().filter_map(|g| g.lock().first().copied());
+        firsts.min()
+    }
+
     /// Pages still gated, across all shards.
     #[must_use]
     pub fn gated_count(&self) -> usize {
@@ -421,7 +437,7 @@ impl StoreSnapshot<'_> {
     /// Total dirty pages in the cut.
     #[must_use]
     pub fn dirty_count(&self) -> usize {
-        self.guards.iter().map(|g| g.dirty_pages().len()).sum()
+        self.guards.iter().map(|g| g.dirty_count()).sum()
     }
 }
 
@@ -543,7 +559,14 @@ mod tests {
             required_lsn: Lsn(5),
         });
         let err = store.flush_page(PageId(0), Lsn(10)).unwrap_err();
-        assert!(matches!(err, crate::SimError::WriteOrderViolation { .. }));
+        assert_eq!(
+            err,
+            crate::SimError::WriteOrderViolation {
+                blocked: PageId(0),
+                requires: PageId(1),
+                required_lsn: Lsn(5)
+            }
+        );
         store.flush_page(PageId(1), Lsn(10)).unwrap();
         store.flush_page(PageId(0), Lsn(10)).unwrap();
         assert_eq!(store.disk().page_lsn(PageId(0)), Lsn(6));
@@ -581,6 +604,44 @@ mod tests {
             ]
         );
         assert_eq!(snap.dirty_count(), 3);
+    }
+
+    #[test]
+    fn dirty_count_follows_updates_and_flushes_across_shards() {
+        let store = ShardedStore::new(4);
+        assert_eq!(store.dirty_count(), 0);
+        for p in [1, 2, 6] {
+            write(&store, PageId(p), Lsn(u64::from(p)), 1);
+        }
+        write(&store, PageId(2), Lsn(9), 2);
+        assert_eq!(store.dirty_count(), store.dirty_pages().len());
+        assert_eq!(store.dirty_count(), 3);
+        store.flush_page(PageId(6), Lsn(10)).unwrap();
+        assert_eq!(store.dirty_count(), 2);
+        store.flush_all(Lsn(10)).unwrap();
+        assert_eq!(store.dirty_count(), 0);
+    }
+
+    proptest::proptest! {
+        /// The sweeper's pick: under any sequence of gate placements
+        /// and openings the cursor names the head of the full listing.
+        #[test]
+        fn first_gated_is_the_head_of_the_gate_listing(
+            n_shards in 1usize..9,
+            steps in proptest::collection::vec((0u8..3, 0u32..40), 0..80),
+        ) {
+            let store = ShardedStore::new(n_shards);
+            proptest::prop_assert_eq!(store.first_gated(), None);
+            for (what, page) in steps {
+                match what {
+                    0 => store.ungate_pages([PageId(page)]),
+                    _ => store.gate_pages([PageId(page), PageId(page / 2 + 20)]),
+                }
+                let listed = store.gated_pages();
+                proptest::prop_assert_eq!(store.first_gated(), listed.first().copied());
+                proptest::prop_assert_eq!(store.gated_count(), listed.len());
+            }
+        }
     }
 
     #[test]

@@ -26,10 +26,13 @@
 //!    state while passing the invariant for its own redo set. A
 //!    *fourth* clone — for methods implementing the instant-restart
 //!    path ([`RecoveryMethod::ondemand_restart`]) — opens immediately
-//!    and serves a read probe on every durable cell *while recovery is
-//!    still running*; each mid-recovery value must equal what the page
-//!    finally holds, and the drained state must match the sequential
-//!    probe exactly.
+//!    and serves a read probe on every durable cell, in a shuffled
+//!    order, *while recovery is still running*; each mid-recovery value
+//!    must equal what the page finally holds, and the drained state
+//!    must match the sequential probe exactly. The hook runs both faces
+//!    of the lazy executor — the sequential restart and
+//!    `SharedDb::open_on_demand` over the same image — and fails if
+//!    they disagree on any probe, mid-recovery or drained.
 //! 3. **Crash mid-recovery**: on the real image, arm a *second* fault
 //!    plan and run recovery again, then crash unconditionally. Because
 //!    recovery's replay is volatile until a post-recovery checkpoint,
@@ -265,6 +268,24 @@ fn verify_recovery(
 }
 
 /// Samples a fault plan whose crash point lies in `1..=max_at`.
+/// The on-demand probes of one schedule: every durable cell, in an
+/// order shuffled from the schedule's seed — sorted order would serve
+/// each page's cells together and low pages first, which is also the
+/// sweeper's order, so an executor that is only right in that order
+/// would pass. The shuffle draws from its own generator: the
+/// schedule's fault plans must not move.
+fn probe_cells(durable: &[PageOp], cfg: &CrashAuditConfig, s: u64) -> Vec<Cell> {
+    let cells: BTreeSet<Cell> = (durable.iter())
+        .flat_map(|op| op.writes.iter().copied())
+        .collect();
+    let mut cells: Vec<Cell> = cells.into_iter().collect();
+    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(s) ^ 0x0de3_a9d5_eed5);
+    for i in (1..cells.len()).rev() {
+        cells.swap(i, rng.gen_range(0..=i));
+    }
+    cells
+}
+
 fn sample_plan(rng: &mut StdRng, max_at: u64) -> FaultPlan {
     let at = rng.gen_range(1..=max_at.max(1));
     let kind = match rng.gen_range(0u32..10) {
@@ -894,12 +915,7 @@ fn run_media_schedule(
     // On-demand rebuild: the lost page is a gated page whose residual
     // chain is its whole archived history; serve every durable cell
     // mid-recovery and demand the same identity.
-    let probes: Vec<Cell> = durable
-        .iter()
-        .flat_map(|op| op.writes.iter().copied())
-        .collect::<BTreeSet<Cell>>()
-        .into_iter()
-        .collect();
+    let probes = probe_cells(&durable, cfg, s);
     let mut od_probe = damaged.clone();
     if let Some(res) = method.ondemand_restart(&mut od_probe, &probes) {
         let (_, served) = res.map_err(|e| fail("ondemand rebuild", e.into()))?;
@@ -1115,13 +1131,12 @@ fn run_schedule<M: RecoveryMethod>(
     // each served value is *final* (re-reading after the drain returns
     // the same value — a served page's content never changes), the
     // realized redo set passes the Recovery Invariant, and the drained
-    // state equals the sequential probe's.
-    let probes: Vec<Cell> = durable
-        .iter()
-        .flat_map(|op| op.writes.iter().copied())
-        .collect::<BTreeSet<Cell>>()
-        .into_iter()
-        .collect();
+    // state equals the sequential probe's. The hook answers for both
+    // faces of the lazy executor: behind it the same image is reopened
+    // through `SharedDb::open_on_demand`, served the same probes and
+    // drained, and any value that differs from the sequential face's
+    // fails the probe.
+    let probes = probe_cells(&durable, cfg, s);
     let mut od_probe = db.clone();
     if let Some(res) = method.ondemand_restart(&mut od_probe, &probes) {
         let (od_stats, served) = res.map_err(|e| fail("ondemand probe", e.into()))?;

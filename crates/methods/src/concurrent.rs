@@ -48,15 +48,20 @@
 //!
 //! ## Instant restart
 //!
-//! [`SharedDb::open_on_demand`] reopens a crashed [`Db`] immediately:
-//! analysis places a recovery gate on every page whose stable chain
-//! holds a record the fuzzy dirty-page table cannot prove installed
-//! (the [`crate::ondemand`] criterion), and the shard map refuses to
-//! serve those pages until their lazy redo runs. The first
+//! [`SharedDb::open_on_demand`] reopens a crashed [`Db`] immediately —
+//! the concurrent face of the one lazy-restart executor
+//! ([`crate::ondemand`] is the sequential one). Analysis places a
+//! recovery gate on every page whose stable chain holds a record the
+//! fuzzy dirty-page table cannot prove installed
+//! ([`RestartAnalysis::gates`]), and the shard map refuses to serve
+//! those pages until their lazy redo runs. The first
 //! [`SharedDb::read_cell`] or [`SharedDb::execute`] touching a gated
-//! page replays that page's connected component of residual records —
-//! merged chains in global LSN order, whole-write-set redo test,
-//! write-order constraints — and only then opens the gates; a
+//! page replays that page's [`RestartAnalysis::component`] — the same
+//! unit, found by the same chase of writer and cross-reader chains, as
+//! the sequential face — in global LSN order under the generalized
+//! redo test and write order ([`write_set_is_stale`], [`write_order`]),
+//! and only then opens the gates; what is this module's own is fetching
+//! and updating pages under shard leases. A
 //! [`SharedDb::recovery_tick`] in the background loop sweeps leftover
 //! gates so recovery terminates even if nothing ever reads them.
 //!
@@ -80,14 +85,13 @@
 //! and installed) or still in flight (visible in the table at its own
 //! LSN) — never invisible.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redo_sim::cache::Constraint;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::disk::Disk;
 use redo_sim::shard::{PageLease, ShardedStore};
@@ -97,6 +101,7 @@ use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp};
 
 use crate::control::{ControlPlan, Controller, RestartBudget, RestartEstimate};
+use crate::generalized::{write_order, write_set_is_stale};
 use crate::oprecord::PageOpPayload;
 use crate::redo::{self, Chain, RestartAnalysis};
 use crate::RecoveryStats;
@@ -189,10 +194,7 @@ pub struct DaemonStats {
 
 /// The apply phase [`SharedDb::execute`] and lazy replay share: under a
 /// lease covering the operation's pages (written pages resident), write
-/// its outputs at `lsn`, then register its write-order constraints —
-/// every write page must be durable before a later overwrite of a
-/// cross-page read reaches disk — and bind a multi-page write set into
-/// an atomic flush group.
+/// its outputs at `lsn`, then impose its [`write_order`] on the shards.
 fn apply_under_lease(
     lease: &mut PageLease<'_>,
     op: &PageOp,
@@ -203,18 +205,9 @@ fn apply_under_lease(
         let v = op.output(cell, read_values);
         lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
     }
-    let written = op.written_pages();
-    for r in op.read_pages() {
-        if !written.contains(&r) {
-            for &w in &written {
-                lease.add_constraint(Constraint {
-                    blocked: r,
-                    blocked_above: lsn,
-                    requires: w,
-                    required_lsn: lsn,
-                });
-            }
-        }
+    let (constraints, written) = write_order(op, lsn);
+    for c in constraints {
+        lease.add_constraint(c);
     }
     lease.add_atomic_group(&written, lsn);
     Ok(())
@@ -361,77 +354,35 @@ impl SharedDb {
     /// replays, so an error leaves every gate closed and a re-run owes
     /// exactly the same work.
     fn replay_component(&self, state: &mut RecoveryState, page: PageId) -> SimResult<()> {
-        if !self.inner.store.is_gated(page) {
+        let store = &self.inner.store;
+        if !store.is_gated(page) {
             return Ok(());
         }
-        // Phase 1: chase chains under the log lock — released before
-        // any shard lease, preserving the shards-before-log order.
-        let mut component: BTreeSet<PageId> = BTreeSet::new();
-        let mut records: BTreeMap<Lsn, PageOp> = BTreeMap::new();
-        {
+        // The chase runs under the log lock — released before any
+        // shard lease, preserving the shards-before-log order.
+        let (component, records) = {
             let log = self.inner.log.lock();
-            let mut frontier = vec![page];
-            while let Some(p) = frontier.pop() {
-                if !component.insert(p) {
-                    continue;
-                }
-                for (lsn, off) in state.analysis.owed_chain(&log, p) {
-                    if records.contains_key(&lsn) {
-                        continue;
-                    }
-                    let rec = log.record_for(p, off)?;
-                    debug_assert_eq!(rec.lsn, lsn, "chain entry points at a foreign frame");
-                    state.stats.records_decoded += 1;
-                    state.stats.seek_hits += 1;
-                    let PageOpPayload::Op(op) = rec.payload else {
-                        continue;
-                    };
-                    for q in op.read_pages().into_iter().chain(op.written_pages()) {
-                        if self.inner.store.is_gated(q) && !component.contains(&q) {
-                            frontier.push(q);
-                        }
-                    }
-                    records.insert(lsn, op);
-                }
-            }
-        }
-        // Phase 2: replay the merged chains in global LSN order under
-        // short shard leases, with the same whole-write-set redo test
-        // and write-order constraints as the sequential scan. No cycle
-        // pre-resolution is needed here: the shards are unbounded (no
-        // eviction can force a flush), and the background flusher
-        // simply skips any flush a constraint forbids.
+            let (analysis, gated) = (&state.analysis, |p| store.is_gated(p));
+            analysis.component(&log, page, gated, &mut state.stats)?
+        };
+        // Replay in global LSN order under short shard leases: the
+        // redo test and write order of the sequential scan, over this
+        // store's pages. No cycle pre-resolution is needed here: the
+        // shards are unbounded (no eviction can force a flush), and the
+        // background flusher simply skips any flush a constraint
+        // forbids.
         let spp = self.inner.geometry.slots_per_page;
         for (lsn, op) in records {
             state.stats.scanned += 1;
-            let mut pages: Vec<PageId> = op
-                .read_pages()
-                .into_iter()
-                .chain(op.written_pages())
-                .collect();
+            let mut pages: Vec<PageId> = redo::read_write_pages(&op).collect();
             pages.sort_unstable();
             pages.dedup();
-            let mut lease = self.inner.store.lock_pages(&pages);
-            let mut stale = false;
-            let mut fresh = false;
-            for p in op.written_pages() {
-                lease.fetch(p, spp, Lsn::ZERO)?;
-                if lease.page(p).expect("just fetched").lsn() < lsn {
-                    stale = true;
-                } else {
-                    fresh = true;
-                }
-            }
-            debug_assert!(
-                !(stale && fresh),
-                "atomic group violated: write set of op {} part-installed",
-                op.id
-            );
-            if stale {
+            let mut lease = store.lock_pages(&pages);
+            let page_lsn = |p| Ok(lease.read_page(p, spp, Lsn::ZERO)?.lsn());
+            if write_set_is_stale(&op, lsn, page_lsn)? {
                 let mut read_values = Vec::with_capacity(op.reads.len());
                 for &cell in &op.reads {
-                    lease.fetch(cell.page, spp, Lsn::ZERO)?;
-                    read_values.push(lease.page(cell.page).expect("just fetched").get(cell.slot));
+                    read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
                 }
                 apply_under_lease(&mut lease, &op, lsn, &read_values)?;
                 state.stats.replayed.push(op.id);
@@ -439,9 +390,9 @@ impl SharedDb {
                 state.stats.skipped.push(op.id);
             }
         }
-        // Phase 3: only now open the gates — a read must never observe
-        // a half-replayed component.
-        self.inner.store.ungate_pages(component);
+        // Only now open the gates — a read must never observe a
+        // half-replayed component.
+        store.ungate_pages(component);
         Ok(())
     }
 
@@ -458,8 +409,8 @@ impl SharedDb {
         let _guard = latch.lock();
         self.ensure_recovered(&[cell.page])?;
         let mut lease = self.inner.store.lock_pages(&[cell.page]);
-        lease.fetch(cell.page, self.inner.geometry.slots_per_page, Lsn::ZERO)?;
-        Ok(lease.page(cell.page).expect("just fetched").get(cell.slot))
+        let page = lease.read_page(cell.page, self.inner.geometry.slots_per_page, Lsn::ZERO)?;
+        Ok(page.get(cell.slot))
     }
 
     /// One background-sweeper step: replays the lowest-numbered gated
@@ -545,8 +496,7 @@ impl SharedDb {
         {
             let mut lease = self.inner.store.lock_pages(&pages);
             for &cell in &op.reads {
-                lease.fetch(cell.page, spp, Lsn::ZERO)?;
-                read_values.push(lease.page(cell.page).expect("just fetched").get(cell.slot));
+                read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
             }
         }
         // Log phase: the LSN is assigned and registered as in-flight in
@@ -697,9 +647,8 @@ impl SharedDb {
             let residuals: Vec<(PageId, Lsn)> = match rec.active.as_ref() {
                 Some(state) => (self.inner.store.gated_pages().into_iter())
                     .filter_map(|page| {
-                        let chain = log.page_chain(page).iter().map(|&(lsn, _)| lsn);
-                        let first = chain.filter(|&lsn| state.analysis.owes(page, lsn)).min();
-                        first.map(|lsn| (page, lsn))
+                        let first = state.analysis.owed_chain(&log, page).next();
+                        first.map(|(lsn, _)| (page, lsn))
                     })
                     .collect(),
                 None => Vec::new(),
@@ -937,6 +886,7 @@ mod tests {
     use crate::testkit::model;
     use crate::RecoveryMethod;
     use redo_workload::pages::{Cell, PageWorkloadSpec};
+    use std::collections::BTreeSet;
 
     /// A budget no estimate can cross: the controller never fires.
     fn never_checkpoint() -> RestartBudget {

@@ -26,9 +26,9 @@ use redo_sim::cache::Constraint;
 use redo_sim::db::Db;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::PageOp;
+use redo_workload::pages::{PageId, PageOp};
 
-use crate::oprecord::PageOpPayload;
+use crate::oprecord::{cross_reads, PageOpPayload};
 use crate::redo::{self, RestartAnalysis};
 use crate::{RecoveryMethod, RecoveryStats};
 
@@ -49,24 +49,33 @@ fn check_shape(op: &PageOp) -> SimResult<()> {
     Ok(())
 }
 
-pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, op: &PageOp, lsn: Lsn) {
+/// The write ordering an operation at `lsn` imposes on whichever cache
+/// holds its pages: one constraint per (cross-read page, written page)
+/// — every write page must be durable before a later overwrite of the
+/// read page reaches disk — and the written pages themselves, which a
+/// multi-page write set binds into an atomic flush group (a no-op for a
+/// single page) so the whole set installs as one unit.
+pub(crate) fn write_order(op: &PageOp, lsn: Lsn) -> (Vec<Constraint>, Vec<PageId>) {
     let written = op.written_pages();
-    for read_page in op.read_pages() {
-        if !written.contains(&read_page) {
-            // Every write page must be durable before a later overwrite
-            // of the read page reaches disk.
-            for &write_page in &written {
-                db.pool.add_constraint(Constraint {
-                    blocked: read_page,
-                    blocked_above: lsn,
-                    requires: write_page,
-                    required_lsn: lsn,
-                });
-            }
+    let mut constraints = Vec::new();
+    for blocked in cross_reads(op) {
+        for &requires in &written {
+            constraints.push(Constraint {
+                blocked,
+                blocked_above: lsn,
+                requires,
+                required_lsn: lsn,
+            });
         }
     }
-    // Multi-page write sets must install atomically: bind them into an
-    // atomic flush group (a no-op for single-page writes).
+    (constraints, written)
+}
+
+pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, op: &PageOp, lsn: Lsn) {
+    let (constraints, written) = write_order(op, lsn);
+    for c in constraints {
+        db.pool.add_constraint(c);
+    }
     db.pool.add_atomic_group(written, lsn);
 }
 
@@ -79,8 +88,7 @@ pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, op: &PageOp, lsn:
 /// `false` without looking at the graph at all.
 pub(crate) fn would_cycle(db: &Db<PageOpPayload>, op: &PageOp) -> bool {
     let written = op.written_pages();
-    let mut cross_reads = op.read_pages();
-    cross_reads.retain(|r| !written.contains(r));
+    let cross_reads = cross_reads(op);
     let cycle = (written.len() > 1 || !cross_reads.is_empty())
         && db.pool.would_cycle(&db.disk, &written, &cross_reads);
     #[cfg(test)]
@@ -216,26 +224,25 @@ impl Generalized {
     }
 }
 
-/// The generalized method's per-record step, shared by the sequential
-/// scan and on-demand replay: the redo test over the whole write set,
-/// then — if the operation is uninstalled — replay with its write-order
-/// constraints re-imposed. Returns whether the operation replayed.
+/// The generalized redo test, over the whole write set: is the
+/// operation logged at `lsn` uninstalled? `page_lsn` answers with the
+/// LSN of the caller's cached copy of a page, fetching it on a miss.
+/// The atomic flush group guarantees all written pages agree (all
+/// installed or none), so any stale page means the operation is
+/// uninstalled.
 ///
 /// # Errors
 ///
-/// Substrate errors from fetching or flushing pages.
-pub(crate) fn redo_op(db: &mut Db<PageOpPayload>, lsn: Lsn, op: &PageOp) -> SimResult<bool> {
-    // The redo test examines the whole write set; the atomic flush
-    // group guarantees all pages agree (all installed or none), so any
-    // stale page means the operation is uninstalled.
+/// Whatever `page_lsn` returns.
+pub(crate) fn write_set_is_stale(
+    op: &PageOp,
+    lsn: Lsn,
+    mut page_lsn: impl FnMut(PageId) -> SimResult<Lsn>,
+) -> SimResult<bool> {
     let mut stale = false;
     let mut fresh = false;
     for page in op.written_pages() {
-        let stable = db.log.stable_lsn();
-        let cached = db
-            .pool
-            .fetch(&mut db.disk, page, db.geometry.slots_per_page, stable)?;
-        if cached.lsn() < lsn {
+        if page_lsn(page)? < lsn {
             stale = true;
         } else {
             fresh = true;
@@ -246,6 +253,23 @@ pub(crate) fn redo_op(db: &mut Db<PageOpPayload>, lsn: Lsn, op: &PageOp) -> SimR
         "atomic group violated: write set of op {} part-installed",
         op.id
     );
+    Ok(stale)
+}
+
+/// The generalized method's per-record step over a sequential [`Db`],
+/// shared by the serial scan and on-demand replay: the redo test, then
+/// — if the operation is uninstalled — replay with its write-order
+/// constraints re-imposed. Returns whether the operation replayed.
+///
+/// # Errors
+///
+/// Substrate errors from fetching or flushing pages.
+pub(crate) fn redo_op(db: &mut Db<PageOpPayload>, lsn: Lsn, op: &PageOp) -> SimResult<bool> {
+    let stale = write_set_is_stale(op, lsn, |page| {
+        let (stable, spp) = (db.log.stable_lsn(), db.geometry.slots_per_page);
+        let cached = db.pool.fetch(&mut db.disk, page, spp, stable)?;
+        Ok(cached.lsn())
+    })?;
     if stale {
         // The replayed operation re-imposes its write ordering on
         // post-recovery cache management, with the same pre-resolution

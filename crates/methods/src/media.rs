@@ -374,7 +374,6 @@ mod tests {
         // stale). Installed page by page, a crash after p alone left p
         // "not stale" and never lost: the re-run's closure stopped at c,
         // O2 replayed against p's final image, and q came back wrong.
-        use redo_sim::fault::{FaultKind, FaultPlan};
         use redo_workload::pages::{Cell, PageOpKind, SlotId};
         let cell = |page| Cell {
             page: PageId(page),
@@ -409,25 +408,49 @@ mod tests {
         let mut reference = db.clone();
         Media.recover(&mut reference).unwrap();
         assert_matches_model(&mut reference, &ops);
-        // Every crash point of the interrupted recovery, the install's
-        // among them, until a plan outlives the recovery.
+        // Both executors install through `install_images`: the offline
+        // scan up front, the lazy one on the first component that holds
+        // a rebuilt page.
+        every_crash_point_converges(&Media, &db, &reference);
+        every_crash_point_converges(&OnDemand, &db, &reference);
+    }
+
+    /// Every `Clean` crash point of an interrupted `method.recover` of
+    /// `db`, the install's among them, until a plan outlives the
+    /// recovery: the re-crashed, re-recovered state is `reference`'s.
+    fn every_crash_point_converges<M: RecoveryMethod<Payload = PageOpPayload>>(
+        method: &M,
+        db: &Db<PageOpPayload>,
+        reference: &Db<PageOpPayload>,
+    ) {
+        use redo_sim::fault::{FaultKind, FaultPlan};
         for at in 1.. {
             let mut damaged = db.clone();
             damaged.arm_faults(FaultPlan {
                 at,
                 kind: FaultKind::Clean,
             });
-            let _ = Media.recover(&mut damaged);
+            let interrupted = method.recover(&mut damaged);
             if !damaged.fault_tripped() {
                 assert!(at > 1, "the install is a faultable event");
                 break;
             }
+            if at == 1 {
+                // The suppressed install left the page lost, and no
+                // gate or fetch may open over it.
+                assert!(
+                    matches!(interrupted, Err(redo_sim::SimError::MediaLoss(_))),
+                    "{}: {interrupted:?}",
+                    method.name()
+                );
+            }
             damaged.crash();
-            Media.recover(&mut damaged).unwrap();
+            method.recover(&mut damaged).unwrap();
             assert_eq!(
                 damaged.volatile_theory_state(),
                 reference.volatile_theory_state(),
-                "crash at event {at} of the interrupted recovery"
+                "{}: crash at event {at} of the interrupted recovery",
+                method.name()
             );
         }
     }

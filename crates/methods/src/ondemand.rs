@@ -8,54 +8,49 @@
 //! dependency: open immediately, and let the first access to each page
 //! pay for exactly that page's replay.
 //!
-//! The access path is the stable log's **per-page record chain**
-//! ([`redo_sim::wal::ShardedLog::page_chain`]): flush time already
-//! indexes, for every page, the (LSN, byte offset) of each stable
-//! record that writes it, and crash repair prunes the chains with the
-//! tail. Analysis is [`Generalized::analyze_dpt`] unchanged — master
-//! record, redo-start LSN, fuzzy dirty-page table. A page is **gated**
-//! when its chain holds a record at or above the redo-start that the
-//! DPT cannot prove installed; everything else is servable the moment
-//! the database opens.
-//!
-//! Serving a read on a gated page replays the page's chain — but not
-//! alone. Generalized operations read pages they do not write, and a
-//! multi-page write set installs atomically, so the unit of lazy
-//! replay is the **transitive closure** of gated pages connected
-//! through shared records (a connected component of the residual
-//! conflict graph restricted to gated pages). The component's chains
-//! merge in global LSN order and replay under the same whole-write-set
-//! redo test, write-order constraints, and cycle pre-resolution as
-//! [`Generalized::recover`]; per Theorem 3 the order *between*
-//! components is free, so serving them on demand in any access order
-//! lands on the sequential result. Gates open only after the whole
-//! component replays — an error (or crash) mid-component leaves every
-//! gate closed, and the next recovery starts from the repaired image
-//! as if this one had never run.
+//! Lazy restart is one executor with two stores under it (DESIGN §14,
+//! §20): this module is its face over a sequential [`Db`],
+//! [`crate::concurrent::SharedDb::open_on_demand`] the one over the
+//! sharded store, and every decision is shared. Analysis is
+//! [`redo::begin`]; a page is *gated*
+//! ([`RestartAnalysis::gates`](crate::redo::RestartAnalysis::gates))
+//! when its stable chain holds a record at or above the redo-start that
+//! the dirty-page table cannot prove installed, and everything else is
+//! servable the moment the database opens. A gated page cannot replay
+//! alone — generalized operations read pages they do not write, and a
+//! multi-page write set installs atomically — so the unit of replay is
+//! [`RestartAnalysis::component`](crate::redo::RestartAnalysis::component),
+//! the page's connected component of the residual conflict graph,
+//! chased through the log's writer *and* cross-reader chains at the
+//! moment of the touch. Its records replay in global LSN order under
+//! [`redo_op`], the redo step of the sequential scan; per Theorem 3 the
+//! order *between* components is free, so serving them in any access
+//! order lands on the sequential result. Gates open only after the
+//! whole component replays — an error (or crash) mid-component leaves
+//! every gate closed, and the next recovery starts from the repaired
+//! image as if this one had never run.
 //!
 //! Media-lost pages ([`redo_sim::SimError::MediaLoss`]) ride the same
-//! machinery: a lost page is gated unconditionally — its residual
-//! chain is its *entire* history, starting at LSN 1 in the archive —
-//! and serving its component first installs the precomputed
-//! [`media::rebuild_images`] image, then replays normally.
+//! machinery: every page of the [`media::rebuild_images`] plan is gated
+//! unconditionally, and the first component that holds one installs
+//! the whole plan ([`media::install_images`], one atomic write) before
+//! it replays.
 //!
 //! Recovery terminates even without reads: a sweeper drains the
 //! remaining gates ([`OnDemandRestart::sweep_one`]), and
 //! [`OnDemand::recover`] is exactly open-then-drain, which is how the
 //! crash auditor proves the lazy path equivalent to the sequential
-//! scan. The concurrent face of this module is
-//! [`crate::concurrent::SharedDb::open_on_demand`].
+//! scan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use redo_sim::db::Db;
-use redo_sim::SimResult;
+use redo_sim::page::Page;
+use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp};
 
-use redo_sim::page::Page;
-use redo_sim::SimError;
-
+use crate::concurrent::SharedDb;
 use crate::generalized::{redo_op, Generalized};
 use crate::media;
 use crate::online::GeneralizedOnline;
@@ -81,128 +76,34 @@ pub struct OnDemandRestart {
     analysis: RestartAnalysis,
     gates: BTreeSet<PageId>,
     stats: RecoveryStats,
-    gates_at_open: usize,
-    /// The residual records, decoded through the gated chains at open,
-    /// keyed by LSN.
-    records: BTreeMap<Lsn, PageOp>,
-    /// Gated page → index into `members`/`record_sets`. Components are
-    /// fixed at open — computed over the full residual conflict graph,
-    /// reads included — so the replay unit cannot shrink as earlier
-    /// gates open.
-    component_of: BTreeMap<PageId, usize>,
-    /// Component → its gated pages.
-    members: Vec<BTreeSet<PageId>>,
-    /// Component → its record LSNs, ascending.
-    record_sets: Vec<Vec<Lsn>>,
-    /// Media-rebuild images ([`media::rebuild_images`]) for pages lost
-    /// to media failure, plus their transitive closure. A media-lost
-    /// page is a gated page whose residual chain is its *entire*
-    /// history, starting at LSN 1 in the archive — realized as one
-    /// precomputed image installed when its component is served.
+    /// The media-rebuild plan ([`media::rebuild_images`]): final images
+    /// for the pages lost to media failure and their transitive
+    /// closure. Empty when nothing is lost.
     media_images: BTreeMap<PageId, Page>,
 }
 
 impl OnDemand {
-    /// Opens a crashed database immediately: repair, analysis, gate
-    /// placement, and component discovery — no replay, and no
-    /// sequential scan of the installed prefix (the residual records
-    /// are decoded through the per-page chains alone). Every page whose
-    /// chain holds a record the analysis cannot prove installed is
-    /// gated; reads on ungated pages are servable at once.
-    ///
-    /// Components must close over *read* edges as well as write edges:
-    /// an operation that reads page `q` and writes page `p` must replay
-    /// before a later record writes `q`, or it would observe the future
-    /// value (sequential replay, which the write-order constraints
-    /// protect, observes the pre-write one). Chains only index writers,
-    /// so readers of `q` are discovered from the records on *other*
-    /// gated chains — which is why the component structure is computed
-    /// here, over every residual record, rather than per access.
+    /// Opens a crashed database immediately: repair, analysis and gate
+    /// placement — no replay, no scan, and no record decoded (a media
+    /// rebuild plan, when pages are lost, is the one exception: it
+    /// replays the archived history). Every page whose chain holds a
+    /// record the analysis cannot prove installed is gated, and so is
+    /// every page of the rebuild plan; reads on ungated pages are
+    /// servable at once.
     ///
     /// # Errors
     ///
-    /// Log corruption at the master record or at a chain offset.
+    /// Log corruption at the master record (or, with pages lost, in the
+    /// archived history).
     pub fn open(db: &mut Db<PageOpPayload>) -> SimResult<OnDemandRestart> {
-        let (analysis, mut stats) = redo::begin(db)?;
+        let (analysis, stats) = redo::begin(db)?;
         let mut gates: BTreeSet<PageId> = analysis.gates(&db.log).into_iter().collect();
-        // Media-lost pages are gated unconditionally — a lost page is
-        // the extreme of "needs redo": its residual chain is its whole
-        // archived history, collapsed into the rebuild image. The
-        // closure pages come along so replayed cross-page reads never
-        // observe a rebuilt (final) image at the wrong moment.
         let media_images = media::rebuild_images(db)?;
-        for &page in media_images.keys() {
-            gates.insert(page);
-        }
-        // Decode the residual records chain-directed: every gated
-        // page's uninstalled chain entries, each record once.
-        let mut records: BTreeMap<Lsn, PageOp> = BTreeMap::new();
-        for &page in &gates {
-            for (lsn, off) in analysis.owed_chain(&db.log, page) {
-                if records.contains_key(&lsn) {
-                    continue;
-                }
-                let rec = db.log.record_for(page, off)?;
-                debug_assert_eq!(rec.lsn, lsn, "chain entry points at a foreign frame");
-                stats.records_decoded += 1;
-                stats.seek_hits += 1;
-                if let PageOpPayload::Op(op) = rec.payload {
-                    records.insert(lsn, op);
-                }
-            }
-        }
-        // Connected components of the residual conflict graph,
-        // restricted to gated pages: a record links every gated page it
-        // reads or writes.
-        let mut touch: BTreeMap<PageId, Vec<Lsn>> = BTreeMap::new();
-        for (&lsn, op) in &records {
-            for p in op.read_pages().into_iter().chain(op.written_pages()) {
-                if gates.contains(&p) {
-                    touch.entry(p).or_default().push(lsn);
-                }
-            }
-        }
-        let mut component_of: BTreeMap<PageId, usize> = BTreeMap::new();
-        let mut members: Vec<BTreeSet<PageId>> = Vec::new();
-        let mut record_sets: Vec<Vec<Lsn>> = Vec::new();
-        for &start in &gates {
-            if component_of.contains_key(&start) {
-                continue;
-            }
-            let id = members.len();
-            let mut component: BTreeSet<PageId> = BTreeSet::new();
-            let mut lsns: BTreeSet<Lsn> = BTreeSet::new();
-            let mut frontier = vec![start];
-            while let Some(p) = frontier.pop() {
-                if !component.insert(p) {
-                    continue;
-                }
-                component_of.insert(p, id);
-                for &lsn in touch.get(&p).into_iter().flatten() {
-                    if !lsns.insert(lsn) {
-                        continue;
-                    }
-                    let op = &records[&lsn];
-                    for q in op.read_pages().into_iter().chain(op.written_pages()) {
-                        if gates.contains(&q) && !component.contains(&q) {
-                            frontier.push(q);
-                        }
-                    }
-                }
-            }
-            members.push(component);
-            record_sets.push(lsns.into_iter().collect());
-        }
-        let gates_at_open = gates.len();
+        gates.extend(media_images.keys().copied());
         Ok(OnDemandRestart {
             analysis,
             gates,
             stats,
-            gates_at_open,
-            records,
-            component_of,
-            members,
-            record_sets,
             media_images,
         })
     }
@@ -211,21 +112,44 @@ impl OnDemand {
     /// then drain the remaining gates. Returns the final stats plus the
     /// value each probe observed *while recovery was still in
     /// progress* — the crash auditor cross-validates those against the
-    /// sequential probe's final state.
+    /// sequential probe's final state. Unless a page is media-lost (the
+    /// shared store has no rebuild path) the same image then goes
+    /// through the concurrent face, [`SharedDb::open_on_demand`]: the
+    /// same probes, a [`SharedDb::recovery_tick`] drain, every probe
+    /// once more — each value must equal this face's.
     ///
     /// # Errors
     ///
-    /// Substrate errors, including log corruption.
+    /// Substrate errors, including log corruption;
+    /// [`SimError::MethodViolation`] if the two faces disagree.
     pub fn restart_with_probes(
         db: &mut Db<PageOpPayload>,
         probes: &[Cell],
     ) -> SimResult<(RecoveryStats, Vec<u64>)> {
+        let image = db.disk.lost_pages().is_empty().then(|| db.clone());
         let mut restart = Self::open(db)?;
         let mut served = Vec::with_capacity(probes.len());
         for &cell in probes {
             served.push(restart.read_cell(db, cell)?);
         }
         let stats = restart.finish(db)?;
+        if let Some(image) = image {
+            let shared = SharedDb::open_on_demand(image)?;
+            let mut agree = true;
+            for (&cell, &v) in probes.iter().zip(&served) {
+                agree &= shared.read_cell(cell)? == v;
+            }
+            while shared.recovery_tick()? {}
+            for &cell in probes {
+                agree &= shared.read_cell(cell)? == db.read_cell(cell)?;
+            }
+            if !agree {
+                return Err(SimError::MethodViolation(
+                    "SharedDb::open_on_demand served or drained to a value \
+                     the sequential on-demand restart did not",
+                ));
+            }
+        }
         Ok((stats, served))
     }
 }
@@ -243,18 +167,6 @@ impl OnDemandRestart {
         self.gates.len()
     }
 
-    /// Pages that were gated when the database opened.
-    #[must_use]
-    pub fn gates_at_open(&self) -> usize {
-        self.gates_at_open
-    }
-
-    /// The analysis the gates were placed from.
-    #[must_use]
-    pub fn analysis(&self) -> &RestartAnalysis {
-        &self.analysis
-    }
-
     /// Ensures `page` is fully recovered, lazily replaying its
     /// connected component of gated pages if it is still gated. A no-op
     /// for ungated pages.
@@ -266,44 +178,27 @@ impl OnDemandRestart {
     ///
     /// # Errors
     ///
-    /// Substrate errors, including log corruption at a chain offset.
+    /// Substrate errors, including log corruption at a chain offset;
+    /// [`SimError::MediaLoss`] if a member is still lost after the
+    /// rebuild install (a fault suppressed it).
     pub fn ensure_recovered(&mut self, db: &mut Db<PageOpPayload>, page: PageId) -> SimResult<()> {
         if !self.gates.contains(&page) {
             return Ok(());
         }
-        // Phase 1: look up the page's component — fixed at open over
-        // the full residual conflict graph (readers included), so the
-        // replay unit is the same whichever access order the workload
-        // drives. Per Theorem 3 the order *between* these components is
-        // free; order within replays below in global LSN order.
-        let id = self.component_of[&page];
-        let component = self.members[id].clone();
-        let records: Vec<(Lsn, PageOp)> = self.record_sets[id]
-            .iter()
-            .map(|lsn| (*lsn, self.records[lsn].clone()))
-            .collect();
-        // Phase 1.5: media rebuild. Install the archive-derived images
-        // for the component's lost (and closure) pages before any redo
-        // test fetches them — each install is an ordinary faultable
-        // page write, idempotently skipped once the disk carries the
-        // image. A suppressed or torn install leaves the page lost;
-        // refuse to open the gates over it, exactly as a mid-replay
-        // error would.
-        for &p in &component {
-            if let Some(image) = self.media_images.get(&p) {
-                if db.disk.is_lost(p) || db.disk.page_lsn(p) < image.lsn() {
-                    db.disk.write_page(p, image.clone());
-                }
-            }
+        let (component, records) =
+            self.analysis
+                .component(&db.log, page, |p| self.gates.contains(&p), &mut self.stats)?;
+        // Media rebuild: the whole plan lands before any redo test
+        // fetches one of its pages (idempotently skipped once the disk
+        // carries the images). A suppressed install leaves the pages
+        // lost; refuse to open the gates over them, exactly as a
+        // mid-replay error would.
+        if component.iter().any(|p| self.media_images.contains_key(p)) {
+            media::install_images(db, &self.media_images);
         }
-        for &p in &component {
-            if db.disk.is_lost(p) {
-                return Err(SimError::MediaLoss(p));
-            }
+        if let Some(&lost) = component.iter().find(|&&p| db.disk.is_lost(p)) {
+            return Err(SimError::MediaLoss(lost));
         }
-        // Phase 2: replay the merged chains in global LSN order under
-        // the same redo test, constraints, and cycle pre-resolution as
-        // the sequential scan.
         for (lsn, op) in records {
             self.stats.scanned += 1;
             if redo_op(db, lsn, &op)? {
@@ -312,9 +207,9 @@ impl OnDemandRestart {
                 self.stats.skipped.push(op.id);
             }
         }
-        // Phase 3: only now open the gates. Everything above is redo
-        // work a crash may discard wholesale; opening early would let a
-        // read observe a half-replayed page.
+        // Only now open the gates. Everything above is redo work a
+        // crash may discard wholesale; opening early would let a read
+        // observe a half-replayed page.
         for p in &component {
             self.gates.remove(p);
         }
@@ -446,8 +341,7 @@ mod tests {
         let ops = workload(30, 9);
         let mut db = crashed_db(&ops, 0x5eed);
         let mut restart = OnDemand::open(&mut db).unwrap();
-        assert!(restart.gates_at_open() > 0, "chaos left dirty pages");
-        assert_eq!(restart.gated_count(), restart.gates_at_open());
+        assert!(restart.gated_count() > 0, "chaos left dirty pages");
         let mut steps = 0;
         while restart.sweep_one(&mut db).unwrap() {
             steps += 1;
@@ -631,7 +525,7 @@ mod tests {
         OnDemand.checkpoint(&mut db).unwrap();
         db.crash();
         let mut restart = OnDemand::open(&mut db).unwrap();
-        assert_eq!(restart.gates_at_open(), 0);
+        assert_eq!(restart.gated_count(), 0);
         for (c, v) in model(&ops) {
             assert_eq!(restart.read_cell(&mut db, c).unwrap(), v);
         }

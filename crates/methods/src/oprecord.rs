@@ -55,6 +55,20 @@ pub enum PageOpPayload {
     },
 }
 
+/// The pages `op` reads but does not write, in id order — the far ends
+/// of its §6.4 read-write edges. Empty (and allocation-free) for every
+/// operation that reads only what it writes.
+pub(crate) fn cross_reads(op: &PageOp) -> Vec<PageId> {
+    let mut pages = Vec::new();
+    for page in op.reads.iter().map(|cell| cell.page) {
+        if !pages.contains(&page) && op.writes.iter().all(|w| w.page != page) {
+            pages.push(page);
+        }
+    }
+    pages.sort_unstable();
+    pages
+}
+
 /// Appends a dirty-page table — a 16-bit count (`what` names it in the
 /// overflow error), then `(page, recLSN)` pairs — the one wire shape of
 /// every fuzzy and delta checkpoint record.
@@ -156,6 +170,15 @@ impl LogPayload for PageOpPayload {
         // markers touch no page.
         match self {
             PageOpPayload::Op(op) => op.written_pages(),
+            PageOpPayload::Checkpoint
+            | PageOpPayload::FuzzyCheckpoint { .. }
+            | PageOpPayload::DeltaCheckpoint { .. } => Vec::new(),
+        }
+    }
+
+    fn cross_read_pages(&self) -> Vec<PageId> {
+        match self {
+            PageOpPayload::Op(op) => cross_reads(op),
             PageOpPayload::Checkpoint
             | PageOpPayload::FuzzyCheckpoint { .. }
             | PageOpPayload::DeltaCheckpoint { .. } => Vec::new(),

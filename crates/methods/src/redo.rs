@@ -19,18 +19,23 @@
 //!   force → verify → master write → verify → archive the prefix), plus
 //!   the `Chain` bookkeeping incremental checkpoints diff against.
 //!
-//! The partitioned-parallel, on-demand and media paths are other
-//! *executors* of the same analysis; they share [`analyze`] and
-//! [`RestartAnalysis::owes`] and keep their own replay machinery.
+//! The other *executors* run the same analysis. Lazy restart — both
+//! faces, [`crate::ondemand`] over a sequential [`Db`] and
+//! [`crate::concurrent::SharedDb::open_on_demand`] over the sharded
+//! store — places its gates with [`RestartAnalysis::gates`], finds its
+//! replay unit with [`RestartAnalysis::component`] and replays it under
+//! the generalized redo step; only the store the pages live in differs.
+//! The partitioned-parallel path ([`crate::parallel`]) shares
+//! [`analyze`] and [`RestartAnalysis::owes`] and keeps its own routers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use redo_sim::db::Db;
 use redo_sim::disk::Disk;
 use redo_sim::wal::{LogPayload, ShardedLog, ShardedScanner};
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::{Cell, PageId, PageOp};
 
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryStats, SCAN_BATCH};
@@ -93,6 +98,11 @@ pub struct RestartAnalysis {
     pub dirty: Option<BTreeMap<PageId, Lsn>>,
 }
 
+/// One unit of lazy replay ([`RestartAnalysis::component`]): the gated
+/// pages that open together, and the residual records that replay
+/// first, by LSN.
+pub(crate) type Component = (BTreeSet<PageId>, BTreeMap<Lsn, PageOp>);
+
 impl RestartAnalysis {
     /// The fallback when no checkpoint is in force: a full scan from
     /// the log's first retained record.
@@ -136,24 +146,82 @@ impl RestartAnalysis {
     }
 
     /// `page`'s stable chain entries `(LSN, offset)` restart still
-    /// [owes](RestartAnalysis::owes) a redo test.
-    pub(crate) fn owed_chain<P: LogPayload>(
-        &self,
-        log: &ShardedLog<P>,
+    /// [owes](RestartAnalysis::owes) a redo test, in LSN order.
+    pub(crate) fn owed_chain<'a, P: LogPayload>(
+        &'a self,
+        log: &'a ShardedLog<P>,
         page: PageId,
-    ) -> Vec<(Lsn, u64)> {
+    ) -> impl Iterator<Item = (Lsn, u64)> + 'a {
         let chain = log.page_chain(page).iter().copied();
-        chain.filter(|&(lsn, _)| self.owes(page, lsn)).collect()
+        chain.filter(move |&(lsn, _)| self.owes(page, lsn))
     }
 
     /// Gate placement for the on-demand paths: every chained page whose
     /// stable chain holds a record restart still owes.
     pub(crate) fn gates<P: LogPayload>(&self, log: &ShardedLog<P>) -> Vec<PageId> {
-        let owed = |&page: &PageId| {
-            let mut chain = log.page_chain(page).iter();
-            chain.any(|&(lsn, _)| self.owes(page, lsn))
-        };
+        let owed = |&page: &PageId| self.owed_chain(log, page).next().is_some();
         log.chained_pages().filter(owed).collect()
+    }
+
+    /// The unit of lazy replay: the closure of the gated `page` under
+    /// the residual conflict graph, chased chain by chain at the moment
+    /// of the touch. Each member contributes its owed writers
+    /// ([`RestartAnalysis::owed_chain`]) and its cross-readers
+    /// ([`ShardedLog::readers_of`]: a record that read the page must
+    /// replay before the page's later writers, or it would observe the
+    /// future). A record joins while restart still owes it on a gated
+    /// page it writes — anything else is installed, or was replayed
+    /// with a component served earlier — and brings every gated page it
+    /// touches. With both edge directions followed the closure is a
+    /// whole connected component (DESIGN §14). `gated` is the caller's
+    /// live gate set; each decode is counted into `stats`.
+    ///
+    /// # Errors
+    ///
+    /// Log corruption at a chain offset.
+    pub(crate) fn component(
+        &self,
+        log: &ShardedLog<PageOpPayload>,
+        page: PageId,
+        gated: impl Fn(PageId) -> bool,
+        stats: &mut RecoveryStats,
+    ) -> SimResult<Component> {
+        let mut pages = BTreeSet::new();
+        let mut records: BTreeMap<Lsn, PageOp> = BTreeMap::new();
+        let mut frontier = vec![page];
+        while let Some(p) = frontier.pop() {
+            if !pages.insert(p) {
+                continue;
+            }
+            let home = log.shard_of(p);
+            let writers = self
+                .owed_chain(log, p)
+                .map(|(lsn, off)| (lsn, home, off, true));
+            let readers = log.readers_of(p).into_iter();
+            let owed_readers = readers.filter(|&(lsn, _, _)| lsn >= self.redo_start);
+            let entries = writers.chain(owed_readers.map(|(lsn, s, off)| (lsn, s, off, false)));
+            for (lsn, shard, off, writes_p) in entries {
+                if records.contains_key(&lsn) {
+                    continue;
+                }
+                let rec = log.record_in(shard, off)?;
+                debug_assert_eq!(rec.lsn, lsn, "chain entry points at a foreign frame");
+                stats.records_decoded += 1;
+                stats.seek_hits += 1;
+                let PageOpPayload::Op(op) = rec.payload else {
+                    continue;
+                };
+                // An owed writer of `p` is owed on a gated page by
+                // construction; a reader has to show one.
+                let owed = |w: &Cell| gated(w.page) && self.owes(w.page, lsn);
+                if !(writes_p || op.writes.iter().any(owed)) {
+                    continue;
+                }
+                frontier.extend(read_write_pages(&op).filter(|&q| gated(q) && !pages.contains(&q)));
+                records.insert(lsn, op);
+            }
+        }
+        Ok((pages, records))
     }
 }
 

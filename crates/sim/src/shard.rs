@@ -44,7 +44,7 @@ use redo_workload::pages::PageId;
 
 use crate::cache::{BufferPool, Constraint};
 use crate::disk::Disk;
-use crate::error::SimResult;
+use crate::error::{SimError, SimResult};
 use crate::page::Page;
 
 /// A buffer pool split into power-of-two page-id shards over one shared
@@ -374,14 +374,20 @@ impl PageLease<'_> {
         Ok(())
     }
 
-    /// The cached copy of `id`, if resident.
-    #[must_use]
-    pub fn page(&self, id: PageId) -> Option<&Page> {
-        let shard = self.store.shard_of(id);
-        self.guards
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .and_then(|(_, g)| g.get(id))
+    /// Reads `id` through the lease: [`PageLease::fetch`], then the
+    /// resident copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`PageLease::fetch`].
+    pub fn read_page(
+        &mut self,
+        id: PageId,
+        slots_per_page: u16,
+        stable_lsn: Lsn,
+    ) -> SimResult<&Page> {
+        self.fetch(id, slots_per_page, stable_lsn)?;
+        self.pool_mut(id).get(id).ok_or(SimError::NotCached(id))
     }
 
     /// Mutates a cached page, tagging it with `lsn` and marking it

@@ -117,6 +117,15 @@ pub trait LogPayload: Clone + fmt::Debug {
     fn write_pages(&self) -> Vec<PageId> {
         Vec::new()
     }
+    /// The pages this payload reads but does not write. The log manager
+    /// threads these into a second set of per-page chains — a page's
+    /// *cross-readers* ([`LogManager::readers_of`]) — so lazy replay of
+    /// one page can find the records that must observe it before its
+    /// later writers run. A payload that reads only what it writes
+    /// returns the default empty set and indexes nothing.
+    fn cross_read_pages(&self) -> Vec<PageId> {
+        Vec::new()
+    }
     /// Whether a stable frame carrying this payload may anchor a
     /// seek-index entry. The index invariant is that no frame with an
     /// LSN at or above an entry's LSN sits *before* the entry's offset;
@@ -167,6 +176,11 @@ pub struct LogManager<P> {
     /// on crash/repair, and rebased over prefix truncation (the same
     /// helpers keep the two structures from ever disagreeing).
     page_chains: BTreeMap<PageId, Vec<(Lsn, u64)>>,
+    /// Per-page cross-reader chains: for every page some stable record
+    /// reads *without* writing, the (LSN, stable byte offset) of each
+    /// such record, in LSN order. Pushed, pruned and rebased with
+    /// `page_chains`, through the same helpers at the same sites.
+    reader_chains: BTreeMap<PageId, Vec<(Lsn, u64)>>,
     forces: u64,
     /// Dense-run discipline: a standalone log holds exactly
     /// `first_stable..=stable_lsn` and prefix truncation enforces it; a
@@ -201,6 +215,7 @@ impl<P: LogPayload> LogManager<P> {
             seek_index: Vec::new(),
             seek_enabled: true,
             page_chains: BTreeMap::new(),
+            reader_chains: BTreeMap::new(),
             forces: 0,
             dense: true,
             injector: FaultInjector::new(),
@@ -358,11 +373,12 @@ impl<P: LogPayload> LogManager<P> {
                 {
                     self.seek_index.push((rec.lsn, base + frame_start as u64));
                 }
+                let entry = (rec.lsn, base + frame_start as u64);
                 for page in rec.payload.write_pages() {
-                    self.page_chains
-                        .entry(page)
-                        .or_default()
-                        .push((rec.lsn, base + frame_start as u64));
+                    self.page_chains.entry(page).or_default().push(entry);
+                }
+                for page in rec.payload.cross_read_pages() {
+                    self.reader_chains.entry(page).or_default().push(entry);
                 }
                 self.stable_lsn = rec.lsn;
                 self.stable_count += 1;
@@ -466,6 +482,7 @@ impl<P: LogPayload> LogManager<P> {
         self.next_lsn = self.stable_lsn.next();
         prune_index_to_prefix(&mut self.seek_index, pos, self.stable_lsn);
         prune_chains_to_prefix(&mut self.page_chains, pos, self.stable_lsn);
+        prune_chains_to_prefix(&mut self.reader_chains, pos, self.stable_lsn);
     }
 
     /// Decodes the stable prefix back into records, materialized as one
@@ -588,6 +605,7 @@ impl<P: LogPayload> LogManager<P> {
         // fragment.
         prune_index_to_prefix(&mut self.seek_index, pos, self.stable_lsn);
         prune_chains_to_prefix(&mut self.page_chains, pos, self.stable_lsn);
+        prune_chains_to_prefix(&mut self.reader_chains, pos, self.stable_lsn);
         dropped
     }
 
@@ -614,6 +632,7 @@ impl<P: LogPayload> LogManager<P> {
         self.next_lsn = self.stable_lsn.next();
         prune_index_to_prefix(&mut self.seek_index, covered, self.stable_lsn);
         prune_chains_to_prefix(&mut self.page_chains, covered, self.stable_lsn);
+        prune_chains_to_prefix(&mut self.reader_chains, covered, self.stable_lsn);
     }
 
     /// Plans (without applying) the prefix drain
@@ -666,6 +685,7 @@ impl<P: LogPayload> LogManager<P> {
         self.first_stable = below;
         rebase_index_after_drain(&mut self.seek_index, plan.pos);
         rebase_chains_after_drain(&mut self.page_chains, plan.pos);
+        rebase_chains_after_drain(&mut self.reader_chains, plan.pos);
         // Keep the image seekable from its new origin: without an entry
         // at offset 0 every scan from below `first_stable` would walk
         // headers from an offset the index can no longer reach.
@@ -714,6 +734,14 @@ impl<P: LogPayload> LogManager<P> {
     /// Every page with at least one stable chained record, in id order.
     pub fn chained_pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.page_chains.keys().copied()
+    }
+
+    /// The cross-reader chain for `page`: the (LSN, stable byte offset)
+    /// of every stable record that reads it without writing it, in LSN
+    /// order — the read-write edges of §6.4 as seen from the page read.
+    #[must_use]
+    pub fn readers_of(&self, page: PageId) -> &[(Lsn, u64)] {
+        self.reader_chains.get(&page).map_or(&[], Vec::as_slice)
     }
 
     /// Decodes the single stable record whose frame starts at stable

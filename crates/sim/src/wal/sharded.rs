@@ -156,6 +156,13 @@ impl<P: LogPayload> LogPayload for ShardFrame<P> {
         }
     }
 
+    fn cross_read_pages(&self) -> Vec<PageId> {
+        match self {
+            ShardFrame::Rec(p) => p.cross_read_pages(),
+            ShardFrame::Open { .. } | ShardFrame::Close { .. } => Vec::new(),
+        }
+    }
+
     fn anchors_seek(&self) -> bool {
         // A `Close` frame's LSN is the group's covering LSN, which the
         // shard's own record at that LSN (if it hosts it) precedes: an
@@ -846,7 +853,7 @@ impl<P: LogPayload> ShardedLog<P> {
 
     /// The per-page chain for `page`, served by its home shard. Offsets
     /// are into that shard's stable bytes; resolve them with
-    /// [`ShardedLog::record_for`].
+    /// [`ShardedLog::record_in`].
     #[must_use]
     pub fn page_chain(&self, page: PageId) -> &[(Lsn, u64)] {
         self.shards[self.shard_of(page)].page_chain(page)
@@ -864,16 +871,38 @@ impl<P: LogPayload> ShardedLog<P> {
         pages.into_iter()
     }
 
-    /// Decodes the single stable record at byte offset `off` of
-    /// `page`'s home shard — the random-access read a
-    /// [`ShardedLog::page_chain`] entry authorizes.
+    /// Every stable record that reads `page` without writing it, as
+    /// `(LSN, shard, offset)` in LSN order. A cross-reader is stored
+    /// with the pages it *writes*, so the entries come from whichever
+    /// shards those are (a broadcast copy counts once, on its lowest
+    /// shard); resolve them with [`ShardedLog::record_in`].
+    #[must_use]
+    pub fn readers_of(&self, page: PageId) -> Vec<(Lsn, usize, u64)> {
+        let shards = self.shards.iter().enumerate();
+        let mut readers: Vec<(Lsn, usize, u64)> = shards
+            .flat_map(|(s, shard)| {
+                shard
+                    .readers_of(page)
+                    .iter()
+                    .map(move |&(lsn, off)| (lsn, s, off))
+            })
+            .collect();
+        readers.sort_unstable();
+        readers.dedup_by_key(|&mut (lsn, _, _)| lsn);
+        readers
+    }
+
+    /// Decodes the single stable record at byte offset `off` of shard
+    /// `s` — the random-access read a [`ShardedLog::page_chain`] entry
+    /// (in the page's [home shard](ShardedLog::shard_of)) or a
+    /// [`ShardedLog::readers_of`] entry authorizes.
     ///
     /// # Errors
     ///
     /// [`SimError::Corrupt`] if `off` is not a well-formed frame start
     /// (or holds a marker frame, which no chain entry ever names).
-    pub fn record_for(&self, page: PageId, off: u64) -> SimResult<WalRecord<P>> {
-        let rec = self.shards[self.shard_of(page)].record_at(off)?;
+    pub fn record_in(&self, s: usize, off: u64) -> SimResult<WalRecord<P>> {
+        let rec = self.shards[s].record_at(off)?;
         match rec.payload {
             ShardFrame::Rec(payload) => Ok(WalRecord {
                 lsn: rec.lsn,
@@ -894,7 +923,7 @@ impl<P: LogPayload> ShardedLog<P> {
 
     /// Decodes the single stable frame at byte offset `off` of shard
     /// `s`, markers included — diagnostic surface for the
-    /// index-discipline audits ([`ShardedLog::record_for`] is the
+    /// index-discipline audits ([`ShardedLog::record_in`] is the
     /// chain-resolving read path).
     ///
     /// # Errors
@@ -1229,7 +1258,7 @@ mod tests {
             let chain = log.page_chain(PageId(i));
             assert_eq!(chain.len(), 1);
             let (lsn, off) = chain[0];
-            let rec = log.record_for(PageId(i), off).unwrap();
+            let rec = log.record_in(log.shard_of(PageId(i)), off).unwrap();
             assert_eq!(rec.lsn, lsn);
             assert_eq!(rec.payload.0, vec![i]);
         }

@@ -20,13 +20,13 @@
 //! redo for the physiological method (§6.3), where each worker rebuilds
 //! whole page images from its own log partition — one thread spawn per
 //! worker, work proportional to the log tail. Serial `recover` vs
-//! `recover_physiological_parallel` at 1/2/4/8 threads on a chaotically
+//! `recover_partitioned` at 1/2/4/8 threads on a chaotically
 //! flushed crashed database.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use redo_methods::parallel::recover_physiological_parallel;
+use redo_methods::parallel::recover_partitioned;
 use redo_methods::physiological::Physiological;
 use redo_methods::RecoveryMethod;
 use redo_sim::db::{Db, Geometry};
@@ -166,7 +166,7 @@ fn bench_partitioned(group: &mut criterion::BenchmarkGroup<'_, criterion::measur
     let serial_stats = Physiological.recover(&mut serial_db).unwrap();
     for threads in [1usize, 2, 4, 8] {
         let mut db = crashed.clone();
-        let stats = recover_physiological_parallel(&mut db, threads).unwrap();
+        let stats = recover_partitioned(&mut db, threads).unwrap();
         assert_eq!(stats, serial_stats, "threads={threads}");
         assert_eq!(
             db.volatile_theory_state(),
@@ -198,7 +198,7 @@ fn bench_partitioned(group: &mut criterion::BenchmarkGroup<'_, criterion::measur
             |b, crashed| {
                 b.iter_batched(
                     || (*crashed).clone(),
-                    |mut db| recover_physiological_parallel(&mut db, threads).unwrap(),
+                    |mut db| recover_partitioned(&mut db, threads).unwrap(),
                     BatchSize::LargeInput,
                 )
             },

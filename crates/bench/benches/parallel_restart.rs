@@ -13,7 +13,7 @@
 //!
 //! each recovered serially (the checkpoint-aware [`Generalized`]
 //! analyze path) and through
-//! [`recover_physiological_parallel`] at 1 / 2 / 4 / 8 worker threads.
+//! [`recover_partitioned`] at 1 / 2 / 4 / 8 worker threads.
 //! The `ck` image additionally sweeps a `log_shards ∈ {1, 2, 4, 8}`
 //! axis: the same run logged through a [`ShardedLog`] with that many
 //! per-partition logs, so restart decodes N shard scans concurrently
@@ -50,7 +50,7 @@ use rand::SeedableRng;
 use redo_methods::generalized::Generalized;
 use redo_methods::online::GeneralizedOnline;
 use redo_methods::oprecord::PageOpPayload;
-use redo_methods::parallel::recover_physiological_parallel;
+use redo_methods::parallel::recover_partitioned;
 use redo_methods::physiological::Physiological;
 use redo_methods::RecoveryMethod;
 use redo_sim::backend::BackendKind;
@@ -167,7 +167,7 @@ fn bench(c: &mut Criterion) {
             );
             for &t in threads {
                 let mut image = ck.clone();
-                let stats = recover_physiological_parallel(&mut image, t).unwrap();
+                let stats = recover_partitioned(&mut image, t).unwrap();
                 assert!(
                     stats.checkpoint_lsn.is_some(),
                     "parallel restart must start from the published checkpoint"
@@ -228,13 +228,13 @@ fn bench(c: &mut Criterion) {
                 Generalized.recover(db).unwrap();
             });
             let t1 = wall_clock(ck1, 3, |db| {
-                recover_physiological_parallel(db, 1).unwrap();
+                recover_partitioned(db, 1).unwrap();
             });
             let t4 = wall_clock(ck1, 3, |db| {
-                recover_physiological_parallel(db, 4).unwrap();
+                recover_partitioned(db, 4).unwrap();
             });
             let t4_sharded = wall_clock(ck4, 3, |db| {
-                recover_physiological_parallel(db, 4).unwrap();
+                recover_partitioned(db, 4).unwrap();
             });
             let single_log_speedup = ts / t4;
             let sharded_speedup = ts / t4_sharded;
@@ -280,7 +280,7 @@ fn bench(c: &mut Criterion) {
                 |b, image| {
                     b.iter_batched(
                         || (*image).clone(),
-                        |mut db| recover_physiological_parallel(&mut db, t).unwrap(),
+                        |mut db| recover_partitioned(&mut db, t).unwrap(),
                         BatchSize::LargeInput,
                     )
                 },
@@ -309,7 +309,7 @@ fn bench(c: &mut Criterion) {
                     |b, image| {
                         b.iter_batched(
                             || (*image).clone(),
-                            |mut db| recover_physiological_parallel(&mut db, t).unwrap(),
+                            |mut db| recover_partitioned(&mut db, t).unwrap(),
                             BatchSize::LargeInput,
                         )
                     },

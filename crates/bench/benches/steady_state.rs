@@ -7,7 +7,7 @@
 //! Two configurations drive the identical operation stream through the
 //! concurrent substrate:
 //!
-//! * `fixed` — the open-loop daemon: `checkpoint_tick` on a fixed
+//! * `fixed` — the open-loop daemon: `checkpoint_tick(0)` on a fixed
 //!   cadence, no targeted flushing. The cold page pins every
 //!   checkpoint's redo-start at its recLSN, so the restart suffix (the
 //!   stable bytes a crash would force recovery to scan) grows
@@ -116,7 +116,7 @@ fn drive(ops: &[PageOp], cadence: usize, controller: Option<&Controller>) -> Run
                     shared.control_tick(c).expect("control tick");
                 }
                 None => {
-                    shared.checkpoint_tick().expect("fixed checkpoint");
+                    shared.checkpoint_tick(0).expect("fixed checkpoint");
                 }
             }
             suffix_samples.push(shared.restart_estimate().suffix_bytes);

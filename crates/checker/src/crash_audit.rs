@@ -44,9 +44,15 @@
 //!    final state once more.
 //! 5. **Idempotence**: crash and recover a third time; the recovered
 //!    state must be unchanged.
+//! 6. **Checkpoint, crash, recover**: take the method's checkpoint of
+//!    what the restart left in the pool — under a fuzzy discipline that
+//!    publishes *recovery's* dirty-page table and archives the log
+//!    below its redo-start — then crash and recover a fourth time. The
+//!    state must again be unchanged: every executor's pool bookkeeping
+//!    has to be something the next checkpoint may truthfully publish.
 //!
 //! The invariant is checked after *every completed* recovery (steps 2,
-//! 4, and 5) — an interrupted recovery has no realized redo set to
+//! 4, 5, and 6) — an interrupted recovery has no realized redo set to
 //! check, only the obligation that the next one still succeeds.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -131,7 +137,7 @@ impl Default for CrashAuditConfig {
 pub struct CrashAuditReport {
     /// Schedules driven.
     pub schedules: u64,
-    /// Total crashes injected (three per schedule).
+    /// Total crashes injected (four per schedule).
     pub crashes: u64,
     /// Crashes that discarded an in-flight recovery (one per schedule).
     pub mid_recovery_crashes: u64,
@@ -149,7 +155,7 @@ pub struct CrashAuditReport {
     /// Torn log-tail bytes discarded.
     pub log_bytes_dropped: usize,
     /// Completed recoveries whose invariant and final state were
-    /// verified (three per schedule).
+    /// verified (four per schedule).
     pub recoveries_verified: u64,
     /// Seek-index equivalence probes: recoveries re-run with the seek
     /// index disabled that reached the identical durable state and
@@ -1121,6 +1127,23 @@ fn run_schedule<M: RecoveryMethod>(
                 HarnessFailure::StateMismatch { crash: Some(1) },
             ));
         }
+        // The executors must also agree on what the *next* checkpoint
+        // will publish: each dirty page's recLSN is the first record
+        // replayed into it. (Only comparable while nothing is evicted:
+        // under a bounded pool the serial probe flushes as it goes.)
+        if capacity.is_none() {
+            let dpt = probe.pool.dirty_page_table();
+            let par_dpt = par_probe.pool.dirty_page_table();
+            if par_dpt != dpt {
+                let detail = format!(
+                    "serial and partitioned restart leave different dirty-page tables: {dpt:?} vs {par_dpt:?}"
+                );
+                return Err(fail(
+                    "parallel probe",
+                    HarnessFailure::Invariant { crash: 1, detail },
+                ));
+            }
+        }
         report.parallel_probes += 1;
     }
     drop(par_probe);
@@ -1207,25 +1230,36 @@ fn run_schedule<M: RecoveryMethod>(
 
     // Step 5: idempotence — crash the recovered-but-unchekpointed
     // system and recover once more; the state must not move.
-    db.crash();
-    report.crashes += 1;
-    let repair = db.repair_after_crash();
-    report.torn_pages_repaired += repair.torn_pages.len();
-    report.log_bytes_dropped += repair.log_bytes_dropped;
-    let pre3 = db.stable_theory_state();
-    let stats = method
-        .recover(&mut db)
-        .map_err(|e| fail("idempotence", e.into()))?;
-    verify_recovery(&view, &stats, &db.volatile_theory_state(), &pre3, 3)
-        .map_err(|e| fail("idempotence", e))?;
-    report.recoveries_verified += 1;
-    report.replayed += stats.replay_count();
-    report.skipped += stats.skipped.len();
-    if db.volatile_theory_state() != recovered {
-        return Err(fail(
-            "idempotence",
-            HarnessFailure::StateMismatch { crash: None },
-        ));
+    // Step 6: the same after checkpointing what the restart left
+    // behind. The checkpoint publishes the pool bookkeeping *recovery*
+    // produced (a fuzzy one, its dirty-page table and redo-start) and
+    // may archive the log below it; the next restart has only that to
+    // go on.
+    let steps = [
+        ("idempotence", 3, false),
+        ("recovery from the post-recovery checkpoint", 4, true),
+    ];
+    for (phase, crash, checkpoint_first) in steps {
+        if checkpoint_first {
+            method
+                .checkpoint(&mut db)
+                .map_err(|e| fail("post-recovery checkpoint", e.into()))?;
+        }
+        db.crash();
+        report.crashes += 1;
+        let repair = db.repair_after_crash();
+        report.torn_pages_repaired += repair.torn_pages.len();
+        report.log_bytes_dropped += repair.log_bytes_dropped;
+        let pre = db.stable_theory_state();
+        let stats = method.recover(&mut db).map_err(|e| fail(phase, e.into()))?;
+        verify_recovery(&view, &stats, &db.volatile_theory_state(), &pre, crash)
+            .map_err(|e| fail(phase, e))?;
+        report.recoveries_verified += 1;
+        report.replayed += stats.replay_count();
+        report.skipped += stats.skipped.len();
+        if db.volatile_theory_state() != recovered {
+            return Err(fail(phase, HarnessFailure::StateMismatch { crash: None }));
+        }
     }
     Ok(())
 }
@@ -1264,8 +1298,8 @@ mod tests {
     fn assert_clean(report: &CrashAuditReport, cfg: &CrashAuditConfig) {
         assert_eq!(report.schedules, cfg.schedules);
         assert_eq!(report.mid_recovery_crashes, cfg.schedules);
-        assert_eq!(report.crashes, cfg.schedules * 3);
-        assert_eq!(report.recoveries_verified, cfg.schedules * 3);
+        assert_eq!(report.crashes, cfg.schedules * 4);
+        assert_eq!(report.recoveries_verified, cfg.schedules * 4);
         assert_eq!(report.seekless_probes, cfg.schedules);
         assert!(report.faults_tripped > 0, "no fault ever fired: {report:?}");
     }

@@ -26,7 +26,7 @@ use redo_theory::log::Lsn;
 use redo_workload::pages::PageOp;
 
 use crate::oprecord::PageOpPayload;
-use crate::physiological::Physiological;
+use crate::physiological::{redo_if_older_than, Physiological};
 use crate::{redo, RecoveryMethod, RecoveryStats};
 
 /// Physiological recovery with an off-by-one redo test.
@@ -49,14 +49,10 @@ impl RecoveryMethod for SkippyRedo {
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        redo::recover_ops(db, PageOp::written_pages, |db, lsn, op| {
+        redo::recover_local(db, |page, lsn, op| {
             // BUG: `lsn - 1` instead of `lsn`. A page flushed at LSN L
             // causes the record at L+1 to be wrongly bypassed.
-            let stale = redo::page_is_stale(db, op, Lsn(lsn.0.saturating_sub(1)))?;
-            if stale {
-                db.apply_page_op(op, lsn)?;
-            }
-            Ok(stale)
+            redo_if_older_than(page, Lsn(lsn.0.saturating_sub(1)), lsn, op)
         })
     }
 }

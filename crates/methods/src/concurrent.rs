@@ -598,10 +598,18 @@ impl SharedDb {
     }
 
     /// One checkpoint-daemon tick: take a fuzzy snapshot of the
-    /// dirty-page table, append a [`PageOpPayload::FuzzyCheckpoint`]
-    /// record, force the log, publish the checkpoint by swinging the
-    /// master pointer, and truncate the log prefix below the
-    /// checkpoint's redo-start.
+    /// dirty-page table, append a checkpoint record, force the log,
+    /// publish the checkpoint by swinging the master pointer, and
+    /// truncate the log prefix below the checkpoint's redo-start.
+    ///
+    /// While a healthy chain shallower than `full_every` is in force the
+    /// record is a [`PageOpPayload::DeltaCheckpoint`] carrying only the
+    /// dirty-page-table delta against the chain head; every
+    /// `full_every`-th publication (and whenever no chain exists — fresh
+    /// system, or first checkpoint after a crash wiped the volatile
+    /// chain state) is a full [`PageOpPayload::FuzzyCheckpoint`]
+    /// snapshot so analysis' walk stays bounded. A `full_every` below 2
+    /// never chains. A quiescent tick publishes nothing.
     ///
     /// The snapshot and the append happen under the store **and** log
     /// locks together (see the module's lock-ordering note), so no
@@ -615,25 +623,7 @@ impl SharedDb {
     /// # Errors
     ///
     /// Substrate errors from the log force.
-    pub fn checkpoint_tick(&self) -> SimResult<Option<Lsn>> {
-        // A `full_every` below 2 never chains: every publication is a
-        // full snapshot.
-        self.checkpoint_tick_incremental(0)
-    }
-
-    /// [`SharedDb::checkpoint_tick`] in *incremental* mode: while a
-    /// healthy chain shallower than `full_every` is in force, publish a
-    /// [`PageOpPayload::DeltaCheckpoint`] carrying only the dirty-page
-    /// -table delta against the chain head; every `full_every`-th
-    /// publication (and whenever no chain exists — fresh system, or
-    /// first checkpoint after a crash wiped the volatile chain state)
-    /// republishes a full snapshot so analysis' walk stays bounded.
-    /// The quiescent skip applies in both modes.
-    ///
-    /// # Errors
-    ///
-    /// Substrate errors from the log force.
-    pub fn checkpoint_tick_incremental(&self, full_every: u64) -> SimResult<Option<Lsn>> {
+    pub fn checkpoint_tick(&self, full_every: u64) -> SimResult<Option<Lsn>> {
         // Snapshot + append, atomically w.r.t. appliers: the snapshot
         // holds every store shard (acquired in ascending order), so no
         // apply can slip between the table read and the append. The
@@ -768,7 +758,7 @@ impl SharedDb {
             }
         }
         if plan.checkpoint {
-            self.checkpoint_tick_incremental(controller.budget.full_every)?;
+            self.checkpoint_tick(controller.budget.full_every)?;
         }
         if !plan.archive_shards.is_empty() {
             // `est.redo_start` is a *published* horizon (or the first
@@ -1132,7 +1122,7 @@ mod tests {
                 // Two passes so one-level write-order chains drain.
                 shared.flusher_tick(&mut rng, 1.0).expect("flusher tick");
                 shared.flusher_tick(&mut rng, 1.0).expect("flusher tick");
-                let ck = shared.checkpoint_tick().expect("checkpoint tick");
+                let ck = shared.checkpoint_tick(0).expect("checkpoint tick");
                 assert!(ck.is_some(), "no faults injected: every attempt publishes");
             }
         }
@@ -1253,7 +1243,7 @@ mod tests {
                 shared.flusher_tick(&mut rng, 0.4).expect("flusher tick");
             }
             if (i + 1) % 25 == 0 {
-                shared.checkpoint_tick().expect("checkpoint tick");
+                shared.checkpoint_tick(0).expect("checkpoint tick");
             }
         }
         shared.commit_tick();
@@ -1403,7 +1393,7 @@ mod tests {
         let (db, cells) = run_with_checkpoints(51);
         let shared = SharedDb::open_on_demand(db).expect("open on demand");
         assert!(shared.gated_count() > 0, "nothing deferred");
-        shared.checkpoint_tick().expect("mid-recovery checkpoint");
+        shared.checkpoint_tick(0).expect("mid-recovery checkpoint");
         shared.shutdown();
         let mut db = shared.crash();
         Generalized.recover(&mut db).expect("second recovery");
@@ -1436,12 +1426,12 @@ mod tests {
         }
         shared.commit_tick();
         let ck = shared
-            .checkpoint_tick()
+            .checkpoint_tick(0)
             .expect("checkpoint tick")
             .expect("published");
         let last = shared.inner.log.lock().last_lsn();
         for _ in 0..3 {
-            let again = shared.checkpoint_tick().expect("checkpoint tick");
+            let again = shared.checkpoint_tick(0).expect("checkpoint tick");
             assert_eq!(again, Some(ck), "quiescent tick must reuse the head");
         }
         assert_eq!(
@@ -1457,7 +1447,7 @@ mod tests {
         op.id = 999;
         shared.execute(&op).expect("execute");
         let next = shared
-            .checkpoint_tick()
+            .checkpoint_tick(0)
             .expect("checkpoint tick")
             .expect("published");
         assert!(next > ck);
@@ -1499,7 +1489,7 @@ mod tests {
         }
         shared.commit_tick();
         shared
-            .checkpoint_tick()
+            .checkpoint_tick(0)
             .expect("checkpoint tick")
             .expect("published");
         assert_eq!(
@@ -1514,7 +1504,7 @@ mod tests {
         // The pool changed (the cold page is clean), so the next tick
         // publishes — and can finally truncate past the cold record.
         shared
-            .checkpoint_tick()
+            .checkpoint_tick(0)
             .expect("checkpoint tick")
             .expect("published");
         assert!(

@@ -20,10 +20,11 @@
 //!   write (the B-tree-split shape of Figure 8); the cache manager must
 //!   then respect installation-graph write ordering, which it does via
 //!   the buffer pool's write-order [constraints](redo_sim::cache::Constraint).
-//! * [`parallel`] — page-partitioned parallel redo for the physical and
-//!   physiological methods: Theorem 3 makes LSN order matter only within
-//!   a page, so the log tail splits by page id and the partitions replay
-//!   on worker threads.
+//! * [`parallel`] — the page-partitioned parallel *executor* of the
+//!   physical and physiological methods' redo: Theorem 3 makes LSN
+//!   order matter only within a page, so the log tail splits by page id
+//!   and the partitions replay on worker threads — running the step the
+//!   serial executor runs ([`redo::PageLocal`]).
 //! * [`online`] — the generalized method with *online* fuzzy
 //!   checkpoints: no flushing at checkpoint time, a dirty-page-table
 //!   snapshot published via the master pointer, and prefix truncation
@@ -39,7 +40,9 @@
 //! `recover` is the one Figure-6 driver in [`redo`] — repair, analyze
 //! the record the master names, scan from the redo-start, apply the
 //! method's redo test to each record — instantiated with that method's
-//! prefetch footprint and redo test. The [`harness`] module
+//! prefetch footprint and redo test. The partitioned and the lazy
+//! restart are executors of the same procedure over the same analysis.
+//! The [`harness`] module
 //! runs workloads against a method with randomized cache flushes,
 //! checkpoints, and injected crashes, verifying after every crash that
 //!
@@ -132,6 +135,15 @@ impl RecoveryStats {
     #[must_use]
     pub fn replay_count(&self) -> usize {
         self.replayed.len()
+    }
+
+    /// Records a method's verdict on one scanned record.
+    pub fn note_verdict(&mut self, verdict: redo::Redo) {
+        match verdict {
+            redo::Redo::Replayed(id) => self.replayed.push(id),
+            redo::Redo::Skipped(id) => self.skipped.push(id),
+            redo::Redo::NotAnOperation => {}
+        }
     }
 
     /// Folds one finished scan's telemetry plus the log's force count

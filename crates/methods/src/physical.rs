@@ -14,16 +14,17 @@
 //! cache holds) and then atomically shift every logged operation out of
 //! the redo set by writing the checkpoint record.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use redo_sim::db::Db;
+use redo_sim::page::Page;
 use redo_sim::wal::{codec, LogPayload};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{Cell, PageId, PageOp};
+use redo_workload::pages::{Cell, PageId, PageOp, SlotId};
 
 use crate::oprecord::{get_dirty_table, put_dirty_table};
-use crate::redo::{self, CheckpointRecord, CheckpointView, Redo};
+use crate::redo::{self, CheckpointRecord, CheckpointView, PageLocal, Parts};
 use crate::{RecoveryMethod, RecoveryStats};
 
 /// Log payload for physical recovery: blind after-images or a checkpoint
@@ -43,8 +44,8 @@ pub enum PhysPayload {
     /// pool's dirty-page table (page, recLSN) at the snapshot plus the
     /// precomputed redo-start LSN. Blind replay makes re-applying
     /// installed records harmless, so recovery may simply scan from
-    /// `redo_start`; a partitioned restart additionally uses the table
-    /// to keep provably-installed records out of the page partitions.
+    /// `redo_start`; the table additionally lets every executor drop
+    /// the per-page parts it proves installed before a page is touched.
     FuzzyCheckpoint {
         /// Dirty pages with their recovery LSNs, in id order.
         dirty: Vec<(PageId, Lsn)>,
@@ -121,6 +122,32 @@ impl CheckpointView for PhysPayload {
     }
 }
 
+impl PageLocal for PhysPayload {
+    /// One page's after-images, in write order.
+    type Part = Vec<(SlotId, u64)>;
+
+    fn into_parts(self) -> SimResult<Option<Parts<Self::Part>>> {
+        let PhysPayload::Writes { op_id, writes } = self else {
+            return Ok(None);
+        };
+        let mut per_page: BTreeMap<PageId, Self::Part> = BTreeMap::new();
+        for (cell, v) in writes {
+            per_page.entry(cell.page).or_default().push((cell.slot, v));
+        }
+        Ok(Some((op_id, per_page.into_iter().collect())))
+    }
+
+    /// The §6.2 redo step: the test is "always" — after-images are
+    /// blind and idempotent — and the apply overwrites.
+    fn redo(page: &mut Page, lsn: Lsn, cells: &Self::Part) -> bool {
+        for &(slot, v) in cells {
+            page.set(slot, v);
+        }
+        page.set_lsn(lsn);
+        true
+    }
+}
+
 /// The physical recovery method.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Physical;
@@ -188,21 +215,7 @@ impl RecoveryMethod for Physical {
     }
 
     fn recover(&self, db: &mut Db<PhysPayload>) -> SimResult<RecoveryStats> {
-        // Records a fuzzy analysis proves installed still replay here:
-        // they are blind and idempotent, and the serial path keeps the
-        // simplest possible redo test (always yes).
-        redo::recover(db, PhysPayload::write_pages, |db, lsn, payload| {
-            let PhysPayload::Writes { op_id, writes } = payload else {
-                return Ok(Redo::NotAnOperation);
-            };
-            for (cell, v) in writes {
-                let stable = db.log.stable_lsn();
-                db.pool
-                    .fetch(&mut db.disk, cell.page, db.geometry.slots_per_page, stable)?;
-                db.pool.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
-            }
-            Ok(Redo::Replayed(op_id))
-        })
+        redo::recover_local(db, PhysPayload::redo)
     }
 
     fn parallel_restart(
@@ -210,7 +223,7 @@ impl RecoveryMethod for Physical {
         db: &mut Db<PhysPayload>,
         threads: usize,
     ) -> Option<SimResult<RecoveryStats>> {
-        Some(crate::parallel::recover_physical_parallel(db, threads))
+        Some(crate::parallel::recover_partitioned(db, threads))
     }
 }
 

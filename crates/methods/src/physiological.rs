@@ -16,31 +16,67 @@
 //! order.
 
 use redo_sim::db::Db;
+use redo_sim::page::Page;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::PageOp;
+use redo_workload::pages::{PageId, PageOp};
 
 use crate::oprecord::PageOpPayload;
-use crate::{redo, RecoveryMethod, RecoveryStats};
+use crate::redo::{self, PageLocal, Parts};
+use crate::{RecoveryMethod, RecoveryStats};
 
 /// The physiological recovery method.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Physiological;
 
-/// Validates the §6.3 shape: reads and writes confined to one page.
-fn check_shape(op: &PageOp) -> SimResult<()> {
-    let written = op.written_pages();
-    if written.len() != 1 {
+/// Validates the §6.3 shape — reads and writes confined to one page —
+/// and names the page.
+fn single_page(op: &PageOp) -> SimResult<PageId> {
+    let page = op.writes.first().map(|w| w.page);
+    let Some(page) = page.filter(|&p| op.writes.iter().all(|w| w.page == p)) else {
         return Err(SimError::MethodViolation(
             "physiological operations write exactly one page",
         ));
-    }
-    if op.read_pages().iter().any(|p| *p != written[0]) {
+    };
+    if op.reads.iter().any(|r| r.page != page) {
         return Err(SimError::MethodViolation(
             "physiological operations read only the page they write",
         ));
     }
-    Ok(())
+    Ok(page)
+}
+
+/// The §6.3 redo step: if `page` is older than `bar` — its LSN says it
+/// misses the update — apply the single-page `op` and tag the page
+/// `lsn`. Reads see the page with every earlier operation already on it
+/// (replayed or installed), so the operation is applicable. The real
+/// method's `bar` is `lsn` itself.
+pub(crate) fn redo_if_older_than(page: &mut Page, bar: Lsn, lsn: Lsn, op: &PageOp) -> bool {
+    if page.lsn() >= bar {
+        return false;
+    }
+    let read_values: Vec<u64> = op.reads.iter().map(|c| page.get(c.slot)).collect();
+    for &cell in &op.writes {
+        page.set(cell.slot, op.output(cell, &read_values));
+    }
+    page.set_lsn(lsn);
+    true
+}
+
+impl PageLocal for PageOpPayload {
+    type Part = PageOp;
+
+    fn into_parts(self) -> SimResult<Option<Parts<PageOp>>> {
+        let PageOpPayload::Op(op) = self else {
+            return Ok(None);
+        };
+        let page = single_page(&op)?;
+        Ok(Some((op.id, vec![(page, op)])))
+    }
+
+    fn redo(page: &mut Page, lsn: Lsn, op: &PageOp) -> bool {
+        redo_if_older_than(page, lsn, lsn, op)
+    }
 }
 
 impl RecoveryMethod for Physiological {
@@ -51,7 +87,7 @@ impl RecoveryMethod for Physiological {
     }
 
     fn execute(&self, db: &mut Db<PageOpPayload>, op: &PageOp) -> SimResult<Lsn> {
-        check_shape(op)?;
+        single_page(op)?;
         let lsn = db.log.append(PageOpPayload::Op(op.clone()))?;
         db.apply_page_op(op, lsn)?;
         Ok(lsn)
@@ -65,16 +101,7 @@ impl RecoveryMethod for Physiological {
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        redo::recover_ops(db, PageOp::written_pages, |db, lsn, op| {
-            let stale = redo::page_is_stale(db, op, lsn)?;
-            if stale {
-                // redo test fired: the page misses this update. Reads see
-                // the page with every earlier operation already applied
-                // (replayed or installed), so the operation is applicable.
-                db.apply_page_op(op, lsn)?;
-            }
-            Ok(stale)
-        })
+        redo::recover_local(db, PageOpPayload::redo)
     }
 
     fn parallel_restart(
@@ -82,7 +109,7 @@ impl RecoveryMethod for Physiological {
         db: &mut Db<PageOpPayload>,
         threads: usize,
     ) -> Option<SimResult<RecoveryStats>> {
-        Some(crate::parallel::recover_physiological_parallel(db, threads))
+        Some(crate::parallel::recover_partitioned(db, threads))
     }
 }
 

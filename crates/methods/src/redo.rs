@@ -13,7 +13,11 @@
 //!   redo-start, then batch by batch prefetch the method's footprint
 //!   and hand each record to the method's redo closure, which decides
 //!   *replayed / skipped / not an operation* and applies. A method is
-//!   its `(footprint, redo test)` pair and nothing else.
+//!   its `(footprint, redo test)` pair and nothing else — and a
+//!   §6.2/§6.3 method, whose conflicts all live inside one page, states
+//!   that pair once as a [`PageLocal`] payload: how a record splits
+//!   into per-page parts, and one step that is the redo test and the
+//!   apply. [`recover_local`] runs the step on the pool's frames.
 //! * checkpoint publication — [`checkpoint_heavyweight`] (flush
 //!   everything, then move the master) and [`publish`] (fuzzy: append →
 //!   force → verify → master write → verify → archive the prefix), plus
@@ -25,13 +29,18 @@
 //! store — places its gates with [`RestartAnalysis::gates`], finds its
 //! replay unit with [`RestartAnalysis::component`] and replays it under
 //! the generalized redo step; only the store the pages live in differs.
-//! The partitioned-parallel path ([`crate::parallel`]) shares
-//! [`analyze`] and [`RestartAnalysis::owes`] and keeps its own routers.
+//! Partitioned-parallel restart
+//! ([`crate::parallel::recover_partitioned`]) runs the same
+//! [`PageLocal`] step as [`recover_local`], on page images its workers
+//! hold, over the same `RestartAnalysis::owed_parts`: what a record
+//! still owes, and so every replayed/skipped verdict, is decided in
+//! one place for both.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use redo_sim::db::Db;
 use redo_sim::disk::Disk;
+use redo_sim::page::Page;
 use redo_sim::wal::{LogPayload, ShardedLog, ShardedScanner};
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
@@ -75,17 +84,48 @@ pub trait CheckpointView: LogPayload {
     fn into_checkpoint(self) -> Option<CheckpointRecord>;
 }
 
+/// An operation record split for page-local redo: the workload
+/// operation id, and each written page's share of the record.
+pub type Parts<T> = (u32, Vec<(PageId, T)>);
+
+/// A log payload whose redo is *page-local* (§6.2, §6.3): every
+/// conflict between two of its records lives inside one page, so
+/// (Theorem 3) LSN order matters only within a page. Such a method
+/// states its redo once, here, and every executor that replays page by
+/// page — [`recover_local`] on the pool's frames,
+/// [`crate::parallel::recover_partitioned`] on images its workers hold
+/// — runs it.
+pub trait PageLocal: CheckpointView {
+    /// One page's share of a record.
+    type Part: Send;
+
+    /// Splits the record into per-page parts; `None` for a checkpoint
+    /// record.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MethodViolation`](redo_sim::SimError::MethodViolation)
+    /// for a record whose shape the method does not log.
+    fn into_parts(self) -> SimResult<Option<Parts<Self::Part>>>;
+
+    /// The redo test *and* the apply: brings `page` up to the record at
+    /// `lsn` if the test says it misses `part`, and reports whether it
+    /// did. `page` holds every earlier record's effect on it.
+    fn redo(page: &mut Page, lsn: Lsn, part: &Self::Part) -> bool;
+}
+
 /// What restart analysis computed from the record the disk master
 /// points at: where the redo scan starts, which checkpoint (if any) is
 /// in force, and — for fuzzy checkpoints — the logged dirty-page table.
 ///
-/// The DPT is what lets a *partitioned* restart scheduler
-/// ([`crate::parallel`]) prove records installed without fetching
-/// their pages: a record below the checkpoint whose page was clean at
-/// the snapshot (or dirty but below its recLSN) is durably installed,
-/// so the router never ships it to a partition. Sequential recovery
-/// reaches the same verdict through the per-page redo test; the table
-/// only moves the decision from fetch time to scan time.
+/// The DPT is what lets a page-local executor — the serial
+/// [`recover_local`] and the partitioned [`crate::parallel`] alike —
+/// prove records installed without fetching their pages: a record
+/// below the checkpoint whose page was clean at the snapshot (or dirty
+/// but below its recLSN) is durably installed, so the router never
+/// ships it to a partition. The per-page redo test would reach the
+/// same verdict; the table only moves the decision from fetch time to
+/// scan time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RestartAnalysis {
     /// The LSN the redo scan must start from.
@@ -143,6 +183,28 @@ impl RestartAnalysis {
     #[must_use]
     pub fn owes(&self, page: PageId, lsn: Lsn) -> bool {
         lsn >= self.redo_start && !self.provably_installed(page, lsn)
+    }
+
+    /// The record at `lsn` split into the parts restart still
+    /// [owes](RestartAnalysis::owes) a redo step: its
+    /// [`PageLocal::into_parts`] minus the pages this analysis proves
+    /// installed. An operation left with no part is *skipped* without a
+    /// page being looked at. Every page-local executor takes its work
+    /// from here, so they agree on each verdict by construction.
+    ///
+    /// # Errors
+    ///
+    /// [`PageLocal::into_parts`]'s shape violation.
+    pub(crate) fn owed_parts<P: PageLocal>(
+        &self,
+        lsn: Lsn,
+        payload: P,
+    ) -> SimResult<Option<Parts<P::Part>>> {
+        let mut split = payload.into_parts()?;
+        if let Some((_, parts)) = &mut split {
+            parts.retain(|&(page, _)| !self.provably_installed(page, lsn));
+        }
+        Ok(split)
     }
 
     /// `page`'s stable chain entries `(LSN, offset)` restart still
@@ -422,11 +484,25 @@ pub enum Redo {
     NotAnOperation,
 }
 
+impl Redo {
+    /// The verdict on a page-local operation: *replayed* if the redo
+    /// step fired on any of its parts, else *skipped*.
+    #[must_use]
+    pub fn of(op_id: u32, replayed: bool) -> Redo {
+        if replayed {
+            Redo::Replayed(op_id)
+        } else {
+            Redo::Skipped(op_id)
+        }
+    }
+}
+
 /// The serial Figure-6 procedure: `begin` (repair, analyze), then a
 /// streaming scan that seeks past the checkpointed (or fuzzily elided)
 /// prefix — never decoding it — and goes batch by batch: prefetch the
 /// pages `footprint` names for the upcoming records, then hand each
-/// record to `redo`, the method's redo test and replay.
+/// record (with the analysis) to `redo`, the method's redo test and
+/// replay.
 ///
 /// # Errors
 ///
@@ -436,7 +512,7 @@ where
     P: CheckpointView,
     F: Fn(&P) -> I,
     I: IntoIterator<Item = PageId>,
-    R: FnMut(&mut Db<P>, Lsn, P) -> SimResult<Redo>,
+    R: FnMut(&mut Db<P>, &RestartAnalysis, Lsn, P) -> SimResult<Redo>,
 {
     let (analysis, mut stats) = begin(db)?;
     let mut scanner = ShardedScanner::seek(&db.log, analysis.redo_start);
@@ -458,11 +534,7 @@ where
         );
         for rec in batch {
             stats.scanned += 1;
-            match redo(db, rec.lsn, rec.payload)? {
-                Redo::Replayed(id) => stats.replayed.push(id),
-                Redo::Skipped(id) => stats.skipped.push(id),
-                Redo::NotAnOperation => {}
-            }
+            stats.note_verdict(redo(db, &analysis, rec.lsn, rec.payload)?);
         }
     }
     stats.note_scan(scanner.stats(), db.log.forces());
@@ -495,38 +567,46 @@ where
             };
             op.map(&footprint).into_iter().flatten()
         },
-        |db, lsn, payload| {
+        |db, _, lsn, payload| {
             let PageOpPayload::Op(op) = payload else {
                 return Ok(Redo::NotAnOperation);
             };
-            Ok(if redo_test(db, lsn, &op)? {
-                Redo::Replayed(op.id)
-            } else {
-                Redo::Skipped(op.id)
-            })
+            Ok(Redo::of(op.id, redo_test(db, lsn, &op)?))
         },
     )
+}
+
+/// [`recover`] for a [`PageLocal`] payload — the serial executor of its
+/// redo: each part restart still owes (`RestartAnalysis::owed_parts`)
+/// meets `step` ([`PageLocal::redo`], but for a deliberately broken
+/// method) on the pool's frame of its page, through a bounded pool with
+/// steal. A frame the step changed is dirty from the record's LSN on.
+///
+/// # Errors
+///
+/// Substrate errors, including log corruption and shape violations.
+pub fn recover_local<P, S>(db: &mut Db<P>, step: S) -> SimResult<RecoveryStats>
+where
+    P: PageLocal,
+    S: Fn(&mut Page, Lsn, &P::Part) -> bool,
+{
+    recover(db, P::write_pages, |db, analysis, lsn, payload| {
+        let Some((op_id, parts)) = analysis.owed_parts(lsn, payload)? else {
+            return Ok(Redo::NotAnOperation);
+        };
+        let mut replayed = false;
+        for (page, part) in &parts {
+            db.fetch_with_steal(*page)?;
+            replayed |= db.pool.update_if(*page, lsn, |p| step(p, lsn, part))?;
+        }
+        Ok(Redo::of(op_id, replayed))
+    })
 }
 
 /// The whole read+write footprint of an operation — what the methods
 /// whose replay reads through the recovery cache prefetch.
 pub(crate) fn read_write_pages(op: &PageOp) -> impl Iterator<Item = PageId> {
     op.read_pages().into_iter().chain(op.written_pages())
-}
-
-/// The page-LSN redo test of §6.3 on a single-page operation: fetch the
-/// written page and report whether it misses the update at `lsn`.
-///
-/// # Errors
-///
-/// Substrate errors from the fetch.
-pub(crate) fn page_is_stale(db: &mut Db<PageOpPayload>, op: &PageOp, lsn: Lsn) -> SimResult<bool> {
-    let page = op.written_pages()[0];
-    let stable = db.log.stable_lsn();
-    let cached = db
-        .pool
-        .fetch(&mut db.disk, page, db.geometry.slots_per_page, stable)?;
-    Ok(cached.lsn() < lsn)
 }
 
 /// A heavyweight (flush-everything) checkpoint: force the log, set the
@@ -743,7 +823,7 @@ mod tests {
     use crate::ondemand::OnDemand;
     use crate::online::GeneralizedOnline;
     use crate::parallel::{
-        recover_physiological_parallel, ParallelOnline, ParallelPhysical, ParallelPhysiological,
+        recover_partitioned, ParallelOnline, ParallelPhysical, ParallelPhysiological,
     };
     use crate::physical::Physical;
     use crate::physiological::Physiological;
@@ -810,7 +890,7 @@ mod tests {
         db.crash();
         let mut parallel_db = db.clone();
         let serial = Physiological.recover(&mut db).unwrap();
-        let parallel = recover_physiological_parallel(&mut parallel_db, 2).unwrap();
+        let parallel = recover_partitioned(&mut parallel_db, 2).unwrap();
         assert_eq!(serial.replayed, parallel.replayed);
         assert_eq!(serial.replay_count(), 40);
         assert_eq!(

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use redo_sim::backend::BackendKind;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::wal::LogPayload;
 use redo_workload::pages::{Cell, PageId, PageOp, PageOpKind, PageWorkloadSpec, SlotId};
@@ -106,7 +107,18 @@ pub(crate) fn crashed_db<M: RecoveryMethod>(
     seed: u64,
     checkpoint_every: Option<usize>,
 ) -> Db<M::Payload> {
-    let mut db = Db::new(Geometry::default());
+    crashed_db_sharded(method, ops, seed, checkpoint_every, 1)
+}
+
+/// [`crashed_db`] over a log split into `log_shards` partitions.
+pub(crate) fn crashed_db_sharded<M: RecoveryMethod>(
+    method: &M,
+    ops: &[PageOp],
+    seed: u64,
+    checkpoint_every: Option<usize>,
+    log_shards: usize,
+) -> Db<M::Payload> {
+    let mut db = Db::on_sharded(BackendKind::Mem, Geometry::default(), None, log_shards);
     let mut rng = StdRng::seed_from_u64(seed);
     let page_p = if method.allows_page_chaos() { 0.4 } else { 0.0 };
     for (i, op) in ops.iter().enumerate() {

@@ -9,7 +9,7 @@
 //!
 //! The twin runs share one workload: a controller-driven database
 //! (`control_tick` on a cadence) and a fixed-period one
-//! (`checkpoint_tick` on the same cadence, no targeted flushing — the
+//! (`checkpoint_tick(0)` on the same cadence, no targeted flushing — the
 //! open-loop daemon this PR's controller replaces). Checkpoint records
 //! differ between the twins, but checkpoints never change operation
 //! semantics, so both crashed images must recover to the workload's
@@ -127,7 +127,7 @@ proptest! {
                 adaptive.commit_tick();
                 fixed.commit_tick();
                 adaptive.control_tick(&controller).expect("control tick");
-                fixed.checkpoint_tick().expect("fixed checkpoint");
+                fixed.checkpoint_tick(0).expect("fixed checkpoint");
             }
         }
         adaptive.commit_tick();

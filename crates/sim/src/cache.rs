@@ -324,11 +324,7 @@ impl BufferPool {
         if let Some(frame) = self.frames.get_mut(&id) {
             frame.stamp = stamp;
         } else {
-            if let Some(cap) = self.capacity {
-                while self.frames.len() >= cap {
-                    self.evict_one(disk, stable_lsn)?;
-                }
-            }
+            self.make_room(disk, stable_lsn)?;
             let page = disk.read_page(id, slots_per_page)?;
             let frame = Frame {
                 page,
@@ -389,15 +385,76 @@ impl BufferPool {
     ///
     /// [`SimError::NotCached`] if the page has not been fetched.
     pub fn update(&mut self, id: PageId, lsn: Lsn, f: impl FnOnce(&mut Page)) -> SimResult<()> {
+        let always = |page: &mut Page| {
+            f(page);
+            true
+        };
+        self.update_if(id, lsn, always).map(|_| ())
+    }
+
+    /// [`BufferPool::update`] for a mutation that may decline — a redo
+    /// step, whose test and apply are one: `f` reports whether it
+    /// changed the page, and only then is the page tagged with `lsn`
+    /// and marked dirty. A declined update leaves the frame's LSN and
+    /// cleanliness exactly as they were. Returns `f`'s answer.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::NotCached`] if the page has not been fetched.
+    pub fn update_if(
+        &mut self,
+        id: PageId,
+        lsn: Lsn,
+        f: impl FnOnce(&mut Page) -> bool,
+    ) -> SimResult<bool> {
         let frame = self.frames.get_mut(&id).ok_or(SimError::NotCached(id))?;
-        f(&mut frame.page);
-        frame.page.set_lsn(lsn);
-        if !frame.dirty {
-            frame.dirty = true;
-            self.dirty.insert(id, lsn);
+        let changed = f(&mut frame.page);
+        if changed {
+            frame.page.set_lsn(lsn);
+            if !frame.dirty {
+                frame.dirty = true;
+                self.dirty.insert(id, lsn);
+            }
         }
         self.clock += 1;
         frame.stamp = self.clock;
+        Ok(changed)
+    }
+
+    /// Places `image` — a page rebuilt outside the pool, by redo that
+    /// started from the pool's own copy or the durable one — in `id`'s
+    /// frame, making room as [`BufferPool::fetch`] does but reading
+    /// nothing. The frame is dirty afterwards; one that was clean (or
+    /// absent) enters the dirty-page table at `rec_lsn`, which must be
+    /// the LSN of the **first** record replayed into the image: the
+    /// durable copy holds nothing from that record on, and a later
+    /// fuzzy checkpoint will publish this recLSN as the floor below
+    /// which the page needs no redo. (The image's own LSN is its *last*
+    /// record's — as a recLSN it would claim everything before it
+    /// installed.) A frame that is already dirty keeps its older recLSN.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::PoolExhausted`] if no frame can be legally freed.
+    pub fn install(
+        &mut self,
+        disk: &mut Disk,
+        id: PageId,
+        image: Page,
+        rec_lsn: Lsn,
+        stable_lsn: Lsn,
+    ) -> SimResult<()> {
+        if !self.frames.contains_key(&id) {
+            self.make_room(disk, stable_lsn)?;
+        }
+        self.clock += 1;
+        let frame = Frame {
+            page: image,
+            dirty: true,
+            stamp: self.clock,
+        };
+        self.frames.insert(id, frame);
+        self.dirty.entry(id).or_insert(rec_lsn);
         Ok(())
     }
 
@@ -637,6 +694,16 @@ impl BufferPool {
         Some(frame.page.clone())
     }
 
+    /// Evicts until a frame is free (a no-op for an unbounded pool).
+    fn make_room(&mut self, disk: &mut Disk, stable_lsn: Lsn) -> SimResult<()> {
+        if let Some(cap) = self.capacity {
+            while self.frames.len() >= cap {
+                self.evict_one(disk, stable_lsn)?;
+            }
+        }
+        Ok(())
+    }
+
     fn evict_one(&mut self, disk: &mut Disk, stable_lsn: Lsn) -> SimResult<()> {
         if self.try_evict_one(disk, stable_lsn) {
             return Ok(());
@@ -732,6 +799,42 @@ mod tests {
             .unwrap();
         assert_eq!(pool.dirty_pages(), vec![PageId(0)]);
         assert_eq!(pool.get(PageId(0)).unwrap().lsn(), Lsn(5));
+    }
+
+    #[test]
+    fn declined_update_leaves_the_frame_clean_and_its_lsn_alone() {
+        let (mut pool, _disk) = pool_with_page(PageId(0));
+        pool.update(PageId(0), Lsn(5), |p| p.set(SlotId(0), 9))
+            .unwrap();
+        pool.mark_clean(PageId(0)).unwrap();
+        assert!(!pool.update_if(PageId(0), Lsn(3), |_| false).unwrap());
+        assert!(pool.dirty_page_table().is_empty());
+        assert_eq!(pool.get(PageId(0)).unwrap().lsn(), Lsn(5));
+        assert!(pool.update_if(PageId(0), Lsn(7), |_| true).unwrap());
+        assert_eq!(pool.dirty_page_table(), vec![(PageId(0), Lsn(7))]);
+    }
+
+    #[test]
+    fn install_enters_the_dpt_at_the_first_replayed_lsn_not_the_images() {
+        let mut pool = BufferPool::new(Some(1));
+        let mut disk = Disk::new();
+        let mut image = Page::new(4);
+        image.set(SlotId(1), 7);
+        image.set_lsn(Lsn(40));
+        pool.install(&mut disk, PageId(0), image.clone(), Lsn(5), Lsn(40))
+            .unwrap();
+        assert_eq!(pool.get(PageId(0)), Some(&image));
+        assert_eq!(pool.dirty_page_table(), vec![(PageId(0), Lsn(5))]);
+        // Re-installing over a dirty frame keeps the older recLSN.
+        pool.install(&mut disk, PageId(0), image.clone(), Lsn(33), Lsn(40))
+            .unwrap();
+        assert_eq!(pool.dirty_page_table(), vec![(PageId(0), Lsn(5))]);
+        // A full pool makes room by flushing the victim, as a fetch would.
+        pool.install(&mut disk, PageId(1), image.clone(), Lsn(6), Lsn(40))
+            .unwrap();
+        assert_eq!(pool.len(), 1);
+        assert_eq!(disk.read_page(PageId(0), 4).unwrap(), image);
+        assert_eq!(pool.dirty_page_table(), vec![(PageId(1), Lsn(6))]);
     }
 
     #[test]

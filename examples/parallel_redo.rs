@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use redo_recovery::methods::parallel::recover_physiological_parallel;
+use redo_recovery::methods::parallel::recover_partitioned;
 use redo_recovery::methods::physiological::Physiological;
 use redo_recovery::methods::RecoveryMethod;
 use redo_recovery::sim::db::{Db, Geometry};
@@ -101,7 +101,7 @@ fn main() {
     db.crash();
     let mut serial_db = db.clone();
 
-    let stats = recover_physiological_parallel(&mut db, 4).unwrap();
+    let stats = recover_partitioned(&mut db, 4).unwrap();
     let serial_stats = Physiological.recover(&mut serial_db).unwrap();
     assert_eq!(stats, serial_stats);
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Property tests for the checkpoint-aware parallel restart.
 //!
 //! The tentpole contract: restarting through the DPT-fed partitioned
-//! scheduler ([`recover_physiological_parallel`]) from a crashed image
+//! scheduler ([`recover_partitioned`]) from a crashed image
 //! carrying online fuzzy checkpoints must reach *exactly* the state
 //! that sequential, checkpoint-blind, full-scan recovery reaches — the
 //! reference that uses no dirty-page table, no redo-start seek, and no
@@ -18,34 +18,45 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use redo_recovery::methods::online::GeneralizedOnline;
 use redo_recovery::methods::oprecord::PageOpPayload;
-use redo_recovery::methods::parallel::recover_physiological_parallel;
+use redo_recovery::methods::parallel::recover_partitioned;
+use redo_recovery::methods::physical::{PhysPayload, Physical};
 use redo_recovery::methods::physiological::Physiological;
+use redo_recovery::methods::redo::PageLocal;
 use redo_recovery::methods::RecoveryMethod;
 use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::sim::fault::{FaultKind, FaultPlan};
+use redo_recovery::sim::page::Page;
 use redo_recovery::sim::wal::ShardedScanner;
+use redo_recovery::sim::SimResult;
 use redo_recovery::theory::log::Lsn;
+use redo_recovery::theory::state::State;
 use redo_recovery::workload::pages::{PageOp, PageWorkloadSpec};
 
-/// Runs the workload under the online fuzzy-checkpoint discipline with
-/// chaotic flushing and an optional armed crash-point fault, then
+/// A method's fuzzy checkpoint: publishes without flushing, `None` when
+/// a fault interrupted the publication.
+type FuzzyCheckpoint<P> = fn(&mut Db<P>) -> SimResult<Option<Lsn>>;
+
+/// Runs the workload under `method` and its fuzzy-checkpoint discipline
+/// with chaotic flushing and an optional armed crash-point fault, then
 /// crashes. Once a fault trips the machine is dying — substrate errors
 /// are expected and the run ends at the next operation boundary, the
 /// same discipline the method harness uses.
-fn crashed_image(
+fn crashed_image_of<M: RecoveryMethod>(
+    method: &M,
+    checkpoint: FuzzyCheckpoint<M::Payload>,
     ops: &[PageOp],
     seed: u64,
     ck_every: usize,
     chaos: (f64, f64),
     fault: Option<FaultPlan>,
-) -> Db<PageOpPayload> {
+) -> Db<M::Payload> {
     let mut db = Db::new(Geometry::default());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
     if let Some(plan) = fault {
         db.arm_faults(plan);
     }
     for (i, op) in ops.iter().enumerate() {
-        match Physiological.execute(&mut db, op) {
+        match method.execute(&mut db, op) {
             Ok(_) => {}
             Err(_) if db.fault_tripped() => break,
             Err(e) => panic!("execute failed without a fault: {e}"),
@@ -56,7 +67,7 @@ fn crashed_image(
             Err(e) => panic!("chaos flush failed without a fault: {e}"),
         }
         if (i + 1) % ck_every == 0 {
-            match GeneralizedOnline::checkpoint_online(&mut db) {
+            match checkpoint(&mut db) {
                 // Ok(None) is a publication the fault interrupted
                 // mid-protocol — a legal crash state.
                 Ok(_) => {}
@@ -73,13 +84,37 @@ fn crashed_image(
     db
 }
 
+/// [`crashed_image_of`] the physiological method under online fuzzy
+/// checkpoints.
+fn crashed_image(
+    ops: &[PageOp],
+    seed: u64,
+    ck_every: usize,
+    chaos: (f64, f64),
+    fault: Option<FaultPlan>,
+) -> Db<PageOpPayload> {
+    let checkpoint = GeneralizedOnline::checkpoint_online;
+    crashed_image_of(
+        &Physiological,
+        checkpoint,
+        ops,
+        seed,
+        ck_every,
+        chaos,
+        fault,
+    )
+}
+
 /// The reference recovery: sequential, checkpoint-blind, full-scan.
 /// Scans the entire surviving stable log from its first record (no
-/// dirty-page table, no seek), applies the per-page LSN redo test to
-/// every page-op record, and ignores checkpoint payloads entirely.
-fn recover_full_scan(db: &mut Db<PageOpPayload>) -> usize {
+/// dirty-page table, no seek) and hands every record to `redo`, which
+/// ignores checkpoint payloads entirely. Returns how many records
+/// `redo` said it replayed.
+fn full_scan<M: RecoveryMethod>(
+    db: &mut Db<M::Payload>,
+    mut redo: impl FnMut(&mut Db<M::Payload>, Lsn, M::Payload) -> bool,
+) -> usize {
     db.repair_after_crash();
-    let spp = db.geometry.slots_per_page;
     let mut scanner = ShardedScanner::seek(&db.log, Lsn(1));
     let mut replayed = 0;
     loop {
@@ -90,21 +125,67 @@ fn recover_full_scan(db: &mut Db<PageOpPayload>) -> usize {
             return replayed;
         }
         for rec in batch {
-            let PageOpPayload::Op(op) = rec.payload else {
-                continue;
-            };
-            let page = op.written_pages()[0];
-            let stable = db.log.stable_lsn();
-            db.pool
-                .fetch(&mut db.disk, page, spp, stable)
-                .expect("recovery fetch");
-            let installed = db.pool.get(page).expect("just fetched").lsn() >= rec.lsn;
-            if !installed {
-                db.apply_page_op(&op, rec.lsn).expect("redo applies");
-                replayed += 1;
-            }
+            replayed += usize::from(redo(db, rec.lsn, rec.payload));
         }
     }
+}
+
+/// The physiological reference: the per-page LSN redo test on every
+/// page-op record.
+fn recover_full_scan(db: &mut Db<PageOpPayload>) -> usize {
+    full_scan::<Physiological>(db, |db, lsn, payload| {
+        let PageOpPayload::Op(op) = payload else {
+            return false;
+        };
+        let page = op.written_pages()[0];
+        db.fetch_with_steal(page).expect("recovery fetch");
+        let installed = db.pool.get(page).expect("just fetched").lsn() >= lsn;
+        if !installed {
+            db.apply_page_op(&op, lsn).expect("redo applies");
+        }
+        !installed
+    })
+}
+
+/// The physical reference: every after-image, blindly.
+fn recover_full_scan_blind(db: &mut Db<PhysPayload>) -> usize {
+    full_scan::<Physical>(db, |db, lsn, payload| {
+        let PhysPayload::Writes { writes, .. } = payload else {
+            return false;
+        };
+        for (cell, v) in writes {
+            db.fetch_with_steal(cell.page).expect("recovery fetch");
+            let set = |p: &mut Page| p.set(cell.slot, v);
+            db.pool.update(cell.page, lsn, set).expect("just fetched");
+        }
+        true
+    })
+}
+
+/// Restart, optionally publish the method's fuzzy checkpoint, crash,
+/// restart: both restarts must land on `reference`. The checkpoint
+/// between them publishes the dirty-page table the *first restart* left
+/// in the pool — if that table claims more installed than the disk
+/// holds, the publication archives records the second restart needs.
+fn restart_twice<P: PageLocal + Sync>(
+    db: &mut Db<P>,
+    threads: usize,
+    checkpoint_between: Option<FuzzyCheckpoint<P>>,
+    reference: &State,
+) -> Result<(), TestCaseError> {
+    recover_partitioned(db, threads).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    prop_assert_eq!(&db.volatile_theory_state(), reference, "first restart");
+    if let Some(checkpoint) = checkpoint_between {
+        let published = checkpoint(db).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert!(
+            published.is_some(),
+            "no faults armed: publication must land"
+        );
+    }
+    db.crash();
+    recover_partitioned(db, threads).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    prop_assert_eq!(&db.volatile_theory_state(), reference, "second restart");
+    Ok(())
 }
 
 proptest! {
@@ -138,7 +219,7 @@ proptest! {
         let reference = ref_db.volatile_theory_state();
         for threads in [1usize, 2, 4, 8] {
             let mut db = crashed_image(&ops, seed, ck_every, (log_p, page_p), plan);
-            let stats = recover_physiological_parallel(&mut db, threads)
+            let stats = recover_partitioned(&mut db, threads)
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(
                 db.volatile_theory_state(),
@@ -160,23 +241,39 @@ proptest! {
         }
     }
 
-    /// Parallel restart is idempotent: a second crash immediately after
-    /// recovery (no new work) recovers to the identical state, at any
-    /// thread count.
+    /// Parallel restart is idempotent: a second crash after recovery (no
+    /// new work; optionally one fuzzy checkpoint of what the restart
+    /// left in the pool) recovers to the identical state — the
+    /// checkpoint-blind full-scan reference — at any thread count, for
+    /// both page-local payloads.
     #[test]
     fn parallel_restart_is_idempotent(
         seed in any::<u64>(),
         ck_every in 3..10usize,
         threads in 1..8usize,
+        checkpoint_between in any::<bool>(),
     ) {
         let ops = PageWorkloadSpec { n_ops: 30, n_pages: 5, ..Default::default() }.generate(seed);
         let mut db = crashed_image(&ops, seed, ck_every, (0.7, 0.3), None);
-        recover_physiological_parallel(&mut db, threads)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        let once = db.volatile_theory_state();
-        db.crash();
-        recover_physiological_parallel(&mut db, threads)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(db.volatile_theory_state(), once);
+        let mut ref_db = db.clone();
+        recover_full_scan(&mut ref_db);
+        let online: FuzzyCheckpoint<PageOpPayload> = GeneralizedOnline::checkpoint_online;
+        let between = checkpoint_between.then_some(online);
+        restart_twice(&mut db, threads, between, &ref_db.volatile_theory_state())?;
+
+        let blind = PageWorkloadSpec {
+            n_ops: 30,
+            n_pages: 5,
+            blind_fraction: 1.0,
+            multi_page_fraction: 0.4,
+            ..Default::default()
+        }
+        .generate(seed);
+        let fuzzy: FuzzyCheckpoint<PhysPayload> = Physical::checkpoint_fuzzy;
+        let mut db = crashed_image_of(&Physical, fuzzy, &blind, seed, ck_every, (0.7, 0.3), None);
+        let mut ref_db = db.clone();
+        recover_full_scan_blind(&mut ref_db);
+        let between = checkpoint_between.then_some(fuzzy);
+        restart_twice(&mut db, threads, between, &ref_db.volatile_theory_state())?;
     }
 }

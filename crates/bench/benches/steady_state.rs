@@ -28,6 +28,13 @@
 //! configurations. The timed benchmarks measure crash recovery on each
 //! image.
 //!
+//! A fourth shape check guards the tick itself: `control_tick` over
+//! 4 096 dirty pages must cost no more than twice as much *per page
+//! flushed* as over 256 — a ratio of best-of-5 times, not an absolute.
+//! The stream above never has more than 65 pages dirty, which is why
+//! nothing here noticed a tick that re-listed and re-sorted the whole
+//! dirty-page table for every page it flushed.
+//!
 //! Set `STEADY_STATE_SMOKE=1` to run the short CI smoke shape-check
 //! (the asserts still run; the run is just shorter).
 
@@ -136,6 +143,55 @@ fn drive(ops: &[PageOp], cadence: usize, controller: Option<&Controller>) -> Run
     }
 }
 
+/// Best-of-5 nanoseconds of one `control_tick` per page it flushed,
+/// over `dirty_pages` pages each dirtied once (no write-order
+/// constraints, so every round flushes the head of the recLSN order)
+/// and a budget that has the tick drain nearly all of them.
+fn tick_ns_per_page_flushed(dirty_pages: u32) -> f64 {
+    let controller = Controller::new(RestartBudget {
+        max_suffix_bytes: 1024,
+        max_dirty_pages: 16,
+        ..Default::default()
+    });
+    let dirtied = || {
+        let shared = SharedDb::new(Geometry { slots_per_page: 8 });
+        for i in 0..dirty_pages {
+            // Scattered, so recLSN order is not page order.
+            let cell = Cell {
+                page: PageId(i.wrapping_mul(2_654_435_761) % dirty_pages),
+                slot: SlotId(0),
+            };
+            let op = PageOp {
+                id: i,
+                kind: PageOpKind::Physiological,
+                reads: vec![cell],
+                writes: vec![cell],
+                f_seed: 9,
+            };
+            shared.execute(&op).expect("execute");
+        }
+        shared.commit_tick();
+        shared
+    };
+    let probe = dirtied();
+    probe.control_tick(&controller).expect("control tick");
+    let stats = probe.daemon_stats();
+    assert_eq!(
+        (stats.drain_refused, stats.drain_stalled),
+        (0, 0),
+        "constraint-free stream: the coldest page always flushes"
+    );
+    assert!(
+        stats.drain_rounds >= u64::from(dirty_pages) * 9 / 10,
+        "the tick must drain the table: {} of {dirty_pages} pages",
+        stats.drain_rounds
+    );
+    let best = redo_bench::best_of(5, dirtied, |shared| {
+        shared.control_tick(&controller).expect("control tick")
+    });
+    best.as_nanos() as f64 / stats.drain_rounds as f64
+}
+
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx]
@@ -225,6 +281,24 @@ fn bench(c: &mut Criterion) {
     assert!(
         adaptive_scanned < fixed_scanned,
         "controller restart must scan less: {adaptive_scanned} vs {fixed_scanned} bytes"
+    );
+
+    // Shape check 4 — the tick costs what the pages it flushes cost,
+    // not what the dirty-page table holds (a ratio: holds on a noisy
+    // box where absolute times do not).
+    let (small, large) = (
+        tick_ns_per_page_flushed(256),
+        tick_ns_per_page_flushed(4096),
+    );
+    println!(
+        "steady_state shape-check [dirty_pages 256 vs 4096]: control_tick {small:.0} vs \
+         {large:.0} ns per page flushed ({:.2}x)",
+        large / small
+    );
+    assert!(
+        large <= 2.0 * small,
+        "control_tick per page flushed grew {:.1}x from 256 to 4096 dirty pages",
+        large / small
     );
 
     println!(

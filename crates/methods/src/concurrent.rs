@@ -190,6 +190,15 @@ pub struct DaemonStats {
     /// truncation horizon, and the baseline the controller's suffix
     /// estimate measures from.
     pub last_redo_start: Option<Lsn>,
+    /// Rounds of the coldest-first drain: a log force and a walk of the
+    /// recLSN order each, up to the first page that flushes.
+    pub drain_rounds: u64,
+    /// Flush attempts those walks had refused (WAL rule, write order):
+    /// 0 wherever the coldest page is always flushable.
+    pub drain_refused: u64,
+    /// Rounds that walked every dirty page and flushed none: pages
+    /// blocked on each other, the flush-order cycle of ROADMAP item 2.
+    pub drain_stalled: u64,
 }
 
 /// The apply phase [`SharedDb::execute`] and lazy replay share: under a
@@ -367,10 +376,10 @@ impl SharedDb {
         };
         // Replay in global LSN order under short shard leases: the
         // redo test and write order of the sequential scan, over this
-        // store's pages. No cycle pre-resolution is needed here: the
-        // shards are unbounded (no eviction can force a flush), and the
-        // background flusher simply skips any flush a constraint
-        // forbids.
+        // store's pages. As in `execute`, nothing pre-resolves a
+        // would-be flush-order cycle: unbounded shards never *have* to
+        // flush, but pages a cycle binds never *can* again (ROADMAP
+        // item 2; `DaemonStats::drain_stalled` counts the symptom).
         let spp = self.inner.geometry.slots_per_page;
         for (lsn, op) in records {
             state.stats.scanned += 1;
@@ -544,21 +553,13 @@ impl SharedDb {
     ///
     /// # Errors
     ///
-    /// Only the two protocol refusals above are expected here and are
-    /// silently skipped (the page simply stays dirty for a later tick).
-    /// Anything else — a missing frame, pool corruption — is a real
-    /// substrate failure and propagates; swallowing it would let the
-    /// flusher spin forever against a broken pool.
+    /// Real substrate failures only: a refused page simply stays dirty
+    /// for a later tick ([`ShardedStore::flush_unless_refused`]).
     pub fn flusher_tick(&self, rng: &mut impl Rng, p: f64) -> SimResult<()> {
         let stable = self.inner.log.lock().stable_lsn();
         for id in self.inner.store.dirty_pages() {
             if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                match self.inner.store.flush_page(id, stable) {
-                    Ok(())
-                    | Err(SimError::WalViolation { .. })
-                    | Err(SimError::WriteOrderViolation { .. }) => {}
-                    Err(e) => return Err(e),
-                }
+                self.inner.store.flush_unless_refused(id, stable)?;
             }
         }
         Ok(())
@@ -570,31 +571,42 @@ impl SharedDb {
     /// Zipf-skewed traffic keeps picking hot pages (which are instantly
     /// re-dirtied) and almost never the coldest one, so the horizon
     /// never moves and the stable suffix grows without bound; this tick
-    /// is the controller's cure. The log is forced first so the WAL
-    /// rule cannot veto the flush; pages whose write-order constraints
-    /// still forbid flushing are skipped in recLSN order until one
-    /// flush lands. Returns whether any page was flushed.
+    /// is the controller's cure. Returns whether any page was flushed
+    /// (`false` at once, the log not forced, when none is dirty).
     ///
     /// # Errors
     ///
-    /// Real substrate failures; the two protocol refusals are skipped
-    /// exactly as in [`SharedDb::flusher_tick`].
+    /// Real substrate failures only, as [`SharedDb::flusher_tick`].
     pub fn flusher_tick_coldest(&self) -> SimResult<bool> {
+        self.drain_round(None)
+    }
+
+    /// One round of the coldest-first drain; `false` once nothing is
+    /// dirty, nothing can flush, or — given a budget — a checkpoint
+    /// taken right now would already fit it: the horizon it can truncate
+    /// to is the minimum dirty recLSN, the head of the store's
+    /// `(recLSN, page)` order. Otherwise the log is forced, so the WAL
+    /// rule cannot veto the flush, and the coldest page the write order
+    /// allows is flushed ([`ShardedStore::flush_coldest`]).
+    fn drain_round(&self, max_suffix_bytes: Option<u64>) -> SimResult<bool> {
+        let store = &self.inner.store;
+        let Some(&head) = store.coldest_dirty(None, 1).first() else {
+            return Ok(false);
+        };
         let stable = {
             let mut log = self.inner.log.lock();
+            if max_suffix_bytes.is_some_and(|budget| log.suffix_bytes(head.0) <= budget) {
+                return Ok(false);
+            }
             log.flush_all();
             log.stable_lsn()
         };
-        let mut table = self.inner.store.snapshot().dirty_page_table();
-        table.sort_unstable_by_key(|&(_, rec)| rec);
-        for (page, _) in table {
-            match self.inner.store.flush_page(page, stable) {
-                Ok(()) => return Ok(true),
-                Err(SimError::WalViolation { .. }) | Err(SimError::WriteOrderViolation { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(false)
+        let (landed, refused) = store.flush_coldest(head, stable)?;
+        let mut daemon = self.inner.daemon.lock();
+        daemon.drain_rounds += 1;
+        daemon.drain_refused += refused;
+        daemon.drain_stalled += u64::from(!landed);
+        Ok(landed)
     }
 
     /// One checkpoint-daemon tick: take a fuzzy snapshot of the
@@ -739,23 +751,9 @@ impl SharedDb {
         let est = self.restart_estimate();
         let plan = controller.plan(&est);
         if plan.flush_coldest {
-            // The horizon a checkpoint can truncate to is the minimum
-            // dirty recLSN: clean coldest pages until a checkpoint taken
-            // right now would bring the suffix under budget (or nothing
-            // more can flush). Terminates — every successful flush
-            // removes the current coldest page from the table.
-            loop {
-                let table = self.inner.store.snapshot().dirty_page_table();
-                let Some(horizon) = table.iter().map(|&(_, rec)| rec).min() else {
-                    break;
-                };
-                let projected = self.inner.log.lock().suffix_bytes(horizon);
-                if projected <= controller.budget.max_suffix_bytes
-                    || !self.flusher_tick_coldest()?
-                {
-                    break;
-                }
-            }
+            // Terminates: every round that goes on took a page out of
+            // the dirty-page table.
+            while self.drain_round(Some(controller.budget.max_suffix_bytes))? {}
         }
         if plan.checkpoint {
             self.checkpoint_tick(controller.budget.full_every)?;
@@ -1619,5 +1617,216 @@ mod tests {
             grew > 20,
             "the workload must actually exercise map growth (saw {grew})"
         );
+    }
+
+    impl SharedDb {
+        /// One drain round as it ran before the store kept a recLSN
+        /// order — the oracle [`SharedDb::drain_round`] is held to: a
+        /// consistent cut of every shard for the horizon, then the log
+        /// force, then a second cut sorted by recLSN and walked to the
+        /// first page that flushes. (Nothing dirty used to force the
+        /// log all the same when no budget was given; no caller could
+        /// tell, and the oracle does not.)
+        fn drain_round_by_listing(&self, max_suffix_bytes: Option<u64>) -> SimResult<bool> {
+            let table = self.inner.store.snapshot().dirty_page_table();
+            let Some(horizon) = table.iter().map(|&(_, rec)| rec).min() else {
+                return Ok(false);
+            };
+            let projected = self.inner.log.lock().suffix_bytes(horizon);
+            if max_suffix_bytes.is_some_and(|budget| projected <= budget) {
+                return Ok(false);
+            }
+            let stable = {
+                let mut log = self.inner.log.lock();
+                log.flush_all();
+                log.stable_lsn()
+            };
+            let mut table = self.inner.store.snapshot().dirty_page_table();
+            table.sort_unstable_by_key(|&(_, rec)| rec);
+            for (page, _) in table {
+                match self.inner.store.flush_page(page, stable) {
+                    Ok(()) => return Ok(true),
+                    Err(SimError::WalViolation { .. })
+                    | Err(SimError::WriteOrderViolation { .. }) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(false)
+        }
+
+        /// What a drain round can change, for twin comparison: the
+        /// dirty-page table (so which page a round cleaned), the pages
+        /// written, and the published horizon.
+        fn drain_footprint(&self) -> (Vec<(PageId, Lsn)>, u64, Option<Lsn>) {
+            let table = self.inner.store.snapshot().dirty_page_table();
+            let writes = self.inner.store.disk().page_writes();
+            (table, writes, self.daemon_stats().last_redo_start)
+        }
+    }
+
+    #[test]
+    fn drain_flushes_the_pages_the_sorted_listing_flushed_in_the_same_order() {
+        use crate::testkit::cross_page_workload;
+        // One client, three databases on one stream. `indexed` and
+        // `listed` take each tick apart into rounds — the new round and
+        // the oracle's — and must agree after every one, which pins the
+        // page each round flushed, hence the order; `ticked` runs the
+        // whole `control_tick` and must agree after every tick, redo-start
+        // published included.
+        let budget = RestartBudget {
+            max_suffix_bytes: 1024,
+            max_dirty_pages: 4,
+            shard_skew_limit: f64::INFINITY,
+            ..Default::default()
+        };
+        let controller = Controller::new(budget.clone());
+        let multi_page_mix = |seed| {
+            PageWorkloadSpec {
+                n_ops: 600,
+                n_pages: 96,
+                skew: 0.8,
+                multi_page_fraction: 0.3,
+                blind_fraction: 0.1,
+                ..Default::default()
+            }
+            .generate(seed)
+        };
+        let streams = [
+            cross_page_workload(600, 24, 3),
+            cross_page_workload(600, 48, 17),
+            multi_page_mix(5),
+            multi_page_mix(29),
+        ];
+        let (mut rounds, mut refused) = (0, 0);
+        for ops in streams {
+            let [indexed, listed, ticked] =
+                [(); 3].map(|()| SharedDb::new(Geometry { slots_per_page: 8 }));
+            for (i, op) in ops.iter().enumerate() {
+                for db in [&indexed, &listed, &ticked] {
+                    db.execute(op).expect("execute");
+                }
+                if (i + 1) % 12 != 0 {
+                    continue;
+                }
+                let plan = controller.plan(&listed.restart_estimate());
+                assert_eq!(controller.plan(&indexed.restart_estimate()), plan);
+                if plan.flush_coldest {
+                    let stop_at = Some(budget.max_suffix_bytes);
+                    loop {
+                        let landed = indexed.drain_round(stop_at).expect("round");
+                        let oracle = listed
+                            .drain_round_by_listing(stop_at)
+                            .expect("oracle round");
+                        assert_eq!(landed, oracle, "op {i}");
+                        assert_eq!(
+                            indexed.drain_footprint(),
+                            listed.drain_footprint(),
+                            "op {i}"
+                        );
+                        if !landed {
+                            break;
+                        }
+                    }
+                }
+                if plan.checkpoint {
+                    for db in [&indexed, &listed] {
+                        db.checkpoint_tick(budget.full_every).expect("checkpoint");
+                    }
+                }
+                assert_eq!(ticked.control_tick(&controller).expect("tick"), plan);
+                assert_eq!(ticked.drain_footprint(), listed.drain_footprint(), "op {i}");
+                assert_eq!(
+                    indexed.drain_footprint(),
+                    listed.drain_footprint(),
+                    "op {i}"
+                );
+            }
+            let (stats, whole) = (indexed.daemon_stats(), ticked.daemon_stats());
+            assert_eq!(
+                listed.daemon_stats().drain_rounds,
+                0,
+                "the oracle counts nothing"
+            );
+            assert_eq!(stats.last_redo_start, listed.daemon_stats().last_redo_start);
+            let drain = |s: &DaemonStats| (s.drain_rounds, s.drain_refused, s.drain_stalled);
+            assert_eq!(drain(&whole), drain(&stats));
+            rounds += whole.drain_rounds;
+            refused += whole.drain_refused;
+        }
+        assert!(rounds > 200, "the streams must drive the drain: {rounds}");
+        assert!(
+            refused > 0,
+            "and meet a refused head, or the walk is untested"
+        );
+    }
+
+    #[test]
+    fn a_constraint_free_drain_flushes_one_page_per_round_and_is_never_refused() {
+        use redo_workload::pages::{PageOpKind, SlotId};
+        // 4 096 pages each written once, in a scattered order: every
+        // page is dirty, no operation reads across pages, so the head
+        // of the recLSN order is always flushable.
+        let shared = SharedDb::new(Geometry { slots_per_page: 8 });
+        let controller = Controller::new(RestartBudget {
+            max_suffix_bytes: 16 * 1024,
+            max_dirty_pages: 64,
+            ..Default::default()
+        });
+        for i in 0..4096u32 {
+            let cell = Cell {
+                page: PageId(i.wrapping_mul(2_654_435_761) % 4096),
+                slot: SlotId(0),
+            };
+            let op = PageOp {
+                id: i,
+                kind: PageOpKind::Physiological,
+                reads: vec![cell],
+                writes: vec![cell],
+                f_seed: 3,
+            };
+            shared.execute(&op).expect("execute");
+            if (i + 1) % 256 == 0 {
+                shared.control_tick(&controller).expect("control tick");
+            }
+        }
+        let stats = shared.daemon_stats();
+        let flushed = shared.inner.store.flushes();
+        assert!(flushed > 3000, "the drain kept up: {flushed} pages");
+        assert_eq!(stats.drain_rounds, flushed);
+        assert_eq!((stats.drain_refused, stats.drain_stalled), (0, 0));
+        assert_eq!(shared.inner.store.disk().page_writes(), flushed);
+    }
+
+    #[test]
+    fn drain_stalled_counts_the_walk_that_found_nothing_flushable() {
+        use redo_workload::pages::{PageOpKind, SlotId};
+        // The smallest flush-order cycle `execute` admits (ROADMAP
+        // item 2): x <- f(y) @1 keeps y's later versions off disk until
+        // x is durable at 1; y <- g(x) @2 keeps x's later versions off
+        // until y is durable at 2; x <- .. @3 is such a version. Each
+        // page now waits for the other. When `execute` pre-resolves, as
+        // `Generalized::execute` does, the third op discharges the first
+        // two and this becomes a test that nothing stalls.
+        let cell = |page| Cell {
+            page: PageId(page),
+            slot: SlotId(0),
+        };
+        let op = |id, reads: &[Cell], write| PageOp {
+            id,
+            kind: PageOpKind::Generalized,
+            reads: reads.to_vec(),
+            writes: vec![write],
+            f_seed: 11,
+        };
+        let (x, y) = (cell(0), cell(1));
+        let shared = SharedDb::new(Geometry { slots_per_page: 8 });
+        for op in [op(0, &[y, x], x), op(1, &[x, y], y), op(2, &[x], x)] {
+            shared.execute(&op).expect("execute");
+        }
+        assert!(!shared.flusher_tick_coldest().expect("coldest flush"));
+        let stats = shared.daemon_stats();
+        let drain = (stats.drain_rounds, stats.drain_refused, stats.drain_stalled);
+        assert_eq!(drain, (1, 2, 1), "one round, both pages refused, stalled");
+        assert_eq!(shared.restart_estimate().dirty_pages, 2);
     }
 }

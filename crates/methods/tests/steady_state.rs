@@ -163,3 +163,69 @@ proptest! {
         crash_and_check(fixed, &model, "fixed-period twin")?;
     }
 }
+
+/// **Known defect — ROADMAP item 2 ("the retrying half").**
+/// `SharedDb::execute` and lazy replay never pre-resolve a would-be
+/// flush-order cycle the way `Generalized::execute` does, so
+/// `x <- f(y) @L1; y <- g(x) @L2; x <- .. @L3` leaves `x` waiting for
+/// `y` on disk at L2 and `y` waiting for `x` on disk at L1, for ever.
+/// This is `mem_cross`'s op mix (`perfbench/src/workloads.rs`) through
+/// **one** thread with the benchmark's budget and cadence: today it ends
+/// with `truncated_bytes` 0 and a suffix of ~0.8 MB against 64 KiB, and
+/// after a final force the coldest-first drain lands a couple of dozen
+/// pages and then stalls with over 500 still dirty. Un-ignore with the
+/// fix (admission-time pre-resolution); it needs a `[benchmark]` re-pin
+/// first, because truncation then starts archiving on `mem_cross` and
+/// roughly doubles its `write_amp`.
+#[test]
+#[ignore = "known defect: SharedDb admits flush-order cycles (ROADMAP item 2)"]
+fn controller_is_never_left_with_nothing_flushable() {
+    use redo_workload::pages::PageWorkloadSpec;
+    let ops = PageWorkloadSpec {
+        n_pages: 1024,
+        slots_per_page: 8,
+        n_ops: 16_000,
+        skew: 0.9,
+        cross_page_fraction: 0.20,
+        multi_page_fraction: 0.0,
+        blind_fraction: 0.10,
+        max_writes: 2,
+    }
+    .generate(7);
+    let budget = RestartBudget {
+        max_suffix_bytes: 64 * 1024,
+        max_dirty_pages: 256,
+        ..Default::default()
+    };
+    let controller = Controller::new(budget.clone());
+    let shared = SharedDb::new(Geometry { slots_per_page: 8 });
+    for (i, op) in ops.iter().enumerate() {
+        shared.execute(op).expect("execute");
+        if (i + 1) % 256 == 0 {
+            shared.control_tick(&controller).expect("control tick");
+        }
+        if (i + 1) % 32 == 0 {
+            shared.commit_tick();
+        }
+    }
+    shared.commit_tick();
+    let mut landed = 0;
+    while shared.flusher_tick_coldest().expect("coldest flush") {
+        landed += 1;
+    }
+    let (stats, est) = (shared.daemon_stats(), shared.restart_estimate());
+    assert_eq!(
+        stats.drain_stalled,
+        0,
+        "the drain walked every dirty page and could flush none: the final drain landed \
+         {landed} pages and left {} dirty, suffix {} bytes against a budget of {}, {} bytes \
+         truncated, {} attempts refused over {} rounds",
+        est.dirty_pages,
+        est.suffix_bytes,
+        budget.max_suffix_bytes,
+        stats.truncated_bytes,
+        stats.drain_refused,
+        stats.drain_rounds,
+    );
+    assert!(est.suffix_bytes < 2 * budget.max_suffix_bytes);
+}

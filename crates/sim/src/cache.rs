@@ -27,9 +27,13 @@
 //! (what a flush consults) and by `requires` page (the flush-order
 //! graph's adjacency, what [`BufferPool::would_cycle`] walks); and the
 //! dirty-page table is kept as an index rather than filtered out of the
-//! frames.
+//! frames — twice, by page and by recLSN, so the page that pins
+//! redo-start is read off the head of an order rather than sorted out of
+//! a listing.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageId;
@@ -94,6 +98,10 @@ pub struct BufferPool {
     /// never be needed below its recLSN, so the min over the table
     /// bounds the restart scan.
     dirty: BTreeMap<PageId, Lsn>,
+    /// The same table as `(recLSN, page)`, coldest first: its head is
+    /// the page that pins redo-start, which is the page a controller
+    /// wants to flush next. Written at exactly the places `dirty` is.
+    coldest: BTreeSet<(Lsn, PageId)>,
     /// Active constraints by `blocked` page, in registration order per
     /// page — the only ones a flush of that page must consult.
     constraints: BTreeMap<PageId, Vec<Constraint>>,
@@ -119,6 +127,7 @@ impl BufferPool {
             clock: 0,
             capacity,
             dirty: BTreeMap::new(),
+            coldest: BTreeSet::new(),
             constraints: BTreeMap::new(),
             successors: BTreeMap::new(),
             groups: Vec::new(),
@@ -196,6 +205,20 @@ impl BufferPool {
     #[must_use]
     pub fn dirty_page_table(&self) -> Vec<(PageId, Lsn)> {
         self.dirty.iter().map(|(&id, &rec)| (id, rec)).collect()
+    }
+
+    /// The dirty-page table coldest first: up to `n` entries in
+    /// `(recLSN, page)` order, starting strictly after `after` (`None`:
+    /// from the head — the page whose recLSN is the table's minimum, so
+    /// the one a checkpoint's redo-start waits on).
+    pub fn coldest_dirty(
+        &self,
+        after: Option<(Lsn, PageId)>,
+        n: usize,
+    ) -> impl Iterator<Item = (Lsn, PageId)> + '_ {
+        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let rest = self.coldest.range((from, Bound::Unbounded));
+        rest.take(n).copied()
     }
 
     /// Total pages flushed to disk by this pool.
@@ -414,6 +437,7 @@ impl BufferPool {
             if !frame.dirty {
                 frame.dirty = true;
                 self.dirty.insert(id, lsn);
+                self.coldest.insert((lsn, id));
             }
         }
         self.clock += 1;
@@ -454,7 +478,10 @@ impl BufferPool {
             stamp: self.clock,
         };
         self.frames.insert(id, frame);
-        self.dirty.entry(id).or_insert(rec_lsn);
+        if let Entry::Vacant(clean) = self.dirty.entry(id) {
+            clean.insert(rec_lsn);
+            self.coldest.insert((rec_lsn, id));
+        }
         Ok(())
     }
 
@@ -612,7 +639,7 @@ impl BufferPool {
     pub fn mark_clean(&mut self, id: PageId) -> SimResult<()> {
         let frame = self.frames.get_mut(&id).ok_or(SimError::NotCached(id))?;
         frame.dirty = false;
-        self.dirty.remove(&id);
+        self.leave_dirty_table(id);
         Ok(())
     }
 
@@ -622,6 +649,7 @@ impl BufferPool {
     pub fn crash(&mut self) {
         self.frames.clear();
         self.dirty.clear();
+        self.coldest.clear();
         self.constraints.clear();
         self.successors.clear();
         self.groups.clear();
@@ -689,9 +717,17 @@ impl BufferPool {
             return None;
         }
         frame.dirty = false;
-        self.dirty.remove(&id);
+        let page = frame.page.clone();
+        self.leave_dirty_table(id);
         self.flushes += 1;
-        Some(frame.page.clone())
+        Some(page)
+    }
+
+    /// Drops `id` from both orders of the dirty-page table.
+    fn leave_dirty_table(&mut self, id: PageId) {
+        if let Some(rec_lsn) = self.dirty.remove(&id) {
+            self.coldest.remove(&(rec_lsn, id));
+        }
     }
 
     /// Evicts until a frame is free (a no-op for an unbounded pool).
@@ -1266,8 +1302,9 @@ mod tests {
     }
 
     /// The indexes against the state they mirror: the dirty-page table
-    /// is exactly the dirty frames, and the two constraint maps hold
-    /// the same constraints.
+    /// is exactly the dirty frames, its recLSN order is the table
+    /// re-sorted (from any cursor), and the two constraint maps hold the
+    /// same constraints.
     fn assert_indexes_mirror(pool: &BufferPool) {
         let dirty_frames: Vec<PageId> = (pool.frames.iter())
             .filter(|(_, f)| f.dirty)
@@ -1275,6 +1312,17 @@ mod tests {
             .collect();
         assert_eq!(pool.dirty_pages(), dirty_frames);
         assert_eq!(pool.dirty_count(), dirty_frames.len());
+        let mut by_rec_lsn: Vec<(Lsn, PageId)> = (pool.dirty_page_table().into_iter())
+            .map(|(id, rec)| (rec, id))
+            .collect();
+        by_rec_lsn.sort_unstable();
+        let listed: Vec<(Lsn, PageId)> = pool.coldest_dirty(None, usize::MAX).collect();
+        assert_eq!(listed, by_rec_lsn);
+        for (at, &cursor) in by_rec_lsn.iter().enumerate() {
+            let next: Vec<(Lsn, PageId)> = pool.coldest_dirty(Some(cursor), 2).collect();
+            let behind = &by_rec_lsn[at + 1..];
+            assert_eq!(next, behind[..behind.len().min(2)]);
+        }
         for (id, rec) in pool.dirty_page_table() {
             assert!(
                 rec <= pool.frames[&id].page.lsn(),
@@ -1407,6 +1455,70 @@ mod tests {
         assert!(!pool.would_cycle(&disk, &[a], &[d]));
         // Binding a to c closes a → b ~ c ~ a.
         assert!(pool.would_cycle(&disk, &[a, c], &[]));
+    }
+
+    proptest::proptest! {
+        /// Every writer of the dirty-page table writes its recLSN order
+        /// too: first-dirtying and declined updates, installs over clean
+        /// and dirty frames, flushes that carry an atomic group along,
+        /// eviction under a bounded pool, `mark_clean` and `crash`.
+        #[test]
+        fn rec_lsn_order_is_written_wherever_the_dirty_page_table_is(
+            capacity in proptest::option::of(2usize..6),
+            steps in proptest::collection::vec((0u8..9, 0u32..8, 0u32..8), 1..200),
+        ) {
+            let mut pool = BufferPool::new(capacity);
+            let mut disk = Disk::new();
+            let mut next = 1u64;
+            for (what, a, b) in steps {
+                // Everything logged so far is stable: the WAL rule never
+                // refuses, write-order constraints are not in play.
+                let (id, mate, stable) = (PageId(a), PageId(b), Lsn(next + 1));
+                match what {
+                    0..=2 => {
+                        if pool.fetch(&mut disk, id, 4, stable).is_ok() {
+                            let changed = what != 2;
+                            pool.update_if(id, Lsn(next), |p| {
+                                p.set(SlotId(0), next);
+                                changed
+                            })
+                            .unwrap();
+                        }
+                    }
+                    3 => {
+                        // Redo rebuilt the page from records next..=next+1.
+                        let mut image = Page::new(4);
+                        image.set_lsn(Lsn(next + 1));
+                        let _ = pool.install(&mut disk, id, image, Lsn(next), stable);
+                    }
+                    4 => {
+                        // A two-page operation: same LSN, one atomic group.
+                        let both = [id, mate];
+                        if both.iter().all(|&p| pool.fetch(&mut disk, p, 4, stable).is_ok())
+                            && both.iter().all(|&p| pool.get(p).is_some())
+                        {
+                            for p in both {
+                                pool.update(p, Lsn(next), |pg| pg.set(SlotId(1), next)).unwrap();
+                            }
+                            pool.add_atomic_group(both, Lsn(next));
+                        }
+                    }
+                    5 | 6 => {
+                        let _ = pool.flush_page(&mut disk, id, stable);
+                    }
+                    7 => {
+                        let _ = pool.mark_clean(id);
+                    }
+                    _ => {
+                        if a == b {
+                            pool.crash();
+                        }
+                    }
+                }
+                next += 2;
+                assert_indexes_mirror(&pool);
+            }
+        }
     }
 
     /// The recency deque the stamps replaced, kept beside the pool: the

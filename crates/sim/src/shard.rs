@@ -163,6 +163,25 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.lock().dirty_count()).sum()
     }
 
+    /// The next `n` dirty pages across all shards in `(recLSN, page)`
+    /// order, strictly after `after` (`None`: from the head, whose
+    /// recLSN is the horizon a checkpoint taken now could truncate to).
+    /// Each shard keeps that order ([`BufferPool::coldest_dirty`]), so
+    /// this merges at most `n` entries from each under brief per-shard
+    /// locks, as [`ShardedStore::first_gated`] does — a moving target
+    /// under concurrency, not the cut [`ShardedStore::snapshot`] is.
+    #[must_use]
+    pub fn coldest_dirty(&self, after: Option<(Lsn, PageId)>, n: usize) -> Vec<(Lsn, PageId)> {
+        let mut merged = Vec::new();
+        for shard in self.shards.iter() {
+            merged.extend(shard.lock().coldest_dirty(after, n));
+        }
+        // One ascending run per shard: a run-merging sort's best case.
+        merged.sort();
+        merged.truncate(n);
+        merged
+    }
+
     /// Total pages flushed to disk across all shards.
     #[must_use]
     pub fn flushes(&self) -> u64 {
@@ -248,6 +267,47 @@ impl ShardedStore {
             }
             return Ok(());
         }
+    }
+
+    /// [`ShardedStore::flush_page`] for a background flusher, to which a
+    /// refusal is an answer, not a failure: `Ok(false)` if the WAL rule
+    /// or a write-order constraint forbids the flush right now (the page
+    /// stays dirty for a later tick), `Ok(true)` if it went through.
+    ///
+    /// # Errors
+    ///
+    /// Anything but those two protocol refusals — a missing frame, pool
+    /// corruption — is a real substrate failure and propagates;
+    /// swallowing it would let a flusher spin forever on a broken pool.
+    pub fn flush_unless_refused(&self, id: PageId, stable_lsn: Lsn) -> SimResult<bool> {
+        match self.flush_page(id, stable_lsn) {
+            Ok(()) => Ok(true),
+            Err(SimError::WalViolation { .. } | SimError::WriteOrderViolation { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Flushes the coldest page that may be flushed: tries `head` — the
+    /// head of [`ShardedStore::coldest_dirty`], which the caller read
+    /// its horizon from — and, only if that is refused, lists the rest
+    /// of the order behind it and walks it until one flush lands (a
+    /// page blocked by a write-order constraint has its prerequisite
+    /// further down). Returns whether one landed and how many attempts
+    /// were refused on the way; `(false, n)` walked all `n` dirty pages.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedStore::flush_unless_refused`].
+    pub fn flush_coldest(&self, head: (Lsn, PageId), stable_lsn: Lsn) -> SimResult<(bool, u64)> {
+        let rest = std::iter::once_with(|| self.coldest_dirty(Some(head), usize::MAX)).flatten();
+        let mut refused = 0;
+        for (_, page) in std::iter::once(head).chain(rest) {
+            if self.flush_unless_refused(page, stable_lsn)? {
+                return Ok((true, refused));
+            }
+            refused += 1;
+        }
+        Ok((false, refused))
     }
 
     /// Flushes every dirty page, retrying blocked pages after their
@@ -628,7 +688,82 @@ mod tests {
         assert_eq!(store.dirty_count(), 0);
     }
 
+    #[test]
+    fn flush_coldest_walks_past_a_refused_head_to_its_prerequisite() {
+        // Page 0 is coldest but may not pass LSN 1 until page 1 is
+        // durable at 3; page 2, between them, is not logged far enough.
+        let store = ShardedStore::new(4);
+        write(&store, PageId(0), Lsn(1), 1);
+        write(&store, PageId(2), Lsn(2), 2);
+        write(&store, PageId(1), Lsn(3), 3);
+        write(&store, PageId(0), Lsn(4), 4);
+        write(&store, PageId(2), Lsn(9), 5);
+        store.lock_pages(&[PageId(0)]).add_constraint(Constraint {
+            blocked: PageId(0),
+            blocked_above: Lsn(1),
+            requires: PageId(1),
+            required_lsn: Lsn(3),
+        });
+        let head = store.coldest_dirty(None, 1)[0];
+        assert_eq!(head, (Lsn(1), PageId(0)));
+        assert_eq!(store.flush_unless_refused(PageId(0), Lsn(4)), Ok(false));
+        assert_eq!(store.flush_unless_refused(PageId(2), Lsn(4)), Ok(false));
+        assert_eq!(store.flush_coldest(head, Lsn(4)), Ok((true, 2)));
+        assert_eq!(store.dirty_pages(), vec![PageId(0), PageId(2)]);
+        // The prerequisite landed: the same head now flushes unrefused,
+        // and what is left stalls on the WAL rule alone.
+        assert_eq!(store.flush_coldest(head, Lsn(4)), Ok((true, 0)));
+        let head = store.coldest_dirty(None, 1)[0];
+        assert_eq!(store.flush_coldest(head, Lsn(4)), Ok((false, 1)));
+        assert_eq!(store.flush_unless_refused(PageId(2), Lsn(9)), Ok(true));
+        assert!(store.coldest_dirty(None, 1).is_empty());
+    }
+
     proptest::proptest! {
+        /// The controller's listing: after any run of one- and two-page
+        /// writes and flushes, the merged walk from any cursor is the
+        /// consistent cut's table in `(recLSN, page)` order behind it.
+        #[test]
+        fn coldest_dirty_is_the_snapshot_table_in_rec_lsn_order_from_any_cursor(
+            n_shards in 1usize..9,
+            steps in proptest::collection::vec((0u8..4, 0u32..40), 0..80),
+            n in proptest::option::of(0usize..12),
+        ) {
+            let store = ShardedStore::new(n_shards);
+            for (at, (what, page)) in steps.into_iter().enumerate() {
+                let (id, mate, lsn) = (PageId(page), PageId(page / 2 + 20), Lsn(at as u64 + 1));
+                match what {
+                    0 => {
+                        // A page never cached has no frame to flush.
+                        let _ = store.flush_page(id, Lsn(u64::MAX));
+                    }
+                    1 => {
+                        // One operation, two pages: equal recLSNs.
+                        let mut lease = store.lock_pages(&[id, mate]);
+                        for p in [id, mate] {
+                            lease.fetch(p, SPP, Lsn::ZERO).unwrap();
+                            lease.update(p, lsn, |pg| pg.set(SlotId(0), 1)).unwrap();
+                        }
+                        lease.add_atomic_group(&[id, mate], lsn);
+                    }
+                    _ => write(&store, id, lsn, 1),
+                }
+            }
+            let mut table: Vec<(Lsn, PageId)> = (store.snapshot().dirty_page_table().into_iter())
+                .map(|(id, rec)| (rec, id))
+                .collect();
+            table.sort_unstable();
+            let n = n.unwrap_or(usize::MAX);
+            // From the head, from every entry, and from a cursor that is
+            // in no shard's order.
+            let cursors = table.iter().copied().map(Some);
+            for cursor in cursors.chain([None, Some((Lsn(7), PageId(999)))]) {
+                let behind = table.iter().copied().filter(|&entry| Some(entry) > cursor);
+                let expect: Vec<(Lsn, PageId)> = behind.take(n).collect();
+                proptest::prop_assert_eq!(store.coldest_dirty(cursor, n), expect);
+            }
+        }
+
         /// The sweeper's pick: under any sequence of gate placements
         /// and openings the cursor names the head of the full listing.
         #[test]

@@ -18,6 +18,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use redo_methods::harness::Driver;
 use redo_methods::oprecord::PageOpPayload;
 use redo_methods::physiological::Physiological;
 use redo_methods::RecoveryMethod;
@@ -38,32 +39,12 @@ fn workload(n: usize, seed: u64) -> Vec<PageOp> {
 /// optional armed fault, then crashes. Returns the crashed image.
 fn crashed_image(ops: &[PageOp], fault: Option<FaultPlan>) -> Db<PageOpPayload> {
     let mut db = Db::new(Geometry::default());
-    let mut rng = StdRng::seed_from_u64(42);
     if let Some(plan) = fault {
         db.arm_faults(plan);
     }
-    for (i, op) in ops.iter().enumerate() {
-        match Physiological.execute(&mut db, op) {
-            Ok(_) => {}
-            Err(_) if db.fault_tripped() => {}
-            Err(e) => panic!("execute failed without a fault: {e}"),
-        }
-        match db.chaos_flush(&mut rng, 0.7, 0.3) {
-            Ok(()) => {}
-            Err(_) if db.fault_tripped() => {}
-            Err(e) => panic!("chaos failed without a fault: {e}"),
-        }
-        if (i + 1) % 20 == 0 {
-            match Physiological.checkpoint(&mut db) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => panic!("checkpoint failed without a fault: {e}"),
-            }
-        }
-        if db.fault_tripped() {
-            break;
-        }
-    }
+    Driver::new(&Physiological, Some((0.7, 0.3)), Some(20))
+        .run(&mut db, ops, &mut StdRng::seed_from_u64(42))
+        .expect("no substrate error without a fault");
     db.crash();
     db
 }

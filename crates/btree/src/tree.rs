@@ -432,6 +432,7 @@ impl BTree {
     ///
     /// Substrate errors, including log corruption.
     pub fn recover(&mut self) -> SimResult<(usize, usize)> {
+        self.db.repair_after_crash();
         let master = self.db.disk.master();
         if self.db.log.stable_count() == 0 && master == Lsn::ZERO {
             // Nothing ever became durable — not even the bootstrap

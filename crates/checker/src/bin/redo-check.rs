@@ -18,40 +18,32 @@
 //!   operations; the last two are deliberately broken and should FAIL).
 //! * `walks`     — fuzz write-graph evolutions against Corollary 5.
 //! * `beyond`    — search for §7's beyond-the-theory witnesses.
-//! * `crash-audit` — drive each method (`--method all` by default;
-//!   `logical|physical|physiological|generalized|online|parallel|ondemand|media|pit|control`)
-//!   through seeded crash schedules with injected faults: torn page
-//!   writes, partial log flushes, and a crash in the middle of every
-//!   recovery, checking the Recovery Invariant after each completed
-//!   recovery. The `online` method additionally exposes its fuzzy
-//!   checkpoint publication (force, pointer swing, truncation) as
-//!   faultable crash points. The `ondemand` method recovers through
-//!   the instant-restart path — every probe recovery also reopens the
-//!   crashed image lazily and serves all durable cells mid-recovery.
-//!   The `media` method audits media recovery: after each crash one
-//!   durable page is destroyed out-of-band (on `--backend file`, the
-//!   page file is unlinked or `truncate(2)`-zeroed behind the
-//!   database's back), and the rebuild from `archive ∥ live` must
-//!   reach state identity with an undamaged probe — sequentially,
-//!   through the on-demand path, and across a second fault injected
-//!   mid-rebuild. The `pit` method audits the archive tier instead:
-//!   it drives `online` (whose checkpoints move the truncated log
-//!   prefix into the archive) and verifies that point-in-time replay
-//!   over `archive ∥ live` reproduces the full durable history and
-//!   the pre-truncation state at the truncation boundary.
-//!   The `control` method audits incremental (delta-chain)
-//!   checkpointing twice over: the generic degradation loop with
-//!   crashes landing inside delta publication, plus a twin run that
-//!   drives an identical workload/fault/chaos schedule through both
-//!   delta-chain and full-snapshot checkpointing and demands recovered
-//!   state identity whenever the twins kept the same durable prefix.
-//!   `--capacity 0` means an unbounded buffer
-//!   pool. `--backend file` runs every schedule against the fsync-backed
-//!   file backend in a fresh temporary directory instead of the
-//!   in-memory simulation. `--log-shards N` splits the WAL into N
-//!   per-partition logs (a power of two): multi-page records become
-//!   cross-shard atomic flush groups, and the injected faults land
-//!   between a group's closure markers too.
+//! * `crash-audit` — the generated audit matrix: every roster row
+//!   (`--method all`, the default; or one of
+//!   `logical|physical|physiological|generalized|online|ondemand|parallel|media|control|skippy|lying`,
+//!   `parallel` being three rows and `pit` a legacy alias of `online`)
+//!   × backend {mem, file} × log shards {1, 4} × pool {2, 4,
+//!   unbounded}, one line per cell. `--method`, `--backend`,
+//!   `--log-shards` (any power of two) and `--capacity` (`0` =
+//!   unbounded) only *narrow* the matrix; with both backends enumerated
+//!   a file cell runs a fifth of `--schedules`. Every schedule drives
+//!   the method with chaos and checkpoints until an injected fault
+//!   trips (a clean stop, a torn page write, a partial log flush),
+//!   crashes, repairs, and checks the Recovery Invariant after every
+//!   completed recovery: the serial probe, its seekless, partitioned
+//!   and lazy equivalents, a crash in the middle of recovery,
+//!   idempotence, and a restart from the checkpoint recovery itself
+//!   published. Further *legs* ride on clones of the same image:
+//!   `archive ∥ live` must replay to the durable history (and at the
+//!   truncation boundary to the pre-truncation state) for every
+//!   method; `media` and `ondemand` must rebuild a page destroyed out
+//!   of band (on `--backend file` the page file is unlinked or
+//!   `truncate(2)`-zeroed behind the database's back) sequentially,
+//!   lazily, and across a second fault mid-rebuild; `control` runs a
+//!   twin checkpointing the same schedule through full snapshots and
+//!   demands state identity. A cell fails on a violation, on a
+//!   required leg that verified nothing, and — `skippy` and `lying`
+//!   are deliberately broken — on a broken method that *passes*.
 //!
 //! Exit code 0 = everything checked clean (or, for the broken methods,
 //! the expected violation was found); 1 = a violation of the paper's
@@ -60,17 +52,16 @@
 use std::process::ExitCode;
 
 use redo_checker::beyond::find_beyond_witnesses;
-use redo_checker::crash_audit::{audit, audit_control, audit_media, audit_pit, CrashAuditConfig};
+use redo_checker::crash_audit::{
+    matrix, roster, shape_of, CrashAuditConfig, BACKENDS, LOG_SHARDS, POOLS,
+};
 use redo_checker::exhaustive::explore;
 use redo_checker::theorems::check_history;
 use redo_checker::wg_walk::walk;
 use redo_methods::broken::{LyingCheckpoint, SkippyRedo};
-use redo_methods::control::Control;
 use redo_methods::generalized::Generalized;
 use redo_methods::logical::Logical;
-use redo_methods::ondemand::OnDemand;
 use redo_methods::online::GeneralizedOnline;
-use redo_methods::parallel::{ParallelOnline, ParallelPhysical, ParallelPhysiological};
 use redo_methods::physical::Physical;
 use redo_methods::physiological::Physiological;
 use redo_methods::RecoveryMethod;
@@ -99,11 +90,15 @@ impl Args {
         Ok(Args { flags })
     }
 
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        let value = self.flags.iter().find(|(k, _)| k == key);
+        value
+            .map(|(_, v)| v.parse().map_err(|_| format!("bad value for --{key}: {v}")))
+            .transpose()
+    }
+
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.flags.iter().find(|(k, _)| k == key) {
-            None => Ok(default),
-            Some((_, v)) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
-        }
+        Ok(self.opt(key)?.unwrap_or(default))
     }
 
     fn get_str(&self, key: &str, default: &str) -> String {
@@ -154,30 +149,21 @@ fn explore_method<M: RecoveryMethod>(
     pages: u32,
     seeds: u64,
     limit: usize,
-) -> (u64, u64) {
+) -> Result<(u64, u64), String> {
     // Feed each method only the operation shapes its logging discipline
-    // admits (cross-page reads are a generalized/logical feature).
-    let cross = match method.name() {
-        "generalized-lsn" | "logical" => 0.5,
-        _ => 0.0,
-    };
-    let blind = if method.name() == "physical" {
-        1.0
-    } else {
-        0.2
-    };
+    // admits: the roster's.
+    let shape = shape_of(method.name())?;
     let (mut ok, mut bad) = (0u64, 0u64);
     for seed in 0..seeds {
-        let ops = PageWorkloadSpec {
-            n_ops: ops_n,
-            n_pages: pages,
-            slots_per_page: 4,
-            cross_page_fraction: cross,
-            blind_fraction: blind,
-            max_writes: 1,
-            ..Default::default()
-        }
-        .generate(seed);
+        let ops = shape
+            .spec(PageWorkloadSpec {
+                n_ops: ops_n,
+                n_pages: pages,
+                slots_per_page: 4,
+                max_writes: 1,
+                ..Default::default()
+            })
+            .generate(seed);
         match explore(method, &ops, 4, limit) {
             Ok((r, complete)) => {
                 println!(
@@ -195,7 +181,7 @@ fn explore_method<M: RecoveryMethod>(
             }
         }
     }
-    (ok, bad)
+    Ok((ok, bad))
 }
 
 fn cmd_schedules(args: &Args) -> Result<bool, String> {
@@ -214,7 +200,7 @@ fn cmd_schedules(args: &Args) -> Result<bool, String> {
         "skippy" => explore_method(&SkippyRedo, ops, pages, seeds, limit),
         "lying" => explore_method(&LyingCheckpoint, ops, pages, seeds, limit),
         other => return Err(format!("unknown method {other}")),
-    };
+    }?;
     if expect_broken {
         println!("({method} is a deliberately broken method: violations are the expected outcome)");
         Ok(bad > 0)
@@ -223,162 +209,54 @@ fn cmd_schedules(args: &Args) -> Result<bool, String> {
     }
 }
 
-fn audit_method<M: RecoveryMethod>(method: &M, cfg: &CrashAuditConfig) -> bool {
-    match audit(method, cfg) {
-        Ok(r) => {
-            println!(
-                "{}: OK — {} schedules, {} crashes ({} mid-recovery), {} faults fired \
-                 ({} torn writes, {} torn flushes, {} clean stops), {} torn pages repaired, \
-                 {} log bytes dropped, {} recoveries verified, {} seekless probes agreed, \
-                 {} parallel probes agreed, {} ondemand probes agreed",
-                method.name(),
-                r.schedules,
-                r.crashes,
-                r.mid_recovery_crashes,
-                r.faults_tripped,
-                r.torn_writes,
-                r.torn_flushes,
-                r.clean_stops,
-                r.torn_pages_repaired,
-                r.log_bytes_dropped,
-                r.recoveries_verified,
-                r.seekless_probes,
-                r.parallel_probes,
-                r.ondemand_probes
-            );
-            true
-        }
-        Err(e) => {
-            println!("VIOLATION — {e}");
-            false
-        }
-    }
-}
-
 fn cmd_crash_audit(args: &Args) -> Result<bool, String> {
-    let capacity: usize = args.get("capacity", 4)?;
-    let backend = match args.get_str("backend", "mem").as_str() {
-        "mem" => BackendKind::Mem,
-        "file" => BackendKind::File,
-        other => return Err(format!("unknown backend {other} (expected mem|file)")),
+    // A narrowing flag pins its axis to one value; without it the whole
+    // axis is enumerated.
+    let backends = match args.opt::<String>("backend")?.as_deref() {
+        None => BACKENDS.to_vec(),
+        Some("mem") => vec![BackendKind::Mem],
+        Some("file") => vec![BackendKind::File],
+        Some(other) => return Err(format!("unknown backend {other} (expected mem|file)")),
     };
-    let log_shards: usize = args.get("log-shards", 1)?;
-    if !log_shards.is_power_of_two() {
-        return Err(format!(
-            "--log-shards must be a power of two, got {log_shards}"
-        ));
-    }
-    let cfg = CrashAuditConfig {
+    let log_shards = match args.opt::<usize>("log-shards")? {
+        None => LOG_SHARDS.to_vec(),
+        Some(n) if n.is_power_of_two() => vec![n],
+        Some(n) => return Err(format!("--log-shards must be a power of two, got {n}")),
+    };
+    let pools = match args.opt::<usize>("capacity")? {
+        None => POOLS.to_vec(),
+        Some(0) => vec![None],
+        Some(n) => vec![Some(n)],
+    };
+    let base = CrashAuditConfig {
         schedules: args.get("schedules", 100)?,
         n_ops: args.get("ops", 40)?,
         n_pages: args.get("pages", 6)?,
         seed: args.get("seed", 0)?,
-        pool_capacity: if capacity == 0 { None } else { Some(capacity) },
-        backend,
-        log_shards,
         ..Default::default()
     };
-    let method = args.get_str("method", "all");
-    let all = method == "all";
-    let mut clean = true;
-    let mut matched = false;
-    if all || method == "logical" {
-        clean &= audit_method(&Logical, &cfg);
-        matched = true;
-    }
-    if all || method == "physical" {
-        clean &= audit_method(&Physical, &cfg);
-        matched = true;
-    }
-    if all || method == "physiological" {
-        clean &= audit_method(&Physiological, &cfg);
-        matched = true;
-    }
-    if all || method == "generalized" {
-        clean &= audit_method(&Generalized, &cfg);
-        matched = true;
-    }
-    if all || method == "online" {
-        clean &= audit_method(&GeneralizedOnline, &cfg);
-        matched = true;
-    }
-    if all || method == "ondemand" {
-        clean &= audit_method(&OnDemand, &cfg);
-        matched = true;
-    }
-    if all || method == "parallel" {
-        clean &= audit_method(&ParallelPhysiological { threads: 3 }, &cfg);
-        clean &= audit_method(&ParallelPhysical { threads: 3 }, &cfg);
-        clean &= audit_method(&ParallelOnline { threads: 3 }, &cfg);
-        matched = true;
-    }
-    if all || method == "media" {
-        match audit_media(&cfg) {
-            Ok(r) => println!(
-                "media: OK — {} schedules, {} crashes, {} faults fired, \
-                 {} pages destroyed ({} file deletions, {} file truncations), \
-                 {} rebuilds verified, {} ondemand rebuilds verified, \
-                 {} interrupted rebuilds verified",
-                r.schedules,
-                r.crashes,
-                r.faults_tripped,
-                r.pages_destroyed,
-                r.file_deletions,
-                r.file_truncations,
-                r.rebuilds_verified,
-                r.ondemand_rebuilds_verified,
-                r.interrupted_rebuilds_verified
-            ),
-            Err(e) => {
-                println!("VIOLATION — {e}");
-                clean = false;
-            }
-        }
-        matched = true;
-    }
-    if all || method == "control" {
-        clean &= audit_method(&Control, &cfg);
-        match audit_control(&cfg) {
-            Ok(r) => println!(
-                "control (twin run): OK — {} schedules, {} crashes, {} faults fired, \
-                 {} recoveries verified, {} delta/full identity checks, \
-                 {} crashes landed on a delta master",
-                r.schedules,
-                r.crashes,
-                r.faults_tripped,
-                r.recoveries_verified,
-                r.identity_checks,
-                r.delta_masters
-            ),
-            Err(e) => {
-                println!("VIOLATION — {e}");
-                clean = false;
-            }
-        }
-        matched = true;
-    }
-    if all || method == "pit" {
-        match audit_pit(&cfg) {
-            Ok(r) => println!(
-                "pit: OK — {} schedules, {} crashes, {} faults fired, \
-                 {} full-history replays verified, {} truncation-point replays verified, \
-                 {} bytes archived",
-                r.schedules,
-                r.crashes,
-                r.faults_tripped,
-                r.full_replays_verified,
-                r.truncation_replays_verified,
-                r.archived_bytes
-            ),
-            Err(e) => {
-                println!("VIOLATION — {e}");
-                clean = false;
-            }
-        }
-        matched = true;
-    }
-    if !matched {
+    // `pit` was a pseudo-method driving `online`; its check is now the
+    // archive leg of every row.
+    let method = match args.get_str("method", "all").as_str() {
+        "pit" => "online".to_string(),
+        other => other.to_string(),
+    };
+    let roster = roster();
+    let cells = matrix(&roster, &method, &backends, &log_shards, &pools, &base);
+    if cells.is_empty() {
         return Err(format!("unknown method {method}"));
+    }
+    let mut clean = true;
+    for cell in cells {
+        let outcome = cell.row.audit(&cell.cfg);
+        match (cell.row.judge(&outcome), outcome) {
+            (Ok(()), Ok(report)) => println!("{cell}: OK — {report}"),
+            (Ok(()), Err(caught)) => println!("{cell}: OK — caught, as it must be: {caught}"),
+            (Err(why), _) => {
+                println!("{cell}: VIOLATION — {why}");
+                clean = false;
+            }
+        }
     }
     Ok(clean)
 }

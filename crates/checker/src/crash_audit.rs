@@ -1,84 +1,75 @@
-//! Seeded crash-schedule audit with fault injection.
+//! The crash auditor: one oracle, one driver, one flow with legs, one
+//! generated matrix.
 //!
 //! [`crate::exhaustive`] enumerates every *flush* schedule of a tiny
 //! workload, but its crashes are polite: whole pages, whole log
 //! records. This module samples many larger schedules and makes the
 //! crashes hostile — each schedule arms a random
 //! [`FaultPlan`](redo_sim::fault::FaultPlan) (a clean stop, a torn page
-//! write, or a partial log flush at a random faultable I/O event) and
-//! then drives the method through the full degradation loop the paper's
-//! Corollary 4 must survive:
+//! write, or a partial log flush at a random faultable I/O event).
 //!
-//! 1. **Run** the workload with background chaos and checkpoints until
-//!    the fault trips (or the workload ends), then crash and run media
-//!    repair ([`redo_sim::db::Db::repair_after_crash`]).
-//! 2. **Probe recovery**: on a clone of the crashed image, run recovery
-//!    to completion and check the Recovery Invariant — the realized
-//!    redo set joined with the repaired disk state must be explained by
-//!    an installation-graph prefix of the durable history — plus exact
-//!    state equality with the durable prefix's final state. A *second*
-//!    clone recovers with the LSN seek index disabled: the index is
-//!    purely an access-path optimization, so both probes must reach the
-//!    identical recovered state with identical semantic redo stats. A
-//!    *third* clone — for methods whose discipline admits one — runs
-//!    the page-partitioned **parallel restart**
-//!    ([`RecoveryMethod::parallel_restart`]) and must reach the same
-//!    state while passing the invariant for its own redo set. A
-//!    *fourth* clone — for methods implementing the instant-restart
-//!    path ([`RecoveryMethod::ondemand_restart`]) — opens immediately
-//!    and serves a read probe on every durable cell, in a shuffled
-//!    order, *while recovery is still running*; each mid-recovery value
-//!    must equal what the page finally holds, and the drained state
-//!    must match the sequential probe exactly. The hook runs both faces
-//!    of the lazy executor — the sequential restart and
-//!    `SharedDb::open_on_demand` over the same image — and fails if
-//!    they disagree on any probe, mid-recovery or drained.
-//! 3. **Crash mid-recovery**: on the real image, arm a *second* fault
-//!    plan and run recovery again, then crash unconditionally. Because
-//!    recovery's replay is volatile until a post-recovery checkpoint,
-//!    this discards all of recovery's work regardless of where the
-//!    fault landed; for methods whose recovery does touch stable
-//!    storage (evictions under a bounded pool), the armed plan
-//!    additionally tears or suppresses that I/O partway.
-//! 4. **Recover again** after repairing, and verify the invariant and
-//!    final state once more.
-//! 5. **Idempotence**: crash and recover a third time; the recovered
-//!    state must be unchanged.
-//! 6. **Checkpoint, crash, recover**: take the method's checkpoint of
-//!    what the restart left in the pool — under a fuzzy discipline that
-//!    publishes *recovery's* dirty-page table and archives the log
-//!    below its redo-start — then crash and recover a fourth time. The
-//!    state must again be unchanged: every executor's pool bookkeeping
-//!    has to be something the next checkpoint may truthfully publish.
-//!
-//! The invariant is checked after *every completed* recovery (steps 2,
-//! 4, 5, and 6) — an interrupted recovery has no realized redo set to
-//! check, only the obligation that the next one still succeeds.
+//! * **Oracle** — [`DurablePrefix::verify`]: state equality with the
+//!   durable prefix, no non-durable replay, the Recovery Invariant
+//!   (Corollary 4) for the realized redo set. Every completed recovery
+//!   below goes through it.
+//! * **Driver** — [`Driver`] runs the workload with background chaos
+//!   and checkpoints until the fault trips and decides the durable
+//!   prefix: an operation is in it iff its log record is.
+//! * **Flow** — every schedule of every method is drive → crash →
+//!   repair, then on clones of that image the *legs*, then on the image
+//!   itself the degradation loop: arm a second plan and crash
+//!   mid-recovery, recover, crash and recover again (idempotence),
+//!   checkpoint what the restart left in the pool — under a fuzzy
+//!   discipline that publishes *recovery's* dirty-page table and
+//!   archives the log below its redo-start — crash and recover a
+//!   fourth time. The state must not move.
+//! * **Legs**, each counted by name in [`AuditReport::legs`]:
+//!   `recovery` (the serial probe and the three re-recoveries),
+//!   `seekless` (seek index disabled: same state, same semantic stats),
+//!   `parallel` and `ondemand` where the method's
+//!   [`RecoveryMethod::parallel_restart`] /
+//!   [`RecoveryMethod::ondemand_restart`] hook answers (the lazy hook
+//!   runs both faces of the lazy executor over shuffled probes),
+//!   `archive` / `truncation` (`archive ∥ live` replays to the durable
+//!   history, and at the truncation boundary to the pre-truncation
+//!   state) for every method, and two the [`roster`] table selects —
+//!   **media damage** (`destroyed`, `rebuild`, `ondemand-rebuild`,
+//!   `interrupted-rebuild`; a method without media recovery cannot be
+//!   told apart by observation) and the **delta/full twin** (`twin`,
+//!   `identity`, `delta-master`). Legs draw from their own
+//!   schedule-seeded generators: the main schedule's fault plans do not
+//!   move when a leg is added.
+//! * **Matrix** — [`matrix`] enumerates [`roster`] × backend × log
+//!   shards × pool size; [`Row::judge`] fails a violation, a broken row
+//!   that passes, and a required leg that verified nothing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redo_methods::harness::HarnessFailure;
+use redo_methods::broken::{LyingCheckpoint, SkippyRedo};
+use redo_methods::control::Control;
+use redo_methods::generalized::Generalized;
+use redo_methods::harness::{dying, ops_of, Driver, DurablePrefix, HarnessFailure};
+use redo_methods::logical::Logical;
+use redo_methods::media::Media;
+use redo_methods::ondemand::OnDemand;
 use redo_methods::online::GeneralizedOnline;
 use redo_methods::oprecord::PageOpPayload;
+use redo_methods::parallel::{ParallelOnline, ParallelPhysical, ParallelPhysiological};
+use redo_methods::physical::{PhysPayload, Physical};
+use redo_methods::physiological::Physiological;
+use redo_methods::redo::{CheckpointRecord, CheckpointView};
 use redo_methods::{RecoveryMethod, RecoveryStats};
 use redo_sim::backend::BackendKind;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::fault::{FaultKind, FaultPlan, InjectedFault};
-use redo_theory::conflict::ConflictGraph;
-use redo_theory::graph::NodeSet;
-use redo_theory::history::History;
-use redo_theory::installation::InstallationGraph;
-use redo_theory::invariant::recovery_invariant;
-use redo_theory::log::Log;
 use redo_theory::log::Lsn;
-use redo_theory::state::State;
-use redo_theory::state_graph::StateGraph;
+use redo_theory::state::{State, Value};
 use redo_workload::pages::{Cell, PageOp, PageWorkloadSpec};
 
-/// Crash-audit configuration.
+/// Crash-audit configuration: one cell of the [`matrix`].
 #[derive(Clone, Debug)]
 pub struct CrashAuditConfig {
     /// Seeded crash schedules per method.
@@ -104,14 +95,14 @@ pub struct CrashAuditConfig {
     /// Which stable-storage backend each schedule's disk and log live
     /// on: the in-memory simulation, or real files in a fresh tempdir
     /// (every probe clone deep-copies into its own directory, so the
-    /// degradation loop exercises real I/O end to end).
+    /// flow exercises real I/O end to end).
     pub backend: BackendKind,
     /// How many per-partition log shards the WAL is split into (a power
     /// of two; `1` is the classic single log). With more than one
     /// shard, multi-page records become cross-shard atomic flush
-    /// groups, so the injected faults now land *between* a group's
-    /// closure markers too — the audit proves the epoch-closure
-    /// analysis makes every group all-or-nothing.
+    /// groups, so the injected faults land *between* a group's closure
+    /// markers too — the audit proves the epoch-closure analysis makes
+    /// every group all-or-nothing.
     pub log_shards: usize,
 }
 
@@ -132,12 +123,14 @@ impl Default for CrashAuditConfig {
     }
 }
 
-/// What a crash audit observed.
+/// What an audit of one cell observed. The tallies are the degradation
+/// loop's (four crashes a schedule); legs crash clones, and count only
+/// under their names.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CrashAuditReport {
+pub struct AuditReport {
     /// Schedules driven.
     pub schedules: u64,
-    /// Total crashes injected (four per schedule).
+    /// Crashes injected.
     pub crashes: u64,
     /// Crashes that discarded an in-flight recovery (one per schedule).
     pub mid_recovery_crashes: u64,
@@ -154,31 +147,61 @@ pub struct CrashAuditReport {
     pub torn_pages_repaired: usize,
     /// Torn log-tail bytes discarded.
     pub log_bytes_dropped: usize,
-    /// Completed recoveries whose invariant and final state were
-    /// verified (four per schedule).
-    pub recoveries_verified: u64,
-    /// Seek-index equivalence probes: recoveries re-run with the seek
-    /// index disabled that reached the identical durable state and
-    /// semantic redo stats (one per schedule).
-    pub seekless_probes: u64,
-    /// Parallel-restart equivalence probes: crashed images re-recovered
-    /// through the page-partitioned parallel path
-    /// ([`RecoveryMethod::parallel_restart`]) that reached the identical
-    /// durable state and passed the Recovery Invariant (one per schedule
-    /// for methods whose discipline admits a parallel restart; zero for
-    /// the rest).
-    pub parallel_probes: u64,
-    /// On-demand (instant restart) equivalence probes: crashed images
-    /// reopened through [`RecoveryMethod::ondemand_restart`], serving
-    /// every durable cell mid-recovery, whose served values matched the
-    /// final page contents and whose drained state matched the
-    /// sequential probe (one per schedule for methods with a lazy
-    /// path; zero for the rest).
-    pub ondemand_probes: u64,
-    /// Operations replayed across all verified recoveries.
-    pub replayed: usize,
-    /// Operations bypassed as installed across all verified recoveries.
-    pub skipped: usize,
+    /// How many times each leg verified, by name (see the module docs).
+    pub legs: BTreeMap<&'static str, u64>,
+}
+
+impl AuditReport {
+    /// How many times `leg` verified.
+    #[must_use]
+    pub fn leg(&self, leg: &str) -> u64 {
+        self.legs.get(leg).copied().unwrap_or(0)
+    }
+
+    fn verified(&mut self, leg: &'static str) {
+        *self.legs.entry(leg).or_default() += 1;
+    }
+
+    /// Tallies the fault that fired (if one did), crashes `db` and runs
+    /// media repair.
+    fn crash<P: redo_sim::wal::LogPayload>(&mut self, db: &mut Db<P>) {
+        if db.fault_tripped() {
+            self.faults_tripped += 1;
+            match db.fault_injector().injected() {
+                Some(InjectedFault::TornWrite(_)) => self.torn_writes += 1,
+                Some(InjectedFault::TornFlush) => self.torn_flushes += 1,
+                Some(InjectedFault::Clean) | None => self.clean_stops += 1,
+            }
+        }
+        db.crash();
+        self.crashes += 1;
+        let repair = db.repair_after_crash();
+        self.torn_pages_repaired += repair.torn_pages.len();
+        self.log_bytes_dropped += repair.log_bytes_dropped;
+    }
+}
+
+impl fmt::Display for AuditReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} schedules, {} crashes ({} mid-recovery), {} faults fired ({} torn writes, \
+             {} torn flushes, {} clean stops), {} torn pages repaired, {} log bytes dropped; \
+             verified:",
+            self.schedules,
+            self.crashes,
+            self.mid_recovery_crashes,
+            self.faults_tripped,
+            self.torn_writes,
+            self.torn_flushes,
+            self.clean_stops,
+            self.torn_pages_repaired,
+            self.log_bytes_dropped
+        )?;
+        self.legs
+            .iter()
+            .try_for_each(|(leg, n)| write!(f, " {leg} {n}"))
+    }
 }
 
 /// A schedule on which the method failed.
@@ -188,7 +211,7 @@ pub struct CrashAuditFailure {
     pub method: &'static str,
     /// Which schedule (0-based).
     pub schedule: u64,
-    /// Which step of the degradation loop.
+    /// Which step of the flow.
     pub phase: &'static str,
     /// What went wrong.
     pub failure: HarnessFailure,
@@ -206,90 +229,338 @@ impl fmt::Display for CrashAuditFailure {
 
 impl std::error::Error for CrashAuditFailure {}
 
-/// The theory-level projection of a durable prefix.
-struct View {
-    cg: ConflictGraph,
-    ig: InstallationGraph,
-    sg: StateGraph,
-    log: Log,
-    n: usize,
-    position_of: BTreeMap<u32, usize>,
+/// The operation mix a logging discipline admits, as
+/// [`PageWorkloadSpec`] fractions.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Shape {
+    /// Operations that read a second page (§6.4's B-tree-split shape).
+    pub cross: f64,
+    /// Blind single-cell writes.
+    pub blind: f64,
+    /// Operations that write two pages (atomic multi-page installs).
+    pub multi: f64,
 }
 
-fn view_of(durable: &[PageOp], spp: u16) -> View {
-    let history = History::renumbering(durable.iter().map(|op| op.to_operation(spp)).collect());
-    let cg = ConflictGraph::generate(&history);
-    let ig = InstallationGraph::from_conflict(&cg);
-    let sg = StateGraph::from_conflict(&history, &cg, &State::zeroed());
-    let log = Log::from_history(&history);
-    let n = history.len();
-    let position_of = durable
-        .iter()
-        .enumerate()
-        .map(|(i, op)| (op.id, i))
-        .collect();
-    View {
-        cg,
-        ig,
-        sg,
-        log,
-        n,
-        position_of,
-    }
-}
+impl Shape {
+    /// §6.2: after-images only.
+    pub const BLIND: Shape = Shape::of(0.0, 1.0, 0.0);
+    /// §6.3: every operation reads and writes one page.
+    pub const SINGLE_PAGE: Shape = Shape::of(0.0, 0.2, 0.0);
+    /// §6.1: cross-page reads, single-page write sets.
+    pub const CROSS_PAGE: Shape = Shape::of(0.5, 0.1, 0.0);
+    /// §6.4: cross-page reads and multi-page write sets.
+    pub const GENERAL: Shape = Shape::of(0.5, 0.1, 0.2);
 
-/// Checks one *completed* recovery: exact state equality with the
-/// durable prefix's final state, and the Recovery Invariant for the
-/// realized redo set against the pre-recovery disk state.
-fn verify_recovery(
-    view: &View,
-    stats: &RecoveryStats,
-    recovered: &State,
-    pre_disk: &State,
-    crash: u64,
-) -> Result<(), HarnessFailure> {
-    if *recovered != view.sg.final_state() {
-        return Err(HarnessFailure::StateMismatch { crash: Some(crash) });
-    }
-    let mut redo_set = NodeSet::new(view.n);
-    for id in &stats.replayed {
-        match view.position_of.get(id) {
-            Some(&pos) => {
-                redo_set.insert(pos);
-            }
-            None => {
-                return Err(HarnessFailure::Invariant {
-                    crash,
-                    detail: format!("recovery replayed non-durable operation {id}"),
-                })
-            }
+    const fn of(cross: f64, blind: f64, multi: f64) -> Shape {
+        Shape {
+            cross,
+            blind,
+            multi,
         }
     }
-    recovery_invariant(&view.cg, &view.ig, &view.sg, &view.log, &redo_set, pre_disk).map_err(|v| {
-        HarnessFailure::Invariant {
-            crash,
-            detail: v.to_string(),
+
+    /// `base` with this shape's fractions.
+    #[must_use]
+    pub fn spec(self, base: PageWorkloadSpec) -> PageWorkloadSpec {
+        PageWorkloadSpec {
+            cross_page_fraction: self.cross,
+            blind_fraction: self.blind,
+            multi_page_fraction: self.multi,
+            ..base
         }
-    })
+    }
 }
 
-/// Samples a fault plan whose crash point lies in `1..=max_at`.
-/// The on-demand probes of one schedule: every durable cell, in an
-/// order shuffled from the schedule's seed — sorted order would serve
-/// each page's cells together and low pages first, which is also the
-/// sweeper's order, so an executor that is only right in that order
-/// would pass. The shuffle draws from its own generator: the
-/// schedule's fault plans must not move.
-fn probe_cells(durable: &[PageOp], cfg: &CrashAuditConfig, s: u64) -> Vec<Cell> {
-    let cells: BTreeSet<Cell> = (durable.iter())
-        .flat_map(|op| op.writes.iter().copied())
-        .collect();
-    let mut cells: Vec<Cell> = cells.into_iter().collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(s) ^ 0x0de3_a9d5_eed5);
-    for i in (1..cells.len()).rev() {
-        cells.swap(i, rng.gen_range(0..=i));
+/// How the `archive` leg and the `delta-master` count read a log record.
+pub trait Replay: CheckpointView {
+    /// Redoes the record from genesis into `cells` and names the
+    /// workload operation it logged; `None`, `cells` untouched, for a
+    /// checkpoint record.
+    fn replay(self, cells: &mut BTreeMap<Cell, u64>) -> Option<u32>;
+}
+
+impl Replay for PageOpPayload {
+    fn replay(self, cells: &mut BTreeMap<Cell, u64>) -> Option<u32> {
+        let PageOpPayload::Op(op) = self else {
+            return None;
+        };
+        let reads: Vec<u64> = (op.reads.iter())
+            .map(|c| cells.get(c).copied().unwrap_or(0))
+            .collect();
+        cells.extend(op.writes.iter().map(|&w| (w, op.output(w, &reads))));
+        Some(op.id)
+    }
+}
+
+impl Replay for PhysPayload {
+    fn replay(self, cells: &mut BTreeMap<Cell, u64>) -> Option<u32> {
+        let PhysPayload::Writes { op_id, writes } = self else {
+            return None;
+        };
+        cells.extend(writes);
+        Some(op_id)
+    }
+}
+
+/// What auditing one cell returns.
+pub type Outcome = Result<AuditReport, CrashAuditFailure>;
+type Run = dyn Fn(&Row, &CrashAuditConfig) -> Outcome;
+
+/// One roster row: a method, the workload shape its discipline admits,
+/// and what the audit must find.
+pub struct Row {
+    /// What `--method` selects (`parallel` selects three rows).
+    pub cli: &'static str,
+    /// The method's [`RecoveryMethod::name`].
+    pub name: &'static str,
+    /// The operation mix the method is fed.
+    pub shape: Shape,
+    /// Whether the pool axis applies ([`RecoveryMethod::allows_page_chaos`]).
+    pub bounded_pool: bool,
+    /// A deliberately broken method: the audit must *fail*.
+    pub expect_violation: bool,
+    /// Legs that must verify at least once in every cell, beyond the
+    /// ones every schedule of every method runs (`recovery`,
+    /// `seekless`, `archive`). Naming `rebuild` selects the
+    /// media-damage legs.
+    pub required: &'static [&'static str],
+    run: Box<Run>,
+}
+
+impl Row {
+    /// Audits this row's method in the cell `cfg` describes.
+    ///
+    /// # Errors
+    ///
+    /// See [`audit`].
+    pub fn audit(&self, cfg: &CrashAuditConfig) -> Outcome {
+        (self.run)(self, cfg)
+    }
+
+    /// Whether `outcome` is what this row's table entry demands.
+    ///
+    /// # Errors
+    ///
+    /// The violation found, a broken row that passed, or the first
+    /// required leg that verified nothing.
+    pub fn judge(&self, outcome: &Outcome) -> Result<(), String> {
+        let name = self.name;
+        match outcome {
+            Err(_) if self.expect_violation => Ok(()),
+            Err(e) => Err(e.to_string()),
+            Ok(_) if self.expect_violation => Err(format!(
+                "{name} is deliberately broken and passed: the auditor cannot say no"
+            )),
+            Ok(report) => match self.required.iter().find(|leg| report.leg(leg) == 0) {
+                Some(leg) => Err(format!("{name}: required leg `{leg}` verified nothing")),
+                None => Ok(()),
+            },
+        }
+    }
+}
+
+const PAR: &[&str] = &["parallel"];
+const ARCHIVE: &[&str] = &["truncation"];
+const PAR_ARCHIVE: &[&str] = &["parallel", "truncation"];
+const MEDIA: &[&str] = &[
+    "truncation",
+    "ondemand",
+    "rebuild",
+    "ondemand-rebuild",
+    "interrupted-rebuild",
+];
+const TWIN: &[&str] = &["truncation", "twin", "identity", "delta-master"];
+
+/// The roster: every method the repo ships, and next to each the legs
+/// it must verify. A new executor is audited in every cell of the
+/// [`matrix`] by joining this table.
+#[must_use]
+pub fn roster() -> Vec<Row> {
+    type Legs = &'static [&'static str];
+    fn twinned<M, T>(cli: &'static str, method: M, twin: Option<T>, shape: Shape, legs: Legs) -> Row
+    where
+        M: RecoveryMethod + 'static,
+        T: RecoveryMethod + 'static,
+        M::Payload: Replay,
+    {
+        Row {
+            cli,
+            name: method.name(),
+            shape,
+            bounded_pool: method.allows_page_chaos(),
+            expect_violation: false,
+            required: legs,
+            run: Box::new(move |row, cfg| audit(&method, twin.as_ref(), row, cfg)),
+        }
+    }
+    fn row<M>(cli: &'static str, method: M, shape: Shape, legs: Legs) -> Row
+    where
+        M: RecoveryMethod + 'static,
+        M::Payload: Replay,
+    {
+        twinned(cli, method, None::<M>, shape, legs)
+    }
+    let broken = |row: Row| Row {
+        expect_violation: true,
+        ..row
+    };
+    let (blind, single) = (Shape::BLIND, Shape::SINGLE_PAGE);
+    let (cross, general) = (Shape::CROSS_PAGE, Shape::GENERAL);
+    let threads = 3;
+    // The delta chain is an *encoding* of the full snapshot: control's
+    // twin checkpoints the same schedule through full snapshots.
+    let full = Some(GeneralizedOnline);
+    vec![
+        row("logical", Logical, cross, &[]),
+        row("physical", Physical, blind, PAR),
+        row("physiological", Physiological, single, PAR),
+        row("generalized", Generalized, general, &[]),
+        row("online", GeneralizedOnline, general, ARCHIVE),
+        row("ondemand", OnDemand, general, MEDIA),
+        row("parallel", ParallelPhysiological { threads }, single, PAR),
+        row("parallel", ParallelPhysical { threads }, blind, PAR_ARCHIVE),
+        row("parallel", ParallelOnline { threads }, single, PAR_ARCHIVE),
+        row("media", Media, general, MEDIA),
+        twinned("control", Control, full, general, TWIN),
+        // The auditor must be able to say no.
+        broken(row("skippy", SkippyRedo, single, &[])),
+        broken(row("lying", LyingCheckpoint, single, &[])),
+    ]
+}
+
+/// The workload shape the roster feeds the method named `method`.
+///
+/// # Errors
+///
+/// An unlisted name: a method nobody gave a shape is not silently fed
+/// single-page operations.
+pub fn shape_of(method: &str) -> Result<Shape, String> {
+    (roster().iter().find(|row| row.name == method))
+        .map(|row| row.shape)
+        .ok_or_else(|| format!("method {method} is not on the roster: no workload shape"))
+}
+
+/// The matrix's backend axis.
+pub const BACKENDS: [BackendKind; 2] = [BackendKind::Mem, BackendKind::File];
+/// The matrix's log-shard axis.
+pub const LOG_SHARDS: [usize; 2] = [1, 4];
+/// The matrix's pool axis (`None` = unbounded). Capacity 2 is where
+/// the steal path forces an operation's own record.
+pub const POOLS: [Option<usize>; 3] = [Some(2), Some(4), None];
+/// A file schedule costs ~50 mem schedules (every force and page write
+/// is an fsync): when both backends are enumerated, a file cell runs
+/// one in this many of the schedules.
+pub const FILE_SCHEDULES: u64 = 5;
+
+/// One cell of the matrix: a roster row and the configuration it is
+/// audited under.
+pub struct MatrixCell<'a> {
+    /// The method and what it must verify.
+    pub row: &'a Row,
+    /// Backend, log shards, pool and schedule count of this cell.
+    pub cfg: CrashAuditConfig,
+}
+
+impl fmt::Display for MatrixCell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (name, shards) = (self.row.name, self.cfg.log_shards);
+        let backend = match self.cfg.backend {
+            BackendKind::Mem => "mem",
+            BackendKind::File => "file",
+        };
+        let pool = (self.cfg.pool_capacity).map_or("unbounded".into(), |n| n.to_string());
+        write!(f, "{name} [{backend}, log shards {shards}, pool {pool}]")
+    }
+}
+
+/// Enumerates the rows `method` selects (`all`, or a [`Row::cli`]) over
+/// the given axes, `base` supplying everything else. A row whose
+/// discipline ignores the pool axis lists that cell once.
+#[must_use]
+pub fn matrix<'a>(
+    roster: &'a [Row],
+    method: &str,
+    backends: &[BackendKind],
+    log_shards: &[usize],
+    pools: &[Option<usize>],
+    base: &CrashAuditConfig,
+) -> Vec<MatrixCell<'a>> {
+    let mut cells = Vec::new();
+    for row in roster.iter().filter(|r| method == "all" || r.cli == method) {
+        let mut row_pools: Vec<_> = pools
+            .iter()
+            .map(|p| p.filter(|_| row.bounded_pool))
+            .collect();
+        row_pools.dedup();
+        for &backend in backends {
+            let file_share = backend == BackendKind::File && backends.len() > 1;
+            let schedules = match file_share {
+                true => base.schedules.div_ceil(FILE_SCHEDULES),
+                false => base.schedules,
+            };
+            for &log_shards in log_shards {
+                cells.extend(row_pools.iter().map(|&pool_capacity| MatrixCell {
+                    row,
+                    cfg: CrashAuditConfig {
+                        schedules,
+                        pool_capacity,
+                        backend,
+                        log_shards,
+                        ..base.clone()
+                    },
+                }));
+            }
+        }
     }
     cells
+}
+
+/// Drives `method` through `cfg.schedules` seeded crash schedules of
+/// the one flow (see the module docs), fed `row.shape` and — when
+/// `row.required` names `rebuild` — put through the media-damage legs;
+/// `twin`, if any, is a method that must be observationally identical
+/// to `method` on the same schedule.
+///
+/// # Errors
+///
+/// The first schedule on which a completed recovery failed the oracle,
+/// a leg disagreed with the serial probe, or the substrate refused an
+/// operation with no fault armed as an excuse.
+pub fn audit<M, T>(method: &M, twin: Option<&T>, row: &Row, cfg: &CrashAuditConfig) -> Outcome
+where
+    M: RecoveryMethod,
+    T: RecoveryMethod,
+    M::Payload: Replay,
+{
+    let mut report = AuditReport::default();
+    for s in 0..cfg.schedules {
+        run_schedule(method, twin, row, cfg, s, &mut report).map_err(|(phase, failure)| {
+            CrashAuditFailure {
+                method: method.name(),
+                schedule: s,
+                phase,
+                failure,
+            }
+        })?;
+        report.schedules += 1;
+    }
+    Ok(report)
+}
+
+type PhaseResult<T = ()> = Result<T, (&'static str, HarnessFailure)>;
+
+fn mismatch(phase: &'static str, crash: Option<u64>) -> (&'static str, HarnessFailure) {
+    (phase, HarnessFailure::StateMismatch { crash })
+}
+
+fn invariant(phase: &'static str, detail: String) -> (&'static str, HarnessFailure) {
+    (phase, HarnessFailure::Invariant { crash: 1, detail })
+}
+
+/// Methods that forbid page chaos (logical) always get an unbounded
+/// pool: an eviction is a page write.
+fn pool_capacity<M: RecoveryMethod>(method: &M, cfg: &CrashAuditConfig) -> Option<usize> {
+    cfg.pool_capacity.filter(|_| method.allows_page_chaos())
 }
 
 fn sample_plan(rng: &mut StdRng, max_at: u64) -> FaultPlan {
@@ -306,1286 +577,598 @@ fn sample_plan(rng: &mut StdRng, max_at: u64) -> FaultPlan {
     FaultPlan { at, kind }
 }
 
-/// Generates the operation shapes a method's logging discipline admits
-/// (mirrors the harness and the `schedules` explorer).
-fn shaped_workload(method_name: &str, cfg: &CrashAuditConfig, seed: u64) -> Vec<PageOp> {
-    let (cross, blind, multi) = match method_name {
-        "physical" | "physical-parallel" => (0.0, 1.0, 0.0),
-        "generalized-lsn" | "generalized-online" | "ondemand" | "media" | "control" => {
-            (0.5, 0.1, 0.2)
-        }
-        "logical" => (0.5, 0.1, 0.0),
-        _ => (0.0, 0.2, 0.0),
-    };
-    PageWorkloadSpec {
+/// Schedule `s` of `cfg`: its workload, and the generator its fault
+/// plans and chaos are drawn from.
+fn schedule(shape: Shape, cfg: &CrashAuditConfig, s: u64) -> (Vec<PageOp>, StdRng) {
+    let base = PageWorkloadSpec {
         n_ops: cfg.n_ops,
         n_pages: cfg.n_pages,
         slots_per_page: cfg.slots_per_page,
-        cross_page_fraction: cross,
-        multi_page_fraction: multi,
-        blind_fraction: blind,
         ..Default::default()
-    }
-    .generate(seed)
-}
-
-/// Drives `method` through `cfg.schedules` seeded crash schedules (see
-/// the module docs for the per-schedule degradation loop).
-///
-/// # Errors
-///
-/// The first schedule on which a completed recovery violated the
-/// Recovery Invariant, mismatched the durable prefix's state, failed to
-/// be idempotent, or the substrate refused an operation with no fault
-/// armed as an excuse.
-pub fn audit<M: RecoveryMethod>(
-    method: &M,
-    cfg: &CrashAuditConfig,
-) -> Result<CrashAuditReport, CrashAuditFailure> {
-    let mut report = CrashAuditReport::default();
-    for s in 0..cfg.schedules {
-        run_schedule(method, cfg, s, &mut report).map_err(|(phase, failure)| {
-            CrashAuditFailure {
-                method: method.name(),
-                schedule: s,
-                phase,
-                failure,
-            }
-        })?;
-        report.schedules += 1;
-    }
-    Ok(report)
-}
-
-/// What a delta-checkpoint (control-method) audit observed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ControlAuditReport {
-    /// Schedules driven.
-    pub schedules: u64,
-    /// Crashes injected (two per schedule — one per twin).
-    pub crashes: u64,
-    /// Schedules on which the shared fault plan actually fired.
-    pub faults_tripped: u64,
-    /// Completed recoveries whose invariant and final state were
-    /// verified (two per schedule — one per twin).
-    pub recoveries_verified: u64,
-    /// Schedules on which both twins survived the same durable prefix
-    /// and their recovered states were bit-identical.
-    pub identity_checks: u64,
-    /// Schedules whose surviving master named a
-    /// [`PageOpPayload::DeltaCheckpoint`] — proof the crash landed
-    /// while an incremental chain was in force.
-    pub delta_masters: u64,
-}
-
-/// Drives the incremental-checkpoint method through seeded crash
-/// schedules as a *twin run*: two databases with identical geometry,
-/// backend, workload, chaos stream, and fault plan — one checkpointing
-/// through the [`Control`](redo_methods::control::Control) delta chain,
-/// the other through [`GeneralizedOnline`]'s full snapshots. Both twins
-/// see the same append/flush/publish event sequence (delta records
-/// differ only in payload bytes), so the armed fault trips at the same
-/// protocol step in each — including inside delta-chain publication.
-/// After the crash each twin's recovery is verified against its own
-/// durable prefix (Recovery Invariant + exact state), and whenever the
-/// twins kept the same durable prefix their recovered states must be
-/// bit-identical: the delta chain is an *encoding* of the full
-/// snapshot, never a semantic difference.
-///
-/// # Errors
-///
-/// The first schedule on which either twin's recovery failed
-/// verification, or the twins diverged on an identical durable prefix.
-pub fn audit_control(cfg: &CrashAuditConfig) -> Result<ControlAuditReport, CrashAuditFailure> {
-    let mut report = ControlAuditReport::default();
-    for s in 0..cfg.schedules {
-        run_control_schedule(cfg, s, &mut report).map_err(|(phase, failure)| {
-            CrashAuditFailure {
-                method: "control",
-                schedule: s,
-                phase,
-                failure,
-            }
-        })?;
-        report.schedules += 1;
-    }
-    Ok(report)
-}
-
-/// Runs one twin through the shared workload: execute each operation,
-/// apply background chaos, checkpoint on the configured cadence via
-/// `checkpoint`, and stop once the armed fault trips. Returns the
-/// committed operations with their LSNs.
-fn drive_twin(
-    db: &mut Db<PageOpPayload>,
-    ops: &[PageOp],
-    cfg: &CrashAuditConfig,
-    chaos_rng: &mut StdRng,
-    checkpoint: &dyn Fn(&mut Db<PageOpPayload>) -> redo_sim::SimResult<()>,
-) -> Result<Vec<(PageOp, Lsn)>, HarnessFailure> {
-    let mut committed = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match redo_methods::generalized::Generalized.execute(db, op) {
-            Ok(lsn) => committed.push((op.clone(), lsn)),
-            Err(_) if db.fault_tripped() => {}
-            Err(e) => return Err(e.into()),
-        }
-        if let Some((log_p, page_p)) = cfg.chaos {
-            match db.chaos_flush(chaos_rng, log_p, page_p) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if cfg.checkpoint_every.is_some_and(|k| (i + 1) % k == 0) {
-            match checkpoint(db) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if db.fault_tripped() {
-            break;
-        }
-    }
-    Ok(committed)
-}
-
-fn run_control_schedule(
-    cfg: &CrashAuditConfig,
-    s: u64,
-    report: &mut ControlAuditReport,
-) -> PhaseResult {
-    use redo_methods::control::Control;
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let ops = shaped_workload("control", cfg, cfg.seed.wrapping_add(s));
-    let fail = |phase: &'static str, e: HarnessFailure| (phase, e);
-    let plan = sample_plan(&mut rng, ops.len() as u64 * 4);
-    let geometry = Geometry {
-        slots_per_page: cfg.slots_per_page,
     };
-
-    let mut inc: Db<PageOpPayload> =
-        Db::on_sharded(cfg.backend, geometry, cfg.pool_capacity, cfg.log_shards);
-    let mut full: Db<PageOpPayload> =
-        Db::on_sharded(cfg.backend, geometry, cfg.pool_capacity, cfg.log_shards);
-    inc.arm_faults(plan);
-    full.arm_faults(plan);
-    // Cloned chaos streams: both twins draw the same flush decisions.
-    let mut chaos_inc = StdRng::seed_from_u64(cfg.seed ^ s.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    let mut chaos_full = chaos_inc.clone();
-
-    let committed_inc = drive_twin(&mut inc, &ops, cfg, &mut chaos_inc, &|db| {
-        Control.checkpoint(db)
-    })
-    .map_err(|e| fail("workload", e))?;
-    let committed_full = drive_twin(&mut full, &ops, cfg, &mut chaos_full, &|db| {
-        GeneralizedOnline.checkpoint(db)
-    })
-    .map_err(|e| fail("workload", e))?;
-    if inc.fault_tripped() || full.fault_tripped() {
-        report.faults_tripped += 1;
-    }
-
-    inc.crash();
-    full.crash();
-    report.crashes += 2;
-    inc.repair_after_crash();
-    full.repair_after_crash();
-    if matches!(
-        inc.log.record_at_lsn(inc.disk.master()),
-        Ok(Some(rec)) if matches!(rec.payload, PageOpPayload::DeltaCheckpoint { .. })
-    ) {
-        report.delta_masters += 1;
-    }
-
-    // Each twin verifies against its own durable prefix.
-    let durable_inc: Vec<(u32, Lsn)> = committed_inc
-        .iter()
-        .filter(|(_, lsn)| *lsn <= inc.log.stable_lsn())
-        .map(|(op, lsn)| (op.id, *lsn))
-        .collect();
-    let durable_full: Vec<(u32, Lsn)> = committed_full
-        .iter()
-        .filter(|(_, lsn)| *lsn <= full.log.stable_lsn())
-        .map(|(op, lsn)| (op.id, *lsn))
-        .collect();
-    for (db, committed, method_name) in [
-        (&mut inc, &committed_inc, "control recovery"),
-        (&mut full, &committed_full, "full-snapshot recovery"),
-    ] {
-        let stable = db.log.stable_lsn();
-        let durable: Vec<PageOp> = committed
-            .iter()
-            .filter(|(_, lsn)| *lsn <= stable)
-            .map(|(op, _)| op.clone())
-            .collect();
-        let view = view_of(&durable, cfg.slots_per_page);
-        let pre = db.stable_theory_state();
-        let stats = Control
-            .recover(db)
-            .map_err(|e| fail(method_name, e.into()))?;
-        verify_recovery(&view, &stats, &db.volatile_theory_state(), &pre, 1)
-            .map_err(|e| fail(method_name, e))?;
-        report.recoveries_verified += 1;
-    }
-
-    // Cross-twin identity: same durable operations at the same LSNs
-    // means the recovered states must agree exactly — the delta chain
-    // may change what analysis *reads*, never what recovery *rebuilds*.
-    if durable_inc == durable_full {
-        if inc.volatile_theory_state() != full.volatile_theory_state() {
-            return Err(fail(
-                "delta/full identity",
-                HarnessFailure::StateMismatch { crash: Some(1) },
-            ));
-        }
-        report.identity_checks += 1;
-    }
-    Ok(())
+    let ops = shape.spec(base).generate(cfg.seed.wrapping_add(s));
+    let rng = StdRng::seed_from_u64(cfg.seed ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    (ops, rng)
 }
 
-/// What a point-in-time (archive-tier) audit observed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PitAuditReport {
-    /// Schedules driven.
-    pub schedules: u64,
-    /// Crashes injected (one per schedule).
-    pub crashes: u64,
-    /// Armed faults that actually fired.
-    pub faults_tripped: u64,
-    /// Schedules on which `archive ∥ live` reproduced the *entire*
-    /// durable operation history, record for record (one per schedule).
-    pub full_replays_verified: u64,
-    /// Schedules on which replaying the point-in-time record sequence
-    /// at the truncation boundary reproduced the pre-truncation state —
-    /// the prefix the live log no longer holds (zero only if no
-    /// checkpoint ever archived anything).
-    pub truncation_replays_verified: u64,
-    /// Bytes resident in the archive tiers across all schedules.
-    pub archived_bytes: u64,
-}
-
-/// Drives the archive tier through seeded crash schedules and verifies
-/// point-in-time recovery: the workload runs under
-/// [`GeneralizedOnline`], whose published checkpoints move the
-/// drained log prefix into the archive
-/// ([`redo_sim::wal::ShardedLog::archive_prefix`]); after the crash,
-/// [`redo_sim::wal::ShardedLog::pit_records`] must reproduce (a) the
-/// entire durable operation history from `archive ∥ live`, and (b) at
-/// the truncation boundary, exactly the state the system had before
-/// the prefix left the live log.
-///
-/// # Errors
-///
-/// The first schedule on which an archived record went missing, a
-/// phantom record appeared, or the truncation-point replay reached a
-/// different state than the durable prefix it claims to reproduce.
-pub fn audit_pit(cfg: &CrashAuditConfig) -> Result<PitAuditReport, CrashAuditFailure> {
-    let mut report = PitAuditReport::default();
-    for s in 0..cfg.schedules {
-        run_pit_schedule(cfg, s, &mut report).map_err(|(phase, failure)| CrashAuditFailure {
-            method: "pit",
-            schedule: s,
-            phase,
-            failure,
-        })?;
-        report.schedules += 1;
-    }
-    Ok(report)
-}
-
-fn run_pit_schedule(cfg: &CrashAuditConfig, s: u64, report: &mut PitAuditReport) -> PhaseResult {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let method = GeneralizedOnline;
-    let ops = shaped_workload(method.name(), cfg, cfg.seed.wrapping_add(s));
-    let mut db: Db<PageOpPayload> = Db::on_sharded(
-        cfg.backend,
-        Geometry {
-            slots_per_page: cfg.slots_per_page,
-        },
-        cfg.pool_capacity,
-        cfg.log_shards,
-    );
-    let fail = |phase: &'static str, e: HarnessFailure| (phase, e);
-
-    db.arm_faults(sample_plan(&mut rng, ops.len() as u64 * 4));
-    let mut committed: Vec<(PageOp, Lsn)> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match method.execute(&mut db, op) {
-            Ok(lsn) => committed.push((op.clone(), lsn)),
-            Err(_) if db.fault_tripped() => {}
-            Err(e) => return Err(fail("workload", e.into())),
-        }
-        if let Some((log_p, page_p)) = cfg.chaos {
-            match db.chaos_flush(&mut rng, log_p, page_p) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(fail("workload", e.into())),
-            }
-        }
-        if cfg.checkpoint_every.is_some_and(|k| (i + 1) % k == 0) {
-            match method.checkpoint(&mut db) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(fail("checkpoint", e.into())),
-            }
-        }
-        if db.fault_tripped() {
-            break;
-        }
-    }
-    if db.fault_tripped() {
-        report.faults_tripped += 1;
-    }
-    db.crash();
-    report.crashes += 1;
-    db.repair_after_crash();
-
-    let stable = db.log.stable_lsn();
-    committed.retain(|(_, lsn)| *lsn <= stable);
-    let pit_ops = |upto: Lsn| -> Result<Vec<PageOp>, (&'static str, HarnessFailure)> {
-        let records = db
-            .log
-            .pit_records(upto)
-            .map_err(|e| fail("pit decode", e.into()))?;
-        Ok(records
-            .into_iter()
-            .filter_map(|rec| match rec.payload {
-                PageOpPayload::Op(op) => Some(op),
-                PageOpPayload::Checkpoint
-                | PageOpPayload::FuzzyCheckpoint { .. }
-                | PageOpPayload::DeltaCheckpoint { .. } => None,
-            })
-            .collect())
-    };
-
-    // (a) Full history: `archive ∥ live` up to the stable LSN is the
-    // durable operation sequence, record for record — archiving moved
-    // the prefix, it did not lose, duplicate, or reorder anything.
-    let durable: Vec<PageOp> = committed.iter().map(|(op, _)| op.clone()).collect();
-    let replayable = pit_ops(stable)?;
-    if replayable != durable {
-        return Err(fail(
-            "pit full replay",
-            HarnessFailure::Invariant {
-                crash: 1,
-                detail: format!(
-                    "archive ∥ live holds {} replayable operations, durable history has {}",
-                    replayable.len(),
-                    durable.len()
-                ),
-            },
-        ));
-    }
-    report.full_replays_verified += 1;
-
-    // (b) Truncation point: replaying the point-in-time sequence at the
-    // archive/live boundary must reproduce the state the system had
-    // when that prefix was truncated — records the live log no longer
-    // holds at all.
-    let boundary = db.log.first_stable();
-    if boundary > Lsn(1) && stable >= boundary {
-        let upto = Lsn(boundary.0 - 1);
-        let replayed = view_of(&pit_ops(upto)?, cfg.slots_per_page)
-            .sg
-            .final_state();
-        let prefix: Vec<PageOp> = committed
-            .iter()
-            .filter(|(_, lsn)| *lsn <= upto)
-            .map(|(op, _)| op.clone())
-            .collect();
-        if replayed != view_of(&prefix, cfg.slots_per_page).sg.final_state() {
-            return Err(fail(
-                "pit truncation replay",
-                HarnessFailure::StateMismatch { crash: Some(1) },
-            ));
-        }
-        report.truncation_replays_verified += 1;
-    }
-    report.archived_bytes += db.log.archived_bytes();
-    Ok(())
-}
-
-/// What a media-recovery audit observed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MediaAuditReport {
-    /// Schedules driven.
-    pub schedules: u64,
-    /// Crashes injected across all schedules.
-    pub crashes: u64,
-    /// Armed faults that actually fired (workload or interrupted leg).
-    pub faults_tripped: u64,
-    /// Pages destroyed by the media-failure adversary (one per schedule
-    /// whose crashed image had any durable page; zero-page images skip
-    /// the damage legs).
-    pub pages_destroyed: u64,
-    /// Damaged images whose sequential media recovery reached state
-    /// identity with the undamaged probe.
-    pub rebuilds_verified: u64,
-    /// Damaged images whose on-demand restart (lost page gated, image
-    /// installed lazily) reached the same identity, serving every
-    /// durable cell mid-recovery.
-    pub ondemand_rebuilds_verified: u64,
-    /// Damaged images whose rebuild was interrupted by a second armed
-    /// fault, re-crashed, and still converged to the undamaged state —
-    /// the idempotence leg.
-    pub interrupted_rebuilds_verified: u64,
-    /// File-backend schedules that deleted the shard page file outright.
-    pub file_deletions: u64,
-    /// File-backend schedules that truncated the page file out-of-band
-    /// (`truncate(2)` to zero length).
-    pub file_truncations: u64,
-}
-
-/// Drives media recovery through seeded crash schedules: run a
-/// [`Media`](redo_methods::media::Media) workload with chaos,
-/// checkpoints, and an armed fault; crash; then destroy one durable
-/// page **out-of-band** — [`Db::destroy_page`](redo_sim::disk::Disk::destroy_page)
-/// on the memory backend, a deleted or `truncate(2)`-zeroed page file
-/// on the file backend — and demand that media recovery rebuilds the
-/// damaged image to *state identity* with an undamaged probe of the
-/// same crash, through the sequential path, the on-demand path, and
-/// across a second fault injected mid-rebuild.
-///
-/// The Recovery Invariant is checked on the undamaged probe only: a
-/// destroyed page is outside the crash model the invariant assumes
-/// (stable storage is no longer explainable by any installation-graph
-/// prefix); identity with the undamaged recovery is exactly the
-/// obligation that remains.
-///
-/// # Errors
-///
-/// The first schedule on which a rebuild diverged from the undamaged
-/// probe, failed to converge after an interrupted rebuild, or the
-/// substrate refused an operation with no fault armed as an excuse.
-pub fn audit_media(cfg: &CrashAuditConfig) -> Result<MediaAuditReport, CrashAuditFailure> {
-    let mut report = MediaAuditReport::default();
-    for s in 0..cfg.schedules {
-        run_media_schedule(cfg, s, &mut report).map_err(|(phase, failure)| CrashAuditFailure {
-            method: "media",
-            schedule: s,
-            phase,
-            failure,
-        })?;
-        report.schedules += 1;
-    }
-    Ok(report)
-}
-
-fn run_media_schedule(
-    cfg: &CrashAuditConfig,
+/// One schedule's crashed and repaired image, with the durable prefix
+/// the driver decided and the oracle for it.
+struct Crashed<'a, M: RecoveryMethod> {
+    method: &'a M,
+    cfg: &'a CrashAuditConfig,
     s: u64,
-    report: &mut MediaAuditReport,
-) -> PhaseResult {
-    use redo_methods::media::Media;
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let method = Media;
-    let ops = shaped_workload(method.name(), cfg, cfg.seed.wrapping_add(s));
-    let mut db: Db<PageOpPayload> = Db::on_sharded(
-        cfg.backend,
-        Geometry {
+    db: Db<M::Payload>,
+    /// The repaired stable state every probe recovery starts from.
+    pre: State,
+    durable: Vec<(PageOp, Lsn)>,
+    oracle: DurablePrefix,
+}
+
+impl<'a, M: RecoveryMethod> Crashed<'a, M> {
+    /// Drive → crash → repair: arms a plan sampled from `rng`, runs
+    /// `ops` through the one driver until it trips, crashes, repairs.
+    fn drive(
+        method: &'a M,
+        ops: &[PageOp],
+        cfg: &'a CrashAuditConfig,
+        s: u64,
+        rng: &mut StdRng,
+        report: &mut AuditReport,
+    ) -> PhaseResult<Self> {
+        let capacity = pool_capacity(method, cfg);
+        let geometry = Geometry {
             slots_per_page: cfg.slots_per_page,
-        },
-        cfg.pool_capacity,
-        cfg.log_shards,
-    );
-    let fail = |phase: &'static str, e: HarnessFailure| (phase, e);
-
-    // Run the workload until the armed fault trips (or it ends).
-    db.arm_faults(sample_plan(&mut rng, ops.len() as u64 * 4));
-    let mut committed: Vec<(PageOp, Lsn)> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match method.execute(&mut db, op) {
-            Ok(lsn) => committed.push((op.clone(), lsn)),
-            Err(_) if db.fault_tripped() => {}
-            Err(e) => return Err(fail("workload", e.into())),
+        };
+        let mut db = Db::on_sharded(cfg.backend, geometry, capacity, cfg.log_shards);
+        db.arm_faults(sample_plan(rng, ops.len() as u64 * 4));
+        let mut driver = Driver::new(method, cfg.chaos, cfg.checkpoint_every);
+        driver.run(&mut db, ops, rng).map_err(|e| ("workload", e))?;
+        report.crash(&mut db);
+        // The operation the fault left in doubt turned out durable.
+        if (driver.in_doubt()).is_some_and(|lsn| lsn <= db.log.stable_lsn()) {
+            report.verified("in-doubt");
         }
-        if let Some((log_p, page_p)) = cfg.chaos {
-            match db.chaos_flush(&mut rng, log_p, page_p) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(fail("workload", e.into())),
-            }
+        let durable = driver.durable(&db).to_vec();
+        Ok(Crashed {
+            method,
+            cfg,
+            s,
+            oracle: DurablePrefix::of(&ops_of(&durable), cfg.slots_per_page),
+            pre: db.stable_theory_state(),
+            db,
+            durable,
+        })
+    }
+
+    /// A leg's own generator, derived from the schedule's seed: the
+    /// main schedule's fault plans must not move.
+    fn leg_rng(&self, salt: u64) -> StdRng {
+        StdRng::seed_from_u64(self.cfg.seed.wrapping_add(self.s) ^ salt)
+    }
+
+    /// Puts a recovery of the image (or a clone of it) through the oracle.
+    fn checked(
+        &self,
+        phase: &'static str,
+        recovered: &Db<M::Payload>,
+        stats: redo_sim::SimResult<RecoveryStats>,
+    ) -> PhaseResult<RecoveryStats> {
+        let stats = stats.map_err(|e| (phase, e.into()))?;
+        (self.oracle)
+            .verify(&stats, &recovered.volatile_theory_state(), &self.pre, 1)
+            .map_err(|e| (phase, e))?;
+        Ok(stats)
+    }
+
+    /// The lazy executor over `db` (a clone of the image, damaged or
+    /// not): serve every durable cell mid-recovery — shuffled, because
+    /// sorted order serves each page's cells together and low pages
+    /// first, which is also the sweeper's order — then drain. The
+    /// drained state is `reference` and every served value is *final*
+    /// (a served page's content never changes). The hook runs both
+    /// faces of the executor and fails if they disagree. `None` when
+    /// the method has no lazy path.
+    fn lazy(
+        &self,
+        phase: &'static str,
+        db: &mut Db<M::Payload>,
+        reference: &State,
+    ) -> PhaseResult<Option<RecoveryStats>> {
+        let mut probes: Vec<Cell> = (self.durable.iter())
+            .flat_map(|(op, _)| op.writes.iter().copied())
+            .collect();
+        probes.sort_unstable();
+        probes.dedup();
+        let mut rng = self.leg_rng(0x0de3_a9d5_eed5);
+        for i in (1..probes.len()).rev() {
+            probes.swap(i, rng.gen_range(0..=i));
         }
-        if cfg.checkpoint_every.is_some_and(|k| (i + 1) % k == 0) {
-            match method.checkpoint(&mut db) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(fail("checkpoint", e.into())),
-            }
-        }
-        if db.fault_tripped() {
-            break;
-        }
-    }
-    if db.fault_tripped() {
-        report.faults_tripped += 1;
-    }
-    db.crash();
-    report.crashes += 1;
-    db.repair_after_crash();
-
-    let stable = db.log.stable_lsn();
-    committed.retain(|(_, lsn)| *lsn <= stable);
-    let durable: Vec<PageOp> = committed.iter().map(|(op, _)| op.clone()).collect();
-    let view = view_of(&durable, cfg.slots_per_page);
-    let pre1 = db.stable_theory_state();
-
-    // Undamaged probe: the reference every damaged leg must match. The
-    // invariant and durable-prefix identity are checked here, once.
-    let mut undamaged = db.clone();
-    let stats = method
-        .recover(&mut undamaged)
-        .map_err(|e| fail("undamaged probe", e.into()))?;
-    verify_recovery(&view, &stats, &undamaged.volatile_theory_state(), &pre1, 1)
-        .map_err(|e| fail("undamaged probe", e))?;
-    let reference = undamaged.volatile_theory_state();
-    drop(undamaged);
-
-    // The media-failure adversary destroys one durable page. A crashed
-    // image with no durable pages at all has nothing to destroy — the
-    // undamaged probe above already covered it.
-    let pages = db.disk.pages();
-    if pages.is_empty() {
-        return Ok(());
-    }
-    let victim = pages[rng.gen_range(0..pages.len())].0;
-    let mut damaged = db.clone();
-    drop(db);
-    match cfg.backend {
-        BackendKind::Mem => damaged.disk.destroy_page(victim),
-        BackendKind::File => {
-            // Out-of-band damage on the real files, as a failing medium
-            // would inflict it; the doublewrite journal copy goes too
-            // (a torn-repair path must not mask the loss).
-            let dir = damaged
-                .disk
-                .dir()
-                .expect("file backend has a directory")
-                .to_path_buf();
-            let page_file = dir.join("pages").join(format!("p{}.pg", victim.0));
-            if s.is_multiple_of(2) {
-                std::fs::remove_file(&page_file)
-                    .map_err(|e| fail("damage", HarnessFailure::Io(e.to_string())))?;
-                report.file_deletions += 1;
-            } else {
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&page_file)
-                    .and_then(|f| f.set_len(0))
-                    .map_err(|e| fail("damage", HarnessFailure::Io(e.to_string())))?;
-                report.file_truncations += 1;
-            }
-            let _ = std::fs::remove_file(dir.join("journal").join(format!("p{}.pg", victim.0)));
-        }
-    }
-    // Re-crash so the damage sits in a cold image — on the file backend
-    // this is the rescan that diffs the manifest and marks the loss.
-    damaged.crash();
-    report.crashes += 1;
-    if !damaged.disk.is_lost(victim) {
-        return Err(fail(
-            "damage",
-            HarnessFailure::Invariant {
-                crash: 1,
-                detail: format!("destroyed page {victim:?} was not detected as media loss"),
-            },
-        ));
-    }
-    report.pages_destroyed += 1;
-
-    // Sequential rebuild: state identity with the undamaged probe.
-    let mut probe = damaged.clone();
-    method
-        .recover(&mut probe)
-        .map_err(|e| fail("media rebuild", e.into()))?;
-    if !probe.disk.lost_pages().is_empty() {
-        return Err(fail(
-            "media rebuild",
-            HarnessFailure::Invariant {
-                crash: 1,
-                detail: "recovery completed with pages still lost".into(),
-            },
-        ));
-    }
-    if probe.volatile_theory_state() != reference {
-        return Err(fail(
-            "media rebuild",
-            HarnessFailure::StateMismatch { crash: Some(1) },
-        ));
-    }
-    report.rebuilds_verified += 1;
-    drop(probe);
-
-    // On-demand rebuild: the lost page is a gated page whose residual
-    // chain is its whole archived history; serve every durable cell
-    // mid-recovery and demand the same identity.
-    let probes = probe_cells(&durable, cfg, s);
-    let mut od_probe = damaged.clone();
-    if let Some(res) = method.ondemand_restart(&mut od_probe, &probes) {
-        let (_, served) = res.map_err(|e| fail("ondemand rebuild", e.into()))?;
-        if od_probe.volatile_theory_state() != reference {
-            return Err(fail(
-                "ondemand rebuild",
-                HarnessFailure::StateMismatch { crash: Some(1) },
-            ));
+        let Some(res) = self.method.ondemand_restart(db, &probes) else {
+            return Ok(None);
+        };
+        let (stats, served) = res.map_err(|e| (phase, e.into()))?;
+        if db.volatile_theory_state() != *reference {
+            return Err(mismatch(phase, Some(1)));
         }
         for (&cell, &mid) in probes.iter().zip(&served) {
-            let fin = od_probe
-                .read_cell(cell)
-                .map_err(|e| fail("ondemand rebuild", e.into()))?;
+            let fin = db.read_cell(cell).map_err(|e| (phase, e.into()))?;
             if mid != fin {
-                return Err(fail(
-                    "ondemand rebuild",
-                    HarnessFailure::Invariant {
-                        crash: 1,
-                        detail: format!(
-                            "cell {cell:?} served {mid} mid-rebuild but holds {fin} after the drain"
-                        ),
-                    },
-                ));
-            }
-        }
-        report.ondemand_rebuilds_verified += 1;
-    }
-    drop(od_probe);
-
-    // Interrupted rebuild: arm a second fault, let recovery die partway
-    // through the install pass (or anywhere else), crash, and demand
-    // the re-run still converges — the rebuild must be idempotent.
-    damaged.arm_faults(sample_plan(&mut rng, 4));
-    match method.recover(&mut damaged) {
-        Ok(_) => {}
-        Err(_) if damaged.fault_tripped() => {}
-        Err(e) => return Err(fail("interrupted rebuild", e.into())),
-    }
-    if damaged.fault_tripped() {
-        report.faults_tripped += 1;
-    }
-    damaged.crash();
-    report.crashes += 1;
-    method
-        .recover(&mut damaged)
-        .map_err(|e| fail("interrupted rebuild", e.into()))?;
-    if damaged.volatile_theory_state() != reference {
-        return Err(fail(
-            "interrupted rebuild",
-            HarnessFailure::StateMismatch { crash: Some(2) },
-        ));
-    }
-    // Idempotence: once more around, nothing may move.
-    damaged.crash();
-    report.crashes += 1;
-    method
-        .recover(&mut damaged)
-        .map_err(|e| fail("interrupted rebuild idempotence", e.into()))?;
-    if damaged.volatile_theory_state() != reference {
-        return Err(fail(
-            "interrupted rebuild idempotence",
-            HarnessFailure::StateMismatch { crash: Some(3) },
-        ));
-    }
-    report.interrupted_rebuilds_verified += 1;
-    Ok(())
-}
-
-type PhaseResult = Result<(), (&'static str, HarnessFailure)>;
-
-fn run_schedule<M: RecoveryMethod>(
-    method: &M,
-    cfg: &CrashAuditConfig,
-    s: u64,
-    report: &mut CrashAuditReport,
-) -> PhaseResult {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let ops = shaped_workload(method.name(), cfg, cfg.seed.wrapping_add(s));
-    let capacity = if method.allows_page_chaos() {
-        cfg.pool_capacity
-    } else {
-        None
-    };
-    let mut db: Db<M::Payload> = Db::on_sharded(
-        cfg.backend,
-        Geometry {
-            slots_per_page: cfg.slots_per_page,
-        },
-        capacity,
-        cfg.log_shards,
-    );
-    let fail = |phase: &'static str, e: HarnessFailure| (phase, e);
-
-    // Step 1: run until the armed fault trips (or the workload ends).
-    db.arm_faults(sample_plan(&mut rng, ops.len() as u64 * 4));
-    let mut committed: Vec<(PageOp, redo_theory::log::Lsn)> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match method.execute(&mut db, op) {
-            Ok(lsn) => committed.push((op.clone(), lsn)),
-            Err(_) if db.fault_tripped() => {}
-            Err(e) => return Err(fail("workload", e.into())),
-        }
-        if let Some((log_p, page_p)) = cfg.chaos {
-            let page_p = if method.allows_page_chaos() {
-                page_p
-            } else {
-                0.0
-            };
-            match db.chaos_flush(&mut rng, log_p, page_p) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(fail("workload", e.into())),
-            }
-        }
-        if cfg.checkpoint_every.is_some_and(|k| (i + 1) % k == 0) {
-            match method.checkpoint(&mut db) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(fail("checkpoint", e.into())),
-            }
-        }
-        if db.fault_tripped() {
-            break;
-        }
-    }
-    tally_fault(&db, report);
-    db.crash();
-    report.crashes += 1;
-    let repair = db.repair_after_crash();
-    report.torn_pages_repaired += repair.torn_pages.len();
-    report.log_bytes_dropped += repair.log_bytes_dropped;
-
-    let stable = db.log.stable_lsn();
-    committed.retain(|(_, lsn)| *lsn <= stable);
-    let durable: Vec<PageOp> = committed.iter().map(|(op, _)| op.clone()).collect();
-    let view = view_of(&durable, cfg.slots_per_page);
-    let pre1 = db.stable_theory_state();
-
-    // Step 2: probe recovery on a clone of the crashed image. The clone
-    // shares the (now disarmed) injector; it is discarded before the
-    // second plan is armed.
-    let mut probe = db.clone();
-    let stats = method
-        .recover(&mut probe)
-        .map_err(|e| fail("probe recovery", e.into()))?;
-    verify_recovery(&view, &stats, &probe.volatile_theory_state(), &pre1, 1)
-        .map_err(|e| fail("probe recovery", e))?;
-    report.recoveries_verified += 1;
-    report.replayed += stats.replay_count();
-    report.skipped += stats.skipped.len();
-
-    // Seek-index equivalence: recover the same crashed image with the
-    // seek index disabled. The index only changes where the scan enters
-    // the stable log, so the recovered state and the semantic redo
-    // stats (scanned / replayed / skipped) must be identical.
-    let mut unseeked = db.clone();
-    unseeked.log.disable_seek_index();
-    let unseeked_stats = method
-        .recover(&mut unseeked)
-        .map_err(|e| fail("seekless probe", e.into()))?;
-    if unseeked_stats != stats {
-        return Err(fail(
-            "seekless probe",
-            HarnessFailure::Invariant {
-                crash: 1,
-                detail: format!(
-                    "seeked and unseeked recovery disagree: {stats:?} vs {unseeked_stats:?}"
-                ),
-            },
-        ));
-    }
-    if unseeked.volatile_theory_state() != probe.volatile_theory_state() {
-        return Err(fail(
-            "seekless probe",
-            HarnessFailure::StateMismatch { crash: Some(1) },
-        ));
-    }
-    report.seekless_probes += 1;
-    drop(unseeked);
-
-    // Parallel-restart equivalence: if the method's discipline admits a
-    // page-partitioned restart, re-recover the same crashed image
-    // through it with a fixed worker count and demand the identical
-    // durable state plus the Recovery Invariant for its own realized
-    // redo set. Theorem 3 says per-page replay order is all that
-    // matters, so the partitioned path must land exactly where the
-    // serial probe did — including from a fuzzy checkpoint's
-    // dirty-page-table seek.
-    let mut par_probe = db.clone();
-    if let Some(res) = method.parallel_restart(&mut par_probe, 4) {
-        let par_stats = res.map_err(|e| fail("parallel probe", e.into()))?;
-        verify_recovery(
-            &view,
-            &par_stats,
-            &par_probe.volatile_theory_state(),
-            &pre1,
-            1,
-        )
-        .map_err(|e| fail("parallel probe", e))?;
-        if par_probe.volatile_theory_state() != probe.volatile_theory_state() {
-            return Err(fail(
-                "parallel probe",
-                HarnessFailure::StateMismatch { crash: Some(1) },
-            ));
-        }
-        // The executors must also agree on what the *next* checkpoint
-        // will publish: each dirty page's recLSN is the first record
-        // replayed into it. (Only comparable while nothing is evicted:
-        // under a bounded pool the serial probe flushes as it goes.)
-        if capacity.is_none() {
-            let dpt = probe.pool.dirty_page_table();
-            let par_dpt = par_probe.pool.dirty_page_table();
-            if par_dpt != dpt {
                 let detail = format!(
-                    "serial and partitioned restart leave different dirty-page tables: {dpt:?} vs {par_dpt:?}"
+                    "cell {cell:?} served {mid} mid-recovery but holds {fin} after the drain"
                 );
-                return Err(fail(
-                    "parallel probe",
-                    HarnessFailure::Invariant { crash: 1, detail },
-                ));
+                return Err(invariant(phase, detail));
             }
         }
-        report.parallel_probes += 1;
+        Ok(Some(stats))
     }
-    drop(par_probe);
 
-    // On-demand (instant restart) equivalence: if the method has a lazy
-    // per-page path, reopen the same crashed image through it and serve
-    // a read on every durable cell mid-recovery. Three obligations:
-    // each served value is *final* (re-reading after the drain returns
-    // the same value — a served page's content never changes), the
-    // realized redo set passes the Recovery Invariant, and the drained
-    // state equals the sequential probe's. The hook answers for both
-    // faces of the lazy executor: behind it the same image is reopened
-    // through `SharedDb::open_on_demand`, served the same probes and
-    // drained, and any value that differs from the sequential face's
-    // fails the probe.
-    let probes = probe_cells(&durable, cfg, s);
-    let mut od_probe = db.clone();
-    if let Some(res) = method.ondemand_restart(&mut od_probe, &probes) {
-        let (od_stats, served) = res.map_err(|e| fail("ondemand probe", e.into()))?;
-        verify_recovery(
-            &view,
-            &od_stats,
-            &od_probe.volatile_theory_state(),
-            &pre1,
-            1,
-        )
-        .map_err(|e| fail("ondemand probe", e))?;
-        if od_probe.volatile_theory_state() != probe.volatile_theory_state() {
-            return Err(fail(
-                "ondemand probe",
-                HarnessFailure::StateMismatch { crash: Some(1) },
-            ));
+    /// `archive ∥ live` is the durable history, record for record —
+    /// archiving moved the prefix, it did not lose, duplicate or
+    /// reorder anything — and at the archive/live boundary it replays
+    /// to the state the system had when that prefix was truncated:
+    /// records the live log no longer holds at all.
+    fn archive_leg(&self, report: &mut AuditReport) -> PhaseResult
+    where
+        M::Payload: Replay,
+    {
+        let spp = self.cfg.slots_per_page;
+        let check = |phase, upto: Lsn| -> PhaseResult {
+            let records = self.db.log.pit_records(upto);
+            let mut cells = BTreeMap::new();
+            let replayed: Vec<u32> = (records.map_err(|e| (phase, e.into()))?.into_iter())
+                .filter_map(|rec| rec.payload.replay(&mut cells))
+                .collect();
+            let prefix = (self.durable.iter()).filter(|(_, lsn)| *lsn <= upto);
+            if !replayed.iter().eq(prefix.clone().map(|(op, _)| &op.id)) {
+                let detail = format!(
+                    "archive ∥ live holds {} replayable operations up to {upto:?}, durable history has {}",
+                    replayed.len(),
+                    prefix.count()
+                );
+                return Err(invariant(phase, detail));
+            }
+            let (mut state, mut expected) = (State::zeroed(), State::zeroed());
+            for (cell, v) in cells {
+                state.set(cell.var(spp), Value(v));
+            }
+            prefix.for_each(|(op, _)| op.to_operation(spp).apply(&mut expected));
+            if state != expected {
+                return Err(mismatch(phase, Some(1)));
+            }
+            Ok(())
+        };
+        let (stable, boundary) = (self.db.log.stable_lsn(), self.db.log.first_stable());
+        check("archive full replay", stable)?;
+        report.verified("archive");
+        if boundary > Lsn(1) && stable >= boundary {
+            check("archive truncation replay", Lsn(boundary.0 - 1))?;
+            report.verified("truncation");
         }
-        for (&cell, &mid) in probes.iter().zip(&served) {
-            let fin = od_probe
-                .read_cell(cell)
-                .map_err(|e| fail("ondemand probe", e.into()))?;
-            if mid != fin {
-                return Err(fail(
-                    "ondemand probe",
-                    HarnessFailure::Invariant {
-                        crash: 1,
-                        detail: format!(
-                            "cell {cell:?} served {mid} mid-recovery but holds {fin} after the drain"
-                        ),
-                    },
-                ));
+        Ok(())
+    }
+
+    /// The media-failure adversary: destroy one durable page **out of
+    /// band** — [`destroy_page`](redo_sim::disk::Disk::destroy_page) on
+    /// the memory backend, a deleted or `truncate(2)`-zeroed page file
+    /// on the file backend — and demand state identity with the
+    /// undamaged `reference` from a sequential rebuild, a lazy one, and
+    /// one interrupted by a second fault. The Recovery Invariant is not
+    /// checked here: a destroyed page is outside the crash model it
+    /// assumes; identity is exactly the obligation that remains.
+    fn media_legs(&self, reference: &State, report: &mut AuditReport) -> PhaseResult {
+        let mut rng = self.leg_rng(0x3ed1_a105_7000);
+        // No durable page at all: nothing to destroy.
+        let pages = self.db.disk.pages();
+        if pages.is_empty() {
+            return Ok(());
+        }
+        let victim = pages[rng.gen_range(0..pages.len())].0;
+        let mut damaged = self.db.clone();
+        if let Some(dir) = damaged.disk.dir().map(std::path::Path::to_path_buf) {
+            // As a failing medium would inflict it; the doublewrite
+            // journal copy goes too (a torn-repair path must not mask
+            // the loss).
+            let page_file = dir.join("pages").join(format!("p{}.pg", victim.0));
+            let (done, leg) = if self.s.is_multiple_of(2) {
+                (std::fs::remove_file(&page_file), "file-deletion")
+            } else {
+                let file = std::fs::OpenOptions::new().write(true).open(&page_file);
+                (file.and_then(|f| f.set_len(0)), "file-truncation")
+            };
+            done.map_err(|e| ("damage", HarnessFailure::Io(e.to_string())))?;
+            report.verified(leg);
+            let _ = std::fs::remove_file(dir.join("journal").join(format!("p{}.pg", victim.0)));
+        } else {
+            damaged.disk.destroy_page(victim);
+        }
+        // Re-crash so the damage sits in a cold image — on the file
+        // backend this is the rescan that diffs the manifest and marks
+        // the loss.
+        damaged.crash();
+        if !damaged.disk.is_lost(victim) {
+            let detail = format!("destroyed page {victim:?} was not detected as media loss");
+            return Err(invariant("damage", detail));
+        }
+        report.verified("destroyed");
+
+        let mut rebuilt = damaged.clone();
+        (self.method.recover(&mut rebuilt)).map_err(|e| ("media rebuild", e.into()))?;
+        if !rebuilt.disk.lost_pages().is_empty() {
+            let detail = "recovery completed with pages still lost".into();
+            return Err(invariant("media rebuild", detail));
+        }
+        if rebuilt.volatile_theory_state() != *reference {
+            return Err(mismatch("media rebuild", Some(1)));
+        }
+        report.verified("rebuild");
+
+        // The lost page is a gated page whose residual chain is its
+        // whole archived history.
+        if (self.lazy("ondemand rebuild", &mut damaged.clone(), reference)?).is_some() {
+            report.verified("ondemand-rebuild");
+        }
+
+        // Let recovery die partway through the install pass (or
+        // anywhere else), crash, and demand the re-run converges; then
+        // once more around, where nothing may move.
+        damaged.arm_faults(sample_plan(&mut rng, 4));
+        let interrupted = self.method.recover(&mut damaged);
+        dying(&damaged, interrupted).map_err(|e| ("interrupted rebuild", e))?;
+        for crash in [2, 3] {
+            damaged.crash();
+            (self.method.recover(&mut damaged)).map_err(|e| ("interrupted rebuild", e.into()))?;
+            if damaged.volatile_theory_state() != *reference {
+                return Err(mismatch("interrupted rebuild", Some(crash)));
             }
         }
-        report.ondemand_probes += 1;
+        report.verified("interrupted-rebuild");
+        Ok(())
     }
-    drop(od_probe);
-    drop(probe);
 
-    // Step 3: crash the real image mid-recovery.
-    db.arm_faults(sample_plan(&mut rng, 6));
-    match method.recover(&mut db) {
-        Ok(_) => {}
-        Err(_) if db.fault_tripped() => {}
-        Err(e) => return Err(fail("interrupted recovery", e.into())),
-    }
-    tally_fault(&db, report);
-    db.crash();
-    report.crashes += 1;
-    report.mid_recovery_crashes += 1;
-    let repair = db.repair_after_crash();
-    report.torn_pages_repaired += repair.torn_pages.len();
-    report.log_bytes_dropped += repair.log_bytes_dropped;
-
-    // Step 4: recovery after the mid-recovery crash. The durable prefix
-    // is unchanged (recovery appends nothing to the log), but the disk
-    // may hold more installed work than at crash 1 — legal flushes the
-    // interrupted recovery performed before its fault tripped.
-    let pre2 = db.stable_theory_state();
-    let stats = method
-        .recover(&mut db)
-        .map_err(|e| fail("re-recovery", e.into()))?;
-    verify_recovery(&view, &stats, &db.volatile_theory_state(), &pre2, 2)
-        .map_err(|e| fail("re-recovery", e))?;
-    report.recoveries_verified += 1;
-    report.replayed += stats.replay_count();
-    report.skipped += stats.skipped.len();
-    let recovered = db.volatile_theory_state();
-
-    // Step 5: idempotence — crash the recovered-but-unchekpointed
-    // system and recover once more; the state must not move.
-    // Step 6: the same after checkpointing what the restart left
-    // behind. The checkpoint publishes the pool bookkeeping *recovery*
-    // produced (a fuzzy one, its dirty-page table and redo-start) and
-    // may archive the log below it; the next restart has only that to
-    // go on.
-    let steps = [
-        ("idempotence", 3, false),
-        ("recovery from the post-recovery checkpoint", 4, true),
-    ];
-    for (phase, crash, checkpoint_first) in steps {
-        if checkpoint_first {
-            method
-                .checkpoint(&mut db)
-                .map_err(|e| fail("post-recovery checkpoint", e.into()))?;
+    /// The twin run: `twin` drives the same workload, chaos stream and
+    /// fault plan (`rng` is the main generator as it stood before the
+    /// drive). Both see the same append/flush/publish event sequence —
+    /// delta records differ from full snapshots only in payload bytes —
+    /// so the fault trips at the same protocol step in each, including
+    /// inside delta-chain publication. The twin's recovery goes through
+    /// the oracle, and whenever the two kept the same durable
+    /// operations at the same LSNs their recovered states are
+    /// identical: the chain may change what analysis *reads*, never
+    /// what recovery *rebuilds*.
+    fn twin_leg<T: RecoveryMethod>(
+        &self,
+        twin: &T,
+        ops: &[PageOp],
+        mut rng: StdRng,
+        reference: &State,
+        report: &mut AuditReport,
+    ) -> PhaseResult
+    where
+        M::Payload: Replay,
+    {
+        let tallies = &mut AuditReport::default();
+        let mut other = Crashed::drive(twin, ops, self.cfg, self.s, &mut rng, tallies)?;
+        let stats = twin.recover(&mut other.db);
+        other.checked("twin recovery", &other.db, stats)?;
+        report.verified("twin");
+        if other.durable == self.durable {
+            if other.db.volatile_theory_state() != *reference {
+                return Err(mismatch("delta/full identity", Some(1)));
+            }
+            report.verified("identity");
         }
-        db.crash();
-        report.crashes += 1;
-        let repair = db.repair_after_crash();
-        report.torn_pages_repaired += repair.torn_pages.len();
-        report.log_bytes_dropped += repair.log_bytes_dropped;
-        let pre = db.stable_theory_state();
-        let stats = method.recover(&mut db).map_err(|e| fail(phase, e.into()))?;
-        verify_recovery(&view, &stats, &db.volatile_theory_state(), &pre, crash)
-            .map_err(|e| fail(phase, e))?;
-        report.recoveries_verified += 1;
-        report.replayed += stats.replay_count();
-        report.skipped += stats.skipped.len();
-        if db.volatile_theory_state() != recovered {
-            return Err(fail(phase, HarnessFailure::StateMismatch { crash: None }));
+        // Proof the crash landed while an incremental chain was in force.
+        let master = self.db.log.record_at_lsn(self.db.disk.master());
+        if let Ok(Some(rec)) = master {
+            if let Some(CheckpointRecord::Delta { .. }) = rec.payload.into_checkpoint() {
+                report.verified("delta-master");
+            }
         }
+        Ok(())
     }
-    Ok(())
 }
 
-fn tally_fault<P: redo_sim::wal::LogPayload>(db: &Db<P>, report: &mut CrashAuditReport) {
-    if !db.fault_tripped() {
-        return;
+fn run_schedule<M, T>(
+    method: &M,
+    twin: Option<&T>,
+    row: &Row,
+    cfg: &CrashAuditConfig,
+    s: u64,
+    report: &mut AuditReport,
+) -> PhaseResult
+where
+    M: RecoveryMethod,
+    T: RecoveryMethod,
+    M::Payload: Replay,
+{
+    let (ops, mut rng) = schedule(row.shape, cfg, s);
+    let twin_rng = rng.clone();
+    let image = Crashed::drive(method, &ops, cfg, s, &mut rng, report)?;
+
+    // The serial probe: the reference of every equivalence leg. Probes
+    // share the image's (disarmed) injector; all are gone before the
+    // second plan is armed.
+    let mut serial = image.db.clone();
+    let stats = method.recover(&mut serial);
+    let stats = image.checked("probe recovery", &serial, stats)?;
+    report.verified("recovery");
+    let reference = serial.volatile_theory_state();
+
+    // The seek index only changes where the scan enters the stable log.
+    let mut seekless = image.db.clone();
+    seekless.log.disable_seek_index();
+    let seekless_stats = method.recover(&mut seekless);
+    let seekless_stats = image.checked("seekless probe", &seekless, seekless_stats)?;
+    if seekless_stats != stats {
+        let detail =
+            format!("seeked and unseeked recovery disagree: {stats:?} vs {seekless_stats:?}");
+        return Err(invariant("seekless probe", detail));
     }
-    report.faults_tripped += 1;
-    match db.fault_injector().injected() {
-        Some(InjectedFault::TornWrite(_)) => report.torn_writes += 1,
-        Some(InjectedFault::TornFlush) => report.torn_flushes += 1,
-        Some(InjectedFault::Clean) | None => report.clean_stops += 1,
+    report.verified("seekless");
+    drop(seekless);
+
+    // Theorem 3: per-page replay order is all that matters, so the
+    // partitioned executor lands where the serial probe did — state,
+    // invariant for its own redo set, and the dirty-page table the
+    // *next* checkpoint will publish (each page's recLSN is the first
+    // record replayed into it; only comparable while nothing is
+    // evicted: under a bounded pool the serial probe flushes as it
+    // goes).
+    let mut par = image.db.clone();
+    if let Some(par_stats) = method.parallel_restart(&mut par, 4) {
+        image.checked("parallel probe", &par, par_stats)?;
+        let (dpt, par_dpt) = (serial.pool.dirty_page_table(), par.pool.dirty_page_table());
+        if pool_capacity(method, cfg).is_none() && par_dpt != dpt {
+            let detail = format!(
+                "serial and partitioned restart leave different dirty-page tables: {dpt:?} vs {par_dpt:?}"
+            );
+            return Err(invariant("parallel probe", detail));
+        }
+        report.verified("parallel");
     }
+    drop((serial, par));
+
+    let mut lazy = image.db.clone();
+    if let Some(lazy_stats) = image.lazy("ondemand probe", &mut lazy, &reference)? {
+        image.checked("ondemand probe", &lazy, Ok(lazy_stats))?;
+        report.verified("ondemand");
+    }
+    drop(lazy);
+
+    image.archive_leg(report)?;
+    if row.required.contains(&"rebuild") {
+        image.media_legs(&reference, report)?;
+    }
+    if let Some(twin) = twin {
+        image.twin_leg(twin, &ops, twin_rng, &reference, report)?;
+    }
+
+    // Crash the real image mid-recovery. Recovery's replay is volatile
+    // until a post-recovery checkpoint, so this discards all of its
+    // work wherever the fault landed; where recovery does touch stable
+    // storage (evictions under a bounded pool) the plan tears or
+    // suppresses that I/O partway.
+    let Crashed { mut db, oracle, .. } = image;
+    db.arm_faults(sample_plan(&mut rng, 6));
+    let interrupted = method.recover(&mut db);
+    dying(&db, interrupted).map_err(|e| ("interrupted recovery", e))?;
+    report.mid_recovery_crashes += 1;
+
+    // Recover again (the durable prefix is unchanged — recovery appends
+    // nothing — but the disk may hold more installed work: legal
+    // flushes the interrupted recovery performed); crash and recover a
+    // third time (idempotence); checkpoint, crash and recover a fourth.
+    let steps = [
+        ("re-recovery", false),
+        ("idempotence", false),
+        ("recovery from the post-recovery checkpoint", true),
+    ];
+    for (crash, (phase, checkpoint_first)) in (2..).zip(steps) {
+        if checkpoint_first {
+            (method.checkpoint(&mut db)).map_err(|e| ("post-recovery checkpoint", e.into()))?;
+        }
+        report.crash(&mut db);
+        let pre = db.stable_theory_state();
+        let stats = method.recover(&mut db).map_err(|e| (phase, e.into()))?;
+        (oracle.verify(&stats, &db.volatile_theory_state(), &pre, crash))
+            .map_err(|e| (phase, e))?;
+        report.verified("recovery");
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redo_methods::generalized::Generalized;
-    use redo_methods::logical::Logical;
-    use redo_methods::ondemand::OnDemand;
-    use redo_methods::online::GeneralizedOnline;
-    use redo_methods::parallel::{ParallelOnline, ParallelPhysical, ParallelPhysiological};
-    use redo_methods::physical::Physical;
-    use redo_methods::physiological::Physiological;
 
-    fn small() -> CrashAuditConfig {
-        CrashAuditConfig {
+    /// Sums the tallies and leg counts of a row's cells.
+    fn absorb(total: &mut AuditReport, cell: &AuditReport) {
+        total.schedules += cell.schedules;
+        total.faults_tripped += cell.faults_tripped;
+        total.torn_writes += cell.torn_writes;
+        total.torn_flushes += cell.torn_flushes;
+        total.torn_pages_repaired += cell.torn_pages_repaired;
+        total.log_bytes_dropped += cell.log_bytes_dropped;
+        for (leg, n) in &cell.legs {
+            *total.legs.entry(leg).or_default() += n;
+        }
+    }
+
+    /// The whole matrix at small size: every roster row × {mem, file} ×
+    /// {1, 4} log shards × pool {2, 4, unbounded}. Per cell, the flow's
+    /// fixed counts; per row, summed over its cells, every leg its
+    /// table entry requires — and a broken row caught.
+    #[test]
+    fn every_roster_row_verifies_its_legs_across_the_matrix() {
+        let base = CrashAuditConfig {
             schedules: 12,
             n_ops: 24,
+            seed: 7,
+            ..Default::default()
+        };
+        let roster = roster();
+        let mut rows: BTreeMap<&str, (AuditReport, u64)> = BTreeMap::new();
+        for cell in matrix(&roster, "all", &BACKENDS, &LOG_SHARDS, &POOLS, &base) {
+            let (row, n) = (cell.row, cell.cfg.schedules);
+            let (total, caught) = rows.entry(row.name).or_default();
+            let r = match cell.row.audit(&cell.cfg) {
+                Ok(r) => r,
+                Err(_) if row.expect_violation => {
+                    *caught += 1;
+                    continue;
+                }
+                Err(e) => panic!("{cell}: {e}"),
+            };
+            absorb(total, &r);
+            if row.expect_violation {
+                continue;
+            }
+            assert_eq!(r.schedules, n, "{cell}");
+            assert_eq!((r.crashes, r.mid_recovery_crashes), (4 * n, n), "{cell}");
+            assert_eq!(r.leg("recovery"), 4 * n, "{cell}");
+            for leg in ["seekless", "archive", "parallel", "ondemand", "twin"] {
+                let runs = leg == "seekless" || leg == "archive" || row.required.contains(&leg);
+                assert_eq!(r.leg(leg), if runs { n } else { 0 }, "{cell}: {leg}");
+            }
+            // Media: every destroyed page rebuilt on all three legs.
+            for leg in ["rebuild", "ondemand-rebuild", "interrupted-rebuild"] {
+                assert_eq!(r.leg(leg), r.leg("destroyed"), "{cell}: {leg}");
+            }
+            if cell.cfg.backend == BackendKind::File {
+                let damaged = r.leg("file-deletion") + r.leg("file-truncation");
+                assert_eq!(damaged, r.leg("destroyed"), "{cell}");
+            }
+        }
+        for row in &roster {
+            let (total, caught) = &rows[row.name];
+            if row.expect_violation {
+                assert!(*caught > 0, "{} was never caught", row.name);
+                continue;
+            }
+            row.judge(&Ok(total.clone()))
+                .unwrap_or_else(|e| panic!("{e}"));
+            assert!(
+                total.faults_tripped > 0,
+                "{}: no fault ever fired",
+                row.name
+            );
+            if row.name == "physiological" {
+                // Both torn kinds occur, and both get repaired.
+                assert!(total.torn_writes > 0 && total.torn_flushes > 0, "{total}");
+                assert!(total.torn_pages_repaired > 0, "{total}");
+                assert!(total.log_bytes_dropped > 0, "{total}");
+            }
+            if row.required.contains(&"rebuild") {
+                // Even schedules unlink the page file, odd ones
+                // truncate(2) it to zero length.
+                assert!(total.leg("file-deletion") > 0, "{total}");
+                assert!(total.leg("file-truncation") > 0, "{total}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_matrix_lists_a_cell_once_where_the_discipline_ignores_the_pool() {
+        let (roster, base) = (roster(), CrashAuditConfig::default());
+        let all = matrix(&roster, "all", &BACKENDS, &LOG_SHARDS, &POOLS, &base);
+        assert_eq!(all.len(), 12 * 12 + 4, "twelve pooled rows, and logical");
+        let logical = matrix(&roster, "logical", &BACKENDS, &LOG_SHARDS, &POOLS, &base);
+        assert!(logical.iter().all(|c| c.cfg.pool_capacity.is_none()));
+        assert_eq!(
+            matrix(&roster, "parallel", &BACKENDS[..1], &[2], &[None], &base).len(),
+            3
+        );
+        assert!(matrix(&roster, "pit", &BACKENDS, &LOG_SHARDS, &POOLS, &base).is_empty());
+        // Enumerating both backends, file cells run a fraction.
+        for cell in &all {
+            let file = cell.cfg.backend == BackendKind::File;
+            assert_eq!(cell.cfg.schedules, if file { 20 } else { 100 }, "{cell}");
+        }
+    }
+
+    #[test]
+    fn judge_fails_a_passing_broken_row_and_a_required_leg_that_verified_nothing() {
+        let roster = roster();
+        let row = |name| roster.iter().find(|r| r.name == name).unwrap();
+        let clean = AuditReport::default();
+        assert!(row("broken-skippy-redo").judge(&Ok(clean.clone())).is_err());
+        let mut report = clean.clone();
+        for leg in [
+            "recovery",
+            "seekless",
+            "archive",
+            "truncation",
+            "twin",
+            "identity",
+        ] {
+            report.verified(leg);
+        }
+        let err = row("control").judge(&Ok(report.clone())).unwrap_err();
+        assert!(err.contains("`delta-master` verified nothing"), "{err}");
+        report.verified("delta-master");
+        row("control").judge(&Ok(report)).unwrap();
+        assert!(shape_of("control").is_ok());
+        assert!(shape_of("my-new-method").is_err(), "unlisted: an error");
+    }
+
+    /// The geometry on which the parent's auditors dropped a durable
+    /// operation: three pages through a two-frame pool.
+    fn steal_cfg(seed: u64) -> CrashAuditConfig {
+        CrashAuditConfig {
+            n_ops: 80,
+            n_pages: 3,
+            pool_capacity: Some(2),
+            seed,
             ..Default::default()
         }
     }
 
-    fn assert_clean(report: &CrashAuditReport, cfg: &CrashAuditConfig) {
-        assert_eq!(report.schedules, cfg.schedules);
-        assert_eq!(report.mid_recovery_crashes, cfg.schedules);
-        assert_eq!(report.crashes, cfg.schedules * 4);
-        assert_eq!(report.recoveries_verified, cfg.schedules * 4);
-        assert_eq!(report.seekless_probes, cfg.schedules);
-        assert!(report.faults_tripped > 0, "no fault ever fired: {report:?}");
+    #[test]
+    fn seed_32_schedule_77_keeps_the_operation_the_steal_path_made_durable() {
+        // On 037e83e: "archive ∥ live holds 14 replayable operations,
+        // durable history has 13", and five rows mismatch.
+        let cfg = steal_cfg(32);
+        let (ops, mut rng) = schedule(Shape::GENERAL, &cfg, 77);
+        let mut report = AuditReport::default();
+        let image = Crashed::drive(&Generalized, &ops, &cfg, 77, &mut rng, &mut report)
+            .unwrap_or_else(|(phase, e)| panic!("{phase}: {e}"));
+        assert_eq!(report.leg("in-doubt"), 1);
+        let (_, in_doubt) = image.durable.last().unwrap();
+        assert!(*in_doubt <= image.db.log.stable_lsn());
+        assert_eq!(image.durable.len(), 14);
+        let mut db = image.db.clone();
+        let stats = Generalized.recover(&mut db);
+        image
+            .checked("probe recovery", &db, stats)
+            .unwrap_or_else(|(_, e)| panic!("{e}"));
+        image
+            .archive_leg(&mut report)
+            .unwrap_or_else(|(_, e)| panic!("{e}"));
     }
 
     #[test]
-    fn physical_survives_crash_audit() {
-        let cfg = small();
-        let report = audit(&Physical, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, cfg.schedules);
-    }
-
-    #[test]
-    fn physiological_survives_crash_audit() {
-        let cfg = small();
-        let report = audit(&Physiological, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, cfg.schedules);
-    }
-
-    #[test]
-    fn generalized_survives_crash_audit() {
-        let cfg = small();
-        let report = audit(&Generalized, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(
-            report.parallel_probes, 0,
-            "generalized reads cross pages: no parallel path"
-        );
-    }
-
-    #[test]
-    fn generalized_online_survives_crash_audit() {
-        // The online method's checkpoint is a multi-step publication
-        // (force, swing, truncate) and every step is a faultable crash
-        // point: this audit drives crashes *into* checkpoint writes and
-        // demands fallback to the previous published checkpoint.
-        let cfg = small();
-        let report = audit(&GeneralizedOnline, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, 0);
-    }
-
-    #[test]
-    fn control_survives_crash_audit() {
-        // The control method's delta-checkpoint publication adds chained
-        // incremental records to the fault surface: crashes land inside
-        // delta appends and master swings, and recovery must fold the
-        // surviving chain (or fall back to its base snapshot).
-        let cfg = small();
-        let report = audit(&redo_methods::control::Control, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, 0, "generalized discipline");
-    }
-
-    #[test]
-    fn control_dual_run_matches_full_snapshots() {
-        let cfg = small();
-        let report = audit_control(&cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(report.schedules, cfg.schedules);
-        assert_eq!(report.crashes, cfg.schedules * 2);
-        assert_eq!(report.recoveries_verified, cfg.schedules * 2);
-        assert!(report.faults_tripped > 0, "no fault ever fired: {report:?}");
-        assert!(
-            report.identity_checks > 0,
-            "twins never shared a durable prefix: {report:?}"
-        );
-        assert!(
-            report.delta_masters > 0,
-            "no crash ever landed on a delta master: {report:?}"
-        );
-    }
-
-    #[test]
-    fn ondemand_survives_crash_audit() {
-        // The instant-restart method end to end: every probe recovery
-        // additionally reopens the crashed image lazily and serves all
-        // durable cells mid-recovery; mid-recovery crashes interrupt
-        // lazy replay itself (gates must close back up).
-        let cfg = small();
-        let report = audit(&OnDemand, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.ondemand_probes, cfg.schedules);
-        assert_eq!(report.parallel_probes, 0, "lazy path, not partitioned");
-    }
-
-    #[test]
-    fn ondemand_survives_crash_audit_on_files() {
-        let cfg = CrashAuditConfig {
-            schedules: 6,
-            n_ops: 24,
-            backend: BackendKind::File,
-            ..Default::default()
-        };
-        let report = audit(&OnDemand, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.ondemand_probes, cfg.schedules);
-    }
-
-    #[test]
-    fn logical_survives_crash_audit() {
-        let cfg = small();
-        let report = audit(&Logical, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-    }
-
-    #[test]
-    fn parallel_methods_survive_crash_audit() {
-        let cfg = CrashAuditConfig {
-            schedules: 6,
-            n_ops: 24,
-            ..Default::default()
-        };
-        let report =
-            audit(&ParallelPhysiological { threads: 3 }, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, cfg.schedules);
-        let report =
-            audit(&ParallelPhysical { threads: 3 }, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, cfg.schedules);
-    }
-
-    #[test]
-    fn online_parallel_survives_crash_audit() {
-        // The checkpoint-aware path end to end under hostile crashes:
-        // fuzzy checkpoints (any publication step may be the fault
-        // site), then every probe recovery re-run through the
-        // DPT-seeded partitioned scheduler.
-        let cfg = CrashAuditConfig {
-            schedules: 8,
-            n_ops: 24,
-            ..Default::default()
-        };
-        let report = audit(&ParallelOnline { threads: 3 }, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, cfg.schedules);
-    }
-
-    #[test]
-    fn physiological_survives_crash_audit_on_files() {
-        // The same degradation loop against real files: CRC-framed WAL,
-        // checksummed page files, doublewrite journal, rename-published
-        // checkpoint pointer. Fewer schedules — every clone copies a
-        // directory tree — but the loop itself is unchanged.
-        let cfg = CrashAuditConfig {
-            schedules: 6,
-            n_ops: 24,
-            backend: BackendKind::File,
-            ..Default::default()
-        };
-        let report = audit(&Physiological, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-    }
-
-    #[test]
-    fn methods_survive_crash_audit_with_sharded_logs() {
-        // Four log shards: multi-page records become cross-shard atomic
-        // flush groups, page-less checkpoints broadcast to every shard,
-        // and the sampled faults land between a group's closure markers
-        // too. The same degradation loop must stay clean — sharding is
-        // an access-path change, not a semantic one.
-        let cfg = CrashAuditConfig {
-            schedules: 8,
-            n_ops: 24,
-            log_shards: 4,
-            ..Default::default()
-        };
-        let report = audit(&Generalized, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        let report = audit(&GeneralizedOnline, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        let report = audit(&OnDemand, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.ondemand_probes, cfg.schedules);
-        let report =
-            audit(&ParallelPhysiological { threads: 3 }, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.parallel_probes, cfg.schedules);
-    }
-
-    #[test]
-    fn sharded_log_crash_audit_on_files() {
-        // The cross-shard degradation loop against real files: one
-        // fsynced WAL file per shard, plus the archive files the online
-        // checkpoints fill.
-        let cfg = CrashAuditConfig {
-            schedules: 4,
-            n_ops: 24,
-            backend: BackendKind::File,
-            log_shards: 4,
-            ..Default::default()
-        };
-        let report = audit(&GeneralizedOnline, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-    }
-
-    #[test]
-    fn pit_audit_replays_archive_plus_live() {
-        let cfg = CrashAuditConfig {
-            schedules: 20,
-            log_shards: 4,
-            ..Default::default()
-        };
-        let r = audit_pit(&cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(r.schedules, 20);
-        assert_eq!(r.full_replays_verified, 20);
-        assert!(
-            r.truncation_replays_verified > 0,
-            "no schedule ever archived a prefix: {r:?}"
-        );
-        assert!(r.archived_bytes > 0, "{r:?}");
-        assert!(r.faults_tripped > 0, "no fault ever fired: {r:?}");
-    }
-
-    #[test]
-    fn pit_audit_on_files() {
-        let cfg = CrashAuditConfig {
-            schedules: 4,
-            n_ops: 24,
-            backend: BackendKind::File,
-            log_shards: 2,
-            ..Default::default()
-        };
-        let r = audit_pit(&cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(r.full_replays_verified, 4);
-    }
-
-    #[test]
-    fn media_method_survives_vanilla_crash_audit() {
-        // The media method must first be an ordinary recovery method:
-        // with no destroyed pages its rebuild pass is a no-op and the
-        // standard degradation loop (including the on-demand probe)
-        // must stay clean.
-        let cfg = small();
-        let report = audit(&redo_methods::media::Media, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_clean(&report, &cfg);
-        assert_eq!(report.ondemand_probes, cfg.schedules);
-    }
-
-    #[test]
-    fn media_audit_rebuilds_destroyed_pages() {
-        let cfg = CrashAuditConfig {
-            schedules: 12,
-            n_ops: 24,
-            log_shards: 4,
-            ..Default::default()
-        };
-        let r = audit_media(&cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(r.schedules, 12);
-        assert!(r.pages_destroyed > 0, "no schedule ever lost a page: {r:?}");
-        assert_eq!(r.rebuilds_verified, r.pages_destroyed);
-        assert_eq!(r.ondemand_rebuilds_verified, r.pages_destroyed);
-        assert_eq!(r.interrupted_rebuilds_verified, r.pages_destroyed);
-        assert!(r.faults_tripped > 0, "no fault ever fired: {r:?}");
-    }
-
-    #[test]
-    fn media_audit_on_files_deletes_and_truncates() {
-        // Real files, damaged out-of-band: even schedules unlink the
-        // page file, odd schedules truncate(2) it to zero length.
-        let cfg = CrashAuditConfig {
-            schedules: 8,
-            n_ops: 24,
-            backend: BackendKind::File,
-            log_shards: 2,
-            ..Default::default()
-        };
-        let r = audit_media(&cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.file_deletions > 0, "{r:?}");
-        assert!(r.file_truncations > 0, "{r:?}");
-        assert_eq!(r.rebuilds_verified, r.pages_destroyed);
-        assert_eq!(r.interrupted_rebuilds_verified, r.pages_destroyed);
-    }
-
-    #[test]
-    fn both_torn_kinds_occur_across_schedules() {
-        let cfg = CrashAuditConfig {
-            schedules: 40,
-            n_ops: 24,
-            ..Default::default()
-        };
-        let report = audit(&Physiological, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        assert!(report.torn_writes > 0, "{report:?}");
-        assert!(report.torn_flushes > 0, "{report:?}");
-        assert!(report.torn_pages_repaired > 0, "{report:?}");
-        assert!(report.log_bytes_dropped > 0, "{report:?}");
+    fn seed_17_schedule_40_twin_keeps_the_operation_the_steal_path_made_durable() {
+        // The parent's twin flow drew its chaos from a generator of its
+        // own; on it op 51 fails with `PoolExhausted` at
+        // `last_lsn == stable == 59`.
+        let cfg = steal_cfg(17);
+        let (ops, mut rng) = schedule(Shape::GENERAL, &cfg, 40);
+        let mut db: Db<PageOpPayload> = Db::with_capacity(Geometry::default(), Some(2));
+        db.arm_faults(sample_plan(&mut rng, ops.len() as u64 * 4));
+        let mut chaos = StdRng::seed_from_u64(17 ^ 40u64.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let mut driver = Driver::new(&Control, cfg.chaos, cfg.checkpoint_every);
+        driver.run(&mut db, &ops, &mut chaos).unwrap();
+        assert_eq!(driver.attempted(), 52, "op 51 is the last attempted");
+        db.crash();
+        db.repair_after_crash();
+        assert_eq!(driver.in_doubt(), Some(Lsn(59)));
+        assert_eq!(db.log.stable_lsn(), Lsn(59));
+        let durable = ops_of(driver.durable(&db));
+        assert_eq!(durable.last(), Some(&ops[51]));
+        let pre = db.stable_theory_state();
+        let stats = Control.recover(&mut db).unwrap();
+        DurablePrefix::of(&durable, 8)
+            .verify(&stats, &db.volatile_theory_state(), &pre, 1)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }

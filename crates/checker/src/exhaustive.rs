@@ -17,17 +17,10 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use redo_methods::harness::HarnessFailure;
+use redo_methods::harness::{DurablePrefix, HarnessFailure};
 use redo_methods::RecoveryMethod;
 use redo_sim::db::{Db, Geometry};
-use redo_theory::conflict::ConflictGraph;
-use redo_theory::graph::NodeSet;
-use redo_theory::history::History;
-use redo_theory::installation::InstallationGraph;
-use redo_theory::invariant::recovery_invariant;
-use redo_theory::log::{Log, Lsn};
-use redo_theory::state::State;
-use redo_theory::state_graph::StateGraph;
+use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp};
 
 /// One scheduler choice at an operation boundary.
@@ -140,34 +133,12 @@ impl<M: RecoveryMethod> Explorer<'_, M> {
             .filter(|(_, lsn)| *lsn <= stable)
             .map(|(op, _)| op.clone())
             .collect();
-        let history =
-            History::renumbering(durable.iter().map(|op| op.to_operation(self.spp)).collect());
-        let cg = ConflictGraph::generate(&history);
-        let ig = InstallationGraph::from_conflict(&cg);
-        let sg = StateGraph::from_conflict(&history, &cg, &State::zeroed());
-        if crashed.volatile_theory_state() != sg.final_state() {
-            return Err(HarnessFailure::StateMismatch {
-                crash: Some(self.report.crashes_checked as u64),
-            });
-        }
-        let log = Log::from_history(&history);
-        let mut redo_set = NodeSet::new(history.len());
-        for id in &stats.replayed {
-            let pos = durable.iter().position(|op| op.id == *id).ok_or_else(|| {
-                HarnessFailure::Invariant {
-                    crash: self.report.crashes_checked as u64,
-                    detail: format!("replayed non-durable op {id}"),
-                }
-            })?;
-            redo_set.insert(pos);
-        }
-        recovery_invariant(&cg, &ig, &sg, &log, &redo_set, &pre_disk).map_err(|v| {
-            HarnessFailure::Invariant {
-                crash: self.report.crashes_checked as u64,
-                detail: v.to_string(),
-            }
-        })?;
-        Ok(())
+        DurablePrefix::of(&durable, self.spp).verify(
+            &stats,
+            &crashed.volatile_theory_state(),
+            &pre_disk,
+            self.report.crashes_checked as u64,
+        )
     }
 
     fn dfs(

@@ -32,7 +32,9 @@
 //! * [`crash_audit`] samples seeded crash schedules with *injected
 //!   faults* — torn page writes, partial log flushes, crashes in the
 //!   middle of recovery itself — and checks the Recovery Invariant
-//!   after every completed recovery, plus recovery idempotence.
+//!   after every completed recovery, plus recovery idempotence: one
+//!   flow with legs, over a generated method × backend × log shards ×
+//!   pool matrix.
 //! * [`exhaustive`] explores the *simulated database* instead of the
 //!   abstract model: every reachable (log-flush × page-flush) schedule
 //!   of a workload under a §6 recovery method, crashing at every

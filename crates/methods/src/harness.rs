@@ -21,18 +21,19 @@ use rand::SeedableRng;
 use redo_sim::backend::BackendKind;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::fault::FaultPlan;
-use redo_sim::SimError;
+use redo_sim::wal::LogPayload;
+use redo_sim::{SimError, SimResult};
 use redo_theory::conflict::ConflictGraph;
 use redo_theory::graph::NodeSet;
 use redo_theory::history::History;
 use redo_theory::installation::InstallationGraph;
 use redo_theory::invariant::recovery_invariant;
-use redo_theory::log::Log;
+use redo_theory::log::{Log, Lsn};
 use redo_theory::state::State;
 use redo_theory::state_graph::StateGraph;
 use redo_workload::pages::PageOp;
 
-use crate::RecoveryMethod;
+use crate::{RecoveryMethod, RecoveryStats};
 
 /// Harness configuration.
 #[derive(Clone, Debug)]
@@ -174,8 +175,9 @@ impl From<SimError> for HarnessFailure {
     }
 }
 
-struct TheoryView {
-    history: History,
+/// The theory's view of a durable prefix: the one oracle every crash
+/// flow checks a completed recovery against (Corollary 4).
+pub struct DurablePrefix {
     cg: ConflictGraph,
     ig: InstallationGraph,
     sg: StateGraph,
@@ -183,30 +185,191 @@ struct TheoryView {
     position_of: BTreeMap<u32, usize>,
 }
 
-fn theory_view(committed: &[PageOp], slots_per_page: u16) -> TheoryView {
-    let history = History::renumbering(
-        committed
-            .iter()
-            .map(|op| op.to_operation(slots_per_page))
-            .collect(),
-    );
-    let cg = ConflictGraph::generate(&history);
-    let ig = InstallationGraph::from_conflict(&cg);
-    let sg = StateGraph::from_conflict(&history, &cg, &State::zeroed());
-    let log = Log::from_history(&history);
-    let position_of = committed
-        .iter()
-        .enumerate()
-        .map(|(i, op)| (op.id, i))
-        .collect();
-    TheoryView {
-        history,
-        cg,
-        ig,
-        sg,
-        log,
-        position_of,
+impl DurablePrefix {
+    /// Projects `durable` — the operations whose log records survived,
+    /// in log order — into the theory.
+    #[must_use]
+    pub fn of(durable: &[PageOp], slots_per_page: u16) -> DurablePrefix {
+        let history = History::renumbering(
+            durable
+                .iter()
+                .map(|op| op.to_operation(slots_per_page))
+                .collect(),
+        );
+        let cg = ConflictGraph::generate(&history);
+        DurablePrefix {
+            ig: InstallationGraph::from_conflict(&cg),
+            sg: StateGraph::from_conflict(&history, &cg, &State::zeroed()),
+            log: Log::from_history(&history),
+            position_of: (durable.iter().enumerate())
+                .map(|(i, op)| (op.id, i))
+                .collect(),
+            cg,
+        }
     }
+
+    /// The state the prefix leaves: what every recovery must rebuild.
+    #[must_use]
+    pub fn final_state(&self) -> State {
+        self.sg.final_state()
+    }
+
+    /// Checks one *completed* recovery, the `crash`-th of its run:
+    /// `recovered` is the prefix's final state, every replayed
+    /// operation is durable, and the realized redo set satisfies the
+    /// Recovery Invariant against `pre_disk`, the repaired stable state
+    /// recovery started from.
+    ///
+    /// # Errors
+    ///
+    /// The first of those three that does not hold.
+    pub fn verify(
+        &self,
+        stats: &RecoveryStats,
+        recovered: &State,
+        pre_disk: &State,
+        crash: u64,
+    ) -> Result<(), HarnessFailure> {
+        if *recovered != self.final_state() {
+            return Err(HarnessFailure::StateMismatch { crash: Some(crash) });
+        }
+        let invariant = |detail| HarnessFailure::Invariant { crash, detail };
+        let mut redo_set = NodeSet::new(self.position_of.len());
+        for id in &stats.replayed {
+            let pos = (self.position_of.get(id)).ok_or_else(|| {
+                invariant(format!("recovery replayed non-durable operation {id}"))
+            })?;
+            redo_set.insert(*pos);
+        }
+        recovery_invariant(&self.cg, &self.ig, &self.sg, &self.log, &redo_set, pre_disk)
+            .map_err(|v| invariant(v.to_string()))
+    }
+}
+
+/// Reads a substrate result on a machine that may be dying: once the
+/// armed fault has tripped, post-trip I/O is suppressed and errors are
+/// expected (`Ok(None)`) until the crash; an error *without* a trip is
+/// a genuine failure.
+///
+/// # Errors
+///
+/// The substrate error, when no fault excuses it.
+pub fn dying<P: LogPayload, T>(
+    db: &Db<P>,
+    result: SimResult<T>,
+) -> Result<Option<T>, HarnessFailure> {
+    match result {
+        Ok(v) => Ok(Some(v)),
+        Err(_) if db.fault_tripped() => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// The one workload driver: runs operations under a method with
+/// background chaos and checkpoints until the armed fault trips, and
+/// owns the durable-prefix rule — **an operation is in the durable
+/// prefix iff its log record is, whether or not `execute` returned**.
+/// `execute` appends before it applies, and under a small pool the
+/// apply's steal path forces the log (the operation's own record
+/// included) before the dying machine's suppressed victim write fails
+/// the fetch: the record is durable and recovery rightly replays it.
+pub struct Driver<'a, M: RecoveryMethod> {
+    method: &'a M,
+    chaos: Option<(f64, f64)>,
+    checkpoint_every: Option<usize>,
+    attempted: usize,
+    logged: Vec<(PageOp, Lsn)>,
+    in_doubt: Option<Lsn>,
+}
+
+impl<'a, M: RecoveryMethod> Driver<'a, M> {
+    /// A driver applying `chaos` (`(log, page)` flush probabilities;
+    /// page chaos is suppressed for methods that forbid it) after every
+    /// operation and `method`'s checkpoint after every
+    /// `checkpoint_every`-th.
+    #[must_use]
+    pub fn new(method: &'a M, chaos: Option<(f64, f64)>, checkpoint_every: Option<usize>) -> Self {
+        Driver {
+            method,
+            chaos,
+            checkpoint_every,
+            attempted: 0,
+            logged: Vec::new(),
+            in_doubt: None,
+        }
+    }
+
+    /// Operations attempted so far, across calls to [`Driver::run`].
+    #[must_use]
+    pub fn attempted(&self) -> usize {
+        self.attempted
+    }
+
+    /// The LSN of the operation left *in doubt*, if one was: its append
+    /// took an LSN, then `execute` failed under the tripped fault.
+    #[must_use]
+    pub fn in_doubt(&self) -> Option<Lsn> {
+        self.in_doubt
+    }
+
+    /// Runs `ops` in order until the armed fault trips or they end.
+    ///
+    /// # Errors
+    ///
+    /// A substrate error with no tripped fault as an excuse.
+    pub fn run(
+        &mut self,
+        db: &mut Db<M::Payload>,
+        ops: &[PageOp],
+        rng: &mut StdRng,
+    ) -> Result<(), HarnessFailure> {
+        for op in ops {
+            let before = db.log.last_lsn();
+            let executed = self.method.execute(db, op);
+            let lsn = dying(db, executed)?.or_else(|| {
+                // An `Err` under a tripped fault whose append took an
+                // LSN: the repaired stable LSN decides it.
+                self.in_doubt = Some(db.log.last_lsn()).filter(|lsn| *lsn > before);
+                self.in_doubt
+            });
+            self.logged.extend(lsn.map(|lsn| (op.clone(), lsn)));
+            self.attempted += 1;
+            if let Some((log_p, page_p)) = self.chaos {
+                let page_p = if self.method.allows_page_chaos() {
+                    page_p
+                } else {
+                    0.0
+                };
+                let flushed = db.chaos_flush(rng, log_p, page_p);
+                dying(db, flushed)?;
+            }
+            let cadence = self.checkpoint_every;
+            if cadence.is_some_and(|k| self.attempted.is_multiple_of(k)) {
+                let taken = self.method.checkpoint(db);
+                dying(db, taken)?;
+            }
+            if db.fault_tripped() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// The durable prefix of a crashed **and repaired** `db`, with
+    /// LSNs: every operation this driver logged whose record reached
+    /// the stable log. Everything after is forgotten — lost, by design
+    /// of redo-only recovery.
+    pub fn durable(&mut self, db: &Db<M::Payload>) -> &[(PageOp, Lsn)] {
+        let stable = db.log.stable_lsn();
+        self.logged.retain(|(_, lsn)| *lsn <= stable);
+        &self.logged
+    }
+}
+
+/// The operations of a [`Driver::durable`] prefix.
+#[must_use]
+pub fn ops_of(logged: &[(PageOp, Lsn)]) -> Vec<PageOp> {
+    logged.iter().map(|(op, _)| op.clone()).collect()
 }
 
 /// Runs `ops` under `method` per `cfg`. See the module docs for what is
@@ -230,58 +393,30 @@ pub fn run<M: RecoveryMethod>(
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut report = HarnessReport::default();
-    // Operations whose effects the system has promised to keep: durable
-    // at every crash that has happened since they ran.
-    let mut committed: Vec<(PageOp, redo_theory::log::Lsn)> = Vec::new();
-
+    // The driver's log holds the operations the system has promised to
+    // keep: durable at every crash that has happened since they ran.
+    let mut driver = Driver::new(method, cfg.chaos, cfg.checkpoint_every);
     if let Some(plan) = cfg.fault {
         db.arm_faults(plan);
     }
-
-    for (i, op) in ops.iter().enumerate() {
-        // Once the armed fault trips, the machine is dying: substrate
-        // errors are expected (post-trip I/O is suppressed, so e.g. a
-        // checkpoint's page flush sees a WAL violation) and the next
-        // operation boundary crashes for real. An error WITHOUT a trip
-        // is a genuine failure.
-        match method.execute(&mut db, op) {
-            Ok(lsn) => committed.push((op.clone(), lsn)),
-            Err(_) if db.fault_tripped() => {}
-            Err(e) => return Err(e.into()),
-        }
-        if let Some((log_p, page_p)) = cfg.chaos {
-            let page_p = if method.allows_page_chaos() {
-                page_p
-            } else {
-                0.0
-            };
-            match db.chaos_flush(&mut rng, log_p, page_p) {
-                Ok(()) => {}
-                Err(_) if db.fault_tripped() => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if let Some(k) = cfg.checkpoint_every {
-            if (i + 1) % k == 0 {
-                match method.checkpoint(&mut db) {
-                    Ok(()) => {}
-                    Err(_) if db.fault_tripped() => {}
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-        let scheduled_crash = cfg.crash_every.is_some_and(|k| (i + 1) % k == 0);
-        if db.fault_tripped() || scheduled_crash {
-            crash_and_verify(method, &mut db, &mut committed, cfg, &mut report)?;
+    // Drive up to the next scheduled crash; a tripped fault crashes at
+    // the operation boundary it stopped the driver on.
+    let every = cfg.crash_every.unwrap_or(usize::MAX);
+    while driver.attempted() < ops.len() {
+        let from = driver.attempted();
+        let until = ops.len().min((from / every + 1).saturating_mul(every));
+        driver.run(&mut db, &ops[from..until], &mut rng)?;
+        if db.fault_tripped() || driver.attempted().is_multiple_of(every) {
+            crash_and_verify(method, &mut db, &mut driver, cfg, &mut report)?;
         }
     }
 
     // End-of-run verification against the surviving operations.
-    let survivors: Vec<PageOp> = committed.iter().map(|(op, _)| op.clone()).collect();
+    let survivors = ops_of(&driver.logged);
     report.survivors = survivors.len();
     report.lost = ops.len() - survivors.len();
-    let view = theory_view(&survivors, cfg.slots_per_page);
-    if db.volatile_theory_state() != view.sg.final_state() {
+    if db.volatile_theory_state() != DurablePrefix::of(&survivors, cfg.slots_per_page).final_state()
+    {
         return Err(HarnessFailure::StateMismatch { crash: None });
     }
     if cfg.audit {
@@ -296,7 +431,7 @@ pub fn run<M: RecoveryMethod>(
 fn crash_and_verify<M: RecoveryMethod>(
     method: &M,
     db: &mut Db<M::Payload>,
-    committed: &mut Vec<(PageOp, redo_theory::log::Lsn)>,
+    driver: &mut Driver<'_, M>,
     cfg: &HarnessConfig,
     report: &mut HarnessReport,
 ) -> Result<(), HarnessFailure> {
@@ -309,11 +444,8 @@ fn crash_and_verify<M: RecoveryMethod>(
     let repair = db.repair_after_crash();
     report.torn_repairs += repair.torn_pages.len();
     report.log_tail_dropped += repair.log_bytes_dropped;
-    let stable = db.log.stable_lsn();
     let pre_crash_disk = db.stable_theory_state();
-    // Durable prefix: operations whose log records reached the stable
-    // log. Everything after is lost, by design of redo-only recovery.
-    committed.retain(|(_, lsn)| *lsn <= stable);
+    let oracle = DurablePrefix::of(&ops_of(driver.durable(db)), cfg.slots_per_page);
     let stats = method.recover(db)?;
     report.total_replayed += stats.replay_count();
     report.total_skipped += stats.skipped.len();
@@ -322,48 +454,15 @@ fn crash_and_verify<M: RecoveryMethod>(
     report.seek_hits += stats.seek_hits;
     report.pages_prefetched += stats.pages_prefetched;
 
-    let durable: Vec<PageOp> = committed.iter().map(|(op, _)| op.clone()).collect();
-    let view = theory_view(&durable, cfg.slots_per_page);
-
-    // Correctness: the recovered (volatile) state is the durable
-    // prefix's final state, numerically.
-    if db.volatile_theory_state() != view.sg.final_state() {
-        return Err(HarnessFailure::StateMismatch {
-            crash: Some(report.crashes),
-        });
-    }
-
+    let recovered = db.volatile_theory_state();
     if cfg.audit {
-        // Theory conformance: the realized redo set satisfied the
-        // recovery invariant against the pre-recovery disk state.
-        let mut redo_set = NodeSet::new(view.history.len());
-        for id in &stats.replayed {
-            match view.position_of.get(id) {
-                Some(&pos) => {
-                    redo_set.insert(pos);
-                }
-                None => {
-                    return Err(HarnessFailure::Invariant {
-                        crash: report.crashes,
-                        detail: format!("recovery replayed non-durable operation {id}"),
-                    })
-                }
-            }
-        }
-        if let Err(v) = recovery_invariant(
-            &view.cg,
-            &view.ig,
-            &view.sg,
-            &view.log,
-            &redo_set,
-            &pre_crash_disk,
-        ) {
-            return Err(HarnessFailure::Invariant {
-                crash: report.crashes,
-                detail: v.to_string(),
-            });
-        }
+        oracle.verify(&stats, &recovered, &pre_crash_disk, report.crashes)?;
         report.audits += 1;
+    } else if recovered != oracle.final_state() {
+        // Correctness only: the recovered (volatile) state is the
+        // durable prefix's final state, numerically.
+        let crash = Some(report.crashes);
+        return Err(HarnessFailure::StateMismatch { crash });
     }
     Ok(())
 }
@@ -395,6 +494,111 @@ mod tests {
             ..Default::default()
         }
         .generate(seed)
+    }
+
+    /// The oracle over a small single-page workload, with the stats of
+    /// a recovery that replays all of it from an empty disk.
+    fn oracle_and_full_replay() -> (DurablePrefix, RecoveryStats) {
+        let ops = single_page_workload(6, 2, 1);
+        let stats = RecoveryStats {
+            replayed: ops.iter().map(|op| op.id).collect(),
+            ..Default::default()
+        };
+        (DurablePrefix::of(&ops, 8), stats)
+    }
+
+    #[test]
+    fn oracle_accepts_a_full_replay_and_rejects_a_state_mismatch() {
+        let (oracle, stats) = oracle_and_full_replay();
+        let (fin, empty) = (oracle.final_state(), State::zeroed());
+        oracle.verify(&stats, &fin, &empty, 1).unwrap();
+        let err = oracle.verify(&stats, &empty, &empty, 3).unwrap_err();
+        assert!(
+            matches!(err, HarnessFailure::StateMismatch { crash: Some(3) }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn oracle_rejects_a_replayed_operation_that_is_not_durable() {
+        let (oracle, mut stats) = oracle_and_full_replay();
+        stats.replayed.push(999);
+        let fin = oracle.final_state();
+        let err = oracle
+            .verify(&stats, &fin, &State::zeroed(), 1)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("non-durable operation 999"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn oracle_rejects_a_bypassed_set_that_does_not_explain_the_disk() {
+        // Nothing replayed from an empty disk: every operation is
+        // claimed installed, and the zeroed state shows none of them.
+        let (oracle, _) = oracle_and_full_replay();
+        let fin = oracle.final_state();
+        let err = oracle
+            .verify(&RecoveryStats::default(), &fin, &State::zeroed(), 1)
+            .unwrap_err();
+        assert!(matches!(err, HarnessFailure::Invariant { .. }), "{err}");
+        assert!(!err.to_string().contains("non-durable"), "{err}");
+    }
+
+    #[test]
+    fn an_operation_whose_own_record_the_steal_path_forced_is_durable() {
+        // Two frames hold Figure 8's x and y, with x blocked until y is
+        // durable. A fourth op pins y, appends (LSN 4) and faults a
+        // third page in: the steal forces the log — records 1 to 4, its
+        // own included — then must flush y to unblock its only victim,
+        // x. A clean stop on that write (event 5) fails the fetch.
+        use redo_workload::pages::{Cell, PageId, PageOpKind, SlotId};
+        let cell = |page| Cell {
+            page: PageId(page),
+            slot: SlotId(0),
+        };
+        let mut ops = crate::testkit::figure8_ops().to_vec();
+        ops.push(PageOp {
+            id: 3,
+            kind: PageOpKind::Generalized,
+            reads: vec![cell(2), cell(1)],
+            writes: vec![cell(1)],
+            f_seed: 4,
+        });
+        let fresh = || -> Db<_> {
+            let db = Db::with_capacity(Geometry::default(), Some(2));
+            db.arm_faults(FaultPlan {
+                at: 5,
+                kind: redo_sim::fault::FaultKind::Clean,
+            });
+            db
+        };
+
+        let mut db = fresh();
+        for op in &ops[..3] {
+            Generalized.execute(&mut db, op).unwrap();
+        }
+        let err = Generalized.execute(&mut db, &ops[3]).unwrap_err();
+        assert!(matches!(err, SimError::PoolExhausted), "{err}");
+        assert!(db.fault_tripped());
+        assert_eq!(db.log.stable_lsn(), Lsn(4), "the op's own record is stable");
+
+        let mut db = fresh();
+        let mut driver = Driver::new(&Generalized, None, None);
+        let mut rng = StdRng::seed_from_u64(0);
+        driver.run(&mut db, &ops, &mut rng).unwrap();
+        assert_eq!(driver.in_doubt(), Some(Lsn(4)));
+        db.crash();
+        db.repair_after_crash();
+        let durable = ops_of(driver.durable(&db));
+        assert_eq!(durable, ops, "in doubt, and the stable LSN says durable");
+        let pre = db.stable_theory_state();
+        let stats = Generalized.recover(&mut db).unwrap();
+        assert!(stats.replayed.contains(&3));
+        DurablePrefix::of(&durable, 8)
+            .verify(&stats, &db.volatile_theory_state(), &pre, 1)
+            .unwrap();
     }
 
     #[test]

@@ -16,9 +16,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use redo_recovery::methods::harness::Driver;
 use redo_recovery::methods::online::GeneralizedOnline;
 use redo_recovery::methods::oprecord::PageOpPayload;
-use redo_recovery::methods::parallel::recover_partitioned;
+use redo_recovery::methods::parallel::{recover_partitioned, ParallelOnline, ParallelPhysical};
 use redo_recovery::methods::physical::{PhysPayload, Physical};
 use redo_recovery::methods::physiological::Physiological;
 use redo_recovery::methods::redo::PageLocal;
@@ -36,14 +37,14 @@ use redo_recovery::workload::pages::{PageOp, PageWorkloadSpec};
 /// a fault interrupted the publication.
 type FuzzyCheckpoint<P> = fn(&mut Db<P>) -> SimResult<Option<Lsn>>;
 
-/// Runs the workload under `method` and its fuzzy-checkpoint discipline
-/// with chaotic flushing and an optional armed crash-point fault, then
-/// crashes. Once a fault trips the machine is dying — substrate errors
-/// are expected and the run ends at the next operation boundary, the
-/// same discipline the method harness uses.
+/// Runs the workload under `method` — whose checkpoint is its fuzzy
+/// discipline — with chaotic flushing and an optional armed crash-point
+/// fault, then crashes: the method harness's own driver. Once a fault
+/// trips the machine is dying — substrate errors are expected and the
+/// run ends at that operation boundary; a publication the fault
+/// interrupted mid-protocol is a legal crash state.
 fn crashed_image_of<M: RecoveryMethod>(
     method: &M,
-    checkpoint: FuzzyCheckpoint<M::Payload>,
     ops: &[PageOp],
     seed: u64,
     ck_every: usize,
@@ -51,34 +52,12 @@ fn crashed_image_of<M: RecoveryMethod>(
     fault: Option<FaultPlan>,
 ) -> Db<M::Payload> {
     let mut db = Db::new(Geometry::default());
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
     if let Some(plan) = fault {
         db.arm_faults(plan);
     }
-    for (i, op) in ops.iter().enumerate() {
-        match method.execute(&mut db, op) {
-            Ok(_) => {}
-            Err(_) if db.fault_tripped() => break,
-            Err(e) => panic!("execute failed without a fault: {e}"),
-        }
-        match db.chaos_flush(&mut rng, chaos.0, chaos.1) {
-            Ok(()) => {}
-            Err(_) if db.fault_tripped() => break,
-            Err(e) => panic!("chaos flush failed without a fault: {e}"),
-        }
-        if (i + 1) % ck_every == 0 {
-            match checkpoint(&mut db) {
-                // Ok(None) is a publication the fault interrupted
-                // mid-protocol — a legal crash state.
-                Ok(_) => {}
-                Err(_) if db.fault_tripped() => break,
-                Err(e) => panic!("checkpoint failed without a fault: {e}"),
-            }
-        }
-        if db.fault_tripped() {
-            break;
-        }
-    }
+    Driver::new(method, Some(chaos), Some(ck_every))
+        .run(&mut db, ops, &mut StdRng::seed_from_u64(seed ^ 0x9e37_79b9))
+        .expect("no substrate error without a fault");
     db.log.flush_all();
     db.crash();
     db
@@ -93,16 +72,8 @@ fn crashed_image(
     chaos: (f64, f64),
     fault: Option<FaultPlan>,
 ) -> Db<PageOpPayload> {
-    let checkpoint = GeneralizedOnline::checkpoint_online;
-    crashed_image_of(
-        &Physiological,
-        checkpoint,
-        ops,
-        seed,
-        ck_every,
-        chaos,
-        fault,
-    )
+    let method = ParallelOnline { threads: 1 };
+    crashed_image_of(&method, ops, seed, ck_every, chaos, fault)
 }
 
 /// The reference recovery: sequential, checkpoint-blind, full-scan.
@@ -270,7 +241,8 @@ proptest! {
         }
         .generate(seed);
         let fuzzy: FuzzyCheckpoint<PhysPayload> = Physical::checkpoint_fuzzy;
-        let mut db = crashed_image_of(&Physical, fuzzy, &blind, seed, ck_every, (0.7, 0.3), None);
+        let method = ParallelPhysical { threads };
+        let mut db = crashed_image_of(&method, &blind, seed, ck_every, (0.7, 0.3), None);
         let mut ref_db = db.clone();
         recover_full_scan_blind(&mut ref_db);
         let between = checkpoint_between.then_some(fuzzy);

@@ -6,23 +6,32 @@
 //! page `y` with half its contents" — instead of physically logging the
 //! moved half.
 //!
-//! Two [`SplitStrategy`]s are provided:
+//! Every structure modification is **one log record**
+//! ([`BtPayload::Split`]; the bootstrap is [`BtPayload::Create`]), so
+//! the log frame is the atomic unit and the tree is valid at every
+//! record boundary. The two [`SplitStrategy`]s differ in one field of
+//! that record:
 //!
-//! * [`SplitStrategy::Physiological`] — the conventional approach: the
-//!   new page's initial contents are written into the log as a physical
-//!   page image (every physiological record touches exactly one page, so
-//!   the moved keys *must* travel through the log);
-//! * [`SplitStrategy::Generalized`] — §6.4: a
-//!   [`BtPayload::SplitCopyHigh`] record reads the old page and writes
-//!   the new one; the only thing logged is the pair of page ids. The
-//!   cache manager must then flush the new page before any later
-//!   overwrite of the old page (Figure 8's write-graph edge), which the
-//!   tree registers as a buffer-pool
+//! * [`SplitStrategy::Physiological`] — the conventional approach:
+//!   `image: Some(..)` carries the new page's initial contents as a
+//!   physical page image (the moved keys travel through the log);
+//! * [`SplitStrategy::Generalized`] — §6.4: `image: None`; the record
+//!   reads the old page and writes the new one, and the only thing
+//!   logged is page ids and the separator. The cache manager must then
+//!   flush the new page before the old page's truncation (Figure 8's
+//!   write-graph edge), which the redo step registers as a buffer-pool
 //!   [constraint](redo_sim::cache::Constraint).
 //!
-//! Recovery is LSN-based for both strategies: each page is tagged with
-//! the LSN of its last update; a record replays iff its target page's
-//! LSN is older.
+//! Recovery is the one Figure-6 driver of `redo-methods`
+//! ([`redo_methods::redo::recover`]) with the tree's redo step
+//! ([`tree::apply_payload`]) plugged in: each page a record writes
+//! takes its share iff its own page LSN is older than the record, so
+//! the pages of one split install independently, ordered only by that
+//! one edge. Checkpoints are
+//! [`redo_methods::redo::checkpoint_heavyweight`]. [`BTree::create`]
+//! takes whatever [`Db`](redo_sim::db::Db) it is to run on — memory or
+//! files, one log shard or several, a bounded pool (which steals) or
+//! not.
 //!
 //! The tree is a textbook B+tree (values at leaves, separator keys
 //! duplicated upward, preemptive splitting on descent, right-sibling

@@ -1,38 +1,38 @@
 //! Log records of the recoverable B+tree.
 //!
-//! Each record names the single page it *writes* (the LSN-test target)
-//! and carries just enough to re-execute the logical action
-//! deterministically. The two split styles differ in exactly one record:
+//! One record is one *logical action* of the tree, whole: a key insert
+//! or remove on one leaf, the bootstrap, or a complete structure
+//! modification. The log frame is the atomic unit, so the tree a crash
+//! leaves is the tree as of some record boundary — there is no such
+//! thing as half a split in the log. A record may therefore write
+//! several pages ([`LogPayload::write_pages`] names them all); redo
+//! gives each its share under that page's own LSN test
+//! ([`apply_payload`](crate::tree::apply_payload)).
 //!
-//! * physiological: [`BtPayload::PageImage`] carries the new node's full
+//! The two split styles are one record shape, [`BtPayload::Split`],
+//! differing in one field:
+//!
+//! * physiological: `image: Some(..)` carries the new node's full
 //!   contents (the moved half travels through the log);
-//! * generalized: [`BtPayload::SplitCopyHigh`] carries two page ids (the
-//!   moved half is *read from the old page* at replay time).
+//! * generalized: `image: None` — the moved half is *read from the old
+//!   page* at replay time (§6.4, Figure 8).
 
+use redo_methods::redo::{CheckpointRecord, CheckpointView};
 use redo_sim::wal::{codec, LogPayload};
 use redo_sim::{SimError, SimResult};
 use redo_workload::pages::PageId;
 
+/// The metadata page: current root and page allocator.
+pub(crate) const META: PageId = PageId(0);
+/// The empty leaf a fresh tree starts from.
+pub(crate) const FIRST_ROOT: PageId = PageId(1);
+
 /// A B+tree log record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BtPayload {
-    /// Format `page` as an empty leaf (blind).
-    InitLeaf {
-        /// The page to format.
-        page: PageId,
-    },
-    /// Format `page` as a one-separator internal root (blind) — the
-    /// upper half of a root split.
-    InitRoot {
-        /// The new root page.
-        page: PageId,
-        /// The separator between the two children.
-        separator: u64,
-        /// Left child (the old root).
-        left: PageId,
-        /// Right child (the new sibling).
-        right: PageId,
-    },
+    /// Bootstrap (blind): format page 1 as an empty leaf root and point
+    /// the meta page at it.
+    Create,
     /// Insert `(key, value)` into leaf `page` (reads and writes `page`).
     Insert {
         /// Target leaf.
@@ -49,192 +49,143 @@ pub enum BtPayload {
         /// Key.
         key: u64,
     },
-    /// Insert a separator and right child into internal node `page`.
-    InsertInternal {
-        /// Target internal node.
-        page: PageId,
-        /// Separator key.
-        separator: u64,
-        /// The child to the separator's right.
-        right_child: PageId,
-    },
-    /// Blind-write a full page image (the physiological split's way of
-    /// initializing the new node).
-    PageImage {
-        /// Target page.
-        page: PageId,
-        /// The complete slot contents.
-        slots: Vec<u64>,
-    },
-    /// §6.4's generalized split record: read page `from`, write page
-    /// `to` with the upper half of `from`'s entries.
-    SplitCopyHigh {
-        /// The overfull page being split (read only).
+    /// One whole node split: the upper half of `from` moves to the
+    /// fresh page `to`, `from` is truncated (and, a leaf, linked to
+    /// `to`), `parent` gains `separator` with `to` to its right, and the
+    /// meta page's allocator moves to `next_free`.
+    Split {
+        /// The overfull page being split.
         from: PageId,
-        /// The freshly allocated page (written).
+        /// The freshly allocated right sibling.
         to: PageId,
-    },
-    /// Remove the moved half from the old page and link its new right
-    /// sibling (reads and writes `page`).
-    SplitTruncate {
-        /// The page being truncated.
-        page: PageId,
-        /// Its new right sibling (leaf links; ignored for internal
-        /// nodes).
-        new_right: PageId,
-    },
-    /// Blind-write the meta page: current root and next free page.
-    MetaSet {
-        /// Root page id.
-        root: PageId,
-        /// Next unallocated page id.
+        /// The internal node that gains the separator.
+        parent: PageId,
+        /// A root split: `parent` is a fresh page, formatted as the
+        /// new root over `from` and `to`, and the meta page's root moves
+        /// to it.
+        new_root: bool,
+        /// The separator between `from` and `to`.
+        separator: u64,
+        /// The next unallocated page id after this split.
         next_free: u32,
+        /// `to`'s complete slot contents (the physiological split), or
+        /// `None` for §6.4's generalized split: `to` is written from
+        /// what `from` held just before this record.
+        image: Option<Vec<u64>>,
     },
     /// Checkpoint marker.
     Checkpoint,
 }
 
-impl BtPayload {
-    /// The page this record writes — the redo test's target.
-    /// `None` for checkpoint markers.
-    #[must_use]
-    pub fn target(&self) -> Option<PageId> {
-        match self {
-            BtPayload::InitLeaf { page }
-            | BtPayload::InitRoot { page, .. }
-            | BtPayload::Insert { page, .. }
-            | BtPayload::Remove { page, .. }
-            | BtPayload::InsertInternal { page, .. }
-            | BtPayload::PageImage { page, .. }
-            | BtPayload::SplitTruncate { page, .. } => Some(*page),
-            BtPayload::SplitCopyHigh { to, .. } => Some(*to),
-            BtPayload::MetaSet { .. } => Some(PageId(0)),
-            BtPayload::Checkpoint => None,
-        }
-    }
-}
+const NEW_ROOT: u8 = 1;
+const HAS_IMAGE: u8 = 2;
 
 impl LogPayload for BtPayload {
     fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
         match self {
-            BtPayload::InitLeaf { page } => {
-                codec::put_u8(buf, 0);
-                codec::put_u32(buf, page.0);
-            }
-            BtPayload::InitRoot {
-                page,
-                separator,
-                left,
-                right,
-            } => {
-                codec::put_u8(buf, 1);
-                codec::put_u32(buf, page.0);
-                codec::put_u64(buf, *separator);
-                codec::put_u32(buf, left.0);
-                codec::put_u32(buf, right.0);
-            }
+            BtPayload::Create => codec::put_u8(buf, 0),
             BtPayload::Insert { page, key, value } => {
-                codec::put_u8(buf, 2);
+                codec::put_u8(buf, 1);
                 codec::put_u32(buf, page.0);
                 codec::put_u64(buf, *key);
                 codec::put_u64(buf, *value);
             }
             BtPayload::Remove { page, key } => {
-                codec::put_u8(buf, 3);
+                codec::put_u8(buf, 2);
                 codec::put_u32(buf, page.0);
                 codec::put_u64(buf, *key);
             }
-            BtPayload::InsertInternal {
-                page,
+            BtPayload::Split {
+                from,
+                to,
+                parent,
+                new_root,
                 separator,
-                right_child,
+                next_free,
+                image,
             } => {
-                codec::put_u8(buf, 4);
-                codec::put_u32(buf, page.0);
-                codec::put_u64(buf, *separator);
-                codec::put_u32(buf, right_child.0);
-            }
-            BtPayload::PageImage { page, slots } => {
-                codec::put_u8(buf, 5);
-                codec::put_u32(buf, page.0);
-                codec::put_u16(buf, codec::count_u16("page-image slot count", slots.len())?);
-                for &s in slots {
-                    codec::put_u64(buf, s);
-                }
-            }
-            BtPayload::SplitCopyHigh { from, to } => {
-                codec::put_u8(buf, 6);
+                codec::put_u8(buf, 3);
+                let flags = if *new_root { NEW_ROOT } else { 0 };
+                codec::put_u8(buf, flags | image.as_ref().map_or(0, |_| HAS_IMAGE));
                 codec::put_u32(buf, from.0);
                 codec::put_u32(buf, to.0);
-            }
-            BtPayload::SplitTruncate { page, new_right } => {
-                codec::put_u8(buf, 7);
-                codec::put_u32(buf, page.0);
-                codec::put_u32(buf, new_right.0);
-            }
-            BtPayload::MetaSet { root, next_free } => {
-                codec::put_u8(buf, 8);
-                codec::put_u32(buf, root.0);
+                codec::put_u32(buf, parent.0);
+                codec::put_u64(buf, *separator);
                 codec::put_u32(buf, *next_free);
+                if let Some(slots) = image {
+                    codec::put_u16(
+                        buf,
+                        codec::count_u16("split image slot count", slots.len())?,
+                    );
+                    for &s in slots {
+                        codec::put_u64(buf, s);
+                    }
+                }
             }
-            BtPayload::Checkpoint => codec::put_u8(buf, 9),
+            BtPayload::Checkpoint => codec::put_u8(buf, 4),
         }
         Ok(())
     }
 
     fn decode(input: &[u8], pos: &mut usize) -> SimResult<Self> {
         Ok(match codec::get_u8(input, pos)? {
-            0 => BtPayload::InitLeaf {
-                page: PageId(codec::get_u32(input, pos)?),
-            },
-            1 => BtPayload::InitRoot {
-                page: PageId(codec::get_u32(input, pos)?),
-                separator: codec::get_u64(input, pos)?,
-                left: PageId(codec::get_u32(input, pos)?),
-                right: PageId(codec::get_u32(input, pos)?),
-            },
-            2 => BtPayload::Insert {
+            0 => BtPayload::Create,
+            1 => BtPayload::Insert {
                 page: PageId(codec::get_u32(input, pos)?),
                 key: codec::get_u64(input, pos)?,
                 value: codec::get_u64(input, pos)?,
             },
-            3 => BtPayload::Remove {
+            2 => BtPayload::Remove {
                 page: PageId(codec::get_u32(input, pos)?),
                 key: codec::get_u64(input, pos)?,
             },
-            4 => BtPayload::InsertInternal {
-                page: PageId(codec::get_u32(input, pos)?),
-                separator: codec::get_u64(input, pos)?,
-                right_child: PageId(codec::get_u32(input, pos)?),
-            },
-            5 => {
-                let page = PageId(codec::get_u32(input, pos)?);
-                let n = codec::get_u16(input, pos)? as usize;
-                let mut slots = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    slots.push(codec::get_u64(input, pos)?);
+            3 => {
+                let flags = codec::get_u8(input, pos)?;
+                if flags & !(NEW_ROOT | HAS_IMAGE) != 0 {
+                    return Err(SimError::Corrupt(*pos - 1));
                 }
-                BtPayload::PageImage { page, slots }
+                BtPayload::Split {
+                    from: PageId(codec::get_u32(input, pos)?),
+                    to: PageId(codec::get_u32(input, pos)?),
+                    parent: PageId(codec::get_u32(input, pos)?),
+                    new_root: flags & NEW_ROOT != 0,
+                    separator: codec::get_u64(input, pos)?,
+                    next_free: codec::get_u32(input, pos)?,
+                    image: if flags & HAS_IMAGE != 0 {
+                        let n = codec::get_u16(input, pos)? as usize;
+                        let mut slots = Vec::with_capacity(n.min(4096));
+                        for _ in 0..n {
+                            slots.push(codec::get_u64(input, pos)?);
+                        }
+                        Some(slots)
+                    } else {
+                        None
+                    },
+                }
             }
-            6 => BtPayload::SplitCopyHigh {
-                from: PageId(codec::get_u32(input, pos)?),
-                to: PageId(codec::get_u32(input, pos)?),
-            },
-            7 => BtPayload::SplitTruncate {
-                page: PageId(codec::get_u32(input, pos)?),
-                new_right: PageId(codec::get_u32(input, pos)?),
-            },
-            8 => BtPayload::MetaSet {
-                root: PageId(codec::get_u32(input, pos)?),
-                next_free: codec::get_u32(input, pos)?,
-            },
-            9 => BtPayload::Checkpoint,
+            4 => BtPayload::Checkpoint,
             _ => return Err(SimError::Corrupt(*pos - 1)),
         })
     }
 
+    /// Every page the record writes — what a sharded log routes it by
+    /// and what restart prefetches for it.
     fn write_pages(&self) -> Vec<PageId> {
-        self.target().into_iter().collect()
+        match self {
+            BtPayload::Create => vec![META, FIRST_ROOT],
+            BtPayload::Insert { page, .. } | BtPayload::Remove { page, .. } => vec![*page],
+            BtPayload::Split {
+                from, to, parent, ..
+            } => vec![*to, *from, *parent, META],
+            BtPayload::Checkpoint => Vec::new(),
+        }
+    }
+}
+
+impl CheckpointView for BtPayload {
+    fn into_checkpoint(self) -> Option<CheckpointRecord> {
+        // The tree only takes flush-everything checkpoints.
+        matches!(self, BtPayload::Checkpoint).then_some(CheckpointRecord::Heavyweight)
     }
 }
 
@@ -242,15 +193,21 @@ impl LogPayload for BtPayload {
 mod tests {
     use super::*;
 
+    fn split(new_root: bool, image: Option<Vec<u64>>) -> BtPayload {
+        BtPayload::Split {
+            from: PageId(1),
+            to: PageId(3),
+            parent: PageId(2),
+            new_root,
+            separator: 50,
+            next_free: 4,
+            image,
+        }
+    }
+
     fn all_variants() -> Vec<BtPayload> {
         vec![
-            BtPayload::InitLeaf { page: PageId(1) },
-            BtPayload::InitRoot {
-                page: PageId(2),
-                separator: 50,
-                left: PageId(1),
-                right: PageId(3),
-            },
+            BtPayload::Create,
             BtPayload::Insert {
                 page: PageId(1),
                 key: 42,
@@ -260,27 +217,10 @@ mod tests {
                 page: PageId(1),
                 key: 42,
             },
-            BtPayload::InsertInternal {
-                page: PageId(2),
-                separator: 9,
-                right_child: PageId(4),
-            },
-            BtPayload::PageImage {
-                page: PageId(3),
-                slots: vec![1, 2, 3],
-            },
-            BtPayload::SplitCopyHigh {
-                from: PageId(1),
-                to: PageId(3),
-            },
-            BtPayload::SplitTruncate {
-                page: PageId(1),
-                new_right: PageId(3),
-            },
-            BtPayload::MetaSet {
-                root: PageId(2),
-                next_free: 5,
-            },
+            split(false, None),
+            split(true, None),
+            split(false, Some(vec![1, 2, 3])),
+            split(true, Some(Vec::new())),
             BtPayload::Checkpoint,
         ]
     }
@@ -297,57 +237,45 @@ mod tests {
     }
 
     #[test]
-    fn targets() {
+    fn write_pages_names_every_page_a_record_writes() {
+        assert_eq!(BtPayload::Create.write_pages(), vec![META, FIRST_ROOT]);
         assert_eq!(
-            BtPayload::InitLeaf { page: PageId(7) }.target(),
-            Some(PageId(7))
+            split(false, None).write_pages(),
+            vec![PageId(3), PageId(1), PageId(2), META],
+            "the new page first: a generalized split reads the old one"
         );
-        assert_eq!(
-            BtPayload::SplitCopyHigh {
-                from: PageId(1),
-                to: PageId(3)
-            }
-            .target(),
-            Some(PageId(3)),
-            "the split-copy record writes the NEW page"
-        );
-        assert_eq!(
-            BtPayload::MetaSet {
-                root: PageId(2),
-                next_free: 4
-            }
-            .target(),
-            Some(PageId(0))
-        );
-        assert_eq!(BtPayload::Checkpoint.target(), None);
+        assert!(BtPayload::Checkpoint.write_pages().is_empty());
     }
 
     #[test]
-    fn bad_tag_is_corrupt() {
-        let buf = [42u8];
-        let mut pos = 0;
-        assert!(matches!(
-            BtPayload::decode(&buf, &mut pos),
-            Err(SimError::Corrupt(0))
-        ));
+    fn only_the_checkpoint_marker_is_a_checkpoint() {
+        for p in all_variants() {
+            let marker = p == BtPayload::Checkpoint;
+            let view = p.into_checkpoint();
+            assert_eq!(view, marker.then_some(CheckpointRecord::Heavyweight));
+        }
+    }
+
+    #[test]
+    fn bad_tag_and_bad_split_flags_are_corrupt() {
+        for buf in [&[42u8][..], &[3u8, 4][..]] {
+            let mut pos = 0;
+            let bad = buf.len() - 1;
+            assert!(matches!(
+                BtPayload::decode(buf, &mut pos),
+                Err(SimError::Corrupt(at)) if at == bad
+            ));
+        }
     }
 
     #[test]
     fn generalized_split_record_is_tiny() {
         let mut gen_buf = Vec::new();
-        BtPayload::SplitCopyHigh {
-            from: PageId(1),
-            to: PageId(2),
-        }
-        .encode(&mut gen_buf)
-        .unwrap();
+        split(false, None).encode(&mut gen_buf).unwrap();
         let mut img_buf = Vec::new();
-        BtPayload::PageImage {
-            page: PageId(2),
-            slots: vec![0; 64],
-        }
-        .encode(&mut img_buf)
-        .unwrap();
+        split(false, Some(vec![0; 64]))
+            .encode(&mut img_buf)
+            .unwrap();
         assert!(
             gen_buf.len() * 10 < img_buf.len(),
             "{} vs {}",

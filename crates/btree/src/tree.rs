@@ -1,32 +1,36 @@
 //! The recoverable B+tree.
 //!
 //! All mutations follow the WAL discipline: append the record, then
-//! apply it to the cache through [`apply_payload`] — the *same* function
-//! recovery uses, so normal execution and redo replay cannot drift
-//! apart. The tree keeps no volatile metadata: the root and the page
-//! allocator live on the meta page (page 0), updated by logged blind
-//! writes, so a freshly recovered tree is fully described by its pages.
+//! apply it to the cache through [`apply_payload`] — which *is* the redo
+//! step: normal execution and restart run the same function, so they
+//! cannot drift apart. Restart itself is the one Figure-6 driver,
+//! [`redo::recover`], with that step plugged in. The tree keeps no
+//! volatile metadata: the root and the page allocator live on the meta
+//! page (page 0), written by the records that move them, so a freshly
+//! recovered tree is fully described by its pages.
 
+use redo_methods::redo::{self, Redo};
+use redo_methods::RecoveryStats;
 use redo_sim::cache::Constraint;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::page::Page;
-use redo_sim::wal::ShardedScanner;
+use redo_sim::wal::LogPayload;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::PageId;
+use redo_workload::pages::{PageId, SlotId};
 
 use crate::layout;
-use crate::payload::BtPayload;
+use crate::payload::{BtPayload, FIRST_ROOT, META};
 
 /// How node splits are logged.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SplitStrategy {
     /// Conventional: the new node's contents are physically logged
-    /// ([`BtPayload::PageImage`]).
+    /// ([`BtPayload::Split`] with `image: Some`).
     Physiological,
     /// §6.4: the split is logged as "read old page, write new page"
-    /// ([`BtPayload::SplitCopyHigh`]), with the cache manager ordering
-    /// the new page's flush before any later overwrite of the old one.
+    /// (`image: None`), with the cache manager ordering the new page's
+    /// flush before the old page's truncation.
     Generalized,
 }
 
@@ -40,125 +44,146 @@ pub struct BTree {
     spp: u16,
 }
 
-const META: PageId = PageId(0);
-const META_ROOT: redo_workload::pages::SlotId = redo_workload::pages::SlotId(0);
-const META_NEXT: redo_workload::pages::SlotId = redo_workload::pages::SlotId(1);
+const META_ROOT: SlotId = SlotId(0);
+const META_NEXT: SlotId = SlotId(1);
 
-/// Applies one log record to the cache, tagging written pages with
-/// `lsn`. Shared by normal execution and recovery.
+/// A copy of page `id` as the cache holds it, faulting it in (with
+/// steal) if need be.
+fn read_page(db: &mut Db<BtPayload>, id: PageId) -> SimResult<Page> {
+    db.fetch_with_steal(id)?;
+    let page = db.pool.get(id).ok_or(SimError::NotCached(id))?;
+    Ok(page.clone())
+}
+
+/// One page's share of the record at `lsn`, under that page's own LSN
+/// test: `write` runs iff the page predates the record.
+fn redo_page(
+    db: &mut Db<BtPayload>,
+    page: PageId,
+    lsn: Lsn,
+    write: impl FnOnce(&mut Page),
+) -> SimResult<bool> {
+    db.fetch_with_steal(page)?;
+    db.pool.update_if(page, lsn, |p| {
+        let stale = p.lsn() < lsn;
+        if stale {
+            write(p);
+        }
+        stale
+    })
+}
+
+/// The redo step, shared by normal execution and restart: brings every
+/// page the record at `lsn` writes up to it, each under its own page-LSN
+/// test, and reports whether any page took its share. The pages install
+/// independently afterwards, ordered only by Figure 8's edge, which a
+/// generalized split registers here.
 ///
 /// # Errors
 ///
-/// Substrate errors (pool exhaustion).
-pub fn apply_payload(db: &mut Db<BtPayload>, payload: &BtPayload, lsn: Lsn) -> SimResult<()> {
+/// Substrate errors (a pool with every frame pinned, disk faults).
+pub fn apply_payload(db: &mut Db<BtPayload>, payload: &BtPayload, lsn: Lsn) -> SimResult<bool> {
     let spp = db.geometry.slots_per_page;
-    let fetch = |db: &mut Db<BtPayload>, id: PageId| -> SimResult<()> {
-        let stable = db.log.stable_lsn();
-        db.pool.fetch(&mut db.disk, id, spp, stable)?;
-        Ok(())
-    };
     match payload {
-        BtPayload::Checkpoint => {}
-        BtPayload::InitLeaf { page } => {
-            fetch(db, *page)?;
-            db.pool.update(*page, lsn, |p| layout::format(p, true))?;
+        BtPayload::Checkpoint => Ok(false),
+        BtPayload::Create => {
+            let root = redo_page(db, FIRST_ROOT, lsn, |p| layout::format(p, true))?;
+            let meta = redo_page(db, META, lsn, |p| {
+                p.set(META_ROOT, u64::from(FIRST_ROOT.0));
+                p.set(META_NEXT, u64::from(FIRST_ROOT.0 + 1));
+            })?;
+            Ok(root | meta)
         }
-        BtPayload::InitRoot {
-            page,
+        BtPayload::Insert { page, key, value } => redo_page(db, *page, lsn, |p| {
+            layout::leaf_insert(p, spp, *key, *value);
+        }),
+        BtPayload::Remove { page, key } => redo_page(db, *page, lsn, |p| {
+            layout::leaf_remove(p, spp, *key);
+        }),
+        BtPayload::Split {
+            from,
+            to,
+            parent,
+            new_root,
             separator,
-            left,
-            right,
+            next_free,
+            image,
         } => {
-            fetch(db, *page)?;
-            db.pool.update(*page, lsn, |p| {
-                layout::format(p, false);
-                layout::set_key(p, 0, *separator);
-                layout::set_child(p, spp, 0, *left);
-                layout::set_child(p, spp, 1, *right);
-                layout::set_n_keys(p, 1);
-            })?;
-        }
-        BtPayload::Insert { page, key, value } => {
-            fetch(db, *page)?;
-            db.pool.update(*page, lsn, |p| {
-                layout::leaf_insert(p, spp, *key, *value);
-            })?;
-        }
-        BtPayload::Remove { page, key } => {
-            fetch(db, *page)?;
-            db.pool.update(*page, lsn, |p| {
-                layout::leaf_remove(p, spp, *key);
-            })?;
-        }
-        BtPayload::InsertInternal {
-            page,
-            separator,
-            right_child,
-        } => {
-            fetch(db, *page)?;
-            db.pool.update(*page, lsn, |p| {
-                layout::internal_insert(p, spp, *separator, *right_child);
-            })?;
-        }
-        BtPayload::PageImage { page, slots } => {
-            fetch(db, *page)?;
-            let slots = slots.clone();
-            db.pool.update(*page, lsn, |p| {
-                for (i, &s) in slots.iter().enumerate() {
-                    p.set(redo_workload::pages::SlotId(i as u16), s);
+            // `to` first: a generalized split reads the moved half from
+            // `from` as it stood before this record.
+            let moved = match image {
+                Some(slots) => redo_page(db, *to, lsn, |p| {
+                    for (i, &s) in (0..p.slot_count()).zip(slots) {
+                        p.set(SlotId(i), s);
+                    }
+                })?,
+                None => {
+                    let src = read_page(db, *from)?;
+                    let moved = redo_page(db, *to, lsn, |p| {
+                        debug_assert!(src.lsn() < lsn, "Figure 8's write order was broken");
+                        layout::split_copy_high(&src, p, spp);
+                    })?;
+                    if moved {
+                        // Figure 8: `to` must reach disk before `from`
+                        // does with this record's truncation (or
+                        // anything later) in it.
+                        db.pool.add_constraint(Constraint {
+                            blocked: *from,
+                            blocked_above: Lsn(lsn.0 - 1),
+                            requires: *to,
+                            required_lsn: lsn,
+                        });
+                    }
+                    moved
                 }
+            };
+            let cut = redo_page(db, *from, lsn, |p| layout::split_truncate(p, spp, *to))?;
+            let linked = redo_page(db, *parent, lsn, |p| {
+                if *new_root {
+                    layout::format(p, false);
+                    layout::set_child(p, spp, 0, *from);
+                }
+                layout::internal_insert(p, spp, *separator, *to);
             })?;
-        }
-        BtPayload::SplitCopyHigh { from, to } => {
-            fetch(db, *from)?;
-            let src = db
-                .pool
-                .get(*from)
-                .ok_or(SimError::NotCached(*from))?
-                .clone();
-            fetch(db, *to)?;
-            db.pool
-                .update(*to, lsn, |p| layout::split_copy_high(&src, p, spp))?;
-        }
-        BtPayload::SplitTruncate { page, new_right } => {
-            fetch(db, *page)?;
-            db.pool
-                .update(*page, lsn, |p| layout::split_truncate(p, spp, *new_right))?;
-        }
-        BtPayload::MetaSet { root, next_free } => {
-            fetch(db, META)?;
-            db.pool.update(META, lsn, |p| {
-                p.set(META_ROOT, u64::from(root.0));
+            let meta = redo_page(db, META, lsn, |p| {
+                if *new_root {
+                    p.set(META_ROOT, u64::from(parent.0));
+                }
                 p.set(META_NEXT, u64::from(*next_free));
             })?;
+            Ok(moved | cut | linked | meta)
         }
     }
-    Ok(())
 }
 
 impl BTree {
-    /// Creates (and bootstraps) a fresh tree: page 1 is an empty leaf
-    /// root; page 0 holds the metadata.
+    /// Creates (and bootstraps) a fresh tree on a fresh in-memory
+    /// database: [`BTree::create`] over [`Db::new`].
     ///
     /// # Errors
     ///
-    /// Substrate errors during bootstrap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots_per_page < 6` (too small for a node).
+    /// As [`BTree::create`].
     pub fn new(strategy: SplitStrategy, slots_per_page: u16) -> SimResult<BTree> {
-        let _ = layout::max_keys(slots_per_page); // validates geometry
-        let mut tree = BTree {
-            db: Db::new(Geometry { slots_per_page }),
-            strategy,
-            spp: slots_per_page,
-        };
-        tree.log_apply(BtPayload::MetaSet {
-            root: PageId(1),
-            next_free: 2,
-        })?;
-        tree.log_apply(BtPayload::InitLeaf { page: PageId(1) })?;
+        BTree::create(Db::new(Geometry { slots_per_page }), strategy)
+    }
+
+    /// Bootstraps a fresh tree on `db` — any backend, log sharding or
+    /// pool bound — with one [`BtPayload::Create`] record: page 1 is an
+    /// empty leaf root; page 0 holds the metadata.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MethodViolation`] if `db`'s pages have fewer than 6
+    /// slots (too small for a node); substrate errors during bootstrap.
+    pub fn create(db: Db<BtPayload>, strategy: SplitStrategy) -> SimResult<BTree> {
+        let spp = db.geometry.slots_per_page;
+        if spp < 6 {
+            return Err(SimError::MethodViolation(
+                "pages need at least 6 slots for a B+tree node",
+            ));
+        }
+        let mut tree = BTree { db, strategy, spp };
+        tree.log_apply(BtPayload::Create)?;
         Ok(tree)
     }
 
@@ -168,37 +193,16 @@ impl BTree {
         self.strategy
     }
 
-    fn log_apply(&mut self, payload: BtPayload) -> SimResult<Lsn> {
+    fn log_apply(&mut self, payload: BtPayload) -> SimResult<()> {
         let lsn = self.db.log.append(payload.clone())?;
-        apply_payload(&mut self.db, &payload, lsn)?;
-        if let BtPayload::SplitCopyHigh { from, to } = payload {
-            // Figure 8: the new page must reach disk before any later
-            // overwrite of the old page does.
-            self.db.pool.add_constraint(Constraint {
-                blocked: from,
-                blocked_above: lsn,
-                requires: to,
-                required_lsn: lsn,
-            });
-        }
-        Ok(lsn)
-    }
-
-    fn read_page(&mut self, id: PageId) -> SimResult<Page> {
-        let stable = self.db.log.stable_lsn();
-        Ok(self
-            .db
-            .pool
-            .fetch(&mut self.db.disk, id, self.spp, stable)?
-            .clone())
+        apply_payload(&mut self.db, &payload, lsn).map(|_| ())
     }
 
     /// Reads a page and verifies it is a formatted node — a zeroed page
-    /// on the descent path means the tree structure was lost (e.g. a
-    /// crash with nothing durable) and would otherwise loop forever on
-    /// null child pointers.
+    /// on the descent path means the tree structure was lost and would
+    /// otherwise loop forever on null child pointers.
     fn read_node(&mut self, id: PageId) -> SimResult<Page> {
-        let page = self.read_page(id)?;
+        let page = read_page(&mut self.db, id)?;
         if !layout::is_initialized(&page) {
             return Err(SimError::MethodViolation(
                 "descent reached an uninitialized page",
@@ -208,82 +212,39 @@ impl BTree {
     }
 
     fn meta(&mut self) -> SimResult<(PageId, u32)> {
-        let page = self.read_page(META)?;
+        let page = read_page(&mut self.db, META)?;
         Ok((
             PageId(page.get(META_ROOT) as u32),
             page.get(META_NEXT) as u32,
         ))
     }
 
-    fn alloc(&mut self, root: PageId, next: u32) -> SimResult<(PageId, u32)> {
-        self.log_apply(BtPayload::MetaSet {
-            root,
-            next_free: next + 1,
-        })?;
-        Ok((PageId(next), next + 1))
-    }
-
-    /// Splits the full child `child` of `parent` (which has room),
-    /// returning nothing; the tree is consistent afterwards.
-    fn split_child(&mut self, parent: PageId, child: PageId) -> SimResult<()> {
-        let (root, next) = self.meta()?;
-        let (new_page, _) = self.alloc(root, next)?;
-        let child_page = self.read_page(child)?;
-        let plan = layout::split_plan(&child_page);
-        self.log_split_copy(child, new_page, &child_page)?;
-        self.log_apply(BtPayload::SplitTruncate {
-            page: child,
-            new_right: new_page,
-        })?;
-        self.log_apply(BtPayload::InsertInternal {
-            page: parent,
-            separator: plan.separator,
-            right_child: new_page,
-        })?;
-        Ok(())
-    }
-
-    fn split_root(&mut self) -> SimResult<()> {
-        let (old_root, next) = self.meta()?;
-        let (new_sibling, next) = self.alloc(old_root, next)?;
-        let (new_root, next) = self.alloc(old_root, next)?;
-        let root_page = self.read_page(old_root)?;
-        let plan = layout::split_plan(&root_page);
-        self.log_split_copy(old_root, new_sibling, &root_page)?;
-        self.log_apply(BtPayload::SplitTruncate {
-            page: old_root,
-            new_right: new_sibling,
-        })?;
-        self.log_apply(BtPayload::InitRoot {
-            page: new_root,
-            separator: plan.separator,
-            left: old_root,
-            right: new_sibling,
-        })?;
-        self.log_apply(BtPayload::MetaSet {
-            root: new_root,
-            next_free: next,
-        })?;
-        Ok(())
-    }
-
-    fn log_split_copy(&mut self, from: PageId, to: PageId, src: &Page) -> SimResult<()> {
-        match self.strategy {
-            SplitStrategy::Generalized => {
-                self.log_apply(BtPayload::SplitCopyHigh { from, to })?;
-            }
+    /// Splits the full node `from` as one log record: under `parent`,
+    /// which has room, or — `None` — as the root, under a fresh page
+    /// that becomes the new root. The tree is consistent before the
+    /// record and after it, and the log holds nothing in between.
+    fn split(&mut self, parent: Option<PageId>, from: PageId) -> SimResult<()> {
+        let (_, next) = self.meta()?;
+        let src = read_page(&mut self.db, from)?;
+        let image = match self.strategy {
+            SplitStrategy::Generalized => None,
             SplitStrategy::Physiological => {
                 // The moved half travels through the log as a full
                 // after-image of the new page.
                 let mut scratch = Page::new(self.spp);
-                layout::split_copy_high(src, &mut scratch, self.spp);
-                self.log_apply(BtPayload::PageImage {
-                    page: to,
-                    slots: scratch.slots().to_vec(),
-                })?;
+                layout::split_copy_high(&src, &mut scratch, self.spp);
+                Some(scratch.slots().to_vec())
             }
-        }
-        Ok(())
+        };
+        self.log_apply(BtPayload::Split {
+            from,
+            to: PageId(next),
+            parent: parent.unwrap_or(PageId(next + 1)),
+            new_root: parent.is_none(),
+            separator: layout::split_plan(&src).separator,
+            next_free: next + 1 + u32::from(parent.is_none()),
+            image,
+        })
     }
 
     /// Inserts a key-value pair (overwrites on duplicate key).
@@ -294,34 +255,45 @@ impl BTree {
     pub fn insert(&mut self, key: u64, value: u64) -> SimResult<()> {
         let max = layout::max_keys(self.spp);
         let (root, _) = self.meta()?;
-        let root_page = self.read_node(root)?;
-        if layout::n_keys(&root_page) == max {
-            self.split_root()?;
+        if layout::n_keys(&self.read_node(root)?) == max {
+            self.split(None, root)?;
         }
         let (mut current, _) = self.meta()?;
         loop {
             let page = self.read_node(current)?;
             if layout::is_leaf(&page) {
                 debug_assert!(layout::n_keys(&page) < max);
-                self.log_apply(BtPayload::Insert {
+                return self.log_apply(BtPayload::Insert {
                     page: current,
                     key,
                     value,
-                })?;
-                return Ok(());
+                });
             }
             let idx = layout::descend_index(&page, key);
             let child = layout::child(&page, self.spp, idx)?;
             let child_page = self.read_node(child)?;
             if layout::n_keys(&child_page) == max {
-                self.split_child(current, child)?;
+                self.split(Some(current), child)?;
                 // Re-route: the separator may send us right.
-                let page = self.read_page(current)?;
+                let page = read_page(&mut self.db, current)?;
                 let idx = layout::descend_index(&page, key);
                 current = layout::child(&page, self.spp, idx)?;
             } else {
                 current = child;
             }
+        }
+    }
+
+    /// Descends to the leaf that would hold `key`.
+    fn find_leaf(&mut self, key: u64) -> SimResult<(PageId, Page)> {
+        let (mut current, _) = self.meta()?;
+        loop {
+            let page = self.read_node(current)?;
+            if layout::is_leaf(&page) {
+                return Ok((current, page));
+            }
+            let idx = layout::descend_index(&page, key);
+            current = layout::child(&page, self.spp, idx)?;
         }
     }
 
@@ -331,18 +303,9 @@ impl BTree {
     ///
     /// Substrate errors.
     pub fn get(&mut self, key: u64) -> SimResult<Option<u64>> {
-        let (mut current, _) = self.meta()?;
-        loop {
-            let page = self.read_node(current)?;
-            if layout::is_leaf(&page) {
-                return Ok(match layout::search(&page, key) {
-                    Ok(i) => Some(layout::value(&page, self.spp, i)),
-                    Err(_) => None,
-                });
-            }
-            let idx = layout::descend_index(&page, key);
-            current = layout::child(&page, self.spp, idx)?;
-        }
+        let (_, leaf) = self.find_leaf(key)?;
+        let found = layout::search(&leaf, key).ok();
+        Ok(found.map(|i| layout::value(&leaf, self.spp, i)))
     }
 
     /// Removes a key from its leaf (no rebalancing), returning whether
@@ -352,19 +315,12 @@ impl BTree {
     ///
     /// Substrate errors.
     pub fn remove(&mut self, key: u64) -> SimResult<bool> {
-        let (mut current, _) = self.meta()?;
-        loop {
-            let page = self.read_node(current)?;
-            if layout::is_leaf(&page) {
-                if layout::search(&page, key).is_err() {
-                    return Ok(false);
-                }
-                self.log_apply(BtPayload::Remove { page: current, key })?;
-                return Ok(true);
-            }
-            let idx = layout::descend_index(&page, key);
-            current = layout::child(&page, self.spp, idx)?;
+        let (page, leaf) = self.find_leaf(key)?;
+        if layout::search(&leaf, key).is_err() {
+            return Ok(false);
         }
+        self.log_apply(BtPayload::Remove { page, key })?;
+        Ok(true)
     }
 
     /// All `(key, value)` pairs with `lo ≤ key < hi`, via the leaf
@@ -374,18 +330,8 @@ impl BTree {
     ///
     /// Substrate errors.
     pub fn range(&mut self, lo: u64, hi: u64) -> SimResult<Vec<(u64, u64)>> {
-        let (mut current, _) = self.meta()?;
-        // Descend to the leaf that would contain `lo`.
-        loop {
-            let page = self.read_node(current)?;
-            if layout::is_leaf(&page) {
-                break;
-            }
-            let idx = layout::descend_index(&page, lo);
-            current = layout::child(&page, self.spp, idx)?;
-        }
         let mut out = Vec::new();
-        let mut leaf = Some(current);
+        let mut leaf = Some(self.find_leaf(lo)?.0);
         while let Some(id) = leaf {
             let page = self.read_node(id)?;
             for i in 0..layout::n_keys(&page) {
@@ -402,21 +348,16 @@ impl BTree {
         Ok(out)
     }
 
-    /// Takes a checkpoint: forces the log, flushes every dirty page
-    /// (honoring write-order constraints), and advances the master
-    /// record.
+    /// Takes a heavyweight checkpoint
+    /// ([`redo::checkpoint_heavyweight`]): forces the log, flushes every
+    /// dirty page (honoring write-order constraints), and advances the
+    /// master record.
     ///
     /// # Errors
     ///
     /// Substrate errors.
     pub fn checkpoint(&mut self) -> SimResult<()> {
-        self.db.log.flush_all();
-        let stable = self.db.log.stable_lsn();
-        self.db.pool.flush_all(&mut self.db.disk, stable)?;
-        let ck = self.db.log.append(BtPayload::Checkpoint)?;
-        self.db.log.flush_all();
-        self.db.disk.set_master(ck)?;
-        Ok(())
+        redo::checkpoint_heavyweight(&mut self.db, BtPayload::Checkpoint)
     }
 
     /// Simulates a crash (volatile state vanishes).
@@ -424,61 +365,30 @@ impl BTree {
         self.db.crash();
     }
 
-    /// LSN-based redo recovery: scans the stable log from the master
-    /// record; a record replays iff its target page's LSN is older.
-    /// Returns `(replayed, skipped)` counts.
+    /// Restart, through the one Figure-6 driver ([`redo::recover`]:
+    /// repair, analysis of the master record, prefetch, scan) with
+    /// [`apply_payload`] as the redo step: a record counts as replayed
+    /// iff some page it writes predated it. A B-tree record has no
+    /// workload operation id; the stats name it by its LSN.
     ///
     /// # Errors
     ///
     /// Substrate errors, including log corruption.
-    pub fn recover(&mut self) -> SimResult<(usize, usize)> {
-        self.db.repair_after_crash();
-        let master = self.db.disk.master();
-        if self.db.log.stable_count() == 0 && master == Lsn::ZERO {
+    pub fn recover(&mut self) -> SimResult<RecoveryStats> {
+        let footprint = BtPayload::write_pages;
+        let stats = redo::recover(&mut self.db, footprint, |db, _, lsn, payload| {
+            if payload == BtPayload::Checkpoint {
+                return Ok(Redo::NotAnOperation);
+            }
+            let id = u32::try_from(lsn.0).unwrap_or(u32::MAX);
+            Ok(Redo::of(id, apply_payload(db, &payload, lsn)?))
+        })?;
+        if self.db.log.last_lsn() == Lsn::ZERO {
             // Nothing ever became durable — not even the bootstrap
-            // records. The tree is factually empty; re-bootstrap it.
-            self.log_apply(BtPayload::MetaSet {
-                root: PageId(1),
-                next_free: 2,
-            })?;
-            self.log_apply(BtPayload::InitLeaf { page: PageId(1) })?;
-            return Ok((0, 0));
+            // record. The tree is factually empty; re-bootstrap it.
+            self.log_apply(BtPayload::Create)?;
         }
-        let (mut replayed, mut skipped) = (0usize, 0usize);
-        // Streaming scan: the seek index jumps the cursor near the
-        // master record, so only the post-checkpoint suffix is decoded.
-        let mut scanner = ShardedScanner::seek(&self.db.log, master.next());
-        loop {
-            let batch = scanner.next_batch(&self.db.log, 32)?;
-            if batch.is_empty() {
-                break;
-            }
-            for rec in batch {
-                let Some(target) = rec.payload.target() else {
-                    continue;
-                };
-                let stable = self.db.log.stable_lsn();
-                let page = self
-                    .db
-                    .pool
-                    .fetch(&mut self.db.disk, target, self.spp, stable)?;
-                if page.lsn() < rec.lsn {
-                    apply_payload(&mut self.db, &rec.payload, rec.lsn)?;
-                    if let BtPayload::SplitCopyHigh { from, to } = rec.payload {
-                        self.db.pool.add_constraint(Constraint {
-                            blocked: from,
-                            blocked_above: rec.lsn,
-                            requires: to,
-                            required_lsn: rec.lsn,
-                        });
-                    }
-                    replayed += 1;
-                } else {
-                    skipped += 1;
-                }
-            }
-        }
-        Ok((replayed, skipped))
+        Ok(stats)
     }
 
     /// Structural validation: uniform leaf depth, sorted keys,
@@ -500,7 +410,7 @@ impl BTree {
         let mut cur = Some(*leaves_in_order.first().unwrap_or(&root));
         while let Some(id) = cur {
             chain.push(id);
-            let page = self.read_page(id)?;
+            let page = read_page(&mut self.db, id)?;
             cur = layout::right_sibling(&page);
         }
         if chain != leaves_in_order {
@@ -518,7 +428,7 @@ impl BTree {
         hi: Option<u64>,
         leaves: &mut Vec<PageId>,
     ) -> SimResult<(usize, usize)> {
-        let page = self.read_page(id)?;
+        let page = read_page(&mut self.db, id)?;
         if !layout::is_initialized(&page) {
             return Err(SimError::MethodViolation("uninitialized page reached"));
         }
@@ -672,7 +582,7 @@ mod tests {
         insert_n(&mut tree, 50, 3);
         tree.crash();
         tree.recover().unwrap();
-        // Nothing was durable — not even the bootstrap records.
+        // Nothing was durable — not even the bootstrap record.
         assert_eq!(tree.range(0, u64::MAX).unwrap(), vec![]);
     }
 
@@ -683,8 +593,8 @@ mod tests {
             let model = insert_n(&mut tree, 250, 4);
             tree.db.log.flush_all();
             tree.crash();
-            let (replayed, _) = tree.recover().unwrap();
-            assert!(replayed > 0);
+            let stats = tree.recover().unwrap();
+            assert!(stats.replay_count() > 0);
             assert_matches(&mut tree, &model);
         }
     }
@@ -722,10 +632,11 @@ mod tests {
         }
         tree.db.log.flush_all();
         tree.crash();
-        let (replayed, skipped) = tree.recover().unwrap();
+        let stats = tree.recover().unwrap();
         assert!(
-            replayed + skipped <= 30,
-            "scan bounded by checkpoint: {replayed}+{skipped}"
+            stats.scanned <= 30,
+            "scan bounded by checkpoint: {}",
+            stats.scanned
         );
         assert_matches(&mut tree, &{
             let mut m = model.clone();

@@ -48,8 +48,10 @@
 //! Recovery reads the log through [`LogCursor`], a streaming iterator
 //! that decodes frames lazily out of the stable bytes (payloads decode
 //! from a borrowed slice; nothing is materialized up front), or through
-//! [`LogScanner`], a resumable cursor that yields bounded batches so a
-//! caller can interleave decoding with mutable database work.
+//! [`ShardedScanner`], the one resumable scan: it merges the shards by
+//! LSN and yields bounded batches, holding only byte positions, so a
+//! caller can interleave decoding with mutable database work
+//! ([`ShardedCursor`] is its iterator form).
 //! [`LogManager::cursor_from`] seeks: a sparse LSN→byte-offset index,
 //! maintained as frames are flushed, jumps near the requested LSN and a
 //! structural header walk (no payload decode) lands on it exactly — so a
@@ -486,9 +488,9 @@ impl<P: LogPayload> LogManager<P> {
     }
 
     /// Decodes the stable prefix back into records, materialized as one
-    /// vector. Recovery hot paths use [`LogManager::cursor_from`] /
-    /// [`LogScanner`] instead; this remains for tests and tools that
-    /// want the whole log at once.
+    /// vector. Recovery hot paths use [`LogManager::cursor_from`]
+    /// instead; this remains for tests and tools that want the whole
+    /// log at once.
     ///
     /// # Errors
     ///
@@ -760,80 +762,6 @@ impl<P: LogPayload> LogManager<P> {
             Some(res) => res,
             None => Err(SimError::Corrupt(pos)),
         }
-    }
-}
-
-/// A resumable batched scan over a [`LogManager`]'s stable prefix.
-///
-/// [`LogCursor`] borrows the log for its whole lifetime, which serial
-/// recovery loops — they also need the database mutably, to replay —
-/// cannot afford. `LogScanner` holds only a byte position and re-borrows
-/// the log per [`LogScanner::next_batch`] call, so callers interleave
-/// decoding with replay under a bounded in-memory window.
-#[derive(Clone, Debug, Default)]
-pub struct LogScanner {
-    pos: usize,
-    stats: ScanStats,
-    failed: bool,
-}
-
-impl LogScanner {
-    /// A scanner over the whole stable prefix.
-    #[must_use]
-    pub fn from_start() -> LogScanner {
-        LogScanner::default()
-    }
-
-    /// A scanner positioned (via the seek index) at the first stable
-    /// record with LSN ≥ `from`.
-    #[must_use]
-    pub fn seek<P: LogPayload>(log: &LogManager<P>, from: Lsn) -> LogScanner {
-        let cursor = log.cursor_from(from);
-        LogScanner {
-            pos: cursor.pos,
-            stats: cursor.stats,
-            failed: false,
-        }
-    }
-
-    /// Decodes up to `max` records at the current position, advancing
-    /// past them. An empty batch means the scan is complete.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Corrupt`] at the failing offset; subsequent calls
-    /// return empty batches.
-    pub fn next_batch<P: LogPayload>(
-        &mut self,
-        log: &LogManager<P>,
-        max: usize,
-    ) -> SimResult<Vec<WalRecord<P>>> {
-        if self.failed {
-            return Ok(Vec::new());
-        }
-        let mut cursor: LogCursor<'_, P> = LogCursor::at(log.stable_bytes(), self.pos, self.stats);
-        let mut out = Vec::new();
-        while out.len() < max {
-            match cursor.next() {
-                Some(Ok(rec)) => out.push(rec),
-                Some(Err(e)) => {
-                    self.failed = true;
-                    self.pos = cursor.pos;
-                    self.stats = cursor.stats;
-                    return Err(e);
-                }
-                None => break,
-            }
-        }
-        self.pos = cursor.pos;
-        self.stats = cursor.stats;
-        Ok(out)
-    }
-
-    /// Telemetry accumulated across all batches (including the seek).
-    #[must_use]
-    pub fn stats(&self) -> ScanStats {
-        self.stats
     }
 }
 
@@ -1304,36 +1232,6 @@ mod tests {
     }
 
     #[test]
-    fn scanner_resumes_across_batches_and_matches_full_scan() {
-        let log = numbered_log(25);
-        let full = log.decode_stable().unwrap();
-        let mut scanner = LogScanner::from_start();
-        let mut got = Vec::new();
-        loop {
-            let batch = scanner.next_batch(&log, 4).unwrap();
-            if batch.is_empty() {
-                break;
-            }
-            assert!(batch.len() <= 4);
-            got.extend(batch);
-        }
-        assert_eq!(got, full);
-        assert_eq!(scanner.stats().records_decoded, 25);
-
-        let mut seeked = LogScanner::seek(&log, Lsn(14));
-        let mut tail = Vec::new();
-        loop {
-            let batch = seeked.next_batch(&log, 5).unwrap();
-            if batch.is_empty() {
-                break;
-            }
-            tail.extend(batch);
-        }
-        assert_eq!(&tail[..], &full[13..]);
-        assert_eq!(seeked.stats().seek_hits, 1);
-    }
-
-    #[test]
     fn truncate_prefix_elides_exactly_the_records_below() {
         let mut log = numbered_log(20);
         let full = log.decode_stable().unwrap();
@@ -1480,24 +1378,6 @@ mod tests {
         let suffix: Vec<_> = log.cursor_from(Lsn(20)).map(|r| r.unwrap()).collect();
         assert_eq!(suffix.first().unwrap().lsn, Lsn(20));
         assert_eq!(suffix.len(), 11);
-    }
-
-    #[test]
-    fn scanner_reports_corruption_once_then_stays_done() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let mut log = LogManager::new();
-        for i in 0..3 {
-            log.append(Num(i)).unwrap();
-        }
-        log.injector.arm(FaultPlan {
-            at: 3,
-            kind: FaultKind::TornFlush { bytes: 4 },
-        });
-        log.flush_all();
-        let mut scanner = LogScanner::from_start();
-        let first = scanner.next_batch(&log, 16);
-        assert!(matches!(first, Err(SimError::Corrupt(_))));
-        assert!(scanner.next_batch(&log, 16).unwrap().is_empty());
     }
 
     /// The same fault schedule must leave the same observable log on

@@ -587,19 +587,16 @@ impl<P: LogPayload> ShardedLog<P> {
     /// A streaming merge cursor over the whole stable prefix.
     #[must_use]
     pub fn cursor(&self) -> ShardedCursor<'_, P> {
-        ShardedCursor::new(self.shards.iter().map(LogManager::cursor).collect())
+        let scanner = ShardedScanner::from_start();
+        ShardedCursor { log: self, scanner }
     }
 
     /// A streaming merge cursor positioned at the first record with
     /// LSN ≥ `from`, each shard seeked through its own index.
     #[must_use]
     pub fn cursor_from(&self, from: Lsn) -> ShardedCursor<'_, P> {
-        ShardedCursor::new(
-            self.shards
-                .iter()
-                .map(|shard| shard.cursor_from(from))
-                .collect(),
-        )
+        let scanner = ShardedScanner::seek(self, from);
+        ShardedCursor { log: self, scanner }
     }
 
     /// A raw single-shard cursor (frames still wrapped in
@@ -973,102 +970,34 @@ impl<P: LogPayload> Default for ShardedLog<P> {
     }
 }
 
-/// A streaming min-LSN merge over every shard's cursor: yields the
-/// globally ordered logical record sequence, eliding marker frames and
-/// deduplicating broadcast copies by LSN.
+/// The iterator form of [`ShardedScanner`]: the globally ordered
+/// logical record sequence of a log it borrows, one record per step. An
+/// error is yielded once; the iterator is then done.
 #[derive(Debug)]
 pub struct ShardedCursor<'a, P> {
-    heads: Vec<LogCursor<'a, ShardFrame<P>>>,
-    pending: Vec<Option<WalRecord<P>>>,
-    last: Option<Lsn>,
-    failed: bool,
-}
-
-impl<'a, P: LogPayload> ShardedCursor<'a, P> {
-    fn new(heads: Vec<LogCursor<'a, ShardFrame<P>>>) -> ShardedCursor<'a, P> {
-        let n = heads.len();
-        ShardedCursor {
-            heads,
-            pending: (0..n).map(|_| None).collect(),
-            last: None,
-            failed: false,
-        }
-    }
-
-    /// Advances shard `s`'s head to its next logical record, skipping
-    /// markers.
-    fn fill(&mut self, s: usize) -> SimResult<()> {
-        while self.pending[s].is_none() {
-            match self.heads[s].next() {
-                Some(Ok(rec)) => {
-                    if let ShardFrame::Rec(payload) = rec.payload {
-                        self.pending[s] = Some(WalRecord {
-                            lsn: rec.lsn,
-                            payload,
-                        });
-                    }
-                }
-                Some(Err(e)) => return Err(e),
-                None => break,
-            }
-        }
-        Ok(())
-    }
-
-    /// Telemetry summed across every shard's scan.
-    #[must_use]
-    pub fn stats(&self) -> ScanStats {
-        let mut total = ScanStats::default();
-        for head in &self.heads {
-            total.absorb(head.stats());
-        }
-        total
-    }
-
-    /// Per-shard scan telemetry.
-    #[must_use]
-    pub fn stats_by_shard(&self) -> Vec<ScanStats> {
-        self.heads.iter().map(LogCursor::stats).collect()
-    }
+    log: &'a ShardedLog<P>,
+    scanner: ShardedScanner<P>,
 }
 
 impl<P: LogPayload> Iterator for ShardedCursor<'_, P> {
     type Item = SimResult<WalRecord<P>>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            for s in 0..self.heads.len() {
-                if let Err(e) = self.fill(s) {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-            let mut best: Option<(usize, Lsn)> = None;
-            for (s, head) in self.pending.iter().enumerate() {
-                if let Some(rec) = head {
-                    if best.is_none_or(|(_, lsn)| rec.lsn < lsn) {
-                        best = Some((s, rec.lsn));
-                    }
-                }
-            }
-            let (s, _) = best?;
-            let rec = self.pending[s].take().expect("pending head present");
-            if self.last == Some(rec.lsn) {
-                continue; // another shard's broadcast copy
-            }
-            self.last = Some(rec.lsn);
-            return Some(Ok(rec));
-        }
+        self.scanner
+            .next_batch(self.log, 1)
+            .map(|mut b| b.pop())
+            .transpose()
     }
 }
 
-/// The sharded counterpart of [`LogScanner`](super::LogScanner): a
-/// resumable batched merge scan that holds only per-shard byte
-/// positions (plus an owned pending head per shard) and re-borrows the
-/// log per [`ShardedScanner::next_batch`] call.
+/// The resumable batched scan: a streaming min-LSN merge over every
+/// shard's stable frames that yields the globally ordered logical
+/// record sequence, eliding marker frames and deduplicating broadcast
+/// copies by LSN. A [`LogCursor`] borrows its log for its whole
+/// lifetime, which a recovery loop — it also needs the database
+/// mutably, to replay — cannot afford; the scanner holds only per-shard
+/// byte positions (plus an owned pending head per shard) and re-borrows
+/// the log per [`ShardedScanner::next_batch`] call.
 #[derive(Clone, Debug, Default)]
 pub struct ShardedScanner<P> {
     pos: Vec<usize>,
@@ -1551,6 +1480,63 @@ mod tests {
             log.truncated_bytes()
         );
         assert!(log.truncated_bytes_by_shard().iter().any(|&b| b > 0));
+    }
+
+    /// Drains `scanner` in batches of at most `max`.
+    fn drain(
+        scanner: &mut ShardedScanner<Rec>,
+        log: &ShardedLog<Rec>,
+        max: usize,
+    ) -> Vec<WalRecord<Rec>> {
+        let mut got = Vec::new();
+        loop {
+            let batch = scanner.next_batch(log, max).unwrap();
+            if batch.is_empty() {
+                return got;
+            }
+            assert!(batch.len() <= max);
+            got.extend(batch);
+        }
+    }
+
+    #[test]
+    fn scanner_resumes_across_batches_and_matches_full_scan() {
+        let mut log: ShardedLog<Rec> = ShardedLog::new(1);
+        for i in 0..25u32 {
+            log.append(Rec(vec![i], u64::from(i) * 3)).unwrap();
+        }
+        log.flush_all();
+        let full = log.decode_stable().unwrap();
+        assert_eq!(full.len(), 25);
+        let mut scanner = ShardedScanner::from_start();
+        assert_eq!(drain(&mut scanner, &log, 4), full);
+        assert_eq!(scanner.stats().records_decoded, 25);
+
+        let mut seeked = ShardedScanner::seek(&log, Lsn(14));
+        assert_eq!(&drain(&mut seeked, &log, 5)[..], &full[13..]);
+        assert_eq!(seeked.stats().seek_hits, 1);
+    }
+
+    #[test]
+    fn scanner_reports_corruption_once_then_stays_done() {
+        let mut log: ShardedLog<Rec> = ShardedLog::new(1);
+        for i in 0..3 {
+            log.append(Rec(vec![0], i)).unwrap();
+        }
+        log.injector.arm(FaultPlan {
+            at: 3,
+            kind: FaultKind::TornFlush { bytes: 4 },
+        });
+        log.flush_all();
+        let mut scanner = ShardedScanner::from_start();
+        let first = scanner.next_batch(&log, 16);
+        assert!(matches!(first, Err(SimError::Corrupt(_))));
+        assert!(scanner.next_batch(&log, 16).unwrap().is_empty());
+        // The iterator form reports it the same way.
+        let mut cursor = log.cursor();
+        let first = cursor.find(Result::is_err);
+        assert!(matches!(first, Some(Err(SimError::Corrupt(_)))));
+        assert!(cursor.next().is_none());
     }
 
     #[test]

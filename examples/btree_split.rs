@@ -6,8 +6,9 @@
 //! Loads the same keys into two B+trees that differ only in how they log
 //! node splits, then:
 //!
-//! 1. compares log volume (the generalized split logs two page ids where
-//!    the physiological split logs half a page of moved keys);
+//! 1. compares log volume (one `Split` record either way: the
+//!    generalized one names the pages, the physiological one also
+//!    carries the new page's image — half a page of moved keys);
 //! 2. demonstrates the *careful write order* the generalized method
 //!    needs: the cache refuses to flush the truncated old page before
 //!    the new page is durable;
@@ -42,9 +43,9 @@ fn main() {
     println!("log volume, physiological splits: {pb:>9} bytes");
     println!("log volume, generalized splits:   {gb:>9} bytes");
     println!(
-        "=> generalized logging saves {:.1}% of total log volume\n   (per split: a page-image record is ~{}x larger than a SplitCopyHigh record)\n",
+        "=> generalized logging saves {:.1}% of total log volume\n   (per split: a Split record carrying the page image is ~{}x larger than one without)\n",
         100.0 * (pb - gb) as f64 / pb as f64,
-        (SPP as usize * 8 + 7) / 13,
+        (SPP as usize * 8 + 28) / 26,
     );
 
     // --- The careful write order, observed directly. ---
@@ -82,8 +83,13 @@ fn main() {
         let _ = tree.db.pool.flush_page(&mut tree.db.disk, page, stable);
     }
     tree.crash();
-    let (replayed, skipped) = tree.recover().expect("recovery");
-    println!("  recovery replayed {replayed} records, skipped {skipped} (already installed)");
+    let stats = tree.recover().expect("recovery");
+    println!(
+        "  recovery scanned {} records: replayed {}, skipped {} (already installed)",
+        stats.scanned,
+        stats.replay_count(),
+        stats.skipped.len()
+    );
     for k in 0..8u64 {
         assert_eq!(tree.get(k).expect("get"), Some(k), "key {k} lost");
     }

@@ -3,7 +3,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redo_recovery::btree::{BTree, SplitStrategy};
+use redo_recovery::sim::backend::BackendKind;
+use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::sim::fault::{FaultKind, FaultPlan};
+use redo_recovery::sim::SimError;
+use redo_recovery::theory::log::Lsn;
 use redo_recovery::workload::pages::mix64;
 use std::collections::BTreeMap;
 
@@ -139,11 +143,6 @@ const SWEEP_KINDS: [FaultKind; 2] = [
     FaultKind::TornWrite { sectors: 2 },
 ];
 
-/// Crash points of the sweep below that stop *between two records of
-/// one split*: `SplitCopyHigh` and `SplitTruncate` are durable, the
-/// parent's `InsertInternal` is not (ROADMAP item 3).
-const MID_SPLIT_EVENTS: [u64; 5] = [5, 21, 30, 32, 38];
-
 /// One point of the fault sweep: a generalized-split tree with keys
 /// 0..30 installed, then keys 30..120 under chaos flushing with `kind`
 /// armed at faultable event `event`; stops at the trip and crashes.
@@ -181,9 +180,6 @@ fn recovery_repairs_torn_pages_and_log_tails_before_it_scans() {
             let mut tree = tree_crashed_at(event, kind);
             tree.recover()
                 .unwrap_or_else(|e| panic!("event {event} {kind:?}: {e}"));
-            if MID_SPLIT_EVENTS.contains(&event) {
-                continue;
-            }
             let n = tree
                 .validate()
                 .unwrap_or_else(|e| panic!("event {event} {kind:?}: {e}"));
@@ -196,17 +192,157 @@ fn recovery_repairs_torn_pages_and_log_tails_before_it_scans() {
 }
 
 #[test]
-#[ignore = "ROADMAP item 3: a split is several log records and nothing makes them atomic in the log"]
+fn the_tree_is_valid_at_every_record_boundary() {
+    // A structure modification is one log record, so whatever prefix of
+    // the log a crash leaves is a whole number of tree actions: the
+    // recovered tree validates and holds every key whose `Insert` made
+    // it. Nothing else makes a split atomic in the log — spread over
+    // several records, a boundary inside one recovers `Ok` to a tree
+    // that cannot find its own keys.
+    for strategy in STRATEGIES {
+        let mut tree = BTree::new(strategy, 16).unwrap();
+        let mut inserts = Vec::new();
+        for k in 0..300u64 {
+            let key = mix64(k) % 10_000;
+            tree.insert(key, k).unwrap();
+            inserts.push((tree.db.log.last_lsn(), key, k));
+        }
+        let records = tree.db.log.last_lsn().0;
+        assert!(records > 300, "{strategy:?}: no split was logged");
+        for boundary in 1..=records {
+            let mut crashed = tree.clone();
+            crashed.db.log.flush(Lsn(boundary));
+            crashed.crash();
+            crashed
+                .recover()
+                .unwrap_or_else(|e| panic!("{strategy:?} boundary {boundary}: {e}"));
+            let durable = inserts.iter().filter(|(lsn, ..)| lsn.0 <= boundary);
+            let model: BTreeMap<u64, u64> = durable.map(|&(_, key, v)| (key, v)).collect();
+            let n = crashed
+                .validate()
+                .unwrap_or_else(|e| panic!("{strategy:?} boundary {boundary}: {e}"));
+            assert_eq!(n, model.len(), "{strategy:?} boundary {boundary}");
+            for (&key, &v) in &model {
+                let got = crashed.get(key).unwrap();
+                assert_eq!(got, Some(v), "{strategy:?} boundary {boundary} key {key}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_half_durable_bootstrap_cannot_exist() {
+    // The bootstrap is one record: were the meta page and the root leaf
+    // logged apart, a crash with only the first durable would leave a
+    // tree whose every later call fails with "descent reached an
+    // uninitialized page".
+    for strategy in STRATEGIES {
+        let mut tree = BTree::new(strategy, 16).unwrap();
+        tree.db.log.flush(Lsn(1));
+        tree.crash();
+        tree.recover().unwrap();
+        tree.insert(5, 50).unwrap();
+        assert_eq!(tree.get(5).unwrap(), Some(50));
+        assert_eq!(tree.validate().unwrap(), 1);
+    }
+}
+
+#[test]
+fn pages_too_small_for_a_node_are_an_error_not_a_panic() {
+    let refused = BTree::new(SplitStrategy::Generalized, 5);
+    assert!(matches!(refused, Err(SimError::MethodViolation(_))));
+    BTree::new(SplitStrategy::Generalized, 6).unwrap();
+}
+
+#[test]
 fn a_crash_between_the_records_of_one_split_leaves_a_valid_tree() {
-    // Today `recover` returns `Ok` and `validate` says "leaf sibling
-    // chain disagrees with tree order": the moved keys are unreachable
-    // by descent.
-    for event in MID_SPLIT_EVENTS {
-        for kind in SWEEP_KINDS {
-            let mut tree = tree_crashed_at(event, kind);
-            tree.recover().unwrap();
-            tree.validate()
-                .unwrap_or_else(|e| panic!("event {event} {kind:?}: {e}"));
+    // A split is one log record, so the *log* can no longer stop inside
+    // one (the sweep above). What a crash can still separate is the
+    // split's four page writes — new node, old node, parent, meta —
+    // which install independently: every subset of them the pool agrees
+    // to flush must recover to the same tree. 8 keys split the root, 11
+    // split a child.
+    for strategy in STRATEGIES {
+        for keys in [8u64, 11] {
+            let mut tree = BTree::new(strategy, 16).unwrap();
+            for k in 0..keys - 1 {
+                tree.insert(k, k + 7).unwrap();
+            }
+            tree.checkpoint().unwrap();
+            tree.insert(keys - 1, keys + 6).unwrap();
+            tree.db.log.flush_all();
+            let stable = tree.db.log.stable_lsn();
+            let written = tree.db.pool.dirty_pages();
+            assert_eq!(written.len(), 4, "{strategy:?} {keys}: not a split");
+            for subset in 0..16u32 {
+                let mut crashed = tree.clone();
+                // Twice: a page Figure 8 held back goes once its
+                // prerequisite is on disk.
+                for (i, &page) in written.iter().chain(&written).enumerate() {
+                    if subset & (1 << (i % 4)) != 0 {
+                        let db = &mut crashed.db;
+                        let _ = db.pool.flush_page(&mut db.disk, page, stable);
+                    }
+                }
+                crashed.crash();
+                crashed.recover().unwrap();
+                let n = crashed.validate().unwrap_or_else(|e| {
+                    panic!("{strategy:?} {keys} keys, subset {subset:#06b}: {e}")
+                });
+                assert_eq!(n as u64, keys);
+                for k in 0..keys {
+                    assert_eq!(crashed.get(k).unwrap(), Some(k + 7), "subset {subset:#06b}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_tree_runs_on_whatever_db_it_is_given() {
+    // {mem, file} × {1, 4} log shards × pool {4, 8, unbounded} × both
+    // strategies, a crash after every insert. A bounded pool steals
+    // (forcing the log mid-insert) instead of failing; a sharded log
+    // routes a split by every page it writes. File cells are
+    // fsync-bound, so they run a fraction of the inserts.
+    for backend in [BackendKind::Mem, BackendKind::File] {
+        for shards in [1usize, 4] {
+            for capacity in [Some(4usize), Some(8), None] {
+                for strategy in STRATEGIES {
+                    let cell =
+                        format!("{backend:?} {shards} shards pool {capacity:?} {strategy:?}");
+                    let geometry = Geometry { slots_per_page: 16 };
+                    let db = Db::on_sharded(backend, geometry, capacity, shards);
+                    let mut tree = BTree::create(db, strategy).unwrap();
+                    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+                    let mut rng = StdRng::seed_from_u64(shards as u64);
+                    let inserts = if backend == BackendKind::File {
+                        40
+                    } else {
+                        150
+                    };
+                    for i in 0..inserts {
+                        let (k, v) = (mix64(i) % 400, i);
+                        tree.insert(k, v).unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        let logged = tree.db.log.last_lsn();
+                        tree.db.chaos_flush(&mut rng, 0.4, 0.2).unwrap();
+                        if logged <= tree.db.log.stable_lsn() {
+                            model.insert(k, v);
+                        }
+                        tree.crash();
+                        tree.recover().unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        let n = tree.validate().unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        assert_eq!(n, model.len(), "{cell} after insert {i}");
+                        for (&k, &v) in &model {
+                            assert_eq!(tree.get(k).unwrap(), Some(v), "{cell} key {k}");
+                        }
+                    }
+                    assert!(
+                        model.len() as u64 * 5 > inserts,
+                        "{cell}: too little was durable"
+                    );
+                }
+            }
         }
     }
 }

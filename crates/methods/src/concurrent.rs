@@ -31,20 +31,26 @@
 //! operations on pages in different shards never contend on a shared
 //! pool lock — only on the single disk, and only while actually doing
 //! I/O. Lock ordering (strict, global): page latches → recovery gate →
-//! store shards in ascending index order → disk → log → in-flight set
-//! (the per-shard gate *sets* are leaves: taken briefly, never held
-//! across another acquisition). The checkpoint daemon is why the
-//! shards precede the log: a consistent fuzzy snapshot must read the
-//! dirty-page table (all shards, ascending — [`ShardedStore::snapshot`])
-//! and append the checkpoint record with no apply slipping in between,
-//! which means holding all of them and the log at once. Every other
-//! path takes a subset of the locks in that order; the flusher and
-//! committer never take latches; so the system is deadlock-free by
-//! construction. The one apparent exception is lazy replay
-//! ([`SharedDb::open_on_demand`]): it reads per-page chains under the
-//! log lock *before* taking any shard lease, but it releases the log
-//! lock first — no path ever holds the log while acquiring a shard, so
-//! the order stands.
+//! store shards in ascending index order → disk → log (the per-shard
+//! gate *sets* are leaves: taken briefly, never held across another
+//! acquisition). The log comes last because two paths need it *inside*
+//! the shards: [`SharedDb::execute`] appends under the lease it applies
+//! under, and the checkpoint daemon's fuzzy snapshot reads the
+//! dirty-page table (all shards, ascending —
+//! [`ShardedStore::snapshot`]) and appends the checkpoint record with
+//! no apply slipping in between. Every other path takes a subset of the
+//! locks in that order; the flusher and committer never take latches;
+//! so the system is deadlock-free by construction. The one apparent
+//! exception is lazy replay ([`SharedDb::open_on_demand`]): it reads
+//! per-page chains under the log lock *before* taking any shard lease,
+//! but it releases the log lock first — no path ever holds the log
+//! while acquiring a shard, so the order stands.
+//!
+//! That order is also why a checkpoint needs no floor under its
+//! dirty-page table: a record is appended only under a lease covering
+//! every page it writes, and that lease is held until the writes are
+//! applied; a checkpoint snapshot holds every shard before the log, so
+//! it sees a record iff it sees its dirt.
 //!
 //! ## Instant restart
 //!
@@ -64,26 +70,6 @@
 //! and updating pages under shard leases. A
 //! [`SharedDb::recovery_tick`] in the background loop sweeps leftover
 //! gates so recovery terminates even if nothing ever reads them.
-//!
-//! ## Why the in-flight floor is needed
-//!
-//! [`SharedDb::execute`] assigns an operation's LSN under the log lock
-//! but applies its writes under a later shard lease, so there is a
-//! window where a record exists in the log while its dirt is in no
-//! dirty-page table. A checkpoint snapshotting during that window
-//! would compute a redo-start above the un-applied record and recovery
-//! would skip it. The cure: each append registers its LSN, with the
-//! pages it writes, in an in-flight set (same log-lock critical
-//! section) and removes it only once applied (while the applying lease
-//! is still held — the snapshot locks *all* shards, so it cannot slip
-//! between the apply and the withdrawal); the daemon enters those
-//! pages in its table at that LSN, so its redo-start is the min over
-//! recLSNs *and* the in-flight floor, and neither on-demand restart
-//! nor the parallel router can take the page's absence from the table
-//! as proof the record is installed. Any operation below the
-//! checkpoint is then either applied (visible in the table, or flushed
-//! and installed) or still in flight (visible in the table at its own
-//! LSN) — never invisible.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -117,11 +103,6 @@ struct Inner {
     log: Mutex<ShardedLog<PageOpPayload>>,
     store: ShardedStore,
     latches: Box<[LatchShard]>,
-    /// Records appended to the log whose writes are not yet applied to
-    /// the buffer pool, by LSN, with the pages each writes — the
-    /// checkpoint daemon's redo-start floor, and the table entries a
-    /// snapshot taken inside that window would otherwise miss.
-    inflight: Mutex<BTreeMap<Lsn, Vec<PageId>>>,
     daemon: Mutex<DaemonStats>,
     /// The daemon's volatile view of the published checkpoint chain —
     /// what the quiescent skip compares against and what an incremental
@@ -223,27 +204,18 @@ fn apply_under_lease(
 }
 
 /// The dirty-page table a checkpoint publishes: the buffer pool's
-/// table, plus two kinds of page that are *logically* dirty though no
-/// pool shard holds their dirt — each entered at the lowest LSN claimed
-/// for it:
-///
-/// * pages still gated behind their deferred redo, at their first
-///   residual LSN: their residual records are not installed, so the
-///   redo-start floor must keep those records from being truncated, and
-///   a crash before their replay must not prove them installed;
-/// * pages a record appended but not yet applied writes, at that
-///   record's LSN: the record sits below the checkpoint, and a table
-///   without its pages would let restart prove it installed.
+/// table, plus the pages still gated behind their deferred redo — dirty
+/// *logically*, though no pool shard holds their dirt — each entered at
+/// its first residual LSN (or its recLSN, if lower): their residual
+/// records are not installed, so the redo-start floor must keep those
+/// records from being truncated, and a crash before their replay must
+/// not prove them installed.
 fn checkpoint_table(
     pool: Vec<(PageId, Lsn)>,
     gated_residuals: impl IntoIterator<Item = (PageId, Lsn)>,
-    inflight: &BTreeMap<Lsn, Vec<PageId>>,
 ) -> BTreeMap<PageId, Lsn> {
     let mut table: BTreeMap<PageId, Lsn> = pool.into_iter().collect();
-    let unapplied = inflight
-        .iter()
-        .flat_map(|(&lsn, pages)| pages.iter().map(move |&page| (page, lsn)));
-    for (page, lsn) in gated_residuals.into_iter().chain(unapplied) {
+    for (page, lsn) in gated_residuals {
         let entry = table.entry(page).or_insert(lsn);
         *entry = (*entry).min(lsn);
     }
@@ -280,7 +252,6 @@ impl SharedDb {
                     .map(|_| Mutex::new(BTreeMap::new()))
                     .collect::<Vec<_>>()
                     .into_boxed_slice(),
-                inflight: Mutex::new(BTreeMap::new()),
                 daemon: Mutex::new(DaemonStats::default()),
                 chain: Mutex::new(None),
                 recovery: Mutex::new(OnlineRecovery {
@@ -468,26 +439,28 @@ impl SharedDb {
         self.inner.store.gated_count()
     }
 
-    /// Executes one operation: latches its page set (sorted), reads its
-    /// cells, appends the log record, applies the writes, and registers
-    /// any write-order constraints. Returns the operation's LSN.
+    /// Executes one operation: latches its page set (sorted), then
+    /// under one lease reads its cells, appends the log record, applies
+    /// the writes, and registers any write-order constraints. Returns
+    /// the operation's LSN.
     ///
     /// # Errors
     ///
-    /// Substrate errors (pool exhaustion).
+    /// An operation that writes nothing or does not encode, and
+    /// substrate errors (pool exhaustion). No error leaves a record in
+    /// the log: whatever can fail runs before the append.
     pub fn execute(&self, op: &PageOp) -> SimResult<Lsn> {
-        let written = op.written_pages();
-        if written.is_empty() {
+        if op.writes.is_empty() {
             return Err(SimError::MethodViolation(
                 "operations must write at least one page",
             ));
         }
+        // Encoded before any lock: every client queues on the log
+        // mutex, and all that is left to do under it is to stamp an LSN
+        // and a CRC on these bytes and copy them.
+        let record = PageOpPayload::encode_op(op)?;
         // Latch every page the operation touches, in id order.
-        let mut pages: Vec<PageId> = op
-            .read_pages()
-            .into_iter()
-            .chain(written.iter().copied())
-            .collect();
+        let mut pages: Vec<PageId> = redo::read_write_pages(op).collect();
         pages.sort_unstable();
         pages.dedup();
         let latches: Vec<Arc<Mutex<()>>> = pages.iter().map(|&p| self.latch_for(p)).collect();
@@ -498,47 +471,19 @@ impl SharedDb {
         // unrecovered page would build on a stale image.
         self.ensure_recovered(&pages)?;
 
-        // Read phase (under latches, a short lease on the touched
-        // shards).
+        // One lease from the read to the apply, the append inside it
+        // (see the module's lock-ordering note for what that buys).
         let spp = self.inner.geometry.slots_per_page;
+        let mut lease = self.inner.store.lock_pages(&pages);
         let mut read_values = Vec::with_capacity(op.reads.len());
-        {
-            let mut lease = self.inner.store.lock_pages(&pages);
-            for &cell in &op.reads {
-                read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
-            }
+        for &cell in &op.reads {
+            read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
         }
-        // Log phase: the LSN is assigned and registered as in-flight in
-        // one log-lock critical section, so no checkpoint snapshot can
-        // see the record without also seeing it in the floor. The
-        // payload is built before the lock is taken: every client
-        // queues on it, and the copy allocates.
-        let lsn = {
-            let unapplied = written.clone();
-            let payload = PageOpPayload::Op(op.clone());
-            let mut log = self.inner.log.lock();
-            let lsn = log.append(payload)?;
-            self.inner.inflight.lock().insert(lsn, unapplied);
-            lsn
-        };
-        // Apply phase (under the same latches: conflicting operations
-        // cannot interleave between our read and our write). The
-        // in-flight registration is withdrawn while the applying lease
-        // is still held — on error paths too, or the floor would pin
-        // every later checkpoint forever. A checkpoint snapshot locks
-        // every shard, so it cannot land between the apply and the
-        // withdrawal.
-        {
-            let mut lease = self.inner.store.lock_pages(&pages);
-            let applied = (|| -> SimResult<()> {
-                for &page in &written {
-                    lease.fetch(page, spp, Lsn::ZERO)?;
-                }
-                apply_under_lease(&mut lease, op, lsn, &read_values)
-            })();
-            self.inner.inflight.lock().remove(&lsn);
-            applied?;
+        for &cell in &op.writes {
+            lease.fetch(cell.page, spp, Lsn::ZERO)?;
         }
+        let lsn = self.inner.log.lock().append_encoded(&record);
+        apply_under_lease(&mut lease, op, lsn, &read_values)?;
         Ok(lsn)
     }
 
@@ -625,8 +570,8 @@ impl SharedDb {
     ///
     /// The snapshot and the append happen under the store **and** log
     /// locks together (see the module's lock-ordering note), so no
-    /// apply can slip between them; the in-flight floor covers records
-    /// appended but not yet applied. Returns the published checkpoint
+    /// apply — and no append — can slip between them. Returns the
+    /// published checkpoint
     /// LSN, or `None` if the attempt was abandoned (record not durable,
     /// or the pointer swing did not land — e.g. suppressed by fault
     /// injection); an abandoned attempt leaves the previous checkpoint
@@ -655,11 +600,7 @@ impl SharedDb {
                     .collect(),
                 None => Vec::new(),
             };
-            let table = checkpoint_table(
-                snapshot.dirty_page_table(),
-                residuals,
-                &self.inner.inflight.lock(),
-            );
+            let table = checkpoint_table(snapshot.dirty_page_table(), residuals);
             let (next, head) = {
                 let chain = self.inner.chain.lock();
                 let next = redo::next_checkpoint(chain.as_ref(), full_every, &table, &log);
@@ -895,10 +836,12 @@ mod tests {
         }
     }
 
-    /// Replays the stable log's records in log order against a plain
-    /// cell map — the serialization the log itself defines.
+    /// Replays the durable history (`archive ∥ live`: checkpoints
+    /// truncate the live log) in log order against a plain cell map —
+    /// the serialization the log itself defines.
     fn model_from_stable_log(db: &Db<PageOpPayload>) -> BTreeMap<Cell, u64> {
-        let stable = db.log.decode_stable().expect("log intact");
+        let stable = db.log.pit_records(db.log.stable_lsn());
+        let stable = stable.expect("log intact");
         let ops: Vec<PageOp> = (stable.into_iter())
             .filter_map(|rec| match rec.payload {
                 PageOpPayload::Op(op) => Some(op),
@@ -962,21 +905,93 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_table_enters_gated_and_unapplied_pages_at_their_lowest_lsn() {
+    fn checkpoint_table_enters_gated_pages_at_their_lowest_lsn() {
         let pool = vec![(PageId(1), Lsn(5)), (PageId(2), Lsn(9))];
         let gated = vec![(PageId(2), Lsn(4)), (PageId(3), Lsn(7))];
-        // LSN 6 is appended but unapplied: page 4 is dirty nowhere yet
-        // (the window a concurrent snapshot used to lose), page 1 is
-        // already dirty from LSN 5.
-        let inflight = BTreeMap::from([
-            (Lsn(3), vec![PageId(3)]),
-            (Lsn(6), vec![PageId(1), PageId(4)]),
-        ]);
-        let table = checkpoint_table(pool.clone(), gated, &inflight);
-        let expect = [(1, 5), (2, 4), (3, 3), (4, 6)].map(|(p, l)| (PageId(p), Lsn(l)));
+        let table = checkpoint_table(pool.clone(), gated);
+        let expect = [(1, 5), (2, 4), (3, 7)].map(|(p, l)| (PageId(p), Lsn(l)));
         assert_eq!(table, BTreeMap::from(expect));
-        let plain = checkpoint_table(pool.clone(), [], &BTreeMap::new());
-        assert_eq!(plain, pool.into_iter().collect());
+        assert_eq!(
+            checkpoint_table(pool.clone(), []),
+            pool.into_iter().collect()
+        );
+    }
+
+    /// The race a checkpoint's table must survive: executors dirty
+    /// overlapping pages while one thread loops `checkpoint_tick` +
+    /// `commit_tick` + `flusher_tick`, so snapshots land between an
+    /// operation's read and its apply over and over. Then stop and crash
+    /// with the tail unforced. Both restarts — the offline scan and an
+    /// on-demand restart drained by its sweeper — must equal the replay
+    /// of the durable history ([`model_from_stable_log`]).
+    /// A record a snapshot saw in the log but not in its table is lost
+    /// by both.
+    fn executors_race_checkpoints_into_both_restarts(log_shards: usize, rounds: u64) {
+        use redo_sim::backend::BackendKind;
+        use std::sync::Barrier;
+        let geometry = Geometry { slots_per_page: 8 };
+        for round in 0..rounds {
+            let n_threads = 2 + (round % 3) as usize;
+            let fresh = Db::on_sharded(BackendKind::Mem, geometry, None, log_shards);
+            let shared = SharedDb::open_on_demand(fresh).expect("nothing to recover");
+            let start = Barrier::new(n_threads + 1);
+            std::thread::scope(|s| {
+                let executors: Vec<_> = (0..n_threads)
+                    .map(|t| {
+                        let (db, start) = (shared.clone(), &start);
+                        s.spawn(move || {
+                            let ops = PageWorkloadSpec {
+                                n_ops: 60,
+                                n_pages: 6,
+                                cross_page_fraction: 0.3,
+                                multi_page_fraction: 0.2,
+                                blind_fraction: 0.2,
+                                ..Default::default()
+                            }
+                            .generate(round << 8 | t as u64);
+                            start.wait();
+                            for mut op in ops {
+                                op.id = op.id * n_threads as u32 + t as u32;
+                                db.execute(&op).expect("execute");
+                            }
+                        })
+                    })
+                    .collect();
+                let mut rng = StdRng::seed_from_u64(round);
+                start.wait();
+                while !executors.iter().all(|e| e.is_finished()) {
+                    shared.checkpoint_tick(4).expect("checkpoint tick");
+                    shared.commit_tick();
+                    shared.flusher_tick(&mut rng, 0.5).expect("flusher tick");
+                }
+            });
+            let crashed = shared.crash();
+            let durable = model_from_stable_log(&crashed);
+            let mut offline = crashed.clone();
+            Generalized.recover(&mut offline).expect("offline recovery");
+            let lazy = SharedDb::open_on_demand(crashed).expect("open on demand");
+            while lazy.recovery_tick().expect("recovery tick") {}
+            for (cell, v) in durable {
+                let at = format!("{log_shards} log shards, round {round}, {cell:?}");
+                assert_eq!(offline.read_cell(cell).expect("read"), v, "offline: {at}");
+                assert_eq!(lazy.read_cell(cell).expect("read"), v, "on demand: {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn executors_racing_checkpoints_restart_to_the_durable_history() {
+        executors_race_checkpoints_into_both_restarts(1, 20);
+        executors_race_checkpoints_into_both_restarts(4, 20);
+    }
+
+    /// The same race, long enough to meet the rare interleaving; CI
+    /// runs it in release.
+    #[test]
+    #[ignore = "soak: a few seconds in release"]
+    fn soak_executors_racing_checkpoints() {
+        executors_race_checkpoints_into_both_restarts(1, 400);
+        executors_race_checkpoints_into_both_restarts(4, 400);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! markers. They differ only in their redo tests and checkpoint
 //! disciplines, so they share this payload.
 
-use redo_sim::wal::{codec, LogPayload};
+use redo_sim::wal::{codec, EncodedRecord, LogPayload, ShardedLog};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp};
@@ -23,7 +23,7 @@ pub enum PageOpPayload {
     /// A fuzzy checkpoint record, taken online without quiescing or
     /// flushing: the buffer pool's dirty-page table (page, recLSN)
     /// at the moment of the snapshot, plus the precomputed redo-start
-    /// LSN (min over recLSNs and any in-flight-but-unapplied LSNs).
+    /// LSN (the min over those recLSNs).
     /// Recovery scans from `redo_start`; the per-page redo tests
     /// make replaying already-installed records harmless.
     FuzzyCheckpoint {
@@ -97,13 +97,30 @@ pub(crate) fn get_dirty_table(input: &[u8], pos: &mut usize) -> SimResult<Vec<(P
     Ok(table)
 }
 
+/// The body of a [`PageOpPayload::Op`] record.
+fn put_op(buf: &mut Vec<u8>, op: &PageOp) -> SimResult<()> {
+    codec::put_u8(buf, 0);
+    codec::put_page_op(buf, op)
+}
+
+impl PageOpPayload {
+    /// [`ShardedLog::encode`] of `PageOpPayload::Op(op)`, from a
+    /// borrowed operation: the foreground path has no payload to give
+    /// away and should not clone one to log it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedLog::encode`].
+    pub fn encode_op(op: &PageOp) -> SimResult<EncodedRecord> {
+        let put = |buf: &mut Vec<u8>| put_op(buf, op);
+        ShardedLog::<PageOpPayload>::encode_with(put, op.written_pages(), cross_reads(op))
+    }
+}
+
 impl LogPayload for PageOpPayload {
     fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
         match self {
-            PageOpPayload::Op(op) => {
-                codec::put_u8(buf, 0);
-                codec::put_page_op(buf, op)?;
-            }
+            PageOpPayload::Op(op) => put_op(buf, op)?,
             PageOpPayload::Checkpoint => codec::put_u8(buf, 1),
             PageOpPayload::FuzzyCheckpoint { dirty, redo_start } => {
                 codec::put_u8(buf, 2);

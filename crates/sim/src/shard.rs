@@ -112,13 +112,18 @@ impl ShardedStore {
     /// frames).
     #[must_use]
     pub fn lock_pages(&self, pages: &[PageId]) -> PageLease<'_> {
-        let shards: BTreeSet<usize> = pages.iter().map(|&p| self.shard_of(p)).collect();
+        // A handful of pages at most: picking the next shard up by a
+        // rescan is cheaper than building a set to sort them.
+        let shards = || pages.iter().map(|&p| self.shard_of(p));
+        let mut guards = Vec::with_capacity(pages.len().min(self.shards.len()));
+        let mut next = shards().min();
+        while let Some(s) = next {
+            guards.push((s, self.shards[s].lock()));
+            next = shards().filter(|&t| t > s).min();
+        }
         PageLease {
             store: self,
-            guards: shards
-                .into_iter()
-                .map(|s| (s, self.shards[s].lock()))
-                .collect(),
+            guards,
         }
     }
 
@@ -470,10 +475,10 @@ impl PageLease<'_> {
     /// the group in **every** member's shard so a flush starting from
     /// any member discovers the closure.
     pub fn add_atomic_group(&mut self, pages: &[PageId], lsn: Lsn) {
-        let set: BTreeSet<PageId> = pages.iter().copied().collect();
-        if set.len() < 2 {
-            return;
+        if pages.windows(2).all(|w| w[0] == w[1]) {
+            return; // fewer than two distinct pages bind nothing
         }
+        let set: BTreeSet<PageId> = pages.iter().copied().collect();
         for &p in &set {
             self.pool_mut(p).add_atomic_group(set.iter().copied(), lsn);
         }

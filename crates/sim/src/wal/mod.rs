@@ -1,8 +1,11 @@
 //! The write-ahead log: a stable prefix plus a volatile tail.
 //!
 //! The log manager assigns monotone LSNs at append time, keeps appended
-//! records in a volatile tail, and moves them to the stable (on-"disk",
-//! byte-encoded) prefix on [`LogManager::flush`]. A crash discards the
+//! records in a volatile tail — *as framed bytes*: a record is encoded
+//! once, before any lock is taken ([`EncodedRecord`]), and the append
+//! only stamps its LSN, length and CRC in front of that body — and
+//! copies the covered frames to the stable (on-"disk") prefix on
+//! [`LogManager::flush`]. A crash discards the
 //! volatile tail; recovery decodes the stable bytes — so the binary codec
 //! is actually exercised on every simulated crash, not decorative. The
 //! stable bytes themselves live in a pluggable
@@ -57,9 +60,9 @@
 //! structural header walk (no payload decode) lands on it exactly — so a
 //! checkpoint bounds *decode* work, not just replay work.
 //!
-//! On the write side [`LogManager::flush`] is a group commit: every
-//! frame covered by the force is encoded into one coalesced buffer and
-//! appended to the stable bytes in a single extend — which on the file
+//! On the write side [`LogManager::flush`] is a group commit: the
+//! frames the force covers are already contiguous in the tail, so they
+//! reach the stable bytes in a single extend — which on the file
 //! backend is a single `write` + `fsync`.
 //!
 //! The payload type is method-specific (`redo-methods` logs after-images
@@ -70,6 +73,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageId;
@@ -128,16 +132,6 @@ pub trait LogPayload: Clone + fmt::Debug {
     fn cross_read_pages(&self) -> Vec<PageId> {
         Vec::new()
     }
-    /// Whether a stable frame carrying this payload may anchor a
-    /// seek-index entry. The index invariant is that no frame with an
-    /// LSN at or above an entry's LSN sits *before* the entry's offset;
-    /// a payload whose frame LSN can echo an earlier frame's LSN (the
-    /// sharded log's `Close` marker repeats the group's covering LSN
-    /// after the records it covers) must opt out, or a seek could land
-    /// past the record it was asked for.
-    fn anchors_seek(&self) -> bool {
-        true
-    }
 }
 
 /// One log record: an LSN and a method-specific payload.
@@ -147,6 +141,76 @@ pub struct WalRecord<P> {
     pub lsn: Lsn,
     /// The logged content.
     pub payload: P,
+}
+
+/// A record encoded for the log with no lock held: its whole frame —
+/// length stamped, LSN and CRC still blank — and the pages that frame
+/// is chained under once stable. Appending one cannot fail: every error
+/// an append can raise is raised where this is built.
+#[derive(Clone, Debug)]
+pub struct EncodedRecord {
+    frame: Vec<u8>,
+    writes: Vec<PageId>,
+    cross_reads: Vec<PageId>,
+}
+
+impl EncodedRecord {
+    /// Frames a body — `prefix`, then whatever `put` appends — that
+    /// writes `writes` and reads `cross_reads` besides.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::FieldOverflow`] from `put`;
+    /// [`SimError::OversizedRecord`] if the body exceeds the 32-bit
+    /// frame length field.
+    pub(crate) fn new(
+        prefix: &[u8],
+        put: impl FnOnce(&mut Vec<u8>) -> SimResult<()>,
+        writes: Vec<PageId>,
+        cross_reads: Vec<PageId>,
+    ) -> SimResult<EncodedRecord> {
+        let mut frame = vec![0; FRAME_HEADER];
+        frame.extend_from_slice(prefix);
+        put(&mut frame)?;
+        let body = frame.len() - FRAME_HEADER;
+        let len =
+            u32::try_from(body).map_err(|_| SimError::OversizedRecord(body - prefix.len()))?;
+        frame[8..12].copy_from_slice(&len.to_le_bytes());
+        Ok(EncodedRecord {
+            frame,
+            writes,
+            cross_reads,
+        })
+    }
+
+    /// [`EncodedRecord::new`] of a whole payload — the only place the
+    /// write side calls a payload's `encode`, `write_pages` and
+    /// `cross_read_pages`.
+    pub(crate) fn of<P: LogPayload>(prefix: &[u8], payload: &P) -> SimResult<EncodedRecord> {
+        let (writes, cross_reads) = (payload.write_pages(), payload.cross_read_pages());
+        EncodedRecord::new(prefix, |buf| payload.encode(buf), writes, cross_reads)
+    }
+}
+
+/// The write side's one frame writer: copies `frame` to the end of
+/// `out`, then stamps the LSN and the CRC that covers it.
+fn push_frame(out: &mut Vec<u8>, lsn: Lsn, frame: &[u8]) {
+    let start = out.len();
+    out.extend_from_slice(frame);
+    out[start..start + 8].copy_from_slice(&lsn.0.to_le_bytes());
+    let crc = frame_crc(&out[start..start + 12], &out[start + FRAME_HEADER..]);
+    out[start + 12..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One frame of the volatile tail: what a force needs to cover it
+/// without looking inside — its LSN, its length in the tail bytes, and
+/// how many entries of the tail's page list it owns.
+#[derive(Clone, Copy, Debug)]
+struct TailFrame {
+    lsn: Lsn,
+    len: usize,
+    writes: usize,
+    cross_reads: usize,
 }
 
 /// The log manager.
@@ -159,7 +223,13 @@ pub struct LogManager<P> {
     /// [`LogManager::truncate_prefix`] advances it. The stable bytes
     /// of a dense log hold exactly LSNs `first_stable..=stable_lsn`.
     first_stable: Lsn,
-    volatile: Vec<WalRecord<P>>,
+    /// The volatile tail: whole frames, contiguous and in LSN order,
+    /// exactly the bytes a force will copy out.
+    tail: Vec<u8>,
+    /// One entry per frame of `tail`, in order.
+    tail_frames: Vec<TailFrame>,
+    /// Each tail frame's written pages, then its cross-read pages.
+    tail_pages: Vec<PageId>,
     next_lsn: Lsn,
     appended_bytes: u64,
     truncated_bytes: u64,
@@ -192,6 +262,7 @@ pub struct LogManager<P> {
     /// Shared crash-point switchboard ([`crate::db::Db`] wires the same
     /// injector into the disk).
     pub(crate) injector: FaultInjector,
+    _payload: PhantomData<P>,
 }
 
 impl<P: LogPayload> LogManager<P> {
@@ -209,7 +280,9 @@ impl<P: LogPayload> LogManager<P> {
             stable_lsn: Lsn::ZERO,
             stable_count: 0,
             first_stable: Lsn(1),
-            volatile: Vec::new(),
+            tail: Vec::new(),
+            tail_frames: Vec::new(),
+            tail_pages: Vec::new(),
             next_lsn: Lsn(1),
             appended_bytes: 0,
             truncated_bytes: 0,
@@ -221,6 +294,7 @@ impl<P: LogPayload> LogManager<P> {
             forces: 0,
             dense: true,
             injector: FaultInjector::new(),
+            _payload: PhantomData,
         }
     }
 
@@ -236,9 +310,7 @@ impl<P: LogPayload> LogManager<P> {
         }
     }
 
-    /// Appends a record to the volatile tail, returning its LSN. The
-    /// payload is validated by encoding it once here, so the flush path
-    /// can frame it infallibly.
+    /// Appends a record to the volatile tail, returning its LSN.
     ///
     /// # Errors
     ///
@@ -247,40 +319,47 @@ impl<P: LogPayload> LogManager<P> {
     /// frame length field. A failed append assigns no LSN and leaves the
     /// log untouched.
     pub fn append(&mut self, payload: P) -> SimResult<Lsn> {
+        let rec = EncodedRecord::of(&[], &payload)?;
         let lsn = self.next_lsn;
-        self.append_at(lsn, payload)?;
+        self.append_at(lsn, &rec);
         Ok(lsn)
     }
 
-    /// Appends a record carrying an externally assigned LSN — the
-    /// sharded log's sequencer hands each shard its slice of the global
-    /// sequence this way. `lsn` must be at least this log's next LSN;
-    /// the single-log [`LogManager::append`] is the `lsn == next_lsn`
-    /// special case.
-    ///
-    /// # Errors
-    ///
-    /// As [`LogManager::append`].
-    pub(crate) fn append_at(&mut self, lsn: Lsn, payload: P) -> SimResult<()> {
-        // Account bytes at append time so log-volume metrics cover
-        // records that never reach disk before a crash.
-        let mut scratch = Vec::new();
-        payload.encode(&mut scratch)?;
-        if u32::try_from(scratch.len()).is_err() {
-            return Err(SimError::OversizedRecord(scratch.len()));
-        }
+    /// Frames `rec` at the end of the tail under an externally assigned
+    /// LSN — the sharded log's sequencer hands each shard its slice of
+    /// the global sequence this way. `lsn` must be at least this log's
+    /// next LSN; the single-log [`LogManager::append`] is the
+    /// `lsn == next_lsn` special case.
+    pub(crate) fn append_at(&mut self, lsn: Lsn, rec: &EncodedRecord) {
         debug_assert!(lsn >= self.next_lsn, "LSNs must be appended in order");
         self.next_lsn = lsn.next();
-        self.appended_bytes += scratch.len() as u64 + FRAME_HEADER as u64;
-        self.volatile.push(WalRecord { lsn, payload });
-        Ok(())
+        // Account bytes at append time so log-volume metrics cover
+        // records that never reach disk before a crash.
+        self.appended_bytes += rec.frame.len() as u64;
+        push_frame(&mut self.tail, lsn, &rec.frame);
+        self.tail_pages.extend_from_slice(&rec.writes);
+        self.tail_pages.extend_from_slice(&rec.cross_reads);
+        self.tail_frames.push(TailFrame {
+            lsn,
+            len: rec.frame.len(),
+            writes: rec.writes.len(),
+            cross_reads: rec.cross_reads.len(),
+        });
     }
 
-    /// Forces the log through `upto` (inclusive): encodes the covered
-    /// tail records into one coalesced batch and appends it to the
-    /// stable prefix in a single extend — a group commit (one `fsync` on
-    /// the file backend). Flushing past the end of the tail forces
-    /// everything.
+    /// The tail's extent under `upto`: its lowest LSN, and its highest
+    /// at or below `upto` — `None` when a force through `upto` would
+    /// cover nothing.
+    pub(crate) fn tail_extent(&self, upto: Lsn) -> Option<(Lsn, Lsn)> {
+        let covered = self.tail_frames.partition_point(|f| f.lsn <= upto);
+        let last = self.tail_frames[..covered].last()?;
+        Some((self.tail_frames[0].lsn, last.lsn))
+    }
+
+    /// Forces the log through `upto` (inclusive): copies the covered
+    /// frames of the tail to the stable prefix in a single extend — a
+    /// group commit (one `fsync` on the file backend). Flushing past the
+    /// end of the tail forces everything.
     ///
     /// Fault semantics are per record, exactly as when each frame was
     /// its own append: every record covered by the force is one
@@ -295,109 +374,114 @@ impl<P: LogPayload> LogManager<P> {
         self.flush_with_bracket(upto, None);
     }
 
-    /// [`LogManager::flush`] with an optional pair of bracket records —
-    /// the sharded log's flush-group `Open`/`Close` markers — encoded
-    /// into the *same* batch: `Open` before the first covered record,
-    /// `Close` after the last, each a faultable event like any record.
-    /// A halt anywhere in the batch drops the `Close`, which is exactly
-    /// the durable signal crash analysis uses to roll the group back.
-    /// Bracket records are synthesized per force and never re-queued.
+    /// [`LogManager::flush`] with an optional pair of bracket frames —
+    /// the sharded log's flush-group `Open`/`Close` markers, each with
+    /// its LSN — written into the *same* batch: `Open` before the first
+    /// covered record, `Close` after the last, each a faultable event
+    /// like any record. A halt anywhere in the batch drops the `Close`,
+    /// which is exactly the durable signal crash analysis uses to roll
+    /// the group back. Bracket frames never enter the tail.
     pub(crate) fn flush_with_bracket(
         &mut self,
         upto: Lsn,
-        bracket: Option<(WalRecord<P>, WalRecord<P>)>,
+        bracket: Option<[(Lsn, &EncodedRecord); 2]>,
     ) {
-        let mut kept = Vec::new();
-        let mut halted = false;
-        let base = self.backend.bytes().len() as u64;
-        let mut batch: Vec<u8> = Vec::new();
-        let (open, close) = match bracket {
-            Some((open, close)) => (Some(open), Some(close)),
-            None => (None, None),
+        let base = self.backend.bytes().len();
+        let frames = std::mem::take(&mut self.tail_frames);
+        let pages = std::mem::take(&mut self.tail_pages);
+        // Only brackets are written here; the records' frames are
+        // copied out of the tail, where the append left them.
+        let mut batch = Vec::new();
+        let mut live = true;
+        if let Some([(lsn, open), _]) = bracket {
+            push_frame(&mut batch, lsn, &open.frame);
+            let landed = self.land_frame(lsn, base, batch.len(), true, &[], &[]);
+            live = landed == batch.len();
+            batch.truncate(landed);
+        }
+        // Whole frames landed, their bytes, their page entries — and
+        // the bytes of a frame torn after them.
+        let (mut whole, mut bytes, mut paged, mut torn) = (0, 0, 0, 0);
+        for f in &frames {
+            if !live || f.lsn > upto {
+                break;
+            }
+            let (writes, reads) = pages[paged..paged + f.writes + f.cross_reads].split_at(f.writes);
+            let at = base + batch.len() + bytes;
+            let landed = self.land_frame(f.lsn, at, f.len, true, writes, reads);
+            if landed == f.len {
+                (whole, bytes, paged) =
+                    (whole + 1, bytes + f.len, paged + f.writes + f.cross_reads);
+            } else {
+                (torn, live) = (landed, false);
+            }
+        }
+        let sent = bytes + torn;
+        let out = match bracket {
+            None => &self.tail[..sent],
+            Some([_, (lsn, close)]) => {
+                batch.extend_from_slice(&self.tail[..sent]);
+                if live {
+                    // A `Close` repeats the group's covering LSN after
+                    // the records it covers, so it anchors no seek: an
+                    // entry there would land past the shard's own
+                    // record at that LSN.
+                    let at = batch.len();
+                    push_frame(&mut batch, lsn, &close.frame);
+                    let len = batch.len() - at;
+                    let landed = self.land_frame(lsn, base + at, len, false, &[], &[]);
+                    batch.truncate(at + landed);
+                }
+                &batch[..]
+            }
         };
-        if let Some(open) = open {
-            halted = !self.encode_faultable_frame(&mut batch, base, &open);
-        }
-        for rec in std::mem::take(&mut self.volatile) {
-            if halted || rec.lsn > upto {
-                kept.push(rec);
-                continue;
-            }
-            if !self.encode_faultable_frame(&mut batch, base, &rec) {
-                kept.push(rec);
-                halted = true;
-            }
-        }
-        if let Some(close) = close {
-            if !halted {
-                self.encode_faultable_frame(&mut batch, base, &close);
-            }
-        }
-        if !batch.is_empty() {
+        if !out.is_empty() {
             self.forces += 1;
-            self.backend.append(&batch);
+            self.backend.append(out);
         }
-        self.volatile = kept;
+        self.tail.drain(..bytes);
+        self.tail_frames = frames;
+        self.tail_frames.drain(..whole);
+        self.tail_pages = pages;
+        self.tail_pages.drain(..paged);
     }
 
-    /// Encodes one frame in place at the batch tail — LSN, length and
-    /// CRC placeholders patched once the body has landed, then the
-    /// body — and consults the injector. Returns `true` if the frame
-    /// landed and the stable bookkeeping advanced; `false` if the flush
-    /// must halt at this record (a torn frame keeps its partial bytes in
-    /// the batch, a suppressed one vanishes from it).
-    fn encode_faultable_frame(
+    /// One faultable frame of a force — `len` bytes bound for stable
+    /// offset `at` — put to the injector. Returns how many of its bytes
+    /// reach the backend: all of them, and the stable bookkeeping
+    /// advances over the frame; or fewer, and the force halts here (a
+    /// torn frame keeps a strict, nonempty part, a suppressed one
+    /// nothing), with the frame still in the tail.
+    fn land_frame(
         &mut self,
-        batch: &mut Vec<u8>,
-        base: u64,
-        rec: &WalRecord<P>,
-    ) -> bool {
-        let frame_start = batch.len();
-        codec::put_u64(batch, rec.lsn.0);
-        codec::put_u32(batch, 0);
-        codec::put_u32(batch, 0);
-        rec.payload
-            .encode(batch)
-            .expect("payload encoding validated at append");
-        let body_len = u32::try_from(batch.len() - frame_start - FRAME_HEADER)
-            .expect("frame length validated at append");
-        batch[frame_start + 8..frame_start + 12].copy_from_slice(&body_len.to_le_bytes());
-        let crc = frame_crc(
-            &batch[frame_start..frame_start + 12],
-            &batch[frame_start + FRAME_HEADER..],
-        );
-        batch[frame_start + 12..frame_start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        lsn: Lsn,
+        at: usize,
+        len: usize,
+        anchors_seek: bool,
+        writes: &[PageId],
+        cross_reads: &[PageId],
+    ) -> usize {
         match self.injector.on_log_flush() {
             FaultDecision::Proceed => {
+                let entry = (lsn, at as u64);
                 if self.seek_enabled
-                    && rec.payload.anchors_seek()
+                    && anchors_seek
                     && self.stable_count.is_multiple_of(SEEK_INTERVAL)
                 {
-                    self.seek_index.push((rec.lsn, base + frame_start as u64));
+                    self.seek_index.push(entry);
                 }
-                let entry = (rec.lsn, base + frame_start as u64);
-                for page in rec.payload.write_pages() {
+                for &page in writes {
                     self.page_chains.entry(page).or_default().push(entry);
                 }
-                for page in rec.payload.cross_read_pages() {
+                for &page in cross_reads {
                     self.reader_chains.entry(page).or_default().push(entry);
                 }
-                self.stable_lsn = rec.lsn;
+                self.stable_lsn = lsn;
                 self.stable_count += 1;
-                true
+                len
             }
-            FaultDecision::Truncate { bytes } => {
-                // A strictly partial transfer: at least one byte of
-                // the frame lands, at least one is lost.
-                let frame_len = batch.len() - frame_start;
-                let k = bytes.clamp(1, frame_len - 1);
-                batch.truncate(frame_start + k);
-                false
-            }
-            FaultDecision::Suppress | FaultDecision::Tear { .. } => {
-                batch.truncate(frame_start);
-                false
-            }
+            FaultDecision::Truncate { bytes } => bytes.clamp(1, len - 1),
+            FaultDecision::Suppress | FaultDecision::Tear { .. } => 0,
         }
     }
 
@@ -419,10 +503,10 @@ impl<P: LogPayload> LogManager<P> {
         Lsn(self.next_lsn.0 - 1)
     }
 
-    /// Records still in the volatile tail (will be lost on crash).
+    /// Number of records still in the volatile tail (lost on crash).
     #[must_use]
-    pub fn volatile_records(&self) -> &[WalRecord<P>] {
-        &self.volatile
+    pub fn volatile_count(&self) -> usize {
+        self.tail_frames.len()
     }
 
     /// Number of records in the stable prefix.
@@ -461,7 +545,9 @@ impl<P: LogPayload> LogManager<P> {
     /// an arbitrary byte) is observed here, and LSN assignment resumes
     /// after whatever the log actually still ends with.
     pub fn crash(&mut self) {
-        self.volatile.clear();
+        self.tail.clear();
+        self.tail_frames.clear();
+        self.tail_pages.clear();
         self.backend.crash();
         // Walk the surviving image: CRC-valid whole frames are stable;
         // the first damaged or partial frame ends the covered prefix
@@ -820,7 +906,7 @@ mod tests {
         log.flush(Lsn(3));
         assert_eq!(log.stable_lsn(), Lsn(3));
         assert_eq!(log.stable_count(), 3);
-        assert_eq!(log.volatile_records().len(), 2);
+        assert_eq!(log.volatile_count(), 2);
         let decoded = log.decode_stable().unwrap();
         assert_eq!(decoded.len(), 3);
         assert_eq!(
@@ -840,7 +926,7 @@ mod tests {
         }
         log.flush(Lsn(2));
         log.crash();
-        assert!(log.volatile_records().is_empty());
+        assert_eq!(log.volatile_count(), 0);
         assert_eq!(log.stable_lsn(), Lsn(2));
         // LSNs resume after the stable point, as re-derived from the log.
         assert_eq!(log.append(Num(99)).unwrap(), Lsn(3));
@@ -1268,7 +1354,7 @@ mod tests {
         log.truncate_prefix(Lsn(999)).unwrap();
         assert_eq!(log.first_stable(), Lsn(11));
         assert_eq!(log.stable_count(), 0);
-        assert_eq!(log.volatile_records().len(), 1);
+        assert_eq!(log.volatile_count(), 1);
         log.flush_all();
         assert_eq!(log.decode_stable().unwrap().len(), 1);
         assert_eq!(log.decode_stable().unwrap()[0].lsn, Lsn(11));

@@ -57,7 +57,7 @@ use crate::fault::{FaultDecision, FaultInjector};
 
 use super::archive::ArchiveTier;
 use super::framing::{skip_frames_below, LogCursor, ScanStats};
-use super::{codec, LogManager, LogPayload, WalRecord, FRAME_HEADER};
+use super::{codec, EncodedRecord, LogManager, LogPayload, WalRecord};
 
 /// What one shard's frames carry: a routed record, or a flush-group
 /// bracket marker.
@@ -81,6 +81,11 @@ pub enum ShardFrame<P> {
         participants: Vec<u16>,
     },
 }
+
+/// The byte a shard frame's body opens with, by variant.
+const REC: u8 = 0;
+const OPEN: u8 = 1;
+const CLOSE: u8 = 2;
 
 fn put_marker(buf: &mut Vec<u8>, epoch: u64, participants: &[u16]) -> SimResult<()> {
     codec::put_u64(buf, epoch);
@@ -108,21 +113,21 @@ impl<P: LogPayload> LogPayload for ShardFrame<P> {
     fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
         match self {
             ShardFrame::Rec(p) => {
-                codec::put_u8(buf, 0);
+                codec::put_u8(buf, REC);
                 p.encode(buf)
             }
             ShardFrame::Open {
                 epoch,
                 participants,
             } => {
-                codec::put_u8(buf, 1);
+                codec::put_u8(buf, OPEN);
                 put_marker(buf, *epoch, participants)
             }
             ShardFrame::Close {
                 epoch,
                 participants,
             } => {
-                codec::put_u8(buf, 2);
+                codec::put_u8(buf, CLOSE);
                 put_marker(buf, *epoch, participants)
             }
         }
@@ -130,15 +135,15 @@ impl<P: LogPayload> LogPayload for ShardFrame<P> {
 
     fn decode(input: &[u8], pos: &mut usize) -> SimResult<Self> {
         match codec::get_u8(input, pos)? {
-            0 => Ok(ShardFrame::Rec(P::decode(input, pos)?)),
-            1 => {
+            REC => Ok(ShardFrame::Rec(P::decode(input, pos)?)),
+            OPEN => {
                 let (epoch, participants) = get_marker(input, pos)?;
                 Ok(ShardFrame::Open {
                     epoch,
                     participants,
                 })
             }
-            2 => {
+            CLOSE => {
                 let (epoch, participants) = get_marker(input, pos)?;
                 Ok(ShardFrame::Close {
                     epoch,
@@ -160,18 +165,6 @@ impl<P: LogPayload> LogPayload for ShardFrame<P> {
         match self {
             ShardFrame::Rec(p) => p.cross_read_pages(),
             ShardFrame::Open { .. } | ShardFrame::Close { .. } => Vec::new(),
-        }
-    }
-
-    fn anchors_seek(&self) -> bool {
-        // A `Close` frame's LSN is the group's covering LSN, which the
-        // shard's own record at that LSN (if it hosts it) precedes: an
-        // index entry at the `Close` would seek past that record. An
-        // `Open` carries the minimum LSN of the batch it opens, so
-        // everything before it is strictly below — safe to anchor.
-        match self {
-            ShardFrame::Rec(_) | ShardFrame::Open { .. } => true,
-            ShardFrame::Close { .. } => false,
         }
     }
 }
@@ -258,17 +251,6 @@ impl<P: LogPayload> ShardedLog<P> {
         (page.0 & self.mask) as usize
     }
 
-    /// The shards a payload lands on: the shard of every page it
-    /// writes, or every shard for a page-less record (checkpoints must
-    /// be visible to any single-shard scan).
-    fn participants_for(&self, pages: &[PageId]) -> Vec<usize> {
-        if pages.is_empty() {
-            return (0..self.shards.len()).collect();
-        }
-        let targets: BTreeSet<usize> = pages.iter().map(|&p| self.shard_of(p)).collect();
-        targets.into_iter().collect()
-    }
-
     /// Rewires the fault injector shared by every shard (and callers
     /// like [`Db`](crate::db::Db), which mirror it into the disk).
     pub(crate) fn share_injector(&mut self, injector: FaultInjector) {
@@ -278,6 +260,33 @@ impl<P: LogPayload> ShardedLog<P> {
         self.injector = injector;
     }
 
+    /// Encodes a record for [`ShardedLog::append_encoded`] — the half
+    /// of an append that needs no lock, so a caller sharing the log
+    /// behind a mutex does it before taking the mutex.
+    ///
+    /// # Errors
+    ///
+    /// As [`LogManager::append`].
+    pub fn encode(payload: &P) -> SimResult<EncodedRecord> {
+        EncodedRecord::of(&[REC], payload)
+    }
+
+    /// [`ShardedLog::encode`] for a caller holding the payload's parts
+    /// rather than a `P`: `put` must append exactly what `P::encode`
+    /// would for a payload writing `writes` and cross-reading
+    /// `cross_reads`.
+    ///
+    /// # Errors
+    ///
+    /// As [`LogManager::append`].
+    pub fn encode_with(
+        put: impl FnOnce(&mut Vec<u8>) -> SimResult<()>,
+        writes: Vec<PageId>,
+        cross_reads: Vec<PageId>,
+    ) -> SimResult<EncodedRecord> {
+        EncodedRecord::new(&[REC], put, writes, cross_reads)
+    }
+
     /// Appends a record under the next global LSN, routing it to the
     /// shard of every page it writes (broadcast when it writes none).
     ///
@@ -285,39 +294,31 @@ impl<P: LogPayload> ShardedLog<P> {
     ///
     /// As [`LogManager::append`]; a failed append assigns no LSN.
     pub fn append(&mut self, payload: P) -> SimResult<Lsn> {
-        // Validate once up front so the per-shard appends cannot fail
-        // halfway through a broadcast.
-        let mut scratch = Vec::new();
-        payload.encode(&mut scratch)?;
-        if u32::try_from(scratch.len().saturating_add(1)).is_err() {
-            return Err(SimError::OversizedRecord(scratch.len()));
-        }
+        Ok(self.append_encoded(&Self::encode(&payload)?))
+    }
+
+    /// The one append path: assigns the next global LSN and frames
+    /// `rec` into the tail of every shard a page it writes routes to —
+    /// every shard for a page-less record (checkpoints must be visible
+    /// to any single-shard scan).
+    pub fn append_encoded(&mut self, rec: &EncodedRecord) -> Lsn {
         let lsn = self.next_lsn;
-        for s in self.participants_for(&payload.write_pages()) {
-            self.shards[s].append_at(lsn, ShardFrame::Rec(payload.clone()))?;
+        if rec.writes.is_empty() {
+            self.shards.iter_mut().for_each(|sh| sh.append_at(lsn, rec));
+        }
+        for (i, &page) in rec.writes.iter().enumerate() {
+            // Once per shard: at the first page that routes there.
+            let s = self.shard_of(page);
+            if rec.writes[..i].iter().all(|&q| self.shard_of(q) != s) {
+                self.shards[s].append_at(lsn, rec);
+            }
         }
         self.next_lsn = lsn.next();
         // Count the logical record once (not per broadcast copy, not the
         // shard-frame tag byte) so the log-volume metric stays
         // comparable across shard counts.
-        self.appended_bytes += scratch.len() as u64 + FRAME_HEADER as u64;
-        Ok(lsn)
-    }
-
-    /// Shard `s`'s covered volatile extent under `upto`: the min and
-    /// max volatile LSNs ≤ `upto`, if any.
-    fn covered_extent(&self, s: usize, upto: Lsn) -> Option<(Lsn, Lsn)> {
-        let mut extent: Option<(Lsn, Lsn)> = None;
-        for rec in self.shards[s].volatile_records() {
-            if rec.lsn > upto {
-                continue;
-            }
-            extent = Some(match extent {
-                None => (rec.lsn, rec.lsn),
-                Some((lo, hi)) => (lo.min(rec.lsn), hi.max(rec.lsn)),
-            });
-        }
-        extent
+        self.appended_bytes += rec.frame.len() as u64 - 1;
+        lsn
     }
 
     /// Forces the log through `upto` (inclusive), group-committing each
@@ -331,8 +332,8 @@ impl<P: LogPayload> ShardedLog<P> {
     pub fn flush(&mut self, upto: Lsn) {
         let mut participants = Vec::new();
         let mut covered_max = Lsn::ZERO;
-        for s in 0..self.shards.len() {
-            if let Some((lo, hi)) = self.covered_extent(s, upto) {
+        for (s, shard) in self.shards.iter().enumerate() {
+            if let Some((lo, hi)) = shard.tail_extent(upto) {
                 participants.push((s, lo));
                 covered_max = covered_max.max(hi);
             }
@@ -353,23 +354,16 @@ impl<P: LogPayload> ShardedLog<P> {
                     .iter()
                     .map(|&(s, _)| u16::try_from(s).expect("shard count fits u16"))
                     .collect();
+                // Every participant's brackets carry the same body.
+                let [open, close] = [OPEN, CLOSE].map(|tag| {
+                    let put = |buf: &mut Vec<u8>| put_marker(buf, epoch, &roster);
+                    EncodedRecord::new(&[tag], put, Vec::new(), Vec::new())
+                        .expect("a roster is no longer than the shard count, which fits u16")
+                });
                 let mut all_landed = true;
                 for &(s, open_lsn) in &participants {
-                    let open = WalRecord {
-                        lsn: open_lsn,
-                        payload: ShardFrame::Open {
-                            epoch,
-                            participants: roster.clone(),
-                        },
-                    };
-                    let close = WalRecord {
-                        lsn: covered_max,
-                        payload: ShardFrame::Close {
-                            epoch,
-                            participants: roster.clone(),
-                        },
-                    };
-                    self.shards[s].flush_with_bracket(upto, Some((open, close)));
+                    let bracket = [(open_lsn, &open), (covered_max, &close)];
+                    self.shards[s].flush_with_bracket(upto, Some(bracket));
                     if self.shards[s].stable_lsn() != covered_max {
                         all_landed = false;
                     }
@@ -1135,6 +1129,7 @@ impl<P: LogPayload> ShardedScanner<P> {
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A payload writing an arbitrary page set (empty = page-less, like
     /// a checkpoint marker) — the smallest thing that exercises routing,
@@ -1537,6 +1532,127 @@ mod tests {
         let first = cursor.find(Result::is_err);
         assert!(matches!(first, Some(Err(SimError::Corrupt(_)))));
         assert!(cursor.next().is_none());
+    }
+
+    /// FNV-1a, the checksum the wire-format pins are stated in.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// One fixed append/force script; returns each shard's stable-image
+    /// checksum. Single-page records, a multi-page record (spanning
+    /// shards when there are several), a page-less broadcast, a partial
+    /// force that leaves a tail (on four shards a cross-shard group, so
+    /// `Open`/`Close` brackets are in the image), a single-shard force,
+    /// then `flush_all`.
+    fn wire_script(n: usize) -> Vec<u64> {
+        let mut log: ShardedLog<Rec> = ShardedLog::new(n);
+        for i in 0..12u32 {
+            log.append(Rec(vec![i % 8], u64::from(i) * 7)).unwrap();
+        }
+        log.append(Rec(vec![1, 2, 5], 100)).unwrap();
+        log.append(Rec(vec![], 101)).unwrap();
+        log.flush(Lsn(9));
+        assert_eq!(log.stable_lsn(), Lsn(9));
+        assert_eq!(log.last_lsn(), Lsn(14), "the partial force leaves a tail");
+        log.flush(Lsn(10));
+        log.append(Rec(vec![3], 102)).unwrap();
+        log.flush_all();
+        assert_eq!(log.stable_lsn(), Lsn(15));
+        log.shards.iter().map(|s| fnv(s.stable_bytes())).collect()
+    }
+
+    /// The constants were computed by this script on the tree whose
+    /// tail still held decoded records and whose force encoded them:
+    /// with `tests/wal_corruption.rs`' reference decoder, they are what
+    /// "the stable bytes did not change" means.
+    #[test]
+    fn wire_format_is_pinned() {
+        assert_eq!(wire_script(1), [0xe5c0_e807_5096_c19c]);
+        let four = [
+            0xbd92_90c4_93b6_d4d2,
+            0x1647_4b14_6ae3_fb2d,
+            0xf285_66d8_79f8_640d,
+            0x73e5_26b1_b644_46d1,
+        ];
+        assert_eq!(wire_script(4), four);
+    }
+
+    /// Counts the trait calls an append + force costs.
+    #[derive(Clone, Debug)]
+    struct Counted(u32);
+
+    static ENCODES: AtomicUsize = AtomicUsize::new(0);
+    static WRITE_PAGES: AtomicUsize = AtomicUsize::new(0);
+
+    impl LogPayload for Counted {
+        fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
+            ENCODES.fetch_add(1, Ordering::Relaxed);
+            codec::put_u32(buf, self.0);
+            Ok(())
+        }
+        fn decode(input: &[u8], pos: &mut usize) -> SimResult<Self> {
+            Ok(Counted(codec::get_u32(input, pos)?))
+        }
+        fn write_pages(&self) -> Vec<PageId> {
+            WRITE_PAGES.fetch_add(1, Ordering::Relaxed);
+            vec![PageId(self.0)]
+        }
+    }
+
+    #[test]
+    fn a_record_is_encoded_once_however_it_is_forced() {
+        let mut log: ShardedLog<Counted> = ShardedLog::new(4);
+        for i in 0..40 {
+            log.append(Counted(i)).unwrap();
+            if i % 7 == 0 {
+                log.flush(Lsn(u64::from(i)));
+            }
+        }
+        log.flush_all();
+        assert_eq!(log.decode_stable().unwrap().len(), 40);
+        assert_eq!(ENCODES.load(Ordering::Relaxed), 40);
+        assert_eq!(WRITE_PAGES.load(Ordering::Relaxed), 40);
+    }
+
+    /// Encodes until its value says the field is too small.
+    #[derive(Clone, Debug)]
+    struct Overflows(Vec<u32>);
+
+    impl LogPayload for Overflows {
+        fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
+            codec::put_u8(buf, 9);
+            Err(SimError::FieldOverflow {
+                field: "test field",
+                value: 1 << 40,
+            })
+        }
+        fn decode(_: &[u8], pos: &mut usize) -> SimResult<Self> {
+            Err(SimError::Corrupt(*pos))
+        }
+        fn write_pages(&self) -> Vec<PageId> {
+            self.0.iter().map(|&p| PageId(p)).collect()
+        }
+    }
+
+    #[test]
+    fn a_payload_that_does_not_encode_assigns_no_lsn_and_touches_no_tail() {
+        // One page, pages on two shards, and the page-less broadcast.
+        for pages in [vec![1], vec![1, 2], vec![]] {
+            let mut log: ShardedLog<Overflows> = ShardedLog::new(4);
+            let refused = log.append(Overflows(pages));
+            assert!(matches!(refused, Err(SimError::FieldOverflow { .. })));
+            assert_eq!(log.last_lsn(), Lsn::ZERO);
+            assert_eq!(log.appended_bytes(), 0);
+            for shard in &log.shards {
+                assert_eq!(shard.volatile_count(), 0);
+                assert_eq!(shard.last_lsn(), Lsn::ZERO);
+            }
+            log.flush_all();
+            assert_eq!((log.forces(), log.stable_lsn()), (0, Lsn::ZERO));
+        }
     }
 
     #[test]

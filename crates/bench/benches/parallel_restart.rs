@@ -48,10 +48,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use redo_methods::generalized::Generalized;
-use redo_methods::online::GeneralizedOnline;
 use redo_methods::oprecord::PageOpPayload;
 use redo_methods::parallel::recover_partitioned;
 use redo_methods::physiological::Physiological;
+use redo_methods::redo;
 use redo_methods::RecoveryMethod;
 use redo_sim::backend::BackendKind;
 use redo_sim::db::{Db, Geometry};
@@ -90,7 +90,7 @@ fn crashed_db(n_ops: usize, checkpoint: bool, log_shards: usize) -> Db<PageOpPay
             db.log.flush_all();
             let stable = db.log.stable_lsn();
             db.pool.flush_all(&mut db.disk, stable).unwrap();
-            GeneralizedOnline::checkpoint_online(&mut db)
+            redo::checkpoint_fuzzy(&mut db, 0)
                 .unwrap()
                 .expect("unfaulted publication lands");
         }

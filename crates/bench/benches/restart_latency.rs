@@ -7,7 +7,7 @@
 //!   entire stable log. Restart latency scales with the *lifetime* of
 //!   the database.
 //! * `daemon` — online fuzzy checkpoints every 500 operations
-//!   ([`GeneralizedOnline::checkpoint_online`]): each publication moves
+//!   ([`redo::checkpoint_fuzzy`]): each publication moves
 //!   the master pointer and truncates the log prefix below its
 //!   redo-start, so the retained log — and with it the restart scan —
 //!   tracks the *churn window* (how far the dirtiest page lags), not
@@ -39,6 +39,7 @@ use rand::SeedableRng;
 use redo_methods::ondemand::OnDemand;
 use redo_methods::online::GeneralizedOnline;
 use redo_methods::oprecord::PageOpPayload;
+use redo_methods::redo;
 use redo_methods::RecoveryMethod;
 use redo_sim::db::{Db, Geometry};
 use redo_workload::pages::{Cell, PageId, PageWorkloadSpec, SlotId};
@@ -64,7 +65,7 @@ fn crashed_db(n_ops: usize, daemon: bool) -> (Db<PageOpPayload>, usize) {
         GeneralizedOnline.execute(&mut db, op).unwrap();
         db.chaos_flush(&mut rng, 0.9, 0.05).unwrap();
         if daemon && (i + 1) % 500 == 0 {
-            GeneralizedOnline::checkpoint_online(&mut db)
+            redo::checkpoint_fuzzy(&mut db, 0)
                 .unwrap()
                 .expect("unfaulted publication lands");
         }

@@ -27,8 +27,11 @@
 //! ([`tree::apply_payload`]) plugged in: each page a record writes
 //! takes its share iff its own page LSN is older than the record, so
 //! the pages of one split install independently, ordered only by that
-//! one edge. Checkpoints are
-//! [`redo_methods::redo::checkpoint_heavyweight`]. [`BTree::create`]
+//! one edge. [`BTree::checkpoint`] is
+//! [`redo_methods::redo::checkpoint_heavyweight`]; a fuzzy or delta
+//! checkpoint is [`redo_methods::redo::checkpoint_fuzzy`] on the tree's
+//! `db` — the one record, [`BtPayload::Checkpoint`], carries both.
+//! [`BTree::create`]
 //! takes whatever [`Db`](redo_sim::db::Db) it is to run on — memory or
 //! files, one log shard or several, a bounded pool (which steals) or
 //! not.

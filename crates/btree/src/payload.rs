@@ -17,7 +17,7 @@
 //! * generalized: `image: None` — the moved half is *read from the old
 //!   page* at replay time (§6.4, Figure 8).
 
-use redo_methods::redo::{CheckpointRecord, CheckpointView};
+use redo_methods::redo::{Checkpoint, CheckpointView};
 use redo_sim::wal::{codec, LogPayload};
 use redo_sim::{SimError, SimResult};
 use redo_workload::pages::PageId;
@@ -73,8 +73,9 @@ pub enum BtPayload {
         /// what `from` held just before this record.
         image: Option<Vec<u64>>,
     },
-    /// Checkpoint marker.
-    Checkpoint,
+    /// A checkpoint. Heavyweight ([`BTree::checkpoint`](crate::BTree::checkpoint))
+    /// or fuzzy (`redo::checkpoint_fuzzy` on `tree.db`) is a call, not a variant.
+    Checkpoint(Checkpoint),
 }
 
 const NEW_ROOT: u8 = 1;
@@ -113,16 +114,12 @@ impl LogPayload for BtPayload {
                 codec::put_u64(buf, *separator);
                 codec::put_u32(buf, *next_free);
                 if let Some(slots) = image {
-                    codec::put_u16(
-                        buf,
-                        codec::count_u16("split image slot count", slots.len())?,
-                    );
-                    for &s in slots {
-                        codec::put_u64(buf, s);
-                    }
+                    let n = codec::count_u16("split image slot count", slots.len())?;
+                    codec::put_u16(buf, n);
+                    slots.iter().for_each(|&s| codec::put_u64(buf, s));
                 }
             }
-            BtPayload::Checkpoint => codec::put_u8(buf, 4),
+            BtPayload::Checkpoint(checkpoint) => checkpoint.encode(buf)?,
         }
         Ok(())
     }
@@ -152,19 +149,15 @@ impl LogPayload for BtPayload {
                     separator: codec::get_u64(input, pos)?,
                     next_free: codec::get_u32(input, pos)?,
                     image: if flags & HAS_IMAGE != 0 {
-                        let n = codec::get_u16(input, pos)? as usize;
-                        let mut slots = Vec::with_capacity(n.min(4096));
-                        for _ in 0..n {
-                            slots.push(codec::get_u64(input, pos)?);
-                        }
-                        Some(slots)
+                        let n = codec::get_u16(input, pos)?;
+                        let slots = (0..n).map(|_| codec::get_u64(input, pos));
+                        Some(slots.collect::<SimResult<_>>()?)
                     } else {
                         None
                     },
                 }
             }
-            4 => BtPayload::Checkpoint,
-            _ => return Err(SimError::Corrupt(*pos - 1)),
+            kind => BtPayload::Checkpoint(Checkpoint::decode(kind, input, pos)?),
         })
     }
 
@@ -177,21 +170,29 @@ impl LogPayload for BtPayload {
             BtPayload::Split {
                 from, to, parent, ..
             } => vec![*to, *from, *parent, META],
-            BtPayload::Checkpoint => Vec::new(),
+            BtPayload::Checkpoint(_) => Vec::new(),
         }
     }
 }
 
 impl CheckpointView for BtPayload {
-    fn into_checkpoint(self) -> Option<CheckpointRecord> {
-        // The tree only takes flush-everything checkpoints.
-        matches!(self, BtPayload::Checkpoint).then_some(CheckpointRecord::Heavyweight)
+    fn as_checkpoint(&self) -> Option<&Checkpoint> {
+        match self {
+            BtPayload::Checkpoint(checkpoint) => Some(checkpoint),
+            _ => None,
+        }
+    }
+
+    fn from_checkpoint(checkpoint: Checkpoint) -> Self {
+        BtPayload::Checkpoint(checkpoint)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redo_methods::redo::DirtyTable;
+    use redo_theory::log::Lsn;
 
     fn split(new_root: bool, image: Option<Vec<u64>>) -> BtPayload {
         BtPayload::Split {
@@ -203,6 +204,17 @@ mod tests {
             next_free: 4,
             image,
         }
+    }
+
+    fn checkpoint() -> Checkpoint {
+        Checkpoint {
+            redo_start: Lsn(10),
+            table: DirtyTable::Full(Vec::new()),
+        }
+    }
+
+    fn marker() -> BtPayload {
+        BtPayload::from_checkpoint(checkpoint())
     }
 
     fn all_variants() -> Vec<BtPayload> {
@@ -221,7 +233,7 @@ mod tests {
             split(true, None),
             split(false, Some(vec![1, 2, 3])),
             split(true, Some(Vec::new())),
-            BtPayload::Checkpoint,
+            marker(),
         ]
     }
 
@@ -244,15 +256,14 @@ mod tests {
             vec![PageId(3), PageId(1), PageId(2), META],
             "the new page first: a generalized split reads the old one"
         );
-        assert!(BtPayload::Checkpoint.write_pages().is_empty());
+        assert!(marker().write_pages().is_empty());
     }
 
     #[test]
-    fn only_the_checkpoint_marker_is_a_checkpoint() {
+    fn only_the_checkpoint_variant_is_a_checkpoint() {
         for p in all_variants() {
-            let marker = p == BtPayload::Checkpoint;
-            let view = p.into_checkpoint();
-            assert_eq!(view, marker.then_some(CheckpointRecord::Heavyweight));
+            let expect = (p == marker()).then(checkpoint);
+            assert_eq!(p.as_checkpoint(), expect.as_ref());
         }
     }
 

@@ -85,7 +85,7 @@ fn redo_page(
 pub fn apply_payload(db: &mut Db<BtPayload>, payload: &BtPayload, lsn: Lsn) -> SimResult<bool> {
     let spp = db.geometry.slots_per_page;
     match payload {
-        BtPayload::Checkpoint => Ok(false),
+        BtPayload::Checkpoint(_) => Ok(false),
         BtPayload::Create => {
             let root = redo_page(db, FIRST_ROOT, lsn, |p| layout::format(p, true))?;
             let meta = redo_page(db, META, lsn, |p| {
@@ -351,13 +351,15 @@ impl BTree {
     /// Takes a heavyweight checkpoint
     /// ([`redo::checkpoint_heavyweight`]): forces the log, flushes every
     /// dirty page (honoring write-order constraints), and advances the
-    /// master record.
+    /// master record. (For an online one, call
+    /// [`redo::checkpoint_fuzzy`] on [`BTree::db`]: same record, same
+    /// recovery.)
     ///
     /// # Errors
     ///
     /// Substrate errors.
     pub fn checkpoint(&mut self) -> SimResult<()> {
-        redo::checkpoint_heavyweight(&mut self.db, BtPayload::Checkpoint)
+        redo::checkpoint_heavyweight(&mut self.db)
     }
 
     /// Simulates a crash (volatile state vanishes).
@@ -377,9 +379,6 @@ impl BTree {
     pub fn recover(&mut self) -> SimResult<RecoveryStats> {
         let footprint = BtPayload::write_pages;
         let stats = redo::recover(&mut self.db, footprint, |db, _, lsn, payload| {
-            if payload == BtPayload::Checkpoint {
-                return Ok(Redo::NotAnOperation);
-            }
             let id = u32::try_from(lsn.0).unwrap_or(u32::MAX);
             Ok(Redo::of(id, apply_payload(db, &payload, lsn)?))
         })?;

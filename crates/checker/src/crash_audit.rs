@@ -60,7 +60,7 @@ use redo_methods::oprecord::PageOpPayload;
 use redo_methods::parallel::{ParallelOnline, ParallelPhysical, ParallelPhysiological};
 use redo_methods::physical::{PhysPayload, Physical};
 use redo_methods::physiological::Physiological;
-use redo_methods::redo::{CheckpointRecord, CheckpointView};
+use redo_methods::redo::{Checkpoint, CheckpointView};
 use redo_methods::{RecoveryMethod, RecoveryStats};
 use redo_sim::backend::BackendKind;
 use redo_sim::db::{Db, Geometry};
@@ -860,7 +860,11 @@ impl<'a, M: RecoveryMethod> Crashed<'a, M> {
         // Proof the crash landed while an incremental chain was in force.
         let master = self.db.log.record_at_lsn(self.db.disk.master());
         if let Ok(Some(rec)) = master {
-            if let Some(CheckpointRecord::Delta { .. }) = rec.payload.into_checkpoint() {
+            if rec
+                .payload
+                .as_checkpoint()
+                .is_some_and(Checkpoint::is_delta)
+            {
                 report.verified("delta-master");
             }
         }

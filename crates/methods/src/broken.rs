@@ -74,8 +74,9 @@ impl RecoveryMethod for LyingCheckpoint {
 
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
         // BUG: the §6.2/§6.3 checkpoint contract is "flush, THEN move
-        // the master". This one skips the flush.
-        let ck = db.log.append(PageOpPayload::Checkpoint)?;
+        // the master". This one skips the flush — and logs the empty
+        // dirty-page table it did not earn.
+        let ck = redo::append_heavyweight(&mut db.log)?;
         db.log.flush_all();
         db.disk.set_master(ck)?;
         Ok(())

@@ -15,9 +15,10 @@
 //!   the write-order constraints, exactly like the sequential cache
 //!   manager;
 //! * a **checkpoint daemon** periodically takes a fuzzy checkpoint —
-//!   snapshot the dirty-page table (with per-page recLSNs), append a
-//!   [`PageOpPayload::FuzzyCheckpoint`] record through the group-commit
-//!   path, publish it with the master pointer swing, and truncate the
+//!   snapshot the dirty-page table (with per-page recLSNs), append the
+//!   [`redo::Checkpoint`] record [`redo::checkpoint_fuzzy`] would (the
+//!   same `next_checkpoint`, against a chain kept in memory) through
+//!   the group-commit path, publish it with the master pointer swing, and truncate the
 //!   log prefix the checkpoint proved redundant — so restart latency
 //!   stays bounded no matter how long the live run was.
 //!
@@ -79,7 +80,6 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redo_sim::db::{Db, Geometry};
-use redo_sim::disk::Disk;
 use redo_sim::shard::{PageLease, ShardedStore};
 use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
@@ -164,7 +164,7 @@ pub struct DaemonStats {
     /// master swing on every one of these.
     pub checkpoints_skipped: u64,
     /// How many of [`DaemonStats::checkpoints_taken`] were incremental
-    /// [`PageOpPayload::DeltaCheckpoint`] records rather than full
+    /// [`redo::DirtyTable::Delta`] records rather than full
     /// snapshots.
     pub deltas_published: u64,
     /// The redo-start of the most recently published checkpoint — the
@@ -233,8 +233,10 @@ impl SharedDb {
     /// A fresh shared database.
     #[must_use]
     pub fn new(geometry: Geometry) -> SharedDb {
-        let store = ShardedStore::new(STORE_SHARDS);
-        Self::assemble(geometry, ShardedLog::new(1), store, None)
+        // Through `Db`, so the disk and the log share one fault injector.
+        let Db { disk, log, .. } = Db::new(geometry);
+        let store = ShardedStore::with_disk(STORE_SHARDS, disk);
+        Self::assemble(geometry, log, store, None)
     }
 
     fn assemble(
@@ -278,15 +280,13 @@ impl SharedDb {
     pub fn open_on_demand(mut crashed: Db<PageOpPayload>) -> SimResult<SharedDb> {
         let (analysis, stats) = redo::begin(&mut crashed)?;
         let gates = analysis.gates(&crashed.log);
-        // The crash survivors move in whole: the repaired disk becomes
-        // the shard map's disk, the repaired log (chains already pruned
-        // to the stable tail) becomes the shared log. The sequential
-        // shell keeps empty stand-ins and is dropped.
-        let disk = std::mem::replace(&mut crashed.disk, Disk::new());
-        let log = std::mem::replace(&mut crashed.log, ShardedLog::new(1));
-        let store = ShardedStore::with_disk(STORE_SHARDS, disk);
+        // The crash survivors move in whole, still sharing the image's
+        // fault injector: the repaired disk becomes the shard map's
+        // disk, the repaired log (chains already pruned to the stable
+        // tail) becomes the shared log. The sequential shell is dropped.
+        let store = ShardedStore::with_disk(STORE_SHARDS, crashed.disk);
         let active = Some(RecoveryState { analysis, stats });
-        let shared = Self::assemble(crashed.geometry, log, store, active);
+        let shared = Self::assemble(crashed.geometry, crashed.log, store, active);
         shared.inner.store.gate_pages(gates.iter().copied());
         // A restart with nothing owed closes out right away.
         if gates.is_empty() {
@@ -560,12 +560,12 @@ impl SharedDb {
     /// truncate the log prefix below the checkpoint's redo-start.
     ///
     /// While a healthy chain shallower than `full_every` is in force the
-    /// record is a [`PageOpPayload::DeltaCheckpoint`] carrying only the
-    /// dirty-page-table delta against the chain head; every
-    /// `full_every`-th publication (and whenever no chain exists — fresh
-    /// system, or first checkpoint after a crash wiped the volatile
-    /// chain state) is a full [`PageOpPayload::FuzzyCheckpoint`]
-    /// snapshot so analysis' walk stays bounded. A `full_every` below 2
+    /// record's table is a [`redo::DirtyTable::Delta`] carrying only the
+    /// difference against the chain head; every `full_every`-th
+    /// publication (and whenever no chain exists — fresh system, or
+    /// first checkpoint after a crash wiped the volatile chain state)
+    /// logs the [`redo::DirtyTable::Full`] table so analysis' walk stays
+    /// bounded. A `full_every` below 2
     /// never chains. A quiescent tick publishes nothing.
     ///
     /// The snapshot and the append happen under the store **and** log
@@ -606,12 +606,13 @@ impl SharedDb {
                 let next = redo::next_checkpoint(chain.as_ref(), full_every, &table, &log);
                 (next, chain.as_ref().map(|chain| chain.head))
             };
-            let Some((payload, redo_start)) = next else {
+            let Some(next) = next else {
                 self.inner.daemon.lock().checkpoints_skipped += 1;
                 return Ok(head);
             };
-            let is_delta = matches!(payload, PageOpPayload::DeltaCheckpoint { .. });
-            (log.append(payload)?, redo_start, table, is_delta)
+            let (redo_start, is_delta) = (next.redo_start, next.is_delta());
+            let ck = log.append(PageOpPayload::Checkpoint(next))?;
+            (ck, redo_start, table, is_delta)
         };
         // Make the record durable through the group-commit path.
         self.commit_tick();
@@ -640,9 +641,7 @@ impl SharedDb {
         }
         let mut daemon = self.inner.daemon.lock();
         daemon.checkpoints_taken += 1;
-        if is_delta {
-            daemon.deltas_published += 1;
-        }
+        daemon.deltas_published += u64::from(is_delta);
         daemon.truncated_bytes += reclaimed;
         daemon.truncated_bytes_by_shard = log.truncated_bytes_by_shard();
         daemon.forces_by_shard = log.forces_by_shard();
@@ -801,10 +800,9 @@ impl SharedDb {
         let mut log = inner.log.into_inner();
         log.crash();
         disk.crash();
-        let mut db = Db::new(inner.geometry);
-        db.disk = disk;
-        db.log = log;
-        db
+        // One injector through every surviving device and the shell, so
+        // `arm_faults` on the image reaches them.
+        Db::from_parts(inner.geometry, None, disk, log)
     }
 }
 
@@ -814,6 +812,7 @@ mod tests {
     use crate::generalized::Generalized;
     use crate::testkit::model;
     use crate::RecoveryMethod;
+    use redo_sim::fault::{FaultKind, FaultPlan};
     use redo_workload::pages::{Cell, PageWorkloadSpec};
     use std::collections::BTreeSet;
 
@@ -1302,6 +1301,53 @@ mod tests {
                 assert_eq!(shared.read_cell(cell).expect("read"), v);
             }
         }
+    }
+
+    #[test]
+    fn an_image_from_crash_obeys_arm_faults() {
+        // Regression: `SharedDb::new` built its disk and its log around
+        // two unrelated injectors and `crash()` moved both into a shell
+        // holding a third (`open_on_demand` did the same the other way),
+        // so `arm_faults` armed a switchboard no device consulted: this
+        // script landed 6 page writes and never tripped.
+        let dies_at_first_event = |mut db: Db<PageOpPayload>| {
+            Generalized.recover(&mut db).expect("recover");
+            assert!(db.pool.dirty_count() > 0, "recovery left nothing to flush");
+            let landed = db.disk.page_writes();
+            db.arm_faults(FaultPlan {
+                at: 1,
+                kind: FaultKind::Clean,
+            });
+            let _ = db.flush_everything();
+            assert!(db.fault_tripped(), "the armed plan reached no device");
+            assert_eq!(
+                db.disk.page_writes(),
+                landed,
+                "a dead machine writes nothing"
+            );
+        };
+        let ops = PageWorkloadSpec {
+            n_ops: 40,
+            n_pages: 6,
+            cross_page_fraction: 0.3,
+            ..Default::default()
+        }
+        .generate(5);
+        let shared = SharedDb::new(Geometry { slots_per_page: 8 });
+        for op in &ops {
+            shared.execute(op).expect("execute");
+        }
+        shared.commit_tick();
+        dies_at_first_event(shared.crash());
+        // The same for an image that went through the lazy face.
+        let (db, _) = run_with_checkpoints(41);
+        let shared = SharedDb::open_on_demand(db).expect("open on demand");
+        while shared.recovery_tick().expect("recovery tick") {}
+        for op in &ops {
+            shared.execute(op).expect("execute");
+        }
+        shared.commit_tick();
+        dies_at_first_event(shared.crash());
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //! which actuators to fire:
 //!
 //! 1. **Checkpoint cadence** — checkpoint when estimated replay cost
-//!    crosses the budget, not on a timer. Checkpoints are *incremental*:
-//!    a [`PageOpPayload::DeltaCheckpoint`] carrying the DPT delta
-//!    against the previous record, chained by `prev` links to the full
-//!    snapshot at `base`, with a full [`PageOpPayload::FuzzyCheckpoint`]
-//!    republished every [`Control::FULL_EVERY`] links to bound the
+//!    crosses the budget, not on a timer. Checkpoints are *incremental*
+//!    ([`redo::checkpoint_fuzzy`]): a [`redo::Checkpoint`] whose table
+//!    is a [`redo::DirtyTable::Delta`] against the previous record,
+//!    chained by `prev` links to the full table at `base`, with the full
+//!    table republished every [`Control::FULL_EVERY`] links to bound the
 //!    chain analysis must walk.
 //! 2. **Targeted flushing** — flush the dirty page with the *minimum*
 //!    recLSN, the one pinning the truncation horizon, instead of a
@@ -40,10 +40,10 @@
 //! The planner ([`Controller::plan`]) is a pure function of the
 //! estimate, so its policy is unit-testable without a database. The
 //! [`Control`] method at the bottom is the *sequential* face of the
-//! loop — the same role [`GeneralizedOnline`](crate::online) plays for
-//! the concurrent daemon's full checkpoints — and exists chiefly so the
-//! crash audit can drive fault injection into every step of
-//! delta-chain publication through the generic harness.
+//! loop — [`redo::checkpoint_fuzzy`] at [`Control::FULL_EVERY`], where
+//! [`GeneralizedOnline`](crate::online) is the same call at 0 — and
+//! exists chiefly so the crash audit can drive fault injection into
+//! every step of delta-chain publication through the generic harness.
 
 use redo_sim::db::Db;
 use redo_sim::SimResult;
@@ -52,7 +52,7 @@ use redo_workload::pages::PageOp;
 
 use crate::generalized::Generalized;
 use crate::oprecord::PageOpPayload;
-use crate::redo::{self, Chain};
+use crate::redo;
 use crate::{RecoveryMethod, RecoveryStats};
 
 /// The restart-latency budget the controller steers toward: how much a
@@ -194,39 +194,6 @@ pub struct Control;
 impl Control {
     /// Republish a full snapshot after this many consecutive deltas.
     pub const FULL_EVERY: u64 = 4;
-
-    /// One incremental checkpoint attempt: skip if the system is
-    /// quiescent, publish a [`PageOpPayload::DeltaCheckpoint`] against
-    /// the live chain (or a full [`PageOpPayload::FuzzyCheckpoint`]
-    /// when there is no healthy chain or the chain is
-    /// [`Control::FULL_EVERY`] deep), then force / swing / truncate
-    /// exactly as [`GeneralizedOnline::checkpoint_online`]
-    /// (crate::online::GeneralizedOnline::checkpoint_online) does —
-    /// every step remains a faultable crash point, and an abandoned
-    /// attempt publishes nothing and truncates nothing.
-    ///
-    /// Returns the LSN of the checkpoint now in force: the fresh one on
-    /// publication, the standing one on a quiescent skip, `None` when
-    /// the attempt was abandoned mid-publication.
-    ///
-    /// # Errors
-    ///
-    /// Substrate errors. (Fault suppression surfaces as an abandoned
-    /// attempt, not an error.)
-    pub fn checkpoint_incremental(db: &mut Db<PageOpPayload>) -> SimResult<Option<Lsn>> {
-        // The chain is re-derived from the log each time (this method is
-        // stateless — that is what lets the generic crash audit drive
-        // faults into any step of publication and still find a
-        // consistent system afterwards).
-        let chain = Chain::standing(db);
-        let table = db.pool.dirty_page_table().into_iter().collect();
-        match redo::next_checkpoint(chain.as_ref(), Self::FULL_EVERY, &table, &db.log) {
-            Some((payload, redo_start)) => {
-                redo::publish(&mut db.log, &mut db.disk, payload, redo_start)
-            }
-            None => Ok(chain.map(|chain| chain.head)),
-        }
-    }
 }
 
 impl RecoveryMethod for Control {
@@ -241,7 +208,7 @@ impl RecoveryMethod for Control {
     }
 
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
-        Self::checkpoint_incremental(db).map(|_| ())
+        redo::checkpoint_fuzzy(db, Self::FULL_EVERY).map(|_| ())
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
@@ -252,6 +219,7 @@ impl RecoveryMethod for Control {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::redo::{Checkpoint, CheckpointView, DirtyTable};
     use crate::testkit::{assert_matches_model, cross_page_workload};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -340,7 +308,7 @@ mod tests {
             Control.execute(&mut db, op).unwrap();
             db.chaos_flush(&mut rng, 0.8, 0.5).unwrap();
             if (i + 1) % 5 == 0 {
-                let ck = Control::checkpoint_incremental(&mut db)
+                let ck = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
                     .unwrap()
                     .expect("no faults armed: publication must land");
                 published.push(ck);
@@ -353,7 +321,9 @@ mod tests {
         assert_eq!(master, *published.last().unwrap());
         let rec = db.log.record_at_lsn(master).unwrap().unwrap();
         assert!(
-            matches!(rec.payload, PageOpPayload::DeltaCheckpoint { .. }),
+            rec.payload
+                .as_checkpoint()
+                .is_some_and(Checkpoint::is_delta),
             "{:?}",
             rec.payload
         );
@@ -372,15 +342,17 @@ mod tests {
         for (i, op) in ops.iter().enumerate() {
             Control.execute(&mut db, op).unwrap();
             if (i + 1) % 3 == 0 {
-                let ck = Control::checkpoint_incremental(&mut db)
+                let ck = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
                     .unwrap()
                     .expect("published");
                 let rec = db.log.record_at_lsn(ck).unwrap().unwrap();
-                kinds.push(match rec.payload {
-                    PageOpPayload::FuzzyCheckpoint { .. } => 'F',
-                    PageOpPayload::DeltaCheckpoint { .. } => 'D',
-                    _ => '?',
-                });
+                kinds.push(
+                    match rec.payload.as_checkpoint().map(Checkpoint::is_delta) {
+                        Some(false) => 'F',
+                        Some(true) => 'D',
+                        None => '?',
+                    },
+                );
             }
         }
         assert_eq!(kinds.iter().collect::<String>(), "FDDDFDDDFD");
@@ -393,14 +365,14 @@ mod tests {
         for op in &ops {
             Control.execute(&mut db, op).unwrap();
         }
-        let ck = Control::checkpoint_incremental(&mut db)
+        let ck = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
             .unwrap()
             .expect("published");
         let last = db.log.last_lsn();
         // Nothing moved: the standing checkpoint must be reused, with
         // no new record appended.
         for _ in 0..3 {
-            let again = Control::checkpoint_incremental(&mut db).unwrap();
+            let again = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY).unwrap();
             assert_eq!(again, Some(ck), "quiescent tick must reuse the head");
             assert_eq!(db.log.last_lsn(), last, "no record may be appended");
         }
@@ -409,7 +381,7 @@ mod tests {
         for op in &more {
             Control.execute(&mut db, op).unwrap();
         }
-        let next = Control::checkpoint_incremental(&mut db)
+        let next = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
             .unwrap()
             .expect("published");
         assert!(next > ck);
@@ -428,11 +400,11 @@ mod tests {
         db.pool
             .flush_all(&mut db.disk, db.log.stable_lsn())
             .unwrap();
-        let ck = Control::checkpoint_incremental(&mut db)
+        let ck = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
             .unwrap()
             .expect("published");
         let last = db.log.last_lsn();
-        let again = Control::checkpoint_incremental(&mut db).unwrap();
+        let again = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY).unwrap();
         assert_eq!(again, Some(ck));
         assert_eq!(db.log.last_lsn(), last);
     }
@@ -445,7 +417,7 @@ mod tests {
             Control.execute(&mut db, op).unwrap();
         }
         // A healthy full snapshot to fall back to.
-        let base = Control::checkpoint_incremental(&mut db)
+        let base = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
             .unwrap()
             .expect("published");
         for op in &ops[10..] {
@@ -459,13 +431,15 @@ mod tests {
         let all_pages: Vec<PageId> = (0..5).map(PageId).collect();
         let lying = db
             .log
-            .append(PageOpPayload::DeltaCheckpoint {
-                prev: Lsn(2),
-                base,
+            .append(PageOpPayload::Checkpoint(Checkpoint {
                 redo_start: bogus_redo,
-                added: vec![],
-                removed: all_pages,
-            })
+                table: DirtyTable::Delta {
+                    prev: Lsn(2),
+                    base,
+                    added: vec![],
+                    removed: all_pages,
+                },
+            }))
             .unwrap();
         db.log.flush_all();
         db.disk.set_master(lying).unwrap();
@@ -486,7 +460,7 @@ mod tests {
         for op in &ops[..8] {
             Control.execute(&mut db, op).unwrap();
         }
-        let first = Control::checkpoint_incremental(&mut db)
+        let first = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
             .unwrap()
             .expect("published");
         for op in &ops[8..] {
@@ -500,7 +474,7 @@ mod tests {
             at: 2,
             kind: FaultKind::Clean,
         });
-        let second = Control::checkpoint_incremental(&mut db).unwrap();
+        let second = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY).unwrap();
         assert_eq!(second, None, "swing suppressed: attempt abandoned");
         assert_eq!(db.disk.master(), first, "previous checkpoint stands");
         db.crash();
@@ -510,7 +484,7 @@ mod tests {
         assert_matches_model(&mut db, &ops);
         // The orphaned delta does not poison the next publication: the
         // chain re-derives from the master (still `first`).
-        let next = Control::checkpoint_incremental(&mut db)
+        let next = redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
             .unwrap()
             .expect("published");
         assert!(next > first);
@@ -531,7 +505,7 @@ mod tests {
         db.pool
             .flush_all(&mut db.disk, db.log.stable_lsn())
             .unwrap();
-        Control::checkpoint_incremental(&mut db)
+        redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
             .unwrap()
             .expect("published");
         let after = Controller::estimate(&db).unwrap();

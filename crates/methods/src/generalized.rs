@@ -315,7 +315,7 @@ impl RecoveryMethod for Generalized {
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
         // Write-graph acyclicity guarantees the constraint-ordered
         // flush terminates.
-        redo::checkpoint_heavyweight(db, PageOpPayload::Checkpoint)
+        redo::checkpoint_heavyweight(db)
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {

@@ -142,7 +142,6 @@ impl RecoveryStats {
         match verdict {
             redo::Redo::Replayed(id) => self.replayed.push(id),
             redo::Redo::Skipped(id) => self.skipped.push(id),
-            redo::Redo::NotAnOperation => {}
         }
     }
 

@@ -68,7 +68,7 @@ impl RecoveryMethod for Logical {
         if dirty.is_empty() {
             // Nothing to install; still advance the master so recovery
             // scans less log.
-            let ck = db.log.append(PageOpPayload::Checkpoint)?;
+            let ck = redo::append_heavyweight(&mut db.log)?;
             db.log.flush_all();
             db.disk.set_master(ck)?;
             return Ok(());
@@ -76,7 +76,7 @@ impl RecoveryMethod for Logical {
         for (id, page) in &dirty {
             db.disk.write_staging(*id, page.clone());
         }
-        let ck = db.log.append(PageOpPayload::Checkpoint)?;
+        let ck = redo::append_heavyweight(&mut db.log)?;
         db.log.flush_all();
         // The pointer swing: staged pages and the new master install in
         // ONE atomic (and singly faultable) act — a crash point between

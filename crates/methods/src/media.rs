@@ -58,9 +58,8 @@ use redo_workload::pages::{PageId, PageOp};
 
 use crate::generalized::Generalized;
 use crate::ondemand::OnDemand;
-use crate::online::GeneralizedOnline;
 use crate::oprecord::PageOpPayload;
-use crate::{RecoveryMethod, RecoveryStats};
+use crate::{redo, RecoveryMethod, RecoveryStats};
 
 /// Generalized-LSN recovery (online fuzzy checkpoints, archive-tier
 /// truncation) that additionally survives **media failure**: restart
@@ -129,9 +128,7 @@ pub fn rebuild_images(db: &Db<PageOpPayload>) -> SimResult<BTreeMap<PageId, Page
         .into_iter()
         .filter_map(|rec| match rec.payload {
             PageOpPayload::Op(op) => Some((rec.lsn, op)),
-            PageOpPayload::Checkpoint
-            | PageOpPayload::FuzzyCheckpoint { .. }
-            | PageOpPayload::DeltaCheckpoint { .. } => None,
+            _ => None,
         })
         .collect();
     let scratch = scratch_replay(&records, db.geometry.slots_per_page);
@@ -208,7 +205,7 @@ impl RecoveryMethod for Media {
     }
 
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
-        GeneralizedOnline::checkpoint_online(db).map(|_| ())
+        redo::checkpoint_fuzzy(db, 0).map(|_| ())
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {

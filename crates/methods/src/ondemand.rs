@@ -53,7 +53,6 @@ use redo_workload::pages::{Cell, PageId, PageOp};
 use crate::concurrent::SharedDb;
 use crate::generalized::{redo_op, Generalized};
 use crate::media;
-use crate::online::GeneralizedOnline;
 use crate::oprecord::PageOpPayload;
 use crate::redo::{self, RestartAnalysis};
 use crate::{RecoveryMethod, RecoveryStats};
@@ -271,7 +270,7 @@ impl RecoveryMethod for OnDemand {
     }
 
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
-        GeneralizedOnline::checkpoint_online(db).map(|_| ())
+        redo::checkpoint_fuzzy(db, 0).map(|_| ())
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {

@@ -5,13 +5,15 @@
 //! [`crate::generalized::Generalized`]'s heavyweight checkpoint flushes
 //! every dirty page before writing its record — simple, but it stalls
 //! normal operation for the whole flush storm. The online discipline
-//! checkpoints *fuzzily*: snapshot the buffer pool's dirty-page table
-//! with per-page recLSNs, append a
-//! [`PageOpPayload::FuzzyCheckpoint`] record carrying the snapshot and
-//! its precomputed redo-start LSN (the minimum recLSN — every update
-//! below it is installed), and publish the checkpoint by atomically
-//! moving the disk master pointer. Nothing is flushed; the page-LSN
-//! redo tests make scanning from the redo-start exact.
+//! checkpoints *fuzzily* ([`redo::checkpoint_fuzzy`]): snapshot the
+//! buffer pool's dirty-page table with per-page recLSNs, append a
+//! [`redo::Checkpoint`] record carrying the table and its redo-start
+//! LSN (the minimum recLSN — every update below it is installed), and
+//! publish the checkpoint by atomically moving the disk master pointer.
+//! Nothing is flushed; the page-LSN redo tests make scanning from the
+//! redo-start exact. This method always logs the full table
+//! (`full_every` 0); [`Control`](crate::control::Control) is the same
+//! call chaining deltas.
 //!
 //! Publication is a three-step protocol, and each step is a faultable
 //! crash point ([`redo_sim::fault`]):
@@ -35,8 +37,7 @@
 //!    would-be-truncated prefix.
 //!
 //! Execution and recovery are exactly [`Generalized`]'s —
-//! [`redo::analyze`] already dispatches on the record the master
-//! points at.
+//! [`redo::analyze`] reads whatever record the master points at.
 
 use redo_sim::db::Db;
 use redo_sim::SimResult;
@@ -52,25 +53,6 @@ use crate::{redo, RecoveryMethod, RecoveryStats};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GeneralizedOnline;
 
-impl GeneralizedOnline {
-    /// One online checkpoint attempt. Returns the published checkpoint
-    /// LSN, or `None` if the attempt was abandoned (the record never
-    /// became durable, or the pointer swing did not land — both happen
-    /// under fault injection); an abandoned attempt publishes nothing
-    /// and truncates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Substrate errors. (Fault suppression is not an error — it
-    /// surfaces as an abandoned attempt.)
-    pub fn checkpoint_online(db: &mut Db<PageOpPayload>) -> SimResult<Option<Lsn>> {
-        let dirty = db.pool.dirty_page_table();
-        let redo_start = redo::redo_start_of(dirty.iter().map(|&(_, rec)| rec), &db.log);
-        let payload = PageOpPayload::FuzzyCheckpoint { dirty, redo_start };
-        redo::publish(&mut db.log, &mut db.disk, payload, redo_start)
-    }
-}
-
 impl RecoveryMethod for GeneralizedOnline {
     type Payload = PageOpPayload;
 
@@ -83,7 +65,7 @@ impl RecoveryMethod for GeneralizedOnline {
     }
 
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
-        Self::checkpoint_online(db).map(|_| ())
+        redo::checkpoint_fuzzy(db, 0).map(|_| ())
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
@@ -114,7 +96,7 @@ mod tests {
             GeneralizedOnline.execute(&mut db, op).unwrap();
             db.chaos_flush(&mut rng, 0.8, 0.5).unwrap();
             if (i + 1) % 8 == 0 {
-                let ck = GeneralizedOnline::checkpoint_online(&mut db).unwrap();
+                let ck = redo::checkpoint_fuzzy(&mut db, 0).unwrap();
                 assert!(ck.is_some(), "no faults armed: publication must land");
                 published += 1;
             }
@@ -141,7 +123,7 @@ mod tests {
         for op in &ops[10..20] {
             GeneralizedOnline.execute(&mut db, op).unwrap();
         }
-        let ck = GeneralizedOnline::checkpoint_online(&mut db).unwrap();
+        let ck = redo::checkpoint_fuzzy(&mut db, 0).unwrap();
         for op in &ops[20..] {
             GeneralizedOnline.execute(&mut db, op).unwrap();
         }
@@ -165,7 +147,7 @@ mod tests {
         }
         let dirty_before = db.pool.dirty_pages();
         assert!(!dirty_before.is_empty());
-        GeneralizedOnline::checkpoint_online(&mut db)
+        redo::checkpoint_fuzzy(&mut db, 0)
             .unwrap()
             .expect("published");
         assert_eq!(
@@ -186,7 +168,7 @@ mod tests {
         db.pool
             .flush_all(&mut db.disk, db.log.stable_lsn())
             .unwrap();
-        let ck = GeneralizedOnline::checkpoint_online(&mut db)
+        let ck = redo::checkpoint_fuzzy(&mut db, 0)
             .unwrap()
             .expect("published");
         assert_eq!(db.log.first_stable(), ck, "only the record itself remains");
@@ -203,7 +185,7 @@ mod tests {
         for op in &ops[..8] {
             GeneralizedOnline.execute(&mut db, op).unwrap();
         }
-        let first = GeneralizedOnline::checkpoint_online(&mut db)
+        let first = redo::checkpoint_fuzzy(&mut db, 0)
             .unwrap()
             .expect("published");
         let first_stable_then = db.log.first_stable();
@@ -219,7 +201,7 @@ mod tests {
             at: 2,
             kind: FaultKind::Clean,
         });
-        let second = GeneralizedOnline::checkpoint_online(&mut db).unwrap();
+        let second = redo::checkpoint_fuzzy(&mut db, 0).unwrap();
         assert_eq!(second, None, "swing suppressed: attempt abandoned");
         assert_eq!(db.disk.master(), first, "previous checkpoint stands");
         assert_eq!(

@@ -82,7 +82,6 @@ use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp};
 
-use crate::online::GeneralizedOnline;
 use crate::oprecord::PageOpPayload;
 use crate::physical::{PhysPayload, Physical};
 use crate::physiological::Physiological;
@@ -199,12 +198,13 @@ fn scan_shard<P: PageLocal>(
             let home = pages.iter().map(|&p| db.log.shard_of(p)).min();
             let is_home = home.unwrap_or(0) == s;
             scanned += usize::from(is_home);
-            let Some((op_id, parts)) = analysis.owed_parts(lsn, payload)? else {
+            if payload.as_checkpoint().is_some() {
                 // Checkpoint records are not page writes: counted,
                 // never routed to a page partition.
                 checkpoints += usize::from(is_home);
                 continue;
-            };
+            }
+            let (op_id, parts) = analysis.owed_parts(lsn, payload)?;
             if parts.is_empty() && is_home {
                 // The DPT already decided this operation: skipped,
                 // no partition or page fetch involved.
@@ -342,10 +342,11 @@ where
 /// reach a partition; checkpoint records are counted
 /// ([`ScanStats::checkpoint_records`]) but never routed.
 ///
-/// Works against any image of the payload — [`Physiological`]'s
-/// heavyweight checkpoints and [`GeneralizedOnline`]'s fuzzy online
-/// checkpoints over single-page operations, [`Physical`]'s heavyweight
-/// and fuzzy ones — and leaves what the serial executor leaves: the
+/// Works against any image of the payload — heavyweight
+/// ([`redo::checkpoint_heavyweight`]) or fuzzy
+/// ([`redo::checkpoint_fuzzy`]) checkpoints, full tables or delta
+/// chains, over [`Physiological`]'s single-page operations or
+/// [`Physical`]'s after-images — and leaves what the serial executor leaves: the
 /// same state, the same semantic stats, the same dirty-page table (the
 /// harness, checker, and proptests enforce this differentially).
 ///
@@ -425,7 +426,7 @@ impl RecoveryMethod for ParallelPhysiological {
 
 /// [`Physical`] with the recovery path replaced by
 /// [`recover_partitioned`] and the checkpoint discipline by the
-/// *fuzzy* one ([`Physical::checkpoint_fuzzy`]) — so a crashed image
+/// *fuzzy* one ([`redo::checkpoint_fuzzy`]) — so a crashed image
 /// carries a dirty-page table for the partitioned restart to route by.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelPhysical {
@@ -445,7 +446,7 @@ impl RecoveryMethod for ParallelPhysical {
     }
 
     fn checkpoint(&self, db: &mut Db<PhysPayload>) -> SimResult<()> {
-        Physical::checkpoint_fuzzy(db).map(|_| ())
+        redo::checkpoint_fuzzy(db, 0).map(|_| ())
     }
 
     fn recover(&self, db: &mut Db<PhysPayload>) -> SimResult<RecoveryStats> {
@@ -462,7 +463,7 @@ impl RecoveryMethod for ParallelPhysical {
 }
 
 /// The online fuzzy-checkpoint discipline
-/// ([`GeneralizedOnline::checkpoint_online`]) over physiological
+/// ([`redo::checkpoint_fuzzy`]) over physiological
 /// (single-page) operations, with the recovery path replaced by the
 /// DPT-fed [`recover_partitioned`] — the full tentpole
 /// combination: fuzzy checkpoints with log truncation during normal
@@ -486,7 +487,7 @@ impl RecoveryMethod for ParallelOnline {
     }
 
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
-        GeneralizedOnline::checkpoint_online(db).map(|_| ())
+        redo::checkpoint_fuzzy(db, 0).map(|_| ())
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
@@ -553,6 +554,7 @@ mod tests {
                 last = recover_partitioned(&mut par_db, threads).unwrap();
                 assert_eq!(last, expect, "{at}");
                 assert_eq!(last.checkpoint_lsn, expect.checkpoint_lsn, "{at}");
+                assert_eq!(last.checkpoint_records, expect.checkpoint_records, "{at}");
                 assert_eq!(
                     par_db.volatile_theory_state(),
                     serial_db.volatile_theory_state(),

@@ -19,16 +19,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use redo_sim::db::Db;
 use redo_sim::page::Page;
 use redo_sim::wal::{codec, LogPayload};
-use redo_sim::{SimError, SimResult};
+use redo_sim::SimResult;
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp, SlotId};
 
-use crate::oprecord::{get_dirty_table, put_dirty_table};
-use crate::redo::{self, CheckpointRecord, CheckpointView, PageLocal, Parts};
+use crate::redo::{self, Checkpoint, CheckpointView, PageLocal, Parts};
 use crate::{RecoveryMethod, RecoveryStats};
 
 /// Log payload for physical recovery: blind after-images or a checkpoint
-/// marker.
+/// record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PhysPayload {
     /// The exact cells and values an operation wrote.
@@ -38,20 +37,11 @@ pub enum PhysPayload {
         /// After-images in write order.
         writes: Vec<(Cell, u64)>,
     },
-    /// A checkpoint record: every earlier operation is installed.
-    Checkpoint,
-    /// A fuzzy checkpoint record, taken without flushing: the buffer
-    /// pool's dirty-page table (page, recLSN) at the snapshot plus the
-    /// precomputed redo-start LSN. Blind replay makes re-applying
-    /// installed records harmless, so recovery may simply scan from
-    /// `redo_start`; the table additionally lets every executor drop
-    /// the per-page parts it proves installed before a page is touched.
-    FuzzyCheckpoint {
-        /// Dirty pages with their recovery LSNs, in id order.
-        dirty: Vec<(PageId, Lsn)>,
-        /// The LSN recovery must scan from.
-        redo_start: Lsn,
-    },
+    /// A checkpoint. Blind replay makes re-applying installed records
+    /// harmless, so recovery may simply scan from its redo-start; its
+    /// table additionally lets every executor drop the per-page parts it
+    /// proves installed before a page is touched.
+    Checkpoint(Checkpoint),
 }
 
 impl LogPayload for PhysPayload {
@@ -66,12 +56,7 @@ impl LogPayload for PhysPayload {
                     codec::put_u64(buf, v);
                 }
             }
-            PhysPayload::Checkpoint => codec::put_u8(buf, 1),
-            PhysPayload::FuzzyCheckpoint { dirty, redo_start } => {
-                codec::put_u8(buf, 2);
-                codec::put_u64(buf, redo_start.0);
-                put_dirty_table(buf, "dirty-page-table length", dirty)?;
-            }
+            PhysPayload::Checkpoint(checkpoint) => checkpoint.encode(buf)?,
         }
         Ok(())
     }
@@ -89,13 +74,7 @@ impl LogPayload for PhysPayload {
                 }
                 Ok(PhysPayload::Writes { op_id, writes })
             }
-            1 => Ok(PhysPayload::Checkpoint),
-            2 => {
-                let redo_start = Lsn(codec::get_u64(input, pos)?);
-                let dirty = get_dirty_table(input, pos)?;
-                Ok(PhysPayload::FuzzyCheckpoint { dirty, redo_start })
-            }
-            _ => Err(SimError::Corrupt(*pos - 1)),
+            kind => Checkpoint::decode(kind, input, pos).map(PhysPayload::Checkpoint),
         }
     }
 
@@ -105,20 +84,21 @@ impl LogPayload for PhysPayload {
                 let pages: BTreeSet<PageId> = writes.iter().map(|&(c, _)| c.page).collect();
                 pages.into_iter().collect()
             }
-            PhysPayload::Checkpoint | PhysPayload::FuzzyCheckpoint { .. } => Vec::new(),
+            PhysPayload::Checkpoint(_) => Vec::new(),
         }
     }
 }
 
 impl CheckpointView for PhysPayload {
-    fn into_checkpoint(self) -> Option<CheckpointRecord> {
+    fn as_checkpoint(&self) -> Option<&Checkpoint> {
         match self {
             PhysPayload::Writes { .. } => None,
-            PhysPayload::Checkpoint => Some(CheckpointRecord::Heavyweight),
-            PhysPayload::FuzzyCheckpoint { dirty, redo_start } => {
-                Some(CheckpointRecord::Snapshot { dirty, redo_start })
-            }
+            PhysPayload::Checkpoint(checkpoint) => Some(checkpoint),
         }
+    }
+
+    fn from_checkpoint(checkpoint: Checkpoint) -> Self {
+        PhysPayload::Checkpoint(checkpoint)
     }
 }
 
@@ -126,15 +106,15 @@ impl PageLocal for PhysPayload {
     /// One page's after-images, in write order.
     type Part = Vec<(SlotId, u64)>;
 
-    fn into_parts(self) -> SimResult<Option<Parts<Self::Part>>> {
+    fn into_parts(self) -> SimResult<Parts<Self::Part>> {
         let PhysPayload::Writes { op_id, writes } = self else {
-            return Ok(None);
+            return Err(redo::NOT_AN_OPERATION);
         };
         let mut per_page: BTreeMap<PageId, Self::Part> = BTreeMap::new();
         for (cell, v) in writes {
             per_page.entry(cell.page).or_default().push((cell.slot, v));
         }
-        Ok(Some((op_id, per_page.into_iter().collect())))
+        Ok((op_id, per_page.into_iter().collect()))
     }
 
     /// The §6.2 redo step: the test is "always" — after-images are
@@ -151,26 +131,6 @@ impl PageLocal for PhysPayload {
 /// The physical recovery method.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Physical;
-
-impl Physical {
-    /// One *online* checkpoint attempt for the physical method: no page
-    /// flushing, just a dirty-page-table snapshot published through the
-    /// master pointer, followed by prefix truncation. The protocol and
-    /// its abandonment semantics are [`redo::publish`]'s; returns the
-    /// published checkpoint LSN, or `None` if the attempt was abandoned
-    /// under fault injection.
-    ///
-    /// # Errors
-    ///
-    /// Substrate errors. (Fault suppression is not an error — it
-    /// surfaces as an abandoned attempt.)
-    pub fn checkpoint_fuzzy(db: &mut Db<PhysPayload>) -> SimResult<Option<Lsn>> {
-        let dirty = db.pool.dirty_page_table();
-        let redo_start = redo::redo_start_of(dirty.iter().map(|&(_, rec)| rec), &db.log);
-        let payload = PhysPayload::FuzzyCheckpoint { dirty, redo_start };
-        redo::publish(&mut db.log, &mut db.disk, payload, redo_start)
-    }
-}
 
 impl RecoveryMethod for Physical {
     type Payload = PhysPayload;
@@ -211,7 +171,7 @@ impl RecoveryMethod for Physical {
         // §6.2: set the stable values to those in the cache (which
         // include every pending operation's effects), then write the
         // checkpoint record — atomically installing the lot.
-        redo::checkpoint_heavyweight(db, PhysPayload::Checkpoint)
+        redo::checkpoint_heavyweight(db)
     }
 
     fn recover(&self, db: &mut Db<PhysPayload>) -> SimResult<RecoveryStats> {
@@ -254,32 +214,6 @@ mod tests {
         let mut pos = 0;
         assert_eq!(PhysPayload::decode(&buf, &mut pos).unwrap(), p);
         assert_eq!(pos, buf.len());
-        let mut buf = Vec::new();
-        PhysPayload::Checkpoint.encode(&mut buf).unwrap();
-        let mut pos = 0;
-        assert_eq!(
-            PhysPayload::decode(&buf, &mut pos).unwrap(),
-            PhysPayload::Checkpoint
-        );
-    }
-
-    #[test]
-    fn fuzzy_checkpoint_roundtrip() {
-        for dirty in [
-            vec![],
-            vec![(PageId(3), Lsn(7))],
-            vec![(PageId(0), Lsn(1)), (PageId(9), Lsn(40))],
-        ] {
-            let p = PhysPayload::FuzzyCheckpoint {
-                dirty,
-                redo_start: Lsn(5),
-            };
-            let mut buf = Vec::new();
-            p.encode(&mut buf).unwrap();
-            let mut pos = 0;
-            assert_eq!(PhysPayload::decode(&buf, &mut pos).unwrap(), p);
-            assert_eq!(pos, buf.len());
-        }
     }
 
     #[test]
@@ -296,7 +230,7 @@ mod tests {
         }
         let dirty_before = db.pool.dirty_pages();
         assert!(!dirty_before.is_empty());
-        let ck = Physical::checkpoint_fuzzy(&mut db)
+        let ck = redo::checkpoint_fuzzy(&mut db, 0)
             .unwrap()
             .expect("no faults armed: publication must land");
         assert_eq!(

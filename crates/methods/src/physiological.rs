@@ -66,12 +66,12 @@ pub(crate) fn redo_if_older_than(page: &mut Page, bar: Lsn, lsn: Lsn, op: &PageO
 impl PageLocal for PageOpPayload {
     type Part = PageOp;
 
-    fn into_parts(self) -> SimResult<Option<Parts<PageOp>>> {
+    fn into_parts(self) -> SimResult<Parts<PageOp>> {
         let PageOpPayload::Op(op) = self else {
-            return Ok(None);
+            return Err(redo::NOT_AN_OPERATION);
         };
         let page = single_page(&op)?;
-        Ok(Some((op.id, vec![(page, op)])))
+        Ok((op.id, vec![(page, op)]))
     }
 
     fn redo(page: &mut Page, lsn: Lsn, op: &PageOp) -> bool {
@@ -97,7 +97,7 @@ impl RecoveryMethod for Physiological {
         // A heavyweight (flush-everything) checkpoint: afterwards every
         // logged operation is installed, so recovery may start at the
         // checkpoint record.
-        redo::checkpoint_heavyweight(db, PageOpPayload::Checkpoint)
+        redo::checkpoint_heavyweight(db)
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {

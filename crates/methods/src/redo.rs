@@ -5,23 +5,28 @@
 //! test — covers every §6 method. This module is that procedure over the
 //! substrate, in the three pieces every method shares:
 //!
-//! * [`analyze`] — read the record the disk master names and dispatch
-//!   on its checkpoint kind ([`CheckpointRecord`]) to a
-//!   [`RestartAnalysis`]: where the scan starts, which checkpoint is in
-//!   force, and the dirty-page table when the checkpoint was fuzzy.
+//! * [`analyze`] — read the [`Checkpoint`] record the disk master names
+//!   into a [`RestartAnalysis`]: where the scan starts, which checkpoint
+//!   is in force, and the dirty-page table it logged. There is one
+//!   record shape: a redo-start plus a [`DirtyTable`], which is either
+//!   the whole table or its delta against the previous record of a
+//!   chain. A heavyweight checkpoint is not a third kind — it is the
+//!   empty table with a redo-start one past its own LSN.
 //! * [`recover`] — the serial loop: repair, analyze, seek to the
 //!   redo-start, then batch by batch prefetch the method's footprint
 //!   and hand each record to the method's redo closure, which decides
-//!   *replayed / skipped / not an operation* and applies. A method is
-//!   its `(footprint, redo test)` pair and nothing else — and a
+//!   *replayed / skipped* and applies; a checkpoint record is recognised
+//!   here, through [`CheckpointView`], and never reaches the closure. A
+//!   method is its `(footprint, redo test)` pair and nothing else — and a
 //!   §6.2/§6.3 method, whose conflicts all live inside one page, states
 //!   that pair once as a [`PageLocal`] payload: how a record splits
 //!   into per-page parts, and one step that is the redo test and the
 //!   apply. [`recover_local`] runs the step on the pool's frames.
 //! * checkpoint publication — [`checkpoint_heavyweight`] (flush
-//!   everything, then move the master) and [`publish`] (fuzzy: append →
-//!   force → verify → master write → verify → archive the prefix), plus
-//!   the `Chain` bookkeeping incremental checkpoints diff against.
+//!   everything, then move the master) and [`checkpoint_fuzzy`], the one
+//!   online publisher for every payload: diff the pool's table against
+//!   the standing `Chain`, then [`publish`] (append → force → verify →
+//!   master write → verify → archive the prefix).
 //!
 //! The other *executors* run the same analysis. Lazy restart — both
 //! faces, [`crate::ondemand`] over a sequential [`Db`] and
@@ -41,35 +46,31 @@ use std::collections::{BTreeMap, BTreeSet};
 use redo_sim::db::Db;
 use redo_sim::disk::Disk;
 use redo_sim::page::Page;
-use redo_sim::wal::{LogPayload, ShardedLog, ShardedScanner};
-use redo_sim::SimResult;
+use redo_sim::wal::{codec, LogPayload, ShardedLog, ShardedScanner};
+use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp};
 
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryStats, SCAN_BATCH};
 
-/// How a log record presents itself to restart analysis when the disk
-/// master names it.
+/// The dirty-page table a checkpoint logs: two encodings of the same
+/// `(page, recLSN)` table.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CheckpointRecord {
-    /// A heavyweight checkpoint: everything below it is installed.
-    Heavyweight,
-    /// A full fuzzy snapshot of the dirty-page table.
-    Snapshot {
-        /// Dirty pages with their recovery LSNs.
-        dirty: Vec<(PageId, Lsn)>,
-        /// The LSN recovery must scan from.
-        redo_start: Lsn,
-    },
-    /// One link of an incremental chain: the table delta against `prev`.
+pub enum DirtyTable {
+    /// The whole table, in page-id order.
+    Full(Vec<(PageId, Lsn)>),
+    /// The table as its difference from the checkpoint record at `prev`.
+    /// Analysis rebuilds it by walking `prev` links back to the `Full`
+    /// record at `base` and folding the deltas oldest→newest; a broken
+    /// link falls back to `base` as logged, and failing that to a full
+    /// scan — a delta only ever *narrows* the scan, it can never make
+    /// recovery wrong.
     Delta {
         /// The previous checkpoint record in the chain.
         prev: Lsn,
-        /// The full snapshot the chain grows from.
+        /// The `Full` record the chain grows from.
         base: Lsn,
-        /// The LSN recovery must scan from, as of this delta.
-        redo_start: Lsn,
         /// Pages dirtied (or re-dirtied at a new recLSN) since `prev`.
         added: Vec<(PageId, Lsn)>,
         /// Pages cleaned since `prev`.
@@ -77,11 +78,120 @@ pub enum CheckpointRecord {
     },
 }
 
-/// A log payload whose checkpoint records [`analyze`] can read.
+/// The one checkpoint record, whatever the method and however it was
+/// taken: where the redo scan starts, and the dirty-page table as of
+/// the snapshot. An online (fuzzy) checkpoint flushes nothing and logs
+/// the pool's table with its minimum recLSN; a heavyweight one flushed
+/// everything first, so it logs the empty table and a redo-start one
+/// past itself ([`append_heavyweight`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// The LSN recovery must scan from: every record below it is
+    /// durably installed.
+    pub redo_start: Lsn,
+    /// The dirty-page table at the snapshot.
+    pub table: DirtyTable,
+}
+
+impl Checkpoint {
+    /// First byte of a record whose table is [`DirtyTable::Full`]. A
+    /// payload's own record tags must stay clear of the two kind bytes.
+    const FULL: u8 = 0xC0;
+    /// First byte of a record whose table is [`DirtyTable::Delta`].
+    const DELTA: u8 = 0xC1;
+
+    /// Does the table chain to an earlier record?
+    #[must_use]
+    pub fn is_delta(&self) -> bool {
+        matches!(self.table, DirtyTable::Delta { .. })
+    }
+
+    /// The one encoder: kind byte, redo-start, a 16-bit count of
+    /// `(page, recLSN)` pairs — the table, or the delta's `added` — and
+    /// for a delta its two links and the 16-bit-counted `removed` list.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::FieldOverflow`] for a list past 65 535 entries.
+    pub fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
+        let (kind, pairs) = match &self.table {
+            DirtyTable::Full(dirty) => (Self::FULL, dirty),
+            DirtyTable::Delta { added, .. } => (Self::DELTA, added),
+        };
+        codec::put_u8(buf, kind);
+        codec::put_u64(buf, self.redo_start.0);
+        let n = codec::count_u16("dirty-page-table length", pairs.len())?;
+        codec::put_u16(buf, n);
+        for &(page, rec) in pairs {
+            codec::put_u32(buf, page.0);
+            codec::put_u64(buf, rec.0);
+        }
+        if let DirtyTable::Delta {
+            prev,
+            base,
+            removed,
+            ..
+        } = &self.table
+        {
+            codec::put_u64(buf, prev.0);
+            codec::put_u64(buf, base.0);
+            let n = codec::count_u16("delta removed length", removed.len())?;
+            codec::put_u16(buf, n);
+            removed.iter().for_each(|page| codec::put_u32(buf, page.0));
+        }
+        Ok(())
+    }
+
+    /// The one decoder. `kind` is the record's first byte, which the
+    /// payload has already read to tell the record from its own.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Corrupt`] for an unknown kind byte or a truncated
+    /// record.
+    pub fn decode(kind: u8, input: &[u8], pos: &mut usize) -> SimResult<Checkpoint> {
+        if kind != Self::FULL && kind != Self::DELTA {
+            return Err(SimError::Corrupt(pos.saturating_sub(1)));
+        }
+        let redo_start = Lsn(codec::get_u64(input, pos)?);
+        let n = codec::get_u16(input, pos)? as usize;
+        let mut pairs = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            let page = PageId(codec::get_u32(input, pos)?);
+            pairs.push((page, Lsn(codec::get_u64(input, pos)?)));
+        }
+        let table = if kind == Self::FULL {
+            DirtyTable::Full(pairs)
+        } else {
+            let prev = Lsn(codec::get_u64(input, pos)?);
+            let base = Lsn(codec::get_u64(input, pos)?);
+            let n = codec::get_u16(input, pos)? as usize;
+            let mut removed = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                removed.push(PageId(codec::get_u32(input, pos)?));
+            }
+            DirtyTable::Delta {
+                prev,
+                base,
+                added: pairs,
+                removed,
+            }
+        };
+        Ok(Checkpoint { redo_start, table })
+    }
+}
+
+/// The bridge between a method's log payload and the [`Checkpoint`]
+/// records logged in it: each payload has one variant holding the
+/// record, and says so here — which is how the driver tells a checkpoint
+/// from an operation, and how the publishers log one.
 pub trait CheckpointView: LogPayload {
     /// The checkpoint this record publishes, or `None` for an operation
     /// record.
-    fn into_checkpoint(self) -> Option<CheckpointRecord>;
+    fn as_checkpoint(&self) -> Option<&Checkpoint>;
+
+    /// The payload that logs `checkpoint`.
+    fn from_checkpoint(checkpoint: Checkpoint) -> Self;
 }
 
 /// An operation record split for page-local redo: the workload
@@ -99,14 +209,14 @@ pub trait PageLocal: CheckpointView {
     /// One page's share of a record.
     type Part: Send;
 
-    /// Splits the record into per-page parts; `None` for a checkpoint
-    /// record.
+    /// Splits an operation record into per-page parts. (The executors
+    /// never hand it a checkpoint record.)
     ///
     /// # Errors
     ///
-    /// [`SimError::MethodViolation`](redo_sim::SimError::MethodViolation)
-    /// for a record whose shape the method does not log.
-    fn into_parts(self) -> SimResult<Option<Parts<Self::Part>>>;
+    /// [`SimError::MethodViolation`] for a record whose shape the method
+    /// does not log.
+    fn into_parts(self) -> SimResult<Parts<Self::Part>>;
 
     /// The redo test *and* the apply: brings `page` up to the record at
     /// `lsn` if the test says it misses `part`, and reports whether it
@@ -116,7 +226,7 @@ pub trait PageLocal: CheckpointView {
 
 /// What restart analysis computed from the record the disk master
 /// points at: where the redo scan starts, which checkpoint (if any) is
-/// in force, and — for fuzzy checkpoints — the logged dirty-page table.
+/// in force, and the dirty-page table it logged.
 ///
 /// The DPT is what lets a page-local executor — the serial
 /// [`recover_local`] and the partitioned [`crate::parallel`] alike —
@@ -132,9 +242,9 @@ pub struct RestartAnalysis {
     pub redo_start: Lsn,
     /// The published checkpoint the master named, if any.
     pub checkpoint_lsn: Option<Lsn>,
-    /// The fuzzy checkpoint's dirty-page table (page → recLSN), if the
-    /// master named a fuzzy checkpoint. `None` for heavyweight
-    /// checkpoints and for the no-checkpoint fallback.
+    /// The checkpoint's dirty-page table (page → recLSN) — empty for a
+    /// heavyweight checkpoint, which left nothing dirty. `None` only
+    /// for the no-checkpoint fallback.
     pub dirty: Option<BTreeMap<PageId, Lsn>>,
 }
 
@@ -155,10 +265,19 @@ impl RestartAnalysis {
         }
     }
 
+    /// The analysis of the checkpoint at `ck`, with its table resolved.
+    fn at_checkpoint(ck: Lsn, redo_start: Lsn, dirty: BTreeMap<PageId, Lsn>) -> Self {
+        RestartAnalysis {
+            redo_start,
+            checkpoint_lsn: Some(ck),
+            dirty: Some(dirty),
+        }
+    }
+
     /// Is the record `(page, lsn)` provably installed by this analysis
     /// alone — no page fetch, no LSN comparison against the image?
     ///
-    /// True exactly when a fuzzy checkpoint is in force, the record
+    /// True exactly when a checkpoint is in force, the record
     /// precedes it, and the page was clean at the snapshot or dirty
     /// with a recLSN above the record. In both cases every effect of
     /// the record had reached disk before the checkpoint published
@@ -199,12 +318,10 @@ impl RestartAnalysis {
         &self,
         lsn: Lsn,
         payload: P,
-    ) -> SimResult<Option<Parts<P::Part>>> {
-        let mut split = payload.into_parts()?;
-        if let Some((_, parts)) = &mut split {
-            parts.retain(|&(page, _)| !self.provably_installed(page, lsn));
-        }
-        Ok(split)
+    ) -> SimResult<Parts<P::Part>> {
+        let (op_id, mut parts) = payload.into_parts()?;
+        parts.retain(|&(page, _)| !self.provably_installed(page, lsn));
+        Ok((op_id, parts))
     }
 
     /// `page`'s stable chain entries `(LSN, offset)` restart still
@@ -288,14 +405,12 @@ impl RestartAnalysis {
 }
 
 /// The analysis step: decide where the redo scan starts from the record
-/// the disk master points at. A [`CheckpointRecord::Heavyweight`]
-/// installed everything below it, so the scan starts just after; a
-/// [`CheckpointRecord::Snapshot`] carries its own precomputed redo-start
-/// and dirty-page table; a [`CheckpointRecord::Delta`] is folded over
-/// its chain. No master (or a master pointing at anything else) falls
-/// back to a full scan from the log's first retained record — always
-/// safe, since the per-record redo tests decide installation on their
-/// own.
+/// the disk master points at. A [`Checkpoint`] carries its own
+/// redo-start; its table is taken as logged ([`DirtyTable::Full`]) or
+/// folded over its chain ([`DirtyTable::Delta`]). No master (or a master
+/// pointing at anything else) falls back to a full scan from the log's
+/// first retained record — always safe, since the per-record redo tests
+/// decide installation on their own.
 ///
 /// # Errors
 ///
@@ -304,45 +419,16 @@ pub fn analyze<P: CheckpointView>(db: &Db<P>) -> SimResult<RestartAnalysis> {
     read_master(db).map(|(analysis, _)| analysis)
 }
 
-/// [`analyze`], also reporting — when the master names a healthy fuzzy
-/// chain — the chain's base snapshot LSN and its depth in delta links.
+/// [`analyze`], also reporting — when the master names a healthy chain —
+/// the chain's base LSN and its depth in delta links.
 fn read_master<P: CheckpointView>(db: &Db<P>) -> SimResult<(RestartAnalysis, Option<(Lsn, u64)>)> {
     let master = db.disk.master();
     if master > Lsn::ZERO {
         let mut cursor = db.log.cursor_from(master);
         if let Some(rec) = cursor.next() {
             let rec = rec?;
-            if rec.lsn == master {
-                match rec.payload.into_checkpoint() {
-                    Some(CheckpointRecord::Heavyweight) => {
-                        let analysis = RestartAnalysis {
-                            redo_start: master.next(),
-                            checkpoint_lsn: Some(master),
-                            dirty: None,
-                        };
-                        return Ok((analysis, None));
-                    }
-                    Some(CheckpointRecord::Snapshot { dirty, redo_start }) => {
-                        let analysis = RestartAnalysis {
-                            redo_start,
-                            checkpoint_lsn: Some(master),
-                            dirty: Some(dirty.into_iter().collect()),
-                        };
-                        return Ok((analysis, Some((master, 0))));
-                    }
-                    Some(CheckpointRecord::Delta {
-                        prev,
-                        base,
-                        redo_start,
-                        added,
-                        removed,
-                    }) => {
-                        return Ok(fold_delta_chain(
-                            db, master, prev, base, redo_start, added, removed,
-                        ))
-                    }
-                    None => {}
-                }
+            if let (true, Some(head)) = (rec.lsn == master, rec.payload.as_checkpoint()) {
+                return Ok(resolve_table(db, master, head));
             }
         }
     }
@@ -354,101 +440,87 @@ fn read_master<P: CheckpointView>(db: &Db<P>) -> SimResult<(RestartAnalysis, Opt
 /// looking) walk, far above any chain a sane controller publishes.
 const MAX_DELTA_CHAIN: usize = 64;
 
-/// Reconstructs the dirty-page table from a delta-checkpoint chain: walk
-/// `prev` links (each strictly decreasing) back to the full
-/// [`CheckpointRecord::Snapshot`] at `base`, then fold the deltas
-/// oldest→newest over its snapshot — each delta removes its `removed`
-/// pages, then inserts its `added` (page, recLSN) pairs. Any break in
-/// the chain — a link the log no longer holds, a record of the wrong
-/// kind, a foreign `base`, a non-decreasing link, a chain past
-/// [`MAX_DELTA_CHAIN`] — falls back to reading `base` as a full
-/// snapshot, and failing that to a full scan. The fallbacks only ever
-/// *widen* the scan: records below the newest published redo start are
-/// durably installed (that is what publication proved), redo tests are
-/// monotone, and a base snapshot's `provably_installed` verdicts were
-/// true at its own publication — so a stale analysis replays more, never
-/// wrongly skips.
-fn fold_delta_chain<P: CheckpointView>(
+/// Resolves the table of the checkpoint `head` the master names: a
+/// [`DirtyTable::Full`] is the table; a [`DirtyTable::Delta`] walks
+/// `prev` links (each strictly decreasing) back to the `Full` record at
+/// `base`, then folds the deltas oldest→newest over it — each removes
+/// its `removed` pages, then inserts its `added` pairs. Any break in the
+/// chain — a link the log no longer holds or cannot decode, an operation
+/// record, a `Full` that is not `base`, a delta of another chain, a
+/// non-decreasing link, a chain past [`MAX_DELTA_CHAIN`] — falls back to
+/// reading `base` as logged, and failing that to a full scan. The
+/// fallbacks only ever *widen* the scan: records below the newest
+/// published redo start are durably installed (that is what publication
+/// proved), redo tests are monotone, and a base's `provably_installed`
+/// verdicts were true at its own publication — so a stale analysis
+/// replays more, never wrongly skips.
+fn resolve_table<P: CheckpointView>(
     db: &Db<P>,
     master: Lsn,
-    prev: Lsn,
-    base: Lsn,
-    redo_start: Lsn,
-    added: Vec<(PageId, Lsn)>,
-    removed: Vec<PageId>,
+    head: &Checkpoint,
 ) -> (RestartAnalysis, Option<(Lsn, u64)>) {
-    let mut deltas = vec![(added, removed)];
-    let mut link = prev;
-    let mut at = master;
-    let base_dirty = loop {
-        if deltas.len() > MAX_DELTA_CHAIN || link == Lsn::ZERO || link >= at {
-            break None;
-        }
-        let rec = match db.log.record_at_lsn(link) {
-            Ok(Some(rec)) => rec,
-            // The link is gone (compacted past) or the frame is damaged.
-            Ok(None) | Err(_) => break None,
-        };
-        match rec.payload.into_checkpoint() {
-            Some(CheckpointRecord::Snapshot { dirty, .. }) if rec.lsn == base => {
-                break Some(dirty);
-            }
-            Some(CheckpointRecord::Delta {
+    let mut deltas = Vec::new();
+    let (mut at, mut table) = (master, head.table.clone());
+    // `Ok`: the walk reached a `Full` record at `at`. `Err`: the chain
+    // tore on the way to the base it names.
+    let walked = loop {
+        let (prev, base) = match table {
+            DirtyTable::Full(dirty) => break Ok(dirty),
+            DirtyTable::Delta {
                 prev,
-                base: b,
+                base,
                 added,
                 removed,
-                ..
-            }) if b == base => {
+            } => {
                 deltas.push((added, removed));
-                at = link;
-                link = prev;
+                (prev, base)
             }
-            // A full snapshot that is not `base`, a heavyweight marker,
-            // an operation record, a delta from a different chain: the
-            // link is torn.
-            _ => break None,
+        };
+        if deltas.len() > MAX_DELTA_CHAIN || prev == Lsn::ZERO || prev >= at {
+            break Err(base);
         }
+        let same_chain = |link: &Checkpoint| match &link.table {
+            DirtyTable::Full(_) => prev == base,
+            DirtyTable::Delta { base: b, .. } => *b == base,
+        };
+        let link = db.log.record_at_lsn(prev).ok().flatten();
+        table = match link.as_ref().and_then(|rec| rec.payload.as_checkpoint()) {
+            Some(link) if same_chain(link) => link.table.clone(),
+            _ => break Err(base),
+        };
+        at = prev;
     };
-    match base_dirty {
-        Some(dirty) => {
-            let depth = deltas.len() as u64;
+    match walked {
+        Ok(dirty) => {
             let mut dpt: BTreeMap<PageId, Lsn> = dirty.into_iter().collect();
+            let depth = deltas.len() as u64;
             for (added, removed) in deltas.into_iter().rev() {
                 for page in removed {
                     dpt.remove(&page);
                 }
-                for (page, rec) in added {
-                    dpt.insert(page, rec);
-                }
+                dpt.extend(added);
             }
-            let analysis = RestartAnalysis {
-                redo_start,
-                checkpoint_lsn: Some(master),
-                dirty: Some(dpt),
-            };
-            (analysis, Some((base, depth)))
+            let analysis = RestartAnalysis::at_checkpoint(master, head.redo_start, dpt);
+            (analysis, Some((at, depth)))
         }
-        None => (fall_back_to_base(db, base), None),
-    }
-}
-
-/// The torn-delta fallback: read `base` directly as a full snapshot. Its
-/// redo start and DPT are stale relative to the master delta but were
-/// true at `base`'s own publication — safe, just a wider scan.
-fn fall_back_to_base<P: CheckpointView>(db: &Db<P>, base: Lsn) -> RestartAnalysis {
-    if let Ok(Some(rec)) = db.log.record_at_lsn(base) {
-        if let Some(CheckpointRecord::Snapshot { dirty, redo_start }) =
-            rec.payload.into_checkpoint()
-        {
-            return RestartAnalysis {
-                redo_start,
-                checkpoint_lsn: Some(base),
-                dirty: Some(dirty.into_iter().collect()),
+        // The torn-chain fallback: `base`'s redo start and table are
+        // stale relative to the master but were true at its own
+        // publication — safe, just a wider scan.
+        Err(base) => {
+            let rec = db.log.record_at_lsn(base).ok().flatten();
+            let analysis = match rec.as_ref().and_then(|rec| rec.payload.as_checkpoint()) {
+                Some(Checkpoint {
+                    redo_start,
+                    table: DirtyTable::Full(dirty),
+                }) => {
+                    let dpt = dirty.iter().copied().collect();
+                    RestartAnalysis::at_checkpoint(base, *redo_start, dpt)
+                }
+                _ => RestartAnalysis::full_scan(),
             };
+            (analysis, None)
         }
     }
-    RestartAnalysis::full_scan()
 }
 
 /// Every restart's opening moves, whichever executor finishes it:
@@ -472,7 +544,12 @@ pub(crate) fn begin<P: CheckpointView>(
     Ok((analysis, stats))
 }
 
-/// A method's verdict on one scanned record.
+/// What a redo step answers if it is handed a checkpoint record. The
+/// executors never do: they recognise one through [`CheckpointView`].
+pub(crate) const NOT_AN_OPERATION: SimError =
+    SimError::MethodViolation("a checkpoint record reached a redo step");
+
+/// A method's verdict on one scanned operation record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Redo {
     /// The redo test fired and the operation (by workload op id) was
@@ -480,8 +557,6 @@ pub enum Redo {
     Replayed(u32),
     /// The redo test found the operation already installed.
     Skipped(u32),
-    /// A checkpoint marker: scanned, never replayed.
-    NotAnOperation,
 }
 
 impl Redo {
@@ -501,8 +576,9 @@ impl Redo {
 /// streaming scan that seeks past the checkpointed (or fuzzily elided)
 /// prefix — never decoding it — and goes batch by batch: prefetch the
 /// pages `footprint` names for the upcoming records, then hand each
-/// record (with the analysis) to `redo`, the method's redo test and
-/// replay.
+/// operation record (with the analysis) to `redo`, the method's redo
+/// test and replay. A checkpoint record is scanned and counted, and
+/// never reaches `redo`.
 ///
 /// # Errors
 ///
@@ -534,7 +610,11 @@ where
         );
         for rec in batch {
             stats.scanned += 1;
-            stats.note_verdict(redo(db, &analysis, rec.lsn, rec.payload)?);
+            if rec.payload.as_checkpoint().is_some() {
+                stats.checkpoint_records += 1;
+            } else {
+                stats.note_verdict(redo(db, &analysis, rec.lsn, rec.payload)?);
+            }
         }
     }
     stats.note_scan(scanner.stats(), db.log.forces());
@@ -542,7 +622,7 @@ where
 }
 
 /// [`recover`] for the operation-logging methods: `footprint` and
-/// `redo_test` see only [`PageOpPayload::Op`] records; `redo_test`
+/// `redo_test` see the [`PageOp`] each record logged; `redo_test`
 /// answers whether it replayed the operation.
 ///
 /// # Errors
@@ -569,7 +649,7 @@ where
         },
         |db, _, lsn, payload| {
             let PageOpPayload::Op(op) = payload else {
-                return Ok(Redo::NotAnOperation);
+                return Err(NOT_AN_OPERATION);
             };
             Ok(Redo::of(op.id, redo_test(db, lsn, &op)?))
         },
@@ -591,9 +671,7 @@ where
     S: Fn(&mut Page, Lsn, &P::Part) -> bool,
 {
     recover(db, P::write_pages, |db, analysis, lsn, payload| {
-        let Some((op_id, parts)) = analysis.owed_parts(lsn, payload)? else {
-            return Ok(Redo::NotAnOperation);
-        };
+        let (op_id, parts) = analysis.owed_parts(lsn, payload)?;
         let mut replayed = false;
         for (page, part) in &parts {
             db.fetch_with_steal(*page)?;
@@ -612,32 +690,64 @@ pub(crate) fn read_write_pages(op: &PageOp) -> impl Iterator<Item = PageId> {
 /// A heavyweight (flush-everything) checkpoint: force the log, set the
 /// stable values to those in the cache — `flush_all` retries around
 /// write-order constraints, flushing prerequisite pages first — then
-/// write `marker` and move the master to it. Afterwards every logged
-/// operation is installed, so recovery may start at the marker.
+/// log the record ([`append_heavyweight`]) and move the master to it.
+/// Afterwards every logged operation is installed, so recovery may
+/// start just past the record. Nothing is archived.
 ///
 /// # Errors
 ///
 /// Substrate errors.
-pub fn checkpoint_heavyweight<P: LogPayload>(db: &mut Db<P>, marker: P) -> SimResult<()> {
+pub fn checkpoint_heavyweight<P: CheckpointView>(db: &mut Db<P>) -> SimResult<()> {
     db.flush_everything()?;
-    let ck = db.log.append(marker)?;
+    let ck = append_heavyweight(&mut db.log)?;
     db.log.flush_all();
     db.disk.set_master(ck)
 }
 
-/// The redo-start a fuzzy snapshot of `table` publishes: the minimum
-/// recLSN, or — nothing dirty, everything logged so far installed — the
-/// LSN the checkpoint record itself is about to take.
-pub(crate) fn redo_start_of<P: LogPayload>(
-    table: impl IntoIterator<Item = Lsn>,
-    log: &ShardedLog<P>,
-) -> Lsn {
-    let ck_expected = Lsn(log.last_lsn().0 + 1);
-    table.into_iter().min().unwrap_or(ck_expected)
+/// Appends the record a heavyweight checkpoint logs — the empty table
+/// and a redo-start one past the LSN the record is about to take: the
+/// claim "everything below me is installed". Making it true (flush
+/// first) and moving the master are the caller's business.
+///
+/// # Errors
+///
+/// Substrate errors.
+pub fn append_heavyweight<P: CheckpointView>(log: &mut ShardedLog<P>) -> SimResult<Lsn> {
+    let redo_start = log.last_lsn().next().next();
+    let table = DirtyTable::Full(Vec::new());
+    log.append(P::from_checkpoint(Checkpoint { redo_start, table }))
 }
 
-/// One fuzzy checkpoint publication, each step a faultable crash point:
-/// append `payload`, **force** it through the log, then `land` it.
+/// One online (fuzzy) checkpoint attempt, for any payload: snapshot the
+/// pool's dirty-page table — nothing is flushed — and [`publish`] it as
+/// the standing chain's next record: a delta against a healthy chain
+/// shallower than `full_every`, otherwise the full table (`full_every`
+/// below 2 never chains). The chain is re-derived from the log each
+/// time: the call is stateless, so the crash audit can fault any step
+/// of publication and still find a consistent system afterwards.
+///
+/// Returns the LSN of the checkpoint now in force: the fresh one on
+/// publication, the standing one on a quiescent skip, `None` when the
+/// attempt was abandoned mid-publication.
+///
+/// # Errors
+///
+/// Substrate errors. (Fault suppression is not an error — it surfaces
+/// as an abandoned attempt.)
+pub fn checkpoint_fuzzy<P: CheckpointView>(
+    db: &mut Db<P>,
+    full_every: u64,
+) -> SimResult<Option<Lsn>> {
+    let chain = Chain::standing(db);
+    let table = db.pool.dirty_page_table().into_iter().collect();
+    match next_checkpoint(chain.as_ref(), full_every, &table, &db.log) {
+        Some(checkpoint) => publish(&mut db.log, &mut db.disk, checkpoint),
+        None => Ok(chain.map(|chain| chain.head)),
+    }
+}
+
+/// One checkpoint publication, each step a faultable crash point:
+/// append `checkpoint`, **force** it through the log, then `land` it.
 /// Returns the published checkpoint LSN, or `None` if the attempt was
 /// abandoned (the record never became durable, or the master write did
 /// not land — both happen under fault injection); an abandoned attempt
@@ -647,13 +757,13 @@ pub(crate) fn redo_start_of<P: LogPayload>(
 ///
 /// Substrate errors. (Fault suppression is not an error — it surfaces
 /// as an abandoned attempt.)
-pub fn publish<P: LogPayload>(
+pub fn publish<P: CheckpointView>(
     log: &mut ShardedLog<P>,
     disk: &mut Disk,
-    payload: P,
-    redo_start: Lsn,
+    checkpoint: Checkpoint,
 ) -> SimResult<Option<Lsn>> {
-    let ck = log.append(payload)?;
+    let redo_start = checkpoint.redo_start;
+    let ck = log.append(P::from_checkpoint(checkpoint))?;
     log.flush_all();
     Ok(land(log, disk, ck, redo_start)?.map(|_| ck))
 }
@@ -691,14 +801,14 @@ pub(crate) fn land<P: LogPayload>(
 
 /// The published checkpoint chain now in force: where its head and base
 /// sit, how deep the delta chain is, and the exact table/redo-start the
-/// head published. The sequential [`Control`](crate::control::Control)
-/// method re-derives it from the log ([`Chain::standing`]); the
-/// concurrent daemon keeps it as volatile state.
+/// head published. [`checkpoint_fuzzy`] re-derives it from the log
+/// ([`Chain::standing`]); the concurrent daemon keeps it as volatile
+/// state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Chain {
     /// LSN of the newest published checkpoint record (the master).
     pub(crate) head: Lsn,
-    /// LSN of the full snapshot the chain grows from.
+    /// LSN of the full table the chain grows from.
     pub(crate) base: Lsn,
     /// Delta links from `head` back to `base` (0 when `head == base`).
     pub(crate) depth: u64,
@@ -710,10 +820,10 @@ pub(crate) struct Chain {
 
 impl Chain {
     /// Re-derives the chain from the record the master points at.
-    /// `None` when the master names no healthy fuzzy checkpoint (fresh
-    /// system, heavyweight marker, orphaned record, torn chain) — the
-    /// next publication is then a full snapshot, which is always sound.
-    pub(crate) fn standing(db: &Db<PageOpPayload>) -> Option<Chain> {
+    /// `None` when the master names no healthy checkpoint (fresh
+    /// system, orphaned record, torn chain) — the next publication is
+    /// then a full table, which is always sound.
+    pub(crate) fn standing<P: CheckpointView>(db: &Db<P>) -> Option<Chain> {
         let (analysis, chain) = read_master(db).ok()?;
         let (base, depth) = chain?;
         Some(Chain {
@@ -726,7 +836,7 @@ impl Chain {
     }
 
     /// The chain after `ck` published `table`: a delta extends `prev`
-    /// (same base, one deeper); a full snapshot starts a fresh chain.
+    /// (same base, one deeper); a full table starts a fresh chain.
     pub(crate) fn extended(
         prev: Option<Chain>,
         is_delta: bool,
@@ -761,13 +871,8 @@ impl Chain {
             && candidate.unwrap_or(self.redo_start) == self.redo_start
     }
 
-    /// The [`PageOpPayload::DeltaCheckpoint`] carrying `table`'s delta
-    /// against this chain's head.
-    pub(crate) fn delta_against(
-        &self,
-        table: &BTreeMap<PageId, Lsn>,
-        redo_start: Lsn,
-    ) -> PageOpPayload {
+    /// `table` as its [`DirtyTable::Delta`] against this chain's head.
+    fn delta_against(&self, table: &BTreeMap<PageId, Lsn>) -> DirtyTable {
         let added = table
             .iter()
             .filter(|&(page, rec)| self.dpt.get(page) != Some(rec))
@@ -779,38 +884,37 @@ impl Chain {
             .filter(|page| !table.contains_key(page))
             .copied()
             .collect();
-        PageOpPayload::DeltaCheckpoint {
+        DirtyTable::Delta {
             prev: self.head,
             base: self.base,
-            redo_start,
             added,
             removed,
         }
     }
 }
 
-/// The record the next fuzzy checkpoint of `table` logs, with its
-/// redo-start: `None` when `chain` is [quiescent](Chain::quiescent); a
-/// delta against a live chain shallower than `full_every`; otherwise a
-/// full [`PageOpPayload::FuzzyCheckpoint`] snapshot.
-pub(crate) fn next_checkpoint(
+/// The record the next fuzzy checkpoint of `table` logs: `None` when
+/// `chain` is [quiescent](Chain::quiescent); a delta against a live
+/// chain shallower than `full_every`; otherwise the full table. Its
+/// redo-start is the minimum recLSN, or — nothing dirty, everything
+/// logged so far installed — the LSN the record itself is about to take.
+pub(crate) fn next_checkpoint<P: LogPayload>(
     chain: Option<&Chain>,
     full_every: u64,
     table: &BTreeMap<PageId, Lsn>,
-    log: &ShardedLog<PageOpPayload>,
-) -> Option<(PageOpPayload, Lsn)> {
+    log: &ShardedLog<P>,
+) -> Option<Checkpoint> {
     if chain.is_some_and(|c| c.quiescent(log.last_lsn(), table)) {
         return None;
     }
-    let redo_start = redo_start_of(table.values().copied(), log);
-    let payload = match chain {
-        Some(chain) if chain.depth + 1 < full_every => chain.delta_against(table, redo_start),
-        _ => PageOpPayload::FuzzyCheckpoint {
-            dirty: table.iter().map(|(&page, &rec)| (page, rec)).collect(),
-            redo_start,
+    let redo_start = table.values().copied().min();
+    Some(Checkpoint {
+        redo_start: redo_start.unwrap_or_else(|| log.last_lsn().next()),
+        table: match chain {
+            Some(chain) if chain.depth + 1 < full_every => chain.delta_against(table),
+            _ => DirtyTable::Full(table.iter().map(|(&page, &rec)| (page, rec)).collect()),
         },
-    };
-    Some((payload, redo_start))
+    })
 }
 
 #[cfg(test)]
@@ -881,7 +985,7 @@ mod tests {
         for (i, op) in ops.iter().enumerate() {
             Physiological.execute(&mut db, op).unwrap();
             if (i + 1) % 8 == 0 {
-                GeneralizedOnline::checkpoint_online(&mut db)
+                checkpoint_fuzzy(&mut db, 0)
                     .unwrap()
                     .expect("no faults armed: publication must land");
             }
@@ -901,20 +1005,53 @@ mod tests {
     }
 
     #[test]
-    fn standing_chain_is_rederived_only_from_a_healthy_fuzzy_master() {
-        let ops = cross_page_workload(12, 5, 7);
+    fn standing_chain_is_rederived_from_whatever_checkpoint_the_master_names() {
+        let ops = cross_page_workload(24, 5, 7);
         let mut db = Db::new(Geometry::default());
         assert_eq!(Chain::standing(&db), None, "fresh system");
-        for op in &ops {
+        for op in &ops[..12] {
             Control.execute(&mut db, op).unwrap();
         }
-        let base = Control::checkpoint_incremental(&mut db).unwrap().unwrap();
-        Control.execute(&mut db, &ops[0]).unwrap();
-        let head = Control::checkpoint_incremental(&mut db).unwrap().unwrap();
-        let chain = Chain::standing(&db).expect("delta over a full snapshot");
+        let base = checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
+            .unwrap()
+            .unwrap();
+        Control.execute(&mut db, &ops[12]).unwrap();
+        let head = checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
+            .unwrap()
+            .unwrap();
+        let chain = Chain::standing(&db).expect("delta over a full table");
         assert_eq!((chain.head, chain.base, chain.depth), (head, base, 1));
         assert_eq!(Some(chain.dpt), analyze(&db).unwrap().dirty);
+
+        // A heavyweight record is a full (empty) table like any other,
+        // so it bases a chain: the next fuzzy checkpoint is a delta
+        // whose fold is the pool's table.
         Generalized.checkpoint(&mut db).unwrap();
-        assert_eq!(Chain::standing(&db), None, "heavyweight marker");
+        let heavy = db.disk.master();
+        let chain = Chain::standing(&db).expect("a heavyweight master bases a chain");
+        assert_eq!((chain.head, chain.base, chain.depth), (heavy, heavy, 0));
+        assert!(chain.dpt.is_empty());
+        assert_eq!(chain.redo_start, heavy.next());
+        for op in &ops[13..] {
+            Control.execute(&mut db, op).unwrap();
+        }
+        let delta = checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
+            .unwrap()
+            .unwrap();
+        let rec = db.log.record_at_lsn(delta).unwrap().unwrap();
+        assert!(rec
+            .payload
+            .as_checkpoint()
+            .is_some_and(Checkpoint::is_delta));
+        let chain = Chain::standing(&db).unwrap();
+        assert_eq!((chain.head, chain.base, chain.depth), (delta, heavy, 1));
+        let pool: BTreeMap<PageId, Lsn> = db.pool.dirty_page_table().into_iter().collect();
+        assert!(!pool.is_empty());
+        assert_eq!(analyze(&db).unwrap().dirty, Some(pool));
+        db.log.flush_all();
+        db.crash();
+        let stats = Control.recover(&mut db).unwrap();
+        assert_eq!(stats.checkpoint_lsn, Some(delta));
+        assert_matches_model(&mut db, &ops);
     }
 }

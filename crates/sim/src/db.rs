@@ -85,12 +85,28 @@ impl<P: LogPayload> Db<P> {
         capacity: Option<usize>,
         log_shards: usize,
     ) -> Db<P> {
-        // One injector shared by every stable-storage device, so a fault
-        // plan's event counter spans disk writes and log flushes alike.
+        let (disk, log) = (Disk::on(kind), ShardedLog::on(kind, log_shards));
+        Db::from_parts(geometry, capacity, disk, log)
+    }
+
+    /// A database assembled around a disk and a log that already exist —
+    /// fresh ones, or the survivors of whatever ran on them before (a
+    /// crashed [`ShardedStore`](crate::shard::ShardedStore)'s disk and
+    /// its shared log) — under an empty cache. This is the one place the
+    /// parts are wired together: a single new injector is threaded
+    /// through the disk, every log shard and the shell, so a fault
+    /// plan's event counter spans disk writes and log flushes alike and
+    /// [`Db::arm_faults`] reaches every device, wherever the parts came
+    /// from.
+    #[must_use]
+    pub fn from_parts(
+        geometry: Geometry,
+        capacity: Option<usize>,
+        mut disk: Disk,
+        mut log: ShardedLog<P>,
+    ) -> Db<P> {
         let injector = FaultInjector::new();
-        let mut disk = Disk::on(kind);
         disk.injector = injector.clone();
-        let mut log = ShardedLog::on(kind, log_shards);
         log.share_injector(injector.clone());
         Db {
             disk,

@@ -3,23 +3,29 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redo_recovery::btree::{BTree, SplitStrategy};
+use redo_recovery::methods::redo::{self, CheckpointView};
 use redo_recovery::sim::backend::BackendKind;
 use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::sim::fault::{FaultKind, FaultPlan};
 use redo_recovery::sim::SimError;
 use redo_recovery::theory::log::Lsn;
 use redo_recovery::workload::pages::mix64;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const STRATEGIES: [SplitStrategy; 2] = [SplitStrategy::Physiological, SplitStrategy::Generalized];
 
 #[test]
 fn mixed_workload_with_periodic_crashes() {
     for strategy in STRATEGIES {
+        // What the tree's checkpoints were, over the three lifecycles:
+        // restarts that began from a fuzzy master, fuzzy masters that
+        // were deltas, log bytes fuzzy publication truncated.
+        let (mut fuzzy_restarts, mut deltas, mut truncated) = (0, 0, 0);
         for seed in 0..3u64 {
             let mut tree = BTree::new(strategy, 16).unwrap();
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             let mut rng = StdRng::seed_from_u64(seed);
+            let mut fuzzy_masters = BTreeSet::new();
             for step in 0..400u64 {
                 match rng.gen_range(0..10) {
                     0..=6 => {
@@ -35,17 +41,31 @@ fn mixed_workload_with_periodic_crashes() {
                     8 => {
                         tree.db.chaos_flush(&mut rng, 0.8, 0.4).unwrap();
                     }
-                    _ => {
-                        if rng.gen_bool(0.3) {
-                            tree.checkpoint().unwrap();
-                        } else {
+                    _ => match rng.gen_range(0..10) {
+                        0..=1 => tree.checkpoint().unwrap(),
+                        2..=5 => {
+                            // The tree's fuzzy checkpoint is a call on
+                            // its `db`, chaining deltas like any other.
+                            let last = tree.db.log.last_lsn();
+                            let ck = redo::checkpoint_fuzzy(&mut tree.db, 4).unwrap().unwrap();
+                            if ck > last {
+                                fuzzy_masters.insert(ck);
+                                let rec = tree.db.log.record_at_lsn(ck).unwrap().unwrap();
+                                let record = rec.payload.as_checkpoint().unwrap();
+                                deltas += usize::from(record.is_delta());
+                            }
+                        }
+                        _ => {
                             tree.db.log.flush_all();
                             tree.crash();
-                            tree.recover().unwrap();
+                            let master = tree.recover().unwrap().checkpoint_lsn;
+                            fuzzy_restarts +=
+                                usize::from(master.is_some_and(|ck| fuzzy_masters.contains(&ck)));
                         }
-                    }
+                    },
                 }
             }
+            truncated += tree.db.log.truncated_bytes();
             tree.db.log.flush_all();
             tree.crash();
             tree.recover().unwrap();
@@ -58,6 +78,15 @@ fn mixed_workload_with_periodic_crashes() {
             }
             assert_eq!(tree.validate().unwrap(), model.len());
         }
+        assert!(
+            fuzzy_restarts > 0,
+            "{strategy:?}: no restart from a fuzzy master"
+        );
+        assert!(deltas > 0, "{strategy:?}: no fuzzy master was a delta");
+        assert!(
+            truncated > 0,
+            "{strategy:?}: fuzzy publication truncated nothing"
+        );
     }
 }
 
@@ -186,6 +215,75 @@ fn recovery_repairs_torn_pages_and_log_tails_before_it_scans() {
             assert!(n >= 30, "event {event} {kind:?}: installed keys lost");
             for k in 0..n as u64 {
                 assert_eq!(tree.get(k).unwrap(), Some(k + 7), "event {event} key {k}");
+            }
+        }
+    }
+}
+
+/// One point of the fuzzy-checkpoint sweep: keys 0..60 under chaos
+/// flushing, a fuzzy checkpoint taken with dirt outstanding (returned),
+/// then keys 60..160 with a further fuzzy checkpoint every 25 and
+/// `kind` armed at faultable event `event`; stops at the trip and
+/// crashes.
+fn fuzzy_tree_crashed_at(strategy: SplitStrategy, event: u64, kind: FaultKind) -> (BTree, Lsn) {
+    let mut tree = BTree::new(strategy, 16).unwrap();
+    let mut rng = StdRng::seed_from_u64(event);
+    for k in 0..60u64 {
+        tree.db.chaos_flush(&mut rng, 0.7, 0.4).unwrap();
+        tree.insert(k, k + 7).unwrap();
+    }
+    let dirty = tree.db.pool.dirty_count();
+    let first = redo::checkpoint_fuzzy(&mut tree.db, 4).unwrap().unwrap();
+    assert!(
+        dirty > 0 && tree.db.pool.dirty_count() == dirty,
+        "fuzzy: nothing is flushed"
+    );
+    tree.db.arm_faults(FaultPlan { at: event, kind });
+    for k in 60..160u64 {
+        let inserted = tree.insert(k, k + 7);
+        let flushed = tree.db.chaos_flush(&mut rng, 0.7, 0.4);
+        let published = match (k + 1) % 25 {
+            0 => redo::checkpoint_fuzzy(&mut tree.db, 4).map(|_| ()),
+            _ => Ok(()),
+        };
+        if tree.db.fault_tripped() {
+            break;
+        }
+        inserted.unwrap();
+        flushed.unwrap();
+        published.unwrap();
+    }
+    assert!(
+        tree.db.fault_tripped(),
+        "event {event} {kind:?} never fired"
+    );
+    tree.crash();
+    (tree, first)
+}
+
+#[test]
+fn the_tree_recovers_from_fuzzy_and_delta_checkpoints_at_every_fault_point() {
+    // The tree takes no checkpoint of its own kind: `BtPayload` carries
+    // the one record, and the one publisher chains it. A crash anywhere
+    // in the protocol — record torn, master swing suppressed, prefix
+    // half archived — restarts from the newest checkpoint that landed.
+    let kinds = [FaultKind::Clean, SWEEP_KINDS[0], SWEEP_KINDS[1]];
+    for strategy in STRATEGIES {
+        for event in 1..=80u64 {
+            for kind in kinds {
+                let at = format!("{strategy:?} event {event} {kind:?}");
+                let (mut tree, first) = fuzzy_tree_crashed_at(strategy, event, kind);
+                let stats = tree.recover().unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert!(
+                    stats.checkpoint_lsn.is_some_and(|ck| ck >= first),
+                    "{at}: restarted from {:?}, first checkpoint {first:?}",
+                    stats.checkpoint_lsn
+                );
+                let n = tree.validate().unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert!(n >= 60, "{at}: checkpointed keys lost");
+                for k in 0..n as u64 {
+                    assert_eq!(tree.get(k).unwrap(), Some(k + 7), "{at} key {k}");
+                }
             }
         }
     }

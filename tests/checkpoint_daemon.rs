@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use redo_recovery::methods::online::GeneralizedOnline;
 use redo_recovery::methods::oprecord::PageOpPayload;
+use redo_recovery::methods::redo;
 use redo_recovery::methods::RecoveryMethod;
 use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::sim::fault::{FaultKind, FaultPlan};
@@ -70,7 +71,7 @@ proptest! {
             committed.push((op.clone(), lsn));
         }
         // First checkpoint: no faults armed, publication must land.
-        let first = GeneralizedOnline::checkpoint_online(&mut db)
+        let first = redo::checkpoint_fuzzy(&mut db, 0)
             .unwrap()
             .expect("unfaulted publication lands");
         for mut op in ops2 {
@@ -88,7 +89,7 @@ proptest! {
             _ => FaultPlan { at: 2, kind: FaultKind::Clean },
         };
         db.arm_faults(plan);
-        let second = GeneralizedOnline::checkpoint_online(&mut db).unwrap();
+        let second = redo::checkpoint_fuzzy(&mut db, 0).unwrap();
         prop_assert_eq!(second, None, "a faulted publication must be abandoned");
 
         db.crash();
@@ -157,7 +158,7 @@ proptest! {
                 db.log.flush_all();
                 db.pool.flush_all(&mut db.disk, db.log.stable_lsn()).unwrap();
             }
-            GeneralizedOnline::checkpoint_online(&mut db)
+            redo::checkpoint_fuzzy(&mut db, 0)
                 .unwrap()
                 .expect("unfaulted publication lands");
             db.log.flush_all();

@@ -107,9 +107,7 @@ fn concurrent_log_order_is_conflict_consistent() {
         .iter()
         .filter_map(|r| match &r.payload {
             PageOpPayload::Op(op) => Some(op.clone()),
-            PageOpPayload::Checkpoint
-            | PageOpPayload::FuzzyCheckpoint { .. }
-            | PageOpPayload::DeltaCheckpoint { .. } => None,
+            _ => None,
         })
         .collect();
     // Renumber by log position and regenerate: the log order must be a

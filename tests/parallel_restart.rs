@@ -17,25 +17,19 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use redo_recovery::methods::harness::Driver;
-use redo_recovery::methods::online::GeneralizedOnline;
 use redo_recovery::methods::oprecord::PageOpPayload;
 use redo_recovery::methods::parallel::{recover_partitioned, ParallelOnline, ParallelPhysical};
 use redo_recovery::methods::physical::{PhysPayload, Physical};
 use redo_recovery::methods::physiological::Physiological;
-use redo_recovery::methods::redo::PageLocal;
+use redo_recovery::methods::redo::{self, PageLocal};
 use redo_recovery::methods::RecoveryMethod;
 use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::sim::fault::{FaultKind, FaultPlan};
 use redo_recovery::sim::page::Page;
 use redo_recovery::sim::wal::ShardedScanner;
-use redo_recovery::sim::SimResult;
 use redo_recovery::theory::log::Lsn;
 use redo_recovery::theory::state::State;
 use redo_recovery::workload::pages::{PageOp, PageWorkloadSpec};
-
-/// A method's fuzzy checkpoint: publishes without flushing, `None` when
-/// a fault interrupted the publication.
-type FuzzyCheckpoint<P> = fn(&mut Db<P>) -> SimResult<Option<Lsn>>;
 
 /// Runs the workload under `method` — whose checkpoint is its fuzzy
 /// discipline — with chaotic flushing and an optional armed crash-point
@@ -133,7 +127,7 @@ fn recover_full_scan_blind(db: &mut Db<PhysPayload>) -> usize {
     })
 }
 
-/// Restart, optionally publish the method's fuzzy checkpoint, crash,
+/// Restart, optionally publish a fuzzy checkpoint, crash,
 /// restart: both restarts must land on `reference`. The checkpoint
 /// between them publishes the dirty-page table the *first restart* left
 /// in the pool — if that table claims more installed than the disk
@@ -141,13 +135,14 @@ fn recover_full_scan_blind(db: &mut Db<PhysPayload>) -> usize {
 fn restart_twice<P: PageLocal + Sync>(
     db: &mut Db<P>,
     threads: usize,
-    checkpoint_between: Option<FuzzyCheckpoint<P>>,
+    checkpoint_between: bool,
     reference: &State,
 ) -> Result<(), TestCaseError> {
     recover_partitioned(db, threads).map_err(|e| TestCaseError::fail(e.to_string()))?;
     prop_assert_eq!(&db.volatile_theory_state(), reference, "first restart");
-    if let Some(checkpoint) = checkpoint_between {
-        let published = checkpoint(db).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    if checkpoint_between {
+        let published =
+            redo::checkpoint_fuzzy(db, 0).map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert!(
             published.is_some(),
             "no faults armed: publication must land"
@@ -228,9 +223,8 @@ proptest! {
         let mut db = crashed_image(&ops, seed, ck_every, (0.7, 0.3), None);
         let mut ref_db = db.clone();
         recover_full_scan(&mut ref_db);
-        let online: FuzzyCheckpoint<PageOpPayload> = GeneralizedOnline::checkpoint_online;
-        let between = checkpoint_between.then_some(online);
-        restart_twice(&mut db, threads, between, &ref_db.volatile_theory_state())?;
+        let reference = ref_db.volatile_theory_state();
+        restart_twice(&mut db, threads, checkpoint_between, &reference)?;
 
         let blind = PageWorkloadSpec {
             n_ops: 30,
@@ -240,12 +234,11 @@ proptest! {
             ..Default::default()
         }
         .generate(seed);
-        let fuzzy: FuzzyCheckpoint<PhysPayload> = Physical::checkpoint_fuzzy;
         let method = ParallelPhysical { threads };
         let mut db = crashed_image_of(&method, &blind, seed, ck_every, (0.7, 0.3), None);
         let mut ref_db = db.clone();
         recover_full_scan_blind(&mut ref_db);
-        let between = checkpoint_between.then_some(fuzzy);
-        restart_twice(&mut db, threads, between, &ref_db.volatile_theory_state())?;
+        let reference = ref_db.volatile_theory_state();
+        restart_twice(&mut db, threads, checkpoint_between, &reference)?;
     }
 }

@@ -16,6 +16,7 @@ use redo_recovery::methods::oprecord::PageOpPayload;
 use redo_recovery::methods::parallel::{ParallelOnline, ParallelPhysical, ParallelPhysiological};
 use redo_recovery::methods::physical::Physical;
 use redo_recovery::methods::physiological::Physiological;
+use redo_recovery::methods::redo;
 use redo_recovery::methods::RecoveryMethod;
 use redo_recovery::sim::backend::BackendKind;
 use redo_recovery::sim::db::{Db, Geometry};
@@ -369,7 +370,7 @@ proptest! {
             db.chaos_flush(&mut rng, 0.8, 0.4)
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
             if (i + 1) % ckpt_every == 0 {
-                GeneralizedOnline::checkpoint_online(&mut db)
+                redo::checkpoint_fuzzy(&mut db, 0)
                     .map_err(|e| TestCaseError::fail(e.to_string()))?;
             }
         }

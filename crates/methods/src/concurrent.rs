@@ -84,7 +84,7 @@ use redo_sim::shard::{PageLease, ShardedStore};
 use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{Cell, PageId, PageOp};
+use redo_workload::pages::{Cell, Footprint, PageId, PageOp};
 
 use crate::control::{ControlPlan, Controller, RestartBudget, RestartEstimate};
 use crate::generalized::{write_order, write_set_is_stale};
@@ -188,6 +188,7 @@ pub struct DaemonStats {
 fn apply_under_lease(
     lease: &mut PageLease<'_>,
     op: &PageOp,
+    fp: &Footprint,
     lsn: Lsn,
     read_values: &[u64],
 ) -> SimResult<()> {
@@ -195,11 +196,10 @@ fn apply_under_lease(
         let v = op.output(cell, read_values);
         lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
     }
-    let (constraints, written) = write_order(op, lsn);
-    for c in constraints {
+    for c in write_order(fp, lsn) {
         lease.add_constraint(c);
     }
-    lease.add_atomic_group(&written, lsn);
+    lease.add_atomic_group(&fp.written, lsn);
     Ok(())
 }
 
@@ -354,17 +354,15 @@ impl SharedDb {
         let spp = self.inner.geometry.slots_per_page;
         for (lsn, op) in records {
             state.stats.scanned += 1;
-            let mut pages: Vec<PageId> = redo::read_write_pages(&op).collect();
-            pages.sort_unstable();
-            pages.dedup();
-            let mut lease = store.lock_pages(&pages);
+            let fp = op.footprint();
+            let mut lease = store.lock_pages(&fp.touched);
             let page_lsn = |p| Ok(lease.read_page(p, spp, Lsn::ZERO)?.lsn());
-            if write_set_is_stale(&op, lsn, page_lsn)? {
+            if write_set_is_stale(&fp.written, lsn, page_lsn)? {
                 let mut read_values = Vec::with_capacity(op.reads.len());
                 for &cell in &op.reads {
                     read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
                 }
-                apply_under_lease(&mut lease, &op, lsn, &read_values)?;
+                apply_under_lease(&mut lease, &op, &fp, lsn, &read_values)?;
                 state.stats.replayed.push(op.id);
             } else {
                 state.stats.skipped.push(op.id);
@@ -458,23 +456,22 @@ impl SharedDb {
         // Encoded before any lock: every client queues on the log
         // mutex, and all that is left to do under it is to stamp an LSN
         // and a CRC on these bytes and copy them.
-        let record = PageOpPayload::encode_op(op)?;
+        let fp = op.footprint();
+        let record = PageOpPayload::encode_op(op, &fp)?;
         // Latch every page the operation touches, in id order.
-        let mut pages: Vec<PageId> = redo::read_write_pages(op).collect();
-        pages.sort_unstable();
-        pages.dedup();
+        let pages: &[PageId] = &fp.touched;
         let latches: Vec<Arc<Mutex<()>>> = pages.iter().map(|&p| self.latch_for(p)).collect();
         let _guards: Vec<_> = latches.iter().map(|l| l.lock()).collect();
 
         // Any page still gated behind its post-crash redo must replay
         // before this operation reads or overwrites it — a write to an
         // unrecovered page would build on a stale image.
-        self.ensure_recovered(&pages)?;
+        self.ensure_recovered(pages)?;
 
         // One lease from the read to the apply, the append inside it
         // (see the module's lock-ordering note for what that buys).
         let spp = self.inner.geometry.slots_per_page;
-        let mut lease = self.inner.store.lock_pages(&pages);
+        let mut lease = self.inner.store.lock_pages(pages);
         let mut read_values = Vec::with_capacity(op.reads.len());
         for &cell in &op.reads {
             read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
@@ -483,7 +480,7 @@ impl SharedDb {
             lease.fetch(cell.page, spp, Lsn::ZERO)?;
         }
         let lsn = self.inner.log.lock().append_encoded(&record);
-        apply_under_lease(&mut lease, op, lsn, &read_values)?;
+        apply_under_lease(&mut lease, op, &fp, lsn, &read_values)?;
         Ok(lsn)
     }
 

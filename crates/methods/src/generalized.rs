@@ -26,9 +26,9 @@ use redo_sim::cache::Constraint;
 use redo_sim::db::Db;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::{Footprint, PageId, PageOp};
 
-use crate::oprecord::{cross_reads, PageOpPayload};
+use crate::oprecord::PageOpPayload;
 use crate::redo::{self, RestartAnalysis};
 use crate::{RecoveryMethod, RecoveryStats};
 
@@ -41,7 +41,7 @@ fn check_shape(op: &PageOp) -> SimResult<()> {
     // multi-page write sets (§5's "update sets of variables atomically")
     // are admitted too — execute() binds them into an atomic flush
     // group, so the whole write set still installs as one unit.
-    if op.written_pages().is_empty() {
+    if op.writes.is_empty() {
         return Err(SimError::MethodViolation(
             "generalized LSN operations must write at least one page",
         ));
@@ -52,31 +52,28 @@ fn check_shape(op: &PageOp) -> SimResult<()> {
 /// The write ordering an operation at `lsn` imposes on whichever cache
 /// holds its pages: one constraint per (cross-read page, written page)
 /// — every write page must be durable before a later overwrite of the
-/// read page reaches disk — and the written pages themselves, which a
-/// multi-page write set binds into an atomic flush group (a no-op for a
-/// single page) so the whole set installs as one unit.
-pub(crate) fn write_order(op: &PageOp, lsn: Lsn) -> (Vec<Constraint>, Vec<PageId>) {
-    let written = op.written_pages();
-    let mut constraints = Vec::new();
-    for blocked in cross_reads(op) {
-        for &requires in &written {
-            constraints.push(Constraint {
-                blocked,
-                blocked_above: lsn,
-                requires,
-                required_lsn: lsn,
-            });
-        }
-    }
-    (constraints, written)
+/// read page reaches disk. (The written pages themselves a multi-page
+/// write set binds into an atomic flush group, so the whole set
+/// installs as one unit.) Nothing at all for the operation that writes
+/// one page and reads no other.
+pub(crate) fn write_order(fp: &Footprint, lsn: Lsn) -> impl Iterator<Item = Constraint> + '_ {
+    fp.cross_reads.iter().flat_map(move |&blocked| {
+        fp.written.iter().map(move |&requires| Constraint {
+            blocked,
+            blocked_above: lsn,
+            requires,
+            required_lsn: lsn,
+        })
+    })
 }
 
-pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, op: &PageOp, lsn: Lsn) {
-    let (constraints, written) = write_order(op, lsn);
-    for c in constraints {
+pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, fp: &Footprint, lsn: Lsn) {
+    for c in write_order(fp, lsn) {
         db.pool.add_constraint(c);
     }
-    db.pool.add_atomic_group(written, lsn);
+    if fp.written.len() > 1 {
+        db.pool.add_atomic_group(fp.written.iter().copied(), lsn);
+    }
 }
 
 /// Would this operation's constraints (and atomic group) close a cycle
@@ -86,11 +83,10 @@ pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, op: &PageOp, lsn:
 /// nothing else registers no constraint and binds no group, so the
 /// graph it leaves is the acyclic graph it found, and the answer is
 /// `false` without looking at the graph at all.
-pub(crate) fn would_cycle(db: &Db<PageOpPayload>, op: &PageOp) -> bool {
-    let written = op.written_pages();
-    let cross_reads = cross_reads(op);
-    let cycle = (written.len() > 1 || !cross_reads.is_empty())
-        && db.pool.would_cycle(&db.disk, &written, &cross_reads);
+#[cfg_attr(not(test), allow(unused_variables))]
+pub(crate) fn would_cycle(db: &Db<PageOpPayload>, op: &PageOp, fp: &Footprint) -> bool {
+    let cycle = (fp.written.len() > 1 || !fp.cross_reads.is_empty())
+        && db.pool.would_cycle(&db.disk, &fp.written, &fp.cross_reads);
     #[cfg(test)]
     oracle::check(db, op, cycle);
     cycle
@@ -224,9 +220,9 @@ impl Generalized {
     }
 }
 
-/// The generalized redo test, over the whole write set: is the
-/// operation logged at `lsn` uninstalled? `page_lsn` answers with the
-/// LSN of the caller's cached copy of a page, fetching it on a miss.
+/// The generalized redo test, over the whole write set `written`: is
+/// the operation logged at `lsn` uninstalled? `page_lsn` answers with
+/// the LSN of the caller's cached copy of a page, fetching it on a miss.
 /// The atomic flush group guarantees all written pages agree (all
 /// installed or none), so any stale page means the operation is
 /// uninstalled.
@@ -235,13 +231,13 @@ impl Generalized {
 ///
 /// Whatever `page_lsn` returns.
 pub(crate) fn write_set_is_stale(
-    op: &PageOp,
+    written: &[PageId],
     lsn: Lsn,
     mut page_lsn: impl FnMut(PageId) -> SimResult<Lsn>,
 ) -> SimResult<bool> {
     let mut stale = false;
     let mut fresh = false;
-    for page in op.written_pages() {
+    for &page in written {
         if page_lsn(page)? < lsn {
             stale = true;
         } else {
@@ -250,8 +246,7 @@ pub(crate) fn write_set_is_stale(
     }
     debug_assert!(
         !(stale && fresh),
-        "atomic group violated: write set of op {} part-installed",
-        op.id
+        "atomic group violated: write set of the operation at {lsn:?} part-installed"
     );
     Ok(stale)
 }
@@ -259,13 +254,15 @@ pub(crate) fn write_set_is_stale(
 /// The generalized method's per-record step over a sequential [`Db`],
 /// shared by the serial scan and on-demand replay: the redo test, then
 /// — if the operation is uninstalled — replay with its write-order
-/// constraints re-imposed. Returns whether the operation replayed.
+/// constraints re-imposed. The operation's pages are named once, here.
+/// Returns whether the operation replayed.
 ///
 /// # Errors
 ///
 /// Substrate errors from fetching or flushing pages.
 pub(crate) fn redo_op(db: &mut Db<PageOpPayload>, lsn: Lsn, op: &PageOp) -> SimResult<bool> {
-    let stale = write_set_is_stale(op, lsn, |page| {
+    let fp = op.footprint();
+    let stale = write_set_is_stale(&fp.written, lsn, |page| {
         let (stable, spp) = (db.log.stable_lsn(), db.geometry.slots_per_page);
         let cached = db.pool.fetch(&mut db.disk, page, spp, stable)?;
         Ok(cached.lsn())
@@ -274,12 +271,12 @@ pub(crate) fn redo_op(db: &mut Db<PageOpPayload>, lsn: Lsn, op: &PageOp) -> SimR
         // The replayed operation re-imposes its write ordering on
         // post-recovery cache management, with the same pre-resolution
         // of would-be cycles as normal execution.
-        if would_cycle(db, op) {
+        if would_cycle(db, op, &fp) {
             let stable = db.log.stable_lsn();
             db.pool.flush_all(&mut db.disk, stable)?;
         }
-        db.apply_page_op(op, lsn)?;
-        register_constraints(db, op, lsn);
+        db.apply_page_op_on(op, lsn, &fp.touched)?;
+        register_constraints(db, &fp, lsn);
     }
     Ok(stale)
 }
@@ -293,7 +290,8 @@ impl RecoveryMethod for Generalized {
 
     fn execute(&self, db: &mut Db<PageOpPayload>, op: &PageOp) -> SimResult<Lsn> {
         check_shape(op)?;
-        if would_cycle(db, op) {
+        let fp = op.footprint();
+        if would_cycle(db, op, &fp) {
             // Pre-resolution: the op's constraints/group would close a
             // cycle in the flush-order quotient graph, after which the
             // single-copy cache could never flush legally. Discharge the
@@ -307,8 +305,8 @@ impl RecoveryMethod for Generalized {
             db.pool.flush_all(&mut db.disk, stable)?;
         }
         let lsn = db.log.append(PageOpPayload::Op(op.clone()))?;
-        db.apply_page_op(op, lsn)?;
-        register_constraints(db, op, lsn);
+        db.apply_page_op_on(op, lsn, &fp.touched)?;
+        register_constraints(db, &fp, lsn);
         Ok(lsn)
     }
 
@@ -349,7 +347,7 @@ mod tests {
             let mut db = Db::with_capacity(Geometry::default(), capacity);
             let mut rng = StdRng::seed_from_u64(seed);
             for op in &ops {
-                if would_cycle(&db, op) {
+                if would_cycle(&db, op, &op.footprint()) {
                     cycles += 1;
                 } else {
                     clear += 1;
@@ -366,6 +364,71 @@ mod tests {
             cycles > 50 && clear > 50,
             "{cycles} / {clear}: both verdicts must be exercised"
         );
+    }
+
+    /// Everything a bounded-pool recovery decided, folded into one
+    /// FNV-1a value: the disk image (what was flushed, by eviction and
+    /// pre-resolution), the pool (what was evicted), the dirty-page
+    /// table, the verdicts in order, and the page-write count.
+    fn decisions_digest(db: &Db<PageOpPayload>, stats: &RecoveryStats) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| {
+            for byte in v.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut fold_page = |id: PageId, page: &redo_sim::page::Page| {
+            fold(u64::from(id.0));
+            fold(page.lsn().0);
+            page.slots().iter().for_each(|&v| fold(v));
+        };
+        for (id, page) in db.disk.pages() {
+            fold_page(id, &page);
+        }
+        for id in db.pool.cached_pages() {
+            fold_page(id, db.pool.get(id).unwrap());
+        }
+        for (id, rec_lsn) in db.pool.dirty_page_table() {
+            fold(u64::from(id.0));
+            fold(rec_lsn.0);
+        }
+        fold(stats.scanned as u64);
+        stats.replayed.iter().for_each(|&id| fold(u64::from(id)));
+        fold(u64::MAX);
+        stats.skipped.iter().for_each(|&id| fold(u64::from(id)));
+        fold(db.disk.page_writes());
+        hash
+    }
+
+    /// The constants were computed by this script on the tree whose
+    /// pool kept its frames in a `BTreeMap` and whose redo step
+    /// re-derived each record's page sets per use: they are what "no
+    /// flush, eviction or redo verdict changed" means. Capacity 4 with
+    /// steal makes every fetch order and every recency stamp count.
+    #[test]
+    fn bounded_pool_recovery_decisions_are_pinned() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let digest = |seed: u64, forward: Option<usize>| {
+            let ops = cross_page_workload(240, 24, seed);
+            let mut db = Db::with_capacity(Geometry::default(), forward);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for op in &ops {
+                Generalized.execute(&mut db, op).unwrap();
+                db.chaos_flush(&mut rng, 0.3, 0.05).unwrap();
+            }
+            db.log.flush_all();
+            db.crash();
+            // Whatever pool ran forward, restart runs in four frames.
+            let mut db = Db::from_parts(db.geometry, Some(4), db.disk, db.log);
+            let stats = Generalized.recover(&mut db).unwrap();
+            let digest = decisions_digest(&db, &stats);
+            assert_matches_model(&mut db, &ops);
+            (digest, stats.replay_count(), stats.scanned)
+        };
+        assert_eq!(digest(7, Some(4)), (13_980_132_986_540_913_182, 3, 240));
+        assert_eq!(digest(11, None), (14_523_454_519_536_126_324, 19, 240));
+        assert_eq!(digest(13, None), (7_592_417_031_074_750_547, 39, 240));
     }
 
     #[test]

@@ -124,6 +124,8 @@ pub struct HarnessReport {
     pub pages_prefetched: usize,
     /// Group-commit log forces (coalesced stable appends) over the run.
     pub log_forces: u64,
+    /// Restart wall time by phase, summed over every recovery.
+    pub phase_ns: crate::PhaseNanos,
 }
 
 /// Why a harness run failed.
@@ -453,6 +455,7 @@ fn crash_and_verify<M: RecoveryMethod>(
     report.records_decoded += stats.records_decoded;
     report.seek_hits += stats.seek_hits;
     report.pages_prefetched += stats.pages_prefetched;
+    report.phase_ns += stats.phase_ns;
 
     let recovered = db.volatile_theory_state();
     if cfg.audit {

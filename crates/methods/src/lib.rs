@@ -82,12 +82,50 @@ use redo_workload::pages::{Cell, PageOp};
 /// batch before replaying them — the size of the streaming window.
 pub const SCAN_BATCH: usize = 32;
 
+/// Where one restart's wall time went, in nanoseconds, by the phases of
+/// the serial Figure-6 loop ([`redo::recover`] reads the clock once per
+/// phase per [`SCAN_BATCH`] records). The lazy and the partitioned
+/// executors time `begin`, which they share with the serial one, and
+/// leave the rest zero: their scan, fetch and redo run interleaved per
+/// component, or on worker threads, and have no serial phase to charge.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseNanos {
+    /// Media repair (torn pages, torn log tail) and analysis of the
+    /// master record.
+    pub begin: u64,
+    /// Seeking to the redo-start and decoding the log, checksums
+    /// included.
+    pub scan: u64,
+    /// Listing each batch's pages and faulting the missing ones in.
+    pub prefetch: u64,
+    /// The redo test and the replay of every scanned record.
+    pub redo: u64,
+}
+
+impl std::ops::AddAssign for PhaseNanos {
+    fn add_assign(&mut self, other: PhaseNanos) {
+        self.begin += other.begin;
+        self.scan += other.scan;
+        self.prefetch += other.prefetch;
+        self.redo += other.redo;
+    }
+}
+
+impl std::fmt::Display for PhaseNanos {
+    /// `begin/scan/prefetch/redo`, in whole microseconds.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [begin, scan, prefetch, redo] =
+            [self.begin, self.scan, self.prefetch, self.redo].map(|ns| ns / 1_000);
+        write!(f, "{begin}/{scan}/{prefetch}/{redo} us")
+    }
+}
+
 /// What one recovery pass did.
 ///
 /// Splits into two layers: the *semantic* outcome (`scanned`,
 /// `replayed`, `skipped` — which operations the redo test chose) and
 /// I/O-path *telemetry* (`bytes_scanned`, `records_decoded`,
-/// `seek_hits`, `forces`, `pages_prefetched`). Equality compares only
+/// `seek_hits`, `forces`, `pages_prefetched`, `phase_ns`). Equality compares only
 /// the semantic layer: equivalent recoveries — serial vs. parallel,
 /// seeked vs. full scan — must agree on what they replayed, while
 /// legitimately taking different I/O paths to get there.
@@ -120,6 +158,8 @@ pub struct RecoveryStats {
     /// Stable-log bytes already reclaimed by checkpoint prefix
     /// truncation when recovery ran (work the scan never saw).
     pub truncated_bytes: u64,
+    /// Wall time by phase.
+    pub phase_ns: PhaseNanos,
 }
 
 impl PartialEq for RecoveryStats {

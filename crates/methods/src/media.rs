@@ -54,7 +54,7 @@ use redo_sim::db::Db;
 use redo_sim::page::Page;
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::{Cell, PageId, PageOp};
 
 use crate::generalized::Generalized;
 use crate::ondemand::OnDemand;
@@ -75,16 +75,11 @@ pub struct Media;
 /// `pit_records(stable)` input, its content at the stable LSN.
 fn scratch_replay(records: &[(Lsn, PageOp)], slots_per_page: u16) -> BTreeMap<PageId, Page> {
     let mut scratch: BTreeMap<PageId, Page> = BTreeMap::new();
+    let mut read_values: Vec<u64> = Vec::new();
     for (lsn, op) in records {
-        let read_values: Vec<u64> = op
-            .reads
-            .iter()
-            .map(|cell| {
-                scratch
-                    .get(&cell.page)
-                    .map_or(0, |page| page.get(cell.slot))
-            })
-            .collect();
+        read_values.clear();
+        let read = |cell: &Cell| scratch.get(&cell.page).map_or(0, |p| p.get(cell.slot));
+        read_values.extend(op.reads.iter().map(read));
         for &cell in &op.writes {
             let v = op.output(cell, &read_values);
             let page = scratch
@@ -136,16 +131,14 @@ pub fn rebuild_images(db: &Db<PageOpPayload>) -> SimResult<BTreeMap<PageId, Page
     loop {
         let mut grew = false;
         for (lsn, op) in &records {
-            let written = op.written_pages();
-            let touches = op
-                .read_pages()
-                .into_iter()
-                .chain(written.iter().copied())
-                .any(|p| closure.contains(&p));
-            if !touches {
+            // Straight off the cells: a page named twice is tested
+            // twice, and nothing is listed, sorted or allocated per
+            // record per pass.
+            let mut cells = op.reads.iter().chain(&op.writes);
+            if !cells.any(|cell| closure.contains(&cell.page)) {
                 continue;
             }
-            for &w in &written {
+            for w in op.writes.iter().map(|cell| cell.page) {
                 if !closure.contains(&w) && db.disk.page_lsn(w) < *lsn {
                     closure.insert(w);
                     grew = true;

@@ -10,7 +10,7 @@
 
 use redo_sim::wal::{codec, EncodedRecord, LogPayload, ShardedLog};
 use redo_sim::SimResult;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::{Footprint, PageId, PageOp};
 
 use crate::redo::{Checkpoint, CheckpointView};
 
@@ -23,20 +23,6 @@ pub enum PageOpPayload {
     Checkpoint(Checkpoint),
 }
 
-/// The pages `op` reads but does not write, in id order — the far ends
-/// of its §6.4 read-write edges. Empty (and allocation-free) for every
-/// operation that reads only what it writes.
-pub(crate) fn cross_reads(op: &PageOp) -> Vec<PageId> {
-    let mut pages = Vec::new();
-    for page in op.reads.iter().map(|cell| cell.page) {
-        if !pages.contains(&page) && op.writes.iter().all(|w| w.page != page) {
-            pages.push(page);
-        }
-    }
-    pages.sort_unstable();
-    pages
-}
-
 /// The body of a [`PageOpPayload::Op`] record.
 fn put_op(buf: &mut Vec<u8>, op: &PageOp) -> SimResult<()> {
     codec::put_u8(buf, 0);
@@ -45,15 +31,17 @@ fn put_op(buf: &mut Vec<u8>, op: &PageOp) -> SimResult<()> {
 
 impl PageOpPayload {
     /// [`ShardedLog::encode`] of `PageOpPayload::Op(op)`, from a
-    /// borrowed operation: the foreground path has no payload to give
-    /// away and should not clone one to log it.
+    /// borrowed operation and its [`PageOp::footprint`]: the foreground
+    /// path has no payload to give away and should not clone one to log
+    /// it, and has named the operation's pages already.
     ///
     /// # Errors
     ///
     /// As [`ShardedLog::encode`].
-    pub fn encode_op(op: &PageOp) -> SimResult<EncodedRecord> {
+    pub fn encode_op(op: &PageOp, fp: &Footprint) -> SimResult<EncodedRecord> {
         let put = |buf: &mut Vec<u8>| put_op(buf, op);
-        ShardedLog::<PageOpPayload>::encode_with(put, op.written_pages(), cross_reads(op))
+        let (writes, cross_reads) = (fp.written.to_vec(), fp.cross_reads.to_vec());
+        ShardedLog::<PageOpPayload>::encode_with(put, writes, cross_reads)
     }
 }
 
@@ -83,7 +71,7 @@ impl LogPayload for PageOpPayload {
 
     fn cross_read_pages(&self) -> Vec<PageId> {
         match self {
-            PageOpPayload::Op(op) => cross_reads(op),
+            PageOpPayload::Op(op) => op.footprint().cross_reads.to_vec(),
             PageOpPayload::Checkpoint(_) => Vec::new(),
         }
     }

@@ -42,6 +42,7 @@
 //! one place for both.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 use redo_sim::db::Db;
 use redo_sim::disk::Disk;
@@ -49,7 +50,7 @@ use redo_sim::page::Page;
 use redo_sim::wal::{codec, LogPayload, ShardedLog, ShardedScanner};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{Cell, PageId, PageOp};
+use redo_workload::pages::{Cell, PageId, PageOp, PageSet};
 
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryStats, SCAN_BATCH};
@@ -396,7 +397,8 @@ impl RestartAnalysis {
                 if !(writes_p || op.writes.iter().any(owed)) {
                     continue;
                 }
-                frontier.extend(read_write_pages(&op).filter(|&q| gated(q) && !pages.contains(&q)));
+                let touched = read_write_pages(&op).into_iter();
+                frontier.extend(touched.filter(|&q| gated(q) && !pages.contains(&q)));
                 records.insert(lsn, op);
             }
         }
@@ -534,14 +536,22 @@ fn resolve_table<P: CheckpointView>(
 pub(crate) fn begin<P: CheckpointView>(
     db: &mut Db<P>,
 ) -> SimResult<(RestartAnalysis, RecoveryStats)> {
+    let mut clock = Instant::now();
     db.repair_after_crash();
     let analysis = analyze(db)?;
-    let stats = RecoveryStats {
+    let mut stats = RecoveryStats {
         checkpoint_lsn: analysis.checkpoint_lsn,
         truncated_bytes: db.log.truncated_bytes(),
         ..RecoveryStats::default()
     };
+    stats.phase_ns.begin = lap(&mut clock);
     Ok((analysis, stats))
+}
+
+/// Nanoseconds since `clock` was last read; restarts it.
+fn lap(clock: &mut Instant) -> u64 {
+    let was = std::mem::replace(clock, Instant::now());
+    u64::try_from((*clock - was).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// What a redo step answers if it is handed a checkpoint record. The
@@ -591,10 +601,12 @@ where
     R: FnMut(&mut Db<P>, &RestartAnalysis, Lsn, P) -> SimResult<Redo>,
 {
     let (analysis, mut stats) = begin(db)?;
+    let mut clock = Instant::now();
     let mut scanner = ShardedScanner::seek(&db.log, analysis.redo_start);
     let mut pages: Vec<PageId> = Vec::new();
     loop {
         let batch = scanner.next_batch(&db.log, SCAN_BATCH)?;
+        stats.phase_ns.scan += lap(&mut clock);
         if batch.is_empty() {
             break;
         }
@@ -608,6 +620,7 @@ where
             db.geometry.slots_per_page,
             db.log.stable_lsn(),
         );
+        stats.phase_ns.prefetch += lap(&mut clock);
         for rec in batch {
             stats.scanned += 1;
             if rec.payload.as_checkpoint().is_some() {
@@ -616,6 +629,7 @@ where
                 stats.note_verdict(redo(db, &analysis, rec.lsn, rec.payload)?);
             }
         }
+        stats.phase_ns.redo += lap(&mut clock);
     }
     stats.note_scan(scanner.stats(), db.log.forces());
     Ok(stats)
@@ -683,8 +697,8 @@ where
 
 /// The whole read+write footprint of an operation — what the methods
 /// whose replay reads through the recovery cache prefetch.
-pub(crate) fn read_write_pages(op: &PageOp) -> impl Iterator<Item = PageId> {
-    op.read_pages().into_iter().chain(op.written_pages())
+pub(crate) fn read_write_pages(op: &PageOp) -> PageSet {
+    (op.reads.iter().chain(&op.writes).map(|cell| cell.page)).collect()
 }
 
 /// A heavyweight (flush-everything) checkpoint: force the log, set the

@@ -21,15 +21,20 @@
 //! Eviction is LRU with the same rules: a dirty victim is flushed if
 //! legal, otherwise the next victim is tried.
 //!
-//! Nothing on the per-operation path scans the pool. Recency is a stamp
-//! in the frame, bumped from a pool clock and sorted only when a victim
-//! is actually needed; the constraints are indexed by `blocked` page
-//! (what a flush consults) and by `requires` page (the flush-order
-//! graph's adjacency, what [`BufferPool::would_cycle`] walks); and the
+//! Nothing on the per-operation path scans the pool, or descends a tree
+//! to find a frame: the frames sit in a [frame table](frames) that finds
+//! one by index arithmetic, and a frame carries its own pin count.
+//! Recency is a stamp in the frame, bumped from a pool clock and sorted
+//! only when a victim is actually needed; the constraints are indexed
+//! by `blocked` page (what a flush consults) and by `requires` page (the
+//! flush-order graph's adjacency, what [`BufferPool::would_cycle`]
+//! walks); and the
 //! dirty-page table is kept as an index rather than filtered out of the
 //! frames — twice, by page and by recLSN, so the page that pins
 //! redo-start is read off the head of an order rather than sorted out of
 //! a listing.
+
+mod frames;
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -41,6 +46,7 @@ use redo_workload::pages::PageId;
 use crate::disk::Disk;
 use crate::error::{SimError, SimResult};
 use crate::page::Page;
+use frames::FrameTable;
 
 /// A write-order constraint: "page `blocked` may not be flushed with an
 /// LSN above `blocked_above` until `requires` is on disk at
@@ -83,12 +89,16 @@ struct Frame {
     /// The pool clock at the frame's last touch. Stamps are unique, so
     /// ascending stamp order *is* least-recently-used order.
     stamp: u64,
+    /// Pins held on the page: while any is, the frame is ineligible for
+    /// eviction (it may still be flushed — a pin protects residency, not
+    /// cleanliness). The count lives and dies with the frame.
+    pins: u32,
 }
 
 /// The buffer pool.
 #[derive(Clone, Debug)]
 pub struct BufferPool {
-    frames: BTreeMap<PageId, Frame>,
+    frames: FrameTable<Frame>,
     /// Ticks once per touch; the source of [`Frame::stamp`].
     clock: u64,
     capacity: Option<usize>,
@@ -113,9 +123,6 @@ pub struct BufferPool {
     successors: BTreeMap<PageId, Vec<(PageId, Lsn)>>,
     groups: Vec<AtomicGroup>,
     flushes: u64,
-    /// Pin counts: pinned pages are ineligible for eviction (they may
-    /// still be flushed — a pin protects residency, not cleanliness).
-    pins: BTreeMap<PageId, u32>,
 }
 
 impl BufferPool {
@@ -123,7 +130,7 @@ impl BufferPool {
     #[must_use]
     pub fn new(capacity: Option<usize>) -> BufferPool {
         BufferPool {
-            frames: BTreeMap::new(),
+            frames: FrameTable::new(),
             clock: 0,
             capacity,
             dirty: BTreeMap::new(),
@@ -132,7 +139,6 @@ impl BufferPool {
             successors: BTreeMap::new(),
             groups: Vec::new(),
             flushes: 0,
-            pins: BTreeMap::new(),
         }
     }
 
@@ -145,14 +151,14 @@ impl BufferPool {
     /// Is the pool empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.frames.len() == 0
     }
 
     /// Every cached page id, clean or dirty, in id order. This is the
     /// ground truth for "what may differ from disk": volatile-state
     /// projections overlay exactly these pages.
     pub fn cached_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.frames.keys().copied()
+        self.frames.ids()
     }
 
     /// Pins a cached page: it cannot be evicted until unpinned. Pins
@@ -162,27 +168,22 @@ impl BufferPool {
     ///
     /// [`SimError::NotCached`] if the page is not resident.
     pub fn pin(&mut self, id: PageId) -> SimResult<()> {
-        if !self.frames.contains_key(&id) {
-            return Err(SimError::NotCached(id));
-        }
-        *self.pins.entry(id).or_insert(0) += 1;
+        let frame = self.frames.get_mut(id).ok_or(SimError::NotCached(id))?;
+        frame.pins += 1;
         Ok(())
     }
 
     /// Releases one pin on `id` (a no-op if the page is not pinned).
     pub fn unpin(&mut self, id: PageId) {
-        if let Some(count) = self.pins.get_mut(&id) {
-            *count -= 1;
-            if *count == 0 {
-                self.pins.remove(&id);
-            }
+        if let Some(frame) = self.frames.get_mut(id) {
+            frame.pins = frame.pins.saturating_sub(1);
         }
     }
 
     /// Is the page currently pinned?
     #[must_use]
     pub fn is_pinned(&self, id: PageId) -> bool {
-        self.pins.contains_key(&id)
+        self.frames.get(id).is_some_and(|frame| frame.pins > 0)
     }
 
     /// Pages currently dirty, in id order.
@@ -344,19 +345,20 @@ impl BufferPool {
     ) -> SimResult<&Page> {
         self.clock += 1;
         let stamp = self.clock;
-        if let Some(frame) = self.frames.get_mut(&id) {
-            frame.stamp = stamp;
-        } else {
+        if !self.frames.contains(id) {
             self.make_room(disk, stable_lsn)?;
             let page = disk.read_page(id, slots_per_page)?;
             let frame = Frame {
                 page,
                 dirty: false,
                 stamp,
+                pins: 0,
             };
             self.frames.insert(id, frame);
         }
-        Ok(&self.frames[&id].page)
+        let frame = self.frames.get_mut(id).ok_or(SimError::NotCached(id))?;
+        frame.stamp = stamp;
+        Ok(&frame.page)
     }
 
     /// Batched best-effort prefetch: reads each listed page that is not
@@ -384,7 +386,7 @@ impl BufferPool {
         };
         let mut fetched = 0;
         for &id in pages {
-            if self.frames.contains_key(&id) {
+            if self.frames.contains(id) {
                 continue;
             }
             if fetched >= budget || self.fetch(disk, id, slots_per_page, stable_lsn).is_err() {
@@ -399,7 +401,7 @@ impl BufferPool {
     /// touch).
     #[must_use]
     pub fn get(&self, id: PageId) -> Option<&Page> {
-        self.frames.get(&id).map(|f| &f.page)
+        self.frames.get(id).map(|f| &f.page)
     }
 
     /// Mutates a cached page, tagging it with `lsn` and marking it dirty.
@@ -430,7 +432,7 @@ impl BufferPool {
         lsn: Lsn,
         f: impl FnOnce(&mut Page) -> bool,
     ) -> SimResult<bool> {
-        let frame = self.frames.get_mut(&id).ok_or(SimError::NotCached(id))?;
+        let frame = self.frames.get_mut(id).ok_or(SimError::NotCached(id))?;
         let changed = f(&mut frame.page);
         if changed {
             frame.page.set_lsn(lsn);
@@ -455,7 +457,8 @@ impl BufferPool {
     /// fuzzy checkpoint will publish this recLSN as the floor below
     /// which the page needs no redo. (The image's own LSN is its *last*
     /// record's — as a recLSN it would claim everything before it
-    /// installed.) A frame that is already dirty keeps its older recLSN.
+    /// installed.) A frame that is already dirty keeps its older recLSN,
+    /// and a resident frame keeps its pins.
     ///
     /// # Errors
     ///
@@ -468,7 +471,7 @@ impl BufferPool {
         rec_lsn: Lsn,
         stable_lsn: Lsn,
     ) -> SimResult<()> {
-        if !self.frames.contains_key(&id) {
+        if !self.frames.contains(id) {
             self.make_room(disk, stable_lsn)?;
         }
         self.clock += 1;
@@ -476,8 +479,15 @@ impl BufferPool {
             page: image,
             dirty: true,
             stamp: self.clock,
+            pins: 0,
         };
-        self.frames.insert(id, frame);
+        match self.frames.get_mut(id) {
+            Some(resident) => {
+                let pins = resident.pins;
+                *resident = Frame { pins, ..frame };
+            }
+            None => self.frames.insert(id, frame),
+        }
         if let Entry::Vacant(clean) = self.dirty.entry(id) {
             clean.insert(rec_lsn);
             self.coldest.insert((rec_lsn, id));
@@ -507,7 +517,7 @@ impl BufferPool {
         stable_lsn: Lsn,
         batch: &BTreeSet<PageId>,
     ) -> SimResult<()> {
-        let frame = self.frames.get(&id).ok_or(SimError::NotCached(id))?;
+        let frame = self.frames.get(id).ok_or(SimError::NotCached(id))?;
         let page_lsn = frame.page.lsn();
         if page_lsn > stable_lsn {
             return Err(SimError::WalViolation {
@@ -608,12 +618,12 @@ impl BufferPool {
     /// if the page is pinned. Neither says anything about pool
     /// occupancy, so neither is `PoolExhausted`.
     pub fn drop_clean(&mut self, id: PageId) -> SimResult<()> {
-        match self.frames.get(&id) {
+        match self.frames.get(id) {
             None => Err(SimError::NotCached(id)),
             Some(f) if f.dirty => Err(SimError::DirtyEviction(id)),
-            Some(_) if self.is_pinned(id) => Err(SimError::PinnedPage(id)),
+            Some(f) if f.pins > 0 => Err(SimError::PinnedPage(id)),
             Some(_) => {
-                self.frames.remove(&id);
+                self.frames.remove(id);
                 Ok(())
             }
         }
@@ -623,10 +633,11 @@ impl BufferPool {
     /// quiesce writes to the staging area (§6.1).
     #[must_use]
     pub fn dirty_frames(&self) -> Vec<(PageId, Page)> {
-        self.dirty
+        let frames = self
+            .dirty
             .keys()
-            .map(|&id| (id, self.frames[&id].page.clone()))
-            .collect()
+            .filter_map(|&id| Some((id, self.frames.get(id)?)));
+        frames.map(|(id, frame)| (id, frame.page.clone())).collect()
     }
 
     /// Marks a cached page clean *without* writing it through this pool —
@@ -637,15 +648,15 @@ impl BufferPool {
     ///
     /// [`SimError::NotCached`] if absent.
     pub fn mark_clean(&mut self, id: PageId) -> SimResult<()> {
-        let frame = self.frames.get_mut(&id).ok_or(SimError::NotCached(id))?;
+        let frame = self.frames.get_mut(id).ok_or(SimError::NotCached(id))?;
         frame.dirty = false;
         self.leave_dirty_table(id);
         Ok(())
     }
 
-    /// Simulates losing the cache in a crash: every frame vanishes.
-    /// Constraints vanish too — they concern cached future flushes, and
-    /// there are none.
+    /// Simulates losing the cache in a crash: every frame vanishes, its
+    /// pins with it. Constraints vanish too — they concern cached future
+    /// flushes, and there are none.
     pub fn crash(&mut self) {
         self.frames.clear();
         self.dirty.clear();
@@ -653,7 +664,6 @@ impl BufferPool {
         self.constraints.clear();
         self.successors.clear();
         self.groups.clear();
-        self.pins.clear();
     }
 
     pub(crate) fn gc_constraints(&mut self, disk: &Disk) {
@@ -712,7 +722,7 @@ impl BufferPool {
     /// (the sharded store batches frames from several shards into one
     /// atomic multi-page write). Clean or absent pages yield `None`.
     pub(crate) fn take_dirty_frame(&mut self, id: PageId) -> Option<Page> {
-        let frame = self.frames.get_mut(&id)?;
+        let frame = self.frames.get_mut(id)?;
         if !frame.dirty {
             return None;
         }
@@ -760,17 +770,15 @@ impl BufferPool {
     fn try_evict_one(&mut self, disk: &mut Disk, stable_lsn: Lsn) -> bool {
         // Try LRU order — ascending stamp: clean pages drop immediately;
         // dirty ones flush if legal (which may atomically flush their
-        // whole group). Pinned pages are never victims.
-        let mut victims: Vec<(u64, PageId)> = self
-            .frames
-            .iter()
-            .filter(|(id, _)| !self.is_pinned(**id))
-            .map(|(&id, frame)| (frame.stamp, id))
-            .collect();
+        // whole group). Pinned pages are never victims. Stamps are
+        // unique, so the order the frames are listed in cannot matter.
+        let unpinned = self.frames.iter().filter(|(_, frame)| frame.pins == 0);
+        let mut victims: Vec<(u64, PageId)> = unpinned.map(|(id, f)| (f.stamp, id)).collect();
         victims.sort_unstable();
         for (_, id) in victims {
-            if !self.frames[&id].dirty || self.flush_page(disk, id, stable_lsn).is_ok() {
-                self.frames.remove(&id);
+            let dirty = self.frames.get(id).is_some_and(|frame| frame.dirty);
+            if !dirty || self.flush_page(disk, id, stable_lsn).is_ok() {
+                self.frames.remove(id);
                 return true;
             }
         }
@@ -1301,14 +1309,21 @@ mod tests {
         }
     }
 
-    /// The indexes against the state they mirror: the dirty-page table
-    /// is exactly the dirty frames, its recLSN order is the table
-    /// re-sorted (from any cursor), and the two constraint maps hold the
-    /// same constraints.
+    /// The indexes against the state they mirror: the frame table's
+    /// index names its slab exactly and lists it in id order, recency
+    /// stamps are distinct, the dirty-page table is exactly the dirty
+    /// frames, its recLSN order is the table re-sorted (from any
+    /// cursor), and the two constraint maps hold the same constraints.
     fn assert_indexes_mirror(pool: &BufferPool) {
-        let dirty_frames: Vec<PageId> = (pool.frames.iter())
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
+        pool.frames.assert_index_mirrors_slab();
+        let mut slab: Vec<PageId> = pool.frames.iter().map(|(id, _)| id).collect();
+        slab.sort_unstable();
+        assert_eq!(pool.cached_pages().collect::<Vec<_>>(), slab);
+        assert_eq!(pool.len(), slab.len());
+        let stamps: BTreeSet<u64> = pool.frames.iter().map(|(_, f)| f.stamp).collect();
+        assert_eq!(stamps.len(), slab.len(), "two frames share a stamp");
+        let dirty_frames: Vec<PageId> = (pool.cached_pages())
+            .filter(|&id| pool.frames.get(id).unwrap().dirty)
             .collect();
         assert_eq!(pool.dirty_pages(), dirty_frames);
         assert_eq!(pool.dirty_count(), dirty_frames.len());
@@ -1325,7 +1340,7 @@ mod tests {
         }
         for (id, rec) in pool.dirty_page_table() {
             assert!(
-                rec <= pool.frames[&id].page.lsn(),
+                rec <= pool.frames.get(id).unwrap().page.lsn(),
                 "recLSN past the page LSN"
             );
         }
@@ -1521,83 +1536,273 @@ mod tests {
         }
     }
 
-    /// The recency deque the stamps replaced, kept beside the pool: the
-    /// page a full pool gives up is the first in deque order that is
-    /// unpinned and either clean or legally flushable.
-    struct ReferenceLru(std::collections::VecDeque<PageId>);
+    /// The pool as first written, kept beside the pool: frames in a
+    /// `BTreeMap`, each with its own dirty flag and pin count, recency
+    /// as a deque (least recent first), the disk as a map. No
+    /// constraints, no groups — a flush is legal iff the WAL rule allows
+    /// it.
+    #[derive(Clone, Default)]
+    struct ReferencePool {
+        frames: BTreeMap<PageId, (Page, bool, u32)>,
+        lru: std::collections::VecDeque<PageId>,
+        disk: BTreeMap<PageId, Page>,
+        capacity: Option<usize>,
+    }
 
-    impl ReferenceLru {
+    impl ReferencePool {
         fn touch(&mut self, id: PageId) {
-            self.0.retain(|&p| p != id);
-            self.0.push_back(id);
+            self.lru.retain(|&p| p != id);
+            self.lru.push_back(id);
         }
 
-        fn victim(&self, pool: &BufferPool, stable: Lsn) -> Option<PageId> {
-            let flushable = |id: PageId| pool.get(id).expect("resident").lsn() <= stable;
-            let mut order = self.0.iter().copied();
-            order.find(|&id| !pool.is_pinned(id) && (!pool.frames[&id].dirty || flushable(id)))
+        fn flush(&mut self, id: PageId, stable: Lsn) -> bool {
+            match self.frames.get_mut(&id) {
+                Some((page, dirty, _)) if *dirty && page.lsn() <= stable => {
+                    self.disk.insert(id, page.clone());
+                    *dirty = false;
+                    true
+                }
+                Some((_, dirty, _)) => !*dirty,
+                None => false,
+            }
+        }
+
+        fn flush_all(&mut self, stable: Lsn) {
+            for id in self.frames.keys().copied().collect::<Vec<_>>() {
+                self.flush(id, stable);
+            }
+        }
+
+        /// Frees a frame if the pool is full: the least recent unpinned
+        /// page that is clean or may be flushed goes. When none can,
+        /// everything flushable is flushed — pinned pages too — before
+        /// the pool gives up.
+        fn make_room(&mut self, stable: Lsn) -> bool {
+            while self.capacity.is_some_and(|cap| self.frames.len() >= cap) {
+                let unpinned = |id: &PageId| self.frames[id].2 == 0;
+                let order: Vec<PageId> = self.lru.iter().copied().filter(unpinned).collect();
+                let Some(victim) = order.into_iter().find(|&id| self.flush(id, stable)) else {
+                    self.flush_all(stable);
+                    return false;
+                };
+                self.frames.remove(&victim);
+                self.lru.retain(|&p| p != victim);
+            }
+            true
+        }
+
+        fn fetch(&mut self, id: PageId, stable: Lsn) -> bool {
+            if !self.frames.contains_key(&id) {
+                if !self.make_room(stable) {
+                    return false;
+                }
+                let page = self.disk.get(&id).cloned().unwrap_or_else(|| Page::new(4));
+                self.frames.insert(id, (page, false, 0));
+            }
+            self.touch(id);
+            true
+        }
+
+        fn install(&mut self, id: PageId, image: Page, stable: Lsn) -> bool {
+            if !self.frames.contains_key(&id) && !self.make_room(stable) {
+                return false;
+            }
+            let pins = self.frames.get(&id).map_or(0, |frame| frame.2);
+            self.frames.insert(id, (image, true, pins));
+            self.touch(id);
+            true
         }
     }
 
     proptest::proptest! {
-        /// Model-based: under any capacity and any mix of the calls that
-        /// touch, pin, clean or drop frames, the stamp-ordered pool keeps
-        /// exactly the resident set a deque-ordered LRU keeps — so it
-        /// evicts the same victims in the same order.
+        /// Model-based: under any capacity and any mix of the pool's
+        /// calls, the frame table with its stamps keeps exactly the
+        /// frames — resident set, contents, dirt, pins — the reference
+        /// pool keeps, evicts the same victims in the same order, leaves
+        /// the same disk, and lists what it holds in id order.
         #[test]
-        fn stamp_pool_evicts_what_the_deque_lru_evicts(
-            capacity in 1usize..8,
-            steps in proptest::collection::vec((0u8..7, 0u32..10), 1..160),
+        fn frame_table_pool_is_the_reference_pool(
+            capacity in proptest::option::of(1usize..8),
+            steps in proptest::collection::vec((0u8..16, 0u32..10, 0u32..3), 1..200),
         ) {
-            let mut pool = BufferPool::new(Some(capacity));
+            let mut pool = BufferPool::new(capacity);
             let mut disk = Disk::new();
-            let mut lru = ReferenceLru(std::collections::VecDeque::new());
+            let mut model = ReferencePool { capacity, ..ReferencePool::default() };
             let (mut next_lsn, mut stable) = (1u64, Lsn::ZERO);
-            for (what, page) in steps {
-                let id = PageId(page);
+            for (what, page, far) in steps {
+                // Mostly ten neighbouring pages; now and then one whose
+                // id lands in another index leaf.
+                let id = PageId(page + if what % 2 == 0 { far * 5_000 } else { 0 });
                 match what {
-                    0 | 1 => {
-                        let mut expect_ok = true;
-                        if pool.get(id).is_none() && pool.len() >= capacity {
-                            match lru.victim(&pool, stable) {
-                                Some(victim) => lru.0.retain(|&p| p != victim),
-                                None => expect_ok = false,
-                            }
-                        }
+                    0..=2 => {
                         let fetched = pool.fetch(&mut disk, id, 4, stable).map(|_| ());
-                        if expect_ok {
-                            proptest::prop_assert_eq!(fetched, Ok(()));
-                            lru.touch(id);
-                        } else {
+                        let expected = model.fetch(id, stable);
+                        proptest::prop_assert_eq!(fetched.is_ok(), expected);
+                        if !expected {
                             proptest::prop_assert_eq!(fetched, Err(SimError::PoolExhausted));
                         }
                     }
-                    2 => {
-                        if pool.update(id, Lsn(next_lsn), |p| p.set(SlotId(0), next_lsn)).is_ok() {
-                            lru.touch(id);
+                    3 => {
+                        let want = [id, PageId(page + 1), PageId(page + 2)];
+                        let fetched = pool.prefetch(&mut disk, &want, 4, stable);
+                        let budget = capacity.map_or(usize::MAX, |cap| cap - 1);
+                        let mut expected = 0;
+                        for p in want {
+                            if model.frames.contains_key(&p) {
+                                continue;
+                            }
+                            if expected >= budget || !model.fetch(p, stable) {
+                                break;
+                            }
+                            expected += 1;
+                        }
+                        proptest::prop_assert_eq!(fetched, expected);
+                    }
+                    4..=6 => {
+                        let changed = what != 6;
+                        let updated = pool.update_if(id, Lsn(next_lsn), |p| {
+                            p.set(SlotId(0), next_lsn);
+                            changed
+                        });
+                        proptest::prop_assert_eq!(updated.is_ok(), model.frames.contains_key(&id));
+                        if let Some((p, dirty, _)) = model.frames.get_mut(&id) {
+                            // A declined step has scribbled on the page
+                            // all the same; neither pool undoes it.
+                            p.set(SlotId(0), next_lsn);
+                            if changed {
+                                p.set_lsn(Lsn(next_lsn));
+                                *dirty = true;
+                            }
+                            model.touch(id);
                             next_lsn += 1;
                         }
                     }
-                    3 => {
-                        let _ = pool.pin(id);
+                    7 => {
+                        let mut image = Page::new(4);
+                        image.set(SlotId(1), next_lsn);
+                        image.set_lsn(Lsn(next_lsn));
+                        let installed =
+                            pool.install(&mut disk, id, image.clone(), Lsn(next_lsn), stable);
+                        proptest::prop_assert_eq!(installed.is_ok(), model.install(id, image, stable));
+                        next_lsn += 1;
                     }
-                    4 => pool.unpin(id),
-                    5 => {
-                        if pool.drop_clean(id).is_ok() {
-                            lru.0.retain(|&p| p != id);
+                    8 => {
+                        let pinned = pool.pin(id).is_ok();
+                        proptest::prop_assert_eq!(pinned, model.frames.contains_key(&id));
+                        if let Some(frame) = model.frames.get_mut(&id) {
+                            frame.2 += 1;
                         }
                     }
-                    _ => {
+                    9 => {
+                        pool.unpin(id);
+                        if let Some(frame) = model.frames.get_mut(&id) {
+                            frame.2 = frame.2.saturating_sub(1);
+                        }
+                    }
+                    10 => {
+                        let droppable = matches!(model.frames.get(&id), Some((_, false, 0)));
+                        proptest::prop_assert_eq!(pool.drop_clean(id).is_ok(), droppable);
+                        if droppable {
+                            model.frames.remove(&id);
+                            model.lru.retain(|&p| p != id);
+                        }
+                    }
+                    11 | 12 => {
                         // Force the log, then try to clean the page.
                         stable = Lsn(next_lsn - 1);
                         let _ = pool.flush_page(&mut disk, id, stable);
+                        model.flush(id, stable);
                     }
+                    13 => {
+                        let _ = pool.flush_all(&mut disk, stable);
+                        model.flush_all(stable);
+                    }
+                    14 => {
+                        let cleaned = pool.mark_clean(id).is_ok();
+                        proptest::prop_assert_eq!(cleaned, model.frames.contains_key(&id));
+                        if let Some(frame) = model.frames.get_mut(&id) {
+                            frame.1 = false;
+                        }
+                    }
+                    _ if far == 0 => {
+                        pool.crash();
+                        model.frames.clear();
+                        model.lru.clear();
+                    }
+                    // The copy carries on; the original is dropped.
+                    _ => pool = pool.clone(),
                 }
-                let mut resident: Vec<PageId> = lru.0.iter().copied().collect();
-                resident.sort_unstable();
+                let resident: Vec<PageId> = model.frames.keys().copied().collect();
                 proptest::prop_assert_eq!(pool.cached_pages().collect::<Vec<_>>(), resident);
+                proptest::prop_assert_eq!(pool.len(), model.frames.len());
+                proptest::prop_assert_eq!(pool.is_empty(), model.frames.is_empty());
+                let mut dirty = Vec::new();
+                for (&id, (page, is_dirty, pins)) in &model.frames {
+                    proptest::prop_assert_eq!(pool.get(id), Some(page));
+                    proptest::prop_assert_eq!(pool.is_pinned(id), *pins > 0);
+                    dirty.extend(is_dirty.then_some(id));
+                }
+                proptest::prop_assert_eq!(pool.dirty_pages(), dirty);
+                let on_disk: Vec<(PageId, Page)> =
+                    model.disk.iter().map(|(&id, page)| (id, page.clone())).collect();
+                proptest::prop_assert_eq!(disk.pages(), on_disk);
                 assert_indexes_mirror(&pool);
             }
         }
+    }
+
+    #[test]
+    fn install_over_a_pinned_frame_keeps_its_pins() {
+        let mut pool = BufferPool::new(Some(1));
+        let mut disk = Disk::new();
+        pool.fetch(&mut disk, PageId(0), 4, Lsn(9)).unwrap();
+        pool.pin(PageId(0)).unwrap();
+        pool.pin(PageId(0)).unwrap();
+        let mut image = Page::new(4);
+        image.set_lsn(Lsn(3));
+        pool.install(&mut disk, PageId(0), image.clone(), Lsn(2), Lsn(9))
+            .unwrap();
+        assert_eq!(pool.get(PageId(0)), Some(&image));
+        // Still pinned, twice: the one frame cannot be stolen until both
+        // are released.
+        let exhausted = pool.fetch(&mut disk, PageId(1), 4, Lsn(9)).map(|_| ());
+        assert_eq!(exhausted, Err(SimError::PoolExhausted));
+        pool.unpin(PageId(0));
+        assert!(pool.is_pinned(PageId(0)));
+        pool.unpin(PageId(0));
+        pool.fetch(&mut disk, PageId(1), 4, Lsn(9)).unwrap();
+        assert_eq!(disk.read_page(PageId(0), 4).unwrap(), image);
+    }
+
+    #[test]
+    fn a_page_id_far_above_the_resident_set_costs_an_index_leaf_not_a_table() {
+        let mut pool = BufferPool::new(None);
+        let mut disk = Disk::new();
+        let ids = [0, 7, 1023, 1024, 3_000_000_000, u32::MAX].map(PageId);
+        for id in ids {
+            pool.fetch(&mut disk, id, 4, Lsn::ZERO).unwrap();
+            pool.update(id, Lsn(1), |p| p.set(SlotId(0), u64::from(id.0)))
+                .unwrap();
+        }
+        // Ids 0, 7 and 1023 share a leaf; each of the others has its own.
+        assert_eq!(pool.frames.leaf_count(), 4);
+        assert_eq!(pool.cached_pages().collect::<Vec<_>>(), ids);
+        for id in ids {
+            assert_eq!(pool.get(id).unwrap().get(SlotId(0)), u64::from(id.0));
+        }
+        assert_indexes_mirror(&pool);
+        // Dropping from the middle moves the last frame into the hole;
+        // every survivor must still be found where the index says.
+        pool.mark_clean(PageId(7)).unwrap();
+        pool.drop_clean(PageId(7)).unwrap();
+        assert!(pool.get(PageId(7)).is_none());
+        assert_eq!(
+            pool.get(PageId(u32::MAX)).unwrap().get(SlotId(0)),
+            u64::from(u32::MAX)
+        );
+        assert_indexes_mirror(&pool);
+        pool.crash();
+        assert_eq!(pool.frames.leaf_count(), 0);
+        assert!(pool.get(PageId(0)).is_none());
     }
 }

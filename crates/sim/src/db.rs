@@ -46,6 +46,9 @@ pub struct Db<P: LogPayload> {
     pub geometry: Geometry,
     crashes: u64,
     injector: FaultInjector,
+    /// The values the operation being applied has read — a buffer kept
+    /// between operations so that applying one allocates nothing.
+    read_values: Vec<u64>,
 }
 
 impl<P: LogPayload> Db<P> {
@@ -115,6 +118,7 @@ impl<P: LogPayload> Db<P> {
             geometry,
             crashes: 0,
             injector,
+            read_values: Vec::new(),
         }
     }
 
@@ -225,48 +229,49 @@ impl<P: LogPayload> Db<P> {
     /// Pool exhaustion while faulting pages in; no write has been
     /// applied when an error is returned.
     pub fn apply_page_op(&mut self, op: &PageOp, lsn: Lsn) -> SimResult<()> {
-        let mut pages: Vec<PageId> = op.reads.iter().map(|c| c.page).collect();
-        pages.extend(op.written_pages());
-        pages.sort_unstable();
-        pages.dedup();
-        let mut pinned = Vec::with_capacity(pages.len());
-        let mut fail: Option<SimError> = None;
-        for &page in &pages {
-            let result = self.fetch_with_steal(page);
-            match result.and_then(|()| self.pool.pin(page)) {
-                Ok(()) => pinned.push(page),
-                Err(e) => {
-                    fail = Some(e);
-                    break;
-                }
+        self.apply_page_op_on(op, lsn, &op.footprint().touched)
+    }
+
+    /// [`Db::apply_page_op`] for a caller that has already named the
+    /// operation's pages: `touched` is every page it reads or writes,
+    /// ascending ([`Footprint::touched`](redo_workload::pages::Footprint)).
+    ///
+    /// # Errors
+    ///
+    /// As [`Db::apply_page_op`].
+    pub fn apply_page_op_on(&mut self, op: &PageOp, lsn: Lsn, touched: &[PageId]) -> SimResult<()> {
+        let mut pinned = 0;
+        let mut result = Ok(());
+        for &page in touched {
+            result = self
+                .fetch_with_steal(page)
+                .and_then(|()| self.pool.pin(page));
+            if result.is_err() {
+                break;
             }
+            pinned += 1;
         }
-        if let Some(e) = fail {
-            for &page in &pinned {
-                self.pool.unpin(page);
-            }
-            return Err(e);
+        if result.is_ok() {
+            result = self.write_pinned(op, lsn);
         }
-        // All touched pages are resident and pinned: the read and write
-        // phases below cannot fail.
-        let read_values: Vec<u64> = op
-            .reads
-            .iter()
-            .map(|&cell| {
-                self.pool
-                    .get(cell.page)
-                    .expect("pinned page resident")
-                    .get(cell.slot)
-            })
-            .collect();
-        for &cell in &op.writes {
-            let v = op.output(cell, &read_values);
-            self.pool
-                .update(cell.page, lsn, |p| p.set(cell.slot, v))
-                .expect("pinned page resident");
-        }
-        for &page in &pages {
+        for &page in &touched[..pinned] {
             self.pool.unpin(page);
+        }
+        result
+    }
+
+    /// The read and write phases of an operation whose pages are all
+    /// resident and pinned: they find every frame they ask for.
+    fn write_pinned(&mut self, op: &PageOp, lsn: Lsn) -> SimResult<()> {
+        self.read_values.clear();
+        for &cell in &op.reads {
+            let page = self.pool.get(cell.page);
+            let page = page.ok_or(SimError::NotCached(cell.page))?;
+            self.read_values.push(page.get(cell.slot));
+        }
+        for &cell in &op.writes {
+            let v = op.output(cell, &self.read_values);
+            self.pool.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
         }
         Ok(())
     }

@@ -83,6 +83,105 @@ pub struct PageOp {
     pub f_seed: u64,
 }
 
+/// A handful of distinct pages in ascending order: an operation's write
+/// set, or the pages it reads besides. Up to [`PageSet::INLINE`] of
+/// them live in the value itself, so naming the pages of an ordinary
+/// operation allocates nothing.
+#[derive(Clone, Debug)]
+pub struct PageSet {
+    /// The set is the first `len` entries, while it fits.
+    inline: [PageId; PageSet::INLINE],
+    len: usize,
+    /// The whole set, once it has outgrown `inline` (`len` is then 0).
+    spill: Vec<PageId>,
+}
+
+impl PageSet {
+    /// How many pages a set holds without allocating.
+    pub const INLINE: usize = 4;
+
+    /// The empty set.
+    #[must_use]
+    pub fn new() -> PageSet {
+        PageSet {
+            inline: [PageId(0); PageSet::INLINE],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// Adds `page`, keeping the order; a page already present is not
+    /// added twice.
+    pub fn insert(&mut self, page: PageId) {
+        let Err(at) = self.binary_search(&page) else {
+            return;
+        };
+        if self.spill.is_empty() && self.len < PageSet::INLINE {
+            self.inline.copy_within(at..self.len, at + 1);
+            self.inline[at] = page;
+            self.len += 1;
+        } else {
+            self.spill.extend_from_slice(&self.inline[..self.len]);
+            self.len = 0;
+            self.spill.insert(at, page);
+        }
+    }
+}
+
+impl Default for PageSet {
+    fn default() -> PageSet {
+        PageSet::new()
+    }
+}
+
+impl std::ops::Deref for PageSet {
+    type Target = [PageId];
+
+    fn deref(&self) -> &[PageId] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl FromIterator<PageId> for PageSet {
+    fn from_iter<I: IntoIterator<Item = PageId>>(pages: I) -> PageSet {
+        let mut set = PageSet::new();
+        pages.into_iter().for_each(|page| set.insert(page));
+        set
+    }
+}
+
+impl IntoIterator for PageSet {
+    type Item = PageId;
+    type IntoIter = std::iter::Chain<
+        std::iter::Take<std::array::IntoIter<PageId, { PageSet::INLINE }>>,
+        std::vec::IntoIter<PageId>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline.into_iter().take(self.len).chain(self.spill)
+    }
+}
+
+/// The pages of one operation, named once: every step of executing or
+/// redoing it — the redo test, the flush-order probe, the apply, the
+/// write order it registers — takes a slice of these instead of
+/// deriving its own list from the cells.
+#[derive(Clone, Debug)]
+pub struct Footprint {
+    /// Every page the operation reads or writes.
+    pub touched: PageSet,
+    /// The pages it writes.
+    pub written: PageSet,
+    /// The pages it reads but does not write: the far ends of its §6.4
+    /// read-write edges. Empty for every operation that reads only what
+    /// it writes.
+    pub cross_reads: PageSet,
+}
+
 /// The splitmix64 finalizer; the deterministic "logic" of generated
 /// operations.
 #[must_use]
@@ -141,6 +240,21 @@ impl PageOp {
         pages.sort_unstable();
         pages.dedup();
         pages
+    }
+
+    /// The operation's pages, each list distinct and ascending
+    /// ([`Footprint`]); nothing is allocated for an operation that
+    /// touches [`PageSet::INLINE`] pages or fewer.
+    #[must_use]
+    pub fn footprint(&self) -> Footprint {
+        let written: PageSet = self.writes.iter().map(|c| c.page).collect();
+        let reads = self.reads.iter().map(|c| c.page);
+        let cross_reads = reads.clone().filter(|page| !written.contains(page));
+        Footprint {
+            touched: reads.clone().chain(written.iter().copied()).collect(),
+            cross_reads: cross_reads.collect(),
+            written,
+        }
     }
 
     /// Projects this operation into a theory-level [`Operation`] at slot
@@ -329,6 +443,48 @@ mod tests {
             assert_eq!(op.kind, PageOpKind::Physiological);
             assert_eq!(op.written_pages().len(), 1);
             assert_eq!(op.read_pages(), op.written_pages());
+        }
+    }
+
+    #[test]
+    fn footprint_names_what_the_per_use_listings_named() {
+        let cells = |pages: &[u32]| -> Vec<Cell> {
+            let cell = |&p| Cell {
+                page: PageId(p),
+                slot: SlotId(0),
+            };
+            pages.iter().map(cell).collect()
+        };
+        // Generated shapes, and one wide enough to leave the inline
+        // buffer on every list.
+        let spec = PageWorkloadSpec {
+            n_ops: 120,
+            n_pages: 6,
+            cross_page_fraction: 0.4,
+            multi_page_fraction: 0.2,
+            blind_fraction: 0.1,
+            ..Default::default()
+        };
+        let mut ops = spec.generate(4);
+        ops.push(PageOp {
+            id: 0,
+            kind: PageOpKind::MultiPage,
+            reads: cells(&[9, 3, 14, 3, 8, 1, 12, 7, 2]),
+            writes: cells(&[7, 5, 6, 5, 4, 3, 11]),
+            f_seed: 1,
+        });
+        for op in &ops {
+            let fp = op.footprint();
+            assert_eq!(*fp.written, *op.written_pages());
+            let mut cross = op.read_pages();
+            cross.retain(|p| !fp.written.contains(p));
+            assert_eq!(*fp.cross_reads, *cross);
+            let mut touched = op.read_pages();
+            touched.extend(op.written_pages());
+            touched.sort_unstable();
+            touched.dedup();
+            assert_eq!(*fp.touched, *touched);
+            assert_eq!(fp.touched.into_iter().collect::<Vec<_>>(), touched);
         }
     }
 

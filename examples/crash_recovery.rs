@@ -35,7 +35,8 @@ fn drive<M: RecoveryMethod>(method: &M, ops: &[PageOp]) {
         Ok(report) => {
             println!(
                 "{:<16} crashes: {:>2}  replayed: {:>4}  skipped: {:>4}  survivors: {:>3}/{:<3}  \
-                 log bytes: {:>6}  page writes: {:>4}  invariant audits: {}",
+                 log bytes: {:>6}  page writes: {:>4}  invariant audits: {}  \
+                 restarts by phase (begin/scan/prefetch/redo): {}",
                 method.name(),
                 report.crashes,
                 report.total_replayed,
@@ -45,6 +46,7 @@ fn drive<M: RecoveryMethod>(method: &M, ops: &[PageOp]) {
                 report.log_bytes,
                 report.page_writes,
                 report.audits,
+                report.phase_ns,
             );
         }
         Err(e) => panic!("{} failed: {e}", method.name()),

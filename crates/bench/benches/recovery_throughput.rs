@@ -23,10 +23,17 @@
 //! * `media_intact` / `media_restore` — the same run driven by the
 //!   media-capable method (online fuzzy checkpoints feeding the archive
 //!   tier), recovered as-is vs. after one page is destroyed out-of-band.
-//!   The restore must rebuild the lost page by replaying
-//!   `archive ∥ live` from genesis, so its cost tracks *total* history
-//!   rather than the checkpoint suffix — the gap to `media_intact` is
-//!   the price of a media rebuild.
+//!   The restore rebuilds the lost page from `archive ∥ live`, read in
+//!   place: it reads the whole history (so its cost still tracks
+//!   *total* history rather than the checkpoint suffix) but replays
+//!   only the records the page's final image depends on — the gap to
+//!   `media_intact` is the price of a media rebuild. At the smallest
+//!   size the shape check asserts that gap as a ratio, best of 5 runs
+//!   each side: restore ≤ 2.5× intact (~1.9× with the in-place read
+//!   and the backward slice, ~3.1× when the history was merged into a
+//!   map, decoded into owned records and replayed whole), and prints
+//!   the rebuild by part ([`PageHistory`]: history, closure, slice,
+//!   replay).
 //!
 //! * `pool_pages{64,8192}` — the full (uncheckpointed) scan of one
 //!   op count over a 64-page and an 8192-page database, nothing
@@ -56,7 +63,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use redo_methods::media::Media;
+use redo_methods::media::{Media, PageHistory};
 use redo_methods::physiological::Physiological;
 use redo_methods::RecoveryMethod;
 use redo_sim::backend::BackendKind;
@@ -187,6 +194,47 @@ fn bench_pool_pages(group: &mut criterion::BenchmarkGroup<'_>) {
     assert!(
         wide <= 1.5 * small,
         "per-record replay cost grows with the pool: {small:.0} ns at 64 pages, {wide:.0} ns at 8192"
+    );
+}
+
+/// The media axis's guard: a restore costs at most 2.5× an intact
+/// recovery of the same image (best of 5 each side). Also prints the
+/// rebuild by part, each part best of 5.
+fn bench_media_ratio(n: usize, intact: &MediaDb, damaged: &MediaDb) {
+    let best = |image: &MediaDb| {
+        let recover = |mut db: MediaDb| Media.recover(&mut db).unwrap();
+        redo_bench::best_of(5, || image.clone(), recover).as_secs_f64()
+    };
+    let ratio = best(damaged) / best(intact);
+    let mut probe = damaged.clone();
+    probe.repair_after_crash();
+    let (log, upto, lost) = (&probe.log, probe.log.stable_lsn(), probe.disk.lost_pages());
+    let part = |run: &dyn Fn()| redo_bench::best_of(5, || (), |()| run()).as_micros();
+    let history = PageHistory::read(log, upto).unwrap();
+    let closure = history.closure(&lost, |page| probe.disk.page_lsn(page));
+    let slice = history.slice(&closure);
+    let spp = probe.geometry.slots_per_page;
+    let parts = [
+        part(&|| drop(PageHistory::read(log, upto).unwrap())),
+        part(&|| drop(history.closure(&lost, |page| probe.disk.page_lsn(page)))),
+        part(&|| drop(history.slice(&closure))),
+        part(&|| drop(history.replay(&slice, &closure, spp))),
+    ];
+    println!(
+        "recovery_throughput shape-check [n={n}]: media restore {ratio:.2}x the intact recovery \
+         (best of 5 each); rebuild by part (history/closure/slice/replay): {}/{}/{}/{} us, \
+         {} of {} records replayed for {} page(s)",
+        parts[0],
+        parts[1],
+        parts[2],
+        parts[3],
+        slice.len(),
+        history.records(),
+        closure.len(),
+    );
+    assert!(
+        ratio <= 2.5,
+        "a media restore costs {ratio:.2}x an intact recovery: is the rebuild replaying the whole history?"
     );
 }
 
@@ -324,6 +372,9 @@ fn bench(c: &mut Criterion) {
                 intact.log.archived_bytes(),
                 intact.log.stable_count(),
             );
+            if n == sizes[0] {
+                bench_media_ratio(n, &intact, &damaged);
+            }
             for (label, image) in [("media_intact", &intact), ("media_restore", &damaged)] {
                 group.bench_with_input(BenchmarkId::new(label, n), image, |b, image| {
                     b.iter_batched(

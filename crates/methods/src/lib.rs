@@ -32,9 +32,10 @@
 //!   [`concurrent`] substrate runs the same discipline as a background
 //!   checkpoint daemon.
 //! * [`media`] — media recovery over the archive tier: a destroyed page
-//!   file is rebuilt by replaying `archive ∥ live` from genesis into a
-//!   scratch image (with a transitive closure guarding generalized
-//!   cross-page reads), then ordinary redo finishes the restart.
+//!   file is rebuilt from `archive ∥ live`, read in place — the lost
+//!   pages grow to a transitive closure guarding generalized cross-page
+//!   reads, and only the records the closure's final images depend on
+//!   are replayed — then ordinary redo finishes the restart.
 //!
 //! Every method implements [`RecoveryMethod`], and every serial
 //! `recover` is the one Figure-6 driver in [`redo`] — repair, analyze

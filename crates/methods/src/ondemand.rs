@@ -85,7 +85,8 @@ impl OnDemand {
     /// Opens a crashed database immediately: repair, analysis and gate
     /// placement — no replay, no scan, and no record decoded (a media
     /// rebuild plan, when pages are lost, is the one exception: it
-    /// replays the archived history). Every page whose chain holds a
+    /// reads `archive ∥ live` in place and replays the records the lost
+    /// pages' final images depend on). Every page whose chain holds a
     /// record the analysis cannot prove installed is gated, and so is
     /// every page of the rebuild plan; reads on ungated pages are
     /// servable at once.

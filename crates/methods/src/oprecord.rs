@@ -8,6 +8,7 @@
 //! or [`redo::checkpoint_fuzzy`](crate::redo::checkpoint_fuzzy)), not a
 //! record shape — so they share this payload.
 
+use redo_sim::wal::codec::PageOpView;
 use redo_sim::wal::{codec, EncodedRecord, LogPayload, ShardedLog};
 use redo_sim::SimResult;
 use redo_workload::pages::{Footprint, PageId, PageOp};
@@ -42,6 +43,22 @@ impl PageOpPayload {
         let put = |buf: &mut Vec<u8>| put_op(buf, op);
         let (writes, cross_reads) = (fp.written.to_vec(), fp.cross_reads.to_vec());
         ShardedLog::<PageOpPayload>::encode_with(put, writes, cross_reads)
+    }
+
+    /// The operation a record's encoding holds, read in place: the
+    /// borrowing twin of [`LogPayload::decode`] (give it to
+    /// [`RecordBody::parse`](redo_sim::wal::RecordBody::parse)). `None`
+    /// for a checkpoint record, which is still decoded in full, so a
+    /// damaged one is `Corrupt` here exactly as there.
+    ///
+    /// # Errors
+    ///
+    /// As [`LogPayload::decode`].
+    pub fn op_view<'a>(input: &'a [u8], pos: &mut usize) -> SimResult<Option<PageOpView<'a>>> {
+        match codec::get_u8(input, pos)? {
+            0 => PageOpView::parse(input, pos).map(Some),
+            kind => Checkpoint::decode(kind, input, pos).map(|_| None),
+        }
     }
 }
 

@@ -46,7 +46,7 @@ use redo_workload::pages::PageId;
 use crate::disk::Disk;
 use crate::error::{SimError, SimResult};
 use crate::page::Page;
-use frames::FrameTable;
+pub use frames::FrameTable;
 
 /// A write-order constraint: "page `blocked` may not be flushed with an
 /// LSN above `blocked_above` until `requires` is on disk at

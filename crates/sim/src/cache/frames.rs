@@ -18,13 +18,15 @@ use redo_workload::pages::PageId;
 const LEAF: u32 = 1024;
 
 /// A map from page id to `T`: O(1) lookup, insertion and removal, ids
-/// listed in ascending order.
+/// listed in ascending order. The pool's frames live in one; so does
+/// any page-keyed lookup a per-record loop makes (media restore numbers
+/// the pages of the history it reads with one).
 ///
 /// Invariant: index and slab name each other exactly — `slab[n]` holds
 /// page `p` iff `p`'s index entry is `n + 1`, and every other entry of
 /// every leaf is 0.
 #[derive(Clone, Debug)]
-pub(super) struct FrameTable<T> {
+pub struct FrameTable<T> {
     /// The entries, dense and in no particular order: a removal moves
     /// the last entry into the hole.
     slab: Vec<(PageId, T)>,
@@ -34,8 +36,16 @@ pub(super) struct FrameTable<T> {
     leaves: Vec<(u32, Box<[u32]>)>,
 }
 
+impl<T> Default for FrameTable<T> {
+    fn default() -> Self {
+        FrameTable::new()
+    }
+}
+
 impl<T> FrameTable<T> {
-    pub(super) fn new() -> Self {
+    /// The empty table: no entry, no leaf.
+    #[must_use]
+    pub fn new() -> Self {
         FrameTable {
             slab: Vec::new(),
             leaves: Vec::new(),
@@ -71,7 +81,9 @@ impl<T> FrameTable<T> {
         self.position(id).is_some()
     }
 
-    pub(super) fn get(&self, id: PageId) -> Option<&T> {
+    /// `id`'s entry.
+    #[must_use]
+    pub fn get(&self, id: PageId) -> Option<&T> {
         self.position(id).map(|at| &self.slab[at].1)
     }
 
@@ -80,7 +92,7 @@ impl<T> FrameTable<T> {
     }
 
     /// Adds an entry for `id`, which must have none.
-    pub(super) fn insert(&mut self, id: PageId, value: T) {
+    pub fn insert(&mut self, id: PageId, value: T) {
         debug_assert!(!self.contains(id), "{id:?} is already in the table");
         self.slab.push((id, value));
         let named = u32::try_from(self.slab.len());

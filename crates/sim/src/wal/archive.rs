@@ -7,11 +7,16 @@
 //! archive backend before it leaves the live log. Archive bytes are
 //! therefore a valid frame image in their own right, and concatenating
 //! `archive ∥ live` per shard reproduces the shard's complete history
-//! from LSN 1, which is exactly what point-in-time replay
-//! ([`ShardedLog::pit_records`](super::ShardedLog::pit_records)) scans.
-//! The tier is append-only in steady state; the single exception is
-//! [`ArchiveTier::compact`], which destroys a frame-exact prefix the
-//! caller has proven no recovery protocol can still name.
+//! from LSN 1, which is exactly what
+//! [`ShardedLog::history`](super::ShardedLog::history) reads in place —
+//! media restore and point-in-time replay borrow each record's body
+//! from these bytes instead of copying it out. A drain interrupted
+//! between its archive append and its live truncation leaves frames in
+//! both tiers, and its retry archives them a second time; the history
+//! merge drops every such copy. The tier is append-only in steady
+//! state; the single exception is [`ArchiveTier::compact`], which
+//! destroys a frame-exact prefix the caller has proven no recovery
+//! protocol can still name.
 
 use crate::backend::{BackendKind, LogBackend};
 

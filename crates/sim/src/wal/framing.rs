@@ -31,6 +31,38 @@ pub(crate) fn frame_crc(header12: &[u8], body: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// Where one CRC-verified frame's parts lie in its image.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Frame {
+    pub(crate) lsn: Lsn,
+    /// Offset of the body's first byte.
+    pub(crate) body: usize,
+    /// Offset one past the body's last byte: the next frame's start.
+    pub(crate) end: usize,
+}
+
+/// Reads the frame header at `start` (a frame boundary) and verifies
+/// the frame's checksum, leaving the body undecoded — the structural
+/// half of every scan, so each reports corruption at the same offsets.
+pub(crate) fn read_frame(bytes: &[u8], start: usize) -> SimResult<Frame> {
+    let mut pos = start;
+    let lsn = Lsn(codec::get_u64(bytes, &mut pos)?);
+    let len = codec::get_u32(bytes, &mut pos)? as usize;
+    let stored_crc = codec::get_u32(bytes, &mut pos)?;
+    let end = pos.checked_add(len).ok_or(SimError::Corrupt(pos))?;
+    if end > bytes.len() {
+        return Err(SimError::Corrupt(pos));
+    }
+    if frame_crc(&bytes[start..start + 12], &bytes[pos..end]) != stored_crc {
+        return Err(SimError::Corrupt(start + 12));
+    }
+    Ok(Frame {
+        lsn,
+        body: pos,
+        end,
+    })
+}
+
 /// Walks whole, CRC-valid frames from offset 0: returns the byte
 /// position after the last valid frame, the number of valid frames, and
 /// the last valid frame's LSN.
@@ -88,6 +120,31 @@ pub(crate) fn skip_frames_below(bytes: &[u8], mut pos: usize, from: Lsn) -> (usi
         }
     }
     (pos, skipped)
+}
+
+/// Walks every frame header of `bytes` (stopping at a structural break)
+/// and returns the offset just past the *last* frame whose LSN is below
+/// `below`, or 0 when none is. In a run of frames in LSN order that is
+/// where [`skip_frames_below`] lands; in an archive that holds a run
+/// twice — an interrupted drain, then its retry — it is past the second
+/// copy's frames below `below` too.
+pub(crate) fn end_of_frames_below(bytes: &[u8], below: Lsn) -> usize {
+    let (mut pos, mut end) = (0usize, 0usize);
+    while pos + FRAME_HEADER <= bytes.len() {
+        let lsn = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
+        let len =
+            u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes")) as usize;
+        match (pos + FRAME_HEADER).checked_add(len) {
+            Some(next) if next <= bytes.len() => {
+                if Lsn(lsn) < below {
+                    end = next;
+                }
+                pos = next;
+            }
+            _ => break,
+        }
+    }
+    end
 }
 
 /// Decodes a stable-log byte image into records — the recovery-time log
@@ -193,22 +250,8 @@ impl<'a, P: LogPayload> LogCursor<'a, P> {
             return Ok(None);
         }
         let start = self.pos;
-        let mut pos = self.pos;
-        let lsn = Lsn(codec::get_u64(self.bytes, &mut pos)?);
-        let len = codec::get_u32(self.bytes, &mut pos)? as usize;
-        let stored_crc = codec::get_u32(self.bytes, &mut pos)?;
-        let end = pos.checked_add(len).ok_or(SimError::Corrupt(pos))?;
-        if end > self.bytes.len() {
-            return Err(SimError::Corrupt(pos));
-        }
-        if frame_crc(
-            &self.bytes[start..start + 12],
-            &self.bytes[start + FRAME_HEADER..end],
-        ) != stored_crc
-        {
-            return Err(SimError::Corrupt(start + 12));
-        }
-        let mut body_pos = pos;
+        let Frame { lsn, body, end } = read_frame(self.bytes, start)?;
+        let mut body_pos = body;
         let payload = P::decode(&self.bytes[..end], &mut body_pos)?;
         if body_pos != end {
             return Err(SimError::Corrupt(body_pos));

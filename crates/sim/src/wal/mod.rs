@@ -90,7 +90,7 @@ mod sharded;
 
 pub use framing::{decode_records, LogCursor, ScanStats, FRAME_HEADER};
 pub use index::SEEK_INTERVAL;
-pub use sharded::{ShardFrame, ShardedCursor, ShardedLog, ShardedScanner};
+pub use sharded::{History, RecordBody, ShardFrame, ShardedCursor, ShardedLog, ShardedScanner};
 
 pub(crate) use framing::{frame_crc, skip_frames_below, walk_valid_frames};
 use index::{

@@ -40,11 +40,12 @@
 //! bytes *moved* (per shard, frame-exact) into an append-only
 //! [`archive`](super::archive) tier instead of destroyed. Because the
 //! archive preserves every frame since LSN 1,
-//! [`ShardedLog::pit_records`] can reconstruct the exact record
-//! sequence `1..=upto` from `archive ∥ live` — replaying it from
-//! genesis state reproduces the state as of `upto`, even after the live
-//! log has been truncated past it (the media-recovery protocol
-//! `redo-check --method pit` audits).
+//! [`ShardedLog::history`] yields the exact record sequence `1..=upto`
+//! from `archive ∥ live`, each record's body borrowed from the tier
+//! bytes that hold it — replaying it from genesis state reproduces the
+//! state as of `upto`, even after the live log has been truncated past
+//! it (media recovery and the crash auditor's `archive` leg;
+//! [`ShardedLog::pit_records`] is the same sequence decoded).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -56,7 +57,7 @@ use crate::error::{SimError, SimResult};
 use crate::fault::{FaultDecision, FaultInjector};
 
 use super::archive::ArchiveTier;
-use super::framing::{skip_frames_below, LogCursor, ScanStats};
+use super::framing::{end_of_frames_below, read_frame, skip_frames_below, LogCursor, ScanStats};
 use super::{codec, EncodedRecord, LogManager, LogPayload, WalRecord};
 
 /// What one shard's frames carry: a routed record, or a flush-group
@@ -607,15 +608,16 @@ impl<P: LogPayload> ShardedLog<P> {
     /// live bytes reclaimed (== bytes archived). The caller's
     /// obligations are exactly [`LogManager::truncate_prefix`]'s; the
     /// difference is that the history still exists —
-    /// [`ShardedLog::pit_records`] can replay across the boundary.
+    /// [`ShardedLog::history`] reads across the boundary.
     ///
     /// The protocol is archive-first: each shard's drained prefix is
     /// durable in the archive *before* the live log forgets it, and the
     /// window between the two is a faultable crash point. A crash there
     /// leaves the frames in both tiers (and `first_stable` unmoved), so
     /// no drained frame is ever lost; the overlap — including the
-    /// re-archive a post-recovery retry performs — is deduplicated by
-    /// LSN in every merged scan.
+    /// re-archive a post-recovery retry performs — is dropped by
+    /// [`ShardedLog::history`], which keeps each shard's records in
+    /// strictly increasing LSN order.
     ///
     /// # Errors
     ///
@@ -699,7 +701,10 @@ impl<P: LogPayload> ShardedLog<P> {
     /// protocols still need (the redo start of the oldest checkpoint it
     /// intends to fall back to). Compaction is frame-exact (a
     /// structural header walk, no payload decode), so the surviving
-    /// tier is still a valid frame image.
+    /// tier is still a valid frame image — and it leaves no frame below
+    /// `genesis`, even where an interrupted drain and its retry
+    /// archived a run twice (the cut is past the second copy's frames
+    /// below `genesis`; the first copy's above it are in the second).
     pub fn compact_archive(&mut self, genesis: Lsn) -> u64 {
         let genesis = Lsn(genesis.0.min(self.first_stable.0));
         if self.injector.tripped() {
@@ -707,8 +712,7 @@ impl<P: LogPayload> ShardedLog<P> {
         }
         let mut reclaimed = 0u64;
         for s in 0..self.shards.len() {
-            let bytes = self.archive.bytes(s);
-            let (pos, _) = skip_frames_below(bytes, 0, genesis);
+            let pos = end_of_frames_below(self.archive.bytes(s), genesis);
             if pos == 0 {
                 continue;
             }
@@ -924,37 +928,223 @@ impl<P: LogPayload> ShardedLog<P> {
         self.shards[s].record_at(off)
     }
 
-    /// Point-in-time record sequence: every logical record with LSN ≤
-    /// `upto`, merged in LSN order from `archive ∥ live` across all
-    /// shards. Because the archive preserves complete history from LSN
-    /// 1, replaying the result against genesis state reproduces the
-    /// state as of `upto` — even after [`ShardedLog::archive_prefix`]
-    /// has drained the live prefix past it.
+    /// The durable history through `upto`: every logical record with
+    /// LSN ≤ `upto`, in LSN order, read in place from each shard's
+    /// `archive ∥ live` — one k-way merge, each body CRC-verified and
+    /// borrowed, none decoded. Because the archive preserves complete
+    /// history from LSN 1, replaying it against genesis state
+    /// reproduces the state as of `upto`, even after
+    /// [`ShardedLog::archive_prefix`] has drained the live prefix past
+    /// it.
+    ///
+    /// Marker frames are skipped, broadcast copies yielded once, and a
+    /// shard's record frame at or below the last one its own stream
+    /// yielded is dropped: that is the copy an interrupted drain leaves
+    /// in both tiers (or twice in the archive, once its retry has run).
+    /// Each tier is read up to its first frame past `upto`.
+    ///
+    /// Yields [`SimError::Corrupt`] once, then ends, if a tier's bytes
+    /// do not parse (repair the live tail first after a crash).
+    #[must_use]
+    pub fn history(&self, upto: Lsn) -> History<'_> {
+        let shards = self.shards.iter().enumerate();
+        History {
+            shards: shards
+                .map(|(s, shard)| TierStream {
+                    tiers: [self.archive.bytes(s), shard.stable_bytes()],
+                    tier: 0,
+                    pos: 0,
+                    last: None,
+                })
+                .collect(),
+            merge: LsnMerge::new(self.shards.len()),
+            upto,
+            failed: false,
+        }
+    }
+
+    /// Point-in-time record sequence: [`ShardedLog::history`] through
+    /// `upto`, decoded.
     ///
     /// # Errors
     ///
     /// [`SimError::Corrupt`] if any tier's bytes do not parse (repair
     /// the live tail first after a crash).
     pub fn pit_records(&self, upto: Lsn) -> SimResult<Vec<WalRecord<P>>> {
-        let mut merged: BTreeMap<Lsn, P> = BTreeMap::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            for tier in [self.archive.bytes(s), shard.stable_bytes()] {
-                let cursor: LogCursor<'_, ShardFrame<P>> = LogCursor::over(tier);
-                for res in cursor {
-                    let rec = res?;
-                    if rec.lsn > upto {
-                        break;
-                    }
-                    if let ShardFrame::Rec(payload) = rec.payload {
-                        merged.entry(rec.lsn).or_insert(payload);
+        self.history(upto)
+            .map(|rec| {
+                let WalRecord { lsn, payload } = rec?;
+                let payload = payload.parse(P::decode)?;
+                Ok(WalRecord { lsn, payload })
+            })
+            .collect()
+    }
+}
+
+/// The payload of one record of [`ShardedLog::history`]: CRC-verified,
+/// borrowed from the tier bytes that hold it, not yet decoded.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordBody<'a> {
+    /// The tier image through the end of the record's frame.
+    image: &'a [u8],
+    /// Where the payload starts in `image`.
+    start: usize,
+}
+
+impl<'a> RecordBody<'a> {
+    /// Reads the payload with `parse`, which must consume all of it —
+    /// [`LogPayload::decode`]'s shape, so a borrowing reader and the
+    /// owned decode see the same bytes and report a
+    /// [`SimError::Corrupt`] at the same tier offsets a [`LogCursor`]
+    /// would.
+    ///
+    /// # Errors
+    ///
+    /// `parse`'s error, or [`SimError::Corrupt`] where the payload
+    /// ends short of its frame.
+    pub fn parse<T>(
+        &self,
+        parse: impl FnOnce(&'a [u8], &mut usize) -> SimResult<T>,
+    ) -> SimResult<T> {
+        let mut pos = self.start;
+        let value = parse(self.image, &mut pos)?;
+        if pos != self.image.len() {
+            return Err(SimError::Corrupt(pos));
+        }
+        Ok(value)
+    }
+}
+
+/// The iterator [`ShardedLog::history`] returns.
+#[derive(Debug)]
+pub struct History<'a> {
+    shards: Vec<TierStream<'a>>,
+    merge: LsnMerge<RecordBody<'a>>,
+    upto: Lsn,
+    failed: bool,
+}
+
+impl<'a> Iterator for History<'a> {
+    type Item = SimResult<WalRecord<RecordBody<'a>>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let (shards, upto) = (&mut self.shards, self.upto);
+        let least = self.merge.least(|s, head| {
+            *head = shards[s].next(upto)?;
+            Ok(())
+        });
+        self.failed = least.is_err();
+        least
+            .map(|s| s.and_then(|s| self.merge.take(s)))
+            .transpose()
+    }
+}
+
+/// One shard's `archive ∥ live` frames as record bodies, in strictly
+/// increasing LSN order.
+#[derive(Debug)]
+struct TierStream<'a> {
+    tiers: [&'a [u8]; 2],
+    tier: usize,
+    pos: usize,
+    /// The last record this stream yielded. Only record frames move
+    /// it: a marker echoes an LSN out of order (a `Close` carries its
+    /// group's covering LSN).
+    last: Option<Lsn>,
+}
+
+impl<'a> TierStream<'a> {
+    fn next(&mut self, upto: Lsn) -> SimResult<Option<WalRecord<RecordBody<'a>>>> {
+        while let Some(&bytes) = self.tiers.get(self.tier) {
+            let frame = (self.pos < bytes.len())
+                .then(|| read_frame(bytes, self.pos))
+                .transpose()?;
+            let Some(frame) = frame.filter(|frame| frame.lsn <= upto) else {
+                (self.tier, self.pos) = (self.tier + 1, 0);
+                continue;
+            };
+            self.pos = frame.end;
+            let image = &bytes[..frame.end];
+            let mut pos = frame.body;
+            match codec::get_u8(image, &mut pos)? {
+                REC if self.last.is_some_and(|last| frame.lsn <= last) => {}
+                REC => {
+                    self.last = Some(frame.lsn);
+                    let payload = RecordBody { image, start: pos };
+                    return Ok(Some(WalRecord {
+                        lsn: frame.lsn,
+                        payload,
+                    }));
+                }
+                OPEN | CLOSE => {
+                    get_marker(image, &mut pos)?;
+                    if pos != frame.end {
+                        return Err(SimError::Corrupt(pos));
                     }
                 }
+                _ => return Err(SimError::Corrupt(pos - 1)),
             }
         }
-        Ok(merged
-            .into_iter()
-            .map(|(lsn, payload)| WalRecord { lsn, payload })
-            .collect())
+        Ok(None)
+    }
+}
+
+/// The k-way step both merged scans — [`ShardedScanner`] over the live
+/// tier, [`History`] over `archive ∥ live` — take: one head per shard,
+/// the least LSN taken first (the lowest shard on a tie), and a head
+/// whose LSN was the last one taken dropped as a broadcast copy.
+#[derive(Clone, Debug)]
+struct LsnMerge<P> {
+    heads: Vec<Option<WalRecord<P>>>,
+    last: Option<Lsn>,
+}
+
+impl<P> Default for LsnMerge<P> {
+    fn default() -> Self {
+        LsnMerge::new(0)
+    }
+}
+
+impl<P> LsnMerge<P> {
+    fn new(n: usize) -> Self {
+        LsnMerge {
+            heads: (0..n).map(|_| None).collect(),
+            last: None,
+        }
+    }
+
+    /// Refills every empty head — `fill(s, head)` leaves shard `s`'s
+    /// `None` once it is done — drops a head that is a copy of the item
+    /// last taken, and names the shard whose head is least.
+    fn least(
+        &mut self,
+        mut fill: impl FnMut(usize, &mut Option<WalRecord<P>>) -> SimResult<()>,
+    ) -> SimResult<Option<usize>> {
+        loop {
+            for (s, head) in self.heads.iter_mut().enumerate() {
+                if head.is_none() {
+                    fill(s, head)?;
+                }
+            }
+            let heads = self.heads.iter().enumerate();
+            let least = heads
+                .filter_map(|(s, head)| Some((head.as_ref()?.lsn, s)))
+                .min();
+            match least {
+                Some((lsn, s)) if self.last == Some(lsn) => self.heads[s] = None,
+                least => return Ok(least.map(|(_, s)| s)),
+            }
+        }
+    }
+
+    /// Takes shard `s`'s head, which [`LsnMerge::least`] named.
+    fn take(&mut self, s: usize) -> Option<WalRecord<P>> {
+        let rec = self.heads[s].take();
+        self.last = rec.as_ref().map(|rec| rec.lsn);
+        rec
     }
 }
 
@@ -996,8 +1186,7 @@ impl<P: LogPayload> Iterator for ShardedCursor<'_, P> {
 pub struct ShardedScanner<P> {
     pos: Vec<usize>,
     stats: Vec<ScanStats>,
-    pending: Vec<Option<WalRecord<P>>>,
-    last: Option<Lsn>,
+    merge: LsnMerge<P>,
     failed: bool,
     started: bool,
 }
@@ -1009,8 +1198,7 @@ impl<P: LogPayload> ShardedScanner<P> {
         ShardedScanner {
             pos: Vec::new(),
             stats: Vec::new(),
-            pending: Vec::new(),
-            last: None,
+            merge: LsnMerge::new(0),
             failed: false,
             started: false,
         }
@@ -1022,11 +1210,11 @@ impl<P: LogPayload> ShardedScanner<P> {
     pub fn seek(log: &ShardedLog<P>, from: Lsn) -> ShardedScanner<P> {
         let mut scanner = ShardedScanner::from_start();
         scanner.started = true;
+        scanner.merge = LsnMerge::new(log.n_shards());
         for shard in &log.shards {
             let cursor = shard.cursor_from(from);
             scanner.pos.push(cursor.pos);
             scanner.stats.push(cursor.stats);
-            scanner.pending.push(None);
         }
         scanner
     }
@@ -1035,37 +1223,9 @@ impl<P: LogPayload> ShardedScanner<P> {
         if !self.started {
             self.pos = vec![0; n];
             self.stats = vec![ScanStats::default(); n];
-            self.pending = (0..n).map(|_| None).collect();
+            self.merge = LsnMerge::new(n);
             self.started = true;
         }
-    }
-
-    /// Advances shard `s`'s pending head to its next logical record
-    /// (skipping and committing marker frames).
-    fn fill(&mut self, log: &ShardedLog<P>, s: usize) -> SimResult<()> {
-        while self.pending[s].is_none() {
-            let mut cursor: LogCursor<'_, ShardFrame<P>> =
-                LogCursor::at(log.shards[s].stable_bytes(), self.pos[s], self.stats[s]);
-            match cursor.next() {
-                Some(Ok(rec)) => {
-                    self.pos[s] = cursor.pos;
-                    self.stats[s] = cursor.stats;
-                    if let ShardFrame::Rec(payload) = rec.payload {
-                        self.pending[s] = Some(WalRecord {
-                            lsn: rec.lsn,
-                            payload,
-                        });
-                    }
-                }
-                Some(Err(e)) => {
-                    self.pos[s] = cursor.pos;
-                    self.stats[s] = cursor.stats;
-                    return Err(e);
-                }
-                None => break,
-            }
-        }
-        Ok(())
     }
 
     /// Decodes up to `max` merged records at the current position,
@@ -1080,29 +1240,32 @@ impl<P: LogPayload> ShardedScanner<P> {
             return Ok(Vec::new());
         }
         self.ensure_started(log.n_shards());
+        let (pos, stats) = (&mut self.pos, &mut self.stats);
+        // Shard `s`'s next logical record, marker frames skipped and
+        // committed.
+        let mut fill = |s: usize, head: &mut Option<WalRecord<P>>| -> SimResult<()> {
+            let mut cursor: LogCursor<'_, ShardFrame<P>> =
+                LogCursor::at(log.shards[s].stable_bytes(), pos[s], stats[s]);
+            while head.is_none() {
+                let Some(frame) = cursor.next() else { break };
+                (pos[s], stats[s]) = (cursor.pos, cursor.stats);
+                let WalRecord { lsn, payload } = frame?;
+                if let ShardFrame::Rec(payload) = payload {
+                    *head = Some(WalRecord { lsn, payload });
+                }
+            }
+            Ok(())
+        };
         let mut out = Vec::new();
         while out.len() < max {
-            for s in 0..log.n_shards() {
-                if let Err(e) = self.fill(log, s) {
+            match self.merge.least(&mut fill) {
+                Ok(Some(s)) => out.extend(self.merge.take(s)),
+                Ok(None) => break,
+                Err(e) => {
                     self.failed = true;
                     return Err(e);
                 }
             }
-            let mut best: Option<(usize, Lsn)> = None;
-            for (s, head) in self.pending.iter().enumerate() {
-                if let Some(rec) = head {
-                    if best.is_none_or(|(_, lsn)| rec.lsn < lsn) {
-                        best = Some((s, rec.lsn));
-                    }
-                }
-            }
-            let Some((s, _)) = best else { break };
-            let rec = self.pending[s].take().expect("pending head present");
-            if self.last == Some(rec.lsn) {
-                continue;
-            }
-            self.last = Some(rec.lsn);
-            out.push(rec);
         }
         Ok(out)
     }
@@ -1456,6 +1619,94 @@ mod tests {
         // sequence either way — there is nothing beyond stable to find.
         assert_eq!(log.pit_records(Lsn(12)).unwrap(), full);
         assert_eq!(log.pit_records(Lsn(1_000_000)).unwrap(), full);
+    }
+
+    /// The merge `pit_records` was before [`ShardedLog::history`]: every
+    /// tier of every shard decoded in full into a map keyed by LSN, the
+    /// first copy of each LSN kept.
+    fn reference_pit(log: &ShardedLog<Rec>, upto: Lsn) -> SimResult<Vec<WalRecord<Rec>>> {
+        let mut merged: BTreeMap<Lsn, Rec> = BTreeMap::new();
+        for (s, shard) in log.shards.iter().enumerate() {
+            for tier in [log.archive.bytes(s), shard.stable_bytes()] {
+                let cursor: LogCursor<'_, ShardFrame<Rec>> = LogCursor::over(tier);
+                for res in cursor {
+                    let rec = res?;
+                    if rec.lsn > upto {
+                        break;
+                    }
+                    if let ShardFrame::Rec(payload) = rec.payload {
+                        merged.entry(rec.lsn).or_insert(payload);
+                    }
+                }
+            }
+        }
+        Ok(merged
+            .into_iter()
+            .map(|(lsn, payload)| WalRecord { lsn, payload })
+            .collect())
+    }
+
+    proptest::proptest! {
+        /// `history` (through `pit_records`) is the reference merge at
+        /// every `upto`, over logs built from single-page, multi-page
+        /// and page-less (broadcast) records; partial and full forces
+        /// (cross-shard flush groups, with their markers); drains at
+        /// random LSNs, whole and per shard; drains a fault interrupts
+        /// between archive append and live truncation — left as they
+        /// are, or retried — and archive compaction.
+        #[test]
+        fn history_is_the_reference_merge(
+            shard_bits in 0u32..3,
+            steps in proptest::collection::vec((0u8..10, 0u32..8, 0u32..8), 1..120),
+        ) {
+            let shards = 1usize << shard_bits;
+            let mut log: ShardedLog<Rec> = ShardedLog::new(shards);
+            let mut value = 0u64;
+            let pick = |log: &ShardedLog<Rec>, x: u32| {
+                let (first, stable) = (log.first_stable().0, log.stable_lsn().0);
+                Lsn(first + u64::from(x) * (stable + 1).saturating_sub(first) / 7)
+            };
+            for (what, a, b) in steps {
+                value += 1;
+                match what {
+                    0..=2 => drop(log.append(Rec(vec![a], value)).unwrap()),
+                    3 => drop(log.append(Rec(vec![a, b], value)).unwrap()),
+                    4 => drop(log.append(Rec(vec![], value)).unwrap()),
+                    5 => log.flush(Lsn(log.stable_lsn().0 + u64::from(a))),
+                    6 => log.flush_all(),
+                    7 => drop(log.archive_prefix(pick(&log, a)).unwrap()),
+                    8 => {
+                        // Interrupted at the first or second shard's
+                        // archive-then-truncate window, then maybe
+                        // retried after the crash.
+                        let below = pick(&log, a);
+                        log.injector.arm(FaultPlan { at: u64::from(b % 2) + 1, kind: FaultKind::Clean });
+                        log.archive_prefix(below).unwrap();
+                        log.injector.reset();
+                        log.crash();
+                        log.repair_tail();
+                        if b % 3 == 0 {
+                            log.archive_prefix(below).unwrap();
+                        }
+                    }
+                    _ => {
+                        if b % 2 == 0 {
+                            log.archive_shard_prefix(a as usize % shards, pick(&log, b)).unwrap();
+                        } else {
+                            log.compact_archive(pick(&log, a));
+                        }
+                    }
+                }
+            }
+            log.flush_all();
+            let stable = log.stable_lsn().0;
+            for upto in [0, stable / 3, stable / 2, log.first_stable().0.saturating_sub(1), stable, stable + 4] {
+                let upto = Lsn(upto);
+                let history = log.pit_records(upto).unwrap();
+                proptest::prop_assert_eq!(&history, &reference_pit(&log, upto).unwrap(), "upto {:?}", upto);
+                proptest::prop_assert!(history.windows(2).all(|w| w[0].lsn < w[1].lsn));
+            }
+        }
     }
 
     #[test]

@@ -212,10 +212,17 @@ impl PageOp {
     #[must_use]
     pub fn output(&self, cell: Cell, read_values: &[u64]) -> u64 {
         debug_assert_eq!(read_values.len(), self.reads.len());
+        Self::output_of(self.id, self.f_seed, cell, read_values)
+    }
+
+    /// [`PageOp::output`] from the two fields it depends on, for a
+    /// caller holding an operation's encoding rather than a `PageOp`.
+    #[must_use]
+    pub fn output_of(id: u32, f_seed: u64, cell: Cell, read_values: &[u64]) -> u64 {
         // Mirrors Expr::Mix evaluation: acc starts at the mix tag and
         // folds each part with xor-then-finalize.
         let mut acc = 0x51ed_270bu64;
-        acc = mix64(acc ^ (self.f_seed ^ u64::from(self.id)));
+        acc = mix64(acc ^ (f_seed ^ u64::from(id)));
         acc = mix64(acc ^ Self::cell_code(cell));
         for &v in read_values {
             acc = mix64(acc ^ v);

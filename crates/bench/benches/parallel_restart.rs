@@ -109,11 +109,11 @@ fn suffix_decode_bytes(image: &Db<PageOpPayload>) -> Vec<u64> {
     let analysis = Generalized::analyze_dpt(&probe).unwrap();
     (0..probe.log.n_shards())
         .map(|s| {
-            let mut cursor = probe.log.shard_cursor_from(s, analysis.redo_start);
-            for frame in cursor.by_ref() {
-                frame.unwrap();
+            let mut records = probe.log.shard_suffix(s, analysis.redo_start);
+            for rec in records.by_ref() {
+                rec.unwrap();
             }
-            cursor.stats().bytes_scanned
+            records.stats().bytes_scanned
         })
         .collect()
 }

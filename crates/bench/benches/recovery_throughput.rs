@@ -49,6 +49,10 @@
 //!   the resident set, 5.9× when `touch` scanned an LRU list. The line
 //!   also prints one probe restart's wall time by phase
 //!   ([`redo_methods::PhaseNanos`]).
+//! * scan share — restart reads each record in place, checksummed only
+//!   where repair did not already verify it, so over a 20 000-record
+//!   single-page log that replays whole the shape check asserts the
+//!   best scan phase of 5 restarts is at most 0.8× the best redo phase.
 //!
 //! Shape checks before timing assert the telemetry tells the same
 //! story: the checkpointed scan decodes at most a quarter of what the
@@ -65,7 +69,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use redo_methods::media::{Media, PageHistory};
 use redo_methods::physiological::Physiological;
-use redo_methods::RecoveryMethod;
+use redo_methods::{PhaseNanos, RecoveryMethod};
 use redo_sim::backend::BackendKind;
 use redo_sim::db::{Db, Geometry};
 use redo_workload::pages::PageWorkloadSpec;
@@ -197,6 +201,49 @@ fn bench_pool_pages(group: &mut criterion::BenchmarkGroup<'_>) {
     );
 }
 
+/// Records behind the scan-share guard.
+const SCAN_GUARD_OPS: usize = 20_000;
+
+/// The scan-share guard: restart reads each record in place, so the
+/// scan costs well under the replay. Over a single-page log that
+/// replays whole, the best scan phase of 5 restarts is at most 0.8× the
+/// best redo phase.
+fn bench_scan_share() {
+    let ops = PageWorkloadSpec {
+        n_ops: SCAN_GUARD_OPS,
+        n_pages: 64,
+        ..Default::default()
+    }
+    .generate(23);
+    let mut image: PhysioDb = Db::new(Geometry::default());
+    for op in &ops {
+        Physiological.execute(&mut image, op).unwrap();
+    }
+    image.log.flush_all();
+    image.crash();
+    let mut phases = Vec::new();
+    redo_bench::best_of(
+        5,
+        || image.clone(),
+        |mut db| {
+            phases.push(Physiological.recover(&mut db).unwrap().phase_ns);
+        },
+    );
+    let best = |phase: fn(&PhaseNanos) -> u64| phases.iter().map(phase).min().unwrap_or(0);
+    let (scan, redo) = (best(|p| p.scan), best(|p| p.redo));
+    let ratio = scan as f64 / redo as f64;
+    println!(
+        "recovery_throughput shape-check [n={SCAN_GUARD_OPS}]: scan {ratio:.2}x redo \
+         (best of 5 each: {} / {} us)",
+        scan / 1_000,
+        redo / 1_000,
+    );
+    assert!(
+        ratio <= 0.8,
+        "the scan costs {ratio:.2}x the replay: is restart decoding each record into an owned operation?"
+    );
+}
+
 /// The media axis's guard: a restore costs at most 2.5× an intact
 /// recovery of the same image (best of 5 each side). Also prints the
 /// rebuild by part, each part best of 5.
@@ -248,6 +295,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("recovery_throughput");
     let shard_counts: &[usize] = &[2, 4, 8];
     bench_pool_pages(&mut group);
+    bench_scan_share();
     for &n in sizes {
         let full = crashed_db(n, false, BackendKind::Mem, 1);
         let ckpt = crashed_db(n, true, BackendKind::Mem, 1);

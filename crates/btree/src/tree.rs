@@ -371,17 +371,25 @@ impl BTree {
     /// repair, analysis of the master record, prefetch, scan) with
     /// [`apply_payload`] as the redo step: a record counts as replayed
     /// iff some page it writes predated it. A B-tree record has no
-    /// workload operation id; the stats name it by its LSN.
+    /// workload operation id; the stats name it by its LSN. Its records
+    /// are few and small, so each is decoded owned.
     ///
     /// # Errors
     ///
     /// Substrate errors, including log corruption.
     pub fn recover(&mut self) -> SimResult<RecoveryStats> {
-        let footprint = BtPayload::write_pages;
-        let stats = redo::recover(&mut self.db, footprint, |db, _, lsn, payload| {
-            let id = u32::try_from(lsn.0).unwrap_or(u32::MAX);
-            Ok(Redo::of(id, apply_payload(db, &payload, lsn)?))
-        })?;
+        let stats = redo::recover(
+            &mut self.db,
+            |body, pages| {
+                pages.extend(body.parse(BtPayload::decode)?.write_pages());
+                Ok(())
+            },
+            |db, _, lsn, body| {
+                let id = u32::try_from(lsn.0).unwrap_or(u32::MAX);
+                let payload = body.parse(BtPayload::decode)?;
+                Ok(Redo::of(id, apply_payload(db, &payload, lsn)?))
+            },
+        )?;
         if self.db.log.last_lsn() == Lsn::ZERO {
             // Nothing ever became durable — not even the bootstrap
             // record. The tree is factually empty; re-bootstrap it.

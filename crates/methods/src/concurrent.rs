@@ -84,7 +84,7 @@ use redo_sim::shard::{PageLease, ShardedStore};
 use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{Cell, Footprint, PageId, PageOp};
+use redo_workload::pages::{Cell, Footprint, OpCells, PageId, PageOp};
 
 use crate::control::{ControlPlan, Controller, RestartBudget, RestartEstimate};
 use crate::generalized::{write_order, write_set_is_stale};

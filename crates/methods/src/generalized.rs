@@ -26,7 +26,7 @@ use redo_sim::cache::Constraint;
 use redo_sim::db::Db;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{Footprint, PageId, PageOp};
+use redo_workload::pages::{Footprint, OpCells, PageId, PageOp};
 
 use crate::oprecord::PageOpPayload;
 use crate::redo::{self, RestartAnalysis};
@@ -84,7 +84,7 @@ pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, fp: &Footprint, l
 /// graph it leaves is the acyclic graph it found, and the answer is
 /// `false` without looking at the graph at all.
 #[cfg_attr(not(test), allow(unused_variables))]
-pub(crate) fn would_cycle(db: &Db<PageOpPayload>, op: &PageOp, fp: &Footprint) -> bool {
+pub(crate) fn would_cycle(db: &Db<PageOpPayload>, op: &impl OpCells, fp: &Footprint) -> bool {
     let cycle = (fp.written.len() > 1 || !fp.cross_reads.is_empty())
         && db.pool.would_cycle(&db.disk, &fp.written, &fp.cross_reads);
     #[cfg(test)]
@@ -101,7 +101,7 @@ mod oracle {
     use std::collections::{BTreeMap, BTreeSet};
 
     use redo_sim::db::Db;
-    use redo_workload::pages::{PageId, PageOp};
+    use redo_workload::pages::{Cell, OpCells, PageId};
 
     use crate::oprecord::PageOpPayload;
 
@@ -122,9 +122,21 @@ mod oracle {
         }
     }
 
-    /// The quotient flush-order graph as it stands, or — with `op` —
-    /// as it would stand once `op` registered.
-    fn quotient_edges(db: &Db<PageOpPayload>, op: Option<&PageOp>) -> Vec<(PageId, PageId)> {
+    /// The distinct pages of `cells`, ascending.
+    fn pages(cells: impl Iterator<Item = Cell>) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = cells.map(|cell| cell.page).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
+    /// The quotient flush-order graph as it stands, or — with an
+    /// operation's written and read pages — as it would stand once it
+    /// registered.
+    fn quotient_edges(
+        db: &Db<PageOpPayload>,
+        op: Option<(&[PageId], &[PageId])>,
+    ) -> Vec<(PageId, PageId)> {
         // Union-find over pages: identify members of active groups and
         // of the new op's write set.
         let mut parent = BTreeMap::new();
@@ -136,7 +148,7 @@ mod oracle {
                 }
             }
         }
-        let written = op.map(PageOp::written_pages).unwrap_or_default();
+        let (written, reads) = op.unwrap_or_default();
         for pair in written.windows(2) {
             union(&mut parent, pair[0], pair[1]);
         }
@@ -146,9 +158,9 @@ mod oracle {
                 edges.push((find(&mut parent, c.requires), find(&mut parent, c.blocked)));
             }
         }
-        for r in op.map(PageOp::read_pages).unwrap_or_default() {
-            if !written.contains(&r) {
-                edges.push((find(&mut parent, written[0]), find(&mut parent, r)));
+        for r in reads {
+            if !written.contains(r) {
+                edges.push((find(&mut parent, written[0]), find(&mut parent, *r)));
             }
         }
         edges
@@ -190,17 +202,18 @@ mod oracle {
         seen != nodes.len()
     }
 
-    pub(super) fn check(db: &Db<PageOpPayload>, op: &PageOp, probe: bool) {
+    pub(super) fn check(db: &Db<PageOpPayload>, op: &impl OpCells, probe: bool) {
         assert!(
             !has_cycle(&quotient_edges(db, None)),
             "the probe's precondition: the standing flush-order graph is acyclic (before op {})",
-            op.id
+            op.id()
         );
+        let (written, reads) = (pages(op.writes()), pages(op.reads()));
         assert_eq!(
             probe,
-            has_cycle(&quotient_edges(db, Some(op))),
+            has_cycle(&quotient_edges(db, Some((&written, &reads)))),
             "reachability probe and whole-graph sort disagree on op {}",
-            op.id
+            op.id()
         );
     }
 }
@@ -252,15 +265,16 @@ pub(crate) fn write_set_is_stale(
 }
 
 /// The generalized method's per-record step over a sequential [`Db`],
-/// shared by the serial scan and on-demand replay: the redo test, then
-/// — if the operation is uninstalled — replay with its write-order
-/// constraints re-imposed. The operation's pages are named once, here.
-/// Returns whether the operation replayed.
+/// shared by the serial scan (which hands it the operation read in
+/// place from its record) and on-demand replay (an owned one): the
+/// redo test, then — if the operation is uninstalled — replay with its
+/// write-order constraints re-imposed. The operation's pages are named
+/// once, here. Returns whether the operation replayed.
 ///
 /// # Errors
 ///
 /// Substrate errors from fetching or flushing pages.
-pub(crate) fn redo_op(db: &mut Db<PageOpPayload>, lsn: Lsn, op: &PageOp) -> SimResult<bool> {
+pub(crate) fn redo_op(db: &mut Db<PageOpPayload>, lsn: Lsn, op: &impl OpCells) -> SimResult<bool> {
     let fp = op.footprint();
     let stale = write_set_is_stale(&fp.written, lsn, |page| {
         let (stable, spp) = (db.log.stable_lsn(), db.geometry.slots_per_page);
@@ -319,7 +333,7 @@ impl RecoveryMethod for Generalized {
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
         // Each batch prefetches the read+write footprint of its
         // operations (replay reads go through the recovery cache too).
-        redo::recover_ops(db, redo::read_write_pages, redo_op)
+        redo::recover_ops(db, |db, lsn, op| redo_op(db, lsn, op))
     }
 }
 

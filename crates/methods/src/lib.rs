@@ -79,7 +79,7 @@ use redo_sim::SimResult;
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageOp};
 
-/// How many records a recovery scan decodes per [`redo_sim::wal::ShardedScanner`]
+/// How many records a recovery scan reads per [`redo_sim::wal::ShardedScanner`]
 /// batch before replaying them — the size of the streaming window.
 pub const SCAN_BATCH: usize = 32;
 
@@ -94,8 +94,10 @@ pub struct PhaseNanos {
     /// Media repair (torn pages, torn log tail) and analysis of the
     /// master record.
     pub begin: u64,
-    /// Seeking to the redo-start and decoding the log, checksums
-    /// included.
+    /// Seeking to the redo-start and reading the log in place: each
+    /// batch's frames walked and their bodies copied out, with the
+    /// checksum of only those frames `begin`'s repair did not verify.
+    /// Parsing a body is the phase that needs it.
     pub scan: u64,
     /// Listing each batch's pages and faulting the missing ones in.
     pub prefetch: u64,

@@ -93,7 +93,7 @@ impl RecoveryMethod for Logical {
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
         // Logical operations read and write arbitrary pages, so each
         // batch prefetches its whole read+write footprint.
-        redo::recover_ops(db, redo::read_write_pages, |db, lsn, op| {
+        redo::recover_ops(db, |db, lsn, op| {
             // redo test: constant true.
             db.apply_page_op(op, lsn)?;
             Ok(true)

@@ -67,7 +67,7 @@ use redo_sim::wal::codec::PageOpView;
 use redo_sim::wal::ShardedLog;
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::{OpCells, PageId, PageOp};
 
 use crate::generalized::Generalized;
 use crate::ondemand::OnDemand;

@@ -11,7 +11,7 @@
 use redo_sim::wal::codec::PageOpView;
 use redo_sim::wal::{codec, EncodedRecord, LogPayload, ShardedLog};
 use redo_sim::SimResult;
-use redo_workload::pages::{Footprint, PageId, PageOp};
+use redo_workload::pages::{Footprint, OpCells, PageId, PageOp};
 
 use crate::redo::{Checkpoint, CheckpointView};
 

@@ -20,9 +20,9 @@
 //! instead of on the pool's frames.
 //!
 //! The execution scheme is a *pipeline* whose decode stage scales with
-//! the log: one scan thread per log shard runs a streaming frame scan
-//! over its shard (a seeked [`LogCursor`](redo_sim::wal::LogCursor) —
-//! only the post-checkpoint suffix is ever decoded) and routes its
+//! the log: one scan thread per log shard reads its shard in place (a
+//! seeked [`ShardedLog::shard_suffix`](redo_sim::wal::ShardedLog::shard_suffix)
+//! — only the post-checkpoint suffix is ever read) and routes its
 //! *own* pages' work items, coalesced into batches to amortize channel
 //! synchronization, over channels to worker threads, which rebuild
 //! page *images* from their durable copies in per-page LSN order
@@ -77,7 +77,7 @@ use std::sync::mpsc;
 
 use redo_sim::db::Db;
 use redo_sim::page::Page;
-use redo_sim::wal::{ScanStats, ShardFrame};
+use redo_sim::wal::{ScanStats, WalRecord};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp};
@@ -85,7 +85,7 @@ use redo_workload::pages::{PageId, PageOp};
 use crate::oprecord::PageOpPayload;
 use crate::physical::{PhysPayload, Physical};
 use crate::physiological::Physiological;
-use crate::redo::{self, PageLocal, Redo, RestartAnalysis};
+use crate::redo::{self, Checkpoint, PageLocal, Redo, RestartAnalysis};
 use crate::{RecoveryMethod, RecoveryStats};
 
 /// One unit of redo work in flight from the scan thread to a worker:
@@ -165,52 +165,52 @@ where
 /// was home to, and the operations the analysis left no part of.
 type ShardScan = (ScanStats, usize, Vec<Verdict>);
 
-/// One shard's scan thread: streams the shard's frames from the seeked
-/// cursor, splits each record into the parts restart still owes, and
-/// routes the parts homed on this shard to the workers.
-fn scan_shard<P: PageLocal>(
-    db: &Db<P>,
+/// One shard's scan thread: reads the shard's records in place from
+/// its seek position, splits each into the parts restart still owes,
+/// and routes the parts homed on this shard to the workers. The parts
+/// borrow the log, which outlives every thread of the restart.
+fn scan_shard<'db, P: PageLocal>(
+    db: &'db Db<P>,
     s: usize,
     analysis: &RestartAnalysis,
-    txs: &[mpsc::Sender<Vec<WorkItem<P::Part>>>],
+    txs: &[mpsc::Sender<Vec<WorkItem<P::Part<'db>>>>],
 ) -> SimResult<ShardScan> {
     let threads = txs.len();
-    let mut bufs: Vec<Vec<WorkItem<P::Part>>> = (0..threads)
+    let mut bufs: Vec<Vec<WorkItem<P::Part<'db>>>> = (0..threads)
         .map(|_| Vec::with_capacity(ROUTE_BATCH))
         .collect();
     let mut routed: BTreeSet<PageId> = BTreeSet::new();
     let (mut scanned, mut checkpoints, mut elided) = (0, 0, Vec::new());
-    let mut cursor = db.log.shard_cursor_from(s, analysis.redo_start);
+    let mut records = db.log.shard_suffix(s, analysis.redo_start);
+    let mut parts = Vec::new();
     let mut scan = || -> SimResult<()> {
-        for frame in cursor.by_ref() {
-            let frame = frame?;
-            // Flush-group markers are log plumbing, not records.
-            let ShardFrame::Rec(payload) = frame.payload else {
-                continue;
-            };
-            let lsn = frame.lsn;
+        for rec in records.by_ref() {
+            let WalRecord { lsn, payload: body } = rec?;
             // A record's *home* shard is the lowest shard id among its
             // written pages (shard 0 for page-less records, which
             // broadcast everywhere): exactly one scan observes a record
             // as home, so per-record bookkeeping settles exactly once
             // even when the record itself is replicated across shards.
-            let pages = payload.write_pages();
-            let home = pages.iter().map(|&p| db.log.shard_of(p)).min();
-            let is_home = home.unwrap_or(0) == s;
-            scanned += usize::from(is_home);
-            if payload.as_checkpoint().is_some() {
+            if Checkpoint::in_record(body)?.is_some() {
                 // Checkpoint records are not page writes: counted,
                 // never routed to a page partition.
-                checkpoints += usize::from(is_home);
+                scanned += usize::from(s == 0);
+                checkpoints += usize::from(s == 0);
                 continue;
             }
-            let (op_id, parts) = analysis.owed_parts(lsn, payload)?;
-            if parts.is_empty() && is_home {
+            let (op_id, all) = P::parts(body)?;
+            parts.clear();
+            parts.extend(all);
+            let home = parts.iter().map(|&(page, _)| db.log.shard_of(page)).min();
+            let is_home = home.unwrap_or(0) == s;
+            scanned += usize::from(is_home);
+            let mut owed = analysis.owed_parts(lsn, parts.drain(..)).peekable();
+            if owed.peek().is_none() && is_home {
                 // The DPT already decided this operation: skipped,
                 // no partition or page fetch involved.
                 elided.push((lsn, op_id, false));
             }
-            for (page, part) in parts {
+            for (page, part) in owed {
                 // Every shard holding a copy of the record computes the
                 // same parts; only the page's home shard ships its
                 // part, so each page's work routes exactly once
@@ -253,7 +253,7 @@ fn scan_shard<P: PageLocal>(
         }
     }
     outcome?;
-    let mut stats = cursor.stats();
+    let mut stats = records.stats();
     stats.checkpoint_records = checkpoints;
     Ok((stats, scanned, elided))
 }
@@ -281,22 +281,22 @@ fn join_all<T>(
 /// from its shard's seeked cursor and routes their owed parts to
 /// `threads` workers running `step`. Returns the rebuilt partitions in
 /// page-id order, and the scans' results summed over shards.
-fn rebuild_partitions<P, F>(
-    db: &Db<P>,
+fn rebuild_partitions<'db, P, F>(
+    db: &'db Db<P>,
     analysis: &RestartAnalysis,
     threads: usize,
     step: F,
 ) -> SimResult<(Vec<Rebuilt>, ShardScan)>
 where
     P: PageLocal + Sync,
-    F: Fn(&mut Page, Lsn, &P::Part) -> bool + Sync,
+    F: Fn(&mut Page, Lsn, &P::Part<'_>) -> bool + Sync,
 {
     let step = &step;
     std::thread::scope(|scope| {
         let mut txs = Vec::new();
         let mut workers = Vec::new();
         for _ in 0..threads.max(1) {
-            let (tx, rx) = mpsc::channel::<Vec<WorkItem<P::Part>>>();
+            let (tx, rx) = mpsc::channel::<Vec<WorkItem<P::Part<'db>>>>();
             txs.push(tx);
             workers.push(scope.spawn(move || redo_worker(rx, step)));
         }
@@ -698,7 +698,7 @@ mod tests {
         let ops = single_page_workload(10, 3, 23);
         let mut db = crashed_db(&Physiological, &ops, 3, None);
         let (analysis, _) = redo::begin(&mut db).unwrap();
-        let result = rebuild_partitions(&db, &analysis, 2, |_: &mut Page, _, _: &PageOp| {
+        let result = rebuild_partitions(&db, &analysis, 2, |_: &mut Page, _, _: &_| {
             panic!("injected worker failure")
         });
         assert!(

@@ -18,12 +18,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use redo_sim::db::Db;
 use redo_sim::page::Page;
-use redo_sim::wal::{codec, LogPayload};
+use redo_sim::wal::{codec, LogPayload, RecordBody};
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp, SlotId};
 
-use crate::redo::{self, Checkpoint, CheckpointView, PageLocal, Parts};
+use crate::redo::{self, Checkpoint, CheckpointView, PageLocal};
 use crate::{RecoveryMethod, RecoveryStats};
 
 /// Log payload for physical recovery: blind after-images or a checkpoint
@@ -103,23 +103,25 @@ impl CheckpointView for PhysPayload {
 }
 
 impl PageLocal for PhysPayload {
-    /// One page's after-images, in write order.
-    type Part = Vec<(SlotId, u64)>;
+    /// One page's after-images, in write order, decoded owned.
+    type Part<'a> = Vec<(SlotId, u64)>;
 
-    fn into_parts(self) -> SimResult<Parts<Self::Part>> {
-        let PhysPayload::Writes { op_id, writes } = self else {
+    fn parts(
+        body: RecordBody<'_>,
+    ) -> SimResult<(u32, impl Iterator<Item = (PageId, Self::Part<'_>)>)> {
+        let PhysPayload::Writes { op_id, writes } = body.parse(PhysPayload::decode)? else {
             return Err(redo::NOT_AN_OPERATION);
         };
-        let mut per_page: BTreeMap<PageId, Self::Part> = BTreeMap::new();
+        let mut per_page: BTreeMap<PageId, Self::Part<'_>> = BTreeMap::new();
         for (cell, v) in writes {
             per_page.entry(cell.page).or_default().push((cell.slot, v));
         }
-        Ok((op_id, per_page.into_iter().collect()))
+        Ok((op_id, per_page.into_iter()))
     }
 
     /// The §6.2 redo step: the test is "always" — after-images are
     /// blind and idempotent — and the apply overwrites.
-    fn redo(page: &mut Page, lsn: Lsn, cells: &Self::Part) -> bool {
+    fn redo(page: &mut Page, lsn: Lsn, cells: &Self::Part<'_>) -> bool {
         for &(slot, v) in cells {
             page.set(slot, v);
         }

@@ -17,12 +17,14 @@
 
 use redo_sim::db::Db;
 use redo_sim::page::Page;
+use redo_sim::wal::codec::PageOpView;
+use redo_sim::wal::RecordBody;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::{OpCells, PageId, PageOp};
 
 use crate::oprecord::PageOpPayload;
-use crate::redo::{self, PageLocal, Parts};
+use crate::redo::{self, PageLocal};
 use crate::{RecoveryMethod, RecoveryStats};
 
 /// The physiological recovery method.
@@ -31,14 +33,14 @@ pub struct Physiological;
 
 /// Validates the §6.3 shape — reads and writes confined to one page —
 /// and names the page.
-fn single_page(op: &PageOp) -> SimResult<PageId> {
-    let page = op.writes.first().map(|w| w.page);
-    let Some(page) = page.filter(|&p| op.writes.iter().all(|w| w.page == p)) else {
+fn single_page(op: &impl OpCells) -> SimResult<PageId> {
+    let page = op.writes().next().map(|w| w.page);
+    let Some(page) = page.filter(|&p| op.writes().all(|w| w.page == p)) else {
         return Err(SimError::MethodViolation(
             "physiological operations write exactly one page",
         ));
     };
-    if op.reads.iter().any(|r| r.page != page) {
+    if op.reads().any(|r| r.page != page) {
         return Err(SimError::MethodViolation(
             "physiological operations read only the page they write",
         ));
@@ -51,12 +53,12 @@ fn single_page(op: &PageOp) -> SimResult<PageId> {
 /// `lsn`. Reads see the page with every earlier operation already on it
 /// (replayed or installed), so the operation is applicable. The real
 /// method's `bar` is `lsn` itself.
-pub(crate) fn redo_if_older_than(page: &mut Page, bar: Lsn, lsn: Lsn, op: &PageOp) -> bool {
+pub(crate) fn redo_if_older_than(page: &mut Page, bar: Lsn, lsn: Lsn, op: &impl OpCells) -> bool {
     if page.lsn() >= bar {
         return false;
     }
-    let read_values: Vec<u64> = op.reads.iter().map(|c| page.get(c.slot)).collect();
-    for &cell in &op.writes {
+    let read_values: Vec<u64> = op.reads().map(|c| page.get(c.slot)).collect();
+    for cell in op.writes() {
         page.set(cell.slot, op.output(cell, &read_values));
     }
     page.set_lsn(lsn);
@@ -64,17 +66,18 @@ pub(crate) fn redo_if_older_than(page: &mut Page, bar: Lsn, lsn: Lsn, op: &PageO
 }
 
 impl PageLocal for PageOpPayload {
-    type Part = PageOp;
+    /// The operation, read in place: its one page is its one part.
+    type Part<'a> = PageOpView<'a>;
 
-    fn into_parts(self) -> SimResult<Parts<PageOp>> {
-        let PageOpPayload::Op(op) = self else {
-            return Err(redo::NOT_AN_OPERATION);
-        };
-        let page = single_page(&op)?;
-        Ok((op.id, vec![(page, op)]))
+    fn parts(
+        body: RecordBody<'_>,
+    ) -> SimResult<(u32, impl Iterator<Item = (PageId, PageOpView<'_>)>)> {
+        let op = body.parse(PageOpPayload::op_view)?;
+        let op = op.ok_or(redo::NOT_AN_OPERATION)?;
+        Ok((op.id, std::iter::once((single_page(&op)?, op))))
     }
 
-    fn redo(page: &mut Page, lsn: Lsn, op: &PageOp) -> bool {
+    fn redo(page: &mut Page, lsn: Lsn, op: &PageOpView<'_>) -> bool {
         redo_if_older_than(page, lsn, lsn, op)
     }
 }

@@ -47,10 +47,11 @@ use std::time::Instant;
 use redo_sim::db::Db;
 use redo_sim::disk::Disk;
 use redo_sim::page::Page;
-use redo_sim::wal::{codec, LogPayload, ShardedLog, ShardedScanner};
+use redo_sim::wal::codec::{self, PageOpView};
+use redo_sim::wal::{LogPayload, RecordBody, ShardedLog, ShardedScanner};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{Cell, PageId, PageOp, PageSet};
+use redo_workload::pages::{Cell, OpCells, PageId, PageOp};
 
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryStats, SCAN_BATCH};
@@ -143,6 +144,26 @@ impl Checkpoint {
         Ok(())
     }
 
+    /// The checkpoint a record holds, read in full — `None` for an
+    /// operation record, whose first byte is never a checkpoint kind. How
+    /// every executor tells the two apart, whatever the payload.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Corrupt`] for a truncated checkpoint record.
+    pub fn in_record(body: RecordBody<'_>) -> SimResult<Option<Checkpoint>> {
+        match body.bytes().first() {
+            Some(&kind) if kind == Self::FULL || kind == Self::DELTA => {
+                let decode = |input: &[u8], pos: &mut usize| {
+                    *pos += 1;
+                    Checkpoint::decode(kind, input, pos)
+                };
+                body.parse(decode).map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
     /// The one decoder. `kind` is the record's first byte, which the
     /// payload has already read to tell the record from its own.
     ///
@@ -195,10 +216,6 @@ pub trait CheckpointView: LogPayload {
     fn from_checkpoint(checkpoint: Checkpoint) -> Self;
 }
 
-/// An operation record split for page-local redo: the workload
-/// operation id, and each written page's share of the record.
-pub type Parts<T> = (u32, Vec<(PageId, T)>);
-
 /// A log payload whose redo is *page-local* (§6.2, §6.3): every
 /// conflict between two of its records lives inside one page, so
 /// (Theorem 3) LSN order matters only within a page. Such a method
@@ -207,22 +224,26 @@ pub type Parts<T> = (u32, Vec<(PageId, T)>);
 /// [`crate::parallel::recover_partitioned`] on images its workers hold
 /// — runs it.
 pub trait PageLocal: CheckpointView {
-    /// One page's share of a record.
-    type Part: Send;
+    /// One page's share of a record, as read off the log: it may borrow
+    /// the record's bytes, and crosses to a redo worker's thread.
+    type Part<'a>: Send;
 
-    /// Splits an operation record into per-page parts. (The executors
-    /// never hand it a checkpoint record.)
+    /// Splits an operation record, read in place, into the workload
+    /// operation id and each written page's share of the record.
+    /// (The executors never hand it a checkpoint record.)
     ///
     /// # Errors
     ///
-    /// [`SimError::MethodViolation`] for a record whose shape the method
-    /// does not log.
-    fn into_parts(self) -> SimResult<Parts<Self::Part>>;
+    /// Log corruption, or [`SimError::MethodViolation`] for a record
+    /// whose shape the method does not log.
+    fn parts(
+        body: RecordBody<'_>,
+    ) -> SimResult<(u32, impl Iterator<Item = (PageId, Self::Part<'_>)>)>;
 
     /// The redo test *and* the apply: brings `page` up to the record at
     /// `lsn` if the test says it misses `part`, and reports whether it
     /// did. `page` holds every earlier record's effect on it.
-    fn redo(page: &mut Page, lsn: Lsn, part: &Self::Part) -> bool;
+    fn redo(page: &mut Page, lsn: Lsn, part: &Self::Part<'_>) -> bool;
 }
 
 /// What restart analysis computed from the record the disk master
@@ -305,24 +326,19 @@ impl RestartAnalysis {
         lsn >= self.redo_start && !self.provably_installed(page, lsn)
     }
 
-    /// The record at `lsn` split into the parts restart still
-    /// [owes](RestartAnalysis::owes) a redo step: its
-    /// [`PageLocal::into_parts`] minus the pages this analysis proves
-    /// installed. An operation left with no part is *skipped* without a
-    /// page being looked at. Every page-local executor takes its work
-    /// from here, so they agree on each verdict by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`PageLocal::into_parts`]'s shape violation.
-    pub(crate) fn owed_parts<P: PageLocal>(
-        &self,
+    /// Of the record at `lsn`'s [`PageLocal::parts`], those restart
+    /// still [owes](RestartAnalysis::owes) a redo step: every part but
+    /// those of the pages this analysis proves installed. An operation
+    /// left with no part is *skipped* without a page being looked at.
+    /// Every page-local executor takes its work from here, so they agree
+    /// on each verdict by construction.
+    pub(crate) fn owed_parts<'a, T: 'a>(
+        &'a self,
         lsn: Lsn,
-        payload: P,
-    ) -> SimResult<Parts<P::Part>> {
-        let (op_id, mut parts) = payload.into_parts()?;
-        parts.retain(|&(page, _)| !self.provably_installed(page, lsn));
-        Ok((op_id, parts))
+        parts: impl IntoIterator<Item = (PageId, T)> + 'a,
+    ) -> impl Iterator<Item = (PageId, T)> + 'a {
+        let owed = move |&(page, _): &(PageId, T)| !self.provably_installed(page, lsn);
+        parts.into_iter().filter(owed)
     }
 
     /// `page`'s stable chain entries `(LSN, offset)` restart still
@@ -397,7 +413,7 @@ impl RestartAnalysis {
                 if !(writes_p || op.writes.iter().any(owed)) {
                     continue;
                 }
-                let touched = read_write_pages(&op).into_iter();
+                let touched = op.footprint().touched.into_iter();
                 frontier.extend(touched.filter(|&q| gated(q) && !pages.contains(&q)));
                 records.insert(lsn, op);
             }
@@ -425,16 +441,11 @@ pub fn analyze<P: CheckpointView>(db: &Db<P>) -> SimResult<RestartAnalysis> {
 /// the chain's base LSN and its depth in delta links.
 fn read_master<P: CheckpointView>(db: &Db<P>) -> SimResult<(RestartAnalysis, Option<(Lsn, u64)>)> {
     let master = db.disk.master();
-    if master > Lsn::ZERO {
-        let mut cursor = db.log.cursor_from(master);
-        if let Some(rec) = cursor.next() {
-            let rec = rec?;
-            if let (true, Some(head)) = (rec.lsn == master, rec.payload.as_checkpoint()) {
-                return Ok(resolve_table(db, master, head));
-            }
-        }
+    let rec = db.log.record_at_lsn(master)?;
+    match rec.as_ref().and_then(|rec| rec.payload.as_checkpoint()) {
+        Some(head) => Ok(resolve_table(db, master, head)),
+        None => Ok((RestartAnalysis::full_scan(), None)),
     }
-    Ok((RestartAnalysis::full_scan(), None))
 }
 
 /// Longest delta chain analysis will walk before declaring it broken —
@@ -584,21 +595,21 @@ impl Redo {
 
 /// The serial Figure-6 procedure: `begin` (repair, analyze), then a
 /// streaming scan that seeks past the checkpointed (or fuzzily elided)
-/// prefix — never decoding it — and goes batch by batch: prefetch the
+/// prefix — never reading it — and goes batch by batch: prefetch the
 /// pages `footprint` names for the upcoming records, then hand each
 /// operation record (with the analysis) to `redo`, the method's redo
-/// test and replay. A checkpoint record is scanned and counted, and
-/// never reaches `redo`.
+/// test and replay. Both see a record as its body, read in place, and
+/// parse what they need of it. A checkpoint record is scanned and
+/// counted, and reaches neither.
 ///
 /// # Errors
 ///
 /// Substrate errors, including log corruption.
-pub fn recover<P, F, I, R>(db: &mut Db<P>, footprint: F, mut redo: R) -> SimResult<RecoveryStats>
+pub fn recover<P, F, R>(db: &mut Db<P>, mut footprint: F, mut redo: R) -> SimResult<RecoveryStats>
 where
     P: CheckpointView,
-    F: Fn(&P) -> I,
-    I: IntoIterator<Item = PageId>,
-    R: FnMut(&mut Db<P>, &RestartAnalysis, Lsn, P) -> SimResult<Redo>,
+    F: FnMut(RecordBody<'_>, &mut Vec<PageId>) -> SimResult<()>,
+    R: FnMut(&mut Db<P>, &RestartAnalysis, Lsn, RecordBody<'_>) -> SimResult<Redo>,
 {
     let (analysis, mut stats) = begin(db)?;
     let mut clock = Instant::now();
@@ -611,7 +622,11 @@ where
             break;
         }
         pages.clear();
-        pages.extend(batch.iter().flat_map(|rec| footprint(&rec.payload)));
+        for rec in batch {
+            if Checkpoint::in_record(rec.payload)?.is_none() {
+                footprint(rec.payload, &mut pages)?;
+            }
+        }
         pages.sort_unstable();
         pages.dedup();
         stats.pages_prefetched += db.pool.prefetch(
@@ -623,7 +638,7 @@ where
         stats.phase_ns.prefetch += lap(&mut clock);
         for rec in batch {
             stats.scanned += 1;
-            if rec.payload.as_checkpoint().is_some() {
+            if Checkpoint::in_record(rec.payload)?.is_some() {
                 stats.checkpoint_records += 1;
             } else {
                 stats.note_verdict(redo(db, &analysis, rec.lsn, rec.payload)?);
@@ -635,36 +650,31 @@ where
     Ok(stats)
 }
 
-/// [`recover`] for the operation-logging methods: `footprint` and
-/// `redo_test` see the [`PageOp`] each record logged; `redo_test`
-/// answers whether it replayed the operation.
+/// [`recover`] for the operation-logging methods: each batch prefetches
+/// every page its operations read or write, and `redo_test` sees each
+/// operation read in place from its record; it answers whether it
+/// replayed the operation.
 ///
 /// # Errors
 ///
 /// Substrate errors, including log corruption.
-pub fn recover_ops<F, I, R>(
-    db: &mut Db<PageOpPayload>,
-    footprint: F,
-    mut redo_test: R,
-) -> SimResult<RecoveryStats>
+pub fn recover_ops<R>(db: &mut Db<PageOpPayload>, mut redo_test: R) -> SimResult<RecoveryStats>
 where
-    F: Fn(&PageOp) -> I,
-    I: IntoIterator<Item = PageId>,
-    R: FnMut(&mut Db<PageOpPayload>, Lsn, &PageOp) -> SimResult<bool>,
+    R: FnMut(&mut Db<PageOpPayload>, Lsn, &PageOpView<'_>) -> SimResult<bool>,
 {
     recover(
         db,
-        |payload| {
-            let op = match payload {
-                PageOpPayload::Op(op) => Some(op),
-                _ => None,
-            };
-            op.map(&footprint).into_iter().flatten()
+        |body, pages| {
+            let op = body
+                .parse(PageOpPayload::op_view)?
+                .ok_or(NOT_AN_OPERATION)?;
+            pages.extend(op.reads().chain(op.writes()).map(|cell| cell.page));
+            Ok(())
         },
-        |db, _, lsn, payload| {
-            let PageOpPayload::Op(op) = payload else {
-                return Err(NOT_AN_OPERATION);
-            };
+        |db, _, lsn, body| {
+            let op = body
+                .parse(PageOpPayload::op_view)?
+                .ok_or(NOT_AN_OPERATION)?;
             Ok(Redo::of(op.id, redo_test(db, lsn, &op)?))
         },
     )
@@ -682,23 +692,24 @@ where
 pub fn recover_local<P, S>(db: &mut Db<P>, step: S) -> SimResult<RecoveryStats>
 where
     P: PageLocal,
-    S: Fn(&mut Page, Lsn, &P::Part) -> bool,
+    S: Fn(&mut Page, Lsn, &P::Part<'_>) -> bool,
 {
-    recover(db, P::write_pages, |db, analysis, lsn, payload| {
-        let (op_id, parts) = analysis.owed_parts(lsn, payload)?;
-        let mut replayed = false;
-        for (page, part) in &parts {
-            db.fetch_with_steal(*page)?;
-            replayed |= db.pool.update_if(*page, lsn, |p| step(p, lsn, part))?;
-        }
-        Ok(Redo::of(op_id, replayed))
-    })
-}
-
-/// The whole read+write footprint of an operation — what the methods
-/// whose replay reads through the recovery cache prefetch.
-pub(crate) fn read_write_pages(op: &PageOp) -> PageSet {
-    (op.reads.iter().chain(&op.writes).map(|cell| cell.page)).collect()
+    recover(
+        db,
+        |body, pages| {
+            pages.extend(P::parts(body)?.1.map(|(page, _)| page));
+            Ok(())
+        },
+        |db, analysis, lsn, body| {
+            let (op_id, parts) = P::parts(body)?;
+            let mut replayed = false;
+            for (page, part) in analysis.owed_parts(lsn, parts) {
+                db.fetch_with_steal(page)?;
+                replayed |= db.pool.update_if(page, lsn, |p| step(p, lsn, &part))?;
+            }
+            Ok(Redo::of(op_id, replayed))
+        },
+    )
 }
 
 /// A heavyweight (flush-everything) checkpoint: force the log, set the

@@ -11,7 +11,9 @@
 use rand::Rng;
 use redo_theory::log::Lsn;
 use redo_theory::state::{State, Value};
-use redo_workload::pages::{Cell, PageId, PageOp, SlotId};
+#[cfg(doc)]
+use redo_workload::pages::PageOp;
+use redo_workload::pages::{Cell, OpCells, PageId, SlotId};
 
 use crate::cache::BufferPool;
 use crate::disk::Disk;
@@ -228,18 +230,25 @@ impl<P: LogPayload> Db<P> {
     ///
     /// Pool exhaustion while faulting pages in; no write has been
     /// applied when an error is returned.
-    pub fn apply_page_op(&mut self, op: &PageOp, lsn: Lsn) -> SimResult<()> {
+    pub fn apply_page_op(&mut self, op: &impl OpCells, lsn: Lsn) -> SimResult<()> {
         self.apply_page_op_on(op, lsn, &op.footprint().touched)
     }
 
     /// [`Db::apply_page_op`] for a caller that has already named the
     /// operation's pages: `touched` is every page it reads or writes,
     /// ascending ([`Footprint::touched`](redo_workload::pages::Footprint)).
+    /// One body for the foreground's [`PageOp`] and restart's view of
+    /// its log record.
     ///
     /// # Errors
     ///
     /// As [`Db::apply_page_op`].
-    pub fn apply_page_op_on(&mut self, op: &PageOp, lsn: Lsn, touched: &[PageId]) -> SimResult<()> {
+    pub fn apply_page_op_on(
+        &mut self,
+        op: &impl OpCells,
+        lsn: Lsn,
+        touched: &[PageId],
+    ) -> SimResult<()> {
         let mut pinned = 0;
         let mut result = Ok(());
         for &page in touched {
@@ -262,14 +271,14 @@ impl<P: LogPayload> Db<P> {
 
     /// The read and write phases of an operation whose pages are all
     /// resident and pinned: they find every frame they ask for.
-    fn write_pinned(&mut self, op: &PageOp, lsn: Lsn) -> SimResult<()> {
+    fn write_pinned(&mut self, op: &impl OpCells, lsn: Lsn) -> SimResult<()> {
         self.read_values.clear();
-        for &cell in &op.reads {
+        for cell in op.reads() {
             let page = self.pool.get(cell.page);
             let page = page.ok_or(SimError::NotCached(cell.page))?;
             self.read_values.push(page.get(cell.slot));
         }
-        for &cell in &op.writes {
+        for cell in op.writes() {
             let v = op.output(cell, &self.read_values);
             self.pool.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
         }
@@ -360,7 +369,7 @@ mod tests {
     use super::*;
     use crate::wal::codec;
     use crate::SimError;
-    use redo_workload::pages::{PageOpKind, PageWorkloadSpec};
+    use redo_workload::pages::{PageOp, PageOpKind, PageWorkloadSpec};
 
     #[derive(Clone, Debug, PartialEq)]
     struct OpRec(PageOp);

@@ -1,6 +1,6 @@
 //! Primitive encoders/decoders for log payloads.
 
-use redo_workload::pages::{Cell, PageId, PageOp, PageOpKind, SlotId};
+use redo_workload::pages::{Cell, OpCells, PageId, PageOp, PageOpKind, SlotId};
 
 use crate::error::{SimError, SimResult};
 
@@ -228,23 +228,6 @@ impl<'a> PageOpView<'a> {
         })
     }
 
-    /// The cells read, in [`PageOp::reads`] order.
-    pub fn reads(&self) -> impl ExactSizeIterator<Item = Cell> + 'a {
-        cells(self.reads)
-    }
-
-    /// The cells written, in [`PageOp::writes`] order.
-    pub fn writes(&self) -> impl ExactSizeIterator<Item = Cell> + 'a {
-        cells(self.writes)
-    }
-
-    /// As [`PageOp::output`].
-    #[must_use]
-    pub fn output(&self, cell: Cell, read_values: &[u64]) -> u64 {
-        debug_assert_eq!(read_values.len(), self.reads().len());
-        PageOp::output_of(self.id, self.f_seed, cell, read_values)
-    }
-
     /// The operation as an owned [`PageOp`].
     #[must_use]
     pub fn to_owned(self) -> PageOp {
@@ -255,6 +238,24 @@ impl<'a> PageOpView<'a> {
             writes: self.writes().collect(),
             f_seed: self.f_seed,
         }
+    }
+}
+
+impl OpCells for PageOpView<'_> {
+    fn id(&self) -> u32 {
+        self.id
+    }
+
+    fn f_seed(&self) -> u64 {
+        self.f_seed
+    }
+
+    fn reads(&self) -> impl ExactSizeIterator<Item = Cell> + '_ {
+        cells(self.reads)
+    }
+
+    fn writes(&self) -> impl ExactSizeIterator<Item = Cell> + '_ {
+        cells(self.writes)
     }
 }
 

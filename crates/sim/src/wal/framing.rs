@@ -16,7 +16,7 @@ use redo_theory::log::Lsn;
 use crate::backend::Crc32;
 use crate::error::{SimError, SimResult};
 
-use super::{codec, LogPayload, WalRecord};
+use super::{LogPayload, WalRecord};
 
 /// Bytes of a frame header: 8-byte LSN + 4-byte body length + 4-byte
 /// CRC-32 of the rest of the frame.
@@ -31,7 +31,7 @@ pub(crate) fn frame_crc(header12: &[u8], body: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Where one CRC-verified frame's parts lie in its image.
+/// Where one frame's parts lie in its image.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Frame {
     pub(crate) lsn: Lsn,
@@ -41,57 +41,61 @@ pub(crate) struct Frame {
     pub(crate) end: usize,
 }
 
-/// Reads the frame header at `start` (a frame boundary) and verifies
-/// the frame's checksum, leaving the body undecoded — the structural
-/// half of every scan, so each reports corruption at the same offsets.
-pub(crate) fn read_frame(bytes: &[u8], start: usize) -> SimResult<Frame> {
-    let mut pos = start;
-    let lsn = Lsn(codec::get_u64(bytes, &mut pos)?);
-    let len = codec::get_u32(bytes, &mut pos)? as usize;
-    let stored_crc = codec::get_u32(bytes, &mut pos)?;
-    let end = pos.checked_add(len).ok_or(SimError::Corrupt(pos))?;
-    if end > bytes.len() {
-        return Err(SimError::Corrupt(pos));
-    }
-    if frame_crc(&bytes[start..start + 12], &bytes[pos..end]) != stored_crc {
+/// The one parse of a 16-byte frame header, at `pos`: the frame's LSN
+/// and the offset one past its body — `None` when the header or the
+/// body runs past the image. Every structural walk and every read
+/// starts here.
+pub(crate) fn frame_header(bytes: &[u8], pos: usize) -> Option<(Lsn, usize)> {
+    let header: &[u8; FRAME_HEADER] = bytes.get(pos..)?.first_chunk()?;
+    let (lsn, rest) = header.split_first_chunk()?;
+    let len = u32::from_le_bytes(*rest.first_chunk()?);
+    let end = (pos + FRAME_HEADER).checked_add(len as usize)?;
+    (end <= bytes.len()).then_some((Lsn(u64::from_le_bytes(*lsn)), end))
+}
+
+/// Does `frame`, one whole frame, carry the checksum of the rest of it?
+fn crc_holds(frame: &[u8]) -> bool {
+    let Some((header, body)) = frame.split_first_chunk::<FRAME_HEADER>() else {
+        return false;
+    };
+    let (header12, stored) = header.split_at(12);
+    stored
+        .try_into()
+        .is_ok_and(|stored| frame_crc(header12, body) == u32::from_le_bytes(stored))
+}
+
+/// Reads the frame at `start` (a frame boundary), leaving the body
+/// undecoded, and verifies its checksum unless the frame ends inside
+/// `trusted` — a prefix a CRC walk already verified. The structural
+/// half of every scan, so each reports corruption at the offsets a
+/// field-by-field read would: the first header field that does not fit,
+/// the body that does not, or the CRC field.
+pub(crate) fn read_frame(bytes: &[u8], start: usize, trusted: usize) -> SimResult<Frame> {
+    let Some((lsn, end)) = frame_header(bytes, start) else {
+        let short = match bytes.len().saturating_sub(start) {
+            0..8 => 0,
+            8..12 => 8,
+            12..FRAME_HEADER => 12,
+            _ => FRAME_HEADER,
+        };
+        return Err(SimError::Corrupt(start + short));
+    };
+    if end > trusted && !crc_holds(&bytes[start..end]) {
         return Err(SimError::Corrupt(start + 12));
     }
-    Ok(Frame {
-        lsn,
-        body: pos,
-        end,
-    })
+    let body = start + FRAME_HEADER;
+    Ok(Frame { lsn, body, end })
 }
 
 /// Walks whole, CRC-valid frames from offset 0: returns the byte
 /// position after the last valid frame, the number of valid frames, and
 /// the last valid frame's LSN.
 pub(crate) fn walk_valid_frames(bytes: &[u8]) -> (usize, usize, Option<Lsn>) {
-    let mut pos = 0usize;
-    let mut frames = 0usize;
-    let mut last = None;
-    while pos + FRAME_HEADER <= bytes.len() {
-        let len =
-            u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes")) as usize;
-        let Some(end) = (pos + FRAME_HEADER).checked_add(len) else {
-            break;
-        };
-        if end > bytes.len() {
-            break;
-        }
-        let stored = u32::from_le_bytes(
-            bytes[pos + 12..pos + FRAME_HEADER]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        if frame_crc(&bytes[pos..pos + 12], &bytes[pos + FRAME_HEADER..end]) != stored {
-            break;
-        }
-        last = Some(Lsn(u64::from_le_bytes(
-            bytes[pos..pos + 8].try_into().expect("8 bytes"),
-        )));
-        frames += 1;
-        pos = end;
+    let (mut pos, mut frames, mut last) = (0, 0, None);
+    while let Some((lsn, end)) =
+        frame_header(bytes, pos).filter(|&(_, end)| crc_holds(&bytes[pos..end]))
+    {
+        (pos, frames, last) = (end, frames + 1, Some(lsn));
     }
     (pos, frames, last)
 }
@@ -103,21 +107,9 @@ pub(crate) fn walk_valid_frames(bytes: &[u8]) -> (usize, usize, Option<Lsn>) {
 /// caller's decode reports the corruption at the same offset a full
 /// scan would.
 pub(crate) fn skip_frames_below(bytes: &[u8], mut pos: usize, from: Lsn) -> (usize, usize) {
-    let mut skipped = 0usize;
-    while pos + FRAME_HEADER <= bytes.len() {
-        let lsn = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-        if Lsn(lsn) >= from {
-            break;
-        }
-        let len =
-            u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes")) as usize;
-        match (pos + FRAME_HEADER).checked_add(len) {
-            Some(end) if end <= bytes.len() => {
-                pos = end;
-                skipped += 1;
-            }
-            _ => break,
-        }
+    let mut skipped = 0;
+    while let Some((_, end)) = frame_header(bytes, pos).filter(|&(lsn, _)| lsn < from) {
+        (pos, skipped) = (end, skipped + 1);
     }
     (pos, skipped)
 }
@@ -129,20 +121,12 @@ pub(crate) fn skip_frames_below(bytes: &[u8], mut pos: usize, from: Lsn) -> (usi
 /// twice — an interrupted drain, then its retry — it is past the second
 /// copy's frames below `below` too.
 pub(crate) fn end_of_frames_below(bytes: &[u8], below: Lsn) -> usize {
-    let (mut pos, mut end) = (0usize, 0usize);
-    while pos + FRAME_HEADER <= bytes.len() {
-        let lsn = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-        let len =
-            u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes")) as usize;
-        match (pos + FRAME_HEADER).checked_add(len) {
-            Some(next) if next <= bytes.len() => {
-                if Lsn(lsn) < below {
-                    end = next;
-                }
-                pos = next;
-            }
-            _ => break,
+    let (mut pos, mut end) = (0, 0);
+    while let Some((lsn, next)) = frame_header(bytes, pos) {
+        if lsn < below {
+            end = next;
         }
+        pos = next;
     }
     end
 }
@@ -163,17 +147,15 @@ pub fn decode_records<P: LogPayload>(bytes: &[u8]) -> SimResult<Vec<WalRecord<P>
 
 /// Telemetry from one streaming log scan.
 ///
-/// Stays `Copy` on purpose: it is embedded in every cursor and scanner.
-/// Per-shard breakdowns of a sharded scan live beside the summed view
-/// ([`ShardedScanner::stats_by_shard`](super::ShardedScanner::stats_by_shard)),
-/// not inside it.
+/// Stays `Copy` on purpose: it is embedded in every cursor and in each
+/// shard's stream of a sharded scan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Stable-log bytes the scan touched: full frames (header plus
-    /// body) of decoded records, plus [`FRAME_HEADER`] bytes per frame
+    /// body) of the frames read, plus [`FRAME_HEADER`] bytes per frame
     /// the seek walk skipped structurally.
     pub bytes_scanned: u64,
-    /// Frames decoded into records.
+    /// Frames read, flush-group markers included.
     pub records_decoded: usize,
     /// Scans whose starting position came from a seek-index jump past
     /// offset 0.
@@ -239,18 +221,12 @@ impl<'a, P: LogPayload> LogCursor<'a, P> {
         self.stats
     }
 
-    /// The current byte offset into the image.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     fn decode_next(&mut self) -> SimResult<Option<WalRecord<P>>> {
         if self.pos >= self.bytes.len() {
             return Ok(None);
         }
         let start = self.pos;
-        let Frame { lsn, body, end } = read_frame(self.bytes, start)?;
+        let Frame { lsn, body, end } = read_frame(self.bytes, start, 0)?;
         let mut body_pos = body;
         let payload = P::decode(&self.bytes[..end], &mut body_pos)?;
         if body_pos != end {

@@ -15,7 +15,7 @@ use redo_workload::pages::PageId;
 
 use crate::error::{SimError, SimResult};
 
-use super::framing::{skip_frames_below, FRAME_HEADER};
+use super::framing::{frame_header, skip_frames_below};
 
 /// One seek-index entry every this many stable records. Small enough
 /// that the post-seek header walk touches at most a handful of frames,
@@ -140,13 +140,10 @@ pub(crate) fn plan_prefix_drain(
         if first_stable.0 + skipped as u64 != below.0 {
             return Err(SimError::Corrupt(pos));
         }
-        if pos + FRAME_HEADER <= bytes.len() {
-            let landed = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-            if landed != below.0 {
-                return Err(SimError::Corrupt(pos));
-            }
-        } else if pos != bytes.len() {
-            return Err(SimError::Corrupt(pos));
+        match frame_header(bytes, pos) {
+            Some((landed, _)) if landed != below => return Err(SimError::Corrupt(pos)),
+            None if pos != bytes.len() => return Err(SimError::Corrupt(pos)),
+            _ => {}
         }
     }
     Ok(Some(DrainPlan { pos, skipped }))

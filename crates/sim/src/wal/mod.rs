@@ -48,17 +48,19 @@
 //!
 //! ## Scanning
 //!
-//! Recovery reads the log through [`LogCursor`], a streaming iterator
-//! that decodes frames lazily out of the stable bytes (payloads decode
-//! from a borrowed slice; nothing is materialized up front), or through
-//! [`ShardedScanner`], the one resumable scan: it merges the shards by
-//! LSN and yields bounded batches, holding only byte positions, so a
-//! caller can interleave decoding with mutable database work
-//! ([`ShardedCursor`] is its iterator form).
-//! [`LogManager::cursor_from`] seeks: a sparse LSN→byte-offset index,
-//! maintained as frames are flushed, jumps near the requested LSN and a
-//! structural header walk (no payload decode) lands on it exactly — so a
-//! checkpoint bounds *decode* work, not just replay work.
+//! Recovery reads the log in place, through one reader: per-shard frame
+//! streams merged by LSN, yielding each record's payload as a
+//! [`RecordBody`] the consumer parses as far as it needs.
+//! [`ShardedLog::history`] borrows the bodies from `archive ∥ live`;
+//! [`ShardedScanner`], the restart scan, copies each batch's into one
+//! buffer it reuses, so its caller holds no borrow of the log while it
+//! replays. Each frame's checksum is verified once per restart:
+//! [`LogManager::repair_tail`]'s CRC walk records the prefix it
+//! verified, and the reader trusts the frames inside it ([`LogCursor`]
+//! decodes any byte image, checksum and all). A scan seeks: a sparse
+//! LSN→byte-offset index jumps near the requested LSN and a structural
+//! header walk lands on it exactly — so a checkpoint bounds *decode*
+//! work, not just replay work.
 //!
 //! On the write side [`LogManager::flush`] is a group commit: the
 //! frames the force covers are already contiguous in the tail, so they
@@ -90,7 +92,7 @@ mod sharded;
 
 pub use framing::{decode_records, LogCursor, ScanStats, FRAME_HEADER};
 pub use index::SEEK_INTERVAL;
-pub use sharded::{History, RecordBody, ShardFrame, ShardedCursor, ShardedLog, ShardedScanner};
+pub use sharded::{Batch, History, RecordBody, ShardFrame, ShardedLog, ShardedScanner};
 
 pub(crate) use framing::{frame_crc, skip_frames_below, walk_valid_frames};
 use index::{
@@ -248,6 +250,12 @@ pub struct LogManager<P> {
     /// on crash/repair, and rebased over prefix truncation (the same
     /// helpers keep the two structures from ever disagreeing).
     page_chains: BTreeMap<PageId, Vec<(Lsn, u64)>>,
+    /// The stable prefix whose frames [`LogManager::repair_tail`]'s
+    /// CRC walk verified since the last crash: a read trusts the
+    /// checksum of a frame that ends inside it, so each frame is
+    /// verified once per restart. A crash resets it, a rollback clamps
+    /// it, a drain rebases it, and appends never extend it.
+    verified: usize,
     /// Per-page cross-reader chains: for every page some stable record
     /// reads *without* writing, the (LSN, stable byte offset) of each
     /// such record, in LSN order. Pushed, pruned and rebased with
@@ -290,6 +298,7 @@ impl<P: LogPayload> LogManager<P> {
             seek_index: Vec::new(),
             seek_enabled: true,
             page_chains: BTreeMap::new(),
+            verified: 0,
             reader_chains: BTreeMap::new(),
             forces: 0,
             dense: true,
@@ -549,6 +558,7 @@ impl<P: LogPayload> LogManager<P> {
         self.tail_frames.clear();
         self.tail_pages.clear();
         self.backend.crash();
+        self.verified = 0;
         // Walk the surviving image: CRC-valid whole frames are stable;
         // the first damaged or partial frame ends the covered prefix
         // (repair_tail discards the fragment later).
@@ -679,7 +689,8 @@ impl<P: LogPayload> LogManager<P> {
     /// [`crate::fault::FaultKind::TornFlush`] crash point (or a real
     /// partial file write) left behind. Returns the number of bytes
     /// dropped. The post-crash bookkeeping never covered the fragment,
-    /// so it is already consistent with the repaired image.
+    /// so it is already consistent with the repaired image, and what
+    /// survives is the verified prefix later reads trust.
     pub fn repair_tail(&mut self) -> usize {
         let bytes = self.backend.bytes();
         let (pos, _, _) = walk_valid_frames(bytes);
@@ -687,6 +698,7 @@ impl<P: LogPayload> LogManager<P> {
         if dropped > 0 {
             self.backend.truncate_to(pos);
         }
+        self.verified = pos;
         // Seek and chain entries only ever point at covered frame
         // starts, all of which the walk keeps; the prune is
         // belt-and-braces against an entry landing in the dropped
@@ -705,6 +717,7 @@ impl<P: LogPayload> LogManager<P> {
     /// marker onward is discarded on this shard.
     pub(crate) fn rollback_to(&mut self, pos: usize) {
         self.backend.truncate_to(pos);
+        self.verified = self.verified.min(pos);
         let bytes = self.backend.bytes();
         let (covered, frames, last_lsn) = walk_valid_frames(bytes);
         debug_assert_eq!(
@@ -769,6 +782,7 @@ impl<P: LogPayload> LogManager<P> {
     pub(crate) fn apply_drain(&mut self, below: Lsn, plan: DrainPlan) {
         let below = Lsn(below.0.min(self.stable_lsn.0 + 1));
         self.backend.drain_prefix(plan.pos);
+        self.verified = self.verified.saturating_sub(plan.pos);
         self.stable_count -= plan.skipped;
         self.first_stable = below;
         rebase_index_after_drain(&mut self.seek_index, plan.pos);
@@ -830,24 +844,6 @@ impl<P: LogPayload> LogManager<P> {
     #[must_use]
     pub fn readers_of(&self, page: PageId) -> &[(Lsn, u64)] {
         self.reader_chains.get(&page).map_or(&[], Vec::as_slice)
-    }
-
-    /// Decodes the single stable record whose frame starts at stable
-    /// byte offset `off` — the random-access read a per-page chain
-    /// entry authorizes. The frame's CRC is verified before the payload
-    /// decodes, exactly as in a sequential scan.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Corrupt`] if `off` is not a well-formed frame start.
-    pub fn record_at(&self, off: u64) -> SimResult<WalRecord<P>> {
-        let pos = usize::try_from(off).map_err(|_| SimError::Corrupt(usize::MAX))?;
-        let mut cursor: LogCursor<'_, P> =
-            LogCursor::at(self.backend.bytes(), pos, ScanStats::default());
-        match cursor.next() {
-            Some(res) => res,
-            None => Err(SimError::Corrupt(pos)),
-        }
     }
 }
 
@@ -1494,6 +1490,14 @@ mod tests {
         assert_eq!(run(BackendKind::Mem), run(BackendKind::File));
     }
 
+    /// The single stable record whose frame starts at byte offset `off`
+    /// of `log` — what a per-page chain entry names — CRC-verified.
+    fn record_at<P: LogPayload>(log: &LogManager<P>, off: u64) -> SimResult<WalRecord<P>> {
+        let pos = usize::try_from(off).unwrap();
+        let next = LogCursor::at(log.stable_bytes(), pos, ScanStats::default()).next();
+        next.unwrap_or(Err(SimError::Corrupt(pos)))
+    }
+
     /// A payload that writes one page — the smallest thing the per-page
     /// chains can see.
     #[derive(Clone, PartialEq, Eq, Debug)]
@@ -1531,7 +1535,7 @@ mod tests {
         // Every chain entry random-accesses back to its own record.
         for page in 0..3u32 {
             for &(lsn, off) in log.page_chain(PageId(page)) {
-                let rec = log.record_at(off).unwrap();
+                let rec = record_at(&log, off).unwrap();
                 assert_eq!(rec.lsn, lsn);
                 assert_eq!(rec.payload.0, page);
             }
@@ -1563,7 +1567,7 @@ mod tests {
             .sum();
         assert_eq!(total, 9, "chains cover exactly the surviving frames");
         for &(lsn, off) in log.page_chain(PageId(1)) {
-            assert_eq!(log.record_at(off).unwrap().lsn, lsn);
+            assert_eq!(record_at(&log, off).unwrap().lsn, lsn);
         }
         // Truncate the prefix: chain offsets rebase like the seek index.
         log.truncate_prefix(Lsn(5)).unwrap();
@@ -1572,7 +1576,7 @@ mod tests {
         for p in [PageId(0), PageId(1)] {
             for &(lsn, off) in log.page_chain(p) {
                 assert!(lsn >= Lsn(5));
-                assert_eq!(log.record_at(off).unwrap().lsn, lsn);
+                assert_eq!(record_at(&log, off).unwrap().lsn, lsn);
             }
         }
     }
@@ -1601,19 +1605,24 @@ mod tests {
         );
         log.repair_tail();
         for &(lsn, off) in log.page_chain(PageId(0)) {
-            assert_eq!(log.record_at(off).unwrap().lsn, lsn);
+            assert_eq!(record_at(&log, off).unwrap().lsn, lsn);
         }
     }
 
     #[test]
-    fn record_at_rejects_non_frame_offsets() {
-        let mut log = LogManager::new();
+    fn record_in_rejects_non_frame_offsets() {
+        let mut log: ShardedLog<PageRec> = ShardedLog::new(1);
         log.append(PageRec(0, 1)).unwrap();
         log.flush_all();
-        assert!(log.record_at(3).is_err(), "mid-frame offset is corrupt");
+        assert!(log.record_in(0, 3).is_err(), "mid-frame offset is corrupt");
         assert!(
-            log.record_at(log.stable_bytes().len() as u64).is_err(),
+            log.record_in(0, log.live_bytes_by_shard()[0]).is_err(),
             "image end holds no record"
         );
+        // Trusted after a repair, the same offsets are no frames either.
+        log.crash();
+        log.repair_tail();
+        assert!(log.record_in(0, 3).is_err());
+        assert_eq!(log.record_in(0, 0).unwrap().payload, PageRec(0, 1));
     }
 }

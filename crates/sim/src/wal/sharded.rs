@@ -57,7 +57,7 @@ use crate::error::{SimError, SimResult};
 use crate::fault::{FaultDecision, FaultInjector};
 
 use super::archive::ArchiveTier;
-use super::framing::{end_of_frames_below, read_frame, skip_frames_below, LogCursor, ScanStats};
+use super::framing::{end_of_frames_below, read_frame, skip_frames_below, Frame, ScanStats};
 use super::{codec, EncodedRecord, LogManager, LogPayload, WalRecord};
 
 /// What one shard's frames carry: a routed record, or a flush-group
@@ -110,6 +110,23 @@ fn get_marker(input: &[u8], pos: &mut usize) -> SimResult<(u64, Vec<u16>)> {
     Ok((epoch, participants))
 }
 
+/// The flush-group markers of one tier's whole, checksum-valid frames
+/// (a torn fragment ends them): each one's offset, kind, epoch and
+/// roster — a crash's evidence of which groups closed.
+fn markers(bytes: &[u8]) -> impl Iterator<Item = (usize, u8, u64, Vec<u16>)> + '_ {
+    let mut pos = 0;
+    std::iter::from_fn(move || loop {
+        let frame = read_frame(bytes, pos, 0).ok()?;
+        let (at, mut body) = (pos, frame.body);
+        pos = frame.end;
+        let tag = codec::get_u8(bytes, &mut body).ok()?;
+        if tag == OPEN || tag == CLOSE {
+            let (epoch, participants) = get_marker(&bytes[..frame.end], &mut body).ok()?;
+            return Some((at, tag, epoch, participants));
+        }
+    })
+}
+
 impl<P: LogPayload> LogPayload for ShardFrame<P> {
     fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
         match self {
@@ -152,20 +169,6 @@ impl<P: LogPayload> LogPayload for ShardFrame<P> {
                 })
             }
             _ => Err(SimError::Corrupt(*pos - 1)),
-        }
-    }
-
-    fn write_pages(&self) -> Vec<PageId> {
-        match self {
-            ShardFrame::Rec(p) => p.write_pages(),
-            ShardFrame::Open { .. } | ShardFrame::Close { .. } => Vec::new(),
-        }
-    }
-
-    fn cross_read_pages(&self) -> Vec<PageId> {
-        match self {
-            ShardFrame::Rec(p) => p.cross_read_pages(),
-            ShardFrame::Open { .. } | ShardFrame::Close { .. } => Vec::new(),
         }
     }
 }
@@ -465,58 +468,29 @@ impl<P: LogPayload> ShardedLog<P> {
             shard.crash();
         }
         self.archive.crash();
-        // Walk each shard's valid frames collecting epoch evidence.
+        // Collect each shard's epoch evidence. The archive's counts too:
+        // only stable, published prefixes ever drain, so a participant
+        // whose portion of an epoch moved to the archive tier closed
+        // that epoch long ago — its `Close` frame now lives there. A
+        // crash between one shard's drain and another's would otherwise
+        // make the fully durable group look torn and roll durable
+        // records back on the undrained shards.
         let n = self.shards.len();
         let mut open_at: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new(); n];
         let mut closed: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
         let mut roster: BTreeMap<u64, Vec<u16>> = BTreeMap::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut cursor: LogCursor<'_, ShardFrame<P>> = shard.cursor();
-            loop {
-                let pos = cursor.position();
-                match cursor.next() {
-                    Some(Ok(rec)) => match rec.payload {
-                        ShardFrame::Open {
-                            epoch,
-                            participants,
-                        } => {
-                            open_at[s].insert(epoch, pos);
-                            roster.entry(epoch).or_insert(participants);
-                        }
-                        ShardFrame::Close { epoch, .. } => {
-                            closed.entry(epoch).or_default().insert(s);
-                        }
-                        ShardFrame::Rec(_) => {}
-                    },
-                    // The shard crash walk already bounded the covered
-                    // prefix; a decode error here is the torn fragment
-                    // beyond it, which repair_tail will drop.
-                    Some(Err(_)) | None => break,
-                }
-            }
-        }
-        // Archive-resident evidence: only stable, published prefixes
-        // ever drain, so a participant whose portion of an epoch moved
-        // to the archive tier closed that epoch long ago — its `Close`
-        // frame now lives in the archive. A crash between one shard's
-        // drain and another's would otherwise make the fully durable
-        // group look torn and roll durable records back on the
-        // undrained shards.
-        for s in 0..n {
-            let mut cursor: LogCursor<'_, ShardFrame<P>> =
-                LogCursor::at(self.archive.bytes(s), 0, ScanStats::default());
-            while let Some(Ok(rec)) = cursor.next() {
-                match rec.payload {
-                    ShardFrame::Open {
-                        epoch,
-                        participants,
-                    } => {
-                        roster.entry(epoch).or_insert(participants);
-                    }
-                    ShardFrame::Close { epoch, .. } => {
+        for (s, open_at) in open_at.iter_mut().enumerate() {
+            let [(archive, _), (live, _)] = self.tiers(s);
+            for (is_live, bytes) in [(false, archive), (true, live)] {
+                for (at, tag, epoch, participants) in markers(bytes) {
+                    if tag == CLOSE {
                         closed.entry(epoch).or_default().insert(s);
+                        continue;
                     }
-                    ShardFrame::Rec(_) => {}
+                    if is_live {
+                        open_at.insert(epoch, at);
+                    }
+                    roster.entry(epoch).or_insert(participants);
                 }
             }
         }
@@ -576,31 +550,46 @@ impl<P: LogPayload> ShardedLog<P> {
     ///
     /// [`SimError::Corrupt`] if any shard's bytes do not parse.
     pub fn decode_stable(&self) -> SimResult<Vec<WalRecord<P>>> {
-        self.cursor().collect()
+        self.cursor_from(Lsn::ZERO).collect()
     }
 
-    /// A streaming merge cursor over the whole stable prefix.
-    #[must_use]
-    pub fn cursor(&self) -> ShardedCursor<'_, P> {
-        let scanner = ShardedScanner::from_start();
-        ShardedCursor { log: self, scanner }
+    /// The globally ordered logical records from the first with LSN ≥
+    /// `from`, each shard seeked through its own index, read in place
+    /// and decoded. An error is yielded once; the iterator is then done.
+    pub fn cursor_from(&self, from: Lsn) -> impl Iterator<Item = SimResult<WalRecord<P>>> + '_ {
+        self.live_from(0..self.shards.len(), from).decoded()
     }
 
-    /// A streaming merge cursor positioned at the first record with
-    /// LSN ≥ `from`, each shard seeked through its own index.
+    /// Shard `s`'s own records from the first with LSN ≥ `from`, seeked
+    /// through its index and read in place — the per-shard feed of the
+    /// parallel restart pipeline, which runs one scan thread per shard.
+    /// Marker frames are read and passed over; a broadcast record is
+    /// yielded on every shard that holds a copy.
     #[must_use]
-    pub fn cursor_from(&self, from: Lsn) -> ShardedCursor<'_, P> {
-        let scanner = ShardedScanner::seek(self, from);
-        ShardedCursor { log: self, scanner }
+    pub fn shard_suffix(&self, s: usize, from: Lsn) -> History<'_> {
+        self.live_from(s..s + 1, from)
     }
 
-    /// A raw single-shard cursor (frames still wrapped in
-    /// [`ShardFrame`]) positioned at the first frame with LSN ≥ `from`
-    /// — the per-shard feed of the parallel restart pipeline, which
-    /// runs one scan thread per shard.
-    #[must_use]
-    pub fn shard_cursor_from(&self, s: usize, from: Lsn) -> LogCursor<'_, ShardFrame<P>> {
-        self.shards[s].cursor_from(from)
+    /// The merge of `shards`' live tiers, each from its first frame with
+    /// LSN ≥ `from`.
+    fn live_from(&self, shards: std::ops::Range<usize>, from: Lsn) -> History<'_> {
+        let seek = |s| (TierStream::seek(&self.shards[s], from), self.tiers(s));
+        History {
+            merge: LsnMerge::new(shards.len()),
+            shards: shards.map(seek).collect(),
+            upto: Lsn(u64::MAX),
+            failed: false,
+        }
+    }
+
+    /// Shard `s`'s `archive ∥ live`, each tier with the prefix whose
+    /// checksums a repair verified (none of the archive's).
+    fn tiers(&self, s: usize) -> Tiers<'_> {
+        let live = &self.shards[s];
+        [
+            (self.archive.bytes(s), 0),
+            (live.stable_bytes(), live.verified),
+        ]
     }
 
     /// Moves every stable frame with LSN < `below` into the archive
@@ -799,32 +788,28 @@ impl<P: LogPayload> ShardedLog<P> {
         if lsn == Lsn::ZERO || lsn > self.stable {
             return Ok(None);
         }
-        let mut cursor = self.cursor_from(lsn);
-        if let Some(res) = cursor.next() {
-            let rec = res?;
-            if rec.lsn == lsn {
-                return Ok(Some(rec));
-            }
-        }
-        // Not live (drained, or mid-drain on its home shards): a
-        // structural walk lands on the archived frame without decoding
-        // the history below it.
-        for s in 0..self.shards.len() {
-            let bytes = self.archive.bytes(s);
-            let (pos, _) = skip_frames_below(bytes, 0, lsn);
-            let cursor: LogCursor<'_, ShardFrame<P>> =
-                LogCursor::at(bytes, pos, ScanStats::default());
-            for res in cursor {
-                let rec = res?;
-                if rec.lsn > lsn {
-                    break;
-                }
-                if let ShardFrame::Rec(payload) = rec.payload {
-                    return Ok(Some(WalRecord {
-                        lsn: rec.lsn,
-                        payload,
-                    }));
-                }
+        // Every shard's live tier, seeked through its index; only then
+        // (drained, or mid-drain on its home shards) an archive, past a
+        // structural walk of it. A stream stops at its first frame past
+        // `lsn`; an archived one has no live tier to run on into.
+        let shards = 0..self.shards.len();
+        let live = shards.clone().map(|s| {
+            let stream = TierStream::seek(&self.shards[s], lsn);
+            (stream, self.tiers(s))
+        });
+        let archived = shards.map(|s| {
+            let archive = self.tiers(s)[0];
+            let pos = skip_frames_below(archive.0, 0, lsn).0;
+            let stream = TierStream {
+                pos,
+                ..TierStream::default()
+            };
+            (stream, [archive, (&[][..], 0)])
+        });
+        for (mut stream, tiers) in live.chain(archived) {
+            if let Some(rec) = stream.next(tiers, lsn)? {
+                let payload = rec.payload.parse(P::decode)?;
+                return Ok(Some(WalRecord { lsn, payload }));
             }
         }
         Ok(None)
@@ -890,23 +875,24 @@ impl<P: LogPayload> ShardedLog<P> {
     /// Decodes the single stable record at byte offset `off` of shard
     /// `s` — the random-access read a [`ShardedLog::page_chain`] entry
     /// (in the page's [home shard](ShardedLog::shard_of)) or a
-    /// [`ShardedLog::readers_of`] entry authorizes.
+    /// [`ShardedLog::readers_of`] entry authorizes. Read in place, its
+    /// checksum verified unless a repair already did; the parts it
+    /// decodes cross threads, so they are owned.
     ///
     /// # Errors
     ///
     /// [`SimError::Corrupt`] if `off` is not a well-formed frame start
     /// (or holds a marker frame, which no chain entry ever names).
     pub fn record_in(&self, s: usize, off: u64) -> SimResult<WalRecord<P>> {
-        let rec = self.shards[s].record_at(off)?;
-        match rec.payload {
-            ShardFrame::Rec(payload) => Ok(WalRecord {
-                lsn: rec.lsn,
-                payload,
-            }),
-            ShardFrame::Open { .. } | ShardFrame::Close { .. } => Err(SimError::Corrupt(
-                usize::try_from(off).unwrap_or(usize::MAX),
-            )),
-        }
+        let pos = usize::try_from(off).map_err(|_| SimError::Corrupt(usize::MAX))?;
+        let (live, trusted) = self.tiers(s)[1];
+        let (frame, body) = shard_frame(live, pos, trusted)?;
+        let body = body.ok_or(SimError::Corrupt(pos))?;
+        let payload = body.parse(P::decode)?;
+        Ok(WalRecord {
+            lsn: frame.lsn,
+            payload,
+        })
     }
 
     /// Shard `s`'s sparse seek index — diagnostic surface for the
@@ -916,22 +902,11 @@ impl<P: LogPayload> ShardedLog<P> {
         self.shards[s].seek_index()
     }
 
-    /// Decodes the single stable frame at byte offset `off` of shard
-    /// `s`, markers included — diagnostic surface for the
-    /// index-discipline audits ([`ShardedLog::record_in`] is the
-    /// chain-resolving read path).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Corrupt`] if `off` is not a well-formed frame start.
-    pub fn shard_record_at(&self, s: usize, off: u64) -> SimResult<WalRecord<ShardFrame<P>>> {
-        self.shards[s].record_at(off)
-    }
-
     /// The durable history through `upto`: every logical record with
     /// LSN ≤ `upto`, in LSN order, read in place from each shard's
-    /// `archive ∥ live` — one k-way merge, each body CRC-verified and
-    /// borrowed, none decoded. Because the archive preserves complete
+    /// `archive ∥ live` — one k-way merge, each body borrowed, none
+    /// decoded, each checksum verified unless a repair already did.
+    /// Because the archive preserves complete
     /// history from LSN 1, replaying it against genesis state
     /// reproduces the state as of `upto`, even after
     /// [`ShardedLog::archive_prefix`] has drained the live prefix past
@@ -947,17 +922,12 @@ impl<P: LogPayload> ShardedLog<P> {
     /// do not parse (repair the live tail first after a crash).
     #[must_use]
     pub fn history(&self, upto: Lsn) -> History<'_> {
-        let shards = self.shards.iter().enumerate();
+        let n = self.shards.len();
         History {
-            shards: shards
-                .map(|(s, shard)| TierStream {
-                    tiers: [self.archive.bytes(s), shard.stable_bytes()],
-                    tier: 0,
-                    pos: 0,
-                    last: None,
-                })
+            shards: (0..n)
+                .map(|s| (TierStream::default(), self.tiers(s)))
                 .collect(),
-            merge: LsnMerge::new(self.shards.len()),
+            merge: LsnMerge::new(n),
             upto,
             failed: false,
         }
@@ -971,32 +941,27 @@ impl<P: LogPayload> ShardedLog<P> {
     /// [`SimError::Corrupt`] if any tier's bytes do not parse (repair
     /// the live tail first after a crash).
     pub fn pit_records(&self, upto: Lsn) -> SimResult<Vec<WalRecord<P>>> {
-        self.history(upto)
-            .map(|rec| {
-                let WalRecord { lsn, payload } = rec?;
-                let payload = payload.parse(P::decode)?;
-                Ok(WalRecord { lsn, payload })
-            })
-            .collect()
+        self.history(upto).decoded().collect()
     }
 }
 
-/// The payload of one record of [`ShardedLog::history`]: CRC-verified,
-/// borrowed from the tier bytes that hold it, not yet decoded.
+/// The payload of one record frame, not yet decoded: borrowed from the
+/// tier bytes that hold it, or from the buffer a [`ShardedScanner`]
+/// copied a batch into.
 #[derive(Clone, Copy, Debug)]
 pub struct RecordBody<'a> {
-    /// The tier image through the end of the record's frame.
-    image: &'a [u8],
-    /// Where the payload starts in `image`.
-    start: usize,
+    /// The payload, through the end of its frame.
+    bytes: &'a [u8],
+    /// Where `bytes` starts in its tier: the origin of every offset a
+    /// [`SimError::Corrupt`] reports.
+    at: usize,
 }
 
 impl<'a> RecordBody<'a> {
     /// Reads the payload with `parse`, which must consume all of it —
     /// [`LogPayload::decode`]'s shape, so a borrowing reader and the
     /// owned decode see the same bytes and report a
-    /// [`SimError::Corrupt`] at the same tier offsets a [`LogCursor`]
-    /// would.
+    /// [`SimError::Corrupt`] at the same tier offsets.
     ///
     /// # Errors
     ///
@@ -1006,22 +971,87 @@ impl<'a> RecordBody<'a> {
         &self,
         parse: impl FnOnce(&'a [u8], &mut usize) -> SimResult<T>,
     ) -> SimResult<T> {
-        let mut pos = self.start;
-        let value = parse(self.image, &mut pos)?;
-        if pos != self.image.len() {
-            return Err(SimError::Corrupt(pos));
+        let mut pos = 0;
+        let in_tier = |e| match e {
+            SimError::Corrupt(off) => SimError::Corrupt(self.at + off),
+            e => e,
+        };
+        let value = parse(self.bytes, &mut pos).map_err(in_tier)?;
+        if pos != self.bytes.len() {
+            return Err(SimError::Corrupt(self.at + pos));
         }
         Ok(value)
     }
+
+    /// The payload's bytes.
+    #[must_use]
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
 }
 
-/// The iterator [`ShardedLog::history`] returns.
+/// The frame of a shard tier at `pos` (a frame boundary), its checksum
+/// verified unless it ends inside the `trusted` prefix: where it lies,
+/// and its record's body — `None` for a flush-group marker, which is
+/// checked and passed over.
+fn shard_frame(
+    bytes: &[u8],
+    pos: usize,
+    trusted: usize,
+) -> SimResult<(Frame, Option<RecordBody<'_>>)> {
+    let frame = read_frame(bytes, pos, trusted)?;
+    let image = &bytes[..frame.end];
+    let mut at = frame.body;
+    match codec::get_u8(image, &mut at)? {
+        REC => Ok((
+            frame,
+            Some(RecordBody {
+                bytes: &image[at..],
+                at,
+            }),
+        )),
+        OPEN | CLOSE => {
+            get_marker(image, &mut at)?;
+            if at != frame.end {
+                return Err(SimError::Corrupt(at));
+            }
+            Ok((frame, None))
+        }
+        _ => Err(SimError::Corrupt(at - 1)),
+    }
+}
+
+/// The iterator [`ShardedLog::history`] and [`ShardedLog::shard_suffix`]
+/// return.
 #[derive(Debug)]
 pub struct History<'a> {
-    shards: Vec<TierStream<'a>>,
+    shards: Vec<(TierStream, Tiers<'a>)>,
     merge: LsnMerge<RecordBody<'a>>,
     upto: Lsn,
     failed: bool,
+}
+
+impl<'a> History<'a> {
+    /// What the read so far has cost, over every shard.
+    #[must_use]
+    pub fn stats(&self) -> ScanStats {
+        let mut total = ScanStats::default();
+        for (stream, _) in &self.shards {
+            total.absorb(stream.stats);
+        }
+        total
+    }
+
+    /// The records decoded; an error is yielded once, then it ends.
+    fn decoded<P: LogPayload>(self) -> impl Iterator<Item = SimResult<WalRecord<P>>> + 'a {
+        self.scan(false, |failed, rec| {
+            let rec = rec.and_then(|WalRecord { lsn, payload }| {
+                let payload = payload.parse(P::decode)?;
+                Ok(WalRecord { lsn, payload })
+            });
+            (!std::mem::replace(failed, rec.is_err())).then_some(rec)
+        })
+    }
 }
 
 impl<'a> Iterator for History<'a> {
@@ -1032,60 +1062,71 @@ impl<'a> Iterator for History<'a> {
             return None;
         }
         let (shards, upto) = (&mut self.shards, self.upto);
-        let least = self.merge.least(|s, head| {
-            *head = shards[s].next(upto)?;
-            Ok(())
+        let next = self.merge.pop(|s| {
+            let (stream, tiers) = &mut shards[s];
+            stream.next(*tiers, upto)
         });
-        self.failed = least.is_err();
-        least
-            .map(|s| s.and_then(|s| self.merge.take(s)))
-            .transpose()
+        self.failed = next.is_err();
+        next.map(|next| next.map(|(_, rec)| rec)).transpose()
     }
 }
 
-/// One shard's `archive ∥ live` frames as record bodies, in strictly
-/// increasing LSN order.
-#[derive(Debug)]
-struct TierStream<'a> {
-    tiers: [&'a [u8]; 2],
+/// One shard's `archive ∥ live`, each tier with the length of its
+/// prefix whose checksums a repair verified.
+type Tiers<'a> = [(&'a [u8], usize); 2];
+
+/// One shard's read position in its [`Tiers`], yielding its record
+/// frames as bodies in strictly increasing LSN order. It holds no
+/// borrow, so a scan can keep it between reads of the log.
+#[derive(Clone, Debug, Default)]
+struct TierStream {
     tier: usize,
     pos: usize,
     /// The last record this stream yielded. Only record frames move
     /// it: a marker echoes an LSN out of order (a `Close` carries its
     /// group's covering LSN).
     last: Option<Lsn>,
+    /// Every frame read, markers included, plus the seek that placed
+    /// the stream.
+    stats: ScanStats,
 }
 
-impl<'a> TierStream<'a> {
-    fn next(&mut self, upto: Lsn) -> SimResult<Option<WalRecord<RecordBody<'a>>>> {
-        while let Some(&bytes) = self.tiers.get(self.tier) {
+impl TierStream {
+    /// A stream over `shard`'s live tier from its first frame with
+    /// LSN ≥ `from`, seeked through its index.
+    fn seek<Q: LogPayload>(shard: &LogManager<Q>, from: Lsn) -> TierStream {
+        let cursor = shard.cursor_from(from);
+        TierStream {
+            tier: 1,
+            pos: cursor.pos,
+            stats: cursor.stats,
+            ..TierStream::default()
+        }
+    }
+
+    /// The next record frame with LSN ≤ `upto`; each tier is read up
+    /// to its first frame past it.
+    fn next<'a>(
+        &mut self,
+        tiers: Tiers<'a>,
+        upto: Lsn,
+    ) -> SimResult<Option<WalRecord<RecordBody<'a>>>> {
+        while let Some(&(bytes, trusted)) = tiers.get(self.tier) {
             let frame = (self.pos < bytes.len())
-                .then(|| read_frame(bytes, self.pos))
+                .then(|| shard_frame(bytes, self.pos, trusted))
                 .transpose()?;
-            let Some(frame) = frame.filter(|frame| frame.lsn <= upto) else {
+            let Some((frame, body)) = frame.filter(|(frame, _)| frame.lsn <= upto) else {
                 (self.tier, self.pos) = (self.tier + 1, 0);
                 continue;
             };
+            self.stats.records_decoded += 1;
+            self.stats.bytes_scanned += (frame.end - self.pos) as u64;
             self.pos = frame.end;
-            let image = &bytes[..frame.end];
-            let mut pos = frame.body;
-            match codec::get_u8(image, &mut pos)? {
-                REC if self.last.is_some_and(|last| frame.lsn <= last) => {}
-                REC => {
-                    self.last = Some(frame.lsn);
-                    let payload = RecordBody { image, start: pos };
-                    return Ok(Some(WalRecord {
-                        lsn: frame.lsn,
-                        payload,
-                    }));
-                }
-                OPEN | CLOSE => {
-                    get_marker(image, &mut pos)?;
-                    if pos != frame.end {
-                        return Err(SimError::Corrupt(pos));
-                    }
-                }
-                _ => return Err(SimError::Corrupt(pos - 1)),
+            let fresh = self.last.is_none_or(|last| frame.lsn > last);
+            if let (Some(payload), true) = (body, fresh) {
+                self.last = Some(frame.lsn);
+                let lsn = frame.lsn;
+                return Ok(Some(WalRecord { lsn, payload }));
             }
         }
         Ok(None)
@@ -1116,35 +1157,33 @@ impl<P> LsnMerge<P> {
         }
     }
 
-    /// Refills every empty head — `fill(s, head)` leaves shard `s`'s
+    /// Refills every empty head with `next(s)` — shard `s`'s next item,
     /// `None` once it is done — drops a head that is a copy of the item
-    /// last taken, and names the shard whose head is least.
-    fn least(
+    /// last taken, and takes the least head, with the shard it came
+    /// from.
+    fn pop(
         &mut self,
-        mut fill: impl FnMut(usize, &mut Option<WalRecord<P>>) -> SimResult<()>,
-    ) -> SimResult<Option<usize>> {
+        mut next: impl FnMut(usize) -> SimResult<Option<WalRecord<P>>>,
+    ) -> SimResult<Option<(usize, WalRecord<P>)>> {
         loop {
             for (s, head) in self.heads.iter_mut().enumerate() {
                 if head.is_none() {
-                    fill(s, head)?;
+                    *head = next(s)?;
                 }
             }
             let heads = self.heads.iter().enumerate();
             let least = heads
                 .filter_map(|(s, head)| Some((head.as_ref()?.lsn, s)))
                 .min();
-            match least {
-                Some((lsn, s)) if self.last == Some(lsn) => self.heads[s] = None,
-                least => return Ok(least.map(|(_, s)| s)),
+            let Some((lsn, s)) = least else {
+                return Ok(None);
+            };
+            let head = self.heads[s].take();
+            if self.last != Some(lsn) {
+                self.last = Some(lsn);
+                return Ok(head.map(|rec| (s, rec)));
             }
         }
-    }
-
-    /// Takes shard `s`'s head, which [`LsnMerge::least`] named.
-    fn take(&mut self, s: usize) -> Option<WalRecord<P>> {
-        let rec = self.heads[s].take();
-        self.last = rec.as_ref().map(|rec| rec.lsn);
-        rec
     }
 }
 
@@ -1154,112 +1193,71 @@ impl<P: LogPayload> Default for ShardedLog<P> {
     }
 }
 
-/// The iterator form of [`ShardedScanner`]: the globally ordered
-/// logical record sequence of a log it borrows, one record per step. An
-/// error is yielded once; the iterator is then done.
-#[derive(Debug)]
-pub struct ShardedCursor<'a, P> {
-    log: &'a ShardedLog<P>,
-    scanner: ShardedScanner<P>,
-}
-
-impl<P: LogPayload> Iterator for ShardedCursor<'_, P> {
-    type Item = SimResult<WalRecord<P>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.scanner
-            .next_batch(self.log, 1)
-            .map(|mut b| b.pop())
-            .transpose()
-    }
-}
-
-/// The resumable batched scan: a streaming min-LSN merge over every
-/// shard's stable frames that yields the globally ordered logical
-/// record sequence, eliding marker frames and deduplicating broadcast
-/// copies by LSN. A [`LogCursor`] borrows its log for its whole
-/// lifetime, which a recovery loop — it also needs the database
-/// mutably, to replay — cannot afford; the scanner holds only per-shard
-/// byte positions (plus an owned pending head per shard) and re-borrows
-/// the log per [`ShardedScanner::next_batch`] call.
+/// The resumable batched scan the serial restart reads the live log
+/// through: a streaming min-LSN merge over every shard's stable frames
+/// from a seek position, yielding the globally ordered logical record
+/// sequence — marker frames passed over, broadcast copies once — as
+/// undecoded [`RecordBody`]s. A recovery loop also needs the database
+/// mutably, to replay, so the scanner holds no borrow of the log between
+/// calls: only each shard's byte position, and a copy of each batch's
+/// bodies in one buffer it reuses, so a record costs no allocation.
 #[derive(Clone, Debug, Default)]
-pub struct ShardedScanner<P> {
-    pos: Vec<usize>,
-    stats: Vec<ScanStats>,
-    merge: LsnMerge<P>,
+pub struct ShardedScanner {
+    streams: Vec<TierStream>,
+    /// One head per shard: the record's LSN and where its body lies in
+    /// the shard's live tier.
+    merge: LsnMerge<std::ops::Range<usize>>,
+    /// The current batch's bodies, back to back.
+    buf: Vec<u8>,
+    /// The current batch's records: LSN, body's tier offset, body's end
+    /// in `buf`.
+    batch: Vec<(Lsn, usize, usize)>,
     failed: bool,
-    started: bool,
 }
 
-impl<P: LogPayload> ShardedScanner<P> {
-    /// A scanner over the whole stable prefix.
-    #[must_use]
-    pub fn from_start() -> ShardedScanner<P> {
-        ShardedScanner {
-            pos: Vec::new(),
-            stats: Vec::new(),
-            merge: LsnMerge::new(0),
-            failed: false,
-            started: false,
-        }
-    }
-
+impl ShardedScanner {
     /// A scanner positioned at the first record with LSN ≥ `from`, each
     /// shard seeked through its own index.
     #[must_use]
-    pub fn seek(log: &ShardedLog<P>, from: Lsn) -> ShardedScanner<P> {
-        let mut scanner = ShardedScanner::from_start();
-        scanner.started = true;
-        scanner.merge = LsnMerge::new(log.n_shards());
-        for shard in &log.shards {
-            let cursor = shard.cursor_from(from);
-            scanner.pos.push(cursor.pos);
-            scanner.stats.push(cursor.stats);
-        }
-        scanner
-    }
-
-    fn ensure_started(&mut self, n: usize) {
-        if !self.started {
-            self.pos = vec![0; n];
-            self.stats = vec![ScanStats::default(); n];
-            self.merge = LsnMerge::new(n);
-            self.started = true;
+    pub fn seek<P: LogPayload>(log: &ShardedLog<P>, from: Lsn) -> ShardedScanner {
+        let streams = log.shards.iter().map(|shard| TierStream::seek(shard, from));
+        ShardedScanner {
+            streams: streams.collect(),
+            merge: LsnMerge::new(log.n_shards()),
+            ..ShardedScanner::default()
         }
     }
 
-    /// Decodes up to `max` merged records at the current position,
+    /// Reads up to `max` merged records at the current position,
     /// advancing past them. An empty batch means the scan is complete.
     ///
     /// # Errors
     ///
     /// [`SimError::Corrupt`] at the failing offset; subsequent calls
     /// return empty batches.
-    pub fn next_batch(&mut self, log: &ShardedLog<P>, max: usize) -> SimResult<Vec<WalRecord<P>>> {
-        if self.failed {
-            return Ok(Vec::new());
-        }
-        self.ensure_started(log.n_shards());
-        let (pos, stats) = (&mut self.pos, &mut self.stats);
-        // Shard `s`'s next logical record, marker frames skipped and
-        // committed.
-        let mut fill = |s: usize, head: &mut Option<WalRecord<P>>| -> SimResult<()> {
-            let mut cursor: LogCursor<'_, ShardFrame<P>> =
-                LogCursor::at(log.shards[s].stable_bytes(), pos[s], stats[s]);
-            while head.is_none() {
-                let Some(frame) = cursor.next() else { break };
-                (pos[s], stats[s]) = (cursor.pos, cursor.stats);
-                let WalRecord { lsn, payload } = frame?;
-                if let ShardFrame::Rec(payload) = payload {
-                    *head = Some(WalRecord { lsn, payload });
-                }
-            }
-            Ok(())
+    pub fn next_batch<P: LogPayload>(
+        &mut self,
+        log: &ShardedLog<P>,
+        max: usize,
+    ) -> SimResult<Batch<'_>> {
+        self.buf.clear();
+        self.batch.clear();
+        let streams = &mut self.streams;
+        let mut next = |s: usize| {
+            let rec = streams[s].next(log.tiers(s), Lsn(u64::MAX))?;
+            Ok(rec.map(|WalRecord { lsn, payload }| {
+                let payload = payload.at..payload.at + payload.bytes.len();
+                WalRecord { lsn, payload }
+            }))
         };
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.merge.least(&mut fill) {
-                Ok(Some(s)) => out.extend(self.merge.take(s)),
+        while !self.failed && self.batch.len() < max {
+            match self.merge.pop(&mut next) {
+                Ok(Some((s, WalRecord { lsn, payload }))) => {
+                    let at = payload.start;
+                    self.buf
+                        .extend_from_slice(&log.shards[s].stable_bytes()[payload]);
+                    self.batch.push((lsn, at, self.buf.len()));
+                }
                 Ok(None) => break,
                 Err(e) => {
                     self.failed = true;
@@ -1267,24 +1265,53 @@ impl<P: LogPayload> ShardedScanner<P> {
                 }
             }
         }
-        Ok(out)
+        Ok(Batch {
+            buf: &self.buf,
+            records: &self.batch,
+            start: 0,
+        })
     }
 
     /// Telemetry summed across every shard's scan.
     #[must_use]
     pub fn stats(&self) -> ScanStats {
         let mut total = ScanStats::default();
-        for s in &self.stats {
-            total.absorb(*s);
+        for stream in &self.streams {
+            total.absorb(stream.stats);
         }
         total
     }
+}
 
-    /// Per-shard scan telemetry — the shard-skew breakdown the benches
-    /// report beside the summed view.
+/// One batch of [`ShardedScanner::next_batch`], in LSN order: each
+/// record's LSN and its body, borrowed from the scanner's buffer.
+#[derive(Clone, Copy, Debug)]
+pub struct Batch<'a> {
+    buf: &'a [u8],
+    records: &'a [(Lsn, usize, usize)],
+    /// Where the next record's body starts in `buf`.
+    start: usize,
+}
+
+impl Batch<'_> {
+    /// Is the batch spent — or, fresh from the scanner, the scan done?
     #[must_use]
-    pub fn stats_by_shard(&self) -> &[ScanStats] {
-        &self.stats
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+}
+
+impl<'a> Iterator for Batch<'a> {
+    type Item = WalRecord<RecordBody<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (&(lsn, at, end), rest) = self.records.split_first()?;
+        let bytes = &self.buf[self.start..end];
+        (self.records, self.start) = (rest, end);
+        Some(WalRecord {
+            lsn,
+            payload: RecordBody { bytes, at },
+        })
     }
 }
 
@@ -1292,6 +1319,7 @@ impl<P: LogPayload> ShardedScanner<P> {
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
+    use crate::wal::LogCursor;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A payload writing an arbitrary page set (empty = page-less, like
@@ -1320,6 +1348,12 @@ mod tests {
         fn write_pages(&self) -> Vec<PageId> {
             self.0.iter().map(|&p| PageId(p)).collect()
         }
+    }
+
+    /// Every frame of shard `s`'s live tier, markers included.
+    fn shard_frames(log: &ShardedLog<Rec>, s: usize) -> Vec<WalRecord<ShardFrame<Rec>>> {
+        let frames = LogCursor::over(log.shards[s].stable_bytes());
+        frames.collect::<SimResult<_>>().unwrap()
     }
 
     #[test]
@@ -1361,13 +1395,9 @@ mod tests {
         // Every single-shard scan observes the page-less record...
         for s in 0..4 {
             let copies = log
-                .shard_cursor_from(s, Lsn(1))
-                .collect::<SimResult<Vec<_>>>()
-                .unwrap()
-                .into_iter()
-                .filter(
-                    |f| matches!(&f.payload, ShardFrame::Rec(Rec(pages, 99)) if pages.is_empty()),
-                )
+                .shard_suffix(s, Lsn(1))
+                .map(|rec| rec.unwrap().payload.parse(Rec::decode).unwrap())
+                .filter(|rec| *rec == Rec(vec![], 99))
                 .count();
             assert_eq!(copies, 1, "shard {s} must hold one broadcast copy");
         }
@@ -1383,10 +1413,7 @@ mod tests {
         log.append(Rec(vec![0], 1)).unwrap();
         log.append(Rec(vec![2], 2)).unwrap(); // page 2 also routes to shard 0
         log.flush_all();
-        let frames = log
-            .shard_cursor_from(0, Lsn(1))
-            .collect::<SimResult<Vec<_>>>()
-            .unwrap();
+        let frames = shard_frames(&log, 0);
         assert_eq!(frames.len(), 2, "no markers for a single-shard force");
         assert!(frames
             .iter()
@@ -1395,10 +1422,7 @@ mod tests {
         log.append(Rec(vec![0], 3)).unwrap();
         log.append(Rec(vec![1], 4)).unwrap();
         log.flush_all();
-        let shard1 = log
-            .shard_cursor_from(1, Lsn(1))
-            .collect::<SimResult<Vec<_>>>()
-            .unwrap();
+        let shard1 = shard_frames(&log, 1);
         assert!(shard1
             .iter()
             .any(|f| matches!(f.payload, ShardFrame::Open { .. })));
@@ -1728,21 +1752,70 @@ mod tests {
         assert!(log.truncated_bytes_by_shard().iter().any(|&b| b > 0));
     }
 
-    /// Drains `scanner` in batches of at most `max`.
-    fn drain(
-        scanner: &mut ShardedScanner<Rec>,
-        log: &ShardedLog<Rec>,
-        max: usize,
-    ) -> Vec<WalRecord<Rec>> {
+    /// What one scan from `from` in batches of at most `max` read: each
+    /// record decoded, how the scan ended, and its telemetry.
+    type Scan = (Vec<WalRecord<Rec>>, SimResult<()>, ScanStats);
+
+    /// [`ShardedScanner`] from `from` to its end.
+    fn scan(log: &ShardedLog<Rec>, from: Lsn, max: usize) -> Scan {
+        let mut scanner = ShardedScanner::seek(log, from);
         let mut got = Vec::new();
-        loop {
-            let batch = scanner.next_batch(log, max).unwrap();
-            if batch.is_empty() {
-                return got;
+        let end = 'scan: loop {
+            let batch = match scanner.next_batch(log, max) {
+                Ok(batch) if batch.is_empty() => break Ok(()),
+                Ok(batch) => batch,
+                Err(e) => break Err(e),
+            };
+            assert!(batch.count() <= max);
+            for WalRecord { lsn, payload } in batch {
+                match payload.parse(Rec::decode) {
+                    Ok(payload) => got.push(WalRecord { lsn, payload }),
+                    Err(e) => break 'scan Err(e),
+                }
             }
-            assert!(batch.len() <= max);
-            got.extend(batch);
+        };
+        (got, end, scanner.stats())
+    }
+
+    /// The scanner before it read in place, kept as the reference the
+    /// one reader is held to: each shard's frames decoded by a
+    /// [`LogCursor`] — checksum, payload and all — into owned records,
+    /// merged through the same [`LsnMerge`], in batches of at most `max`.
+    fn reference_scan(log: &ShardedLog<Rec>, from: Lsn, max: usize) -> Scan {
+        let cursors: Vec<_> = log.shards.iter().map(|s| s.cursor_from(from)).collect();
+        let mut pos: Vec<usize> = cursors.iter().map(|c| c.pos).collect();
+        let mut stats: Vec<ScanStats> = cursors.iter().map(|c| c.stats).collect();
+        let mut merge: LsnMerge<Rec> = LsnMerge::new(log.n_shards());
+        let mut next = |s: usize| -> SimResult<Option<WalRecord<Rec>>> {
+            let mut cursor: LogCursor<'_, ShardFrame<Rec>> =
+                LogCursor::at(log.shards[s].stable_bytes(), pos[s], stats[s]);
+            while let Some(frame) = cursor.next() {
+                (pos[s], stats[s]) = (cursor.pos, cursor.stats);
+                let WalRecord { lsn, payload } = frame?;
+                if let ShardFrame::Rec(payload) = payload {
+                    return Ok(Some(WalRecord { lsn, payload }));
+                }
+            }
+            Ok(None)
+        };
+        let (mut got, mut batch) = (Vec::new(), Vec::new());
+        let end = loop {
+            match merge.pop(&mut next) {
+                Ok(Some((_, rec))) => batch.push(rec),
+                Ok(None) => break Ok(()),
+                // The batch in hand is lost with the error.
+                Err(e) => break Err(e),
+            }
+            if batch.len() == max {
+                got.append(&mut batch);
+            }
+        };
+        if end.is_ok() {
+            got.append(&mut batch);
         }
+        let mut total = ScanStats::default();
+        stats.iter().for_each(|s| total.absorb(*s));
+        (got, end, total)
     }
 
     #[test]
@@ -1754,13 +1827,13 @@ mod tests {
         log.flush_all();
         let full = log.decode_stable().unwrap();
         assert_eq!(full.len(), 25);
-        let mut scanner = ShardedScanner::from_start();
-        assert_eq!(drain(&mut scanner, &log, 4), full);
-        assert_eq!(scanner.stats().records_decoded, 25);
+        let (got, end, stats) = scan(&log, Lsn::ZERO, 4);
+        assert_eq!((got, end), (full.clone(), Ok(())));
+        assert_eq!(stats.records_decoded, 25);
 
-        let mut seeked = ShardedScanner::seek(&log, Lsn(14));
-        assert_eq!(&drain(&mut seeked, &log, 5)[..], &full[13..]);
-        assert_eq!(seeked.stats().seek_hits, 1);
+        let (got, _, stats) = scan(&log, Lsn(14), 5);
+        assert_eq!(&got[..], &full[13..]);
+        assert_eq!(stats.seek_hits, 1);
     }
 
     #[test]
@@ -1774,15 +1847,198 @@ mod tests {
             kind: FaultKind::TornFlush { bytes: 4 },
         });
         log.flush_all();
-        let mut scanner = ShardedScanner::from_start();
-        let first = scanner.next_batch(&log, 16);
+        let mut scanner = ShardedScanner::seek(&log, Lsn::ZERO);
+        let first = scanner.next_batch(&log, 16).map(Iterator::count);
         assert!(matches!(first, Err(SimError::Corrupt(_))));
         assert!(scanner.next_batch(&log, 16).unwrap().is_empty());
         // The iterator form reports it the same way.
-        let mut cursor = log.cursor();
+        let mut cursor = log.cursor_from(Lsn::ZERO);
         let first = cursor.find(Result::is_err);
         assert!(matches!(first, Some(Err(SimError::Corrupt(_)))));
         assert!(cursor.next().is_none());
+    }
+
+    /// Flips bit `bit` of byte `at` of shard `s`'s live image, as a
+    /// failing medium would: under the log's bookkeeping.
+    fn flip(log: &mut ShardedLog<Rec>, s: usize, at: usize, bit: u32) {
+        let shard = &mut log.shards[s];
+        let mut image = shard.stable_bytes().to_vec();
+        image[at] ^= 1 << bit;
+        shard.backend.truncate_to(0);
+        shard.backend.append(&image);
+    }
+
+    /// Each shard's verified extent.
+    fn extents(log: &ShardedLog<Rec>) -> Vec<usize> {
+        log.shards.iter().map(|shard| shard.verified).collect()
+    }
+
+    proptest::proptest! {
+        /// The one reader is the owned merge it replaced: from any seek
+        /// LSN and in batches of any size, the same records decoded, the
+        /// same telemetry, and the same `Corrupt` offset — over logs of
+        /// single-page, multi-page (broadcast, spanning flush groups)
+        /// and page-less records on 1, 2 and 4 shards; after global,
+        /// per-shard and fault-interrupted drains; on images torn by a
+        /// force, before and after `repair_tail`; and with a bit flipped
+        /// in bytes appended after the last repair, which the verified
+        /// extent does not cover.
+        #[test]
+        fn the_scanner_reads_what_the_owned_merge_read(
+            shard_bits in 0u32..3,
+            steps in proptest::collection::vec((0u8..12, 0u32..8, 0u32..8), 1..100),
+            seeks in proptest::collection::vec(0u32..64, 3..4),
+            max in 1usize..9,
+            flip_at in proptest::option::of((0usize..4, 0usize..4096, 0u32..8)),
+        ) {
+            let shards = 1usize << shard_bits;
+            let mut log: ShardedLog<Rec> = ShardedLog::new(shards);
+            let mut value = 0u64;
+            let pick = |log: &ShardedLog<Rec>, x: u32| {
+                let (first, stable) = (log.first_stable().0, log.stable_lsn().0);
+                Lsn(first + u64::from(x) * (stable + 1).saturating_sub(first) / 7)
+            };
+            let check = |log: &ShardedLog<Rec>| -> Result<(), proptest::test_runner::TestCaseError> {
+                let stable = log.stable_lsn().0;
+                let froms = [0, 1, log.first_stable().0, stable, stable + 1];
+                let picked = seeks.iter().map(|&x| u64::from(x) % (stable + 2));
+                for from in froms.into_iter().chain(picked).map(Lsn) {
+                    proptest::prop_assert_eq!(scan(log, from, max), reference_scan(log, from, max), "from {:?}", from);
+                }
+                Ok(())
+            };
+            for (what, a, b) in steps {
+                value += 1;
+                match what {
+                    0..=2 => drop(log.append(Rec(vec![a], value)).unwrap()),
+                    3 => drop(log.append(Rec(vec![a, b], value)).unwrap()),
+                    4 => drop(log.append(Rec(vec![], value)).unwrap()),
+                    5 => log.flush(Lsn(log.stable_lsn().0 + u64::from(a))),
+                    6 => log.flush_all(),
+                    7 => drop(log.archive_prefix(pick(&log, a)).unwrap()),
+                    8 => drop(log.archive_shard_prefix(a as usize % shards, pick(&log, b)).unwrap()),
+                    9 => {
+                        // A drain interrupted between a shard's archive
+                        // append and its live truncation.
+                        let below = pick(&log, a);
+                        log.injector.arm(FaultPlan { at: u64::from(b % 2) + 1, kind: FaultKind::Clean });
+                        log.archive_prefix(below).unwrap();
+                        log.injector.reset();
+                        log.crash();
+                        log.repair_tail();
+                    }
+                    10 => {
+                        // A force torn mid-frame: the image holds the
+                        // fragment until the repair.
+                        log.injector.arm(FaultPlan { at: u64::from(a) + 1, kind: FaultKind::TornFlush { bytes: b as usize + 1 } });
+                        log.flush_all();
+                        log.injector.reset();
+                        log.crash();
+                        check(&log)?;
+                        log.repair_tail();
+                    }
+                    _ => {
+                        log.crash();
+                        log.repair_tail();
+                    }
+                }
+            }
+            log.flush_all();
+            check(&log)?;
+            if let Some((s, at, bit)) = flip_at {
+                let s = s % shards;
+                let (verified, len) = (log.shards[s].verified, log.shards[s].stable_bytes().len());
+                if len > verified {
+                    flip(&mut log, s, verified + at % (len - verified), bit);
+                    check(&log)?;
+                    proptest::prop_assert!(scan(&log, Lsn::ZERO, max).1.is_err(), "a flip past the extent is caught");
+                }
+            }
+        }
+    }
+
+    /// The verified extent's discipline: only a repair's CRC walk sets
+    /// it; a crash resets it, a rollback clamps it, a drain rebases it,
+    /// and appends never extend it — so a frame outside it, or damaged
+    /// while the system was down, is still checksummed.
+    #[test]
+    fn each_frame_is_verified_once_per_restart() {
+        let mut log: ShardedLog<Rec> = ShardedLog::new(2);
+        for i in 0..24u32 {
+            log.append(Rec(vec![i % 4], u64::from(i))).unwrap();
+            if i % 3 == 2 {
+                log.flush_all();
+            }
+        }
+        let lens = |log: &ShardedLog<Rec>| -> Vec<usize> {
+            let live = log.live_bytes_by_shard().into_iter();
+            live.map(|len| len as usize).collect()
+        };
+        assert_eq!(extents(&log), [0, 0], "nothing is trusted before a repair");
+        log.crash();
+        assert_eq!(extents(&log), [0, 0]);
+        log.repair_tail();
+        let repaired = lens(&log);
+        assert_eq!(extents(&log), repaired, "the repair verified every frame");
+
+        // Appends never extend it, and a flip past it is caught.
+        log.append(Rec(vec![0], 100)).unwrap();
+        log.append(Rec(vec![1], 101)).unwrap();
+        log.flush_all();
+        assert_eq!(extents(&log), repaired);
+        let (len, full) = (lens(&log)[0], scan(&log, Lsn::ZERO, 4));
+        flip(&mut log, 0, len - 1, 0);
+        assert!(matches!(
+            scan(&log, Lsn::ZERO, 4).1,
+            Err(SimError::Corrupt(_))
+        ));
+        flip(&mut log, 0, len - 1, 0);
+        assert_eq!(scan(&log, Lsn::ZERO, 4), full);
+
+        // A global drain, then a per-shard one, rebase it.
+        let before = (extents(&log), lens(&log));
+        log.archive_prefix(Lsn(7)).unwrap();
+        let drained: Vec<usize> = (before.1.iter().zip(lens(&log)))
+            .map(|(b, a)| b - a)
+            .collect();
+        let rebased: Vec<usize> = (before.0.iter().zip(&drained))
+            .map(|(e, d)| e - d)
+            .collect();
+        assert!(drained.iter().all(|&d| d > 0));
+        assert_eq!(extents(&log), rebased);
+        let before = (extents(&log)[1], lens(&log)[1]);
+        log.archive_shard_prefix(1, Lsn(13)).unwrap();
+        assert!(lens(&log)[1] < before.1);
+        assert_eq!(extents(&log)[1], before.0 - (before.1 - lens(&log)[1]));
+        assert_eq!(scan(&log, Lsn::ZERO, 4), reference_scan(&log, Lsn::ZERO, 4));
+
+        // A rollback clamps it.
+        let mut rolled = log.clone();
+        let first_frame = read_frame(rolled.shards[0].stable_bytes(), 0, 0)
+            .unwrap()
+            .end;
+        rolled.shards[0].rollback_to(first_frame);
+        assert_eq!(extents(&rolled)[0], first_frame);
+
+        // A crash resets it: a record damaged while the system was down
+        // — here the last byte of its value, so it still parses — is
+        // caught by the scan before the repair, not read as trusted.
+        log.append(Rec(vec![1], 102)).unwrap();
+        log.flush_all();
+        log.crash();
+        log.repair_tail();
+        let last = lens(&log)[1] - 1;
+        assert_eq!(extents(&log)[1], last + 1);
+        flip(&mut log, 1, last, 3);
+        log.crash();
+        assert_eq!(extents(&log), [0, 0]);
+        assert!(matches!(
+            scan(&log, Lsn::ZERO, 4).1,
+            Err(SimError::Corrupt(_))
+        ));
+        log.repair_tail();
+        assert_eq!(extents(&log), lens(&log));
+        assert_eq!(scan(&log, Lsn::ZERO, 4), reference_scan(&log, Lsn::ZERO, 4));
     }
 
     /// FNV-1a, the checksum the wire-format pins are stated in.

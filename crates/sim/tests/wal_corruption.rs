@@ -67,7 +67,7 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
     // chain entries only ever point into the valid prefix, so decode
     // exactly the records before the tear.
     let mut full: Vec<WalRecord<OpRec>> = Vec::new();
-    for rec in log.cursor() {
+    for rec in log.cursor_from(Lsn::ZERO) {
         match rec {
             Ok(rec) => full.push(rec),
             Err(SimError::Corrupt(_)) => break,
@@ -79,11 +79,12 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
     // sentinel a drain re-inserts — the drain bound, at offset 0 — may
     // name an LSN routed elsewhere, or share offset 0 with the next
     // flush's entry: approximate by design, and enough for a seek,
-    // which needs only some entry at or below its target.
+    // which needs only some entry at or below its target. (A single log
+    // writes no flush-group markers, so every frame is a record.)
     let seek_audited = usize::from(log.n_shards() == 1);
     for s in 0..seek_audited {
         let index = log.shard_seek_index(s);
-        if log.shard_record_at(s, 0).is_err() {
+        if log.record_in(s, 0).is_err() {
             // A shard image with no valid frame (wholly elided, or torn
             // inside its first frame) may keep one anticipatory sentinel
             // naming the frame the next flush will land at offset 0.
@@ -99,9 +100,7 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
                 s
             );
             for &(lsn, off) in index {
-                let rec = log
-                    .shard_record_at(s, off)
-                    .expect("seek entry points at a frame");
+                let rec = log.record_in(s, off).expect("seek entry points at a frame");
                 prop_assert_eq!(
                     rec.lsn,
                     lsn,
@@ -149,8 +148,9 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
         }
     }
     // The cross-reader chains, over every page the workloads touch, by
-    // the same rules. `record_in` verifies the frame's CRC, so an entry
-    // that resolves names neither a volatile nor a torn record.
+    // the same rules. `record_in` reads only a frame whose CRC holds (or
+    // held when a repair walked it), so an entry that resolves names
+    // neither a volatile nor a torn record.
     for page in (0..PageWorkloadSpec::default().n_pages).map(PageId) {
         let readers = log.readers_of(page);
         for w in readers.windows(2) {
@@ -477,8 +477,7 @@ proptest! {
             db.log.flush_all();
             db.crash();
             db.repair_after_crash();
-            let full: Vec<WalRecord<OpRec>> = db.log.cursor().collect::<SimResult<_>>()
-                .expect("repaired image decodes");
+            let full = db.log.decode_stable().expect("repaired image decodes");
             for from in 0..=db.log.stable_lsn().0 + 2 {
                 let want: Vec<&WalRecord<OpRec>>  =
                     full.iter().filter(|r| r.lsn >= Lsn(from)).collect();
@@ -636,8 +635,7 @@ proptest! {
                 "full compaction must be a fixed point"
             );
             check_index_discipline(&db.log)?;
-            let full: Vec<WalRecord<OpRec>> = db.log.cursor().collect::<SimResult<_>>()
-                .expect("repaired image decodes");
+            let full = db.log.decode_stable().expect("repaired image decodes");
             per_backend.push(full);
         }
         // `per_backend` is [mem × 1, mem × 4, file × 1, file × 4].

@@ -182,6 +182,58 @@ pub struct Footprint {
     pub cross_reads: PageSet,
 }
 
+/// An operation's cells and the two fields its outputs mix in, wherever
+/// it is held — a [`PageOp`], or its log encoding read in place — so
+/// each step that executes or redoes an operation (naming its pages,
+/// the flush-order probe, the apply, the redo test) is written once.
+pub trait OpCells {
+    /// As [`PageOp::id`].
+    fn id(&self) -> u32;
+    /// As [`PageOp::f_seed`].
+    fn f_seed(&self) -> u64;
+    /// The cells read, in [`PageOp::reads`] order.
+    fn reads(&self) -> impl ExactSizeIterator<Item = Cell> + '_;
+    /// The cells written, in [`PageOp::writes`] order.
+    fn writes(&self) -> impl ExactSizeIterator<Item = Cell> + '_;
+
+    /// As [`PageOp::output`].
+    fn output(&self, cell: Cell, read_values: &[u64]) -> u64 {
+        debug_assert_eq!(read_values.len(), self.reads().len());
+        PageOp::output_of(self.id(), self.f_seed(), cell, read_values)
+    }
+
+    /// The operation's pages, each list distinct and ascending
+    /// ([`Footprint`]); nothing is allocated for an operation that
+    /// touches [`PageSet::INLINE`] pages or fewer.
+    fn footprint(&self) -> Footprint {
+        let written: PageSet = self.writes().map(|c| c.page).collect();
+        let reads = || self.reads().map(|c| c.page);
+        Footprint {
+            touched: reads().chain(written.iter().copied()).collect(),
+            cross_reads: reads().filter(|page| !written.contains(page)).collect(),
+            written,
+        }
+    }
+}
+
+impl OpCells for PageOp {
+    fn id(&self) -> u32 {
+        self.id
+    }
+
+    fn f_seed(&self) -> u64 {
+        self.f_seed
+    }
+
+    fn reads(&self) -> impl ExactSizeIterator<Item = Cell> + '_ {
+        self.reads.iter().copied()
+    }
+
+    fn writes(&self) -> impl ExactSizeIterator<Item = Cell> + '_ {
+        self.writes.iter().copied()
+    }
+}
+
 /// The splitmix64 finalizer; the deterministic "logic" of generated
 /// operations.
 #[must_use]
@@ -211,8 +263,7 @@ impl PageOp {
     /// crash harness compare them with plain equality.
     #[must_use]
     pub fn output(&self, cell: Cell, read_values: &[u64]) -> u64 {
-        debug_assert_eq!(read_values.len(), self.reads.len());
-        Self::output_of(self.id, self.f_seed, cell, read_values)
+        OpCells::output(self, cell, read_values)
     }
 
     /// [`PageOp::output`] from the two fields it depends on, for a
@@ -247,21 +298,6 @@ impl PageOp {
         pages.sort_unstable();
         pages.dedup();
         pages
-    }
-
-    /// The operation's pages, each list distinct and ascending
-    /// ([`Footprint`]); nothing is allocated for an operation that
-    /// touches [`PageSet::INLINE`] pages or fewer.
-    #[must_use]
-    pub fn footprint(&self) -> Footprint {
-        let written: PageSet = self.writes.iter().map(|c| c.page).collect();
-        let reads = self.reads.iter().map(|c| c.page);
-        let cross_reads = reads.clone().filter(|page| !written.contains(page));
-        Footprint {
-            touched: reads.clone().chain(written.iter().copied()).collect(),
-            cross_reads: cross_reads.collect(),
-            written,
-        }
     }
 
     /// Projects this operation into a theory-level [`Operation`] at slot

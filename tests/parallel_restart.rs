@@ -26,7 +26,7 @@ use redo_recovery::methods::RecoveryMethod;
 use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::sim::fault::{FaultKind, FaultPlan};
 use redo_recovery::sim::page::Page;
-use redo_recovery::sim::wal::ShardedScanner;
+use redo_recovery::sim::wal::{LogPayload, ShardedScanner};
 use redo_recovery::theory::log::Lsn;
 use redo_recovery::theory::state::State;
 use redo_recovery::workload::pages::{PageOp, PageWorkloadSpec};
@@ -90,7 +90,8 @@ fn full_scan<M: RecoveryMethod>(
             return replayed;
         }
         for rec in batch {
-            replayed += usize::from(redo(db, rec.lsn, rec.payload));
+            let payload = rec.payload.parse(M::Payload::decode);
+            replayed += usize::from(redo(db, rec.lsn, payload.expect("records decode")));
         }
     }
 }

@@ -60,13 +60,13 @@
 //! ([`crate::ondemand`] is the sequential one). Analysis places a
 //! recovery gate on every page whose stable chain holds a record the
 //! fuzzy dirty-page table cannot prove installed
-//! ([`RestartAnalysis::gates`]), and the shard map refuses to serve
+//! (`RestartAnalysis::gates`), and the shard map refuses to serve
 //! those pages until their lazy redo runs. The first
 //! [`SharedDb::read_cell`] or [`SharedDb::execute`] touching a gated
-//! page replays that page's [`RestartAnalysis::component`] — the same
+//! page replays that page's `RestartAnalysis::component` — the same
 //! unit, found by the same chase of writer and cross-reader chains, as
 //! the sequential face — in global LSN order under the generalized
-//! redo test and write order ([`write_set_is_stale`], [`write_order`]),
+//! redo test and write order (`write_set_is_stale`, `write_order`),
 //! and only then opens the gates; what is this module's own is fetching
 //! and updating pages under shard leases. A
 //! [`SharedDb::recovery_tick`] in the background loop sweeps leftover
@@ -1104,7 +1104,8 @@ mod tests {
         // op's read had been torn, the hash chain would diverge.
         let model = model_from_stable_log(&db);
         assert_eq!(db.read_cell(cell).expect("read"), model[&cell]);
-        assert_eq!(db.log.decode_stable().unwrap().len(), 80);
+        let stable = db.log.pit_records(db.log.stable_lsn()).unwrap();
+        assert_eq!(stable.len(), 80);
     }
 
     #[test]

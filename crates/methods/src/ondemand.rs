@@ -12,18 +12,17 @@
 //! §20): this module is its face over a sequential [`Db`],
 //! [`crate::concurrent::SharedDb::open_on_demand`] the one over the
 //! sharded store, and every decision is shared. Analysis is
-//! [`redo::begin`]; a page is *gated*
-//! ([`RestartAnalysis::gates`](crate::redo::RestartAnalysis::gates))
+//! `redo::begin`; a page is *gated* (`RestartAnalysis::gates`)
 //! when its stable chain holds a record at or above the redo-start that
 //! the dirty-page table cannot prove installed, and everything else is
 //! servable the moment the database opens. A gated page cannot replay
 //! alone — generalized operations read pages they do not write, and a
 //! multi-page write set installs atomically — so the unit of replay is
-//! [`RestartAnalysis::component`](crate::redo::RestartAnalysis::component),
+//! `RestartAnalysis::component`,
 //! the page's connected component of the residual conflict graph,
 //! chased through the log's writer *and* cross-reader chains at the
 //! moment of the touch. Its records replay in global LSN order under
-//! [`redo_op`], the redo step of the sequential scan; per Theorem 3 the
+//! `redo_op`, the redo step of the sequential scan; per Theorem 3 the
 //! order *between* components is free, so serving them in any access
 //! order lands on the sequential result. Gates open only after the
 //! whole component replays — an error (or crash) mid-component leaves

@@ -31,8 +31,8 @@
 //! The other *executors* run the same analysis. Lazy restart — both
 //! faces, [`crate::ondemand`] over a sequential [`Db`] and
 //! [`crate::concurrent::SharedDb::open_on_demand`] over the sharded
-//! store — places its gates with [`RestartAnalysis::gates`], finds its
-//! replay unit with [`RestartAnalysis::component`] and replays it under
+//! store — places its gates with `RestartAnalysis::gates`, finds its
+//! replay unit with `RestartAnalysis::component` and replays it under
 //! the generalized redo step; only the store the pages live in differs.
 //! Partitioned-parallel restart
 //! ([`crate::parallel::recover_partitioned`]) runs the same

@@ -1,5 +1,5 @@
 //! The original pure in-memory substrate, extracted verbatim from the
-//! pre-trait `Disk` and `LogManager` internals.
+//! pre-trait `Disk` and log internals.
 //!
 //! Torn damage is *simulated*: a torn page write flags the page in an
 //! explicit set (the stand-in for a checksum mismatch) and journals the

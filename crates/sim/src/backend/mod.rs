@@ -1,9 +1,9 @@
 //! Storage and log backends: the durable substrate behind [`crate::disk::Disk`]
-//! and [`crate::wal::LogManager`].
+//! and each shard of a [`crate::wal::ShardedLog`].
 //!
 //! The simulator's protocol machinery — WAL-rule enforcement, fault
 //! injection, seek indexing, staging/checkpoint discipline — lives in
-//! the `Disk` and `LogManager` wrappers and is backend-agnostic. What
+//! `Disk` and the log's shards and is backend-agnostic. What
 //! varies is where the durable bytes live:
 //!
 //! * [`mem::MemStorage`] / [`mem::MemLog`] keep them in process memory —
@@ -80,9 +80,10 @@ impl BackendKind {
     }
 }
 
-/// The durable byte store behind [`crate::wal::LogManager`].
+/// The durable byte store behind one shard of a
+/// [`crate::wal::ShardedLog`] (and one shard of its archive tier).
 ///
-/// The log manager owns all framing (LSN/length/CRC headers), fault
+/// The log owns all framing (LSN/length/CRC headers), fault
 /// consultation, and bookkeeping; a backend only persists the framed
 /// bytes. `bytes` is the full current stable image — file backends keep
 /// an in-memory mirror of the file and reload it on [`LogBackend::crash`],

@@ -22,8 +22,8 @@
 //! legal, otherwise the next victim is tried.
 //!
 //! Nothing on the per-operation path scans the pool, or descends a tree
-//! to find a frame: the frames sit in a [frame table](frames) that finds
-//! one by index arithmetic, and a frame carries its own pin count.
+//! to find a frame: the frames sit in a frame table (`cache::frames`)
+//! that finds one by index arithmetic, and a frame carries its own pin count.
 //! Recency is a stamp in the frame, bumped from a pool clock and sorted
 //! only when a victim is actually needed; the constraints are indexed
 //! by `blocked` page (what a flush consults) and by `requires` page (the

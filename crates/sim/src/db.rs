@@ -423,7 +423,8 @@ mod tests {
         assert_eq!(page.get(SlotId(1)), op.output(op.writes[0], &[]));
         assert_eq!(page.get(SlotId(2)), 0, "unflushed update lost");
         // Stable log retains only the first record.
-        assert_eq!(db.log.decode_stable().unwrap().len(), 1);
+        let stable = db.log.pit_records(db.log.stable_lsn()).unwrap();
+        assert_eq!(stable.len(), 1);
     }
 
     #[test]
@@ -602,10 +603,11 @@ mod tests {
         db.log.flush_all();
         assert!(db.fault_tripped());
         db.crash();
-        assert!(matches!(db.log.decode_stable(), Err(SimError::Corrupt(_))));
+        let stable = |db: &Db<OpRec>| db.log.pit_records(db.log.stable_lsn());
+        assert!(matches!(stable(&db), Err(SimError::Corrupt(_))));
         let report = db.repair_after_crash();
         assert_eq!(report.log_bytes_dropped, 9);
-        let records = db.log.decode_stable().unwrap();
+        let records = stable(&db).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].lsn, lsn0);
     }

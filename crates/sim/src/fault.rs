@@ -8,8 +8,8 @@
 //! ones:
 //!
 //! * **Deterministic crash points.** Every stable-storage mutation
-//!   ([`crate::disk::Disk::write_page`], the per-record appends inside
-//!   [`crate::wal::LogManager::flush`], the checkpoint pointer swing,
+//!   ([`crate::disk::Disk::write_page`], the per-frame appends inside
+//!   [`crate::wal::ShardedLog::flush`], the checkpoint pointer swing,
 //!   …) consults the shared [`FaultInjector`] and counts as one
 //!   *faultable event*. A [`FaultPlan`] names the 1-based event index at
 //!   which the fault fires. After the fault fires ("trips"), **all**
@@ -26,11 +26,11 @@
 //! * **Partial log flushes** ([`FaultKind::TornFlush`]): the record
 //!   being forced at the crash point lands truncated mid-record. The
 //!   stable-LSN bookkeeping never covers the fragment, and
-//!   [`crate::wal::LogManager::repair_tail`] discards it structurally —
-//!   exercising the same corruption handling
-//!   [`crate::wal::LogManager::decode_stable`] reports.
+//!   [`crate::wal::ShardedLog::repair_tail`] discards it structurally —
+//!   exercising the same corruption handling a read of the fragment
+//!   reports as [`crate::SimError::Corrupt`].
 //!
-//! One injector is shared by a [`crate::db::Db`]'s disk and log manager
+//! One injector is shared by a [`crate::db::Db`]'s disk and log
 //! so a single event counter spans both devices. Cloning a `Db` (the
 //! exhaustive checker does, freely) shares the injector; that is benign
 //! while it is disarmed — fault campaigns arm a plan around exactly one

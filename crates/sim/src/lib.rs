@@ -13,11 +13,12 @@
 //! * [`disk::Disk`] — stable storage with atomic page writes, a stable
 //!   log, and a *staging area* plus checkpoint pointer swing for the
 //!   System R-style logical method (§6.1);
-//! * [`wal::LogManager`] — a write-ahead log split into a stable prefix
-//!   and a volatile tail, generic over the payload each recovery method
-//!   logs;
+//! * [`wal::ShardedLog`] — a write-ahead log split into a stable prefix
+//!   and a volatile tail, kept by one or more per-partition shards of
+//!   untyped frames, generic over the payload each recovery method
+//!   logs, and read in place by one reader;
 //! * [`backend`] — the [`backend::StorageBackend`] /
-//!   [`backend::LogBackend`] trait pair behind `Disk` and `LogManager`:
+//!   [`backend::LogBackend`] trait pair behind `Disk` and the log:
 //!   the pure in-memory simulation is one implementation, and a
 //!   file-backed one (CRC-framed WAL, checksummed page files,
 //!   rename-committed checkpoint pointer) makes the crash model honest

@@ -1,22 +1,17 @@
-//! Frame structure and streaming decode for the stable log image.
+//! Frame structure of the stable log image.
 //!
 //! A *frame* is one stable record: an 8-byte little-endian LSN, a
 //! 4-byte little-endian body length, a 4-byte CRC-32 of the rest of the
 //! frame (header fields plus body, excluding the CRC itself), then the
 //! payload body. Frames are contiguous; an image is well-formed iff it
 //! is a whole number of well-formed frames whose checksums verify.
-//! Everything here is a pure function of a byte image — the
-//! [`LogManager`](super::LogManager) owns the bookkeeping, this module
-//! owns the bytes.
-
-use std::marker::PhantomData;
+//! Everything here is a pure function of a byte image — a shard's
+//! `LogManager` owns the bookkeeping, this module owns the bytes.
 
 use redo_theory::log::Lsn;
 
 use crate::backend::Crc32;
 use crate::error::{SimError, SimResult};
-
-use super::{LogPayload, WalRecord};
 
 /// Bytes of a frame header: 8-byte LSN + 4-byte body length + 4-byte
 /// CRC-32 of the rest of the frame.
@@ -131,24 +126,10 @@ pub(crate) fn end_of_frames_below(bytes: &[u8], below: Lsn) -> usize {
     end
 }
 
-/// Decodes a stable-log byte image into records — the recovery-time log
-/// scan as a pure function (the corruption tests drive it over
-/// arbitrarily truncated and bit-flipped images). Implemented as a
-/// collected [`LogCursor`] so the materializing and streaming scans
-/// cannot drift apart.
-///
-/// # Errors
-///
-/// [`SimError::Corrupt`] at the failing offset if the bytes do not parse
-/// as a whole number of well-formed, checksum-valid records.
-pub fn decode_records<P: LogPayload>(bytes: &[u8]) -> SimResult<Vec<WalRecord<P>>> {
-    LogCursor::over(bytes).collect()
-}
-
 /// Telemetry from one streaming log scan.
 ///
-/// Stays `Copy` on purpose: it is embedded in every cursor and in each
-/// shard's stream of a sharded scan.
+/// Stays `Copy` on purpose: each shard's stream of a scan carries one,
+/// and the scan sums them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Stable-log bytes the scan touched: full frames (header plus
@@ -162,8 +143,8 @@ pub struct ScanStats {
     pub seek_hits: usize,
     /// Checkpoint records the consumer recognized and declined to treat
     /// as page work (a page-partitioned router must never send them to
-    /// a partition). The cursor itself is payload-agnostic, so this is
-    /// filled in by the scan's consumer, not the decode loop.
+    /// a partition). The reader itself is payload-agnostic, so this is
+    /// filled in by the scan's consumer, not the read loop.
     pub checkpoint_records: usize,
 }
 
@@ -175,83 +156,5 @@ impl ScanStats {
         self.records_decoded += other.records_decoded;
         self.seek_hits += other.seek_hits;
         self.checkpoint_records += other.checkpoint_records;
-    }
-}
-
-/// A streaming, zero-copy scan over a stable-log byte image.
-///
-/// Decodes one frame per [`Iterator::next`] call; the payload decodes
-/// out of a borrowed slice of the underlying bytes and no record vector
-/// is ever materialized. Each frame's CRC is verified before its payload
-/// is decoded. The first decode error is yielded once and ends the
-/// iteration — identical observable behavior (records, error, offset)
-/// to [`decode_records`], which is built on top of it.
-#[derive(Debug)]
-pub struct LogCursor<'a, P> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-    pub(crate) stats: ScanStats,
-    failed: bool,
-    _payload: PhantomData<fn() -> P>,
-}
-
-impl<'a, P: LogPayload> LogCursor<'a, P> {
-    /// A cursor over an arbitrary byte image, starting at offset 0 —
-    /// the corruption tests drive this over truncated and bit-flipped
-    /// images that never came from a live
-    /// [`LogManager`](super::LogManager).
-    #[must_use]
-    pub fn over(bytes: &'a [u8]) -> LogCursor<'a, P> {
-        LogCursor::at(bytes, 0, ScanStats::default())
-    }
-
-    pub(crate) fn at(bytes: &'a [u8], pos: usize, stats: ScanStats) -> LogCursor<'a, P> {
-        LogCursor {
-            bytes,
-            pos,
-            stats,
-            failed: false,
-            _payload: PhantomData,
-        }
-    }
-
-    /// Telemetry accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> ScanStats {
-        self.stats
-    }
-
-    fn decode_next(&mut self) -> SimResult<Option<WalRecord<P>>> {
-        if self.pos >= self.bytes.len() {
-            return Ok(None);
-        }
-        let start = self.pos;
-        let Frame { lsn, body, end } = read_frame(self.bytes, start, 0)?;
-        let mut body_pos = body;
-        let payload = P::decode(&self.bytes[..end], &mut body_pos)?;
-        if body_pos != end {
-            return Err(SimError::Corrupt(body_pos));
-        }
-        self.pos = end;
-        self.stats.records_decoded += 1;
-        self.stats.bytes_scanned += (end - start) as u64;
-        Ok(Some(WalRecord { lsn, payload }))
-    }
-}
-
-impl<P: LogPayload> Iterator for LogCursor<'_, P> {
-    type Item = SimResult<WalRecord<P>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.decode_next() {
-            Ok(rec) => rec.map(Ok),
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
     }
 }

@@ -88,9 +88,8 @@ pub(crate) struct DrainPlan {
 }
 
 /// Plans a prefix drain: walks frame headers to the cut point for
-/// `below` and applies every guard that used to live inline in
-/// `truncate_prefix` — the 1-based-origin assertion, the
-/// `below ≤ first_stable` no-op, the stable-end clamp, and (for dense
+/// `below` and applies every guard a drain needs — the 1-based-origin
+/// assertion, the `below ≤ first_stable` no-op, the stable-end clamp, and (for dense
 /// images) the density and landed-LSN checks that refuse to cut where
 /// the image disagrees with the bookkeeping. Centralizing the guards is
 /// what lets the sharded log reuse them per shard without

@@ -1,50 +1,52 @@
-//! The write-ahead log: a stable prefix plus a volatile tail.
+//! The write-ahead log: a stable prefix plus a volatile tail, kept by
+//! one or more per-partition shards behind one LSN sequencer
+//! ([`ShardedLog`]; a log of one shard is the single log).
 //!
-//! The log manager assigns monotone LSNs at append time, keeps appended
-//! records in a volatile tail — *as framed bytes*: a record is encoded
-//! once, before any lock is taken ([`EncodedRecord`]), and the append
-//! only stamps its LSN, length and CRC in front of that body — and
-//! copies the covered frames to the stable (on-"disk") prefix on
-//! [`LogManager::flush`]. A crash discards the
-//! volatile tail; recovery decodes the stable bytes — so the binary codec
-//! is actually exercised on every simulated crash, not decorative. The
-//! stable bytes themselves live in a pluggable
+//! A record is encoded once, before any lock is taken
+//! ([`EncodedRecord`]); the append only stamps its LSN, length and CRC
+//! in front of that body in a shard's volatile tail, and
+//! [`ShardedLog::flush`] copies the covered frames to the stable
+//! (on-"disk") prefix. A crash discards the volatile tail; recovery
+//! reads the stable bytes — so the binary codec is actually exercised
+//! on every simulated crash, not decorative. The stable bytes
+//! themselves live in a pluggable
 //! [`LogBackend`](crate::backend::LogBackend): an in-memory vector by
 //! default, a real fsynced file via [`BackendKind::File`].
 //!
 //! The module is split by concern:
 //!
-//! * [`framing`](self::framing) (re-exported here) — the frame format,
-//!   CRC verification, the structural walks, and the streaming
-//!   [`LogCursor`] / [`decode_records`] scans;
-//! * [`index`](self::index) — the shared maintenance discipline for the
-//!   sparse seek index and the per-page chains, including the guards
-//!   that authorize a prefix drain;
+//! * `framing` — the frame format, CRC verification and the structural
+//!   walks;
+//! * `index` — the shared maintenance discipline for the sparse seek
+//!   index and the per-page chains, including the guards that
+//!   authorize a prefix drain;
 //! * [`codec`] — primitive encoders for method payloads;
-//! * [`sharded`](self::sharded) — [`ShardedLog`]: N per-partition logs
-//!   routed by the same power-of-two page mask as the sharded store,
-//!   with a global-LSN sequencer and cross-shard atomic flush groups;
-//! * [`archive`](self::archive) — the append-only archive tier that
-//!   prefix truncation feeds, enabling point-in-time replay.
+//! * `sharded` — [`ShardedLog`]: N per-partition logs routed by the
+//!   same power-of-two page mask as the sharded store, with a
+//!   global-LSN sequencer, cross-shard atomic flush groups, and the one
+//!   reader;
+//! * `archive` — the append-only archive tier that prefix truncation
+//!   feeds, enabling point-in-time replay.
 //!
 //! ## Frame format
 //!
 //! Each stable record occupies one *frame*: an 8-byte little-endian LSN,
 //! a 4-byte little-endian body length, a 4-byte CRC-32 of the rest of
 //! the frame (header fields plus body, excluding the CRC itself), then
-//! the payload body. Frames are contiguous; the stable image is
+//! the body: a tag byte — a record, or a flush-group marker — and the
+//! payload. Frames are contiguous; a shard's stable image is
 //! well-formed iff it is a whole number of well-formed frames whose
-//! checksums verify. Because [`LogManager::flush`] moves the volatile
-//! tail in order and a crash re-derives the next LSN from the stable
-//! end, a standalone (*dense*) log always holds exactly LSNs
-//! `first_stable..=stable_lsn`, densely and in order — the seek
-//! machinery relies on this. A shard of a [`ShardedLog`] instead holds
-//! a monotone *subset* of the global LSNs (*sparse* mode): the global
-//! sequencer owns density, each shard only monotonicity. `first_stable`
-//! starts at 1 and only moves when a published checkpoint makes the
-//! prefix redundant: [`LogManager::truncate_prefix`] elides every frame
-//! below the checkpoint's redo-start LSN and rebases the seek index
-//! onto the shortened image.
+//! checksums verify. A shard's flush moves its volatile tail in order
+//! and a crash re-derives the next LSN from the stable end, so the
+//! lone shard of a single log holds exactly LSNs
+//! `first_stable..=stable_lsn`, densely and in order (*dense* mode); a
+//! shard of several instead holds a monotone *subset* of the global
+//! LSNs (*sparse* mode): the global sequencer owns density, each shard
+//! only monotonicity. `first_stable` starts at 1 and only moves when a
+//! published checkpoint makes the prefix redundant:
+//! [`ShardedLog::archive_prefix`] moves every frame below the
+//! checkpoint's redo-start LSN to the archive tier and rebases the seek
+//! index onto the shortened image.
 //!
 //! ## Scanning
 //!
@@ -55,27 +57,26 @@
 //! [`ShardedScanner`], the restart scan, copies each batch's into one
 //! buffer it reuses, so its caller holds no borrow of the log while it
 //! replays. Each frame's checksum is verified once per restart:
-//! [`LogManager::repair_tail`]'s CRC walk records the prefix it
-//! verified, and the reader trusts the frames inside it ([`LogCursor`]
-//! decodes any byte image, checksum and all). A scan seeks: a sparse
-//! LSN→byte-offset index jumps near the requested LSN and a structural
-//! header walk lands on it exactly — so a checkpoint bounds *decode*
-//! work, not just replay work.
+//! [`ShardedLog::repair_tail`]'s CRC walk records the prefix it
+//! verified, and the reader trusts the frames inside it and checksums
+//! every other. A scan seeks: a sparse LSN→byte-offset index jumps near
+//! the requested LSN and a structural header walk lands on it exactly —
+//! so a checkpoint bounds *decode* work, not just replay work.
 //!
-//! On the write side [`LogManager::flush`] is a group commit: the
-//! frames the force covers are already contiguous in the tail, so they
-//! reach the stable bytes in a single extend — which on the file
-//! backend is a single `write` + `fsync`.
+//! On the write side a shard's flush is a group commit: the frames the
+//! force covers are already contiguous in the tail, so they reach the
+//! stable bytes in a single extend — which on the file backend is a
+//! single `write` + `fsync`.
 //!
 //! The payload type is method-specific (`redo-methods` logs after-images
 //! for physical recovery, page operations for physiological recovery,
-//! etc.), so the manager is generic over [`LogPayload`]. The [`codec`]
-//! module supplies the primitive encoders, including a codec for
+//! etc.): [`ShardedLog`] is generic over [`LogPayload`], and the shards
+//! below it hold untyped bytes. The [`codec`] module supplies the
+//! primitive encoders, including a codec for
 //! [`PageOp`](redo_workload::pages::PageOp), which several methods embed.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::marker::PhantomData;
 
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageId;
@@ -90,9 +91,9 @@ mod framing;
 mod index;
 mod sharded;
 
-pub use framing::{decode_records, LogCursor, ScanStats, FRAME_HEADER};
+pub use framing::{ScanStats, FRAME_HEADER};
 pub use index::SEEK_INTERVAL;
-pub use sharded::{Batch, History, RecordBody, ShardFrame, ShardedLog, ShardedScanner};
+pub use sharded::{Batch, History, RecordBody, ShardedLog, ShardedScanner};
 
 pub(crate) use framing::{frame_crc, skip_frames_below, walk_valid_frames};
 use index::{
@@ -117,17 +118,17 @@ pub trait LogPayload: Clone + fmt::Debug {
     /// [`SimError::Corrupt`] at the failing offset.
     fn decode(input: &[u8], pos: &mut usize) -> SimResult<Self>;
     /// The pages this payload writes, if it describes page work. The log
-    /// manager threads these into its per-page record chains as frames
-    /// become stable, so on-demand recovery can replay one page's
-    /// history without scanning the whole suffix. Payloads that carry no
-    /// page work (checkpoint markers, raw test payloads) return the
-    /// default empty set and stay out of every chain.
+    /// threads these into its per-page record chains as frames become
+    /// stable, so on-demand recovery can replay one page's history
+    /// without scanning the whole suffix. Payloads that carry no page
+    /// work (checkpoint markers, raw test payloads) return the default
+    /// empty set and stay out of every chain.
     fn write_pages(&self) -> Vec<PageId> {
         Vec::new()
     }
-    /// The pages this payload reads but does not write. The log manager
-    /// threads these into a second set of per-page chains — a page's
-    /// *cross-readers* ([`LogManager::readers_of`]) — so lazy replay of
+    /// The pages this payload reads but does not write. The log threads
+    /// these into a second set of per-page chains — a page's
+    /// *cross-readers* ([`ShardedLog::readers_of`]) — so lazy replay of
     /// one page can find the records that must observe it before its
     /// later writers run. A payload that reads only what it writes
     /// returns the default empty set and indexes nothing.
@@ -215,15 +216,19 @@ struct TailFrame {
     cross_reads: usize,
 }
 
-/// The log manager.
+/// One shard of a [`ShardedLog`]: an untyped log of framed bytes — the
+/// stable image on its backend, the volatile tail, and the seek index
+/// and per-page chains over the stable frames. Only
+/// [`ShardedLog::on`] builds one, and frames reach it only through
+/// [`LogManager::append_at`] and [`LogManager::flush_with_bracket`].
 #[derive(Clone, Debug)]
-pub struct LogManager<P> {
+pub(crate) struct LogManager {
     backend: Box<dyn LogBackend>,
     stable_lsn: Lsn,
     stable_count: usize,
     /// The lowest LSN still present in the stable image. Starts at 1;
-    /// [`LogManager::truncate_prefix`] advances it. The stable bytes
-    /// of a dense log hold exactly LSNs `first_stable..=stable_lsn`.
+    /// a drain ([`LogManager::apply_drain`]) advances it. The stable
+    /// bytes of a dense log hold exactly LSNs `first_stable..=stable_lsn`.
     first_stable: Lsn,
     /// The volatile tail: whole frames, contiguous and in LSN order,
     /// exactly the bytes a force will copy out.
@@ -233,9 +238,7 @@ pub struct LogManager<P> {
     /// Each tail frame's written pages, then its cross-read pages.
     tail_pages: Vec<PageId>,
     next_lsn: Lsn,
-    appended_bytes: u64,
     truncated_bytes: u64,
-    truncated_records: u64,
     /// Sparse LSN → stable-byte-offset index: one entry per
     /// [`SEEK_INTERVAL`] records, pushed as frames are covered by a
     /// flush. Entries only ever point at frame starts the stable
@@ -262,27 +265,20 @@ pub struct LogManager<P> {
     /// `page_chains`, through the same helpers at the same sites.
     reader_chains: BTreeMap<PageId, Vec<(Lsn, u64)>>,
     forces: u64,
-    /// Dense-run discipline: a standalone log holds exactly
-    /// `first_stable..=stable_lsn` and prefix truncation enforces it; a
-    /// shard of a [`ShardedLog`] holds a monotone *subset* of the
-    /// global LSNs, so the density guards do not apply per shard.
+    /// Dense-run discipline: the lone shard of a single log holds
+    /// exactly `first_stable..=stable_lsn` and a drain enforces it; a
+    /// shard of several holds a monotone *subset* of the global LSNs,
+    /// so the density guards do not apply per shard.
     dense: bool,
     /// Shared crash-point switchboard ([`crate::db::Db`] wires the same
     /// injector into the disk).
     pub(crate) injector: FaultInjector,
-    _payload: PhantomData<P>,
 }
 
-impl<P: LogPayload> LogManager<P> {
-    /// An empty in-memory log; the first appended record gets LSN 1.
-    #[must_use]
-    pub fn new() -> LogManager<P> {
-        LogManager::on(BackendKind::Mem)
-    }
-
-    /// An empty log on the given backend.
-    #[must_use]
-    pub fn on(kind: BackendKind) -> LogManager<P> {
+impl LogManager {
+    /// An empty log on the given backend: *dense* for the lone shard of
+    /// a single log, *sparse* for a shard of several.
+    pub(crate) fn on(kind: BackendKind, dense: bool) -> LogManager {
         LogManager {
             backend: kind.new_log(),
             stable_lsn: Lsn::ZERO,
@@ -292,59 +288,25 @@ impl<P: LogPayload> LogManager<P> {
             tail_frames: Vec::new(),
             tail_pages: Vec::new(),
             next_lsn: Lsn(1),
-            appended_bytes: 0,
             truncated_bytes: 0,
-            truncated_records: 0,
             seek_index: Vec::new(),
             seek_enabled: true,
             page_chains: BTreeMap::new(),
             verified: 0,
             reader_chains: BTreeMap::new(),
             forces: 0,
-            dense: true,
+            dense,
             injector: FaultInjector::new(),
-            _payload: PhantomData,
         }
-    }
-
-    /// An empty *sparse* log on the given backend: one shard of a
-    /// [`ShardedLog`], carrying a monotone subset of externally assigned
-    /// LSNs ([`LogManager::append_at`]) rather than its own dense
-    /// sequence.
-    #[must_use]
-    pub(crate) fn sparse_on(kind: BackendKind) -> LogManager<P> {
-        LogManager {
-            dense: false,
-            ..LogManager::on(kind)
-        }
-    }
-
-    /// Appends a record to the volatile tail, returning its LSN.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::FieldOverflow`] if the payload does not encode;
-    /// [`SimError::OversizedRecord`] if its encoding exceeds the 32-bit
-    /// frame length field. A failed append assigns no LSN and leaves the
-    /// log untouched.
-    pub fn append(&mut self, payload: P) -> SimResult<Lsn> {
-        let rec = EncodedRecord::of(&[], &payload)?;
-        let lsn = self.next_lsn;
-        self.append_at(lsn, &rec);
-        Ok(lsn)
     }
 
     /// Frames `rec` at the end of the tail under an externally assigned
     /// LSN — the sharded log's sequencer hands each shard its slice of
     /// the global sequence this way. `lsn` must be at least this log's
-    /// next LSN; the single-log [`LogManager::append`] is the
-    /// `lsn == next_lsn` special case.
+    /// next LSN.
     pub(crate) fn append_at(&mut self, lsn: Lsn, rec: &EncodedRecord) {
         debug_assert!(lsn >= self.next_lsn, "LSNs must be appended in order");
         self.next_lsn = lsn.next();
-        // Account bytes at append time so log-volume metrics cover
-        // records that never reach disk before a crash.
-        self.appended_bytes += rec.frame.len() as u64;
         push_frame(&mut self.tail, lsn, &rec.frame);
         self.tail_pages.extend_from_slice(&rec.writes);
         self.tail_pages.extend_from_slice(&rec.cross_reads);
@@ -370,26 +332,22 @@ impl<P: LogPayload> LogManager<P> {
     /// group commit (one `fsync` on the file backend). Flushing past the
     /// end of the tail forces everything.
     ///
-    /// Fault semantics are per record, exactly as when each frame was
-    /// its own append: every record covered by the force is one
-    /// faultable event, so an armed [`FaultInjector`] may stop the batch
-    /// at any record boundary (a clean crash point) or truncate a record
-    /// mid-frame ([`crate::fault::FaultKind::TornFlush`]) — the batch is
-    /// cut there and later records never reach it. A truncated record's
-    /// bytes land on disk but the stable bookkeeping never covers them —
-    /// [`LogManager::decode_stable`] reports the fragment as
-    /// [`SimError::Corrupt`] and [`LogManager::repair_tail`] discards it.
-    pub fn flush(&mut self, upto: Lsn) {
-        self.flush_with_bracket(upto, None);
-    }
-
-    /// [`LogManager::flush`] with an optional pair of bracket frames —
-    /// the sharded log's flush-group `Open`/`Close` markers, each with
-    /// its LSN — written into the *same* batch: `Open` before the first
-    /// covered record, `Close` after the last, each a faultable event
-    /// like any record. A halt anywhere in the batch drops the `Close`,
+    /// `bracket`, when given, is the sharded log's flush-group
+    /// `Open`/`Close` marker pair, each with its LSN, written into the
+    /// *same* batch: `Open` before the first covered record, `Close`
+    /// after the last. A halt anywhere in the batch drops the `Close`,
     /// which is exactly the durable signal crash analysis uses to roll
     /// the group back. Bracket frames never enter the tail.
+    ///
+    /// Fault semantics are per frame: every frame the force covers is
+    /// one faultable event, so an armed [`FaultInjector`] may stop the
+    /// batch at any frame boundary (a clean crash point) or truncate a
+    /// frame mid-way ([`crate::fault::FaultKind::TornFlush`]) — the
+    /// batch is cut there and later frames never reach it. A truncated
+    /// frame's bytes land on disk but the stable bookkeeping never
+    /// covers them — a read reports the fragment as
+    /// [`SimError::Corrupt`] and [`LogManager::repair_tail`] discards
+    /// it.
     pub(crate) fn flush_with_bracket(
         &mut self,
         upto: Lsn,
@@ -494,55 +452,21 @@ impl<P: LogPayload> LogManager<P> {
         }
     }
 
-    /// Forces the entire log.
-    pub fn flush_all(&mut self) {
-        let last = self.last_lsn();
-        self.flush(last);
-    }
-
     /// The highest durable LSN.
-    #[must_use]
-    pub fn stable_lsn(&self) -> Lsn {
+    pub(crate) fn stable_lsn(&self) -> Lsn {
         self.stable_lsn
-    }
-
-    /// The highest assigned LSN (stable or volatile).
-    #[must_use]
-    pub fn last_lsn(&self) -> Lsn {
-        Lsn(self.next_lsn.0 - 1)
-    }
-
-    /// Number of records still in the volatile tail (lost on crash).
-    #[must_use]
-    pub fn volatile_count(&self) -> usize {
-        self.tail_frames.len()
-    }
-
-    /// Number of records in the stable prefix.
-    #[must_use]
-    pub fn stable_count(&self) -> usize {
-        self.stable_count
-    }
-
-    /// Total bytes appended so far (stable or not) — the log-volume
-    /// metric Figure 8's comparison measures.
-    #[must_use]
-    pub fn appended_bytes(&self) -> u64 {
-        self.appended_bytes
     }
 
     /// Number of durable syncs the backend has issued (0 for the
     /// in-memory backend) — the fsync-bound cost axis of the file
     /// benchmarks.
-    #[must_use]
-    pub fn syncs(&self) -> u64 {
+    pub(crate) fn syncs(&self) -> u64 {
         self.backend.syncs()
     }
 
     /// The backing file, when the stable bytes live in one (tests damage
     /// it out-of-band to exercise real-file repair).
-    #[must_use]
-    pub fn path(&self) -> Option<&std::path::Path> {
+    pub(crate) fn path(&self) -> Option<&std::path::Path> {
         self.backend.path()
     }
 
@@ -553,7 +477,7 @@ impl<P: LogPayload> LogManager<P> {
     /// out-of-band damage to a file-backed log (a real `truncate(2)` at
     /// an arbitrary byte) is observed here, and LSN assignment resumes
     /// after whatever the log actually still ends with.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.tail.clear();
         self.tail_frames.clear();
         self.tail_pages.clear();
@@ -583,104 +507,64 @@ impl<P: LogPayload> LogManager<P> {
         prune_chains_to_prefix(&mut self.reader_chains, pos, self.stable_lsn);
     }
 
-    /// Decodes the stable prefix back into records, materialized as one
-    /// vector. Recovery hot paths use [`LogManager::cursor_from`]
-    /// instead; this remains for tests and tools that want the whole
-    /// log at once.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Corrupt`] if the bytes do not parse.
-    pub fn decode_stable(&self) -> SimResult<Vec<WalRecord<P>>> {
-        decode_records(self.backend.bytes())
-    }
-
-    /// A streaming cursor over the whole stable prefix.
-    #[must_use]
-    pub fn cursor(&self) -> LogCursor<'_, P> {
-        LogCursor::over(self.backend.bytes())
-    }
-
-    /// A streaming cursor positioned at the first stable record with
-    /// LSN ≥ `from`.
+    /// Where a read from LSN `from` starts: the offset of the first
+    /// stable frame with LSN ≥ `from`, and what finding it cost.
     ///
     /// The sparse seek index supplies the long jump (greatest indexed
     /// frame with LSN ≤ `from`); a structural header walk — LSN and
-    /// length fields only, no payload decode — lands exactly. Because
-    /// stable LSNs are monotone (and, for a standalone log, dense), the
-    /// cursor yields precisely the suffix of the full scan starting at
-    /// `from`. With the index disabled the header walk starts at offset
-    /// 0: slower, but still decoding no payload below `from`.
-    #[must_use]
-    pub fn cursor_from(&self, from: Lsn) -> LogCursor<'_, P> {
-        let (start, hit) = self.seek_offset(from);
-        let (pos, frames_skipped) = skip_frames_below(self.backend.bytes(), start, from);
+    /// length fields only, no payload decode — lands exactly. With the
+    /// index disabled the walk starts at offset 0: slower, but still
+    /// decoding no payload below `from`.
+    pub(crate) fn seek(&self, from: Lsn) -> (usize, ScanStats) {
+        let bytes = self.backend.bytes();
+        let i = self.seek_index.partition_point(|&(lsn, _)| lsn <= from);
+        let start = i
+            .checked_sub(1)
+            .map_or(0, |i| self.seek_index[i].1 as usize);
+        // An entry at 0 is no jump; one past the image names nothing.
+        let start = if start > bytes.len() { 0 } else { start };
+        let (pos, skipped) = skip_frames_below(bytes, start, from);
         let stats = ScanStats {
             // The header walk reads FRAME_HEADER bytes per skipped
             // frame; the seek jump itself touches nothing — that
             // difference is exactly what the telemetry should show.
-            bytes_scanned: frames_skipped as u64 * FRAME_HEADER as u64,
-            seek_hits: usize::from(hit),
+            bytes_scanned: skipped as u64 * FRAME_HEADER as u64,
+            seek_hits: usize::from(start > 0),
             ..ScanStats::default()
         };
-        LogCursor::at(self.backend.bytes(), pos, stats)
-    }
-
-    /// The byte offset of the greatest indexed frame with LSN ≤ `from`,
-    /// and whether the index actually advanced the scan start.
-    fn seek_offset(&self, from: Lsn) -> (usize, bool) {
-        let i = self.seek_index.partition_point(|&(lsn, _)| lsn <= from);
-        match i.checked_sub(1) {
-            Some(i) => {
-                let off = self.seek_index[i].1 as usize;
-                if off == 0 || off > self.backend.bytes().len() {
-                    (0, false)
-                } else {
-                    (off, true)
-                }
-            }
-            None => (0, false),
-        }
+        (pos, stats)
     }
 
     /// Drops the seek index and stops maintaining it;
-    /// [`LogManager::cursor_from`] falls back to a pure header walk from
-    /// offset 0. The crash auditor uses this to check that seeked and
-    /// unseeked recovery reach identical states.
-    pub fn disable_seek_index(&mut self) {
+    /// [`LogManager::seek`] falls back to a pure header walk from
+    /// offset 0.
+    pub(crate) fn disable_seek_index(&mut self) {
         self.seek_index.clear();
         self.seek_enabled = false;
     }
 
     /// The sparse seek index (LSN → stable byte offset), for inspection.
-    #[must_use]
-    pub fn seek_index(&self) -> &[(Lsn, u64)] {
+    pub(crate) fn seek_index(&self) -> &[(Lsn, u64)] {
         &self.seek_index
     }
 
     /// Number of coalesced stable appends (group-commit forces) that
     /// have landed bytes so far.
-    #[must_use]
-    pub fn forces(&self) -> u64 {
+    pub(crate) fn forces(&self) -> u64 {
         self.forces
     }
 
     /// The raw stable-log bytes (what a crash leaves on disk).
-    #[must_use]
-    pub fn stable_bytes(&self) -> &[u8] {
+    pub(crate) fn stable_bytes(&self) -> &[u8] {
         self.backend.bytes()
     }
 
     /// Stable bytes at or after the first frame with LSN ≥ `from` — the
     /// volume a restart scanning from `from` would read off this log.
-    /// Pure telemetry (seek jump plus a header walk, no payload decode);
-    /// the checkpoint controller compares it against the restart budget.
-    #[must_use]
-    pub fn suffix_bytes(&self, from: Lsn) -> u64 {
-        let bytes = self.backend.bytes();
-        let (start, _) = self.seek_offset(from);
-        let (pos, _) = skip_frames_below(bytes, start, from);
-        (bytes.len() - pos) as u64
+    /// Pure telemetry (the seek, no payload decode); the checkpoint
+    /// controller compares it against the restart budget.
+    pub(crate) fn suffix_bytes(&self, from: Lsn) -> u64 {
+        (self.backend.bytes().len() - self.seek(from).0) as u64
     }
 
     /// Discards a torn tail: walks record frames (header structure
@@ -691,7 +575,7 @@ impl<P: LogPayload> LogManager<P> {
     /// dropped. The post-crash bookkeeping never covered the fragment,
     /// so it is already consistent with the repaired image, and what
     /// survives is the verified prefix later reads trust.
-    pub fn repair_tail(&mut self) -> usize {
+    pub(crate) fn repair_tail(&mut self) -> usize {
         let bytes = self.backend.bytes();
         let (pos, _, _) = walk_valid_frames(bytes);
         let dropped = bytes.len() - pos;
@@ -736,9 +620,22 @@ impl<P: LogPayload> LogManager<P> {
         prune_chains_to_prefix(&mut self.reader_chains, covered, self.stable_lsn);
     }
 
-    /// Plans (without applying) the prefix drain
-    /// [`LogManager::truncate_prefix`] would perform — the sharded
-    /// archive tier copies the planned bytes out *before* draining them.
+    /// Plans (without applying) the drain of every stable frame with
+    /// LSN < `below` — the archive tier copies the planned bytes out
+    /// *before* [`LogManager::apply_drain`] drains them. All the guards
+    /// live in the shared planner (`index::plan_prefix_drain`): `below`
+    /// is clamped to the stable end, a bound at or below `first_stable`
+    /// (including one from a stale or replayed checkpoint) is a no-op,
+    /// never an underflow, and a dense log keeps its
+    /// `first_stable..=stable_lsn` run.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Corrupt`] at the offending offset if a dense image
+    /// is not the LSN run the bookkeeping promises — the walk would
+    /// land mid-sequence (e.g. `below` names an LSN the image skips)
+    /// and physically truncating there would destroy records the
+    /// checkpoint still needs.
     pub(crate) fn plan_drain(&self, below: Lsn) -> SimResult<Option<DrainPlan>> {
         plan_prefix_drain(
             self.backend.bytes(),
@@ -749,36 +646,12 @@ impl<P: LogPayload> LogManager<P> {
         )
     }
 
-    /// Elides every stable frame with LSN < `below`, returning the
-    /// number of bytes reclaimed. The caller must have established that
-    /// no recovery can ever need those records — i.e. `below` is the
-    /// redo-start LSN of a *published* checkpoint (appended, forced,
-    /// and installed via the master pointer swing). Records at or above
-    /// `below`, and anything not yet stable, are untouched; `below` is
-    /// clamped so the dense `first_stable..=stable_lsn` invariant is
-    /// preserved, and a bound at or below `first_stable` (including one
-    /// from a stale or replayed checkpoint) is a no-op, never an
-    /// underflow. The seek index is rebased onto the shortened image.
-    /// All the guards live in the shared planner
-    /// ([`index`](self::index)), which the sharded log reuses per shard.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Corrupt`] at the offending offset if the stable image
-    /// is not the dense LSN run the bookkeeping promises — the walk
-    /// would land mid-sequence (e.g. `below` names an LSN the image
-    /// skips) and physically truncating there would destroy records the
-    /// checkpoint still needs. The log is left untouched on error.
-    pub fn truncate_prefix(&mut self, below: Lsn) -> SimResult<u64> {
-        let Some(plan) = self.plan_drain(below)? else {
-            return Ok(0);
-        };
-        self.apply_drain(below, plan);
-        Ok(plan.pos as u64)
-    }
-
     /// Applies a drain plan previously produced by
-    /// [`LogManager::plan_drain`] for the same `below`.
+    /// [`LogManager::plan_drain`] for the same `below`: the stable
+    /// frames below it leave the image, and the seek index and chains
+    /// are rebased onto what remains. The caller must have established
+    /// that no recovery can ever need those records from the live log —
+    /// `below` is the redo-start LSN of a *published* checkpoint.
     pub(crate) fn apply_drain(&mut self, below: Lsn, plan: DrainPlan) {
         let below = Lsn(below.0.min(self.stable_lsn.0 + 1));
         self.backend.drain_prefix(plan.pos);
@@ -795,28 +668,11 @@ impl<P: LogPayload> LogManager<P> {
             self.seek_index.insert(0, (self.first_stable, 0));
         }
         self.truncated_bytes += plan.pos as u64;
-        self.truncated_records += plan.skipped as u64;
     }
 
-    /// The lowest LSN still present in the stable image (1 until a
-    /// checkpoint truncates the prefix).
-    #[must_use]
-    pub fn first_stable(&self) -> Lsn {
-        self.first_stable
-    }
-
-    /// Total bytes reclaimed by prefix truncation over this log's
-    /// lifetime.
-    #[must_use]
-    pub fn truncated_bytes(&self) -> u64 {
+    /// Total bytes reclaimed by prefix drains over this log's lifetime.
+    pub(crate) fn truncated_bytes(&self) -> u64 {
         self.truncated_bytes
-    }
-
-    /// Total records elided by prefix truncation over this log's
-    /// lifetime.
-    #[must_use]
-    pub fn truncated_records(&self) -> u64 {
-        self.truncated_records
     }
 
     /// The per-page chain for `page`: the (LSN, stable byte offset) of
@@ -825,8 +681,7 @@ impl<P: LogPayload> LogManager<P> {
     /// page work). On-demand recovery replays exactly this chain —
     /// filtered by the analysis bound — to bring one page current
     /// without scanning the rest of the log.
-    #[must_use]
-    pub fn page_chain(&self, page: PageId) -> &[(Lsn, u64)] {
+    pub(crate) fn page_chain(&self, page: PageId) -> &[(Lsn, u64)] {
         self.page_chains
             .get(&page)
             .map(Vec::as_slice)
@@ -834,31 +689,25 @@ impl<P: LogPayload> LogManager<P> {
     }
 
     /// Every page with at least one stable chained record, in id order.
-    pub fn chained_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+    pub(crate) fn chained_pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.page_chains.keys().copied()
     }
 
     /// The cross-reader chain for `page`: the (LSN, stable byte offset)
     /// of every stable record that reads it without writing it, in LSN
     /// order — the read-write edges of §6.4 as seen from the page read.
-    #[must_use]
-    pub fn readers_of(&self, page: PageId) -> &[(Lsn, u64)] {
+    pub(crate) fn readers_of(&self, page: PageId) -> &[(Lsn, u64)] {
         self.reader_chains.get(&page).map_or(&[], Vec::as_slice)
-    }
-}
-
-impl<P: LogPayload> Default for LogManager<P> {
-    fn default() -> Self {
-        LogManager::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::sharded::tests::{damage, scan};
     use super::*;
     use redo_workload::pages::{PageOp, PageWorkloadSpec};
 
-    /// A trivial payload for log-manager tests.
+    /// A trivial payload for log tests.
     #[derive(Clone, PartialEq, Eq, Debug)]
     struct Num(u64);
 
@@ -872,21 +721,51 @@ mod tests {
         }
     }
 
-    /// Encodes one well-formed frame by hand (for image-surgery tests).
-    fn raw_frame(lsn: u64, body: &[u8]) -> Vec<u8> {
+    /// Encodes one well-formed record frame by hand (for image-surgery
+    /// tests): the header, the record tag, then `payload`.
+    fn raw_frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         codec::put_u64(&mut out, lsn);
-        codec::put_u32(&mut out, u32::try_from(body.len()).unwrap());
+        codec::put_u32(&mut out, u32::try_from(payload.len() + 1).unwrap());
         codec::put_u32(&mut out, 0);
-        out.extend_from_slice(body);
-        let crc = frame_crc(&out[..12], body);
+        codec::put_u8(&mut out, 0);
+        out.extend_from_slice(payload);
+        let crc = frame_crc(&out[..12], &out[FRAME_HEADER..]);
         out[12..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
         out
     }
 
+    /// Every stable record — nothing here is archived, so the whole
+    /// history through the stable end is the live log.
+    fn stable<P: LogPayload>(log: &ShardedLog<P>) -> SimResult<Vec<WalRecord<P>>> {
+        log.pit_records(log.stable_lsn())
+    }
+
+    /// The live records from `from` on, read by the restart scanner.
+    fn live<P: LogPayload>(log: &ShardedLog<P>, from: Lsn) -> Vec<WalRecord<P>> {
+        let (records, end, _) = scan(log, from, 8);
+        end.unwrap();
+        records
+    }
+
+    /// What the scanner's read from `from` cost.
+    fn stats<P: LogPayload>(log: &ShardedLog<P>, from: Lsn) -> ScanStats {
+        scan(log, from, 8).2
+    }
+
+    /// The single log's stable image.
+    fn image<P>(log: &ShardedLog<P>) -> &[u8] {
+        log.shards[0].stable_bytes()
+    }
+
+    /// Records in the single log's volatile tail (lost on crash).
+    fn volatile<P>(log: &ShardedLog<P>) -> usize {
+        log.shards[0].tail_frames.len()
+    }
+
     #[test]
     fn lsns_are_monotone_from_one() {
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         assert_eq!(log.append(Num(10)).unwrap(), Lsn(1));
         assert_eq!(log.append(Num(20)).unwrap(), Lsn(2));
         assert_eq!(log.last_lsn(), Lsn(2));
@@ -895,15 +774,15 @@ mod tests {
 
     #[test]
     fn flush_moves_prefix_to_stable() {
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..5 {
             log.append(Num(i)).unwrap();
         }
         log.flush(Lsn(3));
         assert_eq!(log.stable_lsn(), Lsn(3));
         assert_eq!(log.stable_count(), 3);
-        assert_eq!(log.volatile_count(), 2);
-        let decoded = log.decode_stable().unwrap();
+        assert_eq!(volatile(&log), 2);
+        let decoded = stable(&log).unwrap();
         assert_eq!(decoded.len(), 3);
         assert_eq!(
             decoded[2],
@@ -916,28 +795,28 @@ mod tests {
 
     #[test]
     fn crash_loses_volatile_tail_only() {
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..5 {
             log.append(Num(i)).unwrap();
         }
         log.flush(Lsn(2));
         log.crash();
-        assert_eq!(log.volatile_count(), 0);
+        assert_eq!(volatile(&log), 0);
         assert_eq!(log.stable_lsn(), Lsn(2));
         // LSNs resume after the stable point, as re-derived from the log.
         assert_eq!(log.append(Num(99)).unwrap(), Lsn(3));
-        let decoded = log.decode_stable().unwrap();
+        let decoded = stable(&log).unwrap();
         assert_eq!(decoded.len(), 2);
     }
 
     #[test]
     fn flush_all_then_roundtrip() {
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..10 {
             log.append(Num(i * i)).unwrap();
         }
         log.flush_all();
-        let decoded = log.decode_stable().unwrap();
+        let decoded = stable(&log).unwrap();
         assert_eq!(decoded.len(), 10);
         for (i, rec) in decoded.iter().enumerate() {
             assert_eq!(rec.payload, Num((i * i) as u64));
@@ -947,7 +826,7 @@ mod tests {
 
     #[test]
     fn appended_bytes_counts_everything() {
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         log.append(Num(1)).unwrap();
         let one = log.appended_bytes();
         assert!(one > 0);
@@ -970,32 +849,32 @@ mod tests {
                 Ok(Bad)
             }
         }
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         log.append(Bad).unwrap();
         log.flush_all();
-        assert!(matches!(log.decode_stable(), Err(SimError::Corrupt(_))));
+        assert!(matches!(stable(&log), Err(SimError::Corrupt(_))));
     }
 
     #[test]
     fn frame_crc_catches_a_body_bit_flip() {
-        let mut log = LogManager::<Num>::new();
+        let mut log = ShardedLog::<Num>::new(1);
         log.append(Num(7)).unwrap();
         log.flush_all();
         // A bit flip inside the body of an image that is structurally
         // fine: only the checksum can catch it. (A Num body of any value
         // decodes, so the pre-CRC format could not.)
-        let mut image = log.stable_bytes().to_vec();
+        let mut flipped = log.clone();
         let body_at = FRAME_HEADER + 3;
-        image[body_at] ^= 0x40;
+        damage(&mut flipped, 0, |image| image[body_at] ^= 0x40);
         assert!(
             matches!(
-                decode_records::<Num>(&image),
+                stable(&flipped),
                 Err(SimError::Corrupt(off)) if off == 12
             ),
             "flip must be reported at the CRC field"
         );
         // Intact image still decodes.
-        assert_eq!(log.decode_stable().unwrap().len(), 1);
+        assert_eq!(stable(&log).unwrap().len(), 1);
     }
 
     #[test]
@@ -1003,8 +882,10 @@ mod tests {
         let mut image = raw_frame(1, &42u64.to_le_bytes());
         image.extend_from_slice(&raw_frame(2, &43u64.to_le_bytes()));
         image[2] ^= 0x01; // inside the first frame's LSN field
+        let mut log = ShardedLog::<Num>::new(1);
+        damage(&mut log, 0, |bytes| *bytes = image);
         assert!(matches!(
-            decode_records::<Num>(&image),
+            log.pit_records(Lsn(u64::MAX)),
             Err(SimError::Corrupt(_))
         ));
     }
@@ -1087,7 +968,7 @@ mod tests {
     #[test]
     fn torn_flush_truncates_mid_record_and_repair_drops_fragment() {
         use crate::fault::{FaultKind, FaultPlan};
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         log.append(Num(10)).unwrap();
         log.append(Num(20)).unwrap();
         log.append(Num(30)).unwrap();
@@ -1103,14 +984,14 @@ mod tests {
         assert_eq!(log.stable_lsn(), Lsn(1));
         assert_eq!(log.stable_count(), 1);
         assert!(
-            matches!(log.decode_stable(), Err(SimError::Corrupt(_))),
+            matches!(stable(&log), Err(SimError::Corrupt(_))),
             "the torn fragment must read as corruption"
         );
         log.injector.reset();
         log.crash();
         let dropped = log.repair_tail();
         assert_eq!(dropped, 5);
-        let decoded = log.decode_stable().unwrap();
+        let decoded = stable(&log).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].payload, Num(10));
         // The un-flushed records were lost with the volatile tail; LSN
@@ -1121,7 +1002,7 @@ mod tests {
     #[test]
     fn clean_crash_point_stops_flush_between_records() {
         use crate::fault::{FaultKind, FaultPlan};
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..4 {
             log.append(Num(i)).unwrap();
         }
@@ -1134,29 +1015,29 @@ mod tests {
         assert_eq!(log.stable_lsn(), Lsn(2));
         // No fragment: the stable image decodes cleanly as-is, and
         // repair is an in-place no-op — no whole-log copy needed.
-        assert_eq!(log.decode_stable().unwrap().len(), 2);
+        assert_eq!(stable(&log).unwrap().len(), 2);
         assert_eq!(log.repair_tail(), 0);
-        assert_eq!(log.decode_stable().unwrap().len(), 2);
+        assert_eq!(stable(&log).unwrap().len(), 2);
     }
 
     #[test]
     fn repair_tail_is_noop_on_intact_log() {
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..6 {
             log.append(Num(i)).unwrap();
         }
         log.flush_all();
         assert_eq!(log.repair_tail(), 0);
-        assert_eq!(log.decode_stable().unwrap().len(), 6);
+        assert_eq!(stable(&log).unwrap().len(), 6);
     }
 
-    /// Builds a fully flushed log of `n` numbered records.
-    fn numbered_log(n: u64) -> LogManager<Num> {
+    /// Builds a fully flushed single log of `n` numbered records.
+    fn numbered_log(n: u64) -> ShardedLog<Num> {
         numbered_log_on(BackendKind::Mem, n)
     }
 
-    fn numbered_log_on(kind: BackendKind, n: u64) -> LogManager<Num> {
-        let mut log = LogManager::on(kind);
+    fn numbered_log_on(kind: BackendKind, n: u64) -> ShardedLog<Num> {
+        let mut log = ShardedLog::on(kind, 1);
         for i in 0..n {
             log.append(Num(i * 3)).unwrap();
         }
@@ -1165,59 +1046,51 @@ mod tests {
     }
 
     #[test]
-    fn cursor_streams_the_same_records_decode_stable_returns() {
+    fn scanner_streams_the_same_records_the_history_holds() {
         let log = numbered_log(40);
-        let full = log.decode_stable().unwrap();
-        let streamed: Vec<_> = log.cursor().map(|r| r.unwrap()).collect();
-        assert_eq!(streamed, full);
-        let mut cursor = log.cursor();
-        while cursor.next().is_some() {}
-        assert_eq!(cursor.stats().records_decoded, 40);
-        assert_eq!(
-            cursor.stats().bytes_scanned,
-            log.stable_bytes().len() as u64
-        );
-        assert_eq!(cursor.stats().seek_hits, 0);
+        let full = stable(&log).unwrap();
+        assert_eq!(live(&log, Lsn::ZERO), full);
+        let cost = stats(&log, Lsn::ZERO);
+        assert_eq!(cost.records_decoded, 40);
+        assert_eq!(cost.bytes_scanned, image(&log).len() as u64);
+        assert_eq!(cost.seek_hits, 0);
     }
 
     #[test]
-    fn seeked_cursor_yields_the_exact_suffix() {
+    fn seeked_scan_yields_the_exact_suffix() {
         let log = numbered_log(41);
-        let full = log.decode_stable().unwrap();
+        let full = stable(&log).unwrap();
         for from in 1..=42u64 {
-            let suffix: Vec<_> = log.cursor_from(Lsn(from)).map(|r| r.unwrap()).collect();
+            let suffix = live(&log, Lsn(from));
             assert_eq!(&suffix[..], &full[(from as usize - 1).min(full.len())..]);
         }
         // A seek well past the first index entry must actually use it.
-        let cursor = log.cursor_from(Lsn(33));
-        assert_eq!(cursor.stats().seek_hits, 1);
+        let cost = stats(&log, Lsn(33));
+        assert_eq!(cost.seek_hits, 1);
         // The suffix decode touches fewer bytes than the full image.
-        let mut cursor = log.cursor_from(Lsn(33));
-        while cursor.next().is_some() {}
-        assert!(cursor.stats().bytes_scanned < log.stable_bytes().len() as u64);
-        assert_eq!(cursor.stats().records_decoded, 9);
+        assert!(cost.bytes_scanned < image(&log).len() as u64);
+        assert_eq!(cost.records_decoded, 9);
     }
 
     #[test]
     fn disabled_seek_index_still_lands_on_the_right_record() {
         let mut log = numbered_log(40);
-        assert!(!log.seek_index().is_empty());
-        let seeked: Vec<_> = log.cursor_from(Lsn(20)).map(|r| r.unwrap()).collect();
+        assert!(!log.shard_seek_index(0).is_empty());
+        let seeked = live(&log, Lsn(20));
         log.disable_seek_index();
-        assert!(log.seek_index().is_empty());
-        let walked: Vec<_> = log.cursor_from(Lsn(20)).map(|r| r.unwrap()).collect();
+        assert!(log.shard_seek_index(0).is_empty());
+        let walked = live(&log, Lsn(20));
         assert_eq!(walked, seeked);
-        let cursor = log.cursor_from(Lsn(20));
-        assert_eq!(cursor.stats().seek_hits, 0);
+        assert_eq!(stats(&log, Lsn(20)).seek_hits, 0);
         // The index stays off across later flushes.
         log.append(Num(999)).unwrap();
         log.flush_all();
-        assert!(log.seek_index().is_empty());
+        assert!(log.shard_seek_index(0).is_empty());
     }
 
     #[test]
     fn flush_batches_count_as_single_forces() {
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..10 {
             log.append(Num(i)).unwrap();
         }
@@ -1226,12 +1099,12 @@ mod tests {
         assert_eq!(log.forces(), 2, "one coalesced append per force");
         log.flush_all();
         assert_eq!(log.forces(), 2, "an empty force lands no bytes");
-        assert_eq!(log.decode_stable().unwrap().len(), 10);
+        assert_eq!(stable(&log).unwrap().len(), 10);
     }
 
     #[test]
     fn file_backend_syncs_once_per_force() {
-        let mut log = LogManager::on(BackendKind::File);
+        let mut log = ShardedLog::on(BackendKind::File, 1);
         for i in 0..10 {
             log.append(Num(i)).unwrap();
         }
@@ -1240,14 +1113,14 @@ mod tests {
         assert_eq!(log.forces(), 2);
         assert_eq!(log.syncs(), 2, "group commit: one fsync per force");
         assert!(log.path().is_some());
-        assert_eq!(log.decode_stable().unwrap().len(), 10);
+        assert_eq!(stable(&log).unwrap().len(), 10);
     }
 
     #[test]
     fn file_backend_survives_out_of_band_byte_boundary_truncation() {
         use std::fs::OpenOptions;
         let mut log = numbered_log_on(BackendKind::File, 6);
-        let full_len = log.stable_bytes().len() as u64;
+        let full_len = image(&log).len() as u64;
         // Chop the real file mid-way through the 5th frame — the crash
         // a real machine delivers when the tail write only partly hit
         // the platter.
@@ -1264,27 +1137,28 @@ mod tests {
         assert_eq!(log.stable_count(), 4);
         assert_eq!(log.stable_lsn(), Lsn(4));
         assert_eq!(log.repair_tail(), 7);
-        let recs = log.decode_stable().unwrap();
+        let recs = stable(&log).unwrap();
         assert_eq!(recs.len(), 4);
         assert_eq!(recs.last().unwrap().lsn, Lsn(4));
         // And the log keeps working: LSNs resume after the surviving
         // end.
         assert_eq!(log.append(Num(7)).unwrap(), Lsn(5));
         log.flush_all();
-        assert_eq!(log.decode_stable().unwrap().len(), 5);
+        assert_eq!(stable(&log).unwrap().len(), 5);
     }
 
     #[test]
     fn seek_index_is_sparse_and_survives_crash_and_repair() {
         let mut log = numbered_log(20);
         // Entries at records 1, 9, 17 under SEEK_INTERVAL = 8.
-        assert_eq!(log.seek_index().len(), 20usize.div_ceil(SEEK_INTERVAL));
-        assert_eq!(log.seek_index()[0], (Lsn(1), 0));
+        let index = |log: &ShardedLog<Num>| log.shard_seek_index(0).to_vec();
+        assert_eq!(index(&log).len(), 20usize.div_ceil(SEEK_INTERVAL));
+        assert_eq!(index(&log)[0], (Lsn(1), 0));
         log.crash();
-        assert_eq!(log.seek_index().len(), 3);
+        assert_eq!(index(&log).len(), 3);
         assert_eq!(log.repair_tail(), 0);
-        assert_eq!(log.seek_index().len(), 3);
-        let suffix: Vec<_> = log.cursor_from(Lsn(18)).map(|r| r.unwrap()).collect();
+        assert_eq!(index(&log).len(), 3);
+        let suffix = live(&log, Lsn(18));
         assert_eq!(suffix.len(), 3);
         assert_eq!(suffix[0].lsn, Lsn(18));
     }
@@ -1292,7 +1166,7 @@ mod tests {
     #[test]
     fn torn_flush_leaves_seek_index_consistent_after_repair() {
         use crate::fault::{FaultKind, FaultPlan};
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..12 {
             log.append(Num(i)).unwrap();
         }
@@ -1307,8 +1181,8 @@ mod tests {
         log.injector.reset();
         log.crash();
         assert!(log.repair_tail() > 0);
-        assert_eq!(log.seek_index().len(), 2);
-        let tail: Vec<_> = log.cursor_from(Lsn(9)).map(|r| r.unwrap()).collect();
+        assert_eq!(log.shard_seek_index(0).len(), 2);
+        let tail = live(&log, Lsn(9));
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].lsn, Lsn(9));
     }
@@ -1316,17 +1190,17 @@ mod tests {
     #[test]
     fn truncate_prefix_elides_exactly_the_records_below() {
         let mut log = numbered_log(20);
-        let full = log.decode_stable().unwrap();
-        let before = log.stable_bytes().len();
-        let dropped = log.truncate_prefix(Lsn(8)).unwrap();
+        let full = stable(&log).unwrap();
+        let before = image(&log).len();
+        let dropped = log.archive_prefix(Lsn(8)).unwrap();
         assert!(dropped > 0);
         assert_eq!(log.first_stable(), Lsn(8));
         assert_eq!(log.stable_lsn(), Lsn(20));
         assert_eq!(log.stable_count(), 13);
         assert_eq!(log.truncated_records(), 7);
         assert_eq!(log.truncated_bytes(), dropped);
-        assert_eq!(log.stable_bytes().len() as u64 + dropped, before as u64);
-        let rest = log.decode_stable().unwrap();
+        assert_eq!(image(&log).len() as u64 + dropped, before as u64);
+        let rest = live(&log, Lsn::ZERO);
         assert_eq!(&rest[..], &full[7..]);
         // LSN assignment is unaffected.
         assert_eq!(log.append(Num(99)).unwrap(), Lsn(21));
@@ -1335,25 +1209,26 @@ mod tests {
     #[test]
     fn truncate_prefix_is_idempotent_and_clamped() {
         let mut log = numbered_log(10);
-        assert_eq!(log.truncate_prefix(Lsn(1)).unwrap(), 0, "nothing below 1");
-        let dropped = log.truncate_prefix(Lsn(5)).unwrap();
+        assert_eq!(log.archive_prefix(Lsn(1)).unwrap(), 0, "nothing below 1");
+        let dropped = log.archive_prefix(Lsn(5)).unwrap();
         assert!(dropped > 0);
-        assert_eq!(log.truncate_prefix(Lsn(5)).unwrap(), 0, "already elided");
+        assert_eq!(log.archive_prefix(Lsn(5)).unwrap(), 0, "already elided");
         assert_eq!(
-            log.truncate_prefix(Lsn(3)).unwrap(),
+            log.archive_prefix(Lsn(3)).unwrap(),
             0,
             "below the new origin"
         );
         // A bound past the stable end clamps: the stable suffix may be
         // emptied but un-stable records are never touched.
         log.append(Num(7)).unwrap();
-        log.truncate_prefix(Lsn(999)).unwrap();
+        log.archive_prefix(Lsn(999)).unwrap();
         assert_eq!(log.first_stable(), Lsn(11));
         assert_eq!(log.stable_count(), 0);
-        assert_eq!(log.volatile_count(), 1);
+        assert_eq!(volatile(&log), 1);
         log.flush_all();
-        assert_eq!(log.decode_stable().unwrap().len(), 1);
-        assert_eq!(log.decode_stable().unwrap()[0].lsn, Lsn(11));
+        let rest = live(&log, Lsn::ZERO);
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].lsn, Lsn(11));
     }
 
     #[test]
@@ -1362,15 +1237,15 @@ mod tests {
         // an LSN below the current origin — including LSN 0. That must
         // be a clean no-op, never an underflow or a byte drop.
         let mut log = numbered_log(10);
-        log.truncate_prefix(Lsn(6)).unwrap();
-        let len = log.stable_bytes().len();
+        log.archive_prefix(Lsn(6)).unwrap();
+        let len = image(&log).len();
         for below in [0, 1, 5, 6] {
-            assert_eq!(log.truncate_prefix(Lsn(below)).unwrap(), 0);
-            assert_eq!(log.stable_bytes().len(), len);
+            assert_eq!(log.archive_prefix(Lsn(below)).unwrap(), 0);
+            assert_eq!(image(&log).len(), len);
             assert_eq!(log.first_stable(), Lsn(6));
             assert_eq!(log.stable_count(), 5);
         }
-        assert_eq!(log.decode_stable().unwrap().len(), 5);
+        assert_eq!(live(&log, Lsn::ZERO).len(), 5);
     }
 
     #[test]
@@ -1380,32 +1255,32 @@ mod tests {
         // file out-of-band), truncating to the missing LSN 2 must
         // refuse — physically cutting at the walk's landing point would
         // destroy the LSN-3 record a recovery may still need.
-        let mut log = LogManager::<Num>::on(BackendKind::File);
-        let mut image = raw_frame(1, &10u64.to_le_bytes());
-        image.extend_from_slice(&raw_frame(3, &30u64.to_le_bytes()));
-        std::fs::write(log.path().unwrap(), &image).unwrap();
+        let mut log = ShardedLog::<Num>::on(BackendKind::File, 1);
+        let mut bytes = raw_frame(1, &10u64.to_le_bytes());
+        bytes.extend_from_slice(&raw_frame(3, &30u64.to_le_bytes()));
+        std::fs::write(log.path().unwrap(), &bytes).unwrap();
         log.crash();
-        assert_eq!(log.stable_count(), 2);
+        assert_eq!(log.shards[0].stable_count, 2);
         assert_eq!(log.stable_lsn(), Lsn(3));
-        let before = log.stable_bytes().to_vec();
         assert!(matches!(
-            log.truncate_prefix(Lsn(2)),
+            log.archive_prefix(Lsn(2)),
             Err(SimError::Corrupt(_))
         ));
-        assert_eq!(log.stable_bytes(), &before[..], "log untouched on error");
+        assert_eq!(image(&log), &bytes[..], "log untouched on error");
+        assert_eq!(log.archived_bytes(), 0, "and nothing archived");
         assert_eq!(log.first_stable(), Lsn(1));
     }
 
     #[test]
     fn seeks_stay_exact_over_a_truncated_prefix() {
         let mut log = numbered_log(41);
-        let full = log.decode_stable().unwrap();
-        log.truncate_prefix(Lsn(14)).unwrap();
+        let full = stable(&log).unwrap();
+        log.archive_prefix(Lsn(14)).unwrap();
         // Every seek target — below, at, and above the new origin —
         // still yields exactly the records with LSN >= target that the
-        // image retains.
+        // live image retains.
         for from in 1..=42u64 {
-            let suffix: Vec<_> = log.cursor_from(Lsn(from)).map(|r| r.unwrap()).collect();
+            let suffix = live(&log, Lsn(from));
             let want: Vec<_> = full
                 .iter()
                 .filter(|r| r.lsn >= Lsn(from.max(14)))
@@ -1414,11 +1289,11 @@ mod tests {
             assert_eq!(suffix, want, "seek to {from}");
         }
         // Rebased index entries still jump (target well past the origin).
-        assert!(log.cursor_from(Lsn(35)).stats().seek_hits >= 1);
+        assert!(stats(&log, Lsn(35)).seek_hits >= 1);
         // New flushes extend the truncated image seamlessly.
         log.append(Num(1000)).unwrap();
         log.flush_all();
-        let tail: Vec<_> = log.cursor_from(Lsn(42)).map(|r| r.unwrap()).collect();
+        let tail = live(&log, Lsn(42));
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].lsn, Lsn(42));
     }
@@ -1427,7 +1302,7 @@ mod tests {
     fn repair_tail_stays_consistent_after_truncation() {
         use crate::fault::{FaultKind, FaultPlan};
         let mut log = numbered_log(16);
-        log.truncate_prefix(Lsn(9)).unwrap();
+        log.archive_prefix(Lsn(9)).unwrap();
         // Tear a later flush, then repair: the repaired image must still
         // decode as the dense suffix 9..=17.
         log.append(Num(500)).unwrap();
@@ -1440,13 +1315,13 @@ mod tests {
         log.injector.reset();
         log.crash();
         assert!(log.repair_tail() > 0);
-        let recs = log.decode_stable().unwrap();
+        let recs = live(&log, Lsn::ZERO);
         assert_eq!(recs.first().unwrap().lsn, Lsn(9));
         assert_eq!(recs.last().unwrap().lsn, Lsn(17));
         assert_eq!(log.first_stable(), Lsn(9));
-        for &(lsn, off) in log.seek_index() {
-            assert!((off as usize) < log.stable_bytes().len() || off == 0);
-            let landed: Vec<_> = log.cursor_from(lsn).map(|r| r.unwrap()).collect();
+        for &(lsn, off) in log.shard_seek_index(0) {
+            assert!((off as usize) < image(&log).len() || off == 0);
+            let landed = live(&log, lsn);
             assert_eq!(landed.first().unwrap().lsn, lsn);
         }
     }
@@ -1455,9 +1330,9 @@ mod tests {
     fn truncation_with_disabled_seek_index_keeps_scans_exact() {
         let mut log = numbered_log(30);
         log.disable_seek_index();
-        log.truncate_prefix(Lsn(12)).unwrap();
-        assert!(log.seek_index().is_empty());
-        let suffix: Vec<_> = log.cursor_from(Lsn(20)).map(|r| r.unwrap()).collect();
+        log.archive_prefix(Lsn(12)).unwrap();
+        assert!(log.shard_seek_index(0).is_empty());
+        let suffix = live(&log, Lsn(20));
         assert_eq!(suffix.first().unwrap().lsn, Lsn(20));
         assert_eq!(suffix.len(), 11);
     }
@@ -1468,7 +1343,7 @@ mod tests {
     fn backends_agree_under_torn_flush() {
         use crate::fault::{FaultKind, FaultPlan};
         let run = |kind: BackendKind| {
-            let mut log = LogManager::on(kind);
+            let mut log = ShardedLog::on(kind, 1);
             for i in 0..9 {
                 log.append(Num(i * 7)).unwrap();
             }
@@ -1481,21 +1356,13 @@ mod tests {
             log.crash();
             log.repair_tail();
             (
-                log.stable_bytes().to_vec(),
+                image(&log).to_vec(),
                 log.stable_lsn(),
                 log.stable_count(),
-                log.decode_stable().unwrap(),
+                stable(&log).unwrap(),
             )
         };
         assert_eq!(run(BackendKind::Mem), run(BackendKind::File));
-    }
-
-    /// The single stable record whose frame starts at byte offset `off`
-    /// of `log` — what a per-page chain entry names — CRC-verified.
-    fn record_at<P: LogPayload>(log: &LogManager<P>, off: u64) -> SimResult<WalRecord<P>> {
-        let pos = usize::try_from(off).unwrap();
-        let next = LogCursor::at(log.stable_bytes(), pos, ScanStats::default()).next();
-        next.unwrap_or(Err(SimError::Corrupt(pos)))
     }
 
     /// A payload that writes one page — the smallest thing the per-page
@@ -1521,7 +1388,7 @@ mod tests {
 
     #[test]
     fn page_chains_index_every_stable_write_and_nothing_volatile() {
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..9u64 {
             log.append(PageRec((i % 3) as u32, i)).unwrap();
         }
@@ -1535,7 +1402,7 @@ mod tests {
         // Every chain entry random-accesses back to its own record.
         for page in 0..3u32 {
             for &(lsn, off) in log.page_chain(PageId(page)) {
-                let rec = record_at(&log, off).unwrap();
+                let rec = log.record_in(0, off).unwrap();
                 assert_eq!(rec.lsn, lsn);
                 assert_eq!(rec.payload.0, page);
             }
@@ -1548,7 +1415,7 @@ mod tests {
     #[test]
     fn page_chains_prune_with_the_tail_and_rebase_over_truncation() {
         use crate::fault::{FaultKind, FaultPlan};
-        let mut log = LogManager::new();
+        let mut log = ShardedLog::new(1);
         for i in 0..12u64 {
             log.append(PageRec((i % 2) as u32, i)).unwrap();
         }
@@ -1567,16 +1434,16 @@ mod tests {
             .sum();
         assert_eq!(total, 9, "chains cover exactly the surviving frames");
         for &(lsn, off) in log.page_chain(PageId(1)) {
-            assert_eq!(record_at(&log, off).unwrap().lsn, lsn);
+            assert_eq!(log.record_in(0, off).unwrap().lsn, lsn);
         }
         // Truncate the prefix: chain offsets rebase like the seek index.
-        log.truncate_prefix(Lsn(5)).unwrap();
+        log.archive_prefix(Lsn(5)).unwrap();
         let chain1: Vec<Lsn> = log.page_chain(PageId(1)).iter().map(|&(l, _)| l).collect();
         assert_eq!(chain1, vec![Lsn(6), Lsn(8)]);
         for p in [PageId(0), PageId(1)] {
             for &(lsn, off) in log.page_chain(p) {
                 assert!(lsn >= Lsn(5));
-                assert_eq!(record_at(&log, off).unwrap().lsn, lsn);
+                assert_eq!(log.record_in(0, off).unwrap().lsn, lsn);
             }
         }
     }
@@ -1584,12 +1451,12 @@ mod tests {
     #[test]
     fn out_of_band_file_truncation_prunes_chains_to_the_surviving_prefix() {
         use std::fs::OpenOptions;
-        let mut log = LogManager::on(BackendKind::File);
+        let mut log = ShardedLog::on(BackendKind::File, 1);
         for i in 0..6u64 {
             log.append(PageRec(0, i)).unwrap();
         }
         log.flush_all();
-        let frame = log.stable_bytes().len() as u64 / 6;
+        let frame = image(&log).len() as u64 / 6;
         let f = OpenOptions::new()
             .write(true)
             .open(log.path().unwrap())
@@ -1605,7 +1472,7 @@ mod tests {
         );
         log.repair_tail();
         for &(lsn, off) in log.page_chain(PageId(0)) {
-            assert_eq!(record_at(&log, off).unwrap().lsn, lsn);
+            assert_eq!(log.record_in(0, off).unwrap().lsn, lsn);
         }
     }
 

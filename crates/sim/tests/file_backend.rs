@@ -17,21 +17,25 @@ use redo_sim::db::{Db, Geometry};
 use redo_sim::disk::Disk;
 use redo_sim::fault::{FaultKind, FaultPlan};
 use redo_sim::page::Page;
-use redo_sim::wal::{codec, LogManager, LogPayload, FRAME_HEADER};
+use redo_sim::wal::{codec, LogPayload, ShardedLog, WalRecord, FRAME_HEADER};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, SlotId};
 
+/// Bytes logged against page `.0` — so a sharded log routes each
+/// record to that page's shard.
 #[derive(Clone, Debug, PartialEq)]
-struct Blob(Vec<u8>);
+struct Blob(u32, Vec<u8>);
 
 impl LogPayload for Blob {
     fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
-        codec::put_u32(buf, codec::count_u16("blob len", self.0.len())?.into());
-        buf.extend_from_slice(&self.0);
+        codec::put_u32(buf, self.0);
+        codec::put_u32(buf, codec::count_u16("blob len", self.1.len())?.into());
+        buf.extend_from_slice(&self.1);
         Ok(())
     }
     fn decode(input: &[u8], pos: &mut usize) -> SimResult<Self> {
+        let page = codec::get_u32(input, pos)?;
         let n = codec::get_u32(input, pos)? as usize;
         let end = *pos + n;
         if end > input.len() {
@@ -39,45 +43,100 @@ impl LogPayload for Blob {
         }
         let body = input[*pos..end].to_vec();
         *pos = end;
-        Ok(Blob(body))
+        Ok(Blob(page, body))
+    }
+    fn write_pages(&self) -> Vec<PageId> {
+        vec![PageId(self.0)]
     }
 }
 
 fn blob(i: u64, len: usize) -> Blob {
-    Blob((0..len).map(|j| (i as u8).wrapping_add(j as u8)).collect())
+    let page = u32::try_from(i).expect("small page id");
+    Blob(
+        page,
+        (0..len).map(|j| (i as u8).wrapping_add(j as u8)).collect(),
+    )
 }
 
-/// A fully flushed file-backed log with `n` records of varied sizes.
-fn file_log(n: u64) -> LogManager<Blob> {
-    let mut log: LogManager<Blob> = LogManager::on(BackendKind::File);
-    for i in 0..n {
-        log.append(blob(i, 3 + (i as usize % 5) * 7))
+/// The records logged before the group of [`file_log`].
+const SINGLES: u64 = 6;
+
+/// A file-backed log of `shards` shards: [`SINGLES`] records of varied
+/// sizes on pages 0, 1, … — each forced alone, so it lands on its
+/// page's shard unbracketed — then a record on page 0 and one on page
+/// 1 forced together: on several shards a cross-shard flush group,
+/// bracketed in `Open`/`Close` markers on shards 0 and 1.
+fn file_log(shards: usize) -> ShardedLog<Blob> {
+    let mut log: ShardedLog<Blob> = ShardedLog::on(BackendKind::File, shards);
+    for i in 0..SINGLES {
+        let lsn = log
+            .append(blob(i, 3 + (i as usize % 5) * 7))
             .expect("encodable");
+        log.flush(lsn);
     }
+    log.append(blob(0, 4)).expect("encodable");
+    log.append(blob(1, 9)).expect("encodable");
     log.flush_all();
     log
 }
 
+/// One frame of a shard image, walked by its documented header: where
+/// it ends, its LSN, and whether it is a record (body tag 0) rather
+/// than a flush-group marker.
+fn frames(bytes: &[u8]) -> Vec<(usize, u64, bool)> {
+    let (mut out, mut pos) = (Vec::new(), 0);
+    while pos + FRAME_HEADER < bytes.len() {
+        let lsn = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
+        let len = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().unwrap()) as usize;
+        let is_record = bytes[pos + FRAME_HEADER] == 0;
+        pos += FRAME_HEADER + len;
+        out.push((pos, lsn, is_record));
+    }
+    out
+}
+
 #[test]
 fn out_of_band_wal_truncation_repairs_to_the_longest_whole_prefix() {
-    // Cut the real wal.log at several non-boundary offsets; reopen must
-    // see exactly the records whose frames survived whole, and
-    // repair_tail must discard the dangling fragment.
-    for (keep_frames, extra) in [(0usize, 5usize), (2, 7), (2, FRAME_HEADER + 2), (5, 1)] {
-        let mut log = file_log(6);
-        let all = log.decode_stable().expect("clean log decodes");
-        assert_eq!(all.len(), 6);
-        // Walk `keep_frames` length headers to find the boundary, then
-        // cut strictly inside the next frame.
-        let bytes = log.stable_bytes().to_vec();
-        let mut cut = 0usize;
-        for _ in 0..keep_frames {
-            let len = u32::from_le_bytes(bytes[cut + 8..cut + 12].try_into().unwrap()) as usize;
-            cut += FRAME_HEADER + len;
-        }
-        let cut = (cut + extra).min(bytes.len() - 1);
-
-        let path = log.path().expect("file backend has a path").to_path_buf();
+    // Cut one shard's real wal.log at several non-boundary offsets —
+    // inside a record, the group's `Open`, or its `Close` — and reopen:
+    // the shard keeps exactly its whole frames, repair_tail (or, inside
+    // a group, the crash's rollback) discards the dangling fragment, a
+    // group whose `Close` did not survive is gone from every
+    // participant, and the history is the whole-frame prefix.
+    let single = [
+        (0usize, 5),
+        (1, 9),
+        (2, 7),
+        (2, FRAME_HEADER + 2),
+        (3, 4),
+        (5, 1),
+        (7, 3),
+    ];
+    let sharded = [
+        (0usize, 5),
+        (1, 9),
+        (2, 7),
+        (2, FRAME_HEADER + 2),
+        (3, 4),
+        (4, 3),
+    ];
+    let runs = (single.map(|(keep, extra)| (1, 0, keep, extra)).into_iter())
+        .chain(sharded.map(|(keep, extra)| (4, 0, keep, extra)))
+        // Shard 2 of four holds one record and no group.
+        .chain([(4usize, 2, 0, 5)]);
+    for (shards, target, keep_frames, extra) in runs {
+        let mut log = file_log(shards);
+        let all = log
+            .pit_records(log.stable_lsn())
+            .expect("clean log decodes");
+        assert_eq!(all.len(), SINGLES as usize + 2);
+        let path = log.shard_path(target).expect("file backend has a path");
+        let path = path.to_path_buf();
+        let image = frames(&std::fs::read(&path).expect("wal.log exists"));
+        // Find the boundary after `keep_frames` whole frames, then cut
+        // strictly inside the next frame.
+        let start = keep_frames.checked_sub(1).map_or(0, |k| image[k].0);
+        let cut = (start + extra).min(image[keep_frames].0 - 1);
         OpenOptions::new()
             .write(true)
             .open(&path)
@@ -87,23 +146,48 @@ fn out_of_band_wal_truncation_repairs_to_the_longest_whole_prefix() {
 
         log.crash();
         let dropped = log.repair_tail();
-        assert!(dropped > 0, "a mid-frame cut leaves a fragment to drop");
-        let survived = log.decode_stable().expect("repaired log decodes");
-        // The cut may fall inside frame keep_frames (dropping it) — the
-        // surviving prefix is exactly the whole frames below the cut.
-        assert_eq!(survived.len(), keep_frames);
-        assert_eq!(survived, all[..keep_frames].to_vec());
+        let whole = &image[..keep_frames];
+        // The group survives the cut only if the shard's `Close` did
+        // (one shard brackets nothing).
+        let closed = (image.iter()).all(|&(end, _, is_record)| is_record || end <= cut);
+        let group = [Lsn(SINGLES + 1), Lsn(SINGLES + 2)];
+        let want: Vec<WalRecord<Blob>> = (all.iter())
+            .filter(|rec| {
+                let on_target = rec.payload.0 as usize % shards == target;
+                let kept = !on_target
+                    || (whole.iter()).any(|&(_, lsn, is_record)| is_record && lsn == rec.lsn.0);
+                kept && (closed || !group.contains(&rec.lsn))
+            })
+            .cloned()
+            .collect();
+        let survived = log
+            .pit_records(log.stable_lsn())
+            .expect("repaired log decodes");
+        let context = format!("shards {shards}, shard {target}, cut {cut}");
+        assert_eq!(survived, want, "{context}");
+        if closed {
+            assert!(dropped > 0, "a mid-frame cut leaves a fragment to drop");
+        } else {
+            // Every participant was rolled back to before its `Open`:
+            // no frame of the group, record or marker, is left on disk.
+            for s in 0..2 {
+                let bytes = std::fs::read(log.shard_path(s).unwrap()).unwrap();
+                for (_, lsn, is_record) in frames(&bytes) {
+                    assert!(is_record && !group.contains(&Lsn(lsn)), "{context}");
+                }
+            }
+        }
         assert_eq!(
-            std::fs::metadata(&path).expect("wal.log exists").len() as usize,
-            log.stable_bytes().len(),
-            "repair_tail truncates the file itself, not just the mirror"
+            std::fs::metadata(&path).expect("wal.log exists").len(),
+            log.live_bytes_by_shard()[target],
+            "repair truncates the file itself, not just the mirror"
         );
     }
 }
 
 #[test]
 fn appends_group_commit_under_one_fsync() {
-    let mut log: LogManager<Blob> = LogManager::on(BackendKind::File);
+    let mut log: ShardedLog<Blob> = ShardedLog::on(BackendKind::File, 1);
     let mut last = Lsn(0);
     for i in 0..10 {
         last = log.append(blob(i, 8)).expect("encodable");

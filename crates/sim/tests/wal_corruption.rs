@@ -1,22 +1,21 @@
-//! Property tests for the stable-log codec's corruption handling: a
-//! crash may truncate the stable bytes at *any* byte boundary (that is
-//! exactly what a [`redo_sim::fault::FaultKind::TornFlush`] crash point
-//! does), and recovery's log scan must answer every such image with
-//! either a clean shorter log (cut on a record boundary) or
-//! [`SimError::Corrupt`] — never a panic, never a phantom record.
+//! Property tests for the log's seek and index discipline: a scan
+//! seeked through the sparse index (or with it disabled) yields exactly
+//! the tail of a full scan, before and after a torn force is repaired,
+//! and the seek index and per-page chains stay consistent with the
+//! image through flushes, drains, compactions, crashes and repair.
+//! (The byte-level corruption properties — every truncation, every bit
+//! flip, against an independent reference decoder — sit next to the
+//! reader itself, in `wal::sharded`'s tests.)
 //!
 //! Every property runs against BOTH stable-storage backends — the
 //! in-memory simulation and the file-backed implementation (in a fresh
-//! temporary directory) — and asserts they produce byte-identical
-//! durable images and identical recovered states.
+//! temporary directory) — and asserts they recover identical states.
 
 use proptest::prelude::*;
-use redo_sim::backend::{BackendKind, Crc32};
+use redo_sim::backend::BackendKind;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::fault::{FaultKind, FaultPlan};
-use redo_sim::wal::{
-    codec, decode_records, LogCursor, LogManager, LogPayload, ShardedLog, WalRecord, FRAME_HEADER,
-};
+use redo_sim::wal::{codec, LogPayload, ShardedLog, ShardedScanner, WalRecord};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp, PageWorkloadSpec};
@@ -44,6 +43,35 @@ impl LogPayload for OpRec {
     }
 }
 
+/// The live records from the first with LSN ≥ `from`, read by the
+/// restart scanner one record per batch — so every record before a
+/// damaged frame is read — and how the scan ended.
+fn live(log: &ShardedLog<OpRec>, from: Lsn) -> (Vec<WalRecord<OpRec>>, SimResult<()>) {
+    let mut scanner = ShardedScanner::seek(log, from);
+    let mut got = Vec::new();
+    loop {
+        match scanner.next_batch(log, 1) {
+            Ok(batch) if batch.is_empty() => return (got, Ok(())),
+            Ok(batch) => {
+                for WalRecord { lsn, payload } in batch {
+                    match payload.parse(OpRec::decode) {
+                        Ok(payload) => got.push(WalRecord { lsn, payload }),
+                        Err(e) => return (got, Err(e)),
+                    }
+                }
+            }
+            Err(e) => return (got, Err(e)),
+        }
+    }
+}
+
+/// [`live`] of an image that must read whole.
+fn live_whole(log: &ShardedLog<OpRec>, from: Lsn) -> Vec<WalRecord<OpRec>> {
+    let (records, end) = live(log, from);
+    end.expect("seeked scan decodes");
+    records
+}
+
 /// The discipline the stable-offset indexes promise, checked
 /// wholesale: every surviving seek entry, per-page chain entry and
 /// cross-reader chain entry must point at a frame bearing its own LSN
@@ -66,12 +94,10 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
     // The image may still carry a torn tail awaiting repair; index and
     // chain entries only ever point into the valid prefix, so decode
     // exactly the records before the tear.
-    let mut full: Vec<WalRecord<OpRec>> = Vec::new();
-    for rec in log.cursor_from(Lsn::ZERO) {
-        match rec {
-            Ok(rec) => full.push(rec),
-            Err(SimError::Corrupt(_)) => break,
-            Err(e) => return Err(TestCaseError::fail(format!("unexpected scan error {e:?}"))),
+    let (full, end) = live(log, Lsn::ZERO);
+    if let Err(e) = end {
+        if !matches!(e, SimError::Corrupt(_)) {
+            return Err(TestCaseError::fail(format!("unexpected scan error {e:?}")));
         }
     }
     // The seek index is held to exact entries on a single log only. A
@@ -201,7 +227,7 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
     Ok(())
 }
 
-/// Builds a log on `kind` from a seeded workload, forcing every
+/// Builds a single log on `kind` from a seeded workload, forcing every
 /// `flush_every` records (so the seek index has entries and the
 /// group-commit path is exercised), then forcing the rest.
 fn flushed_log_on(
@@ -209,14 +235,14 @@ fn flushed_log_on(
     seed: u64,
     n_ops: usize,
     flush_every: usize,
-) -> LogManager<OpRec> {
+) -> ShardedLog<OpRec> {
     let spec = PageWorkloadSpec {
         n_ops,
         cross_page_fraction: 0.3,
         blind_fraction: 0.2,
         ..Default::default()
     };
-    let mut log: LogManager<OpRec> = LogManager::on(kind);
+    let mut log: ShardedLog<OpRec> = ShardedLog::on(kind, 1);
     for (i, op) in spec.generate(seed).into_iter().enumerate() {
         let lsn = log.append(OpRec(op)).expect("encodable payload");
         if (i + 1) % flush_every == 0 {
@@ -227,198 +253,8 @@ fn flushed_log_on(
     log
 }
 
-/// Builds the same fully flushed stable-log image on BOTH backends,
-/// asserts the durable bytes are bit-identical (so every pure-decode
-/// property below holds for both at once), and returns the image and
-/// its record count.
-fn stable_image(seed: u64, n_ops: usize) -> (Vec<u8>, usize) {
-    let mem = flushed_log_on(BackendKind::Mem, seed, n_ops, usize::MAX);
-    let file = flushed_log_on(BackendKind::File, seed, n_ops, usize::MAX);
-    assert_eq!(
-        mem.stable_bytes(),
-        file.stable_bytes(),
-        "backends diverge on the durable image"
-    );
-    assert_eq!(mem.stable_count(), file.stable_count());
-    (mem.stable_bytes().to_vec(), mem.stable_count())
-}
-
-/// The byte offsets at which a record ends (plus 0): the only cut points
-/// where a truncated image is a well-formed shorter log.
-fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
-    let mut out = vec![0usize];
-    let mut pos = 0usize;
-    while pos + FRAME_HEADER <= bytes.len() {
-        let len =
-            u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4 bytes")) as usize;
-        pos += FRAME_HEADER + len;
-        if pos <= bytes.len() {
-            out.push(pos);
-        } else {
-            break;
-        }
-    }
-    out
-}
-
-/// An independent frame decoder, written against the documented frame
-/// format (8-byte LE LSN, 4-byte LE body length, 4-byte LE CRC-32 over
-/// the first 12 header bytes plus the body, then the body) rather than
-/// the production scan — the oracle the streaming [`LogCursor`] is
-/// checked against, so a bug in the cursor cannot hide behind itself.
-fn reference_decode(bytes: &[u8]) -> SimResult<Vec<WalRecord<OpRec>>> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let start = pos;
-        let lsn = codec::get_u64(bytes, &mut pos)?;
-        let len = codec::get_u32(bytes, &mut pos)? as usize;
-        let stored_crc = codec::get_u32(bytes, &mut pos)?;
-        let end = pos.checked_add(len).ok_or(SimError::Corrupt(pos))?;
-        if end > bytes.len() {
-            return Err(SimError::Corrupt(pos));
-        }
-        let mut crc = Crc32::new();
-        crc.update(&bytes[start..start + 12]);
-        crc.update(&bytes[start + FRAME_HEADER..end]);
-        if crc.finish() != stored_crc {
-            return Err(SimError::Corrupt(start + 12));
-        }
-        let mut body_pos = pos;
-        let payload = OpRec::decode(&bytes[..end], &mut body_pos)?;
-        if body_pos != end {
-            return Err(SimError::Corrupt(body_pos));
-        }
-        out.push(WalRecord {
-            lsn: Lsn(lsn),
-            payload,
-        });
-        pos = end;
-    }
-    Ok(out)
-}
-
-/// Asserts two scan outcomes identical: same records, or the same
-/// `Corrupt` offset.
-fn assert_same_outcome(
-    a: &SimResult<Vec<WalRecord<OpRec>>>,
-    b: &SimResult<Vec<WalRecord<OpRec>>>,
-    context: &str,
-) -> Result<(), TestCaseError> {
-    match (a, b) {
-        (Ok(x), Ok(y)) => prop_assert_eq!(x, y, "records diverge: {}", context),
-        (Err(SimError::Corrupt(x)), Err(SimError::Corrupt(y))) => {
-            prop_assert_eq!(x, y, "corrupt offsets diverge: {}", context);
-        }
-        (x, y) => {
-            return Err(TestCaseError::Fail(format!(
-                "outcomes diverge at {context}: {x:?} vs {y:?}"
-            )))
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32 })]
-
-    /// Truncate the stable bytes at EVERY byte boundary: boundary cuts
-    /// decode to exactly the records before the cut; every mid-record
-    /// cut is reported as `Corrupt`. No cut panics, none yields a
-    /// record the full image did not contain.
-    #[test]
-    fn truncation_at_every_byte_boundary(seed in 0u64..10_000) {
-        let (bytes, count) = stable_image(seed, 8);
-        let full: Vec<WalRecord<OpRec>> = decode_records(&bytes).expect("intact image decodes");
-        prop_assert_eq!(full.len(), count);
-        let boundaries = record_boundaries(&bytes);
-        prop_assert_eq!(boundaries.len(), count + 1);
-        for cut in 0..=bytes.len() {
-            let res: SimResult<Vec<WalRecord<OpRec>>> = decode_records(&bytes[..cut]);
-            match boundaries.iter().position(|&b| b == cut) {
-                Some(k) => {
-                    let recs = match res {
-                        Ok(recs) => recs,
-                        Err(e) => {
-                            return Err(TestCaseError::Fail(
-                                format!("boundary cut {cut} failed to decode: {e:?}"),
-                            ));
-                        }
-                    };
-                    prop_assert_eq!(recs.len(), k, "boundary cut {} record count", cut);
-                    prop_assert_eq!(&recs[..], &full[..k], "phantom or altered record at cut {}", cut);
-                }
-                None => {
-                    prop_assert!(
-                        matches!(res, Err(SimError::Corrupt(_))),
-                        "mid-record cut {} must be Corrupt, got {:?}",
-                        cut,
-                        res.map(|r| r.len())
-                    );
-                }
-            }
-        }
-    }
-
-    /// A single flipped bit anywhere in the stable image is DETECTED:
-    /// with per-frame CRC-32s, no single-bit flip may decode cleanly —
-    /// the scan must report `Corrupt` at a sane offset, never panic,
-    /// never yield silently altered records.
-    #[test]
-    fn bit_flips_are_always_detected(seed in 0u64..10_000, flip in 0usize..1usize << 16) {
-        let (bytes, _) = stable_image(seed, 6);
-        prop_assert!(!bytes.is_empty());
-        let mut img = bytes.clone();
-        let i = flip % img.len();
-        let bit = (flip / img.len()) % 8;
-        img[i] ^= 1 << bit;
-        match decode_records::<OpRec>(&img) {
-            Err(SimError::Corrupt(off)) => prop_assert!(off <= img.len()),
-            Ok(recs) => {
-                return Err(TestCaseError::Fail(format!(
-                    "bit {bit} of byte {i} went undetected ({} records decoded)",
-                    recs.len()
-                )))
-            }
-            Err(e) => return Err(TestCaseError::Fail(format!("unexpected error {e:?}"))),
-        }
-    }
-
-    /// The streaming cursor is byte-for-byte equivalent to the
-    /// independent reference decoder on EVERY truncation of the image —
-    /// same records on boundary cuts, same `Corrupt` offset on torn
-    /// ones. `decode_records` (the materializing API every non-streaming
-    /// caller uses) is checked against the same oracle.
-    #[test]
-    fn cursor_matches_reference_decoder_on_any_truncation(seed in 0u64..10_000) {
-        let (bytes, _) = stable_image(seed, 8);
-        for cut in 0..=bytes.len() {
-            let img = &bytes[..cut];
-            let oracle = reference_decode(img);
-            let streamed: SimResult<Vec<WalRecord<OpRec>>> = LogCursor::over(img).collect();
-            assert_same_outcome(&oracle, &streamed, &format!("cursor, cut {cut}"))?;
-            assert_same_outcome(&oracle, &decode_records(img), &format!("decode_records, cut {cut}"))?;
-        }
-    }
-
-    /// Same equivalence under a single flipped bit anywhere in the
-    /// image: whatever the reference decoder makes of the damage, the
-    /// streaming cursor makes of it identically.
-    #[test]
-    fn cursor_matches_reference_decoder_under_bit_flips(
-        seed in 0u64..10_000,
-        flip in 0usize..1usize << 16,
-    ) {
-        let (bytes, _) = stable_image(seed, 6);
-        prop_assert!(!bytes.is_empty());
-        let mut img = bytes;
-        let i = flip % img.len();
-        let bit = (flip / img.len()) % 8;
-        img[i] ^= 1 << bit;
-        let oracle = reference_decode(&img);
-        let streamed: SimResult<Vec<WalRecord<OpRec>>> = LogCursor::over(&img).collect();
-        assert_same_outcome(&oracle, &streamed, &format!("bit {bit} of byte {i}"))?;
-    }
 
     /// Seek-then-scan equals the tail of a full scan for EVERY starting
     /// LSN — with the sparse index consulted and with it disabled, on
@@ -429,18 +265,15 @@ proptest! {
         let mut per_backend: Vec<Vec<WalRecord<OpRec>>> = Vec::new();
         for kind in BACKENDS {
             let log = flushed_log_on(kind, seed, 24, flush_every);
-            let full: Vec<WalRecord<OpRec>> = log.cursor().collect::<SimResult<_>>()
-                .expect("intact image decodes");
+            let full = live_whole(&log, Lsn::ZERO);
             let mut unindexed = log.clone();
             unindexed.disable_seek_index();
-            prop_assert!(log.seek_index().len() > 1, "index too sparse to test a jump");
+            prop_assert!(log.shard_seek_index(0).len() > 1, "index too sparse to test a jump");
             for from in 0..=log.stable_lsn().0 + 2 {
                 let want: Vec<&WalRecord<OpRec>> =
                     full.iter().filter(|r| r.lsn >= Lsn(from)).collect();
                 for (name, l) in [("indexed", &log), ("unindexed", &unindexed)] {
-                    let got: Vec<WalRecord<OpRec>> = l.cursor_from(Lsn(from))
-                        .collect::<SimResult<_>>()
-                        .expect("seeked scan decodes");
+                    let got = live_whole(l, Lsn(from));
                     prop_assert_eq!(
                         got.iter().collect::<Vec<_>>(), want.clone(),
                         "{} {:?} scan from {} is not the tail", name, kind, from
@@ -477,13 +310,11 @@ proptest! {
             db.log.flush_all();
             db.crash();
             db.repair_after_crash();
-            let full = db.log.decode_stable().expect("repaired image decodes");
+            let full = db.log.pit_records(db.log.stable_lsn()).expect("repaired image decodes");
             for from in 0..=db.log.stable_lsn().0 + 2 {
                 let want: Vec<&WalRecord<OpRec>>  =
                     full.iter().filter(|r| r.lsn >= Lsn(from)).collect();
-                let got: Vec<WalRecord<OpRec>> = db.log.cursor_from(Lsn(from))
-                    .collect::<SimResult<_>>()
-                    .expect("seeked scan over repaired image decodes");
+                let got = live_whole(&db.log, Lsn(from));
                 prop_assert_eq!(
                     got.iter().collect::<Vec<_>>(), want,
                     "post-repair {:?} scan from {} is not the tail", kind, from
@@ -524,7 +355,7 @@ proptest! {
         }
     }
 
-    /// The unified retain/rebase helpers behind `truncate_prefix`,
+    /// The unified retain/rebase helpers behind `archive_prefix`,
     /// `repair_tail`, and `crash` keep both stable-offset indexes (the
     /// sparse seek index and the per-page chains) disciplined across an
     /// adversarial interleaving: group-commit flushes, mid-run prefix
@@ -635,8 +466,7 @@ proptest! {
                 "full compaction must be a fixed point"
             );
             check_index_discipline(&db.log)?;
-            let full = db.log.decode_stable().expect("repaired image decodes");
-            per_backend.push(full);
+            per_backend.push(live_whole(&db.log, Lsn::ZERO));
         }
         // `per_backend` is [mem × 1, mem × 4, file × 1, file × 4].
         for shards in 0..2 {

@@ -16,7 +16,8 @@ use redo_recovery::workload::pages::{Cell, PageOp, PageWorkloadSpec};
 
 fn log_model(db: &Db<PageOpPayload>) -> BTreeMap<Cell, u64> {
     let mut cells: BTreeMap<Cell, u64> = BTreeMap::new();
-    for rec in db.log.decode_stable().expect("log intact") {
+    let stable = db.log.pit_records(db.log.stable_lsn());
+    for rec in stable.expect("log intact") {
         let PageOpPayload::Op(op) = rec.payload else {
             continue;
         };
@@ -102,7 +103,8 @@ fn concurrent_log_order_is_conflict_consistent() {
     shared.shutdown();
     shared.commit_tick();
     let db = shared.crash();
-    let records = db.log.decode_stable().expect("log intact");
+    let records = db.log.pit_records(db.log.stable_lsn());
+    let records = records.expect("log intact");
     let ops_in_log_order: Vec<PageOp> = records
         .iter()
         .filter_map(|r| match &r.payload {

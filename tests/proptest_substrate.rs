@@ -20,7 +20,7 @@ use redo_recovery::methods::redo;
 use redo_recovery::methods::RecoveryMethod;
 use redo_recovery::sim::backend::BackendKind;
 use redo_recovery::sim::db::{Db, Geometry};
-use redo_recovery::sim::wal::{codec, LogManager, LogPayload};
+use redo_recovery::sim::wal::{codec, LogPayload, ShardedLog};
 use redo_recovery::sim::SimResult;
 use redo_recovery::theory::log::Lsn;
 use redo_recovery::workload::pages::{Cell, PageId, PageOp, PageOpKind, PageWorkloadSpec, SlotId};
@@ -198,7 +198,7 @@ proptest! {
         blobs in vec(vec(any::<u8>(), 0..40), 1..20),
         flush_at in vec(any::<bool>(), 1..20),
     ) {
-        let mut log: LogManager<Blob> = LogManager::new();
+        let mut log: ShardedLog<Blob> = ShardedLog::new(1);
         let mut durable: Vec<Blob> = Vec::new();
         let mut pending: Vec<Blob> = Vec::new();
         for (i, bytes) in blobs.iter().enumerate() {
@@ -211,7 +211,8 @@ proptest! {
             }
         }
         log.crash();
-        let decoded: Vec<Blob> = log.decode_stable().unwrap().into_iter().map(|r| r.payload).collect();
+        let stable = log.pit_records(log.stable_lsn()).unwrap();
+        let decoded: Vec<Blob> = stable.into_iter().map(|r| r.payload).collect();
         prop_assert_eq!(decoded, durable);
     }
 

@@ -15,10 +15,10 @@
 //!   lifetime, not churn.
 //! * `controller` — the closed loop: `control_tick` against a
 //!   [`RestartBudget`]. Each tick estimates the restart cost, flushes
-//!   coldest-first until the truncation horizon clears the budget,
-//!   publishes (mostly incremental delta) checkpoints, and applies
-//!   per-shard archive pressure. The suffix stays **under twice the
-//!   budget** for the whole run.
+//!   coldest-first until the truncation horizon clears the budget, and
+//!   publishes (mostly incremental delta) checkpoints, each of which
+//!   drains the log below its redo-start to the archive tier. The
+//!   suffix stays **under twice the budget** for the whole run.
 //!
 //! Shape checks before timing assert exactly that story, plus state
 //! identity: both crashed images recover to the same issue-order state,
@@ -54,7 +54,7 @@ use redo_workload::Zipf;
 
 /// Tenants of the multi-tenant stream: each owns a disjoint page range
 /// with its own skew — hot tenants churn a few pages, colder tenants
-/// spread wide, so per-shard live-byte pressure is uneven.
+/// spread wide.
 const TENANTS: [(u32, f64); 4] = [(0, 1.1), (16, 0.9), (32, 0.6), (48, 0.3)];
 const PAGES_PER_TENANT: usize = 16;
 /// The page written exactly once, first — the cold recLSN anchor.

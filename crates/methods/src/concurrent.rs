@@ -149,13 +149,6 @@ pub struct DaemonStats {
     /// Stable-log bytes reclaimed by prefix truncation (archived, when
     /// the log carries an archive tier), summed over log shards.
     pub truncated_bytes: u64,
-    /// The summed [`DaemonStats::truncated_bytes`] broken out per log
-    /// shard — the truncation-skew view the benches report.
-    pub truncated_bytes_by_shard: Vec<u64>,
-    /// Group-commit forces per log shard (each participant of a
-    /// cross-shard flush group lands its own batch) — flush-skew
-    /// telemetry.
-    pub forces_by_shard: Vec<u64>,
     /// The most recently published checkpoint record.
     pub last_checkpoint: Option<Lsn>,
     /// Ticks that skipped publication because the system was quiescent
@@ -168,8 +161,8 @@ pub struct DaemonStats {
     /// snapshots.
     pub deltas_published: u64,
     /// The redo-start of the most recently published checkpoint — the
-    /// truncation horizon, and the baseline the controller's suffix
-    /// estimate measures from.
+    /// truncation horizon, where its publication left the live log
+    /// starting.
     pub last_redo_start: Option<Lsn>,
     /// Rounds of the coldest-first drain: a log force and a walk of the
     /// recLSN order each, up to the first page that flushes.
@@ -409,13 +402,14 @@ impl SharedDb {
         if let Some(page) = self.inner.store.first_gated() {
             self.replay_component(state, page)?;
         }
-        if self.inner.store.gated_count() == 0 {
-            let mut state = rec.active.take().expect("checked active above");
+        if self.inner.store.gated_count() > 0 {
+            return Ok(true);
+        }
+        if let Some(mut state) = rec.active.take() {
             state.stats.forces = self.inner.log.lock().forces();
             rec.finished = Some(state.stats);
-            return Ok(false);
         }
-        Ok(true)
+        Ok(false)
     }
 
     /// Is an on-demand restart still holding gates?
@@ -640,8 +634,6 @@ impl SharedDb {
         daemon.checkpoints_taken += 1;
         daemon.deltas_published += u64::from(is_delta);
         daemon.truncated_bytes += reclaimed;
-        daemon.truncated_bytes_by_shard = log.truncated_bytes_by_shard();
-        daemon.forces_by_shard = log.forces_by_shard();
         daemon.last_checkpoint = Some(ck);
         daemon.last_redo_start = Some(redo_start);
         Ok(Some(ck))
@@ -653,40 +645,31 @@ impl SharedDb {
         self.inner.daemon.lock().clone()
     }
 
-    /// A point-in-time [`RestartEstimate`] off the live telemetry: the
-    /// stable suffix past the published truncation horizon (or past the
-    /// log's first retained record when nothing has published yet), the
-    /// current dirty-page count, and the per-shard live-byte skew.
+    /// A point-in-time [`RestartEstimate`]: the live log's stable bytes
+    /// and the current dirty-page count. Every landed publication
+    /// drains each shard below its redo-start, so the live log starts
+    /// at the published truncation horizon (or at the log's first
+    /// retained record when nothing has published yet).
     #[must_use]
     pub fn restart_estimate(&self) -> RestartEstimate {
         let dirty_pages = self.inner.store.dirty_count();
         let log = self.inner.log.lock();
-        let redo_start = self
-            .inner
-            .daemon
-            .lock()
-            .last_redo_start
-            .unwrap_or_else(|| log.first_stable());
         RestartEstimate {
-            suffix_bytes: log.suffix_bytes(redo_start),
+            suffix_bytes: log.suffix_bytes(log.first_stable()),
             dirty_pages,
-            redo_start,
-            live_bytes_by_shard: log.live_bytes_by_shard(),
         }
     }
 
     /// One controller tick: estimate restart cost, ask the planner, and
     /// fire whichever actuators it named — the coldest-page flush first
     /// (so the checkpoint that may follow computes a deeper redo-start),
-    /// then an incremental checkpoint, then targeted archive drains for
-    /// any shard over its skew budget. Returns the executed plan.
+    /// then an incremental checkpoint. Returns the executed plan.
     ///
     /// # Errors
     ///
     /// Substrate errors from the actuators.
     pub fn control_tick(&self, controller: &Controller) -> SimResult<ControlPlan> {
-        let est = self.restart_estimate();
-        let plan = controller.plan(&est);
+        let plan = controller.plan(&self.restart_estimate());
         if plan.flush_coldest {
             // Terminates: every round that goes on took a page out of
             // the dirty-page table.
@@ -694,25 +677,6 @@ impl SharedDb {
         }
         if plan.checkpoint {
             self.checkpoint_tick(controller.budget.full_every)?;
-        }
-        if !plan.archive_shards.is_empty() {
-            // `est.redo_start` is a *published* horizon (or the first
-            // retained record, making the drain a no-op), so a per-shard
-            // drain below it archives only bytes every future recovery
-            // has provably stopped needing — even if a checkpoint just
-            // advanced the horizon further, using the older estimate is
-            // merely conservative.
-            let mut log = self.inner.log.lock();
-            let mut reclaimed = 0u64;
-            for &s in &plan.archive_shards {
-                reclaimed += log.archive_shard_prefix(s, est.redo_start)?;
-            }
-            if reclaimed > 0 {
-                let by_shard = log.truncated_bytes_by_shard();
-                let mut daemon = self.inner.daemon.lock();
-                daemon.truncated_bytes += reclaimed;
-                daemon.truncated_bytes_by_shard = by_shard;
-            }
         }
         Ok(plan)
     }
@@ -756,9 +720,9 @@ impl SharedDb {
     /// thread. Each tick ends in a [`SharedDb::control_tick`] steering
     /// toward `budget` — checkpoints fire when estimated restart cost
     /// crosses the budget (and are skipped when the system is
-    /// quiescent), the coldest page is flushed when the suffix builds,
-    /// and skewed shards drain to the archive tier; a budget no
-    /// estimate can cross disables online checkpointing.
+    /// quiescent) and the coldest page is flushed when the suffix
+    /// builds; a budget no estimate can cross disables online
+    /// checkpointing.
     ///
     /// # Panics
     ///
@@ -1735,7 +1699,6 @@ mod tests {
         let budget = RestartBudget {
             max_suffix_bytes: 1024,
             max_dirty_pages: 4,
-            shard_skew_limit: f64::INFINITY,
             ..Default::default()
         };
         let controller = Controller::new(budget.clone());
@@ -1817,6 +1780,71 @@ mod tests {
             refused > 0,
             "and meet a refused head, or the walk is untested"
         );
+    }
+
+    /// The premise [`SharedDb::restart_estimate`] rests on, and why the
+    /// controller has no archive actuator of its own: every landed
+    /// publication drains each log shard below its redo-start, so the
+    /// live log starts at the published horizon and no shard keeps a
+    /// live record below it — through a controller-driven run and
+    /// through an on-demand restart that checkpoints mid-recovery.
+    #[test]
+    fn every_landed_publication_leaves_the_live_log_at_its_redo_start() {
+        use redo_sim::backend::BackendKind;
+        let at_horizon = |db: &SharedDb, at: &str| {
+            let published = db.daemon_stats().last_redo_start;
+            let log = db.inner.log.lock();
+            if let Some(redo_start) = published {
+                assert_eq!(log.first_stable(), redo_start, "{at}");
+            }
+            for s in 0..log.n_shards() {
+                let first = log.shard_suffix(s, Lsn::ZERO).next();
+                let first = first.transpose().expect("log intact").map(|rec| rec.lsn);
+                assert!(first.is_none_or(|lsn| lsn >= log.first_stable()), "{at}");
+            }
+        };
+        let controller = Controller::new(RestartBudget {
+            max_suffix_bytes: 1024,
+            max_dirty_pages: 4,
+            ..Default::default()
+        });
+        let ops = PageWorkloadSpec {
+            n_ops: 640,
+            n_pages: 48,
+            skew: 0.8,
+            cross_page_fraction: 0.3,
+            multi_page_fraction: 0.2,
+            blind_fraction: 0.1,
+            ..Default::default()
+        }
+        .generate(7);
+        let geometry = Geometry { slots_per_page: 8 };
+        for log_shards in [1, 4] {
+            let fresh = Db::on_sharded(BackendKind::Mem, geometry, None, log_shards);
+            let shared = SharedDb::open_on_demand(fresh).expect("nothing to recover");
+            // The controller's run; the last 40 operations stay
+            // unticked, so the crash owes the restart some redo.
+            for (i, op) in ops.iter().enumerate() {
+                shared.execute(op).expect("execute");
+                if (i + 1) % 12 == 0 && i < 600 {
+                    shared.control_tick(&controller).expect("control tick");
+                    at_horizon(&shared, &format!("{log_shards} log shards, op {i}"));
+                }
+            }
+            let daemon = shared.daemon_stats();
+            assert!(daemon.checkpoints_taken > 1 && daemon.truncated_bytes > 0);
+            shared.commit_tick();
+            let lazy = SharedDb::open_on_demand(shared.crash()).expect("open on demand");
+            assert!(lazy.gated_count() > 0, "nothing deferred");
+            at_horizon(&lazy, &format!("{log_shards} log shards, reopened"));
+            let ck = lazy.checkpoint_tick(controller.budget.full_every);
+            assert!(ck.expect("checkpoint tick").is_some(), "published");
+            at_horizon(&lazy, &format!("{log_shards} log shards, mid-recovery"));
+            while lazy.recovery_tick().expect("recovery tick") {
+                lazy.control_tick(&controller).expect("control tick");
+                at_horizon(&lazy, &format!("{log_shards} log shards, sweeping"));
+            }
+        }
     }
 
     #[test]

@@ -15,27 +15,25 @@
 //! idle (pure overhead).
 //!
 //! This module closes the loop. Each tick the controller *estimates*
-//! restart cost from telemetry the substrate already exposes — stable
-//! bytes past the published redo-start
-//! ([`redo_sim::wal::ShardedLog::suffix_bytes`]), the dirty-page-table
-//! size, and the per-shard live-byte skew — compares it against a
-//! configurable [`RestartBudget`], and emits a [`ControlPlan`] naming
-//! which actuators to fire:
+//! restart cost from two numbers the substrate already keeps — the live
+//! log's stable bytes ([`redo_sim::wal::ShardedLog::suffix_bytes`] from
+//! its first retained record, which every landed publication moves to
+//! the published redo-start) and the dirty-page-table size — compares
+//! them against a configurable [`RestartBudget`], and emits a
+//! [`ControlPlan`] naming which actuators to fire:
 //!
 //! 1. **Checkpoint cadence** — checkpoint when estimated replay cost
 //!    crosses the budget, not on a timer. Checkpoints are *incremental*
 //!    ([`redo::checkpoint_fuzzy`]): a [`redo::Checkpoint`] whose table
 //!    is a [`redo::DirtyTable::Delta`] against the previous record,
 //!    chained by `prev` links to the full table at `base`, with the full
-//!    table republished every [`Control::FULL_EVERY`] links to bound the
-//!    chain analysis must walk.
+//!    table republished every [`RestartBudget::full_every`] links to
+//!    bound the chain analysis must walk.
 //! 2. **Targeted flushing** — flush the dirty page with the *minimum*
 //!    recLSN, the one pinning the truncation horizon, instead of a
-//!    random one.
-//! 3. **Archive pressure** — when one shard's live bytes exceed its
-//!    share of the budget, drain that shard's prefix to the archive
-//!    tier ([`redo_sim::wal::ShardedLog::archive_shard_prefix`])
-//!    without waiting for the next global truncation.
+//!    random one. Nothing else can move the horizon: the bytes above it
+//!    are what restart needs, and the bytes below it were drained to the
+//!    archive tier when the checkpoint that set it landed.
 //!
 //! The planner ([`Controller::plan`]) is a pure function of the
 //! estimate, so its policy is unit-testable without a database. The
@@ -65,9 +63,6 @@ pub struct RestartBudget {
     /// Ceiling on dirty-page-table size — a proxy for the page fetches
     /// restart performs before its redo tests can run.
     pub max_dirty_pages: usize,
-    /// A shard whose live bytes exceed `shard_skew_limit` times its
-    /// even share of `max_suffix_bytes` gets a targeted archive drain.
-    pub shard_skew_limit: f64,
     /// Republish a full snapshot every this many checkpoints; the links
     /// in between are deltas.
     pub full_every: u64,
@@ -78,25 +73,20 @@ impl Default for RestartBudget {
         RestartBudget {
             max_suffix_bytes: 8 * 1024,
             max_dirty_pages: 16,
-            shard_skew_limit: 2.0,
             full_every: Control::FULL_EVERY,
         }
     }
 }
 
 /// A point-in-time estimate of what restart would cost right now, read
-/// off substrate telemetry by [`Controller::estimate`] (or assembled by
-/// the concurrent daemon under its own locks).
+/// off the live log and the store by
+/// [`crate::concurrent::SharedDb::restart_estimate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RestartEstimate {
     /// Stable bytes at or past the published redo-start.
     pub suffix_bytes: u64,
     /// Current dirty-page-table size.
     pub dirty_pages: usize,
-    /// The redo-start LSN the estimate was measured against.
-    pub redo_start: Lsn,
-    /// Per-shard live stable bytes (the skew breakdown).
-    pub live_bytes_by_shard: Vec<u64>,
 }
 
 /// What the controller decided to do this tick.
@@ -107,17 +97,6 @@ pub struct ControlPlan {
     /// Flush the minimum-recLSN dirty page to unpin the truncation
     /// horizon.
     pub flush_coldest: bool,
-    /// Shards whose live suffix exceeds their skew-adjusted budget
-    /// share: drain each one's prefix to the archive tier.
-    pub archive_shards: Vec<usize>,
-}
-
-impl ControlPlan {
-    /// Does this plan fire any actuator at all?
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        !self.checkpoint && !self.flush_coldest && self.archive_shards.is_empty()
-    }
 }
 
 /// The pure planner: budget in, estimate in, actuator decisions out.
@@ -134,53 +113,21 @@ impl Controller {
         Controller { budget }
     }
 
-    /// Reads a [`RestartEstimate`] off a sequential database's
-    /// telemetry: redo-start from the published checkpoint analysis,
-    /// suffix bytes past it, the current DPT size, per-shard live
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// Log corruption at the master record.
-    pub fn estimate(db: &Db<PageOpPayload>) -> SimResult<RestartEstimate> {
-        let redo_start = redo::analyze(db)?.redo_start;
-        Ok(RestartEstimate {
-            suffix_bytes: db.log.suffix_bytes(redo_start),
-            dirty_pages: db.pool.dirty_count(),
-            redo_start,
-            live_bytes_by_shard: db.log.live_bytes_by_shard(),
-        })
-    }
-
     /// The control decision: which actuators to fire for this estimate.
     ///
     /// Checkpoint when the scan suffix or the DPT crosses its ceiling;
     /// start flushing the coldest page already at half the suffix
     /// budget (cheap, and it lets the *next* checkpoint truncate
-    /// deeper); drain any shard whose live bytes exceed
-    /// `shard_skew_limit` times its even share of the suffix budget.
+    /// deeper).
     #[must_use]
     pub fn plan(&self, est: &RestartEstimate) -> ControlPlan {
         let b = &self.budget;
         let checkpoint =
             est.suffix_bytes > b.max_suffix_bytes || est.dirty_pages > b.max_dirty_pages;
         let flush_coldest = est.dirty_pages > 0 && est.suffix_bytes > b.max_suffix_bytes / 2;
-        let shards = est.live_bytes_by_shard.len().max(1) as u64;
-        let share = b.max_suffix_bytes / shards;
-        #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
-        #[allow(clippy::cast_possible_truncation)]
-        let shard_cap = (share as f64 * b.shard_skew_limit) as u64;
-        let archive_shards = est
-            .live_bytes_by_shard
-            .iter()
-            .enumerate()
-            .filter(|&(_, &live)| live > shard_cap)
-            .map(|(s, _)| s)
-            .collect();
         ControlPlan {
             checkpoint,
             flush_coldest,
-            archive_shards,
         }
     }
 }
@@ -241,8 +188,6 @@ mod tests {
         let mut est = RestartEstimate {
             suffix_bytes: 999,
             dirty_pages: 3,
-            redo_start: Lsn(1),
-            live_bytes_by_shard: vec![200, 200],
         };
         assert!(!ctl.plan(&est).checkpoint);
         est.suffix_bytes = 1001;
@@ -261,29 +206,10 @@ mod tests {
         let est = RestartEstimate {
             suffix_bytes: 10,
             dirty_pages: 5,
-            redo_start: Lsn(1),
-            live_bytes_by_shard: vec![10],
         };
         let plan = ctl.plan(&est);
         assert!(plan.checkpoint);
         assert!(!plan.flush_coldest, "suffix is tiny: no flush pressure");
-    }
-
-    #[test]
-    fn planner_targets_skewed_shards_only() {
-        let ctl = Controller::new(RestartBudget {
-            max_suffix_bytes: 4000,
-            shard_skew_limit: 2.0,
-            ..Default::default()
-        });
-        // Even share = 1000/shard; cap = 2000. Shard 2 is over.
-        let est = RestartEstimate {
-            suffix_bytes: 100,
-            dirty_pages: 0,
-            redo_start: Lsn(1),
-            live_bytes_by_shard: vec![500, 1800, 2500, 0],
-        };
-        assert_eq!(ctl.plan(&est).archive_shards, vec![2]);
     }
 
     #[test]
@@ -292,10 +218,8 @@ mod tests {
         let est = RestartEstimate {
             suffix_bytes: 0,
             dirty_pages: 0,
-            redo_start: Lsn(1),
-            live_bytes_by_shard: vec![0; 4],
         };
-        assert!(ctl.plan(&est).is_idle());
+        assert_eq!(ctl.plan(&est), ControlPlan::default());
     }
 
     #[test]
@@ -491,30 +415,28 @@ mod tests {
     }
 
     #[test]
-    fn controller_estimate_tracks_truncation() {
+    fn live_suffix_tracks_truncation() {
         let ops = workload(24, 13);
         let mut db = Db::new(Geometry::default());
         for op in &ops {
             Control.execute(&mut db, op).unwrap();
         }
         db.log.flush_all();
-        let before = Controller::estimate(&db).unwrap();
-        assert!(before.suffix_bytes > 0);
-        // Clean pool + checkpoint: the suffix collapses to (roughly) the
-        // checkpoint record itself.
+        let live = |db: &Db<PageOpPayload>| db.log.suffix_bytes(db.log.first_stable());
+        let before = live(&db);
+        assert!(before > 0);
+        // Clean pool + checkpoint: the live log collapses to (roughly)
+        // the checkpoint record itself, and starts at its redo-start.
         db.pool
             .flush_all(&mut db.disk, db.log.stable_lsn())
             .unwrap();
         redo::checkpoint_fuzzy(&mut db, Control::FULL_EVERY)
             .unwrap()
             .expect("published");
-        let after = Controller::estimate(&db).unwrap();
-        assert!(
-            after.suffix_bytes < before.suffix_bytes,
-            "{} !< {}",
-            after.suffix_bytes,
-            before.suffix_bytes
+        assert!(live(&db) < before, "{} !< {before}", live(&db));
+        assert_eq!(
+            db.log.first_stable(),
+            redo::analyze(&db).unwrap().redo_start
         );
-        assert_eq!(after.dirty_pages, 0);
     }
 }

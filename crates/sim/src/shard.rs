@@ -241,19 +241,15 @@ impl ShardedStore {
             // nothing (failure atomicity, as in the sequential pool).
             for &m in &members {
                 let shard = self.shard_of(m);
-                let (_, pool) = pools
-                    .iter()
-                    .find(|(s, _)| *s == shard)
-                    .expect("needed is a subset of the locked set");
+                let (_, pool) =
+                    (pools.iter().find(|(s, _)| *s == shard)).ok_or(SimError::NotCached(m))?;
                 pool.check_flush_in_batch(&disk, m, stable_lsn, &members)?;
             }
             let mut batch: Vec<(PageId, Page)> = Vec::new();
             for &m in &members {
                 let shard = self.shard_of(m);
-                let (_, pool) = pools
-                    .iter_mut()
-                    .find(|(s, _)| *s == shard)
-                    .expect("needed is a subset of the locked set");
+                let (_, pool) =
+                    (pools.iter_mut().find(|(s, _)| *s == shard)).ok_or(SimError::NotCached(m))?;
                 if let Some(page) = pool.take_dirty_frame(m) {
                     batch.push((m, page));
                 }
@@ -313,38 +309,6 @@ impl ShardedStore {
             refused += 1;
         }
         Ok((false, refused))
-    }
-
-    /// Flushes every dirty page, retrying blocked pages after their
-    /// prerequisites flush, exactly like the sequential pool's ordered
-    /// discharge.
-    ///
-    /// # Errors
-    ///
-    /// The first unresolvable violation once a full pass makes no
-    /// progress.
-    pub fn flush_all(&self, stable_lsn: Lsn) -> SimResult<()> {
-        loop {
-            let dirty = self.dirty_pages();
-            if dirty.is_empty() {
-                return Ok(());
-            }
-            let mut progressed = false;
-            let mut first_err = None;
-            for id in dirty {
-                match self.flush_page(id, stable_lsn) {
-                    Ok(()) => progressed = true,
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-            if !progressed {
-                return Err(first_err.expect("no progress implies an error"));
-            }
-        }
     }
 
     /// Places recovery gates on `pages`: each is unservable until
@@ -643,20 +607,36 @@ mod tests {
         assert_eq!(store.disk().page_lsn(PageId(0)), Lsn(6));
     }
 
+    /// Flushes coldest-first until nothing is dirty, each round landing
+    /// a page — the controller's drain, run to the end.
+    fn drain(store: &ShardedStore, stable_lsn: Lsn) {
+        while let Some(&head) = store.coldest_dirty(None, 1).first() {
+            let landed = store
+                .flush_coldest(head, stable_lsn)
+                .map(|(landed, _)| landed);
+            assert_eq!(landed, Ok(true), "{:?} stalled", store.dirty_pages());
+        }
+    }
+
     #[test]
-    fn flush_all_discharges_ordered_chains() {
+    fn coldest_first_drain_discharges_ordered_chains() {
+        // The coldest page waits on a hotter one: the drain flushes the
+        // prerequisite first, then the page it blocked.
         let store = ShardedStore::new(4);
-        write(&store, PageId(0), Lsn(3), 1);
-        write(&store, PageId(1), Lsn(2), 2);
+        write(&store, PageId(0), Lsn(2), 1);
+        write(&store, PageId(1), Lsn(3), 2);
         store.lock_pages(&[PageId(0)]).add_constraint(Constraint {
             blocked: PageId(0),
             blocked_above: Lsn::ZERO,
             requires: PageId(1),
-            required_lsn: Lsn(2),
+            required_lsn: Lsn(3),
         });
-        store.flush_all(Lsn(10)).unwrap();
-        assert!(store.dirty_pages().is_empty());
-        assert_eq!(store.disk().page_lsn(PageId(0)), Lsn(3));
+        let head = store.coldest_dirty(None, 1)[0];
+        assert_eq!(store.flush_coldest(head, Lsn(10)), Ok((true, 1)));
+        assert_eq!(store.dirty_pages(), vec![PageId(0)]);
+        drain(&store, Lsn(10));
+        assert_eq!(store.disk().page_lsn(PageId(0)), Lsn(2));
+        assert_eq!(store.disk().page_lsn(PageId(1)), Lsn(3));
     }
 
     #[test]
@@ -689,7 +669,7 @@ mod tests {
         assert_eq!(store.dirty_count(), 3);
         store.flush_page(PageId(6), Lsn(10)).unwrap();
         assert_eq!(store.dirty_count(), 2);
-        store.flush_all(Lsn(10)).unwrap();
+        drain(&store, Lsn(10));
         assert_eq!(store.dirty_count(), 0);
     }
 
@@ -834,7 +814,7 @@ mod tests {
                 }
             });
         });
-        store.flush_all(Lsn(u64::MAX)).unwrap();
+        drain(&store, Lsn(u64::MAX));
         assert!(store.dirty_pages().is_empty());
     }
 }

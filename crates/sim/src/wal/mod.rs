@@ -1483,7 +1483,7 @@ mod tests {
         log.flush_all();
         assert!(log.record_in(0, 3).is_err(), "mid-frame offset is corrupt");
         assert!(
-            log.record_in(0, log.live_bytes_by_shard()[0]).is_err(),
+            log.record_in(0, log.suffix_bytes(Lsn::ZERO)).is_err(),
             "image end holds no record"
         );
         // Trusted after a repair, the same offsets are no frames either.

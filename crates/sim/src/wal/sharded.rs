@@ -378,13 +378,6 @@ impl<P: LogPayload> ShardedLog<P> {
         self.shards.iter().map(LogManager::forces).sum()
     }
 
-    /// Per-shard force counts — the flush-skew telemetry the bench
-    /// shard-skew reports read.
-    #[must_use]
-    pub fn forces_by_shard(&self) -> Vec<u64> {
-        self.shards.iter().map(LogManager::forces).collect()
-    }
-
     /// Shard 0's backing file, when file-backed (tests damage shard
     /// files out-of-band; each shard's own path comes from
     /// [`ShardedLog::shard_path`]).
@@ -574,40 +567,6 @@ impl<P: LogPayload> ShardedLog<P> {
         Ok(reclaimed)
     }
 
-    /// Moves shard `s`'s stable frames with LSN < `below` into the
-    /// archive tier without waiting for the other shards — the
-    /// controller's archive-pressure actuator for a shard whose live
-    /// suffix outgrew its share of the restart budget. Semantically this
-    /// is a partial [`ShardedLog::archive_prefix`]: the global
-    /// `first_stable` boundary does not move (the other shards still
-    /// hold older frames), which is exactly the state an interrupted
-    /// global drain already leaves, so every scan, crash analysis, and
-    /// retry path handles it. The caller's obligation is unchanged:
-    /// `below` must be the redo-start LSN of a *published* checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Corrupt`] as [`ShardedLog::archive_prefix`]; an error
-    /// leaves the shard (and the archive) unchanged.
-    pub fn archive_shard_prefix(&mut self, s: usize, below: Lsn) -> SimResult<u64> {
-        let below = Lsn(below.0.min(self.stable.0 + 1));
-        if below <= self.first_stable || self.injector.tripped() {
-            return Ok(0);
-        }
-        let Some(plan) = self.shards[s].plan_drain(below)? else {
-            return Ok(0);
-        };
-        self.archive
-            .append(s, &self.shards[s].stable_bytes()[..plan.pos]);
-        if self.injector.on_atomic_write() != FaultDecision::Proceed {
-            // Same crash point as the global drain: the frames exist in
-            // both tiers and a retry re-drains; scans deduplicate by LSN.
-            return Ok(0);
-        }
-        self.shards[s].apply_drain(below, plan);
-        Ok(plan.pos as u64)
-    }
-
     /// Destroys archived frames with LSN < `genesis`, per shard,
     /// returning the archive bytes reclaimed. `genesis` is clamped to
     /// [`ShardedLog::first_stable`], so only history below the
@@ -653,15 +612,6 @@ impl<P: LogPayload> ShardedLog<P> {
         self.shards.iter().map(LogManager::truncated_bytes).sum()
     }
 
-    /// Per-shard reclaimed-byte counts — truncation-skew telemetry.
-    #[must_use]
-    pub fn truncated_bytes_by_shard(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(LogManager::truncated_bytes)
-            .collect()
-    }
-
     /// Logical records elided from the live log by prefix archiving
     /// (broadcast copies counted once).
     #[must_use]
@@ -679,28 +629,6 @@ impl<P: LogPayload> ShardedLog<P> {
             .iter()
             .map(|shard| shard.suffix_bytes(from))
             .sum()
-    }
-
-    /// Per-shard suffix volume — the skew breakdown the controller's
-    /// archive-pressure actuator reads.
-    #[must_use]
-    pub fn suffix_bytes_by_shard(&self, from: Lsn) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|shard| shard.suffix_bytes(from))
-            .collect()
-    }
-
-    /// Per-shard *live* stable byte counts (bytes not yet drained to the
-    /// archive tier). Under skewed traffic a hot shard's live image can
-    /// dwarf the others'; the controller compares each shard's share
-    /// against its budget slice to decide targeted archive drains.
-    #[must_use]
-    pub fn live_bytes_by_shard(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|shard| shard.stable_bytes().len() as u64)
-            .collect()
     }
 
     /// Decodes the single logical record at `lsn`, searching the live
@@ -1682,9 +1610,9 @@ pub(super) mod tests {
         /// every `upto`, over logs built from single-page, multi-page
         /// and page-less (broadcast) records; partial and full forces
         /// (cross-shard flush groups, with their markers); drains at
-        /// random LSNs, whole and per shard; drains a fault interrupts
-        /// between archive append and live truncation — left as they
-        /// are, or retried — and archive compaction.
+        /// random LSNs; drains a fault interrupts between some shard's
+        /// archive append and its live truncation — left as they are,
+        /// or retried — and archive compaction.
         #[test]
         fn history_is_the_reference_merge(
             shard_bits in 0u32..3,
@@ -1722,7 +1650,14 @@ pub(super) mod tests {
                     }
                     _ => {
                         if b % 2 == 0 {
-                            log.archive_shard_prefix(a as usize % shards, pick(&log, b)).unwrap();
+                            // Interrupted after shard `a`'s part, so the
+                            // shards up to it are drained and the rest are
+                            // not — the shard-partial drain state.
+                            log.injector.arm(FaultPlan { at: (a as usize % shards) as u64 + 2, kind: FaultKind::Clean });
+                            log.archive_prefix(pick(&log, b)).unwrap();
+                            log.injector.reset();
+                            log.crash();
+                            log.repair_tail();
                         } else {
                             log.compact_archive(pick(&log, a));
                         }
@@ -1738,25 +1673,6 @@ pub(super) mod tests {
                 prop_assert!(history.windows(2).all(|w| w[0].lsn < w[1].lsn));
             }
         }
-    }
-
-    #[test]
-    fn per_shard_telemetry_sums_to_the_global_view() {
-        let mut log: ShardedLog<Rec> = ShardedLog::new(4);
-        for i in 0..12u32 {
-            log.append(Rec(vec![i % 4], u64::from(i))).unwrap();
-            if i % 3 == 2 {
-                log.flush_all();
-            }
-        }
-        log.flush_all();
-        assert_eq!(log.forces_by_shard().iter().sum::<u64>(), log.forces());
-        log.archive_prefix(Lsn(7)).unwrap();
-        assert_eq!(
-            log.truncated_bytes_by_shard().iter().sum::<u64>(),
-            log.truncated_bytes()
-        );
-        assert!(log.truncated_bytes_by_shard().iter().any(|&b| b > 0));
     }
 
     /// What one scan from `from` in batches of at most `max` read: each
@@ -1897,8 +1813,9 @@ pub(super) mod tests {
         /// in batches of any size, the same records decoded, the same
         /// telemetry, and the same `Corrupt` offset — over logs of
         /// single-page, multi-page (broadcast, spanning flush groups)
-        /// and page-less records on 1, 2 and 4 shards; after global,
-        /// per-shard and fault-interrupted drains; on images torn by a
+        /// and page-less records on 1, 2 and 4 shards; after global
+        /// drains and drains a fault interrupted at any shard, which
+        /// leave some shards drained and some not; on images torn by a
         /// force, before and after `repair_tail`; and with a bit flipped
         /// in bytes appended after the last repair, which the verified
         /// extent does not cover.
@@ -1935,7 +1852,16 @@ pub(super) mod tests {
                     5 => log.flush(Lsn(log.stable_lsn().0 + u64::from(a))),
                     6 => log.flush_all(),
                     7 => drop(log.archive_prefix(pick(&log, a)).unwrap()),
-                    8 => drop(log.archive_shard_prefix(a as usize % shards, pick(&log, b)).unwrap()),
+                    8 => {
+                        // Interrupted after shard `a`'s part, so the
+                        // shards up to it are drained and the rest are
+                        // not — the shard-partial drain state.
+                        log.injector.arm(FaultPlan { at: (a as usize % shards) as u64 + 2, kind: FaultKind::Clean });
+                        log.archive_prefix(pick(&log, b)).unwrap();
+                        log.injector.reset();
+                        log.crash();
+                        log.repair_tail();
+                    }
                     9 => {
                         // A drain interrupted between a shard's archive
                         // append and its live truncation.
@@ -2208,8 +2134,7 @@ pub(super) mod tests {
             }
         }
         let lens = |log: &ShardedLog<Rec>| -> Vec<usize> {
-            let live = log.live_bytes_by_shard().into_iter();
-            live.map(|len| len as usize).collect()
+            log.shards.iter().map(|s| s.stable_bytes().len()).collect()
         };
         assert_eq!(extents(&log), [0, 0], "nothing is trusted before a repair");
         log.crash();
@@ -2232,7 +2157,8 @@ pub(super) mod tests {
         flip(&mut log, 0, len - 1, 0);
         assert_eq!(scan(&log, Lsn::ZERO, 4), full);
 
-        // A global drain, then a per-shard one, rebase it.
+        // A global drain rebases it, and so does the part of a drain a
+        // crash interrupts after shard 0's: on shard 0 alone.
         let before = (extents(&log), lens(&log));
         log.archive_prefix(Lsn(7)).unwrap();
         let drained: Vec<usize> = (before.1.iter().zip(lens(&log)))
@@ -2243,11 +2169,25 @@ pub(super) mod tests {
             .collect();
         assert!(drained.iter().all(|&d| d > 0));
         assert_eq!(extents(&log), rebased);
-        let before = (extents(&log)[1], lens(&log)[1]);
-        log.archive_shard_prefix(1, Lsn(13)).unwrap();
-        assert!(lens(&log)[1] < before.1);
-        assert_eq!(extents(&log)[1], before.0 - (before.1 - lens(&log)[1]));
+        let before = (extents(&log), lens(&log));
+        log.injector.arm(FaultPlan {
+            at: 2,
+            kind: FaultKind::Clean,
+        });
+        log.archive_prefix(Lsn(13)).unwrap();
+        assert!(lens(&log)[0] < before.1[0]);
+        assert_eq!(
+            extents(&log)[0],
+            before.0[0] - (before.1[0] - lens(&log)[0])
+        );
+        assert_eq!(
+            (extents(&log)[1], lens(&log)[1]),
+            (before.0[1], before.1[1])
+        );
         assert_eq!(scan(&log, Lsn::ZERO, 4), reference_scan(&log, Lsn::ZERO, 4));
+        log.injector.reset();
+        log.crash();
+        log.repair_tail();
 
         // A rollback clamps it.
         let mut rolled = log.clone();

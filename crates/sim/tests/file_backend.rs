@@ -177,11 +177,16 @@ fn out_of_band_wal_truncation_repairs_to_the_longest_whole_prefix() {
                 }
             }
         }
-        assert_eq!(
-            std::fs::metadata(&path).expect("wal.log exists").len(),
-            log.live_bytes_by_shard()[target],
-            "repair truncates the file itself, not just the mirror"
-        );
+        // Repair truncates the files themselves, not just their mirrors:
+        // the cut file holds whole frames only, and the shard files
+        // together hold exactly the live log.
+        let bytes = std::fs::read(&path).expect("wal.log exists");
+        let whole_end = frames(&bytes).last().map_or(0, |&(end, _, _)| end);
+        assert_eq!(bytes.len(), whole_end, "{context}");
+        let on_disk: u64 = (0..shards)
+            .map(|s| std::fs::metadata(log.shard_path(s).unwrap()).unwrap().len())
+            .sum();
+        assert_eq!(on_disk, log.suffix_bytes(Lsn::ZERO), "{context}");
     }
 }
 

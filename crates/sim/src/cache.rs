@@ -198,6 +198,12 @@ impl BufferPool {
         self.dirty.len()
     }
 
+    /// `id`'s recovery LSN, if it is dirty.
+    #[must_use]
+    pub(crate) fn rec_lsn(&self, id: PageId) -> Option<Lsn> {
+        self.dirty.get(&id).copied()
+    }
+
     /// The dirty-page table: every dirty page paired with its recovery
     /// LSN (first update since the frame was last clean), in id order.
     /// This is exactly what an ARIES-style fuzzy checkpoint records: no
@@ -561,12 +567,9 @@ impl BufferPool {
                 batch.push((m, page));
             }
         }
-        match batch.len() {
-            0 => {}
-            1 => {
-                let (m, page) = batch.pop().expect("len checked");
-                disk.write_page(m, page);
-            }
+        match batch.as_mut_slice() {
+            [] => {}
+            [(m, page)] => disk.write_page(*m, std::mem::replace(page, Page::new(0))),
             _ => disk.write_pages_atomic(batch)?,
         }
         self.gc_constraints(disk);
@@ -590,20 +593,16 @@ impl BufferPool {
             if dirty.is_empty() {
                 return Ok(());
             }
-            let mut progressed = false;
-            let mut first_err = None;
+            // Every page listed is dirty, so a pass that flushed none
+            // carries the first refusal out.
+            let (mut progressed, mut first_err) = (false, Ok(()));
             for id in dirty {
-                match self.flush_page(disk, id, stable_lsn) {
-                    Ok(()) => progressed = true,
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
+                let flushed = self.flush_page(disk, id, stable_lsn);
+                progressed |= flushed.is_ok();
+                first_err = first_err.and(flushed);
             }
             if !progressed {
-                return Err(first_err.expect("no progress implies an error"));
+                return first_err;
             }
         }
     }

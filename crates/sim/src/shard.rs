@@ -12,13 +12,14 @@
 //!
 //! > **shards in ascending index order → disk**
 //!
-//! (callers put page latches before and the log after — see
-//! `redo-methods`' `concurrent` module for the full chain). Three paths
-//! exercise it:
+//! (callers put the recovery gate before and the log after — see
+//! `redo-methods`' `concurrent` module for the full chain: recovery →
+//! shards ascending → disk → log). Three paths exercise it:
 //!
 //! * [`ShardedStore::lock_pages`] — an operation leases exactly the
 //!   shards its page set touches, ascending, and reads/updates under
-//!   the lease ([`PageLease`]);
+//!   the lease ([`PageLease`]); nothing else synchronizes a page, so
+//!   the lease is also what orders conflicting operations;
 //! * [`ShardedStore::flush_page`] — a flush must honor atomic groups
 //!   whose closure may span shards. Groups are registered in **every**
 //!   member's shard, so the closure is discoverable from whatever
@@ -105,11 +106,10 @@ impl ShardedStore {
 
     /// Leases every shard the given page set touches, in ascending
     /// shard order. The lease is the only handle for reading and
-    /// updating cached pages; holding it excludes flushes and snapshots
-    /// of the same shards, so an operation's read-then-write is atomic
-    /// against conflicting operations (callers still latch pages to
-    /// order conflicting *operations* — the lease only protects the
-    /// frames).
+    /// updating cached pages; holding it excludes every other lease,
+    /// flush and snapshot of the same shards, so an operation that
+    /// reads, logs and writes under one lease is atomic against
+    /// conflicting operations — nothing else orders them.
     #[must_use]
     pub fn lock_pages(&self, pages: &[PageId]) -> PageLease<'_> {
         // A handful of pages at most: picking the next shard up by a
@@ -187,6 +187,14 @@ impl ShardedStore {
         merged
     }
 
+    /// `page`'s recLSN if it is dirty, under its shard's lock alone —
+    /// whether an entry of an earlier [`ShardedStore::coldest_dirty`]
+    /// listing still stands.
+    #[must_use]
+    pub fn rec_lsn(&self, page: PageId) -> Option<Lsn> {
+        self.shards[self.shard_of(page)].lock().rec_lsn(page)
+    }
+
     /// Total pages flushed to disk across all shards.
     #[must_use]
     pub fn flushes(&self) -> u64 {
@@ -254,12 +262,9 @@ impl ShardedStore {
                     batch.push((m, page));
                 }
             }
-            match batch.len() {
-                0 => {}
-                1 => {
-                    let (m, page) = batch.pop().expect("len checked");
-                    disk.write_page(m, page);
-                }
+            match batch.as_mut_slice() {
+                [] => {}
+                [(m, page)] => disk.write_page(*m, std::mem::replace(page, Page::new(0))),
                 _ => disk.write_pages_atomic(batch)?,
             }
             for (_, pool) in &mut pools {
@@ -468,12 +473,6 @@ impl StoreSnapshot<'_> {
         table.sort_unstable_by_key(|&(id, _)| id);
         table
     }
-
-    /// Total dirty pages in the cut.
-    #[must_use]
-    pub fn dirty_count(&self) -> usize {
-        self.guards.iter().map(|g| g.dirty_count()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -654,7 +653,6 @@ mod tests {
                 (PageId(8), Lsn(9))
             ]
         );
-        assert_eq!(snap.dirty_count(), 3);
     }
 
     #[test]
@@ -666,11 +664,49 @@ mod tests {
         }
         write(&store, PageId(2), Lsn(9), 2);
         assert_eq!(store.dirty_count(), store.dirty_pages().len());
+        assert_eq!(
+            store.dirty_count(),
+            store.snapshot().dirty_page_table().len()
+        );
         assert_eq!(store.dirty_count(), 3);
         store.flush_page(PageId(6), Lsn(10)).unwrap();
         assert_eq!(store.dirty_count(), 2);
         drain(&store, Lsn(10));
         assert_eq!(store.dirty_count(), 0);
+    }
+
+    #[test]
+    fn rec_lsn_tells_whether_a_listed_entry_still_stands() {
+        // Page 0 alone, pages 1 and 2 bound into one atomic group in
+        // different shards, page 3 dirty throughout.
+        let store = ShardedStore::new(4);
+        write(&store, PageId(0), Lsn(1), 1);
+        {
+            let pages = [PageId(1), PageId(2)];
+            let mut lease = store.lock_pages(&pages);
+            for &p in &pages {
+                lease.fetch(p, SPP, Lsn::ZERO).unwrap();
+                lease.update(p, Lsn(2), |pg| pg.set(SlotId(0), 2)).unwrap();
+            }
+            lease.add_atomic_group(&pages, Lsn(2));
+        }
+        write(&store, PageId(3), Lsn(3), 3);
+        let listed = store.coldest_dirty(None, usize::MAX);
+        let stands = |&(lsn, page): &(Lsn, PageId)| store.rec_lsn(page) == Some(lsn);
+        // Dirty: every entry stands.
+        assert_eq!(listed.len(), 4);
+        assert!(listed.iter().all(stands));
+        // Clean after a flush.
+        store.flush_page(PageId(0), Lsn(10)).unwrap();
+        assert_eq!(store.rec_lsn(PageId(0)), None);
+        // A group mate flushed with the head: page 2 went with page 1.
+        store.flush_page(PageId(1), Lsn(10)).unwrap();
+        assert_eq!(store.rec_lsn(PageId(2)), None);
+        // Re-dirtied at a later LSN: the listed entry is stale.
+        write(&store, PageId(0), Lsn(4), 4);
+        assert_eq!(store.rec_lsn(PageId(0)), Some(Lsn(4)));
+        let standing: Vec<_> = listed.into_iter().filter(stands).collect();
+        assert_eq!(standing, vec![(Lsn(3), PageId(3))]);
     }
 
     #[test]

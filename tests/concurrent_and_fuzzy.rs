@@ -115,7 +115,7 @@ fn concurrent_log_order_is_conflict_consistent() {
     // Renumber by log position and regenerate: the log order must be a
     // linear extension of its own conflict graph (trivially true for a
     // sequence-generated graph, but the *content* check is that the log
-    // is a total function of the latched execution: no record lost, no
+    // is a total function of the leased execution: no record lost, no
     // duplicate ids).
     let mut seen = std::collections::BTreeSet::new();
     for op in &ops_in_log_order {

@@ -22,6 +22,13 @@
 //! grows the database and the log tenfold — ten times the standing
 //! constraints at the same density — and asserts the time per replayed
 //! record stays within 2×.
+//!
+//! The `flush_all_standing_constraints` row is the discharge that
+//! follows: the recovered pool's `flush_all`, which a replayed
+//! operation that would close a flush-order cycle also runs. A write
+//! must drop only the constraints it satisfied, found through the page
+//! it wrote, not sweep every standing one: at the same two sizes the
+//! shape check asserts the time per page written stays within 2×.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -106,6 +113,34 @@ fn bench_recover_standing(
     (best.as_nanos() as f64 / n_ops as f64, standing)
 }
 
+/// The discharge row: (ns per page `flush_all` writes after the image
+/// is recovered, constraints standing before it) at one size, plus its
+/// timed bench.
+fn bench_flush_all_standing(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    n_ops: usize,
+    n_pages: u32,
+) -> (f64, usize) {
+    let mut recovered = crashed_with_standing_constraints(n_ops, n_pages);
+    Generalized.recover(&mut recovered).expect("recover");
+    let standing = recovered.pool.constraints().len();
+    let stable = recovered.log.stable_lsn();
+    let flush_all = |mut db: GeneralizedDb| {
+        db.pool.flush_all(&mut db.disk, stable).expect("flush_all");
+        db
+    };
+    let flushed = flush_all(recovered.clone());
+    assert!(flushed.pool.dirty_pages().is_empty() && flushed.pool.constraints().is_empty());
+    let written = flushed.disk.page_writes() - recovered.disk.page_writes();
+    let best = redo_bench::best_of(5, || recovered.clone(), flush_all);
+    group.bench_with_input(
+        BenchmarkId::new("flush_all_standing_constraints", standing),
+        &recovered,
+        |b, recovered| b.iter_batched(|| (*recovered).clone(), flush_all, BatchSize::LargeInput),
+    );
+    (best.as_nanos() as f64 / written as f64, standing)
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_constraints");
     let n = 300usize;
@@ -160,6 +195,20 @@ fn bench(c: &mut Criterion) {
     assert!(
         large_ns <= 2.0 * small_ns,
         "per-record replay cost grows with the standing constraints: \
+         {small_ns:.0} ns at {small_standing}, {large_ns:.0} ns at {large_standing}"
+    );
+
+    // The discharge after that restart, at the same two sizes.
+    let (small_ns, small_standing) = bench_flush_all_standing(&mut group, 2_000, 512);
+    let (large_ns, large_standing) = bench_flush_all_standing(&mut group, 20_000, 5_120);
+    println!(
+        "ablation_constraints shape-check: flush_all with {small_standing} standing constraints \
+         {small_ns:.0} ns per page written, with {large_standing} {large_ns:.0} ns ({:.2}x)",
+        large_ns / small_ns
+    );
+    assert!(
+        large_ns <= 2.0 * small_ns,
+        "per-page flush cost grows with the standing constraints: \
          {small_ns:.0} ns at {small_standing}, {large_ns:.0} ns at {large_standing}"
     );
     group.finish();

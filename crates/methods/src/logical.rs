@@ -85,7 +85,7 @@ impl RecoveryMethod for Logical {
         // at the previous checkpoint.
         db.disk.swing_pointer(ck)?;
         for (id, _) in dirty {
-            db.pool.mark_clean(id)?;
+            db.pool.mark_clean(&db.disk, id)?;
         }
         Ok(())
     }

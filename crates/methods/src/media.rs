@@ -322,8 +322,10 @@ pub fn rebuild_images(db: &Db<PageOpPayload>) -> SimResult<BTreeMap<PageId, Page
 }
 
 /// Installs rebuild images in one atomic multi-page write, skipping
-/// pages the disk already carries at (or past) the image's LSN. Returns
-/// the pages written.
+/// pages the disk already carries at (or past) the image's LSN, and
+/// drops the write-order constraints the pages written satisfied (an
+/// on-demand restart installs while earlier components' replay has
+/// constraints standing). Returns the pages written.
 ///
 /// The write is one faultable event: an armed fault suppresses all of
 /// it, leaving every lost page lost, to be re-detected and re-installed
@@ -340,10 +342,13 @@ pub fn install_images(db: &mut Db<PageOpPayload>, images: &BTreeMap<PageId, Page
     if written.is_empty() {
         return written;
     }
-    match db.disk.write_pages_atomic(batch) {
-        Ok(()) => written,
-        Err(_) => Vec::new(),
+    if db.disk.write_pages_atomic(batch).is_err() {
+        return Vec::new();
     }
+    for &page in &written {
+        db.pool.discharge(&db.disk, page);
+    }
+    written
 }
 
 impl RecoveryMethod for Media {

@@ -28,7 +28,8 @@
 //! only when a victim is actually needed; the constraints are indexed
 //! by `blocked` page (what a flush consults) and by `requires` page (the
 //! flush-order graph's adjacency, what [`BufferPool::would_cycle`]
-//! walks); and the
+//! walks, and what a write looks up to drop the constraints it
+//! satisfied); and the
 //! dirty-page table is kept as an index rather than filtered out of the
 //! frames — twice, by page and by recLSN, so the page that pins
 //! redo-start is read off the head of an order rather than sorted out of
@@ -41,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use redo_theory::log::Lsn;
-use redo_workload::pages::PageId;
+use redo_workload::pages::{PageId, PageSet};
 
 use crate::disk::Disk;
 use crate::error::{SimError, SimResult};
@@ -117,9 +118,12 @@ pub struct BufferPool {
     constraints: BTreeMap<PageId, Vec<Constraint>>,
     /// The same constraints by `requires` page, as `(blocked,
     /// required_lsn)`: the out-edges of the flush-order graph. Both
-    /// maps always hold the same set — [`BufferPool::add_constraint`]
-    /// and [`BufferPool::gc_constraints`] are the only writers and
-    /// apply the same change to each.
+    /// maps always hold the same set, and only unsatisfied constraints
+    /// — [`BufferPool::add_constraint`] pushes to both, and
+    /// [`BufferPool::discharge`], run for every page a write installs,
+    /// drops what that page's new durable copy satisfied from both.
+    /// (A [`crate::shard::ShardedStore`] shard holds one half of a
+    /// constraint whose other page lives in another shard.)
     successors: BTreeMap<PageId, Vec<(PageId, Lsn)>>,
     groups: Vec<AtomicGroup>,
     flushes: u64,
@@ -236,18 +240,97 @@ impl BufferPool {
 
     /// Registers a write-order constraint.
     pub fn add_constraint(&mut self, c: Constraint) {
-        self.constraints.entry(c.blocked).or_default().push(c);
-        self.successors
-            .entry(c.requires)
-            .or_default()
-            .push((c.blocked, c.required_lsn));
+        self.add_blocked(c);
+        self.add_edge(c);
     }
 
-    /// Currently active constraints (satisfied ones are garbage-collected
-    /// on flush), by blocked page and in registration order within one.
+    /// Files `c` in its blocked page's list, the half a flush of that
+    /// page checks.
+    pub(crate) fn add_blocked(&mut self, c: Constraint) {
+        self.constraints.entry(c.blocked).or_default().push(c);
+    }
+
+    /// Files `c` as an out-edge of its prerequisite page, the half a
+    /// write of that page discharges.
+    pub(crate) fn add_edge(&mut self, c: Constraint) {
+        let edges = self.successors.entry(c.requires).or_default();
+        edges.push((c.blocked, c.required_lsn));
+    }
+
+    /// Currently active constraints (a write drops the ones it
+    /// satisfied), by blocked page and in registration order within one.
     #[must_use]
     pub fn constraints(&self) -> Vec<Constraint> {
         self.constraints.values().flatten().copied().collect()
+    }
+
+    /// Drops the write-order constraints `page`'s durable copy now
+    /// satisfies: its out-edges whose required LSN the disk has
+    /// reached, and the same constraints from their blocked pages'
+    /// lists where this pool holds them. Looks at nothing but `page`'s
+    /// edges and the lists they name. Every write this pool makes runs
+    /// it for the pages written; run it too for a page that reached
+    /// disk past the pool (a pointer swing, a media install).
+    pub fn discharge(&mut self, disk: &Disk, page: PageId) {
+        let Some(edges) = self.successors.get_mut(&page) else {
+            return;
+        };
+        let durable = disk.page_lsn(page);
+        let mut spent: Vec<PageId> = Vec::new();
+        edges.retain(|&(blocked, required)| {
+            let stands = durable < required;
+            if !stands {
+                spent.push(blocked);
+            }
+            stands
+        });
+        if edges.is_empty() {
+            self.successors.remove(&page);
+        }
+        spent.sort_unstable();
+        spent.dedup();
+        for blocked in spent {
+            if let Some(list) = self.constraints.get_mut(&blocked) {
+                list.retain(|c| c.requires != page || durable < c.required_lsn);
+                if list.is_empty() {
+                    self.constraints.remove(&blocked);
+                }
+            }
+        }
+    }
+
+    /// Drops every satisfied constraint from `blocked`'s list, and
+    /// leaves the list room for as many again as it kept. A sharded
+    /// store calls it where it touches the list under the blocked
+    /// page's shard — the page's flush, a new constraint on a full list
+    /// — because the write that satisfied one may have run in another
+    /// shard, whose [`BufferPool::discharge`] cannot reach this list.
+    pub(crate) fn prune_blocked(&mut self, disk: &Disk, blocked: PageId) {
+        if let Some(list) = self.constraints.get_mut(&blocked) {
+            list.retain(|c| disk.page_lsn(c.requires) < c.required_lsn);
+            if list.is_empty() {
+                self.constraints.remove(&blocked);
+            } else {
+                list.reserve(list.len());
+            }
+        }
+    }
+
+    /// Would one more constraint on `blocked` outgrow its list's
+    /// allocation? Pruning only then keeps registration O(1) amortized:
+    /// a prune walks at most the allocation, and the room
+    /// [`BufferPool::prune_blocked`] leaves is at least half of it.
+    pub(crate) fn blocked_list_is_full(&self, blocked: PageId) -> bool {
+        let list = self.constraints.get(&blocked);
+        list.is_some_and(|list| list.len() == list.capacity())
+    }
+
+    /// Every flush-order edge this pool holds, as `(requires, blocked,
+    /// required_lsn)`.
+    #[cfg(test)]
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (PageId, PageId, Lsn)> + '_ {
+        let by_requires = self.successors.iter();
+        by_requires.flat_map(|(&r, edges)| edges.iter().map(move |&(b, l)| (r, b, l)))
     }
 
     /// Binds a set of pages into an atomic flush group at `lsn`: until
@@ -268,12 +351,14 @@ impl BufferPool {
     }
 
     /// The transitive closure of active atomic groups containing `id`:
-    /// the set of pages that must reach disk together with `id`.
+    /// the pages that must reach disk together with `id`, ascending.
     /// Overlapping groups chain (flushing a shared member at its newest
-    /// LSN would otherwise part-install the other group).
+    /// LSN would otherwise part-install the other group). A closure of
+    /// a few pages — `id` alone, when no active group binds it — is
+    /// held inline, with nothing allocated.
     #[must_use]
-    pub fn atomic_closure(&self, disk: &Disk, id: PageId) -> BTreeSet<PageId> {
-        let mut members = BTreeSet::from([id]);
+    pub fn atomic_closure(&self, disk: &Disk, id: PageId) -> PageSet {
+        let mut members: PageSet = std::iter::once(id).collect();
         self.extend_atomic_closure(disk, &mut members);
         members
     }
@@ -296,11 +381,11 @@ impl BufferPool {
     /// the single-copy cache could never flush legally again.
     #[must_use]
     pub fn would_cycle(&self, disk: &Disk, written: &[PageId], cross_reads: &[PageId]) -> bool {
-        let mut target: BTreeSet<PageId> = written.iter().copied().collect();
+        let mut target: PageSet = written.iter().copied().collect();
         self.extend_atomic_closure(disk, &mut target);
         let mut frontier: Vec<PageId> = cross_reads.to_vec();
         if written.len() > 1 {
-            for &page in &target {
+            for &page in target.iter() {
                 frontier.extend(self.flushes_before(disk, page));
             }
         }
@@ -508,11 +593,11 @@ impl BufferPool {
     ///
     /// The specific violation; `Ok(())` means the flush is legal.
     pub fn check_flush(&self, disk: &Disk, id: PageId, stable_lsn: Lsn) -> SimResult<()> {
-        self.check_flush_in_batch(disk, id, stable_lsn, &BTreeSet::new())
+        self.check_flush_in_batch(disk, id, stable_lsn, |_| false)
     }
 
-    /// As [`BufferPool::check_flush`], treating `batch` as pages that
-    /// will reach disk in the same atomic write — a write-order
+    /// As [`BufferPool::check_flush`], treating the pages `in_batch`
+    /// accepts as reaching disk in the same atomic write — a write-order
     /// prerequisite inside the batch counts as satisfied (the members'
     /// cached versions carry LSNs at or beyond any constraint their
     /// binding operation created).
@@ -521,7 +606,7 @@ impl BufferPool {
         disk: &Disk,
         id: PageId,
         stable_lsn: Lsn,
-        batch: &BTreeSet<PageId>,
+        in_batch: impl Fn(PageId) -> bool,
     ) -> SimResult<()> {
         let frame = self.frames.get(id).ok_or(SimError::NotCached(id))?;
         let page_lsn = frame.page.lsn();
@@ -535,7 +620,7 @@ impl BufferPool {
         for c in self.constraints.get(&id).into_iter().flatten() {
             if page_lsn > c.blocked_above
                 && disk.page_lsn(c.requires) < c.required_lsn
-                && !batch.contains(&c.requires)
+                && !in_batch(c.requires)
             {
                 return Err(SimError::WriteOrderViolation {
                     blocked: id,
@@ -549,7 +634,8 @@ impl BufferPool {
 
     /// Flushes a dirty page to disk (atomic page write), after checking
     /// the WAL rule and every write-order constraint. Clean pages flush
-    /// trivially (no-op). Satisfied constraints are garbage-collected.
+    /// trivially (no-op). The constraints the write satisfied are
+    /// dropped ([`BufferPool::discharge`] of each page written).
     ///
     /// # Errors
     ///
@@ -558,11 +644,11 @@ impl BufferPool {
         // Atomic groups widen the flush: every page bound to `id` by an
         // active group must go to disk in the same atomic write.
         let members = self.atomic_closure(disk, id);
-        for &m in &members {
-            self.check_flush_in_batch(disk, m, stable_lsn, &members)?;
+        for &m in members.iter() {
+            self.check_flush_in_batch(disk, m, stable_lsn, |p| members.contains(&p))?;
         }
         let mut batch = Vec::new();
-        for &m in &members {
+        for &m in members.iter() {
             if let Some(page) = self.take_dirty_frame(m) {
                 batch.push((m, page));
             }
@@ -572,7 +658,9 @@ impl BufferPool {
             [(m, page)] => disk.write_page(*m, std::mem::replace(page, Page::new(0))),
             _ => disk.write_pages_atomic(batch)?,
         }
-        self.gc_constraints(disk);
+        for &m in members.iter() {
+            self.discharge(disk, m);
+        }
         self.gc_groups(disk);
         Ok(())
     }
@@ -584,9 +672,12 @@ impl BufferPool {
     ///
     /// # Errors
     ///
-    /// The first unresolvable violation (e.g. WAL rule, or circular
-    /// constraints — which the write-graph acyclicity makes impossible
-    /// for well-formed methods).
+    /// The first refusal of a pass that flushed nothing: the WAL rule,
+    /// or constraints that block each other in a cycle. The
+    /// generalized method's admission keeps its own pool acyclic, but
+    /// `SharedDb` admits cycles, and a recovery pool replaying its log
+    /// meets them — which is why replay discharges through this before
+    /// it admits the operation that would close one.
     pub fn flush_all(&mut self, disk: &mut Disk, stable_lsn: Lsn) -> SimResult<()> {
         loop {
             let dirty = self.dirty_pages();
@@ -641,15 +732,17 @@ impl BufferPool {
 
     /// Marks a cached page clean *without* writing it through this pool —
     /// used after a checkpoint pointer swing has installed the page by
-    /// other means (the staging-area promotion).
+    /// other means (the staging-area promotion) — and drops the
+    /// constraints its durable copy on `disk` now satisfies.
     ///
     /// # Errors
     ///
     /// [`SimError::NotCached`] if absent.
-    pub fn mark_clean(&mut self, id: PageId) -> SimResult<()> {
+    pub fn mark_clean(&mut self, disk: &Disk, id: PageId) -> SimResult<()> {
         let frame = self.frames.get_mut(id).ok_or(SimError::NotCached(id))?;
         frame.dirty = false;
         self.leave_dirty_table(id);
+        self.discharge(disk, id);
         Ok(())
     }
 
@@ -665,25 +758,6 @@ impl BufferPool {
         self.groups.clear();
     }
 
-    pub(crate) fn gc_constraints(&mut self, disk: &Disk) {
-        // The by-`requires` map needs one durable LSN per prerequisite
-        // page, so it is swept first; the by-`blocked` map holds the
-        // same constraints and is swept only if that dropped any.
-        let mut dropped = false;
-        self.successors.retain(|&requires, edges| {
-            let (durable, before) = (disk.page_lsn(requires), edges.len());
-            edges.retain(|&(_, required)| durable < required);
-            dropped |= edges.len() < before;
-            !edges.is_empty()
-        });
-        if dropped {
-            self.constraints.retain(|_, list| {
-                list.retain(|c| disk.page_lsn(c.requires) < c.required_lsn);
-                !list.is_empty()
-            });
-        }
-    }
-
     pub(crate) fn gc_groups(&mut self, disk: &Disk) {
         self.groups
             .retain(|g| g.pages.iter().any(|&p| disk.page_lsn(p) < g.lsn));
@@ -695,18 +769,14 @@ impl BufferPool {
     /// every member's shard and iterates this step across locked shards
     /// until no shard reports growth, then widens its lock set if the
     /// closure escaped it.
-    pub(crate) fn extend_atomic_closure(
-        &self,
-        disk: &Disk,
-        members: &mut BTreeSet<PageId>,
-    ) -> bool {
+    pub(crate) fn extend_atomic_closure(&self, disk: &Disk, members: &mut PageSet) -> bool {
         let mut grew = false;
         loop {
             let before = members.len();
             for g in &self.groups {
                 let active = g.pages.iter().any(|&p| disk.page_lsn(p) < g.lsn);
                 if active && g.pages.iter().any(|p| members.contains(p)) {
-                    members.extend(g.pages.iter().copied());
+                    g.pages.iter().for_each(|&p| members.insert(p));
                 }
             }
             if members.len() == before {
@@ -846,10 +916,10 @@ mod tests {
 
     #[test]
     fn declined_update_leaves_the_frame_clean_and_its_lsn_alone() {
-        let (mut pool, _disk) = pool_with_page(PageId(0));
+        let (mut pool, disk) = pool_with_page(PageId(0));
         pool.update(PageId(0), Lsn(5), |p| p.set(SlotId(0), 9))
             .unwrap();
-        pool.mark_clean(PageId(0)).unwrap();
+        pool.mark_clean(&disk, PageId(0)).unwrap();
         assert!(!pool.update_if(PageId(0), Lsn(3), |_| false).unwrap());
         assert!(pool.dirty_page_table().is_empty());
         assert_eq!(pool.get(PageId(0)).unwrap().lsn(), Lsn(5));
@@ -1098,7 +1168,8 @@ mod tests {
         pool.add_atomic_group([PageId(0), PageId(1)], Lsn(2));
         pool.add_atomic_group([PageId(1), PageId(2)], Lsn(4));
         let closure = pool.atomic_closure(&disk, PageId(0));
-        assert_eq!(closure.len(), 3);
+        assert_eq!(*closure, [PageId(0), PageId(1), PageId(2)]);
+        assert_eq!(*pool.atomic_closure(&disk, PageId(5)), [PageId(5)]);
         pool.flush_page(&mut disk, PageId(0), Lsn(10)).unwrap();
         assert_eq!(disk.page_lsn(PageId(2)), Lsn(4));
         assert!(pool.atomic_groups().is_empty());
@@ -1176,10 +1247,10 @@ mod tests {
 
     #[test]
     fn rec_lsn_cleared_by_mark_clean() {
-        let (mut pool, _disk) = pool_with_page(PageId(0));
+        let (mut pool, disk) = pool_with_page(PageId(0));
         pool.update(PageId(0), Lsn(2), |p| p.set(SlotId(0), 1))
             .unwrap();
-        pool.mark_clean(PageId(0)).unwrap();
+        pool.mark_clean(&disk, PageId(0)).unwrap();
         assert!(pool.dirty_page_table().is_empty());
         pool.update(PageId(0), Lsn(5), |p| p.set(SlotId(0), 2))
             .unwrap();
@@ -1347,9 +1418,7 @@ mod tests {
             .iter()
             .map(|c| (c.requires, c.blocked, c.required_lsn))
             .collect();
-        let mut by_requires: Vec<(PageId, PageId, Lsn)> = (pool.successors.iter())
-            .flat_map(|(&r, edges)| edges.iter().map(move |&(b, l)| (r, b, l)))
-            .collect();
+        let mut by_requires: Vec<(PageId, PageId, Lsn)> = pool.edges().collect();
         by_blocked.sort_unstable();
         by_requires.sort_unstable();
         assert_eq!(by_blocked, by_requires);
@@ -1471,6 +1540,141 @@ mod tests {
         assert!(pool.would_cycle(&disk, &[a, c], &[]));
     }
 
+    /// The collection every flush used to run: every prerequisite's
+    /// edges, then every blocked page's list, filtered by the disk.
+    fn sweep_constraints(pool: &mut BufferPool, disk: &Disk) {
+        pool.successors.retain(|&requires, edges| {
+            edges.retain(|&(_, required)| disk.page_lsn(requires) < required);
+            !edges.is_empty()
+        });
+        pool.constraints.retain(|_, list| {
+            list.retain(|c| disk.page_lsn(c.requires) < c.required_lsn);
+            !list.is_empty()
+        });
+    }
+
+    /// `pool` with its constraints replaced by every one in `registered`,
+    /// in registration order — none collected.
+    fn holding_all(pool: &BufferPool, registered: &[Constraint]) -> BufferPool {
+        let mut twin = pool.clone();
+        twin.constraints.clear();
+        twin.successors.clear();
+        for &c in registered {
+            twin.add_constraint(c);
+        }
+        twin
+    }
+
+    proptest::proptest! {
+        /// A write drops exactly what it satisfied. Under any run of
+        /// cross-page operations (`update` of the written page,
+        /// `add_constraint` on the page read), two-page operations bound
+        /// into a group, `flush_page` with the log forced or behind,
+        /// `flush_all`, eviction (a fetch into a full pool) and
+        /// `mark_clean` after a write past the pool, on a bounded pool:
+        /// after every step the two indexes mirror each other and hold
+        /// exactly the registered constraints the disk does not yet
+        /// satisfy, in registration order per page — what a twin that
+        /// still sweeps holds — and every flush check and cycle probe
+        /// answers as the twin that never collected anything.
+        #[test]
+        fn a_write_drops_exactly_the_constraints_it_satisfied(
+            capacity in 2usize..6,
+            steps in proptest::collection::vec((0u8..10, 0u32..8, 0u32..8), 1..150),
+        ) {
+            let mut pool = BufferPool::new(Some(capacity));
+            let mut disk = Disk::new();
+            let mut registered: Vec<Constraint> = Vec::new();
+            let mut next = 1u64;
+            for (what, a, b) in steps {
+                let (id, other, lsn) = (PageId(a), PageId(b), Lsn(next));
+                let stable = Lsn(next + 1);
+                let fetched = |pool: &mut BufferPool, disk: &mut Disk, pages: &[PageId]| {
+                    pages.iter().all(|&p| pool.fetch(disk, p, 4, stable).is_ok())
+                        && pages.iter().all(|&p| pool.get(p).is_some())
+                };
+                match what {
+                    0 => {
+                        if fetched(&mut pool, &mut disk, &[id]) {
+                            pool.update(id, lsn, |p| p.set(SlotId(0), next)).unwrap();
+                        }
+                    }
+                    1 | 2 if a != b => {
+                        // Read `other`, write `id`: `other` may not pass
+                        // this LSN on disk before `id` reaches it.
+                        if fetched(&mut pool, &mut disk, &[other, id]) {
+                            pool.update(id, lsn, |p| p.set(SlotId(0), next)).unwrap();
+                            let c = constraint(b, next, a, next);
+                            pool.add_constraint(c);
+                            registered.push(c);
+                        }
+                    }
+                    3 if a != b => {
+                        if fetched(&mut pool, &mut disk, &[id, other]) {
+                            for p in [id, other] {
+                                pool.update(p, lsn, |pg| pg.set(SlotId(1), next)).unwrap();
+                            }
+                            pool.add_atomic_group([id, other], lsn);
+                        }
+                    }
+                    4 => {
+                        let _ = pool.flush_page(&mut disk, id, stable);
+                    }
+                    5 => {
+                        // The log behind the newest updates.
+                        let behind = Lsn(next.saturating_sub(6));
+                        let _ = pool.flush_page(&mut disk, id, behind);
+                    }
+                    6 => {
+                        let _ = pool.flush_all(&mut disk, stable);
+                    }
+                    7 => {
+                        // Into a full pool: a victim is evicted, flushed
+                        // first if dirty.
+                        let _ = pool.fetch(&mut disk, id, 4, stable);
+                    }
+                    8 => {
+                        // Installed by other means, then marked clean.
+                        if let Some(page) = pool.get(id).filter(|p| p.lsn() <= stable).cloned() {
+                            disk.write_page(id, page);
+                            pool.mark_clean(&disk, id).unwrap();
+                        }
+                    }
+                    _ => {
+                        if a == b && b == 0 {
+                            pool.crash();
+                            registered.clear();
+                        }
+                    }
+                }
+                next += 2;
+                assert_indexes_mirror(&pool);
+                let mut standing: Vec<Constraint> = (registered.iter().copied())
+                    .filter(|c| disk.page_lsn(c.requires) < c.required_lsn)
+                    .collect();
+                standing.sort_by_key(|c| c.blocked);
+                proptest::prop_assert_eq!(pool.constraints(), standing);
+                let unswept = holding_all(&pool, &registered);
+                let mut swept = unswept.clone();
+                sweep_constraints(&mut swept, &disk);
+                proptest::prop_assert_eq!(&swept.constraints, &pool.constraints);
+                proptest::prop_assert_eq!(&swept.successors, &pool.successors);
+                for p in (0..8).map(PageId) {
+                    let verdict = pool.check_flush(&disk, p, stable);
+                    proptest::prop_assert_eq!(&verdict, &unswept.check_flush(&disk, p, stable));
+                    for r in [1, 3].map(|k| PageId((p.0 + k) % 8)) {
+                        for (written, read) in [(vec![p], vec![r]), (vec![p, r], vec![])] {
+                            proptest::prop_assert_eq!(
+                                pool.would_cycle(&disk, &written, &read),
+                                unswept.would_cycle(&disk, &written, &read)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         /// Every writer of the dirty-page table writes its recLSN order
         /// too: first-dirtying and declined updates, installs over clean
@@ -1521,7 +1725,7 @@ mod tests {
                         let _ = pool.flush_page(&mut disk, id, stable);
                     }
                     7 => {
-                        let _ = pool.mark_clean(id);
+                        let _ = pool.mark_clean(&disk, id);
                     }
                     _ => {
                         if a == b {
@@ -1717,7 +1921,7 @@ mod tests {
                         model.flush_all(stable);
                     }
                     14 => {
-                        let cleaned = pool.mark_clean(id).is_ok();
+                        let cleaned = pool.mark_clean(&disk, id).is_ok();
                         proptest::prop_assert_eq!(cleaned, model.frames.contains_key(&id));
                         if let Some(frame) = model.frames.get_mut(&id) {
                             frame.1 = false;
@@ -1792,7 +1996,7 @@ mod tests {
         assert_indexes_mirror(&pool);
         // Dropping from the middle moves the last frame into the hole;
         // every survivor must still be found where the index says.
-        pool.mark_clean(PageId(7)).unwrap();
+        pool.mark_clean(&disk, PageId(7)).unwrap();
         pool.drop_clean(PageId(7)).unwrap();
         assert!(pool.get(PageId(7)).is_none());
         assert_eq!(

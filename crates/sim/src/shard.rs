@@ -32,16 +32,24 @@
 //!   the dirty-page table it reads is a consistent cut against every
 //!   concurrent applier.
 //!
-//! Write-order constraints need no cross-shard care: a constraint lives
-//! in its *blocked* page's shard (the only shard whose flushes must
-//! check it), and its `requires` prerequisite is checked against the
-//! shared disk, not against another shard's volatile state.
+//! A write-order constraint is filed in two halves. Its blocked page's
+//! shard holds it in that page's list (the only shard whose flushes
+//! must check it), checking its `requires` prerequisite against the
+//! shared disk, not against another shard's volatile state. Its
+//! prerequisite's shard holds it as an out-edge of that page, so the
+//! flush that writes the prerequisite finds, under locks it already
+//! holds, every edge it satisfied ([`BufferPool::discharge`]).
+//! Registration holds both pages' shards. What a flush cannot reach —
+//! the satisfied constraint in a list in another shard — is pruned
+//! where that list is next touched under its own shard: the blocked
+//! page's own flush, or a new constraint on it that finds the list
+//! full. No path sweeps a shard's constraints.
 
 use std::collections::BTreeSet;
 
 use parking_lot::{Mutex, MutexGuard};
 use redo_theory::log::Lsn;
-use redo_workload::pages::PageId;
+use redo_workload::pages::{PageId, PageSet};
 
 use crate::cache::{BufferPool, Constraint};
 use crate::disk::Disk;
@@ -228,7 +236,7 @@ impl ShardedStore {
             // Closure fixpoint over the locked shards. Every group is
             // registered in every member's shard, so one shard of each
             // member suffices to discover the next link of a chain.
-            let mut members = BTreeSet::from([id]);
+            let mut members: PageSet = std::iter::once(id).collect();
             loop {
                 let mut grew = false;
                 for (_, pool) in &pools {
@@ -238,27 +246,22 @@ impl ShardedStore {
                     break;
                 }
             }
-            let needed: BTreeSet<usize> = members.iter().map(|&p| self.shard_of(p)).collect();
-            if !needed.is_subset(&lock_set) {
-                lock_set.extend(needed);
+            let needed = || members.iter().map(|&p| self.shard_of(p));
+            if !needed().all(|s| lock_set.contains(&s)) {
+                lock_set.extend(needed());
                 drop(disk);
                 drop(pools);
                 continue;
             }
             // Check every member in its own shard; refusal flushes
             // nothing (failure atomicity, as in the sequential pool).
-            for &m in &members {
-                let shard = self.shard_of(m);
-                let (_, pool) =
-                    (pools.iter().find(|(s, _)| *s == shard)).ok_or(SimError::NotCached(m))?;
-                pool.check_flush_in_batch(&disk, m, stable_lsn, &members)?;
+            for &m in members.iter() {
+                let pool = self.locked(&mut pools, m)?;
+                pool.check_flush_in_batch(&disk, m, stable_lsn, |p| members.contains(&p))?;
             }
             let mut batch: Vec<(PageId, Page)> = Vec::new();
-            for &m in &members {
-                let shard = self.shard_of(m);
-                let (_, pool) =
-                    (pools.iter_mut().find(|(s, _)| *s == shard)).ok_or(SimError::NotCached(m))?;
-                if let Some(page) = pool.take_dirty_frame(m) {
+            for &m in members.iter() {
+                if let Some(page) = self.locked(&mut pools, m)?.take_dirty_frame(m) {
                     batch.push((m, page));
                 }
             }
@@ -267,12 +270,31 @@ impl ShardedStore {
                 [(m, page)] => disk.write_page(*m, std::mem::replace(page, Page::new(0))),
                 _ => disk.write_pages_atomic(batch)?,
             }
+            // Drop the edges the write satisfied, and prune each
+            // member's own list of what other shards' flushes satisfied.
+            for &m in members.iter() {
+                let pool = self.locked(&mut pools, m)?;
+                pool.discharge(&disk, m);
+                pool.prune_blocked(&disk, m);
+            }
             for (_, pool) in &mut pools {
-                pool.gc_constraints(&disk);
                 pool.gc_groups(&disk);
             }
             return Ok(());
         }
+    }
+
+    /// `page`'s pool among the shards a flush has `locked`.
+    fn locked<'p>(
+        &self,
+        locked: &'p mut [(usize, MutexGuard<'_, BufferPool>)],
+        page: PageId,
+    ) -> SimResult<&'p mut BufferPool> {
+        let shard = self.shard_of(page);
+        let found = locked.iter_mut().find(|(s, _)| *s == shard);
+        found
+            .map(|(_, pool)| &mut **pool)
+            .ok_or(SimError::NotCached(page))
     }
 
     /// [`ShardedStore::flush_page`] for a background flusher, to which a
@@ -434,10 +456,20 @@ impl PageLease<'_> {
         self.pool_mut(id).update(id, lsn, f)
     }
 
-    /// Registers a write-order constraint in the **blocked** page's
-    /// shard — the only shard whose flushes must consult it.
+    /// Registers a write-order constraint: in the **blocked** page's
+    /// shard, the only one whose flushes must consult it — pruning that
+    /// page's list of what other shards' flushes satisfied first, if
+    /// the list is full — and as an edge in the **required** page's
+    /// shard, where that page's flush will discharge it. The lease must
+    /// cover both pages.
     pub fn add_constraint(&mut self, c: Constraint) {
-        self.pool_mut(c.blocked).add_constraint(c);
+        let store = self.store;
+        let blocked = self.pool_mut(c.blocked);
+        if blocked.blocked_list_is_full(c.blocked) {
+            blocked.prune_blocked(&store.disk.lock(), c.blocked);
+        }
+        blocked.add_blocked(c);
+        self.pool_mut(c.requires).add_edge(c);
     }
 
     /// Binds `pages` into an atomic flush group at `lsn`, registering
@@ -586,12 +618,14 @@ mod tests {
         let store = ShardedStore::new(2);
         write(&store, PageId(1), Lsn(5), 1);
         write(&store, PageId(0), Lsn(6), 2);
-        store.lock_pages(&[PageId(0)]).add_constraint(Constraint {
-            blocked: PageId(0),
-            blocked_above: Lsn(5),
-            requires: PageId(1),
-            required_lsn: Lsn(5),
-        });
+        store
+            .lock_pages(&[PageId(0), PageId(1)])
+            .add_constraint(Constraint {
+                blocked: PageId(0),
+                blocked_above: Lsn(5),
+                requires: PageId(1),
+                required_lsn: Lsn(5),
+            });
         let err = store.flush_page(PageId(0), Lsn(10)).unwrap_err();
         assert_eq!(
             err,
@@ -604,6 +638,88 @@ mod tests {
         store.flush_page(PageId(1), Lsn(10)).unwrap();
         store.flush_page(PageId(0), Lsn(10)).unwrap();
         assert_eq!(store.disk().page_lsn(PageId(0)), Lsn(6));
+    }
+
+    /// Every flush-order edge requiring `page`, in whichever shard.
+    fn edges_requiring(store: &ShardedStore, page: PageId) -> Vec<(PageId, Lsn)> {
+        let shards = store.shards.iter();
+        let edges: Vec<_> = shards
+            .flat_map(|s| s.lock().edges().collect::<Vec<_>>())
+            .collect();
+        let requiring = edges.into_iter().filter(|&(r, _, _)| r == page);
+        requiring.map(|(_, b, l)| (b, l)).collect()
+    }
+
+    /// `page`'s constraint list, from its own shard.
+    fn list_of(store: &ShardedStore, page: PageId) -> Vec<Constraint> {
+        let pool = store.shards[store.shard_of(page)].lock();
+        let list = pool.constraints().into_iter();
+        list.filter(|c| c.blocked == page).collect()
+    }
+
+    /// One read-`read`-write-`written` operation at `lsn`, under one
+    /// lease, as `SharedDb` runs it.
+    fn cross_write(store: &ShardedStore, read: PageId, written: PageId, lsn: Lsn) {
+        let mut lease = store.lock_pages(&[read, written]);
+        lease.fetch(read, SPP, Lsn::ZERO).unwrap();
+        lease.fetch(written, SPP, Lsn::ZERO).unwrap();
+        lease
+            .update(written, lsn, |p| p.set(SlotId(0), lsn.0))
+            .unwrap();
+        lease.add_constraint(Constraint {
+            blocked: read,
+            blocked_above: lsn,
+            requires: written,
+            required_lsn: lsn,
+        });
+    }
+
+    #[test]
+    fn a_flush_leaves_no_edge_requiring_the_page_it_wrote() {
+        // x (shard 1) read, y (shard 0) written: the edge lives in y's
+        // shard, the constraint in x's list in x's shard.
+        let store = ShardedStore::new(2);
+        let (x, y) = (PageId(1), PageId(0));
+        cross_write(&store, x, y, Lsn(3));
+        write(&store, x, Lsn(4), 7);
+        assert_eq!(edges_requiring(&store, y), vec![(x, Lsn(3))]);
+        assert!(store.shards[1].lock().edges().next().is_none());
+        assert_eq!(list_of(&store, x).len(), 1);
+        assert_eq!(store.flush_unless_refused(x, Lsn(10)), Ok(false));
+        store.flush_page(y, Lsn(10)).unwrap();
+        assert!(edges_requiring(&store, y).is_empty());
+        assert!(store
+            .shards
+            .iter()
+            .all(|s| s.lock().edges().next().is_none()));
+        // Shard 0's flush could not reach x's list; x's own flush
+        // prunes it, and the satisfied constraint refuses nothing.
+        assert_eq!(list_of(&store, x).len(), 1);
+        store.flush_page(x, Lsn(10)).unwrap();
+        assert!(list_of(&store, x).is_empty());
+        assert_eq!(store.disk().page_lsn(x), Lsn(4));
+    }
+
+    #[test]
+    fn a_page_read_a_thousand_times_and_never_dirtied_keeps_a_bounded_list() {
+        // x in another shard than the page written, then in the same one.
+        for (n_shards, x) in [(2, PageId(1)), (4, PageId(4))] {
+            let store = ShardedStore::new(n_shards);
+            let y = PageId(0);
+            let mut longest = 0;
+            for i in 1..=1_000 {
+                cross_write(&store, x, y, Lsn(i));
+                store.flush_page(y, Lsn(i)).unwrap();
+                longest = longest.max(list_of(&store, x).len());
+                assert!(edges_requiring(&store, y).is_empty());
+            }
+            assert!(store.dirty_pages().is_empty(), "x was never dirtied");
+            // Same shard: y's flush reached x's list itself. Another
+            // shard: the list is pruned when it fills its allocation, so
+            // it never outgrows its first one.
+            let bound = if n_shards == 2 { 8 } else { 1 };
+            assert!(longest <= bound, "{n_shards} shards: {longest} entries");
+        }
     }
 
     /// Flushes coldest-first until nothing is dirty, each round landing
@@ -624,12 +740,14 @@ mod tests {
         let store = ShardedStore::new(4);
         write(&store, PageId(0), Lsn(2), 1);
         write(&store, PageId(1), Lsn(3), 2);
-        store.lock_pages(&[PageId(0)]).add_constraint(Constraint {
-            blocked: PageId(0),
-            blocked_above: Lsn::ZERO,
-            requires: PageId(1),
-            required_lsn: Lsn(3),
-        });
+        store
+            .lock_pages(&[PageId(0), PageId(1)])
+            .add_constraint(Constraint {
+                blocked: PageId(0),
+                blocked_above: Lsn::ZERO,
+                requires: PageId(1),
+                required_lsn: Lsn(3),
+            });
         let head = store.coldest_dirty(None, 1)[0];
         assert_eq!(store.flush_coldest(head, Lsn(10)), Ok((true, 1)));
         assert_eq!(store.dirty_pages(), vec![PageId(0)]);
@@ -719,12 +837,14 @@ mod tests {
         write(&store, PageId(1), Lsn(3), 3);
         write(&store, PageId(0), Lsn(4), 4);
         write(&store, PageId(2), Lsn(9), 5);
-        store.lock_pages(&[PageId(0)]).add_constraint(Constraint {
-            blocked: PageId(0),
-            blocked_above: Lsn(1),
-            requires: PageId(1),
-            required_lsn: Lsn(3),
-        });
+        store
+            .lock_pages(&[PageId(0), PageId(1)])
+            .add_constraint(Constraint {
+                blocked: PageId(0),
+                blocked_above: Lsn(1),
+                requires: PageId(1),
+                required_lsn: Lsn(3),
+            });
         let head = store.coldest_dirty(None, 1)[0];
         assert_eq!(head, (Lsn(1), PageId(0)));
         assert_eq!(store.flush_unless_refused(PageId(0), Lsn(4)), Ok(false));

@@ -177,6 +177,17 @@ pub struct DaemonStats {
     pub drain_stalled: u64,
 }
 
+/// The read phase [`SharedDb::execute`] and lazy replay share: `op`'s
+/// input cells, in order, read under a lease covering their pages
+/// (each faulted in on a miss).
+fn read_under_lease(lease: &mut PageLease<'_>, op: &PageOp, spp: u16) -> SimResult<Vec<u64>> {
+    let mut read_values = Vec::with_capacity(op.reads.len());
+    for &cell in &op.reads {
+        read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
+    }
+    Ok(read_values)
+}
+
 /// The apply phase [`SharedDb::execute`] and lazy replay share: under a
 /// lease covering the operation's pages (written pages resident), write
 /// its outputs at `lsn`, then impose its [`write_order`] on the shards.
@@ -336,10 +347,7 @@ impl SharedDb {
             let mut lease = store.lock_pages(&fp.touched);
             let page_lsn = |p| Ok(lease.read_page(p, spp, Lsn::ZERO)?.lsn());
             if write_set_is_stale(&fp.written, lsn, page_lsn)? {
-                let mut read_values = Vec::with_capacity(op.reads.len());
-                for &cell in &op.reads {
-                    read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
-                }
+                let read_values = read_under_lease(&mut lease, &op, spp)?;
                 apply_under_lease(&mut lease, &op, &fp, lsn, &read_values)?;
                 state.stats.replayed.push(op.id);
             } else {
@@ -447,10 +455,7 @@ impl SharedDb {
         // lock-ordering note for what else it buys).
         let spp = self.inner.geometry.slots_per_page;
         let mut lease = self.inner.store.lock_pages(pages);
-        let mut read_values = Vec::with_capacity(op.reads.len());
-        for &cell in &op.reads {
-            read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
-        }
+        let read_values = read_under_lease(&mut lease, op, spp)?;
         for &cell in &op.writes {
             lease.fetch(cell.page, spp, Lsn::ZERO)?;
         }

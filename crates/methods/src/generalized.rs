@@ -71,9 +71,7 @@ pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, fp: &Footprint, l
     for c in write_order(fp, lsn) {
         db.pool.add_constraint(c);
     }
-    if fp.written.len() > 1 {
-        db.pool.add_atomic_group(fp.written.iter().copied(), lsn);
-    }
+    db.pool.add_atomic_group(fp.written.iter().copied(), lsn);
 }
 
 /// Would this operation's constraints (and atomic group) close a cycle

@@ -29,17 +29,19 @@
 //! by `blocked` page (what a flush consults) and by `requires` page (the
 //! flush-order graph's adjacency, what [`BufferPool::would_cycle`]
 //! walks, and what a write looks up to drop the constraints it
-//! satisfied); and the
-//! dirty-page table is kept as an index rather than filtered out of the
-//! frames — twice, by page and by recLSN, so the page that pins
-//! redo-start is read off the head of an order rather than sorted out of
-//! a listing.
+//! satisfied); and the dirty-page table is kept as an index rather than
+//! filtered out of the frames — once, in recLSN order beside each
+//! frame's own recLSN, so the page that pins redo-start is read off the
+//! head of an order rather than sorted out of a listing.
+//!
+//! Both stores run one flush (`flush_closure`): [`BufferPool::flush_page`]
+//! over this pool, [`crate::shard::ShardedStore::flush_page`] over the
+//! shards it has locked.
 
 mod frames;
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::ops::{Bound, DerefMut};
 
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageSet};
@@ -82,11 +84,29 @@ pub struct AtomicGroup {
     pub lsn: Lsn,
 }
 
+impl AtomicGroup {
+    /// The group binding `pages` at `lsn`, or `None` if they name fewer
+    /// than two distinct pages: one page always reaches disk in one
+    /// write, so it binds nothing. That case builds no set.
+    #[must_use]
+    pub fn of(pages: impl IntoIterator<Item = PageId>, lsn: Lsn) -> Option<AtomicGroup> {
+        let mut pages = pages.into_iter();
+        let first = pages.next()?;
+        let mut others = pages.skip_while(|&p| p == first).peekable();
+        others.peek()?;
+        let pages = std::iter::once(first).chain(others).collect();
+        Some(AtomicGroup { pages, lsn })
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Frame {
     page: Page,
-    /// Set exactly while the page has an entry in [`BufferPool::dirty`].
-    dirty: bool,
+    /// The frame's recovery LSN while it is dirty — the LSN of its first
+    /// update since it was last clean — and `None` while it is clean.
+    /// `Some(rec)` exactly while [`BufferPool::coldest`] holds `(rec,
+    /// page)`.
+    rec_lsn: Option<Lsn>,
     /// The pool clock at the frame's last touch. Stamps are unique, so
     /// ascending stamp order *is* least-recently-used order.
     stamp: u64,
@@ -103,15 +123,12 @@ pub struct BufferPool {
     /// Ticks once per touch; the source of [`Frame::stamp`].
     clock: u64,
     capacity: Option<usize>,
-    /// The dirty-page table: every dirty frame's page with its recovery
-    /// LSN — the LSN of the first update since the frame was last clean.
-    /// A fuzzy checkpoint records exactly this: redo for the page can
-    /// never be needed below its recLSN, so the min over the table
-    /// bounds the restart scan.
-    dirty: BTreeMap<PageId, Lsn>,
-    /// The same table as `(recLSN, page)`, coldest first: its head is
-    /// the page that pins redo-start, which is the page a controller
-    /// wants to flush next. Written at exactly the places `dirty` is.
+    /// The dirty-page table, coldest first: `(recLSN, page)` for every
+    /// dirty frame, the recLSN being the frame's [`Frame::rec_lsn`]. A
+    /// fuzzy checkpoint records exactly this: redo for the page can
+    /// never be needed below its recLSN, so the head bounds the restart
+    /// scan, and the head's page is the one a controller wants to flush
+    /// next. The id-ordered listings sort a copy of it.
     coldest: BTreeSet<(Lsn, PageId)>,
     /// Active constraints by `blocked` page, in registration order per
     /// page — the only ones a flush of that page must consult.
@@ -137,7 +154,6 @@ impl BufferPool {
             frames: FrameTable::new(),
             clock: 0,
             capacity,
-            dirty: BTreeMap::new(),
             coldest: BTreeSet::new(),
             constraints: BTreeMap::new(),
             successors: BTreeMap::new(),
@@ -193,19 +209,21 @@ impl BufferPool {
     /// Pages currently dirty, in id order.
     #[must_use]
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        self.dirty.keys().copied().collect()
+        let mut ids: Vec<PageId> = self.coldest.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// How many pages are dirty.
     #[must_use]
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.coldest.len()
     }
 
     /// `id`'s recovery LSN, if it is dirty.
     #[must_use]
     pub(crate) fn rec_lsn(&self, id: PageId) -> Option<Lsn> {
-        self.dirty.get(&id).copied()
+        self.frames.get(id)?.rec_lsn
     }
 
     /// The dirty-page table: every dirty page paired with its recovery
@@ -215,7 +233,10 @@ impl BufferPool {
     /// from the table are fully installed.
     #[must_use]
     pub fn dirty_page_table(&self) -> Vec<(PageId, Lsn)> {
-        self.dirty.iter().map(|(&id, &rec)| (id, rec)).collect()
+        let mut table: Vec<(PageId, Lsn)> =
+            self.coldest.iter().map(|&(rec, id)| (id, rec)).collect();
+        table.sort_unstable();
+        table
     }
 
     /// The dirty-page table coldest first: up to `n` entries in
@@ -337,10 +358,13 @@ impl BufferPool {
     /// every member is durable at ≥ `lsn`, flushing any member flushes
     /// them all, atomically.
     pub fn add_atomic_group(&mut self, pages: impl IntoIterator<Item = PageId>, lsn: Lsn) {
-        let pages: BTreeSet<PageId> = pages.into_iter().collect();
-        if pages.len() > 1 {
-            self.groups.push(AtomicGroup { pages, lsn });
-        }
+        self.groups.extend(AtomicGroup::of(pages, lsn));
+    }
+
+    /// Registers a group [`AtomicGroup::of`] built — a sharded store
+    /// registers one in every member's shard.
+    pub(crate) fn add_group(&mut self, group: AtomicGroup) {
+        self.groups.push(group);
     }
 
     /// Currently active atomic groups (satisfied ones are collected on
@@ -441,7 +465,7 @@ impl BufferPool {
             let page = disk.read_page(id, slots_per_page)?;
             let frame = Frame {
                 page,
-                dirty: false,
+                rec_lsn: None,
                 stamp,
                 pins: 0,
             };
@@ -527,9 +551,8 @@ impl BufferPool {
         let changed = f(&mut frame.page);
         if changed {
             frame.page.set_lsn(lsn);
-            if !frame.dirty {
-                frame.dirty = true;
-                self.dirty.insert(id, lsn);
+            if frame.rec_lsn.is_none() {
+                frame.rec_lsn = Some(lsn);
                 self.coldest.insert((lsn, id));
             }
         }
@@ -566,22 +589,20 @@ impl BufferPool {
             self.make_room(disk, stable_lsn)?;
         }
         self.clock += 1;
+        let resident = self.frames.get(id).map(|f| (f.pins, f.rec_lsn));
+        let (pins, dirty_since) = resident.unwrap_or((0, None));
+        if dirty_since.is_none() {
+            self.coldest.insert((rec_lsn, id));
+        }
         let frame = Frame {
             page: image,
-            dirty: true,
+            rec_lsn: dirty_since.or(Some(rec_lsn)),
             stamp: self.clock,
-            pins: 0,
+            pins,
         };
         match self.frames.get_mut(id) {
-            Some(resident) => {
-                let pins = resident.pins;
-                *resident = Frame { pins, ..frame };
-            }
+            Some(resident) => *resident = frame,
             None => self.frames.insert(id, frame),
-        }
-        if let Entry::Vacant(clean) = self.dirty.entry(id) {
-            clean.insert(rec_lsn);
-            self.coldest.insert((rec_lsn, id));
         }
         Ok(())
     }
@@ -601,7 +622,7 @@ impl BufferPool {
     /// prerequisite inside the batch counts as satisfied (the members'
     /// cached versions carry LSNs at or beyond any constraint their
     /// binding operation created).
-    pub(crate) fn check_flush_in_batch(
+    fn check_flush_in_batch(
         &self,
         disk: &Disk,
         id: PageId,
@@ -641,28 +662,8 @@ impl BufferPool {
     ///
     /// See [`BufferPool::check_flush`].
     pub fn flush_page(&mut self, disk: &mut Disk, id: PageId, stable_lsn: Lsn) -> SimResult<()> {
-        // Atomic groups widen the flush: every page bound to `id` by an
-        // active group must go to disk in the same atomic write.
-        let members = self.atomic_closure(disk, id);
-        for &m in members.iter() {
-            self.check_flush_in_batch(disk, m, stable_lsn, |p| members.contains(&p))?;
-        }
-        let mut batch = Vec::new();
-        for &m in members.iter() {
-            if let Some(page) = self.take_dirty_frame(m) {
-                batch.push((m, page));
-            }
-        }
-        match batch.as_mut_slice() {
-            [] => {}
-            [(m, page)] => disk.write_page(*m, std::mem::replace(page, Page::new(0))),
-            _ => disk.write_pages_atomic(batch)?,
-        }
-        for &m in members.iter() {
-            self.discharge(disk, m);
-        }
-        self.gc_groups(disk);
-        Ok(())
+        // One pool holds every closure: nothing escapes it.
+        flush_closure(&mut [(0, self)], |_| 0, disk, id, stable_lsn).map(|_| ())
     }
 
     /// Flushes every dirty page, ordering flushes so write-order
@@ -698,35 +699,12 @@ impl BufferPool {
         }
     }
 
-    /// Drops a clean page from the pool (no disk write).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NotCached`] if absent; [`SimError::DirtyEviction`] if
-    /// the page is dirty (flush it first — dropping a dirty page would
-    /// silently lose installed-state updates); [`SimError::PinnedPage`]
-    /// if the page is pinned. Neither says anything about pool
-    /// occupancy, so neither is `PoolExhausted`.
-    pub fn drop_clean(&mut self, id: PageId) -> SimResult<()> {
-        match self.frames.get(id) {
-            None => Err(SimError::NotCached(id)),
-            Some(f) if f.dirty => Err(SimError::DirtyEviction(id)),
-            Some(f) if f.pins > 0 => Err(SimError::PinnedPage(id)),
-            Some(_) => {
-                self.frames.remove(id);
-                Ok(())
-            }
-        }
-    }
-
     /// Copies of every dirty frame, in id order — what a System R-style
     /// quiesce writes to the staging area (§6.1).
     #[must_use]
     pub fn dirty_frames(&self) -> Vec<(PageId, Page)> {
-        let frames = self
-            .dirty
-            .keys()
-            .filter_map(|&id| Some((id, self.frames.get(id)?)));
+        let ids = self.dirty_pages().into_iter();
+        let frames = ids.filter_map(|id| Some((id, self.frames.get(id)?)));
         frames.map(|(id, frame)| (id, frame.page.clone())).collect()
     }
 
@@ -740,8 +718,9 @@ impl BufferPool {
     /// [`SimError::NotCached`] if absent.
     pub fn mark_clean(&mut self, disk: &Disk, id: PageId) -> SimResult<()> {
         let frame = self.frames.get_mut(id).ok_or(SimError::NotCached(id))?;
-        frame.dirty = false;
-        self.leave_dirty_table(id);
+        if let Some(rec_lsn) = frame.rec_lsn.take() {
+            self.coldest.remove(&(rec_lsn, id));
+        }
         self.discharge(disk, id);
         Ok(())
     }
@@ -751,25 +730,22 @@ impl BufferPool {
     /// flushes, and there are none.
     pub fn crash(&mut self) {
         self.frames.clear();
-        self.dirty.clear();
         self.coldest.clear();
         self.constraints.clear();
         self.successors.clear();
         self.groups.clear();
     }
 
-    pub(crate) fn gc_groups(&mut self, disk: &Disk) {
+    fn gc_groups(&mut self, disk: &Disk) {
         self.groups
             .retain(|g| g.pages.iter().any(|&p| disk.page_lsn(p) < g.lsn));
     }
 
     /// Grows `members` with every page bound to a current member by an
     /// active atomic group in *this* pool, to a local fixpoint. Returns
-    /// whether the set grew. The sharded store registers each group in
-    /// every member's shard and iterates this step across locked shards
-    /// until no shard reports growth, then widens its lock set if the
-    /// closure escaped it.
-    pub(crate) fn extend_atomic_closure(&self, disk: &Disk, members: &mut PageSet) -> bool {
+    /// whether the set grew. `flush_closure` runs this step across the
+    /// pools it holds until none reports growth.
+    fn extend_atomic_closure(&self, disk: &Disk, members: &mut PageSet) -> bool {
         let mut grew = false;
         loop {
             let before = members.len();
@@ -787,26 +763,15 @@ impl BufferPool {
     }
 
     /// If `id` is cached and dirty: marks it clean, counts the flush,
-    /// and hands back the frame's page for the caller to write to disk
-    /// (the sharded store batches frames from several shards into one
-    /// atomic multi-page write). Clean or absent pages yield `None`.
-    pub(crate) fn take_dirty_frame(&mut self, id: PageId) -> Option<Page> {
+    /// and hands back the frame's page for `flush_closure` to write (a
+    /// closure's frames may come from several pools and go to disk in
+    /// one atomic multi-page write). Clean or absent pages yield `None`.
+    fn take_dirty_frame(&mut self, id: PageId) -> Option<Page> {
         let frame = self.frames.get_mut(id)?;
-        if !frame.dirty {
-            return None;
-        }
-        frame.dirty = false;
-        let page = frame.page.clone();
-        self.leave_dirty_table(id);
+        let rec_lsn = frame.rec_lsn.take()?;
+        self.coldest.remove(&(rec_lsn, id));
         self.flushes += 1;
-        Some(page)
-    }
-
-    /// Drops `id` from both orders of the dirty-page table.
-    fn leave_dirty_table(&mut self, id: PageId) {
-        if let Some(rec_lsn) = self.dirty.remove(&id) {
-            self.coldest.remove(&(rec_lsn, id));
-        }
+        Some(frame.page.clone())
     }
 
     /// Evicts until a frame is free (a no-op for an unbounded pool).
@@ -845,8 +810,7 @@ impl BufferPool {
         let mut victims: Vec<(u64, PageId)> = unpinned.map(|(id, f)| (f.stamp, id)).collect();
         victims.sort_unstable();
         for (_, id) in victims {
-            let dirty = self.frames.get(id).is_some_and(|frame| frame.dirty);
-            if !dirty || self.flush_page(disk, id, stable_lsn).is_ok() {
+            if self.rec_lsn(id).is_none() || self.flush_page(disk, id, stable_lsn).is_ok() {
                 self.frames.remove(id);
                 return true;
             }
@@ -855,10 +819,96 @@ impl BufferPool {
     }
 }
 
+/// The flush both stores run: `id` and, in one atomic write, every page
+/// an active group binds to it, over the pools the caller holds, each
+/// paired with its shard as `shard_of` names it (a lone pool is shard
+/// 0). Every member is checked in its own pool, and one refusal writes
+/// nothing. The write then drops, per member, the edges it satisfied
+/// ([`BufferPool::discharge`]) and the spent entries of the member's own
+/// list, which another shard's flush could not reach
+/// ([`BufferPool::prune_blocked`]); and, per pool, the completed groups.
+///
+/// `Ok(Some(closure))`: nothing was tried, because the closure reaches a
+/// pool the caller does not hold; hold it too and call again.
+pub(crate) fn flush_closure<P: DerefMut<Target = BufferPool>>(
+    pools: &mut [(usize, P)],
+    shard_of: impl Fn(PageId) -> usize,
+    disk: &mut Disk,
+    id: PageId,
+    stable_lsn: Lsn,
+) -> SimResult<Option<PageSet>> {
+    // Every group is registered in every member's pool, so one pool per
+    // member finds the next link of a chain. A pool that grew the set is
+    // at its own fixpoint; the closure is whole once every pool in a row
+    // has found nothing new.
+    let mut members: PageSet = std::iter::once(id).collect();
+    let mut settled = 0;
+    for (_, pool) in pools.iter().cycle() {
+        if settled == pools.len() {
+            break;
+        }
+        let grew = pool.extend_atomic_closure(disk, &mut members);
+        settled = if grew { 1 } else { settled + 1 };
+    }
+    let held = |page| pools.iter().any(|(shard, _)| *shard == shard_of(page));
+    if !members.iter().all(|&m| held(m)) {
+        return Ok(Some(members));
+    }
+    for &m in members.iter() {
+        let pool = pool_of(pools, shard_of(m), m)?;
+        pool.check_flush_in_batch(disk, m, stable_lsn, |p| members.contains(&p))?;
+    }
+    let mut batch = Vec::new();
+    for &m in members.iter() {
+        if let Some(page) = pool_of(pools, shard_of(m), m)?.take_dirty_frame(m) {
+            batch.push((m, page));
+        }
+    }
+    match batch.as_mut_slice() {
+        [] => {}
+        [(m, page)] => disk.write_page(*m, std::mem::replace(page, Page::new(0))),
+        _ => disk.write_pages_atomic(batch)?,
+    }
+    for &m in members.iter() {
+        let pool = pool_of(pools, shard_of(m), m)?;
+        pool.discharge(disk, m);
+        pool.prune_blocked(disk, m);
+    }
+    for (_, pool) in pools.iter_mut() {
+        pool.gc_groups(disk);
+    }
+    Ok(None)
+}
+
+/// `page`'s pool, `shard`, among the pools a flush holds.
+fn pool_of<P: DerefMut<Target = BufferPool>>(
+    pools: &mut [(usize, P)],
+    shard: usize,
+    page: PageId,
+) -> SimResult<&mut BufferPool> {
+    let held = pools.iter_mut().find(|(s, _)| *s == shard);
+    held.map(|(_, pool)| &mut **pool)
+        .ok_or(SimError::NotCached(page))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use redo_workload::pages::SlotId;
+
+    impl BufferPool {
+        /// Drops a clean, unpinned frame without a write: the frame-table
+        /// tests' way to empty a slot from the middle of the slab.
+        fn drop_clean(&mut self, id: PageId) -> Result<(), PageId> {
+            match self.frames.get(id) {
+                Some(f) if f.rec_lsn.is_none() && f.pins == 0 => {
+                    self.frames.remove(id);
+                    Ok(())
+                }
+                _ => Err(id),
+            }
+        }
+    }
 
     fn pool_with_page(id: PageId) -> (BufferPool, Disk) {
         let mut pool = BufferPool::new(None);
@@ -1216,18 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_clean_refuses_dirty_pages() {
-        let (mut pool, _disk) = pool_with_page(PageId(0));
-        pool.update(PageId(0), Lsn(1), |p| p.set(SlotId(0), 1))
-            .unwrap();
-        assert_eq!(
-            pool.drop_clean(PageId(0)),
-            Err(SimError::DirtyEviction(PageId(0))),
-            "a dirty victim is not pool exhaustion"
-        );
-    }
-
-    #[test]
     fn rec_lsn_pins_to_first_dirtying_update() {
         let (mut pool, mut disk) = pool_with_page(PageId(0));
         assert!(pool.dirty_page_table().is_empty());
@@ -1327,16 +1365,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_clean_refuses_pinned_pages() {
-        let (mut pool, _disk) = pool_with_page(PageId(0));
-        pool.pin(PageId(0)).unwrap();
-        assert_eq!(
-            pool.drop_clean(PageId(0)),
-            Err(SimError::PinnedPage(PageId(0)))
-        );
-    }
-
-    #[test]
     fn crash_clears_pins() {
         let (mut pool, _disk) = pool_with_page(PageId(0));
         pool.pin(PageId(0)).unwrap();
@@ -1382,8 +1410,9 @@ mod tests {
     /// The indexes against the state they mirror: the frame table's
     /// index names its slab exactly and lists it in id order, recency
     /// stamps are distinct, the dirty-page table is exactly the dirty
-    /// frames, its recLSN order is the table re-sorted (from any
-    /// cursor), and the two constraint maps hold the same constraints.
+    /// frames with their recLSNs, its recLSN order is that table
+    /// re-sorted (from any cursor), and the two constraint maps hold the
+    /// same constraints.
     fn assert_indexes_mirror(pool: &BufferPool) {
         pool.frames.assert_index_mirrors_slab();
         let mut slab: Vec<PageId> = pool.frames.iter().map(|(id, _)| id).collect();
@@ -1392,14 +1421,15 @@ mod tests {
         assert_eq!(pool.len(), slab.len());
         let stamps: BTreeSet<u64> = pool.frames.iter().map(|(_, f)| f.stamp).collect();
         assert_eq!(stamps.len(), slab.len(), "two frames share a stamp");
-        let dirty_frames: Vec<PageId> = (pool.cached_pages())
-            .filter(|&id| pool.frames.get(id).unwrap().dirty)
+        let from_frames: Vec<(PageId, Lsn)> = (pool.cached_pages())
+            .filter_map(|id| Some((id, pool.frames.get(id).unwrap().rec_lsn?)))
             .collect();
+        assert_eq!(pool.dirty_page_table(), from_frames);
+        let dirty_frames: Vec<PageId> = from_frames.iter().map(|&(id, _)| id).collect();
         assert_eq!(pool.dirty_pages(), dirty_frames);
         assert_eq!(pool.dirty_count(), dirty_frames.len());
-        let mut by_rec_lsn: Vec<(Lsn, PageId)> = (pool.dirty_page_table().into_iter())
-            .map(|(id, rec)| (rec, id))
-            .collect();
+        let mut by_rec_lsn: Vec<(Lsn, PageId)> =
+            (from_frames.iter()).map(|&(id, rec)| (rec, id)).collect();
         by_rec_lsn.sort_unstable();
         let listed: Vec<(Lsn, PageId)> = pool.coldest_dirty(None, usize::MAX).collect();
         assert_eq!(listed, by_rec_lsn);
@@ -1408,11 +1438,12 @@ mod tests {
             let behind = &by_rec_lsn[at + 1..];
             assert_eq!(next, behind[..behind.len().min(2)]);
         }
-        for (id, rec) in pool.dirty_page_table() {
+        for &(id, rec) in &from_frames {
             assert!(
                 rec <= pool.frames.get(id).unwrap().page.lsn(),
                 "recLSN past the page LSN"
             );
+            assert_eq!(pool.rec_lsn(id), Some(rec));
         }
         let mut by_blocked: Vec<(PageId, PageId, Lsn)> = (pool.constraints())
             .iter()

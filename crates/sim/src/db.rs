@@ -179,11 +179,11 @@ impl<P: LogPayload> Db<P> {
     /// Pool exhaustion while faulting the page in.
     pub fn read_cell(&mut self, cell: Cell) -> SimResult<u64> {
         self.fetch_with_steal(cell.page)?;
-        Ok(self
+        let page = self
             .pool
             .get(cell.page)
-            .expect("just fetched page resident")
-            .get(cell.slot))
+            .ok_or(SimError::NotCached(cell.page))?;
+        Ok(page.get(cell.slot))
     }
 
     /// Faults `page` in, stealing a frame if the pool is full. When the

@@ -36,13 +36,6 @@ pub enum SimError {
     NotCached(PageId),
     /// The buffer pool is full and every frame is pinned or unflushable.
     PoolExhausted,
-    /// A page was asked to leave the pool without a disk write while it
-    /// still carries un-installed updates (dropping it would silently
-    /// lose them — flush first).
-    DirtyEviction(PageId),
-    /// A page was asked to leave the pool while pinned (the pin protects
-    /// residency).
-    PinnedPage(PageId),
     /// A checkpoint pointer swing was requested with no staging area
     /// contents.
     EmptyStaging,
@@ -97,10 +90,6 @@ impl fmt::Display for SimError {
             ),
             SimError::NotCached(p) => write!(f, "page {p:?} is not cached"),
             SimError::PoolExhausted => write!(f, "buffer pool exhausted"),
-            SimError::DirtyEviction(p) => {
-                write!(f, "page {p:?} is dirty and cannot leave the pool unwritten")
-            }
-            SimError::PinnedPage(p) => write!(f, "page {p:?} is pinned and cannot leave the pool"),
             SimError::EmptyStaging => write!(f, "staging area is empty"),
             SimError::Corrupt(off) => write!(f, "log corrupt at byte {off}"),
             SimError::MethodViolation(msg) => write!(f, "recovery-method violation: {msg}"),

@@ -24,9 +24,11 @@
 //!   whose closure may span shards. Groups are registered in **every**
 //!   member's shard, so the closure is discoverable from whatever
 //!   shard the flush starts in; the flusher locks the shards it knows
-//!   about, grows the closure to a fixpoint, and if the closure escaped
-//!   the locked set, drops everything and relocks the wider
-//!   (monotonically growing, hence terminating) set;
+//!   about and runs the pool's own flush over them, and if the closure
+//!   escaped the locked set, drops everything and relocks the wider
+//!   (monotonically growing, hence terminating) set. What a flush
+//!   checks, writes and drops is the cache module's, written once for
+//!   both stores; the store decides only which shards to hold;
 //! * [`ShardedStore::snapshot`] — the fuzzy-checkpoint daemon's
 //!   ordered-acquisition path: all shards, ascending, held together so
 //!   the dirty-page table it reads is a consistent cut against every
@@ -49,9 +51,9 @@ use std::collections::BTreeSet;
 
 use parking_lot::{Mutex, MutexGuard};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageSet};
+use redo_workload::pages::PageId;
 
-use crate::cache::{BufferPool, Constraint};
+use crate::cache::{flush_closure, AtomicGroup, BufferPool, Constraint};
 use crate::disk::Disk;
 use crate::error::{SimError, SimResult};
 use crate::page::Page;
@@ -160,11 +162,11 @@ impl ShardedStore {
     /// listing is).
     #[must_use]
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        let mut dirty: Vec<PageId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().dirty_pages())
-            .collect();
+        let mut dirty = Vec::new();
+        for shard in self.shards.iter() {
+            let pool = shard.lock();
+            dirty.extend(pool.coldest_dirty(None, usize::MAX).map(|(_, id)| id));
+        }
         dirty.sort_unstable();
         dirty
     }
@@ -212,15 +214,16 @@ impl ShardedStore {
     /// Flushes `id` (and, atomically, the closure of any atomic groups
     /// binding it — possibly spanning shards) to disk, after checking
     /// the WAL rule and every write-order constraint in each member's
-    /// shard. Clean pages flush trivially.
+    /// shard. Clean pages flush trivially. The flush is the pool's own
+    /// ([`BufferPool::flush_page`]'s body) over the locked shards.
     ///
     /// Lock acquisition: the needed shard set starts as `id`'s shard
     /// and grows monotonically while the atomic closure escapes it;
-    /// each attempt locks the set ascending, then the disk, recomputes
-    /// the closure from scratch (groups may have been discharged by a
-    /// concurrent flush between attempts), and either widens or
-    /// proceeds. The set is bounded by the shard count, so the loop
-    /// terminates.
+    /// each attempt locks the set ascending, then the disk, and the
+    /// body recomputes the closure from scratch (groups may have been
+    /// discharged by a concurrent flush between attempts) and either
+    /// names the pages it could not reach or proceeds. The set is
+    /// bounded by the shard count, so the loop terminates.
     ///
     /// # Errors
     ///
@@ -233,68 +236,11 @@ impl ShardedStore {
                 .map(|&s| (s, self.shards[s].lock()))
                 .collect();
             let mut disk = self.disk.lock();
-            // Closure fixpoint over the locked shards. Every group is
-            // registered in every member's shard, so one shard of each
-            // member suffices to discover the next link of a chain.
-            let mut members: PageSet = std::iter::once(id).collect();
-            loop {
-                let mut grew = false;
-                for (_, pool) in &pools {
-                    grew |= pool.extend_atomic_closure(&disk, &mut members);
-                }
-                if !grew {
-                    break;
-                }
+            match flush_closure(&mut pools, |p| self.shard_of(p), &mut disk, id, stable_lsn)? {
+                None => return Ok(()),
+                Some(closure) => lock_set.extend(closure.iter().map(|&p| self.shard_of(p))),
             }
-            let needed = || members.iter().map(|&p| self.shard_of(p));
-            if !needed().all(|s| lock_set.contains(&s)) {
-                lock_set.extend(needed());
-                drop(disk);
-                drop(pools);
-                continue;
-            }
-            // Check every member in its own shard; refusal flushes
-            // nothing (failure atomicity, as in the sequential pool).
-            for &m in members.iter() {
-                let pool = self.locked(&mut pools, m)?;
-                pool.check_flush_in_batch(&disk, m, stable_lsn, |p| members.contains(&p))?;
-            }
-            let mut batch: Vec<(PageId, Page)> = Vec::new();
-            for &m in members.iter() {
-                if let Some(page) = self.locked(&mut pools, m)?.take_dirty_frame(m) {
-                    batch.push((m, page));
-                }
-            }
-            match batch.as_mut_slice() {
-                [] => {}
-                [(m, page)] => disk.write_page(*m, std::mem::replace(page, Page::new(0))),
-                _ => disk.write_pages_atomic(batch)?,
-            }
-            // Drop the edges the write satisfied, and prune each
-            // member's own list of what other shards' flushes satisfied.
-            for &m in members.iter() {
-                let pool = self.locked(&mut pools, m)?;
-                pool.discharge(&disk, m);
-                pool.prune_blocked(&disk, m);
-            }
-            for (_, pool) in &mut pools {
-                pool.gc_groups(&disk);
-            }
-            return Ok(());
         }
-    }
-
-    /// `page`'s pool among the shards a flush has `locked`.
-    fn locked<'p>(
-        &self,
-        locked: &'p mut [(usize, MutexGuard<'_, BufferPool>)],
-        page: PageId,
-    ) -> SimResult<&'p mut BufferPool> {
-        let shard = self.shard_of(page);
-        let found = locked.iter_mut().find(|(s, _)| *s == shard);
-        found
-            .map(|(_, pool)| &mut **pool)
-            .ok_or(SimError::NotCached(page))
     }
 
     /// [`ShardedStore::flush_page`] for a background flusher, to which a
@@ -472,16 +418,18 @@ impl PageLease<'_> {
         self.pool_mut(c.requires).add_edge(c);
     }
 
-    /// Binds `pages` into an atomic flush group at `lsn`, registering
-    /// the group in **every** member's shard so a flush starting from
-    /// any member discovers the closure.
+    /// Binds `pages` into an atomic flush group at `lsn`
+    /// ([`AtomicGroup::of`]), registering the group in **every** member's
+    /// shard so a flush starting from any member discovers the closure.
     pub fn add_atomic_group(&mut self, pages: &[PageId], lsn: Lsn) {
-        if pages.windows(2).all(|w| w[0] == w[1]) {
-            return; // fewer than two distinct pages bind nothing
-        }
-        let set: BTreeSet<PageId> = pages.iter().copied().collect();
-        for &p in &set {
-            self.pool_mut(p).add_atomic_group(set.iter().copied(), lsn);
+        let Some(group) = AtomicGroup::of(pages.iter().copied(), lsn) else {
+            return;
+        };
+        let store = self.store;
+        for (shard, pool) in &mut self.guards {
+            if group.pages.iter().any(|&p| store.shard_of(p) == *shard) {
+                pool.add_group(group.clone());
+            }
         }
     }
 }
@@ -497,12 +445,10 @@ impl StoreSnapshot<'_> {
     /// order — what a fuzzy checkpoint records.
     #[must_use]
     pub fn dirty_page_table(&self) -> Vec<(PageId, Lsn)> {
-        let mut table: Vec<(PageId, Lsn)> = self
-            .guards
-            .iter()
-            .flat_map(|g| g.dirty_page_table())
-            .collect();
-        table.sort_unstable_by_key(|&(id, _)| id);
+        let shards = self.guards.iter();
+        let entries = shards.flat_map(|g| g.coldest_dirty(None, usize::MAX));
+        let mut table: Vec<(PageId, Lsn)> = entries.map(|(rec, id)| (id, rec)).collect();
+        table.sort_unstable();
         table
     }
 }
@@ -922,6 +868,128 @@ mod tests {
                 let listed = store.gated_pages();
                 proptest::prop_assert_eq!(store.first_gated(), listed.first().copied());
                 proptest::prop_assert_eq!(store.gated_count(), listed.len());
+            }
+        }
+    }
+
+    /// The store's [`ShardedStore::flush_coldest`], on a lone pool.
+    fn pool_flush_coldest(pool: &mut BufferPool, disk: &mut Disk, stable: Lsn) -> (bool, u64) {
+        let order: Vec<(Lsn, PageId)> = pool.coldest_dirty(None, usize::MAX).collect();
+        let mut refused = 0;
+        for (_, page) in order {
+            match pool.flush_page(disk, page, stable) {
+                Ok(()) => return (true, refused),
+                Err(SimError::WalViolation { .. } | SimError::WriteOrderViolation { .. }) => {}
+                Err(e) => panic!("{e}"),
+            }
+            refused += 1;
+        }
+        (false, refused)
+    }
+
+    /// `page`'s constraint list in a lone pool.
+    fn pool_list(pool: &BufferPool, page: PageId) -> Vec<Constraint> {
+        let list = pool.constraints().into_iter();
+        list.filter(|c| c.blocked == page).collect()
+    }
+
+    proptest::proptest! {
+        /// The store's locking adds no decision: one unbounded pool and
+        /// a store of 1 and of 4 shards run the same writes, cross-page
+        /// constraints, two-page groups, flushes, coldest-first flushes
+        /// and log forces. Every flush answers the same on all three,
+        /// and after every step the disks, the dirty-page tables and the
+        /// recLSN orders are equal. A flushed page's own list holds in
+        /// the store exactly what it holds in the pool: the write pruned
+        /// what other shards' flushes satisfied.
+        #[test]
+        fn the_store_decides_every_flush_as_one_pool_does(
+            steps in proptest::collection::vec((0u8..6, 0u32..8, 0u32..8), 1..120),
+        ) {
+            let mut pool = BufferPool::new(None);
+            let mut disk = Disk::new();
+            let stores = [ShardedStore::new(1), ShardedStore::new(4)];
+            let (mut next, mut stable) = (1u64, Lsn::ZERO);
+            for (what, a, b) in steps {
+                let (id, other, lsn) = (PageId(a), PageId(b), Lsn(next));
+                match what {
+                    0 => {
+                        pool.fetch(&mut disk, id, SPP, Lsn::ZERO).unwrap();
+                        pool.update(id, lsn, |p| p.set(SlotId(0), next)).unwrap();
+                        for store in &stores {
+                            write(store, id, lsn, next);
+                        }
+                    }
+                    1 | 2 if a != b => {
+                        // Read `other`, write `id` (what 1), or write both
+                        // as one atomic group (what 2).
+                        let written: &[PageId] = if what == 1 { &[id] } else { &[id, other] };
+                        let c = Constraint {
+                            blocked: other,
+                            blocked_above: lsn,
+                            requires: id,
+                            required_lsn: lsn,
+                        };
+                        for p in [id, other] {
+                            pool.fetch(&mut disk, p, SPP, Lsn::ZERO).unwrap();
+                        }
+                        for &p in written {
+                            pool.update(p, lsn, |pg| pg.set(SlotId(1), next)).unwrap();
+                        }
+                        if what == 1 {
+                            pool.add_constraint(c);
+                        } else {
+                            pool.add_atomic_group(written.iter().copied(), lsn);
+                        }
+                        for store in &stores {
+                            let mut lease = store.lock_pages(&[id, other]);
+                            for p in [id, other] {
+                                lease.fetch(p, SPP, Lsn::ZERO).unwrap();
+                            }
+                            for &p in written {
+                                lease.update(p, lsn, |pg| pg.set(SlotId(1), next)).unwrap();
+                            }
+                            if what == 1 {
+                                lease.add_constraint(c);
+                            } else {
+                                lease.add_atomic_group(written, lsn);
+                            }
+                        }
+                    }
+                    3 => {
+                        let flushed = pool.flush_page(&mut disk, id, stable);
+                        for store in &stores {
+                            proptest::prop_assert_eq!(&store.flush_page(id, stable), &flushed);
+                            if flushed.is_ok() {
+                                proptest::prop_assert_eq!(list_of(store, id), pool_list(&pool, id));
+                            }
+                        }
+                    }
+                    4 => {
+                        let landed = pool_flush_coldest(&mut pool, &mut disk, stable);
+                        for store in &stores {
+                            let by_store = match store.coldest_dirty(None, 1).first() {
+                                Some(&head) => store.flush_coldest(head, stable).unwrap(),
+                                None => (false, 0),
+                            };
+                            proptest::prop_assert_eq!(by_store, landed);
+                        }
+                    }
+                    5 => stable = Lsn(next - 1),
+                    _ => {}
+                }
+                next += 1;
+                let by_rec_lsn: Vec<(Lsn, PageId)> = pool.coldest_dirty(None, usize::MAX).collect();
+                for store in &stores {
+                    proptest::prop_assert_eq!(store.disk().pages(), disk.pages());
+                    proptest::prop_assert_eq!(store.snapshot().dirty_page_table(), pool.dirty_page_table());
+                    proptest::prop_assert_eq!(&store.coldest_dirty(None, usize::MAX), &by_rec_lsn);
+                    for page in (0..8).map(PageId) {
+                        let standing = |c: &Constraint| store.disk().page_lsn(c.requires) < c.required_lsn;
+                        let listed: Vec<Constraint> = list_of(store, page).into_iter().filter(standing).collect();
+                        proptest::prop_assert_eq!(listed, pool_list(&pool, page));
+                    }
+                }
             }
         }
     }

@@ -802,8 +802,8 @@ impl<'a, M: RecoveryMethod> Crashed<'a, M> {
         }
         report.verified("rebuild");
 
-        // The lost page is a gated page whose residual chain is its
-        // whole archived history.
+        // Both lazy faces restore the lost page at open, as the
+        // rebuild above did, then serve the probes through it.
         if (self.lazy("ondemand rebuild", &mut damaged.clone(), reference)?).is_some() {
             report.verified("ondemand-rebuild");
         }

@@ -268,20 +268,20 @@ impl SharedDb {
     }
 
     /// Reopens a crashed sequential [`Db`] for business *immediately*:
-    /// repair, analysis, and gate placement only — no log scan, no
-    /// replay. Every page whose stable chain holds a record at or above
-    /// the redo-start that the checkpoint's dirty-page table cannot
-    /// prove installed is gated in the shard map; the first access to a
-    /// gated page (or the background sweeper) pays for exactly that
-    /// page's replay. Ungated pages are servable the moment this
-    /// returns.
+    /// repair, analysis, the media restore and gate placement only — no
+    /// log scan, no replay. Every page whose stable chain holds a record
+    /// at or above the redo-start that the checkpoint's dirty-page table
+    /// cannot prove installed is gated in the shard map; the first
+    /// access to a gated page (or the background sweeper) pays for
+    /// exactly that page's replay. Ungated pages are servable the moment
+    /// this returns.
     ///
     /// # Errors
     ///
-    /// Log corruption at the master record.
+    /// Log or archive corruption; [`SimError::MediaLoss`] if the
+    /// restore's install did not land.
     pub fn open_on_demand(mut crashed: Db<PageOpPayload>) -> SimResult<SharedDb> {
-        let (analysis, stats) = redo::begin(&mut crashed)?;
-        let gates = analysis.gates(&crashed.log);
+        let (analysis, stats, gates) = crate::ondemand::begin(&mut crashed)?;
         // The crash survivors move in whole, still sharing the image's
         // fault injector: the repaired disk becomes the shard map's
         // disk, the repaired log (chains already pruned to the stable

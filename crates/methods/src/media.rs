@@ -65,7 +65,7 @@ use redo_sim::db::Db;
 use redo_sim::page::Page;
 use redo_sim::wal::codec::PageOpView;
 use redo_sim::wal::ShardedLog;
-use redo_sim::SimResult;
+use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{OpCells, PageId, PageOp};
 
@@ -322,16 +322,15 @@ pub fn rebuild_images(db: &Db<PageOpPayload>) -> SimResult<BTreeMap<PageId, Page
 }
 
 /// Installs rebuild images in one atomic multi-page write, skipping
-/// pages the disk already carries at (or past) the image's LSN, and
-/// drops the write-order constraints the pages written satisfied (an
-/// on-demand restart installs while earlier components' replay has
-/// constraints standing). Returns the pages written.
+/// pages the disk already carries at (or past) the image's LSN.
+/// Returns the pages written. The disk alone is written: every restart
+/// installs at open, on a freshly crashed and empty pool.
 ///
 /// The write is one faultable event: an armed fault suppresses all of
 /// it, leaving every lost page lost, to be re-detected and re-installed
 /// by the next recovery. So does an install the backend cannot encode
-/// (nothing lands, nothing is reported written); the redo scan's first
-/// fetch of a lost page then surfaces the loss.
+/// (nothing lands, nothing is reported written); `restore` then
+/// reports the loss.
 pub fn install_images(db: &mut Db<PageOpPayload>, images: &BTreeMap<PageId, Page>) -> Vec<PageId> {
     let batch: Vec<(PageId, Page)> = images
         .iter()
@@ -339,16 +338,27 @@ pub fn install_images(db: &mut Db<PageOpPayload>, images: &BTreeMap<PageId, Page
         .map(|(&id, image)| (id, image.clone()))
         .collect();
     let written: Vec<PageId> = batch.iter().map(|&(id, _)| id).collect();
-    if written.is_empty() {
-        return written;
-    }
-    if db.disk.write_pages_atomic(batch).is_err() {
+    if batch.is_empty() || db.disk.write_pages_atomic(batch).is_err() {
         return Vec::new();
     }
-    for &page in &written {
-        db.pool.discharge(&db.disk, page);
-    }
     written
+}
+
+/// The media restore [`Media`] and both lazy faces open with, after
+/// repair and before any gate or replay: [`rebuild_images`], then
+/// [`install_images`].
+///
+/// # Errors
+///
+/// Log or archive corruption; [`SimError::MediaLoss`] for a lost page
+/// the install did not land (a fault suppressed it).
+pub(crate) fn restore(db: &mut Db<PageOpPayload>) -> SimResult<()> {
+    let images = rebuild_images(db)?;
+    install_images(db, &images);
+    match images.keys().find(|&&page| db.disk.is_lost(page)) {
+        Some(&lost) => Err(SimError::MediaLoss(lost)),
+        None => Ok(()),
+    }
 }
 
 impl RecoveryMethod for Media {
@@ -370,11 +380,7 @@ impl RecoveryMethod for Media {
         // Repair first: the rebuild closure consults page LSNs, which
         // must answer from honest (un-torn) durable content.
         db.repair_after_crash();
-        let images = rebuild_images(db)?;
-        install_images(db, &images);
-        // If a fault interrupted the install pass, some page is still
-        // lost; the redo scan's first fetch of it surfaces MediaLoss,
-        // and the next recovery of the re-crashed image starts over.
+        restore(db)?;
         Generalized.recover(db)
     }
 
@@ -383,8 +389,7 @@ impl RecoveryMethod for Media {
         db: &mut Db<PageOpPayload>,
         probes: &[redo_workload::pages::Cell],
     ) -> Option<SimResult<(RecoveryStats, Vec<u64>)>> {
-        // The on-demand open gates media-lost pages and installs their
-        // rebuild images lazily, component by component.
+        // The on-demand open restores lost pages as this recovery does.
         Some(OnDemand::restart_with_probes(db, probes))
     }
 }
@@ -675,9 +680,8 @@ mod tests {
         let mut reference = db.clone();
         Media.recover(&mut reference).unwrap();
         assert_matches_model(&mut reference, &ops);
-        // Both executors install through `install_images`: the offline
-        // scan up front, the lazy one on the first component that holds
-        // a rebuilt page.
+        // Both executors install through `restore`, at open: the
+        // offline scan and the lazy one alike.
         every_crash_point_converges(&Media, &db, &reference);
         every_crash_point_converges(&OnDemand, &db, &reference);
     }

@@ -29,11 +29,10 @@
 //! every gate closed, and the next recovery starts from the repaired
 //! image as if this one had never run.
 //!
-//! Media-lost pages ([`redo_sim::SimError::MediaLoss`]) ride the same
-//! machinery: every page of the [`media::rebuild_images`] plan is gated
-//! unconditionally, and the first component that holds one installs
-//! the whole plan ([`media::install_images`], one atomic write) before
-//! it replays.
+//! Media-lost pages ([`redo_sim::SimError::MediaLoss`]) are restored at
+//! open, before any gate is placed, exactly as [`media::Media`] restores
+//! them: their rebuild closure lands in one atomic write, and every
+//! record touching it is then skipped by the redo test.
 //!
 //! Recovery terminates even without reads: a sweeper drains the
 //! remaining gates ([`OnDemandRestart::sweep_one`]), and
@@ -41,10 +40,9 @@
 //! crash auditor proves the lazy path equivalent to the sequential
 //! scan.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use redo_sim::db::Db;
-use redo_sim::page::Page;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp};
@@ -74,36 +72,43 @@ pub struct OnDemandRestart {
     analysis: RestartAnalysis,
     gates: BTreeSet<PageId>,
     stats: RecoveryStats,
-    /// The media-rebuild plan ([`media::rebuild_images`]): final images
-    /// for the pages lost to media failure and their transitive
-    /// closure. Empty when nothing is lost.
-    media_images: BTreeMap<PageId, Page>,
+}
+
+/// Both lazy faces' opening: `redo::begin` (repair, analysis),
+/// `media::restore`, then the gate list (`RestartAnalysis::gates`).
+///
+/// # Errors
+///
+/// Those of `redo::begin` and `media::restore`.
+pub(crate) fn begin(
+    db: &mut Db<PageOpPayload>,
+) -> SimResult<(RestartAnalysis, RecoveryStats, Vec<PageId>)> {
+    let (analysis, stats) = redo::begin(db)?;
+    media::restore(db)?;
+    let gates = analysis.gates(&db.log);
+    Ok((analysis, stats, gates))
 }
 
 impl OnDemand {
-    /// Opens a crashed database immediately: repair, analysis and gate
-    /// placement — no replay, no scan, and no record decoded (a media
-    /// rebuild plan, when pages are lost, is the one exception: it
-    /// reads `archive ∥ live` in place and replays the records the lost
-    /// pages' final images depend on). Every page whose chain holds a
-    /// record the analysis cannot prove installed is gated, and so is
-    /// every page of the rebuild plan; reads on ungated pages are
-    /// servable at once.
+    /// Opens a crashed database immediately: repair, analysis, the
+    /// media restore and gate placement — no replay, no scan, and no
+    /// record decoded (a restore, when pages are lost, is the one
+    /// exception: it reads `archive ∥ live` in place and installs the
+    /// lost pages' rebuild closure). Every page whose chain holds a
+    /// record the analysis cannot prove installed is gated; reads on
+    /// ungated pages are servable at once.
     ///
     /// # Errors
     ///
-    /// Log corruption at the master record (or, with pages lost, in the
-    /// archived history).
+    /// Log or archive corruption; [`SimError::MediaLoss`] if the
+    /// restore's install did not land.
     pub fn open(db: &mut Db<PageOpPayload>) -> SimResult<OnDemandRestart> {
-        let (analysis, stats) = redo::begin(db)?;
-        let mut gates: BTreeSet<PageId> = analysis.gates(&db.log).into_iter().collect();
-        let media_images = media::rebuild_images(db)?;
-        gates.extend(media_images.keys().copied());
+        let (analysis, stats, gates) = begin(db)?;
+        let gates = gates.into_iter().collect();
         Ok(OnDemandRestart {
             analysis,
             gates,
             stats,
-            media_images,
         })
     }
 
@@ -111,8 +116,7 @@ impl OnDemand {
     /// then drain the remaining gates. Returns the final stats plus the
     /// value each probe observed *while recovery was still in
     /// progress* — the crash auditor cross-validates those against the
-    /// sequential probe's final state. Unless a page is media-lost (the
-    /// shared store has no rebuild path) the same image then goes
+    /// sequential probe's final state. The same image then goes
     /// through the concurrent face, [`SharedDb::open_on_demand`]: the
     /// same probes, a [`SharedDb::recovery_tick`] drain, every probe
     /// once more — each value must equal this face's.
@@ -125,29 +129,27 @@ impl OnDemand {
         db: &mut Db<PageOpPayload>,
         probes: &[Cell],
     ) -> SimResult<(RecoveryStats, Vec<u64>)> {
-        let image = db.disk.lost_pages().is_empty().then(|| db.clone());
+        let image = db.clone();
         let mut restart = Self::open(db)?;
         let mut served = Vec::with_capacity(probes.len());
         for &cell in probes {
             served.push(restart.read_cell(db, cell)?);
         }
         let stats = restart.finish(db)?;
-        if let Some(image) = image {
-            let shared = SharedDb::open_on_demand(image)?;
-            let mut agree = true;
-            for (&cell, &v) in probes.iter().zip(&served) {
-                agree &= shared.read_cell(cell)? == v;
-            }
-            while shared.recovery_tick()? {}
-            for &cell in probes {
-                agree &= shared.read_cell(cell)? == db.read_cell(cell)?;
-            }
-            if !agree {
-                return Err(SimError::MethodViolation(
-                    "SharedDb::open_on_demand served or drained to a value \
-                     the sequential on-demand restart did not",
-                ));
-            }
+        let shared = SharedDb::open_on_demand(image)?;
+        let mut agree = true;
+        for (&cell, &v) in probes.iter().zip(&served) {
+            agree &= shared.read_cell(cell)? == v;
+        }
+        while shared.recovery_tick()? {}
+        for &cell in probes {
+            agree &= shared.read_cell(cell)? == db.read_cell(cell)?;
+        }
+        if !agree {
+            return Err(SimError::MethodViolation(
+                "SharedDb::open_on_demand served or drained to a value \
+                 the sequential on-demand restart did not",
+            ));
         }
         Ok((stats, served))
     }
@@ -177,9 +179,7 @@ impl OnDemandRestart {
     ///
     /// # Errors
     ///
-    /// Substrate errors, including log corruption at a chain offset;
-    /// [`SimError::MediaLoss`] if a member is still lost after the
-    /// rebuild install (a fault suppressed it).
+    /// Substrate errors, including log corruption at a chain offset.
     pub fn ensure_recovered(&mut self, db: &mut Db<PageOpPayload>, page: PageId) -> SimResult<()> {
         if !self.gates.contains(&page) {
             return Ok(());
@@ -187,17 +187,6 @@ impl OnDemandRestart {
         let (component, records) =
             self.analysis
                 .component(&db.log, page, |p| self.gates.contains(&p), &mut self.stats)?;
-        // Media rebuild: the whole plan lands before any redo test
-        // fetches one of its pages (idempotently skipped once the disk
-        // carries the images). A suppressed install leaves the pages
-        // lost; refuse to open the gates over them, exactly as a
-        // mid-replay error would.
-        if component.iter().any(|p| self.media_images.contains_key(p)) {
-            media::install_images(db, &self.media_images);
-        }
-        if let Some(&lost) = component.iter().find(|&&p| db.disk.is_lost(p)) {
-            return Err(SimError::MediaLoss(lost));
-        }
         for (lsn, op) in records {
             self.stats.scanned += 1;
             if redo_op(db, lsn, &op)? {
@@ -484,12 +473,13 @@ mod tests {
             damaged.disk.destroy_page(victim);
             damaged.crash();
             let mut restart = OnDemand::open(&mut damaged).unwrap();
+            assert!(!damaged.disk.is_lost(victim));
             assert!(
                 restart.is_gated(victim),
                 "a media-lost page must be gated at open"
             );
-            // Serve the lost page mid-recovery: the read installs the
-            // rebuild image and answers with the final value.
+            // Serve the lost page mid-recovery: the open installed the
+            // rebuild image, and the read answers with the final value.
             let expect = model(&ops);
             for (&cell, &v) in expect.iter().filter(|(c, _)| c.page == victim) {
                 assert_eq!(
@@ -498,7 +488,7 @@ mod tests {
                     "cell {cell:?}"
                 );
             }
-            assert!(!damaged.disk.is_lost(victim), "serving rebuilds the page");
+            assert!(!damaged.disk.is_lost(victim), "the page stays rebuilt");
             restart.finish(&mut damaged).unwrap();
             assert_eq!(
                 damaged.volatile_theory_state(),

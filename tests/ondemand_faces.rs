@@ -159,14 +159,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Cross-page-heavy traffic under chaos flushes and online
-    /// checkpoints, crashed: every durable cell served mid-recovery in
-    /// a random order, through either face, already holds sequential
-    /// recovery's value, and so does the drained state.
+    /// checkpoints, crashed, and sometimes one durable page destroyed
+    /// before either face opens: every durable cell served
+    /// mid-recovery in a random order, through either face, already
+    /// holds sequential recovery's value for the undamaged image, and
+    /// so does the drained state.
     #[test]
     fn any_serving_order_through_either_face_matches_sequential_recovery(
         seed in any::<u64>(),
         n_ops in 20usize..70,
         checkpoint_every in 5usize..20,
+        victim in prop::option::of(any::<prop::sample::Index>()),
     ) {
         let ops = PageWorkloadSpec {
             n_ops,
@@ -199,8 +202,14 @@ proptest! {
             cells.swap(i, rng.gen_range(0..=i));
         }
         let expect = reference(&image, &cells);
+        let mut damaged = image.clone();
+        let pages = image.disk.pages();
+        if let Some(victim) = victim.filter(|_| !pages.is_empty()) {
+            damaged.disk.destroy_page(pages[victim.index(pages.len())].0);
+            damaged.crash();
+        }
         for shared in [false, true] {
-            let mut face = Face::open(&image, shared);
+            let mut face = Face::open(&damaged, shared);
             let served: Vec<u64> = cells.iter().map(|&c| face.read(c)).collect();
             prop_assert_eq!(&served, &expect, "mid-recovery reads ({})", face.name());
             while face.sweep() {}

@@ -34,10 +34,10 @@
 //! different shards never contend on a shared pool lock — only on the
 //! single disk, and only while actually doing I/O. The shard lease is
 //! all the synchronization a page gets: nothing else orders
-//! conflicting operations. Lock ordering (strict, global): recovery
-//! gate → store shards in ascending index order → disk → log (the
-//! per-shard gate *sets* are leaves: taken briefly, never held across
-//! another acquisition). The log comes last because two paths need it
+//! conflicting operations. Lock ordering (strict, global): recovery →
+//! store shards in ascending index order → disk → log (an on-demand
+//! restart's gate set is a leaf outside it, never held across another
+//! acquisition). The log comes last because two paths need it
 //! *inside* the shards: [`SharedDb::execute`] appends under the lease
 //! it applies under, and the checkpoint daemon's fuzzy snapshot reads
 //! the dirty-page table (all shards, ascending —
@@ -65,7 +65,7 @@
 //! ([`crate::ondemand`] is the sequential one). Analysis places a
 //! recovery gate on every page whose stable chain holds a record the
 //! fuzzy dirty-page table cannot prove installed
-//! (`RestartAnalysis::gates`), and the shard map refuses to serve
+//! (`RestartAnalysis::gates`), and [`SharedDb`] refuses to serve
 //! those pages until their lazy redo runs. The first
 //! [`SharedDb::read_cell`] or [`SharedDb::execute`] touching a gated
 //! page replays that page's `RestartAnalysis::component` — the same
@@ -77,8 +77,8 @@
 //! [`SharedDb::recovery_tick`] in the background loop sweeps leftover
 //! gates so recovery terminates even if nothing ever reads them.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -114,11 +114,17 @@ struct Inner {
     /// always sound), and untouched by abandoned attempts. A leaf lock:
     /// taken briefly, never while acquiring another.
     chain: Mutex<Option<Chain>>,
-    /// On-demand restart bookkeeping; gate *membership* lives in the
-    /// shard map ([`ShardedStore::is_gated`]) so the servable fast path
-    /// never touches this mutex. Holding it serializes lazy replay —
-    /// two reads racing to the same component replay it once.
+    /// On-demand restart bookkeeping. Holding it serializes lazy
+    /// replay — two reads racing to the same component replay it once.
     recovery: Mutex<OnlineRecovery>,
+    /// Pages whose deferred redo is still owed: filled at open, only
+    /// shrunk by lazy replay. Outside `recovery`, so an ungated page
+    /// stays servable during a replay. A leaf lock.
+    gates: Mutex<BTreeSet<PageId>>,
+    /// `gates.len()`, stored (`Release`) under its lock: once nothing is
+    /// gated, the servable check is one load (`Acquire`) of this, which
+    /// sees every replay that opened a gate.
+    gated: AtomicUsize,
     stop: AtomicBool,
 }
 
@@ -242,7 +248,7 @@ impl SharedDb {
         // Through `Db`, so the disk and the log share one fault injector.
         let Db { disk, log, .. } = Db::new(geometry);
         let store = ShardedStore::with_disk(STORE_SHARDS, disk);
-        Self::assemble(geometry, log, store, None)
+        Self::assemble(geometry, log, store, None, BTreeSet::new())
     }
 
     fn assemble(
@@ -250,6 +256,7 @@ impl SharedDb {
         log: ShardedLog<PageOpPayload>,
         store: ShardedStore,
         active: Option<RecoveryState>,
+        gates: BTreeSet<PageId>,
     ) -> SharedDb {
         SharedDb {
             inner: Arc::new(Inner {
@@ -262,6 +269,8 @@ impl SharedDb {
                     active,
                     finished: None,
                 }),
+                gated: AtomicUsize::new(gates.len()),
+                gates: Mutex::new(gates),
                 stop: AtomicBool::new(false),
             }),
         }
@@ -271,10 +280,9 @@ impl SharedDb {
     /// repair, analysis, the media restore and gate placement only — no
     /// log scan, no replay. Every page whose stable chain holds a record
     /// at or above the redo-start that the checkpoint's dirty-page table
-    /// cannot prove installed is gated in the shard map; the first
-    /// access to a gated page (or the background sweeper) pays for
-    /// exactly that page's replay. Ungated pages are servable the moment
-    /// this returns.
+    /// cannot prove installed is gated; the first access to a gated page
+    /// (or the background sweeper) pays for exactly that page's replay.
+    /// Ungated pages are servable the moment this returns.
     ///
     /// # Errors
     ///
@@ -288,22 +296,26 @@ impl SharedDb {
         // tail) becomes the shared log. The sequential shell is dropped.
         let store = ShardedStore::with_disk(STORE_SHARDS, crashed.disk);
         let active = Some(RecoveryState { analysis, stats });
-        let shared = Self::assemble(crashed.geometry, crashed.log, store, active);
-        shared.inner.store.gate_pages(gates.iter().copied());
+        let shared = Self::assemble(crashed.geometry, crashed.log, store, active, gates);
         // A restart with nothing owed closes out right away.
-        if gates.is_empty() {
+        if shared.gated_count() == 0 {
             shared.recovery_tick()?;
         }
         Ok(shared)
     }
 
+    /// Is `page` still gated behind its deferred redo?
+    fn is_gated(&self, page: PageId) -> bool {
+        self.inner.gates.lock().contains(&page)
+    }
+
     /// Ensures every page in `pages` has had its deferred redo, lazily
-    /// replaying still-gated components. The fast path — all pages
-    /// ungated — costs one leaf-lock peek per page and never touches
-    /// the recovery mutex. Callers take their shard lease afterwards:
-    /// gates only open, so what this found servable stays servable.
+    /// replaying still-gated components. The fast path — one atomic load
+    /// once nothing is gated, a peek at the gate set per page before —
+    /// never touches the recovery mutex. Callers lease afterwards: gates
+    /// only open, so what this found servable stays servable.
     fn ensure_recovered(&self, pages: &[PageId]) -> SimResult<()> {
-        if pages.iter().all(|&p| !self.inner.store.is_gated(p)) {
+        if self.gated_count() == 0 || !pages.iter().any(|&p| self.is_gated(p)) {
             return Ok(());
         }
         let mut rec = self.inner.recovery.lock();
@@ -323,15 +335,14 @@ impl SharedDb {
     /// replays, so an error leaves every gate closed and a re-run owes
     /// exactly the same work.
     fn replay_component(&self, state: &mut RecoveryState, page: PageId) -> SimResult<()> {
-        let store = &self.inner.store;
-        if !store.is_gated(page) {
+        if !self.is_gated(page) {
             return Ok(());
         }
         // The chase runs under the log lock — released before any
         // shard lease, preserving the shards-before-log order.
         let (component, records) = {
             let log = self.inner.log.lock();
-            let (analysis, gated) = (&state.analysis, |p| store.is_gated(p));
+            let (analysis, gated) = (&state.analysis, |p| self.is_gated(p));
             analysis.component(&log, page, gated, &mut state.stats)?
         };
         // Replay in global LSN order under short shard leases: the
@@ -340,7 +351,7 @@ impl SharedDb {
         // would-be flush-order cycle: unbounded shards never *have* to
         // flush, but pages a cycle binds never *can* again (ROADMAP
         // item 2; `DaemonStats::drain_stalled` counts the symptom).
-        let spp = self.inner.geometry.slots_per_page;
+        let (store, spp) = (&self.inner.store, self.inner.geometry.slots_per_page);
         for (lsn, op) in records {
             state.stats.scanned += 1;
             let fp = op.footprint();
@@ -356,7 +367,11 @@ impl SharedDb {
         }
         // Only now open the gates — a read must never observe a
         // half-replayed component.
-        store.ungate_pages(component);
+        let mut gates = self.inner.gates.lock();
+        for p in component {
+            gates.remove(&p);
+        }
+        self.inner.gated.store(gates.len(), Ordering::Release);
         Ok(())
     }
 
@@ -390,10 +405,11 @@ impl SharedDb {
         let Some(state) = rec.active.as_mut() else {
             return Ok(false);
         };
-        if let Some(page) = self.inner.store.first_gated() {
+        let first = self.inner.gates.lock().first().copied();
+        if let Some(page) = first {
             self.replay_component(state, page)?;
         }
-        if self.inner.store.gated_count() > 0 {
+        if self.gated_count() > 0 {
             return Ok(true);
         }
         if let Some(mut state) = rec.active.take() {
@@ -419,7 +435,7 @@ impl SharedDb {
     /// Pages still gated behind their deferred redo.
     #[must_use]
     pub fn gated_count(&self) -> usize {
-        self.inner.store.gated_count()
+        self.inner.gated.load(Ordering::Acquire)
     }
 
     /// Executes one operation: under one lease on its pages' shards,
@@ -574,8 +590,8 @@ impl SharedDb {
             let snapshot = self.inner.store.snapshot();
             let mut log = self.inner.log.lock();
             let residuals: Vec<(PageId, Lsn)> = match rec.active.as_ref() {
-                Some(state) => (self.inner.store.gated_pages().into_iter())
-                    .filter_map(|page| {
+                Some(state) => (self.inner.gates.lock().iter())
+                    .filter_map(|&page| {
                         let first = state.analysis.owed_chain(&log, page).next();
                         first.map(|(lsn, _)| (page, lsn))
                     })
@@ -714,7 +730,7 @@ impl SharedDb {
         self.inner.stop.load(Ordering::SeqCst)
     }
 
-    /// Spawns the background group-commit + flusher +
+    /// Runs the background group-commit + flusher +
     /// checkpoint-controller loop on the current handle; returns when
     /// [`SharedDb::shutdown`] is called. Intended to run on its own
     /// thread. Each tick ends in a [`SharedDb::control_tick`] steering
@@ -724,24 +740,27 @@ impl SharedDb {
     /// builds; a budget no estimate can cross disables online
     /// checkpointing.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a tick hits an unexpected substrate error — a broken
-    /// pool or log is not something the background thread can recover
-    /// from, and limping on would mask the corruption.
-    pub fn background_loop(&self, seed: u64, flush_prob: f64, budget: RestartBudget) {
+    /// The first substrate error a tick hits, which ends the loop: a
+    /// broken pool or log is not something the background thread can
+    /// recover from, and limping on would mask the corruption.
+    pub fn background_loop(
+        &self,
+        seed: u64,
+        flush_prob: f64,
+        budget: RestartBudget,
+    ) -> SimResult<()> {
         let controller = Controller::new(budget);
         let mut rng = StdRng::seed_from_u64(seed);
         while !self.stopping() {
-            self.recovery_tick()
-                .expect("recovery tick hit an unexpected substrate error");
+            self.recovery_tick()?;
             self.commit_tick();
-            self.flusher_tick(&mut rng, flush_prob)
-                .expect("flusher tick hit an unexpected substrate error");
-            self.control_tick(&controller)
-                .expect("control tick hit an unexpected substrate error");
+            self.flusher_tick(&mut rng, flush_prob)?;
+            self.control_tick(&controller)?;
             std::thread::yield_now();
         }
+        Ok(())
     }
 
     /// CRASH: tears down the shared database (volatile state vanishes)
@@ -985,7 +1004,8 @@ mod tests {
             shared.execute(op).expect("execute");
         }
         shared.shutdown();
-        handle.join().expect("background loop exits");
+        let ran = handle.join().expect("background loop exits");
+        ran.expect("background loop hit no substrate error");
         shared.commit_tick();
         let mut db = shared.crash();
         Generalized.recover(&mut db).expect("recover");
@@ -1198,7 +1218,8 @@ mod tests {
             std::thread::yield_now();
         }
         shared.shutdown();
-        handle.join().expect("background loop exits");
+        let ran = handle.join().expect("background loop exits");
+        ran.expect("background loop hit no substrate error");
         shared.commit_tick();
         let daemon = shared.daemon_stats();
         assert!(daemon.checkpoints_taken > 0, "the daemon ran");
@@ -1352,7 +1373,8 @@ mod tests {
             std::thread::yield_now();
         }
         shared.shutdown();
-        handle.join().expect("background loop exits");
+        let ran = handle.join().expect("background loop exits");
+        ran.expect("background loop hit no substrate error");
         assert!(!shared.recovering(), "the sweeper drained the gates");
         let stats = shared.recovery_stats().expect("stats published");
         assert!(stats.scanned > 0, "the sweeper actually replayed something");
@@ -1367,10 +1389,10 @@ mod tests {
 
     #[test]
     fn sweeper_drains_in_the_order_of_the_gate_listing() {
-        // The sweeper used to list and sort every gate to take the
-        // head; `first_gated` must drive the identical drain — the same
-        // components in the same order, hence the same stats, replayed
-        // and skipped order included.
+        // The sweeper replays from the lowest gated page each tick; a
+        // drain driven by hand from the head of the gate set must be
+        // the identical drain — the same components in the same order,
+        // hence the same stats, replayed and skipped order included.
         for seed in [21u64, 22, 23, 31, 41] {
             let (db, _) = run_with_checkpoints(seed);
             let swept = SharedDb::open_on_demand(db.clone()).expect("open on demand");
@@ -1379,7 +1401,12 @@ mod tests {
             {
                 let mut rec = listed.inner.recovery.lock();
                 let state = rec.active.as_mut().expect("gates remain");
-                while let Some(&page) = listed.inner.store.gated_pages().first() {
+                // Not `while let`: the guard in its scrutinee would live
+                // across the replay, which locks the gate set again.
+                loop {
+                    let Some(page) = listed.inner.gates.lock().first().copied() else {
+                        break;
+                    };
                     listed.replay_component(state, page).expect("replay");
                 }
             }
@@ -1388,6 +1415,31 @@ mod tests {
             assert!(swept.as_ref().is_some_and(|stats| stats.scanned > 0));
             assert_eq!(swept, listed, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn an_ungated_page_is_served_while_a_component_replays() {
+        // A replay holds the recovery mutex for as long as its component
+        // takes; a read of a page that was never gated must not wait on
+        // it, so the gate set cannot live behind that mutex.
+        let (db, cells) = run_with_checkpoints(21);
+        let shared = SharedDb::open_on_demand(db).expect("open on demand");
+        assert!(shared.gated_count() > 0, "nothing deferred");
+        let (&cell, &v) = (cells.iter())
+            .find(|(c, _)| !shared.is_gated(c.page))
+            .expect("some model cell sits on a page that was never gated");
+        let replaying = shared.inner.recovery.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = shared.clone();
+        let handle = std::thread::spawn(move || tx.send(reader.read_cell(cell)));
+        let served = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(replaying);
+        handle
+            .join()
+            .expect("reader exits")
+            .expect("receiver alive");
+        let served = served.expect("the read waited on the replay");
+        assert_eq!(served.expect("read"), v);
     }
 
     #[test]
@@ -1402,7 +1454,7 @@ mod tests {
         let gated_cell = cells
             .keys()
             .copied()
-            .find(|c| shared.inner.store.is_gated(c.page))
+            .find(|c| shared.is_gated(c.page))
             .expect("some model cell sits on a gated page");
         let before = cells[&gated_cell];
         // A read-modify-write on the gated page must read the

@@ -75,14 +75,14 @@ pub struct OnDemandRestart {
 }
 
 /// Both lazy faces' opening: `redo::begin` (repair, analysis),
-/// `media::restore`, then the gate list (`RestartAnalysis::gates`).
+/// `media::restore`, then the gate set (`RestartAnalysis::gates`).
 ///
 /// # Errors
 ///
 /// Those of `redo::begin` and `media::restore`.
 pub(crate) fn begin(
     db: &mut Db<PageOpPayload>,
-) -> SimResult<(RestartAnalysis, RecoveryStats, Vec<PageId>)> {
+) -> SimResult<(RestartAnalysis, RecoveryStats, BTreeSet<PageId>)> {
     let (analysis, stats) = redo::begin(db)?;
     media::restore(db)?;
     let gates = analysis.gates(&db.log);
@@ -104,7 +104,6 @@ impl OnDemand {
     /// restore's install did not land.
     pub fn open(db: &mut Db<PageOpPayload>) -> SimResult<OnDemandRestart> {
         let (analysis, stats, gates) = begin(db)?;
-        let gates = gates.into_iter().collect();
         Ok(OnDemandRestart {
             analysis,
             gates,

@@ -354,7 +354,7 @@ impl RestartAnalysis {
 
     /// Gate placement for the on-demand paths: every chained page whose
     /// stable chain holds a record restart still owes.
-    pub(crate) fn gates<P: LogPayload>(&self, log: &ShardedLog<P>) -> Vec<PageId> {
+    pub(crate) fn gates<P: LogPayload>(&self, log: &ShardedLog<P>) -> BTreeSet<PageId> {
         let owed = |&page: &PageId| self.owed_chain(log, page).next().is_some();
         log.chained_pages().filter(owed).collect()
     }

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::significant_drop_in_scrutinee)]
 
 pub mod backend;
 pub mod cache;

@@ -12,9 +12,10 @@
 //!
 //! > **shards in ascending index order → disk**
 //!
-//! (callers put the recovery gate before and the log after — see
+//! (callers put their recovery mutex before and the log after — see
 //! `redo-methods`' `concurrent` module for the full chain: recovery →
-//! shards ascending → disk → log). Three paths exercise it:
+//! shards ascending → disk → log; lazy restart's gates are its own).
+//! Three paths exercise it:
 //!
 //! * [`ShardedStore::lock_pages`] — an operation leases exactly the
 //!   shards its page set touches, ascending, and reads/updates under
@@ -60,17 +61,8 @@ use crate::page::Page;
 
 /// A buffer pool split into power-of-two page-id shards over one shared
 /// disk. See the module docs for the locking discipline.
-///
-/// Each shard also carries a **recovery-gate set**: pages whose
-/// post-crash redo is still owed when the store is opened on demand
-/// (instant restart). The gate sets are membership registries only —
-/// the replay itself lives with the recovery method; the store just
-/// answers "may this page be served yet?" ([`ShardedStore::is_gated`])
-/// and has gates placed/cleared around it. Gate locks are leaves:
-/// they are never held while acquiring any other lock.
 pub struct ShardedStore {
     shards: Box<[Mutex<BufferPool>]>,
-    gates: Box<[Mutex<BTreeSet<PageId>>]>,
     disk: Mutex<Disk>,
     mask: u32,
 }
@@ -91,10 +83,6 @@ impl ShardedStore {
         ShardedStore {
             shards: (0..n)
                 .map(|_| Mutex::new(BufferPool::new(None)))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            gates: (0..n)
-                .map(|_| Mutex::new(BTreeSet::new()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             disk: Mutex::new(disk),
@@ -183,8 +171,8 @@ impl ShardedStore {
     /// recLSN is the horizon a checkpoint taken now could truncate to).
     /// Each shard keeps that order ([`BufferPool::coldest_dirty`]), so
     /// this merges at most `n` entries from each under brief per-shard
-    /// locks, as [`ShardedStore::first_gated`] does — a moving target
-    /// under concurrency, not the cut [`ShardedStore::snapshot`] is.
+    /// locks — a moving target under concurrency, not the cut
+    /// [`ShardedStore::snapshot`] is.
     #[must_use]
     pub fn coldest_dirty(&self, after: Option<(Lsn, PageId)>, n: usize) -> Vec<(Lsn, PageId)> {
         let mut merged = Vec::new();
@@ -282,54 +270,6 @@ impl ShardedStore {
             refused += 1;
         }
         Ok((false, refused))
-    }
-
-    /// Places recovery gates on `pages`: each is unservable until
-    /// [`ShardedStore::ungate_pages`] clears it after its lazy redo.
-    pub fn gate_pages(&self, pages: impl IntoIterator<Item = PageId>) {
-        for p in pages {
-            self.gates[self.shard_of(p)].lock().insert(p);
-        }
-    }
-
-    /// Is this page still gated behind its deferred redo? The fast
-    /// path every read takes; a brief leaf lock on one shard's gate
-    /// set.
-    #[must_use]
-    pub fn is_gated(&self, page: PageId) -> bool {
-        self.gates[self.shard_of(page)].lock().contains(&page)
-    }
-
-    /// Opens the gates on `pages` — their redo is complete; reads may
-    /// be served.
-    pub fn ungate_pages(&self, pages: impl IntoIterator<Item = PageId>) {
-        for p in pages {
-            self.gates[self.shard_of(p)].lock().remove(&p);
-        }
-    }
-
-    /// Every gated page across all shards, in id order (the sweeper's
-    /// worklist).
-    #[must_use]
-    pub fn gated_pages(&self) -> Vec<PageId> {
-        let mut gated: Vec<PageId> = self.gates.iter().flat_map(|g| g.lock().clone()).collect();
-        gated.sort_unstable();
-        gated
-    }
-
-    /// The lowest-numbered gated page — the head of
-    /// [`ShardedStore::gated_pages`] without building the list: each
-    /// shard's gate set is ordered, so it is the least of their firsts.
-    #[must_use]
-    pub fn first_gated(&self) -> Option<PageId> {
-        let firsts = self.gates.iter().filter_map(|g| g.lock().first().copied());
-        firsts.min()
-    }
-
-    /// Pages still gated, across all shards.
-    #[must_use]
-    pub fn gated_count(&self) -> usize {
-        self.gates.iter().map(|g| g.lock().len()).sum()
     }
 
     /// Consumes the store, keeping only what survives a crash: the
@@ -848,26 +788,6 @@ mod tests {
                 let behind = table.iter().copied().filter(|&entry| Some(entry) > cursor);
                 let expect: Vec<(Lsn, PageId)> = behind.take(n).collect();
                 proptest::prop_assert_eq!(store.coldest_dirty(cursor, n), expect);
-            }
-        }
-
-        /// The sweeper's pick: under any sequence of gate placements
-        /// and openings the cursor names the head of the full listing.
-        #[test]
-        fn first_gated_is_the_head_of_the_gate_listing(
-            n_shards in 1usize..9,
-            steps in proptest::collection::vec((0u8..3, 0u32..40), 0..80),
-        ) {
-            let store = ShardedStore::new(n_shards);
-            proptest::prop_assert_eq!(store.first_gated(), None);
-            for (what, page) in steps {
-                match what {
-                    0 => store.ungate_pages([PageId(page)]),
-                    _ => store.gate_pages([PageId(page), PageId(page / 2 + 20)]),
-                }
-                let listed = store.gated_pages();
-                proptest::prop_assert_eq!(store.first_gated(), listed.first().copied());
-                proptest::prop_assert_eq!(store.gated_count(), listed.len());
             }
         }
     }

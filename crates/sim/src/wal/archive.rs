@@ -24,7 +24,6 @@ use crate::backend::{BackendKind, LogBackend};
 #[derive(Clone, Debug)]
 pub(crate) struct ArchiveTier {
     tiers: Vec<Box<dyn LogBackend>>,
-    archived_bytes: u64,
 }
 
 impl ArchiveTier {
@@ -33,14 +32,12 @@ impl ArchiveTier {
     pub(crate) fn new(kind: BackendKind, n: usize) -> ArchiveTier {
         ArchiveTier {
             tiers: (0..n).map(|_| kind.new_log()).collect(),
-            archived_bytes: 0,
         }
     }
 
     /// Appends a drained frame prefix to shard `s`'s archive.
     pub(crate) fn append(&mut self, s: usize, bytes: &[u8]) {
         self.tiers[s].append(bytes);
-        self.archived_bytes += bytes.len() as u64;
     }
 
     /// Shard `s`'s archived frame image (oldest frames first).
@@ -55,26 +52,20 @@ impl ArchiveTier {
     /// recovery protocol can still name.
     pub(crate) fn compact(&mut self, s: usize, pos: usize) {
         self.tiers[s].drain_prefix(pos);
-        self.archived_bytes -= pos as u64;
     }
 
-    /// Total bytes resident in the archive tier. Volatile telemetry,
-    /// re-derived from the durable tier bytes on crash — the counter
-    /// and the ground truth can never diverge past a reopen.
+    /// Total bytes resident in the archive tier, read off the tier
+    /// bytes themselves.
     pub(crate) fn archived_bytes(&self) -> u64 {
-        self.archived_bytes
+        self.tiers.iter().map(|t| t.bytes().len() as u64).sum()
     }
 
     /// Crash pass-through: archive bytes are durable (the file backend
     /// relearns them from disk on reopen, the mem backend models a
-    /// surviving device). The byte counter is volatile and is recomputed
-    /// from what actually survived — an append the medium never fully
-    /// observed (or out-of-band damage) would otherwise leave the
-    /// telemetry diverged from the durable bytes forever.
+    /// surviving device).
     pub(crate) fn crash(&mut self) {
         for tier in &mut self.tiers {
             tier.crash();
         }
-        self.archived_bytes = self.tiers.iter().map(|t| t.bytes().len() as u64).sum();
     }
 }

@@ -14,9 +14,9 @@
 //! * [`Logical::checkpoint`] quiesces: forces the log, writes every
 //!   dirty cache page to the staging area, logs a checkpoint record,
 //!   forces it, and then performs the pointer swing
-//!   ([`Disk::promote_staging`](redo_sim::disk::Disk::promote_staging) +
-//!   master update — modeled as one atomic step, as the real pointer
-//!   write is);
+//!   ([`Disk::swing_pointer`](redo_sim::disk::Disk::swing_pointer): the
+//!   staged pages and the master update install as one atomic step, as
+//!   the real pointer write does);
 //! * recovery starts from the installed state (exactly the last
 //!   checkpoint's) and replays **every** logged operation after the
 //!   checkpoint record — the redo test is constant *true*, which is what
@@ -62,17 +62,9 @@ impl RecoveryMethod for Logical {
     }
 
     fn checkpoint(&self, db: &mut Db<PageOpPayload>) -> SimResult<()> {
-        // Quiesce: write dirty pages to the staging area.
+        // Quiesce: write dirty pages (possibly none) to the staging area.
         db.log.flush_all();
         let dirty = db.pool.dirty_frames();
-        if dirty.is_empty() {
-            // Nothing to install; still advance the master so recovery
-            // scans less log.
-            let ck = redo::append_heavyweight(&mut db.log)?;
-            db.log.flush_all();
-            db.disk.set_master(ck)?;
-            return Ok(());
-        }
         for (id, page) in &dirty {
             db.disk.write_staging(*id, page.clone());
         }
@@ -80,9 +72,11 @@ impl RecoveryMethod for Logical {
         db.log.flush_all();
         // The pointer swing: staged pages and the new master install in
         // ONE atomic (and singly faultable) act — a crash point between
-        // "promote" and "set master" must not exist, or recovery would
-        // see checkpoint pages installed while the master still points
-        // at the previous checkpoint.
+        // installing the pages and moving the master must not exist, or
+        // recovery would see checkpoint pages installed while the master
+        // still points at the previous checkpoint. With nothing staged
+        // the swing only advances the master, so recovery scans less
+        // log.
         db.disk.swing_pointer(ck)?;
         for (id, _) in dirty {
             db.pool.mark_clean(&db.disk, id)?;

@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! pages/p<id>.pg    installed page copies (checksummed, see below)
-//! stage/p<id>.pg    staging area (volatile: wiped on crash)
 //! journal/p<id>.pg  doublewrite journal: pre-images of torn pages
 //! master.bin        checkpoint pointer:  lsn u64 | crc u32
 //! master.tmp        in-flight master write (debris if crashed)
@@ -16,12 +15,24 @@
 //! wal.log           the log backend's frame stream (its own directory)
 //! ```
 //!
+//! The page store, `FileStorage`, keeps no copy of the pages: it
+//! persists each change [`Disk`](crate::disk::Disk) makes to its one
+//! page image, and at a crash rebuilds that image from the files —
+//! pages, torn marks with their journaled pre-images, lost marks, and
+//! the master — so out-of-band damage inflicted by tests (flipping a
+//! bit in a page file, deleting one) is observed exactly as a reopening
+//! process would observe it. The staging area is volatile disk state
+//! and never reaches a file.
+//!
 //! Every page file is `lsn u64 | slots u16 | crc u32 | slot data`, all
 //! little-endian, with the CRC computed over the whole encoding minus
 //! the CRC field itself. A torn write stores the CRC of the *intended*
 //! image over partially-old slot data, so the damage is detected by
-//! checksum on the next read — exactly how a real page checksum catches
-//! a torn sector transfer — rather than flagged by simulator fiat.
+//! checksum on the next reopen — exactly how a real page checksum
+//! catches a torn sector transfer — rather than flagged by simulator
+//! fiat. Its pre-image is journaled first, and a journal entry beside a
+//! page file marks the page torn as well: a full write or a repair
+//! removes it.
 //!
 //! Atomic multi-page installs and the checkpoint pointer swing use an
 //! intentions list: the pages and new master are serialized to
@@ -31,23 +42,18 @@
 //! and the intent removed; a crash anywhere after the rename replays
 //! the idempotent intent on reopen, a crash before it leaves only
 //! ignorable `*.tmp` debris. This is the standard realization of §5's
-//! "large atomic transition" and replaces the simulator-granted
-//! `swing_pointer` primitive.
-//!
-//! In-memory mirrors of the file contents serve reads; `crash` drops
-//! them and rebuilds everything from the files, so out-of-band damage
-//! inflicted by tests (truncating `wal.log`, flipping a bit in a page
-//! file) is observed exactly as a reopening process would observe it.
+//! "large atomic transition".
 //!
 //! **Media loss** is detected by diffing the durable page manifest
 //! against the files the rescan actually finds: a manifested page whose
 //! file vanished — or turned structurally unreadable with no journaled
 //! pre-image to fall back on — is *lost*, not torn. Lost pages read as
-//! [`SimError::MediaLoss`] until a rebuild (replaying `archive ∥ live`
-//! from the last checkpoint image) writes a fresh copy. The manifest is
-//! written page-file-first: a crash between installing a new page file
-//! and manifesting it leaves an unmanifested file, which the rescan
-//! unions back into the manifest — never a spurious loss.
+//! [`SimError::MediaLoss`](crate::SimError::MediaLoss) until a rebuild
+//! (replaying `archive ∥ live` from the last checkpoint image) writes a
+//! fresh copy. The manifest is written page-file-first: a crash between
+//! installing a new page file and manifesting it leaves an unmanifested
+//! file, which the rescan unions back into the manifest — never a
+//! spurious loss.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
@@ -57,11 +63,12 @@ use std::path::{Path, PathBuf};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, SlotId};
 
-use crate::error::{SimError, SimResult};
+use crate::disk::Image;
+use crate::error::SimResult;
 use crate::page::Page;
 use crate::wal::codec;
 
-use super::{crc32, Crc32, LogBackend, StorageBackend, TempDir};
+use super::{crc32, Crc32, LogBackend, TempDir};
 
 /// Bytes of a page-file header: lsn u64 | slots u16 | crc u32.
 const PAGE_HEADER: usize = 14;
@@ -69,7 +76,7 @@ const PAGE_HEADER: usize = 14;
 /// Aborts on a host-filesystem *write* failure (disk full, permissions)
 /// — outside the simulated fault model. Open/read failures on page and
 /// archive files must NOT come here: they are media loss, a recoverable
-/// [`SimError::MediaLoss`] condition handled by the rescan paths.
+/// [`crate::SimError::MediaLoss`] condition handled by the rescan paths.
 fn die(what: &str, path: &Path, err: std::io::Error) -> ! {
     panic!("{what} {}: {err}", path.display());
 }
@@ -158,49 +165,40 @@ fn parse_page_file_name(name: &str) -> Option<PageId> {
         .map(PageId)
 }
 
-/// File-backed page store. See the module docs for the on-disk layout
-/// and crash-atomicity argument.
+/// The files persisting a [`Disk`](crate::disk::Disk)'s page image. It
+/// holds no copy of the image: each change is written through as the
+/// disk makes it, and [`FileStorage::reopen`] rebuilds the image from
+/// the files. See the module docs for the layout and the crash-atomicity
+/// argument.
 #[derive(Debug)]
-pub struct FileStorage {
+pub(crate) struct FileStorage {
     dir: TempDir,
-    current: BTreeMap<PageId, Page>,
-    staging: BTreeMap<PageId, Page>,
-    torn: BTreeSet<PageId>,
-    master_lsn: Lsn,
     /// Every page id ever durably installed — mirror of `manifest.bin`.
     /// The reference the rescan diffs the surviving files against.
     manifest: BTreeSet<PageId>,
-    /// Manifested pages whose file the last rescan could not read (or
-    /// read as garbage with no journaled pre-image): media loss.
-    lost: BTreeSet<PageId>,
 }
 
 impl FileStorage {
     /// A fresh store in its own temporary directory.
-    #[must_use]
-    pub fn new_temp() -> FileStorage {
+    pub(crate) fn new_temp() -> FileStorage {
         let dir = TempDir::new("redo-sim-disk");
-        for sub in ["pages", "stage", "journal"] {
+        for sub in ["pages", "journal"] {
             let p = dir.path().join(sub);
             fs::create_dir_all(&p).unwrap_or_else(|e| die("creating", &p, e));
         }
         FileStorage {
             dir,
-            current: BTreeMap::new(),
-            staging: BTreeMap::new(),
-            torn: BTreeSet::new(),
-            master_lsn: Lsn::ZERO,
             manifest: BTreeSet::new(),
-            lost: BTreeSet::new(),
         }
+    }
+
+    /// The storage directory.
+    pub(crate) fn dir(&self) -> &Path {
+        self.dir.path()
     }
 
     fn pages_dir(&self) -> PathBuf {
         self.dir.path().join("pages")
-    }
-
-    fn stage_dir(&self) -> PathBuf {
-        self.dir.path().join("stage")
     }
 
     fn journal_dir(&self) -> PathBuf {
@@ -275,28 +273,45 @@ impl FileStorage {
         }
     }
 
-    /// Installs one page file durably and updates the mirror. A full,
-    /// checksummed write supersedes any torn state, its journal
-    /// pre-image, and any media-lost mark.
-    fn install_page(&mut self, id: PageId, page: Page) {
-        write_durable(&self.page_path(id), &encode_page(&page));
+    /// Persists a full, clean page write. It supersedes the page's torn
+    /// state and its journaled pre-image (and a media-lost mark, which
+    /// the page's file now answers).
+    pub(crate) fn write_page(&mut self, id: PageId, page: &Page) {
+        write_durable(&self.page_path(id), &encode_page(page));
         self.manifest_page(id);
-        self.torn.remove(&id);
-        self.lost.remove(&id);
         let _ = fs::remove_file(self.journal_path(id));
-        self.current.insert(id, page);
     }
 
-    fn publish_master(&mut self, lsn: Lsn) {
-        let mut bytes = Vec::with_capacity(12);
-        bytes.extend_from_slice(&lsn.0.to_le_bytes());
-        bytes.extend_from_slice(&crc32(&lsn.0.to_le_bytes()).to_le_bytes());
+    /// Persists a torn write: `pre`, when given, is journaled first (the
+    /// doublewrite), then the page file receives the `landed` slots
+    /// under the checksum of the `intended` image, so the next reopen
+    /// detects the tear by CRC mismatch — exactly how a real page
+    /// checksum catches a torn sector transfer. The journal marks the
+    /// tear too, which matters when the landed slots happen to equal
+    /// the intended ones.
+    pub(crate) fn tear_page(
+        &mut self,
+        id: PageId,
+        pre: Option<&Page>,
+        intended: &Page,
+        landed: &Page,
+    ) {
+        if let Some(pre) = pre {
+            write_durable(&self.journal_path(id), &encode_page(pre));
+        }
+        let mut bytes = encode_page(landed);
+        bytes[10..PAGE_HEADER].copy_from_slice(&encode_page(intended)[10..PAGE_HEADER]);
+        write_durable(&self.page_path(id), &bytes);
+        self.manifest_page(id);
+    }
+
+    /// Persists the checkpoint pointer: temp + fsync + rename.
+    pub(crate) fn set_master(&self, lsn: Lsn) {
         publish_durable(
             &self.master_path(),
             &self.dir.path().join("master.tmp"),
-            &bytes,
+            &encode_master(lsn),
         );
-        self.master_lsn = lsn;
     }
 
     /// Serializes an intentions list: master u64 | n u32 | n × (id u32 |
@@ -304,7 +319,7 @@ impl FileStorage {
     ///
     /// # Errors
     ///
-    /// [`SimError::FieldOverflow`] when the page count or a page
+    /// [`crate::SimError::FieldOverflow`] when the page count or a page
     /// encoding does not fit its u32 length field; nothing has touched
     /// the files at that point.
     fn encode_intent(master: Lsn, pages: &[(PageId, Page)]) -> SimResult<Vec<u8>> {
@@ -349,37 +364,85 @@ impl FileStorage {
         (pos == body.len()).then_some((master, pages))
     }
 
-    /// Commits an intentions list (the `rename` is the commit point)
-    /// and applies it: every page installed, then the master published.
+    /// Persists one atomic install: the intentions list is committed
+    /// (the `rename` is the commit point), then applied — every page
+    /// written, then the master published.
     ///
     /// # Errors
     ///
-    /// [`SimError::FieldOverflow`] when the list does not encode; the
+    /// [`crate::SimError::FieldOverflow`] when the list does not encode; the
     /// encoding happens before any file write, so nothing is installed
     /// on error.
-    fn run_intent(&mut self, master: Lsn, pages: Vec<(PageId, Page)>) -> SimResult<()> {
-        let encoded = Self::encode_intent(master, &pages)?;
+    pub(crate) fn install(&mut self, master: Lsn, pages: &[(PageId, Page)]) -> SimResult<()> {
+        let encoded = Self::encode_intent(master, pages)?;
         let intent = self.dir.path().join("intent.bin");
         publish_durable(&intent, &self.dir.path().join("intent.tmp"), &encoded);
         for (id, page) in pages {
-            self.install_page(id, page);
+            self.write_page(*id, page);
         }
-        self.publish_master(master);
+        self.set_master(master);
         let _ = fs::remove_file(&intent);
         sync_dir(self.dir.path());
         Ok(())
     }
 
-    fn remove_dir_files(dir: &Path) {
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
+    /// The machine dies *before* an install's commit-point rename: both
+    /// temp files are written and synced but neither is renamed. Reopen
+    /// must ignore them and keep the old master.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileStorage::install`]: an unencodable set leaves no debris.
+    pub(crate) fn abandon_install(&self, master: Lsn, pages: &[(PageId, Page)]) -> SimResult<()> {
+        write_durable(
+            &self.dir.path().join("intent.tmp"),
+            &Self::encode_intent(master, pages)?,
+        );
+        write_durable(&self.dir.path().join("master.tmp"), &encode_master(master));
+        Ok(())
     }
 
-    fn load_master(&mut self) {
-        self.master_lsn = fs::read(self.master_path())
+    /// The media-failure adversary: page file and journal pre-image both
+    /// gone. The manifest still promises the page (if any write reached
+    /// it), so the next reopen re-detects the loss.
+    pub(crate) fn destroy_page(&self, id: PageId) {
+        let _ = fs::remove_file(self.page_path(id));
+        let _ = fs::remove_file(self.journal_path(id));
+    }
+
+    /// Process death and reopen: in-flight temp files die with the
+    /// process, a committed intentions list is replayed idempotently,
+    /// and the image is rebuilt from what the files hold.
+    pub(crate) fn reopen(&mut self) -> Image {
+        for debris in ["intent.tmp", "master.tmp", "manifest.tmp"] {
+            let _ = fs::remove_file(self.dir.path().join(debris));
+        }
+        // The manifest first: the replay extends it, and the rescan
+        // diffs it against what survived.
+        self.load_manifest();
+        let intent = self.dir.path().join("intent.bin");
+        if let Some((master, pages)) = fs::read(&intent)
+            .ok()
+            .as_deref()
+            .and_then(Self::decode_intent)
+        {
+            for (id, page) in &pages {
+                self.write_page(*id, page);
+            }
+            self.set_master(master);
+        }
+        let _ = fs::remove_file(&intent);
+        self.rescan()
+    }
+
+    /// Rebuilds the image by scanning and checksumming every page and
+    /// journal file. A page is torn when its checksum fails or a usable
+    /// journaled pre-image stands beside it; a structurally unreadable
+    /// page file is torn if journaled, lost otherwise. Pages the
+    /// manifest promises but the scan cannot find are lost too: nothing
+    /// on the medium can restore them.
+    fn rescan(&mut self) -> Image {
+        let master = fs::read(self.master_path())
             .ok()
             .and_then(|bytes| {
                 let lsn_bytes: [u8; 8] = bytes.get(..8)?.try_into().ok()?;
@@ -388,58 +451,41 @@ impl FileStorage {
                     .then(|| Lsn(u64::from_le_bytes(lsn_bytes)))
             })
             .unwrap_or(Lsn::ZERO);
-    }
-
-    /// Rebuilds the page mirror, torn set, and lost set by scanning and
-    /// checksumming every page file — what a reopening process learns
-    /// from the medium. Pages the manifest promises but the scan cannot
-    /// find (or cannot read, with no journaled pre-image) are media
-    /// loss, not torn damage: nothing on the medium can restore them.
-    fn rescan_pages(&mut self) {
-        self.current.clear();
-        self.torn.clear();
-        self.lost.clear();
-        let dir = self.pages_dir();
-        let mut found = BTreeSet::new();
+        let mut image = Image {
+            master,
+            ..Image::default()
+        };
+        let mut journal: BTreeMap<PageId, Page> = scan_page_files(&self.journal_dir())
+            .into_iter()
+            .filter_map(|(id, decoded)| match decoded {
+                Some((pre, true)) => Some((id, pre)),
+                _ => None,
+            })
+            .collect();
         // A listing failure means the pages directory itself vanished:
         // every manifested page is lost, but the process survives.
-        if let Ok(entries) = fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let Some(id) = entry.file_name().to_str().and_then(parse_page_file_name) else {
-                    continue;
-                };
-                found.insert(id);
-                match fs::read(entry.path()).ok().as_deref().and_then(decode_page) {
-                    Some((page, true)) => {
-                        self.current.insert(id, page);
+        let mut found = BTreeSet::new();
+        for (id, decoded) in scan_page_files(&self.pages_dir()) {
+            found.insert(id);
+            let pre = journal.remove(&id);
+            match decoded {
+                Some((page, verified)) => {
+                    if !verified || pre.is_some() {
+                        image.torn.insert(id, pre);
                     }
-                    Some((page, false)) => {
-                        self.current.insert(id, page);
-                        self.torn.insert(id);
-                    }
-                    // Structurally destroyed. A journaled pre-image
-                    // downgrades this to torn (repairable); without one
-                    // the content is unrecoverable from this medium.
-                    None => {
-                        let journaled = fs::read(self.journal_path(id))
-                            .ok()
-                            .as_deref()
-                            .and_then(decode_page)
-                            .is_some_and(|(_, ok)| ok);
-                        if journaled {
-                            self.torn.insert(id);
-                        } else {
-                            self.lost.insert(id);
-                        }
-                    }
+                    image.pages.insert(id, page);
+                }
+                None if pre.is_some() => {
+                    image.torn.insert(id, pre);
+                }
+                None => {
+                    image.lost.insert(id);
                 }
             }
         }
-        for &id in &self.manifest {
-            if !found.contains(&id) {
-                self.lost.insert(id);
-            }
-        }
+        image
+            .lost
+            .extend(self.manifest.iter().filter(|id| !found.contains(id)));
         // Unmanifested survivors (a crash between page install and
         // manifest publication) are unioned back in.
         let before = self.manifest.len();
@@ -447,271 +493,47 @@ impl FileStorage {
         if self.manifest.len() != before {
             self.publish_manifest();
         }
+        image
     }
 }
 
-impl StorageBackend for FileStorage {
-    fn read_page(&self, id: PageId, slots_per_page: u16) -> SimResult<Page> {
-        if self.lost.contains(&id) {
-            return Err(SimError::MediaLoss(id));
-        }
-        if self.torn.contains(&id) {
-            return Err(SimError::TornPage(id));
-        }
-        Ok(self.raw_page(id, slots_per_page))
-    }
-
-    fn raw_page(&self, id: PageId, slots_per_page: u16) -> Page {
-        self.current
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(|| Page::new(slots_per_page))
-    }
-
-    fn page_lsn(&self, id: PageId) -> Lsn {
-        self.current.get(&id).map_or(Lsn::ZERO, Page::lsn)
-    }
-
-    fn write_page(&mut self, id: PageId, page: Page) {
-        self.install_page(id, page);
-    }
-
-    fn tear_page(&mut self, id: PageId, new: Page, sectors: u16) -> bool {
-        let spp = new.slot_count();
-        if spp < 2 {
-            return false;
-        }
-        if self.lost.contains(&id) {
-            // A torn transfer onto destroyed media leaves no file: there
-            // is no honest pre-image to journal (the real one is gone),
-            // and landing a partial image would mask the loss — the
-            // rebuild's idempotence depends on re-detecting it.
-            return false;
-        }
-        let k = sectors.clamp(1, spp - 1);
-        let old = self.raw_page(id, spp);
-        // Doublewrite: journal the pre-image before touching the page
-        // file, so the torn page is always repairable.
-        let journal = self.journal_path(id);
-        if !journal.exists() {
-            write_durable(&journal, &encode_page(&old));
-        }
-        let mut torn = old;
-        torn.set_lsn(new.lsn());
-        for s in 0..k {
-            torn.set(SlotId(s), new.get(SlotId(s)));
-        }
-        // The file carries the *intended* image's checksum over the
-        // partially-old slot data: the next read (or rescan) detects
-        // the tear by CRC mismatch.
-        let mut bytes = encode_page(&new);
-        for (s, chunk) in bytes[PAGE_HEADER..].chunks_exact_mut(8).enumerate() {
-            let s = u16::try_from(s).expect("slot count bounded by u16 header");
-            if s >= k {
-                chunk.copy_from_slice(&torn.get(SlotId(s)).to_le_bytes());
-            }
-        }
-        write_durable(&self.page_path(id), &bytes);
-        self.manifest_page(id);
-        self.torn.insert(id);
-        self.current.insert(id, torn);
-        true
-    }
-
-    fn write_pages(&mut self, pages: Vec<(PageId, Page)>) -> SimResult<()> {
-        self.run_intent(self.master_lsn, pages)
-    }
-
-    fn write_staging(&mut self, id: PageId, page: Page) {
-        write_durable(
-            &self.stage_dir().join(page_file_name(id)),
-            &encode_page(&page),
-        );
-        self.staging.insert(id, page);
-    }
-
-    fn staging_len(&self) -> usize {
-        self.staging.len()
-    }
-
-    fn discard_staging(&mut self) {
-        Self::remove_dir_files(&self.stage_dir());
-        self.staging.clear();
-    }
-
-    fn promote_staging(&mut self) -> SimResult<()> {
-        // Staging is taken only after the intent commits, so an
-        // encoding failure leaves the staged set intact and uninstalled.
-        let staged: Vec<_> = self
-            .staging
-            .iter()
-            .map(|(&id, p)| (id, p.clone()))
-            .collect();
-        self.run_intent(self.master_lsn, staged)?;
-        self.staging.clear();
-        Self::remove_dir_files(&self.stage_dir());
-        Ok(())
-    }
-
-    fn swing_pointer(&mut self, master: Lsn) -> SimResult<()> {
-        let staged: Vec<_> = self
-            .staging
-            .iter()
-            .map(|(&id, p)| (id, p.clone()))
-            .collect();
-        self.run_intent(master, staged)?;
-        self.staging.clear();
-        Self::remove_dir_files(&self.stage_dir());
-        Ok(())
-    }
-
-    fn abandon_install(&mut self, master: Lsn) -> SimResult<()> {
-        // The machine dies *before* the commit-point rename: both temp
-        // files are written and synced but neither is renamed. Reopen
-        // must ignore them and keep the old master.
-        let staged: Vec<_> = self
-            .staging
-            .iter()
-            .map(|(&id, p)| (id, p.clone()))
-            .collect();
-        write_durable(
-            &self.dir.path().join("intent.tmp"),
-            &Self::encode_intent(master, &staged)?,
-        );
-        let mut bytes = Vec::with_capacity(12);
-        bytes.extend_from_slice(&master.0.to_le_bytes());
-        bytes.extend_from_slice(&crc32(&master.0.to_le_bytes()).to_le_bytes());
-        write_durable(&self.dir.path().join("master.tmp"), &bytes);
-        Ok(())
-    }
-
-    fn set_master(&mut self, lsn: Lsn) {
-        self.publish_master(lsn);
-    }
-
-    fn master(&self) -> Lsn {
-        self.master_lsn
-    }
-
-    fn is_torn(&self, id: PageId) -> bool {
-        self.torn.contains(&id)
-    }
-
-    fn torn_pages(&self) -> Vec<PageId> {
-        self.torn.iter().copied().collect()
-    }
-
-    fn repair_torn(&mut self) -> Vec<PageId> {
-        let torn = std::mem::take(&mut self.torn);
-        for &id in &torn {
-            let journal = self.journal_path(id);
-            match fs::read(&journal).ok().as_deref().and_then(decode_page) {
-                Some((pre, true)) => {
-                    // Restore the journaled pre-image.
-                    write_durable(&self.page_path(id), &encode_page(&pre));
-                    self.current.insert(id, pre);
-                    let _ = fs::remove_file(&journal);
-                }
-                _ => {
-                    // No (usable) pre-image: scrub the observed content
-                    // in place so the file is internally consistent
-                    // again — the in-memory analogue keeps the torn
-                    // content too when no shadow copy exists.
-                    let page = self
-                        .current
-                        .get(&id)
-                        .cloned()
-                        .unwrap_or_else(|| Page::new(1));
-                    write_durable(&self.page_path(id), &encode_page(&page));
-                    self.current.insert(id, page);
-                }
-            }
-        }
-        torn.into_iter().collect()
-    }
-
-    fn destroy_page(&mut self, id: PageId) {
-        // The media-failure adversary: page file and journal pre-image
-        // both gone. The manifest still promises the page, so a rescan
-        // re-detects the loss — the mark is durable by construction.
-        let _ = fs::remove_file(self.page_path(id));
-        let _ = fs::remove_file(self.journal_path(id));
-        self.current.remove(&id);
-        self.torn.remove(&id);
-        if self.manifest.contains(&id) {
-            self.lost.insert(id);
-        }
-    }
-
-    fn lost_pages(&self) -> Vec<PageId> {
-        self.lost.iter().copied().collect()
-    }
-
-    fn is_lost(&self, id: PageId) -> bool {
-        self.lost.contains(&id)
-    }
-
-    fn crash(&mut self) {
-        // 1. Volatile debris: the staging area and any in-flight temp
-        //    files die with the process.
-        Self::remove_dir_files(&self.stage_dir());
-        self.staging.clear();
-        let _ = fs::remove_file(self.dir.path().join("intent.tmp"));
-        let _ = fs::remove_file(self.dir.path().join("master.tmp"));
-        let _ = fs::remove_file(self.dir.path().join("manifest.tmp"));
-        // 2. A committed intentions list (renamed before the crash) is
-        //    replayed idempotently: its pages and master land now.
-        let intent = self.dir.path().join("intent.bin");
-        if let Some((master, pages)) = fs::read(&intent)
-            .ok()
-            .as_deref()
-            .and_then(Self::decode_intent)
-        {
-            for (id, page) in pages {
-                write_durable(&self.page_path(id), &encode_page(&page));
-                let _ = fs::remove_file(self.journal_path(id));
-            }
-            let mut bytes = Vec::with_capacity(12);
-            bytes.extend_from_slice(&master.0.to_le_bytes());
-            bytes.extend_from_slice(&crc32(&master.0.to_le_bytes()).to_le_bytes());
-            publish_durable(
-                &self.master_path(),
-                &self.dir.path().join("master.tmp"),
-                &bytes,
-            );
-        }
-        let _ = fs::remove_file(&intent);
-        // 3. Everything else is relearned from the files: the manifest
-        //    first, so the rescan can diff it against what survived.
-        self.load_master();
-        self.load_manifest();
-        self.rescan_pages();
-    }
-
-    fn pages(&self) -> Vec<(PageId, Page)> {
-        self.current
-            .iter()
-            .map(|(&id, p)| (id, p.clone()))
-            .collect()
-    }
-
-    fn dir(&self) -> Option<&Path> {
-        Some(self.dir.path())
-    }
-
-    fn boxed_clone(&self) -> Box<dyn StorageBackend> {
-        let copy = FileStorage::new_temp();
-        copy_tree(self.dir.path(), copy.dir.path());
-        Box::new(FileStorage {
-            dir: copy.dir,
-            current: self.current.clone(),
-            staging: self.staging.clone(),
-            torn: self.torn.clone(),
-            master_lsn: self.master_lsn,
+impl Clone for FileStorage {
+    /// A deep copy: the files are copied into a fresh temporary
+    /// directory.
+    fn clone(&self) -> FileStorage {
+        let dir = TempDir::new("redo-sim-disk");
+        copy_tree(self.dir.path(), dir.path());
+        FileStorage {
+            dir,
             manifest: self.manifest.clone(),
-            lost: self.lost.clone(),
-        })
+        }
     }
+}
+
+/// The page files of `dir`, each decoded (`None` when unreadable or
+/// structurally destroyed). A directory that cannot be listed holds none.
+fn scan_page_files(dir: &Path) -> Vec<(PageId, Option<(Page, bool)>)> {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter_map(|entry| {
+            let id = entry.file_name().to_str().and_then(parse_page_file_name)?;
+            Some((
+                id,
+                fs::read(entry.path()).ok().as_deref().and_then(decode_page),
+            ))
+        })
+        .collect()
+}
+
+/// The master file's bytes: lsn u64 | crc u32 of the lsn.
+fn encode_master(lsn: Lsn) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(12);
+    bytes.extend_from_slice(&lsn.0.to_le_bytes());
+    bytes.extend_from_slice(&crc32(&lsn.0.to_le_bytes()).to_le_bytes());
+    bytes
 }
 
 /// Recursively copies the contents of `src` into `dst` (which exists).
@@ -841,6 +663,10 @@ impl LogBackend for FileLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendKind;
+    use crate::disk::Disk;
+    use crate::error::SimError;
+    use crate::fault::{FaultKind, FaultPlan};
 
     fn page(spp: u16, lsn: u64, fill: u64) -> Page {
         let mut p = Page::new(spp);
@@ -868,121 +694,159 @@ mod tests {
         assert!(!ok);
     }
 
+    fn disk() -> Disk {
+        Disk::on(BackendKind::File)
+    }
+
+    fn page_file(d: &Disk, id: PageId) -> PathBuf {
+        d.dir().unwrap().join("pages").join(page_file_name(id))
+    }
+
+    /// A write of `page` that tears after `sectors` slots.
+    fn tear(d: &mut Disk, id: PageId, page: Page, sectors: u16) {
+        d.injector.arm(FaultPlan {
+            at: 1,
+            kind: FaultKind::TornWrite { sectors },
+        });
+        d.write_page(id, page);
+        d.injector.reset();
+    }
+
     #[test]
     fn pages_survive_crash_and_reads_come_from_files() {
-        let mut s = FileStorage::new_temp();
-        s.write_page(PageId(3), page(4, 2, 10));
-        s.set_master(Lsn(2));
-        s.crash();
-        assert_eq!(s.master(), Lsn(2));
-        assert_eq!(s.read_page(PageId(3), 4).unwrap(), page(4, 2, 10));
-        assert_eq!(s.pages().len(), 1);
+        let mut d = disk();
+        d.write_page(PageId(3), page(4, 2, 10));
+        d.set_master(Lsn(2)).unwrap();
+        d.crash();
+        assert_eq!(d.master(), Lsn(2));
+        assert_eq!(d.read_page(PageId(3), 4).unwrap(), page(4, 2, 10));
+        assert_eq!(d.pages().len(), 1);
     }
 
     #[test]
     fn torn_write_detected_by_crc_after_crash_and_repaired_from_journal() {
-        let mut s = FileStorage::new_temp();
+        let mut d = disk();
         let pre = page(4, 1, 10);
-        s.write_page(PageId(0), pre.clone());
-        assert!(s.tear_page(PageId(0), page(4, 2, 100), 2));
-        // The mirror knows; a reopening process must *learn* it by CRC.
-        s.crash();
+        d.write_page(PageId(0), pre.clone());
+        tear(&mut d, PageId(0), page(4, 2, 100), 2);
+        // The image knows; a reopening process must *learn* it by CRC.
+        d.crash();
         assert_eq!(
-            s.read_page(PageId(0), 4),
+            d.read_page(PageId(0), 4),
             Err(SimError::TornPage(PageId(0)))
         );
-        let torn = s.raw_page(PageId(0), 4);
+        let torn = d.raw_page(PageId(0), 4);
         assert_eq!(torn.lsn(), Lsn(2));
         assert_eq!(torn.get(SlotId(0)), 100);
         assert_eq!(torn.get(SlotId(3)), 13, "tail keeps old bytes");
-        assert_eq!(s.repair_torn(), vec![PageId(0)]);
-        assert_eq!(s.read_page(PageId(0), 4).unwrap(), pre);
+        assert_eq!(d.repair_torn(), vec![PageId(0)]);
+        assert_eq!(d.read_page(PageId(0), 4).unwrap(), pre);
         // The repair is durable: another crash finds a clean page.
-        s.crash();
-        assert_eq!(s.read_page(PageId(0), 4).unwrap(), pre);
+        d.crash();
+        assert_eq!(d.read_page(PageId(0), 4).unwrap(), pre);
+    }
+
+    /// A tear whose landed slots already hold the intended values leaves
+    /// bytes that verify; the journal beside them still marks the page
+    /// torn, so the reopen answers as the image did and repair restores
+    /// the pre-image rather than leaving a stale journal behind.
+    #[test]
+    fn a_tear_that_lands_every_changed_slot_stays_torn_across_a_reopen() {
+        let mut d = disk();
+        let pre = page(4, 1, 10);
+        d.write_page(PageId(0), pre.clone());
+        let mut new = pre.clone();
+        new.set_lsn(Lsn(2));
+        new.set(SlotId(0), 99);
+        tear(&mut d, PageId(0), new, 1);
+        d.crash();
+        assert_eq!(d.torn_pages(), vec![PageId(0)]);
+        assert_eq!(d.repair_torn(), vec![PageId(0)]);
+        assert_eq!(d.read_page(PageId(0), 4).unwrap(), pre);
+        assert!(!d.dir().unwrap().join("journal").join("p0.pg").exists());
     }
 
     #[test]
     fn out_of_band_bit_flip_surfaces_as_torn_after_crash() {
-        let mut s = FileStorage::new_temp();
-        s.write_page(PageId(5), page(4, 3, 50));
-        let path = s.page_path(PageId(5));
+        let mut d = disk();
+        d.write_page(PageId(5), page(4, 3, 50));
+        let path = page_file(&d, PageId(5));
         let mut bytes = fs::read(&path).unwrap();
         bytes[PAGE_HEADER] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        s.crash();
+        d.crash();
         assert_eq!(
-            s.read_page(PageId(5), 4),
+            d.read_page(PageId(5), 4),
             Err(SimError::TornPage(PageId(5)))
         );
         // No journal for out-of-band damage: repair scrubs in place and
         // the scrubbed content stays stable across further crashes.
-        let observed = s.raw_page(PageId(5), 4);
-        assert_eq!(s.repair_torn(), vec![PageId(5)]);
-        s.crash();
-        assert_eq!(s.read_page(PageId(5), 4).unwrap(), observed);
+        let observed = d.raw_page(PageId(5), 4);
+        assert_eq!(d.repair_torn(), vec![PageId(5)]);
+        d.crash();
+        assert_eq!(d.read_page(PageId(5), 4).unwrap(), observed);
     }
 
     #[test]
     fn deleted_page_file_reads_as_media_loss_after_crash() {
-        let mut s = FileStorage::new_temp();
-        s.write_page(PageId(2), page(4, 3, 30));
-        s.write_page(PageId(4), page(4, 5, 50));
-        fs::remove_file(s.page_path(PageId(2))).unwrap();
-        s.crash();
+        let mut d = disk();
+        d.write_page(PageId(2), page(4, 3, 30));
+        d.write_page(PageId(4), page(4, 5, 50));
+        fs::remove_file(page_file(&d, PageId(2))).unwrap();
+        d.crash();
         assert_eq!(
-            s.read_page(PageId(2), 4),
+            d.read_page(PageId(2), 4),
             Err(SimError::MediaLoss(PageId(2)))
         );
-        assert_eq!(s.lost_pages(), vec![PageId(2)]);
-        assert!(s.is_lost(PageId(2)));
-        assert_eq!(s.read_page(PageId(4), 4).unwrap(), page(4, 5, 50));
+        assert_eq!(d.lost_pages(), vec![PageId(2)]);
+        assert!(d.is_lost(PageId(2)));
+        assert_eq!(d.read_page(PageId(4), 4).unwrap(), page(4, 5, 50));
         // A fresh full write rebuilds the page and clears the mark
         // durably.
-        s.write_page(PageId(2), page(4, 7, 70));
-        assert!(!s.is_lost(PageId(2)));
-        s.crash();
-        assert_eq!(s.read_page(PageId(2), 4).unwrap(), page(4, 7, 70));
-        assert!(s.lost_pages().is_empty());
+        d.write_page(PageId(2), page(4, 7, 70));
+        assert!(!d.is_lost(PageId(2)));
+        d.crash();
+        assert_eq!(d.read_page(PageId(2), 4).unwrap(), page(4, 7, 70));
+        assert!(d.lost_pages().is_empty());
     }
 
     #[test]
     fn garbage_page_file_without_journal_is_media_loss_not_torn() {
-        let mut s = FileStorage::new_temp();
-        s.write_page(PageId(1), page(4, 2, 20));
+        let mut d = disk();
+        d.write_page(PageId(1), page(4, 2, 20));
         // Cut the file below its header: structurally unreadable, and no
         // doublewrite pre-image exists to downgrade it to torn.
         let f = OpenOptions::new()
             .write(true)
-            .open(s.page_path(PageId(1)))
+            .open(page_file(&d, PageId(1)))
             .unwrap();
         f.set_len(5).unwrap();
         drop(f);
-        s.crash();
+        d.crash();
         assert_eq!(
-            s.read_page(PageId(1), 4),
+            d.read_page(PageId(1), 4),
             Err(SimError::MediaLoss(PageId(1)))
         );
-        assert!(s.torn_pages().is_empty());
+        assert!(d.torn_pages().is_empty());
     }
 
     #[test]
     fn destroy_page_is_durable_until_rebuilt() {
-        let mut s = FileStorage::new_temp();
-        s.write_page(PageId(3), page(4, 1, 10));
-        s.destroy_page(PageId(3));
+        let mut d = disk();
+        d.write_page(PageId(3), page(4, 1, 10));
+        d.destroy_page(PageId(3));
         assert_eq!(
-            s.read_page(PageId(3), 4),
+            d.read_page(PageId(3), 4),
             Err(SimError::MediaLoss(PageId(3)))
         );
-        s.crash();
-        assert!(s.is_lost(PageId(3)), "the manifest re-detects the loss");
+        d.crash();
+        assert!(d.is_lost(PageId(3)), "the manifest re-detects the loss");
         // Torn transfers onto destroyed media land nothing: the loss
         // stays detectable, which is what makes rebuild idempotent.
-        assert!(!s.tear_page(PageId(3), page(4, 9, 90), 2));
-        assert!(s.is_lost(PageId(3)));
-        s.crash();
-        assert!(s.is_lost(PageId(3)));
+        tear(&mut d, PageId(3), page(4, 9, 90), 2);
+        assert!(d.is_lost(PageId(3)));
+        d.crash();
+        assert!(d.is_lost(PageId(3)));
     }
 
     #[test]
@@ -999,20 +863,25 @@ mod tests {
 
     #[test]
     fn abandoned_install_keeps_old_master_after_crash() {
-        let mut s = FileStorage::new_temp();
-        s.write_page(PageId(0), page(4, 1, 10));
-        s.set_master(Lsn(1));
-        s.write_staging(PageId(0), page(4, 5, 99));
+        let mut d = disk();
+        d.write_page(PageId(0), page(4, 1, 10));
+        d.set_master(Lsn(1)).unwrap();
+        d.write_staging(PageId(0), page(4, 5, 99));
         // Crash lands between temp-write and rename.
-        s.abandon_install(Lsn(5)).unwrap();
-        assert!(s.dir.path().join("intent.tmp").exists());
-        assert!(s.dir.path().join("master.tmp").exists());
-        s.crash();
-        assert_eq!(s.master(), Lsn(1), "uncommitted install must not land");
-        assert_eq!(s.read_page(PageId(0), 4).unwrap(), page(4, 1, 10));
-        assert!(!s.dir.path().join("intent.tmp").exists(), "debris cleared");
-        assert!(!s.dir.path().join("master.tmp").exists(), "debris cleared");
-        assert_eq!(s.staging_len(), 0);
+        d.injector.arm(FaultPlan {
+            at: 1,
+            kind: FaultKind::Clean,
+        });
+        d.swing_pointer(Lsn(5)).unwrap();
+        let dir = d.dir().unwrap().to_path_buf();
+        assert!(dir.join("intent.tmp").exists());
+        assert!(dir.join("master.tmp").exists());
+        d.crash();
+        d.injector.reset();
+        assert_eq!(d.master(), Lsn(1), "uncommitted install must not land");
+        assert_eq!(d.read_page(PageId(0), 4).unwrap(), page(4, 1, 10));
+        assert!(!dir.join("intent.tmp").exists(), "debris cleared");
+        assert!(!dir.join("master.tmp").exists(), "debris cleared");
     }
 
     /// The intent-list length fields narrow with a checked conversion:
@@ -1041,43 +910,42 @@ mod tests {
 
     #[test]
     fn committed_intent_replays_after_crash() {
-        let mut s = FileStorage::new_temp();
-        s.write_staging(PageId(1), page(4, 4, 40));
+        let mut d = disk();
         // Simulate a crash after the commit-point rename but before the
         // apply finished: hand-write intent.bin, then crash.
-        let staged: Vec<_> = s.staging.iter().map(|(&id, p)| (id, p.clone())).collect();
+        let dir = d.dir().unwrap().to_path_buf();
         publish_durable(
-            &s.dir.path().join("intent.bin"),
-            &s.dir.path().join("intent.tmp"),
-            &FileStorage::encode_intent(Lsn(9), &staged).unwrap(),
+            &dir.join("intent.bin"),
+            &dir.join("intent.tmp"),
+            &FileStorage::encode_intent(Lsn(9), &[(PageId(1), page(4, 4, 40))]).unwrap(),
         );
-        s.crash();
-        assert_eq!(s.master(), Lsn(9), "committed intent must replay");
-        assert_eq!(s.read_page(PageId(1), 4).unwrap(), page(4, 4, 40));
-        assert!(!s.dir.path().join("intent.bin").exists());
+        d.crash();
+        assert_eq!(d.master(), Lsn(9), "committed intent must replay");
+        assert_eq!(d.read_page(PageId(1), 4).unwrap(), page(4, 4, 40));
+        assert!(!dir.join("intent.bin").exists());
     }
 
     #[test]
     fn swing_pointer_installs_pages_and_master_durably() {
-        let mut s = FileStorage::new_temp();
-        s.write_staging(PageId(2), page(4, 6, 60));
-        s.swing_pointer(Lsn(6)).unwrap();
-        s.crash();
-        assert_eq!(s.master(), Lsn(6));
-        assert_eq!(s.read_page(PageId(2), 4).unwrap(), page(4, 6, 60));
-        assert_eq!(s.staging_len(), 0);
+        let mut d = disk();
+        d.write_staging(PageId(2), page(4, 6, 60));
+        d.swing_pointer(Lsn(6)).unwrap();
+        d.crash();
+        assert_eq!(d.master(), Lsn(6));
+        assert_eq!(d.read_page(PageId(2), 4).unwrap(), page(4, 6, 60));
     }
 
     #[test]
     fn clone_is_deep() {
-        let mut s = FileStorage::new_temp();
-        s.write_page(PageId(0), page(4, 1, 10));
-        let mut c = s.boxed_clone();
+        let mut d = disk();
+        d.write_page(PageId(0), page(4, 1, 10));
+        let mut c = d.clone();
+        assert_ne!(c.dir(), d.dir());
         c.write_page(PageId(0), page(4, 2, 20));
         c.crash();
         assert_eq!(c.read_page(PageId(0), 4).unwrap(), page(4, 2, 20));
-        s.crash();
-        assert_eq!(s.read_page(PageId(0), 4).unwrap(), page(4, 1, 10));
+        d.crash();
+        assert_eq!(d.read_page(PageId(0), 4).unwrap(), page(4, 1, 10));
     }
 
     #[test]

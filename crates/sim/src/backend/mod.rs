@@ -1,28 +1,28 @@
-//! Storage and log backends: the durable substrate behind [`crate::disk::Disk`]
-//! and each shard of a [`crate::wal::ShardedLog`].
+//! Backends: where the durable bytes of [`crate::disk::Disk`] and of
+//! each shard of a [`crate::wal::ShardedLog`] live.
 //!
 //! The simulator's protocol machinery — WAL-rule enforcement, fault
-//! injection, seek indexing, staging/checkpoint discipline — lives in
-//! `Disk` and the log's shards and is backend-agnostic. What
-//! varies is where the durable bytes live:
+//! injection, seek indexing, the staging/checkpoint discipline, and
+//! what every page read answers — lives in `Disk` and the log's shards
+//! and is backend-agnostic. What [`BackendKind`] chooses is whether the
+//! stable state also lives in real files:
 //!
-//! * [`mem::MemStorage`] / [`mem::MemLog`] keep them in process memory —
-//!   the original pure simulation the model checker and crash auditor
-//!   were built on. Torn damage is *simulated* (an explicit per-page
-//!   flag, a byte-accounted log fragment).
-//! * [`file::FileStorage`] / [`file::FileLog`] keep them in real files
-//!   under a temporary directory: CRC-framed WAL bytes appended with one
-//!   `fsync` per group commit, per-page files with checksummed headers
-//!   so torn writes are *detected* rather than flagged, a doublewrite
-//!   journal for pre-images, and checkpoint-pointer publication via
-//!   write-temp + `fsync` + `rename`.
+//! * On [`BackendKind::Mem`] the disk's page image *is* the stable
+//!   state, and each log shard's bytes sit in a [`mem::MemLog`]. Torn
+//!   damage is *simulated*: a torn page write marks the page in the
+//!   image, a torn log flush leaves a byte-accounted partial frame.
+//! * On [`BackendKind::File`] the same image is persisted write by
+//!   write in the crate's `file::FileStorage` — per-page files with
+//!   checksummed headers so torn writes are *detected* rather than
+//!   flagged, a doublewrite journal for pre-images, rename-committed
+//!   intentions lists for atomic installs and the checkpoint pointer —
+//!   and each log shard appends CRC-framed bytes to a [`file::FileLog`]
+//!   with one `fsync` per group commit. A crash throws the image away
+//!   and rebuilds it from the files, which is what makes the file pair
+//!   honest: after a crash the only truth is the bytes on disk.
 //!
-//! Both implement the same two traits, so every recovery method, the
-//! checkpoint daemon, and the parallel restart path run unchanged
-//! against either. A backend's `crash` discards whatever a process
-//! death would (in-memory mirrors reload from the durable medium), which
-//! is what makes the file pair honest: after a crash the only truth is
-//! the bytes on disk.
+//! Every recovery method, the checkpoint daemon, and the parallel
+//! restart path run unchanged on either kind.
 //!
 //! Host-filesystem *write* errors (disk full, permissions) are not part
 //! of the simulated failure model and panic; *simulated* damage (torn
@@ -30,7 +30,7 @@
 //! [`SimError`](crate::SimError) channels. Open/read failures on page
 //! and archive files are different: a file that vanished or turned
 //! unreadable out-of-band is exactly what media failure looks like, so
-//! the file backend records it as a lost page
+//! the reopen records it as a lost page
 //! ([`SimError::MediaLoss`](crate::SimError::MediaLoss)) instead of
 //! aborting — recoverable by the media-rebuild pass, which replays
 //! `archive ∥ live` from the last checkpoint image.
@@ -41,12 +41,6 @@ pub mod mem;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use redo_theory::log::Lsn;
-use redo_workload::pages::PageId;
-
-use crate::error::SimResult;
-use crate::page::Page;
 
 /// Which durable substrate a database runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,15 +55,6 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// A fresh storage backend of this kind.
-    #[must_use]
-    pub fn new_storage(self) -> Box<dyn StorageBackend> {
-        match self {
-            BackendKind::Mem => Box::new(mem::MemStorage::new()),
-            BackendKind::File => Box::new(file::FileStorage::new_temp()),
-        }
-    }
-
     /// A fresh log backend of this kind.
     #[must_use]
     pub fn new_log(self) -> Box<dyn LogBackend> {
@@ -118,124 +103,6 @@ pub trait LogBackend: fmt::Debug + Send + Sync {
 }
 
 impl Clone for Box<dyn LogBackend> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
-}
-
-/// The durable page store behind [`crate::disk::Disk`].
-///
-/// The disk wrapper owns fault consultation and I/O accounting; a
-/// backend persists pages, the staging area, and the master (checkpoint
-/// pointer) record, and answers for torn-page detection and repair.
-pub trait StorageBackend: fmt::Debug + Send + Sync {
-    /// Reads a page, verifying integrity.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::TornPage`] if the page's last write only
-    /// partially landed (torn flag / checksum mismatch).
-    fn read_page(&self, id: PageId, slots_per_page: u16) -> SimResult<Page>;
-    /// Reads a page's raw content without the integrity check — what the
-    /// medium actually holds, garbage and all.
-    fn raw_page(&self, id: PageId, slots_per_page: u16) -> Page;
-    /// The LSN of the page's durable copy (`Lsn::ZERO` when never
-    /// written).
-    fn page_lsn(&self, id: PageId) -> Lsn;
-    /// Durably writes a page to the installed state.
-    fn write_page(&mut self, id: PageId, page: Page);
-    /// Delivers a torn write of `page`: the first `sectors` slots (and
-    /// the LSN header) land, the rest keep old bytes. Journals the
-    /// pre-image first so the damage is repairable. Returns `false` if
-    /// the page cannot tear (fewer than 2 sectors) and nothing landed.
-    fn tear_page(&mut self, id: PageId, page: Page, sectors: u16) -> bool;
-    /// Atomically installs a set of pages: all or none.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::FieldOverflow`] if the install's on-disk
-    /// encoding (e.g. the file backend's intentions list) cannot
-    /// describe the set; nothing is installed on error.
-    fn write_pages(&mut self, pages: Vec<(PageId, Page)>) -> SimResult<()>;
-    /// Writes a page to the staging area (invisible until promoted).
-    fn write_staging(&mut self, id: PageId, page: Page);
-    /// Number of staged pages.
-    fn staging_len(&self) -> usize;
-    /// Discards the staging area.
-    fn discard_staging(&mut self);
-    /// Atomically replaces installed copies with every staged page.
-    ///
-    /// # Errors
-    ///
-    /// As [`StorageBackend::write_pages`]: the staged set's encoding
-    /// must fit its on-disk fields; nothing is promoted on error.
-    fn promote_staging(&mut self) -> SimResult<()>;
-    /// The full checkpoint pointer swing: staged pages and the new
-    /// master become visible in the same atomic instant. File backends
-    /// realize this with an intentions list committed by `rename`.
-    ///
-    /// # Errors
-    ///
-    /// As [`StorageBackend::write_pages`]; neither the pages nor the
-    /// master move on error.
-    fn swing_pointer(&mut self, master: Lsn) -> SimResult<()>;
-    /// The machine died during a pointer install, *before* the commit
-    /// point: leave whatever pre-commit debris the medium would hold (a
-    /// written-but-unrenamed temp file) without installing anything.
-    /// In-memory backends have no debris; default is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// As [`StorageBackend::write_pages`] — the debris is the encoded
-    /// intent, so an unencodable staged set leaves none.
-    fn abandon_install(&mut self, master: Lsn) -> SimResult<()> {
-        let _ = master;
-        Ok(())
-    }
-    /// Durably records the checkpoint pointer.
-    fn set_master(&mut self, lsn: Lsn);
-    /// The durable checkpoint pointer.
-    fn master(&self) -> Lsn;
-    /// Is this page's durable copy torn?
-    fn is_torn(&self, id: PageId) -> bool;
-    /// Pages currently torn, in id order.
-    fn torn_pages(&self) -> Vec<PageId>;
-    /// Restores torn pages from their journaled pre-images (scrubbing a
-    /// journal-less page in place), clearing the torn state; returns the
-    /// previously-torn ids.
-    fn repair_torn(&mut self) -> Vec<PageId>;
-    /// Destroys a page's durable copy out-of-band — the media-failure
-    /// adversary, not a faultable I/O event. The page becomes *lost*:
-    /// reads fail with [`crate::SimError::MediaLoss`] until a rebuild
-    /// writes a fresh copy.
-    fn destroy_page(&mut self, id: PageId);
-    /// Pages currently lost to media failure, in id order.
-    fn lost_pages(&self) -> Vec<PageId> {
-        Vec::new()
-    }
-    /// Is this page's durable copy lost to media failure?
-    fn is_lost(&self, id: PageId) -> bool {
-        let _ = id;
-        false
-    }
-    /// Process death: staging (unreferenced until a swing) is dropped;
-    /// installed pages, the master record, and any torn damage survive.
-    /// File backends reload all mirrors from the files and resolve
-    /// interrupted installs (replay a committed intent, discard an
-    /// uncommitted temp).
-    fn crash(&mut self);
-    /// Snapshot of the installed pages (raw content), in id order.
-    fn pages(&self) -> Vec<(PageId, Page)>;
-    /// The backing directory, if the pages live in one.
-    fn dir(&self) -> Option<&Path> {
-        None
-    }
-    /// A deep copy (file backends copy their files into a fresh
-    /// temporary directory).
-    fn boxed_clone(&self) -> Box<dyn StorageBackend>;
-}
-
-impl Clone for Box<dyn StorageBackend> {
     fn clone(&self) -> Self {
         self.boxed_clone()
     }
@@ -447,8 +314,6 @@ mod tests {
 
     #[test]
     fn kind_constructs_matching_backends() {
-        assert_eq!(BackendKind::Mem.new_storage().master(), Lsn::ZERO);
-        assert_eq!(BackendKind::File.new_storage().master(), Lsn::ZERO);
         assert!(BackendKind::Mem.new_log().bytes().is_empty());
         assert!(BackendKind::File.new_log().bytes().is_empty());
         assert!(BackendKind::Mem.new_log().path().is_none());

@@ -1,35 +1,62 @@
-//! Stable storage: atomic page writes, a master record, and the System R
-//! staging area.
+//! Stable storage: one page image, changed only by atomic writes and
+//! installs, and the volatile System R staging area.
 //!
 //! The disk is the only component that survives [`crate::db::Db::crash`].
+//! Its stable state is one [image](Disk::pages): the installed pages,
+//! the torn marks with the pre-images their repair restores, the lost
+//! marks, and the *master record* — the durable checkpoint pointer, the
+//! log position recovery starts from. Every read is answered from it.
 //! Page writes are atomic (the paper's model installs a write-graph
 //! node's values atomically; page-granularity atomicity is the standard
-//! realization). The *master record* holds the durable checkpoint
-//! pointer — the log position recovery starts from. For the logical
-//! method (§6.1), updated pages accumulate in a [staging
-//! area](Disk::write_staging) that becomes the installed state only when
-//! the checkpoint record "swings the pointer"
-//! ([`Disk::promote_staging`]).
+//! realization), and so are [multi-page installs](Disk::write_pages_atomic).
+//! For the logical method (§6.1), updated pages accumulate in a volatile
+//! [staging area](Disk::write_staging) that becomes the installed state
+//! only when the checkpoint record "swings the pointer"
+//! ([`Disk::swing_pointer`]), one more atomic install.
 //!
-//! `Disk` itself owns the *protocol*: fault-injector consultation, I/O
-//! accounting, and the checkpoint-install discipline. Where the durable
-//! bytes actually live is a [`StorageBackend`] — in-memory simulation by
-//! default, real checksummed files via
-//! [`crate::backend::BackendKind::File`].
+//! `Disk` owns the *protocol* too: fault-injector consultation and I/O
+//! accounting. On [`BackendKind::File`] a `FileStorage` medium persists
+//! every change to the image as it is made, and a crash rebuilds the
+//! image from those files — what a reopening process would learn. On
+//! [`BackendKind::Mem`] the image itself is the stable state.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use redo_theory::log::Lsn;
 use redo_theory::state::{State, Value};
-use redo_workload::pages::PageId;
+use redo_workload::pages::{PageId, SlotId};
 
-use crate::backend::{BackendKind, StorageBackend};
+use crate::backend::file::FileStorage;
+use crate::backend::BackendKind;
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultDecision, FaultInjector, InjectedFault};
 use crate::page::Page;
 
-/// Simulated stable storage over a pluggable [`StorageBackend`].
+/// The stable state of a disk: what every page read answers from, and
+/// what a file-backed disk rebuilds from its files at a crash.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Image {
+    /// Installed page copies, raw: a torn page holds what landed.
+    pub(crate) pages: BTreeMap<PageId, Page>,
+    /// Torn pages, each with the pre-image its repair restores — `None`
+    /// for damage no journal explains, which repair scrubs in place.
+    pub(crate) torn: BTreeMap<PageId, Option<Page>>,
+    /// Pages whose durable copy media failure destroyed.
+    pub(crate) lost: BTreeSet<PageId>,
+    /// The checkpoint pointer.
+    pub(crate) master: Lsn,
+}
+
+/// Simulated stable storage: one page image, optionally persisted in
+/// real files.
 #[derive(Clone, Debug)]
 pub struct Disk {
-    backend: Box<dyn StorageBackend>,
+    image: Image,
+    /// Pages written for the next pointer swing: volatile, unreferenced
+    /// until the swing installs them, dropped by a crash.
+    staging: BTreeMap<PageId, Page>,
+    /// The files persisting `image` on [`BackendKind::File`].
+    medium: Option<FileStorage>,
     page_writes: u64,
     /// Shared crash-point switchboard ([`crate::db::Db`] wires the same
     /// injector into the log manager).
@@ -54,7 +81,9 @@ impl Disk {
     #[must_use]
     pub fn on(kind: BackendKind) -> Disk {
         Disk {
-            backend: kind.new_storage(),
+            image: Image::default(),
+            staging: BTreeMap::new(),
+            medium: (kind == BackendKind::File).then(FileStorage::new_temp),
             page_writes: 0,
             injector: FaultInjector::default(),
         }
@@ -73,7 +102,13 @@ impl Disk {
     /// beyond repair — only a media rebuild from `archive ∥ live` can
     /// bring it back.
     pub fn read_page(&self, id: PageId, slots_per_page: u16) -> SimResult<Page> {
-        self.backend.read_page(id, slots_per_page)
+        if self.image.lost.contains(&id) {
+            return Err(SimError::MediaLoss(id));
+        }
+        if self.image.torn.contains_key(&id) {
+            return Err(SimError::TornPage(id));
+        }
+        Ok(self.raw_page(id, slots_per_page))
     }
 
     /// Reads a page's raw durable content without the torn check — what
@@ -81,28 +116,36 @@ impl Disk {
     /// damage inspection, never for recovery reads.
     #[must_use]
     pub fn raw_page(&self, id: PageId, slots_per_page: u16) -> Page {
-        self.backend.raw_page(id, slots_per_page)
+        self.image
+            .pages
+            .get(&id)
+            .cloned()
+            .unwrap_or_else(|| Page::new(slots_per_page))
     }
 
     /// The LSN of the page's durable copy (`Lsn::ZERO` when never
     /// written).
     #[must_use]
     pub fn page_lsn(&self, id: PageId) -> Lsn {
-        self.backend.page_lsn(id)
+        self.image.pages.get(&id).map_or(Lsn::ZERO, Page::lsn)
     }
 
     /// Writes a page to the installed state. Atomic — unless an armed
     /// [`FaultInjector`] picks this write as its crash point, in which
     /// case it may land torn (partially transferred, detectably damaged)
-    /// or not at all.
+    /// or not at all. A full write supersedes a tear's mark and its
+    /// pre-image, and a media-lost mark.
     pub fn write_page(&mut self, id: PageId, page: Page) {
         match self.injector.on_page_write() {
             FaultDecision::Proceed => {
                 self.page_writes += 1;
-                self.backend.write_page(id, page);
+                if let Some(medium) = &mut self.medium {
+                    medium.write_page(id, &page);
+                }
+                self.install(id, page);
             }
             FaultDecision::Tear { sectors } => {
-                if self.backend.tear_page(id, page, sectors) {
+                if self.tear(id, &page, sectors) {
                     self.page_writes += 1;
                     self.injector.record_injected(InjectedFault::TornWrite(id));
                 } else {
@@ -115,46 +158,107 @@ impl Disk {
         }
     }
 
+    /// The image side of a full, clean page write.
+    fn install(&mut self, id: PageId, page: Page) {
+        self.image.torn.remove(&id);
+        self.image.lost.remove(&id);
+        self.image.pages.insert(id, page);
+    }
+
+    /// Delivers a torn write of `new`: its LSN header and first
+    /// `sectors` slots land, the rest keep the old bytes. The first tear
+    /// of a page keeps its pre-image for repair. Returns `false`, landing
+    /// nothing, if the page cannot tear (fewer than 2 sectors) or is
+    /// lost — a partial image on destroyed media would mask the loss the
+    /// rebuild must re-detect, and there is no honest pre-image to keep.
+    fn tear(&mut self, id: PageId, new: &Page, sectors: u16) -> bool {
+        let spp = new.slot_count();
+        if spp < 2 || self.image.lost.contains(&id) {
+            return false;
+        }
+        let k = sectors.clamp(1, spp - 1);
+        let old = self.raw_page(id, spp);
+        let mut landed = old.clone();
+        landed.set_lsn(new.lsn());
+        for s in 0..k {
+            landed.set(SlotId(s), new.get(SlotId(s)));
+        }
+        let pre = (!self.image.torn.contains_key(&id)).then_some(old);
+        if let Some(medium) = &mut self.medium {
+            medium.tear_page(id, pre.as_ref(), new, &landed);
+        }
+        self.image.torn.entry(id).or_insert(pre);
+        self.image.pages.insert(id, landed);
+        true
+    }
+
     /// Is this page's durable copy torn (its last write only partially
     /// landed)?
     #[must_use]
     pub fn is_torn(&self, id: PageId) -> bool {
-        self.backend.is_torn(id)
+        self.image.torn.contains_key(&id)
     }
 
     /// Pages currently torn, in id order.
     #[must_use]
     pub fn torn_pages(&self) -> Vec<PageId> {
-        self.backend.torn_pages()
+        self.image.torn.keys().copied().collect()
     }
 
     /// Restores every torn page from its journaled pre-image and clears
     /// the torn state, returning the repaired ids. Recovery runs this
     /// before reading any page: a torn page's content is garbage, but its
     /// pre-image is a state the durable log explains, so repairing back
-    /// to it keeps the whole disk explainable.
+    /// to it keeps the whole disk explainable. Damage no pre-image
+    /// explains (out-of-band corruption of a page file) is scrubbed in
+    /// place: the page keeps the content it holds. A torn page with
+    /// neither is lost.
     pub fn repair_torn(&mut self) -> Vec<PageId> {
-        self.backend.repair_torn()
+        let torn = std::mem::take(&mut self.image.torn);
+        let repaired = torn.keys().copied().collect();
+        for (id, pre) in torn {
+            match pre.or_else(|| self.image.pages.get(&id).cloned()) {
+                Some(page) => {
+                    if let Some(medium) = &mut self.medium {
+                        medium.write_page(id, &page);
+                    }
+                    self.image.pages.insert(id, page);
+                }
+                None => {
+                    self.image.lost.insert(id);
+                }
+            }
+        }
+        repaired
     }
 
     /// Destroys a page's durable copy out-of-band — the media-failure
     /// adversary, not a faultable I/O event, so the injector is never
-    /// consulted. The page reads as [`SimError::MediaLoss`] until a
-    /// media rebuild installs a fresh copy.
+    /// consulted. A page the disk held (installed, torn or already lost)
+    /// reads as [`SimError::MediaLoss`] until a media rebuild installs a
+    /// fresh copy; destroying a page no write reached marks nothing.
     pub fn destroy_page(&mut self, id: PageId) {
-        self.backend.destroy_page(id);
+        let held = self.image.pages.remove(&id).is_some()
+            | self.image.torn.remove(&id).is_some()
+            | self.image.lost.contains(&id);
+        if let Some(medium) = &mut self.medium {
+            medium.destroy_page(id);
+        }
+        if held {
+            self.image.lost.insert(id);
+        }
     }
 
     /// Pages currently lost to media failure, in id order.
     #[must_use]
     pub fn lost_pages(&self) -> Vec<PageId> {
-        self.backend.lost_pages()
+        self.image.lost.iter().copied().collect()
     }
 
     /// Is this page's durable copy lost to media failure?
     #[must_use]
     pub fn is_lost(&self, id: PageId) -> bool {
-        self.backend.is_lost(id)
+        self.image.lost.contains(&id)
     }
 
     /// Atomically writes a *set* of pages: either all reach the installed
@@ -166,14 +270,27 @@ impl Disk {
     ///
     /// # Errors
     ///
-    /// [`SimError::FieldOverflow`] when the backend cannot encode its
-    /// intentions list; nothing is installed on error.
+    /// [`SimError::FieldOverflow`] when the file backend cannot encode
+    /// its intentions list; nothing is installed on error.
     pub fn write_pages_atomic(&mut self, pages: Vec<(PageId, Page)>) -> SimResult<()> {
         if self.injector.on_atomic_write() != FaultDecision::Proceed {
             return Ok(());
         }
         self.page_writes += pages.len() as u64;
-        self.backend.write_pages(pages)
+        self.install_atomic(self.image.master, pages)
+    }
+
+    /// One atomic install — the pages and the master land together — on
+    /// the medium first, so an install it refuses changes nothing.
+    fn install_atomic(&mut self, master: Lsn, pages: Vec<(PageId, Page)>) -> SimResult<()> {
+        if let Some(medium) = &mut self.medium {
+            medium.install(master, &pages)?;
+        }
+        for (id, page) in pages {
+            self.install(id, page);
+        }
+        self.image.master = master;
+        Ok(())
     }
 
     /// Writes a page to the staging area (not yet installed). One
@@ -185,60 +302,45 @@ impl Disk {
             return;
         }
         self.page_writes += 1;
-        self.backend.write_staging(id, page);
+        self.staging.insert(id, page);
     }
 
-    /// Number of staged pages.
-    #[must_use]
-    pub fn staging_len(&self) -> usize {
-        self.backend.staging_len()
-    }
-
-    /// The checkpoint pointer swing (§6.1): atomically replaces the
-    /// installed copies of every staged page with the staged versions and
-    /// empties the staging area. This is the single atomic act that
-    /// installs every operation logged since the previous checkpoint.
+    /// The checkpoint pointer swing (§6.1) as one faultable, atomic act:
+    /// installs whatever is staged (nothing, for an empty checkpoint)
+    /// *and* moves the master record to `master`, together, and empties
+    /// the staging area. This is the single atomic act that installs
+    /// every operation logged since the previous checkpoint: a crash
+    /// point here installs none of it, leaving only the pre-commit
+    /// debris the medium would hold (a written-but-unrenamed intent, for
+    /// the file backend) and the staged set, which the crash drops.
     ///
     /// # Errors
     ///
-    /// [`SimError::EmptyStaging`] if nothing is staged — a pointer swing
-    /// would install nothing and indicates a method bug.
-    pub fn promote_staging(&mut self) -> SimResult<()> {
-        if self.backend.staging_len() == 0 {
-            return Err(SimError::EmptyStaging);
-        }
-        if self.injector.on_atomic_write() != FaultDecision::Proceed {
-            return Ok(());
-        }
-        self.backend.promote_staging()
-    }
-
-    /// The *full* checkpoint pointer swing as one faultable, atomic act:
-    /// promotes whatever is staged (nothing, for an empty checkpoint)
-    /// *and* moves the master record to `master`, together. This is the
-    /// §6.1 discipline — the staged pages and the new checkpoint pointer
-    /// become visible in the same instant, so a crash point here either
-    /// installs the whole checkpoint or none of it. (Calling
-    /// [`Disk::promote_staging`] and [`Disk::set_master`] separately
-    /// would expose a window where staged pages are installed but the
-    /// master still points at the old checkpoint.) A crash point here
-    /// leaves the backend's pre-commit debris (a written-but-unrenamed
-    /// temp file, for the file backend) and installs nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::FieldOverflow`] when the backend cannot encode its
-    /// intentions list; nothing is installed on error.
+    /// [`SimError::FieldOverflow`] when the file backend cannot encode
+    /// its intentions list; nothing is installed on error.
     pub fn swing_pointer(&mut self, master: Lsn) -> SimResult<()> {
         if self.injector.on_atomic_write() != FaultDecision::Proceed {
-            return self.backend.abandon_install(master);
+            return self.abandon_install(master);
         }
-        self.backend.swing_pointer(master)
+        let staged = std::mem::take(&mut self.staging).into_iter().collect();
+        self.install_atomic(master, staged)
     }
 
-    /// Discards the staging area (e.g. when a quiesce is abandoned).
-    pub fn discard_staging(&mut self) {
-        self.backend.discard_staging();
+    /// The machine died just before an install of the staged set and
+    /// `master` committed: the medium keeps its pre-commit debris, the
+    /// image is untouched.
+    fn abandon_install(&mut self, master: Lsn) -> SimResult<()> {
+        match &mut self.medium {
+            Some(medium) => {
+                let staged: Vec<_> = self
+                    .staging
+                    .iter()
+                    .map(|(&id, p)| (id, p.clone()))
+                    .collect();
+                medium.abandon_install(master, &staged)
+            }
+            None => Ok(()),
+        }
     }
 
     /// Durably records the checkpoint pointer (the LSN recovery should
@@ -254,28 +356,34 @@ impl Disk {
     /// itself never fails to publish.
     pub fn set_master(&mut self, lsn: Lsn) -> SimResult<()> {
         if self.injector.on_atomic_write() != FaultDecision::Proceed {
-            return self.backend.abandon_install(lsn);
+            return self.abandon_install(lsn);
         }
-        self.backend.set_master(lsn);
+        if let Some(medium) = &mut self.medium {
+            medium.set_master(lsn);
+        }
+        self.image.master = lsn;
         Ok(())
     }
 
     /// The durable checkpoint pointer.
     #[must_use]
     pub fn master(&self) -> Lsn {
-        self.backend.master()
+        self.image.master
     }
 
-    /// Crash handling: installed pages and the master record survive; the
-    /// staging area, being unreferenced until a pointer swing, is treated
-    /// as garbage and dropped. Torn damage is durable media state and
-    /// survives too — repairing it is recovery's first job
-    /// ([`crate::db::Db::repair_after_crash`]). The file backend also
-    /// resolves interrupted installs here (replays a committed intentions
-    /// list, discards uncommitted debris) and relearns everything else
-    /// from the files.
+    /// Crash handling: the image — installed pages, the master record,
+    /// torn damage with its pre-images, lost marks — survives; the
+    /// staging area, unreferenced until a pointer swing, is dropped.
+    /// Repairing torn damage is recovery's first job
+    /// ([`crate::db::Db::repair_after_crash`]). A file-backed disk
+    /// rebuilds the image from its files: it replays a committed
+    /// intentions list, discards uncommitted debris, and relearns every
+    /// page, mark and pointer from what the files hold.
     pub fn crash(&mut self) {
-        self.backend.crash();
+        self.staging.clear();
+        if let Some(medium) = &mut self.medium {
+            self.image = medium.reopen();
+        }
     }
 
     /// Total page writes issued (installed + staged) — an I/O metric for
@@ -289,14 +397,18 @@ impl Disk {
     /// state (raw durable content), in id order.
     #[must_use]
     pub fn pages(&self) -> Vec<(PageId, Page)> {
-        self.backend.pages()
+        self.image
+            .pages
+            .iter()
+            .map(|(&id, p)| (id, p.clone()))
+            .collect()
     }
 
-    /// The backend's backing directory, when the pages live in real
-    /// files (tests damage them out-of-band).
+    /// The backing directory, when the pages live in real files (tests
+    /// damage them out-of-band).
     #[must_use]
     pub fn dir(&self) -> Option<&std::path::Path> {
-        self.backend.dir()
+        self.medium.as_ref().map(FileStorage::dir)
     }
 
     /// Projects the installed state into a theory-level [`State`] at slot
@@ -306,12 +418,12 @@ impl Disk {
     #[must_use]
     pub fn theory_state(&self, slots_per_page: u16) -> State {
         let mut s = State::zeroed();
-        for (id, page) in self.backend.pages() {
+        for (&id, page) in &self.image.pages {
             for (slot, &v) in page.slots().iter().enumerate() {
                 if v != 0 {
                     let var = redo_workload::pages::Cell {
                         page: id,
-                        slot: redo_workload::pages::SlotId(
+                        slot: SlotId(
                             u16::try_from(slot).expect("slot index bounded by page geometry"),
                         ),
                     }
@@ -327,7 +439,7 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redo_workload::pages::SlotId;
+    use crate::fault::{FaultKind, FaultPlan};
 
     /// Every test in this module runs against both backends: the
     /// protocol in the `Disk` wrapper must not care where bytes live.
@@ -360,22 +472,14 @@ mod tests {
     }
 
     #[test]
-    fn staging_is_invisible_until_promoted() {
+    fn staging_is_invisible_until_the_swing() {
         both(|mut d| {
             let mut p = Page::new(4);
             p.set(SlotId(0), 42);
             d.write_staging(PageId(1), p);
             assert_eq!(d.read_page(PageId(1), 4).unwrap().get(SlotId(0)), 0);
-            d.promote_staging().unwrap();
+            d.swing_pointer(Lsn(1)).unwrap();
             assert_eq!(d.read_page(PageId(1), 4).unwrap().get(SlotId(0)), 42);
-            assert_eq!(d.staging_len(), 0);
-        });
-    }
-
-    #[test]
-    fn promote_empty_staging_is_an_error() {
-        both(|mut d| {
-            assert_eq!(d.promote_staging(), Err(SimError::EmptyStaging));
         });
     }
 
@@ -390,8 +494,11 @@ mod tests {
             d.set_master(Lsn(5)).unwrap();
             d.crash();
             assert_eq!(d.read_page(PageId(0), 4).unwrap().get(SlotId(0)), 1);
-            assert_eq!(d.staging_len(), 0);
             assert_eq!(d.master(), Lsn(5));
+            // The staged copy died with the machine: a swing now
+            // installs nothing.
+            d.swing_pointer(Lsn(6)).unwrap();
+            assert_eq!(d.read_page(PageId(0), 4).unwrap().get(SlotId(0)), 1);
         });
     }
 
@@ -409,17 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn discard_staging() {
-        both(|mut d| {
-            d.write_staging(PageId(0), Page::new(4));
-            d.discard_staging();
-            assert_eq!(d.staging_len(), 0);
-        });
-    }
-
-    #[test]
     fn torn_write_lands_partially_and_repairs_to_preimage() {
-        use crate::fault::{FaultKind, FaultPlan};
         both(|mut d| {
             // Establish a durable pre-image: slots [1, 2, 3, 4] at LSN 1.
             let mut pre = Page::new(4);
@@ -468,7 +565,6 @@ mod tests {
 
     #[test]
     fn swing_pointer_installs_staging_and_master_together() {
-        use crate::fault::{FaultKind, FaultPlan};
         both(|mut d| {
             let mut p = Page::new(4);
             p.set(SlotId(0), 9);
@@ -487,13 +583,11 @@ mod tests {
             d.swing_pointer(Lsn(5)).unwrap();
             assert_eq!(d.master(), Lsn(5));
             assert_eq!(d.read_page(PageId(0), 4).unwrap().get(SlotId(0)), 9);
-            assert_eq!(d.staging_len(), 0);
         });
     }
 
     #[test]
     fn suppressed_swing_survives_a_crash_with_the_old_master() {
-        use crate::fault::{FaultKind, FaultPlan};
         both(|mut d| {
             d.set_master(Lsn(3)).unwrap();
             let mut p = Page::new(4);
@@ -511,7 +605,6 @@ mod tests {
             // …and reopen finds the old checkpoint, nothing installed.
             assert_eq!(d.master(), Lsn(3));
             assert_eq!(d.read_page(PageId(7), 4).unwrap(), Page::new(4));
-            assert_eq!(d.staging_len(), 0);
         });
     }
 
@@ -544,7 +637,6 @@ mod tests {
 
     #[test]
     fn torn_rebuild_write_keeps_the_page_lost() {
-        use crate::fault::{FaultKind, FaultPlan};
         both(|mut d| {
             let mut p = Page::new(4);
             p.set(SlotId(0), 5);
@@ -567,7 +659,6 @@ mod tests {
 
     #[test]
     fn atomic_multi_page_write_suppressed_wholesale() {
-        use crate::fault::{FaultKind, FaultPlan};
         both(|mut d| {
             d.injector.arm(FaultPlan {
                 at: 1,
@@ -580,5 +671,89 @@ mod tests {
             assert_eq!(d.page_writes(), 0);
             assert!(d.torn_pages().is_empty());
         });
+    }
+
+    /// A four-slot page whose slots are the low bits of `fill`: a small
+    /// domain, so a torn transfer often lands bytes equal to the image
+    /// it was meant to write.
+    fn drawn(lsn: u64, fill: u64) -> Page {
+        let mut p = Page::new(4);
+        p.set_lsn(Lsn(lsn));
+        for s in 0..4 {
+            p.set(SlotId(s), (fill >> s) & 1);
+        }
+        p
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// The in-memory and the file-backed disk, driven in lockstep
+        /// through the same in-band events — writes, armed tears, atomic
+        /// installs, staging and the pointer swing (completed or cut at
+        /// its crash point), master updates, page destruction, crashes
+        /// and repairs — answer every read alike after every step. A
+        /// crash makes the file disk relearn everything from its files,
+        /// so equality there means the files say what the image says.
+        #[test]
+        fn mem_and_file_disks_answer_alike(
+            steps in proptest::collection::vec((0u8..12, 0u32..4, 0u64..16, 1u16..4), 1..40),
+        ) {
+            let mut disks = [Disk::on(BackendKind::Mem), Disk::on(BackendKind::File)];
+            for (i, &(what, page, fill, sectors)) in steps.iter().enumerate() {
+                let (id, lsn) = (PageId(page), i as u64 + 1);
+                let mut repaired = Vec::new();
+                for d in &mut disks {
+                    match what {
+                        0 | 1 => d.write_page(id, drawn(lsn, fill)),
+                        2 => {
+                            // A torn write the machine survives: later
+                            // steps write over it before any crash.
+                            d.injector.arm(FaultPlan {
+                                at: 1,
+                                kind: FaultKind::TornWrite { sectors },
+                            });
+                            d.write_page(id, drawn(lsn, fill));
+                            d.injector.reset();
+                        }
+                        3 => d
+                            .write_pages_atomic(vec![
+                                (id, drawn(lsn, fill)),
+                                (PageId((page + 1) % 4), drawn(lsn, !fill)),
+                            ])
+                            .unwrap(),
+                        4 => d.write_staging(id, drawn(lsn, fill)),
+                        5 => d.swing_pointer(Lsn(lsn)).unwrap(),
+                        6 => {
+                            d.injector.arm(FaultPlan {
+                                at: 1,
+                                kind: FaultKind::Clean,
+                            });
+                            d.swing_pointer(Lsn(lsn)).unwrap();
+                            d.injector.reset();
+                        }
+                        7 => d.set_master(Lsn(lsn)).unwrap(),
+                        8 => d.destroy_page(id),
+                        9 => d.crash(),
+                        _ => repaired.push(d.repair_torn()),
+                    }
+                }
+                let [mem, file] = &disks;
+                let step = format!("step {i}: {what} on page {page}");
+                proptest::prop_assert_eq!(repaired.first(), repaired.last(), "{} repaired", step);
+                proptest::prop_assert_eq!(mem.pages(), file.pages(), "{} pages", step);
+                proptest::prop_assert_eq!(mem.torn_pages(), file.torn_pages(), "{} torn", step);
+                proptest::prop_assert_eq!(mem.lost_pages(), file.lost_pages(), "{} lost", step);
+                proptest::prop_assert_eq!(mem.master(), file.master(), "{} master", step);
+                for p in 0..5 {
+                    proptest::prop_assert_eq!(
+                        mem.read_page(PageId(p), 4),
+                        file.read_page(PageId(p), 4),
+                        "{} read of page {}",
+                        step,
+                        p
+                    );
+                }
+            }
+        }
     }
 }

@@ -36,9 +36,6 @@ pub enum SimError {
     NotCached(PageId),
     /// The buffer pool is full and every frame is pinned or unflushable.
     PoolExhausted,
-    /// A checkpoint pointer swing was requested with no staging area
-    /// contents.
-    EmptyStaging,
     /// Decoding a log record failed at the given byte offset.
     Corrupt(usize),
     /// An operation was handed to a recovery method whose logging
@@ -90,7 +87,6 @@ impl fmt::Display for SimError {
             ),
             SimError::NotCached(p) => write!(f, "page {p:?} is not cached"),
             SimError::PoolExhausted => write!(f, "buffer pool exhausted"),
-            SimError::EmptyStaging => write!(f, "staging area is empty"),
             SimError::Corrupt(off) => write!(f, "log corrupt at byte {off}"),
             SimError::MethodViolation(msg) => write!(f, "recovery-method violation: {msg}"),
             SimError::RecoveryWorkerPanic => write!(f, "a parallel-redo worker panicked"),

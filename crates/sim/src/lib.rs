@@ -10,19 +10,21 @@
 //!
 //! * [`page::Page`] — fixed-geometry pages of 64-bit slots, each tagged
 //!   with the LSN of its last update (§6.3's page LSN);
-//! * [`disk::Disk`] — stable storage with atomic page writes, a stable
-//!   log, and a *staging area* plus checkpoint pointer swing for the
-//!   System R-style logical method (§6.1);
+//! * [`disk::Disk`] — stable storage as one page image (installed
+//!   pages, torn and lost marks, the checkpoint pointer) changed only by
+//!   atomic page writes and atomic installs, plus a volatile *staging
+//!   area* and the checkpoint pointer swing for the System R-style
+//!   logical method (§6.1);
 //! * [`wal::ShardedLog`] — a write-ahead log split into a stable prefix
 //!   and a volatile tail, kept by one or more per-partition shards of
 //!   untyped frames, generic over the payload each recovery method
 //!   logs, and read in place by one reader;
-//! * [`backend`] — the [`backend::StorageBackend`] /
-//!   [`backend::LogBackend`] trait pair behind `Disk` and the log:
-//!   the pure in-memory simulation is one implementation, and a
-//!   file-backed one (CRC-framed WAL, checksummed page files,
-//!   rename-committed checkpoint pointer) makes the crash model honest
-//!   against real media;
+//! * [`backend`] — where the durable bytes live: the
+//!   [`backend::LogBackend`] trait behind each log shard (in memory or a
+//!   CRC-framed file), and the files that persist `Disk`'s image when it
+//!   runs on [`backend::BackendKind::File`] (checksummed page files, a
+//!   doublewrite journal, rename-committed installs and checkpoint
+//!   pointer), which make the crash model honest against real media;
 //! * [`cache::BufferPool`] — the cache manager: dirty tracking, LRU
 //!   eviction, enforcement of the WAL rule (no page reaches disk before
 //!   its log records) and of *write-order constraints* — the

@@ -284,3 +284,65 @@ fn interrupted_master_publication_keeps_the_old_pointer() {
     db.disk.set_master(Lsn(9)).unwrap();
     assert_eq!(db.disk.master(), Lsn(9));
 }
+
+#[test]
+fn a_torn_page_whose_journal_vanished_after_reopen_repairs_to_its_pre_image() {
+    let spp: u16 = 4;
+    let id = PageId(2);
+    let slots = |lsn: u64, base: u64| {
+        let mut page = Page::new(spp);
+        page.set_lsn(Lsn(lsn));
+        for s in 0..spp {
+            page.set(SlotId(s), base + u64::from(s));
+        }
+        page
+    };
+    let mut db: Db<Blob> = Db::on(
+        BackendKind::File,
+        Geometry {
+            slots_per_page: spp,
+        },
+        None,
+    );
+    let pre = slots(1, 10);
+    db.disk.write_page(id, pre.clone());
+    db.arm_faults(FaultPlan {
+        at: 1,
+        kind: FaultKind::TornWrite { sectors: 2 },
+    });
+    db.disk.write_page(id, slots(2, 20));
+    assert!(db.disk.is_torn(id));
+    let dir = db
+        .disk
+        .dir()
+        .expect("file backend has a directory")
+        .to_path_buf();
+
+    // Cut the torn page's file below its header, behind the simulator's
+    // back: the reopen finds it structurally unreadable, and only its
+    // doublewrite journal keeps it torn rather than lost.
+    OpenOptions::new()
+        .write(true)
+        .open(dir.join("pages").join("p2.pg"))
+        .expect("page file exists")
+        .set_len(3)
+        .expect("truncate page file");
+    db.crash();
+    assert_eq!(db.disk.torn_pages(), vec![id]);
+
+    // The journal vanishes after the reopen read it; the repair must
+    // still answer with the pre-image (or a loss), never a page of some
+    // other geometry — and so must the files after another reopen.
+    std::fs::remove_file(dir.join("journal").join("p2.pg")).expect("journal exists");
+    assert_eq!(db.repair_after_crash().torn_pages, vec![id]);
+    for reopened in [false, true] {
+        if reopened {
+            db.crash();
+        }
+        match db.disk.read_page(id, spp) {
+            Ok(page) => assert_eq!(page, pre, "reopened: {reopened}"),
+            Err(SimError::MediaLoss(p)) => assert_eq!(p, id),
+            Err(e) => panic!("reopened: {reopened}: {e:?}"),
+        }
+    }
+}

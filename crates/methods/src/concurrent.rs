@@ -64,9 +64,12 @@
 //! the concurrent face of the one lazy-restart executor
 //! ([`crate::ondemand`] is the sequential one). Analysis places a
 //! recovery gate on every page whose stable chain holds a record the
-//! fuzzy dirty-page table cannot prove installed
-//! (`RestartAnalysis::gates`), and [`SharedDb`] refuses to serve
-//! those pages until their lazy redo runs. The first
+//! fuzzy dirty-page table cannot prove installed, and on every page a
+//! record at or above the redo-start reads without writing — one walk
+//! of each shard's chains (`RestartAnalysis::gates`) — and [`SharedDb`]
+//! refuses to serve or overwrite those pages until their lazy redo
+//! runs. The second rule is what keeps a new write from landing on a
+//! page before a residual record that reads it has replayed. The first
 //! [`SharedDb::read_cell`] or [`SharedDb::execute`] touching a gated
 //! page replays that page's `RestartAnalysis::component` — the same
 //! unit, found by the same chase of writer and cross-reader chains, as
@@ -280,8 +283,10 @@ impl SharedDb {
     /// repair, analysis, the media restore and gate placement only — no
     /// log scan, no replay. Every page whose stable chain holds a record
     /// at or above the redo-start that the checkpoint's dirty-page table
-    /// cannot prove installed is gated; the first access to a gated page
-    /// (or the background sweeper) pays for exactly that page's replay.
+    /// cannot prove installed is gated, and so is every page a record at
+    /// or above the redo-start reads without writing; the first access
+    /// to a gated page (or the background sweeper) pays for exactly that
+    /// page's component.
     /// Ungated pages are servable the moment this returns.
     ///
     /// # Errors
@@ -589,11 +594,13 @@ impl SharedDb {
             let rec = self.inner.recovery.lock();
             let snapshot = self.inner.store.snapshot();
             let mut log = self.inner.log.lock();
+            // A page gated only for its residual readers owes no
+            // record, so its owed chain is empty and it enters no table.
             let residuals: Vec<(PageId, Lsn)> = match rec.active.as_ref() {
                 Some(state) => (self.inner.gates.lock().iter())
                     .filter_map(|&page| {
-                        let first = state.analysis.owed_chain(&log, page).next();
-                        first.map(|(lsn, _)| (page, lsn))
+                        let first = state.analysis.owed_chain(&log, page).first();
+                        first.map(|&(lsn, _)| (page, lsn))
                     })
                     .collect(),
                 None => Vec::new(),

@@ -14,8 +14,13 @@
 //! sharded store, and every decision is shared. Analysis is
 //! `redo::begin`; a page is *gated* (`RestartAnalysis::gates`)
 //! when its stable chain holds a record at or above the redo-start that
-//! the dirty-page table cannot prove installed, and everything else is
-//! servable the moment the database opens. A gated page cannot replay
+//! the dirty-page table cannot prove installed, or when a record at or
+//! above the redo-start reads it without writing it (the page is
+//! exposed to that residual reader, which must see it before anything
+//! new overwrites it), and everything else is servable the moment the
+//! database opens. Placement is one walk of each shard's writer and
+//! reader chains, each page decided from its chain's last entry: the
+//! owed entries are a suffix of the chain. A gated page cannot replay
 //! alone — generalized operations read pages they do not write, and a
 //! multi-page write set installs atomically — so the unit of replay is
 //! `RestartAnalysis::component`,
@@ -95,8 +100,9 @@ impl OnDemand {
     /// record decoded (a restore, when pages are lost, is the one
     /// exception: it reads `archive ∥ live` in place and installs the
     /// lost pages' rebuild closure). Every page whose chain holds a
-    /// record the analysis cannot prove installed is gated; reads on
-    /// ungated pages are servable at once.
+    /// record the analysis cannot prove installed, or that a residual
+    /// record reads, is gated; reads on ungated pages are servable at
+    /// once.
     ///
     /// # Errors
     ///

@@ -342,21 +342,36 @@ impl RestartAnalysis {
     }
 
     /// `page`'s stable chain entries `(LSN, offset)` restart still
-    /// [owes](RestartAnalysis::owes) a redo test, in LSN order.
+    /// [owes](RestartAnalysis::owes) a redo test, in LSN order: a
+    /// suffix of the chain, since for a fixed page `owes` is monotone in
+    /// LSN (it holds from the later of the redo-start and, below the
+    /// checkpoint, the page's recLSN on).
     pub(crate) fn owed_chain<'a, P: LogPayload>(
-        &'a self,
+        &self,
         log: &'a ShardedLog<P>,
         page: PageId,
-    ) -> impl Iterator<Item = (Lsn, u64)> + 'a {
-        let chain = log.page_chain(page).iter().copied();
-        chain.filter(move |&(lsn, _)| self.owes(page, lsn))
+    ) -> &'a [(Lsn, u64)] {
+        let chain = log.page_chain(page);
+        &chain[chain.partition_point(|&(lsn, _)| !self.owes(page, lsn))..]
     }
 
-    /// Gate placement for the on-demand paths: every chained page whose
-    /// stable chain holds a record restart still owes.
+    /// Gate placement for the on-demand paths, one walk of each shard's
+    /// writer and reader chains with no lookup per page. A page is gated
+    /// when restart owes a record of its writer chain, or when a record
+    /// at or above the redo-start reads it without writing it: that
+    /// page is exposed to a residual reader, which must see it before
+    /// anything new overwrites it. Each test reads the chain's last
+    /// entry only — the owed entries are a suffix
+    /// ([`RestartAnalysis::owed_chain`]), and so are those at or above
+    /// the redo-start. A page read on several shards comes once per
+    /// shard; the set's bulk build sorts the pages and drops the copies.
     pub(crate) fn gates<P: LogPayload>(&self, log: &ShardedLog<P>) -> BTreeSet<PageId> {
-        let owed = |&page: &PageId| self.owed_chain(log, page).next().is_some();
-        log.chained_pages().filter(owed).collect()
+        let last = |chain: &[(Lsn, u64)]| chain.last().map(|&(lsn, _)| lsn);
+        let writers = (log.page_chains())
+            .filter(|&(page, chain)| last(chain).is_some_and(|lsn| self.owes(page, lsn)));
+        let readers = (log.reader_chains())
+            .filter(|&(_, chain)| last(chain).is_some_and(|lsn| lsn >= self.redo_start));
+        writers.chain(readers).map(|(page, _)| page).collect()
     }
 
     /// The unit of lazy replay: the closure of the gated `page` under
@@ -390,9 +405,8 @@ impl RestartAnalysis {
                 continue;
             }
             let home = log.shard_of(p);
-            let writers = self
-                .owed_chain(log, p)
-                .map(|(lsn, off)| (lsn, home, off, true));
+            let writers =
+                (self.owed_chain(log, p).iter()).map(|&(lsn, off)| (lsn, home, off, true));
             let readers = log.readers_of(p).into_iter();
             let owed_readers = readers.filter(|&(lsn, _, _)| lsn >= self.redo_start);
             let entries = writers.chain(owed_readers.map(|(lsn, s, off)| (lsn, s, off, false)));
@@ -960,6 +974,7 @@ mod tests {
         assert_matches_model, blind_workload, crashed_db, cross_page_workload, single_page_workload,
     };
     use crate::RecoveryMethod;
+    use proptest::prelude::*;
     use redo_sim::db::Geometry;
 
     /// One roster row: `method` over `ops`, crashed under chaos flushes
@@ -1078,5 +1093,152 @@ mod tests {
         let stats = Control.recover(&mut db).unwrap();
         assert_eq!(stats.checkpoint_lsn, Some(delta));
         assert_matches_model(&mut db, &ops);
+    }
+
+    /// Pages of the gate-placement runs below.
+    const GATE_PAGES: u32 = 8;
+
+    /// A cross-page run over `log_shards` log shards under chaos
+    /// flushes, with a fuzzy checkpoint (and so a truncation) every
+    /// `checkpoint_every` operations — full tables, or delta chains when
+    /// `full_every` ≥ 2 — crashed, optionally through a torn final
+    /// flush, and repaired as every restart opens.
+    fn crashed_and_repaired(
+        seed: u64,
+        n_ops: usize,
+        log_shards: usize,
+        full_every: u64,
+        checkpoint_every: usize,
+        torn: bool,
+    ) -> Db<PageOpPayload> {
+        use rand::SeedableRng;
+        use redo_sim::fault::{FaultKind, FaultPlan};
+        let ops = cross_page_workload(n_ops, GATE_PAGES, seed);
+        let kind = redo_sim::backend::BackendKind::Mem;
+        let mut db = Db::on_sharded(kind, Geometry::default(), None, log_shards);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for (i, op) in ops.iter().enumerate() {
+            // Flushing before the operation leaves the last one in the
+            // tail for the torn flush to cut.
+            db.chaos_flush(&mut rng, 0.5, 0.4).unwrap();
+            Generalized.execute(&mut db, op).unwrap();
+            if (i + 1) % checkpoint_every == 0 {
+                checkpoint_fuzzy(&mut db, full_every).unwrap();
+            }
+        }
+        if torn {
+            let kind = FaultKind::TornFlush { bytes: 7 };
+            db.arm_faults(FaultPlan { at: 1, kind });
+        }
+        db.log.flush_all();
+        db.crash();
+        db.repair_after_crash();
+        db
+    }
+
+    /// The per-page gate definition the one-pass placement replaced:
+    /// a chained page whose chain holds an owed entry, or a page some
+    /// record at or above the redo-start reads without writing — each
+    /// page's chains looked up and tested entry by entry.
+    fn gates_page_by_page(
+        analysis: &RestartAnalysis,
+        log: &ShardedLog<PageOpPayload>,
+    ) -> BTreeSet<PageId> {
+        let owed = |&page: &PageId| {
+            (log.page_chain(page).iter()).any(|&(lsn, _)| analysis.owes(page, lsn))
+        };
+        let exposed = |&page: &PageId| {
+            (log.readers_of(page).iter()).any(|&(lsn, _, _)| lsn >= analysis.redo_start)
+        };
+        let writers = log.chained_pages().filter(owed);
+        writers
+            .chain((0..GATE_PAGES).map(PageId).filter(exposed))
+            .collect()
+    }
+
+    /// An analysis the run's own log may never have produced: any
+    /// redo-start, any checkpoint LSN, and a dirty-page table whose
+    /// recLSNs lie below and above that checkpoint.
+    fn arbitrary_analysis(
+        top: u64,
+        redo_start: u64,
+        ck: Option<u64>,
+        dirty: &[(u32, u64)],
+    ) -> RestartAnalysis {
+        let lsn = |x: u64| Lsn(1 + x % (top + 2));
+        let table = dirty.iter().map(|&(p, x)| (PageId(p % GATE_PAGES), lsn(x)));
+        match ck {
+            Some(ck) => RestartAnalysis::at_checkpoint(lsn(ck), lsn(redo_start), table.collect()),
+            None => RestartAnalysis {
+                redo_start: lsn(redo_start),
+                ..RestartAnalysis::full_scan()
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass gate set equals the per-page definition, and the
+        /// owed chain is the per-entry filter — over the analysis the
+        /// crashed image yields (full or delta checkpoints, truncation,
+        /// torn-tail repair, 1 or 4 log shards) and over arbitrary ones.
+        #[test]
+        fn one_pass_gates_equal_the_page_by_page_definition(
+            seed in any::<u64>(),
+            n_ops in 10usize..60,
+            four_shards in any::<bool>(),
+            deltas in any::<bool>(),
+            checkpoint_every in 3usize..15,
+            torn in any::<bool>(),
+            redo_start in any::<u64>(),
+            ck in prop::option::of(any::<u64>()),
+            dirty in prop::collection::vec((any::<u32>(), any::<u64>()), 0..8),
+        ) {
+            let log_shards = if four_shards { 4 } else { 1 };
+            let full_every = if deltas { 3 } else { 0 };
+            let db = crashed_and_repaired(seed, n_ops, log_shards, full_every, checkpoint_every, torn);
+            let top = db.log.stable_lsn().0;
+            let analyses = [analyze(&db).unwrap(), arbitrary_analysis(top, redo_start, ck, &dirty)];
+            for analysis in &analyses {
+                prop_assert_eq!(
+                    analysis.gates(&db.log),
+                    gates_page_by_page(analysis, &db.log),
+                    "{:?}",
+                    analysis
+                );
+                for page in (0..GATE_PAGES).map(PageId) {
+                    let filtered: Vec<(Lsn, u64)> = (db.log.page_chain(page).iter().copied())
+                        .filter(|&(lsn, _)| analysis.owes(page, lsn))
+                        .collect();
+                    prop_assert_eq!(analysis.owed_chain(&db.log, page), &filtered[..]);
+                }
+            }
+        }
+
+        /// `owes` is monotone in LSN for every page: once restart owes
+        /// a page's record, it owes every later one. The last-entry
+        /// test of `gates` and the suffix of `owed_chain` rest on it.
+        #[test]
+        fn owes_is_monotone_in_lsn_for_every_page(
+            top in 1u64..40,
+            redo_start in any::<u64>(),
+            ck in prop::option::of(any::<u64>()),
+            dirty in prop::collection::vec((any::<u32>(), any::<u64>()), 0..8),
+        ) {
+            let analysis = arbitrary_analysis(top, redo_start, ck, &dirty);
+            for page in (0..GATE_PAGES).map(PageId) {
+                for lsn in 0..top + 3 {
+                    prop_assert!(
+                        !analysis.owes(page, Lsn(lsn)) || analysis.owes(page, Lsn(lsn + 1)),
+                        "{:?} owes {:?} at {} but not at {}",
+                        analysis,
+                        page,
+                        lsn,
+                        lsn + 1
+                    );
+                }
+            }
+        }
     }
 }

@@ -36,7 +36,18 @@ pub(crate) fn prune_index_to_prefix(index: &mut Vec<(Lsn, u64)>, pos: usize, max
         index.clear();
         return;
     }
-    index.retain(|&(lsn, off)| (off as usize) < pos && lsn <= max_lsn);
+    index.retain(|&entry| within_prefix(entry, pos, max_lsn));
+}
+
+/// Would [`prune_index_to_prefix`] keep every entry of `index`?
+pub(crate) fn index_within_prefix(index: &[(Lsn, u64)], pos: usize, max_lsn: Lsn) -> bool {
+    index
+        .iter()
+        .all(|&entry| within_prefix(entry, pos, max_lsn))
+}
+
+fn within_prefix((lsn, off): (Lsn, u64), pos: usize, max_lsn: Lsn) -> bool {
+    (off as usize) < pos && lsn <= max_lsn
 }
 
 /// [`prune_index_to_prefix`] applied to every per-page chain; pages

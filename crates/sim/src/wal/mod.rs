@@ -97,8 +97,8 @@ pub use sharded::{Batch, History, RecordBody, ShardedLog, ShardedScanner};
 
 pub(crate) use framing::{frame_crc, skip_frames_below, walk_valid_frames};
 use index::{
-    plan_prefix_drain, prune_chains_to_prefix, prune_index_to_prefix, rebase_chains_after_drain,
-    rebase_index_after_drain, DrainPlan,
+    index_within_prefix, plan_prefix_drain, prune_chains_to_prefix, prune_index_to_prefix,
+    rebase_chains_after_drain, rebase_index_after_drain, DrainPlan,
 };
 
 /// A type that can be written to and read back from the stable log.
@@ -579,10 +579,20 @@ impl LogManager {
         let bytes = self.backend.bytes();
         let (pos, _, _) = walk_valid_frames(bytes);
         let dropped = bytes.len() - pos;
-        if dropped > 0 {
-            self.backend.truncate_to(pos);
-        }
         self.verified = pos;
+        if dropped == 0 {
+            // The crash walk already pruned every entry to this same
+            // covered prefix, so the prunes below would remove nothing.
+            debug_assert!(
+                index_within_prefix(&self.seek_index, pos, self.stable_lsn)
+                    && (self.page_chains.values())
+                        .chain(self.reader_chains.values())
+                        .all(|chain| index_within_prefix(chain, pos, self.stable_lsn)),
+                "a seek or chain entry points at or past the covered end"
+            );
+            return 0;
+        }
+        self.backend.truncate_to(pos);
         // Seek and chain entries only ever point at covered frame
         // starts, all of which the walk keeps; the prune is
         // belt-and-braces against an entry landing in the dropped
@@ -691,6 +701,18 @@ impl LogManager {
     /// Every page with at least one stable chained record, in id order.
     pub(crate) fn chained_pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.page_chains.keys().copied()
+    }
+
+    /// Every non-empty writer chain as `(page, chain)`, in id order —
+    /// one walk of the map, no lookup per page.
+    pub(crate) fn page_chains(&self) -> impl Iterator<Item = (PageId, &[(Lsn, u64)])> + '_ {
+        self.page_chains.iter().map(|(&p, c)| (p, c.as_slice()))
+    }
+
+    /// Every non-empty cross-reader chain as `(page, chain)`, in id
+    /// order, as [`LogManager::page_chains`].
+    pub(crate) fn reader_chains(&self) -> impl Iterator<Item = (PageId, &[(Lsn, u64)])> + '_ {
+        self.reader_chains.iter().map(|(&p, c)| (p, c.as_slice()))
     }
 
     /// The cross-reader chain for `page`: the (LSN, stable byte offset)

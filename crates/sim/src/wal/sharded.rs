@@ -699,6 +699,27 @@ impl<P: LogPayload> ShardedLog<P> {
         pages.into_iter()
     }
 
+    /// Every writer chain, from each shard's own map in one walk — no
+    /// lookup per page: `(page, chain)` for each page with a stable
+    /// chained record, once, shard by shard and in id order within a
+    /// shard. A shard yields only its *home* pages' chains, the whole
+    /// [`ShardedLog::page_chain`] of each (as [`ShardedLog::chained_pages`]).
+    pub fn page_chains(&self) -> impl Iterator<Item = (PageId, &[(Lsn, u64)])> + '_ {
+        let shards = self.shards.iter().enumerate();
+        shards.flat_map(move |(s, shard)| {
+            (shard.page_chains()).filter(move |&(page, _)| self.shard_of(page) == s)
+        })
+    }
+
+    /// Every cross-reader chain, from each shard's own map in one walk:
+    /// `(page, chain)`, shard by shard and in id order within a shard.
+    /// A reader is stored with the pages it writes, so a page comes
+    /// once from every shard holding one of its readers, and each chain
+    /// is that shard's part of [`ShardedLog::readers_of`].
+    pub fn reader_chains(&self) -> impl Iterator<Item = (PageId, &[(Lsn, u64)])> + '_ {
+        self.shards.iter().flat_map(LogManager::reader_chains)
+    }
+
     /// Every stable record that reads `page` without writing it, as
     /// `(LSN, shard, offset)` in LSN order. A cross-reader is stored
     /// with the pages it *writes*, so the entries come from whichever

@@ -98,6 +98,37 @@ fn reference(image: &Db<PageOpPayload>, cells: &[Cell]) -> Vec<u64> {
     cells.iter().map(read).collect()
 }
 
+/// Slot 0 of `page`.
+fn cell(page: u32) -> Cell {
+    Cell {
+        page: PageId(page),
+        slot: SlotId(0),
+    }
+}
+
+/// A hand-built operation whose function is seeded by its id.
+fn op(id: u32, kind: PageOpKind, reads: Vec<Cell>, writes: Vec<Cell>) -> PageOp {
+    PageOp {
+        id,
+        kind,
+        reads,
+        writes,
+        f_seed: u64::from(id) + 1,
+    }
+}
+
+/// Every cell of the first `n_pages` pages.
+fn every_cell(n_pages: u32) -> Vec<Cell> {
+    let slots = Geometry::default().slots_per_page;
+    let page = |p| {
+        (0..slots).map(move |s| Cell {
+            page: PageId(p),
+            slot: SlotId(s),
+        })
+    };
+    (0..n_pages).flat_map(page).collect()
+}
+
 #[test]
 fn a_reader_replays_before_the_later_writer_of_what_it_read() {
     // p ← blind; r ← g(p); p ← f(p) — committed, nothing flushed. The
@@ -105,17 +136,6 @@ fn a_reader_replays_before_the_later_writer_of_what_it_read() {
     // never names it: a closure chased through writer chains alone
     // replays p to its final value first and then computes r from the
     // future (and, flushed, that r is durable for good).
-    let cell = |page| Cell {
-        page: PageId(page),
-        slot: SlotId(0),
-    };
-    let op = |id, kind, reads, writes| PageOp {
-        id,
-        kind,
-        reads,
-        writes,
-        f_seed: u64::from(id) + 1,
-    };
     let (p, r) = (cell(0), cell(1));
     let ops = [
         op(0, PageOpKind::Blind, vec![], vec![p]),
@@ -153,6 +173,41 @@ fn a_reader_replays_before_the_later_writer_of_what_it_read() {
             assert_eq!(kept, expect, "after flush, crash and recovery ({how})");
         }
     }
+}
+
+#[test]
+fn a_write_after_open_waits_for_the_residual_reader_of_the_old_value() {
+    // x ← blind, committed, flushed and checkpointed, so restart owes x
+    // nothing; g ← f(x), committed and unflushed. Restart owes g, and
+    // its replay reads x: x is exposed to that residual reader, so a
+    // write to x after the open must wait until g has replayed, or g is
+    // computed from the new x.
+    let (x, g) = (cell(0), cell(1));
+    let live = SharedDb::new(Geometry::default());
+    live.execute(&op(0, PageOpKind::Blind, vec![], vec![x]))
+        .expect("execute");
+    live.commit_tick();
+    let mut rng = StdRng::seed_from_u64(0);
+    while live.restart_estimate().dirty_pages > 0 {
+        live.flusher_tick(&mut rng, 1.0).expect("flusher tick");
+    }
+    live.checkpoint_tick(0).expect("checkpoint");
+    live.execute(&op(1, PageOpKind::Generalized, vec![x], vec![g]))
+        .expect("execute");
+    live.commit_tick();
+    let image = live.crash();
+    let expect = reference(&image, &[g]);
+
+    let lazy = SharedDb::open_on_demand(image).expect("open on demand");
+    // (Id 3: the blind output mixes `f_seed ^ id`, which for ids 0
+    // and 2 is the same, so id 2 would rewrite x's old value.)
+    lazy.execute(&op(3, PageOpKind::Blind, vec![], vec![x]))
+        .expect("execute mid-recovery");
+    assert_eq!(
+        lazy.read_cell(g).expect("read"),
+        expect[0],
+        "g from the old x"
+    );
 }
 
 proptest! {
@@ -215,6 +270,70 @@ proptest! {
             while face.sweep() {}
             let drained: Vec<u64> = cells.iter().map(|&c| face.read(c)).collect();
             prop_assert_eq!(&drained, &expect, "drained state ({})", face.name());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Blind-heavy new operations executed through `SharedDb` while
+    /// recovery is still in progress — no sweep between them — then a
+    /// drain: every cell equals sequential recovery followed by the same
+    /// operations. A new write must not overwrite a page before the
+    /// residual records that read it have replayed.
+    #[test]
+    fn writes_executed_mid_recovery_land_where_recovery_then_execution_does(
+        seed in any::<u64>(),
+        n_ops in 10usize..50,
+        n_new in 1usize..12,
+        checkpoint_every in 3usize..12,
+    ) {
+        let n_pages = 5;
+        let ops = PageWorkloadSpec {
+            n_ops,
+            n_pages,
+            cross_page_fraction: 0.6,
+            multi_page_fraction: 0.1,
+            blind_fraction: 0.1,
+            ..Default::default()
+        }
+        .generate(seed);
+        let new_ops = PageWorkloadSpec {
+            n_ops: n_new,
+            n_pages,
+            cross_page_fraction: 0.2,
+            blind_fraction: 0.7,
+            ..Default::default()
+        }
+        .generate(seed ^ 0x0dd);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let mut image: Db<PageOpPayload> = Db::new(Geometry::default());
+        for (i, op) in ops.iter().enumerate() {
+            OnDemand.execute(&mut image, op).unwrap();
+            image.chaos_flush(&mut rng, 0.6, 0.5).unwrap();
+            if (i + 1) % checkpoint_every == 0 {
+                OnDemand.checkpoint(&mut image).unwrap();
+            }
+        }
+        image.crash();
+        let mut expect = image.clone();
+        Generalized.recover(&mut expect).unwrap();
+        for op in &new_ops {
+            Generalized.execute(&mut expect, op).unwrap();
+        }
+        let shared = SharedDb::open_on_demand(image).unwrap();
+        for op in &new_ops {
+            shared.execute(op).unwrap();
+        }
+        while shared.recovery_tick().unwrap() {}
+        for c in every_cell(n_pages) {
+            prop_assert_eq!(
+                shared.read_cell(c).unwrap(),
+                expect.read_cell(c).unwrap(),
+                "cell {:?}",
+                c
+            );
         }
     }
 }

@@ -12,7 +12,11 @@
 //! What makes the loss recoverable is the archive tier
 //! ([`redo_sim::wal::ShardedLog::archive_prefix`] moves drained frames,
 //! it never destroys them): per shard, `archive ∥ live` is the complete
-//! frame history from LSN 1, and
+//! frame history from LSN 1 — until
+//! [`compact_archive`](redo_sim::wal::ShardedLog::compact_archive) cuts
+//! it or an archive file is lost. A history with a hole cannot rebuild
+//! anything: the restore counts one record per stable LSN and otherwise
+//! answers the loss ([`rebuild_images`]). Over a whole history,
 //! [`ShardedLog::history`](redo_sim::wal::ShardedLog::history) merges
 //! it in LSN order, each record borrowed from the tier bytes that hold
 //! it. The rebuild reads that history in place — one [`PageOpView`] per
@@ -103,6 +107,9 @@ pub struct PageHistory<'a> {
     pages: Vec<PageId>,
     /// The dense number of each page.
     numbers: FrameTable<u32>,
+    /// Every record read, checkpoints included: the stable LSN when the
+    /// history is whole, since the merge yields each LSN once.
+    yielded: u64,
 }
 
 impl<'a> PageHistory<'a> {
@@ -121,6 +128,7 @@ impl<'a> PageHistory<'a> {
             bounds: vec![0],
             pages: Vec::new(),
             numbers: FrameTable::new(),
+            yielded: 0,
         };
         // An operation names its pages in runs (a read-modify-write
         // reads and writes one page): look each run up once.
@@ -135,6 +143,7 @@ impl<'a> PageHistory<'a> {
         };
         for rec in log.history(upto) {
             let rec = rec?;
+            history.yielded += 1;
             let Some(op) = rec.payload.parse(PageOpPayload::op_view)? else {
                 continue;
             };
@@ -309,13 +318,19 @@ impl<'a> PageHistory<'a> {
 ///
 /// # Errors
 ///
-/// Log or archive corruption while reading `archive ∥ live`.
+/// Log or archive corruption while reading `archive ∥ live`;
+/// [`SimError::MediaLoss`] for the first lost page when that history
+/// has a hole — a compacted or lost archive — since Theorem 3 reaches a
+/// page's final image from genesis only by replaying every operation.
 pub fn rebuild_images(db: &Db<PageOpPayload>) -> SimResult<BTreeMap<PageId, Page>> {
     let lost = db.disk.lost_pages();
     if lost.is_empty() {
         return Ok(BTreeMap::new());
     }
     let history = PageHistory::read(&db.log, db.log.stable_lsn())?;
+    if history.yielded != db.log.stable_lsn().0 {
+        return Err(SimError::MediaLoss(lost[0]));
+    }
     let closure = history.closure(&lost, |page| db.disk.page_lsn(page));
     let slice = history.slice(&closure);
     Ok(history.replay(&slice, &closure, db.geometry.slots_per_page))
@@ -400,6 +415,7 @@ mod tests {
     use crate::testkit::{self, assert_matches_model};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use redo_sim::backend::BackendKind;
     use redo_sim::db::Geometry;
     use redo_workload::pages::Cell;
 
@@ -811,5 +827,53 @@ mod tests {
             db.volatile_theory_state(),
             undamaged.volatile_theory_state()
         );
+    }
+
+    /// 200 cross-page operations on 8 pages under [`Media`], every page
+    /// flushed and a checkpoint taken after each tenth, forced: the
+    /// checkpoints' drains archive all history below the last one.
+    fn archived_db(kind: BackendKind) -> Db<PageOpPayload> {
+        let mut db = Db::on(kind, Geometry::default(), None);
+        for (i, op) in testkit::cross_page_workload(200, 8, 7).iter().enumerate() {
+            Media.execute(&mut db, op).unwrap();
+            if (i + 1) % 10 == 0 {
+                db.flush_everything().unwrap();
+                Media.checkpoint(&mut db).unwrap();
+            }
+        }
+        db.log.flush_all();
+        assert_eq!(db.log.first_stable(), Lsn(220));
+        assert!(db.log.archived_bytes() > 0);
+        db
+    }
+
+    /// Destroys `db`'s first page and crashes: with a hole in the
+    /// history, no replay reaches the page's final image, so the
+    /// restore must answer the loss rather than install another state.
+    fn assert_a_hole_is_media_loss(mut db: Db<PageOpPayload>) {
+        let victim = db.disk.pages()[0].0;
+        db.disk.destroy_page(victim);
+        db.crash();
+        assert_eq!(
+            Media.recover(&mut db).err(),
+            Some(SimError::MediaLoss(victim))
+        );
+        assert!(db.disk.is_lost(victim), "nothing was installed");
+    }
+
+    #[test]
+    fn a_compacted_archive_leaves_lost_pages_lost() {
+        let mut db = archived_db(BackendKind::Mem);
+        let archived = db.log.archived_bytes();
+        assert_eq!(db.log.compact_archive(db.log.first_stable()), archived);
+        assert_a_hole_is_media_loss(db);
+    }
+
+    #[test]
+    fn a_lost_archive_file_leaves_lost_pages_lost() {
+        let db = archived_db(BackendKind::File);
+        let wal = db.log.shard_path(0).expect("file backend has a path");
+        std::fs::remove_file(wal.with_file_name("archive.log")).unwrap();
+        assert_a_hole_is_media_loss(db);
     }
 }

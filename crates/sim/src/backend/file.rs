@@ -12,17 +12,26 @@
 //! intent.tmp        in-flight intentions list (debris if crashed)
 //! manifest.bin      ids of every page ever installed:  n u32 | ids | crc
 //! manifest.tmp      in-flight manifest write (debris if crashed)
-//! wal.log           the log backend's frame stream (its own directory)
 //! ```
 //!
-//! The page store, `FileStorage`, keeps no copy of the pages: it
-//! persists each change [`Disk`](crate::disk::Disk) makes to its one
-//! page image, and at a crash rebuilds that image from the files —
-//! pages, torn marks with their journaled pre-images, lost marks, and
-//! the master — so out-of-band damage inflicted by tests (flipping a
-//! bit in a page file, deleting one) is observed exactly as a reopening
-//! process would observe it. The staging area is volatile disk state
-//! and never reaches a file.
+//! and of each log shard's directory:
+//!
+//! ```text
+//! wal.log           the shard's live stable frames
+//! archive.log       the frame prefixes drained into its archive tier
+//! wal.tmp, archive.tmp  in-flight rewrite of either (debris if crashed)
+//! ```
+//!
+//! Neither medium keeps a copy of what it persists. The page store,
+//! `FileStorage`, persists each change [`Disk`](crate::disk::Disk)
+//! makes to its one page image, and at a crash rebuilds that image
+//! from the files — pages, torn marks with their journaled pre-images,
+//! lost marks, and the master. The log medium, `FileLog`, persists each
+//! change a log shard makes to its live and archive bytes, and at a
+//! crash reads both back. Out-of-band damage inflicted by tests
+//! (flipping a bit in a page file, deleting one, cutting `wal.log`) is
+//! so observed exactly as a reopening process would observe it. The
+//! staging area is volatile disk state and never reaches a file.
 //!
 //! Every page file is `lsn u64 | slots u16 | crc u32 | slot data`, all
 //! little-endian, with the CRC computed over the whole encoding minus
@@ -68,7 +77,7 @@ use crate::error::SimResult;
 use crate::page::Page;
 use crate::wal::codec;
 
-use super::{crc32, Crc32, LogBackend, TempDir};
+use super::{crc32, Crc32, TempDir};
 
 /// Bytes of a page-file header: lsn u64 | slots u16 | crc u32.
 const PAGE_HEADER: usize = 14;
@@ -551,112 +560,118 @@ fn copy_tree(src: &Path, dst: &Path) {
     }
 }
 
-/// File-backed log store: one append-only `wal.log` whose framed bytes
-/// are mirrored in memory for scans. Each group-commit append is one
-/// `write` + one `fsync`.
+/// Opens (creating) `path` for appending.
+fn open_append(path: &Path) -> File {
+    OpenOptions::new()
+        .create(true)
+        .append(true)
+        .read(true)
+        .open(path)
+        .unwrap_or_else(|e| die("opening", path, e))
+}
+
+/// Which byte image of a log shard a [`FileLog`] call persists.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// The live stable frames, in `wal.log`.
+    Live,
+    /// The drained prefixes of the archive tier, in `archive.log`.
+    Archive,
+}
+
+/// The files persisting one log shard's two byte images, `wal.log` and
+/// `archive.log`, in a directory of their own. It holds no copy of the
+/// bytes: the shard writes each append, truncation, drain and
+/// compaction through as it makes it, and at a crash rebuilds both
+/// images from the files ([`FileLog::reload`]). Only `wal.log`'s syncs
+/// are counted: they are the group commits.
 #[derive(Debug)]
-pub struct FileLog {
+pub(crate) struct FileLog {
     dir: TempDir,
-    path: PathBuf,
-    file: File,
-    mirror: Vec<u8>,
+    /// Each tier's file and its append handle, in [`Tier`] order.
+    files: [(PathBuf, File); 2],
     syncs: u64,
 }
 
 impl FileLog {
-    /// A fresh, empty log in its own temporary directory.
-    #[must_use]
-    pub fn new_temp() -> FileLog {
-        let dir = TempDir::new("redo-sim-wal");
-        let path = dir.path().join("wal.log");
-        let file = Self::open_append(&path);
-        FileLog {
-            dir,
-            path,
-            file,
-            mirror: Vec::new(),
-            syncs: 0,
-        }
+    /// A fresh medium, both files empty, in its own temporary directory.
+    pub(crate) fn new_temp() -> FileLog {
+        FileLog::open(TempDir::new("redo-sim-wal"), 0)
     }
 
-    fn open_append(path: &Path) -> File {
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(path)
-            .unwrap_or_else(|e| die("opening", path, e))
-    }
-}
-
-impl LogBackend for FileLog {
-    fn bytes(&self) -> &[u8] {
-        &self.mirror
+    fn open(dir: TempDir, syncs: u64) -> FileLog {
+        let files = ["wal.log", "archive.log"].map(|name| {
+            let path = dir.path().join(name);
+            let file = open_append(&path);
+            (path, file)
+        });
+        FileLog { dir, files, syncs }
     }
 
-    fn append(&mut self, frames: &[u8]) {
-        self.file
-            .write_all(frames)
-            .unwrap_or_else(|e| die("appending to", &self.path, e));
-        self.file
-            .sync_data()
-            .unwrap_or_else(|e| die("syncing", &self.path, e));
-        self.syncs += 1;
-        self.mirror.extend_from_slice(frames);
+    /// `wal.log`'s path (tests damage it out-of-band).
+    pub(crate) fn path(&self) -> &Path {
+        &self.files[Tier::Live as usize].0
     }
 
-    fn truncate_to(&mut self, len: usize) {
-        self.file
-            .set_len(len as u64)
-            .unwrap_or_else(|e| die("truncating", &self.path, e));
-        self.file
-            .sync_data()
-            .unwrap_or_else(|e| die("syncing", &self.path, e));
-        self.syncs += 1;
-        self.mirror.truncate(len);
-    }
-
-    fn drain_prefix(&mut self, len: usize) {
-        // Rewrite through a temp + rename so a crash mid-truncation
-        // never loses the surviving suffix.
-        let tmp = self.dir.path().join("wal.tmp");
-        publish_durable(&self.path, &tmp, &self.mirror[len..]);
-        self.file = Self::open_append(&self.path);
-        self.syncs += 1;
-        self.mirror.drain(..len);
-    }
-
-    fn crash(&mut self) {
-        // Reopen from the medium: whatever reached (or was stripped
-        // from) the file — including out-of-band damage inflicted by
-        // tests — is the only surviving truth. A file that vanished or
-        // turned unreadable is media loss of the whole stream, observed
-        // as an empty log (recoverable), not an abort; reopening in
-        // append mode recreates it.
-        self.mirror = fs::read(&self.path).unwrap_or_default();
-        self.file = Self::open_append(&self.path);
-    }
-
-    fn syncs(&self) -> u64 {
+    /// Durable syncs of `wal.log` so far.
+    pub(crate) fn syncs(&self) -> u64 {
         self.syncs
     }
 
-    fn path(&self) -> Option<&Path> {
-        Some(&self.path)
+    /// Durably appends `bytes` to `tier`'s file: one `write`, one
+    /// `fsync`.
+    pub(crate) fn append(&mut self, tier: Tier, bytes: &[u8]) {
+        let (path, file) = &mut self.files[tier as usize];
+        file.write_all(bytes)
+            .unwrap_or_else(|e| die("appending to", path, e));
+        self.sync(tier);
     }
 
-    fn boxed_clone(&self) -> Box<dyn LogBackend> {
-        let dir = TempDir::new("redo-sim-wal");
-        let path = dir.path().join("wal.log");
-        fs::copy(&self.path, &path).unwrap_or_else(|e| die("copying into", &path, e));
-        let file = Self::open_append(&path);
-        Box::new(FileLog {
-            dir,
-            path,
-            file,
-            mirror: self.mirror.clone(),
-            syncs: self.syncs,
+    /// Cuts `wal.log` back to `len` bytes: tail repair and rollback.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        let (path, file) = &self.files[Tier::Live as usize];
+        file.set_len(len as u64)
+            .unwrap_or_else(|e| die("truncating", path, e));
+        self.sync(Tier::Live);
+    }
+
+    fn sync(&mut self, tier: Tier) {
+        let (path, file) = &self.files[tier as usize];
+        file.sync_data().unwrap_or_else(|e| die("syncing", path, e));
+        self.syncs += u64::from(tier == Tier::Live);
+    }
+
+    /// Replaces `tier`'s file with `bytes` — what is left after a prefix
+    /// drain or an archive compaction — through a temp file and a
+    /// `rename`, so a crash mid-rewrite never loses the suffix.
+    pub(crate) fn rewrite(&mut self, tier: Tier, bytes: &[u8]) {
+        let (path, file) = &mut self.files[tier as usize];
+        publish_durable(path, &path.with_extension("tmp"), bytes);
+        *file = open_append(path);
+        self.syncs += u64::from(tier == Tier::Live);
+    }
+
+    /// Process death and reopen: both images, in [`Tier`] order, as the
+    /// files hold them — out-of-band damage included. A file that
+    /// vanished or turned unreadable is media loss of that tier, read as
+    /// empty (recoverable), not an abort; reopening it for append
+    /// recreates it.
+    pub(crate) fn reload(&mut self) -> [Vec<u8>; 2] {
+        self.files.each_mut().map(|(path, file)| {
+            let bytes = fs::read(&*path).unwrap_or_default();
+            *file = open_append(path);
+            bytes
         })
+    }
+}
+
+impl Clone for FileLog {
+    /// A deep copy: both files are copied into a fresh temporary
+    /// directory.
+    fn clone(&self) -> FileLog {
+        let dir = TempDir::new("redo-sim-wal");
+        copy_tree(self.dir.path(), dir.path());
+        FileLog::open(dir, self.syncs)
     }
 }
 
@@ -849,16 +864,27 @@ mod tests {
         assert!(d.is_lost(PageId(3)));
     }
 
+    /// `tier`'s file in `log`'s directory.
+    fn tier_path(log: &FileLog, tier: Tier) -> PathBuf {
+        log.files[tier as usize].0.clone()
+    }
+
     #[test]
-    fn lost_wal_file_reopens_empty_instead_of_aborting() {
-        let mut l = FileLog::new_temp();
-        l.append(b"0123456789");
-        fs::remove_file(l.path().unwrap()).unwrap();
-        l.crash();
-        assert!(l.bytes().is_empty(), "whole-stream loss reads as empty");
-        l.append(b"ab");
-        l.crash();
-        assert_eq!(l.bytes(), b"ab", "the stream is writable again");
+    fn lost_log_files_reopen_empty_instead_of_aborting() {
+        for tier in [Tier::Live, Tier::Archive] {
+            let mut l = FileLog::new_temp();
+            l.append(Tier::Live, b"0123456789");
+            l.append(Tier::Archive, b"abcdef");
+            fs::remove_file(tier_path(&l, tier)).unwrap();
+            let [live, archive] = l.reload();
+            let lost = if tier == Tier::Live { &live } else { &archive };
+            assert!(lost.is_empty(), "{tier:?}: whole-file loss reads as empty");
+            let kept = if tier == Tier::Live { &archive } else { &live };
+            assert!(!kept.is_empty(), "{tier:?}: the other file is untouched");
+            l.append(tier, b"ab");
+            let images = l.reload();
+            assert_eq!(images[tier as usize], b"ab", "{tier:?}: writable again");
+        }
     }
 
     #[test]
@@ -951,48 +977,63 @@ mod tests {
     #[test]
     fn log_appends_are_synced_and_survive_crash() {
         let mut l = FileLog::new_temp();
-        l.append(b"abcdef");
-        l.append(b"ghij");
-        assert_eq!(l.syncs(), 2);
-        l.crash();
-        assert_eq!(l.bytes(), b"abcdefghij");
-        assert_eq!(fs::read(l.path().unwrap()).unwrap(), b"abcdefghij");
+        l.append(Tier::Live, b"abcdef");
+        l.append(Tier::Archive, b"012");
+        l.append(Tier::Live, b"ghij");
+        l.append(Tier::Archive, b"345");
+        assert_eq!(l.syncs(), 2, "only the group commits of wal.log count");
+        assert_eq!(l.reload(), [b"abcdefghij".to_vec(), b"012345".to_vec()]);
+        assert_eq!(fs::read(l.path()).unwrap(), b"abcdefghij");
+        assert_eq!(fs::read(tier_path(&l, Tier::Archive)).unwrap(), b"012345");
     }
 
     #[test]
     fn out_of_band_file_truncation_is_observed_on_crash() {
         let mut l = FileLog::new_temp();
-        l.append(b"0123456789");
-        // A torn tail at a byte boundary, inflicted on the real file.
-        let f = OpenOptions::new()
-            .write(true)
-            .open(l.path().unwrap())
-            .unwrap();
-        f.set_len(7).unwrap();
-        drop(f);
-        l.crash();
-        assert_eq!(l.bytes(), b"0123456");
+        l.append(Tier::Live, b"0123456789");
+        l.append(Tier::Archive, b"abcdefghij");
+        // A torn tail at a byte boundary, inflicted on each real file.
+        for (tier, len) in [(Tier::Live, 7), (Tier::Archive, 3)] {
+            let f = OpenOptions::new()
+                .write(true)
+                .open(tier_path(&l, tier))
+                .unwrap();
+            f.set_len(len).unwrap();
+        }
+        assert_eq!(l.reload(), [b"0123456".to_vec(), b"abc".to_vec()]);
     }
 
     #[test]
-    fn drain_prefix_rewrites_through_rename() {
+    fn rewrite_goes_through_rename() {
         let mut l = FileLog::new_temp();
-        l.append(b"prefix|suffix");
-        l.drain_prefix(7);
-        assert_eq!(l.bytes(), b"suffix");
-        l.crash();
-        assert_eq!(l.bytes(), b"suffix");
+        l.append(Tier::Live, b"prefix|suffix");
+        l.append(Tier::Archive, b"old|new");
+        l.rewrite(Tier::Live, b"suffix");
+        l.rewrite(Tier::Archive, b"new");
+        assert_eq!(
+            l.syncs(),
+            2,
+            "the live rewrite is a sync, the archive's is not counted"
+        );
+        assert!(!l.dir.path().join("wal.tmp").exists());
+        assert!(!l.dir.path().join("archive.tmp").exists());
+        // The handles follow the renamed files: appends land after the
+        // rewritten bytes.
+        l.append(Tier::Live, b"+");
+        l.append(Tier::Archive, b"+");
+        assert_eq!(l.reload(), [b"suffix+".to_vec(), b"new+".to_vec()]);
     }
 
     #[test]
     fn log_clone_is_deep() {
         let mut l = FileLog::new_temp();
-        l.append(b"one");
-        let mut c = l.boxed_clone();
-        c.append(b"two");
-        c.crash();
-        assert_eq!(c.bytes(), b"onetwo");
-        l.crash();
-        assert_eq!(l.bytes(), b"one");
+        l.append(Tier::Live, b"one");
+        l.append(Tier::Archive, b"uno");
+        let mut c = l.clone();
+        assert_ne!(c.path(), l.path());
+        c.append(Tier::Live, b"two");
+        c.append(Tier::Archive, b"dos");
+        assert_eq!(c.reload(), [b"onetwo".to_vec(), b"unodos".to_vec()]);
+        assert_eq!(l.reload(), [b"one".to_vec(), b"uno".to_vec()]);
     }
 }

@@ -3,23 +3,26 @@
 //!
 //! The simulator's protocol machinery — WAL-rule enforcement, fault
 //! injection, seek indexing, the staging/checkpoint discipline, and
-//! what every page read answers — lives in `Disk` and the log's shards
-//! and is backend-agnostic. What [`BackendKind`] chooses is whether the
-//! stable state also lives in real files:
+//! what every page and log read answers — lives in `Disk` and the log's
+//! shards and is backend-agnostic. Each keeps its stable state once, as
+//! one image: the disk its pages, marks and master, a log shard its live
+//! and archive bytes. What [`BackendKind`] chooses is whether that image
+//! also lives in real files:
 //!
-//! * On [`BackendKind::Mem`] the disk's page image *is* the stable
-//!   state, and each log shard's bytes sit in a [`mem::MemLog`]. Torn
+//! * On [`BackendKind::Mem`] the image *is* the stable state. Torn
 //!   damage is *simulated*: a torn page write marks the page in the
 //!   image, a torn log flush leaves a byte-accounted partial frame.
-//! * On [`BackendKind::File`] the same image is persisted write by
-//!   write in the crate's `file::FileStorage` — per-page files with
-//!   checksummed headers so torn writes are *detected* rather than
-//!   flagged, a doublewrite journal for pre-images, rename-committed
-//!   intentions lists for atomic installs and the checkpoint pointer —
-//!   and each log shard appends CRC-framed bytes to a [`file::FileLog`]
-//!   with one `fsync` per group commit. A crash throws the image away
-//!   and rebuilds it from the files, which is what makes the file pair
-//!   honest: after a crash the only truth is the bytes on disk.
+//! * On [`BackendKind::File`] a medium in the crate's `file` module
+//!   persists the image change by change. For the disk, `FileStorage`:
+//!   per-page files with checksummed headers so torn writes are
+//!   *detected* rather than flagged, a doublewrite journal for
+//!   pre-images, rename-committed intentions lists for atomic installs
+//!   and the checkpoint pointer. For each log shard, `FileLog`: its
+//!   CRC-framed live bytes in `wal.log`, with one `fsync` per group
+//!   commit, and its archive tier in `archive.log`. A crash throws the
+//!   image away and rebuilds it from the files, which is what makes the
+//!   file pair honest: after a crash the only truth is the bytes on
+//!   disk.
 //!
 //! Every recovery method, the checkpoint daemon, and the parallel
 //! restart path run unchanged on either kind.
@@ -28,17 +31,16 @@
 //! of the simulated failure model and panic; *simulated* damage (torn
 //! pages, torn tails) surfaces through the normal
 //! [`SimError`](crate::SimError) channels. Open/read failures on page
-//! and archive files are different: a file that vanished or turned
+//! and log files are different: a file that vanished or turned
 //! unreadable out-of-band is exactly what media failure looks like, so
-//! the reopen records it as a lost page
-//! ([`SimError::MediaLoss`](crate::SimError::MediaLoss)) instead of
-//! aborting — recoverable by the media-rebuild pass, which replays
-//! `archive ∥ live` from the last checkpoint image.
+//! the reopen records a lost page
+//! ([`SimError::MediaLoss`](crate::SimError::MediaLoss)) or reads a lost
+//! log file as empty instead of aborting. A lost page is recoverable by
+//! the media-rebuild pass, which replays `archive ∥ live` — while that
+//! history is whole from LSN 1.
 
-pub mod file;
-pub mod mem;
+pub(crate) mod file;
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,60 +54,6 @@ pub enum BackendKind {
     /// Real files in a per-backend temporary directory, removed when the
     /// backend is dropped.
     File,
-}
-
-impl BackendKind {
-    /// A fresh log backend of this kind.
-    #[must_use]
-    pub fn new_log(self) -> Box<dyn LogBackend> {
-        match self {
-            BackendKind::Mem => Box::new(mem::MemLog::new()),
-            BackendKind::File => Box::new(file::FileLog::new_temp()),
-        }
-    }
-}
-
-/// The durable byte store behind one shard of a
-/// [`crate::wal::ShardedLog`] (and one shard of its archive tier).
-///
-/// The log owns all framing (LSN/length/CRC headers), fault
-/// consultation, and bookkeeping; a backend only persists the framed
-/// bytes. `bytes` is the full current stable image — file backends keep
-/// an in-memory mirror of the file and reload it on [`LogBackend::crash`],
-/// so a scan never touches the filesystem.
-pub trait LogBackend: fmt::Debug + Send + Sync {
-    /// The current stable image (mirror of the durable medium).
-    fn bytes(&self) -> &[u8];
-    /// Durably appends one group-commit batch of framed bytes (a single
-    /// `fsync` for file backends).
-    fn append(&mut self, frames: &[u8]);
-    /// Truncates the image to `len` bytes — tail repair after a torn
-    /// flush.
-    fn truncate_to(&mut self, len: usize);
-    /// Removes the first `len` bytes — checkpoint prefix truncation.
-    /// File backends rewrite through a temp file and `rename` so a crash
-    /// during truncation never loses the suffix.
-    fn drain_prefix(&mut self, len: usize);
-    /// Process death: drop anything volatile and reload the mirror from
-    /// the durable medium.
-    fn crash(&mut self);
-    /// Durable syncs issued so far (0 for in-memory backends) — the
-    /// fsync-bound cost axis of the file benchmarks.
-    fn syncs(&self) -> u64;
-    /// The backing file, if the bytes live in one (tests damage it
-    /// out-of-band to exercise real-file repair).
-    fn path(&self) -> Option<&Path> {
-        None
-    }
-    /// A deep copy (file backends copy their files into a fresh
-    /// temporary directory).
-    fn boxed_clone(&self) -> Box<dyn LogBackend>;
-}
-
-impl Clone for Box<dyn LogBackend> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
 }
 
 /// Slice-by-8 tables for the reflected IEEE polynomial: `[0]` is the
@@ -310,13 +258,5 @@ mod tests {
             c.update(&whole[cut..]);
             assert_eq!(c.finish(), bytewise(whole), "split at {cut}");
         }
-    }
-
-    #[test]
-    fn kind_constructs_matching_backends() {
-        assert!(BackendKind::Mem.new_log().bytes().is_empty());
-        assert!(BackendKind::File.new_log().bytes().is_empty());
-        assert!(BackendKind::Mem.new_log().path().is_none());
-        assert!(BackendKind::File.new_log().path().is_some());
     }
 }

@@ -99,7 +99,7 @@ impl<P: LogPayload> Db<P> {
     /// crashed [`ShardedStore`](crate::shard::ShardedStore)'s disk and
     /// its shared log) — under an empty cache. This is the one place the
     /// parts are wired together: a single new injector is threaded
-    /// through the disk, every log shard and the shell, so a fault
+    /// through the disk, the log and the shell, so a fault
     /// plan's event counter spans disk writes and log flushes alike and
     /// [`Db::arm_faults`] reaches every device, wherever the parts came
     /// from.

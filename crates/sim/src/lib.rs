@@ -19,12 +19,14 @@
 //!   and a volatile tail, kept by one or more per-partition shards of
 //!   untyped frames, generic over the payload each recovery method
 //!   logs, and read in place by one reader;
-//! * [`backend`] — where the durable bytes live: the
-//!   [`backend::LogBackend`] trait behind each log shard (in memory or a
-//!   CRC-framed file), and the files that persist `Disk`'s image when it
-//!   runs on [`backend::BackendKind::File`] (checksummed page files, a
+//! * [`backend`] — where the durable bytes live: `Disk` and each log
+//!   shard keep their stable state once, as one image, and on
+//!   [`backend::BackendKind::File`] a medium persists it change by
+//!   change and rebuilds it at a crash — checksummed page files, a
 //!   doublewrite journal, rename-committed installs and checkpoint
-//!   pointer), which make the crash model honest against real media;
+//!   pointer for the disk; a CRC-framed `wal.log` and an `archive.log`
+//!   per log shard — which makes the crash model honest against real
+//!   media;
 //! * [`cache::BufferPool`] — the cache manager: dirty tracking, LRU
 //!   eviction, enforcement of the WAL rule (no page reaches disk before
 //!   its log records) and of *write-order constraints* — the

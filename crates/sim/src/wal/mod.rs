@@ -8,10 +8,10 @@
 //! [`ShardedLog::flush`] copies the covered frames to the stable
 //! (on-"disk") prefix. A crash discards the volatile tail; recovery
 //! reads the stable bytes — so the binary codec is actually exercised
-//! on every simulated crash, not decorative. The stable bytes
-//! themselves live in a pluggable
-//! [`LogBackend`](crate::backend::LogBackend): an in-memory vector by
-//! default, a real fsynced file via [`BackendKind::File`].
+//! on every simulated crash, not decorative. Each shard keeps its
+//! stable bytes, and the archive tier's, as two plain byte vectors; on
+//! [`BackendKind::File`] a medium persists every change to them in real
+//! fsynced files and reloads both at a crash.
 //!
 //! The module is split by concern:
 //!
@@ -24,9 +24,8 @@
 //! * `sharded` — [`ShardedLog`]: N per-partition logs routed by the
 //!   same power-of-two page mask as the sharded store, with a
 //!   global-LSN sequencer, cross-shard atomic flush groups, and the one
-//!   reader;
-//! * `archive` — the append-only archive tier that prefix truncation
-//!   feeds, enabling point-in-time replay.
+//!   reader, and the archive tier that prefix truncation feeds,
+//!   enabling point-in-time replay.
 //!
 //! ## Frame format
 //!
@@ -81,11 +80,11 @@ use std::fmt;
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageId;
 
-use crate::backend::{BackendKind, LogBackend};
+use crate::backend::file::{FileLog, Tier};
+use crate::backend::BackendKind;
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultDecision, FaultInjector};
 
-mod archive;
 pub mod codec;
 mod framing;
 mod index;
@@ -95,6 +94,7 @@ pub use framing::{ScanStats, FRAME_HEADER};
 pub use index::SEEK_INTERVAL;
 pub use sharded::{Batch, History, RecordBody, ShardedLog, ShardedScanner};
 
+use framing::end_of_frames_below;
 pub(crate) use framing::{frame_crc, skip_frames_below, walk_valid_frames};
 use index::{
     index_within_prefix, plan_prefix_drain, prune_chains_to_prefix, prune_index_to_prefix,
@@ -216,14 +216,23 @@ struct TailFrame {
     cross_reads: usize,
 }
 
-/// One shard of a [`ShardedLog`]: an untyped log of framed bytes — the
-/// stable image on its backend, the volatile tail, and the seek index
-/// and per-page chains over the stable frames. Only
-/// [`ShardedLog::on`] builds one, and frames reach it only through
+/// One shard of a [`ShardedLog`]: an untyped log of framed bytes — its
+/// stable image and its archive tier, each kept once as a byte vector
+/// (and persisted by a [`FileLog`] on the file backend), the volatile
+/// tail, and the seek index and per-page chains over the stable frames.
+/// Only [`ShardedLog::on`] builds one, and frames reach it only through
 /// [`LogManager::append_at`] and [`LogManager::flush_with_bracket`].
 #[derive(Clone, Debug)]
 pub(crate) struct LogManager {
-    backend: Box<dyn LogBackend>,
+    /// The stable image: every byte a force landed, a torn frame's
+    /// fragment included until [`LogManager::repair_tail`] drops it.
+    stable: Vec<u8>,
+    /// The archive tier: each drained prefix of `stable`, appended
+    /// verbatim, so `archive ∥ stable` is the shard's whole history.
+    archive: Vec<u8>,
+    /// The files persisting `stable` and `archive` on
+    /// [`BackendKind::File`].
+    medium: Option<FileLog>,
     stable_lsn: Lsn,
     stable_count: usize,
     /// The lowest LSN still present in the stable image. Starts at 1;
@@ -237,7 +246,6 @@ pub(crate) struct LogManager {
     tail_frames: Vec<TailFrame>,
     /// Each tail frame's written pages, then its cross-read pages.
     tail_pages: Vec<PageId>,
-    next_lsn: Lsn,
     truncated_bytes: u64,
     /// Sparse LSN → stable-byte-offset index: one entry per
     /// [`SEEK_INTERVAL`] records, pushed as frames are covered by a
@@ -265,29 +273,21 @@ pub(crate) struct LogManager {
     /// `page_chains`, through the same helpers at the same sites.
     reader_chains: BTreeMap<PageId, Vec<(Lsn, u64)>>,
     forces: u64,
-    /// Dense-run discipline: the lone shard of a single log holds
-    /// exactly `first_stable..=stable_lsn` and a drain enforces it; a
-    /// shard of several holds a monotone *subset* of the global LSNs,
-    /// so the density guards do not apply per shard.
-    dense: bool,
-    /// Shared crash-point switchboard ([`crate::db::Db`] wires the same
-    /// injector into the disk).
-    pub(crate) injector: FaultInjector,
 }
 
 impl LogManager {
-    /// An empty log on the given backend: *dense* for the lone shard of
-    /// a single log, *sparse* for a shard of several.
-    pub(crate) fn on(kind: BackendKind, dense: bool) -> LogManager {
+    /// An empty log on the given backend.
+    pub(crate) fn on(kind: BackendKind) -> LogManager {
         LogManager {
-            backend: kind.new_log(),
+            stable: Vec::new(),
+            archive: Vec::new(),
+            medium: (kind == BackendKind::File).then(FileLog::new_temp),
             stable_lsn: Lsn::ZERO,
             stable_count: 0,
             first_stable: Lsn(1),
             tail: Vec::new(),
             tail_frames: Vec::new(),
             tail_pages: Vec::new(),
-            next_lsn: Lsn(1),
             truncated_bytes: 0,
             seek_index: Vec::new(),
             seek_enabled: true,
@@ -295,18 +295,18 @@ impl LogManager {
             verified: 0,
             reader_chains: BTreeMap::new(),
             forces: 0,
-            dense,
-            injector: FaultInjector::new(),
         }
     }
 
     /// Frames `rec` at the end of the tail under an externally assigned
     /// LSN — the sharded log's sequencer hands each shard its slice of
-    /// the global sequence this way. `lsn` must be at least this log's
-    /// next LSN.
+    /// the global sequence this way. `lsn` must be above every LSN this
+    /// log holds.
     pub(crate) fn append_at(&mut self, lsn: Lsn, rec: &EncodedRecord) {
-        debug_assert!(lsn >= self.next_lsn, "LSNs must be appended in order");
-        self.next_lsn = lsn.next();
+        debug_assert!(
+            lsn > self.tail_frames.last().map_or(self.stable_lsn, |f| f.lsn),
+            "LSNs must be appended in order"
+        );
         push_frame(&mut self.tail, lsn, &rec.frame);
         self.tail_pages.extend_from_slice(&rec.writes);
         self.tail_pages.extend_from_slice(&rec.cross_reads);
@@ -340,7 +340,8 @@ impl LogManager {
     /// the group back. Bracket frames never enter the tail.
     ///
     /// Fault semantics are per frame: every frame the force covers is
-    /// one faultable event, so an armed [`FaultInjector`] may stop the
+    /// one faultable event, so an armed `injector` — the log's shared
+    /// crash-point switchboard — may stop the
     /// batch at any frame boundary (a clean crash point) or truncate a
     /// frame mid-way ([`crate::fault::FaultKind::TornFlush`]) — the
     /// batch is cut there and later frames never reach it. A truncated
@@ -350,10 +351,11 @@ impl LogManager {
     /// it.
     pub(crate) fn flush_with_bracket(
         &mut self,
+        injector: &FaultInjector,
         upto: Lsn,
         bracket: Option<[(Lsn, &EncodedRecord); 2]>,
     ) {
-        let base = self.backend.bytes().len();
+        let base = self.stable.len();
         let frames = std::mem::take(&mut self.tail_frames);
         let pages = std::mem::take(&mut self.tail_pages);
         // Only brackets are written here; the records' frames are
@@ -362,7 +364,7 @@ impl LogManager {
         let mut live = true;
         if let Some([(lsn, open), _]) = bracket {
             push_frame(&mut batch, lsn, &open.frame);
-            let landed = self.land_frame(lsn, base, batch.len(), true, &[], &[]);
+            let landed = self.land_frame(injector, lsn, base, batch.len(), true, (&[], &[]));
             live = landed == batch.len();
             batch.truncate(landed);
         }
@@ -373,9 +375,9 @@ impl LogManager {
             if !live || f.lsn > upto {
                 break;
             }
-            let (writes, reads) = pages[paged..paged + f.writes + f.cross_reads].split_at(f.writes);
+            let frame_pages = pages[paged..paged + f.writes + f.cross_reads].split_at(f.writes);
             let at = base + batch.len() + bytes;
-            let landed = self.land_frame(f.lsn, at, f.len, true, writes, reads);
+            let landed = self.land_frame(injector, f.lsn, at, f.len, true, frame_pages);
             if landed == f.len {
                 (whole, bytes, paged) =
                     (whole + 1, bytes + f.len, paged + f.writes + f.cross_reads);
@@ -396,7 +398,7 @@ impl LogManager {
                     let at = batch.len();
                     push_frame(&mut batch, lsn, &close.frame);
                     let len = batch.len() - at;
-                    let landed = self.land_frame(lsn, base + at, len, false, &[], &[]);
+                    let landed = self.land_frame(injector, lsn, base + at, len, false, (&[], &[]));
                     batch.truncate(at + landed);
                 }
                 &batch[..]
@@ -404,7 +406,10 @@ impl LogManager {
         };
         if !out.is_empty() {
             self.forces += 1;
-            self.backend.append(out);
+            self.stable.extend_from_slice(out);
+            if let Some(medium) = &mut self.medium {
+                medium.append(Tier::Live, out);
+            }
         }
         self.tail.drain(..bytes);
         self.tail_frames = frames;
@@ -415,20 +420,21 @@ impl LogManager {
 
     /// One faultable frame of a force — `len` bytes bound for stable
     /// offset `at` — put to the injector. Returns how many of its bytes
-    /// reach the backend: all of them, and the stable bookkeeping
+    /// reach the stable image: all of them, and the stable bookkeeping
     /// advances over the frame; or fewer, and the force halts here (a
     /// torn frame keeps a strict, nonempty part, a suppressed one
-    /// nothing), with the frame still in the tail.
+    /// nothing), with the frame still in the tail. A landed frame is
+    /// chained under its written and its cross-read `pages`.
     fn land_frame(
         &mut self,
+        injector: &FaultInjector,
         lsn: Lsn,
         at: usize,
         len: usize,
         anchors_seek: bool,
-        writes: &[PageId],
-        cross_reads: &[PageId],
+        (writes, cross_reads): (&[PageId], &[PageId]),
     ) -> usize {
-        match self.injector.on_log_flush() {
+        match injector.on_log_flush() {
             FaultDecision::Proceed => {
                 let entry = (lsn, at as u64);
                 if self.seek_enabled
@@ -457,21 +463,21 @@ impl LogManager {
         self.stable_lsn
     }
 
-    /// Number of durable syncs the backend has issued (0 for the
-    /// in-memory backend) — the fsync-bound cost axis of the file
-    /// benchmarks.
+    /// Number of durable syncs of the stable image (0 in memory) — the
+    /// fsync-bound cost axis of the file benchmarks.
     pub(crate) fn syncs(&self) -> u64 {
-        self.backend.syncs()
+        self.medium.as_ref().map_or(0, FileLog::syncs)
     }
 
-    /// The backing file, when the stable bytes live in one (tests damage
-    /// it out-of-band to exercise real-file repair).
+    /// The file holding the stable image, on the file backend (tests
+    /// damage it out-of-band to exercise real-file repair).
     pub(crate) fn path(&self) -> Option<&std::path::Path> {
-        self.backend.path()
+        self.medium.as_ref().map(FileLog::path)
     }
 
-    /// Simulates a crash: the volatile tail vanishes; the stable prefix,
-    /// being disk-resident bytes, survives. The stable bookkeeping
+    /// Simulates a crash: the volatile tail vanishes; the stable image
+    /// and the archive, being disk-resident bytes, survive (on the file
+    /// backend, as the files hold them). The stable bookkeeping
     /// (stable LSN, record count, seek index) is *re-derived* from the
     /// surviving image, exactly as a reopening process would — so
     /// out-of-band damage to a file-backed log (a real `truncate(2)` at
@@ -481,13 +487,14 @@ impl LogManager {
         self.tail.clear();
         self.tail_frames.clear();
         self.tail_pages.clear();
-        self.backend.crash();
+        if let Some(medium) = &mut self.medium {
+            [self.stable, self.archive] = medium.reload();
+        }
         self.verified = 0;
         // Walk the surviving image: CRC-valid whole frames are stable;
         // the first damaged or partial frame ends the covered prefix
         // (repair_tail discards the fragment later).
-        let bytes = self.backend.bytes();
-        let (pos, frames, last_lsn) = walk_valid_frames(bytes);
+        let (pos, frames, last_lsn) = walk_valid_frames(&self.stable);
         self.stable_count = frames;
         // `first_stable` is 1-based by construction (it starts at 1 and
         // truncation only advances it); a zero here would wrap the
@@ -501,7 +508,6 @@ impl LogManager {
             Some(lsn) => lsn,
             None => Lsn(self.first_stable.0 - 1),
         };
-        self.next_lsn = self.stable_lsn.next();
         prune_index_to_prefix(&mut self.seek_index, pos, self.stable_lsn);
         prune_chains_to_prefix(&mut self.page_chains, pos, self.stable_lsn);
         prune_chains_to_prefix(&mut self.reader_chains, pos, self.stable_lsn);
@@ -516,7 +522,7 @@ impl LogManager {
     /// index disabled the walk starts at offset 0: slower, but still
     /// decoding no payload below `from`.
     pub(crate) fn seek(&self, from: Lsn) -> (usize, ScanStats) {
-        let bytes = self.backend.bytes();
+        let bytes = &self.stable;
         let i = self.seek_index.partition_point(|&(lsn, _)| lsn <= from);
         let start = i
             .checked_sub(1)
@@ -556,7 +562,7 @@ impl LogManager {
 
     /// The raw stable-log bytes (what a crash leaves on disk).
     pub(crate) fn stable_bytes(&self) -> &[u8] {
-        self.backend.bytes()
+        &self.stable
     }
 
     /// Stable bytes at or after the first frame with LSN ≥ `from` — the
@@ -564,7 +570,7 @@ impl LogManager {
     /// Pure telemetry (the seek, no payload decode); the checkpoint
     /// controller compares it against the restart budget.
     pub(crate) fn suffix_bytes(&self, from: Lsn) -> u64 {
-        (self.backend.bytes().len() - self.seek(from).0) as u64
+        (self.stable.len() - self.seek(from).0) as u64
     }
 
     /// Discards a torn tail: walks record frames (header structure
@@ -576,23 +582,25 @@ impl LogManager {
     /// so it is already consistent with the repaired image, and what
     /// survives is the verified prefix later reads trust.
     pub(crate) fn repair_tail(&mut self) -> usize {
-        let bytes = self.backend.bytes();
-        let (pos, _, _) = walk_valid_frames(bytes);
-        let dropped = bytes.len() - pos;
+        let (pos, _, _) = walk_valid_frames(&self.stable);
+        let dropped = self.stable.len() - pos;
         self.verified = pos;
         if dropped == 0 {
             // The crash walk already pruned every entry to this same
-            // covered prefix, so the prunes below would remove nothing.
+            // covered prefix, so the prunes below would remove nothing —
+            // but for the offset-0 seek entry a drain leaves on an image
+            // it emptied, where the next frame will land.
             debug_assert!(
-                index_within_prefix(&self.seek_index, pos, self.stable_lsn)
-                    && (self.page_chains.values())
-                        .chain(self.reader_chains.values())
-                        .all(|chain| index_within_prefix(chain, pos, self.stable_lsn)),
+                pos == 0
+                    || index_within_prefix(&self.seek_index, pos, self.stable_lsn)
+                        && (self.page_chains.values())
+                            .chain(self.reader_chains.values())
+                            .all(|chain| index_within_prefix(chain, pos, self.stable_lsn)),
                 "a seek or chain entry points at or past the covered end"
             );
             return 0;
         }
-        self.backend.truncate_to(pos);
+        self.truncate(pos);
         // Seek and chain entries only ever point at covered frame
         // starts, all of which the walk keeps; the prune is
         // belt-and-braces against an entry landing in the dropped
@@ -610,13 +618,12 @@ impl LogManager {
     /// cross-shard flush group: everything from the group's `Open`
     /// marker onward is discarded on this shard.
     pub(crate) fn rollback_to(&mut self, pos: usize) {
-        self.backend.truncate_to(pos);
+        self.truncate(pos);
         self.verified = self.verified.min(pos);
-        let bytes = self.backend.bytes();
-        let (covered, frames, last_lsn) = walk_valid_frames(bytes);
+        let (covered, frames, last_lsn) = walk_valid_frames(&self.stable);
         debug_assert_eq!(
             covered,
-            bytes.len(),
+            self.stable.len(),
             "rollback must cut at a frame boundary"
         );
         self.stable_count = frames;
@@ -624,19 +631,27 @@ impl LogManager {
             Some(lsn) => lsn,
             None => Lsn(self.first_stable.0 - 1),
         };
-        self.next_lsn = self.stable_lsn.next();
         prune_index_to_prefix(&mut self.seek_index, covered, self.stable_lsn);
         prune_chains_to_prefix(&mut self.page_chains, covered, self.stable_lsn);
         prune_chains_to_prefix(&mut self.reader_chains, covered, self.stable_lsn);
     }
 
+    /// Cuts the stable image back to `pos` bytes, on the file too.
+    fn truncate(&mut self, pos: usize) {
+        self.stable.truncate(pos);
+        if let Some(medium) = &mut self.medium {
+            medium.truncate(pos);
+        }
+    }
+
     /// Plans (without applying) the drain of every stable frame with
-    /// LSN < `below` — the archive tier copies the planned bytes out
-    /// *before* [`LogManager::apply_drain`] drains them. All the guards
-    /// live in the shared planner (`index::plan_prefix_drain`): `below`
-    /// is clamped to the stable end, a bound at or below `first_stable`
-    /// (including one from a stale or replayed checkpoint) is a no-op,
-    /// never an underflow, and a dense log keeps its
+    /// LSN < `below` — [`LogManager::archive`] copies the planned bytes
+    /// out *before* [`LogManager::apply_drain`] drains them. All the
+    /// guards live in the shared planner (`index::plan_prefix_drain`):
+    /// `below` is clamped to the stable end, a bound at or below
+    /// `first_stable` (including one from a stale or replayed
+    /// checkpoint) is a no-op, never an underflow, and a `dense` log —
+    /// the lone shard of a single log — keeps its
     /// `first_stable..=stable_lsn` run.
     ///
     /// # Errors
@@ -646,14 +661,25 @@ impl LogManager {
     /// land mid-sequence (e.g. `below` names an LSN the image skips)
     /// and physically truncating there would destroy records the
     /// checkpoint still needs.
-    pub(crate) fn plan_drain(&self, below: Lsn) -> SimResult<Option<DrainPlan>> {
+    pub(crate) fn plan_drain(&self, below: Lsn, dense: bool) -> SimResult<Option<DrainPlan>> {
         plan_prefix_drain(
-            self.backend.bytes(),
+            &self.stable,
             self.first_stable,
             self.stable_lsn,
             below,
-            self.dense,
+            dense,
         )
+    }
+
+    /// Appends the first `pos` stable bytes — a planned drain's prefix —
+    /// to the archive tier, durably. The tier is append-only but for
+    /// [`LogManager::compact_archive`].
+    pub(crate) fn archive(&mut self, pos: usize) {
+        let prefix = &self.stable[..pos];
+        self.archive.extend_from_slice(prefix);
+        if let Some(medium) = &mut self.medium {
+            medium.append(Tier::Archive, prefix);
+        }
     }
 
     /// Applies a drain plan previously produced by
@@ -664,7 +690,10 @@ impl LogManager {
     /// `below` is the redo-start LSN of a *published* checkpoint.
     pub(crate) fn apply_drain(&mut self, below: Lsn, plan: DrainPlan) {
         let below = Lsn(below.0.min(self.stable_lsn.0 + 1));
-        self.backend.drain_prefix(plan.pos);
+        self.stable.drain(..plan.pos);
+        if let Some(medium) = &mut self.medium {
+            medium.rewrite(Tier::Live, &self.stable);
+        }
         self.verified = self.verified.saturating_sub(plan.pos);
         self.stable_count -= plan.skipped;
         self.first_stable = below;
@@ -683,6 +712,20 @@ impl LogManager {
     /// Total bytes reclaimed by prefix drains over this log's lifetime.
     pub(crate) fn truncated_bytes(&self) -> u64 {
         self.truncated_bytes
+    }
+
+    /// Destroys the archived frames with LSN < `genesis` and returns
+    /// the bytes reclaimed: a structural header walk, so the cut is a
+    /// frame boundary and the rest still a valid frame image.
+    pub(crate) fn compact_archive(&mut self, genesis: Lsn) -> u64 {
+        let pos = end_of_frames_below(&self.archive, genesis);
+        if pos > 0 {
+            self.archive.drain(..pos);
+            if let Some(medium) = &mut self.medium {
+                medium.rewrite(Tier::Archive, &self.archive);
+            }
+        }
+        pos as u64
     }
 
     /// The per-page chain for `page`: the (LSN, stable byte offset) of
@@ -1136,6 +1179,23 @@ mod tests {
         assert_eq!(log.syncs(), 2, "group commit: one fsync per force");
         assert!(log.path().is_some());
         assert_eq!(stable(&log).unwrap().len(), 10);
+    }
+
+    /// Each kind keeps its two images in memory; the file kind also
+    /// gives each shard a directory of its own holding both files.
+    #[test]
+    fn kind_constructs_matching_media() {
+        for kind in [BackendKind::Mem, BackendKind::File] {
+            let log = ShardedLog::<Num>::on(kind, 2);
+            for shard in &log.shards {
+                assert!(shard.stable.is_empty() && shard.archive.is_empty());
+                assert_eq!(shard.path().is_some(), kind == BackendKind::File);
+            }
+            if let (Some(a), Some(b)) = (log.shard_path(0), log.shard_path(1)) {
+                assert_ne!(a.parent(), b.parent());
+                assert!(a.with_file_name("archive.log").is_file());
+            }
+        }
     }
 
     #[test]

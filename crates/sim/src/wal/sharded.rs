@@ -5,10 +5,10 @@
 //! holds a page's records is the store shard that holds the page — the
 //! property that lets restart feed each store partition from its own
 //! log scan with no cross-shard traffic. Each shard is an untyped
-//! byte log (`LogManager`: own backend, append buffer, group-commit
-//! fsync, seek index, per-page chains); with several it runs in
-//! *sparse* mode: the sequencer assigns globally dense LSNs and each
-//! shard stores a monotone subset of them. One shard is the single log:
+//! byte log (`LogManager`: its live and archive bytes, append buffer,
+//! group-commit fsync, seek index, per-page chains); with several it
+//! runs in *sparse* mode: the sequencer assigns globally dense LSNs and
+//! each shard stores a monotone subset of them. One shard is the single log:
 //! it holds the whole dense run and keeps the dense-run drain guards.
 //!
 //! ## Routing
@@ -38,15 +38,16 @@
 //! ## Archive tier and point-in-time replay
 //!
 //! [`ShardedLog::archive_prefix`] drains the live prefix with the
-//! bytes *moved* (per shard, frame-exact) into an append-only archive
-//! tier instead of destroyed. Because the
-//! archive preserves every frame since LSN 1,
-//! [`ShardedLog::history`] yields the exact record sequence `1..=upto`
-//! from `archive ∥ live`, each record's body borrowed from the tier
-//! bytes that hold it — replaying it from genesis state reproduces the
-//! state as of `upto`, even after the live log has been truncated past
-//! it (media recovery and the crash auditor's `archive` leg;
-//! [`ShardedLog::pit_records`] is the same sequence decoded).
+//! bytes *moved* (per shard, frame-exact) into the shard's append-only
+//! archive tier instead of destroyed. Archive bytes are therefore a
+//! valid frame image in their own right. Because the archive preserves
+//! every frame since LSN 1 until [`ShardedLog::compact_archive`] cuts
+//! it, [`ShardedLog::history`] yields the exact record sequence
+//! `1..=upto` from `archive ∥ live`, each record's body borrowed from
+//! the tier bytes that hold it — replaying it from genesis state
+//! reproduces the state as of `upto`, even after the live log has been
+//! truncated past it (media recovery and the crash auditor's `archive`
+//! leg; [`ShardedLog::pit_records`] is the same sequence decoded).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
@@ -58,8 +59,7 @@ use crate::backend::BackendKind;
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultDecision, FaultInjector};
 
-use super::archive::ArchiveTier;
-use super::framing::{end_of_frames_below, read_frame, skip_frames_below, Frame, ScanStats};
+use super::framing::{read_frame, skip_frames_below, Frame, ScanStats};
 use super::{codec, EncodedRecord, LogManager, LogPayload, WalRecord};
 
 /// The byte a shard frame's body opens with: a routed (possibly
@@ -113,7 +113,6 @@ fn markers(bytes: &[u8]) -> impl Iterator<Item = (usize, u8, u64, Vec<u16>)> + '
 #[derive(Clone, Debug)]
 pub struct ShardedLog<P> {
     pub(super) shards: Vec<LogManager>,
-    archive: ArchiveTier,
     mask: u32,
     next_lsn: Lsn,
     /// The globally dense stable end: every LSN in
@@ -123,7 +122,8 @@ pub struct ShardedLog<P> {
     next_epoch: u64,
     appended_bytes: u64,
     truncated_records: u64,
-    /// Shared crash-point switchboard, mirrored into every shard.
+    /// Shared crash-point switchboard, consulted for every frame a
+    /// force lands and at a drain's archive-then-cut window.
     pub(crate) injector: FaultInjector,
     /// The shards hold bytes; the payload type lives here.
     _payload: PhantomData<fn() -> P>,
@@ -137,8 +137,8 @@ impl<P: LogPayload> ShardedLog<P> {
         ShardedLog::on(BackendKind::Mem, n)
     }
 
-    /// An empty sharded log on the given backend kind: one log backend
-    /// per shard, plus one archive backend per shard.
+    /// An empty sharded log on the given backend kind: on
+    /// [`BackendKind::File`], one directory of files per shard.
     ///
     /// # Panics
     ///
@@ -156,20 +156,8 @@ impl<P: LogPayload> ShardedLog<P> {
             n <= 1 << 15,
             "log shard count must be at most 32768, got {n}"
         );
-        let injector = FaultInjector::new();
-        let shards = (0..n)
-            .map(|_| {
-                // A lone shard holds the full dense sequence, so it keeps
-                // the dense-run truncation guards; only a real partition
-                // stores a sparse subset.
-                let mut shard = LogManager::on(kind, n == 1);
-                shard.injector = injector.clone();
-                shard
-            })
-            .collect();
         ShardedLog {
-            shards,
-            archive: ArchiveTier::new(kind, n),
+            shards: (0..n).map(|_| LogManager::on(kind)).collect(),
             mask: u32::try_from(n - 1).expect("shard count fits u32"),
             next_lsn: Lsn(1),
             stable: Lsn::ZERO,
@@ -177,7 +165,7 @@ impl<P: LogPayload> ShardedLog<P> {
             next_epoch: 1,
             appended_bytes: 0,
             truncated_records: 0,
-            injector,
+            injector: FaultInjector::new(),
             _payload: PhantomData,
         }
     }
@@ -195,12 +183,9 @@ impl<P: LogPayload> ShardedLog<P> {
         (page.0 & self.mask) as usize
     }
 
-    /// Rewires the fault injector shared by every shard (and callers
-    /// like [`Db`](crate::db::Db), which mirror it into the disk).
+    /// Rewires the fault injector (callers like
+    /// [`Db`](crate::db::Db) share it with the disk).
     pub(crate) fn share_injector(&mut self, injector: FaultInjector) {
-        for shard in &mut self.shards {
-            shard.injector = injector.clone();
-        }
         self.injector = injector;
     }
 
@@ -291,7 +276,7 @@ impl<P: LogPayload> ShardedLog<P> {
                 // Single-shard force: no markers, plain partial-prefix
                 // tear semantics. The whole covered range lives on this
                 // shard, so whatever prefix landed is globally dense.
-                self.shards[s].flush_with_bracket(upto, None);
+                self.shards[s].flush_with_bracket(&self.injector, upto, None);
                 self.stable = self.stable.max(self.shards[s].stable_lsn());
             }
             _ => {
@@ -310,7 +295,7 @@ impl<P: LogPayload> ShardedLog<P> {
                 let mut all_landed = true;
                 for &(s, open_lsn) in &participants {
                     let bracket = [(open_lsn, &open), (covered_max, &close)];
-                    self.shards[s].flush_with_bracket(upto, Some(bracket));
+                    self.shards[s].flush_with_bracket(&self.injector, upto, Some(bracket));
                     if self.shards[s].stable_lsn() != covered_max {
                         all_landed = false;
                     }
@@ -364,7 +349,7 @@ impl<P: LogPayload> ShardedLog<P> {
         self.appended_bytes
     }
 
-    /// Durable syncs across all shard backends (0 in memory).
+    /// Durable syncs of every shard's live file (0 in memory).
     #[must_use]
     pub fn syncs(&self) -> u64 {
         self.shards.iter().map(LogManager::syncs).sum()
@@ -403,7 +388,6 @@ impl<P: LogPayload> ShardedLog<P> {
         for shard in &mut self.shards {
             shard.crash();
         }
-        self.archive.crash();
         // Collect each shard's epoch evidence. The archive's counts too:
         // only stable, published prefixes ever drain, so a participant
         // whose portion of an epoch moved to the archive tier closed
@@ -497,11 +481,8 @@ impl<P: LogPayload> ShardedLog<P> {
     /// Shard `s`'s `archive ∥ live`, each tier with the prefix whose
     /// checksums a repair verified (none of the archive's).
     fn tiers(&self, s: usize) -> Tiers<'_> {
-        let live = &self.shards[s];
-        [
-            (self.archive.bytes(s), 0),
-            (live.stable_bytes(), live.verified),
-        ]
+        let shard = &self.shards[s];
+        [(&shard.archive, 0), (&shard.stable, shard.verified)]
     }
 
     /// Moves every stable frame with LSN < `below` into the archive
@@ -544,22 +525,24 @@ impl<P: LogPayload> ShardedLog<P> {
             // The machine is already dead: no further stable I/O.
             return Ok(0);
         }
+        // A lone shard holds the full dense sequence, so it keeps the
+        // dense-run guards; a shard of several stores a sparse subset.
+        let dense = self.shards.len() == 1;
         let mut plans = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            plans.push(shard.plan_drain(below)?);
+            plans.push(shard.plan_drain(below, dense)?);
         }
         let mut reclaimed = 0u64;
-        for (s, plan) in plans.into_iter().enumerate() {
+        for (shard, plan) in self.shards.iter_mut().zip(plans) {
             let Some(plan) = plan else { continue };
-            self.archive
-                .append(s, &self.shards[s].stable_bytes()[..plan.pos]);
+            shard.archive(plan.pos);
             if self.injector.on_atomic_write() != FaultDecision::Proceed {
                 // Crash between archive-append and live-truncate: the
                 // live log keeps every frame and the boundary does not
                 // advance, so the interrupted drain is retryable.
                 return Ok(reclaimed);
             }
-            self.shards[s].apply_drain(below, plan);
+            shard.apply_drain(below, plan);
             reclaimed += plan.pos as u64;
         }
         self.truncated_records += below.0 - self.first_stable.0;
@@ -573,10 +556,12 @@ impl<P: LogPayload> ShardedLog<P> {
     /// completed-drain boundary is ever compacted — every cross-shard
     /// flush group entirely below that boundary has its closure evidence
     /// wholly in the archive, so dropping it can never make a live group
-    /// look torn. The caller forfeits point-in-time replay and media
-    /// recovery below `genesis`: it must pass the oldest LSN those
-    /// protocols still need (the redo start of the oldest checkpoint it
-    /// intends to fall back to). Compaction is frame-exact (a
+    /// look torn. The caller forfeits point-in-time replay below
+    /// `genesis`, and with it media recovery altogether: a media restore
+    /// replays the whole history from LSN 1, so after a compaction that
+    /// reclaimed anything every restore of a lost page answers
+    /// [`SimError::MediaLoss`] (no page has an archived image to replay
+    /// from instead). Compaction is frame-exact (a
     /// structural header walk, no payload decode), so the surviving
     /// tier is still a valid frame image — and it leaves no frame below
     /// `genesis`, even where an interrupted drain and its retry
@@ -587,16 +572,8 @@ impl<P: LogPayload> ShardedLog<P> {
         if self.injector.tripped() {
             return 0;
         }
-        let mut reclaimed = 0u64;
-        for s in 0..self.shards.len() {
-            let pos = end_of_frames_below(self.archive.bytes(s), genesis);
-            if pos == 0 {
-                continue;
-            }
-            self.archive.compact(s, pos);
-            reclaimed += pos as u64;
-        }
-        reclaimed
+        let shards = self.shards.iter_mut();
+        shards.map(|shard| shard.compact_archive(genesis)).sum()
     }
 
     /// The lowest LSN still present in the *live* stable image.
@@ -676,7 +653,10 @@ impl<P: LogPayload> ShardedLog<P> {
     /// Total bytes resident in the archive tier.
     #[must_use]
     pub fn archived_bytes(&self) -> u64 {
-        self.archive.archived_bytes()
+        self.shards
+            .iter()
+            .map(|shard| shard.archive.len() as u64)
+            .sum()
     }
 
     /// The per-page chain for `page`, served by its home shard. Offsets
@@ -1181,6 +1161,7 @@ impl<'a> Iterator for Batch<'a> {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+    use crate::backend::file::Tier;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::wal::FRAME_HEADER;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig, TestCaseError};
@@ -1591,8 +1572,8 @@ pub(super) mod tests {
     /// to its first frame past `upto`.
     fn reference_pit(log: &ShardedLog<Rec>, upto: Lsn) -> SimResult<Vec<WalRecord<Rec>>> {
         let mut merged: BTreeMap<Lsn, Rec> = BTreeMap::new();
-        for (s, shard) in log.shards.iter().enumerate() {
-            for tier in [log.archive.bytes(s), shard.stable_bytes()] {
+        for shard in &log.shards {
+            for tier in [&shard.archive[..], shard.stable_bytes()] {
                 let (frames, end) = reference_decode::<Rec>(tier, 0);
                 let upto_frames = frames.iter().take_while(|f| f.lsn <= upto);
                 for f in upto_frames.clone() {
@@ -1795,13 +1776,13 @@ pub(super) mod tests {
     }
 
     /// Rewrites shard `s`'s live image with `edit`, as a failing medium
-    /// would: under the log's bookkeeping.
+    /// would: under the log's bookkeeping, and through to its file.
     pub(crate) fn damage<P>(log: &mut ShardedLog<P>, s: usize, edit: impl FnOnce(&mut Vec<u8>)) {
         let shard = &mut log.shards[s];
-        let mut image = shard.stable_bytes().to_vec();
-        edit(&mut image);
-        shard.backend.truncate_to(0);
-        shard.backend.append(&image);
+        edit(&mut shard.stable);
+        if let Some(medium) = &mut shard.medium {
+            medium.rewrite(Tier::Live, &shard.stable);
+        }
     }
 
     /// Flips bit `bit` of byte `at` of shard `s`'s live image.
@@ -2338,10 +2319,138 @@ pub(super) mod tests {
             assert_eq!(log.appended_bytes(), 0);
             for shard in &log.shards {
                 assert!(shard.tail_frames.is_empty() && shard.tail.is_empty());
-                assert_eq!(shard.next_lsn, Lsn(1));
             }
             log.flush_all();
             assert_eq!((log.forces(), log.stable_lsn()), (0, Lsn::ZERO));
+        }
+    }
+
+    /// A record writing `.0` and reading `.1` besides: what fills both
+    /// the writer and the reader chains.
+    #[derive(Clone, Debug)]
+    struct ReadWrite(Vec<u32>, Vec<u32>);
+
+    impl LogPayload for ReadWrite {
+        fn encode(&self, buf: &mut Vec<u8>) -> SimResult<()> {
+            for pages in [&self.0, &self.1] {
+                codec::put_u16(buf, codec::count_u16("test page count", pages.len())?);
+                pages.iter().for_each(|&p| codec::put_u32(buf, p));
+            }
+            Ok(())
+        }
+        fn decode(input: &[u8], pos: &mut usize) -> SimResult<Self> {
+            let mut pages = || -> SimResult<Vec<u32>> {
+                let n = codec::get_u16(input, pos)?;
+                (0..n).map(|_| codec::get_u32(input, pos)).collect()
+            };
+            Ok(ReadWrite(pages()?, pages()?))
+        }
+        fn write_pages(&self) -> Vec<PageId> {
+            self.0.iter().map(|&p| PageId(p)).collect()
+        }
+        fn cross_read_pages(&self) -> Vec<PageId> {
+            self.1.iter().map(|&p| PageId(p)).collect()
+        }
+    }
+
+    /// Everything one shard answers from: its live and archive bytes,
+    /// its stable LSN, its seek index, and its writer and reader chains.
+    type ShardView = (
+        Vec<u8>,
+        Vec<u8>,
+        Lsn,
+        Vec<(Lsn, u64)>,
+        BTreeMap<PageId, Vec<(Lsn, u64)>>,
+        BTreeMap<PageId, Vec<(Lsn, u64)>>,
+    );
+
+    fn shard_view(shard: &LogManager) -> ShardView {
+        (
+            shard.stable.clone(),
+            shard.archive.clone(),
+            shard.stable_lsn,
+            shard.seek_index.clone(),
+            shard.page_chains.clone(),
+            shard.reader_chains.clone(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The log-side twin of the disk's
+        /// `mem_and_file_disks_answer_alike`: a mem and a file log, on 1
+        /// and on 4 shards, driven in lockstep through single-page,
+        /// read-write, multi-page and page-less appends, single- and
+        /// cross-shard forces, a `TornFlush` or `Clean` fault inside a
+        /// force, a fault at a drain's window between the archive append
+        /// and the live cut, crashes, repairs, drains and compactions.
+        /// After every step each shard answers alike on both, and the
+        /// file log's files hold exactly its two images: the medium only
+        /// persists and reloads them.
+        #[test]
+        fn mem_and_file_logs_answer_alike(
+            wide in 0u8..2,
+            steps in proptest::collection::vec((0u8..12, 0u32..8, 0u32..8), 1..60),
+        ) {
+            let shards = if wide == 1 { 4 } else { 1 };
+            let mut logs: [ShardedLog<ReadWrite>; 2] =
+                [BackendKind::Mem, BackendKind::File].map(|kind| ShardedLog::on(kind, shards));
+            let pick = |log: &ShardedLog<ReadWrite>, x: u32| {
+                let (first, stable) = (log.first_stable().0, log.stable_lsn().0);
+                Lsn(first + u64::from(x) * (stable + 1).saturating_sub(first) / 7)
+            };
+            for (i, &(what, a, b)) in steps.iter().enumerate() {
+                let mut answers = Vec::new();
+                for log in &mut logs {
+                    let answer = match what {
+                        0 => format!("{:?}", log.append(ReadWrite(vec![a], vec![]))),
+                        1 => format!("{:?}", log.append(ReadWrite(vec![a], vec![b]))),
+                        2 => format!("{:?}", log.append(ReadWrite(vec![a, b], vec![]))),
+                        3 => format!("{:?}", log.append(ReadWrite(vec![], vec![]))),
+                        4 => format!("{:?}", log.flush(Lsn(log.stable_lsn().0 + u64::from(a)))),
+                        5 => format!("{:?}", log.flush_all()),
+                        6 => {
+                            let kind = if b % 2 == 0 {
+                                FaultKind::Clean
+                            } else {
+                                FaultKind::TornFlush { bytes: b as usize }
+                            };
+                            log.injector.arm(FaultPlan { at: u64::from(a) + 1, kind });
+                            log.flush_all();
+                            let tripped = log.injector.tripped();
+                            log.injector.reset();
+                            log.crash();
+                            format!("{tripped}")
+                        }
+                        7 => {
+                            log.injector.arm(FaultPlan { at: u64::from(b % 2) + 1, kind: FaultKind::Clean });
+                            let drained = log.archive_prefix(pick(log, a));
+                            let tripped = log.injector.tripped();
+                            log.injector.reset();
+                            log.crash();
+                            format!("{drained:?} {tripped}")
+                        }
+                        8 => format!("{:?}", log.crash()),
+                        9 => format!("{}", log.repair_tail()),
+                        10 => format!("{:?}", log.archive_prefix(pick(log, a))),
+                        _ => format!("{}", log.compact_archive(pick(log, a))),
+                    };
+                    answers.push(answer);
+                }
+                let [mem, file] = &logs;
+                let step = format!("step {i}: {what} ({a}, {b})");
+                prop_assert_eq!(&answers[0], &answers[1], "{} answered", step);
+                prop_assert_eq!(mem.stable_lsn(), file.stable_lsn(), "{} stable_lsn", step);
+                prop_assert_eq!(mem.first_stable(), file.first_stable(), "{} first_stable", step);
+                for (s, (m, f)) in mem.shards.iter().zip(&file.shards).enumerate() {
+                    prop_assert_eq!(shard_view(m), shard_view(f), "{} shard {}", step, s);
+                    let wal = f.path().unwrap();
+                    prop_assert_eq!(&std::fs::read(wal).unwrap(), &f.stable, "{} shard {} wal.log", step, s);
+                    let archive = std::fs::read(wal.with_file_name("archive.log")).unwrap();
+                    prop_assert_eq!(&archive, &f.archive, "{} shard {} archive.log", step, s);
+                }
+            }
         }
     }
 

@@ -252,6 +252,15 @@ impl PageOp {
         (u64::from(cell.page.0) << 16) | u64::from(cell.slot.0)
     }
 
+    /// The operation's own constant, folded into output values and into
+    /// the theory projection identically. The id goes to the high word
+    /// so that it cannot cancel against a seed's low bits: under the
+    /// `f_seed = id + 1` convention of hand-built test operations,
+    /// `f_seed ^ id` is 1 for every even id.
+    fn seed_code(id: u32, f_seed: u64) -> u64 {
+        f_seed ^ u64::from(id).rotate_left(32)
+    }
+
     /// The value this operation writes into `cell`, given the values of
     /// its read cells (in `self.reads` order). Deterministic, so redo
     /// replay reproduces it exactly.
@@ -273,7 +282,7 @@ impl PageOp {
         // Mirrors Expr::Mix evaluation: acc starts at the mix tag and
         // folds each part with xor-then-finalize.
         let mut acc = 0x51ed_270bu64;
-        acc = mix64(acc ^ (f_seed ^ u64::from(id)));
+        acc = mix64(acc ^ Self::seed_code(id, f_seed));
         acc = mix64(acc ^ Self::cell_code(cell));
         for &v in read_values {
             acc = mix64(acc ^ v);
@@ -311,7 +320,7 @@ impl PageOp {
         let mut b = Operation::builder(OpId(self.id));
         for &w in &self.writes {
             let mut parts = vec![
-                Expr::constant(self.f_seed ^ u64::from(self.id)),
+                Expr::constant(Self::seed_code(self.id, self.f_seed)),
                 Expr::constant(Self::cell_code(w)),
             ];
             parts.extend(
@@ -659,5 +668,24 @@ mod tests {
                 "cell {cell:?} diverged between sim and theory"
             );
         }
+    }
+
+    /// Hand-built operations take `f_seed = id + 1`: blind writes of one
+    /// cell by ids 0 and 2 must still write different values, or a test
+    /// that relies on an overwrite changing a cell passes vacuously.
+    #[test]
+    fn blind_writes_under_the_test_seed_convention_differ() {
+        let cell = Cell {
+            page: PageId(0),
+            slot: SlotId(0),
+        };
+        let blind = |id: u32| PageOp {
+            id,
+            kind: PageOpKind::Blind,
+            reads: vec![],
+            writes: vec![cell],
+            f_seed: u64::from(id) + 1,
+        };
+        assert_ne!(blind(0).output(cell, &[]), blind(2).output(cell, &[]));
     }
 }

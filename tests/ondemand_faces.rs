@@ -199,8 +199,6 @@ fn a_write_after_open_waits_for_the_residual_reader_of_the_old_value() {
     let expect = reference(&image, &[g]);
 
     let lazy = SharedDb::open_on_demand(image).expect("open on demand");
-    // (Id 3: the blind output mixes `f_seed ^ id`, which for ids 0
-    // and 2 is the same, so id 2 would rewrite x's old value.)
     lazy.execute(&op(3, PageOpKind::Blind, vec![], vec![x]))
         .expect("execute mid-recovery");
     assert_eq!(

@@ -157,8 +157,8 @@ pub struct DaemonStats {
     /// durable, or the pointer swing did not land) — recovery falls
     /// back to the previous checkpoint.
     pub checkpoints_abandoned: u64,
-    /// Stable-log bytes reclaimed by prefix truncation (each moved to
-    /// its shard's archive tier), summed over log shards.
+    /// Live-log bytes reclaimed by prefix truncation (each left in its
+    /// shard's archive), summed over log shards.
     pub truncated_bytes: u64,
     /// The most recently published checkpoint record.
     pub last_checkpoint: Option<Lsn>,

@@ -33,7 +33,7 @@
 //!    recLSN, the one pinning the truncation horizon, instead of a
 //!    random one. Nothing else can move the horizon: the bytes above it
 //!    are what restart needs, and the bytes below it were drained to the
-//!    archive tier when the checkpoint that set it landed.
+//!    archive when the checkpoint that set it landed.
 //!
 //! The planner ([`Controller::plan`]) is a pure function of the
 //! estimate, so its policy is unit-testable without a database. The

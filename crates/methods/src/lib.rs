@@ -31,7 +31,7 @@
 //!   of the stable log below the checkpoint's redo-start. The
 //!   [`concurrent`] substrate runs the same discipline as a background
 //!   checkpoint daemon.
-//! * [`media`] — media recovery over the archive tier: a destroyed page
+//! * [`media`] — media recovery over the archive: a destroyed page
 //!   file is rebuilt from `archive ∥ live`, read in place — the lost
 //!   pages grow to a transitive closure guarding generalized cross-page
 //!   reads, and only the records the closure's final images depend on

@@ -17,9 +17,8 @@
 //! and of each log shard's directory:
 //!
 //! ```text
-//! wal.log           the shard's live stable frames
-//! archive.log       the frame prefixes drained into its archive tier
-//! wal.tmp, archive.tmp  in-flight rewrite of either (debris if crashed)
+//! wal.log           the shard's stable frames: archive ∥ live
+//! wal.tmp           in-flight compaction rewrite (debris if crashed)
 //! ```
 //!
 //! Neither medium keeps a copy of what it persists. The page store,
@@ -27,8 +26,10 @@
 //! makes to its one page image, and at a crash rebuilds that image
 //! from the files — pages, torn marks with their journaled pre-images,
 //! lost marks, and the master. The log medium, `FileLog`, persists each
-//! change a log shard makes to its live and archive bytes, and at a
-//! crash reads both back. Out-of-band damage inflicted by tests
+//! append, truncation and compaction of a log shard's one frame image,
+//! and at a crash reads it back; where the archived prefix ends and the
+//! live log begins is the shard's bookkeeping, not the file's, so a
+//! drain writes nothing. Out-of-band damage inflicted by tests
 //! (flipping a bit in a page file, deleting one, cutting `wal.log`) is
 //! so observed exactly as a reopening process would observe it. The
 //! staging area is volatile disk state and never reaches a file.
@@ -570,103 +571,94 @@ fn open_append(path: &Path) -> File {
         .unwrap_or_else(|e| die("opening", path, e))
 }
 
-/// Which byte image of a log shard a [`FileLog`] call persists.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// The live stable frames, in `wal.log`.
-    Live,
-    /// The drained prefixes of the archive tier, in `archive.log`.
-    Archive,
-}
-
-/// The files persisting one log shard's two byte images, `wal.log` and
-/// `archive.log`, in a directory of their own. It holds no copy of the
-/// bytes: the shard writes each append, truncation, drain and
-/// compaction through as it makes it, and at a crash rebuilds both
-/// images from the files ([`FileLog::reload`]). Only `wal.log`'s syncs
-/// are counted: they are the group commits.
+/// The file persisting one log shard's frame image, `wal.log`, in a
+/// directory of its own. It holds no copy of the bytes: the shard
+/// writes each append, truncation and compaction through as it makes
+/// it, and at a crash rebuilds its image from the file
+/// ([`FileLog::reload`]). A drain only moves the shard's live origin,
+/// so it never reaches the file.
 #[derive(Debug)]
 pub(crate) struct FileLog {
     dir: TempDir,
-    /// Each tier's file and its append handle, in [`Tier`] order.
-    files: [(PathBuf, File); 2],
+    path: PathBuf,
+    /// The append handle.
+    file: File,
     syncs: u64,
 }
 
 impl FileLog {
-    /// A fresh medium, both files empty, in its own temporary directory.
+    /// A fresh medium, its file empty, in its own temporary directory.
     pub(crate) fn new_temp() -> FileLog {
         FileLog::open(TempDir::new("redo-sim-wal"), 0)
     }
 
     fn open(dir: TempDir, syncs: u64) -> FileLog {
-        let files = ["wal.log", "archive.log"].map(|name| {
-            let path = dir.path().join(name);
-            let file = open_append(&path);
-            (path, file)
-        });
-        FileLog { dir, files, syncs }
+        let path = dir.path().join("wal.log");
+        let file = open_append(&path);
+        FileLog {
+            dir,
+            path,
+            file,
+            syncs,
+        }
     }
 
     /// `wal.log`'s path (tests damage it out-of-band).
     pub(crate) fn path(&self) -> &Path {
-        &self.files[Tier::Live as usize].0
+        &self.path
     }
 
-    /// Durable syncs of `wal.log` so far.
+    /// Every `sync_data` this medium has issued: one per append, per
+    /// truncation and per rewrite.
     pub(crate) fn syncs(&self) -> u64 {
         self.syncs
     }
 
-    /// Durably appends `bytes` to `tier`'s file: one `write`, one
-    /// `fsync`.
-    pub(crate) fn append(&mut self, tier: Tier, bytes: &[u8]) {
-        let (path, file) = &mut self.files[tier as usize];
-        file.write_all(bytes)
-            .unwrap_or_else(|e| die("appending to", path, e));
-        self.sync(tier);
+    /// Durably appends `bytes`: one `write`, one `fsync`.
+    pub(crate) fn append(&mut self, bytes: &[u8]) {
+        self.file
+            .write_all(bytes)
+            .unwrap_or_else(|e| die("appending to", &self.path, e));
+        self.sync();
     }
 
     /// Cuts `wal.log` back to `len` bytes: tail repair and rollback.
     pub(crate) fn truncate(&mut self, len: usize) {
-        let (path, file) = &self.files[Tier::Live as usize];
-        file.set_len(len as u64)
-            .unwrap_or_else(|e| die("truncating", path, e));
-        self.sync(Tier::Live);
+        self.file
+            .set_len(len as u64)
+            .unwrap_or_else(|e| die("truncating", &self.path, e));
+        self.sync();
     }
 
-    fn sync(&mut self, tier: Tier) {
-        let (path, file) = &self.files[tier as usize];
-        file.sync_data().unwrap_or_else(|e| die("syncing", path, e));
-        self.syncs += u64::from(tier == Tier::Live);
+    fn sync(&mut self) {
+        self.file
+            .sync_data()
+            .unwrap_or_else(|e| die("syncing", &self.path, e));
+        self.syncs += 1;
     }
 
-    /// Replaces `tier`'s file with `bytes` — what is left after a prefix
-    /// drain or an archive compaction — through a temp file and a
-    /// `rename`, so a crash mid-rewrite never loses the suffix.
-    pub(crate) fn rewrite(&mut self, tier: Tier, bytes: &[u8]) {
-        let (path, file) = &mut self.files[tier as usize];
-        publish_durable(path, &path.with_extension("tmp"), bytes);
-        *file = open_append(path);
-        self.syncs += u64::from(tier == Tier::Live);
+    /// Replaces `wal.log` with `bytes` — what an archive compaction
+    /// leaves — through a temp file and a `rename`, so a crash
+    /// mid-rewrite never loses the image.
+    pub(crate) fn rewrite(&mut self, bytes: &[u8]) {
+        publish_durable(&self.path, &self.path.with_extension("tmp"), bytes);
+        self.file = open_append(&self.path);
+        self.syncs += 1;
     }
 
-    /// Process death and reopen: both images, in [`Tier`] order, as the
-    /// files hold them — out-of-band damage included. A file that
-    /// vanished or turned unreadable is media loss of that tier, read as
-    /// empty (recoverable), not an abort; reopening it for append
-    /// recreates it.
-    pub(crate) fn reload(&mut self) -> [Vec<u8>; 2] {
-        self.files.each_mut().map(|(path, file)| {
-            let bytes = fs::read(&*path).unwrap_or_default();
-            *file = open_append(path);
-            bytes
-        })
+    /// Process death and reopen: the image as the file holds it,
+    /// out-of-band damage included. A file that vanished or turned
+    /// unreadable is media loss, read as empty (recoverable), not an
+    /// abort; reopening it for append recreates it.
+    pub(crate) fn reload(&mut self) -> Vec<u8> {
+        let bytes = fs::read(&self.path).unwrap_or_default();
+        self.file = open_append(&self.path);
+        bytes
     }
 }
 
 impl Clone for FileLog {
-    /// A deep copy: both files are copied into a fresh temporary
+    /// A deep copy: the file is copied into a fresh temporary
     /// directory.
     fn clone(&self) -> FileLog {
         let dir = TempDir::new("redo-sim-wal");
@@ -864,27 +856,14 @@ mod tests {
         assert!(d.is_lost(PageId(3)));
     }
 
-    /// `tier`'s file in `log`'s directory.
-    fn tier_path(log: &FileLog, tier: Tier) -> PathBuf {
-        log.files[tier as usize].0.clone()
-    }
-
     #[test]
-    fn lost_log_files_reopen_empty_instead_of_aborting() {
-        for tier in [Tier::Live, Tier::Archive] {
-            let mut l = FileLog::new_temp();
-            l.append(Tier::Live, b"0123456789");
-            l.append(Tier::Archive, b"abcdef");
-            fs::remove_file(tier_path(&l, tier)).unwrap();
-            let [live, archive] = l.reload();
-            let lost = if tier == Tier::Live { &live } else { &archive };
-            assert!(lost.is_empty(), "{tier:?}: whole-file loss reads as empty");
-            let kept = if tier == Tier::Live { &archive } else { &live };
-            assert!(!kept.is_empty(), "{tier:?}: the other file is untouched");
-            l.append(tier, b"ab");
-            let images = l.reload();
-            assert_eq!(images[tier as usize], b"ab", "{tier:?}: writable again");
-        }
+    fn a_lost_log_file_reopens_empty_instead_of_aborting() {
+        let mut l = FileLog::new_temp();
+        l.append(b"0123456789");
+        fs::remove_file(l.path()).unwrap();
+        assert!(l.reload().is_empty(), "whole-file loss reads as empty");
+        l.append(b"ab");
+        assert_eq!(l.reload(), b"ab", "writable again");
     }
 
     #[test]
@@ -977,63 +956,46 @@ mod tests {
     #[test]
     fn log_appends_are_synced_and_survive_crash() {
         let mut l = FileLog::new_temp();
-        l.append(Tier::Live, b"abcdef");
-        l.append(Tier::Archive, b"012");
-        l.append(Tier::Live, b"ghij");
-        l.append(Tier::Archive, b"345");
-        assert_eq!(l.syncs(), 2, "only the group commits of wal.log count");
-        assert_eq!(l.reload(), [b"abcdefghij".to_vec(), b"012345".to_vec()]);
-        assert_eq!(fs::read(l.path()).unwrap(), b"abcdefghij");
-        assert_eq!(fs::read(tier_path(&l, Tier::Archive)).unwrap(), b"012345");
+        l.append(b"abcdef");
+        l.append(b"ghij");
+        assert_eq!(l.syncs(), 2, "one sync per append");
+        l.truncate(8);
+        l.rewrite(b"cdefgh");
+        assert_eq!(l.syncs(), 4, "a truncation and a rewrite sync too");
+        assert_eq!(l.reload(), b"cdefgh");
+        assert_eq!(fs::read(l.path()).unwrap(), b"cdefgh");
     }
 
     #[test]
     fn out_of_band_file_truncation_is_observed_on_crash() {
         let mut l = FileLog::new_temp();
-        l.append(Tier::Live, b"0123456789");
-        l.append(Tier::Archive, b"abcdefghij");
-        // A torn tail at a byte boundary, inflicted on each real file.
-        for (tier, len) in [(Tier::Live, 7), (Tier::Archive, 3)] {
-            let f = OpenOptions::new()
-                .write(true)
-                .open(tier_path(&l, tier))
-                .unwrap();
-            f.set_len(len).unwrap();
-        }
-        assert_eq!(l.reload(), [b"0123456".to_vec(), b"abc".to_vec()]);
+        l.append(b"0123456789");
+        // A torn tail at a byte boundary, inflicted on the real file.
+        let f = OpenOptions::new().write(true).open(l.path()).unwrap();
+        f.set_len(7).unwrap();
+        assert_eq!(l.reload(), b"0123456");
     }
 
     #[test]
     fn rewrite_goes_through_rename() {
         let mut l = FileLog::new_temp();
-        l.append(Tier::Live, b"prefix|suffix");
-        l.append(Tier::Archive, b"old|new");
-        l.rewrite(Tier::Live, b"suffix");
-        l.rewrite(Tier::Archive, b"new");
-        assert_eq!(
-            l.syncs(),
-            2,
-            "the live rewrite is a sync, the archive's is not counted"
-        );
+        l.append(b"old|new");
+        l.rewrite(b"new");
         assert!(!l.dir.path().join("wal.tmp").exists());
-        assert!(!l.dir.path().join("archive.tmp").exists());
-        // The handles follow the renamed files: appends land after the
+        // The handle follows the renamed file: appends land after the
         // rewritten bytes.
-        l.append(Tier::Live, b"+");
-        l.append(Tier::Archive, b"+");
-        assert_eq!(l.reload(), [b"suffix+".to_vec(), b"new+".to_vec()]);
+        l.append(b"+");
+        assert_eq!(l.reload(), b"new+");
     }
 
     #[test]
     fn log_clone_is_deep() {
         let mut l = FileLog::new_temp();
-        l.append(Tier::Live, b"one");
-        l.append(Tier::Archive, b"uno");
+        l.append(b"one");
         let mut c = l.clone();
         assert_ne!(c.path(), l.path());
-        c.append(Tier::Live, b"two");
-        c.append(Tier::Archive, b"dos");
-        assert_eq!(c.reload(), [b"onetwo".to_vec(), b"unodos".to_vec()]);
-        assert_eq!(l.reload(), [b"one".to_vec(), b"uno".to_vec()]);
+        c.append(b"two");
+        assert_eq!(c.reload(), b"onetwo");
+        assert_eq!(l.reload(), b"one");
     }
 }

@@ -18,8 +18,8 @@
 //!   *detected* rather than flagged, a doublewrite journal for
 //!   pre-images, rename-committed intentions lists for atomic installs
 //!   and the checkpoint pointer. For each log shard, `FileLog`: its
-//!   CRC-framed live bytes in `wal.log`, with one `fsync` per group
-//!   commit, and its archive tier in `archive.log`. A crash throws the
+//!   CRC-framed image, `archive ∥ live`, in one `wal.log`, with one
+//!   `fsync` per group commit and none per drain. A crash throws the
 //!   image away and rebuilds it from the files, which is what makes the
 //!   file pair honest: after a crash the only truth is the bytes on
 //!   disk.

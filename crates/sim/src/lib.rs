@@ -24,9 +24,8 @@
 //!   [`backend::BackendKind::File`] a medium persists it change by
 //!   change and rebuilds it at a crash — checksummed page files, a
 //!   doublewrite journal, rename-committed installs and checkpoint
-//!   pointer for the disk; a CRC-framed `wal.log` and an `archive.log`
-//!   per log shard — which makes the crash model honest against real
-//!   media;
+//!   pointer for the disk; one CRC-framed `wal.log` per log shard —
+//!   which makes the crash model honest against real media;
 //! * [`cache::BufferPool`] — the cache manager: dirty tracking, LRU
 //!   eviction, enforcement of the WAL rule (no page reaches disk before
 //!   its log records) and of *write-order constraints* — the

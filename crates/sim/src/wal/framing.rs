@@ -1,4 +1,4 @@
-//! Frame structure of the stable log image.
+//! Frame structure of a log shard's image.
 //!
 //! A *frame* is one stable record: an 8-byte little-endian LSN, a
 //! 4-byte little-endian body length, a 4-byte CRC-32 of the rest of the
@@ -82,11 +82,11 @@ pub(crate) fn read_frame(bytes: &[u8], start: usize, trusted: usize) -> SimResul
     Ok(Frame { lsn, body, end })
 }
 
-/// Walks whole, CRC-valid frames from offset 0: returns the byte
-/// position after the last valid frame, the number of valid frames, and
-/// the last valid frame's LSN.
-pub(crate) fn walk_valid_frames(bytes: &[u8]) -> (usize, usize, Option<Lsn>) {
-    let (mut pos, mut frames, mut last) = (0, 0, None);
+/// Walks whole, CRC-valid frames from `pos` (a frame boundary):
+/// returns the byte position after the last valid frame, the number of
+/// valid frames, and the last valid frame's LSN.
+pub(crate) fn walk_valid_frames(bytes: &[u8], mut pos: usize) -> (usize, usize, Option<Lsn>) {
+    let (mut frames, mut last) = (0, None);
     while let Some((lsn, end)) =
         frame_header(bytes, pos).filter(|&(_, end)| crc_holds(&bytes[pos..end]))
     {
@@ -107,23 +107,6 @@ pub(crate) fn skip_frames_below(bytes: &[u8], mut pos: usize, from: Lsn) -> (usi
         (pos, skipped) = (end, skipped + 1);
     }
     (pos, skipped)
-}
-
-/// Walks every frame header of `bytes` (stopping at a structural break)
-/// and returns the offset just past the *last* frame whose LSN is below
-/// `below`, or 0 when none is. In a run of frames in LSN order that is
-/// where [`skip_frames_below`] lands; in an archive that holds a run
-/// twice — an interrupted drain, then its retry — it is past the second
-/// copy's frames below `below` too.
-pub(crate) fn end_of_frames_below(bytes: &[u8], below: Lsn) -> usize {
-    let (mut pos, mut end) = (0, 0);
-    while let Some((lsn, next)) = frame_header(bytes, pos) {
-        if lsn < below {
-            end = next;
-        }
-        pos = next;
-    }
-    end
 }
 
 /// Telemetry from one streaming log scan.

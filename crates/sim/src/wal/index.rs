@@ -1,12 +1,14 @@
-//! Maintenance of the LSN → stable-byte-offset structures: the sparse
-//! seek index and the per-page record chains.
+//! Maintenance of the LSN → byte-offset structures over a shard's
+//! frame image: the sparse seek index and the per-page record chains.
+//! Their offsets are absolute into the image, `archive ∥ live`, and
+//! every entry lies at or past the live origin.
 //!
 //! Both structures obey the same discipline — entries only ever point
-//! at frame starts the stable bookkeeping covers — so the prune, the
-//! rebase, *and the guards that authorize a prefix drain in the first
-//! place* are shared helpers. Duplicating any of this per index (or, in
-//! a sharded log, per shard) is how the chain-discipline bug of PR 7
-//! would creep back in; everything funnels through here instead.
+//! at live frame starts the stable bookkeeping covers — so the prune,
+//! the rebase, *and the guards that authorize a prefix drain in the
+//! first place* are shared helpers. Duplicating any of this per index
+//! (or, in a sharded log, per shard) is how the chain-discipline bug of
+//! PR 7 would creep back in; everything funnels through here instead.
 
 use std::collections::BTreeMap;
 
@@ -22,20 +24,14 @@ use super::framing::{frame_header, skip_frames_below};
 /// sparse enough that the index stays a rounding error next to the log.
 pub const SEEK_INTERVAL: usize = 8;
 
-/// Prunes an LSN → stable-byte-offset index down to the covered prefix
+/// Prunes an LSN → byte-offset index down to the covered prefix
 /// `[0, pos)` left by a crash walk or tail repair: entries pointing at
 /// or beyond `pos` (into a torn or out-of-band-truncated fragment), or
-/// carrying an LSN above `max_lsn`, are dropped. An empty prefix clears
-/// the index outright — including the offset-0 sentinel, which names a
-/// frame that no longer exists. This is the *single* predicate for
-/// post-damage index maintenance; the seek index and the per-page
-/// chains both go through it so they can never disagree about what the
-/// surviving image covers.
+/// carrying an LSN above `max_lsn`, are dropped. This is the *single*
+/// predicate for post-damage index maintenance; the seek index and the
+/// per-page chains both go through it so they can never disagree about
+/// what the surviving image covers.
 pub(crate) fn prune_index_to_prefix(index: &mut Vec<(Lsn, u64)>, pos: usize, max_lsn: Lsn) {
-    if pos == 0 {
-        index.clear();
-        return;
-    }
     index.retain(|&entry| within_prefix(entry, pos, max_lsn));
 }
 
@@ -63,52 +59,51 @@ pub(crate) fn prune_chains_to_prefix(
     });
 }
 
-/// Rebases an LSN → stable-byte-offset index after `pos` bytes were
-/// drained from the front of the image (prefix truncation): entries
-/// inside the drained prefix are dropped and the survivors shift left
-/// by `pos`. The offset-0 seek sentinel is *not* re-inserted here —
-/// that is seek-index policy, applied by its caller — so the same
-/// helper serves the per-page chains, which carry no sentinel.
-pub(crate) fn rebase_index_after_drain(index: &mut Vec<(Lsn, u64)>, pos: usize) {
-    index.retain(|&(_, off)| off as usize >= pos);
-    for entry in index.iter_mut() {
-        entry.1 -= pos as u64;
-    }
+/// Rebases an LSN → byte-offset index onto a new front of the image:
+/// entries below byte `origin` are dropped, and the survivors shift
+/// left by `cut` bytes. A drain moves the live origin and cuts nothing
+/// (`cut` 0); an archive compaction cuts the image's front, below every
+/// entry, and shifts them all.
+pub(crate) fn rebase_index(index: &mut Vec<(Lsn, u64)>, origin: usize, cut: usize) {
+    index.retain(|&(_, off)| off as usize >= origin);
+    index.iter_mut().for_each(|(_, off)| *off -= cut as u64);
 }
 
-/// [`rebase_index_after_drain`] applied to every per-page chain; pages
-/// whose chain empties are removed entirely.
-pub(crate) fn rebase_chains_after_drain(
+/// [`rebase_index`] applied to every per-page chain; pages whose chain
+/// empties are removed entirely.
+pub(crate) fn rebase_chains(
     chains: &mut BTreeMap<PageId, Vec<(Lsn, u64)>>,
-    pos: usize,
+    origin: usize,
+    cut: usize,
 ) {
     chains.retain(|_, chain| {
-        rebase_index_after_drain(chain, pos);
+        rebase_index(chain, origin, cut);
         !chain.is_empty()
     });
 }
 
-/// A validated plan to drain the stable prefix below some LSN: how many
-/// bytes to cut and how many frames they hold.
+/// A validated plan to drain the stable prefix below some LSN: the new
+/// live origin and how many frames lie below it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct DrainPlan {
-    /// Byte length of the prefix to drain (a frame boundary).
+    /// Byte offset of the new live origin (a frame boundary).
     pub pos: usize,
-    /// Whole frames inside the drained prefix.
+    /// Whole live frames below it.
     pub skipped: usize,
 }
 
-/// Plans a prefix drain: walks frame headers to the cut point for
-/// `below` and applies every guard a drain needs — the 1-based-origin
-/// assertion, the `below ≤ first_stable` no-op, the stable-end clamp, and (for dense
-/// images) the density and landed-LSN checks that refuse to cut where
-/// the image disagrees with the bookkeeping. Centralizing the guards is
-/// what lets the sharded log reuse them per shard without
-/// reintroducing the PR 7 chain-discipline bug: a shard plans with
-/// `dense = false` (it holds a monotone *subset* of the global LSNs, so
-/// "landed exactly `below - first_stable` frames in, on `below`
-/// itself" cannot hold there) but gets the identical clamping, no-op,
-/// and boundary discipline.
+/// Plans a prefix drain: walks frame headers from the live origin
+/// `live` to the cut point for `below` and applies every guard a drain
+/// needs — the 1-based-origin assertion, the `below ≤ first_stable`
+/// no-op, the stable-end clamp, and (for dense images) the density and
+/// landed-LSN checks that refuse to cut where the image disagrees with
+/// the bookkeeping. Centralizing the guards is what lets the sharded
+/// log reuse them per shard without reintroducing the PR 7
+/// chain-discipline bug: a shard plans with `dense = false` (it holds a
+/// monotone *subset* of the global LSNs, so "landed exactly
+/// `below - first_stable` frames in, on `below` itself" cannot hold
+/// there) but gets the identical clamping, no-op, and boundary
+/// discipline.
 ///
 /// Returns `None` when there is nothing to drain. The caller mutates
 /// nothing until a plan is in hand, so an error leaves the log
@@ -118,10 +113,11 @@ pub(crate) struct DrainPlan {
 ///
 /// [`SimError::Corrupt`] at the offending offset if a dense image is
 /// not the dense LSN run the bookkeeping promises — the walk would land
-/// mid-sequence and physically truncating there would destroy records a
+/// mid-sequence, and moving the origin there would retire records a
 /// recovery may still need.
 pub(crate) fn plan_prefix_drain(
     bytes: &[u8],
+    live: usize,
     first_stable: Lsn,
     stable_lsn: Lsn,
     below: Lsn,
@@ -138,8 +134,8 @@ pub(crate) fn plan_prefix_drain(
     if below <= first_stable {
         return Ok(None);
     }
-    let (pos, skipped) = skip_frames_below(bytes, 0, below);
-    if pos == 0 {
+    let (pos, skipped) = skip_frames_below(bytes, live, below);
+    if pos == live {
         return Ok(None);
     }
     if dense {

@@ -6,12 +6,12 @@
 //! ([`EncodedRecord`]); the append only stamps its LSN, length and CRC
 //! in front of that body in a shard's volatile tail, and
 //! [`ShardedLog::flush`] copies the covered frames to the stable
-//! (on-"disk") prefix. A crash discards the volatile tail; recovery
+//! (on-"disk") image. A crash discards the volatile tail; recovery
 //! reads the stable bytes — so the binary codec is actually exercised
 //! on every simulated crash, not decorative. Each shard keeps its
-//! stable bytes, and the archive tier's, as two plain byte vectors; on
-//! [`BackendKind::File`] a medium persists every change to them in real
-//! fsynced files and reloads both at a crash.
+//! stable frames once, as one append-only byte vector; on
+//! [`BackendKind::File`] a medium persists every change to it in one
+//! fsynced file and reloads it at a crash.
 //!
 //! The module is split by concern:
 //!
@@ -24,8 +24,7 @@
 //! * `sharded` — [`ShardedLog`]: N per-partition logs routed by the
 //!   same power-of-two page mask as the sharded store, with a
 //!   global-LSN sequencer, cross-shard atomic flush groups, and the one
-//!   reader, and the archive tier that prefix truncation feeds,
-//!   enabling point-in-time replay.
+//!   reader, and the archived prefix that point-in-time replay reads.
 //!
 //! ## Frame format
 //!
@@ -33,34 +32,43 @@
 //! a 4-byte little-endian body length, a 4-byte CRC-32 of the rest of
 //! the frame (header fields plus body, excluding the CRC itself), then
 //! the body: a tag byte — a record, or a flush-group marker — and the
-//! payload. Frames are contiguous; a shard's stable image is
-//! well-formed iff it is a whole number of well-formed frames whose
-//! checksums verify. A shard's flush moves its volatile tail in order
-//! and a crash re-derives the next LSN from the stable end, so the
-//! lone shard of a single log holds exactly LSNs
-//! `first_stable..=stable_lsn`, densely and in order (*dense* mode); a
-//! shard of several instead holds a monotone *subset* of the global
-//! LSNs (*sparse* mode): the global sequencer owns density, each shard
-//! only monotonicity. `first_stable` starts at 1 and only moves when a
-//! published checkpoint makes the prefix redundant:
-//! [`ShardedLog::archive_prefix`] moves every frame below the
-//! checkpoint's redo-start LSN to the archive tier and rebases the seek
-//! index onto the shortened image.
+//! payload. Frames are contiguous; a shard's image is well-formed iff
+//! it is a whole number of well-formed frames whose checksums verify.
+//! A shard's flush moves its volatile tail in order and a crash
+//! re-derives the next LSN from the stable end, so the lone shard of a
+//! single log holds exactly LSNs `1..=stable_lsn`, densely and in order
+//! (*dense* mode); a shard of several instead holds a monotone *subset*
+//! of the global LSNs (*sparse* mode): the global sequencer owns
+//! density, each shard only monotonicity.
+//!
+//! ## One sequence: archive ∥ live
+//!
+//! A shard's image is split at its *live origin*, the offset of its
+//! first frame at or above `first_stable`: the frames below it are the
+//! archive, those from it on the live log. `first_stable` starts at 1
+//! and only moves when a published checkpoint makes the prefix
+//! redundant: [`ShardedLog::archive_prefix`] moves every shard's origin
+//! past its frames below the checkpoint's redo-start LSN. No byte moves
+//! and nothing is written: seek-index and chain offsets are absolute
+//! into the image, so a drain only drops the entries below the new
+//! origin. [`ShardedLog::compact_archive`] is the one path that moves
+//! bytes, cutting the image's front.
 //!
 //! ## Scanning
 //!
 //! Recovery reads the log in place, through one reader: per-shard frame
 //! streams merged by LSN, yielding each record's payload as a
 //! [`RecordBody`] the consumer parses as far as it needs.
-//! [`ShardedLog::history`] borrows the bodies from `archive ∥ live`;
-//! [`ShardedScanner`], the restart scan, copies each batch's into one
-//! buffer it reuses, so its caller holds no borrow of the log while it
-//! replays. Each frame's checksum is verified once per restart:
-//! [`ShardedLog::repair_tail`]'s CRC walk records the prefix it
-//! verified, and the reader trusts the frames inside it and checksums
-//! every other. A scan seeks: a sparse LSN→byte-offset index jumps near
-//! the requested LSN and a structural header walk lands on it exactly —
-//! so a checkpoint bounds *decode* work, not just replay work.
+//! [`ShardedLog::history`] borrows the bodies from each whole image;
+//! [`ShardedScanner`], the restart scan, reads the live frames only and
+//! copies each batch's bodies into one buffer it reuses, so its caller
+//! holds no borrow of the log while it replays. Each live frame's
+//! checksum is verified once per restart: [`ShardedLog::repair_tail`]'s
+//! CRC walk records the live frames it verified, and the reader trusts
+//! them and checksums every other frame, archived ones included. A scan
+//! seeks: a sparse LSN→byte-offset index jumps near the requested LSN
+//! and a structural header walk lands on it exactly — so a checkpoint
+//! bounds *decode* work, not just replay work.
 //!
 //! On the write side a shard's flush is a group commit: the frames the
 //! force covers are already contiguous in the tail, so they reach the
@@ -80,7 +88,7 @@ use std::fmt;
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageId;
 
-use crate::backend::file::{FileLog, Tier};
+use crate::backend::file::FileLog;
 use crate::backend::BackendKind;
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultDecision, FaultInjector};
@@ -94,11 +102,10 @@ pub use framing::{ScanStats, FRAME_HEADER};
 pub use index::SEEK_INTERVAL;
 pub use sharded::{Batch, History, RecordBody, ShardedLog, ShardedScanner};
 
-use framing::end_of_frames_below;
-pub(crate) use framing::{frame_crc, skip_frames_below, walk_valid_frames};
+use framing::{frame_crc, skip_frames_below, walk_valid_frames};
 use index::{
     index_within_prefix, plan_prefix_drain, prune_chains_to_prefix, prune_index_to_prefix,
-    rebase_chains_after_drain, rebase_index_after_drain, DrainPlan,
+    rebase_chains, rebase_index, DrainPlan,
 };
 
 /// A type that can be written to and read back from the stable log.
@@ -216,28 +223,31 @@ struct TailFrame {
     cross_reads: usize,
 }
 
-/// One shard of a [`ShardedLog`]: an untyped log of framed bytes — its
-/// stable image and its archive tier, each kept once as a byte vector
+/// One shard of a [`ShardedLog`]: an untyped log of framed bytes — one
+/// append-only frame image, `archive ∥ live`, split at the live origin
 /// (and persisted by a [`FileLog`] on the file backend), the volatile
-/// tail, and the seek index and per-page chains over the stable frames.
+/// tail, and the seek index and per-page chains over the live frames.
 /// Only [`ShardedLog::on`] builds one, and frames reach it only through
 /// [`LogManager::append_at`] and [`LogManager::flush_with_bracket`].
 #[derive(Clone, Debug)]
 pub(crate) struct LogManager {
     /// The stable image: every byte a force landed, a torn frame's
     /// fragment included until [`LogManager::repair_tail`] drops it.
-    stable: Vec<u8>,
-    /// The archive tier: each drained prefix of `stable`, appended
-    /// verbatim, so `archive ∥ stable` is the shard's whole history.
-    archive: Vec<u8>,
-    /// The files persisting `stable` and `archive` on
-    /// [`BackendKind::File`].
+    /// Frames below `live` are the archive, drained from the live log
+    /// but kept, so the image is the shard's whole history.
+    image: Vec<u8>,
+    /// The live origin: the offset of the first frame at or above
+    /// `first_stable`. Bookkeeping like `first_stable`, which a drain
+    /// advances; only a compaction moves bytes below it.
+    live: usize,
+    /// The file persisting `image` on [`BackendKind::File`].
     medium: Option<FileLog>,
     stable_lsn: Lsn,
+    /// Whole live frames.
     stable_count: usize,
-    /// The lowest LSN still present in the stable image. Starts at 1;
-    /// a drain ([`LogManager::apply_drain`]) advances it. The stable
-    /// bytes of a dense log hold exactly LSNs `first_stable..=stable_lsn`.
+    /// The lowest LSN still present in the live log. Starts at 1; a
+    /// drain ([`LogManager::apply_drain`]) advances it. The live frames
+    /// of a dense log hold exactly LSNs `first_stable..=stable_lsn`.
     first_stable: Lsn,
     /// The volatile tail: whole frames, contiguous and in LSN order,
     /// exactly the bytes a force will copy out.
@@ -247,29 +257,30 @@ pub(crate) struct LogManager {
     /// Each tail frame's written pages, then its cross-read pages.
     tail_pages: Vec<PageId>,
     truncated_bytes: u64,
-    /// Sparse LSN → stable-byte-offset index: one entry per
-    /// [`SEEK_INTERVAL`] records, pushed as frames are covered by a
-    /// flush. Entries only ever point at frame starts the stable
-    /// bookkeeping covers, so tail repair can only drop them wholesale.
+    /// Sparse LSN → image-offset index: one entry per [`SEEK_INTERVAL`]
+    /// records, pushed as frames are covered by a flush. Entries only
+    /// ever point at live frame starts the stable bookkeeping covers, so
+    /// tail repair can only drop them wholesale.
     seek_index: Vec<(Lsn, u64)>,
     seek_enabled: bool,
     /// Per-page record chains: for every page some stable record
-    /// writes, the (LSN, stable byte offset) of each such record, in
-    /// LSN order — the per-page next-LSN links on-demand recovery
-    /// follows. Maintained exactly like the seek index: entries are
-    /// pushed as frames become stable, pruned with the covered prefix
-    /// on crash/repair, and rebased over prefix truncation (the same
+    /// writes, the (LSN, image offset) of each such record, in LSN
+    /// order — the per-page next-LSN links on-demand recovery follows.
+    /// Maintained exactly like the seek index: entries are pushed as
+    /// frames become stable, pruned with the covered prefix on
+    /// crash/repair, and dropped below the origin by a drain (the same
     /// helpers keep the two structures from ever disagreeing).
     page_chains: BTreeMap<PageId, Vec<(Lsn, u64)>>,
-    /// The stable prefix whose frames [`LogManager::repair_tail`]'s
-    /// CRC walk verified since the last crash: a read trusts the
-    /// checksum of a frame that ends inside it, so each frame is
-    /// verified once per restart. A crash resets it, a rollback clamps
-    /// it, a drain rebases it, and appends never extend it.
+    /// The end of the live frames [`LogManager::repair_tail`]'s CRC
+    /// walk verified since the last crash: a read trusts the checksum
+    /// of a live frame that ends at or before it, so each frame is
+    /// verified once per restart; archived frames are always
+    /// checksummed. A crash resets it, a rollback clamps it, and appends
+    /// never extend it.
     verified: usize,
     /// Per-page cross-reader chains: for every page some stable record
-    /// reads *without* writing, the (LSN, stable byte offset) of each
-    /// such record, in LSN order. Pushed, pruned and rebased with
+    /// reads *without* writing, the (LSN, image offset) of each such
+    /// record, in LSN order. Pushed, pruned and rebased with
     /// `page_chains`, through the same helpers at the same sites.
     reader_chains: BTreeMap<PageId, Vec<(Lsn, u64)>>,
     forces: u64,
@@ -279,8 +290,8 @@ impl LogManager {
     /// An empty log on the given backend.
     pub(crate) fn on(kind: BackendKind) -> LogManager {
         LogManager {
-            stable: Vec::new(),
-            archive: Vec::new(),
+            image: Vec::new(),
+            live: 0,
             medium: (kind == BackendKind::File).then(FileLog::new_temp),
             stable_lsn: Lsn::ZERO,
             stable_count: 0,
@@ -328,9 +339,9 @@ impl LogManager {
     }
 
     /// Forces the log through `upto` (inclusive): copies the covered
-    /// frames of the tail to the stable prefix in a single extend — a
-    /// group commit (one `fsync` on the file backend). Flushing past the
-    /// end of the tail forces everything.
+    /// frames of the tail to the end of the image in a single extend —
+    /// a group commit (one `fsync` on the file backend). Flushing past
+    /// the end of the tail forces everything.
     ///
     /// `bracket`, when given, is the sharded log's flush-group
     /// `Open`/`Close` marker pair, each with its LSN, written into the
@@ -355,7 +366,7 @@ impl LogManager {
         upto: Lsn,
         bracket: Option<[(Lsn, &EncodedRecord); 2]>,
     ) {
-        let base = self.stable.len();
+        let base = self.image.len();
         let frames = std::mem::take(&mut self.tail_frames);
         let pages = std::mem::take(&mut self.tail_pages);
         // Only brackets are written here; the records' frames are
@@ -406,9 +417,9 @@ impl LogManager {
         };
         if !out.is_empty() {
             self.forces += 1;
-            self.stable.extend_from_slice(out);
+            self.image.extend_from_slice(out);
             if let Some(medium) = &mut self.medium {
-                medium.append(Tier::Live, out);
+                medium.append(out);
             }
         }
         self.tail.drain(..bytes);
@@ -418,9 +429,9 @@ impl LogManager {
         self.tail_pages.drain(..paged);
     }
 
-    /// One faultable frame of a force — `len` bytes bound for stable
+    /// One faultable frame of a force — `len` bytes bound for image
     /// offset `at` — put to the injector. Returns how many of its bytes
-    /// reach the stable image: all of them, and the stable bookkeeping
+    /// reach the image: all of them, and the stable bookkeeping
     /// advances over the frame; or fewer, and the force halts here (a
     /// torn frame keeps a strict, nonempty part, a suppressed one
     /// nothing), with the frame still in the tail. A landed frame is
@@ -463,39 +474,35 @@ impl LogManager {
         self.stable_lsn
     }
 
-    /// Number of durable syncs of the stable image (0 in memory) — the
+    /// Every `sync_data` the file medium issued (0 in memory) — the
     /// fsync-bound cost axis of the file benchmarks.
     pub(crate) fn syncs(&self) -> u64 {
         self.medium.as_ref().map_or(0, FileLog::syncs)
     }
 
-    /// The file holding the stable image, on the file backend (tests
-    /// damage it out-of-band to exercise real-file repair).
+    /// The file holding the image, on the file backend (tests damage it
+    /// out-of-band to exercise real-file repair).
     pub(crate) fn path(&self) -> Option<&std::path::Path> {
         self.medium.as_ref().map(FileLog::path)
     }
 
-    /// Simulates a crash: the volatile tail vanishes; the stable image
-    /// and the archive, being disk-resident bytes, survive (on the file
-    /// backend, as the files hold them). The stable bookkeeping
-    /// (stable LSN, record count, seek index) is *re-derived* from the
-    /// surviving image, exactly as a reopening process would — so
-    /// out-of-band damage to a file-backed log (a real `truncate(2)` at
-    /// an arbitrary byte) is observed here, and LSN assignment resumes
-    /// after whatever the log actually still ends with.
+    /// Simulates a crash: the volatile tail vanishes; the image, being
+    /// disk-resident bytes, survives (on the file backend, as the file
+    /// holds it), and so does the live origin, bookkeeping like
+    /// `first_stable`. The stable bookkeeping (stable LSN, record count,
+    /// seek index) is *re-derived* from the surviving live frames,
+    /// exactly as a reopening process would — so out-of-band damage to
+    /// a file-backed log (a real `truncate(2)` at an arbitrary byte) is
+    /// observed here, and LSN assignment resumes after whatever the log
+    /// actually still ends with.
     pub(crate) fn crash(&mut self) {
         self.tail.clear();
         self.tail_frames.clear();
         self.tail_pages.clear();
         if let Some(medium) = &mut self.medium {
-            [self.stable, self.archive] = medium.reload();
+            self.image = medium.reload();
         }
         self.verified = 0;
-        // Walk the surviving image: CRC-valid whole frames are stable;
-        // the first damaged or partial frame ends the covered prefix
-        // (repair_tail discards the fragment later).
-        let (pos, frames, last_lsn) = walk_valid_frames(&self.stable);
-        self.stable_count = frames;
         // `first_stable` is 1-based by construction (it starts at 1 and
         // truncation only advances it); a zero here would wrap the
         // empty-image stable LSN to u64::MAX, so fail loudly instead.
@@ -504,52 +511,70 @@ impl LogManager {
             "first_stable invariant violated: {:?} (must be >= 1)",
             self.first_stable
         );
-        self.stable_lsn = match last_lsn {
-            Some(lsn) => lsn,
-            None => Lsn(self.first_stable.0 - 1),
-        };
+        // A file cut out of band below the origin leaves no live frame.
+        self.live = self.live.min(self.image.len());
+        debug_assert!(
+            self.live == self.image.len()
+                || self.live == skip_frames_below(&self.image, 0, self.first_stable).0,
+            "the live origin is the first frame at or above first_stable"
+        );
+        // Walk the surviving live frames: CRC-valid whole frames are
+        // stable; the first damaged or partial frame ends the covered
+        // prefix (repair_tail discards the fragment later).
+        let (pos, frames, last_lsn) = walk_valid_frames(&self.image, self.live);
+        self.stable_count = frames;
+        self.stable_lsn = last_lsn.unwrap_or(Lsn(self.first_stable.0 - 1));
+        self.prune_to(pos);
+    }
+
+    /// Drops every seek and chain entry at or past `pos`, or above the
+    /// stable LSN.
+    fn prune_to(&mut self, pos: usize) {
         prune_index_to_prefix(&mut self.seek_index, pos, self.stable_lsn);
         prune_chains_to_prefix(&mut self.page_chains, pos, self.stable_lsn);
         prune_chains_to_prefix(&mut self.reader_chains, pos, self.stable_lsn);
     }
 
     /// Where a read from LSN `from` starts: the offset of the first
-    /// stable frame with LSN ≥ `from`, and what finding it cost.
+    /// live frame with LSN ≥ `from`, and what finding it cost.
     ///
     /// The sparse seek index supplies the long jump (greatest indexed
     /// frame with LSN ≤ `from`); a structural header walk — LSN and
-    /// length fields only, no payload decode — lands exactly. With the
-    /// index disabled the walk starts at offset 0: slower, but still
-    /// decoding no payload below `from`.
+    /// length fields only, no payload decode — lands exactly. With no
+    /// entry to jump to the walk starts at the live origin: slower, but
+    /// still decoding no payload below `from`.
     pub(crate) fn seek(&self, from: Lsn) -> (usize, ScanStats) {
-        let bytes = &self.stable;
         let i = self.seek_index.partition_point(|&(lsn, _)| lsn <= from);
         let start = i
             .checked_sub(1)
-            .map_or(0, |i| self.seek_index[i].1 as usize);
-        // An entry at 0 is no jump; one past the image names nothing.
-        let start = if start > bytes.len() { 0 } else { start };
-        let (pos, skipped) = skip_frames_below(bytes, start, from);
+            .map_or(self.live, |i| self.seek_index[i].1 as usize);
+        // One past the image names nothing.
+        let start = if start > self.image.len() {
+            self.live
+        } else {
+            start
+        };
+        let (pos, skipped) = skip_frames_below(&self.image, start, from);
         let stats = ScanStats {
             // The header walk reads FRAME_HEADER bytes per skipped
             // frame; the seek jump itself touches nothing — that
             // difference is exactly what the telemetry should show.
             bytes_scanned: skipped as u64 * FRAME_HEADER as u64,
-            seek_hits: usize::from(start > 0),
+            seek_hits: usize::from(start > self.live),
             ..ScanStats::default()
         };
         (pos, stats)
     }
 
     /// Drops the seek index and stops maintaining it;
-    /// [`LogManager::seek`] falls back to a pure header walk from
-    /// offset 0.
+    /// [`LogManager::seek`] falls back to a pure header walk from the
+    /// live origin.
     pub(crate) fn disable_seek_index(&mut self) {
         self.seek_index.clear();
         self.seek_enabled = false;
     }
 
-    /// The sparse seek index (LSN → stable byte offset), for inspection.
+    /// The sparse seek index (LSN → image offset), for inspection.
     pub(crate) fn seek_index(&self) -> &[(Lsn, u64)] {
         &self.seek_index
     }
@@ -560,42 +585,44 @@ impl LogManager {
         self.forces
     }
 
-    /// The raw stable-log bytes (what a crash leaves on disk).
-    pub(crate) fn stable_bytes(&self) -> &[u8] {
-        &self.stable
+    /// The checksum extent a read of the frame at `pos` may trust:
+    /// the verified live frames', none below the origin.
+    pub(crate) fn trusted(&self, pos: usize) -> usize {
+        if pos >= self.live {
+            self.verified
+        } else {
+            0
+        }
     }
 
-    /// Stable bytes at or after the first frame with LSN ≥ `from` — the
-    /// volume a restart scanning from `from` would read off this log.
-    /// Pure telemetry (the seek, no payload decode); the checkpoint
+    /// Image bytes at or after the first live frame with LSN ≥ `from` —
+    /// the volume a restart scanning from `from` would read off this
+    /// log. Pure telemetry (the seek, no payload decode); the checkpoint
     /// controller compares it against the restart budget.
     pub(crate) fn suffix_bytes(&self, from: Lsn) -> u64 {
-        (self.stable.len() - self.seek(from).0) as u64
+        (self.image.len() - self.seek(from).0) as u64
     }
 
-    /// Discards a torn tail: walks record frames (header structure
-    /// *and* CRC-32 verification) and truncates the stable bytes at the
-    /// first frame that does not fit or does not verify — the fragment a
+    /// Discards a torn tail: walks the live frames (header structure
+    /// *and* CRC-32 verification) and truncates the image at the first
+    /// frame that does not fit or does not verify — the fragment a
     /// [`crate::fault::FaultKind::TornFlush`] crash point (or a real
     /// partial file write) left behind. Returns the number of bytes
     /// dropped. The post-crash bookkeeping never covered the fragment,
     /// so it is already consistent with the repaired image, and what
     /// survives is the verified prefix later reads trust.
     pub(crate) fn repair_tail(&mut self) -> usize {
-        let (pos, _, _) = walk_valid_frames(&self.stable);
-        let dropped = self.stable.len() - pos;
+        let (pos, _, _) = walk_valid_frames(&self.image, self.live);
+        let dropped = self.image.len() - pos;
         self.verified = pos;
         if dropped == 0 {
             // The crash walk already pruned every entry to this same
-            // covered prefix, so the prunes below would remove nothing —
-            // but for the offset-0 seek entry a drain leaves on an image
-            // it emptied, where the next frame will land.
+            // covered prefix, so the prunes below would remove nothing.
             debug_assert!(
-                pos == 0
-                    || index_within_prefix(&self.seek_index, pos, self.stable_lsn)
-                        && (self.page_chains.values())
-                            .chain(self.reader_chains.values())
-                            .all(|chain| index_within_prefix(chain, pos, self.stable_lsn)),
+                index_within_prefix(&self.seek_index, pos, self.stable_lsn)
+                    && (self.page_chains.values())
+                        .chain(self.reader_chains.values())
+                        .all(|chain| index_within_prefix(chain, pos, self.stable_lsn)),
                 "a seek or chain entry points at or past the covered end"
             );
             return 0;
@@ -605,13 +632,11 @@ impl LogManager {
         // starts, all of which the walk keeps; the prune is
         // belt-and-braces against an entry landing in the dropped
         // fragment.
-        prune_index_to_prefix(&mut self.seek_index, pos, self.stable_lsn);
-        prune_chains_to_prefix(&mut self.page_chains, pos, self.stable_lsn);
-        prune_chains_to_prefix(&mut self.reader_chains, pos, self.stable_lsn);
+        self.prune_to(pos);
         dropped
     }
 
-    /// Physically cuts the stable image back to byte offset `pos` — a
+    /// Physically cuts the image back to byte offset `pos` — a live
     /// frame boundary inside the valid prefix — and re-derives the
     /// bookkeeping from what survives, exactly as a reopen would. This
     /// is the sharded log's crash-time rollback of an incomplete
@@ -620,38 +645,31 @@ impl LogManager {
     pub(crate) fn rollback_to(&mut self, pos: usize) {
         self.truncate(pos);
         self.verified = self.verified.min(pos);
-        let (covered, frames, last_lsn) = walk_valid_frames(&self.stable);
+        let (covered, frames, last_lsn) = walk_valid_frames(&self.image, self.live);
         debug_assert_eq!(
             covered,
-            self.stable.len(),
-            "rollback must cut at a frame boundary"
+            self.image.len(),
+            "rollback must cut at a live frame boundary"
         );
         self.stable_count = frames;
-        self.stable_lsn = match last_lsn {
-            Some(lsn) => lsn,
-            None => Lsn(self.first_stable.0 - 1),
-        };
-        prune_index_to_prefix(&mut self.seek_index, covered, self.stable_lsn);
-        prune_chains_to_prefix(&mut self.page_chains, covered, self.stable_lsn);
-        prune_chains_to_prefix(&mut self.reader_chains, covered, self.stable_lsn);
+        self.stable_lsn = last_lsn.unwrap_or(Lsn(self.first_stable.0 - 1));
+        self.prune_to(covered);
     }
 
-    /// Cuts the stable image back to `pos` bytes, on the file too.
+    /// Cuts the image back to `pos` bytes, on the file too.
     fn truncate(&mut self, pos: usize) {
-        self.stable.truncate(pos);
+        self.image.truncate(pos);
         if let Some(medium) = &mut self.medium {
             medium.truncate(pos);
         }
     }
 
-    /// Plans (without applying) the drain of every stable frame with
-    /// LSN < `below` — [`LogManager::archive`] copies the planned bytes
-    /// out *before* [`LogManager::apply_drain`] drains them. All the
-    /// guards live in the shared planner (`index::plan_prefix_drain`):
-    /// `below` is clamped to the stable end, a bound at or below
-    /// `first_stable` (including one from a stale or replayed
-    /// checkpoint) is a no-op, never an underflow, and a `dense` log —
-    /// the lone shard of a single log — keeps its
+    /// Plans (without applying) the drain of every live frame with
+    /// LSN < `below`. All the guards live in the shared planner
+    /// (`index::plan_prefix_drain`): `below` is clamped to the stable
+    /// end, a bound at or below `first_stable` (including one from a
+    /// stale or replayed checkpoint) is a no-op, never an underflow, and
+    /// a `dense` log — the lone shard of a single log — keeps its
     /// `first_stable..=stable_lsn` run.
     ///
     /// # Errors
@@ -659,11 +677,12 @@ impl LogManager {
     /// [`SimError::Corrupt`] at the offending offset if a dense image
     /// is not the LSN run the bookkeeping promises — the walk would
     /// land mid-sequence (e.g. `below` names an LSN the image skips)
-    /// and physically truncating there would destroy records the
-    /// checkpoint still needs.
+    /// and moving the origin there would retire records the checkpoint
+    /// still needs.
     pub(crate) fn plan_drain(&self, below: Lsn, dense: bool) -> SimResult<Option<DrainPlan>> {
         plan_prefix_drain(
-            &self.stable,
+            &self.image,
+            self.live,
             self.first_stable,
             self.stable_lsn,
             below,
@@ -671,64 +690,56 @@ impl LogManager {
         )
     }
 
-    /// Appends the first `pos` stable bytes — a planned drain's prefix —
-    /// to the archive tier, durably. The tier is append-only but for
-    /// [`LogManager::compact_archive`].
-    pub(crate) fn archive(&mut self, pos: usize) {
-        let prefix = &self.stable[..pos];
-        self.archive.extend_from_slice(prefix);
-        if let Some(medium) = &mut self.medium {
-            medium.append(Tier::Archive, prefix);
-        }
-    }
-
     /// Applies a drain plan previously produced by
-    /// [`LogManager::plan_drain`] for the same `below`: the stable
-    /// frames below it leave the image, and the seek index and chains
-    /// are rebased onto what remains. The caller must have established
-    /// that no recovery can ever need those records from the live log —
-    /// `below` is the redo-start LSN of a *published* checkpoint.
-    pub(crate) fn apply_drain(&mut self, below: Lsn, plan: DrainPlan) {
-        let below = Lsn(below.0.min(self.stable_lsn.0 + 1));
-        self.stable.drain(..plan.pos);
-        if let Some(medium) = &mut self.medium {
-            medium.rewrite(Tier::Live, &self.stable);
-        }
-        self.verified = self.verified.saturating_sub(plan.pos);
+    /// [`LogManager::plan_drain`] for the same `below`: the live origin
+    /// moves past the frames below it — which stay in the image, now
+    /// archived — and the seek index and chains drop their entries
+    /// there. No byte moves and nothing reaches the file. The caller
+    /// must have established that no recovery can ever need those
+    /// records from the live log — `below` is the redo-start LSN of a
+    /// *published* checkpoint. Returns the live bytes drained.
+    pub(crate) fn apply_drain(&mut self, below: Lsn, plan: DrainPlan) -> u64 {
+        let drained = (plan.pos - self.live) as u64;
+        self.truncated_bytes += drained;
+        self.live = plan.pos;
         self.stable_count -= plan.skipped;
-        self.first_stable = below;
-        rebase_index_after_drain(&mut self.seek_index, plan.pos);
-        rebase_chains_after_drain(&mut self.page_chains, plan.pos);
-        rebase_chains_after_drain(&mut self.reader_chains, plan.pos);
-        // Keep the image seekable from its new origin: without an entry
-        // at offset 0 every scan from below `first_stable` would walk
-        // headers from an offset the index can no longer reach.
-        if self.seek_enabled && self.seek_index.first().map(|&(_, off)| off) != Some(0) {
-            self.seek_index.insert(0, (self.first_stable, 0));
-        }
-        self.truncated_bytes += plan.pos as u64;
+        self.first_stable = Lsn(below.0.min(self.stable_lsn.0 + 1));
+        self.rebase(plan.pos, 0);
+        drained
     }
 
-    /// Total bytes reclaimed by prefix drains over this log's lifetime.
+    /// [`rebase_index`] of the seek index and both chain maps.
+    fn rebase(&mut self, origin: usize, cut: usize) {
+        rebase_index(&mut self.seek_index, origin, cut);
+        rebase_chains(&mut self.page_chains, origin, cut);
+        rebase_chains(&mut self.reader_chains, origin, cut);
+    }
+
+    /// Total bytes drained from the live log over this log's lifetime.
     pub(crate) fn truncated_bytes(&self) -> u64 {
         self.truncated_bytes
     }
 
     /// Destroys the archived frames with LSN < `genesis` and returns
     /// the bytes reclaimed: a structural header walk, so the cut is a
-    /// frame boundary and the rest still a valid frame image.
+    /// frame boundary and the rest still a valid frame image. The one
+    /// path that moves bytes: the image's front is cut, the origin and
+    /// every entry shift with it, and the file is rewritten.
     pub(crate) fn compact_archive(&mut self, genesis: Lsn) -> u64 {
-        let pos = end_of_frames_below(&self.archive, genesis);
+        let (pos, _) = skip_frames_below(&self.image[..self.live], 0, genesis);
         if pos > 0 {
-            self.archive.drain(..pos);
+            self.image.drain(..pos);
+            self.live -= pos;
+            self.verified = self.verified.saturating_sub(pos);
+            self.rebase(0, pos);
             if let Some(medium) = &mut self.medium {
-                medium.rewrite(Tier::Archive, &self.archive);
+                medium.rewrite(&self.image);
             }
         }
         pos as u64
     }
 
-    /// The per-page chain for `page`: the (LSN, stable byte offset) of
+    /// The per-page chain for `page`: the (LSN, image offset) of
     /// every stable record that writes it, in LSN order. Empty when no
     /// stable record writes the page (or the payload type reports no
     /// page work). On-demand recovery replays exactly this chain —
@@ -758,7 +769,7 @@ impl LogManager {
         self.reader_chains.iter().map(|(&p, c)| (p, c.as_slice()))
     }
 
-    /// The cross-reader chain for `page`: the (LSN, stable byte offset)
+    /// The cross-reader chain for `page`: the (LSN, image offset)
     /// of every stable record that reads it without writing it, in LSN
     /// order — the read-write edges of §6.4 as seen from the page read.
     pub(crate) fn readers_of(&self, page: PageId) -> &[(Lsn, u64)] {
@@ -818,9 +829,10 @@ mod tests {
         scan(log, from, 8).2
     }
 
-    /// The single log's stable image.
+    /// The single log's live frames.
     fn image<P>(log: &ShardedLog<P>) -> &[u8] {
-        log.shards[0].stable_bytes()
+        let shard = &log.shards[0];
+        &shard.image[shard.live..]
     }
 
     /// Records in the single log's volatile tail (lost on crash).
@@ -1177,23 +1189,22 @@ mod tests {
         log.flush_all();
         assert_eq!(log.forces(), 2);
         assert_eq!(log.syncs(), 2, "group commit: one fsync per force");
-        assert!(log.path().is_some());
         assert_eq!(stable(&log).unwrap().len(), 10);
     }
 
-    /// Each kind keeps its two images in memory; the file kind also
-    /// gives each shard a directory of its own holding both files.
+    /// Each kind keeps its image in memory; the file kind also gives
+    /// each shard a directory of its own holding its one file.
     #[test]
     fn kind_constructs_matching_media() {
         for kind in [BackendKind::Mem, BackendKind::File] {
             let log = ShardedLog::<Num>::on(kind, 2);
             for shard in &log.shards {
-                assert!(shard.stable.is_empty() && shard.archive.is_empty());
+                assert!(shard.image.is_empty());
                 assert_eq!(shard.path().is_some(), kind == BackendKind::File);
             }
             if let (Some(a), Some(b)) = (log.shard_path(0), log.shard_path(1)) {
                 assert_ne!(a.parent(), b.parent());
-                assert!(a.with_file_name("archive.log").is_file());
+                assert!(a.is_file());
             }
         }
     }
@@ -1210,7 +1221,7 @@ mod tests {
         let cut = frame * 4 + 7;
         let f = OpenOptions::new()
             .write(true)
-            .open(log.path().unwrap())
+            .open(log.shard_path(0).unwrap())
             .unwrap();
         f.set_len(cut).unwrap();
         drop(f);
@@ -1340,7 +1351,7 @@ mod tests {
         let mut log = ShardedLog::<Num>::on(BackendKind::File, 1);
         let mut bytes = raw_frame(1, &10u64.to_le_bytes());
         bytes.extend_from_slice(&raw_frame(3, &30u64.to_le_bytes()));
-        std::fs::write(log.path().unwrap(), &bytes).unwrap();
+        std::fs::write(log.shard_path(0).unwrap(), &bytes).unwrap();
         log.crash();
         assert_eq!(log.shards[0].stable_count, 2);
         assert_eq!(log.stable_lsn(), Lsn(3));
@@ -1370,7 +1381,7 @@ mod tests {
                 .collect();
             assert_eq!(suffix, want, "seek to {from}");
         }
-        // Rebased index entries still jump (target well past the origin).
+        // Index entries past the origin still jump.
         assert!(stats(&log, Lsn(35)).seek_hits >= 1);
         // New flushes extend the truncated image seamlessly.
         log.append(Num(1000)).unwrap();
@@ -1401,8 +1412,9 @@ mod tests {
         assert_eq!(recs.first().unwrap().lsn, Lsn(9));
         assert_eq!(recs.last().unwrap().lsn, Lsn(17));
         assert_eq!(log.first_stable(), Lsn(9));
+        let shard = &log.shards[0];
         for &(lsn, off) in log.shard_seek_index(0) {
-            assert!((off as usize) < image(&log).len() || off == 0);
+            assert!((shard.live..shard.image.len()).contains(&(off as usize)));
             let landed = live(&log, lsn);
             assert_eq!(landed.first().unwrap().lsn, lsn);
         }
@@ -1518,7 +1530,8 @@ mod tests {
         for &(lsn, off) in log.page_chain(PageId(1)) {
             assert_eq!(log.record_in(0, off).unwrap().lsn, lsn);
         }
-        // Truncate the prefix: chain offsets rebase like the seek index.
+        // Drain the prefix: chain entries below the origin go, like the
+        // seek index's, and the rest still land on their frames.
         log.archive_prefix(Lsn(5)).unwrap();
         let chain1: Vec<Lsn> = log.page_chain(PageId(1)).iter().map(|&(l, _)| l).collect();
         assert_eq!(chain1, vec![Lsn(6), Lsn(8)]);
@@ -1541,7 +1554,7 @@ mod tests {
         let frame = image(&log).len() as u64 / 6;
         let f = OpenOptions::new()
             .write(true)
-            .open(log.path().unwrap())
+            .open(log.shard_path(0).unwrap())
             .unwrap();
         f.set_len(frame * 4 + 3).unwrap();
         drop(f);

@@ -5,7 +5,7 @@
 //! holds a page's records is the store shard that holds the page — the
 //! property that lets restart feed each store partition from its own
 //! log scan with no cross-shard traffic. Each shard is an untyped
-//! byte log (`LogManager`: its live and archive bytes, append buffer,
+//! byte log (`LogManager`: its one frame image, append buffer,
 //! group-commit fsync, seek index, per-page chains); with several it
 //! runs in *sparse* mode: the sequencer assigns globally dense LSNs and
 //! each shard stores a monotone subset of them. One shard is the single log:
@@ -35,19 +35,19 @@
 //! partial-prefix tear semantics bit for bit — `--log-shards 1` is the
 //! PR 6 log, observably.
 //!
-//! ## Archive tier and point-in-time replay
+//! ## Archive and point-in-time replay
 //!
-//! [`ShardedLog::archive_prefix`] drains the live prefix with the
-//! bytes *moved* (per shard, frame-exact) into the shard's append-only
-//! archive tier instead of destroyed. Archive bytes are therefore a
-//! valid frame image in their own right. Because the archive preserves
-//! every frame since LSN 1 until [`ShardedLog::compact_archive`] cuts
-//! it, [`ShardedLog::history`] yields the exact record sequence
-//! `1..=upto` from `archive ∥ live`, each record's body borrowed from
-//! the tier bytes that hold it — replaying it from genesis state
-//! reproduces the state as of `upto`, even after the live log has been
-//! truncated past it (media recovery and the crash auditor's `archive`
-//! leg; [`ShardedLog::pit_records`] is the same sequence decoded).
+//! [`ShardedLog::archive_prefix`] drains the live prefix by moving each
+//! shard's live origin past it (frame-exact): the drained frames stay
+//! where they are, below the origin, as the shard's archive. Because
+//! the image keeps every frame since LSN 1 until
+//! [`ShardedLog::compact_archive`] cuts its front,
+//! [`ShardedLog::history`] yields the exact record sequence `1..=upto`
+//! from `archive ∥ live`, each record's body borrowed from the image —
+//! replaying it from genesis state reproduces the state as of `upto`,
+//! even after the live log has been drained past it (media recovery and
+//! the crash auditor's `archive` leg; [`ShardedLog::pit_records`] is the
+//! same sequence decoded).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
@@ -91,7 +91,7 @@ fn get_marker(input: &[u8], pos: &mut usize) -> SimResult<(u64, Vec<u16>)> {
     Ok((epoch, participants))
 }
 
-/// The flush-group markers of one tier's whole, checksum-valid frames
+/// The flush-group markers of one image's whole, checksum-valid frames
 /// (a torn fragment ends them): each one's offset, kind, epoch and
 /// roster — a crash's evidence of which groups closed.
 fn markers(bytes: &[u8]) -> impl Iterator<Item = (usize, u8, u64, Vec<u16>)> + '_ {
@@ -123,7 +123,7 @@ pub struct ShardedLog<P> {
     appended_bytes: u64,
     truncated_records: u64,
     /// Shared crash-point switchboard, consulted for every frame a
-    /// force lands and at a drain's archive-then-cut window.
+    /// force lands and before each shard's drain moves its origin.
     pub(crate) injector: FaultInjector,
     /// The shards hold bytes; the payload type lives here.
     _payload: PhantomData<fn() -> P>,
@@ -349,7 +349,7 @@ impl<P: LogPayload> ShardedLog<P> {
         self.appended_bytes
     }
 
-    /// Durable syncs of every shard's live file (0 in memory).
+    /// Every `sync_data` of every shard's file (0 in memory).
     #[must_use]
     pub fn syncs(&self) -> u64 {
         self.shards.iter().map(LogManager::syncs).sum()
@@ -363,15 +363,8 @@ impl<P: LogPayload> ShardedLog<P> {
         self.shards.iter().map(LogManager::forces).sum()
     }
 
-    /// Shard 0's backing file, when file-backed (tests damage shard
-    /// files out-of-band; each shard's own path comes from
-    /// [`ShardedLog::shard_path`]).
-    #[must_use]
-    pub fn path(&self) -> Option<&std::path::Path> {
-        self.shards[0].path()
-    }
-
-    /// Shard `s`'s backing file, when file-backed.
+    /// Shard `s`'s backing file, when file-backed (tests damage it
+    /// out-of-band).
     #[must_use]
     pub fn shard_path(&self, s: usize) -> Option<&std::path::Path> {
         self.shards[s].path()
@@ -388,30 +381,28 @@ impl<P: LogPayload> ShardedLog<P> {
         for shard in &mut self.shards {
             shard.crash();
         }
-        // Collect each shard's epoch evidence. The archive's counts too:
-        // only stable, published prefixes ever drain, so a participant
-        // whose portion of an epoch moved to the archive tier closed
-        // that epoch long ago — its `Close` frame now lives there. A
-        // crash between one shard's drain and another's would otherwise
-        // make the fully durable group look torn and roll durable
-        // records back on the undrained shards.
+        // Collect each shard's epoch evidence, the archived frames'
+        // too: only stable, published prefixes ever drain, so a
+        // participant whose portion of an epoch lies below its origin
+        // closed that epoch long ago — its `Close` frame lies there, or
+        // past it. A crash between one shard's drain and another's
+        // would otherwise make the fully durable group look torn and
+        // roll durable records back on the undrained shards. Only a
+        // live `Open` is a place to roll back to.
         let n = self.shards.len();
         let mut open_at: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new(); n];
         let mut closed: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
         let mut roster: BTreeMap<u64, Vec<u16>> = BTreeMap::new();
-        for (s, open_at) in open_at.iter_mut().enumerate() {
-            let [(archive, _), (live, _)] = self.tiers(s);
-            for (is_live, bytes) in [(false, archive), (true, live)] {
-                for (at, tag, epoch, participants) in markers(bytes) {
-                    if tag == CLOSE {
-                        closed.entry(epoch).or_default().insert(s);
-                        continue;
-                    }
-                    if is_live {
-                        open_at.insert(epoch, at);
-                    }
-                    roster.entry(epoch).or_insert(participants);
+        for (s, (shard, open_at)) in self.shards.iter().zip(&mut open_at).enumerate() {
+            for (at, tag, epoch, participants) in markers(&shard.image) {
+                if tag == CLOSE {
+                    closed.entry(epoch).or_default().insert(s);
+                    continue;
                 }
+                if at >= shard.live {
+                    open_at.insert(epoch, at);
+                }
+                roster.entry(epoch).or_insert(participants);
             }
         }
         // Roll incomplete epochs back to their Open offset per shard.
@@ -472,50 +463,41 @@ impl<P: LogPayload> ShardedLog<P> {
     pub fn shard_suffix(&self, s: usize, from: Lsn) -> History<'_> {
         History {
             merge: LsnMerge::new(1),
-            shards: vec![(TierStream::seek(&self.shards[s], from), self.tiers(s))],
+            shards: vec![(ShardStream::seek(&self.shards[s], from), &self.shards[s])],
             upto: Lsn(u64::MAX),
             failed: false,
         }
     }
 
-    /// Shard `s`'s `archive ∥ live`, each tier with the prefix whose
-    /// checksums a repair verified (none of the archive's).
-    fn tiers(&self, s: usize) -> Tiers<'_> {
-        let shard = &self.shards[s];
-        [(&shard.archive, 0), (&shard.stable, shard.verified)]
-    }
-
-    /// Moves every stable frame with LSN < `below` into the archive
-    /// tier, per shard, and drains it from the live log, rebasing each
-    /// shard's seek index and chains onto the shortened image. Returns
-    /// the live bytes reclaimed (== bytes archived). The caller must
-    /// have established that no recovery can ever need those records
-    /// from the live log — `below` is the redo-start LSN of a
-    /// *published* checkpoint (appended, forced, and installed via the
-    /// master pointer swing); the history still exists —
-    /// [`ShardedLog::history`] reads across the boundary. `below` is
-    /// clamped to the stable end, so records not yet stable are never
-    /// touched, and a bound at or below [`ShardedLog::first_stable`]
-    /// (including one from a stale or replayed checkpoint) is a no-op.
+    /// Drains every stable frame with LSN < `below` from the live log,
+    /// per shard, by moving the shard's live origin past it: the frames
+    /// stay in the image as its archive, and the seek index and chains
+    /// drop their entries below the new origin. No byte is copied and
+    /// nothing is written. Returns the live bytes reclaimed (== bytes
+    /// newly archived). The caller must have established that no
+    /// recovery can ever need those records from the live log — `below`
+    /// is the redo-start LSN of a *published* checkpoint (appended,
+    /// forced, and installed via the master pointer swing); the history
+    /// still exists — [`ShardedLog::history`] reads across the
+    /// boundary. `below` is clamped to the stable end, so records not
+    /// yet stable are never touched, and a bound at or below
+    /// [`ShardedLog::first_stable`] (including one from a stale or
+    /// replayed checkpoint) is a no-op.
     ///
-    /// The protocol is archive-first: each shard's drained prefix is
-    /// durable in the archive *before* the live log forgets it, and the
-    /// window between the two is a faultable crash point. A crash there
-    /// leaves the frames in both tiers (and `first_stable` unmoved), so
-    /// no drained frame is ever lost; the overlap — including the
-    /// re-archive a post-recovery retry performs — is dropped by
-    /// [`ShardedLog::history`], which keeps each shard's records in
-    /// strictly increasing LSN order.
+    /// Before each shard's origin moves, the drain is a faultable crash
+    /// point. A crash there leaves the shards before it drained and the
+    /// rest not (and the log's `first_stable` unmoved): every frame is
+    /// still in its image, and a post-recovery retry completes the
+    /// drain.
     ///
     /// # Errors
     ///
     /// [`SimError::Corrupt`] at the offending offset if a single log's
     /// image is not the dense LSN run its bookkeeping promises — the
     /// walk would land mid-sequence (e.g. `below` names an LSN the
-    /// image skips) and cutting there would destroy records the
+    /// image skips) and draining there would retire records the
     /// checkpoint still needs. Every shard is planned before any is
-    /// touched, so an error leaves the whole log (and the archive)
-    /// unchanged.
+    /// touched, so an error leaves the whole log unchanged.
     pub fn archive_prefix(&mut self, below: Lsn) -> SimResult<u64> {
         let below = Lsn(below.0.min(self.stable.0 + 1));
         if below <= self.first_stable {
@@ -535,15 +517,13 @@ impl<P: LogPayload> ShardedLog<P> {
         let mut reclaimed = 0u64;
         for (shard, plan) in self.shards.iter_mut().zip(plans) {
             let Some(plan) = plan else { continue };
-            shard.archive(plan.pos);
             if self.injector.on_atomic_write() != FaultDecision::Proceed {
-                // Crash between archive-append and live-truncate: the
-                // live log keeps every frame and the boundary does not
-                // advance, so the interrupted drain is retryable.
+                // Crash before this shard's origin moves: it keeps every
+                // frame live and the log's boundary does not advance,
+                // so the interrupted drain is retryable.
                 return Ok(reclaimed);
             }
-            shard.apply_drain(below, plan);
-            reclaimed += plan.pos as u64;
+            reclaimed += shard.apply_drain(below, plan);
         }
         self.truncated_records += below.0 - self.first_stable.0;
         self.first_stable = below;
@@ -561,12 +541,10 @@ impl<P: LogPayload> ShardedLog<P> {
     /// replays the whole history from LSN 1, so after a compaction that
     /// reclaimed anything every restore of a lost page answers
     /// [`SimError::MediaLoss`] (no page has an archived image to replay
-    /// from instead). Compaction is frame-exact (a
-    /// structural header walk, no payload decode), so the surviving
-    /// tier is still a valid frame image — and it leaves no frame below
-    /// `genesis`, even where an interrupted drain and its retry
-    /// archived a run twice (the cut is past the second copy's frames
-    /// below `genesis`; the first copy's above it are in the second).
+    /// from instead). Compaction is frame-exact (a structural header
+    /// walk, no payload decode), so the surviving image is still a valid
+    /// frame image, and it is the one path that moves bytes: each shard
+    /// cuts its image's front and rewrites its file.
     pub fn compact_archive(&mut self, genesis: Lsn) -> u64 {
         let genesis = Lsn(genesis.0.min(self.first_stable.0));
         if self.injector.tripped() {
@@ -583,7 +561,7 @@ impl<P: LogPayload> ShardedLog<P> {
     }
 
     /// Live bytes reclaimed by prefix archiving over this log's
-    /// lifetime (all of them now resident in the archive tier).
+    /// lifetime (all of them archived, until a compaction).
     #[must_use]
     pub fn truncated_bytes(&self) -> u64 {
         self.shards.iter().map(LogManager::truncated_bytes).sum()
@@ -608,12 +586,14 @@ impl<P: LogPayload> ShardedLog<P> {
             .sum()
     }
 
-    /// Decodes the single logical record at `lsn`, searching the live
-    /// image first and the archive tier second (checkpoint records
-    /// broadcast to every shard, so any shard's `archive ∥ live` holds
-    /// the chain links delta-checkpoint analysis resolves through this).
-    /// Returns `Ok(None)` when no tier holds the record — a chain link
-    /// pointing at compacted or never-stable history.
+    /// Decodes the single logical record at `lsn`, searching each
+    /// shard's image in turn (checkpoint records broadcast to every
+    /// shard, so any shard's `archive ∥ live` holds the chain links
+    /// delta-checkpoint analysis resolves through this). A live record
+    /// is found through the shard's seek index, an archived one past a
+    /// structural walk of the archive. Returns `Ok(None)` when no shard
+    /// holds the record — a chain link pointing at compacted or
+    /// never-stable history.
     ///
     /// # Errors
     ///
@@ -623,26 +603,18 @@ impl<P: LogPayload> ShardedLog<P> {
         if lsn == Lsn::ZERO || lsn > self.stable {
             return Ok(None);
         }
-        // Every shard's live tier, seeked through its index; only then
-        // (drained, or mid-drain on its home shards) an archive, past a
-        // structural walk of it. A stream stops at its first frame past
-        // `lsn`; an archived one has no live tier to run on into.
-        let shards = 0..self.shards.len();
-        let live = shards.clone().map(|s| {
-            let stream = TierStream::seek(&self.shards[s], lsn);
-            (stream, self.tiers(s))
-        });
-        let archived = shards.map(|s| {
-            let archive = self.tiers(s)[0];
-            let pos = skip_frames_below(archive.0, 0, lsn).0;
-            let stream = TierStream {
-                pos,
-                ..TierStream::default()
+        for shard in &self.shards {
+            // A stream stops at its first frame past `lsn`.
+            let mut stream = if lsn >= shard.first_stable {
+                ShardStream::seek(shard, lsn)
+            } else {
+                let pos = skip_frames_below(&shard.image, 0, lsn).0;
+                ShardStream {
+                    pos,
+                    ..ShardStream::default()
+                }
             };
-            (stream, [archive, (&[][..], 0)])
-        });
-        for (mut stream, tiers) in live.chain(archived) {
-            if let Some(rec) = stream.next(tiers, lsn)? {
+            if let Some(rec) = stream.next(shard, lsn)? {
                 let payload = rec.payload.parse(P::decode)?;
                 return Ok(Some(WalRecord { lsn, payload }));
             }
@@ -650,17 +622,14 @@ impl<P: LogPayload> ShardedLog<P> {
         Ok(None)
     }
 
-    /// Total bytes resident in the archive tier.
+    /// Total bytes archived: every shard's image below its origin.
     #[must_use]
     pub fn archived_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.archive.len() as u64)
-            .sum()
+        self.shards.iter().map(|shard| shard.live as u64).sum()
     }
 
     /// The per-page chain for `page`, served by its home shard. Offsets
-    /// are into that shard's stable bytes; resolve them with
+    /// are into that shard's image; resolve them with
     /// [`ShardedLog::record_in`].
     #[must_use]
     pub fn page_chain(&self, page: PageId) -> &[(Lsn, u64)] {
@@ -721,7 +690,7 @@ impl<P: LogPayload> ShardedLog<P> {
         readers
     }
 
-    /// Decodes the single stable record at byte offset `off` of shard
+    /// Decodes the single stable record at image offset `off` of shard
     /// `s` — the random-access read a [`ShardedLog::page_chain`] entry
     /// (in the page's [home shard](ShardedLog::shard_of)) or a
     /// [`ShardedLog::readers_of`] entry authorizes. Read in place, its
@@ -734,8 +703,8 @@ impl<P: LogPayload> ShardedLog<P> {
     /// (or holds a marker frame, which no chain entry ever names).
     pub fn record_in(&self, s: usize, off: u64) -> SimResult<WalRecord<P>> {
         let pos = usize::try_from(off).map_err(|_| SimError::Corrupt(usize::MAX))?;
-        let (live, trusted) = self.tiers(s)[1];
-        let (frame, body) = shard_frame(live, pos, trusted)?;
+        let shard = &self.shards[s];
+        let (frame, body) = shard_frame(&shard.image, pos, shard.trusted(pos))?;
         let body = body.ok_or(SimError::Corrupt(pos))?;
         let payload = body.parse(P::decode)?;
         Ok(WalRecord {
@@ -753,28 +722,24 @@ impl<P: LogPayload> ShardedLog<P> {
 
     /// The durable history through `upto`: every logical record with
     /// LSN ≤ `upto`, in LSN order, read in place from each shard's
-    /// `archive ∥ live` — one k-way merge, each body borrowed, none
-    /// decoded, each checksum verified unless a repair already did.
-    /// Because the archive preserves complete
-    /// history from LSN 1, replaying it against genesis state
-    /// reproduces the state as of `upto`, even after
-    /// [`ShardedLog::archive_prefix`] has drained the live prefix past
-    /// it.
+    /// whole image, `archive ∥ live` — one k-way merge, each body
+    /// borrowed, none decoded, each checksum verified unless a repair
+    /// already did. Because the image keeps complete history from LSN
+    /// 1, replaying it against genesis state reproduces the state as of
+    /// `upto`, even after [`ShardedLog::archive_prefix`] has drained the
+    /// live prefix past it.
     ///
-    /// Marker frames are skipped, broadcast copies yielded once, and a
-    /// shard's record frame at or below the last one its own stream
-    /// yielded is dropped: that is the copy an interrupted drain leaves
-    /// in both tiers (or twice in the archive, once its retry has run).
-    /// Each tier is read up to its first frame past `upto`.
+    /// Marker frames are skipped and broadcast copies yielded once.
+    /// Each image is read up to its first frame past `upto`.
     ///
-    /// Yields [`SimError::Corrupt`] once, then ends, if a tier's bytes
+    /// Yields [`SimError::Corrupt`] once, then ends, if an image's bytes
     /// do not parse (repair the live tail first after a crash).
     #[must_use]
     pub fn history(&self, upto: Lsn) -> History<'_> {
         let n = self.shards.len();
         History {
-            shards: (0..n)
-                .map(|s| (TierStream::default(), self.tiers(s)))
+            shards: (self.shards.iter())
+                .map(|shard| (ShardStream::default(), shard))
                 .collect(),
             merge: LsnMerge::new(n),
             upto,
@@ -787,7 +752,7 @@ impl<P: LogPayload> ShardedLog<P> {
     ///
     /// # Errors
     ///
-    /// [`SimError::Corrupt`] if any tier's bytes do not parse (repair
+    /// [`SimError::Corrupt`] if any image's bytes do not parse (repair
     /// the live tail first after a crash).
     pub fn pit_records(&self, upto: Lsn) -> SimResult<Vec<WalRecord<P>>> {
         let decode = |rec: SimResult<WalRecord<RecordBody<'_>>>| {
@@ -800,14 +765,14 @@ impl<P: LogPayload> ShardedLog<P> {
 }
 
 /// The payload of one record frame, not yet decoded: borrowed from the
-/// tier bytes that hold it, or from the buffer a [`ShardedScanner`]
-/// copied a batch into.
+/// image that holds it, or from the buffer a [`ShardedScanner`] copied
+/// a batch into.
 #[derive(Clone, Copy, Debug)]
 pub struct RecordBody<'a> {
     /// The payload, through the end of its frame.
     bytes: &'a [u8],
-    /// Where `bytes` starts in its tier: the origin of every offset a
-    /// [`SimError::Corrupt`] reports.
+    /// Where `bytes` starts in its shard's image: the origin of every
+    /// offset a [`SimError::Corrupt`] reports.
     at: usize,
 }
 
@@ -815,7 +780,7 @@ impl<'a> RecordBody<'a> {
     /// Reads the payload with `parse`, which must consume all of it —
     /// [`LogPayload::decode`]'s shape, so a borrowing reader and the
     /// owned decode ([`ShardedLog::pit_records`]) see the same bytes and
-    /// report a [`SimError::Corrupt`] at the same tier offsets.
+    /// report a [`SimError::Corrupt`] at the same image offsets.
     ///
     /// # Errors
     ///
@@ -826,11 +791,11 @@ impl<'a> RecordBody<'a> {
         parse: impl FnOnce(&'a [u8], &mut usize) -> SimResult<T>,
     ) -> SimResult<T> {
         let mut pos = 0;
-        let in_tier = |e| match e {
+        let in_image = |e| match e {
             SimError::Corrupt(off) => SimError::Corrupt(self.at + off),
             e => e,
         };
-        let value = parse(self.bytes, &mut pos).map_err(in_tier)?;
+        let value = parse(self.bytes, &mut pos).map_err(in_image)?;
         if pos != self.bytes.len() {
             return Err(SimError::Corrupt(self.at + pos));
         }
@@ -844,7 +809,7 @@ impl<'a> RecordBody<'a> {
     }
 }
 
-/// The frame of a shard tier at `pos` (a frame boundary), its checksum
+/// The frame of a shard image at `pos` (a frame boundary), its checksum
 /// verified unless it ends inside the `trusted` prefix: where it lies,
 /// and its record's body — `None` for a flush-group marker, which is
 /// checked and passed over.
@@ -879,7 +844,7 @@ fn shard_frame(
 /// return.
 #[derive(Debug)]
 pub struct History<'a> {
-    shards: Vec<(TierStream, Tiers<'a>)>,
+    shards: Vec<(ShardStream, &'a LogManager)>,
     merge: LsnMerge<RecordBody<'a>>,
     upto: Lsn,
     failed: bool,
@@ -906,78 +871,68 @@ impl<'a> Iterator for History<'a> {
         }
         let (shards, upto) = (&mut self.shards, self.upto);
         let next = self.merge.pop(|s| {
-            let (stream, tiers) = &mut shards[s];
-            stream.next(*tiers, upto)
+            let (stream, shard) = &mut shards[s];
+            stream.next(shard, upto)
         });
         self.failed = next.is_err();
         next.map(|next| next.map(|(_, rec)| rec)).transpose()
     }
 }
 
-/// One shard's `archive ∥ live`, each tier with the length of its
-/// prefix whose checksums a repair verified.
-type Tiers<'a> = [(&'a [u8], usize); 2];
-
-/// One shard's read position in its [`Tiers`], yielding its record
-/// frames as bodies in strictly increasing LSN order. It holds no
-/// borrow, so a scan can keep it between reads of the log.
+/// One shard's read position in its image, yielding its record frames
+/// as bodies in LSN order. It holds no borrow, so a scan can keep it
+/// between reads of the log.
 #[derive(Clone, Debug, Default)]
-struct TierStream {
-    tier: usize,
+struct ShardStream {
     pos: usize,
-    /// The last record this stream yielded. Only record frames move
-    /// it: a marker echoes an LSN out of order (a `Close` carries its
-    /// group's covering LSN).
-    last: Option<Lsn>,
+    /// Set once the stream has met its end: the image's, or a frame
+    /// past `upto`.
+    done: bool,
     /// Every frame read, markers included, plus the seek that placed
     /// the stream.
     stats: ScanStats,
 }
 
-impl TierStream {
-    /// A stream over `shard`'s live tier from its first frame with
+impl ShardStream {
+    /// A stream over `shard`'s live frames from its first with
     /// LSN ≥ `from`, seeked through its index.
-    fn seek(shard: &LogManager, from: Lsn) -> TierStream {
+    fn seek(shard: &LogManager, from: Lsn) -> ShardStream {
         let (pos, stats) = shard.seek(from);
-        TierStream {
-            tier: 1,
+        ShardStream {
             pos,
             stats,
-            ..TierStream::default()
+            ..ShardStream::default()
         }
     }
 
-    /// The next record frame with LSN ≤ `upto`; each tier is read up
-    /// to its first frame past it.
+    /// The next record frame of `shard`'s image with LSN ≤ `upto`; the
+    /// image is read up to its first frame past it.
     fn next<'a>(
         &mut self,
-        tiers: Tiers<'a>,
+        shard: &'a LogManager,
         upto: Lsn,
     ) -> SimResult<Option<WalRecord<RecordBody<'a>>>> {
-        while let Some(&(bytes, trusted)) = tiers.get(self.tier) {
-            let frame = (self.pos < bytes.len())
-                .then(|| shard_frame(bytes, self.pos, trusted))
-                .transpose()?;
-            let Some((frame, body)) = frame.filter(|(frame, _)| frame.lsn <= upto) else {
-                (self.tier, self.pos) = (self.tier + 1, 0);
-                continue;
-            };
+        let bytes = &shard.image[..];
+        while !self.done && self.pos < bytes.len() {
+            let (frame, body) = shard_frame(bytes, self.pos, shard.trusted(self.pos))?;
+            if frame.lsn > upto {
+                break;
+            }
             self.stats.records_decoded += 1;
             self.stats.bytes_scanned += (frame.end - self.pos) as u64;
             self.pos = frame.end;
-            let fresh = self.last.is_none_or(|last| frame.lsn > last);
-            if let (Some(payload), true) = (body, fresh) {
-                self.last = Some(frame.lsn);
+            if let Some(payload) = body {
                 let lsn = frame.lsn;
                 return Ok(Some(WalRecord { lsn, payload }));
             }
         }
+        self.done = true;
         Ok(None)
     }
 }
 
 /// The k-way step both merged scans — [`ShardedScanner`] over the live
-/// tier, [`History`] over `archive ∥ live` — take: one head per shard,
+/// frames, [`History`] over `archive ∥ live` — take: one head per shard,
 /// the least LSN taken first (the lowest shard on a tie), and a head
 /// whose LSN was the last one taken dropped as a broadcast copy.
 #[derive(Clone, Debug)]
@@ -1046,14 +1001,14 @@ impl<P: LogPayload> Default for ShardedLog<P> {
 /// bodies in one buffer it reuses, so a record costs no allocation.
 #[derive(Clone, Debug, Default)]
 pub struct ShardedScanner {
-    streams: Vec<TierStream>,
+    streams: Vec<ShardStream>,
     /// One head per shard: the record's LSN and where its body lies in
-    /// the shard's live tier.
+    /// the shard's image.
     merge: LsnMerge<std::ops::Range<usize>>,
     /// The current batch's bodies, back to back.
     buf: Vec<u8>,
-    /// The current batch's records: LSN, body's tier offset, body's end
-    /// in `buf`.
+    /// The current batch's records: LSN, body's image offset, body's
+    /// end in `buf`.
     batch: Vec<(Lsn, usize, usize)>,
     failed: bool,
 }
@@ -1063,7 +1018,10 @@ impl ShardedScanner {
     /// shard seeked through its own index.
     #[must_use]
     pub fn seek<P: LogPayload>(log: &ShardedLog<P>, from: Lsn) -> ShardedScanner {
-        let streams = log.shards.iter().map(|shard| TierStream::seek(shard, from));
+        let streams = log
+            .shards
+            .iter()
+            .map(|shard| ShardStream::seek(shard, from));
         ShardedScanner {
             streams: streams.collect(),
             merge: LsnMerge::new(log.n_shards()),
@@ -1087,7 +1045,7 @@ impl ShardedScanner {
         self.batch.clear();
         let streams = &mut self.streams;
         let mut next = |s: usize| {
-            let rec = streams[s].next(log.tiers(s), Lsn(u64::MAX))?;
+            let rec = streams[s].next(&log.shards[s], Lsn(u64::MAX))?;
             Ok(rec.map(|WalRecord { lsn, payload }| {
                 let payload = payload.at..payload.at + payload.bytes.len();
                 WalRecord { lsn, payload }
@@ -1097,8 +1055,7 @@ impl ShardedScanner {
             match self.merge.pop(&mut next) {
                 Ok(Some((s, WalRecord { lsn, payload }))) => {
                     let at = payload.start;
-                    self.buf
-                        .extend_from_slice(&log.shards[s].stable_bytes()[payload]);
+                    self.buf.extend_from_slice(&log.shards[s].image[payload]);
                     self.batch.push((lsn, at, self.buf.len()));
                 }
                 Ok(None) => break,
@@ -1161,7 +1118,6 @@ impl<'a> Iterator for Batch<'a> {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
-    use crate::backend::file::Tier;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::wal::FRAME_HEADER;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig, TestCaseError};
@@ -1210,7 +1166,7 @@ pub(super) mod tests {
         payload: Option<P>,
     }
 
-    /// An independent decoder of a shard tier from offset `pos`, written
+    /// An independent decoder of a shard image from offset `pos`, written
     /// against the documented format rather than the production reader:
     /// an 8-byte LE LSN, a 4-byte LE body length, a 4-byte LE CRC-32 over
     /// the first 12 header bytes plus the body, then the body — a tag
@@ -1275,9 +1231,9 @@ pub(super) mod tests {
         (frames, Ok(()))
     }
 
-    /// Every frame of shard `s`'s live tier, markers included.
+    /// Every frame of shard `s`'s image, markers included.
     fn shard_frames(log: &ShardedLog<Rec>, s: usize) -> Vec<RefFrame<Rec>> {
-        let (frames, end) = reference_decode(log.shards[s].stable_bytes(), 0);
+        let (frames, end) = reference_decode(&log.shards[s].image, 0);
         end.unwrap();
         frames
     }
@@ -1457,10 +1413,16 @@ pub(super) mod tests {
         assert_eq!(log.pit_records(Lsn(16)).unwrap(), full);
     }
 
-    /// The satellite-bugfix scenario: `archive_prefix` is archive-first
-    /// with a faultable crash point between each shard's archive-append
-    /// and live-truncate. Crash at every such point; no drained frame
-    /// may be lost, and a post-recovery retry must complete the drain.
+    /// The LSNs [`ShardedLog::history`] yields through `upto`.
+    fn history_lsns(log: &ShardedLog<Rec>, upto: Lsn) -> Vec<Lsn> {
+        log.history(upto).map(|rec| rec.unwrap().lsn).collect()
+    }
+
+    /// `archive_prefix` has a faultable crash point before each shard's
+    /// origin moves. Crash at every such point; no drained frame may be
+    /// lost or doubled — the history is each LSN once, the images keep
+    /// their lengths — and a post-recovery retry must complete the
+    /// drain.
     fn assert_archive_crash_point_loses_nothing(kind_of: impl Fn() -> BackendKind) {
         for at in 1..=2u64 {
             for kind in [FaultKind::Clean, FaultKind::TornFlush { bytes: 3 }] {
@@ -1470,6 +1432,8 @@ pub(super) mod tests {
                 }
                 log.flush_all();
                 let full = stable(&log);
+                let lens: Vec<usize> = log.shards.iter().map(|s| s.image.len()).collect();
+                let whole: Vec<Lsn> = (1..=4).map(Lsn).collect();
                 log.injector.arm(FaultPlan { at, kind });
                 log.archive_prefix(Lsn(3)).unwrap();
                 assert!(
@@ -1479,16 +1443,19 @@ pub(super) mod tests {
                 log.injector.reset();
                 log.crash();
                 log.repair_tail();
-                // Every frame survives — in the archive, the live log,
-                // or both — and the boundary never advanced.
+                // Every frame survives, once, above or below its
+                // shard's origin, and the boundary never advanced.
                 assert_eq!(log.stable_lsn(), Lsn(4), "at={at} {kind:?}");
                 assert_eq!(log.first_stable(), Lsn(1), "at={at} {kind:?}");
+                assert_eq!(history_lsns(&log, Lsn(4)), whole, "at={at} {kind:?}");
                 assert_eq!(log.pit_records(Lsn(4)).unwrap(), full, "at={at} {kind:?}");
-                // The retry completes; the duplicated frames (archived
-                // on both runs) are deduplicated by LSN in every scan.
+                // The retry completes, copying nothing.
                 log.archive_prefix(Lsn(3)).unwrap();
                 assert_eq!(log.first_stable(), Lsn(3), "at={at} {kind:?}");
+                assert_eq!(history_lsns(&log, Lsn(4)), whole, "at={at} {kind:?}");
                 assert_eq!(log.pit_records(Lsn(4)).unwrap(), full, "at={at} {kind:?}");
+                let after: Vec<usize> = log.shards.iter().map(|s| s.image.len()).collect();
+                assert_eq!(after, lens, "at={at} {kind:?}");
             }
         }
     }
@@ -1500,9 +1467,9 @@ pub(super) mod tests {
 
     /// A drain interrupted *between shards* must not make a durable
     /// cross-shard group look torn: shard 0's `Open`/`Close` markers for
-    /// the group move to the archive while shard 1 still holds its live
-    /// copies, and the crash-time epoch analysis has to find shard 0's
-    /// closure evidence in the archive tier — otherwise it would roll
+    /// the group fall below its origin while shard 1 still holds its
+    /// live copies, and the crash-time epoch analysis has to find shard
+    /// 0's closure evidence in its archive — otherwise it would roll
     /// shard 1 back to the group's `Open` offset and destroy durable
     /// records logged after it.
     #[test]
@@ -1517,15 +1484,16 @@ pub(super) mod tests {
         log.flush_all();
         let full = stable(&log);
         assert_eq!(full.len(), 3);
-        // Interrupt the drain after shard 0 truncated but before shard 1
-        // did: the group now exists only in shard 0's archive and shard
-        // 1's live log.
+        // Interrupt the drain after shard 0 drained but before shard 1
+        // did: the group now lies in shard 0's archive and shard 1's
+        // live log.
         log.injector.arm(FaultPlan {
             at: 2,
             kind: FaultKind::Clean,
         });
         log.archive_prefix(Lsn(3)).unwrap();
         assert!(log.injector.tripped(), "the inter-shard crash point fires");
+        assert!(log.shards[0].live > 0 && log.shards[1].live == 0);
         log.injector.reset();
         log.crash();
         log.repair_tail();
@@ -1534,10 +1502,13 @@ pub(super) mod tests {
             Lsn(3),
             "the archived group is closed; nothing rolls back"
         );
+        let whole: Vec<Lsn> = (1..=3).map(Lsn).collect();
+        assert_eq!(history_lsns(&log, Lsn(3)), whole);
         assert_eq!(log.pit_records(Lsn(3)).unwrap(), full);
         // The retry completes the drain; history is still whole.
         log.archive_prefix(Lsn(3)).unwrap();
         assert_eq!(log.first_stable(), Lsn(3));
+        assert_eq!(history_lsns(&log, Lsn(3)), whole);
         assert_eq!(log.pit_records(Lsn(3)).unwrap(), full);
     }
 
@@ -1567,23 +1538,21 @@ pub(super) mod tests {
     }
 
     /// The merge `pit_records` was before [`ShardedLog::history`]: every
-    /// tier of every shard decoded by [`reference_decode`] into a map
-    /// keyed by LSN, the first copy of each LSN kept, each tier read up
-    /// to its first frame past `upto`.
+    /// shard's image decoded by [`reference_decode`] into a map keyed by
+    /// LSN, the first copy of each LSN kept, each image read up to its
+    /// first frame past `upto`.
     fn reference_pit(log: &ShardedLog<Rec>, upto: Lsn) -> SimResult<Vec<WalRecord<Rec>>> {
         let mut merged: BTreeMap<Lsn, Rec> = BTreeMap::new();
         for shard in &log.shards {
-            for tier in [&shard.archive[..], shard.stable_bytes()] {
-                let (frames, end) = reference_decode::<Rec>(tier, 0);
-                let upto_frames = frames.iter().take_while(|f| f.lsn <= upto);
-                for f in upto_frames.clone() {
-                    if let Some(payload) = &f.payload {
-                        merged.entry(f.lsn).or_insert_with(|| payload.clone());
-                    }
+            let (frames, end) = reference_decode::<Rec>(&shard.image, 0);
+            let upto_frames = frames.iter().take_while(|f| f.lsn <= upto);
+            for f in upto_frames.clone() {
+                if let Some(payload) = &f.payload {
+                    merged.entry(f.lsn).or_insert_with(|| payload.clone());
                 }
-                if upto_frames.count() == frames.len() {
-                    end?;
-                }
+            }
+            if upto_frames.count() == frames.len() {
+                end?;
             }
         }
         Ok(merged
@@ -1597,9 +1566,9 @@ pub(super) mod tests {
         /// every `upto`, over logs built from single-page, multi-page
         /// and page-less (broadcast) records; partial and full forces
         /// (cross-shard flush groups, with their markers); drains at
-        /// random LSNs; drains a fault interrupts between some shard's
-        /// archive append and its live truncation — left as they are,
-        /// or retried — and archive compaction.
+        /// random LSNs; drains a fault interrupts before some shard's
+        /// origin moves — left as they are, or retried — and archive
+        /// compaction.
         #[test]
         fn history_is_the_reference_merge(
             shard_bits in 0u32..3,
@@ -1622,9 +1591,9 @@ pub(super) mod tests {
                     6 => log.flush_all(),
                     7 => drop(log.archive_prefix(pick(&log, a)).unwrap()),
                     8 => {
-                        // Interrupted at the first or second shard's
-                        // archive-then-truncate window, then maybe
-                        // retried after the crash.
+                        // Interrupted before the first or second
+                        // shard's origin moves, then maybe retried
+                        // after the crash.
                         let below = pick(&log, a);
                         log.injector.arm(FaultPlan { at: u64::from(b % 2) + 1, kind: FaultKind::Clean });
                         log.archive_prefix(below).unwrap();
@@ -1687,7 +1656,7 @@ pub(super) mod tests {
         (got, end, scanner.stats())
     }
 
-    /// The reader the scanner is held to: each shard's live tier decoded
+    /// The reader the scanner is held to: each shard's image decoded
     /// by [`reference_decode`] — checksum, payload and all — from the
     /// shard's seek position into owned records, merged through the
     /// same [`LsnMerge`], in batches of at most `max`.
@@ -1696,7 +1665,7 @@ pub(super) mod tests {
         let mut shards = Vec::new();
         for shard in &log.shards {
             let (pos, seeked) = shard.seek(from);
-            let (frames, end) = reference_decode::<Rec>(shard.stable_bytes(), pos);
+            let (frames, end) = reference_decode::<Rec>(&shard.image, pos);
             stats.push(seeked);
             shards.push((frames.into_iter(), end));
         }
@@ -1775,24 +1744,25 @@ pub(super) mod tests {
         assert!(history.next().is_none());
     }
 
-    /// Rewrites shard `s`'s live image with `edit`, as a failing medium
+    /// Rewrites shard `s`'s image with `edit`, as a failing medium
     /// would: under the log's bookkeeping, and through to its file.
     pub(crate) fn damage<P>(log: &mut ShardedLog<P>, s: usize, edit: impl FnOnce(&mut Vec<u8>)) {
         let shard = &mut log.shards[s];
-        edit(&mut shard.stable);
+        edit(&mut shard.image);
         if let Some(medium) = &mut shard.medium {
-            medium.rewrite(Tier::Live, &shard.stable);
+            medium.rewrite(&shard.image);
         }
     }
 
-    /// Flips bit `bit` of byte `at` of shard `s`'s live image.
+    /// Flips bit `bit` of byte `at` of shard `s`'s image.
     fn flip<P>(log: &mut ShardedLog<P>, s: usize, at: usize, bit: u32) {
         damage(log, s, |image| image[at] ^= 1 << bit);
     }
 
-    /// Each shard's verified extent.
+    /// Each shard's verified extent, from its live origin.
     fn extents(log: &ShardedLog<Rec>) -> Vec<usize> {
-        log.shards.iter().map(|shard| shard.verified).collect()
+        let extent = |shard: &LogManager| shard.verified.saturating_sub(shard.live);
+        log.shards.iter().map(extent).collect()
     }
 
     proptest! {
@@ -1850,8 +1820,8 @@ pub(super) mod tests {
                         log.repair_tail();
                     }
                     9 => {
-                        // A drain interrupted between a shard's archive
-                        // append and its live truncation.
+                        // A drain interrupted before the first or
+                        // second shard's origin moves.
                         let below = pick(&log, a);
                         log.injector.arm(FaultPlan { at: u64::from(b % 2) + 1, kind: FaultKind::Clean });
                         log.archive_prefix(below).unwrap();
@@ -1879,9 +1849,10 @@ pub(super) mod tests {
             check(&log)?;
             if let Some((s, at, bit)) = flip_at {
                 let s = s % shards;
-                let (verified, len) = (log.shards[s].verified, log.shards[s].stable_bytes().len());
-                if len > verified {
-                    flip(&mut log, s, verified + at % (len - verified), bit);
+                let shard = &log.shards[s];
+                let (trusted, len) = (shard.verified.max(shard.live), shard.image.len());
+                if len > trusted {
+                    flip(&mut log, s, trusted + at % (len - trusted), bit);
                     check(&log)?;
                     prop_assert!(scan(&log, Lsn::ZERO, max).1.is_err(), "a flip past the extent is caught");
                 }
@@ -1921,11 +1892,7 @@ pub(super) mod tests {
         let mem = forced_log(BackendKind::Mem, shards, recs);
         let file = forced_log(BackendKind::File, shards, recs);
         for (m, f) in mem.shards.iter().zip(&file.shards) {
-            assert_eq!(
-                m.stable_bytes(),
-                f.stable_bytes(),
-                "backends diverge on the durable image"
-            );
+            assert_eq!(m.image, f.image, "backends diverge on the durable image");
         }
         if shards == 2 {
             for s in 0..2 {
@@ -1975,7 +1942,7 @@ pub(super) mod tests {
             let full = stable(&log);
             for s in 0..shards {
                 let frames = shard_frames(&log, s);
-                let len = log.shards[s].stable_bytes().len();
+                let len = log.shards[s].image.len();
                 for (at, bit) in edits(len) {
                     let mut damaged = log.clone();
                     damage(&mut damaged, s, |image| match bit {
@@ -2108,8 +2075,8 @@ pub(super) mod tests {
     }
 
     /// The verified extent's discipline: only a repair's CRC walk sets
-    /// it; a crash resets it, a rollback clamps it, a drain rebases it,
-    /// and appends never extend it — so a frame outside it, or damaged
+    /// it; a crash resets it, a rollback clamps it, a drain leaves the
+    /// frames it archives outside it, and appends never extend it — so a frame outside it, or damaged
     /// while the system was down, is still checksummed.
     #[test]
     fn each_frame_is_verified_once_per_restart() {
@@ -2121,7 +2088,7 @@ pub(super) mod tests {
             }
         }
         let lens = |log: &ShardedLog<Rec>| -> Vec<usize> {
-            log.shards.iter().map(|s| s.stable_bytes().len()).collect()
+            log.shards.iter().map(|s| s.image.len() - s.live).collect()
         };
         assert_eq!(extents(&log), [0, 0], "nothing is trusted before a repair");
         log.crash();
@@ -2144,8 +2111,9 @@ pub(super) mod tests {
         flip(&mut log, 0, len - 1, 0);
         assert_eq!(scan(&log, Lsn::ZERO, 4), full);
 
-        // A global drain rebases it, and so does the part of a drain a
-        // crash interrupts after shard 0's: on shard 0 alone.
+        // A global drain leaves the archived frames outside it, and so
+        // does the part of a drain a crash interrupts after shard 0's:
+        // on shard 0 alone.
         let before = (extents(&log), lens(&log));
         log.archive_prefix(Lsn(7)).unwrap();
         let drained: Vec<usize> = (before.1.iter().zip(lens(&log)))
@@ -2178,11 +2146,10 @@ pub(super) mod tests {
 
         // A rollback clamps it.
         let mut rolled = log.clone();
-        let first_frame = read_frame(rolled.shards[0].stable_bytes(), 0, 0)
-            .unwrap()
-            .end;
-        rolled.shards[0].rollback_to(first_frame);
-        assert_eq!(extents(&rolled)[0], first_frame);
+        let shard = &mut rolled.shards[0];
+        let first_frame = read_frame(&shard.image, shard.live, 0).unwrap().end;
+        shard.rollback_to(first_frame);
+        assert_eq!(extents(&rolled)[0], first_frame - rolled.shards[0].live);
 
         // A crash resets it: a record damaged while the system was down
         // — here the last byte of its value, so it still parses — is
@@ -2191,8 +2158,8 @@ pub(super) mod tests {
         log.flush_all();
         log.crash();
         log.repair_tail();
-        let last = lens(&log)[1] - 1;
-        assert_eq!(extents(&log)[1], last + 1);
+        assert_eq!(extents(&log)[1], lens(&log)[1]);
+        let last = log.shards[1].image.len() - 1;
         flip(&mut log, 1, last, 3);
         log.crash();
         assert_eq!(extents(&log), [0, 0]);
@@ -2232,7 +2199,7 @@ pub(super) mod tests {
         log.append(Rec(vec![3], 102)).unwrap();
         log.flush_all();
         assert_eq!(log.stable_lsn(), Lsn(15));
-        log.shards.iter().map(|s| fnv(s.stable_bytes())).collect()
+        log.shards.iter().map(|s| fnv(&s.image)).collect()
     }
 
     /// The constants were computed by this script on the tree whose
@@ -2353,11 +2320,11 @@ pub(super) mod tests {
         }
     }
 
-    /// Everything one shard answers from: its live and archive bytes,
+    /// Everything one shard answers from: its image and live origin,
     /// its stable LSN, its seek index, and its writer and reader chains.
     type ShardView = (
         Vec<u8>,
-        Vec<u8>,
+        usize,
         Lsn,
         Vec<(Lsn, u64)>,
         BTreeMap<PageId, Vec<(Lsn, u64)>>,
@@ -2366,8 +2333,8 @@ pub(super) mod tests {
 
     fn shard_view(shard: &LogManager) -> ShardView {
         (
-            shard.stable.clone(),
-            shard.archive.clone(),
+            shard.image.clone(),
+            shard.live,
             shard.stable_lsn,
             shard.seek_index.clone(),
             shard.page_chains.clone(),
@@ -2383,11 +2350,11 @@ pub(super) mod tests {
         /// and on 4 shards, driven in lockstep through single-page,
         /// read-write, multi-page and page-less appends, single- and
         /// cross-shard forces, a `TornFlush` or `Clean` fault inside a
-        /// force, a fault at a drain's window between the archive append
-        /// and the live cut, crashes, repairs, drains and compactions.
-        /// After every step each shard answers alike on both, and the
-        /// file log's files hold exactly its two images: the medium only
-        /// persists and reloads them.
+        /// force, a fault at a drain's crash point before a shard's
+        /// origin moves, crashes, repairs, drains and compactions. After
+        /// every step each shard answers alike on both, and each file
+        /// holds exactly its shard's image: the medium only persists and
+        /// reloads it.
         #[test]
         fn mem_and_file_logs_answer_alike(
             wide in 0u8..2,
@@ -2445,10 +2412,8 @@ pub(super) mod tests {
                 prop_assert_eq!(mem.first_stable(), file.first_stable(), "{} first_stable", step);
                 for (s, (m, f)) in mem.shards.iter().zip(&file.shards).enumerate() {
                     prop_assert_eq!(shard_view(m), shard_view(f), "{} shard {}", step, s);
-                    let wal = f.path().unwrap();
-                    prop_assert_eq!(&std::fs::read(wal).unwrap(), &f.stable, "{} shard {} wal.log", step, s);
-                    let archive = std::fs::read(wal.with_file_name("archive.log")).unwrap();
-                    prop_assert_eq!(&archive, &f.archive, "{} shard {} archive.log", step, s);
+                    let wal = std::fs::read(f.path().unwrap()).unwrap();
+                    prop_assert_eq!(&wal, &f.image, "{} shard {} wal.log", step, s);
                 }
             }
         }

@@ -203,6 +203,45 @@ fn appends_group_commit_under_one_fsync() {
     assert_eq!(log.stable_count(), 10);
 }
 
+/// A drain moves each shard's live origin and nothing else: every
+/// `wal.log` keeps its length and no `fsync` is issued, on one shard
+/// and on four — and the drained history still reads whole, from the
+/// files too.
+#[test]
+fn a_drain_writes_nothing_to_the_files() {
+    for shards in [1, 4] {
+        let mut log = file_log(shards);
+        let all = log
+            .pit_records(log.stable_lsn())
+            .expect("clean log decodes");
+        let lens = |log: &ShardedLog<Blob>| -> Vec<u64> {
+            let len = |s| std::fs::metadata(log.shard_path(s).unwrap()).unwrap().len();
+            (0..shards).map(len).collect()
+        };
+        let (before, syncs) = (lens(&log), log.syncs());
+        let drained = log.archive_prefix(Lsn(SINGLES)).expect("clean drain");
+        assert!(
+            drained > 0,
+            "{shards} shards: the drain reclaimed live bytes"
+        );
+        assert_eq!(log.archived_bytes(), drained, "{shards} shards");
+        assert_eq!(
+            lens(&log),
+            before,
+            "{shards} shards: no file changed length"
+        );
+        assert_eq!(log.syncs(), syncs, "{shards} shards: no fsync");
+        log.crash();
+        log.repair_tail();
+        assert_eq!(log.first_stable(), Lsn(SINGLES), "{shards} shards");
+        assert_eq!(
+            log.pit_records(log.stable_lsn()).unwrap(),
+            all,
+            "{shards} shards"
+        );
+    }
+}
+
 #[test]
 fn out_of_band_page_bit_flip_reads_as_torn_until_repaired() {
     let spp: u16 = 8;

@@ -77,10 +77,10 @@ fn live_whole(log: &ShardedLog<OpRec>, from: Lsn) -> Vec<WalRecord<OpRec>> {
 /// cross-reader chain entry must point at a frame bearing its own LSN
 /// (chains additionally at one writing their page, reader chains at one
 /// reading it without writing it), all must be strictly increasing, the
-/// seek index must keep its offset-0 sentinel exactly when the image is
-/// seekable, and the chains must cover every stable write and every
-/// stable cross-read — no more, no fewer. Runs against the database's
-/// (possibly sharded) log.
+/// seek index's first entry, if any, must lie at or past the live
+/// origin (none when no live frame is left), and the chains must cover every stable
+/// write and every stable cross-read — no more, no fewer. Runs against
+/// the database's (possibly sharded) log.
 fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> {
     // The image may still carry a torn tail awaiting repair; index and
     // chain entries only ever point into the valid prefix, so decode
@@ -91,30 +91,27 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
             return Err(TestCaseError::fail(format!("unexpected scan error {e:?}")));
         }
     }
-    // The seek index is held to exact entries on a single log only. A
-    // shard of several stores a sparse subset of the LSNs, so the
-    // sentinel a drain re-inserts — the drain bound, at offset 0 — may
-    // name an LSN routed elsewhere, or share offset 0 with the next
-    // flush's entry: approximate by design, and enough for a seek,
-    // which needs only some entry at or below its target. (A single log
-    // writes no flush-group markers, so every frame is a record.)
+    // The seek index is held to exact entries on a single log only,
+    // whose live origin is what it has archived. (A single log writes
+    // no flush-group markers, so every frame is a record.)
     let seek_audited = usize::from(log.n_shards() == 1);
     for s in 0..seek_audited {
         let index = log.shard_seek_index(s);
-        if log.record_in(s, 0).is_err() {
-            // A shard image with no valid frame (wholly elided, or torn
-            // inside its first frame) may keep one anticipatory sentinel
-            // naming the frame the next flush will land at offset 0.
+        let origin = log.archived_bytes();
+        if log.record_in(s, origin).is_err() {
+            // No valid live frame: wholly drained, or torn inside its
+            // first frame.
             prop_assert!(
-                index.len() <= 1 && index.iter().all(|&(_, off)| off == 0),
-                "shard {s} index over an empty image: {index:?}"
+                index.is_empty(),
+                "shard {s} index over an empty live log: {index:?}"
             );
         } else {
-            prop_assert_eq!(
-                index.first().map(|&(_, off)| off),
-                Some(0),
-                "shard {} sentinel must name the image's first frame",
-                s
+            prop_assert!(
+                index.first().is_none_or(|&(_, off)| off >= origin),
+                "shard {} index {:?} starts below the live origin {}",
+                s,
+                index,
+                origin
             );
             for &(lsn, off) in index {
                 let rec = log.record_in(s, off).expect("seek entry points at a frame");
@@ -354,7 +351,7 @@ proptest! {
     /// repair, and a post-repair truncation. After every mutation
     /// [`check_index_discipline`] must hold, the archive's byte total
     /// must drop by exactly what each compaction reclaims and survive
-    /// the crash unchanged (the archive tier is durable storage), and
+    /// the crash unchanged (the archive is durable storage), and
     /// the two backends must recover identical records.
     #[test]
     fn index_and_chain_discipline_survives_flush_truncate_repair(
@@ -418,7 +415,7 @@ proptest! {
             prop_assert_eq!(
                 db.log.archived_bytes(),
                 archived_before_crash,
-                "archive tier is durable: its byte telemetry must ride through a crash"
+                "the archive is durable: its byte telemetry must ride through a crash"
             );
             db.repair_after_crash();
             check_index_discipline(&db.log)?;
@@ -431,11 +428,10 @@ proptest! {
                 check_index_discipline(&db.log)?;
             }
             // Full compaction up to the completed-drain boundary. A
-            // drain the armed fault interrupted between archive-append
-            // and live-truncate legitimately leaves retryable duplicate
-            // frames at or above `first_stable` (scans dedupe by LSN),
-            // and compaction must conservatively keep those — but on a
-            // run whose fault never fired, the tier must empty exactly.
+            // drain the armed fault interrupted leaves some shards
+            // drained past `first_stable`, and compaction must keep
+            // their archived frames at or above it — but on a run whose
+            // fault never fired, the archive must empty exactly.
             let before = db.log.archived_bytes();
             let reclaimed = db.log.compact_archive(db.log.first_stable());
             prop_assert_eq!(

@@ -9,12 +9,12 @@
 //! page (page 0), written by the records that move them, so a freshly
 //! recovered tree is fully described by its pages.
 
-use redo_methods::redo::{self, Redo};
+use redo_methods::redo::{self, Redo, RedoStep, RestartAnalysis};
 use redo_methods::RecoveryStats;
 use redo_sim::cache::Constraint;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::page::Page;
-use redo_sim::wal::LogPayload;
+use redo_sim::wal::{LogPayload, RecordBody};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, SlotId};
@@ -71,6 +71,36 @@ fn redo_page(
         }
         stale
     })
+}
+
+/// The B-tree's [`RedoStep`]: [`apply_payload`], a record counting as
+/// replayed iff some page it writes predated it. A B-tree record has no
+/// workload operation id; the stats name it by its LSN. Its records are
+/// few and small, so each is decoded owned.
+pub struct BtStep;
+
+impl RedoStep<BtPayload> for BtStep {
+    type View<'a> = BtPayload;
+
+    fn parse(body: RecordBody<'_>) -> SimResult<BtPayload> {
+        body.parse(BtPayload::decode)
+    }
+
+    fn footprint(payload: &BtPayload, pages: &mut Vec<PageId>) -> SimResult<()> {
+        pages.extend(payload.write_pages());
+        Ok(())
+    }
+
+    fn redo(
+        &mut self,
+        db: &mut Db<BtPayload>,
+        _: &RestartAnalysis,
+        lsn: Lsn,
+        payload: &BtPayload,
+    ) -> SimResult<Redo> {
+        let id = u32::try_from(lsn.0).unwrap_or(u32::MAX);
+        Ok(Redo::of(id, apply_payload(db, payload, lsn)?))
+    }
 }
 
 /// The redo step, shared by normal execution and restart: brings every
@@ -369,27 +399,13 @@ impl BTree {
 
     /// Restart, through the one Figure-6 driver ([`redo::recover`]:
     /// repair, analysis of the master record, prefetch, scan) with
-    /// [`apply_payload`] as the redo step: a record counts as replayed
-    /// iff some page it writes predated it. A B-tree record has no
-    /// workload operation id; the stats name it by its LSN. Its records
-    /// are few and small, so each is decoded owned.
+    /// [`apply_payload`] as the redo step ([`BtStep`]).
     ///
     /// # Errors
     ///
     /// Substrate errors, including log corruption.
     pub fn recover(&mut self) -> SimResult<RecoveryStats> {
-        let stats = redo::recover(
-            &mut self.db,
-            |body, pages| {
-                pages.extend(body.parse(BtPayload::decode)?.write_pages());
-                Ok(())
-            },
-            |db, _, lsn, body| {
-                let id = u32::try_from(lsn.0).unwrap_or(u32::MAX);
-                let payload = body.parse(BtPayload::decode)?;
-                Ok(Redo::of(id, apply_payload(db, &payload, lsn)?))
-            },
-        )?;
+        let stats = redo::recover(&mut self.db, BtStep)?;
         if self.db.log.last_lsn() == Lsn::ZERO {
             // Nothing ever became durable — not even the bootstrap
             // record. The tree is factually empty; re-bootstrap it.

@@ -45,12 +45,12 @@
 //! no apply slipping in between. Every other path takes a subset of the
 //! locks in that order, so the system is deadlock-free by construction.
 //! The one apparent exception is lazy replay
-//! ([`SharedDb::open_on_demand`]): it reads per-page chains under the
-//! log lock *before* taking any shard lease, but it releases the log
-//! lock first — no path ever holds the log while acquiring a shard, so
-//! the order stands. Gates only ever open, so a page
-//! [`SharedDb::execute`] or [`SharedDb::read_cell`] found recovered
-//! before taking its lease is still recovered under it.
+//! ([`SharedDb::open_on_demand`]): it reads the log — a drain batch, or
+//! a demand's chains — under the log lock *before* taking any shard
+//! lease, but it releases the log lock first — no path ever holds the
+//! log while acquiring a shard, so the order stands. Gates only ever
+//! open, so a page [`SharedDb::execute`] or [`SharedDb::read_cell`]
+//! found recovered before taking its lease is still recovered under it.
 //!
 //! That order is also why a checkpoint needs no floor under its
 //! dirty-page table: a record is appended only under a lease covering
@@ -71,18 +71,22 @@
 //! runs. The second rule is what keeps a new write from landing on a
 //! page before a residual record that reads it has replayed. The first
 //! [`SharedDb::read_cell`] or [`SharedDb::execute`] touching a gated
-//! page replays that page's `RestartAnalysis::component` — the same
-//! unit, found by the same chase of writer and cross-reader chains, as
-//! the sequential face — in global LSN order under the generalized
-//! redo test and write order (`write_set_is_stale`, `write_order`),
-//! and only then opens the gates; what is this module's own is fetching
-//! and updating pages under shard leases. A
-//! [`SharedDb::recovery_tick`] in the background loop sweeps leftover
-//! gates so recovery terminates even if nothing ever reads them.
+//! page replays that page's downset (`RestartAnalysis::downset`) — the
+//! same unit, found by the same walk of writer and cross-reader chains,
+//! as the sequential face — in LSN order under the generalized redo
+//! test and write order (`write_set_is_stale`, `write_order`), and only
+//! then opens its gate. A [`SharedDb::recovery_tick`] in the background
+//! loop is one batch of the drain the sequential face runs — the serial
+//! loop's scan over the owed suffix, in LSN order — so recovery
+//! terminates even if nothing ever reads a gated page, and the replayed
+//! set stays a downset throughout. What is this module's own is
+//! fetching and updating pages under shard leases, one short lease per
+//! record.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -96,9 +100,10 @@ use redo_workload::pages::{Cell, Footprint, OpCells, PageId, PageOp};
 
 use crate::control::{ControlPlan, Controller, RestartBudget, RestartEstimate};
 use crate::generalized::{write_order, write_set_is_stale};
+use crate::ondemand::{open_demanded, Drain};
 use crate::oprecord::PageOpPayload;
-use crate::redo::{self, Chain, RestartAnalysis};
-use crate::RecoveryStats;
+use crate::redo::{self, lap, Chain, RestartAnalysis};
+use crate::{RecoveryStats, SCAN_BATCH};
 
 /// How many shards the store splits into. Power of two; pages land in
 /// shard `page_id & (STORE_SHARDS - 1)`.
@@ -118,12 +123,13 @@ struct Inner {
     /// taken briefly, never while acquiring another.
     chain: Mutex<Option<Chain>>,
     /// On-demand restart bookkeeping. Holding it serializes lazy
-    /// replay — two reads racing to the same component replay it once.
+    /// replay — two reads racing to the same downset replay it once.
     recovery: Mutex<OnlineRecovery>,
-    /// Pages whose deferred redo is still owed: filled at open, only
-    /// shrunk by lazy replay. Outside `recovery`, so an ungated page
-    /// stays servable during a replay. A leaf lock.
-    gates: Mutex<BTreeSet<PageId>>,
+    /// Pages whose deferred redo is still owed, each with its last
+    /// entry: filled at open, only shrunk by lazy replay. Outside
+    /// `recovery`, so an ungated page stays servable during a replay. A
+    /// leaf lock.
+    gates: Mutex<BTreeMap<PageId, Lsn>>,
     /// `gates.len()`, stored (`Release`) under its lock: once nothing is
     /// gated, the servable check is one load (`Acquire`) of this, which
     /// sees every replay that opened a gate.
@@ -141,11 +147,14 @@ struct OnlineRecovery {
     finished: Option<RecoveryStats>,
 }
 
-/// What lazy replay needs: the analysis the gates were placed from and
-/// the stats accumulated so far.
+/// What lazy replay needs: the analysis the gates were placed from, the
+/// drain over the owed suffix, the stats accumulated so far, and the
+/// buffer each replay reads its input values into.
 struct RecoveryState {
     analysis: RestartAnalysis,
+    drain: Drain,
     stats: RecoveryStats,
+    values: Vec<u64>,
 }
 
 /// Telemetry from the online checkpoint daemon.
@@ -187,14 +196,19 @@ pub struct DaemonStats {
 }
 
 /// The read phase [`SharedDb::execute`] and lazy replay share: `op`'s
-/// input cells, in order, read under a lease covering their pages
-/// (each faulted in on a miss).
-fn read_under_lease(lease: &mut PageLease<'_>, op: &PageOp, spp: u16) -> SimResult<Vec<u64>> {
-    let mut read_values = Vec::with_capacity(op.reads.len());
-    for &cell in &op.reads {
-        read_values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
+/// input cells, in order, read into `values` under a lease covering
+/// their pages (each faulted in on a miss).
+fn read_under_lease(
+    lease: &mut PageLease<'_>,
+    op: &impl OpCells,
+    spp: u16,
+    values: &mut Vec<u64>,
+) -> SimResult<()> {
+    values.clear();
+    for cell in op.reads() {
+        values.push(lease.read_page(cell.page, spp, Lsn::ZERO)?.get(cell.slot));
     }
-    Ok(read_values)
+    Ok(())
 }
 
 /// The apply phase [`SharedDb::execute`] and lazy replay share: under a
@@ -202,12 +216,12 @@ fn read_under_lease(lease: &mut PageLease<'_>, op: &PageOp, spp: u16) -> SimResu
 /// its outputs at `lsn`, then impose its [`write_order`] on the shards.
 fn apply_under_lease(
     lease: &mut PageLease<'_>,
-    op: &PageOp,
+    op: &impl OpCells,
     fp: &Footprint,
     lsn: Lsn,
     read_values: &[u64],
 ) -> SimResult<()> {
-    for &cell in &op.writes {
+    for cell in op.writes() {
         let v = op.output(cell, read_values);
         lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
     }
@@ -251,7 +265,7 @@ impl SharedDb {
         // Through `Db`, so the disk and the log share one fault injector.
         let Db { disk, log, .. } = Db::new(geometry);
         let store = ShardedStore::with_disk(STORE_SHARDS, disk);
-        Self::assemble(geometry, log, store, None, BTreeSet::new())
+        Self::assemble(geometry, log, store, None, BTreeMap::new())
     }
 
     fn assemble(
@@ -259,7 +273,7 @@ impl SharedDb {
         log: ShardedLog<PageOpPayload>,
         store: ShardedStore,
         active: Option<RecoveryState>,
-        gates: BTreeSet<PageId>,
+        gates: BTreeMap<PageId, Lsn>,
     ) -> SharedDb {
         SharedDb {
             inner: Arc::new(Inner {
@@ -285,8 +299,8 @@ impl SharedDb {
     /// at or above the redo-start that the checkpoint's dirty-page table
     /// cannot prove installed is gated, and so is every page a record at
     /// or above the redo-start reads without writing; the first access
-    /// to a gated page (or the background sweeper) pays for exactly that
-    /// page's component.
+    /// to a gated page pays for that page's downset, and the background
+    /// sweeper drains the rest in LSN order.
     /// Ungated pages are servable the moment this returns.
     ///
     /// # Errors
@@ -294,13 +308,18 @@ impl SharedDb {
     /// Log or archive corruption; [`SimError::MediaLoss`] if the
     /// restore's install did not land.
     pub fn open_on_demand(mut crashed: Db<PageOpPayload>) -> SimResult<SharedDb> {
-        let (analysis, stats, gates) = crate::ondemand::begin(&mut crashed)?;
+        let (analysis, stats, gates, drain) = crate::ondemand::begin(&mut crashed)?;
         // The crash survivors move in whole, still sharing the image's
         // fault injector: the repaired disk becomes the shard map's
         // disk, the repaired log (chains already pruned to the stable
         // tail) becomes the shared log. The sequential shell is dropped.
         let store = ShardedStore::with_disk(STORE_SHARDS, crashed.disk);
-        let active = Some(RecoveryState { analysis, stats });
+        let active = Some(RecoveryState {
+            analysis,
+            drain,
+            stats,
+            values: Vec::new(),
+        });
         let shared = Self::assemble(crashed.geometry, crashed.log, store, active, gates);
         // A restart with nothing owed closes out right away.
         if shared.gated_count() == 0 {
@@ -311,14 +330,15 @@ impl SharedDb {
 
     /// Is `page` still gated behind its deferred redo?
     fn is_gated(&self, page: PageId) -> bool {
-        self.inner.gates.lock().contains(&page)
+        self.inner.gates.lock().contains_key(&page)
     }
 
     /// Ensures every page in `pages` has had its deferred redo, lazily
-    /// replaying still-gated components. The fast path — one atomic load
-    /// once nothing is gated, a peek at the gate set per page before —
-    /// never touches the recovery mutex. Callers lease afterwards: gates
-    /// only open, so what this found servable stays servable.
+    /// replaying still-gated pages' downsets. The fast path — one atomic
+    /// load once nothing is gated, a peek at the gate set per page
+    /// before — never touches the recovery mutex. Callers lease
+    /// afterwards: gates only open, so what this found servable stays
+    /// servable.
     fn ensure_recovered(&self, pages: &[PageId]) -> SimResult<()> {
         if self.gated_count() == 0 || !pages.iter().any(|&p| self.is_gated(p)) {
             return Ok(());
@@ -329,55 +349,67 @@ impl SharedDb {
             return Ok(());
         };
         for &p in pages {
-            self.replay_component(state, p)?;
+            self.demand(state, p)?;
         }
         Ok(())
     }
 
-    /// Lazily replays the connected component of gated pages reachable
-    /// from `page` (no-op if `page` is no longer gated). Caller holds
-    /// the recovery mutex; gates open only after the whole component
-    /// replays, so an error leaves every gate closed and a re-run owes
-    /// exactly the same work.
-    fn replay_component(&self, state: &mut RecoveryState, page: PageId) -> SimResult<()> {
+    /// Lazily replays the downset of `page` (no-op if `page` is no
+    /// longer gated). Caller holds the recovery mutex; gates open only
+    /// after the whole downset replays, so an error leaves them closed
+    /// and a re-run owes exactly the same work.
+    fn demand(&self, state: &mut RecoveryState, page: PageId) -> SimResult<()> {
         if !self.is_gated(page) {
             return Ok(());
         }
-        // The chase runs under the log lock — released before any
-        // shard lease, preserving the shards-before-log order.
-        let (component, records) = {
+        let mut clock = Instant::now();
+        let RecoveryState {
+            analysis,
+            drain,
+            stats,
+            values,
+        } = state;
+        // The walk runs under the log lock — released before any shard
+        // lease, preserving the shards-before-log order.
+        let records = {
             let log = self.inner.log.lock();
-            let (analysis, gated) = (&state.analysis, |p| self.is_gated(p));
-            analysis.component(&log, page, gated, &mut state.stats)?
+            analysis.downset(&log, page, |lsn| drain.is_done(lsn), stats)?
         };
-        // Replay in global LSN order under short shard leases: the
-        // redo test and write order of the sequential scan, over this
-        // store's pages. As in `execute`, nothing pre-resolves a
-        // would-be flush-order cycle: unbounded shards never *have* to
-        // flush, but pages a cycle binds never *can* again (ROADMAP
-        // item 2; `DaemonStats::drain_stalled` counts the symptom).
-        let (store, spp) = (&self.inner.store, self.inner.geometry.slots_per_page);
-        for (lsn, op) in records {
-            state.stats.scanned += 1;
-            let fp = op.footprint();
-            let mut lease = store.lock_pages(&fp.touched);
-            let page_lsn = |p| Ok(lease.read_page(p, spp, Lsn::ZERO)?.lsn());
-            if write_set_is_stale(&fp.written, lsn, page_lsn)? {
-                let read_values = read_under_lease(&mut lease, &op, spp)?;
-                apply_under_lease(&mut lease, &op, &fp, lsn, &read_values)?;
-                state.stats.replayed.push(op.id);
-            } else {
-                state.stats.skipped.push(op.id);
-            }
-        }
+        stats.phase_ns.scan += lap(&mut clock);
+        let redo = |lsn, op: &PageOp| self.redo_under_lease(lsn, op, values);
+        drain.replay_demanded(&records, stats, redo)?;
+        stats.phase_ns.redo += lap(&mut clock);
         // Only now open the gates — a read must never observe a
-        // half-replayed component.
+        // half-replayed downset.
         let mut gates = self.inner.gates.lock();
-        for p in component {
-            gates.remove(&p);
-        }
+        open_demanded(&mut gates, page, &records);
         self.inner.gated.store(gates.len(), Ordering::Release);
         Ok(())
+    }
+
+    /// The redo test and replay of one residual record, under a short
+    /// lease on its pages: the generalized redo test and write order of
+    /// the sequential scan, over this store's pages. As in `execute`,
+    /// nothing pre-resolves a would-be flush-order cycle: unbounded
+    /// shards never *have* to flush, but pages a cycle binds never
+    /// *can* again (ROADMAP item 2; `DaemonStats::drain_stalled` counts
+    /// the symptom). Returns whether the record replayed.
+    fn redo_under_lease(
+        &self,
+        lsn: Lsn,
+        op: &impl OpCells,
+        values: &mut Vec<u64>,
+    ) -> SimResult<bool> {
+        let (store, spp) = (&self.inner.store, self.inner.geometry.slots_per_page);
+        let fp = op.footprint();
+        let mut lease = store.lock_pages(&fp.touched);
+        let page_lsn = |p| Ok(lease.read_page(p, spp, Lsn::ZERO)?.lsn());
+        if !write_set_is_stale(&fp.written, lsn, page_lsn)? {
+            return Ok(false);
+        }
+        read_under_lease(&mut lease, op, spp, values)?;
+        apply_under_lease(&mut lease, op, &fp, lsn, values)?;
+        Ok(true)
     }
 
     /// Serves one read, lazily recovering the cell's page first if it
@@ -395,30 +427,48 @@ impl SharedDb {
         Ok(page.get(cell.slot))
     }
 
-    /// One background-sweeper step: replays the lowest-numbered gated
-    /// page's component, and closes out the restart when no gates
-    /// remain (publishing the final [`RecoveryStats`]). Returns whether
+    /// One background-sweeper step: the drain's next batch — the serial
+    /// loop's scan over the owed suffix, in LSN order, each record
+    /// replayed under its own short lease — opening every gate whose
+    /// last entry it passed, and closing out the restart once the whole
+    /// suffix is redone (publishing the final [`RecoveryStats`]). The
+    /// log lock is held for the batch's read only. Returns whether
     /// recovery is still in progress — `false` once drained (or if no
-    /// on-demand restart is active at all). The termination guarantee:
-    /// each step either opens at least one gate or finishes.
+    /// on-demand restart is active at all).
     ///
     /// # Errors
     ///
-    /// Substrate errors, including log corruption at a chain offset.
+    /// Substrate errors, including log corruption.
     pub fn recovery_tick(&self) -> SimResult<bool> {
         let mut rec = self.inner.recovery.lock();
         let Some(state) = rec.active.as_mut() else {
             return Ok(false);
         };
-        let first = self.inner.gates.lock().first().copied();
-        if let Some(page) = first {
-            self.replay_component(state, page)?;
+        let RecoveryState {
+            analysis,
+            drain,
+            stats,
+            values,
+        } = state;
+        drain.step(
+            values,
+            analysis,
+            stats,
+            |_, scanner| scanner.next_batch(&self.inner.log.lock(), SCAN_BATCH),
+            |_, _| 0,
+            |values, lsn, op| self.redo_under_lease(lsn, op, values),
+        )?;
+        {
+            let mut gates = self.inner.gates.lock();
+            drain.open_passed(&mut gates);
+            self.inner.gated.store(gates.len(), Ordering::Release);
         }
-        if self.gated_count() > 0 {
+        if !drain.complete() {
             return Ok(true);
         }
         if let Some(mut state) = rec.active.take() {
-            state.stats.forces = self.inner.log.lock().forces();
+            let forces = self.inner.log.lock().forces();
+            state.stats.note_scan(state.drain.scan_stats(), forces);
             rec.finished = Some(state.stats);
         }
         Ok(false)
@@ -476,7 +526,8 @@ impl SharedDb {
         // lock-ordering note for what else it buys).
         let spp = self.inner.geometry.slots_per_page;
         let mut lease = self.inner.store.lock_pages(pages);
-        let read_values = read_under_lease(&mut lease, op, spp)?;
+        let mut read_values = Vec::with_capacity(op.reads.len());
+        read_under_lease(&mut lease, op, spp, &mut read_values)?;
         for &cell in &op.writes {
             lease.fetch(cell.page, spp, Lsn::ZERO)?;
         }
@@ -596,8 +647,11 @@ impl SharedDb {
             let mut log = self.inner.log.lock();
             // A page gated only for its residual readers owes no
             // record, so its owed chain is empty and it enters no table.
+            // A gated page's first owed entry stays a sound lower bound
+            // while the drain or a demand redoes a prefix of its chain:
+            // it is at or below every entry still to redo.
             let residuals: Vec<(PageId, Lsn)> = match rec.active.as_ref() {
-                Some(state) => (self.inner.gates.lock().iter())
+                Some(state) => (self.inner.gates.lock().keys())
                     .filter_map(|&page| {
                         let first = state.analysis.owed_chain(&log, page).first();
                         first.map(|&(lsn, _)| (page, lsn))
@@ -1395,33 +1449,117 @@ mod tests {
     }
 
     #[test]
-    fn sweeper_drains_in_the_order_of_the_gate_listing() {
-        // The sweeper replays from the lowest gated page each tick; a
-        // drain driven by hand from the head of the gate set must be
-        // the identical drain — the same components in the same order,
-        // hence the same stats, replayed and skipped order included.
+    fn sweeper_drains_in_lsn_order() {
+        // The sweeper is the drain's batch step; a drain driven by hand
+        // through that step must be the identical drain — the same
+        // stats, replayed and skipped order included — and, with no
+        // read in between, the offline scan's replayed sequence.
         for seed in [21u64, 22, 23, 31, 41] {
             let (db, _) = run_with_checkpoints(seed);
+            let mut offline = db.clone();
+            let serial = Generalized.recover(&mut offline).expect("offline recovery");
             let swept = SharedDb::open_on_demand(db.clone()).expect("open on demand");
             while swept.recovery_tick().expect("recovery tick") {}
-            let listed = SharedDb::open_on_demand(db).expect("open on demand");
+            let stepped = SharedDb::open_on_demand(db).expect("open on demand");
             {
-                let mut rec = listed.inner.recovery.lock();
+                let mut rec = stepped.inner.recovery.lock();
                 let state = rec.active.as_mut().expect("gates remain");
-                // Not `while let`: the guard in its scrutinee would live
-                // across the replay, which locks the gate set again.
-                loop {
-                    let Some(page) = listed.inner.gates.lock().first().copied() else {
-                        break;
+                let RecoveryState {
+                    analysis,
+                    drain,
+                    stats,
+                    values,
+                } = state;
+                let log = &stepped.inner.log;
+                while drain
+                    .step(
+                        values,
+                        analysis,
+                        stats,
+                        |_, scanner| scanner.next_batch(&log.lock(), SCAN_BATCH),
+                        |_, _| 0,
+                        |values, lsn, op| stepped.redo_under_lease(lsn, op, values),
+                    )
+                    .expect("drain step")
+                {}
+            }
+            assert!(!stepped.recovery_tick().expect("close-out tick"));
+            assert_eq!(stepped.gated_count(), 0, "seed {seed}");
+            let (swept, stepped) = (swept.recovery_stats(), stepped.recovery_stats());
+            let swept = swept.expect("restart closed out");
+            assert!(swept.scanned > 0);
+            assert_eq!(Some(&swept), stepped.as_ref(), "seed {seed}");
+            assert_eq!(swept.replayed, serial.replayed, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_drain_scans_the_owed_suffix_and_nothing_appended_after_the_open() {
+        // The last ten operations of each run follow its last checkpoint
+        // unflushed, so the last record is owed and the owed suffix is
+        // everything from the redo-start on: what the offline scan reads.
+        // Operations executed and forced after the open must not be
+        // scanned, whether they land before the first tick or between
+        // ticks.
+        use redo_workload::pages::{PageOpKind, SlotId};
+        for seed in [21u64, 22, 23, 31, 41] {
+            let (db, _) = run_with_checkpoints(seed);
+            let mut offline = db.clone();
+            let serial = Generalized.recover(&mut offline).expect("offline recovery");
+            let lazy = SharedDb::open_on_demand(db).expect("open on demand");
+            let mut new_ids = BTreeSet::new();
+            for round in 0u32.. {
+                for page in 0..6 {
+                    let cell = Cell {
+                        page: PageId(page),
+                        slot: SlotId(1),
                     };
-                    listed.replay_component(state, page).expect("replay");
+                    let id = 10_000 + round * 8 + page;
+                    let op = PageOp {
+                        id,
+                        kind: PageOpKind::Physiological,
+                        reads: vec![cell],
+                        writes: vec![cell],
+                        f_seed: 3,
+                    };
+                    lazy.execute(&op).expect("execute mid-recovery");
+                    new_ids.insert(id);
+                }
+                lazy.commit_tick();
+                if !lazy.recovery_tick().expect("recovery tick") {
+                    break;
                 }
             }
-            assert!(!listed.recovery_tick().expect("close-out tick"));
-            let (swept, listed) = (swept.recovery_stats(), listed.recovery_stats());
-            assert!(swept.as_ref().is_some_and(|stats| stats.scanned > 0));
-            assert_eq!(swept, listed, "seed {seed}");
+            let stats = lazy.recovery_stats().expect("restart closed out");
+            assert_eq!(stats.scanned, serial.scanned, "seed {seed}");
+            assert_eq!(stats.checkpoint_records, serial.checkpoint_records);
+            let verdicts = stats.replayed.iter().chain(&stats.skipped);
+            assert!(
+                verdicts.clone().all(|id| !new_ids.contains(id)),
+                "seed {seed}"
+            );
+            assert_eq!(
+                verdicts.count(),
+                serial.replayed.len() + serial.skipped.len()
+            );
+            let mut replayed = stats.replayed.clone();
+            let mut expect = serial.replayed.clone();
+            replayed.sort_unstable();
+            expect.sort_unstable();
+            assert_eq!(replayed, expect, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_drained_restart_reports_its_scan_and_redo_phases() {
+        let (db, _) = run_with_checkpoints(21);
+        let lazy = SharedDb::open_on_demand(db).expect("open on demand");
+        while lazy.recovery_tick().expect("recovery tick") {}
+        let phases = lazy.recovery_stats().expect("restart closed out").phase_ns;
+        assert!(
+            phases.begin > 0 && phases.scan > 0 && phases.redo > 0,
+            "{phases:?}"
+        );
     }
 
     #[test]
@@ -1447,6 +1585,61 @@ mod tests {
             .expect("receiver alive");
         let served = served.expect("the read waited on the replay");
         assert_eq!(served.expect("read"), v);
+    }
+
+    #[test]
+    fn a_page_a_demand_only_read_stays_gated_for_its_other_residual_readers() {
+        // x <- blind, flushed and checkpointed; then g1 <- f(x) and
+        // g2 <- h(x), committed and unflushed. x's last entry is the
+        // reader g2. A read of g2 replays g2's downset, which reads x
+        // but holds no other reader of x: opening x there would let a
+        // blind write land on it before g1 replays from the old value.
+        use redo_workload::pages::{PageOpKind, SlotId};
+        let cell = |page| Cell {
+            page: PageId(page),
+            slot: SlotId(0),
+        };
+        let (x, g1, g2) = (cell(0), cell(1), cell(2));
+        let op = |id, kind, reads: Vec<Cell>, write| PageOp {
+            id,
+            kind,
+            reads,
+            writes: vec![write],
+            f_seed: u64::from(id) + 1,
+        };
+        let live = SharedDb::new(Geometry::default());
+        live.execute(&op(0, PageOpKind::Blind, vec![], x))
+            .expect("execute");
+        live.commit_tick();
+        let mut rng = StdRng::seed_from_u64(0);
+        while live.restart_estimate().dirty_pages > 0 {
+            live.flusher_tick(&mut rng, 1.0).expect("flusher tick");
+        }
+        live.checkpoint_tick(0).expect("checkpoint");
+        live.execute(&op(1, PageOpKind::Generalized, vec![x], g1))
+            .expect("execute");
+        live.execute(&op(2, PageOpKind::Generalized, vec![x], g2))
+            .expect("execute");
+        live.commit_tick();
+        let image = live.crash();
+        let mut reference = image.clone();
+        Generalized
+            .recover(&mut reference)
+            .expect("sequential recovery");
+
+        let lazy = SharedDb::open_on_demand(image).expect("open on demand");
+        assert_eq!(
+            lazy.read_cell(g2).expect("read"),
+            reference.read_cell(g2).expect("read")
+        );
+        assert!(lazy.is_gated(x.page), "g1 still reads x's old value");
+        lazy.execute(&op(3, PageOpKind::Blind, vec![], x))
+            .expect("execute mid-recovery");
+        assert_eq!(
+            lazy.read_cell(g1).expect("read"),
+            reference.read_cell(g1).expect("read"),
+            "g1 from the old x"
+        );
     }
 
     #[test]

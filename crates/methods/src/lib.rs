@@ -86,10 +86,13 @@ pub const SCAN_BATCH: usize = 32;
 
 /// Where one restart's wall time went, in nanoseconds, by the phases of
 /// the serial Figure-6 loop ([`redo::recover`] reads the clock once per
-/// phase per [`SCAN_BATCH`] records). The lazy and the partitioned
-/// executors time `begin`, which they share with the serial one, and
-/// leave the rest zero: their scan, fetch and redo run interleaved per
-/// component, or on worker threads, and have no serial phase to charge.
+/// phase per [`SCAN_BATCH`] records). The lazy executors' drain runs
+/// that loop and reads the same clocks; a demand charges its chain walk
+/// to `scan` and its replay to `redo`, and the concurrent face, which
+/// faults each page in under the record's own lease, has no prefetch to
+/// charge. The partitioned executor times `begin`, which it shares with
+/// the serial one, and leaves the rest zero: its scan and redo run on
+/// worker threads and have no serial phase to charge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Media repair (torn pages, torn log tail) and analysis of the

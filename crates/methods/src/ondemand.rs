@@ -2,62 +2,61 @@
 //! per-page redo.
 //!
 //! The offline methods hold the database closed until the full redo
-//! scan finishes — restart latency is proportional to the retained log,
-//! even when the first post-crash read touches a page no surviving
-//! record writes. Instant-restart systems (Sauer & Härder) invert the
-//! dependency: open immediately, and let the first access to each page
-//! pay for exactly that page's replay.
+//! scan finishes. Instant-restart systems (Sauer & Härder) open
+//! immediately, let the first access to each page pay for that page's
+//! replay, and redo the rest in the background in log order.
 //!
 //! Lazy restart is one executor with two stores under it (DESIGN §14,
 //! §20): this module is its face over a sequential [`Db`],
 //! [`crate::concurrent::SharedDb::open_on_demand`] the one over the
 //! sharded store, and every decision is shared. Analysis is
-//! `redo::begin`; a page is *gated* (`RestartAnalysis::gates`)
-//! when its stable chain holds a record at or above the redo-start that
-//! the dirty-page table cannot prove installed, or when a record at or
-//! above the redo-start reads it without writing it (the page is
-//! exposed to that residual reader, which must see it before anything
-//! new overwrites it), and everything else is servable the moment the
-//! database opens. Placement is one walk of each shard's writer and
-//! reader chains, each page decided from its chain's last entry: the
-//! owed entries are a suffix of the chain. A gated page cannot replay
-//! alone — generalized operations read pages they do not write, and a
-//! multi-page write set installs atomically — so the unit of replay is
-//! `RestartAnalysis::component`,
-//! the page's connected component of the residual conflict graph,
-//! chased through the log's writer *and* cross-reader chains at the
-//! moment of the touch. Its records replay in global LSN order under
-//! `redo_op`, the redo step of the sequential scan; per Theorem 3 the
-//! order *between* components is free, so serving them in any access
-//! order lands on the sequential result. Gates open only after the
-//! whole component replays — an error (or crash) mid-component leaves
-//! every gate closed, and the next recovery starts from the repaired
-//! image as if this one had never run.
+//! `redo::begin`; a page is *gated* (`RestartAnalysis::gates`) when its
+//! stable chain holds a record at or above the redo-start that the
+//! dirty-page table cannot prove installed, or when a record at or
+//! above the redo-start reads it without writing it (a residual reader
+//! must see it before anything new overwrites it). Placement is one
+//! walk of each shard's chains, each page decided from its chains'
+//! last entries, and notes each gated page's *last entry*, the last
+//! record it waits for. Everything else is servable at once.
+//!
+//! Two paths redo the owed records, and what they have redone is
+//! always a downset of the residual conflict graph, which by Theorem 3
+//! may replay first, in LSN order, with the rest after it:
+//!
+//! * the **drain** ([`OnDemandRestart::sweep_one`],
+//!   [`SharedDb::recovery_tick`]) is the serial loop over the owed
+//!   suffix, one batch a step, opening each gate as it passes the
+//!   page's last entry;
+//! * a **demand** — a read or write of a gated page — replays the page's
+//!   downset (`RestartAnalysis::downset`), then opens the page.
+//!
+//! A gate opens only once its page's downset is redone, so an error or
+//! crash mid-replay leaves it closed, and the next recovery starts from
+//! the repaired image as if this one had never run.
 //!
 //! Media-lost pages ([`redo_sim::SimError::MediaLoss`]) are restored at
 //! open, before any gate is placed, exactly as [`media::Media`] restores
-//! them: their rebuild closure lands in one atomic write, and every
-//! record touching it is then skipped by the redo test.
-//!
-//! Recovery terminates even without reads: a sweeper drains the
-//! remaining gates ([`OnDemandRestart::sweep_one`]), and
-//! [`OnDemand::recover`] is exactly open-then-drain, which is how the
-//! crash auditor proves the lazy path equivalent to the sequential
-//! scan.
+//! them; every record touching them is then skipped by the redo test.
+//! [`OnDemand::recover`] is open-then-drain: with no read in between it
+//! is the serial loop over the same records, which is how the crash
+//! auditor proves the lazy path equivalent to the sequential scan.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 use redo_sim::db::Db;
+use redo_sim::wal::codec::PageOpView;
+use redo_sim::wal::{Batch, ShardedLog, ShardedScanner};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{Cell, PageId, PageOp};
+use redo_workload::pages::{Cell, OpCells, PageId, PageOp};
 
 use crate::concurrent::SharedDb;
 use crate::generalized::{redo_op, Generalized};
 use crate::media;
 use crate::oprecord::PageOpPayload;
-use crate::redo::{self, RestartAnalysis};
-use crate::{RecoveryMethod, RecoveryStats};
+use crate::redo::{self, lap, LsnBits, Redo, RestartAnalysis};
+use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
 
 /// Generalized-LSN recovery through the on-demand (instant restart)
 /// path: online fuzzy checkpoints during normal operation, per-page
@@ -65,8 +64,9 @@ use crate::{RecoveryMethod, RecoveryStats};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OnDemand;
 
-/// An open-for-business database that is still recovering: the set of
-/// pages whose redo is deferred, and the stats accumulated so far.
+/// An open-for-business database that is still recovering: the pages
+/// whose redo is deferred, the drain over the owed suffix, and the
+/// stats accumulated so far.
 ///
 /// Obtained from [`OnDemand::open`]; drained by reads
 /// ([`OnDemandRestart::read_cell`]) and the background sweeper
@@ -75,23 +75,212 @@ pub struct OnDemand;
 #[derive(Clone, Debug)]
 pub struct OnDemandRestart {
     analysis: RestartAnalysis,
-    gates: BTreeSet<PageId>,
+    gates: BTreeMap<PageId, Lsn>,
+    drain: Drain,
     stats: RecoveryStats,
 }
 
 /// Both lazy faces' opening: `redo::begin` (repair, analysis),
-/// `media::restore`, then the gate set (`RestartAnalysis::gates`).
+/// `media::restore`, then the gates (`RestartAnalysis::gates`) and the
+/// drain over the suffix they owe.
 ///
 /// # Errors
 ///
 /// Those of `redo::begin` and `media::restore`.
 pub(crate) fn begin(
     db: &mut Db<PageOpPayload>,
-) -> SimResult<(RestartAnalysis, RecoveryStats, BTreeSet<PageId>)> {
+) -> SimResult<(RestartAnalysis, RecoveryStats, BTreeMap<PageId, Lsn>, Drain)> {
     let (analysis, stats) = redo::begin(db)?;
     media::restore(db)?;
     let gates = analysis.gates(&db.log);
-    Ok((analysis, stats, gates))
+    let drain = Drain::seek(&db.log, &analysis, &gates);
+    Ok((analysis, stats, gates, drain))
+}
+
+/// Opens what a demand for `page` replayed past: `page`'s own gate, and
+/// that of every page whose last entry is a replayed record writing
+/// it — that record's downset holds every earlier entry of the page. (A
+/// last entry that only reads its page leaves the page's other readers
+/// out of its downset, so that gate waits for the drain or a demand of
+/// its own.)
+pub(crate) fn open_demanded(
+    gates: &mut BTreeMap<PageId, Lsn>,
+    page: PageId,
+    records: &[(Lsn, PageOp)],
+) {
+    for (lsn, op) in records {
+        for cell in &op.writes {
+            if gates.get(&cell.page) == Some(lsn) {
+                gates.remove(&cell.page);
+            }
+        }
+    }
+    gates.remove(&page);
+}
+
+/// The drain both lazy faces run: the serial loop over the owed suffix,
+/// from the redo-start to the last gate entry — nothing past it is
+/// owed, and nothing appended since the open lies below it — one
+/// [`crate::SCAN_BATCH`] a step, in LSN order, each record parsed once.
+#[derive(Clone, Debug)]
+pub(crate) struct Drain {
+    scanner: ShardedScanner,
+    /// The last gate entry at the open.
+    upto: Lsn,
+    /// Every record at or below this LSN is redone.
+    passed: Lsn,
+    /// Records a demand redid: the drain passes over them, so none is
+    /// redone or counted twice.
+    demanded: LsnBits,
+    /// The gated pages by last entry, listed at the first step: the
+    /// order the drain opens them in.
+    opens: Option<std::vec::IntoIter<(Lsn, PageId)>>,
+    /// The last batch's view vector, emptied, for its allocation.
+    spent: Vec<(Lsn, Option<PageOpView<'static>>)>,
+    /// The error a step stopped at; the scanner is past its batch, so
+    /// every later step returns it.
+    failed: Option<SimError>,
+}
+
+impl Drain {
+    /// A drain at `analysis`'s redo-start owing up to `gates`' last
+    /// entry: nothing when nothing is gated.
+    pub(crate) fn seek(
+        log: &ShardedLog<PageOpPayload>,
+        analysis: &RestartAnalysis,
+        gates: &BTreeMap<PageId, Lsn>,
+    ) -> Drain {
+        Drain {
+            scanner: ShardedScanner::seek(log, analysis.redo_start),
+            upto: gates.values().copied().max().unwrap_or(Lsn::ZERO),
+            passed: Lsn::ZERO,
+            demanded: LsnBits::new(analysis.redo_start),
+            opens: None,
+            spent: Vec::new(),
+            failed: None,
+        }
+    }
+
+    /// Has the drain redone everything restart owes?
+    pub(crate) fn complete(&self) -> bool {
+        self.passed >= self.upto
+    }
+
+    /// Is the record at `lsn` redone, by the drain or by a demand — or
+    /// past the owed suffix, where nothing is restart's to redo?
+    pub(crate) fn is_done(&self, lsn: Lsn) -> bool {
+        lsn <= self.passed || lsn > self.upto || self.demanded.contains(lsn)
+    }
+
+    /// Replays a demand's `records` in LSN order through `redo`, noting
+    /// each so the drain passes over it.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `redo` returns.
+    pub(crate) fn replay_demanded(
+        &mut self,
+        records: &[(Lsn, PageOp)],
+        stats: &mut RecoveryStats,
+        mut redo: impl FnMut(Lsn, &PageOp) -> SimResult<bool>,
+    ) -> SimResult<()> {
+        for &(lsn, ref op) in records {
+            stats.note_verdict(Redo::of(op.id, redo(lsn, op)?));
+            self.demanded.insert(lsn);
+        }
+        Ok(())
+    }
+
+    /// Telemetry of the drain's scan.
+    pub(crate) fn scan_stats(&self) -> redo_sim::wal::ScanStats {
+        self.scanner.stats()
+    }
+
+    /// Opens every gate whose last entry the drain has passed.
+    pub(crate) fn open_passed(&mut self, gates: &mut BTreeMap<PageId, Lsn>) {
+        let opens = self.opens.get_or_insert_with(|| {
+            let mut opens: Vec<(Lsn, PageId)> = gates.iter().map(|(&p, &l)| (l, p)).collect();
+            opens.sort_unstable();
+            opens.into_iter()
+        });
+        while let Some(&(lsn, page)) = opens.as_slice().first() {
+            if lsn > self.passed {
+                break;
+            }
+            opens.next();
+            gates.remove(&page);
+        }
+    }
+
+    /// One step, `false` once the drain is complete: `read` the next
+    /// batch, parse it, `prefetch` what its records touch, then redo
+    /// each in LSN order — a checkpoint record counted, one a demand
+    /// redid passed over, one no page it writes owes skipped without a
+    /// page test, any other handed to `redo`, the face's redo test and
+    /// replay. `ctx` is what the face's steps work on.
+    ///
+    /// # Errors
+    ///
+    /// Log corruption and whatever `redo` returns; the drain then stops
+    /// for good.
+    pub(crate) fn step<C>(
+        &mut self,
+        ctx: &mut C,
+        analysis: &RestartAnalysis,
+        stats: &mut RecoveryStats,
+        read: impl for<'s> FnOnce(&C, &'s mut ShardedScanner) -> SimResult<Batch<'s>>,
+        prefetch: impl FnOnce(&mut C, &[(Lsn, Option<PageOpView<'_>>)]) -> usize,
+        redo: impl FnMut(&mut C, Lsn, &PageOpView<'_>) -> SimResult<bool>,
+    ) -> SimResult<bool> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        if self.complete() {
+            return Ok(false);
+        }
+        let batch = self.batch(ctx, analysis, stats, read, prefetch, redo);
+        self.failed = batch.as_ref().err().cloned();
+        batch.map(|()| true)
+    }
+
+    /// [`Drain::step`]'s batch.
+    fn batch<C>(
+        &mut self,
+        ctx: &mut C,
+        analysis: &RestartAnalysis,
+        stats: &mut RecoveryStats,
+        read: impl for<'s> FnOnce(&C, &'s mut ShardedScanner) -> SimResult<Batch<'s>>,
+        prefetch: impl FnOnce(&mut C, &[(Lsn, Option<PageOpView<'_>>)]) -> usize,
+        mut redo: impl FnMut(&mut C, Lsn, &PageOpView<'_>) -> SimResult<bool>,
+    ) -> SimResult<()> {
+        let mut clock = Instant::now();
+        let mut views = redo::recycle(std::mem::take(&mut self.spent));
+        let batch = read(ctx, &mut self.scanner)?;
+        redo::scan_batch(batch, self.upto, &mut views, redo::op_view)?;
+        if views.is_empty() {
+            return Err(SimError::MethodViolation(
+                "the owed suffix ended before its last gate entry",
+            ));
+        }
+        stats.phase_ns.scan += lap(&mut clock);
+        stats.pages_prefetched += prefetch(ctx, &views);
+        stats.phase_ns.prefetch += lap(&mut clock);
+        for (lsn, view) in &views {
+            stats.scanned += 1;
+            match view {
+                None => stats.checkpoint_records += 1,
+                Some(_) if self.demanded.contains(*lsn) => {}
+                Some(op) if !op.writes().any(|w| analysis.owes(w.page, *lsn)) => {
+                    stats.skipped.push(op.id);
+                }
+                Some(op) => stats.note_verdict(Redo::of(op.id, redo(ctx, *lsn, op)?)),
+            }
+            self.passed = *lsn;
+        }
+        stats.phase_ns.redo += lap(&mut clock);
+        self.spent = redo::recycle(views);
+        Ok(())
+    }
 }
 
 impl OnDemand {
@@ -109,22 +298,23 @@ impl OnDemand {
     /// Log or archive corruption; [`SimError::MediaLoss`] if the
     /// restore's install did not land.
     pub fn open(db: &mut Db<PageOpPayload>) -> SimResult<OnDemandRestart> {
-        let (analysis, stats, gates) = begin(db)?;
+        let (analysis, stats, gates, drain) = begin(db)?;
         Ok(OnDemandRestart {
             analysis,
             gates,
+            drain,
             stats,
         })
     }
 
     /// [`OnDemand::open`], then serve each probe cell mid-recovery,
-    /// then drain the remaining gates. Returns the final stats plus the
-    /// value each probe observed *while recovery was still in
-    /// progress* — the crash auditor cross-validates those against the
-    /// sequential probe's final state. The same image then goes
-    /// through the concurrent face, [`SharedDb::open_on_demand`]: the
-    /// same probes, a [`SharedDb::recovery_tick`] drain, every probe
-    /// once more — each value must equal this face's.
+    /// then drain. Returns the final stats plus the value each probe
+    /// observed *while recovery was still in progress* — the crash
+    /// auditor cross-validates those against the sequential probe's
+    /// final state. The same image then goes through the concurrent
+    /// face, [`SharedDb::open_on_demand`]: the same probes, a
+    /// [`SharedDb::recovery_tick`] drain, every probe once more — each
+    /// value must equal this face's.
     ///
     /// # Errors
     ///
@@ -164,7 +354,7 @@ impl OnDemandRestart {
     /// Is this page still awaiting its lazy redo?
     #[must_use]
     pub fn is_gated(&self, page: PageId) -> bool {
-        self.gates.contains(&page)
+        self.gates.contains_key(&page)
     }
 
     /// Pages still gated.
@@ -173,47 +363,43 @@ impl OnDemandRestart {
         self.gates.len()
     }
 
-    /// Ensures `page` is fully recovered, lazily replaying its
-    /// connected component of gated pages if it is still gated. A no-op
-    /// for ungated pages.
+    /// Ensures `page` is fully recovered, lazily replaying its downset
+    /// (`RestartAnalysis::downset`) if it is still gated. A no-op for
+    /// ungated pages.
     ///
-    /// Gates open only after the whole component replays: if this
-    /// returns an error (a tripped fault, corruption), every gate is
-    /// still closed and a fresh recovery of the repaired image owes
-    /// exactly the same work.
+    /// Gates open only after the whole downset replays: if this returns
+    /// an error (a tripped fault, corruption), the page's gate is still
+    /// closed and a fresh recovery of the repaired image owes exactly
+    /// the same work.
     ///
     /// # Errors
     ///
     /// Substrate errors, including log corruption at a chain offset.
     pub fn ensure_recovered(&mut self, db: &mut Db<PageOpPayload>, page: PageId) -> SimResult<()> {
-        if !self.gates.contains(&page) {
+        if !self.gates.contains_key(&page) {
             return Ok(());
         }
-        let (component, records) =
-            self.analysis
-                .component(&db.log, page, |p| self.gates.contains(&p), &mut self.stats)?;
-        for (lsn, op) in records {
-            self.stats.scanned += 1;
-            if redo_op(db, lsn, &op)? {
-                self.stats.replayed.push(op.id);
-            } else {
-                self.stats.skipped.push(op.id);
-            }
-        }
+        let mut clock = Instant::now();
+        let drain = &self.drain;
+        let done = |lsn| drain.is_done(lsn);
+        let records = (self.analysis).downset(&db.log, page, done, &mut self.stats)?;
+        self.stats.phase_ns.scan += lap(&mut clock);
+        let redo = |lsn, op: &PageOp| redo_op(db, lsn, op);
+        self.drain
+            .replay_demanded(&records, &mut self.stats, redo)?;
+        self.stats.phase_ns.redo += lap(&mut clock);
         // Only now open the gates. Everything above is redo work a
         // crash may discard wholesale; opening early would let a read
         // observe a half-replayed page.
-        for p in &component {
-            self.gates.remove(p);
-        }
+        open_demanded(&mut self.gates, page, &records);
         Ok(())
     }
 
     /// Serves one read mid-recovery: lazily recovers the cell's page
-    /// (and its component), then reads through the buffer pool. The
-    /// value returned is final — every surviving record writing the
-    /// page has been replayed or proven installed by the time the read
-    /// is served.
+    /// (its downset), then reads through the buffer pool. The value
+    /// returned is final — every surviving record writing the page has
+    /// been replayed or proven installed by the time the read is
+    /// served.
     ///
     /// # Errors
     ///
@@ -223,31 +409,49 @@ impl OnDemandRestart {
         db.read_cell(cell)
     }
 
-    /// One background sweeper step: recovers the lowest-numbered gated
-    /// page's component. Returns `false` when no gates remain — the
-    /// termination condition that makes on-demand recovery a *bounded*
-    /// restart rather than an indefinitely deferred one.
+    /// One background sweeper step: the drain's next batch — scan,
+    /// prefetch and redo, as the serial loop runs it — opening every
+    /// gate whose last entry it passed. Returns `false`, having done
+    /// nothing, once the whole owed suffix is redone and no gate
+    /// remains — the termination condition that makes on-demand
+    /// recovery a *bounded* restart rather than an indefinitely
+    /// deferred one.
     ///
     /// # Errors
     ///
     /// Substrate errors, including log corruption.
     pub fn sweep_one(&mut self, db: &mut Db<PageOpPayload>) -> SimResult<bool> {
-        let Some(&page) = self.gates.iter().next() else {
-            return Ok(false);
-        };
-        self.ensure_recovered(db, page)?;
-        Ok(true)
+        let more = self.drain.step(
+            db,
+            &self.analysis,
+            &mut self.stats,
+            |db, scanner| scanner.next_batch(&db.log, SCAN_BATCH),
+            |db, views| {
+                let mut pages = Vec::new();
+                for op in views.iter().filter_map(|(_, op)| op.as_ref()) {
+                    redo::op_pages(op, &mut pages);
+                }
+                pages.sort_unstable();
+                pages.dedup();
+                let (spp, stable) = (db.geometry.slots_per_page, db.log.stable_lsn());
+                db.pool.prefetch(&mut db.disk, &pages, spp, stable)
+            },
+            |db, lsn, op| redo_op(db, lsn, op),
+        )?;
+        self.drain.open_passed(&mut self.gates);
+        Ok(more)
     }
 
-    /// Drains every remaining gate and closes out the restart,
-    /// returning the accumulated stats.
+    /// Drains the rest and closes out the restart, returning the
+    /// accumulated stats.
     ///
     /// # Errors
     ///
     /// Substrate errors, including log corruption.
     pub fn finish(mut self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
         while self.sweep_one(db)? {}
-        self.stats.forces = db.log.forces();
+        self.stats
+            .note_scan(self.drain.scan_stats(), db.log.forces());
         Ok(self.stats)
     }
 }
@@ -268,9 +472,8 @@ impl RecoveryMethod for OnDemand {
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        // Open-then-drain: the lazy path run to completion. The redo
-        // set it realizes equals the sequential scan's (component order
-        // is free by Theorem 3), which the crash auditor checks.
+        // Open-then-drain: the lazy path run to completion, which with
+        // no read in between is the serial loop over the same records.
         let restart = OnDemand::open(db)?;
         restart.finish(db)
     }
@@ -290,6 +493,7 @@ mod tests {
     use crate::testkit::{self, assert_matches_model, model};
     use redo_sim::db::Geometry;
     use redo_sim::fault::{FaultKind, FaultPlan};
+    use std::collections::BTreeSet;
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
         testkit::cross_page_workload(n, 6, seed)
@@ -301,7 +505,7 @@ mod tests {
 
     #[test]
     fn mid_recovery_reads_serve_final_values() {
-        for seed in 0..4 {
+        for seed in 0..12 {
             let ops = workload(36, seed);
             let mut db = crashed_db(&ops, seed ^ 0xbeef);
             let mut seq = db.clone();
@@ -321,10 +525,19 @@ mod tests {
             let stats = restart.finish(&mut db).unwrap();
 
             // Lazy and sequential recovery realize the same redo set
-            // (replay order across components is free, so compare sets).
+            // (a demand replays ahead of the drain, so compare sets),
+            // and no operation gets two verdicts: the drain passes over
+            // what a demand redid.
             let lazy: BTreeSet<u32> = stats.replayed.iter().copied().collect();
             let sequential: BTreeSet<u32> = seq_stats.replayed.iter().copied().collect();
             assert_eq!(lazy, sequential, "seed {seed}");
+            let verdicts: BTreeSet<u32> = stats
+                .replayed
+                .iter()
+                .chain(&stats.skipped)
+                .copied()
+                .collect();
+            assert_eq!(verdicts.len(), stats.replayed.len() + stats.skipped.len());
             assert_eq!(db.volatile_theory_state(), seq.volatile_theory_state());
         }
     }
@@ -346,18 +559,89 @@ mod tests {
 
     #[test]
     fn recover_equals_sequential_recovery() {
-        for seed in 0..4 {
+        // Open-then-drain is the serial loop over the owed suffix: the
+        // same replayed sequence, not just the same set.
+        for seed in 0..12 {
             let ops = workload(32, 40 + seed);
             let db = crashed_db(&ops, seed);
             let mut lazy = db.clone();
             let mut seq = db;
             let lazy_stats = OnDemand.recover(&mut lazy).unwrap();
             let seq_stats = Generalized.recover(&mut seq).unwrap();
-            let l: BTreeSet<u32> = lazy_stats.replayed.iter().copied().collect();
-            let s: BTreeSet<u32> = seq_stats.replayed.iter().copied().collect();
-            assert_eq!(l, s);
+            assert_eq!(lazy_stats.replayed, seq_stats.replayed, "seed {seed}");
             assert_eq!(lazy.volatile_theory_state(), seq.volatile_theory_state());
             assert_eq!(lazy_stats.checkpoint_lsn, seq_stats.checkpoint_lsn);
+        }
+    }
+
+    #[test]
+    fn a_read_replays_its_pages_downset_and_not_its_component() {
+        // a <- blind @1; b <- f(a) @2; a <- g(a) @3; c <- h(b) @4;
+        // b <- k(b) @5 — committed, nothing flushed. The cross-reads
+        // join all three pages into one component of five records. b's
+        // last entry is its writer @5, whose downset is @1, @2, @4 and
+        // @5: @3, a's later writer, does not precede it, so a read of b
+        // replays four records and a stays gated; c opens with b, since
+        // its last entry @4 is in the downset and writes c.
+        use redo_workload::pages::{PageOpKind, SlotId};
+        let cell = |page| Cell {
+            page: PageId(page),
+            slot: SlotId(0),
+        };
+        let (a, b, c) = (cell(0), cell(1), cell(2));
+        let op = |id, kind, reads: Vec<Cell>, write| PageOp {
+            id,
+            kind,
+            reads,
+            writes: vec![write],
+            f_seed: u64::from(id) + 1,
+        };
+        let ops = [
+            op(0, PageOpKind::Blind, vec![], a),
+            op(1, PageOpKind::Generalized, vec![a], b),
+            op(2, PageOpKind::Physiological, vec![a], a),
+            op(3, PageOpKind::Generalized, vec![b], c),
+            op(4, PageOpKind::Physiological, vec![b], b),
+        ];
+        let mut image: Db<PageOpPayload> = Db::new(Geometry::default());
+        for op in &ops {
+            OnDemand.execute(&mut image, op).unwrap();
+        }
+        image.log.flush_all();
+        image.crash();
+        let mut reference = image.clone();
+        Generalized.recover(&mut reference).unwrap();
+
+        let mut db = image.clone();
+        let mut restart = OnDemand::open(&mut db).unwrap();
+        assert_eq!(restart.gated_count(), 3);
+        let served = restart.read_cell(&mut db, b).unwrap();
+        assert_eq!(served, reference.read_cell(b).unwrap());
+        assert_eq!(restart.stats.replayed, [0, 1, 3, 4], "b's downset, by LSN");
+        assert!(restart.is_gated(a.page), "a's later writer is not in it");
+        assert!(!restart.is_gated(b.page) && !restart.is_gated(c.page));
+        assert_eq!(
+            restart.read_cell(&mut db, c).unwrap(),
+            reference.read_cell(c).unwrap()
+        );
+        let stats = restart.finish(&mut db).unwrap();
+        assert_eq!(stats.replayed, [0, 1, 3, 4, 2], "the drain adds only @3");
+        assert_eq!(
+            db.volatile_theory_state(),
+            reference.volatile_theory_state()
+        );
+
+        // The concurrent face replays the same unit and leaves a gated.
+        let shared = SharedDb::open_on_demand(image).unwrap();
+        assert_eq!(shared.read_cell(b).unwrap(), served);
+        assert_eq!(shared.gated_count(), 1);
+        while shared.recovery_tick().unwrap() {}
+        assert_eq!(shared.recovery_stats().unwrap().replayed, stats.replayed);
+        for cell in [a, b, c] {
+            assert_eq!(
+                shared.read_cell(cell).unwrap(),
+                reference.read_cell(cell).unwrap()
+            );
         }
     }
 

@@ -13,15 +13,16 @@
 //!   chain. A heavyweight checkpoint is not a third kind — it is the
 //!   empty table with a redo-start one past its own LSN.
 //! * [`recover`] — the serial loop: repair, analyze, seek to the
-//!   redo-start, then batch by batch prefetch the method's footprint
-//!   and hand each record to the method's redo closure, which decides
-//!   *replayed / skipped* and applies; a checkpoint record is recognised
-//!   here, through [`CheckpointView`], and never reaches the closure. A
-//!   method is its `(footprint, redo test)` pair and nothing else — and a
-//!   §6.2/§6.3 method, whose conflicts all live inside one page, states
-//!   that pair once as a [`PageLocal`] payload: how a record splits
-//!   into per-page parts, and one step that is the redo test and the
-//!   apply. [`recover_local`] runs the step on the pool's frames.
+//!   redo-start, then batch by batch parse each record once, prefetch
+//!   the pages the parsed records name, and hand each to the method's
+//!   [`RedoStep`], which decides *replayed / skipped* and applies; a
+//!   checkpoint record is recognised here, through [`CheckpointView`],
+//!   and never reaches the step. A method is its `(footprint, redo
+//!   test)` pair and nothing else — and a §6.2/§6.3 method, whose
+//!   conflicts all live inside one page, states that pair once as a
+//!   [`PageLocal`] payload: how a record splits into per-page parts, and
+//!   one step that is the redo test and the apply. [`recover_local`]
+//!   runs the step on the pool's frames.
 //! * checkpoint publication — [`checkpoint_heavyweight`] (flush
 //!   everything, then move the master) and [`checkpoint_fuzzy`], the one
 //!   online publisher for every payload: diff the pool's table against
@@ -31,9 +32,11 @@
 //! The other *executors* run the same analysis. Lazy restart — both
 //! faces, [`crate::ondemand`] over a sequential [`Db`] and
 //! [`crate::concurrent::SharedDb::open_on_demand`] over the sharded
-//! store — places its gates with `RestartAnalysis::gates`, finds its
-//! replay unit with `RestartAnalysis::component` and replays it under
-//! the generalized redo step; only the store the pages live in differs.
+//! store — places its gates with `RestartAnalysis::gates`, drains the
+//! owed suffix with this loop's scan (`scan_batch`) in LSN order, and
+//! serves a read of a gated page by replaying the page's downset
+//! (`RestartAnalysis::downset`) first, all under the generalized redo
+//! step; only the store the pages live in differs.
 //! Partitioned-parallel restart
 //! ([`crate::parallel::recover_partitioned`]) runs the same
 //! [`PageLocal`] step as [`recover_local`], on page images its workers
@@ -41,17 +44,17 @@
 //! still owes, and so every replayed/skipped verdict, is decided in
 //! one place for both.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use redo_sim::db::Db;
 use redo_sim::disk::Disk;
 use redo_sim::page::Page;
 use redo_sim::wal::codec::{self, PageOpView};
-use redo_sim::wal::{LogPayload, RecordBody, ShardedLog, ShardedScanner};
+use redo_sim::wal::{Batch, LogPayload, RecordBody, ShardedLog, ShardedScanner};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{Cell, OpCells, PageId, PageOp};
+use redo_workload::pages::{OpCells, PageId, PageOp};
 
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryStats, SCAN_BATCH};
@@ -270,11 +273,6 @@ pub struct RestartAnalysis {
     pub dirty: Option<BTreeMap<PageId, Lsn>>,
 }
 
-/// One unit of lazy replay ([`RestartAnalysis::component`]): the gated
-/// pages that open together, and the residual records that replay
-/// first, by LSN.
-pub(crate) type Component = (BTreeSet<PageId>, BTreeMap<Lsn, PageOp>);
-
 impl RestartAnalysis {
     /// The fallback when no checkpoint is in force: a full scan from
     /// the log's first retained record.
@@ -360,79 +358,162 @@ impl RestartAnalysis {
     /// when restart owes a record of its writer chain, or when a record
     /// at or above the redo-start reads it without writing it: that
     /// page is exposed to a residual reader, which must see it before
-    /// anything new overwrites it. Each test reads the chain's last
-    /// entry only — the owed entries are a suffix
-    /// ([`RestartAnalysis::owed_chain`]), and so are those at or above
-    /// the redo-start. A page read on several shards comes once per
-    /// shard; the set's bulk build sorts the pages and drops the copies.
-    pub(crate) fn gates<P: LogPayload>(&self, log: &ShardedLog<P>) -> BTreeSet<PageId> {
+    /// anything new overwrites it. Each gated page maps to its *last
+    /// entry*, the later of its last owed writer and its last reader at
+    /// or above the redo-start: once everything up to it is redone, the
+    /// page may open. Each test reads the chain's last entry only — the
+    /// owed entries are a suffix ([`RestartAnalysis::owed_chain`]), and
+    /// so are those at or above the redo-start. Each chain map yields
+    /// its pages in id order, so the entries arrive as a few sorted
+    /// runs, which a stable sort merges; a page read on several shards
+    /// comes once per shard, and keeping each page's latest entry drops
+    /// the copies.
+    pub(crate) fn gates<P: LogPayload>(&self, log: &ShardedLog<P>) -> BTreeMap<PageId, Lsn> {
         let last = |chain: &[(Lsn, u64)]| chain.last().map(|&(lsn, _)| lsn);
         let writers = (log.page_chains())
-            .filter(|&(page, chain)| last(chain).is_some_and(|lsn| self.owes(page, lsn)));
-        let readers = (log.reader_chains())
-            .filter(|&(_, chain)| last(chain).is_some_and(|lsn| lsn >= self.redo_start));
-        writers.chain(readers).map(|(page, _)| page).collect()
+            .filter_map(|(page, chain)| Some((page, last(chain).filter(|&l| self.owes(page, l))?)));
+        let readers = (log.reader_chains()).filter_map(|(page, chain)| {
+            Some((page, last(chain).filter(|&l| l >= self.redo_start)?))
+        });
+        let mut gates: Vec<(PageId, Lsn)> = writers.chain(readers).collect();
+        gates.sort();
+        gates.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 = later.1;
+            }
+            same
+        });
+        gates.into_iter().collect()
     }
 
-    /// The unit of lazy replay: the closure of the gated `page` under
-    /// the residual conflict graph, chased chain by chain at the moment
-    /// of the touch. Each member contributes its owed writers
-    /// ([`RestartAnalysis::owed_chain`]) and its cross-readers
-    /// ([`ShardedLog::readers_of`]: a record that read the page must
-    /// replay before the page's later writers, or it would observe the
-    /// future). A record joins while restart still owes it on a gated
-    /// page it writes — anything else is installed, or was replayed
-    /// with a component served earlier — and brings every gated page it
-    /// touches. With both edge directions followed the closure is a
-    /// whole connected component (DESIGN §14). `gated` is the caller's
-    /// live gate set; each decode is counted into `stats`.
+    /// The unit a demand read replays before `page` opens: every record
+    /// restart still owes that must precede a new access to the page,
+    /// closed downward under the residual conflict graph and returned
+    /// by LSN, each decoded owned. By Theorem 3 such a downset may
+    /// replay, in LSN order, before everything else. The seeds are the
+    /// page's gate entries, its owed writers
+    /// ([`RestartAnalysis::owed_chain`]) and its readers at or above
+    /// the redo-start ([`ShardedLog::readers_of`]): the downset of its
+    /// last owed writer, and of the readers past that one, which do not
+    /// conflict with one another. From each record the walk goes
+    /// backwards in LSN — for each page it reads, that page's earlier
+    /// owed writers (write-read edges); for each page it writes, that
+    /// page's earlier owed writers (write-write) and earlier readers at
+    /// or above the redo-start (read-write). A record that no page it
+    /// writes owes is left out, and so is what only it leads to: it
+    /// never replays. So is a record `done` names, redone by the drain
+    /// or by an earlier demand with its own downset. Each chain is
+    /// pushed once, however many records point into it, and each
+    /// decode is counted into `stats`.
     ///
     /// # Errors
     ///
     /// Log corruption at a chain offset.
-    pub(crate) fn component(
+    pub(crate) fn downset(
         &self,
         log: &ShardedLog<PageOpPayload>,
         page: PageId,
-        gated: impl Fn(PageId) -> bool,
+        done: impl Fn(Lsn) -> bool,
         stats: &mut RecoveryStats,
-    ) -> SimResult<Component> {
-        let mut pages = BTreeSet::new();
-        let mut records: BTreeMap<Lsn, PageOp> = BTreeMap::new();
-        let mut frontier = vec![page];
-        while let Some(p) = frontier.pop() {
-            if !pages.insert(p) {
+    ) -> SimResult<Vec<(Lsn, PageOp)>> {
+        // Per page, the bounds below which its owed writers and its
+        // readers are already on the stack, and its readers once read.
+        let mut pushed: HashMap<PageId, (Lsn, Lsn)> = HashMap::new();
+        let mut readers: HashMap<PageId, Vec<(Lsn, usize, u64)>> = HashMap::new();
+        let mut stack: Vec<(Lsn, usize, u64)> = Vec::new();
+        let mut push = |stack: &mut Vec<_>, q: PageId, below: Lsn, with_readers: bool| {
+            let (writers_below, readers_below) = pushed.entry(q).or_default();
+            if below > *writers_below {
+                let (home, chain) = (log.shard_of(q), self.owed_chain(log, q));
+                let at = |bound: Lsn| chain.partition_point(|&(lsn, _)| lsn < bound);
+                let entries = chain[at(*writers_below)..at(below)].iter();
+                stack.extend(entries.map(|&(lsn, off)| (lsn, home, off)));
+                *writers_below = below;
+            }
+            if with_readers && below > *readers_below {
+                let entries = readers.entry(q).or_insert_with(|| {
+                    let mut entries = log.readers_of(q);
+                    entries.retain(|&(lsn, _, _)| lsn >= self.redo_start);
+                    entries
+                });
+                let at = |bound: Lsn| entries.partition_point(|&(lsn, _, _)| lsn < bound);
+                stack.extend_from_slice(&entries[at(*readers_below)..at(below)]);
+                *readers_below = below;
+            }
+        };
+        push(&mut stack, page, Lsn(u64::MAX), true);
+        // Every record taken or left out; the walk meets most of them
+        // again through a second chain.
+        let mut seen = LsnBits::new(self.redo_start);
+        let mut records: Vec<(Lsn, PageOp)> = Vec::new();
+        while let Some((lsn, shard, off)) = stack.pop() {
+            if done(lsn) || !seen.insert(lsn) {
                 continue;
             }
-            let home = log.shard_of(p);
-            let writers =
-                (self.owed_chain(log, p).iter()).map(|&(lsn, off)| (lsn, home, off, true));
-            let readers = log.readers_of(p).into_iter();
-            let owed_readers = readers.filter(|&(lsn, _, _)| lsn >= self.redo_start);
-            let entries = writers.chain(owed_readers.map(|(lsn, s, off)| (lsn, s, off, false)));
-            for (lsn, shard, off, writes_p) in entries {
-                if records.contains_key(&lsn) {
-                    continue;
-                }
-                let rec = log.record_in(shard, off)?;
-                debug_assert_eq!(rec.lsn, lsn, "chain entry points at a foreign frame");
-                stats.records_decoded += 1;
-                stats.seek_hits += 1;
-                let PageOpPayload::Op(op) = rec.payload else {
-                    continue;
-                };
-                // An owed writer of `p` is owed on a gated page by
-                // construction; a reader has to show one.
-                let owed = |w: &Cell| gated(w.page) && self.owes(w.page, lsn);
-                if !(writes_p || op.writes.iter().any(owed)) {
-                    continue;
-                }
-                let touched = op.footprint().touched.into_iter();
-                frontier.extend(touched.filter(|&q| gated(q) && !pages.contains(&q)));
-                records.insert(lsn, op);
+            let rec = log.record_in(shard, off)?;
+            debug_assert_eq!(rec.lsn, lsn, "chain entry points at a foreign frame");
+            stats.records_decoded += 1;
+            stats.seek_hits += 1;
+            let PageOpPayload::Op(op) = rec.payload else {
+                continue;
+            };
+            if !op.writes.iter().any(|w| self.owes(w.page, lsn)) {
+                continue;
             }
+            for cell in &op.reads {
+                push(&mut stack, cell.page, lsn, false);
+            }
+            for cell in &op.writes {
+                push(&mut stack, cell.page, lsn, true);
+            }
+            records.push((lsn, op));
         }
-        Ok((pages, records))
+        // The stack pops each chain from its top, so the records come
+        // mostly in descending runs, which a stable sort takes whole.
+        records.sort_by_key(|&(lsn, _)| lsn);
+        Ok(records)
+    }
+}
+
+/// A set of the LSNs from `base` on, one bit each: the owed suffix is a
+/// dense LSN range, so a lookup is one shift and a mask.
+#[derive(Clone, Debug)]
+pub(crate) struct LsnBits {
+    base: Lsn,
+    words: Vec<u64>,
+}
+
+impl LsnBits {
+    /// The empty set of the LSNs from `base` on.
+    pub(crate) fn new(base: Lsn) -> LsnBits {
+        LsnBits {
+            base,
+            words: Vec::new(),
+        }
+    }
+
+    /// `lsn`'s word and bit, `None` below `base`.
+    fn bit(&self, lsn: Lsn) -> Option<(usize, u64)> {
+        let at = usize::try_from(lsn.0.checked_sub(self.base.0)?).ok()?;
+        Some((at / 64, 1 << (at % 64)))
+    }
+
+    /// Is `lsn` in the set?
+    pub(crate) fn contains(&self, lsn: Lsn) -> bool {
+        let bit = self.bit(lsn);
+        bit.is_some_and(|(word, bit)| self.words.get(word).is_some_and(|w| w & bit != 0))
+    }
+
+    /// Adds `lsn`, at or above `base`; `false` if it was there already.
+    pub(crate) fn insert(&mut self, lsn: Lsn) -> bool {
+        let (word, bit) = self.bit(lsn).expect("an LSN at or above the base");
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
     }
 }
 
@@ -574,7 +655,7 @@ pub(crate) fn begin<P: CheckpointView>(
 }
 
 /// Nanoseconds since `clock` was last read; restarts it.
-fn lap(clock: &mut Instant) -> u64 {
+pub(crate) fn lap(clock: &mut Instant) -> u64 {
     let was = std::mem::replace(clock, Instant::now());
     u64::try_from((*clock - was).as_nanos()).unwrap_or(u64::MAX)
 }
@@ -607,39 +688,115 @@ impl Redo {
     }
 }
 
+/// A method's redo as the serial loop ([`recover`]) runs it: how an
+/// operation record's body is read, which pages prefetch faults in for
+/// it, and the redo test and replay. The loop parses each record once
+/// per batch and hands the same view to [`RedoStep::footprint`] and to
+/// [`RedoStep::redo`]; a checkpoint record reaches none of them.
+pub trait RedoStep<P: LogPayload> {
+    /// One operation record as the step reads it; it may borrow the
+    /// record's bytes.
+    type View<'a>;
+
+    /// Reads an operation record's body.
+    ///
+    /// # Errors
+    ///
+    /// Log corruption, or [`SimError::MethodViolation`] for a record
+    /// whose shape the method does not log.
+    fn parse(body: RecordBody<'_>) -> SimResult<Self::View<'_>>;
+
+    /// Adds the pages the record's replay reads or writes to `pages`.
+    ///
+    /// # Errors
+    ///
+    /// As [`RedoStep::parse`], for a view that defers its parsing.
+    fn footprint(view: &Self::View<'_>, pages: &mut Vec<PageId>) -> SimResult<()>;
+
+    /// The redo test and the replay of the record at `lsn`.
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors.
+    fn redo(
+        &mut self,
+        db: &mut Db<P>,
+        analysis: &RestartAnalysis,
+        lsn: Lsn,
+        view: &Self::View<'_>,
+    ) -> SimResult<Redo>;
+}
+
+/// An empty vector on `spent`'s allocation, for items of another
+/// lifetime: a batch's views borrow the scanner's buffer and cannot
+/// outlive the batch, but their vector's allocation can. (Collecting a
+/// vector's own `into_iter` reuses its buffer when the item layouts
+/// agree, and here the items differ only in a lifetime.)
+pub(crate) fn recycle<T, U>(mut spent: Vec<T>) -> Vec<U> {
+    spent.clear();
+    spent.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
+/// The scan phase of the serial loop, which the lazy drain runs too:
+/// `batch`'s records at or below `upto` pushed onto `views` in LSN
+/// order, each parsed once — a checkpoint record as `None`.
+///
+/// # Errors
+///
+/// Log corruption, and whatever `parse` returns.
+pub(crate) fn scan_batch<'s, V>(
+    batch: Batch<'s>,
+    upto: Lsn,
+    views: &mut Vec<(Lsn, Option<V>)>,
+    parse: impl Fn(RecordBody<'s>) -> SimResult<V>,
+) -> SimResult<()> {
+    for rec in batch.take_while(|rec| rec.lsn <= upto) {
+        let view = match Checkpoint::in_record(rec.payload)? {
+            Some(_) => None,
+            None => Some(parse(rec.payload)?),
+        };
+        views.push((rec.lsn, view));
+    }
+    Ok(())
+}
+
 /// The serial Figure-6 procedure: `begin` (repair, analyze), then a
 /// streaming scan that seeks past the checkpointed (or fuzzily elided)
-/// prefix — never reading it — and goes batch by batch: prefetch the
-/// pages `footprint` names for the upcoming records, then hand each
-/// operation record (with the analysis) to `redo`, the method's redo
-/// test and replay. Both see a record as its body, read in place, and
-/// parse what they need of it. A checkpoint record is scanned and
-/// counted, and reaches neither.
+/// prefix — never reading it — and goes batch by batch: parse each
+/// record of the batch once ([`RedoStep::parse`]), prefetch the pages
+/// their footprints name, then hand each operation record's view (with
+/// the analysis) to the step's redo test and replay. A checkpoint
+/// record is scanned and counted, and reaches neither.
 ///
 /// # Errors
 ///
 /// Substrate errors, including log corruption.
-pub fn recover<P, F, R>(db: &mut Db<P>, mut footprint: F, mut redo: R) -> SimResult<RecoveryStats>
+pub fn recover<P, S>(db: &mut Db<P>, mut step: S) -> SimResult<RecoveryStats>
 where
     P: CheckpointView,
-    F: FnMut(RecordBody<'_>, &mut Vec<PageId>) -> SimResult<()>,
-    R: FnMut(&mut Db<P>, &RestartAnalysis, Lsn, RecordBody<'_>) -> SimResult<Redo>,
+    S: RedoStep<P>,
 {
     let (analysis, mut stats) = begin(db)?;
     let mut clock = Instant::now();
     let mut scanner = ShardedScanner::seek(&db.log, analysis.redo_start);
+    let upto = db.log.stable_lsn();
     let mut pages: Vec<PageId> = Vec::new();
+    let mut spent: Vec<(Lsn, Option<S::View<'static>>)> = Vec::new();
     loop {
-        let batch = scanner.next_batch(&db.log, SCAN_BATCH)?;
+        let mut views = recycle(spent);
+        scan_batch(
+            scanner.next_batch(&db.log, SCAN_BATCH)?,
+            upto,
+            &mut views,
+            S::parse,
+        )?;
         stats.phase_ns.scan += lap(&mut clock);
-        if batch.is_empty() {
+        if views.is_empty() {
             break;
         }
         pages.clear();
-        for rec in batch {
-            if Checkpoint::in_record(rec.payload)?.is_none() {
-                footprint(rec.payload, &mut pages)?;
-            }
+        for view in views.iter().filter_map(|(_, view)| view.as_ref()) {
+            S::footprint(view, &mut pages)?;
         }
         pages.sort_unstable();
         pages.dedup();
@@ -650,18 +807,61 @@ where
             db.log.stable_lsn(),
         );
         stats.phase_ns.prefetch += lap(&mut clock);
-        for rec in batch {
+        for (lsn, view) in &views {
             stats.scanned += 1;
-            if Checkpoint::in_record(rec.payload)?.is_some() {
-                stats.checkpoint_records += 1;
-            } else {
-                stats.note_verdict(redo(db, &analysis, rec.lsn, rec.payload)?);
+            match view {
+                Some(view) => stats.note_verdict(step.redo(db, &analysis, *lsn, view)?),
+                None => stats.checkpoint_records += 1,
             }
         }
         stats.phase_ns.redo += lap(&mut clock);
+        spent = recycle(views);
     }
     stats.note_scan(scanner.stats(), db.log.forces());
     Ok(stats)
+}
+
+/// The operation a record's body holds, read in place.
+///
+/// # Errors
+///
+/// Log corruption, or [`NOT_AN_OPERATION`] for a checkpoint record.
+pub(crate) fn op_view(body: RecordBody<'_>) -> SimResult<PageOpView<'_>> {
+    body.parse(PageOpPayload::op_view)?.ok_or(NOT_AN_OPERATION)
+}
+
+/// Adds the pages an operation reads or writes to `pages`.
+pub(crate) fn op_pages(op: &PageOpView<'_>, pages: &mut Vec<PageId>) {
+    pages.extend(op.reads().chain(op.writes()).map(|cell| cell.page));
+}
+
+/// The [`RedoStep`] of the operation-logging methods ([`recover_ops`]).
+struct OpStep<R>(R);
+
+impl<R> RedoStep<PageOpPayload> for OpStep<R>
+where
+    R: FnMut(&mut Db<PageOpPayload>, Lsn, &PageOpView<'_>) -> SimResult<bool>,
+{
+    type View<'a> = PageOpView<'a>;
+
+    fn parse(body: RecordBody<'_>) -> SimResult<PageOpView<'_>> {
+        op_view(body)
+    }
+
+    fn footprint(op: &PageOpView<'_>, pages: &mut Vec<PageId>) -> SimResult<()> {
+        op_pages(op, pages);
+        Ok(())
+    }
+
+    fn redo(
+        &mut self,
+        db: &mut Db<PageOpPayload>,
+        _: &RestartAnalysis,
+        lsn: Lsn,
+        op: &PageOpView<'_>,
+    ) -> SimResult<Redo> {
+        Ok(Redo::of(op.id, (self.0)(db, lsn, op)?))
+    }
 }
 
 /// [`recover`] for the operation-logging methods: each batch prefetches
@@ -672,26 +872,49 @@ where
 /// # Errors
 ///
 /// Substrate errors, including log corruption.
-pub fn recover_ops<R>(db: &mut Db<PageOpPayload>, mut redo_test: R) -> SimResult<RecoveryStats>
+pub fn recover_ops<R>(db: &mut Db<PageOpPayload>, redo_test: R) -> SimResult<RecoveryStats>
 where
     R: FnMut(&mut Db<PageOpPayload>, Lsn, &PageOpView<'_>) -> SimResult<bool>,
 {
-    recover(
-        db,
-        |body, pages| {
-            let op = body
-                .parse(PageOpPayload::op_view)?
-                .ok_or(NOT_AN_OPERATION)?;
-            pages.extend(op.reads().chain(op.writes()).map(|cell| cell.page));
-            Ok(())
-        },
-        |db, _, lsn, body| {
-            let op = body
-                .parse(PageOpPayload::op_view)?
-                .ok_or(NOT_AN_OPERATION)?;
-            Ok(Redo::of(op.id, redo_test(db, lsn, &op)?))
-        },
-    )
+    recover(db, OpStep(redo_test))
+}
+
+/// The [`RedoStep`] of a [`PageLocal`] payload ([`recover_local`]). Its
+/// view is the body itself: the parts are an iterator over the record's
+/// bytes, read afresh by the footprint and by the step.
+struct LocalStep<P, S>(S, std::marker::PhantomData<P>);
+
+impl<P, S> RedoStep<P> for LocalStep<P, S>
+where
+    P: PageLocal,
+    S: Fn(&mut Page, Lsn, &P::Part<'_>) -> bool,
+{
+    type View<'a> = RecordBody<'a>;
+
+    fn parse(body: RecordBody<'_>) -> SimResult<RecordBody<'_>> {
+        Ok(body)
+    }
+
+    fn footprint(body: &RecordBody<'_>, pages: &mut Vec<PageId>) -> SimResult<()> {
+        pages.extend(P::parts(*body)?.1.map(|(page, _)| page));
+        Ok(())
+    }
+
+    fn redo(
+        &mut self,
+        db: &mut Db<P>,
+        analysis: &RestartAnalysis,
+        lsn: Lsn,
+        body: &RecordBody<'_>,
+    ) -> SimResult<Redo> {
+        let (op_id, parts) = P::parts(*body)?;
+        let mut replayed = false;
+        for (page, part) in analysis.owed_parts(lsn, parts) {
+            db.fetch_with_steal(page)?;
+            replayed |= db.pool.update_if(page, lsn, |p| (self.0)(p, lsn, &part))?;
+        }
+        Ok(Redo::of(op_id, replayed))
+    }
 }
 
 /// [`recover`] for a [`PageLocal`] payload — the serial executor of its
@@ -708,22 +931,7 @@ where
     P: PageLocal,
     S: Fn(&mut Page, Lsn, &P::Part<'_>) -> bool,
 {
-    recover(
-        db,
-        |body, pages| {
-            pages.extend(P::parts(body)?.1.map(|(page, _)| page));
-            Ok(())
-        },
-        |db, analysis, lsn, body| {
-            let (op_id, parts) = P::parts(body)?;
-            let mut replayed = false;
-            for (page, part) in analysis.owed_parts(lsn, parts) {
-                db.fetch_with_steal(page)?;
-                replayed |= db.pool.update_if(page, lsn, |p| step(p, lsn, &part))?;
-            }
-            Ok(Redo::of(op_id, replayed))
-        },
-    )
+    recover(db, LocalStep(step, std::marker::PhantomData))
 }
 
 /// A heavyweight (flush-everything) checkpoint: force the log, set the
@@ -976,6 +1184,7 @@ mod tests {
     use crate::RecoveryMethod;
     use proptest::prelude::*;
     use redo_sim::db::Geometry;
+    use std::collections::BTreeSet;
 
     /// One roster row: `method` over `ops`, crashed under chaos flushes
     /// without checkpoints and with its own checkpoint discipline, must
@@ -1139,21 +1348,25 @@ mod tests {
     /// The per-page gate definition the one-pass placement replaced:
     /// a chained page whose chain holds an owed entry, or a page some
     /// record at or above the redo-start reads without writing — each
-    /// page's chains looked up and tested entry by entry.
+    /// page's chains looked up and tested entry by entry — with the
+    /// last of those entries.
     fn gates_page_by_page(
         analysis: &RestartAnalysis,
         log: &ShardedLog<PageOpPayload>,
-    ) -> BTreeSet<PageId> {
-        let owed = |&page: &PageId| {
-            (log.page_chain(page).iter()).any(|&(lsn, _)| analysis.owes(page, lsn))
+    ) -> BTreeMap<PageId, Lsn> {
+        let owed = |page: PageId| {
+            let chain = log.page_chain(page).iter().map(|&(lsn, _)| lsn);
+            chain.filter(|&lsn| analysis.owes(page, lsn)).max()
         };
-        let exposed = |&page: &PageId| {
-            (log.readers_of(page).iter()).any(|&(lsn, _, _)| lsn >= analysis.redo_start)
+        let exposed = |page: PageId| {
+            let readers = log.readers_of(page).into_iter().map(|(lsn, _, _)| lsn);
+            readers.filter(|&lsn| lsn >= analysis.redo_start).max()
         };
-        let writers = log.chained_pages().filter(owed);
-        writers
-            .chain((0..GATE_PAGES).map(PageId).filter(exposed))
-            .collect()
+        let pages: BTreeSet<PageId> = (log.chained_pages())
+            .chain((0..GATE_PAGES).map(PageId))
+            .collect();
+        let last = |page| Some((page, owed(page).max(exposed(page))?));
+        pages.into_iter().filter_map(last).collect()
     }
 
     /// An analysis the run's own log may never have produced: any
@@ -1179,10 +1392,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The one-pass gate set equals the per-page definition, and the
-        /// owed chain is the per-entry filter — over the analysis the
-        /// crashed image yields (full or delta checkpoints, truncation,
-        /// torn-tail repair, 1 or 4 log shards) and over arbitrary ones.
+        /// The one-pass gates equal the per-page definition, last
+        /// entries included, and the owed chain is the per-entry filter
+        /// — over the analysis the crashed image yields (full or delta
+        /// checkpoints, truncation, torn-tail repair, 1 or 4 log shards)
+        /// and over arbitrary ones.
         #[test]
         fn one_pass_gates_equal_the_page_by_page_definition(
             seed in any::<u64>(),

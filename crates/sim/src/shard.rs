@@ -113,16 +113,21 @@ impl ShardedStore {
         // A handful of pages at most: picking the next shard up by a
         // rescan is cheaper than building a set to sort them.
         let shards = || pages.iter().map(|&p| self.shard_of(p));
-        let mut guards = Vec::with_capacity(pages.len().min(self.shards.len()));
+        let mut lease = PageLease {
+            store: self,
+            first: None,
+            rest: Vec::new(),
+        };
         let mut next = shards().min();
         while let Some(s) = next {
-            guards.push((s, self.shards[s].lock()));
+            let guard = (s, self.shards[s].lock());
+            match lease.first {
+                None => lease.first = Some(guard),
+                Some(_) => lease.rest.push(guard),
+            }
             next = shards().filter(|&t| t > s).min();
         }
-        PageLease {
-            store: self,
-            guards,
-        }
+        lease
     }
 
     /// Locks **all** shards in ascending order — the checkpoint
@@ -285,14 +290,22 @@ impl ShardedStore {
 /// outside the leased set is a caller bug and panics.
 pub struct PageLease<'a> {
     store: &'a ShardedStore,
-    guards: Vec<(usize, MutexGuard<'a, BufferPool>)>,
+    /// The lowest leased shard's guard, held inline: a lease on one
+    /// shard allocates nothing.
+    first: Option<(usize, MutexGuard<'a, BufferPool>)>,
+    /// The other leased shards' guards, ascending.
+    rest: Vec<(usize, MutexGuard<'a, BufferPool>)>,
 }
 
-impl PageLease<'_> {
+impl<'a> PageLease<'a> {
+    /// Every leased shard's index and guard, ascending.
+    fn guards(&mut self) -> impl Iterator<Item = &mut (usize, MutexGuard<'a, BufferPool>)> {
+        self.first.iter_mut().chain(&mut self.rest)
+    }
+
     fn pool_mut(&mut self, id: PageId) -> &mut BufferPool {
         let shard = self.store.shard_of(id);
-        self.guards
-            .iter_mut()
+        self.guards()
             .find(|(s, _)| *s == shard)
             .map(|(_, g)| &mut **g)
             .expect("page not covered by this lease")
@@ -366,7 +379,7 @@ impl PageLease<'_> {
             return;
         };
         let store = self.store;
-        for (shard, pool) in &mut self.guards {
+        for (shard, pool) in self.guards() {
             if group.pages.iter().any(|&p| store.shard_of(p) == *shard) {
                 pool.add_group(group.clone());
             }

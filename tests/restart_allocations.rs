@@ -1,32 +1,52 @@
-//! The serial restart allocates nothing per record.
+//! The serial restart, and the lazy drain that runs its scan, allocate
+//! nothing per record.
 //!
 //! The scan reads each record in place and the redo step replays the
 //! operation from that view, so a restart's heap allocations are set by
 //! the pages it touches and a few amortized vectors (the stats' op-id
 //! lists), not by the number of records. This binary counts every
-//! allocation through its own global allocator and compares a restart
-//! of an N-record log with one of a 2N-record log over the same pages:
+//! allocation through its own global allocator, per thread (the tests
+//! run side by side, and a restart here allocates on its caller's
+//! thread only), and compares a restart of an N-record log with one of
+//! a 2N-record log over the same pages:
 //! a decode into owned operations — two `Vec<Cell>`s a record — costs
 //! 2N more allocations, where the in-place read costs a handful.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
+use redo_recovery::methods::concurrent::SharedDb;
 use redo_recovery::methods::generalized::Generalized;
-use redo_recovery::methods::RecoveryMethod;
+use redo_recovery::methods::oprecord::PageOpPayload;
+use redo_recovery::methods::{RecoveryMethod, RecoveryStats};
 use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::workload::pages::PageWorkloadSpec;
 
 /// [`System`], counting allocations.
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made on this thread. Constant-initialized with no
+    /// destructor, so counting allocates nothing and works at any point
+    /// of a thread's life.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made on this thread so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: every call forwards to `System` unchanged; the count is a
-// relaxed side effect.
+// side effect on a thread-local cell.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.alloc(layout) }
     }
@@ -37,7 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -50,10 +70,9 @@ static GLOBAL: Counting = Counting;
 /// already fault every one of them in.
 const PAGES: u32 = 16;
 
-/// Allocations made by `Generalized.recover` of a crashed image whose
-/// log holds `n` single-page operations over [`PAGES`] pages, none of
-/// them installed.
-fn restart_allocations(n: usize) -> usize {
+/// A crashed image whose log holds `n` single-page operations over
+/// [`PAGES`] pages, none of them installed.
+fn crashed_image(n: usize) -> Db<PageOpPayload> {
     let ops = PageWorkloadSpec {
         n_ops: n,
         n_pages: PAGES,
@@ -66,22 +85,70 @@ fn restart_allocations(n: usize) -> usize {
     }
     image.log.flush_all();
     image.crash();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let stats = Generalized.recover(&mut image).unwrap();
-    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    image
+}
+
+/// Allocations made by `restart` of the image of `n` operations, which
+/// must replay every one of them.
+fn restart_allocations(
+    n: usize,
+    restart: impl FnOnce(Db<PageOpPayload>) -> RecoveryStats,
+) -> usize {
+    let image = crashed_image(n);
+    let before = allocations();
+    let stats = restart(image);
+    let made = allocations() - before;
     assert_eq!(stats.replay_count(), n, "every record replays");
     made
 }
 
+/// The serial restart.
+fn offline(mut image: Db<PageOpPayload>) -> RecoveryStats {
+    Generalized.recover(&mut image).unwrap()
+}
+
+/// The concurrent face's lazy restart, drained by its sweeper with no
+/// read in between.
+fn drained(image: Db<PageOpPayload>) -> RecoveryStats {
+    let shared = SharedDb::open_on_demand(image).unwrap();
+    while shared.recovery_tick().unwrap() {}
+    shared.recovery_stats().unwrap()
+}
+
+/// Records in the smaller log of each pair.
+const N: usize = 2_000;
+
 #[test]
 fn the_redo_loop_allocates_nothing_per_record() {
-    const N: usize = 2_000;
-    let (once, twice) = (restart_allocations(N), restart_allocations(2 * N));
+    let (once, twice) = (
+        restart_allocations(N, offline),
+        restart_allocations(2 * N, offline),
+    );
     // Doubling the log doubles the op-id lists in the stats: one more
     // growth step each.
     assert!(
         twice <= once + 8,
         "{N} more records cost {} more allocations ({once} for {N}, {twice} for {})",
+        twice.saturating_sub(once),
+        2 * N,
+    );
+}
+
+#[test]
+fn the_lazy_drain_allocates_no_more_per_record_than_the_redo_loop() {
+    // The drain is the serial loop's scan; each record replays under a
+    // lease of its own, which must cost no allocation either. Owned
+    // decodes, as a drain that chases chains makes them, cost two
+    // `Vec<Cell>`s a record.
+    let serial = restart_allocations(2 * N, offline) - restart_allocations(N, offline);
+    let (once, twice) = (
+        restart_allocations(N, drained),
+        restart_allocations(2 * N, drained),
+    );
+    assert!(
+        twice <= once + serial.max(8),
+        "{N} more records cost the drain {} more allocations ({once} for {N}, {twice} for {}), \
+         the serial restart {serial}",
         twice.saturating_sub(once),
         2 * N,
     );

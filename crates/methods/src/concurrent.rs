@@ -61,8 +61,8 @@
 //! ## Instant restart
 //!
 //! [`SharedDb::open_on_demand`] reopens a crashed [`Db`] immediately —
-//! the concurrent face of the one lazy-restart executor
-//! ([`crate::ondemand`] is the sequential one). Analysis places a
+//! the concurrent face of the one lazy restart, `ondemand::LazyRestart`
+//! ([`crate::ondemand`] is the sequential face). Analysis places a
 //! recovery gate on every page whose stable chain holds a record the
 //! fuzzy dirty-page table cannot prove installed, and on every page a
 //! record at or above the redo-start reads without writing — one walk
@@ -71,28 +71,28 @@
 //! runs. The second rule is what keeps a new write from landing on a
 //! page before a residual record that reads it has replayed. The first
 //! [`SharedDb::read_cell`] or [`SharedDb::execute`] touching a gated
-//! page replays that page's downset (`RestartAnalysis::downset`) — the
-//! same unit, found by the same walk of writer and cross-reader chains,
-//! as the sequential face — in LSN order under the generalized redo
-//! test and write order (`write_set_is_stale`, `write_order`), and only
-//! then opens its gate. A [`SharedDb::recovery_tick`] in the background
-//! loop is one batch of the drain the sequential face runs — the serial
-//! loop's scan over the owed suffix, in LSN order — so recovery
-//! terminates even if nothing ever reads a gated page, and the replayed
-//! set stays a downset throughout. What is this module's own is
-//! fetching and updating pages under shard leases, one short lease per
-//! record.
+//! page replays that page's downset (`RestartAnalysis::downset`), read
+//! in place from the log, in LSN order under the generalized redo test
+//! and write order (`write_set_is_stale`, `write_order`), and only then
+//! opens its gate. A [`SharedDb::recovery_tick`] in the background
+//! loop is one batch of the restart's drain — the serial loop's scan
+//! over the owed suffix, in LSN order — so recovery terminates even if
+//! nothing ever reads a gated page, and the replayed set stays a
+//! downset throughout. The restart object decides all of that and owns
+//! its state; what is this module's own is the gate map behind its leaf
+//! lock, the atomic gate count, and fetching and updating pages under
+//! shard leases, one short lease per record.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redo_sim::db::{Db, Geometry};
 use redo_sim::shard::{PageLease, ShardedStore};
+use redo_sim::wal::codec::PageOpView;
 use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
@@ -100,9 +100,9 @@ use redo_workload::pages::{Cell, Footprint, OpCells, PageId, PageOp};
 
 use crate::control::{ControlPlan, Controller, RestartBudget, RestartEstimate};
 use crate::generalized::{write_order, write_set_is_stale};
-use crate::ondemand::{open_demanded, Drain};
+use crate::ondemand::LazyRestart;
 use crate::oprecord::PageOpPayload;
-use crate::redo::{self, lap, Chain, RestartAnalysis};
+use crate::redo::{self, Chain};
 use crate::{RecoveryStats, SCAN_BATCH};
 
 /// How many shards the store splits into. Power of two; pages land in
@@ -122,9 +122,11 @@ struct Inner {
     /// always sound), and untouched by abandoned attempts. A leaf lock:
     /// taken briefly, never while acquiring another.
     chain: Mutex<Option<Chain>>,
-    /// On-demand restart bookkeeping. Holding it serializes lazy
-    /// replay — two reads racing to the same downset replay it once.
-    recovery: Mutex<OnlineRecovery>,
+    /// The on-demand restart this store was opened by, if any — kept
+    /// once drained, for its stats — and the scratch its replays read
+    /// input values into. Holding it serializes lazy replay — two reads
+    /// racing to the same downset replay it once.
+    recovery: Mutex<(Option<LazyRestart>, Vec<u64>)>,
     /// Pages whose deferred redo is still owed, each with its last
     /// entry: filled at open, only shrunk by lazy replay. Outside
     /// `recovery`, so an ungated page stays servable during a replay. A
@@ -135,26 +137,6 @@ struct Inner {
     /// sees every replay that opened a gate.
     gated: AtomicUsize,
     stop: AtomicBool,
-}
-
-/// The shared database's view of an in-progress (or finished)
-/// on-demand restart.
-#[derive(Default)]
-struct OnlineRecovery {
-    /// `Some` while gates may remain; taken when the last gate opens.
-    active: Option<RecoveryState>,
-    /// The closed-out stats once the restart drained.
-    finished: Option<RecoveryStats>,
-}
-
-/// What lazy replay needs: the analysis the gates were placed from, the
-/// drain over the owed suffix, the stats accumulated so far, and the
-/// buffer each replay reads its input values into.
-struct RecoveryState {
-    analysis: RestartAnalysis,
-    drain: Drain,
-    stats: RecoveryStats,
-    values: Vec<u64>,
 }
 
 /// Telemetry from the online checkpoint daemon.
@@ -272,7 +254,7 @@ impl SharedDb {
         geometry: Geometry,
         log: ShardedLog<PageOpPayload>,
         store: ShardedStore,
-        active: Option<RecoveryState>,
+        restart: Option<LazyRestart>,
         gates: BTreeMap<PageId, Lsn>,
     ) -> SharedDb {
         SharedDb {
@@ -282,10 +264,7 @@ impl SharedDb {
                 store,
                 daemon: Mutex::new(DaemonStats::default()),
                 chain: Mutex::new(None),
-                recovery: Mutex::new(OnlineRecovery {
-                    active,
-                    finished: None,
-                }),
+                recovery: Mutex::new((restart, Vec::new())),
                 gated: AtomicUsize::new(gates.len()),
                 gates: Mutex::new(gates),
                 stop: AtomicBool::new(false),
@@ -308,19 +287,13 @@ impl SharedDb {
     /// Log or archive corruption; [`SimError::MediaLoss`] if the
     /// restore's install did not land.
     pub fn open_on_demand(mut crashed: Db<PageOpPayload>) -> SimResult<SharedDb> {
-        let (analysis, stats, gates, drain) = crate::ondemand::begin(&mut crashed)?;
+        let (restart, gates) = LazyRestart::open(&mut crashed)?;
         // The crash survivors move in whole, still sharing the image's
         // fault injector: the repaired disk becomes the shard map's
         // disk, the repaired log (chains already pruned to the stable
         // tail) becomes the shared log. The sequential shell is dropped.
         let store = ShardedStore::with_disk(STORE_SHARDS, crashed.disk);
-        let active = Some(RecoveryState {
-            analysis,
-            drain,
-            stats,
-            values: Vec::new(),
-        });
-        let shared = Self::assemble(crashed.geometry, crashed.log, store, active, gates);
+        let shared = Self::assemble(crashed.geometry, crashed.log, store, Some(restart), gates);
         // A restart with nothing owed closes out right away.
         if shared.gated_count() == 0 {
             shared.recovery_tick()?;
@@ -344,45 +317,34 @@ impl SharedDb {
             return Ok(());
         }
         let mut rec = self.inner.recovery.lock();
-        let Some(state) = rec.active.as_mut() else {
-            // Another thread drained the restart while we waited.
+        let (Some(restart), values) = &mut *rec else {
             return Ok(());
         };
         for &p in pages {
-            self.demand(state, p)?;
+            self.demand(restart, values, p)?;
         }
         Ok(())
     }
 
     /// Lazily replays the downset of `page` (no-op if `page` is no
-    /// longer gated). Caller holds the recovery mutex; gates open only
-    /// after the whole downset replays, so an error leaves them closed
-    /// and a re-run owes exactly the same work.
-    fn demand(&self, state: &mut RecoveryState, page: PageId) -> SimResult<()> {
+    /// longer gated), each record under a lease of its own that reads
+    /// input values into `values`. Caller holds the recovery mutex;
+    /// gates open only after the whole downset replays, so an error
+    /// leaves them closed and a re-run owes exactly the same work.
+    fn demand(
+        &self,
+        restart: &mut LazyRestart,
+        values: &mut Vec<u64>,
+        page: PageId,
+    ) -> SimResult<()> {
         if !self.is_gated(page) {
             return Ok(());
         }
-        let mut clock = Instant::now();
-        let RecoveryState {
-            analysis,
-            drain,
-            stats,
-            values,
-        } = state;
         // The walk runs under the log lock — released before any shard
         // lease, preserving the shards-before-log order.
-        let records = {
-            let log = self.inner.log.lock();
-            analysis.downset(&log, page, |lsn| drain.is_done(lsn), stats)?
-        };
-        stats.phase_ns.scan += lap(&mut clock);
-        let redo = |lsn, op: &PageOp| self.redo_under_lease(lsn, op, values);
-        drain.replay_demanded(&records, stats, redo)?;
-        stats.phase_ns.redo += lap(&mut clock);
-        // Only now open the gates — a read must never observe a
-        // half-replayed downset.
-        let mut gates = self.inner.gates.lock();
-        open_demanded(&mut gates, page, &records);
+        restart.walk_downset(&self.inner.log.lock(), page)?;
+        let redo = |lsn, op: &PageOpView<'_>| self.redo_under_lease(lsn, op, values);
+        let gates = restart.replay_downset(page, redo, || self.inner.gates.lock())?;
         self.inner.gated.store(gates.len(), Ordering::Release);
         Ok(())
     }
@@ -441,50 +403,44 @@ impl SharedDb {
     /// Substrate errors, including log corruption.
     pub fn recovery_tick(&self) -> SimResult<bool> {
         let mut rec = self.inner.recovery.lock();
-        let Some(state) = rec.active.as_mut() else {
+        let (Some(restart), values) = &mut *rec else {
             return Ok(false);
         };
-        let RecoveryState {
-            analysis,
-            drain,
-            stats,
+        if restart.stats().is_some() {
+            // Drained and closed out: a tick takes no other lock.
+            return Ok(false);
+        }
+        restart.step(
             values,
-        } = state;
-        drain.step(
-            values,
-            analysis,
-            stats,
             |_, scanner| scanner.next_batch(&self.inner.log.lock(), SCAN_BATCH),
             |_, _| 0,
             |values, lsn, op| self.redo_under_lease(lsn, op, values),
         )?;
         {
             let mut gates = self.inner.gates.lock();
-            drain.open_passed(&mut gates);
+            restart.open_passed(&mut gates);
             self.inner.gated.store(gates.len(), Ordering::Release);
         }
-        if !drain.complete() {
+        if !restart.complete() {
             return Ok(true);
         }
-        if let Some(mut state) = rec.active.take() {
-            let forces = self.inner.log.lock().forces();
-            state.stats.note_scan(state.drain.scan_stats(), forces);
-            rec.finished = Some(state.stats);
-        }
+        restart.close(&self.inner.log.lock());
         Ok(false)
     }
 
     /// Is an on-demand restart still holding gates?
     #[must_use]
     pub fn recovering(&self) -> bool {
-        self.inner.recovery.lock().active.is_some()
+        let rec = self.inner.recovery.lock();
+        rec.0.as_ref().is_some_and(|r| r.stats().is_none())
     }
 
     /// The drained restart's stats, once [`SharedDb::recovery_tick`]
     /// (or the reads themselves) opened the last gate.
     #[must_use]
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.inner.recovery.lock().finished.clone()
+        let rec = self.inner.recovery.lock();
+        rec.0.as_ref().and_then(|r| r.stats().cloned())
     }
 
     /// Pages still gated behind their deferred redo.
@@ -650,10 +606,10 @@ impl SharedDb {
             // A gated page's first owed entry stays a sound lower bound
             // while the drain or a demand redoes a prefix of its chain:
             // it is at or below every entry still to redo.
-            let residuals: Vec<(PageId, Lsn)> = match rec.active.as_ref() {
-                Some(state) => (self.inner.gates.lock().keys())
+            let residuals: Vec<(PageId, Lsn)> = match rec.0.as_ref() {
+                Some(restart) => (self.inner.gates.lock().keys())
                     .filter_map(|&page| {
-                        let first = state.analysis.owed_chain(&log, page).first();
+                        let first = restart.analysis().owed_chain(&log, page).first();
                         first.map(|&(lsn, _)| (page, lsn))
                     })
                     .collect(),
@@ -1463,19 +1419,12 @@ mod tests {
             let stepped = SharedDb::open_on_demand(db).expect("open on demand");
             {
                 let mut rec = stepped.inner.recovery.lock();
-                let state = rec.active.as_mut().expect("gates remain");
-                let RecoveryState {
-                    analysis,
-                    drain,
-                    stats,
-                    values,
-                } = state;
+                let (restart, values) = &mut *rec;
+                let restart = restart.as_mut().expect("gates remain");
                 let log = &stepped.inner.log;
-                while drain
+                while restart
                     .step(
                         values,
-                        analysis,
-                        stats,
                         |_, scanner| scanner.next_batch(&log.lock(), SCAN_BATCH),
                         |_, _| 0,
                         |values, lsn, op| stepped.redo_under_lease(lsn, op, values),

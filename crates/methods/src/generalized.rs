@@ -96,7 +96,7 @@ pub(crate) fn would_cycle(db: &Db<PageOpPayload>, op: &impl OpCells, fp: &Footpr
 /// call the crate's tests make.
 #[cfg(test)]
 mod oracle {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     use redo_sim::db::Db;
     use redo_workload::pages::{Cell, OpCells, PageId};
@@ -128,11 +128,25 @@ mod oracle {
         pages
     }
 
-    /// The quotient flush-order graph as it stands, or — with an
-    /// operation's written and read pages — as it would stand once it
-    /// registered.
+    /// The distinct `(requires, blocked)` pairs of the write-order
+    /// constraints still pending — the required copy not yet on disk —
+    /// sorted.
+    fn pending_constraints(db: &Db<PageOpPayload>) -> Vec<(PageId, PageId)> {
+        let mut pending: Vec<(PageId, PageId)> = (db.pool.constraints().into_iter())
+            .filter(|c| db.disk.page_lsn(c.requires) < c.required_lsn)
+            .map(|c| (c.requires, c.blocked))
+            .collect();
+        pending.sort_unstable();
+        pending.dedup();
+        pending
+    }
+
+    /// The quotient flush-order graph over the `pending` constraints as
+    /// it stands, or — with an operation's written and read pages — as
+    /// it would stand once it registered.
     fn quotient_edges(
         db: &Db<PageOpPayload>,
+        pending: &[(PageId, PageId)],
         op: Option<(&[PageId], &[PageId])>,
     ) -> Vec<(PageId, PageId)> {
         // Union-find over pages: identify members of active groups and
@@ -151,10 +165,8 @@ mod oracle {
             union(&mut parent, pair[0], pair[1]);
         }
         let mut edges = Vec::new();
-        for c in db.pool.constraints() {
-            if db.disk.page_lsn(c.requires) < c.required_lsn {
-                edges.push((find(&mut parent, c.requires), find(&mut parent, c.blocked)));
-            }
+        for &(requires, blocked) in pending {
+            edges.push((find(&mut parent, requires), find(&mut parent, blocked)));
         }
         for r in reads {
             if !written.contains(r) {
@@ -164,20 +176,20 @@ mod oracle {
         edges
     }
 
-    /// Kahn's algorithm; a self-loop (an edge whose endpoints were
-    /// identified) is a cycle.
+    /// Kahn's algorithm over the distinct edges, sorted, so each
+    /// node's out-edges are one run found by a binary search; a
+    /// self-loop (an edge whose endpoints were identified) is a cycle.
     fn has_cycle(edges: &[(PageId, PageId)]) -> bool {
-        let mut nodes = BTreeSet::new();
-        for &(a, b) in edges {
-            if a == b {
-                return true;
-            }
-            nodes.insert(a);
-            nodes.insert(b);
+        let mut edges = edges.to_vec();
+        edges.sort_unstable();
+        edges.dedup();
+        if edges.iter().any(|&(a, b)| a == b) {
+            return true;
         }
-        let mut indeg: BTreeMap<PageId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-        for &(_, b) in edges {
-            *indeg.get_mut(&b).expect("inserted") += 1;
+        let mut indeg: BTreeMap<PageId, usize> = BTreeMap::new();
+        for &(a, b) in &edges {
+            indeg.entry(a).or_insert(0);
+            *indeg.entry(b).or_insert(0) += 1;
         }
         let mut ready: Vec<PageId> = indeg
             .iter()
@@ -187,29 +199,29 @@ mod oracle {
         let mut seen = 0usize;
         while let Some(n) = ready.pop() {
             seen += 1;
-            for &(a, b) in edges {
-                if a == n {
-                    let d = indeg.get_mut(&b).expect("inserted");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(b);
-                    }
+            let from = edges.partition_point(|&(a, _)| a < n);
+            for &(_, b) in edges[from..].iter().take_while(|&&(a, _)| a == n) {
+                let d = indeg.get_mut(&b).expect("inserted");
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(b);
                 }
             }
         }
-        seen != nodes.len()
+        seen != indeg.len()
     }
 
     pub(super) fn check(db: &Db<PageOpPayload>, op: &impl OpCells, probe: bool) {
+        let pending = pending_constraints(db);
         assert!(
-            !has_cycle(&quotient_edges(db, None)),
+            !has_cycle(&quotient_edges(db, &pending, None)),
             "the probe's precondition: the standing flush-order graph is acyclic (before op {})",
             op.id()
         );
         let (written, reads) = (pages(op.writes()), pages(op.reads()));
         assert_eq!(
             probe,
-            has_cycle(&quotient_edges(db, Some((&written, &reads)))),
+            has_cycle(&quotient_edges(db, &pending, Some((&written, &reads)))),
             "reachability probe and whole-graph sort disagree on op {}",
             op.id()
         );

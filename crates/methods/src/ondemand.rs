@@ -6,18 +6,19 @@
 //! immediately, let the first access to each page pay for that page's
 //! replay, and redo the rest in the background in log order.
 //!
-//! Lazy restart is one executor with two stores under it (DESIGN §14,
-//! §20): this module is its face over a sequential [`Db`],
-//! [`crate::concurrent::SharedDb::open_on_demand`] the one over the
-//! sharded store, and every decision is shared. Analysis is
-//! `redo::begin`; a page is *gated* (`RestartAnalysis::gates`) when its
-//! stable chain holds a record at or above the redo-start that the
-//! dirty-page table cannot prove installed, or when a record at or
-//! above the redo-start reads it without writing it (a residual reader
-//! must see it before anything new overwrites it). Placement is one
-//! walk of each shard's chains, each page decided from its chains'
-//! last entries, and notes each gated page's *last entry*, the last
-//! record it waits for. Everything else is servable at once.
+//! Lazy restart is one object, `LazyRestart`, which owns a restart's
+//! state and makes every decision, under two faces (DESIGN §14, §20):
+//! [`OnDemandRestart`] over a sequential [`Db`] and
+//! [`SharedDb::open_on_demand`] over the sharded store, each with its
+//! own gate map and store. Analysis is `redo::begin`; a page is *gated*
+//! (`RestartAnalysis::gates`) when its stable chain holds a record at
+//! or above the redo-start that the dirty-page table cannot prove
+//! installed, or when a record at or above the redo-start reads it
+//! without writing it (a residual reader must see it before anything
+//! new overwrites it). Placement is one walk of each shard's chains,
+//! each page decided from its chains' last entries, and notes each
+//! gated page's *last entry*, the last record it waits for. Everything
+//! else is servable at once.
 //!
 //! Two paths redo the owed records, and what they have redone is
 //! always a downset of the residual conflict graph, which by Theorem 3
@@ -27,8 +28,9 @@
 //!   [`SharedDb::recovery_tick`]) is the serial loop over the owed
 //!   suffix, one batch a step, opening each gate as it passes the
 //!   page's last entry;
-//! * a **demand** — a read or write of a gated page — replays the page's
-//!   downset (`RestartAnalysis::downset`), then opens the page.
+//! * a **demand** — a read or write of a gated page — replays the
+//!   page's downset (`RestartAnalysis::downset`), read in place, then
+//!   opens the page.
 //!
 //! A gate opens only once its page's downset is redone, so an error or
 //! crash mid-replay leaves it closed, and the next recovery starts from
@@ -42,6 +44,7 @@
 //! auditor proves the lazy path equivalent to the sequential scan.
 
 use std::collections::BTreeMap;
+use std::ops::{DerefMut, Range};
 use std::time::Instant;
 
 use redo_sim::db::Db;
@@ -64,9 +67,8 @@ use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OnDemand;
 
-/// An open-for-business database that is still recovering: the pages
-/// whose redo is deferred, the drain over the owed suffix, and the
-/// stats accumulated so far.
+/// An open-for-business database that is still recovering: the lazy
+/// restart, and the pages whose redo it still defers.
 ///
 /// Obtained from [`OnDemand::open`]; drained by reads
 /// ([`OnDemandRestart::read_cell`]) and the background sweeper
@@ -74,56 +76,22 @@ pub struct OnDemand;
 /// [`OnDemandRestart::finish`].
 #[derive(Clone, Debug)]
 pub struct OnDemandRestart {
-    analysis: RestartAnalysis,
+    lazy: LazyRestart,
     gates: BTreeMap<PageId, Lsn>,
-    drain: Drain,
-    stats: RecoveryStats,
 }
 
-/// Both lazy faces' opening: `redo::begin` (repair, analysis),
-/// `media::restore`, then the gates (`RestartAnalysis::gates`) and the
-/// drain over the suffix they owe.
-///
-/// # Errors
-///
-/// Those of `redo::begin` and `media::restore`.
-pub(crate) fn begin(
-    db: &mut Db<PageOpPayload>,
-) -> SimResult<(RestartAnalysis, RecoveryStats, BTreeMap<PageId, Lsn>, Drain)> {
-    let (analysis, stats) = redo::begin(db)?;
-    media::restore(db)?;
-    let gates = analysis.gates(&db.log);
-    let drain = Drain::seek(&db.log, &analysis, &gates);
-    Ok((analysis, stats, gates, drain))
-}
-
-/// Opens what a demand for `page` replayed past: `page`'s own gate, and
-/// that of every page whose last entry is a replayed record writing
-/// it — that record's downset holds every earlier entry of the page. (A
-/// last entry that only reads its page leaves the page's other readers
-/// out of its downset, so that gate waits for the drain or a demand of
-/// its own.)
-pub(crate) fn open_demanded(
-    gates: &mut BTreeMap<PageId, Lsn>,
-    page: PageId,
-    records: &[(Lsn, PageOp)],
-) {
-    for (lsn, op) in records {
-        for cell in &op.writes {
-            if gates.get(&cell.page) == Some(lsn) {
-                gates.remove(&cell.page);
-            }
-        }
-    }
-    gates.remove(&page);
-}
-
-/// The drain both lazy faces run: the serial loop over the owed suffix,
-/// from the redo-start to the last gate entry — nothing past it is
-/// owed, and nothing appended since the open lies below it — one
+/// One lazy restart, whichever face serves it: everything it owes and
+/// has done. Its drain is the serial loop over the owed suffix, from
+/// the redo-start to the last gate entry — nothing past it is owed, and
+/// nothing appended since the open lies below it — one
 /// [`crate::SCAN_BATCH`] a step, in LSN order, each record parsed once.
+/// A demand replays a page's downset ahead of the drain, its records
+/// read in place and their bodies copied into one reused buffer.
 #[derive(Clone, Debug)]
-pub(crate) struct Drain {
+pub(crate) struct LazyRestart {
+    /// What the gates were placed from.
+    analysis: RestartAnalysis,
+    /// The drain's read position in the owed suffix.
     scanner: ShardedScanner,
     /// The last gate entry at the open.
     upto: Lsn,
@@ -140,25 +108,52 @@ pub(crate) struct Drain {
     /// The error a step stopped at; the scanner is past its batch, so
     /// every later step returns it.
     failed: Option<SimError>,
+    /// What the restart has done so far, phase clocks included.
+    stats: RecoveryStats,
+    /// Set once the drain is complete and the stats are closed out.
+    closed: bool,
+    /// The last demand's records by LSN, each with its body's extent
+    /// in `bodies`.
+    downset: Vec<(Lsn, Range<usize>)>,
+    /// Those bodies, back to back, copied from the log image.
+    bodies: Vec<u8>,
 }
 
-impl Drain {
-    /// A drain at `analysis`'s redo-start owing up to `gates`' last
-    /// entry: nothing when nothing is gated.
-    pub(crate) fn seek(
-        log: &ShardedLog<PageOpPayload>,
-        analysis: &RestartAnalysis,
-        gates: &BTreeMap<PageId, Lsn>,
-    ) -> Drain {
-        Drain {
-            scanner: ShardedScanner::seek(log, analysis.redo_start),
+impl LazyRestart {
+    /// Opens a crashed `db` lazily: `redo::begin` (repair, analysis),
+    /// `media::restore`, then the gates (`RestartAnalysis::gates`),
+    /// which go to the face, and the drain over the suffix they owe —
+    /// nothing when nothing is gated.
+    ///
+    /// # Errors
+    ///
+    /// Those of `redo::begin` and `media::restore`.
+    pub(crate) fn open(
+        db: &mut Db<PageOpPayload>,
+    ) -> SimResult<(LazyRestart, BTreeMap<PageId, Lsn>)> {
+        let (analysis, stats) = redo::begin(db)?;
+        media::restore(db)?;
+        let gates = analysis.gates(&db.log);
+        let lazy = LazyRestart {
+            scanner: ShardedScanner::seek(&db.log, analysis.redo_start),
             upto: gates.values().copied().max().unwrap_or(Lsn::ZERO),
             passed: Lsn::ZERO,
             demanded: LsnBits::new(analysis.redo_start),
             opens: None,
             spent: Vec::new(),
             failed: None,
-        }
+            stats,
+            closed: false,
+            downset: Vec::new(),
+            bodies: Vec::new(),
+            analysis,
+        };
+        Ok((lazy, gates))
+    }
+
+    /// What the gates were placed from.
+    pub(crate) fn analysis(&self) -> &RestartAnalysis {
+        &self.analysis
     }
 
     /// Has the drain redone everything restart owes?
@@ -166,34 +161,83 @@ impl Drain {
         self.passed >= self.upto
     }
 
-    /// Is the record at `lsn` redone, by the drain or by a demand — or
-    /// past the owed suffix, where nothing is restart's to redo?
-    pub(crate) fn is_done(&self, lsn: Lsn) -> bool {
-        lsn <= self.passed || lsn > self.upto || self.demanded.contains(lsn)
+    /// The stats, once [`LazyRestart::close`] closed them out.
+    pub(crate) fn stats(&self) -> Option<&RecoveryStats> {
+        self.closed.then_some(&self.stats)
     }
 
-    /// Replays a demand's `records` in LSN order through `redo`, noting
-    /// each so the drain passes over it.
+    /// Closes out a complete restart, once: folds the drain's scan
+    /// telemetry and `log`'s force count into the stats, and frees the
+    /// buffers a store that keeps the restart for its stats never uses.
+    pub(crate) fn close(&mut self, log: &ShardedLog<PageOpPayload>) {
+        debug_assert!(self.complete(), "closing a restart that owes records");
+        if !self.closed {
+            self.stats.note_scan(self.scanner.stats(), log.forces());
+            self.closed = true;
+            (self.scanner, self.spent, self.opens) = Default::default();
+            (self.downset, self.bodies) = Default::default();
+        }
+    }
+
+    /// A demand's walk: `page`'s downset in `log`
+    /// (`RestartAnalysis::downset`), less what the drain or an earlier
+    /// demand redid — or what lies past the owed suffix, where nothing
+    /// is restart's to redo — each record read in place and the bodies
+    /// kept copied into this restart's buffer.
     ///
     /// # Errors
     ///
-    /// Whatever `redo` returns.
-    pub(crate) fn replay_demanded(
+    /// Log corruption at a chain offset.
+    pub(crate) fn walk_downset(
         &mut self,
-        records: &[(Lsn, PageOp)],
-        stats: &mut RecoveryStats,
-        mut redo: impl FnMut(Lsn, &PageOp) -> SimResult<bool>,
+        log: &ShardedLog<PageOpPayload>,
+        page: PageId,
     ) -> SimResult<()> {
-        for &(lsn, ref op) in records {
-            stats.note_verdict(Redo::of(op.id, redo(lsn, op)?));
-            self.demanded.insert(lsn);
-        }
+        let mut clock = Instant::now();
+        let (passed, upto, demanded) = (self.passed, self.upto, &self.demanded);
+        let done = |lsn| lsn <= passed || lsn > upto || demanded.contains(lsn);
+        self.bodies.clear();
+        self.downset =
+            (self.analysis).downset(log, page, done, &mut self.bodies, &mut self.stats)?;
+        self.stats.phase_ns.scan += lap(&mut clock);
         Ok(())
     }
 
-    /// Telemetry of the drain's scan.
-    pub(crate) fn scan_stats(&self) -> redo_sim::wal::ScanStats {
-        self.scanner.stats()
+    /// A demand's replay: the walked records in LSN order through
+    /// `redo`, the face's redo test and replay, each noted so the drain
+    /// passes over it. Only then are the `gates` taken and opened —
+    /// `page`'s own, and that of every page whose last entry is a
+    /// replayed record writing it, since that record's downset holds
+    /// every earlier entry of the page. (A last entry that only reads
+    /// its page leaves the page's other readers out of its downset, so
+    /// that gate waits for the drain or a demand of its own.) Returns
+    /// the gates, still held.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `redo` returns; no gate opens.
+    pub(crate) fn replay_downset<G: DerefMut<Target = BTreeMap<PageId, Lsn>>>(
+        &mut self,
+        page: PageId,
+        mut redo: impl FnMut(Lsn, &PageOpView<'_>) -> SimResult<bool>,
+        gates: impl FnOnce() -> G,
+    ) -> SimResult<G> {
+        let mut clock = Instant::now();
+        for (lsn, op) in kept(&self.downset, &self.bodies) {
+            self.stats.note_verdict(Redo::of(op.id, redo(lsn, &op)?));
+            self.demanded.insert(lsn);
+        }
+        self.stats.phase_ns.redo += lap(&mut clock);
+        let mut gates = gates();
+        for (lsn, op) in kept(&self.downset, &self.bodies) {
+            for cell in op.writes() {
+                if gates.get(&cell.page) == Some(&lsn) {
+                    gates.remove(&cell.page);
+                }
+            }
+        }
+        gates.remove(&page);
+        Ok(gates)
     }
 
     /// Opens every gate whose last entry the drain has passed.
@@ -212,12 +256,12 @@ impl Drain {
         }
     }
 
-    /// One step, `false` once the drain is complete: `read` the next
-    /// batch, parse it, `prefetch` what its records touch, then redo
-    /// each in LSN order — a checkpoint record counted, one a demand
-    /// redid passed over, one no page it writes owes skipped without a
-    /// page test, any other handed to `redo`, the face's redo test and
-    /// replay. `ctx` is what the face's steps work on.
+    /// One drain step, `false` once the drain is complete: `read` the
+    /// next batch, parse it, `prefetch` what its records touch, then
+    /// redo each in LSN order — a checkpoint record counted, one a
+    /// demand redid passed over, one no page it writes owes skipped
+    /// without a page test, any other handed to `redo`, the face's redo
+    /// test and replay. `ctx` is what the face's steps work on.
     ///
     /// # Errors
     ///
@@ -226,8 +270,6 @@ impl Drain {
     pub(crate) fn step<C>(
         &mut self,
         ctx: &mut C,
-        analysis: &RestartAnalysis,
-        stats: &mut RecoveryStats,
         read: impl for<'s> FnOnce(&C, &'s mut ShardedScanner) -> SimResult<Batch<'s>>,
         prefetch: impl FnOnce(&mut C, &[(Lsn, Option<PageOpView<'_>>)]) -> usize,
         redo: impl FnMut(&mut C, Lsn, &PageOpView<'_>) -> SimResult<bool>,
@@ -238,22 +280,21 @@ impl Drain {
         if self.complete() {
             return Ok(false);
         }
-        let batch = self.batch(ctx, analysis, stats, read, prefetch, redo);
+        let batch = self.batch(ctx, read, prefetch, redo);
         self.failed = batch.as_ref().err().cloned();
         batch.map(|()| true)
     }
 
-    /// [`Drain::step`]'s batch.
+    /// [`LazyRestart::step`]'s batch.
     fn batch<C>(
         &mut self,
         ctx: &mut C,
-        analysis: &RestartAnalysis,
-        stats: &mut RecoveryStats,
         read: impl for<'s> FnOnce(&C, &'s mut ShardedScanner) -> SimResult<Batch<'s>>,
         prefetch: impl FnOnce(&mut C, &[(Lsn, Option<PageOpView<'_>>)]) -> usize,
         mut redo: impl FnMut(&mut C, Lsn, &PageOpView<'_>) -> SimResult<bool>,
     ) -> SimResult<()> {
         let mut clock = Instant::now();
+        let stats = &mut self.stats;
         let mut views = redo::recycle(std::mem::take(&mut self.spent));
         let batch = read(ctx, &mut self.scanner)?;
         redo::scan_batch(batch, self.upto, &mut views, redo::op_view)?;
@@ -270,7 +311,7 @@ impl Drain {
             match view {
                 None => stats.checkpoint_records += 1,
                 Some(_) if self.demanded.contains(*lsn) => {}
-                Some(op) if !op.writes().any(|w| analysis.owes(w.page, *lsn)) => {
+                Some(op) if !op.writes().any(|w| self.analysis.owes(w.page, *lsn)) => {
                     stats.skipped.push(op.id);
                 }
                 Some(op) => stats.note_verdict(Redo::of(op.id, redo(ctx, *lsn, op)?)),
@@ -281,6 +322,19 @@ impl Drain {
         self.spent = redo::recycle(views);
         Ok(())
     }
+}
+
+/// A demand's records, each read from its body's copy in `bodies`.
+fn kept<'a>(
+    downset: &'a [(Lsn, Range<usize>)],
+    bodies: &'a [u8],
+) -> impl Iterator<Item = (Lsn, PageOpView<'a>)> + 'a {
+    downset.iter().map(|(lsn, extent)| {
+        let op = PageOpPayload::op_view(&bodies[extent.clone()], &mut 0)
+            .ok()
+            .flatten();
+        (*lsn, op.expect("the walk keeps operations it parsed"))
+    })
 }
 
 impl OnDemand {
@@ -298,13 +352,8 @@ impl OnDemand {
     /// Log or archive corruption; [`SimError::MediaLoss`] if the
     /// restore's install did not land.
     pub fn open(db: &mut Db<PageOpPayload>) -> SimResult<OnDemandRestart> {
-        let (analysis, stats, gates, drain) = begin(db)?;
-        Ok(OnDemandRestart {
-            analysis,
-            gates,
-            drain,
-            stats,
-        })
+        let (lazy, gates) = LazyRestart::open(db)?;
+        Ok(OnDemandRestart { lazy, gates })
     }
 
     /// [`OnDemand::open`], then serve each probe cell mid-recovery,
@@ -379,19 +428,9 @@ impl OnDemandRestart {
         if !self.gates.contains_key(&page) {
             return Ok(());
         }
-        let mut clock = Instant::now();
-        let drain = &self.drain;
-        let done = |lsn| drain.is_done(lsn);
-        let records = (self.analysis).downset(&db.log, page, done, &mut self.stats)?;
-        self.stats.phase_ns.scan += lap(&mut clock);
-        let redo = |lsn, op: &PageOp| redo_op(db, lsn, op);
-        self.drain
-            .replay_demanded(&records, &mut self.stats, redo)?;
-        self.stats.phase_ns.redo += lap(&mut clock);
-        // Only now open the gates. Everything above is redo work a
-        // crash may discard wholesale; opening early would let a read
-        // observe a half-replayed page.
-        open_demanded(&mut self.gates, page, &records);
+        self.lazy.walk_downset(&db.log, page)?;
+        let redo = |lsn, op: &PageOpView<'_>| redo_op(db, lsn, op);
+        self.lazy.replay_downset(page, redo, || &mut self.gates)?;
         Ok(())
     }
 
@@ -421,10 +460,8 @@ impl OnDemandRestart {
     ///
     /// Substrate errors, including log corruption.
     pub fn sweep_one(&mut self, db: &mut Db<PageOpPayload>) -> SimResult<bool> {
-        let more = self.drain.step(
+        let more = self.lazy.step(
             db,
-            &self.analysis,
-            &mut self.stats,
             |db, scanner| scanner.next_batch(&db.log, SCAN_BATCH),
             |db, views| {
                 let mut pages = Vec::new();
@@ -438,7 +475,7 @@ impl OnDemandRestart {
             },
             |db, lsn, op| redo_op(db, lsn, op),
         )?;
-        self.drain.open_passed(&mut self.gates);
+        self.lazy.open_passed(&mut self.gates);
         Ok(more)
     }
 
@@ -450,9 +487,8 @@ impl OnDemandRestart {
     /// Substrate errors, including log corruption.
     pub fn finish(mut self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
         while self.sweep_one(db)? {}
-        self.stats
-            .note_scan(self.drain.scan_stats(), db.log.forces());
-        Ok(self.stats)
+        self.lazy.close(&db.log);
+        Ok(self.lazy.stats)
     }
 }
 
@@ -617,7 +653,11 @@ mod tests {
         assert_eq!(restart.gated_count(), 3);
         let served = restart.read_cell(&mut db, b).unwrap();
         assert_eq!(served, reference.read_cell(b).unwrap());
-        assert_eq!(restart.stats.replayed, [0, 1, 3, 4], "b's downset, by LSN");
+        assert_eq!(
+            restart.lazy.stats.replayed,
+            [0, 1, 3, 4],
+            "b's downset, by LSN"
+        );
         assert!(restart.is_gated(a.page), "a's later writer is not in it");
         assert!(!restart.is_gated(b.page) && !restart.is_gated(c.page));
         assert_eq!(

@@ -29,14 +29,16 @@
 //!   the standing `Chain`, then [`publish`] (append → force → verify →
 //!   master write → verify → archive the prefix).
 //!
-//! The other *executors* run the same analysis. Lazy restart — both
-//! faces, [`crate::ondemand`] over a sequential [`Db`] and
+//! The other *executors* run the same analysis. Lazy restart — one
+//! object, `ondemand::LazyRestart`, under two faces, [`crate::ondemand`]
+//! over a sequential [`Db`] and
 //! [`crate::concurrent::SharedDb::open_on_demand`] over the sharded
 //! store — places its gates with `RestartAnalysis::gates`, drains the
 //! owed suffix with this loop's scan (`scan_batch`) in LSN order, and
 //! serves a read of a gated page by replaying the page's downset
-//! (`RestartAnalysis::downset`) first, all under the generalized redo
-//! step; only the store the pages live in differs.
+//! (`RestartAnalysis::downset`, each record read in place) first, all
+//! under the generalized redo step; only the store the pages live in
+//! differs.
 //! Partitioned-parallel restart
 //! ([`crate::parallel::recover_partitioned`]) runs the same
 //! [`PageLocal`] step as [`recover_local`], on page images its workers
@@ -45,6 +47,7 @@
 //! one place for both.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::time::Instant;
 
 use redo_sim::db::Db;
@@ -54,7 +57,7 @@ use redo_sim::wal::codec::{self, PageOpView};
 use redo_sim::wal::{Batch, LogPayload, RecordBody, ShardedLog, ShardedScanner};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{OpCells, PageId, PageOp};
+use redo_workload::pages::{OpCells, PageId};
 
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryStats, SCAN_BATCH};
@@ -389,10 +392,9 @@ impl RestartAnalysis {
 
     /// The unit a demand read replays before `page` opens: every record
     /// restart still owes that must precede a new access to the page,
-    /// closed downward under the residual conflict graph and returned
-    /// by LSN, each decoded owned. By Theorem 3 such a downset may
-    /// replay, in LSN order, before everything else. The seeds are the
-    /// page's gate entries, its owed writers
+    /// closed downward under the residual conflict graph. By Theorem 3
+    /// such a downset may replay, in LSN order, before everything else.
+    /// The seeds are the page's gate entries, its owed writers
     /// ([`RestartAnalysis::owed_chain`]) and its readers at or above
     /// the redo-start ([`ShardedLog::readers_of`]): the downset of its
     /// last owed writer, and of the readers past that one, which do not
@@ -404,8 +406,10 @@ impl RestartAnalysis {
     /// writes owes is left out, and so is what only it leads to: it
     /// never replays. So is a record `done` names, redone by the drain
     /// or by an earlier demand with its own downset. Each chain is
-    /// pushed once, however many records point into it, and each
-    /// decode is counted into `stats`.
+    /// pushed once, however many records point into it. Each entry is
+    /// read in place as a [`PageOpView`] and counted into `stats`; each
+    /// record kept has its body appended to `bodies`, and is returned,
+    /// by LSN, with its body's extent there.
     ///
     /// # Errors
     ///
@@ -415,8 +419,9 @@ impl RestartAnalysis {
         log: &ShardedLog<PageOpPayload>,
         page: PageId,
         done: impl Fn(Lsn) -> bool,
+        bodies: &mut Vec<u8>,
         stats: &mut RecoveryStats,
-    ) -> SimResult<Vec<(Lsn, PageOp)>> {
+    ) -> SimResult<Vec<(Lsn, Range<usize>)>> {
         // Per page, the bounds below which its owed writers and its
         // readers are already on the stack, and its readers once read.
         let mut pushed: HashMap<PageId, (Lsn, Lsn)> = HashMap::new();
@@ -446,7 +451,7 @@ impl RestartAnalysis {
         // Every record taken or left out; the walk meets most of them
         // again through a second chain.
         let mut seen = LsnBits::new(self.redo_start);
-        let mut records: Vec<(Lsn, PageOp)> = Vec::new();
+        let mut records: Vec<(Lsn, Range<usize>)> = Vec::new();
         while let Some((lsn, shard, off)) = stack.pop() {
             if done(lsn) || !seen.insert(lsn) {
                 continue;
@@ -455,23 +460,25 @@ impl RestartAnalysis {
             debug_assert_eq!(rec.lsn, lsn, "chain entry points at a foreign frame");
             stats.records_decoded += 1;
             stats.seek_hits += 1;
-            let PageOpPayload::Op(op) = rec.payload else {
+            let Some(op) = rec.payload.parse(PageOpPayload::op_view)? else {
                 continue;
             };
-            if !op.writes.iter().any(|w| self.owes(w.page, lsn)) {
+            if !op.writes().any(|w| self.owes(w.page, lsn)) {
                 continue;
             }
-            for cell in &op.reads {
+            for cell in op.reads() {
                 push(&mut stack, cell.page, lsn, false);
             }
-            for cell in &op.writes {
+            for cell in op.writes() {
                 push(&mut stack, cell.page, lsn, true);
             }
-            records.push((lsn, op));
+            let start = bodies.len();
+            bodies.extend_from_slice(rec.payload.bytes());
+            records.push((lsn, start..bodies.len()));
         }
         // The stack pops each chain from its top, so the records come
         // mostly in descending runs, which a stable sort takes whole.
-        records.sort_by_key(|&(lsn, _)| lsn);
+        records.sort_by_key(|(lsn, _)| *lsn);
         Ok(records)
     }
 }
@@ -1184,6 +1191,7 @@ mod tests {
     use crate::RecoveryMethod;
     use proptest::prelude::*;
     use redo_sim::db::Geometry;
+    use redo_workload::pages::PageOp;
     use std::collections::BTreeSet;
 
     /// One roster row: `method` over `ops`, crashed under chaos flushes

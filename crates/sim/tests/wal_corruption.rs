@@ -154,8 +154,12 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
                 "chain entry of {:?} lands on a foreign frame",
                 page
             );
+            let payload = rec
+                .payload
+                .parse(OpRec::decode)
+                .expect("a chained record decodes");
             prop_assert!(
-                rec.payload.write_pages().contains(&page),
+                payload.write_pages().contains(&page),
                 "chain of {:?} holds a record that does not write it",
                 page
             );
@@ -185,8 +189,12 @@ fn check_index_discipline(log: &ShardedLog<OpRec>) -> Result<(), TestCaseError> 
                 "reader entry of {:?} lands on a foreign frame",
                 page
             );
+            let payload = rec
+                .payload
+                .parse(OpRec::decode)
+                .expect("a reader record decodes");
             prop_assert!(
-                rec.payload.cross_read_pages().contains(&page),
+                payload.cross_read_pages().contains(&page),
                 "readers of {:?} hold a record that does not cross-read it",
                 page
             );

@@ -14,6 +14,7 @@ use redo_recovery::methods::generalized::Generalized;
 use redo_recovery::methods::ondemand::{OnDemand, OnDemandRestart};
 use redo_recovery::methods::oprecord::PageOpPayload;
 use redo_recovery::methods::RecoveryMethod;
+use redo_recovery::sim::backend::BackendKind;
 use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::workload::pages::{Cell, PageId, PageOp, PageOpKind, PageWorkloadSpec, SlotId};
 
@@ -211,18 +212,20 @@ fn a_write_after_open_waits_for_the_residual_reader_of_the_old_value() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Cross-page-heavy traffic under chaos flushes and online
-    /// checkpoints, crashed, and sometimes one durable page destroyed
-    /// before either face opens: every durable cell served
-    /// mid-recovery in a random order, through either face, already
-    /// holds sequential recovery's value for the undamaged image, and
-    /// so does the drained state.
+    /// Cross-page-heavy traffic on 1 or 4 log shards under chaos
+    /// flushes and online checkpoints, crashed, and sometimes one
+    /// durable page destroyed before either face opens: every durable
+    /// cell served mid-recovery in a random order, through either face,
+    /// already holds sequential recovery's value for the undamaged
+    /// image, and so does the drained state. A demand reads its
+    /// records in place from whichever shard images hold them.
     #[test]
     fn any_serving_order_through_either_face_matches_sequential_recovery(
         seed in any::<u64>(),
         n_ops in 20usize..70,
         checkpoint_every in 5usize..20,
         victim in prop::option::of(any::<prop::sample::Index>()),
+        four_shards in any::<bool>(),
     ) {
         let ops = PageWorkloadSpec {
             n_ops,
@@ -234,7 +237,9 @@ proptest! {
         }
         .generate(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let mut image: Db<PageOpPayload> = Db::new(Geometry::default());
+        let log_shards = if four_shards { 4 } else { 1 };
+        let mut image: Db<PageOpPayload> =
+            Db::on_sharded(BackendKind::Mem, Geometry::default(), None, log_shards);
         let mut logged = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             logged.push((OnDemand.execute(&mut image, op).unwrap(), op));

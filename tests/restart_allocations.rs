@@ -1,10 +1,11 @@
-//! The serial restart, and the lazy drain that runs its scan, allocate
-//! nothing per record.
+//! The serial restart, the lazy drain that runs its scan, and a lazy
+//! demand allocate nothing per record.
 //!
 //! The scan reads each record in place and the redo step replays the
-//! operation from that view, so a restart's heap allocations are set by
-//! the pages it touches and a few amortized vectors (the stats' op-id
-//! lists), not by the number of records. This binary counts every
+//! operation from that view, and a demand reads its page's downset in
+//! place and replays it from one reused buffer, so a restart's heap
+//! allocations are set by the pages it touches and a few amortized
+//! vectors (the stats' op-id lists), not by the number of records. This binary counts every
 //! allocation through its own global allocator, per thread (the tests
 //! run side by side, and a restart here allocates on its caller's
 //! thread only), and compares a restart of an N-record log with one of
@@ -17,10 +18,11 @@ use std::cell::Cell;
 
 use redo_recovery::methods::concurrent::SharedDb;
 use redo_recovery::methods::generalized::Generalized;
+use redo_recovery::methods::ondemand::OnDemand;
 use redo_recovery::methods::oprecord::PageOpPayload;
 use redo_recovery::methods::{RecoveryMethod, RecoveryStats};
 use redo_recovery::sim::db::{Db, Geometry};
-use redo_recovery::workload::pages::PageWorkloadSpec;
+use redo_recovery::workload::pages::{self, PageId, PageWorkloadSpec, SlotId};
 
 /// [`System`], counting allocations.
 struct Counting;
@@ -152,4 +154,54 @@ fn the_lazy_drain_allocates_no_more_per_record_than_the_redo_loop() {
         twice.saturating_sub(once),
         2 * N,
     );
+}
+
+/// A cell of page 0, which about one record in [`PAGES`] writes.
+const DEMANDED: pages::Cell = pages::Cell {
+    page: PageId(0),
+    slot: SlotId(0),
+};
+
+/// Allocations made by the first read of [`DEMANDED`] on the opened
+/// image of `n` operations, through the sequential face (`false`) or
+/// the concurrent one: a demand that replays page 0's downset, a share
+/// of the log that grows with it.
+fn demand_allocations(n: usize, shared: bool) -> usize {
+    let mut image = crashed_image(n);
+    if shared {
+        let shared = SharedDb::open_on_demand(image).unwrap();
+        assert!(shared.gated_count() > 0);
+        let before = allocations();
+        shared.read_cell(DEMANDED).unwrap();
+        allocations() - before
+    } else {
+        let mut restart = OnDemand::open(&mut image).unwrap();
+        assert!(restart.is_gated(DEMANDED.page));
+        let before = allocations();
+        restart.read_cell(&mut image, DEMANDED).unwrap();
+        let made = allocations() - before;
+        assert!(!restart.is_gated(DEMANDED.page));
+        made
+    }
+}
+
+#[test]
+fn a_demand_allocates_nothing_per_record() {
+    // Doubling the log doubles page 0's downset: one more growth step
+    // for each vector the walk and the replay fill. A decode into owned
+    // operations costs two `Vec<Cell>`s for each of the N/PAGES more
+    // records.
+    for shared in [false, true] {
+        let (once, twice) = (
+            demand_allocations(N, shared),
+            demand_allocations(2 * N, shared),
+        );
+        assert!(
+            twice <= once + 16,
+            "{N} more records cost a demand {} more allocations ({once} for {N}, {twice} for {}; \
+             shared face: {shared})",
+            twice.saturating_sub(once),
+            2 * N,
+        );
+    }
 }

@@ -1,5 +1,7 @@
 //! Criterion benchmark harness for the paper reproduction; see `benches/`.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// The shortest of `reps` timed runs of `run`, each on a fresh value

@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod beyond;
 pub mod crash_audit;

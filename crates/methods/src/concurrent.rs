@@ -428,15 +428,18 @@ impl SharedDb {
         Ok(false)
     }
 
-    /// Is an on-demand restart still holding gates?
+    /// Is an on-demand restart still open? It closes only at the
+    /// [`SharedDb::recovery_tick`] that drains the owed suffix: reads
+    /// that open every gate leave it open until that tick.
     #[must_use]
     pub fn recovering(&self) -> bool {
         let rec = self.inner.recovery.lock();
         rec.0.as_ref().is_some_and(|r| r.stats().is_none())
     }
 
-    /// The drained restart's stats, once [`SharedDb::recovery_tick`]
-    /// (or the reads themselves) opened the last gate.
+    /// The restart's stats, once the [`SharedDb::recovery_tick`] that
+    /// drains the owed suffix has closed it; `None` before, however
+    /// many gates reads have opened.
     #[must_use]
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
         let rec = self.inner.recovery.lock();
@@ -1509,6 +1512,31 @@ mod tests {
             phases.begin > 0 && phases.scan > 0 && phases.redo > 0,
             "{phases:?}"
         );
+    }
+
+    #[test]
+    fn only_the_draining_tick_closes_a_restart() {
+        // Reads that open every gate leave the owed suffix undrained:
+        // the restart stays open, its stats unpublished, until a tick
+        // drains it.
+        let (db, _) = run_with_checkpoints(21);
+        let shared = SharedDb::open_on_demand(db).expect("open on demand");
+        assert!(shared.gated_count() > 0, "nothing deferred");
+        for page in (0..6).map(PageId) {
+            if shared.is_gated(page) {
+                let cell = Cell {
+                    page,
+                    slot: redo_workload::pages::SlotId(0),
+                };
+                shared.read_cell(cell).expect("read");
+            }
+        }
+        assert_eq!(shared.gated_count(), 0);
+        assert!(shared.recovering());
+        assert!(shared.recovery_stats().is_none());
+        while shared.recovery_tick().expect("recovery tick") {}
+        assert!(!shared.recovering());
+        assert!(shared.recovery_stats().is_some());
     }
 
     #[test]

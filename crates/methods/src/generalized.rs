@@ -69,7 +69,7 @@ pub(crate) fn write_order(fp: &Footprint, lsn: Lsn) -> impl Iterator<Item = Cons
 
 pub(crate) fn register_constraints(db: &mut Db<PageOpPayload>, fp: &Footprint, lsn: Lsn) {
     for c in write_order(fp, lsn) {
-        db.pool.add_constraint(c);
+        db.pool.add_constraint_subsuming(c);
     }
     db.pool.add_atomic_group(fp.written.iter().copied(), lsn);
 }
@@ -578,6 +578,37 @@ mod tests {
         assert_eq!(cs[0].blocked, PageId(1));
         assert_eq!(cs[0].requires, PageId(0));
         assert_eq!(cs[0].required_lsn, lsn);
+    }
+
+    #[test]
+    fn a_replayed_run_of_one_read_write_pair_holds_one_constraint() {
+        // x <- f(y), 1 000 times: each record's constraint (x durable
+        // before y passes its LSN) subsumes the one before it, since y
+        // is never written.
+        let cell = |page| Cell {
+            page: PageId(page),
+            slot: SlotId(0),
+        };
+        let mut db = Db::new(Geometry::default());
+        for id in 0..1_000 {
+            let op = PageOp {
+                id,
+                kind: PageOpKind::Generalized,
+                reads: vec![cell(1)],
+                writes: vec![cell(0)],
+                f_seed: u64::from(id) + 1,
+            };
+            Generalized.execute(&mut db, &op).unwrap();
+        }
+        assert_eq!(db.pool.constraints().len(), 1);
+        db.log.flush_all();
+        db.crash();
+        let stats = Generalized.recover(&mut db).unwrap();
+        assert_eq!(stats.replay_count(), 1_000);
+        let cs = db.pool.constraints();
+        assert_eq!(cs.len(), 1, "{cs:?}");
+        assert_eq!((cs[0].blocked, cs[0].requires), (PageId(1), PageId(0)));
+        assert_eq!(cs[0].required_lsn, db.log.stable_lsn());
     }
 
     #[test]

@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![warn(clippy::significant_drop_in_scrutinee)]
+#![forbid(unsafe_code)]
 
 pub mod broken;
 pub mod concurrent;

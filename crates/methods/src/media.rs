@@ -67,7 +67,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use redo_sim::cache::FrameTable;
 use redo_sim::db::Db;
 use redo_sim::page::Page;
-use redo_sim::wal::codec::PageOpView;
+use redo_sim::wal::codec::{PageOpView, CELL_BYTES};
 use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
@@ -121,11 +121,20 @@ impl<'a> PageHistory<'a> {
     ///
     /// Log or archive corruption.
     pub fn read(log: &'a ShardedLog<PageOpPayload>, upto: Lsn) -> SimResult<PageHistory<'a>> {
+        let records = log.history(upto);
+        // Sized once, from what the log already knows, so that no array
+        // grows during the walk: the merge yields each LSN at most once,
+        // and each cell a record names lies in the images' bytes.
+        // Capacity the walk leaves untouched costs no page.
+        let most_records =
+            usize::try_from(upto.min(log.stable_lsn()).0).expect("a history that fits in memory");
+        let mut bounds = Vec::with_capacity(2 * most_records + 1);
+        bounds.push(0);
         let mut history = PageHistory {
-            ops: Vec::new(),
-            lsns: Vec::new(),
-            cells: Vec::new(),
-            bounds: vec![0],
+            ops: Vec::with_capacity(most_records),
+            lsns: Vec::with_capacity(most_records),
+            cells: Vec::with_capacity(records.image_bytes() / CELL_BYTES),
+            bounds,
             pages: Vec::new(),
             numbers: FrameTable::new(),
             yielded: 0,
@@ -141,7 +150,7 @@ impl<'a> PageHistory<'a> {
                 number
             }
         };
-        for rec in log.history(upto) {
+        for rec in records {
             let rec = rec?;
             history.yielded += 1;
             let Some(op) = rec.payload.parse(PageOpPayload::op_view)? else {
@@ -254,7 +263,7 @@ impl<'a> PageHistory<'a> {
                 needed[p as usize] = true;
             }
         }
-        let mut kept = Vec::new();
+        let mut kept = Vec::with_capacity(self.ops.len());
         for i in (0..self.ops.len()).rev() {
             if self.writes(i).iter().any(|&w| needed[w as usize]) {
                 kept.push(i);

@@ -27,6 +27,11 @@
 //! Every recovery method, the checkpoint daemon, and the parallel
 //! restart path run unchanged on either kind.
 //!
+//! Every checksum either kind stores — WAL frames, page files, the
+//! doublewrite journal, `master.bin` — is the CRC-32C of [`Crc32c`],
+//! one kernel for all of them: the CPU's `crc32` instruction where it
+//! has SSE4.2, slice-by-8 tables elsewhere, the same bytes either way.
+//!
 //! Host-filesystem *write* errors (disk full, permissions) are not part
 //! of the simulated failure model and panic; *simulated* damage (torn
 //! pages, torn tails) surfaces through the normal
@@ -56,11 +61,15 @@ pub enum BackendKind {
     File,
 }
 
-/// Slice-by-8 tables for the reflected IEEE polynomial: `[0]` is the
-/// classic byte-at-a-time table, and `[k][b]` is the checksum state
-/// after byte `b` followed by `k` zero bytes — so eight input bytes
-/// fold in eight independent lookups, not eight dependent ones.
-const CRC32_TABLES: [[u32; 256]; 8] = {
+/// The Castagnoli polynomial, reflected: what the SSE4.2 `crc32`
+/// instruction computes, and what every table below is generated from.
+const CASTAGNOLI: u32 = 0x82F6_3B78;
+
+/// Slice-by-8 tables for [`CASTAGNOLI`]: `[0]` is the classic
+/// byte-at-a-time table, and `[k][b]` is the checksum state after byte
+/// `b` followed by `k` zero bytes — so eight input bytes fold in eight
+/// independent lookups, not eight dependent ones.
+const CRC32C_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
@@ -68,7 +77,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                CASTAGNOLI ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -90,48 +99,79 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// One byte into the checksum state: the whole algorithm, and the tail
-/// step of [`Crc32::update`].
-fn crc32_step(state: u32, byte: u8) -> u32 {
-    CRC32_TABLES[0][((state ^ u32::from(byte)) & 0xFF) as usize] ^ (state >> 8)
+/// The table kernel: `bytes` folded into checksum state `state`, eight
+/// bytes a step by slice-by-8, the tail a byte at a time. It runs
+/// where the CPU has no CRC-32C instruction.
+fn update_table(mut state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = state ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        state = t[0][((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
+    }
+    state
 }
 
-/// Incremental CRC-32 (IEEE 802.3, the zlib/`crc32fast` polynomial) —
-/// the checksum shared by the WAL frame format and the page-file
-/// format. Hand-rolled because this workspace vendors no checksum
-/// crate.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32(u32);
+/// The hardware kernel: as [`update_table`], by the SSE4.2 `crc32`
+/// instruction, eight bytes a step.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn update_sse42(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut chunks = bytes.chunks_exact(8);
+    let mut wide = u64::from(state);
+    for c in &mut chunks {
+        let word = u64::from_le_bytes(c.try_into().expect("chunks of eight"));
+        wide = _mm_crc32_u64(wide, word);
+    }
+    // The instruction leaves the 32-bit state zero-extended.
+    let mut state = wide as u32;
+    for &b in chunks.remainder() {
+        state = _mm_crc32_u8(state, b);
+    }
+    state
+}
 
-impl Crc32 {
+/// Incremental CRC-32C (Castagnoli, the iSCSI / ext4 polynomial) — the
+/// one checksum of the substrate: WAL frames, page files, the
+/// doublewrite journal and the master record. Computed by the CPU's
+/// `crc32` instruction where it has SSE4.2, otherwise by slice-by-8
+/// tables; both give the same value. Hand-rolled because this workspace
+/// vendors no checksum crate.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32c(u32);
+
+impl Crc32c {
     /// A fresh checksum state.
     #[must_use]
-    pub fn new() -> Crc32 {
-        Crc32(0xFFFF_FFFF)
+    pub fn new() -> Crc32c {
+        Crc32c(0xFFFF_FFFF)
     }
 
     /// Folds `bytes` into the checksum.
     ///
-    /// Eight bytes at a time; the state after any prefix is the same
-    /// 32-bit value whatever the chunking, so splitting the input
-    /// across calls (a frame's header, then its body) changes nothing.
+    /// The state after any prefix is the same 32-bit value whatever
+    /// the chunking, so splitting the input across calls (a frame's
+    /// header, then its body) changes nothing.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC32_TABLES;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let lo = self.0 ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-            self.0 = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][c[4] as usize]
-                ^ t[2][c[5] as usize]
-                ^ t[1][c[6] as usize]
-                ^ t[0][c[7] as usize];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: `update_sse42` needs SSE4.2 and nothing else, and
+            // the running CPU has it.
+            self.0 = unsafe { update_sse42(self.0, bytes) };
+            return;
         }
-        for &b in chunks.remainder() {
-            self.0 = crc32_step(self.0, b);
-        }
+        self.0 = update_table(self.0, bytes);
     }
 
     /// The final checksum value.
@@ -141,16 +181,16 @@ impl Crc32 {
     }
 }
 
-impl Default for Crc32 {
-    fn default() -> Crc32 {
-        Crc32::new()
+impl Default for Crc32c {
+    fn default() -> Crc32c {
+        Crc32c::new()
     }
 }
 
-/// One-shot CRC-32 of `bytes`.
+/// One-shot CRC-32C of `bytes`.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
+pub fn crc32c(bytes: &[u8]) -> u32 {
+    let mut c = Crc32c::new();
     c.update(bytes);
     c.finish()
 }
@@ -198,7 +238,7 @@ impl Drop for TempDir {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -213,49 +253,82 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // The IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn crc32c_matches_known_vectors() {
+        // The CRC-32C check value for "123456789".
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c(b""), 0);
+        // RFC 3720 §B.4.
+        assert_eq!(crc32c(&[0x00; 32]), 0x8A91_36AA);
+        assert_eq!(crc32c(&[0xFF; 32]), 0x62A8_AB43);
+        let ascending: Vec<u8> = (0..32).collect();
+        assert_eq!(crc32c(&ascending), 0x46DD_794E);
         // Incremental == one-shot.
-        let mut c = Crc32::new();
+        let mut c = Crc32c::new();
         c.update(b"1234");
         c.update(b"56789");
-        assert_eq!(c.finish(), 0xCBF4_3926);
+        assert_eq!(c.finish(), 0xE306_9283);
     }
 
-    /// The byte-at-a-time algorithm, whole: what every stored checksum
-    /// was computed by before the kernel went eight bytes at a time.
-    fn bytewise(bytes: &[u8]) -> u32 {
-        !bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b))
+    /// One byte into a CRC-32C state, a bit at a time from the
+    /// polynomial: shares nothing with either kernel.
+    fn bytewise_step(mut c: u32, b: u8) -> u32 {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = (c >> 1) ^ (0x82F6_3B78 & (c & 1).wrapping_neg());
+        }
+        c
+    }
+
+    /// CRC-32C by [`bytewise_step`]: the oracle both kernels are held
+    /// to, and the one the log's reference decoder checks frames with.
+    pub(crate) fn bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(0xFFFF_FFFF, |c, &b| bytewise_step(c, b))
     }
 
     #[test]
-    fn slice_by_eight_equals_the_bytewise_oracle() {
+    fn both_kernels_equal_the_bytewise_oracle() {
         let mut x = 0x9E37_79B9u32;
-        let noise: Vec<u8> = (0..4096 + 8)
+        let noise: Vec<u8> = (0..4104 + 8)
             .map(|_| {
                 x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
                 (x >> 24) as u8
             })
             .collect();
-        // Every length through several chunks, at every alignment.
+        #[cfg(target_arch = "x86_64")]
+        let hardware = std::is_x86_feature_detected!("sse4.2");
+        // Every length through a page and a frame past it, at every
+        // alignment.
         for start in 0..8 {
-            for len in 0..=64 {
+            let mut oracle = 0xFFFF_FFFF;
+            for len in 0..=4104 {
                 let bytes = &noise[start..start + len];
-                assert_eq!(crc32(bytes), bytewise(bytes), "start {start} len {len}");
+                if let Some(&last) = bytes.last() {
+                    oracle = bytewise_step(oracle, last);
+                }
+                let want = !oracle;
+                assert_eq!(
+                    !update_table(!0, bytes),
+                    want,
+                    "table: start {start} len {len}"
+                );
+                assert_eq!(crc32c(bytes), want, "start {start} len {len}");
+                #[cfg(target_arch = "x86_64")]
+                if hardware {
+                    // SAFETY: the running CPU has SSE4.2.
+                    let got = !unsafe { update_sse42(!0, bytes) };
+                    assert_eq!(got, want, "sse4.2: start {start} len {len}");
+                }
             }
-            let page = &noise[start..start + 4096];
-            assert_eq!(crc32(page), bytewise(page), "4 KiB at {start}");
         }
         // Every two-way split: the frame path feeds 12 header bytes and
         // then the body, so chunk boundaries fall differently from the
         // one-shot call's.
-        let whole = &noise[3..43];
+        let whole = &noise[3..67];
         for cut in 0..=whole.len() {
-            let mut c = Crc32::new();
+            let mut c = Crc32c::new();
             c.update(&whole[..cut]);
             c.update(&whole[cut..]);
+            assert_eq!(c.finish(), crc32c(whole), "split at {cut}");
             assert_eq!(c.finish(), bytewise(whole), "split at {cut}");
         }
     }

@@ -136,9 +136,11 @@ pub struct BufferPool {
     /// The same constraints by `requires` page, as `(blocked,
     /// required_lsn)`: the out-edges of the flush-order graph. Both
     /// maps always hold the same set, and only unsatisfied constraints
-    /// — [`BufferPool::add_constraint`] pushes to both, and
-    /// [`BufferPool::discharge`], run for every page a write installs,
-    /// drops what that page's new durable copy satisfied from both.
+    /// — [`BufferPool::add_constraint`] pushes to both,
+    /// [`BufferPool::add_constraint_subsuming`] first drops what the new
+    /// constraint subsumes from both, and [`BufferPool::discharge`], run
+    /// for every page a write installs, drops what that page's new
+    /// durable copy satisfied from both.
     /// (A [`crate::shard::ShardedStore`] shard holds one half of a
     /// constraint whose other page lives in another shard.)
     successors: BTreeMap<PageId, Vec<(PageId, Lsn)>>,
@@ -263,6 +265,41 @@ impl BufferPool {
     pub fn add_constraint(&mut self, c: Constraint) {
         self.add_blocked(c);
         self.add_edge(c);
+    }
+
+    /// Registers `c`, first dropping each standing constraint `o` it
+    /// subsumes: one between the same two pages whose `blocked_above`
+    /// and `required_lsn` are at most `c`'s, while the blocked page's
+    /// cached LSN is still at most `o.blocked_above`. For `c` registered
+    /// by the operation at `c.blocked_above`, every later update of that
+    /// page lands past it, so `o` can bind only once `c` does, and `c`'s
+    /// requirement implies `o`'s: no flush decision changes. A page
+    /// that is not cached keeps both. Generalized operations register
+    /// through this, executed or replayed, so that a run of records
+    /// reading one page and writing another holds one constraint
+    /// between them, not one per record.
+    pub fn add_constraint_subsuming(&mut self, c: Constraint) {
+        let (Some(frame), Some(list)) = (
+            self.frames.get(c.blocked),
+            self.constraints.get_mut(&c.blocked),
+        ) else {
+            return self.add_constraint(c);
+        };
+        let cached = frame.page.lsn();
+        let edges = self.successors.entry(c.requires).or_default();
+        list.retain(|o| {
+            let subsumed = o.requires == c.requires
+                && o.blocked_above <= c.blocked_above
+                && o.required_lsn <= c.required_lsn
+                && cached <= o.blocked_above;
+            if subsumed {
+                let edge = (o.blocked, o.required_lsn);
+                let at = edges.iter().position(|&e| e == edge);
+                edges.remove(at.expect("both maps hold every constraint"));
+            }
+            !subsumed
+        });
+        self.add_constraint(c);
     }
 
     /// Files `c` in its blocked page's list, the half a flush of that
@@ -1702,6 +1739,78 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Dropping subsumed constraints decides nothing differently.
+        /// Two pools on two disks take the same steps — cross-page
+        /// operations, overwrites of the page read, flushes with the
+        /// log forced or behind, `flush_all`, eviction — one registering
+        /// through [`BufferPool::add_constraint_subsuming`], its twin
+        /// through [`BufferPool::add_constraint`]: every step's outcome,
+        /// every flush check and cycle probe, and the disks agree, and
+        /// the first pool holds a subset of its twin's constraints.
+        #[test]
+        fn a_subsumed_constraint_decides_no_flush(
+            capacity in 2usize..6,
+            steps in proptest::collection::vec((0u8..7, 0u32..6, 0u32..6), 1..150),
+        ) {
+            let mut pools = [BufferPool::new(Some(capacity)), BufferPool::new(Some(capacity))];
+            let mut disks = [Disk::new(), Disk::new()];
+            let mut next = 1u64;
+            for (what, a, b) in steps {
+                let (id, other, lsn) = (PageId(a), PageId(b), Lsn(next));
+                let stable = Lsn(next + 1);
+                let mut outcomes = Vec::new();
+                for (k, (pool, disk)) in pools.iter_mut().zip(&mut disks).enumerate() {
+                    let mut fetched = |pages: &[PageId]| {
+                        pages.iter().all(|&p| pool.fetch(disk, p, 4, stable).is_ok())
+                            && pages.iter().all(|&p| pool.get(p).is_some())
+                    };
+                    let outcome = match what {
+                        0 => fetched(&[id])
+                            && pool.update(id, lsn, |p| p.set(SlotId(0), next)).is_ok(),
+                        1 | 2 if a != b => {
+                            let done = fetched(&[other, id]);
+                            if done {
+                                pool.update(id, lsn, |p| p.set(SlotId(0), next)).unwrap();
+                                let c = constraint(b, next, a, next);
+                                if k == 0 {
+                                    pool.add_constraint_subsuming(c);
+                                } else {
+                                    pool.add_constraint(c);
+                                }
+                            }
+                            done
+                        }
+                        3 => pool.flush_page(disk, id, stable).is_ok(),
+                        4 => pool.flush_page(disk, id, Lsn(next.saturating_sub(6))).is_ok(),
+                        5 => pool.flush_all(disk, stable).is_ok(),
+                        _ => pool.fetch(disk, id, 4, stable).is_ok(),
+                    };
+                    outcomes.push(outcome);
+                }
+                next += 2;
+                let [subsuming, twin] = &pools;
+                assert_indexes_mirror(subsuming);
+                proptest::prop_assert_eq!(outcomes[0], outcomes[1]);
+                for p in (0..6).map(PageId) {
+                    proptest::prop_assert_eq!(disks[0].page_lsn(p), disks[1].page_lsn(p));
+                    proptest::prop_assert_eq!(
+                        subsuming.check_flush(&disks[0], p, stable).is_ok(),
+                        twin.check_flush(&disks[1], p, stable).is_ok()
+                    );
+                    for r in [1, 3].map(|k| PageId((p.0 + k) % 6)) {
+                        proptest::prop_assert_eq!(
+                            subsuming.would_cycle(&disks[0], &[p], &[r]),
+                            twin.would_cycle(&disks[1], &[p], &[r])
+                        );
+                    }
+                }
+                let held = twin.constraints();
+                proptest::prop_assert!(subsuming.constraints().iter().all(|c| held.contains(c)));
             }
         }
     }

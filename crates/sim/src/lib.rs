@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![warn(clippy::significant_drop_in_scrutinee)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod backend;
 pub mod cache;

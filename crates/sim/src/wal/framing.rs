@@ -1,26 +1,27 @@
 //! Frame structure of a log shard's image.
 //!
 //! A *frame* is one stable record: an 8-byte little-endian LSN, a
-//! 4-byte little-endian body length, a 4-byte CRC-32 of the rest of the
-//! frame (header fields plus body, excluding the CRC itself), then the
-//! payload body. Frames are contiguous; an image is well-formed iff it
+//! 4-byte little-endian body length, a 4-byte CRC-32C
+//! ([`Crc32c`]: the CPU's `crc32` instruction where it has SSE4.2,
+//! slice-by-8 tables elsewhere) of the rest of the frame (header fields
+//! plus body, excluding the CRC itself), then the payload body. Frames are contiguous; an image is well-formed iff it
 //! is a whole number of well-formed frames whose checksums verify.
 //! Everything here is a pure function of a byte image — a shard's
 //! `LogManager` owns the bookkeeping, this module owns the bytes.
 
 use redo_theory::log::Lsn;
 
-use crate::backend::Crc32;
+use crate::backend::Crc32c;
 use crate::error::{SimError, SimResult};
 
 /// Bytes of a frame header: 8-byte LSN + 4-byte body length + 4-byte
-/// CRC-32 of the rest of the frame.
+/// CRC-32C of the rest of the frame.
 pub const FRAME_HEADER: usize = 16;
 
 /// Computes a frame's CRC: the 12 header bytes before the CRC field,
 /// then the body.
 pub(crate) fn frame_crc(header12: &[u8], body: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
+    let mut crc = Crc32c::new();
     crc.update(header12);
     crc.update(body);
     crc.finish()

@@ -29,7 +29,7 @@
 //! ## Frame format
 //!
 //! Each stable record occupies one *frame*: an 8-byte little-endian LSN,
-//! a 4-byte little-endian body length, a 4-byte CRC-32 of the rest of
+//! a 4-byte little-endian body length, a 4-byte CRC-32C of the rest of
 //! the frame (header fields plus body, excluding the CRC itself), then
 //! the body: a tag byte — a record, or a flush-group marker — and the
 //! payload. Frames are contiguous; a shard's image is well-formed iff
@@ -604,7 +604,7 @@ impl LogManager {
     }
 
     /// Discards a torn tail: walks the live frames (header structure
-    /// *and* CRC-32 verification) and truncates the image at the first
+    /// *and* CRC-32C verification) and truncates the image at the first
     /// frame that does not fit or does not verify — the fragment a
     /// [`crate::fault::FaultKind::TornFlush`] crash point (or a real
     /// partial file write) left behind. Returns the number of bytes

@@ -850,6 +850,13 @@ pub struct History<'a> {
 }
 
 impl<'a> History<'a> {
+    /// The most bytes the read can cover: every shard's whole image,
+    /// `archive ∥ live` — a bound on what the records it yields hold.
+    #[must_use]
+    pub fn image_bytes(&self) -> usize {
+        self.shards.iter().map(|(_, shard)| shard.image.len()).sum()
+    }
+
     /// What the read so far has cost, over every shard.
     #[must_use]
     pub fn stats(&self) -> ScanStats {
@@ -1167,12 +1174,13 @@ pub(super) mod tests {
 
     /// An independent decoder of a shard image from offset `pos`, written
     /// against the documented format rather than the production reader:
-    /// an 8-byte LE LSN, a 4-byte LE body length, a 4-byte LE CRC-32 over
-    /// the first 12 header bytes plus the body, then the body — a tag
-    /// byte, then a record's payload or a marker's 8-byte epoch, 2-byte
-    /// roster count and 2-byte roster entries. It checks every checksum,
-    /// so it is the one oracle the reader is held to: a bug in the
-    /// reader cannot hide behind itself. Returns the frames before the
+    /// an 8-byte LE LSN, a 4-byte LE body length, a 4-byte LE CRC-32C
+    /// over the first 12 header bytes plus the body, then the body — a
+    /// tag byte, then a record's payload or a marker's 8-byte epoch,
+    /// 2-byte roster count and 2-byte roster entries. It checks every
+    /// checksum with the bitwise oracle, not the kernel under test, so
+    /// it is the one oracle the reader is held to: a bug in the reader
+    /// or the kernel cannot hide behind itself. Returns the frames before the
     /// first damage, and the damage.
     fn reference_decode<P: LogPayload>(
         bytes: &[u8],
@@ -1186,10 +1194,8 @@ pub(super) mod tests {
             let end = (pos.checked_add(len))
                 .filter(|&end| end <= bytes.len())
                 .ok_or(SimError::Corrupt(*pos))?;
-            let mut crc = crate::backend::Crc32::new();
-            crc.update(&bytes[start..start + 12]);
-            crc.update(&bytes[start + FRAME_HEADER..end]);
-            if crc.finish() != stored_crc {
+            let covered = [&bytes[start..start + 12], &bytes[start + FRAME_HEADER..end]].concat();
+            if crate::backend::tests::bytewise(&covered) != stored_crc {
                 return Err(SimError::Corrupt(start + 12));
             }
             let image = &bytes[..end];
@@ -2014,7 +2020,7 @@ pub(super) mod tests {
         }
 
         /// A single flipped bit anywhere in a shard's stable image —
-        /// marker frames included — is DETECTED: with per-frame CRC-32s
+        /// marker frames included — is DETECTED: with per-frame CRC-32Cs
         /// and nothing trusted, both readers report `Corrupt` at a sane
         /// offset, never panic, never yield silently altered records.
         #[test]
@@ -2230,13 +2236,27 @@ pub(super) mod tests {
         })
     }
 
+    /// Each image's bytes with every frame's four CRC bytes zeroed:
+    /// what the image says apart from its checksums.
+    fn crc_masked(image: &[u8]) -> Vec<u8> {
+        let mut masked = image.to_vec();
+        let mut pos = 0;
+        while let Some((_, end)) = crate::wal::framing::frame_header(image, pos) {
+            masked[pos + 12..pos + FRAME_HEADER].fill(0);
+            pos = end;
+        }
+        assert_eq!(pos, image.len(), "the image is whole frames");
+        masked
+    }
+
     /// One fixed append/force script; returns each shard's stable-image
-    /// checksum. Single-page records, a multi-page record (spanning
-    /// shards when there are several), a page-less broadcast, a partial
-    /// force that leaves a tail (on four shards a cross-shard group, so
-    /// `Open`/`Close` brackets are in the image), a single-shard force,
-    /// then `flush_all`.
-    fn wire_script(n: usize) -> Vec<u64> {
+    /// checksum, and the checksum of that image with its frames' CRC
+    /// fields zeroed ([`crc_masked`]). Single-page records, a multi-page
+    /// record (spanning shards when there are several), a page-less
+    /// broadcast, a partial force that leaves a tail (on four shards a
+    /// cross-shard group, so `Open`/`Close` brackets are in the image),
+    /// a single-shard force, then `flush_all`.
+    fn wire_script(n: usize) -> Vec<(u64, u64)> {
         let mut log: ShardedLog<Rec> = ShardedLog::new(n);
         for i in 0..12u32 {
             log.append(Rec(vec![i % 8], u64::from(i) * 7)).unwrap();
@@ -2250,23 +2270,39 @@ pub(super) mod tests {
         log.append(Rec(vec![3], 102)).unwrap();
         log.flush_all();
         assert_eq!(log.stable_lsn(), Lsn(15));
-        log.shards.iter().map(|s| fnv(&s.image)).collect()
+        (log.shards.iter())
+            .map(|s| (fnv(&s.image), fnv(&crc_masked(&s.image))))
+            .collect()
     }
 
-    /// The constants were computed by this script on the tree whose
-    /// tail still held decoded records and whose force encoded them:
-    /// with [`reference_decode`], they are what "the stable bytes did
-    /// not change" means.
+    /// Two pins, both computed by [`wire_script`]. The masked ones
+    /// were computed on the tree whose frames carried IEEE CRC-32s —
+    /// and whose tail, before that, still held decoded records — so
+    /// that no byte but a checksum moved when the checksum became
+    /// CRC-32C. The full ones hold the CRC-32C images. With
+    /// [`reference_decode`], they are what "the stable bytes did not
+    /// change" means.
     #[test]
     fn wire_format_is_pinned() {
-        assert_eq!(wire_script(1), [0xe5c0_e807_5096_c19c]);
-        let four = [
-            0xbd92_90c4_93b6_d4d2,
-            0x1647_4b14_6ae3_fb2d,
-            0xf285_66d8_79f8_640d,
-            0x73e5_26b1_b644_46d1,
+        let (one, four) = (wire_script(1), wire_script(4));
+        let masked = |pins: &[(u64, u64)]| pins.iter().map(|p| p.1).collect::<Vec<_>>();
+        let full = |pins: &[(u64, u64)]| pins.iter().map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(masked(&one), [0xe6ca_db7b_7ad5_2a02]);
+        let four_masked = [
+            0x39d5_8480_e102_809b,
+            0x4e69_9d20_5081_c70d,
+            0x7b33_9c17_944e_80fb,
+            0x2e46_3208_497e_705b,
         ];
-        assert_eq!(wire_script(4), four);
+        assert_eq!(masked(&four), four_masked);
+        assert_eq!(full(&one), [0xe92e_4afe_3087_babb]);
+        let four_full = [
+            0x6c26_a117_aa01_5941,
+            0xaa51_ab7f_2dcd_0360,
+            0x7232_2487_0434_6089,
+            0xcacf_9cf0_f29e_ae07,
+        ];
+        assert_eq!(full(&four), four_full);
     }
 
     /// Counts the trait calls an append + force costs.

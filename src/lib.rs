@@ -18,6 +18,8 @@
 //! See `examples/` for runnable walkthroughs, starting with
 //! `examples/quickstart.rs`.
 
+#![forbid(unsafe_code)]
+
 pub use redo_btree as btree;
 pub use redo_checker as checker;
 pub use redo_methods as methods;

@@ -1,5 +1,5 @@
-//! The serial restart, the lazy drain that runs its scan, and a lazy
-//! demand allocate nothing per record.
+//! The serial restart, the lazy drain that runs its scan, a lazy
+//! demand and a media restore allocate nothing per record.
 //!
 //! The scan reads each record in place and the redo step replays the
 //! operation from that view, and a demand reads its page's downset in
@@ -18,6 +18,7 @@ use std::cell::Cell;
 
 use redo_recovery::methods::concurrent::SharedDb;
 use redo_recovery::methods::generalized::Generalized;
+use redo_recovery::methods::media::Media;
 use redo_recovery::methods::ondemand::OnDemand;
 use redo_recovery::methods::oprecord::PageOpPayload;
 use redo_recovery::methods::{RecoveryMethod, RecoveryStats};
@@ -204,4 +205,50 @@ fn a_demand_allocates_nothing_per_record() {
             2 * N,
         );
     }
+}
+
+/// Allocations made by a media restore of the image of `n` operations,
+/// every page installed and checkpointed before the crash, with page 0
+/// destroyed: the rebuild reads the whole history from LSN 1, and the
+/// redo scan after it has nothing to replay.
+fn media_allocations(n: usize) -> usize {
+    let ops = PageWorkloadSpec {
+        n_ops: n,
+        n_pages: PAGES,
+        ..Default::default()
+    }
+    .generate(11);
+    let mut image: Db<_> = Db::new(Geometry::default());
+    for op in &ops {
+        Media.execute(&mut image, op).unwrap();
+    }
+    image.log.flush_all();
+    let stable = image.log.stable_lsn();
+    image.pool.flush_all(&mut image.disk, stable).unwrap();
+    Media.checkpoint(&mut image).unwrap();
+    image.crash();
+    image.disk.destroy_page(DEMANDED.page);
+    let before = allocations();
+    let stats = Media.recover(&mut image).unwrap();
+    let made = allocations() - before;
+    assert!(
+        !image.disk.is_lost(DEMANDED.page),
+        "the restore installed it"
+    );
+    assert_eq!(stats.replay_count(), 0, "the checkpoint covers every page");
+    made
+}
+
+#[test]
+fn a_media_restore_allocates_nothing_per_record() {
+    // Every array of the history is sized before the walk from what
+    // the log knows, so doubling the history grows none of them. One
+    // that grows by pushing reallocates once more at 2N.
+    let (once, twice) = (media_allocations(N), media_allocations(2 * N));
+    assert_eq!(
+        once,
+        twice,
+        "a media restore of {N} records made {once} allocations, of {} records {twice}",
+        2 * N,
+    );
 }

@@ -32,8 +32,10 @@
 //!   each side: restore ≤ 2.5× intact (~1.9× with the in-place read
 //!   and the backward slice, ~3.1× when the history was merged into a
 //!   map, decoded into owned records and replayed whole), and prints
-//!   the rebuild by part ([`PageHistory`]: history, closure, slice,
-//!   replay).
+//!   the rebuild by part ([`PageHistory`]: history, closure with its
+//!   page → records index, slice, replay). At every size it prints the
+//!   minor page faults of five restores in a row and of five intact
+//!   recoveries, read from `/proc/self/stat`.
 //!
 //! * `pool_pages{64,8192}` — the full (uncheckpointed) scan of one
 //!   op count over a 64-page and an 8192-page database, nothing
@@ -244,6 +246,31 @@ fn bench_scan_share() {
     );
 }
 
+/// This process's minor page faults so far — `/proc/self/stat`'s
+/// `minflt` — or `None` where the platform keeps no such file.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // After the parenthesized command name: the state, then six more
+    // fields, then `minflt`.
+    let (_, fields) = stat.rsplit_once(')')?;
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// The minor page faults of each of five `Media.recover`s of `image`,
+/// one after another in this process, as `a/b/c/d/e`.
+fn restore_faults(image: &MediaDb) -> String {
+    let faults = (0..5).map(|_| {
+        let mut db = image.clone();
+        let before = minor_faults()?;
+        Media.recover(&mut db).unwrap();
+        Some(minor_faults()? - before)
+    });
+    let faults: Vec<String> = faults
+        .map(|f| f.map_or_else(|| "n/a".to_string(), |f| f.to_string()))
+        .collect();
+    faults.join("/")
+}
+
 /// The media axis's guard: a restore costs at most 2.5× an intact
 /// recovery of the same image (best of 5 each side). Also prints the
 /// rebuild by part, each part best of 5.
@@ -419,6 +446,12 @@ fn bench(c: &mut Criterion) {
                  {victim:?} from {} archived bytes plus {} live stable records",
                 intact.log.archived_bytes(),
                 intact.log.stable_count(),
+            );
+            println!(
+                "recovery_throughput shape-check [n={n}]: minor page faults per media restore {} \
+                 (intact recovery {})",
+                restore_faults(&damaged),
+                restore_faults(&intact),
             );
             if n == sizes[0] {
                 bench_media_ratio(n, &intact, &damaged);

@@ -5,9 +5,9 @@
 //! — only *volatile* state and in-flight transfers were at risk. Media
 //! failure breaks that assumption: a page's durable copy is destroyed
 //! outright ([`redo_sim::disk::Disk::destroy_page`], or a page file
-//! deleted out-of-band), and reads answer
-//! [`SimError::MediaLoss`](redo_sim::SimError::MediaLoss) instead of
-//! data. No page-LSN redo test can help — there is no page to test.
+//! deleted out-of-band), and reads answer [`SimError::MediaLoss`]
+//! instead of data. No page-LSN redo test can help — there is no page
+//! to test.
 //!
 //! What makes the loss recoverable is the archive
 //! ([`redo_sim::wal::ShardedLog::archive_prefix`] retires drained
@@ -19,12 +19,14 @@
 //! answers the loss ([`rebuild_images`]). Over a whole history,
 //! [`ShardedLog::history`](redo_sim::wal::ShardedLog::history) merges
 //! it in LSN order, each record borrowed from the image that holds it.
-//! The rebuild reads that history in place — one [`PageOpView`] per
-//! operation record, nothing decoded into owned cells
-//! ([`PageHistory::read`]) — and installs, for the lost pages, their
-//! exact content at the stable LSN: the paper's installation-graph
-//! reading, where the full stable log is an installation sequence for
-//! the maximal explainable state.
+//! The rebuild parses each operation record in place and keeps only
+//! columns of it ([`PageHistory::read`]): per record its LSN, op id and
+//! `f_seed`, per cell a dense `u32` page number and a `u16` slot, and
+//! `u32` bounds between records — no owned cell list, no borrowed view.
+//! From them it installs, for the lost pages, their exact content at
+//! the stable LSN: the paper's installation-graph reading, where the
+//! full stable log is an installation sequence for the maximal
+//! explainable state.
 //!
 //! Installing a *final* image for page `x` is ahead of where the redo
 //! scan may need `x` mid-replay: a generalized operation `O` that read
@@ -35,10 +37,12 @@
 //! footprint meets the rebuild set has its stale written pages pulled
 //! in too (whole write sets at a time, preserving install-atomicity),
 //! to fixpoint — one worklist pass over a page → touching-records
-//! index. Every record touching the closure is then *skipped* by the
-//! redo test — its written pages already carry their final images — so
-//! no replay ever reads a rebuilt page at the wrong moment. Closure
-//! images are exact, so over-approximating is always sound.
+//! index, built once as compressed rows (the cells counted by page,
+//! the counts summed into row starts, then one `u32` record position
+//! per cell). Every record touching the closure is then *skipped* by
+//! the redo test — its written pages already carry their final images
+//! — so no replay ever reads a rebuilt page at the wrong moment.
+//! Closure images are exact, so over-approximating is always sound.
 //!
 //! The images need no replay of the whole history. By Theorem 3 a
 //! page's final value depends only on its ancestors along the
@@ -46,8 +50,9 @@
 //! the history backward from the end with the closure's pages needed:
 //! a record that writes a needed page is kept, and the pages it reads
 //! become needed below it. [`PageHistory::replay`] runs the kept
-//! records forward from genesis into a scratch image; each reads only
-//! pages whose every earlier writer was kept too.
+//! records forward from genesis into a scratch image, each output
+//! computed from the record's columns by [`PageOp::output_of`]; each
+//! reads only pages whose every earlier writer was kept too.
 //!
 //! Crash-safety: the closure's images land together, through one
 //! faultable
@@ -63,15 +68,16 @@
 //! recovery recomputes the same closure and images and finishes the job.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use redo_sim::cache::FrameTable;
 use redo_sim::db::Db;
 use redo_sim::page::Page;
-use redo_sim::wal::codec::{PageOpView, CELL_BYTES};
+use redo_sim::wal::codec::CELL_BYTES;
 use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{OpCells, PageId, PageOp};
+use redo_workload::pages::{Cell, OpCells, PageId, PageOp, SlotId};
 
 use crate::generalized::Generalized;
 use crate::ondemand::OnDemand;
@@ -85,24 +91,31 @@ use crate::{redo, RecoveryMethod, RecoveryStats};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Media;
 
-/// The durable history's operation records, read in place: one borrowed
-/// [`PageOpView`] per record and the pages its cells name, each page as
-/// a dense number — what the rebuild's three steps
+/// The durable history's operation records, kept as columns: per
+/// record its LSN, op id and `f_seed` — all an output needs besides the
+/// cell and the values read ([`PageOp::output_of`]) — and per cell its
+/// page, as a dense number, and its slot. What the rebuild's three steps
 /// ([`PageHistory::closure`], [`PageHistory::slice`],
-/// [`PageHistory::replay`]) index by. Kept as parallel arrays, so that
-/// the two passes over every record touch its pages and nothing else.
+/// [`PageHistory::replay`]) index by, owned, so the history borrows
+/// nothing from the log once read. Every position is a `u32`: a history
+/// with more records, cells or pages than that is refused
+/// ([`PageHistory::read`]), never wrapped.
 #[derive(Debug)]
-pub struct PageHistory<'a> {
-    /// Every operation record through the LSN read to, in LSN order.
-    ops: Vec<PageOpView<'a>>,
-    /// Each record's LSN.
+pub struct PageHistory {
+    /// Each record's LSN, in LSN order.
     lsns: Vec<Lsn>,
-    /// Each record's cells' pages as dense numbers, reads then writes,
-    /// record after record.
+    /// Each record's [`PageOp::id`].
+    ids: Vec<u32>,
+    /// Each record's [`PageOp::f_seed`].
+    f_seeds: Vec<u64>,
+    /// Each cell's page as a dense number, reads then writes, record
+    /// after record.
     cells: Vec<u32>,
-    /// Record `i` reads `cells[bounds[2i]..bounds[2i + 1]]` and writes
-    /// `cells[bounds[2i + 1]..bounds[2i + 2]]`.
-    bounds: Vec<usize>,
+    /// Each cell's slot, beside `cells`.
+    slots: Vec<SlotId>,
+    /// Record `i` reads cells `bounds[2i]..bounds[2i + 1]` and writes
+    /// cells `bounds[2i + 1]..bounds[2i + 2]`.
+    bounds: Vec<u32>,
     /// The page behind each dense number.
     pages: Vec<PageId>,
     /// The dense number of each page.
@@ -112,28 +125,46 @@ pub struct PageHistory<'a> {
     yielded: u64,
 }
 
-impl<'a> PageHistory<'a> {
+/// `count` entries of the history's column `what`, as the `u32` its
+/// positions are kept in.
+///
+/// # Errors
+///
+/// [`SimError::FieldOverflow`] naming `what` when `count` exceeds
+/// `u32::MAX`: a wrapped position would index another record's cells.
+fn column(what: &'static str, count: usize) -> SimResult<u32> {
+    u32::try_from(count).map_err(|_| SimError::FieldOverflow {
+        field: what,
+        value: count as u64,
+    })
+}
+
+impl PageHistory {
     /// Reads every operation record of `log` with LSN ≤ `upto` from
     /// `archive ∥ live` ([`ShardedLog::history`]); checkpoint records
     /// are checked and passed over.
     ///
     /// # Errors
     ///
-    /// Log or archive corruption.
-    pub fn read(log: &'a ShardedLog<PageOpPayload>, upto: Lsn) -> SimResult<PageHistory<'a>> {
+    /// Log or archive corruption; [`SimError::FieldOverflow`] for a
+    /// history of more than `u32::MAX` records, cells or pages.
+    pub fn read(log: &ShardedLog<PageOpPayload>, upto: Lsn) -> SimResult<PageHistory> {
         let records = log.history(upto);
-        // Sized once, from what the log already knows, so that no array
+        // Sized once, from what the log already knows, so that no column
         // grows during the walk: the merge yields each LSN at most once,
         // and each cell a record names lies in the images' bytes.
-        // Capacity the walk leaves untouched costs no page.
-        let most_records =
-            usize::try_from(upto.min(log.stable_lsn()).0).expect("a history that fits in memory");
+        // Capacity the walk leaves untouched costs no page, and none is
+        // reserved past `u32::MAX` records: the walk refuses more.
+        let most_records = upto.min(log.stable_lsn()).0.min(u32::MAX.into()) as usize;
+        let most_cells = records.image_bytes() / CELL_BYTES;
         let mut bounds = Vec::with_capacity(2 * most_records + 1);
         bounds.push(0);
         let mut history = PageHistory {
-            ops: Vec::with_capacity(most_records),
             lsns: Vec::with_capacity(most_records),
-            cells: Vec::with_capacity(records.image_bytes() / CELL_BYTES),
+            ids: Vec::with_capacity(most_records),
+            f_seeds: Vec::with_capacity(most_records),
+            cells: Vec::with_capacity(most_cells),
+            slots: Vec::with_capacity(most_cells),
             bounds,
             pages: Vec::new(),
             numbers: FrameTable::new(),
@@ -142,13 +173,18 @@ impl<'a> PageHistory<'a> {
         // An operation names its pages in runs (a read-modify-write
         // reads and writes one page): look each run up once.
         let mut last: Option<(PageId, u32)> = None;
-        let mut number = |history: &mut PageHistory<'a>, page: PageId| match last {
-            Some((named, number)) if named == page => number,
-            _ => {
-                let number = history.number(page);
-                last = Some((page, number));
-                number
-            }
+        let mut push = |history: &mut PageHistory, cell: Cell| -> SimResult<()> {
+            let number = match last {
+                Some((named, number)) if named == cell.page => number,
+                _ => {
+                    let number = history.number(cell.page)?;
+                    last = Some((cell.page, number));
+                    number
+                }
+            };
+            history.cells.push(number);
+            history.slots.push(cell.slot);
+            Ok(())
         };
         for rec in records {
             let rec = rec?;
@@ -157,46 +193,56 @@ impl<'a> PageHistory<'a> {
                 continue;
             };
             for cell in op.reads() {
-                let number = number(&mut history, cell.page);
-                history.cells.push(number);
+                push(&mut history, cell)?;
             }
-            history.bounds.push(history.cells.len());
+            let cells = column("media history cells", history.cells.len())?;
+            history.bounds.push(cells);
             for cell in op.writes() {
-                let number = number(&mut history, cell.page);
-                history.cells.push(number);
+                push(&mut history, cell)?;
             }
-            history.bounds.push(history.cells.len());
-            history.ops.push(op);
+            let cells = column("media history cells", history.cells.len())?;
+            history.bounds.push(cells);
             history.lsns.push(rec.lsn);
+            history.ids.push(op.id);
+            history.f_seeds.push(op.f_seed);
+            column("media history records", history.lsns.len())?;
         }
         Ok(history)
     }
 
     /// `page`'s dense number, assigned on first sight.
-    fn number(&mut self, page: PageId) -> u32 {
+    fn number(&mut self, page: PageId) -> SimResult<u32> {
         if let Some(&number) = self.numbers.get(page) {
-            return number;
+            return Ok(number);
         }
-        let number = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages fit in memory");
+        let number = column("media history pages", self.pages.len())?;
         self.numbers.insert(page, number);
         self.pages.push(page);
-        number
+        Ok(number)
     }
 
     /// How many operation records the history holds.
     #[must_use]
     pub fn records(&self) -> usize {
-        self.ops.len()
+        self.lsns.len()
     }
 
-    /// Record `i`'s read pages, as dense numbers in cell order.
-    fn reads(&self, i: usize) -> &[u32] {
-        &self.cells[self.bounds[2 * i]..self.bounds[2 * i + 1]]
+    /// Every record's position, ascending. `read` refused a history of
+    /// more records than a `u32` counts, so none is cut.
+    fn positions(&self) -> Range<u32> {
+        0..self.lsns.len() as u32
     }
 
-    /// Record `i`'s written pages, as dense numbers in cell order.
-    fn writes(&self, i: usize) -> &[u32] {
-        &self.cells[self.bounds[2 * i + 1]..self.bounds[2 * i + 2]]
+    /// Record `i`'s read cells, as positions in `cells` and `slots`.
+    fn reads(&self, i: u32) -> Range<usize> {
+        let i = 2 * i as usize;
+        self.bounds[i] as usize..self.bounds[i + 1] as usize
+    }
+
+    /// Record `i`'s written cells, as positions in `cells` and `slots`.
+    fn writes(&self, i: u32) -> Range<usize> {
+        let i = 2 * i as usize;
+        self.bounds[i + 1] as usize..self.bounds[i + 2] as usize
     }
 
     /// The rebuild set: `lost`, grown to its transitive closure under
@@ -209,19 +255,25 @@ impl<'a> PageHistory<'a> {
     /// touching-records index built here.
     pub fn closure(&self, lost: &[PageId], page_lsn: impl Fn(PageId) -> Lsn) -> BTreeSet<PageId> {
         let n = self.pages.len();
-        // The index: `entries` holds one `(record, older)` entry per
-        // record per page it touches; `newest[p]` is the newest entry
-        // under dense page `p`, and `older` the next one down its chain
-        // (`usize::MAX`, past any entry, ends it).
-        let mut newest = vec![usize::MAX; n];
-        let mut entries: Vec<(usize, usize)> = Vec::with_capacity(self.cells.len());
-        for i in 0..self.ops.len() {
-            for &p in &self.cells[self.bounds[2 * i]..self.bounds[2 * i + 2]] {
-                let head = &mut newest[p as usize];
-                if entries.get(*head).is_none_or(|&(named, _)| named != i) {
-                    entries.push((i, *head));
-                    *head = entries.len() - 1;
-                }
+        // The index, as compressed rows: the records that touch dense
+        // page `p`, ascending, are `touching[start[p]..start[p + 1]]`,
+        // one entry per cell — cells counted by page, the counts
+        // summed into row starts, each record filled into its cells'
+        // rows. A record that names a page twice sits beside itself.
+        let mut start = vec![0u32; n + 1];
+        for &p in &self.cells {
+            start[p as usize + 1] += 1;
+        }
+        for p in 0..n {
+            start[p + 1] += start[p];
+        }
+        let mut touching = vec![0u32; self.cells.len()];
+        let mut next = start[..n].to_vec();
+        for i in self.positions() {
+            for &p in &self.cells[self.reads(i).start..self.writes(i).end] {
+                let at = &mut next[p as usize];
+                touching[*at as usize] = i;
+                *at += 1;
             }
         }
         let mut closure: BTreeSet<PageId> = lost.iter().copied().collect();
@@ -234,17 +286,17 @@ impl<'a> PageHistory<'a> {
             }
         }
         while let Some(p) = work.pop() {
-            let mut at = newest[p];
-            while let Some(&(i, older)) = entries.get(at) {
-                for &w in self.writes(i) {
+            let row = &touching[start[p] as usize..start[p + 1] as usize];
+            for run in row.chunk_by(u32::eq) {
+                let i = run[0];
+                for &w in &self.cells[self.writes(i)] {
                     let w = w as usize;
-                    if !in_closure[w] && page_lsn(self.pages[w]) < self.lsns[i] {
+                    if !in_closure[w] && page_lsn(self.pages[w]) < self.lsns[i as usize] {
                         in_closure[w] = true;
                         closure.insert(self.pages[w]);
                         work.push(w);
                     }
                 }
-                at = older;
             }
         }
         closure
@@ -256,18 +308,21 @@ impl<'a> PageHistory<'a> {
     /// closure's pages needed, a record that writes a needed page is
     /// kept, and every page it reads is needed from there down.
     #[must_use]
-    pub fn slice(&self, closure: &BTreeSet<PageId>) -> Vec<usize> {
+    pub fn slice(&self, closure: &BTreeSet<PageId>) -> Vec<u32> {
         let mut needed = vec![false; self.pages.len()];
         for page in closure {
             if let Some(&p) = self.numbers.get(*page) {
                 needed[p as usize] = true;
             }
         }
-        let mut kept = Vec::with_capacity(self.ops.len());
-        for i in (0..self.ops.len()).rev() {
-            if self.writes(i).iter().any(|&w| needed[w as usize]) {
+        let mut kept = Vec::with_capacity(self.records());
+        for i in self.positions().rev() {
+            if self.cells[self.writes(i)]
+                .iter()
+                .any(|&w| needed[w as usize])
+            {
                 kept.push(i);
-                for &r in self.reads(i) {
+                for &r in &self.cells[self.reads(i)] {
                     needed[r as usize] = true;
                 }
             }
@@ -277,30 +332,37 @@ impl<'a> PageHistory<'a> {
     }
 
     /// Replays the `slice` records forward from genesis into a scratch
-    /// image — reads from the scratch pages themselves, writes tagged
-    /// with the record's LSN — and returns each `closure` page's image:
-    /// its exact content as of the last record read. A closure page no
-    /// record writes maps to a freshly formatted page.
+    /// image — reads from the scratch pages themselves, writes computed
+    /// from the record's columns ([`PageOp::output_of`]) and tagged with
+    /// its LSN — and returns each `closure` page's image: its exact
+    /// content as of the last record read. A closure page no record
+    /// writes maps to a freshly formatted page.
     #[must_use]
     pub fn replay(
         &self,
-        slice: &[usize],
+        slice: &[u32],
         closure: &BTreeSet<PageId>,
         slots_per_page: u16,
     ) -> BTreeMap<PageId, Page> {
         let mut scratch: Vec<Option<Page>> = vec![None; self.pages.len()];
         let mut read_values: Vec<u64> = Vec::new();
         for &i in slice {
-            let op = &self.ops[i];
+            let at = i as usize;
             read_values.clear();
-            for (cell, &p) in op.reads().zip(self.reads(i)) {
-                let page = scratch[p as usize].as_ref();
-                read_values.push(page.map_or(0, |page| page.get(cell.slot)));
+            for k in self.reads(i) {
+                let page = scratch[self.cells[k] as usize].as_ref();
+                read_values.push(page.map_or(0, |page| page.get(self.slots[k])));
             }
-            for (cell, &p) in op.writes().zip(self.writes(i)) {
-                let page = scratch[p as usize].get_or_insert_with(|| Page::new(slots_per_page));
-                page.set(cell.slot, op.output(cell, &read_values));
-                page.set_lsn(self.lsns[i]);
+            for k in self.writes(i) {
+                let p = self.cells[k] as usize;
+                let cell = Cell {
+                    page: self.pages[p],
+                    slot: self.slots[k],
+                };
+                let page = scratch[p].get_or_insert_with(|| Page::new(slots_per_page));
+                let value = PageOp::output_of(self.ids[at], self.f_seeds[at], cell, &read_values);
+                page.set(cell.slot, value);
+                page.set_lsn(self.lsns[at]);
             }
         }
         let mut image = |page: PageId| {
@@ -426,7 +488,6 @@ mod tests {
     use rand::SeedableRng;
     use redo_sim::backend::BackendKind;
     use redo_sim::db::Geometry;
-    use redo_workload::pages::Cell;
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
         testkit::cross_page_workload(n, 6, seed)
@@ -589,6 +650,23 @@ mod tests {
         assert!(
             grown * 10 >= plans,
             "the closure grows in {grown} of {plans} plans"
+        );
+    }
+
+    /// A history column's positions are `u32`s: a count past
+    /// `u32::MAX` is an error naming the column, never a wrapped
+    /// position.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_column_past_u32_max_is_refused_not_wrapped() {
+        let most = u32::MAX as usize;
+        assert_eq!(column("media history cells", most), Ok(u32::MAX));
+        assert_eq!(
+            column("media history records", most + 1),
+            Err(SimError::FieldOverflow {
+                field: "media history records",
+                value: u64::from(u32::MAX) + 1,
+            })
         );
     }
 

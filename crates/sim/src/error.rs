@@ -53,9 +53,10 @@ pub enum SimError {
     /// A log payload's encoding is larger than the 32-bit frame length
     /// field can describe; appending it would corrupt the frame stream.
     OversizedRecord(usize),
-    /// A value does not fit the on-disk field it is encoded into (e.g. a
-    /// page-op read set larger than its 16-bit count field, or a slot
-    /// index beyond the page geometry).
+    /// A value does not fit the field it is encoded into (e.g. a
+    /// page-op read set larger than its 16-bit count field, a slot
+    /// index beyond the page geometry, or a media history with more
+    /// records, cells or pages than its `u32` columns count).
     FieldOverflow {
         /// Which field overflowed.
         field: &'static str,

@@ -12,6 +12,9 @@
 //! a 2N-record log over the same pages:
 //! a decode into owned operations — two `Vec<Cell>`s a record — costs
 //! 2N more allocations, where the in-place read costs a handful.
+//!
+//! The allocator also keeps each thread's live heap bytes and their
+//! peak, so a media restore's history can be held to a size per record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,7 +28,7 @@ use redo_recovery::methods::{RecoveryMethod, RecoveryStats};
 use redo_recovery::sim::db::{Db, Geometry};
 use redo_recovery::workload::pages::{self, PageId, PageWorkloadSpec, SlotId};
 
-/// [`System`], counting allocations.
+/// [`System`], counting allocations and live bytes.
 struct Counting;
 
 thread_local! {
@@ -33,6 +36,11 @@ thread_local! {
     /// destructor, so counting allocates nothing and works at any point
     /// of a thread's life.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated on this thread less those freed on it: signed,
+    /// since a block may be freed on another thread than its own.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most `LIVE` has been since [`reset_peak`].
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Counts one allocation on the calling thread.
@@ -40,27 +48,55 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+/// Moves the calling thread's live bytes by `by`, raising the peak.
+fn grow(by: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get().wrapping_add(by));
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// A block's size as a byte delta.
+fn bytes(size: usize) -> isize {
+    isize::try_from(size).unwrap_or(isize::MAX)
+}
+
 /// Allocations made on this thread so far.
 fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
-// SAFETY: every call forwards to `System` unchanged; the count is a
-// side effect on a thread-local cell.
+/// Starts a new peak at this thread's live bytes, and returns them.
+fn reset_peak() -> isize {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+/// The most live bytes this thread has held since [`reset_peak`].
+fn peak() -> isize {
+    PEAK.with(Cell::get)
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counts are
+// side effects on thread-local cells.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(bytes(layout.size()));
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-bytes(layout.size()));
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        grow(bytes(new_size) - bytes(layout.size()));
         // SAFETY: the caller's contract, forwarded.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -207,11 +243,11 @@ fn a_demand_allocates_nothing_per_record() {
     }
 }
 
-/// Allocations made by a media restore of the image of `n` operations,
-/// every page installed and checkpointed before the crash, with page 0
-/// destroyed: the rebuild reads the whole history from LSN 1, and the
-/// redo scan after it has nothing to replay.
-fn media_allocations(n: usize) -> usize {
+/// The image of `n` operations, every page installed and checkpointed
+/// before the crash, with page 0 destroyed: a media restore reads the
+/// whole history from LSN 1, and the redo scan after it has nothing to
+/// replay.
+fn media_image(n: usize) -> Db<PageOpPayload> {
     let ops = PageWorkloadSpec {
         n_ops: n,
         n_pages: PAGES,
@@ -228,15 +264,25 @@ fn media_allocations(n: usize) -> usize {
     Media.checkpoint(&mut image).unwrap();
     image.crash();
     image.disk.destroy_page(DEMANDED.page);
-    let before = allocations();
-    let stats = Media.recover(&mut image).unwrap();
-    let made = allocations() - before;
+    image
+}
+
+/// Restores [`media_image`]`(n)`'s lost page, checking that it did.
+fn media_restore(image: &mut Db<PageOpPayload>) {
+    let stats = Media.recover(image).unwrap();
     assert!(
         !image.disk.is_lost(DEMANDED.page),
         "the restore installed it"
     );
     assert_eq!(stats.replay_count(), 0, "the checkpoint covers every page");
-    made
+}
+
+/// Allocations made by a media restore of [`media_image`]`(n)`.
+fn media_allocations(n: usize) -> usize {
+    let mut image = media_image(n);
+    let before = allocations();
+    media_restore(&mut image);
+    allocations() - before
 }
 
 #[test]
@@ -250,5 +296,29 @@ fn a_media_restore_allocates_nothing_per_record() {
         twice,
         "a media restore of {N} records made {once} allocations, of {} records {twice}",
         2 * N,
+    );
+}
+
+/// Heap bytes a media restore may hold at its peak per operation
+/// record of the history: the history's columns — LSN, op id and
+/// `f_seed` per record, two `u32` bounds, and a `u32` page and a `u16`
+/// slot per cell, the cells reserved for the images' bytes — plus the
+/// closure's page → records index of one `u32` per cell: 88 bytes here.
+/// A history of borrowed 48-byte record views, `usize` bounds and
+/// 16-byte `(record, older)` index entries held 144.
+const MEDIA_BYTES_PER_RECORD: usize = 100;
+
+#[test]
+fn a_media_restore_holds_its_history_in_few_bytes_per_record() {
+    let n = 4 * N;
+    let mut image = media_image(n);
+    let live = reset_peak();
+    media_restore(&mut image);
+    let held = usize::try_from(peak() - live).unwrap();
+    assert!(
+        held <= n * MEDIA_BYTES_PER_RECORD,
+        "a media restore of {n} records held {held} bytes at its peak, {} per record \
+         (at most {MEDIA_BYTES_PER_RECORD})",
+        held / n,
     );
 }

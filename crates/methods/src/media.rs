@@ -19,40 +19,33 @@
 //! answers the loss ([`rebuild_images`]). Over a whole history,
 //! [`ShardedLog::history`](redo_sim::wal::ShardedLog::history) merges
 //! it in LSN order, each record borrowed from the image that holds it.
-//! The rebuild parses each operation record in place and keeps only
-//! columns of it ([`PageHistory::read`]): per record its LSN, op id and
-//! `f_seed`, per cell a dense `u32` page number and a `u16` slot, and
-//! `u32` bounds between records — no owned cell list, no borrowed view.
-//! From them it installs, for the lost pages, their exact content at
-//! the stable LSN: the paper's installation-graph reading, where the
-//! full stable log is an installation sequence for the maximal
-//! explainable state.
+//! The rebuild parses each operation record in place and replays it at
+//! once into a scratch image of every page the history names
+//! ([`ScratchImage::replay`]): one `u64` slot array and one page LSN per
+//! page, each page numbered densely on first sight. Nothing of a record
+//! outlives its step, so the restore holds memory for the pages, not
+//! for the records. Once the walk ends every scratch page holds its
+//! exact content at the stable LSN: the paper's installation-graph
+//! reading, where the full stable log is an installation sequence for
+//! the maximal explainable state.
 //!
 //! Installing a *final* image for page `x` is ahead of where the redo
 //! scan may need `x` mid-replay: a generalized operation `O` that read
 //! `x` and wrote `y` replays against the recovery cache's fetch of `x`,
 //! and if `y` is stale the fetch must see `x` as of `O`'s LSN, not the
 //! final value. The fix is the **transitive closure**
-//! ([`PageHistory::closure`]): any operation whose read-or-write
+//! ([`ScratchImage::closure`]): any operation whose read-or-write
 //! footprint meets the rebuild set has its stale written pages pulled
 //! in too (whole write sets at a time, preserving install-atomicity),
-//! to fixpoint — one worklist pass over a page → touching-records
-//! index, built once as compressed rows (the cells counted by page,
-//! the counts summed into row starts, then one `u32` record position
-//! per cell). Every record touching the closure is then *skipped* by
-//! the redo test — its written pages already carry their final images
-//! — so no replay ever reads a rebuilt page at the wrong moment.
-//! Closure images are exact, so over-approximating is always sound.
-//!
-//! The images need no replay of the whole history. By Theorem 3 a
-//! page's final value depends only on its ancestors along the
-//! write-write and write-read edges, so [`PageHistory::slice`] walks
-//! the history backward from the end with the closure's pages needed:
-//! a record that writes a needed page is kept, and the pages it reads
-//! become needed below it. [`PageHistory::replay`] runs the kept
-//! records forward from genesis into a scratch image, each output
-//! computed from the record's columns by [`PageOp::output_of`]; each
-//! reads only pages whose every earlier writer was kept too.
+//! to fixpoint. The same walk records what the fixpoint needs: for each
+//! record that names two or more pages, an edge from every page it
+//! touches to every page it writes that the disk holds stale, the disk
+//! page LSN read once per page and only for such records. The closure is
+//! a worklist from the lost pages over those edges, sorted and
+//! deduplicated. Every record touching the closure is then *skipped* by
+//! the redo test — its written pages already carry their final images —
+//! so no replay ever reads a rebuilt page at the wrong moment. Closure
+//! images are exact, so over-approximating is always sound.
 //!
 //! Crash-safety: the closure's images land together, through one
 //! faultable
@@ -68,13 +61,10 @@
 //! recovery recomputes the same closure and images and finishes the job.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 
 use redo_sim::cache::FrameTable;
 use redo_sim::db::Db;
 use redo_sim::page::Page;
-use redo_sim::wal::codec::CELL_BYTES;
-use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, OpCells, PageId, PageOp, SlotId};
@@ -91,158 +81,178 @@ use crate::{redo, RecoveryMethod, RecoveryStats};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Media;
 
-/// The durable history's operation records, kept as columns: per
-/// record its LSN, op id and `f_seed` — all an output needs besides the
-/// cell and the values read ([`PageOp::output_of`]) — and per cell its
-/// page, as a dense number, and its slot. What the rebuild's three steps
-/// ([`PageHistory::closure`], [`PageHistory::slice`],
-/// [`PageHistory::replay`]) index by, owned, so the history borrows
-/// nothing from the log once read. Every position is a `u32`: a history
-/// with more records, cells or pages than that is refused
-/// ([`PageHistory::read`]), never wrapped.
+/// Every page the durable history names, replayed from genesis to the
+/// stable LSN, and the page edges the rebuild's closure grows along —
+/// both from one forward walk of the history ([`ScratchImage::replay`]).
+///
+/// The whole history replays, not only the records the lost pages'
+/// final images depend on: the walk reads and parses every record
+/// anyway, and replaying a parsed record costs less than keeping what a
+/// backward slice would need to pick it out.
 #[derive(Debug)]
-pub struct PageHistory {
-    /// Each record's LSN, in LSN order.
-    lsns: Vec<Lsn>,
-    /// Each record's [`PageOp::id`].
-    ids: Vec<u32>,
-    /// Each record's [`PageOp::f_seed`].
-    f_seeds: Vec<u64>,
-    /// Each cell's page as a dense number, reads then writes, record
-    /// after record.
-    cells: Vec<u32>,
-    /// Each cell's slot, beside `cells`.
-    slots: Vec<SlotId>,
-    /// Record `i` reads cells `bounds[2i]..bounds[2i + 1]` and writes
-    /// cells `bounds[2i + 1]..bounds[2i + 2]`.
-    bounds: Vec<u32>,
+pub struct ScratchImage {
+    /// Slots per page: each page's share of `slots`.
+    slots_per_page: u16,
     /// The page behind each dense number.
     pages: Vec<PageId>,
     /// The dense number of each page.
     numbers: FrameTable<u32>,
+    /// Dense page `p`'s slots, at `p * slots_per_page`.
+    slots: Vec<u64>,
+    /// Each dense page's LSN: its last writer's, or zero.
+    lsns: Vec<Lsn>,
+    /// Each dense page's LSN on disk, read on first need.
+    disk_lsns: Vec<Option<Lsn>>,
+    /// `from << 32 | to`: a record that touched page `from` wrote page
+    /// `to`, which the disk holds older than that record. Sorted and
+    /// deduplicated once the walk ends.
+    edges: Vec<u64>,
     /// Every record read, checkpoints included: the stable LSN when the
     /// history is whole, since the merge yields each LSN once.
     yielded: u64,
 }
 
-/// `count` entries of the history's column `what`, as the `u32` its
-/// positions are kept in.
+/// The dense number after `count` pages.
 ///
 /// # Errors
 ///
-/// [`SimError::FieldOverflow`] naming `what` when `count` exceeds
-/// `u32::MAX`: a wrapped position would index another record's cells.
-fn column(what: &'static str, count: usize) -> SimResult<u32> {
+/// [`SimError::FieldOverflow`] when `count` exceeds `u32::MAX`: a
+/// wrapped number would name another page's slots.
+fn dense(count: usize) -> SimResult<u32> {
     u32::try_from(count).map_err(|_| SimError::FieldOverflow {
-        field: what,
+        field: "media scratch pages",
         value: count as u64,
     })
 }
 
-impl PageHistory {
-    /// Reads every operation record of `log` with LSN ≤ `upto` from
-    /// `archive ∥ live` ([`ShardedLog::history`]); checkpoint records
-    /// are checked and passed over.
+impl ScratchImage {
+    /// Replays every operation record of `db`'s durable history —
+    /// `archive ∥ live` up to the stable LSN ([`ShardedLog::history`])
+    /// — into a zeroed scratch page per page it names, reading each
+    /// record in place; checkpoint records are checked and passed over.
+    /// A record that names two or more pages adds an edge from each of
+    /// them to each page it writes whose disk page LSN is below its own.
+    ///
+    /// [`ShardedLog::history`]: redo_sim::wal::ShardedLog::history
     ///
     /// # Errors
     ///
     /// Log or archive corruption; [`SimError::FieldOverflow`] for a
-    /// history of more than `u32::MAX` records, cells or pages.
-    pub fn read(log: &ShardedLog<PageOpPayload>, upto: Lsn) -> SimResult<PageHistory> {
-        let records = log.history(upto);
-        // Sized once, from what the log already knows, so that no column
-        // grows during the walk: the merge yields each LSN at most once,
-        // and each cell a record names lies in the images' bytes.
-        // Capacity the walk leaves untouched costs no page, and none is
-        // reserved past `u32::MAX` records: the walk refuses more.
-        let most_records = upto.min(log.stable_lsn()).0.min(u32::MAX.into()) as usize;
-        let most_cells = records.image_bytes() / CELL_BYTES;
-        let mut bounds = Vec::with_capacity(2 * most_records + 1);
-        bounds.push(0);
-        let mut history = PageHistory {
-            lsns: Vec::with_capacity(most_records),
-            ids: Vec::with_capacity(most_records),
-            f_seeds: Vec::with_capacity(most_records),
-            cells: Vec::with_capacity(most_cells),
-            slots: Vec::with_capacity(most_cells),
-            bounds,
+    /// cell whose slot lies past the page geometry, or for a history
+    /// naming more than `u32::MAX` pages.
+    pub fn replay(db: &Db<PageOpPayload>) -> SimResult<ScratchImage> {
+        let slots_per_page = db.geometry.slots_per_page;
+        let mut image = ScratchImage {
+            slots_per_page,
             pages: Vec::new(),
             numbers: FrameTable::new(),
+            slots: Vec::new(),
+            lsns: Vec::new(),
+            disk_lsns: Vec::new(),
+            edges: Vec::new(),
             yielded: 0,
         };
+        // One record's cells, reads then writes, as (dense page, cell),
+        // and the values it read: buffers reused record after record.
+        let mut cells: Vec<(u32, Cell)> = Vec::new();
+        let mut read_values: Vec<u64> = Vec::new();
         // An operation names its pages in runs (a read-modify-write
         // reads and writes one page): look each run up once.
         let mut last: Option<(PageId, u32)> = None;
-        let mut push = |history: &mut PageHistory, cell: Cell| -> SimResult<()> {
-            let number = match last {
-                Some((named, number)) if named == cell.page => number,
-                _ => {
-                    let number = history.number(cell.page)?;
-                    last = Some((cell.page, number));
-                    number
-                }
-            };
-            history.cells.push(number);
-            history.slots.push(cell.slot);
-            Ok(())
-        };
-        for rec in records {
+        for rec in db.log.history(db.log.stable_lsn()) {
             let rec = rec?;
-            history.yielded += 1;
+            image.yielded += 1;
             let Some(op) = rec.payload.parse(PageOpPayload::op_view)? else {
                 continue;
             };
-            for cell in op.reads() {
-                push(&mut history, cell)?;
+            cells.clear();
+            for cell in op.reads().chain(op.writes()) {
+                if cell.slot.0 >= slots_per_page {
+                    return Err(SimError::FieldOverflow {
+                        field: "page-op slot",
+                        value: cell.slot.0.into(),
+                    });
+                }
+                let p = match last {
+                    Some((named, p)) if named == cell.page => p,
+                    _ => {
+                        let p = image.number(cell.page)?;
+                        last = Some((cell.page, p));
+                        p
+                    }
+                };
+                cells.push((p, cell));
             }
-            let cells = column("media history cells", history.cells.len())?;
-            history.bounds.push(cells);
-            for cell in op.writes() {
-                push(&mut history, cell)?;
+            let (reads, writes) = cells.split_at(op.reads().len());
+            read_values.clear();
+            read_values.extend(reads.iter().map(|&(p, cell)| *image.slot(p, cell.slot)));
+            for &(p, cell) in writes {
+                *image.slot(p, cell.slot) = PageOp::output_of(op.id, op.f_seed, cell, &read_values);
+                image.lsns[p as usize] = rec.lsn;
             }
-            let cells = column("media history cells", history.cells.len())?;
-            history.bounds.push(cells);
-            history.lsns.push(rec.lsn);
-            history.ids.push(op.id);
-            history.f_seeds.push(op.f_seed);
-            column("media history records", history.lsns.len())?;
+            if cells.iter().any(|&(p, _)| p != cells[0].0) {
+                image.link(&cells, reads.len(), rec.lsn, db);
+            }
         }
-        Ok(history)
+        image.edges.sort_unstable();
+        image.edges.dedup();
+        Ok(image)
     }
 
-    /// `page`'s dense number, assigned on first sight.
+    /// `page`'s dense number, assigned — with a zeroed scratch page —
+    /// on first sight.
     fn number(&mut self, page: PageId) -> SimResult<u32> {
-        if let Some(&number) = self.numbers.get(page) {
-            return Ok(number);
+        if let Some(&p) = self.numbers.get(page) {
+            return Ok(p);
         }
-        let number = column("media history pages", self.pages.len())?;
-        self.numbers.insert(page, number);
+        let p = dense(self.pages.len())?;
+        self.numbers.insert(page, p);
         self.pages.push(page);
-        Ok(number)
+        let slots = self.slots.len() + usize::from(self.slots_per_page);
+        self.slots.resize(slots, 0);
+        self.lsns.push(Lsn::ZERO);
+        self.disk_lsns.push(None);
+        Ok(p)
     }
 
-    /// How many operation records the history holds.
-    #[must_use]
-    pub fn records(&self) -> usize {
-        self.lsns.len()
+    /// Dense page `p`'s scratch slot; the caller checked it against the
+    /// geometry.
+    fn slot(&mut self, p: u32, slot: SlotId) -> &mut u64 {
+        &mut self.slots[p as usize * usize::from(self.slots_per_page) + usize::from(slot.0)]
     }
 
-    /// Every record's position, ascending. `read` refused a history of
-    /// more records than a `u32` counts, so none is cut.
-    fn positions(&self) -> Range<u32> {
-        0..self.lsns.len() as u32
+    /// Adds the edges of one record at `lsn` naming two or more pages:
+    /// from each page of `cells` to each page of `cells[reads..]` the
+    /// disk holds older than `lsn`.
+    fn link(&mut self, cells: &[(u32, Cell)], reads: usize, lsn: Lsn, db: &Db<PageOpPayload>) {
+        for &(to, cell) in &cells[reads..] {
+            let on_disk =
+                self.disk_lsns[to as usize].get_or_insert_with(|| db.disk.page_lsn(cell.page));
+            if *on_disk >= lsn {
+                continue;
+            }
+            for &(from, _) in cells {
+                if from != to {
+                    self.edge(u64::from(from) << 32 | u64::from(to));
+                }
+            }
+        }
     }
 
-    /// Record `i`'s read cells, as positions in `cells` and `slots`.
-    fn reads(&self, i: u32) -> Range<usize> {
-        let i = 2 * i as usize;
-        self.bounds[i] as usize..self.bounds[i + 1] as usize
-    }
-
-    /// Record `i`'s written cells, as positions in `cells` and `slots`.
-    fn writes(&self, i: u32) -> Range<usize> {
-        let i = 2 * i as usize;
-        self.bounds[i + 1] as usize..self.bounds[i + 2] as usize
+    /// Pushes an edge. A full list is sorted and deduplicated before it
+    /// may grow, and grows only if that left it over half full, so it
+    /// holds at most about four times the distinct edges however many
+    /// records repeat them.
+    fn edge(&mut self, edge: u64) {
+        let edges = &mut self.edges;
+        if edges.len() == edges.capacity() {
+            edges.sort_unstable();
+            edges.dedup();
+            if edges.len() * 2 > edges.capacity() {
+                edges.reserve(edges.capacity());
+            }
+        }
+        edges.push(edge);
     }
 
     /// The rebuild set: `lost`, grown to its transitive closure under
@@ -250,136 +260,57 @@ impl PageHistory {
     /// footprint meets the set contributes every written page the disk
     /// has not installed (`page_lsn(page) < record LSN`) — whole write
     /// sets at a time, so a part-installed atomic group can never
-    /// result from the rebuild. One worklist pass: a page entering the
-    /// set visits the records that touch it, through a page →
-    /// touching-records index built here.
-    pub fn closure(&self, lost: &[PageId], page_lsn: impl Fn(PageId) -> Lsn) -> BTreeSet<PageId> {
-        let n = self.pages.len();
-        // The index, as compressed rows: the records that touch dense
-        // page `p`, ascending, are `touching[start[p]..start[p + 1]]`,
-        // one entry per cell — cells counted by page, the counts
-        // summed into row starts, each record filled into its cells'
-        // rows. A record that names a page twice sits beside itself.
-        let mut start = vec![0u32; n + 1];
-        for &p in &self.cells {
-            start[p as usize + 1] += 1;
-        }
-        for p in 0..n {
-            start[p + 1] += start[p];
-        }
-        let mut touching = vec![0u32; self.cells.len()];
-        let mut next = start[..n].to_vec();
-        for i in self.positions() {
-            for &p in &self.cells[self.reads(i).start..self.writes(i).end] {
-                let at = &mut next[p as usize];
-                touching[*at as usize] = i;
-                *at += 1;
-            }
-        }
+    /// result from the rebuild. One worklist pass over the edges the
+    /// replay recorded: a page entering the set follows its own.
+    #[must_use]
+    pub fn closure(&self, lost: &[PageId]) -> BTreeSet<PageId> {
         let mut closure: BTreeSet<PageId> = lost.iter().copied().collect();
-        let mut in_closure = vec![false; n];
-        let mut work: Vec<usize> = Vec::new();
+        let mut in_closure = vec![false; self.pages.len()];
+        let mut work: Vec<u32> = Vec::new();
         for &page in lost {
             if let Some(&p) = self.numbers.get(page) {
                 in_closure[p as usize] = true;
-                work.push(p as usize);
+                work.push(p);
             }
         }
-        while let Some(p) = work.pop() {
-            let row = &touching[start[p] as usize..start[p + 1] as usize];
-            for run in row.chunk_by(u32::eq) {
-                let i = run[0];
-                for &w in &self.cells[self.writes(i)] {
-                    let w = w as usize;
-                    if !in_closure[w] && page_lsn(self.pages[w]) < self.lsns[i as usize] {
-                        in_closure[w] = true;
-                        closure.insert(self.pages[w]);
-                        work.push(w);
-                    }
+        while let Some(from) = work.pop() {
+            let start = self.edges.partition_point(|&e| e >> 32 < u64::from(from));
+            let run = self.edges[start..]
+                .iter()
+                .take_while(|&&e| e >> 32 == u64::from(from));
+            for &edge in run {
+                let to = edge as u32;
+                if !in_closure[to as usize] {
+                    in_closure[to as usize] = true;
+                    closure.insert(self.pages[to as usize]);
+                    work.push(to);
                 }
             }
         }
         closure
     }
 
-    /// The records the final images of `closure`'s pages depend on, as
-    /// ascending positions in the history — Theorem 3 restricted to the
-    /// closure's variables. Walking backward from the end with the
-    /// closure's pages needed, a record that writes a needed page is
-    /// kept, and every page it reads is needed from there down.
+    /// `page`'s content at the stable LSN, page LSN included: its
+    /// scratch page, or a freshly formatted page when no record names
+    /// it.
     #[must_use]
-    pub fn slice(&self, closure: &BTreeSet<PageId>) -> Vec<u32> {
-        let mut needed = vec![false; self.pages.len()];
-        for page in closure {
-            if let Some(&p) = self.numbers.get(*page) {
-                needed[p as usize] = true;
+    pub fn image(&self, page: PageId) -> Page {
+        let mut image = Page::new(self.slots_per_page);
+        if let Some(&p) = self.numbers.get(page) {
+            let at = p as usize * usize::from(self.slots_per_page);
+            for slot in 0..self.slots_per_page {
+                image.set(SlotId(slot), self.slots[at + usize::from(slot)]);
             }
+            image.set_lsn(self.lsns[p as usize]);
         }
-        let mut kept = Vec::with_capacity(self.records());
-        for i in self.positions().rev() {
-            if self.cells[self.writes(i)]
-                .iter()
-                .any(|&w| needed[w as usize])
-            {
-                kept.push(i);
-                for &r in &self.cells[self.reads(i)] {
-                    needed[r as usize] = true;
-                }
-            }
-        }
-        kept.reverse();
-        kept
-    }
-
-    /// Replays the `slice` records forward from genesis into a scratch
-    /// image — reads from the scratch pages themselves, writes computed
-    /// from the record's columns ([`PageOp::output_of`]) and tagged with
-    /// its LSN — and returns each `closure` page's image: its exact
-    /// content as of the last record read. A closure page no record
-    /// writes maps to a freshly formatted page.
-    #[must_use]
-    pub fn replay(
-        &self,
-        slice: &[u32],
-        closure: &BTreeSet<PageId>,
-        slots_per_page: u16,
-    ) -> BTreeMap<PageId, Page> {
-        let mut scratch: Vec<Option<Page>> = vec![None; self.pages.len()];
-        let mut read_values: Vec<u64> = Vec::new();
-        for &i in slice {
-            let at = i as usize;
-            read_values.clear();
-            for k in self.reads(i) {
-                let page = scratch[self.cells[k] as usize].as_ref();
-                read_values.push(page.map_or(0, |page| page.get(self.slots[k])));
-            }
-            for k in self.writes(i) {
-                let p = self.cells[k] as usize;
-                let cell = Cell {
-                    page: self.pages[p],
-                    slot: self.slots[k],
-                };
-                let page = scratch[p].get_or_insert_with(|| Page::new(slots_per_page));
-                let value = PageOp::output_of(self.ids[at], self.f_seeds[at], cell, &read_values);
-                page.set(cell.slot, value);
-                page.set_lsn(self.lsns[at]);
-            }
-        }
-        let mut image = |page: PageId| {
-            let replayed = self
-                .numbers
-                .get(page)
-                .and_then(|&p| scratch[p as usize].take());
-            replayed.unwrap_or_else(|| Page::new(slots_per_page))
-        };
-        closure.iter().map(|&page| (page, image(page))).collect()
+        image
     }
 }
 
-/// Computes the rebuild plan for the database's media-lost pages:
-/// [`PageHistory::closure`] of the lost set, mapped to the exact page
-/// images at the stable LSN ([`PageHistory::slice`], then
-/// [`PageHistory::replay`]). Empty when nothing is lost. A lost page
+/// Computes the rebuild plan for the database's media-lost pages: one
+/// [`ScratchImage::replay`] of the durable history, then the
+/// [`ScratchImage::closure`] of the lost set, each page mapped to its
+/// [`ScratchImage::image`]. Empty when nothing is lost. A lost page
 /// with no logged history maps to a freshly formatted page: installing
 /// it is what clears the loss honestly.
 ///
@@ -390,21 +321,25 @@ impl PageHistory {
 /// # Errors
 ///
 /// Log or archive corruption while reading `archive ∥ live`;
-/// [`SimError::MediaLoss`] for the first lost page when that history
-/// has a hole — a compacted or lost archive — since Theorem 3 reaches a
-/// page's final image from genesis only by replaying every operation.
+/// [`SimError::FieldOverflow`] for a record naming a slot past the page
+/// geometry; [`SimError::MediaLoss`] for the first lost page when that
+/// history has a hole — a compacted or lost archive — since Theorem 3
+/// reaches a page's final image from genesis only by replaying every
+/// operation.
 pub fn rebuild_images(db: &Db<PageOpPayload>) -> SimResult<BTreeMap<PageId, Page>> {
     let lost = db.disk.lost_pages();
     if lost.is_empty() {
         return Ok(BTreeMap::new());
     }
-    let history = PageHistory::read(&db.log, db.log.stable_lsn())?;
-    if history.yielded != db.log.stable_lsn().0 {
+    let scratch = ScratchImage::replay(db)?;
+    if scratch.yielded != db.log.stable_lsn().0 {
         return Err(SimError::MediaLoss(lost[0]));
     }
-    let closure = history.closure(&lost, |page| db.disk.page_lsn(page));
-    let slice = history.slice(&closure);
-    Ok(history.replay(&slice, &closure, db.geometry.slots_per_page))
+    let closure = scratch.closure(&lost);
+    Ok(closure
+        .into_iter()
+        .map(|page| (page, scratch.image(page)))
+        .collect())
 }
 
 /// Installs rebuild images in one atomic multi-page write, skipping
@@ -653,20 +588,73 @@ mod tests {
         );
     }
 
-    /// A history column's positions are `u32`s: a count past
-    /// `u32::MAX` is an error naming the column, never a wrapped
-    /// position.
+    /// Scratch pages are numbered in `u32`s: a count past `u32::MAX`
+    /// is an error, never a wrapped number.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_column_past_u32_max_is_refused_not_wrapped() {
+    fn a_page_count_past_u32_max_is_refused_not_wrapped() {
         let most = u32::MAX as usize;
-        assert_eq!(column("media history cells", most), Ok(u32::MAX));
+        assert_eq!(dense(most), Ok(u32::MAX));
         assert_eq!(
-            column("media history records", most + 1),
+            dense(most + 1),
             Err(SimError::FieldOverflow {
-                field: "media history records",
+                field: "media scratch pages",
                 value: u64::from(u32::MAX) + 1,
             })
+        );
+    }
+
+    /// A logged cell whose slot lies past the page geometry would name
+    /// the next page's scratch slot: the restore refuses it as an error
+    /// instead of writing there or panicking.
+    #[test]
+    fn a_slot_past_the_geometry_is_an_error_not_another_pages_slot() {
+        let mut db = crashed_db(&workload(20, 4), 0x51);
+        let slots = db.geometry.slots_per_page;
+        let past = Cell {
+            page: PageId(0),
+            slot: SlotId(slots),
+        };
+        let op = PageOp {
+            id: 99,
+            kind: redo_workload::pages::PageOpKind::Blind,
+            reads: vec![],
+            writes: vec![past],
+            f_seed: 100,
+        };
+        db.log.append(PageOpPayload::Op(op)).unwrap();
+        db.log.flush_all();
+        db.crash();
+        db.repair_after_crash();
+        db.disk.destroy_page(PageId(1));
+        assert_eq!(
+            rebuild_images(&db),
+            Err(SimError::FieldOverflow {
+                field: "page-op slot",
+                value: slots.into(),
+            })
+        );
+    }
+
+    /// Thousands of multi-page records over six pages repeat at most 30
+    /// distinct edges, and the edge list holds about that many, not one
+    /// per record. The records are logged straight, so no page reaches
+    /// the disk and every written page is stale.
+    #[test]
+    fn the_edge_list_holds_its_distinct_edges_not_their_records() {
+        let mut db: Db<PageOpPayload> = Db::new(Geometry::default());
+        for op in testkit::cross_page_workload(4_000, 6, 45) {
+            db.log.append(PageOpPayload::Op(op)).unwrap();
+        }
+        db.log.flush_all();
+        let scratch = ScratchImage::replay(&db).unwrap();
+        assert!(!scratch.edges.is_empty());
+        assert!(scratch.edges.len() <= 6 * 5);
+        assert!(
+            scratch.edges.capacity() <= 4 * 6 * 5,
+            "{} edges held for {} distinct",
+            scratch.edges.capacity(),
+            scratch.edges.len()
         );
     }
 

@@ -55,8 +55,8 @@ pub enum SimError {
     OversizedRecord(usize),
     /// A value does not fit the field it is encoded into (e.g. a
     /// page-op read set larger than its 16-bit count field, a slot
-    /// index beyond the page geometry, or a media history with more
-    /// records, cells or pages than its `u32` columns count).
+    /// index beyond the page geometry, or a media restore naming more
+    /// pages than its `u32` page numbers count).
     FieldOverflow {
         /// Which field overflowed.
         field: &'static str,

@@ -157,9 +157,8 @@ pub fn get_page_op(input: &[u8], pos: &mut usize) -> SimResult<PageOp> {
     PageOpView::parse(input, pos).map(PageOpView::to_owned)
 }
 
-/// Bytes of one encoded cell: a `u32` page id, then a `u16` slot. A
-/// run of records names at most its bytes over this many cells.
-pub const CELL_BYTES: usize = 6;
+/// Bytes of one encoded cell: a `u32` page id, then a `u16` slot.
+const CELL_BYTES: usize = 6;
 
 /// A [`PageOp`] read in place from its encoding: the scalar fields
 /// decoded, the read and write sets left in the bytes that hold them —

@@ -850,13 +850,6 @@ pub struct History<'a> {
 }
 
 impl<'a> History<'a> {
-    /// The most bytes the read can cover: every shard's whole image,
-    /// `archive ∥ live` — a bound on what the records it yields hold.
-    #[must_use]
-    pub fn image_bytes(&self) -> usize {
-        self.shards.iter().map(|(_, shard)| shard.image.len()).sum()
-    }
-
     /// What the read so far has cost, over every shard.
     #[must_use]
     pub fn stats(&self) -> ScanStats {

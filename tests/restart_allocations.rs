@@ -14,7 +14,8 @@
 //! 2N more allocations, where the in-place read costs a handful.
 //!
 //! The allocator also keeps each thread's live heap bytes and their
-//! peak, so a media restore's history can be held to a size per record.
+//! peak, so a media restore's peak can be held to its pages: a history
+//! four times longer over the same pages may not raise it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -299,26 +300,29 @@ fn a_media_restore_allocates_nothing_per_record() {
     );
 }
 
-/// Heap bytes a media restore may hold at its peak per operation
-/// record of the history: the history's columns — LSN, op id and
-/// `f_seed` per record, two `u32` bounds, and a `u32` page and a `u16`
-/// slot per cell, the cells reserved for the images' bytes — plus the
-/// closure's page → records index of one `u32` per cell: 88 bytes here.
-/// A history of borrowed 48-byte record views, `usize` bounds and
-/// 16-byte `(record, older)` index entries held 144.
-const MEDIA_BYTES_PER_RECORD: usize = 100;
+/// Heap bytes a media restore of 4N records may hold at its peak beyond
+/// a restore of N records over the same pages. The restore replays the
+/// history into a scratch image of the pages it names and keeps nothing
+/// per record, so the two peaks are equal here; a history kept as
+/// columns — 88 bytes a record — held about 0.5 MB more.
+const MEDIA_PEAK_SLACK: usize = 1024;
 
-#[test]
-fn a_media_restore_holds_its_history_in_few_bytes_per_record() {
-    let n = 4 * N;
+/// The most heap bytes a media restore of [`media_image`]`(n)` held
+/// beyond those live when it began.
+fn media_peak(n: usize) -> usize {
     let mut image = media_image(n);
     let live = reset_peak();
     media_restore(&mut image);
-    let held = usize::try_from(peak() - live).unwrap();
+    usize::try_from(peak() - live).unwrap()
+}
+
+#[test]
+fn a_media_restore_holds_its_pages_not_its_records() {
+    let (once, four) = (media_peak(N), media_peak(4 * N));
     assert!(
-        held <= n * MEDIA_BYTES_PER_RECORD,
-        "a media restore of {n} records held {held} bytes at its peak, {} per record \
-         (at most {MEDIA_BYTES_PER_RECORD})",
-        held / n,
+        four <= once + MEDIA_PEAK_SLACK,
+        "a media restore of {N} records held {once} bytes at its peak, of {} records {four}: \
+         more than {MEDIA_PEAK_SLACK} bytes apart over the same {PAGES} pages",
+        4 * N,
     );
 }

@@ -209,7 +209,7 @@ fn bench_pool_pages(group: &mut criterion::BenchmarkGroup<'_>) {
     println!(
         "recovery_throughput shape-check [n={POOL_AXIS_OPS}]: {small:.0} ns per replayed record \
          over 64 pages, {wide:.0} ns over 8192 ({:.2}x, best of {POOL_AXIS_ROUNDS} alternating \
-         rounds each); one probe restart by phase (begin/scan/prefetch/redo): {} over 64 pages, \
+         rounds each); one probe restart by phase (begin/scan/prefetch/redo/install): {} over 64 pages, \
          {} over 8192",
         wide / small,
         phases[0],

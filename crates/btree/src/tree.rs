@@ -76,7 +76,10 @@ fn redo_page(
 /// The B-tree's [`RedoStep`]: [`apply_payload`], a record counting as
 /// replayed iff some page it writes predated it. A B-tree record has no
 /// workload operation id; the stats name it by its LSN. Its records are
-/// few and small, so each is decoded owned.
+/// few and small, so each is decoded owned. It is the one `RedoStep`
+/// left on the pool path: every `RecoveryMethod` restarts through the
+/// replay kernel, which reads page operations and page-local parts,
+/// not B-tree records (ROADMAP item 3).
 pub struct BtStep;
 
 impl RedoStep<BtPayload> for BtStep {

@@ -120,7 +120,8 @@ pub struct HarnessReport {
     pub records_decoded: usize,
     /// Recovery scans that entered the log through a seek-index jump.
     pub seek_hits: usize,
-    /// Pages warmed by recovery's batched prefetch.
+    /// Pages recovery read before their first replay
+    /// ([`RecoveryStats::pages_prefetched`]).
     pub pages_prefetched: usize,
     /// Group-commit log forces (coalesced stable appends) over the run.
     pub log_forces: u64,

@@ -32,17 +32,20 @@
 //!   [`concurrent`] substrate runs the same discipline as a background
 //!   checkpoint daemon.
 //! * [`media`] — media recovery over the archive: a destroyed page
-//!   file is rebuilt from `archive ∥ live`, read in place — the lost
-//!   pages grow to a transitive closure guarding generalized cross-page
-//!   reads, and only the records the closure's final images depend on
-//!   are replayed — then ordinary redo finishes the restart.
+//!   file is rebuilt from `archive ∥ live`, read in place and replayed
+//!   from genesis by the replay kernel every serial restart runs; the
+//!   lost pages grow to a transitive closure guarding generalized
+//!   cross-page reads, and the closure's final images install together —
+//!   then ordinary redo finishes the restart.
 //!
 //! Every method implements [`RecoveryMethod`], and every serial
 //! `recover` is the one Figure-6 driver in [`redo`] — repair, analyze
 //! the record the master names, scan from the redo-start, apply the
 //! method's redo test to each record — instantiated with that method's
-//! prefetch footprint and redo test. The partitioned and the lazy
-//! restart are executors of the same procedure over the same analysis.
+//! redo test, and replaying into the one replay kernel
+//! ([`media::ScratchImage`]), which installs each page it replayed into
+//! once. The partitioned and the lazy restart are executors of the same
+//! procedure over the same analysis.
 //! The [`harness`] module
 //! runs workloads against a method with randomized cache flushes,
 //! checkpoints, and injected crashes, verifying after every crash that
@@ -85,29 +88,41 @@ use redo_workload::pages::{Cell, PageOp};
 /// batch before replaying them — the size of the streaming window.
 pub const SCAN_BATCH: usize = 32;
 
-/// Where one restart's wall time went, in nanoseconds, by the phases of
-/// the serial Figure-6 loop ([`redo::recover`] reads the clock once per
-/// phase per [`SCAN_BATCH`] records). The lazy executors' drain runs
-/// that loop and reads the same clocks; a demand charges its chain walk
-/// to `scan` and its replay to `redo`, and the concurrent face, which
-/// faults each page in under the record's own lease, has no prefetch to
-/// charge. The partitioned executor times `begin`, which it shares with
-/// the serial one, and leaves the rest zero: its scan and redo run on
-/// worker threads and have no serial phase to charge.
+/// Where one restart's wall time went, in nanoseconds, by phase; each
+/// loop reads the clock once per phase per [`SCAN_BATCH`] records.
+///
+/// | face | begin | scan | prefetch | redo | install |
+/// |---|---|---|---|---|---|
+/// | serial, over the replay kernel ([`redo::recover_ops`], [`redo::recover_local`]) | ✓ | ✓ | 0 | ✓ | ✓ |
+/// | serial, over the pool ([`redo::recover`], the B-tree's step) | ✓ | ✓ | ✓ | ✓ | 0 |
+/// | lazy drain, sequential face | ✓ | ✓ | ✓ | ✓ | 0 |
+/// | lazy drain, concurrent face | ✓ | ✓ | 0 | ✓ | 0 |
+/// | partitioned | ✓ | 0 | 0 | 0 | 0 |
+///
+/// A lazy demand charges its chain walk to `scan` and its replay to
+/// `redo`; the concurrent face faults each page in under the record's
+/// own lease, so it has no prefetch to charge. The partitioned executor
+/// times `begin`, which it shares with the serial one: its scan and redo
+/// run on worker threads and have no serial phase to charge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Media repair (torn pages, torn log tail) and analysis of the
     /// master record.
     pub begin: u64,
     /// Seeking to the redo-start and reading the log in place: each
-    /// batch's frames walked and their bodies copied out, with the
-    /// checksum of only those frames `begin`'s repair did not verify.
-    /// Parsing a body is the phase that needs it.
+    /// batch's frames walked, with the checksum of only those frames
+    /// `begin`'s repair did not verify. Parsing a body is the phase that
+    /// needs it.
     pub scan: u64,
-    /// Listing each batch's pages and faulting the missing ones in.
+    /// Listing each batch's pages and faulting the missing ones into
+    /// the pool.
     pub prefetch: u64,
-    /// The redo test and the replay of every scanned record.
+    /// The redo test and the replay of every scanned record — in the
+    /// kernel, a page's first read from the pool or the disk too.
     pub redo: u64,
+    /// The kernel's hand-over: the atomic write of the pages entangled
+    /// records wrote, then each replayed page into the pool once.
+    pub install: u64,
 }
 
 impl std::ops::AddAssign for PhaseNanos {
@@ -116,15 +131,22 @@ impl std::ops::AddAssign for PhaseNanos {
         self.scan += other.scan;
         self.prefetch += other.prefetch;
         self.redo += other.redo;
+        self.install += other.install;
     }
 }
 
 impl std::fmt::Display for PhaseNanos {
-    /// `begin/scan/prefetch/redo`, in whole microseconds.
+    /// `begin/scan/prefetch/redo/install`, in whole microseconds.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let [begin, scan, prefetch, redo] =
-            [self.begin, self.scan, self.prefetch, self.redo].map(|ns| ns / 1_000);
-        write!(f, "{begin}/{scan}/{prefetch}/{redo} us")
+        let phases = [
+            self.begin,
+            self.scan,
+            self.prefetch,
+            self.redo,
+            self.install,
+        ];
+        let [begin, scan, prefetch, redo, install] = phases.map(|ns| ns / 1_000);
+        write!(f, "{begin}/{scan}/{prefetch}/{redo}/{install} us")
     }
 }
 
@@ -159,7 +181,9 @@ pub struct RecoveryStats {
     /// Coalesced stable log appends (group-commit forces) the database
     /// had performed by the end of recovery.
     pub forces: u64,
-    /// Pages batch-prefetched into the buffer pool ahead of replay.
+    /// Pages read from the pool or the disk before their first replay:
+    /// into the replay kernel's scratch on a serial restart, into the
+    /// buffer pool by a lazy drain's prefetch.
     pub pages_prefetched: usize,
     /// The published checkpoint recovery started from, if any.
     pub checkpoint_lsn: Option<Lsn>,

@@ -35,6 +35,7 @@ use redo_sim::SimResult;
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageOp;
 
+use crate::media::RedoTest;
 use crate::oprecord::PageOpPayload;
 use crate::{redo, RecoveryMethod, RecoveryStats};
 
@@ -85,13 +86,7 @@ impl RecoveryMethod for Logical {
     }
 
     fn recover(&self, db: &mut Db<PageOpPayload>) -> SimResult<RecoveryStats> {
-        // Logical operations read and write arbitrary pages, so each
-        // batch prefetches its whole read+write footprint.
-        redo::recover_ops(db, |db, lsn, op| {
-            // redo test: constant true.
-            db.apply_page_op(op, lsn)?;
-            Ok(true)
-        })
+        redo::recover_ops(db, RedoTest::Always)
     }
 }
 

@@ -17,7 +17,7 @@
 //! opening moves (`redo::begin`), the same split of a record into the
 //! parts restart still owes (`RestartAnalysis::owed_parts`), the same
 //! step ([`PageLocal::redo`]) — on page images held by worker threads
-//! instead of on the pool's frames.
+//! instead of in the serial executor's one scratch.
 //!
 //! The execution scheme is a *pipeline* whose decode stage scales with
 //! the log: one scan thread per log shard reads its shard in place (a
@@ -76,7 +76,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc;
 
 use redo_sim::db::Db;
-use redo_sim::page::Page;
+use redo_sim::page::{Page, PageMut};
 use redo_sim::wal::{ScanStats, WalRecord};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
@@ -129,7 +129,7 @@ struct Rebuilt {
 /// the resulting send failures and the error surfaces at join time.
 fn redo_worker<T, F>(rx: mpsc::Receiver<Vec<WorkItem<T>>>, step: &F) -> SimResult<Vec<Rebuilt>>
 where
-    F: Fn(&mut Page, Lsn, &T) -> bool + Sync,
+    F: Fn(&mut PageMut<'_>, Lsn, &T) -> bool + Sync,
 {
     let mut parts: BTreeMap<PageId, Rebuilt> = BTreeMap::new();
     for item in rx.into_iter().flatten() {
@@ -151,7 +151,7 @@ where
                 })
             }
         };
-        let replayed = step(&mut rebuilt.image, item.lsn, &item.part);
+        let replayed = step(&mut rebuilt.image.as_mut(), item.lsn, &item.part);
         if replayed {
             rebuilt.first_replayed.get_or_insert(item.lsn);
         }
@@ -198,7 +198,7 @@ fn scan_shard<'db, P: PageLocal>(
                 checkpoints += usize::from(s == 0);
                 continue;
             }
-            let (op_id, all) = P::parts(body)?;
+            let (op_id, all) = P::parts(body, db.geometry.slots_per_page)?;
             parts.clear();
             parts.extend(all);
             let home = parts.iter().map(|&(page, _)| db.log.shard_of(page)).min();
@@ -289,7 +289,7 @@ fn rebuild_partitions<'db, P, F>(
 ) -> SimResult<(Vec<Rebuilt>, ShardScan)>
 where
     P: PageLocal + Sync,
-    F: Fn(&mut Page, Lsn, &P::Part<'_>) -> bool + Sync,
+    F: Fn(&mut PageMut<'_>, Lsn, &P::Part<'_>) -> bool + Sync,
 {
     let step = &step;
     std::thread::scope(|scope| {
@@ -365,17 +365,18 @@ where
     let (rebuilt, (scan, scanned, mut verdicts)) =
         rebuild_partitions(db, &analysis, threads, P::redo)?;
     stats.scanned = scanned;
-    let stable = db.log.stable_lsn();
+    let mut images = Vec::new();
     for r in rebuilt {
         verdicts.extend(r.verdicts);
         // A page nothing fired on equals its durable copy: there is
         // nothing to install (and dirtying it would provoke spurious
         // flushes later).
         if let Some(rec_lsn) = r.first_replayed {
-            db.pool
-                .install(&mut db.disk, r.page, r.image, rec_lsn, stable)?;
+            images.push((r.page, r.image, Some(rec_lsn)));
         }
     }
+    let stable = db.log.stable_lsn();
+    db.pool.install(&mut db.disk, images, stable)?;
     // One operation's parts share its LSN: fold them in LSN order.
     verdicts.sort_unstable_by_key(|&(lsn, ..)| lsn);
     for op in verdicts.chunk_by(|a, b| a.0 == b.0) {
@@ -698,7 +699,7 @@ mod tests {
         let ops = single_page_workload(10, 3, 23);
         let mut db = crashed_db(&Physiological, &ops, 3, None);
         let (analysis, _) = redo::begin(&mut db).unwrap();
-        let result = rebuild_partitions(&db, &analysis, 2, |_: &mut Page, _, _: &_| {
+        let result = rebuild_partitions(&db, &analysis, 2, |_: &mut PageMut<'_>, _, _: &_| {
             panic!("injected worker failure")
         });
         assert!(
@@ -719,7 +720,7 @@ mod tests {
         }])
         .unwrap();
         drop(tx);
-        let step = |_: &mut Page, _: Lsn, _: &()| true;
+        let step = |_: &mut PageMut<'_>, _: Lsn, _: &()| true;
         assert!(
             matches!(redo_worker(rx, &step), Err(SimError::MissingStartImage(p)) if p == PageId(3)),
             "a page routed without its start image must error, not panic"

@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use redo_sim::db::Db;
-use redo_sim::page::Page;
+use redo_sim::page::PageMut;
 use redo_sim::wal::{codec, LogPayload, RecordBody};
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
@@ -108,12 +108,14 @@ impl PageLocal for PhysPayload {
 
     fn parts(
         body: RecordBody<'_>,
+        slots_per_page: u16,
     ) -> SimResult<(u32, impl Iterator<Item = (PageId, Self::Part<'_>)>)> {
         let PhysPayload::Writes { op_id, writes } = body.parse(PhysPayload::decode)? else {
             return Err(redo::NOT_AN_OPERATION);
         };
         let mut per_page: BTreeMap<PageId, Self::Part<'_>> = BTreeMap::new();
         for (cell, v) in writes {
+            redo::check_slot(cell.slot, slots_per_page)?;
             per_page.entry(cell.page).or_default().push((cell.slot, v));
         }
         Ok((op_id, per_page.into_iter()))
@@ -121,7 +123,7 @@ impl PageLocal for PhysPayload {
 
     /// The §6.2 redo step: the test is "always" — after-images are
     /// blind and idempotent — and the apply overwrites.
-    fn redo(page: &mut Page, lsn: Lsn, cells: &Self::Part<'_>) -> bool {
+    fn redo(page: &mut PageMut<'_>, lsn: Lsn, cells: &Self::Part<'_>) -> bool {
         for &(slot, v) in cells {
             page.set(slot, v);
         }

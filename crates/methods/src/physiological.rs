@@ -16,7 +16,7 @@
 //! order.
 
 use redo_sim::db::Db;
-use redo_sim::page::Page;
+use redo_sim::page::PageMut;
 use redo_sim::wal::codec::PageOpView;
 use redo_sim::wal::RecordBody;
 use redo_sim::{SimError, SimResult};
@@ -53,7 +53,12 @@ fn single_page(op: &impl OpCells) -> SimResult<PageId> {
 /// `lsn`. Reads see the page with every earlier operation already on it
 /// (replayed or installed), so the operation is applicable. The real
 /// method's `bar` is `lsn` itself.
-pub(crate) fn redo_if_older_than(page: &mut Page, bar: Lsn, lsn: Lsn, op: &impl OpCells) -> bool {
+pub(crate) fn redo_if_older_than(
+    page: &mut PageMut<'_>,
+    bar: Lsn,
+    lsn: Lsn,
+    op: &impl OpCells,
+) -> bool {
     if page.lsn() >= bar {
         return false;
     }
@@ -71,13 +76,18 @@ impl PageLocal for PageOpPayload {
 
     fn parts(
         body: RecordBody<'_>,
+        slots_per_page: u16,
     ) -> SimResult<(u32, impl Iterator<Item = (PageId, PageOpView<'_>)>)> {
         let op = body.parse(PageOpPayload::op_view)?;
         let op = op.ok_or(redo::NOT_AN_OPERATION)?;
-        Ok((op.id, std::iter::once((single_page(&op)?, op))))
+        let page = single_page(&op)?;
+        for cell in op.reads().chain(op.writes()) {
+            redo::check_slot(cell.slot, slots_per_page)?;
+        }
+        Ok((op.id, std::iter::once((page, op))))
     }
 
-    fn redo(page: &mut Page, lsn: Lsn, op: &PageOpView<'_>) -> bool {
+    fn redo(page: &mut PageMut<'_>, lsn: Lsn, op: &PageOpView<'_>) -> bool {
         redo_if_older_than(page, lsn, lsn, op)
     }
 }

@@ -12,17 +12,21 @@
 //!   the whole table or its delta against the previous record of a
 //!   chain. A heavyweight checkpoint is not a third kind — it is the
 //!   empty table with a redo-start one past its own LSN.
-//! * [`recover`] — the serial loop: repair, analyze, seek to the
-//!   redo-start, then batch by batch parse each record once, prefetch
-//!   the pages the parsed records name, and hand each to the method's
-//!   [`RedoStep`], which decides *replayed / skipped* and applies; a
-//!   checkpoint record is recognised here, through [`CheckpointView`],
-//!   and never reaches the step. A method is its `(footprint, redo
-//!   test)` pair and nothing else — and a §6.2/§6.3 method, whose
-//!   conflicts all live inside one page, states that pair once as a
-//!   [`PageLocal`] payload: how a record splits into per-page parts, and
-//!   one step that is the redo test and the apply. [`recover_local`]
-//!   runs the step on the pool's frames.
+//! * the serial restart — repair, analyze, seek to the redo-start, walk
+//!   the log in place, and replay each record into the one replay
+//!   kernel ([`ScratchImage`]), which decides *replayed / skipped*
+//!   against its own page LSNs; at the end each page it replayed into
+//!   is installed once. A checkpoint record is recognised here, through
+//!   [`CheckpointView`], and never reaches the kernel. A method is its
+//!   redo test and nothing else: [`recover_ops`] takes the operation
+//!   logs' ([`RedoTest`]), and a §6.2/§6.3 method, whose conflicts all
+//!   live inside one page, states its test once as a [`PageLocal`]
+//!   payload — how a record splits into per-page parts, and one step
+//!   that is the redo test and the apply — which [`recover_local`] runs
+//!   on the kernel's scratch pages. [`recover`] is the same scan over
+//!   the buffer pool, with a [`RedoStep`] that fetches and updates
+//!   frames record by record: the B-tree's, whose records the kernel
+//!   does not read, is the one step left on it.
 //! * checkpoint publication — [`checkpoint_heavyweight`] (flush
 //!   everything, then move the master) and [`checkpoint_fuzzy`], the one
 //!   online publisher for every payload: diff the pool's table against
@@ -52,13 +56,14 @@ use std::time::Instant;
 
 use redo_sim::db::Db;
 use redo_sim::disk::Disk;
-use redo_sim::page::Page;
+use redo_sim::page::PageMut;
 use redo_sim::wal::codec::{self, PageOpView};
 use redo_sim::wal::{Batch, LogPayload, RecordBody, ShardedLog, ShardedScanner};
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
-use redo_workload::pages::{OpCells, PageId};
+use redo_workload::pages::{OpCells, PageId, SlotId};
 
+use crate::media::{RedoTest, ScratchImage};
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryStats, SCAN_BATCH};
 
@@ -226,7 +231,7 @@ pub trait CheckpointView: LogPayload {
 /// conflict between two of its records lives inside one page, so
 /// (Theorem 3) LSN order matters only within a page. Such a method
 /// states its redo once, here, and every executor that replays page by
-/// page — [`recover_local`] on the pool's frames,
+/// page — [`recover_local`] on the kernel's scratch pages,
 /// [`crate::parallel::recover_partitioned`] on images its workers hold
 /// — runs it.
 pub trait PageLocal: CheckpointView {
@@ -235,21 +240,24 @@ pub trait PageLocal: CheckpointView {
     type Part<'a>: Send;
 
     /// Splits an operation record, read in place, into the workload
-    /// operation id and each written page's share of the record.
-    /// (The executors never hand it a checkpoint record.)
+    /// operation id and each written page's share of the record, every
+    /// cell checked ([`check_slot`]) against pages of `slots_per_page`
+    /// slots. (The executors never hand it a checkpoint record.)
     ///
     /// # Errors
     ///
-    /// Log corruption, or [`SimError::MethodViolation`] for a record
-    /// whose shape the method does not log.
+    /// Log corruption, [`SimError::MethodViolation`] for a record whose
+    /// shape the method does not log, or [`SimError::FieldOverflow`] for
+    /// a slot past the geometry.
     fn parts(
         body: RecordBody<'_>,
+        slots_per_page: u16,
     ) -> SimResult<(u32, impl Iterator<Item = (PageId, Self::Part<'_>)>)>;
 
     /// The redo test *and* the apply: brings `page` up to the record at
     /// `lsn` if the test says it misses `part`, and reports whether it
     /// did. `page` holds every earlier record's effect on it.
-    fn redo(page: &mut Page, lsn: Lsn, part: &Self::Part<'_>) -> bool;
+    fn redo(page: &mut PageMut<'_>, lsn: Lsn, part: &Self::Part<'_>) -> bool;
 }
 
 /// What restart analysis computed from the record the disk master
@@ -258,7 +266,7 @@ pub trait PageLocal: CheckpointView {
 ///
 /// The DPT is what lets a page-local executor — the serial
 /// [`recover_local`] and the partitioned [`crate::parallel`] alike —
-/// prove records installed without fetching their pages: a record
+/// prove records installed without reading their pages: a record
 /// below the checkpoint whose page was clean at the snapshot (or dirty
 /// but below its recLSN) is durably installed, so the router never
 /// ships it to a partition. The per-page redo test would reach the
@@ -512,9 +520,12 @@ impl LsnBits {
         bit.is_some_and(|(word, bit)| self.words.get(word).is_some_and(|w| w & bit != 0))
     }
 
-    /// Adds `lsn`, at or above `base`; `false` if it was there already.
+    /// Adds `lsn`; `false` if it was there already, or if it lies below
+    /// `base`, where the set holds nothing and adds nothing.
     pub(crate) fn insert(&mut self, lsn: Lsn) -> bool {
-        let (word, bit) = self.bit(lsn).expect("an LSN at or above the base");
+        let Some((word, bit)) = self.bit(lsn) else {
+            return false;
+        };
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
         }
@@ -667,6 +678,23 @@ pub(crate) fn lap(clock: &mut Instant) -> u64 {
     u64::try_from((*clock - was).as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Is `slot` inside a page of `slots_per_page` slots? A logged cell past
+/// the geometry would name another page's slot, or none: every replay
+/// checks each cell here before it reads or writes one.
+///
+/// # Errors
+///
+/// [`SimError::FieldOverflow`] when it is not.
+pub(crate) fn check_slot(slot: SlotId, slots_per_page: u16) -> SimResult<()> {
+    if slot.0 < slots_per_page {
+        return Ok(());
+    }
+    Err(SimError::FieldOverflow {
+        field: "page-op slot",
+        value: slot.0.into(),
+    })
+}
+
 /// What a redo step answers if it is handed a checkpoint record. The
 /// executors never do: they recognise one through [`CheckpointView`].
 pub(crate) const NOT_AN_OPERATION: SimError =
@@ -695,11 +723,14 @@ impl Redo {
     }
 }
 
-/// A method's redo as the serial loop ([`recover`]) runs it: how an
+/// A redo step as the pool's serial loop ([`recover`]) runs it: how an
 /// operation record's body is read, which pages prefetch faults in for
-/// it, and the redo test and replay. The loop parses each record once
-/// per batch and hands the same view to [`RedoStep::footprint`] and to
-/// [`RedoStep::redo`]; a checkpoint record reaches none of them.
+/// it, and the redo test and replay on the pool's frames. The loop
+/// parses each record once per batch and hands the same view to
+/// [`RedoStep::footprint`] and to [`RedoStep::redo`]; a checkpoint
+/// record reaches none of them. The B-tree's step (`redo-btree`'s
+/// `BtStep`) is the one left: every `RecoveryMethod` replays into the
+/// kernel instead ([`recover_ops`], [`recover_local`]).
 pub trait RedoStep<P: LogPayload> {
     /// One operation record as the step reads it; it may borrow the
     /// record's bytes.
@@ -767,13 +798,14 @@ pub(crate) fn scan_batch<'s, V>(
     Ok(())
 }
 
-/// The serial Figure-6 procedure: `begin` (repair, analyze), then a
-/// streaming scan that seeks past the checkpointed (or fuzzily elided)
-/// prefix — never reading it — and goes batch by batch: parse each
-/// record of the batch once ([`RedoStep::parse`]), prefetch the pages
-/// their footprints name, then hand each operation record's view (with
-/// the analysis) to the step's redo test and replay. A checkpoint
-/// record is scanned and counted, and reaches neither.
+/// The serial Figure-6 procedure over the buffer pool: `begin`
+/// (repair, analyze), then a streaming scan that seeks past the
+/// checkpointed (or fuzzily elided) prefix — never reading it — and goes
+/// batch by batch: parse each record of the batch once
+/// ([`RedoStep::parse`]), prefetch the pages their footprints name, then
+/// hand each operation record's view (with the analysis) to the step's
+/// redo test and replay. A checkpoint record is scanned and counted, and
+/// reaches neither.
 ///
 /// # Errors
 ///
@@ -842,103 +874,99 @@ pub(crate) fn op_pages(op: &PageOpView<'_>, pages: &mut Vec<PageId>) {
     pages.extend(op.reads().chain(op.writes()).map(|cell| cell.page));
 }
 
-/// The [`RedoStep`] of the operation-logging methods ([`recover_ops`]).
-struct OpStep<R>(R);
-
-impl<R> RedoStep<PageOpPayload> for OpStep<R>
-where
-    R: FnMut(&mut Db<PageOpPayload>, Lsn, &PageOpView<'_>) -> SimResult<bool>,
-{
-    type View<'a> = PageOpView<'a>;
-
-    fn parse(body: RecordBody<'_>) -> SimResult<PageOpView<'_>> {
-        op_view(body)
-    }
-
-    fn footprint(op: &PageOpView<'_>, pages: &mut Vec<PageId>) -> SimResult<()> {
-        op_pages(op, pages);
-        Ok(())
-    }
-
-    fn redo(
-        &mut self,
-        db: &mut Db<PageOpPayload>,
-        _: &RestartAnalysis,
-        lsn: Lsn,
-        op: &PageOpView<'_>,
-    ) -> SimResult<Redo> {
-        Ok(Redo::of(op.id, (self.0)(db, lsn, op)?))
-    }
-}
-
-/// [`recover`] for the operation-logging methods: each batch prefetches
-/// every page its operations read or write, and `redo_test` sees each
-/// operation read in place from its record; it answers whether it
-/// replayed the operation.
+/// The serial restart over the replay kernel ([`ScratchImage`]):
+/// `begin` (repair, analyze), then the scan of [`recover`], read in
+/// place, with each operation record's body handed to `redo`, which
+/// replays it into the kernel and answers the verdict; no pool frame or
+/// page is touched until the kernel installs each page it replayed into
+/// once ([`ScratchImage::install`]).
 ///
 /// # Errors
 ///
-/// Substrate errors, including log corruption.
-pub fn recover_ops<R>(db: &mut Db<PageOpPayload>, redo_test: R) -> SimResult<RecoveryStats>
-where
-    R: FnMut(&mut Db<PageOpPayload>, Lsn, &PageOpView<'_>) -> SimResult<bool>,
-{
-    recover(db, OpStep(redo_test))
-}
-
-/// The [`RedoStep`] of a [`PageLocal`] payload ([`recover_local`]). Its
-/// view is the body itself: the parts are an iterator over the record's
-/// bytes, read afresh by the footprint and by the step.
-struct LocalStep<P, S>(S, std::marker::PhantomData<P>);
-
-impl<P, S> RedoStep<P> for LocalStep<P, S>
-where
-    P: PageLocal,
-    S: Fn(&mut Page, Lsn, &P::Part<'_>) -> bool,
-{
-    type View<'a> = RecordBody<'a>;
-
-    fn parse(body: RecordBody<'_>) -> SimResult<RecordBody<'_>> {
-        Ok(body)
-    }
-
-    fn footprint(body: &RecordBody<'_>, pages: &mut Vec<PageId>) -> SimResult<()> {
-        pages.extend(P::parts(*body)?.1.map(|(page, _)| page));
-        Ok(())
-    }
-
-    fn redo(
-        &mut self,
-        db: &mut Db<P>,
-        analysis: &RestartAnalysis,
-        lsn: Lsn,
-        body: &RecordBody<'_>,
-    ) -> SimResult<Redo> {
-        let (op_id, parts) = P::parts(*body)?;
-        let mut replayed = false;
-        for (page, part) in analysis.owed_parts(lsn, parts) {
-            db.fetch_with_steal(page)?;
-            replayed |= db.pool.update_if(page, lsn, |p| (self.0)(p, lsn, &part))?;
+/// Substrate errors, including log corruption, and whatever `redo`
+/// returns.
+fn replay_serially<P: CheckpointView>(
+    db: &mut Db<P>,
+    mut redo: impl FnMut(
+        &mut ScratchImage,
+        &Db<P>,
+        &RestartAnalysis,
+        Lsn,
+        RecordBody<'_>,
+    ) -> SimResult<Redo>,
+) -> SimResult<RecoveryStats> {
+    let (analysis, mut stats) = begin(db)?;
+    let mut scratch = ScratchImage::new(db.geometry.slots_per_page, true);
+    let mut clock = Instant::now();
+    let mut suffix = db.log.suffix(analysis.redo_start, db.log.stable_lsn());
+    let mut batch: Vec<(Lsn, Option<RecordBody<'_>>)> = Vec::with_capacity(SCAN_BATCH);
+    loop {
+        batch.clear();
+        for rec in suffix.by_ref().take(SCAN_BATCH) {
+            let rec = rec?;
+            let operation = Checkpoint::in_record(rec.payload)?.is_none();
+            batch.push((rec.lsn, operation.then_some(rec.payload)));
         }
-        Ok(Redo::of(op_id, replayed))
+        stats.phase_ns.scan += lap(&mut clock);
+        if batch.is_empty() {
+            break;
+        }
+        for &(lsn, body) in &batch {
+            stats.scanned += 1;
+            match body {
+                Some(body) => stats.note_verdict(redo(&mut scratch, db, &analysis, lsn, body)?),
+                None => stats.checkpoint_records += 1,
+            }
+        }
+        stats.phase_ns.redo += lap(&mut clock);
     }
+    stats.note_scan(suffix.stats(), db.log.forces());
+    stats.pages_prefetched = scratch.pages().len();
+    scratch.install(db)?;
+    stats.phase_ns.install = lap(&mut clock);
+    Ok(stats)
 }
 
-/// [`recover`] for a [`PageLocal`] payload — the serial executor of its
-/// redo: each part restart still owes (`RestartAnalysis::owed_parts`)
-/// meets `step` ([`PageLocal::redo`], but for a deliberately broken
-/// method) on the pool's frame of its page, through a bounded pool with
-/// steal. A frame the step changed is dirty from the record's LSN on.
+/// The serial restart of the operation-logging methods: each operation,
+/// read in place, replays into the kernel if `test` finds it missing
+/// there ([`ScratchImage::replay_op`]) — [`RedoTest::Stale`] for
+/// §6.4's generalized test, [`RedoTest::Always`] for §6.1's logical one.
 ///
 /// # Errors
 ///
-/// Substrate errors, including log corruption and shape violations.
+/// Substrate errors, including log corruption, and
+/// [`SimError::FieldOverflow`] for a logged slot past the geometry.
+pub fn recover_ops(db: &mut Db<PageOpPayload>, test: RedoTest) -> SimResult<RecoveryStats> {
+    replay_serially(db, |scratch, db, _, lsn, body| {
+        let op = op_view(body)?;
+        Ok(Redo::of(op.id, scratch.replay_op(lsn, &op, test, db)?))
+    })
+}
+
+/// The serial restart of a [`PageLocal`] payload: each part restart
+/// still owes (`RestartAnalysis::owed_parts`) meets `step`
+/// ([`PageLocal::redo`], but for a deliberately broken method) on its
+/// page's scratch image ([`ScratchImage::replay_part`]). A page the step
+/// changed is dirty from its first such record on.
+///
+/// # Errors
+///
+/// Substrate errors, including log corruption, shape violations and
+/// slots past the geometry.
 pub fn recover_local<P, S>(db: &mut Db<P>, step: S) -> SimResult<RecoveryStats>
 where
     P: PageLocal,
-    S: Fn(&mut Page, Lsn, &P::Part<'_>) -> bool,
+    S: Fn(&mut PageMut<'_>, Lsn, &P::Part<'_>) -> bool,
 {
-    recover(db, LocalStep(step, std::marker::PhantomData))
+    let spp = db.geometry.slots_per_page;
+    replay_serially(db, |scratch, db, analysis, lsn, body| {
+        let (op_id, parts) = P::parts(body, spp)?;
+        let mut replayed = false;
+        for (page, part) in analysis.owed_parts(lsn, parts) {
+            replayed |= scratch.replay_part(page, lsn, &part, &step, db)?;
+        }
+        Ok(Redo::of(op_id, replayed))
+    })
 }
 
 /// A heavyweight (flush-everything) checkpoint: force the log, set the
@@ -1312,6 +1340,17 @@ mod tests {
         assert_matches_model(&mut db, &ops);
     }
 
+    #[test]
+    fn an_lsn_below_the_base_is_neither_held_nor_added() {
+        let mut bits = LsnBits::new(Lsn(10));
+        assert!(!bits.insert(Lsn(9)), "below the base: not added");
+        assert!(!bits.contains(Lsn(9)));
+        assert!(bits.insert(Lsn(10)));
+        assert!(!bits.insert(Lsn(10)), "already there");
+        assert!(bits.insert(Lsn(200)));
+        assert!(bits.contains(Lsn(200)) && !bits.contains(Lsn(199)));
+    }
+
     /// Pages of the gate-placement runs below.
     const GATE_PAGES: u32 = 8;
 
@@ -1397,8 +1436,83 @@ mod tests {
         }
     }
 
+    /// `method` runs `ops` in a pool of `capacity` frames under chaos
+    /// flushes, with its own checkpoint after every `checkpoint_every`
+    /// operations, and crashes; the image is restarted by `method` in a
+    /// pool of the same size, and every page the kernel's genesis replay
+    /// of the whole history names must read back its genesis image.
+    fn restarts_to_the_genesis_replay<M>(
+        method: &M,
+        ops: &[PageOp],
+        seed: u64,
+        capacity: Option<usize>,
+        checkpoint_every: Option<usize>,
+    ) -> Result<(), TestCaseError>
+    where
+        M: RecoveryMethod<Payload = PageOpPayload>,
+    {
+        use rand::SeedableRng;
+        let mut db = Db::with_capacity(Geometry::default(), capacity);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let page_p = if method.allows_page_chaos() { 0.4 } else { 0.0 };
+        for (i, op) in ops.iter().enumerate() {
+            method.execute(&mut db, op).unwrap();
+            db.chaos_flush(&mut rng, 0.7, page_p).unwrap();
+            if checkpoint_every.is_some_and(|k| (i + 1) % k == 0) {
+                method.checkpoint(&mut db).unwrap();
+            }
+        }
+        db.log.flush_all();
+        db.crash();
+        let genesis = ScratchImage::replay(&db).unwrap();
+        method.recover(&mut db).unwrap();
+        for (&page, image) in genesis
+            .pages()
+            .iter()
+            .map(|page| (page, genesis.image(*page)))
+        {
+            for slot in (0..db.geometry.slots_per_page).map(SlotId) {
+                let cell = redo_workload::pages::Cell { page, slot };
+                prop_assert_eq!(
+                    db.read_cell(cell).unwrap(),
+                    image.get(slot),
+                    "{}",
+                    method.name()
+                );
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The serial restarts over the replay kernel and the lazy one
+        /// over the pool reach what the kernel's genesis replay reaches,
+        /// over crashed images: chaos flushes, pools of 2, 4 or
+        /// unbounded frames, with and without checkpoints (heavyweight,
+        /// fuzzy full tables, delta chains, the logical pointer swing).
+        #[test]
+        fn every_restart_reaches_the_genesis_replay(
+            seed in any::<u64>(),
+            n_ops in 10usize..60,
+            pool in 0usize..3,
+            checkpoints in any::<bool>(),
+        ) {
+            let capacity = [Some(2), Some(4), None][pool];
+            let every = checkpoints.then_some(7);
+            let ops = cross_page_workload(n_ops, 6, seed);
+            restarts_to_the_genesis_replay(&Generalized, &ops, seed, capacity, every)?;
+            restarts_to_the_genesis_replay(&GeneralizedOnline, &ops, seed, capacity, every)?;
+            restarts_to_the_genesis_replay(&Control, &ops, seed, capacity, every)?;
+            restarts_to_the_genesis_replay(&OnDemand, &ops, seed, capacity, every)?;
+            // A steal would write a logical page past the pointer swing,
+            // the one way its disk may move, so the crash audit runs
+            // logical over an unbounded pool only; so does this.
+            if capacity.is_none() {
+                restarts_to_the_genesis_replay(&Logical, &ops, seed, capacity, every)?;
+            }
+        }
 
         /// The one-pass gates equal the per-page definition, last
         /// entries included, and the owed chain is the per-entry filter

@@ -102,13 +102,26 @@ impl Disk {
     /// beyond repair — only a media rebuild from `archive ∥ live` can
     /// bring it back.
     pub fn read_page(&self, id: PageId, slots_per_page: u16) -> SimResult<Page> {
+        let durable = self.page_ref(id)?;
+        Ok(durable
+            .cloned()
+            .unwrap_or_else(|| Page::new(slots_per_page)))
+    }
+
+    /// As [`Disk::read_page`], borrowed: `None` for a page never
+    /// written, which reads as a formatted page.
+    ///
+    /// # Errors
+    ///
+    /// As [`Disk::read_page`].
+    pub fn page_ref(&self, id: PageId) -> SimResult<Option<&Page>> {
         if self.image.lost.contains(&id) {
             return Err(SimError::MediaLoss(id));
         }
         if self.image.torn.contains_key(&id) {
             return Err(SimError::TornPage(id));
         }
-        Ok(self.raw_page(id, slots_per_page))
+        Ok(self.image.pages.get(&id))
     }
 
     /// Reads a page's raw durable content without the torn check — what

@@ -27,6 +27,23 @@ impl Page {
         }
     }
 
+    /// A page holding `slots`, tagged `lsn`.
+    #[must_use]
+    pub fn with_slots(lsn: Lsn, slots: &[u64]) -> Page {
+        Page {
+            lsn,
+            slots: slots.into(),
+        }
+    }
+
+    /// The page as a redo step reads and writes it.
+    pub fn as_mut(&mut self) -> PageMut<'_> {
+        PageMut {
+            lsn: &mut self.lsn,
+            slots: &mut self.slots,
+        }
+    }
+
     /// The LSN of the last update applied to this copy of the page.
     #[must_use]
     pub fn lsn(&self) -> Lsn {
@@ -70,6 +87,49 @@ impl Page {
     #[must_use]
     pub fn project_cell(&self, cell: Cell, slots_per_page: u16) -> (Var, Value) {
         (cell.var(slots_per_page), Value(self.get(cell.slot)))
+    }
+}
+
+/// One page's slots and LSN, borrowed from wherever the page is kept:
+/// a whole [`Page`] ([`Page::as_mut`]), or one page of a flat scratch
+/// that keeps many pages' slots in one array. What a page-local redo
+/// step reads and writes.
+#[derive(Debug)]
+pub struct PageMut<'a> {
+    lsn: &'a mut Lsn,
+    slots: &'a mut [u64],
+}
+
+impl<'a> PageMut<'a> {
+    /// The page whose LSN is `lsn` and whose slots are `slots`.
+    pub fn new(lsn: &'a mut Lsn, slots: &'a mut [u64]) -> PageMut<'a> {
+        PageMut { lsn, slots }
+    }
+
+    /// As [`Page::lsn`].
+    #[must_use]
+    pub fn lsn(&self) -> Lsn {
+        *self.lsn
+    }
+
+    /// As [`Page::set_lsn`].
+    pub fn set_lsn(&mut self, lsn: Lsn) {
+        *self.lsn = lsn;
+    }
+
+    /// As [`Page::get`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is out of range for this page's geometry.
+    #[must_use]
+    pub fn get(&self, slot: SlotId) -> u64 {
+        self.slots[slot.0 as usize]
+    }
+
+    /// As [`Page::set`].
+    pub fn set(&mut self, slot: SlotId, value: u64) {
+        self.slots[slot.0 as usize] = value;
     }
 }
 

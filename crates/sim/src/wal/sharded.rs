@@ -469,6 +469,23 @@ impl<P: LogPayload> ShardedLog<P> {
         }
     }
 
+    /// The live records with LSNs from `from` through `upto`, every
+    /// shard seeked through its own index, merged in LSN order and read
+    /// in place: the walk [`ShardedScanner`] makes, with the same
+    /// telemetry, for a reader that holds the log for the whole walk and
+    /// so needs no copy of the bodies.
+    #[must_use]
+    pub fn suffix(&self, from: Lsn, upto: Lsn) -> History<'_> {
+        History {
+            shards: (self.shards.iter())
+                .map(|shard| (ShardStream::seek(shard, from), shard))
+                .collect(),
+            merge: LsnMerge::new(self.shards.len()),
+            upto,
+            failed: false,
+        }
+    }
+
     /// Drains every stable frame with LSN < `below` from the live log,
     /// per shard, by moving the shard's live origin past it: the frames
     /// stay in the image as its archive, and the seek index and chains

@@ -14,8 +14,9 @@
 //! 2N more allocations, where the in-place read costs a handful.
 //!
 //! The allocator also keeps each thread's live heap bytes and their
-//! peak, so a media restore's peak can be held to its pages: a history
-//! four times longer over the same pages may not raise it.
+//! peak, so a restart's peak can be held to its pages: a history four
+//! times longer over the same pages may raise it only by the stats'
+//! op-id lists, and a media restore's not at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,6 +110,33 @@ static GLOBAL: Counting = Counting;
 /// Pages the operations touch: few enough that the first N records
 /// already fault every one of them in.
 const PAGES: u32 = 16;
+
+/// `n` single-page operations over [`PAGES`] pages, page `k` first
+/// named by record `k * n / PAGES` and every record before it naming a
+/// page below `k`: histories of different lengths name their pages at
+/// the same fractions of their length, so whatever grows as pages
+/// appear grows the same way over each.
+fn spread_ops(n: usize) -> Vec<pages::PageOp> {
+    let mut ops = PageWorkloadSpec {
+        n_ops: n,
+        n_pages: PAGES,
+        ..Default::default()
+    }
+    .generate(11);
+    let pages = PAGES as usize;
+    for (i, op) in ops.iter_mut().enumerate() {
+        let newest = i * pages / n;
+        let page = if i == newest * n / pages {
+            newest as u32
+        } else {
+            op.writes[0].page.0 % (newest as u32 + 1)
+        };
+        for cell in op.reads.iter_mut().chain(&mut op.writes) {
+            cell.page = PageId(page);
+        }
+    }
+    ops
+}
 
 /// A crashed image whose log holds `n` single-page operations over
 /// [`PAGES`] pages, none of them installed.
@@ -244,19 +272,13 @@ fn a_demand_allocates_nothing_per_record() {
     }
 }
 
-/// The image of `n` operations, every page installed and checkpointed
-/// before the crash, with page 0 destroyed: a media restore reads the
-/// whole history from LSN 1, and the redo scan after it has nothing to
-/// replay.
+/// The image of [`spread_ops`]`(n)`, every page installed and
+/// checkpointed before the crash, with page 0 destroyed: a media restore
+/// reads the whole history from LSN 1, and the redo scan after it has
+/// nothing to replay.
 fn media_image(n: usize) -> Db<PageOpPayload> {
-    let ops = PageWorkloadSpec {
-        n_ops: n,
-        n_pages: PAGES,
-        ..Default::default()
-    }
-    .generate(11);
     let mut image: Db<_> = Db::new(Geometry::default());
-    for op in &ops {
+    for op in &spread_ops(n) {
         Media.execute(&mut image, op).unwrap();
     }
     image.log.flush_all();
@@ -288,9 +310,11 @@ fn media_allocations(n: usize) -> usize {
 
 #[test]
 fn a_media_restore_allocates_nothing_per_record() {
-    // Every array of the history is sized before the walk from what
-    // the log knows, so doubling the history grows none of them. One
-    // that grows by pushing reallocates once more at 2N.
+    // The scratch, its page numbers and its edge list grow by pushing
+    // as pages and edges appear, and both histories name their pages at
+    // the same fractions of their length, so doubling the history grows
+    // each the same number of times. A buffer sized by records, or
+    // anything allocated per record, allocates more at 2N.
     let (once, twice) = (media_allocations(N), media_allocations(2 * N));
     assert_eq!(
         once,
@@ -323,6 +347,44 @@ fn a_media_restore_holds_its_pages_not_its_records() {
         four <= once + MEDIA_PEAK_SLACK,
         "a media restore of {N} records held {once} bytes at its peak, of {} records {four}: \
          more than {MEDIA_PEAK_SLACK} bytes apart over the same {PAGES} pages",
+        4 * N,
+    );
+}
+
+/// Heap bytes a restart of 4N records may hold at its peak beyond one of
+/// N records over the same pages, per replayed record: the stats' two
+/// op-id lists (every record replays, so one of them holds all 4N ids)
+/// at their largest growth step, when the old buffer and the new one,
+/// twice as long, are both live.
+const OP_ID_PEAK_BYTES: usize = 3 * std::mem::size_of::<u32>();
+
+/// The most heap bytes a serial restart of [`spread_ops`]`(n)`, none of
+/// it installed, held beyond those live when it began.
+fn serial_peak(n: usize) -> usize {
+    let mut image: Db<PageOpPayload> = Db::new(Geometry::default());
+    for op in &spread_ops(n) {
+        Generalized.execute(&mut image, op).unwrap();
+    }
+    image.log.flush_all();
+    image.crash();
+    let live = reset_peak();
+    let stats = Generalized.recover(&mut image).unwrap();
+    let peak = usize::try_from(peak() - live).unwrap();
+    assert_eq!(stats.replay_count(), n, "every record replays");
+    peak
+}
+
+#[test]
+fn a_serial_restart_holds_its_pages_not_its_records() {
+    // The restart replays into a scratch of the pages it names and
+    // installs each once; nothing it holds grows with the records but
+    // the op-id lists of its stats.
+    let (once, four) = (serial_peak(N), serial_peak(4 * N));
+    let slack = OP_ID_PEAK_BYTES * 4 * N + MEDIA_PEAK_SLACK;
+    assert!(
+        four <= once + slack,
+        "a serial restart of {N} records held {once} bytes at its peak, of {} records {four}: \
+         more than {slack} bytes apart over the same {PAGES} pages",
         4 * N,
     );
 }

@@ -445,8 +445,9 @@ mod tests {
     /// it is what "no redo verdict changed" means, and the replay kernel
     /// must reach it unmodified. The pool/disk half is the kernel's own:
     /// its steals happen at the install, and the pages entangled records
-    /// wrote reach the disk in one atomic write there, so that half was
-    /// re-pinned when the kernel replaced the pool path.
+    /// wrote reach the disk in one atomic write there and are left to be
+    /// fetched, so that half was re-pinned when the kernel replaced the
+    /// pool path.
     #[test]
     fn bounded_pool_recovery_decisions_are_pinned() {
         use rand::rngs::StdRng;
@@ -474,9 +475,9 @@ mod tests {
             10_531_371_086_307_842_237,
         ];
         let pool_disk = [
-            18_123_588_129_941_524_994,
-            8_889_435_879_167_579_269,
-            4_393_024_348_015_208_698,
+            6_716_940_383_365_786_153,
+            13_732_452_249_413_108_284,
+            8_225_250_357_008_160_907,
         ];
         let runs = [(7, Some(4), 3), (11, None, 19), (13, None, 39)];
         for (i, (seed, forward, replayed)) in runs.into_iter().enumerate() {

@@ -98,12 +98,16 @@ pub const SCAN_BATCH: usize = 32;
 /// | lazy drain, sequential face | ✓ | ✓ | ✓ | ✓ | 0 |
 /// | lazy drain, concurrent face | ✓ | ✓ | 0 | ✓ | 0 |
 /// | partitioned | ✓ | 0 | 0 | 0 | 0 |
+/// | [`media::Media`]'s restore and restart in one walk | ✓ | 0 | 0 | ✓ | ✓ |
 ///
 /// A lazy demand charges its chain walk to `scan` and its replay to
 /// `redo`; the concurrent face faults each page in under the record's
 /// own lease, so it has no prefetch to charge. The partitioned executor
 /// times `begin`, which it shares with the serial one: its scan and redo
-/// run on worker threads and have no serial phase to charge.
+/// run on worker threads and have no serial phase to charge. A media
+/// restart from a cold pool charges its one walk of the history, scan
+/// and replay alike, to `redo`, and the closure's install, the verdicts
+/// and the kernel's hand-over to `install`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Media repair (torn pages, torn log tail) and analysis of the

@@ -27,7 +27,10 @@
 //! it too ([`crate::redo::recover_ops`], [`crate::redo::recover_local`]),
 //! starting each page from its durable copy instead of a formatted one.
 //! Nothing of a record outlives its step, so the restore holds memory
-//! for the pages, not for the records. Once the walk ends every scratch
+//! for the pages, not for the records. [`Media`]'s restart from a cold
+//! pool reads the history once for both (`restore_and_restart`): the
+//! restart's suffix replays into the same scratch, and only a note per
+//! suffix record waits for the closure to land. Once the walk ends every scratch
 //! page holds its exact content at the stable LSN: the paper's
 //! installation-graph reading, where the full stable log is an
 //! installation sequence for the maximal explainable state.
@@ -64,6 +67,7 @@
 //! recovery recomputes the same closure and images and finishes the job.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 use redo_sim::cache::FrameTable;
 use redo_sim::db::Db;
@@ -87,7 +91,7 @@ use crate::{redo, RecoveryMethod, RecoveryStats};
 pub struct Media;
 
 /// Which operation records the kernel replays
-/// ([`ScratchImage::replay_op`]).
+/// (`ScratchImage::replay_op`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RedoTest {
     /// Every record: §6.1's constant-true test.
@@ -106,7 +110,7 @@ pub enum RedoTest {
 /// starts from its resident or durable copy; the media pass's starts
 /// formatted, at genesis. The redo test reads the scratch page LSNs,
 /// and the kernel keeps each page's first *replayed* LSN, its recLSN at
-/// the [install](ScratchImage::install). Nothing of a record outlives
+/// the install (`ScratchImage::install`). Nothing of a record outlives
 /// its step, so the kernel holds memory for the pages, not the records.
 #[derive(Debug, Default)]
 pub struct ScratchImage {
@@ -185,16 +189,22 @@ impl ScratchImage {
     /// naming more than `u32::MAX` pages.
     pub fn replay(db: &Db<PageOpPayload>) -> SimResult<ScratchImage> {
         let mut image = ScratchImage::new(db.geometry.slots_per_page, false);
-        for rec in db.log.history(db.log.stable_lsn()) {
-            let rec = rec?;
-            image.yielded += 1;
-            if let Some(op) = rec.payload.parse(PageOpPayload::op_view)? {
-                image.replay_op(rec.lsn, &op, RedoTest::Stale, db)?;
-            }
-        }
+        image.replay_history(db, db.log.stable_lsn())?;
         image.edges.sort_unstable();
         image.edges.dedup();
         Ok(image)
+    }
+
+    /// The genesis pass over the durable history through `upto`.
+    fn replay_history(&mut self, db: &Db<PageOpPayload>, upto: Lsn) -> SimResult<()> {
+        for rec in db.log.history(upto) {
+            let rec = rec?;
+            self.yielded += 1;
+            if let Some(op) = rec.payload.parse(PageOpPayload::op_view)? {
+                self.replay_op(rec.lsn, &op, RedoTest::Stale, db)?;
+            }
+        }
+        Ok(())
     }
 
     /// The operation logged at `lsn`, replayed into the scratch if
@@ -205,7 +215,10 @@ impl ScratchImage {
     ///
     /// [`SimError::FieldOverflow`] for a slot past the geometry or a
     /// page past `u32::MAX`; a start image the disk cannot give.
-    #[inline]
+    // Every record of every walk runs it, from three loops: a call per
+    // record cost the media pass of `redo-bench`'s `mem_hot` about a
+    // quarter of its time when the compiler stopped inlining it.
+    #[inline(always)]
     pub(crate) fn replay_op<P: LogPayload>(
         &mut self,
         lsn: Lsn,
@@ -442,11 +455,13 @@ impl ScratchImage {
     /// record naming two or more pages wrote while the disk held them
     /// older — reach the disk in one atomic write: §5's collapse of those
     /// records into one install node, after which no write order is
-    /// owed, so no steal below can run ahead of them. Then every replayed
-    /// page enters the pool in page order
+    /// owed, so no steal below can run ahead of them. Then every other
+    /// replayed page enters the pool in page order
     /// ([`BufferPool::install`](redo_sim::cache::BufferPool::install)),
-    /// dirty from its first replayed LSN on — clean, where the atomic
-    /// write landed it.
+    /// dirty from its first replayed LSN on. A page the atomic write
+    /// landed stays out, to be read from the disk when next fetched,
+    /// unless a copy of it is resident: that one is refreshed, dirty
+    /// too, since a flush of it rewrites only what the disk holds.
     ///
     /// # Errors
     ///
@@ -457,6 +472,12 @@ impl ScratchImage {
         for &edge in &self.edges {
             durable[edge as u32 as usize] = true;
         }
+        self.hand_over(durable, db)
+    }
+
+    /// [`ScratchImage::install`] with the atomic write's pages given:
+    /// `durable[p]` for each dense page `p` it covers.
+    fn hand_over<P: LogPayload>(self, mut durable: Vec<bool>, db: &mut Db<P>) -> SimResult<()> {
         let atomic: Vec<(PageId, Page)> = (0..self.pages.len())
             .filter(|&p| durable[p])
             .map(|p| (self.pages[p], self.page(p as u32)))
@@ -469,9 +490,10 @@ impl ScratchImage {
         }
         let mut replayed = Vec::new();
         for (p, (&page, &first)) in self.pages.iter().zip(&self.first).enumerate() {
-            if first != Lsn::ZERO {
-                let image = self.page(p as u32);
-                replayed.push((page, image, (!durable[p]).then_some(first)));
+            // A page the atomic write landed is read from the disk when
+            // next fetched; a resident copy of it is refreshed.
+            if first != Lsn::ZERO && (!durable[p] || db.pool.get(page).is_some()) {
+                replayed.push((page, self.page(p as u32), first));
             }
         }
         replayed.sort_unstable_by_key(|&(page, ..)| page);
@@ -555,6 +577,141 @@ pub(crate) fn restore(db: &mut Db<PageOpPayload>) -> SimResult<()> {
     }
 }
 
+/// One operation record of the restart's suffix, as
+/// [`restore_and_restart`] notes it until the closure has landed.
+struct Owed {
+    lsn: Lsn,
+    op_id: u32,
+    /// The end of its written pages in the notes' page list, which
+    /// holds them only if the disk held one of them older than `lsn`
+    /// before the closure's install: the install only raises page
+    /// LSNs, so any other record is skipped.
+    end: u32,
+    /// Whether the record names two or more pages.
+    spans: bool,
+}
+
+/// A media restore and the restart after it, reading the durable
+/// history once: [`Media`]'s restart on a cold pool (DESIGN §18). The
+/// records below the redo start replay into the genesis scratch
+/// ([`ScratchImage::replay`]'s) alone; each one from the redo start on
+/// is the restart's too. The restart's generalized test is read off the
+/// disk once the closure has landed ([`install_images`]): the scratch of
+/// a restart starts each page at its disk LSN, and only replays of
+/// older records raise it before the next, so a record replays iff a
+/// page it writes is older on disk than it. The walk notes each record
+/// that may (one entry per record, as the stats' op-id lists keep). A
+/// page the restart replays ends at its image at the stable LSN, which
+/// the genesis scratch holds: it goes to the pool from there, dirty
+/// from the restart's first replay of it, after the pages entangled
+/// replays wrote reach the disk in one atomic write
+/// ([`ScratchImage::hand_over`]) — the install the restart would make.
+///
+/// `Ok(None)`, with nothing written, when the walk did not yield one
+/// record per stable LSN — a hole in the history, or a redo start below
+/// the live records: the caller restores and restarts apart, which
+/// reports a hole.
+///
+/// # Errors
+///
+/// Those of [`redo::begin`], [`ScratchImage::replay`] and
+/// [`ScratchImage::install`]; [`SimError::MediaLoss`] for a lost page
+/// the closure's install did not land.
+fn restore_and_restart(
+    db: &mut Db<PageOpPayload>,
+    lost: &[PageId],
+) -> SimResult<Option<RecoveryStats>> {
+    let (analysis, mut stats) = redo::begin(db)?;
+    let mut clock = Instant::now();
+    let start = analysis.redo_start;
+    let mut scratch = ScratchImage::new(db.geometry.slots_per_page, false);
+    scratch.replay_history(db, Lsn(start.0.saturating_sub(1)))?;
+    let (mut owed, mut owed_pages) = (Vec::new(), Vec::<u32>::new());
+    let mut named = Vec::new();
+    let mut suffix = db.log.suffix(start, db.log.stable_lsn());
+    for rec in suffix.by_ref() {
+        let rec = rec?;
+        scratch.yielded += 1;
+        stats.scanned += 1;
+        let Some(op) = rec.payload.parse(PageOpPayload::op_view)? else {
+            stats.checkpoint_records += 1;
+            continue;
+        };
+        scratch.replay_op(rec.lsn, &op, RedoTest::Stale, db)?;
+        let cells = &scratch.cells;
+        named.resize(scratch.pages.len(), false);
+        for &(p, _) in cells {
+            named[p as usize] = true;
+        }
+        let writes = &cells[op.reads().len()..];
+        let mut older = false;
+        for &(p, cell) in writes {
+            let on_disk =
+                scratch.disk_lsns[p as usize].get_or_insert_with(|| db.disk.page_lsn(cell.page));
+            older |= *on_disk < rec.lsn;
+        }
+        if older {
+            let from = owed_pages.len();
+            for &(p, _) in writes {
+                if owed_pages[from..].last() != Some(&p) {
+                    owed_pages.push(p);
+                }
+            }
+        }
+        owed.push(Owed {
+            lsn: rec.lsn,
+            op_id: op.id,
+            end: dense(owed_pages.len())?,
+            spans: cells.iter().any(|&(p, _)| p != cells[0].0),
+        });
+    }
+    stats.note_scan(suffix.stats(), db.log.forces());
+    if scratch.yielded != db.log.stable_lsn().0 {
+        return Ok(None);
+    }
+    stats.pages_prefetched = named.iter().filter(|&&named| named).count();
+    stats.phase_ns.redo = redo::lap(&mut clock);
+
+    scratch.edges.sort_unstable();
+    scratch.edges.dedup();
+    let images: BTreeMap<PageId, Page> = (scratch.closure(lost).into_iter())
+        .map(|page| (page, scratch.image(page)))
+        .collect();
+    for page in install_images(db, &images) {
+        if let Some(&p) = scratch.numbers.get(page) {
+            scratch.disk_lsns[p as usize] = Some(images[&page].lsn());
+        }
+    }
+    if let Some(&page) = images.keys().find(|&&page| db.disk.is_lost(page)) {
+        return Err(SimError::MediaLoss(page));
+    }
+    // Every noted page's disk LSN was read on the walk, and the install
+    // just raised the closure's.
+    let on_disk = &scratch.disk_lsns;
+    let n = scratch.pages.len();
+    let (mut first, mut durable) = (vec![Lsn::ZERO; n], vec![false; n]);
+    let mut from = 0;
+    for record in &owed {
+        let writes = &owed_pages[from..record.end as usize];
+        from = record.end as usize;
+        let older = |p: u32| on_disk[p as usize].is_some_and(|lsn| lsn < record.lsn);
+        let replayed = writes.iter().any(|&p| older(p));
+        if replayed {
+            for &p in writes {
+                if first[p as usize] == Lsn::ZERO {
+                    first[p as usize] = record.lsn;
+                }
+                durable[p as usize] |= record.spans && older(p);
+            }
+        }
+        stats.note_verdict(redo::Redo::of(record.op_id, replayed));
+    }
+    scratch.first = first;
+    scratch.hand_over(durable, db)?;
+    stats.phase_ns.install = redo::lap(&mut clock);
+    Ok(Some(stats))
+}
+
 impl RecoveryMethod for Media {
     type Payload = PageOpPayload;
 
@@ -574,6 +731,12 @@ impl RecoveryMethod for Media {
         // Repair first: the rebuild closure consults page LSNs, which
         // must answer from honest (un-torn) durable content.
         db.repair_after_crash();
+        let lost = db.disk.lost_pages();
+        if !lost.is_empty() && db.pool.is_empty() {
+            if let Some(stats) = restore_and_restart(db, &lost)? {
+                return Ok(stats);
+            }
+        }
         restore(db)?;
         Generalized.recover(db)
     }
@@ -877,6 +1040,74 @@ mod tests {
         let images = rebuild_images(&db).unwrap();
         assert!(images.is_empty());
         assert!(install_images(&mut db, &images).is_empty());
+    }
+
+    /// What a restart leaves, for comparing two: its stats but the
+    /// timings, each durable page, the pool's dirty-page table and
+    /// resident pages, and the page writes it made.
+    fn restart_outcome(db: &Db<PageOpPayload>, stats: &RecoveryStats) -> String {
+        let resident: Vec<_> = (0..8).filter_map(|id| db.pool.get(PageId(id))).collect();
+        format!(
+            "{:?} {:?} {:?} {} {} {} {} {} {} {:?} {} | disk {:?} | dirty {:?} | pool {:?} | writes {}",
+            stats.replayed,
+            stats.skipped,
+            stats.scanned,
+            stats.bytes_scanned,
+            stats.records_decoded,
+            stats.seek_hits,
+            stats.checkpoint_records,
+            stats.forces,
+            stats.pages_prefetched,
+            stats.checkpoint_lsn,
+            stats.truncated_bytes,
+            db.disk.pages(),
+            db.pool.dirty_page_table(),
+            resident,
+            db.disk.page_writes(),
+        )
+    }
+
+    #[test]
+    fn a_restore_and_its_restart_in_one_walk_end_as_the_two_apart() {
+        // `Media.recover` on a cold pool walks the history once; the lazy
+        // faces still restore first and restart after, which is the
+        // oracle here: the same stats, disk, pool and page writes.
+        let mut restored = 0;
+        for seed in 0..24u64 {
+            let ops = workload(48, seed);
+            let shards = 1 + (seed % 2) as usize;
+            let every = [None, Some(9), Some(5)][(seed % 3) as usize];
+            let capacity = [None, Some(2), Some(4)][(seed / 3 % 3) as usize];
+            let mut db = Db::on_sharded(BackendKind::Mem, Geometry::default(), capacity, shards);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (i, op) in ops.iter().enumerate() {
+                Media.execute(&mut db, op).unwrap();
+                db.chaos_flush(&mut rng, 0.7, 0.4).unwrap();
+                if every.is_some_and(|k| (i + 1) % k == 0) {
+                    Media.checkpoint(&mut db).unwrap();
+                }
+            }
+            db.log.flush_all();
+            db.crash();
+            for (victim, _) in db.disk.pages() {
+                let mut damaged = db.clone();
+                damaged.disk.destroy_page(victim);
+                damaged.crash();
+                let mut apart = damaged.clone();
+                apart.repair_after_crash();
+                restore(&mut apart).unwrap();
+                let want = Generalized.recover(&mut apart).unwrap();
+                let got = Media.recover(&mut damaged).unwrap();
+                assert_eq!(
+                    restart_outcome(&damaged, &got),
+                    restart_outcome(&apart, &want),
+                    "seed {seed}, victim {victim:?}"
+                );
+                assert_matches_model(&mut damaged, &ops);
+                restored += 1;
+            }
+        }
+        assert!(restored > 24, "only {restored} restores");
     }
 
     #[test]

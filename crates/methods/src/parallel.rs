@@ -372,7 +372,7 @@ where
         // nothing to install (and dirtying it would provoke spurious
         // flushes later).
         if let Some(rec_lsn) = r.first_replayed {
-            images.push((r.page, r.image, Some(rec_lsn)));
+            images.push((r.page, r.image, rec_lsn));
         }
     }
     let stable = db.log.stable_lsn();

@@ -241,7 +241,7 @@ pub trait PageLocal: CheckpointView {
 
     /// Splits an operation record, read in place, into the workload
     /// operation id and each written page's share of the record, every
-    /// cell checked ([`check_slot`]) against pages of `slots_per_page`
+    /// cell checked (`check_slot`) against pages of `slots_per_page`
     /// slots. (The executors never hand it a checkpoint record.)
     ///
     /// # Errors
@@ -929,7 +929,7 @@ fn replay_serially<P: CheckpointView>(
 
 /// The serial restart of the operation-logging methods: each operation,
 /// read in place, replays into the kernel if `test` finds it missing
-/// there ([`ScratchImage::replay_op`]) — [`RedoTest::Stale`] for
+/// there (`ScratchImage::replay_op`) — [`RedoTest::Stale`] for
 /// §6.4's generalized test, [`RedoTest::Always`] for §6.1's logical one.
 ///
 /// # Errors
@@ -946,7 +946,7 @@ pub fn recover_ops(db: &mut Db<PageOpPayload>, test: RedoTest) -> SimResult<Reco
 /// The serial restart of a [`PageLocal`] payload: each part restart
 /// still owes (`RestartAnalysis::owed_parts`) meets `step`
 /// ([`PageLocal::redo`], but for a deliberately broken method) on its
-/// page's scratch image ([`ScratchImage::replay_part`]). A page the step
+/// page's scratch image (`ScratchImage::replay_part`). A page the step
 /// changed is dirty from its first such record on.
 ///
 /// # Errors
@@ -1484,6 +1484,26 @@ mod tests {
         Ok(())
     }
 
+    /// The known defect the proptest below steps round: `Logical` over
+    /// a 2- or 4-frame pool restarts to another state than the genesis
+    /// replay. The proptest's seed 10616609972245026926 found it, and
+    /// the parent of the replay kernel fails the same case (ROADMAP
+    /// "Small debts"). Run with `--ignored` to see it.
+    #[test]
+    #[ignore = "known defect: Logical over a bounded pool (ROADMAP, Small debts)"]
+    fn logical_over_a_bounded_pool_reaches_the_genesis_replay() {
+        let seed = 10_616_609_972_245_026_926;
+        for n_ops in 10..60 {
+            let ops = cross_page_workload(n_ops, 6, seed);
+            for capacity in [Some(2), Some(4)] {
+                for every in [None, Some(7)] {
+                    restarts_to_the_genesis_replay(&Logical, &ops, seed, capacity, every)
+                        .unwrap_or_else(|e| panic!("{n_ops} ops, pool {capacity:?}: {e}"));
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1506,9 +1526,12 @@ mod tests {
             restarts_to_the_genesis_replay(&GeneralizedOnline, &ops, seed, capacity, every)?;
             restarts_to_the_genesis_replay(&Control, &ops, seed, capacity, every)?;
             restarts_to_the_genesis_replay(&OnDemand, &ops, seed, capacity, every)?;
-            // A steal would write a logical page past the pointer swing,
-            // the one way its disk may move, so the crash audit runs
-            // logical over an unbounded pool only; so does this.
+            // Logical over a bounded pool is a known defect, not a design
+            // property: it restarts to another state than this replay
+            // (ROADMAP "Small debts"), as it did before the kernel. It is
+            // kept visible in `logical_over_a_bounded_pool_reaches_the_genesis_replay`,
+            // ignored until mended; the crash audit runs logical over an
+            // unbounded pool only too.
             if capacity.is_none() {
                 restarts_to_the_genesis_replay(&Logical, &ops, seed, capacity, every)?;
             }

@@ -601,20 +601,18 @@ impl BufferPool {
     /// Places each `(id, image, rec_lsn)` in turn — a page rebuilt
     /// outside the pool, by redo that started from the pool's own copy
     /// or the durable one — in `id`'s frame, making room as
-    /// [`BufferPool::fetch`] does but reading nothing. With a `rec_lsn`
-    /// the frame is dirty afterwards; one that was clean (or absent)
-    /// enters the dirty-page table at `rec_lsn`, which must be the LSN of
-    /// the **first** record replayed into the image: the durable copy
-    /// holds nothing from that record on, and a later fuzzy checkpoint
-    /// will publish this recLSN as the floor below which the page needs
-    /// no redo. (The image's own LSN is its *last* record's — as a
-    /// recLSN it would claim everything before it installed.) A frame
-    /// that is already dirty keeps its older recLSN. Without one the
-    /// image is already durable, and the frame is clean afterwards, as a
-    /// fetch would leave it. A resident frame keeps its pins. The pages
-    /// that turn dirty join the dirty-page table together — in one bulk
-    /// build when it was empty, as on a restart — or before a steal,
-    /// which reads it.
+    /// [`BufferPool::fetch`] does but reading nothing. The frame is
+    /// dirty afterwards; one that was clean (or absent) enters the
+    /// dirty-page table at `rec_lsn`, which must be the LSN of the
+    /// **first** record replayed into the image: the durable copy holds
+    /// nothing from that record on, and a later fuzzy checkpoint will
+    /// publish this recLSN as the floor below which the page needs no
+    /// redo. (The image's own LSN is its *last* record's — as a recLSN
+    /// it would claim everything before it installed.) A frame that is
+    /// already dirty keeps its older recLSN, and a resident frame keeps
+    /// its pins. The pages that turn dirty join the dirty-page table
+    /// together — in one bulk build when it was empty, as on a restart —
+    /// or before a steal, which reads it.
     ///
     /// # Errors
     ///
@@ -622,19 +620,17 @@ impl BufferPool {
     pub fn install(
         &mut self,
         disk: &mut Disk,
-        images: impl IntoIterator<Item = (PageId, Page, Option<Lsn>)>,
+        images: impl IntoIterator<Item = (PageId, Page, Lsn)>,
         stable_lsn: Lsn,
     ) -> SimResult<()> {
         let mut dirtied: Vec<(Lsn, PageId)> = Vec::new();
         for (id, page, rec_lsn) in images {
             self.clock += 1;
             if let Some(frame) = self.frames.get_mut(id) {
-                match (frame.rec_lsn, rec_lsn) {
-                    (None, Some(rec)) => dirtied.push((rec, id)),
-                    (Some(since), None) => _ = self.coldest.remove(&(since, id)),
-                    _ => {}
+                if frame.rec_lsn.is_none() {
+                    dirtied.push((rec_lsn, id));
+                    frame.rec_lsn = Some(rec_lsn);
                 }
-                frame.rec_lsn = rec_lsn.and(frame.rec_lsn.or(rec_lsn));
                 frame.page = page;
                 frame.stamp = self.clock;
                 continue;
@@ -643,11 +639,11 @@ impl BufferPool {
                 self.coldest.extend(dirtied.drain(..));
                 self.make_room(disk, stable_lsn)?;
             }
-            dirtied.extend(rec_lsn.map(|rec| (rec, id)));
+            dirtied.push((rec_lsn, id));
             let stamp = self.clock;
             let frame = Frame {
                 page,
-                rec_lsn,
+                rec_lsn: Some(rec_lsn),
                 stamp,
                 pins: 0,
             };
@@ -1038,29 +1034,17 @@ mod tests {
         let mut image = Page::new(4);
         image.set(SlotId(1), 7);
         image.set_lsn(Lsn(40));
-        pool.install(
-            &mut disk,
-            [(PageId(0), image.clone(), Some(Lsn(5)))],
-            Lsn(40),
-        )
-        .unwrap();
+        pool.install(&mut disk, [(PageId(0), image.clone(), Lsn(5))], Lsn(40))
+            .unwrap();
         assert_eq!(pool.get(PageId(0)), Some(&image));
         assert_eq!(pool.dirty_page_table(), vec![(PageId(0), Lsn(5))]);
         // Re-installing over a dirty frame keeps the older recLSN.
-        pool.install(
-            &mut disk,
-            [(PageId(0), image.clone(), Some(Lsn(33)))],
-            Lsn(40),
-        )
-        .unwrap();
+        pool.install(&mut disk, [(PageId(0), image.clone(), Lsn(33))], Lsn(40))
+            .unwrap();
         assert_eq!(pool.dirty_page_table(), vec![(PageId(0), Lsn(5))]);
         // A full pool makes room by flushing the victim, as a fetch would.
-        pool.install(
-            &mut disk,
-            [(PageId(1), image.clone(), Some(Lsn(6)))],
-            Lsn(40),
-        )
-        .unwrap();
+        pool.install(&mut disk, [(PageId(1), image.clone(), Lsn(6))], Lsn(40))
+            .unwrap();
         assert_eq!(pool.len(), 1);
         assert_eq!(disk.read_page(PageId(0), 4).unwrap(), image);
         assert_eq!(pool.dirty_page_table(), vec![(PageId(1), Lsn(6))]);
@@ -1876,7 +1860,7 @@ mod tests {
                         // Redo rebuilt the page from records next..=next+1.
                         let mut image = Page::new(4);
                         image.set_lsn(Lsn(next + 1));
-                        let _ = pool.install(&mut disk, [(id, image, Some(Lsn(next)))], stable);
+                        let _ = pool.install(&mut disk, [(id, image, Lsn(next))], stable);
                     }
                     4 => {
                         // A two-page operation: same LSN, one atomic group.
@@ -1975,12 +1959,12 @@ mod tests {
             true
         }
 
-        fn install(&mut self, id: PageId, image: Page, stable: Lsn, dirty: bool) -> bool {
+        fn install(&mut self, id: PageId, image: Page, stable: Lsn) -> bool {
             if !self.frames.contains_key(&id) && !self.make_room(stable) {
                 return false;
             }
             let pins = self.frames.get(&id).map_or(0, |frame| frame.2);
-            self.frames.insert(id, (image, dirty, pins));
+            self.frames.insert(id, (image, true, pins));
             self.touch(id);
             true
         }
@@ -2053,12 +2037,9 @@ mod tests {
                         let mut image = Page::new(4);
                         image.set(SlotId(1), next_lsn);
                         image.set_lsn(Lsn(next_lsn));
-                        // Every third image is one the disk already holds.
-                        let dirty = next_lsn % 3 != 0;
-                        let rec_lsn = dirty.then_some(Lsn(next_lsn));
-                        let installed = pool.install(&mut disk, [(id, image.clone(), rec_lsn)], stable);
-                        let modelled = model.install(id, image, stable, dirty);
-                        proptest::prop_assert_eq!(installed.is_ok(), modelled);
+                        let installed =
+                            pool.install(&mut disk, [(id, image.clone(), Lsn(next_lsn))], stable);
+                        proptest::prop_assert_eq!(installed.is_ok(), model.install(id, image, stable));
                         next_lsn += 1;
                     }
                     8 => {
@@ -2135,12 +2116,8 @@ mod tests {
         pool.pin(PageId(0)).unwrap();
         let mut image = Page::new(4);
         image.set_lsn(Lsn(3));
-        pool.install(
-            &mut disk,
-            [(PageId(0), image.clone(), Some(Lsn(2)))],
-            Lsn(9),
-        )
-        .unwrap();
+        pool.install(&mut disk, [(PageId(0), image.clone(), Lsn(2))], Lsn(9))
+            .unwrap();
         assert_eq!(pool.get(PageId(0)), Some(&image));
         // Still pinned, twice: the one frame cannot be stolen until both
         // are released.

@@ -275,7 +275,10 @@ fn a_demand_allocates_nothing_per_record() {
 /// The image of [`spread_ops`]`(n)`, every page installed and
 /// checkpointed before the crash, with page 0 destroyed: a media restore
 /// reads the whole history from LSN 1, and the redo scan after it has
-/// nothing to replay.
+/// nothing to replay. (`Media.recover` keeps one note per record of the
+/// restart's suffix, as a serial restart keeps its op ids; no operation
+/// record follows the checkpoint here, so what these tests hold is the
+/// genesis pass.)
 fn media_image(n: usize) -> Db<PageOpPayload> {
     let mut image: Db<_> = Db::new(Geometry::default());
     for op in &spread_ops(n) {
